@@ -1,16 +1,16 @@
 //! Microbenchmarks of the substrate operations: store updates, incremental
 //! checksums, anti-entropy comparison strategies and partner sampling.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use epidemic_core::{AntiEntropy, Comparison, Direction, Feedback, Removal, Replica, RumorConfig};
 use epidemic_db::{Database, SimClock, SiteId};
 use epidemic_net::{topologies, PartnerSampler, Routes, Spatial};
 use epidemic_sim::mixing::RumorEpidemic;
-use epidemic_trace::Registry;
+use epidemic_trace::{AggregatingSink, Registry, RunAggregate, Sir};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("store");
@@ -125,6 +125,73 @@ fn bench_metrics_sink(c: &mut Criterion) {
     group.finish();
 }
 
+/// `contacts` uniform initiator/partner pairs over `n` sites — the contact
+/// stream a complete-mixing run hands its sink.
+fn mixing_stream(n: usize, contacts: usize, seed: u64) -> Vec<(usize, usize)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..contacts)
+        .map(|_| {
+            let i = rng.random_range(0..n);
+            let j = (i + rng.random_range(1..n)) % n;
+            (i, j)
+        })
+        .collect()
+}
+
+fn fresh_sink(n: usize) -> AggregatingSink {
+    let mut sink = AggregatingSink::new();
+    sink.run_start(Sir {
+        susceptible: n - 1,
+        infective: 1,
+        removed: 0,
+    });
+    sink
+}
+
+fn feed(sink: &mut AggregatingSink, stream: &[(usize, usize)]) {
+    for (idx, &(i, j)) in stream.iter().enumerate() {
+        sink.contact(1, i, j, 1, (idx & 1) as u64);
+    }
+}
+
+/// The always-on run aggregate's own cost (time is per whole stream or
+/// merge, not per contact): a fresh per-trial sink admitting new pairs
+/// below `LINK_CAP`, a full sink folding an n = 10⁴ stream into its
+/// overflow cell, and the per-trial merge into a full running total.
+fn bench_aggregating_sink(c: &mut Criterion) {
+    let mut group = c.benchmark_group("aggregating_sink");
+    let below = mixing_stream(1_000, 4_000, 1);
+    group.bench_function("contact_below_cap_n1000_x4000", |b| {
+        b.iter_batched(
+            || fresh_sink(1_000),
+            |mut sink| {
+                feed(&mut sink, &below);
+                sink
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    let past = mixing_stream(10_000, 20_000, 2);
+    group.bench_function("contact_past_cap_n10000_x20000", |b| {
+        let mut sink = fresh_sink(10_000);
+        feed(&mut sink, &past);
+        assert_eq!(sink.aggregate().links().tracked_pairs(), 4_096);
+        b.iter(|| feed(&mut sink, &past))
+    });
+    group.bench_function("merge_full_trial_into_full_total", |b| {
+        let full = |seed| {
+            let mut sink = fresh_sink(1_000);
+            feed(&mut sink, &mixing_stream(1_000, 8_000, seed));
+            sink.finish()
+        };
+        let trial = full(3);
+        let mut total = RunAggregate::new();
+        total.merge(&full(4));
+        b.iter(|| total.merge(&trial))
+    });
+    group.finish();
+}
+
 fn bench_routing(c: &mut Criterion) {
     let net = topologies::cin(&topologies::CinConfig::default());
     c.bench_function("routing/all_pairs_bfs_cin", |b| {
@@ -135,6 +202,7 @@ fn bench_routing(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(10);
-    targets = bench_store, bench_anti_entropy, bench_sampling, bench_metrics_sink, bench_routing
+    targets = bench_store, bench_anti_entropy, bench_sampling, bench_metrics_sink,
+        bench_aggregating_sink, bench_routing
 }
 criterion_main!(micro);

@@ -269,6 +269,10 @@ fn take_dir_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
 }
 
 fn main() {
+    if let Err(message) = epidemic_sim::runner::thread_override() {
+        eprintln!("{message}");
+        std::process::exit(2);
+    }
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
         for group in ["tables", "figures", "scenarios"] {
@@ -285,6 +289,7 @@ fn main() {
         let value = args
             .get(pos + 1)
             .and_then(|v| v.parse().ok())
+            .filter(|&trials: &u64| trials > 0)
             .unwrap_or_else(|| {
                 eprintln!("--trials needs a positive integer");
                 std::process::exit(2);

@@ -47,6 +47,38 @@ fn unknown_experiment_exits_nonzero_and_lists_names() {
 }
 
 #[test]
+fn zero_trials_is_a_usage_error() {
+    // Zero trials used to print all-NaN tables and exit 0.
+    let out = repro(&["--trials", "0", "table1"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no table may be printed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--trials needs a positive integer"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn invalid_thread_override_is_rejected_naming_variable_and_value() {
+    // Both used to fall back silently to the hardware thread count.
+    for bad in ["abc", "0"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .env("EPIDEMIC_THREADS", bad)
+            .arg("table1")
+            .output()
+            .expect("repro binary runs");
+        assert_eq!(out.status.code(), Some(2), "EPIDEMIC_THREADS={bad}");
+        assert!(out.stdout.is_empty(), "no table may be printed");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("EPIDEMIC_THREADS") && stderr.contains(bad),
+            "stderr must name the variable and the value {bad}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn trace_with_empty_selection_is_a_usage_error() {
     // `--trace DIR` with neither experiments nor selectors would write
     // nothing at all; that must be a usage error, not a silent no-op.

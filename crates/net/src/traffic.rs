@@ -44,7 +44,17 @@ impl LinkTraffic {
 
     /// Charges one unit to every link on the route `from → to`.
     pub fn record_route(&mut self, routes: &Routes, from: SiteId, to: SiteId) {
-        routes.for_each_route_link(from, to, |l| self.counts[l.index()] += 1);
+        self.record_route_units(routes, from, to, 1);
+    }
+
+    /// Charges `units` to every link on the route `from → to` in one route
+    /// walk — the same sums as `units` calls of
+    /// [`record_route`](Self::record_route).
+    pub fn record_route_units(&mut self, routes: &Routes, from: SiteId, to: SiteId, units: u64) {
+        if units == 0 {
+            return;
+        }
+        routes.for_each_route_link(from, to, |l| self.counts[l.index()] += units);
     }
 
     /// Charges one unit to a single link.
@@ -124,6 +134,22 @@ mod tests {
         assert_eq!(t.at(l12), 2);
         assert_eq!(t.total(), 3);
         assert_eq!(t.hottest(), Some((l12, 2)));
+    }
+
+    #[test]
+    fn route_units_equal_repeated_single_charges() {
+        let topo = topologies::line(5);
+        let routes = Routes::compute(&topo);
+        let s = topo.sites();
+        let mut batched = LinkTraffic::new(topo.link_count());
+        let mut looped = LinkTraffic::new(topo.link_count());
+        for (from, to, units) in [(0, 4, 3), (1, 3, 0), (4, 2, 107)] {
+            batched.record_route_units(&routes, s[from], s[to], units);
+            for _ in 0..units {
+                looped.record_route(&routes, s[from], s[to]);
+            }
+        }
+        assert_eq!(batched, looped);
     }
 
     #[test]

@@ -43,6 +43,9 @@ const KEY: u32 = 0;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReceiveLog<T = u32> {
     times: Vec<Option<T>>,
+    /// Number of `Some` entries in `times`, kept by [`ReceiveLog::mark`] so
+    /// per-cycle readers (completion checks, SIR snapshots) need no scan.
+    received: usize,
 }
 
 impl<T: Copy> ReceiveLog<T> {
@@ -50,6 +53,7 @@ impl<T: Copy> ReceiveLog<T> {
     pub fn new(n: usize) -> Self {
         ReceiveLog {
             times: vec![None; n],
+            received: 0,
         }
     }
 
@@ -58,6 +62,7 @@ impl<T: Copy> ReceiveLog<T> {
     pub fn mark(&mut self, i: usize, t: T) -> bool {
         if self.times[i].is_none() {
             self.times[i] = Some(t);
+            self.received += 1;
             true
         } else {
             false
@@ -71,12 +76,12 @@ impl<T: Copy> ReceiveLog<T> {
 
     /// Whether every site has received the update.
     pub fn complete(&self) -> bool {
-        self.times.iter().all(Option::is_some)
+        self.received == self.times.len()
     }
 
     /// Number of sites that have received the update.
     pub fn received_count(&self) -> usize {
-        self.times.iter().flatten().count()
+        self.received
     }
 
     /// Fraction of sites still missing the update (the paper's *residue*).
@@ -110,11 +115,11 @@ impl<T: Copy + Into<u64>> ReceiveLog<T> {
     /// Mean receive time over sites that *did* receive the update
     /// (`0.0` if nobody did) — the mixing driver's `t_ave` convention.
     pub fn t_ave_received(&self) -> f64 {
-        let received: Vec<u64> = self.times.iter().flatten().map(|&t| t.into()).collect();
-        if received.is_empty() {
+        if self.received == 0 {
             0.0
         } else {
-            received.iter().sum::<u64>() as f64 / received.len() as f64
+            let sum: u64 = self.times.iter().flatten().map(|&t| t.into()).sum();
+            sum as f64 / self.received as f64
         }
     }
 
@@ -159,9 +164,8 @@ impl<'a> RouteRecorder<'a> {
     /// units of update traffic.
     pub fn record(&mut self, from: SiteId, to: SiteId, update_units: u64) {
         self.compare.record_route(self.routes, from, to);
-        for _ in 0..update_units {
-            self.update.record_route(self.routes, from, to);
-        }
+        self.update
+            .record_route_units(self.routes, from, to, update_units);
     }
 
     /// The routing table the recorder charges against.
@@ -271,6 +275,31 @@ pub struct MixingProtocol {
     pub(crate) scratch: RumorScratch<u32>,
 }
 
+impl MixingProtocol {
+    /// Seeds the update at site 0 of `sites` (all empty on entry) and
+    /// marks it in the receive log — the one place that establishes
+    /// "marked ⇔ holds the update", which `contact`/`absorb` then keep.
+    pub(crate) fn new(
+        cfg: RumorConfig,
+        synchronous: bool,
+        mut sites: Vec<Replica<u32, u32>>,
+    ) -> Self {
+        let n = sites.len();
+        sites[0].client_update(KEY, 1);
+        let mut received = ReceiveLog::new(n);
+        received.mark(0, 0);
+        MixingProtocol {
+            cfg,
+            synchronous,
+            sites,
+            received,
+            state0: BitSet::new(n),
+            hot0: BitSet::new(n),
+            scratch: RumorScratch::new(),
+        }
+    }
+}
+
 impl EpidemicProtocol for MixingProtocol {
     fn site_count(&self) -> usize {
         self.sites.len()
@@ -293,14 +322,17 @@ impl EpidemicProtocol for MixingProtocol {
 
     fn begin_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
         match self.cfg.direction {
+            // A site holds the update exactly when the receive log has
+            // marked it (every `contact`/`absorb` branch marks as the entry
+            // lands), so the snapshot reads the log, not each database.
             Direction::Push => {
-                for (idx, site) in self.sites.iter().enumerate() {
-                    self.state0.set(idx, site.db().entry(&KEY).is_some());
+                for idx in 0..self.sites.len() {
+                    self.state0.set(idx, self.received.is_marked(idx));
                 }
             }
             Direction::Pull => {
                 for (idx, site) in self.sites.iter().enumerate() {
-                    self.state0.set(idx, site.db().entry(&KEY).is_some());
+                    self.state0.set(idx, self.received.is_marked(idx));
                     self.hot0.set(idx, site.is_infective(&KEY));
                 }
             }
@@ -545,11 +577,7 @@ impl ShardableProtocol for MixingProtocol {
 impl SirView for MixingProtocol {
     fn sir_counts(&self) -> SirCounts {
         let infective = self.sites.iter().filter(|r| !r.hot().is_empty()).count();
-        let have = self
-            .sites
-            .iter()
-            .filter(|r| r.db().entry(&KEY).is_some())
-            .count();
+        let have = self.received.received_count();
         SirCounts {
             susceptible: self.sites.len() - have,
             infective,
@@ -869,6 +897,73 @@ mod tests {
         assert!((log.t_ave_all(7) - (3.0 + 5.0 + 7.0 + 7.0) / 4.0).abs() < 1e-12);
         assert_eq!(log.unreceived().collect::<Vec<_>>(), vec![2, 3]);
         assert!((log.residue() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn receive_log_count_equals_a_scan() {
+        let mut log: ReceiveLog<u32> = ReceiveLog::new(64);
+        let mut rng = StdRng::seed_from_u64(3);
+        for step in 0..400 {
+            log.mark(rng.random_range(0..64), step);
+            let scan = log.times().iter().flatten().count();
+            assert_eq!(log.received_count(), scan);
+            assert_eq!(log.complete(), scan == 64);
+        }
+        assert!(log.complete(), "400 draws over 64 sites cover them all");
+    }
+
+    /// Asserts, at run start and after every cycle, that the receive log
+    /// says exactly what probing every database used to say — per site
+    /// (what `begin_cycle` snapshots) and in total (what `sir_counts`
+    /// reports).
+    struct ProbeCheck {
+        cycles_checked: u32,
+    }
+
+    impl ProbeCheck {
+        fn check(&mut self, p: &MixingProtocol) {
+            let mut have = 0;
+            for (i, site) in p.sites.iter().enumerate() {
+                let holds = site.db().entry(&KEY).is_some();
+                assert_eq!(p.received.is_marked(i), holds, "site {i}");
+                have += usize::from(holds);
+            }
+            let infective = p.sites.iter().filter(|r| !r.hot().is_empty()).count();
+            let probed = SirCounts {
+                susceptible: p.sites.len() - have,
+                infective,
+                removed: have - infective,
+            };
+            assert_eq!(p.sir_counts(), probed);
+            self.cycles_checked += 1;
+        }
+    }
+
+    impl crate::engine::Observer<MixingProtocol> for ProbeCheck {
+        fn on_run_start(&mut self, p: &MixingProtocol) {
+            self.check(p);
+        }
+        fn on_cycle_end(&mut self, _cycle: u32, p: &MixingProtocol) {
+            self.check(p);
+        }
+    }
+
+    #[test]
+    fn mixing_sir_counts_equal_the_database_probe() {
+        use crate::mixing::RumorEpidemic;
+        for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
+            let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
+            for synchronous in [true, false] {
+                let driver = RumorEpidemic::new(cfg).synchronous(synchronous);
+                let mut check = ProbeCheck { cycles_checked: 0 };
+                driver.run_observed(200, 11, &mut check);
+                assert!(check.cycles_checked > 3, "{direction:?}: run too short");
+                // The sharded engine marks through `absorb`.
+                let mut check = ProbeCheck { cycles_checked: 0 };
+                driver.run_sharded_observed(200, 11, 4, 2, &mut check);
+                assert!(check.cycles_checked > 3, "{direction:?} sharded");
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@
 //!   suites, and statistically (5σ) against the legacy runner where the
 //!   contract legitimately differs.
 
-use epidemic_core::rumor::{RumorConfig, RumorScratch};
+use epidemic_core::rumor::RumorConfig;
 use epidemic_core::{Direction, Feedback, Removal, Replica};
 use epidemic_db::{Backend, LazyTable, SiteId};
 use epidemic_net::DegreeGraph;
@@ -62,7 +62,7 @@ use rand::rngs::{ContactRng, StdRng};
 use rand::{RngExt, SeedableRng};
 
 use crate::bitset::BitSet;
-use crate::engine::protocols::{MixingProtocol, ReceiveLog};
+use crate::engine::protocols::MixingProtocol;
 use crate::engine::{
     ActiveCycleEngine, ActiveSetProtocol, ContactStats, CycleEngine, EngineReport,
     NeighborPartners, Observer, PartnerPolicy, SirCounts, SirView, UniformPartners,
@@ -188,7 +188,7 @@ impl MegascaleSim {
         observer: &mut O,
     ) -> EpidemicResult {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sites: Vec<Replica<u32, u32>> = (0..n)
+        let sites: Vec<Replica<u32, u32>> = (0..n)
             .map(|i| {
                 Replica::with_backend(
                     SiteId::new(u32::try_from(i).expect("site count fits u32")),
@@ -196,19 +196,7 @@ impl MegascaleSim {
                 )
             })
             .collect();
-        sites[0].client_update(KEY, 1);
-        let mut received = ReceiveLog::new(n);
-        received.mark(0, 0);
-
-        let mut protocol = MixingProtocol {
-            cfg: self.cfg,
-            synchronous: false,
-            sites,
-            received,
-            state0: BitSet::new(n),
-            hot0: BitSet::new(n),
-            scratch: RumorScratch::new(),
-        };
+        let mut protocol = MixingProtocol::new(self.cfg, false, sites);
         let report = CycleEngine::new().max_cycles(self.max_cycles).run(
             &mut protocol,
             policy,

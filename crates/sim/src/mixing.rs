@@ -26,9 +26,7 @@ use rand::SeedableRng;
 
 use crate::bitset::BitSet;
 use crate::engine::protocols::{BitAntiEntropyProtocol, MixingProtocol};
-use crate::engine::{
-    CycleEngine, Observer, ReceiveLog, ShardedCycleEngine, SirObserver, UniformPartners,
-};
+use crate::engine::{CycleEngine, Observer, ShardedCycleEngine, SirObserver, UniformPartners};
 
 /// Result of one single-update epidemic run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,9 +79,6 @@ pub struct RumorEpidemic {
     max_cycles: u32,
     synchronous: bool,
 }
-
-/// The single key every epidemic run spreads.
-const KEY: u32 = 0;
 
 impl RumorEpidemic {
     /// Creates a driver for the given rumor-mongering configuration, with
@@ -210,22 +205,10 @@ impl RumorEpidemic {
     {
         let policy = UniformPartners::new(n);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sites: Vec<Replica<u32, u32>> = (0..n)
+        let sites: Vec<Replica<u32, u32>> = (0..n)
             .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
             .collect();
-        sites[0].client_update(KEY, 1);
-        let mut received = ReceiveLog::new(n);
-        received.mark(0, 0);
-
-        let mut protocol = MixingProtocol {
-            cfg: self.cfg,
-            synchronous: self.synchronous,
-            sites,
-            received,
-            state0: BitSet::new(n),
-            hot0: BitSet::new(n),
-            scratch: epidemic_core::RumorScratch::new(),
-        };
+        let mut protocol = MixingProtocol::new(self.cfg, self.synchronous, sites);
         let report = CycleEngine::new()
             .connection_limit(self.connection_limit)
             .hunt_limit(self.hunt_limit)
@@ -279,22 +262,10 @@ impl RumorEpidemic {
             "sharded mode does not support connection limits or hunting"
         );
         let policy = UniformPartners::new(n);
-        let mut sites: Vec<Replica<u32, u32>> = (0..n)
+        let sites: Vec<Replica<u32, u32>> = (0..n)
             .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
             .collect();
-        sites[0].client_update(KEY, 1);
-        let mut received = ReceiveLog::new(n);
-        received.mark(0, 0);
-
-        let mut protocol = MixingProtocol {
-            cfg: self.cfg,
-            synchronous: self.synchronous,
-            sites,
-            received,
-            state0: BitSet::new(n),
-            hot0: BitSet::new(n),
-            scratch: epidemic_core::RumorScratch::new(),
-        };
+        let mut protocol = MixingProtocol::new(self.cfg, self.synchronous, sites);
         let report = ShardedCycleEngine::new(shards)
             .workers(workers)
             .max_cycles(self.max_cycles)

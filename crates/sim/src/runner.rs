@@ -166,15 +166,34 @@ impl TrialRunner {
 
 /// The thread count used when no builder override is set:
 /// `EPIDEMIC_THREADS` if present and valid, else the hardware count.
+///
+/// A library caller gets the hardware count on an invalid value; a
+/// program that wants to refuse it calls [`thread_override`] first (as
+/// `repro` does at start-up).
 pub fn default_threads() -> usize {
-    if let Ok(value) = std::env::var(THREADS_ENV_VAR) {
-        if let Some(n) = parse_thread_override(&value) {
-            return n;
-        }
+    if let Ok(Some(n)) = thread_override() {
+        return n;
     }
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(4)
+}
+
+/// Reads `EPIDEMIC_THREADS`: `Ok(None)` when unset, `Ok(Some(n))` for a
+/// positive integer.
+///
+/// # Errors
+///
+/// Returns a message naming the variable and the offending value when it
+/// is set to anything else (`abc`, `0`, non-UTF-8).
+pub fn thread_override() -> Result<Option<usize>, String> {
+    let Some(raw) = std::env::var_os(THREADS_ENV_VAR) else {
+        return Ok(None);
+    };
+    raw.to_str()
+        .and_then(parse_thread_override)
+        .map(Some)
+        .ok_or_else(|| format!("{THREADS_ENV_VAR}={raw:?} is not a positive integer"))
 }
 
 fn parse_thread_override(value: &str) -> Option<usize> {

@@ -368,9 +368,9 @@ impl ShardableProtocol for SpatialRumorProtocol<'_> {
         let stats = rumor::contact_with(&ctx.cfg, a, b, rng, &mut shard.scratch);
         let (from, to) = (ctx.sites[i], ctx.sites[j]);
         shard.compare.record_route(ctx.routes, from, to);
-        for _ in 0..stats.sent {
-            shard.update.record_route(ctx.routes, from, to);
-        }
+        shard
+            .update
+            .record_route_units(ctx.routes, from, to, stats.sent as u64);
         match ctx.cfg.direction {
             Direction::Push => {
                 if stats.useful > 0 {

@@ -330,11 +330,9 @@ impl ShardableProtocol for SpatialSteadyProtocol<'_> {
             shard
                 .compare
                 .record_route(ctx.routes, ctx.sites[i], ctx.sites[j]);
-            for _ in 0..sent {
-                shard
-                    .update
-                    .record_route(ctx.routes, ctx.sites[i], ctx.sites[j]);
-            }
+            shard
+                .update
+                .record_route_units(ctx.routes, ctx.sites[i], ctx.sites[j], sent);
         }
         ContactStats { sent, useful: sent }
     }

@@ -31,8 +31,6 @@
 //! reproducible by a post-hoc scan of a full JSONL trace, which the
 //! differential tests exploit).
 
-use std::collections::BTreeMap;
-
 use crate::json::JsonObject;
 use crate::metrics::Histogram;
 use crate::record::TraceTotals;
@@ -83,13 +81,36 @@ impl LinkCell {
 }
 
 /// A bounded per-link traffic matrix (see [`LINK_CAP`]).
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// A flat first-come table: `keys`/`cells` hold the tracked pairs in
+/// admission order and `index` is an open-addressing (linear-probe) hash
+/// index over them. All three grow geometrically with the pairs actually
+/// seen — a ten-contact run holds ten cells and a 32-slot index — and stop
+/// at [`LINK_CAP`] pairs. Admission order is bookkeeping only: exports are
+/// sorted by `(from, to)` and equality compares the tracked *set*.
+#[derive(Debug, Clone, Default)]
 pub struct LinkAggregate {
-    cells: BTreeMap<(u64, u64), LinkCell>,
+    keys: Vec<(u64, u64)>,
+    cells: Vec<LinkCell>,
+    /// `position + 1` into `keys`/`cells`, `0` for an empty slot. Empty
+    /// until the first admission, then a power of two kept at most half
+    /// full (so at most `2 * LINK_CAP` slots).
+    index: Vec<u32>,
     overflow: LinkCell,
 }
 
+/// Where a pair sits in a [`LinkAggregate`]'s index.
+enum Probe {
+    /// Tracked, at this position of `keys`/`cells`.
+    Found(usize),
+    /// Not tracked; this index slot is where it would go.
+    Vacant(usize),
+}
+
 impl LinkAggregate {
+    /// Smallest non-empty index.
+    const MIN_SLOTS: usize = 16;
+
     /// Records one contact over the directed pair `(from, to)`.
     pub fn record(&mut self, from: u64, to: u64, sent: u64, useful: u64) {
         self.record_cell(
@@ -103,28 +124,98 @@ impl LinkAggregate {
         );
     }
 
+    /// Home slot of `(from, to)` in an index of `slots` (a power of two)
+    /// entries. Keys are site indices from inside the program, so a fixed
+    /// multiplicative mix is enough; the shift keeps the well-mixed high
+    /// bits.
+    fn home(from: u64, to: u64, slots: usize) -> usize {
+        const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut h = (from ^ to.rotate_left(32)).wrapping_mul(MIX);
+        h = (h ^ (h >> 32)).wrapping_mul(MIX);
+        (h >> (64 - slots.trailing_zeros())) as usize
+    }
+
+    fn probe(&self, from: u64, to: u64) -> Probe {
+        let mask = self.index.len() - 1;
+        let mut slot = Self::home(from, to, self.index.len());
+        loop {
+            match self.index[slot] {
+                0 => return Probe::Vacant(slot),
+                entry => {
+                    let pos = entry as usize - 1;
+                    if self.keys[pos] == (from, to) {
+                        return Probe::Found(pos);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Doubles the index (or creates it) and re-seats every tracked pair.
+    fn grow_index(&mut self) {
+        let slots = (self.index.len() * 2).max(Self::MIN_SLOTS);
+        self.index.clear();
+        self.index.resize(slots, 0);
+        for (pos, &(from, to)) in self.keys.iter().enumerate() {
+            let mut slot = Self::home(from, to, slots);
+            while self.index[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.index[slot] = pos as u32 + 1;
+        }
+    }
+
     fn record_cell(&mut self, from: u64, to: u64, cell: &LinkCell) {
-        if let Some(slot) = self.cells.get_mut(&(from, to)) {
-            slot.add(cell);
-        } else if self.cells.len() < LINK_CAP {
-            self.cells.insert((from, to), *cell);
-        } else {
-            self.overflow.add(cell);
+        if self.index.is_empty() {
+            self.grow_index();
+        }
+        match self.probe(from, to) {
+            Probe::Found(pos) => self.cells[pos].add(cell),
+            Probe::Vacant(_) if self.keys.len() >= LINK_CAP => self.overflow.add(cell),
+            Probe::Vacant(slot) => {
+                self.keys.push((from, to));
+                self.cells.push(*cell);
+                self.index[slot] = self.keys.len() as u32;
+                if self.keys.len() * 2 > self.index.len() {
+                    self.grow_index();
+                }
+            }
         }
     }
 
     /// Folds `other` into `self`; `other`'s cells are admitted in
     /// `(from, to)` order under the same first-come cap.
     pub fn merge(&mut self, other: &LinkAggregate) {
-        for (&(from, to), cell) in &other.cells {
-            self.record_cell(from, to, cell);
+        // The admission order only decides *which* of `other`'s new pairs
+        // get the remaining cells, so it matters only when this merge can
+        // cross the cap; otherwise every order tracks the same set with
+        // the same sums and the sort is skipped.
+        let may_cross_cap =
+            self.keys.len() < LINK_CAP && self.keys.len() + other.keys.len() > LINK_CAP;
+        if may_cross_cap {
+            for pos in other.sorted_positions() {
+                let (from, to) = other.keys[pos];
+                self.record_cell(from, to, &other.cells[pos]);
+            }
+        } else {
+            for (&(from, to), cell) in other.keys.iter().zip(&other.cells) {
+                self.record_cell(from, to, cell);
+            }
         }
         self.overflow.add(&other.overflow);
     }
 
+    /// Positions of the tracked pairs in ascending `(from, to)` order.
+    fn sorted_positions(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.keys.len()).collect();
+        order.sort_unstable_by_key(|&pos| self.keys[pos]);
+        order
+    }
+
     /// Distinct pairs currently tracked.
     pub fn tracked_pairs(&self) -> usize {
-        self.cells.len()
+        self.keys.len()
     }
 
     /// Traffic folded into the overflow cell (pairs past the cap).
@@ -135,7 +226,7 @@ impl LinkAggregate {
     /// Grand totals over every recorded contact, tracked or overflowed.
     pub fn totals(&self) -> LinkCell {
         let mut t = self.overflow;
-        for cell in self.cells.values() {
+        for cell in &self.cells {
             t.add(cell);
         }
         t
@@ -143,22 +234,49 @@ impl LinkAggregate {
 
     /// The tracked cell for `(from, to)`, if retained.
     pub fn get(&self, from: u64, to: u64) -> Option<&LinkCell> {
-        self.cells.get(&(from, to))
+        if self.index.is_empty() {
+            return None;
+        }
+        match self.probe(from, to) {
+            Probe::Found(pos) => Some(&self.cells[pos]),
+            Probe::Vacant(_) => None,
+        }
     }
 
     /// Tracked cells in `(from, to)` order.
-    pub fn cells(&self) -> impl Iterator<Item = (&(u64, u64), &LinkCell)> + '_ {
-        self.cells.iter()
+    pub fn cells(&self) -> Vec<((u64, u64), LinkCell)> {
+        self.sorted_positions()
+            .into_iter()
+            .map(|pos| (self.keys[pos], self.cells[pos]))
+            .collect()
     }
 
     /// The `k` heaviest tracked cells by `sent` (descending), ties broken
     /// by `(from, to)` ascending.
     pub fn top(&self, k: usize) -> Vec<((u64, u64), LinkCell)> {
-        let mut all: Vec<((u64, u64), LinkCell)> =
-            self.cells.iter().map(|(&key, &cell)| (key, cell)).collect();
-        all.sort_by(|a, b| b.1.sent.cmp(&a.1.sent).then(a.0.cmp(&b.0)));
+        let mut all: Vec<((u64, u64), LinkCell)> = self
+            .keys
+            .iter()
+            .copied()
+            .zip(self.cells.iter().copied())
+            .collect();
+        all.sort_unstable_by(|a, b| b.1.sent.cmp(&a.1.sent).then(a.0.cmp(&b.0)));
         all.truncate(k);
         all
+    }
+}
+
+/// Value equality: the same tracked pairs with the same cells and the same
+/// overflow, whatever order the pairs were admitted in.
+impl PartialEq for LinkAggregate {
+    fn eq(&self, other: &LinkAggregate) -> bool {
+        self.overflow == other.overflow
+            && self.keys.len() == other.keys.len()
+            && self
+                .keys
+                .iter()
+                .zip(&self.cells)
+                .all(|(&(from, to), cell)| other.get(from, to) == Some(cell))
     }
 }
 
@@ -326,10 +444,7 @@ impl RunAggregate {
         let exported = if truncated {
             self.links.top(LINK_TOP_K)
         } else {
-            self.links
-                .cells()
-                .map(|(&key, &cell)| (key, cell))
-                .collect()
+            self.links.cells()
         };
         let cells = crate::json::array_of(exported.iter().map(|((from, to), cell)| {
             let mut o = JsonObject::new();
@@ -519,6 +634,22 @@ mod tests {
         links.record(0, 1, 5, 0);
         assert_eq!(links.get(0, 1).unwrap().sent, 6);
         assert_eq!(links.totals().contacts, LINK_CAP as u64 + 11);
+    }
+
+    #[test]
+    fn table_memory_follows_the_pairs_seen_not_the_cap() {
+        let mut links = LinkAggregate::default();
+        assert_eq!(links.index.capacity(), 0, "an unused matrix owns nothing");
+        for i in 0..10 {
+            links.record(i, i + 1, 1, 1);
+        }
+        assert_eq!(links.index.len(), 32);
+        assert!(links.keys.capacity() < 64 && links.cells.capacity() < 64);
+        // At the cap the index is exactly half full and stops growing.
+        for i in 0..(2 * LINK_CAP as u64) {
+            links.record(i, i + 1, 1, 1);
+        }
+        assert_eq!(links.index.len(), 2 * LINK_CAP);
     }
 
     #[test]
