@@ -1,20 +1,15 @@
-//! Microbenchmarks of one megascale contact cycle at `n = 10⁴`: the
-//! legacy eager path (every site materialized up front, whole-roster
-//! scan per cycle) against the fast path (active-set scan, counter RNG,
-//! lazy materialization).
+//! Microbenchmarks of one megascale contact cycle at `n = 10⁴` (active-set
+//! scan, counter RNG, lazy materialization).
 //!
 //! Each sample runs `max_cycles(1)` from a cold start, so it prices
-//! exactly what the fast path optimizes: site materialization plus one
-//! cycle's contact loop. At cycle 1 only the origin site is hot, which
-//! makes the asymmetry stark — the legacy path still pays O(n) to build
-//! replicas and scan the roster, while the fast path pays three bitsets
-//! and a single contact. Legacy runs on both storage backends; the fast
-//! path has no backend axis (its only storage is the lazy table).
+//! exactly what the path optimizes: site-state set-up plus one cycle's
+//! contact loop. At cycle 1 only the origin site is hot, so a sample costs
+//! three bitsets and a single contact — anything O(n) creeping back into
+//! set-up shows here first.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use epidemic_db::Backend;
 use epidemic_net::DegreeGraph;
 use epidemic_sim::MegascaleSim;
 
@@ -24,42 +19,15 @@ fn bench_one_cycle(c: &mut Criterion) {
     let sim = MegascaleSim::new().max_cycles(1).workers(1);
     let graph = DegreeGraph::scale_free(N, 2, 1987);
 
-    let mut group = c.benchmark_group("megascale_one_cycle_n10k/uniform");
-    for (label, backend) in [
-        ("legacy_btree", Backend::BTree),
-        ("legacy_flat", Backend::Flat),
-    ] {
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed = seed.wrapping_add(1);
-                black_box(sim.run_uniform(N, seed, backend))
-            })
-        });
-    }
-    group.bench_function(BenchmarkId::from_parameter("fast"), |b| {
+    let mut group = c.benchmark_group("megascale_one_cycle_n10k");
+    group.bench_function(BenchmarkId::from_parameter("uniform"), |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
             black_box(sim.run_uniform_fast(N, seed))
         })
     });
-    group.finish();
-
-    let mut group = c.benchmark_group("megascale_one_cycle_n10k/scale_free_m2");
-    for (label, backend) in [
-        ("legacy_btree", Backend::BTree),
-        ("legacy_flat", Backend::Flat),
-    ] {
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed = seed.wrapping_add(1);
-                black_box(sim.run_scale_free(&graph, seed, backend))
-            })
-        });
-    }
-    group.bench_function(BenchmarkId::from_parameter("fast"), |b| {
+    group.bench_function(BenchmarkId::from_parameter("scale_free_m2"), |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);

@@ -27,7 +27,7 @@
 //! file. `--json <dir>` writes the machine-readable rows
 //! (`<name>.rows.json`) plus the same `<name>.agg.json`. Both modes add
 //! a top-level `manifest.json` naming the experiments run and the
-//! threads / storage-backend / shard configuration. No artifact carries
+//! threads / shard configuration. No artifact carries
 //! wall-clock fields, so every written byte is identical at any
 //! `EPIDEMIC_THREADS`. `epidemic-analyze` consumes these artifacts.
 //!
@@ -172,14 +172,10 @@ fn write_artifact(dir: &str, file: &str, contents: &str) {
 
 /// The top-level `manifest.json` written to every `--trace`/`--json`
 /// directory: which experiments ran (in order) and the deterministic run
-/// configuration — worker threads, storage backend, shard count. The
-/// thread count documents the parallelism used; the artifacts themselves
-/// are byte-identical at any value of it.
+/// configuration — worker threads, shard count. The thread count
+/// documents the parallelism used; the artifacts themselves are
+/// byte-identical at any value of it.
 fn manifest_json(experiments: &[&str]) -> String {
-    let backend = match epidemic_db::Backend::from_env() {
-        epidemic_db::Backend::BTree => "btree",
-        epidemic_db::Backend::Flat => "flat",
-    };
     let mut o = JsonObject::new();
     // Experiment names come from the fixed in-tree list: no escaping.
     o.field_raw(
@@ -187,7 +183,6 @@ fn manifest_json(experiments: &[&str]) -> String {
         &array_of(experiments.iter().map(|name| format!("\"{name}\""))),
     )
     .field_u64("threads", epidemic_sim::runner::default_threads() as u64)
-    .field_str("backend", backend)
     .field_u64("shards", epidemic_sim::engine::default_shards() as u64);
     o.finish()
 }
@@ -268,8 +263,34 @@ fn take_dir_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(dir)
 }
 
+/// Every `EPIDEMIC_*` variable `repro` reads.
+const KNOWN_ENV: [&str; 3] = [
+    epidemic_sim::runner::THREADS_ENV_VAR,
+    epidemic_sim::engine::SHARDS_ENV_VAR,
+    figures::MEGASCALE_MAX_N_ENV,
+];
+
+/// Refuses an environment `repro` would otherwise misread: a known
+/// variable with an unusable value, or an `EPIDEMIC_*` name it does not
+/// read at all (a typo, or a variable a past version had).
+fn check_environment() -> Result<(), String> {
+    epidemic_sim::runner::thread_override()?;
+    epidemic_sim::engine::shard_override()?;
+    figures::megascale_max_n_override()?;
+    for (name, value) in std::env::vars_os() {
+        let name = name.to_string_lossy();
+        if name.starts_with("EPIDEMIC_") && !KNOWN_ENV.contains(&name.as_ref()) {
+            return Err(format!(
+                "{name}={value:?} is not a variable repro reads\nknown: {}",
+                KNOWN_ENV.join(" ")
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn main() {
-    if let Err(message) = epidemic_sim::runner::thread_override() {
+    if let Err(message) = check_environment() {
         eprintln!("{message}");
         std::process::exit(2);
     }

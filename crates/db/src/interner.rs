@@ -1,4 +1,4 @@
-//! Dense key interning for flat storage columns.
+//! Dense key interning for the flat store columns.
 //!
 //! [`FlatStore`](crate::FlatStore) columns are at their best when keys are
 //! small `Copy` values: rows move during sorting, and comparisons sit on
@@ -17,7 +17,7 @@
 //! # Example
 //!
 //! ```
-//! use epidemic_db::{Backend, Database, KeyInterner, SimClock, SiteId};
+//! use epidemic_db::{Database, KeyInterner, SimClock, SiteId};
 //!
 //! let mut interner = KeyInterner::new();
 //! let alice = interner.intern(&"user:alice");
@@ -25,7 +25,7 @@
 //! assert_eq!(interner.intern(&"user:alice"), alice); // stable
 //!
 //! let mut clock = SimClock::new(SiteId::new(0));
-//! let mut db: Database<u32, &str> = Database::with_backend(Backend::Flat);
+//! let mut db: Database<u32, &str> = Database::new();
 //! db.update(alice, "MV:PARC", &mut clock);
 //! assert_eq!(db.get(&alice), Some(&"MV:PARC"));
 //! assert_eq!(interner.resolve(bob), Some(&"user:bob"));

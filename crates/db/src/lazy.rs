@@ -12,7 +12,7 @@
 //! [`LazyTable`] inverts the construction: a site gets **no row at all
 //! until its first write**. Rows are appended in write order into three
 //! parallel columns (site, value, write cycle) — the same
-//! struct-of-arrays discipline as the flat backend
+//! struct-of-arrays discipline as the per-replica store
 //! ([`crate::flat::FlatStore`]), but shared by the entire fleet instead
 //! of instantiated per replica. Startup cost and resident footprint are
 //! both proportional to the number of sites that actually received

@@ -16,7 +16,8 @@
 //! * the versioned store itself ([`Database`]),
 //! * incremental database [`checksum`]s (§1.3),
 //! * recent-update lists with a window `τ` ([`recent`], §1.3),
-//! * a *peel-back* inverted index by timestamp ([`peelback`], §1.3, §1.5),
+//! * a *peel-back* inverted index by timestamp, derived from the store's
+//!   column order ([`flat`], §1.3, §1.5),
 //! * dormant death certificates with activation timestamps ([`death`], §2),
 //! * lazily materialized site rows — no storage until a site's first
 //!   receipt — for fleet sizes where eager construction dominates
@@ -48,20 +49,16 @@ pub mod flat;
 pub mod interner;
 pub mod item;
 pub mod lazy;
-pub mod peelback;
 pub mod recent;
-pub mod storage;
 pub mod store;
 pub mod timestamp;
 
 pub use checksum::Checksum;
 pub use death::{DeathCertificate, GcPolicy, GcStats};
-pub use flat::FlatStore;
+pub use flat::{Aux, FlatStore};
 pub use interner::KeyInterner;
 pub use item::{ApplyOutcome, Entry};
 pub use lazy::LazyTable;
-pub use peelback::PeelBackIndex;
 pub use recent::RecentUpdates;
-pub use storage::{Aux, BTreeBackend, Backend, Storage, BACKEND_ENV_VAR};
 pub use store::{Database, OfferOutcome};
 pub use timestamp::{Clock, SimClock, SiteId, SkewedClock, Timestamp};

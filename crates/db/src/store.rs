@@ -5,10 +5,9 @@ use std::hash::Hash;
 
 use crate::checksum::Checksum;
 use crate::death::{DeathCertificate, DeathStage, GcPolicy, GcStats};
-use crate::flat::{self, FlatStore};
+use crate::flat::{Aux, FlatStore, KeyOrderIter};
 use crate::item::{ApplyOutcome, Entry};
 use crate::recent::RecentUpdates;
-use crate::storage::{Aux, BTreeBackend, Backend, Storage};
 use crate::timestamp::{Clock, SiteId, Timestamp};
 
 /// One replica of the database: the time-varying partial function
@@ -18,17 +17,10 @@ use crate::timestamp::{Clock, SiteId, Timestamp};
 /// need, all kept consistent incrementally:
 ///
 /// * an order-independent [`Checksum`] of all entries (§1.3),
-/// * an inverted timestamp (peel-back) order over the entries (§1.3) —
-///   maintained as an index or derived from the storage layout, depending
-///   on the backend,
+/// * an inverted timestamp (peel-back) order over the entries (§1.3),
+///   derived from the [`FlatStore`] column order,
 /// * a side store of *dormant* death certificates (§2.1) that are held but
 ///   neither counted in the checksum nor propagated.
-///
-/// The main store itself lives behind a [`Backend`]: the reference
-/// `BTreeMap` layout or the flat column layout of
-/// [`FlatStore`] (see [`crate::storage`]). Backends are observationally
-/// equivalent; [`Database::new`] picks the one selected by the
-/// `EPIDEMIC_BACKEND` environment variable.
 ///
 /// # Example
 ///
@@ -47,53 +39,10 @@ use crate::timestamp::{Clock, SiteId, Timestamp};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Database<K, V> {
-    store: Store<K, V>,
+    store: FlatStore<K, V>,
     dormant: BTreeMap<K, DeathCertificate>,
     checksum: Checksum,
     live: usize,
-}
-
-/// The closed set of main-store backends. Enum dispatch (rather than a
-/// boxed trait object) keeps every hot-path operation monomorphic and
-/// branch-predictable: one discriminant test, then straight-line backend
-/// code.
-#[derive(Debug, Clone)]
-enum Store<K, V> {
-    BTree(BTreeBackend<K, V>),
-    Flat(FlatStore<K, V>),
-}
-
-/// Dispatches a read-only storage operation over the backend enum.
-macro_rules! with_store {
-    ($db:expr, $s:ident => $e:expr) => {
-        match &$db.store {
-            Store::BTree($s) => $e,
-            Store::Flat($s) => $e,
-        }
-    };
-}
-
-/// Dispatches a mutating storage operation, handing the backend an [`Aux`]
-/// view of the checksum and live count.
-macro_rules! with_store_aux {
-    ($db:expr, $s:ident, $aux:ident => $e:expr) => {{
-        let Database {
-            store,
-            checksum,
-            live,
-            ..
-        } = $db;
-        match store {
-            Store::BTree($s) => {
-                let $aux = Aux { checksum, live };
-                $e
-            }
-            Store::Flat($s) => {
-                let $aux = Aux { checksum, live };
-                $e
-            }
-        }
-    }};
 }
 
 /// Outcome of [`Database::offer`], which adds dormant-death-certificate
@@ -135,40 +84,30 @@ where
     K: Ord + Clone + Hash,
     V: Hash,
 {
-    /// Creates an empty replica on the backend selected by the
-    /// `EPIDEMIC_BACKEND` environment variable ([`Backend::from_env`]);
-    /// the default is the reference B-tree layout.
+    /// Creates an empty replica. Allocates nothing until the first entry.
     pub fn new() -> Self {
-        Database::with_backend(Backend::from_env())
-    }
-
-    /// Creates an empty replica on an explicit storage backend,
-    /// independent of the environment — e.g. for side-by-side backend
-    /// comparisons in one process.
-    pub fn with_backend(backend: Backend) -> Self {
-        let store = match backend {
-            Backend::BTree => Store::BTree(BTreeBackend::new()),
-            Backend::Flat => Store::Flat(FlatStore::new()),
-        };
         Database {
-            store,
+            store: FlatStore::new(),
             dormant: BTreeMap::new(),
             checksum: Checksum::new(),
             live: 0,
         }
     }
 
-    /// The storage backend this replica runs on.
-    pub fn backend(&self) -> Backend {
-        match &self.store {
-            Store::BTree(_) => Backend::BTree,
-            Store::Flat(_) => Backend::Flat,
-        }
+    /// The checksum and live count, lent to one store mutation.
+    fn aux(&mut self) -> (&mut FlatStore<K, V>, Aux<'_>) {
+        (
+            &mut self.store,
+            Aux {
+                checksum: &mut self.checksum,
+                live: &mut self.live,
+            },
+        )
     }
 
     /// Number of entries, live values plus (non-dormant) death certificates.
     pub fn len(&self) -> usize {
-        with_store!(self, s => s.len())
+        self.store.len()
     }
 
     /// Whether the replica holds no entries at all.
@@ -200,7 +139,7 @@ where
 
     /// The full versioned entry for `key`, including death certificates.
     pub fn entry(&self, key: &K) -> Option<&Entry<V>> {
-        with_store!(self, s => s.get(key))
+        self.store.get(key)
     }
 
     /// The dormant death certificate for `key`, if this site retains one.
@@ -271,7 +210,8 @@ where
     /// This is the pure semilattice join; use [`Database::offer`] to also
     /// honor dormant death certificates.
     pub fn apply(&mut self, key: K, entry: Entry<V>) -> ApplyOutcome {
-        with_store_aux!(self, s, aux => s.apply(key, entry, aux))
+        let (store, aux) = self.aux();
+        store.apply(key, entry, aux)
     }
 
     /// [`Database::apply`] from borrowed data: the entry is cloned only
@@ -281,7 +221,8 @@ where
     where
         V: Clone,
     {
-        with_store_aux!(self, s, aux => s.apply_ref(key, entry, aux))
+        let (store, aux) = self.aux();
+        store.apply_ref(key, entry, aux)
     }
 
     /// Merges a received entry, first consulting the dormant
@@ -330,26 +271,19 @@ where
     /// Installs an entry unconditionally, maintaining checksum, peel-back
     /// order and live count. Client mutation funnels through here.
     fn install(&mut self, key: K, entry: Entry<V>) {
-        with_store_aux!(self, s, aux => s.install(key, entry, aux))
+        let (store, aux) = self.aux();
+        store.install(key, entry, aux)
     }
 
     /// Iterates over all `(key, entry)` pairs in key order.
-    pub fn iter(&self) -> Iter<'_, K, V> {
-        Iter {
-            inner: match &self.store {
-                Store::BTree(b) => Either::L(b.iter()),
-                Store::Flat(f) => Either::R(f.iter()),
-            },
-        }
+    pub fn iter(&self) -> KeyOrderIter<'_, K, V> {
+        self.store.iter()
     }
 
     /// Iterates over entries in **reverse timestamp order** — the *peel
     /// back* order of §1.3/§1.5.
     pub fn newest_first(&self) -> impl Iterator<Item = (&K, &Entry<V>)> {
-        match &self.store {
-            Store::BTree(b) => Either::L(b.newest_first()),
-            Store::Flat(f) => Either::R(f.newest_first()),
-        }
+        self.store.newest_first()
     }
 
     /// Borrowing form of the *recent update list* (§1.3): iterates all
@@ -364,8 +298,8 @@ where
 
     /// The recent update list as bare `(timestamp, key)` pairs straight
     /// off the peel-back order, newest first. This is the cheapest form
-    /// of the §1.3 list: the timestamps live in the index (or column)
-    /// itself, so no entry is fetched until a recipient actually
+    /// of the §1.3 list: the timestamps are read off the store's column
+    /// walk, so no entry is cloned until a recipient actually
     /// [`would_accept`](Database::would_accept) it.
     pub fn recent_index(&self, now: u64, tau: u64) -> impl Iterator<Item = (Timestamp, &K)> {
         self.timestamp_index()
@@ -377,10 +311,7 @@ where
     /// Receivers walk this in lockstep with a sender's recent list to
     /// recognise already-held versions without a single map probe.
     pub fn timestamp_index(&self) -> impl Iterator<Item = (Timestamp, &K)> {
-        match &self.store {
-            Store::BTree(b) => Either::L(b.timestamp_index()),
-            Store::Flat(f) => Either::R(f.timestamp_index()),
-        }
+        self.store.timestamp_index()
     }
 
     /// The *recent update list* (§1.3): all entries whose timestamp age
@@ -448,7 +379,8 @@ where
     /// Used by garbage collection; ordinary deletion goes through
     /// [`Database::delete`] so that a death certificate is left behind.
     fn remove_entry(&mut self, key: &K) -> Option<Entry<V>> {
-        with_store_aux!(self, s, aux => s.remove(key, aux))
+        let (store, aux) = self.aux();
+        store.remove(key, aux)
     }
 
     /// Recomputes the checksum from scratch. Exposed for tests and
@@ -459,58 +391,6 @@ where
             sum.toggle(&(k, e));
         }
         sum
-    }
-}
-
-/// Key-order iterator over a [`Database`]'s main store — the concrete type
-/// behind [`Database::iter`] and `(&Database).into_iter()`.
-#[derive(Debug, Clone)]
-pub struct Iter<'a, K, V> {
-    inner: Either<std::collections::btree_map::Iter<'a, K, Entry<V>>, flat::KeyOrderIter<'a, K, V>>,
-}
-
-impl<'a, K, V> Iterator for Iter<'a, K, V> {
-    type Item = (&'a K, &'a Entry<V>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl<K, V> ExactSizeIterator for Iter<'_, K, V> {}
-
-/// Two-armed iterator: the storage backends return different concrete
-/// iterator types for the same logical walk, and `impl Trait` needs a
-/// single one.
-#[derive(Debug, Clone)]
-enum Either<L, R> {
-    L(L),
-    R(R),
-}
-
-impl<L, R> Iterator for Either<L, R>
-where
-    L: Iterator,
-    R: Iterator<Item = L::Item>,
-{
-    type Item = L::Item;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            Either::L(l) => l.next(),
-            Either::R(r) => r.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Either::L(l) => l.size_hint(),
-            Either::R(r) => r.size_hint(),
-        }
     }
 }
 
@@ -531,8 +411,6 @@ where
 {
     /// Two replicas are equal when their main stores agree — the
     /// convergence goal `∀ s, s′ : s.ValueOf = s′.ValueOf` of §1.1.
-    /// Backend-agnostic: a flat replica equals a B-tree replica holding
-    /// the same entries.
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().eq(other.iter())
     }
@@ -825,24 +703,18 @@ mod tests {
         assert_eq!(by_ref.checksum(), by_ref.recompute_checksum());
     }
 
+    /// The property the flat layout is chosen for: footprint follows
+    /// entries, one heap block for the ubiquitous single-entry site.
     #[test]
-    fn backends_are_interchangeable_and_comparable() {
+    fn empty_store_allocates_nothing_and_the_first_entry_one_block() {
         let mut c = clock(0);
-        let mut tree: Database<&str, u32> = Database::with_backend(Backend::BTree);
-        let mut flat: Database<&str, u32> = Database::with_backend(Backend::Flat);
-        assert_eq!(tree.backend(), Backend::BTree);
-        assert_eq!(flat.backend(), Backend::Flat);
-        for (key, value) in [("b", 1), ("a", 2), ("c", 3), ("a", 4)] {
-            let t = tree.update(key, value, &mut c);
-            flat.apply(key, Entry::live(value, t));
-        }
-        tree.delete(&"c", &mut c);
-        flat.apply("c", tree.entry(&"c").unwrap().clone());
-        assert_eq!(tree, flat);
-        assert_eq!(tree.checksum(), flat.checksum());
-        assert_eq!(tree.live_len(), flat.live_len());
-        assert!(tree.newest_first().eq(flat.newest_first()));
-        assert!(tree.timestamp_index().eq(flat.timestamp_index()));
+        let mut db: Database<u32, u32> = Database::new();
+        assert_eq!(db.store.capacities(), (0, 0));
+        db.update(7, 1, &mut c);
+        assert_eq!(db.store.capacities(), (1, 0));
+        // Superseding the lone entry reuses the block.
+        db.update(7, 2, &mut c);
+        assert_eq!(db.store.capacities(), (1, 0));
     }
 }
 
@@ -880,7 +752,7 @@ where
     V: Hash,
 {
     type Item = (&'a K, &'a Entry<V>);
-    type IntoIter = Iter<'a, K, V>;
+    type IntoIter = KeyOrderIter<'a, K, V>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()

@@ -1,18 +1,23 @@
-//! Differential property tests: the flat backend is observationally
-//! equivalent to the B-tree reference backend.
+//! Differential property tests: [`FlatStore`] against a naive model.
 //!
-//! Two databases — one per backend — replay the *same* random history of
-//! client updates, deletions (with and without retention sites), remote
-//! offers, garbage collection and clock advances. After every single
-//! operation the pair must agree on everything a protocol can observe:
-//! entry contents, live/dead counts, dormant death certificates, the
+//! The store and an in-test `BTreeMap` model replay the *same* random
+//! history of client updates, deletions (with and without retention
+//! sites), remote offers, garbage collection and clock advances, lowered
+//! to the four store mutations (`install`, `apply`, `apply_ref`,
+//! `remove`). After every single operation the pair must agree on
+//! everything a protocol can observe: entry contents, the live count, the
 //! incremental checksum, key-order iteration, peel-back order, the bare
-//! timestamp index and the recent-update window. This is the proof
-//! obligation that lets `EPIDEMIC_BACKEND=flat` claim byte-identical
-//! simulation output.
+//! timestamp index and the recent-update window — where the model sorts
+//! on demand and recomputes checksum and live count from scratch. A
+//! second property checks the §1.1 goal on two whole [`Database`]s:
+//! push-pull exchange to fixpoint leaves equal stores.
+
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 use epidemic_db::{
-    Backend, Clock, Database, Entry, GcPolicy, OfferOutcome, SimClock, SiteId, Timestamp,
+    ApplyOutcome, Aux, Checksum, Clock, Database, DeathCertificate, Entry, FlatStore, GcPolicy,
+    SimClock, SiteId, Timestamp,
 };
 use proptest::prelude::*;
 
@@ -25,8 +30,8 @@ enum Op {
     /// Client deletion with a dormant-retention site.
     Retain { key: u8, site: u8 },
     /// A remote entry arrives through `offer` (owned) or `offer_ref`
-    /// (borrowed) — both paths must agree with each other and across
-    /// backends. `value: None` offers a death certificate.
+    /// (borrowed) — both paths must agree with the model. `value: None`
+    /// offers a death certificate.
     Offer {
         key: u8,
         value: Option<u16>,
@@ -70,42 +75,102 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// One backend's replica plus the local clock driving it. Both harnesses
-/// replay the identical op stream with identically seeded clocks, so every
-/// timestamp handed out matches across backends.
-struct Harness {
-    db: Database<u8, u16>,
+const LOCAL: SiteId = SiteId::new(0);
+
+/// The naive model of the main store: a key-ordered map and nothing else.
+/// Every order is a sort, every aggregate a full scan.
+#[derive(Default)]
+struct Model {
+    entries: BTreeMap<u8, Entry<u16>>,
+}
+
+impl Model {
+    fn apply(&mut self, key: u8, entry: Entry<u16>) -> ApplyOutcome {
+        match self.entries.get(&key).map(Entry::timestamp) {
+            Some(held) if held == entry.timestamp() => ApplyOutcome::AlreadyKnown,
+            Some(held) if held > entry.timestamp() => ApplyOutcome::Obsolete,
+            _ => {
+                self.entries.insert(key, entry);
+                ApplyOutcome::Applied
+            }
+        }
+    }
+
+    fn apply_ref(&mut self, key: &u8, entry: &Entry<u16>) -> ApplyOutcome {
+        self.apply(*key, entry.clone())
+    }
+
+    fn install(&mut self, key: u8, entry: Entry<u16>) {
+        self.entries.insert(key, entry);
+    }
+
+    fn remove(&mut self, key: &u8) -> Option<Entry<u16>> {
+        self.entries.remove(key)
+    }
+
+    /// The §1.3 peel-back order: reverse `(timestamp, key)`.
+    fn newest_first(&self) -> Vec<(&u8, &Entry<u16>)> {
+        let mut rows: Vec<_> = self.entries.iter().collect();
+        rows.sort_by_key(|&(k, e)| Reverse((e.timestamp(), *k)));
+        rows
+    }
+
+    fn checksum(&self) -> Checksum {
+        let mut sum = Checksum::new();
+        for (k, e) in &self.entries {
+            sum.toggle(&(k, e));
+        }
+        sum
+    }
+
+    fn live(&self) -> usize {
+        self.entries.values().filter(|e| !e.is_dead()).count()
+    }
+}
+
+/// The store under test with the auxiliary state a [`Database`] would
+/// lend it, the model beside it, and the local clock driving both.
+struct Pair {
+    flat: FlatStore<u8, u16>,
+    checksum: Checksum,
+    live: usize,
+    model: Model,
     clock: SimClock,
 }
 
-const LOCAL: SiteId = SiteId::new(0);
-
-impl Harness {
-    fn new(backend: Backend) -> Self {
-        Harness {
-            db: Database::with_backend(backend),
+impl Pair {
+    fn new() -> Self {
+        Pair {
+            flat: FlatStore::new(),
+            checksum: Checksum::new(),
+            live: 0,
+            model: Model::default(),
             clock: SimClock::new(LOCAL),
         }
     }
 
-    fn step(&mut self, op: &Op) -> Option<OfferOutcome> {
+    /// A client mutation: installs the entry `stamped` builds from a fresh
+    /// local timestamp.
+    fn install(&mut self, key: u8, stamped: impl FnOnce(Timestamp) -> Entry<u16>) {
+        let entry = stamped(self.clock.now());
+        let aux = Aux {
+            checksum: &mut self.checksum,
+            live: &mut self.live,
+        };
+        self.flat.install(key, entry.clone(), aux);
+        self.model.install(key, entry);
+    }
+
+    /// Lowers `op` to store mutations on both sides, comparing whatever
+    /// the mutations return.
+    fn step(&mut self, op: &Op) -> Result<(), TestCaseError> {
         match *op {
-            Op::Update { key, value } => {
-                self.db.update(key, value, &mut self.clock);
-                None
-            }
-            Op::Delete { key } => {
-                self.db.delete(&key, &mut self.clock);
-                None
-            }
-            Op::Retain { key, site } => {
-                self.db.delete_with_retention(
-                    &key,
-                    vec![LOCAL, SiteId::new(u32::from(site))],
-                    &mut self.clock,
-                );
-                None
-            }
+            Op::Update { key, value } => self.install(key, |at| Entry::live(value, at)),
+            Op::Delete { key } => self.install(key, Entry::dead),
+            Op::Retain { key, site } => self.install(key, |at| {
+                let retention = vec![LOCAL, SiteId::new(u32::from(site))];
+                Entry::Dead(DeathCertificate::with_retention(at, retention))
+            }),
             Op::Offer {
                 key,
                 value,
@@ -113,27 +178,139 @@ impl Harness {
                 site,
                 by_ref,
             } => {
-                let at = Timestamp::new(time, SiteId::new(u32::from(site)));
-                let entry = match value {
-                    Some(v) => Entry::live(v, at),
-                    None => Entry::dead(at),
+                let entry = offered(value, time, site);
+                let aux = Aux {
+                    checksum: &mut self.checksum,
+                    live: &mut self.live,
                 };
-                let now = Timestamp::new(self.clock.peek(), LOCAL);
-                Some(if by_ref {
-                    self.db.offer_ref(&key, &entry, now)
+                let (got, want) = if by_ref {
+                    (
+                        self.flat.apply_ref(&key, &entry, aux),
+                        self.model.apply_ref(&key, &entry),
+                    )
                 } else {
-                    self.db.offer(key, entry, now)
-                })
+                    (
+                        self.flat.apply(key, entry.clone(), aux),
+                        self.model.apply(key, entry),
+                    )
+                };
+                prop_assert_eq!(got, want, "apply outcome diverged on {:?}", op);
             }
             Op::Advance { dt } => {
                 let now = self.clock.peek();
                 self.clock.advance_to(now + dt);
-                None
             }
             Op::Gc { policy } => {
-                self.db.collect_garbage(LOCAL, self.clock.peek(), policy);
-                None
+                // Whatever leaves the main store under `policy` — parked
+                // or discarded — is a `remove` at this level.
+                let now = self.clock.peek();
+                let leaving: Vec<u8> = self
+                    .model
+                    .entries
+                    .iter()
+                    .filter_map(|(k, e)| e.death_certificate().map(|dc| (*k, dc)))
+                    .filter(|(_, dc)| {
+                        policy.discards(dc, LOCAL, now) || !policy.propagates(dc, LOCAL, now)
+                    })
+                    .map(|(k, _)| k)
+                    .collect();
+                for key in leaving {
+                    let aux = Aux {
+                        checksum: &mut self.checksum,
+                        live: &mut self.live,
+                    };
+                    prop_assert_eq!(self.flat.remove(&key, aux), self.model.remove(&key));
+                }
             }
+        }
+        Ok(())
+    }
+
+    /// Full observational comparison of the store against the model.
+    fn check(&self) -> Result<(), TestCaseError> {
+        let (flat, model) = (&self.flat, &self.model);
+        flat.check_invariants();
+        prop_assert_eq!(flat.len(), model.entries.len());
+        prop_assert_eq!(flat.is_empty(), model.entries.is_empty());
+        prop_assert_eq!(self.checksum, model.checksum());
+        prop_assert_eq!(self.live, model.live());
+        prop_assert!(
+            flat.iter().eq(model.entries.iter()),
+            "key-order walk diverged"
+        );
+        for key in 0..=u8::MAX {
+            prop_assert_eq!(flat.get(&key), model.entries.get(&key));
+        }
+        let peel = model.newest_first();
+        prop_assert!(
+            flat.newest_first().eq(peel.iter().copied()),
+            "peel-back order diverged"
+        );
+        prop_assert!(
+            flat.timestamp_index()
+                .eq(peel.iter().map(|&(k, e)| (e.timestamp(), k))),
+            "timestamp index diverged"
+        );
+        // The recent-update list is the prefix of the peel-back order no
+        // older than tau; the model filters instead of stopping early.
+        let now = self.clock.peek();
+        for tau in [0, 5, 50, u64::MAX] {
+            let recent = flat
+                .timestamp_index()
+                .take_while(|(t, _)| t.age(now) <= tau);
+            let expected = peel
+                .iter()
+                .map(|&(k, e)| (e.timestamp(), k))
+                .filter(|(t, _)| t.age(now) <= tau);
+            prop_assert!(recent.eq(expected), "recent list diverged at tau={}", tau);
+        }
+        Ok(())
+    }
+}
+
+fn offered(value: Option<u16>, time: u64, site: u8) -> Entry<u16> {
+    let at = Timestamp::new(time, SiteId::new(u32::from(site)));
+    match value {
+        Some(v) => Entry::live(v, at),
+        None => Entry::dead(at),
+    }
+}
+
+/// Replays `op` on a whole [`Database`] at `site`, dormant-certificate
+/// handling included.
+fn step_database(db: &mut Database<u8, u16>, clock: &mut SimClock, site: SiteId, op: &Op) {
+    match *op {
+        Op::Update { key, value } => {
+            db.update(key, value, clock);
+        }
+        Op::Delete { key } => {
+            db.delete(&key, clock);
+        }
+        Op::Retain { key, site: keeper } => {
+            let retention = vec![site, SiteId::new(u32::from(keeper))];
+            db.delete_with_retention(&key, retention, clock);
+        }
+        Op::Offer {
+            key,
+            value,
+            time,
+            site: from,
+            by_ref,
+        } => {
+            let entry = offered(value, time, from);
+            let now = Timestamp::new(clock.peek(), site);
+            if by_ref {
+                db.offer_ref(&key, &entry, now);
+            } else {
+                db.offer(key, entry, now);
+            }
+        }
+        Op::Advance { dt } => {
+            let now = clock.peek();
+            clock.advance_to(now + dt);
+        }
+        Op::Gc { policy } => {
+            db.collect_garbage(site, clock.peek(), policy);
         }
     }
 }
@@ -167,107 +344,66 @@ fn canonicalize(op: &Op) -> Op {
     }
 }
 
-/// Full observational comparison between the two backends.
-fn assert_equivalent(tree: &Harness, flat: &Harness) -> Result<(), TestCaseError> {
-    let (t, f) = (&tree.db, &flat.db);
-    prop_assert_eq!(t.len(), f.len());
-    prop_assert_eq!(t.live_len(), f.live_len());
-    prop_assert_eq!(t.dead_len(), f.dead_len());
-    prop_assert_eq!(t.dormant_len(), f.dormant_len());
-    prop_assert_eq!(t.checksum(), f.checksum());
-    prop_assert_eq!(f.checksum(), f.recompute_checksum());
-    prop_assert!(t.iter().eq(f.iter()), "key-order walk diverged");
-    prop_assert!(
-        t.newest_first().eq(f.newest_first()),
-        "peel-back order diverged"
-    );
-    prop_assert!(
-        t.timestamp_index().eq(f.timestamp_index()),
-        "timestamp index diverged"
-    );
-    for key in t.keys() {
-        prop_assert_eq!(t.entry(key), f.entry(key));
-        prop_assert_eq!(t.dormant_certificate(key), f.dormant_certificate(key));
-    }
-    let now = tree.clock.peek();
-    for tau in [0, 5, 50, u64::MAX] {
-        prop_assert!(
-            t.recent_index(now, tau).eq(f.recent_index(now, tau)),
-            "recent index diverged at tau={}",
-            tau
-        );
-        prop_assert!(
-            t.recent_entries(now, tau).eq(f.recent_entries(now, tau)),
-            "recent entries diverged at tau={}",
-            tau
-        );
-    }
-    Ok(())
-}
-
 proptest! {
-    /// After every operation of a random history, the two backends agree on
-    /// every observable: entries, dormant certificates, checksums, and all
-    /// three iteration orders.
+    /// After every operation of a random history, the store agrees with
+    /// the model on every observable: entries, live count, checksum, and
+    /// all three iteration orders.
     #[test]
     fn flat_store_matches_reference(ops in prop::collection::vec(op_strategy(), 0..120)) {
-        let mut tree = Harness::new(Backend::BTree);
-        let mut flat = Harness::new(Backend::Flat);
+        let mut pair = Pair::new();
         for op in &ops {
-            let a = tree.step(op);
-            let b = flat.step(op);
-            prop_assert_eq!(a, b, "offer outcomes diverged on {:?}", op);
-            assert_equivalent(&tree, &flat)?;
+            pair.step(op)?;
+            pair.check()?;
         }
     }
 
-    /// Anti-entropy exchange between mixed-backend replicas converges to
-    /// equal databases with equal checksums — the §1.1 goal holds across
-    /// the seam, not just within one backend.
+    /// Anti-entropy exchange between two replicas with independent
+    /// histories converges to equal databases with equal checksums and
+    /// timestamp indexes — the §1.1 goal.
     ///
     /// Offered entries are derived deterministically from their timestamp
     /// (see [`canonicalize`]) so a timestamp collision between the two
     /// histories can never manufacture two irreconcilable versions — the
     /// same guarantee unique real-world timestamps give the paper.
     #[test]
-    fn mixed_backend_exchange_converges(
+    fn push_pull_exchange_converges(
         ops_a in prop::collection::vec(op_strategy(), 0..60),
         ops_b in prop::collection::vec(op_strategy(), 0..60),
     ) {
-        let mut a = Harness::new(Backend::BTree);
-        let mut b = Harness::new(Backend::Flat);
-        // Give b a disjoint client site id so update timestamps never
-        // collide across replicas; remote offers use sites 2+.
-        b.clock = SimClock::new(SiteId::new(1));
+        // Disjoint client site ids, so update timestamps never collide
+        // across replicas; remote offers use sites 2+.
+        let (site_a, site_b) = (LOCAL, SiteId::new(1));
+        let (mut a, mut clock_a) = (Database::new(), SimClock::new(site_a));
+        let (mut b, mut clock_b) = (Database::new(), SimClock::new(site_b));
         for op in &ops_a {
-            a.step(&canonicalize(op));
+            step_database(&mut a, &mut clock_a, site_a, &canonicalize(op));
         }
         for op in &ops_b {
-            b.step(&canonicalize(op));
+            step_database(&mut b, &mut clock_b, site_b, &canonicalize(op));
         }
         // Push-pull full exchanges until fixpoint: one round can awaken a
         // dormant certificate whose reinstalled copy only crosses over on
         // the next round, so loop (awakenings strictly shrink the dormant
         // stores, guaranteeing termination long before the bound).
         for _ in 0..6 {
-            let now_b = Timestamp::new(b.clock.peek(), SiteId::new(1));
-            let from_a: Vec<_> = a.db.iter().map(|(k, e)| (*k, e.clone())).collect();
+            let now_b = Timestamp::new(clock_b.peek(), site_b);
+            let from_a: Vec<_> = a.iter().map(|(k, e)| (*k, e.clone())).collect();
             for (k, e) in &from_a {
-                b.db.offer_ref(k, e, now_b);
+                b.offer_ref(k, e, now_b);
             }
-            let now_a = Timestamp::new(a.clock.peek(), LOCAL);
-            let from_b: Vec<_> = b.db.iter().map(|(k, e)| (*k, e.clone())).collect();
+            let now_a = Timestamp::new(clock_a.peek(), site_a);
+            let from_b: Vec<_> = b.iter().map(|(k, e)| (*k, e.clone())).collect();
             for (k, e) in &from_b {
-                a.db.offer_ref(k, e, now_a);
+                a.offer_ref(k, e, now_a);
             }
-            if a.db == b.db {
+            if a == b {
                 break;
             }
         }
         // Dormant stores may legitimately differ (awakenings depend on what
         // arrived), but main stores and checksums must agree.
-        prop_assert_eq!(&a.db, &b.db);
-        prop_assert_eq!(a.db.checksum(), b.db.checksum());
-        prop_assert!(a.db.timestamp_index().eq(b.db.timestamp_index()));
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(a.checksum(), b.checksum());
+        prop_assert!(a.timestamp_index().eq(b.timestamp_index()));
     }
 }

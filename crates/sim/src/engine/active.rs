@@ -22,9 +22,9 @@
 //!    roster freely because no draw depends on any other.
 //! 2. **Apply** (sequential) — the engine replays the draws in ascending
 //!    initiator order, letting the protocol judge each contact against
-//!    *current* state and mutate it — the same semantics as the legacy
-//!    asynchronous loop, just with a sorted roster instead of a shuffled
-//!    one. Because the replay order is fixed by the roster rather than
+//!    *current* state and mutate it — the same semantics as the
+//!    [`CycleEngine`](super::CycleEngine)'s asynchronous loop, just with a
+//!    sorted roster instead of a shuffled one. Because the replay order is fixed by the roster rather than
 //!    by thread scheduling, the result — and the observer's event stream
 //!    — is byte-identical at *any* worker count (a strictly stronger
 //!    guarantee than the [`ShardedCycleEngine`](super::ShardedCycleEngine)'s,

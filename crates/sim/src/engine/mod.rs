@@ -35,11 +35,11 @@ pub mod trace;
 
 pub use active::{ActiveCycleEngine, ActiveSetProtocol};
 pub use observer::{Observer, SirCounts, SirObserver, SirView};
-pub use partner::{NeighborPartners, PartnerPolicy, SpatialPartners, UniformPartners};
+pub use partner::{PartnerPolicy, SpatialPartners, UniformPartners};
 pub use protocols::{DirectMailProtocol, ReceiveLog, RouteRecorder, UpdateInjector};
 pub use sharded::{
-    default_shards, ContactPair, ShardableProtocol, ShardedCycleEngine, DEFAULT_SHARDS,
-    SHARDS_ENV_VAR,
+    default_shards, shard_override, ContactPair, ShardableProtocol, ShardedCycleEngine,
+    DEFAULT_SHARDS, SHARDS_ENV_VAR,
 };
 pub use trace::{AggregateObserver, InvariantObserver, TraceObserver, TraceView};
 

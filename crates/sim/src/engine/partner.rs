@@ -8,7 +8,7 @@
 //! byte-identical to the pre-engine simulators.
 
 use epidemic_db::SiteId;
-use epidemic_net::{DegreeGraph, PartnerSelection};
+use epidemic_net::PartnerSelection;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -77,40 +77,6 @@ impl<S: PartnerSelection> PartnerPolicy for SpatialPartners<'_, S> {
     }
 }
 
-/// Adjacency-constrained selection over a [`DegreeGraph`]: the initiator
-/// gossips with a uniform random *neighbor*. This is the megascale analog
-/// of [`SpatialPartners`] — at 10⁵–10⁶ sites there is no routing table to
-/// weight by distance, and the heterogeneous-degree dynamics come entirely
-/// from the topology itself (hubs are drawn as partners in proportion to
-/// their degree). One RNG draw per attempt, like every other policy.
-#[derive(Debug, Clone, Copy)]
-pub struct NeighborPartners<'a> {
-    graph: &'a DegreeGraph,
-}
-
-impl<'a> NeighborPartners<'a> {
-    /// Wraps a graph whose dense site indices coincide with the engine's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any site is isolated — an isolated initiator would have
-    /// no partner to draw.
-    pub fn new(graph: &'a DegreeGraph) -> Self {
-        assert!(
-            (0..graph.site_count()).all(|i| graph.degree(i) > 0),
-            "every site needs at least one neighbor to gossip with"
-        );
-        NeighborPartners { graph }
-    }
-}
-
-impl PartnerPolicy for NeighborPartners<'_> {
-    fn attempt(&self, i: usize, rng: &mut StdRng) -> usize {
-        let neighbors = self.graph.neighbors(i);
-        neighbors[rng.random_range(0..neighbors.len())] as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,26 +117,6 @@ mod tests {
     #[should_panic(expected = "two sites")]
     fn uniform_rejects_degenerate_fleets() {
         let _ = UniformPartners::new(1);
-    }
-
-    #[test]
-    fn neighbor_policy_draws_only_adjacent_sites() {
-        let graph = DegreeGraph::from_edges(5, &[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let policy = NeighborPartners::new(&graph);
-        let mut rng = StdRng::seed_from_u64(2);
-        for i in 0..5 {
-            for _ in 0..40 {
-                let j = policy.attempt(i, &mut rng);
-                assert!(graph.neighbors(i).contains(&(j as u32)), "{i} -> {j}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one neighbor")]
-    fn neighbor_policy_rejects_isolated_sites() {
-        let graph = DegreeGraph::from_edges(3, &[(0, 1)]);
-        let _ = NeighborPartners::new(&graph);
     }
 
     #[test]

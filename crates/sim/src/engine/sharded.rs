@@ -69,16 +69,21 @@ pub const SHARDS_ENV_VAR: &str = "EPIDEMIC_SHARDS";
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// The shard count to use by default: `EPIDEMIC_SHARDS` if present and a
-/// positive integer, else [`DEFAULT_SHARDS`].
+/// positive integer, else [`DEFAULT_SHARDS`]. A program that wants to
+/// refuse an invalid value calls [`shard_override`] first (as `repro` does).
 pub fn default_shards() -> usize {
-    std::env::var(SHARDS_ENV_VAR)
-        .ok()
-        .and_then(|v| parse_shard_override(&v))
-        .unwrap_or(DEFAULT_SHARDS)
+    shard_override().ok().flatten().unwrap_or(DEFAULT_SHARDS)
 }
 
-fn parse_shard_override(value: &str) -> Option<usize> {
-    value.trim().parse::<usize>().ok().filter(|&n| n > 0)
+/// Reads `EPIDEMIC_SHARDS`: `Ok(None)` when unset, `Ok(Some(n))` for a
+/// positive integer.
+///
+/// # Errors
+///
+/// Returns a message naming the variable and the offending value when it
+/// is set to anything else (`abc`, `0`, non-UTF-8).
+pub fn shard_override() -> Result<Option<usize>, String> {
+    crate::runner::positive_override(SHARDS_ENV_VAR)
 }
 
 /// One contact's endpoints as seen by [`ShardableProtocol::contact_sharded`]:
@@ -703,15 +708,6 @@ mod tests {
             let expected = shards * (shards - 1) / 2;
             assert_eq!(seen.len(), expected, "shards={shards}");
         }
-    }
-
-    #[test]
-    fn shard_override_parsing() {
-        assert_eq!(parse_shard_override("4"), Some(4));
-        assert_eq!(parse_shard_override(" 16 "), Some(16));
-        assert_eq!(parse_shard_override("0"), None);
-        assert_eq!(parse_shard_override("many"), None);
-        assert_eq!(parse_shard_override(""), None);
     }
 
     /// One-bit push epidemic, shardable: snapshot in the ctx, infection

@@ -14,10 +14,8 @@
 //!   the minimal-`k` search used to match Table 4 and the Figure 1/2
 //!   pathology demonstrations;
 //! * [`megascale`] — the single-update rumor epidemic at 10⁴–10⁷ sites on
-//!   uniform and scale-free topologies: the active-set fast path
-//!   ([`FastRumorProtocol`] on [`engine::ActiveCycleEngine`]) plus the
-//!   legacy eager path parameterised by storage backend (the
-//!   fig-megascale sweep);
+//!   uniform and scale-free topologies ([`FastRumorProtocol`] on
+//!   [`engine::ActiveCycleEngine`], the fig-megascale sweep);
 //! * [`scenario`] — the declarative scenario subsystem: a parsed
 //!   [`scenario::Scenario`] spec (site count, protocol, weighted workload
 //!   mix, fault-event timeline) lowered onto the cycle engine by
@@ -80,9 +78,8 @@ mod util;
 
 pub use bitset::BitSet;
 pub use engine::{
-    ContactStats, CycleEngine, EngineReport, EpidemicProtocol, InvariantObserver, NeighborPartners,
-    Observer, PartnerPolicy, SirObserver, SpatialPartners, TraceObserver, TraceView,
-    UniformPartners,
+    ContactStats, CycleEngine, EngineReport, EpidemicProtocol, InvariantObserver, Observer,
+    PartnerPolicy, SirObserver, SpatialPartners, TraceObserver, TraceView, UniformPartners,
 };
 pub use event::{AsyncAntiEntropySim, AsyncRumorEpidemic, AsyncRumorResult, AsyncRunResult};
 pub use failures::{Churn, ChurnRunResult, ChurnedAntiEntropySim};

@@ -187,16 +187,22 @@ pub fn default_threads() -> usize {
 /// Returns a message naming the variable and the offending value when it
 /// is set to anything else (`abc`, `0`, non-UTF-8).
 pub fn thread_override() -> Result<Option<usize>, String> {
-    let Some(raw) = std::env::var_os(THREADS_ENV_VAR) else {
+    positive_override(THREADS_ENV_VAR)
+}
+
+/// Reads the positive-integer variable `var` (threads, shards): `Ok(None)`
+/// when unset, an error naming variable and value when unusable.
+pub(crate) fn positive_override(var: &str) -> Result<Option<usize>, String> {
+    let Some(raw) = std::env::var_os(var) else {
         return Ok(None);
     };
     raw.to_str()
-        .and_then(parse_thread_override)
+        .and_then(parse_positive)
         .map(Some)
-        .ok_or_else(|| format!("{THREADS_ENV_VAR}={raw:?} is not a positive integer"))
+        .ok_or_else(|| format!("{var}={raw:?} is not a positive integer"))
 }
 
-fn parse_thread_override(value: &str) -> Option<usize> {
+fn parse_positive(value: &str) -> Option<usize> {
     value.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
@@ -266,11 +272,11 @@ mod tests {
 
     #[test]
     fn thread_override_parsing() {
-        assert_eq!(parse_thread_override("4"), Some(4));
-        assert_eq!(parse_thread_override(" 16 "), Some(16));
-        assert_eq!(parse_thread_override("0"), None);
-        assert_eq!(parse_thread_override("many"), None);
-        assert_eq!(parse_thread_override(""), None);
+        assert_eq!(parse_positive("4"), Some(4));
+        assert_eq!(parse_positive(" 16 "), Some(16));
+        assert_eq!(parse_positive("0"), None);
+        assert_eq!(parse_positive("many"), None);
+        assert_eq!(parse_positive(""), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! statistically:
 //!
 //! * equal [`EpidemicResult`]s for every `(n, k, seed)` tried, uniform
-//!   and scale-free, on both storage backends of the reference;
+//!   and scale-free;
 //! * a materialized [`LazyTable`] row exactly where the reference's
 //!   eager replicas record a first receipt, with the same cycle stamp;
 //! * engine totals equal to the contact-by-contact accumulation over the
@@ -18,7 +18,7 @@
 //! * byte-identical output — result, table, and event stream — at worker
 //!   counts {1, 2, 8}, for every random configuration tried.
 
-use epidemic_db::{Backend, LazyTable};
+use epidemic_db::LazyTable;
 use epidemic_net::DegreeGraph;
 use epidemic_sim::engine::{ActiveCycleEngine, AggregateObserver, ContactStats, Observer};
 use epidemic_sim::megascale::{reference, FastRumorProtocol};
@@ -139,10 +139,8 @@ proptest! {
         n in 2usize..400,
         k in 1u32..8,
         seed in any::<u64>(),
-        flat in any::<bool>(),
     ) {
-        let backend = if flat { Backend::Flat } else { Backend::BTree };
-        let spec = reference::run_uniform(n, k, seed, backend);
+        let spec = reference::run_uniform(n, k, seed);
         let fast = run_fast(FastRumorProtocol::uniform(n, k), seed, 1);
         assert_fast_matches_reference(&fast, &spec)?;
         assert_worker_invariant(&FastRumorProtocol::uniform(n, k), seed)?;
@@ -155,11 +153,9 @@ proptest! {
         graph_seed in 0u64..1000,
         k in 1u32..8,
         seed in any::<u64>(),
-        flat in any::<bool>(),
     ) {
-        let backend = if flat { Backend::Flat } else { Backend::BTree };
         let graph = DegreeGraph::scale_free(n, m, graph_seed);
-        let spec = reference::run_scale_free(&graph, k, seed, backend);
+        let spec = reference::run_scale_free(&graph, k, seed);
         let fast = run_fast(FastRumorProtocol::scale_free(&graph, k), seed, 1);
         assert_fast_matches_reference(&fast, &spec)?;
         assert_worker_invariant(&FastRumorProtocol::scale_free(&graph, k), seed)?;
