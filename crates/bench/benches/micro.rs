@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use std::hint::black_box;
 
 use epidemic_core::{AntiEntropy, Comparison, Direction, Feedback, Removal, Replica, RumorConfig};
-use epidemic_db::{Database, SimClock, SiteId};
+use epidemic_db::{Aux, Checksum, Database, Entry, FlatStore, SimClock, SiteId, Timestamp};
 use epidemic_net::{topologies, PartnerSampler, Routes, Spatial};
 use epidemic_sim::mixing::RumorEpidemic;
 use epidemic_trace::{AggregatingSink, Registry, RunAggregate, Sir};
@@ -31,7 +31,129 @@ fn bench_store(c: &mut Criterion) {
         }
         b.iter(|| black_box(db.recompute_checksum()))
     });
+    bench_store_fleet(&mut group);
     group.finish();
+}
+
+/// The steady-state figures' shape: 200 sites that each hold the same 400
+/// keys, ~2.5 MB of rows in all. Every bench below is one round-robin
+/// pass — one operation at each of the 200 stores — because a single hot
+/// store would sit in L1 and hide the cache cost the workloads pay for.
+const FLEET: usize = 200;
+const KEYS: u32 = 400;
+
+/// Stored keys are even (odd ones miss); key `2k` is stamped `10k`.
+fn fleet_entry(k: u32) -> (u32, Entry<u32>) {
+    let at = Timestamp::new(u64::from(k) * 10, SiteId::new(k % 7));
+    (2 * k, Entry::live(k, at))
+}
+
+struct Site {
+    store: FlatStore<u32, u32>,
+    checksum: Checksum,
+    live: usize,
+}
+
+impl Site {
+    fn offer(&mut self, key: &u32, entry: &Entry<u32>) -> epidemic_db::ApplyOutcome {
+        let aux = Aux {
+            checksum: &mut self.checksum,
+            live: &mut self.live,
+        };
+        self.store.apply_ref(key, entry, aux)
+    }
+
+    fn remove(&mut self, key: &u32) {
+        let aux = Aux {
+            checksum: &mut self.checksum,
+            live: &mut self.live,
+        };
+        self.store.remove(key, aux);
+    }
+}
+
+/// Each site receives the keys in its own order, newest-first-ish like a
+/// rumor's arrivals: ascending with a site-dependent local scramble.
+fn fleet() -> Vec<Site> {
+    (0..FLEET)
+        .map(|s| {
+            let mut site = Site {
+                store: FlatStore::new(),
+                checksum: Checksum::new(),
+                live: 0,
+            };
+            let mut order: Vec<u32> = (0..KEYS).collect();
+            let mut rng = StdRng::seed_from_u64(s as u64);
+            for window in order.chunks_mut(16) {
+                for i in (1..window.len()).rev() {
+                    window.swap(i, rng.random_range(0..=i));
+                }
+            }
+            for k in order {
+                let (key, entry) = fleet_entry(k);
+                site.offer(&key, &entry);
+            }
+            site
+        })
+        .collect()
+}
+
+fn bench_store_fleet(group: &mut criterion::BenchmarkGroup<'_>) {
+    let mut sites = fleet();
+    // A different key at every store of a pass, a different one next pass.
+    let mut draw = 0u32;
+    let mut next = move || {
+        draw = draw.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        (draw >> 8) % KEYS
+    };
+    group.bench_function("probe_hit_x200", |b| {
+        b.iter(|| {
+            for site in &sites {
+                black_box(site.store.get(&(2 * next())));
+            }
+        })
+    });
+    group.bench_function("probe_miss_x200", |b| {
+        b.iter(|| {
+            for site in &sites {
+                black_box(site.store.get(&(2 * next() + 1)));
+            }
+        })
+    });
+    // The rumor figures' common case: the recipient already holds exactly
+    // the offered version.
+    group.bench_function("offer_stale_x200", |b| {
+        b.iter(|| {
+            for site in &mut sites {
+                let (key, entry) = fleet_entry(next());
+                black_box(site.offer(&key, &entry));
+            }
+        })
+    });
+    // A key the site has not seen, stamped three rows below its newest:
+    // accepted, placed near the column tail. Removed again outside the
+    // timed pass so the fleet keeps its size.
+    let fresh_key = 2 * KEYS + 1;
+    let fresh = Entry::live(
+        0,
+        Timestamp::new(u64::from(KEYS - 4) * 10 + 5, SiteId::new(0)),
+    );
+    let sites = std::cell::RefCell::new(sites);
+    group.bench_function("offer_accept_near_tail_x200", |b| {
+        b.iter_batched(
+            || {
+                for site in sites.borrow_mut().iter_mut() {
+                    site.remove(&fresh_key);
+                }
+            },
+            |()| {
+                for site in sites.borrow_mut().iter_mut() {
+                    black_box(site.offer(&fresh_key, &fresh));
+                }
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 fn diverged_pair(shared: u32, fresh: u32) -> (Replica<u32, u64>, Replica<u32, u64>) {

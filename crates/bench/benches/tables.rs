@@ -16,6 +16,7 @@ use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::topologies::{cin, CinConfig};
 use epidemic_net::Spatial;
 use epidemic_sim::mixing::RumorEpidemic;
+use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::spatial_ae::AntiEntropySim;
 
 const N: usize = 1000;
@@ -138,11 +139,11 @@ fn bench_figures(c: &mut Criterion) {
     figures::sir_curve_table(N, TRIALS).print();
     figures::async_ablation_table(10).print();
     figures::hierarchy_table(10).print();
-    figures::cin_steady_table(3).print();
+    figures::cin_steady_table(TrialRunner::new(), 3).print();
     figures::weighted_cin_table(5).print();
     figures::churn_table(5).print();
     figures::topology_robustness_table(5).print();
-    figures::pull_vs_push_rate_table(3).print();
+    figures::pull_vs_push_rate_table(TrialRunner::new(), 3).print();
     c.bench_function("figures/rumor_ode_residue", |b| {
         b.iter(|| black_box(epidemic_analysis::RumorOde::new(4).final_residue()))
     });

@@ -5,6 +5,7 @@
 //! cargo run -p epidemic-bench --release --bin repro -- all
 //! cargo run -p epidemic-bench --release --bin repro -- table1 table4
 //! cargo run -p epidemic-bench --release --bin repro -- --timings all
+//! cargo run -p epidemic-bench --release --bin repro -- --timings out.json table1
 //! cargo run -p epidemic-bench --release --bin repro -- --list
 //! cargo run -p epidemic-bench --release --bin repro -- --only table
 //! cargo run -p epidemic-bench --release --bin repro -- --only table1 --trace out/
@@ -37,8 +38,10 @@
 //! `peak_rss_kb` — see `epidemic_bench::rss`), a per-phase breakdown
 //! (legacy engine setup / contact loop / end-of-cycle, fast-path
 //! active_setup / active_contact_loop / active_apply, trial fan-out /
-//! aggregation) and the worker-thread count to a JSON file
-//! (`BENCH_repro.json` by default). Thread count is controlled by the
+//! aggregation) and the worker-thread count to a JSON file. PATH may be
+//! omitted only when the selection is `all`: the default,
+//! `BENCH_repro.json`, is the committed baseline of the whole suite, and
+//! a partial run must not overwrite it (exit 2). Thread count is controlled by the
 //! `EPIDEMIC_THREADS` environment variable (see `epidemic_sim::runner`).
 
 use epidemic_bench::alloc_counter;
@@ -263,6 +266,10 @@ fn take_dir_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(dir)
 }
 
+/// Where `--timings` writes when given no PATH: the committed baseline of
+/// the whole suite.
+const DEFAULT_TIMINGS_PATH: &str = "BENCH_repro.json";
+
 /// Every `EPIDEMIC_*` variable `repro` reads.
 const KNOWN_ENV: [&str; 3] = [
     epidemic_sim::runner::THREADS_ENV_VAR,
@@ -333,7 +340,16 @@ fn main() {
             }
             _ => {
                 args.remove(pos);
-                String::from("BENCH_repro.json")
+                // The default file is the committed suite baseline: only
+                // a run of the whole suite may overwrite it.
+                if !args.iter().any(|a| a == "all") {
+                    eprintln!(
+                        "--timings needs a PATH unless the selection is `all` \
+                         (the default, {DEFAULT_TIMINGS_PATH}, is the suite baseline)"
+                    );
+                    std::process::exit(2);
+                }
+                String::from(DEFAULT_TIMINGS_PATH)
             }
         };
         timings_path = Some(path);

@@ -883,7 +883,7 @@ pub fn sir_curve_table(n: usize, trials: u64) -> FigTable {
 /// Steady-state anti-entropy on the CIN with recent-update lists: entry
 /// traffic (the wire-cost proxy) per link under each distribution — the
 /// production Clearinghouse configuration.
-pub fn cin_steady_table(trials: u64) -> FigTable {
+pub fn cin_steady_table(runner: TrialRunner, trials: u64) -> FigTable {
     use epidemic_sim::spatial_steady::{SpatialSteadyConfig, SpatialSteadySim};
     let net = cin(&CinConfig::default());
     let config = SpatialSteadyConfig::default();
@@ -894,7 +894,8 @@ pub fn cin_steady_table(trials: u64) -> FigTable {
         ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
         let sim = SpatialSteadySim::new(&net.topology, spatial, config);
-        let acc = parallel_trials(
+        let acc = parallel_trials_with(
+            runner,
             trials,
             |seed| {
                 let r = sim.run(seed + 31);
@@ -1284,7 +1285,7 @@ pub fn topology_robustness_table(trials: u64) -> FigTable {
 /// while pull keeps polling; under load, pull's polls almost always find
 /// rumors and its superior residue pays off — "our own CIN application has
 /// a high enough update rate to warrant the use of pull".
-pub fn pull_vs_push_rate_table(trials: u64) -> FigTable {
+pub fn pull_vs_push_rate_table(runner: TrialRunner, trials: u64) -> FigTable {
     use epidemic_sim::rumor_steady::{RumorSteadyConfig, RumorSteadySim};
     let mut rows = Vec::new();
     for rate in [0.0f64, 0.25, 1.0, 4.0] {
@@ -1295,7 +1296,8 @@ pub fn pull_vs_push_rate_table(trials: u64) -> FigTable {
                 ..RumorSteadyConfig::default()
             };
             let sim = RumorSteadySim::new(cfg, config);
-            let acc = parallel_trials(
+            let acc = parallel_trials_with(
+                runner,
                 trials,
                 |seed| {
                     let r = sim.run(seed + 5);
@@ -1555,14 +1557,14 @@ pub fn figure_data(runner: TrialRunner, name: &str, n: usize, mix_trials: u64) -
         "fig-sir-curve" => FigData::table(sir_curve_table(n, mix_trials)),
         "fig-checksum-window" => FigData::table(checksum_window_table()),
         "fig-async" => FigData::table(async_ablation_table(50)),
-        "fig-cin-steady" => FigData::table(cin_steady_table(20)),
+        "fig-cin-steady" => FigData::table(cin_steady_table(runner, 20)),
         "fig-cin-steady-sharded" => FigData::with_aggregates(cin_steady_sharded_default(20)),
         "fig-megascale" => FigData::with_aggregates(megascale_fig()),
         "ablation-hierarchy" => FigData::table(hierarchy_table(50)),
         "ablation-weighted-cin" => FigData::table(weighted_cin_table(50)),
         "ablation-churn" => FigData::table(churn_table(30)),
         "fig-topology-robustness" => FigData::table(topology_robustness_table(40)),
-        "fig-pull-vs-push-rate" => FigData::table(pull_vs_push_rate_table(20)),
+        "fig-pull-vs-push-rate" => FigData::table(pull_vs_push_rate_table(runner, 20)),
         "ablation-counter-reset" => FigData::table(counter_reset_table(n, mix_trials)),
         "ablation-hunting" => FigData::table(hunting_table(n, mix_trials)),
         "ablation-comparison" => FigData::table(comparison_table()),

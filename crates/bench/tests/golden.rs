@@ -1,8 +1,9 @@
 //! Golden-output regression tests.
 //!
-//! These pin the exact rendered text of Table 1, Table 4 and one
-//! spatial-rumor cell, at deliberately small trial counts so the suite
-//! stays fast. The numbers depend on every RNG draw a driver makes, so
+//! These pin the exact rendered text of Table 1, Table 4, one
+//! spatial-rumor cell and the two steady-state figures (live databases
+//! under continuous updates — the only goldens whose sites hold more than
+//! one key), at deliberately small trial counts so the suite stays fast. The numbers depend on every RNG draw a driver makes, so
 //! any refactor that perturbs the partner-selection, contact or
 //! convergence logic — however slightly — shows up as a byte-level diff
 //! here. Each table is checked at 1 worker thread and at 8 to prove the
@@ -14,7 +15,9 @@
 //! cargo test -p epidemic-bench --test golden -- --ignored regenerate
 //! ```
 
-use epidemic_bench::figures::{render_spatial_rumor, spatial_rumor_on};
+use epidemic_bench::figures::{
+    cin_steady_table, pull_vs_push_rate_table, render_spatial_rumor, spatial_rumor_on,
+};
 use epidemic_bench::tables::{
     render_mixing, render_spatial, table1_with, table45_on_with, PAPER_TABLE1,
 };
@@ -25,6 +28,8 @@ use epidemic_sim::runner::TrialRunner;
 const TABLE1_GOLDEN: &str = include_str!("golden/table1.txt");
 const TABLE4_GOLDEN: &str = include_str!("golden/table4.txt");
 const SPATIAL_RUMOR_GOLDEN: &str = include_str!("golden/spatial_rumor.txt");
+const PULL_VS_PUSH_RATE_GOLDEN: &str = include_str!("golden/fig_pull_vs_push_rate.txt");
+const CIN_STEADY_GOLDEN: &str = include_str!("golden/fig_cin_steady.txt");
 
 /// The 50-site CIN used by the spatial goldens (same configuration as the
 /// in-crate `table45_on` unit test).
@@ -67,6 +72,16 @@ fn spatial_rumor_text(runner: TrialRunner) -> String {
     render_spatial_rumor(&rows)
 }
 
+/// `fig-pull-vs-push-rate` as `repro` prints it, at 2 trials per cell.
+fn pull_vs_push_rate_text(runner: TrialRunner) -> String {
+    pull_vs_push_rate_table(runner, 2).render()
+}
+
+/// `fig-cin-steady` as `repro` prints it, at 2 trials per distribution.
+fn cin_steady_text(runner: TrialRunner) -> String {
+    cin_steady_table(runner, 2).render()
+}
+
 #[test]
 fn table1_matches_golden_single_thread() {
     assert_eq!(table1_text(TrialRunner::new().threads(1)), TABLE1_GOLDEN);
@@ -104,6 +119,28 @@ fn spatial_rumor_matches_golden_parallel() {
 }
 
 #[test]
+fn pull_vs_push_rate_matches_golden_at_1_and_8_threads() {
+    for threads in [1, 8] {
+        assert_eq!(
+            pull_vs_push_rate_text(TrialRunner::new().threads(threads)),
+            PULL_VS_PUSH_RATE_GOLDEN,
+            "{threads} threads"
+        );
+    }
+}
+
+#[test]
+fn cin_steady_matches_golden_at_1_and_8_threads() {
+    for threads in [1, 8] {
+        assert_eq!(
+            cin_steady_text(TrialRunner::new().threads(threads)),
+            CIN_STEADY_GOLDEN,
+            "{threads} threads"
+        );
+    }
+}
+
+#[test]
 #[ignore = "overwrites the checked-in golden files"]
 fn regenerate() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
@@ -116,4 +153,11 @@ fn regenerate() {
         spatial_rumor_text(single),
     )
     .expect("write spatial_rumor");
+    std::fs::write(
+        format!("{dir}/fig_pull_vs_push_rate.txt"),
+        pull_vs_push_rate_text(single),
+    )
+    .expect("write fig_pull_vs_push_rate");
+    std::fs::write(format!("{dir}/fig_cin_steady.txt"), cin_steady_text(single))
+        .expect("write fig_cin_steady");
 }

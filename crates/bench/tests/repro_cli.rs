@@ -60,6 +60,37 @@ fn zero_trials_is_a_usage_error() {
 }
 
 #[test]
+fn timings_without_a_path_is_refused_for_a_partial_selection() {
+    // The default path is the committed suite baseline; a partial run
+    // used to overwrite it with a file holding only what was selected.
+    let dir = scratch("timings-default");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for selection in [&["table1"][..], &["--only", "table"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .current_dir(&dir)
+            .args(["--trials", "1", "--timings"])
+            .args(selection)
+            .output()
+            .expect("repro binary runs");
+        assert_eq!(out.status.code(), Some(2), "{selection:?}");
+        assert!(out.stdout.is_empty(), "nothing may run: {selection:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--timings needs a PATH"), "{stderr}");
+        assert!(!dir.join("BENCH_repro.json").exists(), "{selection:?}");
+    }
+    // An explicit path keeps working for any selection.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .current_dir(&dir)
+        .args(["--trials", "1", "--timings", "partial.json", "table1"])
+        .output()
+        .expect("repro binary runs");
+    assert!(out.status.success());
+    assert!(dir.join("partial.json").exists());
+    assert!(!dir.join("BENCH_repro.json").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn invalid_environment_is_rejected_naming_variable_and_value() {
     // A bad value used to fall back silently (threads, shards) or panic
     // mid-run (megascale cap); a name `repro` does not read — retired, or

@@ -55,6 +55,10 @@ impl<K: Eq + Clone> HotList<K> {
         self.items.is_empty()
     }
 
+    fn position(&self, key: &K) -> Option<usize> {
+        self.items.iter().position(|i| &i.key == key)
+    }
+
     /// Whether `key` is hot here.
     pub fn contains(&self, key: &K) -> bool {
         self.items.iter().any(|i| &i.key == key)
@@ -69,24 +73,33 @@ impl<K: Eq + Clone> HotList<K> {
     /// certificate per §2.3). Re-inserting an already-hot key moves it to
     /// the front and resets its counter.
     pub fn insert(&mut self, key: K) {
-        self.remove(&key);
-        self.items.insert(
-            0,
-            HotItem {
-                key,
-                counter: 0,
-                pending_needed: false,
-                pending_useless: false,
-            },
-        );
+        let fresh = HotItem {
+            key,
+            counter: 0,
+            pending_needed: false,
+            pending_useless: false,
+        };
+        // Keys are unique in the list: an already-hot key is rotated to
+        // the front in the same pass that finds it.
+        match self.position(&fresh.key) {
+            Some(pos) => {
+                self.items[..=pos].rotate_right(1);
+                self.items[0] = fresh;
+            }
+            None => self.items.insert(0, fresh),
+        }
     }
 
     /// Removes `key` from the hot list (the rumor becomes *removed* in the
     /// epidemic sense). Returns whether it was present.
     pub fn remove(&mut self, key: &K) -> bool {
-        let before = self.items.len();
-        self.items.retain(|i| &i.key != key);
-        before != self.items.len()
+        match self.position(key) {
+            Some(pos) => {
+                self.items.remove(pos);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Drops every rumor.
@@ -123,10 +136,9 @@ impl<K: Eq + Clone> HotList<K> {
     /// reset-on-useful rule) and moves it to the front of the activity
     /// order.
     pub fn mark_useful(&mut self, key: &K) {
-        if let Some(pos) = self.items.iter().position(|i| &i.key == key) {
-            let mut item = self.items.remove(pos);
-            item.counter = 0;
-            self.items.insert(0, item);
+        if let Some(pos) = self.position(key) {
+            self.items[..=pos].rotate_right(1);
+            self.items[0].counter = 0;
         }
     }
 
@@ -237,6 +249,52 @@ mod tests {
         list.mark_useful(&"a");
         assert_eq!(list.counter(&"a"), Some(0));
         assert_eq!(list.keys_snapshot(), ["a", "b"]);
+    }
+
+    /// The list's order is defined by "drop the key wherever it is, then
+    /// put it in front"; the one-pass edits must produce exactly that.
+    #[test]
+    fn one_pass_edits_match_retain_then_push_front() {
+        // The old definition, on bare `(key, counter)` pairs.
+        fn drop_key(model: &mut Vec<(u8, u32)>, key: u8) -> Option<u32> {
+            let counter = model.iter().find(|(k, _)| *k == key).map(|(_, c)| *c);
+            model.retain(|(k, _)| *k != key);
+            counter
+        }
+        let mut list = HotList::new();
+        let mut model: Vec<(u8, u32)> = Vec::new();
+        // A scripted history over six keys that re-inserts hot keys at
+        // the front, middle and back, and edits absent keys too.
+        for step in 0..400u32 {
+            let key = ((step * 7 + step / 5) % 6) as u8;
+            match step % 5 {
+                0 | 1 => {
+                    list.insert(key);
+                    drop_key(&mut model, key);
+                    model.insert(0, (key, 0));
+                }
+                2 => {
+                    let bumped = list.bump_counter(&key, 1);
+                    let slot = model.iter_mut().find(|(k, _)| *k == key);
+                    assert_eq!(bumped.is_some(), slot.is_some());
+                    if let Some((_, c)) = slot {
+                        *c += 1;
+                    }
+                }
+                3 => {
+                    list.mark_useful(&key);
+                    if drop_key(&mut model, key).is_some() {
+                        model.insert(0, (key, 0));
+                    }
+                }
+                _ => {
+                    let removed = list.remove(&key);
+                    assert_eq!(removed, drop_key(&mut model, key).is_some());
+                }
+            }
+            let got: Vec<(u8, u32)> = list.iter().map(|i| (*i.key(), i.counter())).collect();
+            assert_eq!(got, model, "after step {step}");
+        }
     }
 
     #[test]

@@ -87,15 +87,6 @@ where
         self.db.entry(key).is_none() && self.db.dormant_certificate(key).is_none()
     }
 
-    /// Whether receiving an entry for `key` stamped `timestamp` would
-    /// change this replica's database
-    /// ([`Database::would_accept`](epidemic_db::Database::would_accept)).
-    /// Senders use this borrow-only check to skip cloning entries the
-    /// recipient already holds.
-    pub fn needs(&self, key: &K, timestamp: Timestamp) -> bool {
-        self.db.would_accept(key, timestamp)
-    }
-
     /// Local clock reading.
     pub fn local_time(&self) -> u64 {
         self.clock.peek()
@@ -159,6 +150,24 @@ where
         let outcome = self.db.offer(key.clone(), entry, now);
         match outcome {
             OfferOutcome::Applied | OfferOutcome::AwakenedDormant => self.hot.insert(key),
+            OfferOutcome::AlreadyKnown | OfferOutcome::Obsolete => {}
+        }
+        outcome
+    }
+
+    /// [`Replica::receive_rumor`] from borrowed data
+    /// ([`Database::offer_ref`](epidemic_db::Database::offer_ref)): rumor
+    /// contacts offer the sender's entry by reference, so the two thirds
+    /// to three quarters of offers the recipient rejects cost one probe
+    /// of its database and no clone.
+    pub fn receive_rumor_ref(&mut self, key: &K, entry: &Entry<V>) -> OfferOutcome
+    where
+        V: Clone,
+    {
+        let now = self.observation();
+        let outcome = self.db.offer_ref(key, entry, now);
+        match outcome {
+            OfferOutcome::Applied | OfferOutcome::AwakenedDormant => self.hot.insert(key.clone()),
             OfferOutcome::AlreadyKnown | OfferOutcome::Obsolete => {}
         }
         outcome
@@ -270,6 +279,66 @@ mod tests {
         let outcome = a.receive_quietly("k", Entry::live(1, t_old));
         assert_eq!(outcome, OfferOutcome::AwakenedDormant);
         assert!(a.is_infective(&"k"));
+    }
+
+    /// `receive_rumor_ref` is `receive_rumor` without the ownership
+    /// transfer: same outcome, database, dormant store and hot list in
+    /// every case the offer can meet.
+    #[test]
+    fn receive_rumor_ref_agrees_with_receive_rumor() {
+        // A replica holding "k" live at t=5 (no longer hot) and a dormant
+        // death certificate for "gone" deleted at t=20.
+        let mut base = replica(0);
+        base.advance_clock(5);
+        let held = base.client_update("k", 1);
+        base.advance_clock(20);
+        base.client_update("gone", 2);
+        let deleted = base.client_delete_with_retention(&"gone", vec![base.site()]);
+        base.hot_mut().clear();
+        base.advance_clock(1_000);
+        base.collect_garbage(GcPolicy::Dormant {
+            tau1: 10,
+            tau2: 100_000,
+        });
+        assert!(base.db().dormant_certificate(&"gone").is_some());
+
+        let remote = |t: u64| Timestamp::new(t, SiteId::new(7));
+        let cases = [
+            ("fresh", Entry::live(9, remote(3)), OfferOutcome::Applied),
+            ("k", Entry::live(3, remote(900)), OfferOutcome::Applied),
+            ("k", Entry::dead(remote(900)), OfferOutcome::Applied),
+            ("k", Entry::live(1, held), OfferOutcome::AlreadyKnown),
+            ("k", Entry::live(0, remote(2)), OfferOutcome::Obsolete),
+            // An obsolete copy of the deleted item awakens the certificate…
+            (
+                "gone",
+                Entry::live(2, remote(deleted.time() - 1)),
+                OfferOutcome::AwakenedDormant,
+            ),
+            // …while a reinstatement newer than the deletion supersedes it.
+            ("gone", Entry::live(4, remote(500)), OfferOutcome::Applied),
+        ];
+        for (key, entry, expected) in cases {
+            let mut owned = base.clone();
+            let mut borrowed = base.clone();
+            let a = owned.receive_rumor(key, entry.clone());
+            let b = borrowed.receive_rumor_ref(&key, &entry);
+            assert_eq!(a, expected, "{key} {entry:?}");
+            assert_eq!(a, b, "{key} {entry:?}");
+            assert_eq!(owned.db(), borrowed.db());
+            assert_eq!(owned.db().checksum(), borrowed.db().checksum());
+            assert_eq!(owned.db().dormant_len(), borrowed.db().dormant_len());
+            assert_eq!(
+                owned.db().dormant_certificate(&"gone"),
+                borrowed.db().dormant_certificate(&"gone")
+            );
+            assert_eq!(owned.hot(), borrowed.hot());
+            let ignites = matches!(
+                expected,
+                OfferOutcome::Applied | OfferOutcome::AwakenedDormant
+            );
+            assert_eq!(owned.is_infective(&key), ignites);
+        }
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 use std::hash::Hash;
 
-use epidemic_db::Entry;
 use rand::{Rng, RngExt};
 
 use crate::replica::Replica;
@@ -189,27 +188,23 @@ impl<'s, K: Ord + Clone + Hash + Eq> HotKeys<'s, K> {
     }
 }
 
-/// Offers the hot rumor `key` from `from` to `to`. The entry is cloned
-/// only when `to` actually needs it — a borrow-only timestamp check
-/// decides, so the common late-epidemic case (everyone already knows the
-/// update) transmits nothing owned. Returns `None` when `from` no longer
-/// holds an entry for the key (e.g. an expired death certificate), after
-/// dropping the stale rumor; otherwise `Some(useful)`.
+/// Offers the hot rumor `key` from `from` to `to`: one probe of the
+/// sender's database to borrow the entry, one probe of the recipient's to
+/// merge it. The entry is cloned only when `to` actually needs it, so the
+/// common late-epidemic case (everyone already knows the update) transmits
+/// nothing owned. Returns `None` when `from` no longer holds an entry for
+/// the key (e.g. an expired death certificate), after dropping the stale
+/// rumor; otherwise `Some(useful)`.
 fn offer_rumor<K, V>(from: &mut Replica<K, V>, to: &mut Replica<K, V>, key: &K) -> Option<bool>
 where
     K: Ord + Clone + Hash + Eq,
     V: Clone + Hash,
 {
-    let Some(timestamp) = from.db().entry(key).map(Entry::timestamp) else {
+    let Some(entry) = from.db().entry(key) else {
         from.hot_mut().remove(key);
         return None;
     };
-    if !to.needs(key, timestamp) {
-        // The offer would be a no-op at the recipient; skip the clone.
-        return Some(false);
-    }
-    let entry = from.db().entry(key).expect("entry observed above").clone();
-    Some(to.receive_rumor(key.clone(), entry).was_useful())
+    Some(to.receive_rumor_ref(key, entry).was_useful())
 }
 
 /// One **push** contact: `sender` offers every hot rumor to `receiver`

@@ -6,19 +6,28 @@
 //! the §1.3 peel-back order reversed. The recent-update list, the
 //! timestamp index and peel-back iteration are all *derived* from the
 //! column order by walking it backwards; nothing maintains a second tree.
-//! Key lookup goes through a small position index (`by_key`, row positions
-//! sorted by key) that only exists once the store holds two or more rows —
-//! a single-row site, the common case in epidemic spreading experiments,
-//! is just one heap block.
+//! Key lookup goes through a small key-inline index (`by_key`, `(key, row
+//! position)` pairs sorted by key) that only exists once the store holds
+//! two or more rows — a single-row site, the common case in epidemic
+//! spreading experiments, is just one heap block.
 //!
 //! Cost model:
 //!
 //! * an empty store allocates nothing and a site's first entry costs
 //!   **one** allocation (the row column, `reserve_exact(1)`);
-//! * supersession of the newest entry (the steady-state epidemic path) is
-//!   a pop-and-push at the column tail, no rebalancing;
-//! * any other mutation is `O(rows)` per site (a `Vec` shift plus an index
-//!   fix-up) — the trade is deliberate: per-site databases in every
+//! * a probe never reads a row: it binary-searches the index's own copy
+//!   of the keys, so a rejected offer (most rumor offers are) touches the
+//!   dense index and then the one row it names. The index holds the only
+//!   second copy of each key, cloned once when the key is first stored and
+//!   never on supersession — intern wide keys;
+//! * placement is tail-first: the column position of a new or superseding
+//!   row is found by galloping backwards from the newest row, the few
+//!   rows it displaces at the tail are re-indexed by key, and a row that
+//!   lands at the very tail displaces nothing — so updates that arrive
+//!   newest-first-ish stay in the rows already in cache;
+//! * a mutation far from the tail is `O(rows)` per site (a memmove of the
+//!   rows between the old and the new position plus one pass over the
+//!   index) — the trade is deliberate: per-site databases in every
 //!   experiment hold from one to a few hundred entries, while site
 //!   *count* is large.
 //!
@@ -27,6 +36,7 @@
 
 use std::cmp::Ordering;
 use std::hash::Hash;
+use std::ops::Range;
 
 use crate::checksum::Checksum;
 use crate::item::{ApplyOutcome, Entry};
@@ -44,15 +54,21 @@ pub struct Aux<'a> {
     pub live: &'a mut usize,
 }
 
+/// A row position as the index stores it.
+fn position(pos: usize) -> u32 {
+    u32::try_from(pos).expect("flat store holds at most u32::MAX rows")
+}
+
 /// Flat timestamp-sorted main store; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct FlatStore<K, V> {
     /// Rows ascending by `(timestamp, key)`; walking backwards yields the
     /// peel-back (newest-first) order.
     rows: Vec<(K, Entry<V>)>,
-    /// Row positions sorted by key — the lookup index. Empty while the
-    /// store holds fewer than two rows (a lone row needs no index).
-    by_key: Vec<u32>,
+    /// `(key, row position)` pairs sorted by key — the lookup index, with
+    /// the keys inline so a probe never dereferences a row. Empty while
+    /// the store holds fewer than two rows (a lone row needs no index).
+    by_key: Vec<(K, u32)>,
 }
 
 impl<K, V> FlatStore<K, V>
@@ -166,31 +182,72 @@ where
                 },
             };
         }
-        match self
-            .by_key
-            .binary_search_by(|&p| self.rows[p as usize].0.cmp(key))
-        {
-            Ok(rank) => Ok((rank, self.by_key[rank] as usize)),
-            Err(rank) => Err(rank),
-        }
+        let rank = self.by_key.binary_search_by(|(k, _)| k.cmp(key))?;
+        Ok((rank, self.by_key[rank].1 as usize))
     }
 
-    /// Row position where an entry stamped `at` under `key` belongs. The
-    /// common case — a fresh timestamp newer than everything held — is a
-    /// single comparison against the column tail.
+    /// Row position where an entry stamped `at` under `key` belongs: the
+    /// number of rows ordered before `(at, key)`. The search is
+    /// tail-first — it gallops backwards from the newest row (1, 2, 4…
+    /// rows) until it meets a row ordered before the entry, then bisects
+    /// that bracket — so a timestamp newer than everything held costs one
+    /// comparison and one among the recent rows reads only the column tail.
     fn row_position(&self, at: Timestamp, key: &K) -> usize {
-        match self.rows.last() {
-            Some((k, e)) if (e.timestamp(), k) < (at, key) => self.rows.len(),
-            None => 0,
-            _ => self
-                .rows
-                .partition_point(|(k, e)| (e.timestamp(), k) < (at, key)),
+        let before = |(k, e): &(K, Entry<V>)| (e.timestamp(), k) < (at, key);
+        // Every row at `hi` or later is ordered after the entry.
+        let (mut hi, mut step) = (self.rows.len(), 1);
+        while hi > 0 {
+            let lo = hi.saturating_sub(step);
+            if before(&self.rows[lo]) {
+                return lo + 1 + self.rows[lo + 1..hi].partition_point(before);
+            }
+            hi = lo;
+            step *= 2;
+        }
+        0
+    }
+
+    /// Brings the index up to date with the rows now at positions `moved`,
+    /// which a row inserted, removed or relocated beside them has just
+    /// shifted by `delta` (±1). Placement is tail-first, so the typical
+    /// shift moves a handful of rows at the column tail: those are looked
+    /// up by key and handed their position. A shift of a large part of
+    /// the column (an old key superseded, say) is one pass over the index
+    /// instead. A shift at the very tail moves no row and costs nothing.
+    fn reindex(&mut self, moved: Range<usize>, delta: i32) {
+        // A bisection step costs about what two pairs of the pass do.
+        let steps_per_lookup = (usize::BITS - self.by_key.len().leading_zeros()) as usize;
+        if moved.len() * steps_per_lookup * 2 < self.by_key.len() {
+            for pos in moved {
+                let key = &self.rows[pos].0;
+                let rank = self
+                    .by_key
+                    .binary_search_by(|(k, _)| k.cmp(key))
+                    .expect("every row but the one being placed is indexed");
+                self.by_key[rank].1 = position(pos);
+            }
+        } else {
+            let moved = position(moved.start)..position(moved.end);
+            // Branch-free: after out-of-order supersessions positions are
+            // scattered over key order, and a test per pair mispredicts.
+            for (_, p) in &mut self.by_key {
+                let shifted = p.wrapping_add_signed(delta);
+                *p = if moved.contains(&shifted) {
+                    shifted
+                } else {
+                    *p
+                };
+            }
         }
     }
 
-    /// Inserts a row at column position `pos` / key rank `rank`,
-    /// maintaining the lookup index.
-    fn insert_row(&mut self, rank: usize, pos: usize, key: K, entry: Entry<V>) {
+    /// Installs a key not currently present, at key rank `rank`.
+    fn insert_fresh(&mut self, rank: usize, key: K, entry: Entry<V>, aux: Aux<'_>) {
+        aux.checksum.toggle(&(&key, &entry));
+        if !entry.is_dead() {
+            *aux.live += 1;
+        }
+        let pos = self.row_position(entry.timestamp(), &key);
         if self.rows.is_empty() {
             // One exact block for the ubiquitous single-entry site; the
             // allocator's doubling growth takes over beyond that.
@@ -198,18 +255,18 @@ where
         }
         self.rows.insert(pos, (key, entry));
         match self.rows.len() {
-            1 => {}
-            2 => self.rebuild_index(),
-            _ => {
-                let pos32 = u32::try_from(pos).expect("flat store holds at most u32::MAX rows");
-                for p in &mut self.by_key {
-                    if *p >= pos32 {
-                        *p += 1;
-                    }
-                }
-                self.by_key.insert(rank, pos32);
+            // A lone row needs no index.
+            1 => return,
+            // The second row brings the index into being, lone row first.
+            2 => {
+                let lone = 1 - pos;
+                self.by_key
+                    .push((self.rows[lone].0.clone(), position(lone)));
             }
+            len => self.reindex(pos + 1..len, 1),
         }
+        self.by_key
+            .insert(rank, (self.rows[pos].0.clone(), position(pos)));
     }
 
     /// Removes the row at column position `pos` / key rank `rank`,
@@ -219,53 +276,49 @@ where
         if self.rows.len() < 2 {
             self.by_key.clear();
         } else {
-            let pos32 = u32::try_from(pos).expect("flat store holds at most u32::MAX rows");
             self.by_key.remove(rank);
-            for p in &mut self.by_key {
-                if *p > pos32 {
-                    *p -= 1;
-                }
-            }
+            self.reindex(pos..self.rows.len(), -1);
         }
         row
     }
 
-    /// Rebuilds the lookup index from the rows (used on the 1 → 2 row
-    /// transition; the cleared index retains its capacity thereafter).
-    fn rebuild_index(&mut self) {
-        self.by_key.clear();
-        let len = u32::try_from(self.rows.len()).expect("flat store holds at most u32::MAX rows");
-        self.by_key.extend(0..len);
-        let rows = &self.rows;
-        self.by_key
-            .sort_unstable_by(|&a, &b| rows[a as usize].0.cmp(&rows[b as usize].0));
-    }
-
-    /// Installs a key not currently present.
-    fn insert_fresh(&mut self, rank: usize, key: K, entry: Entry<V>, aux: Aux<'_>) {
-        aux.checksum.toggle(&(&key, &entry));
-        if !entry.is_dead() {
-            *aux.live += 1;
-        }
-        let pos = self.row_position(entry.timestamp(), &key);
-        self.insert_row(rank, pos, key, entry);
-    }
-
-    /// Replaces the entry of the key at `(rank, pos)`, re-sorting the row
-    /// to its new timestamp position. The key's rank is unchanged (no
-    /// other key moves in key order), so the index round-trips exactly.
+    /// Replaces the entry of the key at `(rank, pos)`, moving the row to
+    /// its new timestamp position. The key's rank is unchanged (no other
+    /// key moves in key order), so its index pair stays where it is and
+    /// only positions are patched: no key is cloned.
     fn replace(&mut self, rank: usize, pos: usize, new: Entry<V>, aux: Aux<'_>) {
-        let (key, old) = self.remove_row(rank, pos);
-        aux.checksum.toggle(&(&key, &old));
+        let (key, old) = &self.rows[pos];
+        aux.checksum.toggle(&(key, old));
         if !old.is_dead() {
             *aux.live -= 1;
         }
-        aux.checksum.toggle(&(&key, &new));
+        aux.checksum.toggle(&(key, &new));
         if !new.is_dead() {
             *aux.live += 1;
         }
-        let pos = self.row_position(new.timestamp(), &key);
-        self.insert_row(rank, pos, key, new);
+        // The old row is still in the column and counts towards the
+        // position when it is ordered before the new entry.
+        let among_all = self.row_position(new.timestamp(), key);
+        let dest = if among_all > pos {
+            among_all - 1
+        } else {
+            among_all
+        };
+        if dest == pos {
+            self.rows[pos].1 = new;
+            return;
+        }
+        // Two memmoves that together cover only the rows between the old
+        // and the new position.
+        let (key, _) = self.rows.remove(pos);
+        self.rows.insert(dest, (key, new));
+        if dest > pos {
+            self.reindex(pos..dest, -1);
+        } else {
+            self.reindex(dest + 1..pos + 1, 1);
+        }
+        // A lone row never moves, so the pair exists.
+        self.by_key[rank].1 = position(dest);
     }
 
     /// Iterates `(key, entry)` pairs in key order.
@@ -311,10 +364,14 @@ where
         } else {
             assert_eq!(self.by_key.len(), self.rows.len(), "index covers all rows");
             assert!(
-                self.by_key
-                    .windows(2)
-                    .all(|w| self.rows[w[0] as usize].0 < self.rows[w[1] as usize].0),
+                self.by_key.windows(2).all(|w| w[0].0 < w[1].0),
                 "index must be strictly ascending by key"
+            );
+            assert!(
+                self.by_key
+                    .iter()
+                    .all(|(k, p)| self.rows.get(*p as usize).is_some_and(|row| row.0 == *k)),
+                "every index pair names the row that holds its key"
             );
         }
     }
@@ -326,7 +383,7 @@ where
 #[derive(Debug, Clone)]
 pub struct KeyOrderIter<'a, K, V> {
     rows: &'a [(K, Entry<V>)],
-    by_key: &'a [u32],
+    by_key: &'a [(K, u32)],
     idx: usize,
 }
 
@@ -337,7 +394,7 @@ impl<'a, K, V> Iterator for KeyOrderIter<'a, K, V> {
         let row = if self.by_key.is_empty() {
             self.rows.get(self.idx)?
         } else {
-            &self.rows[*self.by_key.get(self.idx)? as usize]
+            &self.rows[self.by_key.get(self.idx)?.1 as usize]
         };
         self.idx += 1;
         Some((&row.0, &row.1))
@@ -450,6 +507,37 @@ mod tests {
         h.apply(3, Entry::live(2, ts(5)));
         assert!(h.store.by_key.is_empty());
         assert_eq!(h.store.len(), 1);
+    }
+
+    /// The tail-first search is the whole-column bisection, at every
+    /// position of every small column: each probe lands before, between,
+    /// on and after the rows, with timestamps reused across keys so the
+    /// key breaks ties on both sides.
+    #[test]
+    fn row_position_is_the_whole_column_partition_point() {
+        for len in 0..=9u32 {
+            // Two rows per timestamp: (2, 10), (2, 20), (4, 30), (4, 40), …
+            let rows: Vec<(u32, Entry<u32>)> = (0..len)
+                .map(|i| (10 * (i + 1), Entry::live(i, ts(u64::from(2 * (i / 2) + 2)))))
+                .collect();
+            let store = FlatStore {
+                rows,
+                by_key: Vec::new(),
+            };
+            for time in 1..=u64::from(len) + 3 {
+                for key in (5..=10 * len + 5).step_by(5) {
+                    let at = ts(time);
+                    let expected = store
+                        .rows
+                        .partition_point(|(k, e)| (e.timestamp(), k) < (at, &key));
+                    assert_eq!(
+                        store.row_position(at, &key),
+                        expected,
+                        "{len} rows, probe ({time}, {key})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,10 @@ pub enum Entry<V> {
         at: Timestamp,
     },
     /// The key was deleted; the certificate carries the deletion timestamp.
-    Dead(DeathCertificate),
+    /// It lives out of line so that the rows of a store stay small — a
+    /// certificate is three times the size of a live `u32` entry, and
+    /// deletions are rare beside the updates every column walk reads.
+    Dead(Box<DeathCertificate>),
 }
 
 impl<V> Entry<V> {
@@ -39,7 +42,12 @@ impl<V> Entry<V> {
     /// Creates a deleted entry (simple death certificate with no retention
     /// sites; see [`DeathCertificate::with_retention`] for dormant ones).
     pub fn dead(at: Timestamp) -> Self {
-        Entry::Dead(DeathCertificate::new(at))
+        Entry::dead_with(DeathCertificate::new(at))
+    }
+
+    /// Creates a deleted entry carrying `certificate`.
+    pub fn dead_with(certificate: DeathCertificate) -> Self {
+        Entry::Dead(Box::new(certificate))
     }
 
     /// The entry's *ordinary* timestamp — the one supersession compares.
@@ -151,6 +159,16 @@ mod tests {
         let dead = Entry::<u32>::dead(ts(9));
         assert_eq!(dead.timestamp(), ts(9));
         assert!(dead.death_certificate().is_some());
+    }
+
+    /// The flat store's rows are `(key, entry)` pairs; their size is what a
+    /// column walk, a placement memmove and the lockstep recent-list walk
+    /// pay per row.
+    #[test]
+    fn rows_stay_small() {
+        use std::mem::size_of;
+        assert!(size_of::<(u32, Entry<u32>)>() <= 32);
+        assert!(size_of::<(u32, Entry<u64>)>() <= 40);
     }
 
     #[test]

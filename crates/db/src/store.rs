@@ -184,7 +184,7 @@ where
     /// retention sites. Returns the deletion timestamp.
     pub fn delete<C: Clock>(&mut self, key: &K, clock: &mut C) -> Timestamp {
         let at = clock.now();
-        self.install(key.clone(), Entry::Dead(DeathCertificate::new(at)));
+        self.install(key.clone(), Entry::dead(at));
         at
     }
 
@@ -199,7 +199,7 @@ where
         let at = clock.now();
         self.install(
             key.clone(),
-            Entry::Dead(DeathCertificate::with_retention(at, retention)),
+            Entry::dead_with(DeathCertificate::with_retention(at, retention)),
         );
         at
     }
@@ -240,7 +240,7 @@ where
             if entry.timestamp() <= dc.deleted_at() {
                 let mut dc = self.dormant.remove(&key).expect("checked above");
                 dc.reactivate(now);
-                self.install(key, Entry::Dead(dc));
+                self.install(key, Entry::dead_with(dc));
                 return OfferOutcome::AwakenedDormant;
             }
             self.dormant.remove(&key);
@@ -260,7 +260,7 @@ where
             if entry.timestamp() <= dc.deleted_at() {
                 let mut dc = self.dormant.remove(key).expect("checked above");
                 dc.reactivate(now);
-                self.install(key.clone(), Entry::Dead(dc));
+                self.install(key.clone(), Entry::dead_with(dc));
                 return OfferOutcome::AwakenedDormant;
             }
             self.dormant.remove(key);
@@ -360,7 +360,7 @@ where
         }
         for key in park {
             if let Some(Entry::Dead(dc)) = self.remove_entry(&key) {
-                self.dormant.insert(key, dc);
+                self.dormant.insert(key, *dc);
                 stats.dormant += 1;
             }
         }
@@ -715,6 +715,32 @@ mod tests {
         // Superseding the lone entry reuses the block.
         db.update(7, 2, &mut c);
         assert_eq!(db.store.capacities(), (1, 0));
+        // A second key brings the lookup index into being: one block for
+        // it, and the row column's first doubling.
+        db.update(9, 1, &mut c);
+        let (rows, index) = db.store.capacities();
+        assert!(rows >= 2 && index >= 2, "capacities ({rows}, {index})");
+        db.update(9, 2, &mut c);
+        db.update(7, 3, &mut c);
+        assert_eq!(
+            db.store.capacities(),
+            (rows, index),
+            "supersession allocates nothing"
+        );
+        // Back to one row: the index is cleared but keeps its block, so a
+        // site hovering between one and two rows allocates it only once.
+        db.delete(&9, &mut c);
+        db.collect_garbage(
+            SiteId::new(0),
+            c.peek() + 100,
+            GcPolicy::FixedThreshold { tau: 10 },
+        );
+        assert_eq!(db.len(), 1);
+        db.store.check_invariants(); // a lone row carries no index pairs
+        assert_eq!(db.store.capacities(), (rows, index));
+        db.update(9, 3, &mut c);
+        db.store.check_invariants();
+        assert_eq!(db.store.capacities(), (rows, index));
     }
 }
 

@@ -35,7 +35,7 @@ enum Op {
     Offer {
         key: u8,
         value: Option<u16>,
-        time: u64,
+        stamp: Stamp,
         site: u8,
         by_ref: bool,
     },
@@ -43,6 +43,33 @@ enum Op {
     Advance { dt: u64 },
     /// Death-certificate garbage collection.
     Gc { policy: GcPolicy },
+}
+
+/// When an offered entry claims to have been written.
+#[derive(Debug, Clone, Copy)]
+enum Stamp {
+    /// An absolute time. The local clock soon runs past the range these
+    /// are drawn from, so most of them sort into the old end of the column.
+    At(u64),
+    /// The time of the row this many places below the newest (wrapping
+    /// round the column): placement lands at the tail, in the middle and
+    /// at the front alike, and times are reused across keys so that the
+    /// site id and the key break ties.
+    Behind(u8),
+}
+
+impl Stamp {
+    /// The offered time, given the timestamps held, newest first.
+    fn resolve(self, held: usize, mut newest_first: impl Iterator<Item = Timestamp>) -> u64 {
+        match self {
+            Stamp::At(time) => time,
+            Stamp::Behind(_) if held == 0 => 1,
+            Stamp::Behind(back) => newest_first
+                .nth(usize::from(back) % held)
+                .expect("within the column")
+                .time(),
+        }
+    }
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -54,14 +81,17 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             any::<u8>(),
             any::<u16>(),
             any::<bool>(),
-            1u64..400,
+            prop_oneof![
+                (1u64..400).prop_map(Stamp::At),
+                any::<u8>().prop_map(Stamp::Behind),
+            ],
             1u8..8,
             any::<bool>()
         )
-            .prop_map(|(key, value, live, time, site, by_ref)| Op::Offer {
+            .prop_map(|(key, value, live, stamp, site, by_ref)| Op::Offer {
                 key,
                 value: live.then_some(value),
-                time,
+                stamp,
                 site,
                 by_ref,
             }),
@@ -169,15 +199,17 @@ impl Pair {
             Op::Delete { key } => self.install(key, Entry::dead),
             Op::Retain { key, site } => self.install(key, |at| {
                 let retention = vec![LOCAL, SiteId::new(u32::from(site))];
-                Entry::Dead(DeathCertificate::with_retention(at, retention))
+                Entry::dead_with(DeathCertificate::with_retention(at, retention))
             }),
             Op::Offer {
                 key,
                 value,
-                time,
+                stamp,
                 site,
                 by_ref,
             } => {
+                let held = self.flat.timestamp_index().map(|(t, _)| t);
+                let time = stamp.resolve(self.flat.len(), held);
                 let entry = offered(value, time, site);
                 let aux = Aux {
                     checksum: &mut self.checksum,
@@ -277,7 +309,7 @@ fn offered(value: Option<u16>, time: u64, site: u8) -> Entry<u16> {
 }
 
 /// Replays `op` on a whole [`Database`] at `site`, dormant-certificate
-/// handling included.
+/// handling included. Offers are canonicalized (see the `Offer` arm).
 fn step_database(db: &mut Database<u8, u16>, clock: &mut SimClock, site: SiteId, op: &Op) {
     match *op {
         Op::Update { key, value } => {
@@ -292,11 +324,20 @@ fn step_database(db: &mut Database<u8, u16>, clock: &mut SimClock, site: SiteId,
         }
         Op::Offer {
             key,
-            value,
-            time,
+            value: _,
+            stamp,
             site: from,
             by_ref,
         } => {
+            // The offered entry is a pure function of its timestamp: the
+            // site id moves into the 2+ range (clear of both replicas'
+            // client clocks) and kind and value derive from `(time, site)`,
+            // so two independent histories that collide on a timestamp
+            // still agree on its payload.
+            let time = stamp.resolve(db.len(), db.timestamp_index().map(|(t, _)| t));
+            let from = 2 + from % 6;
+            let live = !(time + u64::from(from) + u64::from(key)).is_multiple_of(4);
+            let value = live.then_some((time as u16) ^ (u16::from(from) << 9));
             let entry = offered(value, time, from);
             let now = Timestamp::new(clock.peek(), site);
             if by_ref {
@@ -312,35 +353,6 @@ fn step_database(db: &mut Database<u8, u16>, clock: &mut SimClock, site: SiteId,
         Op::Gc { policy } => {
             db.collect_garbage(site, clock.peek(), policy);
         }
-    }
-}
-
-/// Rewrites an [`Op::Offer`] so the offered entry is a pure function of
-/// its timestamp: the site id moves into the 2+ range (clear of both
-/// replicas' client clocks) and kind/value derive from `(time, site)`.
-/// Used by the convergence test, where two independent histories might
-/// otherwise collide on a timestamp with different payloads.
-fn canonicalize(op: &Op) -> Op {
-    match *op {
-        Op::Offer {
-            key,
-            value: _,
-            time,
-            site,
-            by_ref,
-        } => {
-            let site = 2 + site % 6;
-            let live = !(time + u64::from(site) + u64::from(key)).is_multiple_of(4);
-            let value = live.then_some((time as u16) ^ (u16::from(site) << 9));
-            Op::Offer {
-                key,
-                value,
-                time,
-                site,
-                by_ref,
-            }
-        }
-        ref other => other.clone(),
     }
 }
 
@@ -362,7 +374,7 @@ proptest! {
     /// timestamp indexes — the §1.1 goal.
     ///
     /// Offered entries are derived deterministically from their timestamp
-    /// (see [`canonicalize`]) so a timestamp collision between the two
+    /// (see [`step_database`]) so a timestamp collision between the two
     /// histories can never manufacture two irreconcilable versions — the
     /// same guarantee unique real-world timestamps give the paper.
     #[test]
@@ -376,10 +388,10 @@ proptest! {
         let (mut a, mut clock_a) = (Database::new(), SimClock::new(site_a));
         let (mut b, mut clock_b) = (Database::new(), SimClock::new(site_b));
         for op in &ops_a {
-            step_database(&mut a, &mut clock_a, site_a, &canonicalize(op));
+            step_database(&mut a, &mut clock_a, site_a, op);
         }
         for op in &ops_b {
-            step_database(&mut b, &mut clock_b, site_b, &canonicalize(op));
+            step_database(&mut b, &mut clock_b, site_b, op);
         }
         // Push-pull full exchanges until fixpoint: one round can awaken a
         // dormant certificate whose reinstalled copy only crosses over on
