@@ -7,9 +7,12 @@ use std::hint::black_box;
 use epidemic_core::{AntiEntropy, Comparison, Direction, Feedback, Removal, Replica, RumorConfig};
 use epidemic_db::{Aux, Checksum, Database, Entry, FlatStore, SimClock, SiteId, Timestamp};
 use epidemic_net::{topologies, PartnerSampler, Routes, Spatial};
+use epidemic_sim::engine::{ContactStats, EpidemicProtocol};
 use epidemic_sim::mixing::RumorEpidemic;
+use epidemic_sim::BitSet;
 use epidemic_trace::{AggregatingSink, Registry, RunAggregate, Sir};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
 fn bench_store(c: &mut Criterion) {
@@ -314,6 +317,74 @@ fn bench_aggregating_sink(c: &mut Criterion) {
     group.finish();
 }
 
+/// A protocol with a hot list per site and nothing else: what the engine's
+/// roster computation sees of a rumor protocol. `tracked` switches
+/// [`EpidemicProtocol::active_sites`] from the default `is_active` scan to
+/// the incrementally kept bitset, as `MixingProtocol` does.
+struct HotLists {
+    lists: Vec<Vec<u32>>,
+    active: BitSet,
+    tracked: bool,
+}
+
+impl EpidemicProtocol for HotLists {
+    fn site_count(&self) -> usize {
+        self.lists.len()
+    }
+    fn is_active(&self, i: usize) -> bool {
+        !self.lists[i].is_empty()
+    }
+    fn active_sites(&self, out: &mut Vec<usize>) {
+        out.clear();
+        if self.tracked {
+            out.extend(self.active.iter_ones());
+        } else {
+            out.extend((0..self.site_count()).filter(|&i| self.is_active(i)));
+        }
+    }
+    fn finished(&self, _cycle: u32, active: &[usize]) -> bool {
+        active.is_empty()
+    }
+    fn contact(&mut self, _cycle: u32, _i: usize, _j: usize, _rng: &mut StdRng) -> ContactStats {
+        unreachable!("only the roster is measured")
+    }
+}
+
+/// The roster computation the cycle engine makes twice a cycle, at
+/// n = 1000: the `is_active` scan against the active-set bitset, with 1 %,
+/// 10 % and every site active. The scan costs the network, the bitset the
+/// active set; where they cross is the record this group keeps.
+fn bench_roster(c: &mut Criterion) {
+    const N: usize = 1_000;
+    let mut group = c.benchmark_group("roster");
+    for percent in [1usize, 10, 100] {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut protocol = HotLists {
+            lists: vec![Vec::new(); N],
+            active: BitSet::new(N),
+            tracked: false,
+        };
+        let mut sites: Vec<usize> = (0..N).collect();
+        sites.shuffle(&mut rng);
+        for &i in &sites[..N * percent / 100] {
+            protocol.lists[i].push(0);
+            protocol.active.set(i, true);
+        }
+        let mut roster = Vec::with_capacity(N);
+        for (name, tracked) in [("scan", false), ("active_set", true)] {
+            protocol.tracked = tracked;
+            group.bench_function(BenchmarkId::new(name, format!("{percent}pct")), |b| {
+                b.iter(|| {
+                    black_box(&protocol).active_sites(&mut roster);
+                    black_box(roster.len())
+                })
+            });
+            assert_eq!(roster.len(), N * percent / 100);
+        }
+    }
+    group.finish();
+}
+
 fn bench_routing(c: &mut Criterion) {
     let net = topologies::cin(&topologies::CinConfig::default());
     c.bench_function("routing/all_pairs_bfs_cin", |b| {
@@ -325,6 +396,6 @@ criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(10);
     targets = bench_store, bench_anti_entropy, bench_sampling, bench_metrics_sink,
-        bench_aggregating_sink, bench_routing
+        bench_aggregating_sink, bench_roster, bench_routing
 }
 criterion_main!(micro);

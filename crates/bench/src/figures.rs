@@ -15,8 +15,8 @@ use epidemic_core::{Direction, Feedback, Removal, Replica, RumorConfig};
 use epidemic_db::SiteId;
 use epidemic_net::topologies::{self, cin, CinConfig};
 use epidemic_net::Spatial;
-use epidemic_sim::engine::AggregateObserver;
-use epidemic_sim::mixing::{AntiEntropyEpidemic, RumorEpidemic};
+use epidemic_sim::engine::{AggregateObserver, SirObserver};
+use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::scenario::legacy::{
     resurrection_without_certificates, ClearinghouseScenario, DormantDeathScenario,
@@ -122,10 +122,12 @@ pub fn residue_traffic(n: usize, trials: u64) -> Vec<Vec<String>> {
         .into_iter()
         .map(|(label, cfg, climit)| {
             let driver = RumorEpidemic::new(cfg).connection_limit(climit);
-            let (s, m) = parallel_trials(
+            let (s, m) = TrialRunner::new().fold_with(
                 trials,
-                |seed| {
-                    let r = driver.run(n, seed ^ 0xABCD);
+                0,
+                MixingArena::new,
+                |arena, seed| {
+                    let r = driver.run_in(arena, n, seed ^ 0xABCD, &mut ());
                     (r.residue, r.traffic)
                 },
                 (0.0, 0.0),
@@ -518,10 +520,12 @@ pub fn hunting_table(n: usize, trials: u64) -> FigTable {
             ))
             .connection_limit(Some(1))
             .hunt_limit(hunt.min(1_000));
-            let (s, m) = parallel_trials(
+            let (s, m) = TrialRunner::new().fold_with(
                 trials,
-                |seed| {
-                    let r = driver.run(n, seed ^ 0x5EED);
+                0,
+                MixingArena::new,
+                |arena, seed| {
+                    let r = driver.run_in(arena, n, seed ^ 0x5EED, &mut ());
                     (r.residue, r.traffic)
                 },
                 (0.0, 0.0),
@@ -830,12 +834,15 @@ pub fn sir_curve_table(n: usize, trials: u64) -> FigTable {
     // Average the infective fraction observed at (just below) each sampled
     // susceptible level across trials.
     let samples = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1];
-    let sums = parallel_trials(
+    let sums = TrialRunner::new().fold_with(
         trials,
-        |seed| {
-            let trace = driver.run_traced(n, seed ^ 0xC0FFEE);
+        0,
+        || (MixingArena::new(), SirObserver::new()),
+        |(arena, sir), seed| {
+            sir.points.clear();
+            driver.run_in(arena, n, seed ^ 0xC0FFEE, sir);
             let mut at = [f64::NAN; 9];
-            for &(s, i, _) in &trace.points {
+            for &(s, i, _) in &sir.points {
                 for (slot, &level) in at.iter_mut().zip(&samples) {
                     if s <= level && slot.is_nan() {
                         *slot = i;

@@ -1,9 +1,11 @@
 //! Reproductions of the paper's numbered tables.
 
+use std::borrow::Cow;
+
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-use epidemic_net::topologies::{cin, CinConfig};
-use epidemic_net::Spatial;
-use epidemic_sim::mixing::RumorEpidemic;
+use epidemic_net::topologies::{cin, Cin, CinConfig};
+use epidemic_net::{PartnerSampler, Routes, Spatial};
+use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::spatial_ae::AntiEntropySim;
 
 use epidemic_sim::runner::TrialRunner;
@@ -36,7 +38,9 @@ pub fn mixing_sweep(
     mixing_sweep_with(TrialRunner::new(), n, trials, ks, make)
 }
 
-/// As [`mixing_sweep`] but on a caller-provided [`TrialRunner`].
+/// As [`mixing_sweep`] but on a caller-provided [`TrialRunner`]. Each
+/// worker runs its trials in one [`MixingArena`], so only its first trial
+/// allocates.
 pub fn mixing_sweep_with(
     runner: TrialRunner,
     n: usize,
@@ -47,11 +51,13 @@ pub fn mixing_sweep_with(
     ks.iter()
         .map(|&k| {
             let driver = make(k);
-            let (residue, traffic, t_ave, t_last) = parallel_trials_with(
-                runner,
+            let (residue, traffic, t_ave, t_last) = runner.fold_with(
                 trials,
-                |seed| {
-                    let r = driver.run(n, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(k));
+                0,
+                MixingArena::new,
+                |arena, seed| {
+                    let seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(k);
+                    let r = driver.run_in(arena, n, seed, &mut ());
                     (r.residue, r.traffic, r.t_ave, r.t_last)
                 },
                 (0.0, 0.0, 0.0, 0.0),
@@ -86,16 +92,14 @@ pub fn mixing_sweep_aggregated(
     ks.iter()
         .map(|&k| {
             let driver = make(k);
-            let (residue, traffic, t_ave, t_last, agg) = parallel_trials_with(
-                runner,
+            let (residue, traffic, t_ave, t_last, agg) = runner.fold_with(
                 trials,
-                |seed| {
+                0,
+                MixingArena::new,
+                |arena, seed| {
+                    let seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(k);
                     let mut sink = AggregateObserver::new();
-                    let r = driver.run_observed(
-                        n,
-                        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(k),
-                        &mut sink,
-                    );
+                    let r = driver.run_in(arena, n, seed, &mut sink);
                     (r.residue, r.traffic, r.t_ave, r.t_last, sink.finish())
                 },
                 (0.0, 0.0, 0.0, 0.0, epidemic_trace::RunAggregate::default()),
@@ -227,6 +231,20 @@ pub fn table45_distributions() -> Vec<(String, Spatial)> {
     out
 }
 
+/// The simulator for one Table 4/5 distribution, on the routing tables the
+/// sweep computed once for `net` (an all-pairs computation per simulator
+/// would be most of the cost of a short sweep).
+pub(crate) fn table45_sim<'a>(
+    net: &'a Cin,
+    routes: &'a Routes,
+    spatial: Spatial,
+    connection_limit: Option<u32>,
+) -> AntiEntropySim<'a> {
+    let sampler = PartnerSampler::new(&net.topology, routes, spatial);
+    AntiEntropySim::with_routes(&net.topology, Cow::Borrowed(routes), sampler)
+        .connection_limit(connection_limit)
+}
+
 /// Shared driver for Tables 4 and 5 on the synthetic CIN.
 pub fn table45(trials: u64, connection_limit: Option<u32>) -> Vec<SpatialRow> {
     let net = cin(&CinConfig::default());
@@ -235,26 +253,22 @@ pub fn table45(trials: u64, connection_limit: Option<u32>) -> Vec<SpatialRow> {
 
 /// As [`table45`] but on a caller-provided CIN (for tests with smaller
 /// networks).
-pub fn table45_on(
-    net: &epidemic_net::topologies::Cin,
-    trials: u64,
-    connection_limit: Option<u32>,
-) -> Vec<SpatialRow> {
+pub fn table45_on(net: &Cin, trials: u64, connection_limit: Option<u32>) -> Vec<SpatialRow> {
     table45_on_with(TrialRunner::new(), net, trials, connection_limit)
 }
 
 /// As [`table45_on`] but on a caller-provided [`TrialRunner`].
 pub fn table45_on_with(
     runner: TrialRunner,
-    net: &epidemic_net::topologies::Cin,
+    net: &Cin,
     trials: u64,
     connection_limit: Option<u32>,
 ) -> Vec<SpatialRow> {
+    let routes = Routes::compute(&net.topology);
     table45_distributions()
         .into_iter()
         .map(|(label, spatial)| {
-            let sim =
-                AntiEntropySim::new(&net.topology, spatial).connection_limit(connection_limit);
+            let sim = table45_sim(net, &routes, spatial, connection_limit);
             let acc = parallel_trials_with(
                 runner,
                 trials,

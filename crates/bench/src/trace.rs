@@ -23,18 +23,18 @@
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::topologies::{cin, Cin, CinConfig};
+use epidemic_net::Routes;
 use epidemic_sim::engine::trace::{AggregateObserver, InvariantObserver, TraceObserver};
-use epidemic_sim::mixing::RumorEpidemic;
+use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::runner::TrialRunner;
-use epidemic_sim::spatial_ae::AntiEntropySim;
 use epidemic_trace::json::{array_of, JsonObject};
 use epidemic_trace::{RunAggregate, RunTracer, TraceConfig};
 
 use crate::parallel_trials_with;
 use crate::tables::{
-    render_mixing, render_spatial, table45_distributions, MixRow, SpatialRow, PAPER_TABLE1,
-    PAPER_TABLE2, PAPER_TABLE3, TITLE_TABLE1, TITLE_TABLE2, TITLE_TABLE3, TITLE_TABLE4,
-    TITLE_TABLE5,
+    render_mixing, render_spatial, table45_distributions, table45_sim, MixRow, SpatialRow,
+    PAPER_TABLE1, PAPER_TABLE2, PAPER_TABLE3, TITLE_TABLE1, TITLE_TABLE2, TITLE_TABLE3,
+    TITLE_TABLE4, TITLE_TABLE5,
 };
 
 /// One labelled streaming aggregate inside a `.agg.json` artifact: which
@@ -121,10 +121,11 @@ pub fn traced_mixing_sweep(
         .iter()
         .map(|&k| {
             let driver = make(k);
-            let (acc, text, viols, agg) = parallel_trials_with(
-                runner,
+            let (acc, text, viols, agg) = runner.fold_with(
                 trials,
-                |trial| {
+                0,
+                MixingArena::new,
+                |arena, trial| {
                     let seed = trial.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(k);
                     let tracer = RunTracer::new(TraceConfig::cycles_only())
                         .label_str("experiment", experiment)
@@ -133,7 +134,7 @@ pub fn traced_mixing_sweep(
                     let mut trace = TraceObserver::with_tracer(tracer);
                     let mut check = InvariantObserver::new();
                     let mut sink = AggregateObserver::new();
-                    let r = driver.run_observed(n, seed, &mut (&mut trace, &mut check, &mut sink));
+                    let r = driver.run_in(arena, n, seed, &mut (&mut trace, &mut check, &mut sink));
                     (
                         (r.residue, r.traffic, r.t_ave, r.t_last),
                         trace.finish(),
@@ -241,11 +242,11 @@ pub fn traced_table45_on(
     let mut jsonl = String::new();
     let mut violations = 0u64;
     let mut aggregates = Vec::new();
+    let routes = Routes::compute(&net.topology);
     let rows = table45_distributions()
         .into_iter()
         .map(|(label, spatial)| {
-            let sim =
-                AntiEntropySim::new(&net.topology, spatial).connection_limit(connection_limit);
+            let sim = table45_sim(net, &routes, spatial, connection_limit);
             let (acc, text, viols, agg) = parallel_trials_with(
                 runner,
                 trials,

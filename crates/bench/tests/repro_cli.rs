@@ -90,6 +90,57 @@ fn timings_without_a_path_is_refused_for_a_partial_selection() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--timings` keeps reporting the trial runner's two phases with their
+/// meanings now that the fold streams: one span each per fold (table1
+/// sweeps five `k`, fig-rumor-ode eight), the engines' time inside
+/// `runner.trials`, and `runner.aggregate` only the fold function.
+#[test]
+fn timings_report_the_runner_phases() {
+    let dir = scratch("timings-phases");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for threads in ["1", "2"] {
+        let path = dir.join(format!("timings-{threads}.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .env("EPIDEMIC_THREADS", threads)
+            .args(["--trials", "6", "--timings"])
+            .arg(&path)
+            .args(["table1", "fig-rumor-ode"])
+            .output()
+            .expect("repro binary runs");
+        assert!(out.status.success());
+        let report = std::fs::read_to_string(&path).expect("timings file written");
+        let phase = |name: &str| -> (u64, f64) {
+            let line = report
+                .lines()
+                .find(|line| line.contains(&format!("\"name\": \"{name}\"")))
+                .unwrap_or_else(|| panic!("no {name} phase in {report}"));
+            let field = |key: &str| -> &str {
+                let rest = &line[line.find(key).expect("field present") + key.len()..];
+                rest[..rest.find([',', '}']).expect("field ends")].trim()
+            };
+            (
+                field("\"calls\":").parse().expect("calls is an integer"),
+                field("\"seconds\":").parse().expect("seconds is a number"),
+            )
+        };
+        let (trial_spans, trial_seconds) = phase("runner.trials");
+        let (fold_spans, fold_seconds) = phase("runner.aggregate");
+        assert_eq!((trial_spans, fold_spans), (13, 13), "threads={threads}");
+        assert_eq!(phase("engine.contact_loop").0, 13 * 6, "one per trial");
+        assert!(fold_seconds >= 0.0);
+        if threads == "1" {
+            // On one worker the engines run inside `runner.trials`
+            // (seconds are printed to the millisecond).
+            let engines = phase("engine.contact_loop").1 + phase("engine.end_of_cycle").1;
+            assert!(
+                trial_seconds + 0.002 >= engines,
+                "runner.trials {trial_seconds} < engine phases {engines}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn invalid_environment_is_rejected_naming_variable_and_value() {
     // A bad value used to fall back silently (threads, shards) or panic

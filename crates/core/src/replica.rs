@@ -51,6 +51,18 @@ where
         }
     }
 
+    /// Returns the replica to the state [`Replica::new`]`(site)` builds —
+    /// empty database, no dormant certificates, empty hot list, a fresh
+    /// clock — keeping the capacity of its store and hot list, so a
+    /// simulator can reuse one set of replicas across trials without
+    /// allocating.
+    pub fn reset(&mut self, site: SiteId) {
+        self.site = site;
+        self.clock = SimClock::new(site);
+        self.db.clear();
+        self.hot.clear();
+    }
+
     /// This replica's site id.
     pub fn site(&self) -> SiteId {
         self.site

@@ -6,7 +6,7 @@ use epidemic_core::{
     AntiEntropy, BackupAntiEntropy, Comparison, Direction, Feedback, Redistribution, Removal,
     Replica,
 };
-use epidemic_db::{Entry, SiteId, Timestamp};
+use epidemic_db::{Entry, GcPolicy, SiteId, Timestamp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -354,5 +354,117 @@ proptest! {
             prop_assert_eq!(r.db().get(&5), None);
             prop_assert!(r.db().entry(&5).is_some_and(Entry::is_dead));
         }
+    }
+}
+
+/// One step in the life of a single replica, chosen to reach every piece
+/// of state a replica owns: live entries, death certificates, *dormant*
+/// certificates (retained here, then parked by garbage collection), hot
+/// items with counters, and the local clock.
+#[derive(Debug, Clone)]
+enum LocalOp {
+    Write { key: u8, value: u16 },
+    Delete { key: u8 },
+    DeleteRetainedHere { key: u8 },
+    Advance { by: u16 },
+    ParkOldCertificates,
+    Receive { key: u8, value: u16, time: u16 },
+    Bump { key: u8 },
+}
+
+fn local_op() -> impl Strategy<Value = LocalOp> {
+    prop_oneof![
+        (0u8..8, any::<u16>()).prop_map(|(key, value)| LocalOp::Write { key, value }),
+        (0u8..8).prop_map(|key| LocalOp::Delete { key }),
+        (0u8..8).prop_map(|key| LocalOp::DeleteRetainedHere { key }),
+        (1u16..400).prop_map(|by| LocalOp::Advance { by }),
+        Just(LocalOp::ParkOldCertificates),
+        (0u8..8, any::<u16>(), any::<u16>()).prop_map(|(key, value, time)| LocalOp::Receive {
+            key,
+            value,
+            time
+        }),
+        (0u8..8).prop_map(|key| LocalOp::Bump { key }),
+    ]
+}
+
+fn apply_local(replica: &mut Replica<u8, u16>, op: &LocalOp) {
+    match *op {
+        LocalOp::Write { key, value } => {
+            replica.client_update(key, value);
+        }
+        LocalOp::Delete { key } => {
+            replica.client_delete(&key);
+        }
+        LocalOp::DeleteRetainedHere { key } => {
+            let here = replica.site();
+            replica.client_delete_with_retention(&key, vec![here]);
+        }
+        LocalOp::Advance { by } => {
+            let now = replica.local_time() + u64::from(by);
+            replica.advance_clock(now);
+        }
+        LocalOp::ParkOldCertificates => {
+            replica.collect_garbage(GcPolicy::Dormant {
+                tau1: 100,
+                tau2: 1_000_000,
+            });
+        }
+        LocalOp::Receive { key, value, time } => {
+            let at = Timestamp::new(u64::from(time), SiteId::new(9));
+            replica.receive_rumor(key, Entry::live(value, at));
+        }
+        LocalOp::Bump { key } => {
+            replica.hot_mut().bump_counter(&key, 1);
+        }
+    }
+}
+
+/// Everything observable about a replica, compared piece by piece.
+fn assert_same_replica(a: &Replica<u8, u16>, b: &Replica<u8, u16>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.site(), b.site());
+    prop_assert_eq!(a.local_time(), b.local_time());
+    prop_assert_eq!(a.db(), b.db());
+    prop_assert_eq!(a.db().checksum(), b.db().checksum());
+    prop_assert_eq!(a.db().live_len(), b.db().live_len());
+    prop_assert_eq!(a.db().dormant_len(), b.db().dormant_len());
+    for key in 0u8..8 {
+        prop_assert_eq!(
+            a.db().dormant_certificate(&key),
+            b.db().dormant_certificate(&key)
+        );
+    }
+    prop_assert_eq!(a.hot(), b.hot());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Replica::reset(site)` is `Replica::new(site)`: whatever the
+    /// replica lived through — deletions whose certificates went dormant
+    /// here, clock advances, hot items with counters — the reset replica
+    /// equals a new one and stays equal to it through any later history.
+    #[test]
+    fn reset_is_new_after_any_history(
+        before in prop::collection::vec(local_op(), 0..60),
+        after in prop::collection::vec(local_op(), 0..40),
+        old_site in 0u32..4,
+        site in 0u32..4,
+    ) {
+        let mut used: Replica<u8, u16> = Replica::new(SiteId::new(old_site));
+        for op in &before {
+            apply_local(&mut used, op);
+        }
+        used.reset(SiteId::new(site));
+        let mut fresh: Replica<u8, u16> = Replica::new(SiteId::new(site));
+        assert_same_replica(&used, &fresh)?;
+        prop_assert_eq!(used.db().checksum(), used.db().recompute_checksum());
+        for op in &after {
+            apply_local(&mut used, op);
+            apply_local(&mut fresh, op);
+        }
+        assert_same_replica(&used, &fresh)?;
+        prop_assert_eq!(used.db().checksum(), used.db().recompute_checksum());
     }
 }

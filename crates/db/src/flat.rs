@@ -94,6 +94,13 @@ where
         self.rows.is_empty()
     }
 
+    /// Drops every row and keeps both heap blocks, so a store that is
+    /// refilled to its former size allocates nothing.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.by_key.clear();
+    }
+
     /// The entry for `key`, if present.
     pub fn get(&self, key: &K) -> Option<&Entry<V>> {
         match self.lookup(key) {

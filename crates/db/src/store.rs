@@ -94,6 +94,17 @@ where
         }
     }
 
+    /// Returns the replica to its [`Database::new`] state — no entries, no
+    /// dormant certificates, the empty checksum — keeping the main store's
+    /// capacity, so a replica reused for another run refills without
+    /// allocating.
+    pub fn clear(&mut self) {
+        self.store.clear();
+        self.dormant.clear();
+        self.checksum = Checksum::new();
+        self.live = 0;
+    }
+
     /// The checksum and live count, lent to one store mutation.
     fn aux(&mut self) -> (&mut FlatStore<K, V>, Aux<'_>) {
         (
@@ -741,6 +752,46 @@ mod tests {
         db.update(9, 3, &mut c);
         db.store.check_invariants();
         assert_eq!(db.store.capacities(), (rows, index));
+    }
+
+    /// What a trial arena relies on: a cleared replica is a new one —
+    /// main store, dormant side store, checksum and live count — that
+    /// still owns the blocks it grew, so refilling it allocates nothing.
+    #[test]
+    fn clear_is_a_new_database_that_keeps_its_capacity() {
+        let site = SiteId::new(0);
+        let mut c = clock(0);
+        let mut db: Database<u32, u32> = Database::new();
+        for key in 0..5 {
+            db.update(key, key, &mut c);
+        }
+        db.delete_with_retention(&4, vec![site], &mut c);
+        let policy = GcPolicy::Dormant {
+            tau1: 10,
+            tau2: 1000,
+        };
+        db.collect_garbage(site, c.peek() + 50, policy);
+        assert_eq!((db.len(), db.dormant_len()), (4, 1));
+        let grown = db.store.capacities();
+
+        db.clear();
+        assert_eq!(db, Database::new());
+        assert_eq!(db.checksum(), Checksum::new());
+        assert_eq!((db.len(), db.live_len(), db.dormant_len()), (0, 0, 0));
+        assert_eq!(db.dormant_certificate(&4), None);
+        db.store.check_invariants();
+        assert_eq!(db.store.capacities(), grown);
+
+        // Refilled, it is the database a new one would be, in the same blocks.
+        let mut fresh: Database<u32, u32> = Database::new();
+        let (mut c1, mut c2) = (clock(0), clock(0));
+        for key in 0..4 {
+            db.update(key, key + 1, &mut c1);
+            fresh.update(key, key + 1, &mut c2);
+        }
+        assert_eq!(db, fresh);
+        assert_eq!(db.checksum(), fresh.checksum());
+        assert_eq!(db.store.capacities(), grown);
     }
 }
 

@@ -8,7 +8,7 @@
 //! cache lines for CIN-scale runs, and copies word-at-a-time.
 
 /// A fixed-length bitset backed by `u64` words.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,
@@ -63,6 +63,14 @@ impl BitSet {
         self.words.fill(0);
     }
 
+    /// Makes this a set of `len` bits, all false, keeping the word
+    /// vector's capacity — [`BitSet::new`] for a set that is reused.
+    pub fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
+    }
+
     /// Repacks a `bool`-per-site slice into this set, 64 sites per word —
     /// the start-of-cycle snapshot operation.
     ///
@@ -95,6 +103,22 @@ impl BitSet {
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Visits the set bits in ascending order and clears each one `keep`
+    /// rejects — [`BitSet::iter_ones`] for a caller that updates the bits
+    /// it visits. Cost is proportional to `words + ones`.
+    pub fn retain_ones(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let lowest = bits & bits.wrapping_neg();
+                if !keep(w * 64 + lowest.trailing_zeros() as usize) {
+                    *word &= !lowest;
+                }
+                bits ^= lowest;
+            }
+        }
     }
 
     /// Indices of the set bits, ascending.
@@ -165,6 +189,33 @@ mod tests {
         assert_eq!(bits.iter_ones().count(), bits.count_ones());
         bits.clear();
         assert_eq!(bits.iter_ones().next(), None);
+    }
+
+    #[test]
+    fn retain_ones_visits_ascending_and_clears_the_rejected() {
+        let mut bits = BitSet::new(200);
+        let ones = [0, 5, 63, 64, 100, 128, 199];
+        for &i in &ones {
+            bits.set(i, true);
+        }
+        let mut visited = Vec::new();
+        bits.retain_ones(|i| {
+            visited.push(i);
+            i % 2 == 0
+        });
+        assert_eq!(visited, ones);
+        assert_eq!(bits.iter_ones().collect::<Vec<_>>(), [0, 64, 100, 128]);
+    }
+
+    #[test]
+    fn reset_resizes_and_clears() {
+        let mut bits = BitSet::new(130);
+        bits.set(129, true);
+        bits.reset(70);
+        assert_eq!((bits.len(), bits.count_ones()), (70, 0));
+        bits.set(69, true);
+        bits.reset(300);
+        assert_eq!(bits, BitSet::new(300));
     }
 
     #[test]

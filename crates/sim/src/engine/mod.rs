@@ -103,6 +103,22 @@ pub trait EpidemicProtocol {
         true
     }
 
+    /// Replaces the contents of `out` with the currently active sites in
+    /// **ascending** order — what the engine shuffles into a
+    /// [`Roster::Active`] roster and hands to [`Self::finished`].
+    ///
+    /// The default scans every site with [`Self::is_active`], and that
+    /// scan is the definition: a protocol that keeps its active set
+    /// incrementally overrides this to cost what the set costs rather
+    /// than what the network costs, and must produce exactly the scan's
+    /// sequence (the roster order before the shuffle decides every RNG
+    /// draw after it). Debug builds of the engine check the two against
+    /// each other every cycle.
+    fn active_sites(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend((0..self.site_count()).filter(|&i| self.is_active(i)));
+    }
+
     /// Whether the run is over, checked before each cycle. `cycle` is the
     /// number of completed cycles; `active` lists the currently active
     /// sites in ascending order.
@@ -158,9 +174,20 @@ pub struct EngineReport {
     pub totals: EngineTotals,
 }
 
-/// The shared round loop: owns roster/order/admission scratch buffers
-/// (reused across cycles so the hot loop allocates nothing after warm-up),
-/// connection limits and hunting.
+/// The round loop's scratch: the everyone-roster, the active roster and
+/// the per-site accepted-connection counters. One set serves any number of
+/// runs, of any site count, one after the other; a run that is handed
+/// buffers already grown to its size allocates nothing.
+#[derive(Debug, Default)]
+pub struct EngineBuffers {
+    order: Vec<usize>,
+    active: Vec<usize>,
+    accepted: Vec<u32>,
+}
+
+/// The shared round loop: connection limits, hunting and the cycle bound.
+/// Its roster/order/admission scratch lives in [`EngineBuffers`], reused
+/// across cycles so the hot loop allocates nothing after warm-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleEngine {
     connection_limit: Option<u32>,
@@ -219,11 +246,13 @@ impl CycleEngine {
         L: PartnerPolicy + ?Sized,
         O: Observer<P>,
     {
-        self.run_instrumented(protocol, policy, rng, observer, &mut ())
+        let mut buffers = EngineBuffers::default();
+        self.run_instrumented(protocol, policy, rng, observer, &mut (), &mut buffers)
     }
 
     /// As [`CycleEngine::run`], additionally reporting run metrics and
-    /// phase timings to `sink`.
+    /// phase timings to `sink`, on caller-provided scratch `buffers`
+    /// (whatever they held is overwritten).
     ///
     /// Counters (`engine.cycles` / `engine.contacts` / `engine.sent` /
     /// `engine.useful` / `engine.fruitless`) and an `engine.cycle_contacts`
@@ -240,6 +269,7 @@ impl CycleEngine {
         rng: &mut StdRng,
         observer: &mut O,
         sink: &mut S,
+        buffers: &mut EngineBuffers,
     ) -> EngineReport
     where
         P: EpidemicProtocol,
@@ -255,9 +285,17 @@ impl CycleEngine {
         let timed = S::ENABLED || profile::is_enabled();
         let setup_start = timed.then(Instant::now);
         let n = protocol.site_count();
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut active: Vec<usize> = Vec::with_capacity(n);
-        let mut accepted: Vec<u32> = vec![0; n];
+        let EngineBuffers {
+            order,
+            active,
+            accepted,
+        } = buffers;
+        order.clear();
+        order.extend(0..n);
+        active.clear();
+        active.reserve(n);
+        accepted.clear();
+        accepted.resize(n, 0);
         let mut totals = EngineTotals::default();
         // `cycle` cannot overflow: it only increments while strictly below
         // `max_cycles`, itself a `u32`, so the counter tops out there.
@@ -270,9 +308,9 @@ impl CycleEngine {
         while cycle < self.max_cycles {
             let cycle_start = timed.then(Instant::now);
             let contacts_before = totals.contacts;
-            active.clear();
-            active.extend((0..n).filter(|&i| protocol.is_active(i)));
-            if protocol.finished(cycle, &active) {
+            protocol.active_sites(active);
+            debug_assert!(is_the_active_scan(protocol, active));
+            if protocol.finished(cycle, active) {
                 break;
             }
             cycle += 1;
@@ -283,18 +321,18 @@ impl CycleEngine {
                     // begin_cycle may change who is active (e.g. update
                     // injection makes fresh sites hot): recompute so they
                     // initiate this very cycle, as the drivers always did.
-                    active.clear();
-                    active.extend((0..n).filter(|&i| protocol.is_active(i)));
-                    &mut active
+                    protocol.active_sites(active);
+                    debug_assert!(is_the_active_scan(protocol, active));
+                    &mut *active
                 }
-                Roster::Everyone => &mut order,
+                Roster::Everyone => &mut *order,
             };
             roster.shuffle(rng);
             for &i in roster.iter() {
                 if !protocol.initiates(i) {
                     continue;
                 }
-                let Some(j) = self.find_partner(policy, i, &accepted, rng) else {
+                let Some(j) = self.find_partner(policy, i, accepted, rng) else {
                     continue;
                 };
                 if !protocol.admits(j) {
@@ -368,6 +406,15 @@ impl CycleEngine {
         }
         None
     }
+}
+
+/// Whether `active` is what the [`EpidemicProtocol::is_active`] scan
+/// yields — the debug cross-check on [`EpidemicProtocol::active_sites`]
+/// overrides.
+fn is_the_active_scan<P: EpidemicProtocol>(protocol: &P, active: &[usize]) -> bool {
+    (0..protocol.site_count())
+        .filter(|&i| protocol.is_active(i))
+        .eq(active.iter().copied())
 }
 
 #[cfg(test)]

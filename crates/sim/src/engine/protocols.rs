@@ -40,9 +40,12 @@ const KEY: u32 = 0;
 ///
 /// `T` is the clock type: cycles (`u32`) for the round-synchronous drivers,
 /// microseconds (`u64`) for the event-driven ones.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReceiveLog<T = u32> {
     times: Vec<Option<T>>,
+    /// One bit per site, set exactly where `times` is `Some`, so a
+    /// start-of-cycle "who holds the update" snapshot is a word copy.
+    marks: BitSet,
     /// Number of `Some` entries in `times`, kept by [`ReceiveLog::mark`] so
     /// per-cycle readers (completion checks, SIR snapshots) need no scan.
     received: usize,
@@ -53,25 +56,42 @@ impl<T: Copy> ReceiveLog<T> {
     pub fn new(n: usize) -> Self {
         ReceiveLog {
             times: vec![None; n],
+            marks: BitSet::new(n),
             received: 0,
         }
+    }
+
+    /// Makes this a log for `n` sites, none of which has received the
+    /// update, keeping its capacity — [`ReceiveLog::new`] for a log that
+    /// is reused across runs.
+    pub fn reset(&mut self, n: usize) {
+        self.times.clear();
+        self.times.resize(n, None);
+        self.marks.reset(n);
+        self.received = 0;
     }
 
     /// Records that site `i` received the update at time `t`, unless it
     /// already had it. Returns whether this was the first receipt.
     pub fn mark(&mut self, i: usize, t: T) -> bool {
-        if self.times[i].is_none() {
+        if self.marks.get(i) {
+            false
+        } else {
+            self.marks.set(i, true);
             self.times[i] = Some(t);
             self.received += 1;
             true
-        } else {
-            false
         }
     }
 
     /// Whether site `i` has received the update.
     pub fn is_marked(&self, i: usize) -> bool {
-        self.times[i].is_some()
+        self.marks.get(i)
+    }
+
+    /// The sites that have received the update, one bit per site.
+    pub fn marks(&self) -> &BitSet {
+        &self.marks
     }
 
     /// Whether every site has received the update.
@@ -252,6 +272,51 @@ pub fn random_pair(n: usize, rng: &mut StdRng) -> (usize, usize) {
     (i, j)
 }
 
+/// The heap state of a mixing run: what a
+/// [`MixingArena`](crate::mixing::MixingArena) keeps between runs so the
+/// next one allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct MixingState {
+    pub(crate) sites: Vec<Replica<u32, u32>>,
+    pub(crate) received: ReceiveLog<u32>,
+    /// "Hot list non-empty", one bit per site — the active set. `contact`
+    /// refreshes the bits of both endpoints, `end_cycle` those of the
+    /// sites it visits and `absorb` those a shard's contacts touched, so
+    /// whenever the engine looks it equals the `is_active` scan.
+    pub(crate) active: BitSet,
+    /// Start-of-cycle "holds the update" snapshot (push/pull synchronous).
+    pub(crate) state0: BitSet,
+    /// Start-of-cycle "is infective" snapshot (pull synchronous).
+    pub(crate) hot0: BitSet,
+    /// Reused hot-key snapshot buffers for the sequential contact paths.
+    pub(crate) scratch: RumorScratch<u32>,
+}
+
+impl MixingState {
+    /// `n` replicas in their [`Replica::new`] state, nothing received,
+    /// nobody active — whatever an earlier run left behind, and keeping
+    /// every capacity it grew.
+    fn reset(&mut self, n: usize) {
+        let site_id = |i: usize| SiteId::new(u32::try_from(i).expect("site count fits u32"));
+        self.sites.truncate(n);
+        for (i, site) in self.sites.iter_mut().enumerate() {
+            site.reset(site_id(i));
+        }
+        for i in self.sites.len()..n {
+            self.sites.push(Replica::new(site_id(i)));
+        }
+        self.received.reset(n);
+        self.active.reset(n);
+        self.state0.reset(n);
+        self.hot0.reset(n);
+    }
+
+    /// Re-reads site `i`'s hot list into the active set.
+    fn refresh(&mut self, i: usize) {
+        self.active.set(i, !self.sites[i].hot().is_empty());
+    }
+}
+
 /// Single-update rumor mongering as an engine protocol: push initiators
 /// are the infective sites, pull/push-pull initiators are everyone, and
 /// the synchronous variants judge feedback against start-of-cycle
@@ -263,87 +328,51 @@ pub fn random_pair(n: usize, rng: &mut StdRng) -> (usize, usize) {
 pub struct MixingProtocol {
     pub(crate) cfg: RumorConfig,
     pub(crate) synchronous: bool,
-    pub(crate) sites: Vec<Replica<u32, u32>>,
-    pub(crate) received: ReceiveLog<u32>,
-    /// Start-of-cycle "holds the update" snapshot (push/pull synchronous),
-    /// packed one bit per site.
-    pub(crate) state0: BitSet,
-    /// Start-of-cycle "is infective" snapshot (pull synchronous), packed
-    /// one bit per site.
-    pub(crate) hot0: BitSet,
-    /// Reused hot-key snapshot buffers for the sequential contact paths.
-    pub(crate) scratch: RumorScratch<u32>,
+    pub(crate) state: MixingState,
 }
 
 impl MixingProtocol {
-    /// Seeds the update at site 0 of `sites` (all empty on entry) and
-    /// marks it in the receive log — the one place that establishes
-    /// "marked ⇔ holds the update", which `contact`/`absorb` then keep.
+    /// Resets `state` to `n` empty sites, seeds the update at site 0 and
+    /// marks it in the receive log and the active set — the one place
+    /// that establishes "marked ⇔ holds the update" and "active ⇔ hot
+    /// list non-empty", which `contact`/`end_cycle`/`absorb` then keep.
     pub(crate) fn new(
         cfg: RumorConfig,
         synchronous: bool,
-        mut sites: Vec<Replica<u32, u32>>,
+        n: usize,
+        mut state: MixingState,
     ) -> Self {
-        let n = sites.len();
-        sites[0].client_update(KEY, 1);
-        let mut received = ReceiveLog::new(n);
-        received.mark(0, 0);
+        state.reset(n);
+        debug_assert!(
+            state
+                .sites
+                .iter()
+                .all(|site| site.db().is_empty() && site.hot().is_empty()),
+            "every site is empty before the update is seeded"
+        );
+        state.sites[0].client_update(KEY, 1);
+        state.received.mark(0, 0);
+        state.active.set(0, true);
         MixingProtocol {
             cfg,
             synchronous,
+            state,
+        }
+    }
+
+    /// One contact, active set not yet refreshed.
+    fn exchange(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
+        let MixingState {
             sites,
             received,
-            state0: BitSet::new(n),
-            hot0: BitSet::new(n),
-            scratch: RumorScratch::new(),
-        }
-    }
-}
-
-impl EpidemicProtocol for MixingProtocol {
-    fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
-    fn roster(&self) -> Roster {
-        match self.cfg.direction {
-            Direction::Push => Roster::Active,
-            Direction::Pull | Direction::PushPull => Roster::Everyone,
-        }
-    }
-
-    fn is_active(&self, i: usize) -> bool {
-        !self.sites[i].hot().is_empty()
-    }
-
-    fn finished(&self, _cycle: u32, active: &[usize]) -> bool {
-        active.is_empty()
-    }
-
-    fn begin_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
-        match self.cfg.direction {
-            // A site holds the update exactly when the receive log has
-            // marked it (every `contact`/`absorb` branch marks as the entry
-            // lands), so the snapshot reads the log, not each database.
-            Direction::Push => {
-                for idx in 0..self.sites.len() {
-                    self.state0.set(idx, self.received.is_marked(idx));
-                }
-            }
-            Direction::Pull => {
-                for (idx, site) in self.sites.iter().enumerate() {
-                    self.state0.set(idx, self.received.is_marked(idx));
-                    self.hot0.set(idx, site.is_infective(&KEY));
-                }
-            }
-            Direction::PushPull => {}
-        }
-    }
-
-    fn contact(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
+            state0,
+            hot0,
+            scratch,
+            ..
+        } = &mut self.state;
         match self.cfg.direction {
             Direction::Push => {
-                let (a, b) = pair_mut(&mut self.sites, i, j);
+                let (a, b) = pair_mut(sites, i, j);
                 if self.synchronous {
                     // Single-rumor push against start-of-cycle state.
                     let Some(entry) = a.db().entry(&KEY).cloned() else {
@@ -351,28 +380,27 @@ impl EpidemicProtocol for MixingProtocol {
                         return ContactStats::default();
                     };
                     let applied = b.receive_rumor(KEY, entry).was_useful();
-                    rumor::record_feedback(&self.cfg, a, &KEY, !self.state0.get(j), rng);
+                    rumor::record_feedback(&self.cfg, a, &KEY, !state0.get(j), rng);
                     if applied {
-                        self.received.mark(j, cycle);
+                        received.mark(j, cycle);
                     }
                     ContactStats {
                         sent: 1,
                         useful: u64::from(applied),
                     }
                 } else {
-                    let stats =
-                        rumor::push_contact_with(&self.cfg, a, b, rng, &mut self.scratch.a_keys);
+                    let stats = rumor::push_contact_with(&self.cfg, a, b, rng, &mut scratch.a_keys);
                     if stats.useful > 0 {
-                        self.received.mark(j, cycle);
+                        received.mark(j, cycle);
                     }
                     stats.into()
                 }
             }
             Direction::Pull => {
-                let (requester, source) = pair_mut(&mut self.sites, i, j);
+                let (requester, source) = pair_mut(sites, i, j);
                 if self.synchronous {
                     // Serve from the source's start-of-cycle state.
-                    if !self.hot0.get(j) {
+                    if !hot0.get(j) {
                         return ContactStats::default();
                     }
                     let Some(entry) = source.db().entry(&KEY).cloned() else {
@@ -380,7 +408,7 @@ impl EpidemicProtocol for MixingProtocol {
                     };
                     let applied = requester.receive_rumor(KEY, entry).was_useful();
                     let needed = match self.cfg.feedback {
-                        Feedback::Feedback => !self.state0.get(i),
+                        Feedback::Feedback => !state0.get(i),
                         Feedback::Blind => false,
                     };
                     match self.cfg.removal {
@@ -392,7 +420,7 @@ impl EpidemicProtocol for MixingProtocol {
                         }
                     }
                     if applied {
-                        self.received.mark(i, cycle);
+                        received.mark(i, cycle);
                     }
                     ContactStats {
                         sent: 1,
@@ -404,32 +432,91 @@ impl EpidemicProtocol for MixingProtocol {
                         requester,
                         source,
                         rng,
-                        &mut self.scratch.b_keys,
+                        &mut scratch.b_keys,
                     );
                     if stats.useful > 0 {
-                        self.received.mark(i, cycle);
+                        received.mark(i, cycle);
                     }
                     stats.into()
                 }
             }
             Direction::PushPull => {
-                let (a, b) = pair_mut(&mut self.sites, i, j);
-                let stats = rumor::push_pull_contact_with(&self.cfg, a, b, rng, &mut self.scratch);
+                let (a, b) = pair_mut(sites, i, j);
+                let stats = rumor::push_pull_contact_with(&self.cfg, a, b, rng, scratch);
                 for idx in [i, j] {
-                    if self.sites[idx].db().entry(&KEY).is_some() {
-                        self.received.mark(idx, cycle);
+                    if sites[idx].db().entry(&KEY).is_some() {
+                        received.mark(idx, cycle);
                     }
                 }
                 stats.into()
             }
         }
     }
+}
+
+impl EpidemicProtocol for MixingProtocol {
+    fn site_count(&self) -> usize {
+        self.state.sites.len()
+    }
+
+    fn roster(&self) -> Roster {
+        match self.cfg.direction {
+            Direction::Push => Roster::Active,
+            Direction::Pull | Direction::PushPull => Roster::Everyone,
+        }
+    }
+
+    fn is_active(&self, i: usize) -> bool {
+        !self.state.sites[i].hot().is_empty()
+    }
+
+    fn active_sites(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.state.active.iter_ones());
+    }
+
+    fn finished(&self, _cycle: u32, active: &[usize]) -> bool {
+        active.is_empty()
+    }
+
+    fn begin_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
+        let state = &mut self.state;
+        // A site holds the update exactly when the receive log has marked
+        // it (every `contact`/`absorb` branch marks as the entry lands),
+        // so the snapshot copies the log's marks, not each database.
+        match self.cfg.direction {
+            Direction::Push => state.state0.copy_from(state.received.marks()),
+            Direction::Pull => {
+                state.state0.copy_from(state.received.marks());
+                // One key per run: a site is infective for it exactly when
+                // its hot list is non-empty.
+                debug_assert!(state
+                    .sites
+                    .iter()
+                    .enumerate()
+                    .all(|(i, site)| site.is_infective(&KEY) == state.active.get(i)));
+                state.hot0.copy_from(&state.active);
+            }
+            Direction::PushPull => {}
+        }
+    }
+
+    fn contact(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
+        let stats = self.exchange(cycle, i, j, rng);
+        self.state.refresh(i);
+        self.state.refresh(j);
+        stats
+    }
 
     fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
         if self.cfg.direction == Direction::Pull {
-            for site in &mut self.sites {
-                rumor::end_cycle(&self.cfg, site);
-            }
+            // Pending pull feedback lives in hot items, so only active
+            // sites have any to settle.
+            let MixingState { sites, active, .. } = &mut self.state;
+            active.retain_ones(|i| {
+                rumor::end_cycle(&self.cfg, &mut sites[i]);
+                !sites[i].hot().is_empty()
+            });
         }
     }
 }
@@ -449,6 +536,9 @@ pub struct MixingCtx<'p> {
 pub struct MixingShard {
     scratch: RumorScratch<u32>,
     marks: Vec<(usize, u32)>,
+    /// Endpoints of this shard's contacts: the sites whose hot lists may
+    /// have changed, for `absorb` to refresh in the active set.
+    touched: Vec<usize>,
 }
 
 impl ShardableProtocol for MixingProtocol {
@@ -460,6 +550,7 @@ impl ShardableProtocol for MixingProtocol {
         MixingShard {
             scratch: RumorScratch::new(),
             marks: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
@@ -468,10 +559,10 @@ impl ShardableProtocol for MixingProtocol {
             MixingCtx {
                 cfg: &self.cfg,
                 synchronous: self.synchronous,
-                state0: &self.state0,
-                hot0: &self.hot0,
+                state0: &self.state.state0,
+                hot0: &self.state.hot0,
             },
-            &mut self.sites,
+            &mut self.state.sites,
         )
     }
 
@@ -483,6 +574,7 @@ impl ShardableProtocol for MixingProtocol {
         rng: &mut StdRng,
     ) -> ContactStats {
         let ContactPair { i, a, j, b } = pair;
+        shard.touched.extend([i, j]);
         match ctx.cfg.direction {
             Direction::Push => {
                 if ctx.synchronous {
@@ -569,17 +661,20 @@ impl ShardableProtocol for MixingProtocol {
         // `ReceiveLog::mark` keeps the first receipt, so drain order
         // across shards cannot change the recorded times.
         for (site, cycle) in shard.marks.drain(..) {
-            self.received.mark(site, cycle);
+            self.state.received.mark(site, cycle);
+        }
+        for site in shard.touched.drain(..) {
+            self.state.refresh(site);
         }
     }
 }
 
 impl SirView for MixingProtocol {
     fn sir_counts(&self) -> SirCounts {
-        let infective = self.sites.iter().filter(|r| !r.hot().is_empty()).count();
-        let have = self.received.received_count();
+        let infective = self.state.active.count_ones();
+        let have = self.state.received.received_count();
         SirCounts {
-            susceptible: self.sites.len() - have,
+            susceptible: self.state.sites.len() - have,
             infective,
             removed: have - infective,
         }
@@ -912,39 +1007,51 @@ mod tests {
         assert!(log.complete(), "400 draws over 64 sites cover them all");
     }
 
-    /// Asserts, at run start and after every cycle, that the receive log
-    /// says exactly what probing every database used to say — per site
-    /// (what `begin_cycle` snapshots) and in total (what `sir_counts`
-    /// reports).
+    /// Asserts that the protocol's incremental state says exactly what
+    /// probing every replica says: marks ≡ "database holds the update"
+    /// (what `begin_cycle` snapshots), active set ≡ "hot list non-empty"
+    /// (what `active_sites` yields), and `sir_counts` ≡ the counted probe.
+    fn assert_matches_the_probe(p: &MixingProtocol) {
+        let state = &p.state;
+        let (mut have, mut infective) = (0, 0);
+        for (i, site) in state.sites.iter().enumerate() {
+            let holds = site.db().entry(&KEY).is_some();
+            assert_eq!(state.received.is_marked(i), holds, "mark of site {i}");
+            assert_eq!(state.received.marks().get(i), holds, "mark bit of site {i}");
+            assert_eq!(
+                state.received.times()[i].is_some(),
+                holds,
+                "time of site {i}"
+            );
+            let hot = !site.hot().is_empty();
+            assert_eq!(state.active.get(i), hot, "active bit of site {i}");
+            have += usize::from(holds);
+            infective += usize::from(hot);
+        }
+        let probed = SirCounts {
+            susceptible: state.sites.len() - have,
+            infective,
+            removed: have - infective,
+        };
+        assert_eq!(p.sir_counts(), probed);
+        let mut active = vec![usize::MAX];
+        p.active_sites(&mut active);
+        let scan: Vec<usize> = (0..p.site_count()).filter(|&i| p.is_active(i)).collect();
+        assert_eq!(active, scan);
+    }
+
+    /// Probes at run start and after every cycle of a driver's run.
     struct ProbeCheck {
         cycles_checked: u32,
     }
 
-    impl ProbeCheck {
-        fn check(&mut self, p: &MixingProtocol) {
-            let mut have = 0;
-            for (i, site) in p.sites.iter().enumerate() {
-                let holds = site.db().entry(&KEY).is_some();
-                assert_eq!(p.received.is_marked(i), holds, "site {i}");
-                have += usize::from(holds);
-            }
-            let infective = p.sites.iter().filter(|r| !r.hot().is_empty()).count();
-            let probed = SirCounts {
-                susceptible: p.sites.len() - have,
-                infective,
-                removed: have - infective,
-            };
-            assert_eq!(p.sir_counts(), probed);
-            self.cycles_checked += 1;
-        }
-    }
-
     impl crate::engine::Observer<MixingProtocol> for ProbeCheck {
         fn on_run_start(&mut self, p: &MixingProtocol) {
-            self.check(p);
+            assert_matches_the_probe(p);
         }
         fn on_cycle_end(&mut self, _cycle: u32, p: &MixingProtocol) {
-            self.check(p);
+            assert_matches_the_probe(p);
+            self.cycles_checked += 1;
         }
     }
 
@@ -964,6 +1071,120 @@ mod tests {
                 assert!(check.cycles_checked > 3, "{direction:?} sharded");
             }
         }
+    }
+
+    /// A [`MixingProtocol`] that probes itself after every step the
+    /// engines drive it through: each sequential contact, each
+    /// `begin_cycle`, and both sides of `end_cycle` (on the sharded engine
+    /// the first of those is the state `absorb` left).
+    struct Probed {
+        inner: MixingProtocol,
+        contacts: u64,
+    }
+
+    impl EpidemicProtocol for Probed {
+        fn site_count(&self) -> usize {
+            self.inner.site_count()
+        }
+        fn roster(&self) -> Roster {
+            self.inner.roster()
+        }
+        fn is_active(&self, i: usize) -> bool {
+            self.inner.is_active(i)
+        }
+        fn active_sites(&self, out: &mut Vec<usize>) {
+            self.inner.active_sites(out);
+        }
+        fn finished(&self, cycle: u32, active: &[usize]) -> bool {
+            self.inner.finished(cycle, active)
+        }
+        fn begin_cycle(&mut self, cycle: u32, rng: &mut StdRng) {
+            self.inner.begin_cycle(cycle, rng);
+            assert_matches_the_probe(&self.inner);
+        }
+        fn contact(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
+            let stats = self.inner.contact(cycle, i, j, rng);
+            assert_matches_the_probe(&self.inner);
+            self.contacts += 1;
+            stats
+        }
+        fn end_cycle(&mut self, cycle: u32, rng: &mut StdRng) {
+            assert_matches_the_probe(&self.inner);
+            self.inner.end_cycle(cycle, rng);
+            assert_matches_the_probe(&self.inner);
+        }
+    }
+
+    impl ShardableProtocol for Probed {
+        type Site = Replica<u32, u32>;
+        type Ctx<'p> = MixingCtx<'p>;
+        type Shard = MixingShard;
+
+        fn make_shard(&self) -> MixingShard {
+            self.inner.make_shard()
+        }
+        fn split(&mut self) -> (MixingCtx<'_>, &mut [Replica<u32, u32>]) {
+            self.inner.split()
+        }
+        fn contact_sharded(
+            ctx: &MixingCtx<'_>,
+            shard: &mut MixingShard,
+            cycle: u32,
+            pair: ContactPair<'_, Replica<u32, u32>>,
+            rng: &mut StdRng,
+        ) -> ContactStats {
+            MixingProtocol::contact_sharded(ctx, shard, cycle, pair, rng)
+        }
+        fn absorb(&mut self, shard: &mut MixingShard) {
+            self.contacts += shard.touched.len() as u64 / 2;
+            self.inner.absorb(shard);
+        }
+    }
+
+    /// The active set and the marks stay equal to the probe through every
+    /// variant's contacts, on both engines. Dropping the refresh of `i`,
+    /// of `j` or of the sites `end_cycle` visits fails here (and trips the
+    /// engine's debug cross-check in every other mixing test).
+    #[test]
+    fn active_set_and_marks_track_the_replicas_through_every_variant() {
+        use crate::engine::ShardedCycleEngine;
+        let n = 60;
+        let policy = UniformPartners::new(n);
+        let mut contacts = 0;
+        for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
+            for feedback in [Feedback::Feedback, Feedback::Blind] {
+                for removal in [Removal::Counter { k: 2 }, Removal::Coin { k: 2 }] {
+                    for synchronous in [true, false] {
+                        let cfg = RumorConfig::new(direction, feedback, removal);
+                        let fresh = || Probed {
+                            inner: MixingProtocol::new(cfg, synchronous, n, MixingState::default()),
+                            contacts: 0,
+                        };
+                        for limit in [None, Some(1)] {
+                            let mut probed = fresh();
+                            let mut rng = StdRng::seed_from_u64(5);
+                            CycleEngine::new()
+                                .connection_limit(limit)
+                                .hunt_limit(1)
+                                .max_cycles(200)
+                                .run(&mut probed, &policy, &mut rng, &mut ());
+                            assert!(probed.contacts > 0, "{cfg:?} limit {limit:?}");
+                            contacts += probed.contacts;
+                        }
+                        let mut probed = fresh();
+                        ShardedCycleEngine::new(4).workers(2).max_cycles(200).run(
+                            &mut probed,
+                            &policy,
+                            5,
+                            &mut (),
+                        );
+                        assert!(probed.contacts > 0, "{cfg:?} sharded");
+                        contacts += probed.contacts;
+                    }
+                }
+            }
+        }
+        assert!(contacts > 10_000, "only {contacts} contacts probed");
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn db_digest(replica: &epidemic_core::Replica<u32, u32>) -> u64 {
 
 impl TraceView for MixingProtocol {
     fn site_digests(&self, out: &mut Vec<u64>) {
-        out.extend(self.sites.iter().map(db_digest));
+        out.extend(self.state.sites.iter().map(db_digest));
     }
 }
 

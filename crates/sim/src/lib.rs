@@ -84,7 +84,7 @@ pub use engine::{
 pub use event::{AsyncAntiEntropySim, AsyncRumorEpidemic, AsyncRumorResult, AsyncRunResult};
 pub use failures::{Churn, ChurnRunResult, ChurnedAntiEntropySim};
 pub use megascale::{FastDraw, FastRumorProtocol, MegascaleSim};
-pub use mixing::{EpidemicResult, RumorEpidemic};
+pub use mixing::{EpidemicResult, MixingArena, RumorEpidemic};
 pub use rumor_steady::{RumorSteadyConfig, RumorSteadyReport, RumorSteadySim};
 pub use runner::TrialRunner;
 pub use scenario::{Scenario, ScenarioEngine, ScenarioReport};

@@ -19,14 +19,16 @@
 //! and bit-anti-entropy protocols with [`UniformPartners`] selection.
 
 use epidemic_core::rumor::RumorConfig;
-use epidemic_core::{Direction, Replica};
-use epidemic_db::SiteId;
+use epidemic_core::Direction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::bitset::BitSet;
-use crate::engine::protocols::{BitAntiEntropyProtocol, MixingProtocol};
-use crate::engine::{CycleEngine, Observer, ShardedCycleEngine, SirObserver, UniformPartners};
+use crate::engine::protocols::{BitAntiEntropyProtocol, MixingProtocol, MixingState};
+use crate::engine::{
+    CycleEngine, EngineBuffers, EngineReport, Observer, ShardedCycleEngine, SirObserver,
+    UniformPartners,
+};
 
 /// Result of one single-update epidemic run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,6 +48,40 @@ pub struct EpidemicResult {
     pub cycles: u32,
     /// Whether every site received the update.
     pub complete: bool,
+}
+
+impl EpidemicResult {
+    fn new(n: usize, report: EngineReport, protocol: &MixingProtocol) -> Self {
+        let received = &protocol.state.received;
+        EpidemicResult {
+            n,
+            residue: received.residue(),
+            traffic: report.totals.sent as f64 / n as f64,
+            t_ave: received.t_ave_received(),
+            t_last: f64::from(received.t_last().unwrap_or(0)),
+            cycles: report.cycles,
+            complete: received.complete(),
+        }
+    }
+}
+
+/// Everything a [`RumorEpidemic`] run keeps on the heap — the replicas,
+/// the receive log, the active-set and snapshot bitsets, the rumor scratch
+/// and the engine's roster buffers — owned across runs, so that
+/// [`RumorEpidemic::run_in`] on a warm arena allocates nothing. One arena
+/// serves any sequence of drivers and site counts; each run starts from a
+/// state indistinguishable from a fresh one.
+#[derive(Debug, Default)]
+pub struct MixingArena {
+    state: MixingState,
+    buffers: EngineBuffers,
+}
+
+impl MixingArena {
+    /// An empty arena. Allocates nothing until its first run.
+    pub fn new() -> Self {
+        MixingArena::default()
+    }
 }
 
 /// Per-cycle susceptible/infective/removed fractions from a traced run
@@ -179,7 +215,26 @@ impl RumorEpidemic {
         seed: u64,
         observer: &mut O,
     ) -> EpidemicResult {
-        self.run_metered(n, seed, observer, &mut ())
+        self.run_in(&mut MixingArena::new(), n, seed, observer)
+    }
+
+    /// As [`RumorEpidemic::run_observed`] on the heap state `arena` kept
+    /// from earlier runs (of any driver and any `n`): the result and every
+    /// observed event equal a fresh run's, and once the arena has grown to
+    /// this run's size nothing is allocated. Trial loops hold one arena
+    /// per worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`.
+    pub fn run_in<O: Observer<MixingProtocol>>(
+        &self,
+        arena: &mut MixingArena,
+        n: usize,
+        seed: u64,
+        observer: &mut O,
+    ) -> EpidemicResult {
+        self.run_metered_in(arena, n, seed, observer, &mut ())
     }
 
     /// As [`RumorEpidemic::run_observed`], additionally reporting engine
@@ -203,28 +258,40 @@ impl RumorEpidemic {
         O: Observer<MixingProtocol>,
         S: epidemic_trace::MetricsSink,
     {
+        self.run_metered_in(&mut MixingArena::new(), n, seed, observer, sink)
+    }
+
+    fn run_metered_in<O, S>(
+        &self,
+        arena: &mut MixingArena,
+        n: usize,
+        seed: u64,
+        observer: &mut O,
+        sink: &mut S,
+    ) -> EpidemicResult
+    where
+        O: Observer<MixingProtocol>,
+        S: epidemic_trace::MetricsSink,
+    {
         let policy = UniformPartners::new(n);
         let mut rng = StdRng::seed_from_u64(seed);
-        let sites: Vec<Replica<u32, u32>> = (0..n)
-            .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
-            .collect();
-        let mut protocol = MixingProtocol::new(self.cfg, self.synchronous, sites);
+        let state = std::mem::take(&mut arena.state);
+        let mut protocol = MixingProtocol::new(self.cfg, self.synchronous, n, state);
         let report = CycleEngine::new()
             .connection_limit(self.connection_limit)
             .hunt_limit(self.hunt_limit)
             .max_cycles(self.max_cycles)
-            .run_instrumented(&mut protocol, &policy, &mut rng, observer, sink);
-
-        let received = protocol.received;
-        EpidemicResult {
-            n,
-            residue: received.residue(),
-            traffic: report.totals.sent as f64 / n as f64,
-            t_ave: received.t_ave_received(),
-            t_last: f64::from(received.t_last().unwrap_or(0)),
-            cycles: report.cycles,
-            complete: received.complete(),
-        }
+            .run_instrumented(
+                &mut protocol,
+                &policy,
+                &mut rng,
+                observer,
+                sink,
+                &mut arena.buffers,
+            );
+        let result = EpidemicResult::new(n, report, &protocol);
+        arena.state = protocol.state;
+        result
     }
 
     /// As [`RumorEpidemic::run`] on the deterministic shard-parallel
@@ -262,25 +329,13 @@ impl RumorEpidemic {
             "sharded mode does not support connection limits or hunting"
         );
         let policy = UniformPartners::new(n);
-        let sites: Vec<Replica<u32, u32>> = (0..n)
-            .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
-            .collect();
-        let mut protocol = MixingProtocol::new(self.cfg, self.synchronous, sites);
+        let mut protocol =
+            MixingProtocol::new(self.cfg, self.synchronous, n, MixingState::default());
         let report = ShardedCycleEngine::new(shards)
             .workers(workers)
             .max_cycles(self.max_cycles)
             .run(&mut protocol, &policy, seed, observer);
-
-        let received = protocol.received;
-        EpidemicResult {
-            n,
-            residue: received.residue(),
-            traffic: report.totals.sent as f64 / n as f64,
-            t_ave: received.t_ave_received(),
-            t_last: f64::from(received.t_last().unwrap_or(0)),
-            cycles: report.cycles,
-            complete: received.complete(),
-        }
+        EpidemicResult::new(n, report, &protocol)
     }
 }
 

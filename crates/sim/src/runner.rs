@@ -6,7 +6,9 @@
 //! `for trial in 0..trials` loop would use. [`TrialRunner`] fans those
 //! trials out across threads (`std::thread::scope`, no dependencies) and
 //! hands results back **in trial order**, so any aggregation over them is
-//! bit-identical regardless of thread count.
+//! bit-identical regardless of thread count. [`TrialRunner::fold_with`]
+//! folds them as they arrive instead of collecting them first, and lends
+//! each worker one reusable state (a trial arena) for all of its trials.
 //!
 //! Thread count resolution, highest priority first:
 //!
@@ -18,6 +20,10 @@
 //! always capped by the trial count.
 
 use std::num::NonZeroUsize;
+use std::sync::mpsc::sync_channel;
+use std::time::Instant;
+
+use epidemic_trace::profile;
 
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV_VAR: &str = "EPIDEMIC_THREADS";
@@ -92,7 +98,7 @@ impl TrialRunner {
     /// Runs `trials` trials with seeds `seed_base.wrapping_add(trial)` and
     /// returns their results **in trial order**.
     ///
-    /// When the global [`profile`](epidemic_trace::profile) recorder is on,
+    /// When the global [`profile`] recorder is on,
     /// the whole fan-out (spawn + simulate + join) is clocked under the
     /// `runner.trials` phase.
     pub fn run<T: Send>(
@@ -101,7 +107,7 @@ impl TrialRunner {
         seed_base: u64,
         run: impl Fn(u64) -> T + Sync,
     ) -> Vec<T> {
-        epidemic_trace::profile::time("runner.trials", || self.run_inner(trials, seed_base, run))
+        profile::time("runner.trials", || self.run_inner(trials, seed_base, run))
     }
 
     fn run_inner<T: Send>(
@@ -145,12 +151,10 @@ impl TrialRunner {
     }
 
     /// As [`TrialRunner::run`], but folds the per-trial results into an
-    /// accumulator — sequentially, in trial order, so the aggregate is
-    /// bit-identical at any thread count (floating-point addition is not
-    /// associative; a fixed fold order sidesteps that entirely).
-    /// When the global [`profile`](epidemic_trace::profile) recorder is on,
-    /// the sequential fold is clocked under the `runner.aggregate` phase
-    /// (the fan-out itself lands under `runner.trials`).
+    /// accumulator — in trial order, so the aggregate is bit-identical at
+    /// any thread count (floating-point addition is not associative; a
+    /// fixed fold order sidesteps that entirely). [`TrialRunner::fold_with`]
+    /// without per-worker state.
     pub fn fold<T: Send, A>(
         &self,
         trials: u64,
@@ -159,9 +163,148 @@ impl TrialRunner {
         init: A,
         fold: impl FnMut(A, T) -> A,
     ) -> A {
-        let results = self.run(trials, seed_base, run);
-        epidemic_trace::profile::time("runner.aggregate", || results.into_iter().fold(init, fold))
+        self.fold_with(trials, seed_base, || (), |(), seed| run(seed), init, fold)
     }
+
+    /// Runs `trials` trials and folds their results into `init` **in
+    /// trial order, while later trials are still running**: no vector of
+    /// results is ever held.
+    ///
+    /// Every worker builds one `state` with `make_state` and lends it to
+    /// each of its trials in turn (`run(&mut state, seed)`) — a trial
+    /// arena, say, so that only a worker's first trial allocates. The
+    /// result must not depend on what earlier trials left in the state.
+    ///
+    /// With `W` workers, worker `w` runs trials `w, w + W, w + 2W, …` and
+    /// sends each result down its own bounded channel; the caller receives
+    /// from the workers round-robin, which *is* trial order. A worker that
+    /// runs ahead blocks once [`RESULTS_IN_FLIGHT`] of its results wait, so
+    /// at most `W × (RESULTS_IN_FLIGHT + 1)` results wait to be folded
+    /// (buffered, or held by a blocked sender) beside the one being folded.
+    /// A panic in a trial is re-raised here with its own payload.
+    ///
+    /// When the global [`profile`] recorder is
+    /// on, the time spent inside `fold` is recorded under the
+    /// `runner.aggregate` phase and the rest of the call — simulating,
+    /// and with several workers waiting for them — under `runner.trials`.
+    pub fn fold_with<S, T: Send, A>(
+        &self,
+        trials: u64,
+        seed_base: u64,
+        make_state: impl Fn() -> S + Sync,
+        run: impl Fn(&mut S, u64) -> T + Sync,
+        init: A,
+        mut fold: impl FnMut(A, T) -> A,
+    ) -> A {
+        let started = profile::is_enabled().then(Instant::now);
+        let mut fold_nanos = 0u64;
+        let timed_fold = |acc: A, result: T| {
+            if started.is_none() {
+                return fold(acc, result);
+            }
+            let fold_started = Instant::now();
+            let acc = fold(acc, result);
+            fold_nanos += profile::span_nanos(fold_started);
+            acc
+        };
+        let workers = self.effective_threads(trials);
+        let acc = if workers <= 1 {
+            fold_on_this_thread(trials, seed_base, make_state, run, init, timed_fold)
+        } else {
+            fold_across_workers(
+                workers as u64,
+                trials,
+                seed_base,
+                make_state,
+                run,
+                init,
+                timed_fold,
+            )
+        };
+        if let Some(started) = started {
+            let total = profile::span_nanos(started);
+            profile::record("runner.trials", total.saturating_sub(fold_nanos));
+            profile::record("runner.aggregate", fold_nanos);
+        }
+        acc
+    }
+}
+
+/// Results a worker of [`TrialRunner::fold_with`] may have waiting in its
+/// channel before it blocks. Small on purpose: a result can be a
+/// quarter-megabyte run aggregate, and a worker that is ahead gains
+/// nothing by running further ahead — its share of the trials is fixed.
+pub const RESULTS_IN_FLIGHT: usize = 2;
+
+/// [`TrialRunner::fold_with`] on one worker: the plain loop. Kept apart
+/// from the fan-out so the single-threaded path every experiment takes
+/// under `EPIDEMIC_THREADS=1` compiles to exactly this.
+fn fold_on_this_thread<S, T, A>(
+    trials: u64,
+    seed_base: u64,
+    make_state: impl Fn() -> S,
+    run: impl Fn(&mut S, u64) -> T,
+    init: A,
+    mut fold: impl FnMut(A, T) -> A,
+) -> A {
+    let mut state = make_state();
+    let mut acc = init;
+    for t in 0..trials {
+        acc = fold(acc, run(&mut state, seed_base.wrapping_add(t)));
+    }
+    acc
+}
+
+/// [`TrialRunner::fold_with`] on `workers` ≥ 2 threads.
+fn fold_across_workers<S, T: Send, A>(
+    workers: u64,
+    trials: u64,
+    seed_base: u64,
+    make_state: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, u64) -> T + Sync,
+    init: A,
+    mut fold: impl FnMut(A, T) -> A,
+) -> A {
+    std::thread::scope(|scope| {
+        let (make_state, run) = (&make_state, &run);
+        let (handles, receivers): (Vec<_>, Vec<_>) = (0..workers)
+            .map(|w| {
+                let (results, receiver) = sync_channel(RESULTS_IN_FLIGHT);
+                let handle = scope.spawn(move || {
+                    let mut state = make_state();
+                    for t in (w..trials).step_by(workers as usize) {
+                        let result = run(&mut state, seed_base.wrapping_add(t));
+                        if results.send(result).is_err() {
+                            // The caller stopped receiving: it is unwinding.
+                            return;
+                        }
+                    }
+                });
+                (handle, receiver)
+            })
+            .unzip();
+        let mut acc = init;
+        for t in 0..trials {
+            let owner = (t % workers) as usize;
+            match receivers[owner].recv() {
+                Ok(result) => acc = fold(acc, result),
+                Err(_) => {
+                    // The owner hung up before sending trial `t`: it
+                    // panicked. Hang up on the others so none stays blocked
+                    // on a full channel, then re-raise the panic as it was.
+                    drop(receivers);
+                    let panic = handles
+                        .into_iter()
+                        .nth(owner)
+                        .expect("one handle per worker")
+                        .join()
+                        .expect_err("a worker that hung up early has panicked");
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+        acc
+    })
 }
 
 /// The thread count used when no builder override is set:
@@ -209,6 +352,7 @@ fn parse_positive(value: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn seeds_are_seed_base_plus_trial() {
@@ -255,6 +399,167 @@ mod tests {
         assert_eq!(order, (0..20).collect::<Vec<u64>>());
     }
 
+    /// Collects the seeds a fold visits, in fold order.
+    fn fold_order(runner: TrialRunner, trials: u64, run: impl Fn(u64) -> u64 + Sync) -> Vec<u64> {
+        runner.fold(trials, 0, run, Vec::new(), |mut seen, seed| {
+            seen.push(seed);
+            seen
+        })
+    }
+
+    /// Trial 0 finishes only after the second worker has finished every
+    /// trial it can without the caller (a full channel and one in hand),
+    /// yet trial 0 is folded first and everything after it in order.
+    #[test]
+    fn fold_order_is_trial_order_even_when_early_trials_finish_late() {
+        for workers in [2u64, 3, 8] {
+            let second_worker_finished = AtomicUsize::new(0);
+            let runner = TrialRunner::new().threads(workers as usize);
+            let order = fold_order(runner, 40, |seed| {
+                if seed == 0 {
+                    while second_worker_finished.load(Ordering::SeqCst) <= RESULTS_IN_FLIGHT {
+                        std::thread::yield_now();
+                    }
+                } else if seed % workers == 1 {
+                    second_worker_finished.fetch_add(1, Ordering::SeqCst);
+                }
+                seed
+            });
+            assert_eq!(order, (0..40).collect::<Vec<u64>>(), "{workers} workers");
+        }
+    }
+
+    /// A result that knows how many of its kind are alive.
+    struct Counted<'a> {
+        alive: &'a AtomicUsize,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(alive: &'a AtomicUsize, most: &AtomicUsize) -> Self {
+            let now = alive.fetch_add(1, Ordering::SeqCst) + 1;
+            most.fetch_max(now, Ordering::SeqCst);
+            Counted { alive }
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.alive.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// With the caller stalled in its first fold, every worker runs until
+    /// its channel is full and it holds one more result — and no further.
+    #[test]
+    fn workers_stop_at_the_in_flight_bound_while_the_fold_stalls() {
+        for workers in [2usize, 3, 8] {
+            let waiting = workers * (RESULTS_IN_FLIGHT + 1);
+            let (alive, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let folded = TrialRunner::new().threads(workers).fold(
+                100,
+                0,
+                |_| Counted::new(&alive, &most),
+                0u64,
+                |folded, result| {
+                    if folded == 0 {
+                        // Hold the first result until the workers have
+                        // produced all they can without the caller.
+                        while alive.load(Ordering::SeqCst) < waiting + 1 {
+                            std::thread::yield_now();
+                        }
+                    }
+                    drop(result);
+                    folded + 1
+                },
+            );
+            assert_eq!(folded, 100);
+            assert_eq!(alive.load(Ordering::SeqCst), 0, "every result was dropped");
+            assert_eq!(
+                most.load(Ordering::SeqCst),
+                waiting + 1,
+                "{workers} workers: {waiting} waiting beside the one being folded"
+            );
+        }
+    }
+
+    /// Runs `f` on its own thread and fails instead of hanging.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(f()));
+        result
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the fold neither finished nor panicked within a minute")
+    }
+
+    /// A trial's panic reaches the caller with its message, at any worker
+    /// count — also when every other worker is parked on a full channel at
+    /// the time, which is when a fold that kept receiving would hang.
+    #[test]
+    fn a_panicking_trial_panics_the_fold_with_its_message() {
+        for workers in [1usize, 2, 3, 8] {
+            let message = within_a_minute(move || {
+                // What the other workers can finish with trial 1 never
+                // arriving: a full channel and one result in hand each,
+                // and trial 0, which the caller takes.
+                let others_stuck = (workers - 1) * (RESULTS_IN_FLIGHT + 1) + 1;
+                let finished = AtomicUsize::new(0);
+                let fold = std::panic::AssertUnwindSafe(|| {
+                    TrialRunner::new().threads(workers).fold(
+                        64,
+                        0,
+                        |seed| {
+                            if seed == 1 {
+                                while finished.load(Ordering::SeqCst) < others_stuck {
+                                    std::thread::yield_now();
+                                }
+                                panic!("trial {seed} exploded");
+                            }
+                            finished.fetch_add(1, Ordering::SeqCst);
+                            seed
+                        },
+                        0u64,
+                        |sum, seed| sum + seed,
+                    )
+                });
+                let payload = std::panic::catch_unwind(fold).expect_err("trial 1 panics");
+                payload
+                    .downcast_ref::<String>()
+                    .expect("a formatted panic carries a String")
+                    .clone()
+            });
+            assert_eq!(message, "trial 1 exploded", "{workers} workers");
+        }
+    }
+
+    /// Each worker builds one state and every one of its trials sees what
+    /// its earlier trials left there.
+    #[test]
+    fn fold_with_lends_one_state_per_worker_to_its_trials_in_turn() {
+        for workers in [1u64, 2, 3, 8] {
+            let states = AtomicUsize::new(0);
+            let visits = TrialRunner::new().threads(workers as usize).fold_with(
+                30,
+                100,
+                || {
+                    states.fetch_add(1, Ordering::SeqCst);
+                    0u64
+                },
+                |earlier: &mut u64, seed| {
+                    *earlier += 1;
+                    (seed, *earlier)
+                },
+                Vec::new(),
+                |mut visits, visit| {
+                    visits.push(visit);
+                    visits
+                },
+            );
+            assert_eq!(states.load(Ordering::SeqCst) as u64, workers);
+            let expected: Vec<(u64, u64)> = (0..30).map(|t| (100 + t, t / workers + 1)).collect();
+            assert_eq!(visits, expected, "{workers} workers");
+        }
+    }
+
     #[test]
     fn handles_zero_and_one_trials() {
         let runner = TrialRunner::new();
@@ -262,6 +567,11 @@ mod tests {
         assert_eq!(runner.run(1, 9, |seed| seed), vec![9]);
         assert_eq!(runner.effective_threads(0), 1);
         assert_eq!(runner.effective_threads(1), 1);
+        for threads in [1, 8] {
+            let runner = TrialRunner::new().threads(threads);
+            assert_eq!(fold_order(runner, 0, |seed| seed), Vec::<u64>::new());
+            assert_eq!(fold_order(runner, 1, |seed| seed + 9), vec![9]);
+        }
     }
 
     #[test]
@@ -302,5 +612,7 @@ mod tests {
     fn more_workers_than_trials_is_safe() {
         let results = TrialRunner::new().threads(64).run(5, 0, |seed| seed * 2);
         assert_eq!(results, vec![0, 2, 4, 6, 8]);
+        let folded = fold_order(TrialRunner::new().threads(64), 5, |seed| seed * 2);
+        assert_eq!(folded, vec![0, 2, 4, 6, 8]);
     }
 }

@@ -13,6 +13,8 @@
 //! hunting are the shared [`CycleEngine`]'s, applied to a
 //! [`SpatialPartners`] policy.
 
+use std::borrow::Cow;
+
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
 use epidemic_db::SiteId;
 use epidemic_net::{LinkTraffic, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
@@ -73,7 +75,7 @@ impl SpatialRunResult {
 #[derive(Debug)]
 pub struct AntiEntropySim<'a, S = PartnerSampler> {
     topology: &'a Topology,
-    routes: Routes,
+    routes: Cow<'a, Routes>,
     sampler: S,
     connection_limit: Option<u32>,
     hunt_limit: u32,
@@ -90,7 +92,7 @@ impl<'a> AntiEntropySim<'a, PartnerSampler> {
     pub fn new(topology: &'a Topology, spatial: Spatial) -> Self {
         let routes = Routes::compute(topology);
         let sampler = PartnerSampler::new(topology, &routes, spatial);
-        Self::with_selection(topology, sampler)
+        Self::with_routes(topology, Cow::Owned(routes), sampler)
     }
 }
 
@@ -98,7 +100,14 @@ impl<'a, S: PartnerSelection> AntiEntropySim<'a, S> {
     /// Builds a simulator with an arbitrary [`PartnerSelection`] strategy —
     /// e.g. the §4 [`HierarchicalSampler`](epidemic_net::HierarchicalSampler).
     pub fn with_selection(topology: &'a Topology, sampler: S) -> Self {
-        let routes = Routes::compute(topology);
+        Self::with_routes(topology, Cow::Owned(Routes::compute(topology)), sampler)
+    }
+
+    /// As [`AntiEntropySim::with_selection`] on routing tables the caller
+    /// already has — `routes` must be [`Routes::compute`]`(topology)`. A
+    /// sweep over several distributions on one topology computes them
+    /// once and lends them to every simulator (`Cow::Borrowed`).
+    pub fn with_routes(topology: &'a Topology, routes: Cow<'a, Routes>, sampler: S) -> Self {
         AntiEntropySim {
             topology,
             routes,
