@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use epidemic_core::{AntiEntropy, Comparison, Direction, Feedback, Removal, Replica, RumorConfig};
 use epidemic_db::{Aux, Checksum, Database, Entry, FlatStore, SimClock, SiteId, Timestamp};
-use epidemic_net::{topologies, PartnerSampler, Routes, Spatial};
+use epidemic_net::{topologies, LinkTraffic, PartnerSampler, Routes, Spatial};
 use epidemic_sim::engine::{ContactStats, EpidemicProtocol};
 use epidemic_sim::mixing::RumorEpidemic;
 use epidemic_sim::BitSet;
@@ -194,19 +194,39 @@ fn bench_anti_entropy(c: &mut Criterion) {
     group.finish();
 }
 
+/// One draw from each of the CIN's 254 choosers per pass, as a cycle of
+/// the engine makes them: a single chooser's row would sit in L1 and hide
+/// the table (773 KB a sampler) the workloads walk. `binary_search` is the
+/// draw as it was before the guide table — `partition_point` over the same
+/// row from the same word — kept beside it as the reference.
 fn bench_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("partner_sampling");
     let net = topologies::cin(&topologies::CinConfig::default());
     let routes = Routes::compute(&net.topology);
+    let sites = net.topology.site_count();
     for (label, spatial) in [
         ("uniform", Spatial::Uniform),
         ("qs_power_2", Spatial::QsPower { a: 2.0 }),
     ] {
         let sampler = PartnerSampler::new(&net.topology, &routes, spatial);
-        let from = net.topology.sites()[0];
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
+        group.bench_function(BenchmarkId::new("guide_x254", label), |b| {
             let mut rng = StdRng::seed_from_u64(1);
-            b.iter(|| black_box(sampler.sample(from, &mut rng)))
+            b.iter(|| {
+                for from in 0..sites {
+                    black_box(sampler.sample_position(from, &mut rng));
+                }
+            })
+        });
+        group.bench_function(BenchmarkId::new("binary_search_x254", label), |b| {
+            let mut rng = StdRng::seed_from_u64(1);
+            b.iter(|| {
+                for from in 0..sites {
+                    let u: f64 = rng.random();
+                    let row = sampler.cumulative(from);
+                    let idx = row.partition_point(|&c| c < u).min(row.len() - 1);
+                    black_box(sampler.partners(from)[idx]);
+                }
+            })
         });
     }
     group.bench_function("build_tables_cin", |b| {
@@ -389,6 +409,23 @@ fn bench_routing(c: &mut Criterion) {
     let net = topologies::cin(&topologies::CinConfig::default());
     c.bench_function("routing/all_pairs_bfs_cin", |b| {
         b.iter(|| black_box(Routes::compute(&net.topology)))
+    });
+    // What a contact pays the route table: one compare charge along the
+    // route between two random sites, 254 a pass (a cycle's worth), so the
+    // walk meets the 636 KB hop table cold as the engine does.
+    let routes = Routes::compute(&net.topology);
+    let sites = net.topology.sites();
+    c.bench_function("routing/charge_random_routes_cin_x254", |b| {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut traffic = LinkTraffic::new(net.topology.link_count());
+        b.iter(|| {
+            for _ in 0..sites.len() {
+                let from = sites[rng.random_range(0..sites.len())];
+                let to = sites[rng.random_range(0..sites.len())];
+                traffic.record_route(&routes, from, to);
+            }
+            black_box(traffic.total())
+        })
     });
 }
 

@@ -25,21 +25,25 @@ use crate::spatial::{PartnerSampler, Spatial};
 
 /// A partner-selection strategy: given a chooser, draw a gossip partner.
 ///
+/// Both sides are *positions* in [`Topology::sites`] — the dense site index
+/// the simulators work in — so a draw involves no id lookup.
+///
 /// Implemented by [`PartnerSampler`] (flat spatial distributions) and
 /// [`HierarchicalSampler`] (§4's two-level scheme).
 pub trait PartnerSelection {
-    /// Draws a partner for `from`. Never returns `from` itself.
-    fn select(&self, from: SiteId, rng: &mut dyn Rng) -> SiteId;
+    /// Draws a partner for the site at position `from`. Never returns
+    /// `from` itself.
+    fn select(&self, from: usize, rng: &mut dyn Rng) -> usize;
 }
 
 impl PartnerSelection for PartnerSampler {
-    fn select(&self, from: SiteId, rng: &mut dyn Rng) -> SiteId {
-        self.sample(from, rng)
+    fn select(&self, from: usize, rng: &mut dyn Rng) -> usize {
+        self.sample_position(from, rng)
     }
 }
 
 impl<T: PartnerSelection + ?Sized> PartnerSelection for &T {
-    fn select(&self, from: SiteId, rng: &mut dyn Rng) -> SiteId {
+    fn select(&self, from: usize, rng: &mut dyn Rng) -> usize {
         (**self).select(from, rng)
     }
 }
@@ -50,7 +54,6 @@ impl<T: PartnerSelection + ?Sized> PartnerSelection for &T {
 ///
 /// ```
 /// use epidemic_net::{topologies, HierarchicalSampler, Routes, Spatial};
-/// use epidemic_net::hierarchy::PartnerSelection;
 /// use rand::SeedableRng;
 ///
 /// let topo = topologies::grid(&[6, 6]);
@@ -59,15 +62,21 @@ impl<T: PartnerSelection + ?Sized> PartnerSelection for &T {
 /// assert_eq!(h.representatives().len(), 4);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let from = topo.sites()[0];
-/// assert_ne!(h.select(from, &mut rng), from);
+/// assert_ne!(h.sample(from, &mut rng), from);
 /// ```
 #[derive(Debug, Clone)]
 pub struct HierarchicalSampler {
     local: PartnerSampler,
     representatives: Vec<SiteId>,
-    is_representative: Vec<bool>,
+    /// `representatives` as positions of [`Topology::sites`], same order.
+    rep_positions: Vec<u32>,
+    /// Site position → index into `representatives`; [`LEAF`] for the rest.
+    rank: Vec<u32>,
     long_range: f64,
 }
+
+/// `rank` value of a site that is not a representative.
+const LEAF: u32 = u32::MAX;
 
 impl HierarchicalSampler {
     /// Builds the hierarchy: `reps` representatives chosen by greedy
@@ -90,15 +99,19 @@ impl HierarchicalSampler {
             "need between 2 and n representatives"
         );
         assert!((0.0..=1.0).contains(&long_range));
-        let representatives = greedy_k_center(topology, routes, reps);
-        let mut is_representative = vec![false; topology.node_count()];
-        for &r in &representatives {
-            is_representative[r.as_usize()] = true;
+        let rep_positions = greedy_k_center(topology, routes, reps);
+        let mut rank = vec![LEAF; topology.site_count()];
+        for (i, &p) in rep_positions.iter().enumerate() {
+            rank[p as usize] = i as u32;
         }
         HierarchicalSampler {
             local: PartnerSampler::new(topology, routes, local),
-            representatives,
-            is_representative,
+            representatives: rep_positions
+                .iter()
+                .map(|&p| topology.sites()[p as usize])
+                .collect(),
+            rep_positions,
+            rank,
             long_range,
         }
     }
@@ -110,33 +123,47 @@ impl HierarchicalSampler {
 
     /// Whether `site` is a representative.
     pub fn is_representative(&self, site: SiteId) -> bool {
-        self.is_representative[site.as_usize()]
+        self.local
+            .position(site)
+            .is_some_and(|p| self.rank[p] != LEAF)
+    }
+
+    /// Draws a partner for `from`: the [`SiteId`] form of
+    /// [`PartnerSelection::select`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is a relay node rather than a database site.
+    pub fn sample(&self, from: SiteId, rng: &mut dyn Rng) -> SiteId {
+        let from = self
+            .local
+            .position(from)
+            .expect("relay nodes do not select partners");
+        self.local.site(self.select(from, rng))
     }
 }
 
 impl PartnerSelection for HierarchicalSampler {
-    fn select(&self, from: SiteId, rng: &mut dyn Rng) -> SiteId {
-        if self.is_representative(from) && rng.random::<f64>() < self.long_range {
-            // Long-haul hop: a uniform random *other* representative.
-            let others: Vec<SiteId> = self
-                .representatives
-                .iter()
-                .copied()
-                .filter(|&r| r != from)
-                .collect();
-            others[rng.random_range(0..others.len())]
+    fn select(&self, from: usize, rng: &mut dyn Rng) -> usize {
+        let rank = self.rank[from];
+        if rank != LEAF && rng.random::<f64>() < self.long_range {
+            // Long-haul hop: a uniform random *other* representative — the
+            // k-th of the list with the chooser's own slot skipped.
+            let k = rng.random_range(0..self.rep_positions.len() - 1);
+            self.rep_positions[k + usize::from(k >= rank as usize)] as usize
         } else {
-            self.local.sample(from, rng)
+            self.local.sample_position(from, rng)
         }
     }
 }
 
 /// Deterministic greedy k-center over hop distance: start from the site
 /// with the smallest id, repeatedly add the site farthest from the chosen
-/// set. Spreads representatives across the network's regions.
-fn greedy_k_center(topology: &Topology, routes: &Routes, k: usize) -> Vec<SiteId> {
+/// set. Spreads representatives across the network's regions. Returns
+/// positions of [`Topology::sites`], in the order chosen.
+fn greedy_k_center(topology: &Topology, routes: &Routes, k: usize) -> Vec<u32> {
     let sites = topology.sites();
-    let mut chosen = vec![sites[0]];
+    let mut chosen = vec![0u32];
     let mut dist_to_chosen: Vec<u32> = sites
         .iter()
         .map(|&s| routes.distance(sites[0], s))
@@ -147,10 +174,9 @@ fn greedy_k_center(topology: &Topology, routes: &Routes, k: usize) -> Vec<SiteId
             .enumerate()
             .max_by_key(|&(i, _)| (dist_to_chosen[i], std::cmp::Reverse(i)))
             .expect("sites is non-empty");
-        let next = sites[best_idx];
-        chosen.push(next);
+        chosen.push(best_idx as u32);
         for (i, &s) in sites.iter().enumerate() {
-            dist_to_chosen[i] = dist_to_chosen[i].min(routes.distance(next, s));
+            dist_to_chosen[i] = dist_to_chosen[i].min(routes.distance(sites[best_idx], s));
         }
     }
     chosen
@@ -186,7 +212,7 @@ mod tests {
         let rep = h.representatives()[0];
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..50 {
-            let p = h.select(rep, &mut rng);
+            let p = h.sample(rep, &mut rng);
             assert!(h.is_representative(p), "long_range=1 always picks reps");
             assert_ne!(p, rep);
         }
@@ -203,12 +229,57 @@ mod tests {
         // Local Qs^-2 selection strongly favors neighbors.
         let mut near = 0;
         for _ in 0..2_000 {
-            let p = h.select(leaf, &mut rng);
+            let p = h.sample(leaf, &mut rng);
             if routes.distance(leaf, p) <= 2 {
                 near += 1;
             }
         }
         assert!(near > 1_000, "near picks {near}/2000");
+    }
+
+    /// `select` as first written: every representative but the chooser,
+    /// collected, then one uniform index into that list.
+    fn select_by_collecting(h: &HierarchicalSampler, from: SiteId, rng: &mut StdRng) -> SiteId {
+        if h.is_representative(from) && rng.random::<f64>() < h.long_range {
+            let others: Vec<SiteId> = h
+                .representatives()
+                .iter()
+                .copied()
+                .filter(|&r| r != from)
+                .collect();
+            others[rng.random_range(0..others.len())]
+        } else {
+            h.local.sample(from, rng)
+        }
+    }
+
+    #[test]
+    fn rank_skip_selects_what_the_collected_list_selected() {
+        let cin = topologies::cin(&topologies::CinConfig::default()).topology;
+        let line = topologies::line(30);
+        for (topo, reps, long_range) in [(&cin, 8, 0.3), (&cin, 2, 1.0), (&line, 3, 0.5)] {
+            let routes = Routes::compute(topo);
+            let h = HierarchicalSampler::new(
+                topo,
+                &routes,
+                reps,
+                long_range,
+                Spatial::QsPower { a: 2.0 },
+            );
+            let mut rng = StdRng::seed_from_u64(17);
+            let mut reference = StdRng::seed_from_u64(17);
+            // Every site draws, representatives ten times as often.
+            for round in 0..10 {
+                for (position, &from) in topo.sites().iter().enumerate() {
+                    if round > 0 && !h.is_representative(from) {
+                        continue;
+                    }
+                    let expected = select_by_collecting(&h, from, &mut reference);
+                    assert_eq!(topo.sites()[h.select(position, &mut rng)], expected);
+                }
+            }
+            assert_eq!(rng.next_u64(), reference.next_u64(), "RNG streams diverged");
+        }
     }
 
     #[test]

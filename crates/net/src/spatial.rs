@@ -14,6 +14,13 @@
 //! ```
 //!
 //! with one added to `Q` throughout to avoid the singularity at `Q(d) = 0`.
+//!
+//! A [`PartnerSampler`] turns a distribution into per-site tables on a
+//! concrete topology. Drawing a partner is what every simulated contact
+//! does first, so the tables are flat arrays indexed by *position* in
+//! [`Topology::sites`] and a draw is an exact `O(1)` inverse-CDF lookup
+//! through a guide table — see the type's documentation for the layout and
+//! for why the lookup returns what a binary search over the row would.
 
 use epidemic_db::SiteId;
 use rand::{Rng, RngExt};
@@ -86,6 +93,22 @@ impl Spatial {
 /// Per-site precomputed sampling tables for a [`Spatial`] distribution on a
 /// concrete topology.
 ///
+/// The tables are a handful of flat row-major arrays, one row per site in
+/// the order of [`Topology::sites`], and everything inside them is a
+/// *position* in that list rather than a node id, so the engine's dense
+/// site index goes in and comes out with no search on either side. A row
+/// holds the chooser's partners sorted by `(distance, id)` — the paper's
+/// sorted list — as cumulative probabilities, plus a *guide table* that
+/// makes the inverse-CDF draw `O(1)`: with `G` the power of two at or above
+/// the row length, `guide[k]` counts the cumulative values below `k/G`, a
+/// draw `u` starts its scan at `guide[⌊u·G⌋]` and steps forward while
+/// `cumulative[idx] < u` — about one step. Because `G` is a power of two,
+/// `u·G`, its floor `k` and `k/G` are all exact in `f64`, so `k/G ≤ u` holds
+/// exactly, the scan can only start at or before the answer, and the
+/// result is `cumulative.partition_point(|c| c < u)` for every `u`: the
+/// same random word selects the same partner as a binary search would.
+/// `G` follows from the row length; it is not a setting.
+///
 /// # Example
 ///
 /// ```
@@ -106,89 +129,163 @@ impl Spatial {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PartnerSampler {
-    // Indexed by node id; `None` for relay nodes.
-    rows: Vec<Option<SamplerRow>>,
+    /// [`Topology::sites`]: position → node id, for the `SiteId` forms.
+    sites: Vec<SiteId>,
+    /// Node id → position in `sites` (which is its row); [`NO_ROW`] for
+    /// relay nodes.
+    row_of: Vec<u32>,
+    /// Partners per row: every site but the chooser.
+    len: usize,
+    /// `G`, the guide cells per row: the power of two at or above `len`.
+    cells: usize,
+    /// `len` per row: cumulative probabilities in `(distance, id)` order,
+    /// normalized so the last is 1.0 up to rounding.
+    cumulative: Vec<f64>,
+    /// `len` per row: the partner's position in `sites`, in the same order.
+    partners: Vec<u16>,
+    /// `cells + 1` per row: `guide[k] = #{c in the row : c < k/G}`, capped
+    /// at `len - 1` so a draw beyond a last value that rounded below 1.0
+    /// lands on the last partner, as the clamp after a binary search would.
+    guide: Vec<u16>,
 }
 
-#[derive(Debug, Clone)]
-struct SamplerRow {
-    targets: Vec<SiteId>,
-    /// Cumulative probabilities, normalized so the last element is 1.0.
-    cumulative: Vec<f64>,
-}
+/// `row_of` value of a relay node.
+const NO_ROW: u32 = u32::MAX;
 
 impl PartnerSampler {
     /// Builds sampling tables for every site of `topology`.
     ///
+    /// Rows are built without a comparison sort or a per-row allocation:
+    /// partners are bucketed by distance (at most [`Routes::diameter`]),
+    /// and since sites are visited in ascending order, bucket order *is*
+    /// `(distance, id)` order.
+    ///
     /// # Panics
     ///
     /// Panics if the topology has fewer than two sites (there is no one to
-    /// gossip with).
+    /// gossip with) or more than 2¹⁶ (positions are stored as `u16`; the
+    /// tables are quadratic in the site count and would pass 30 GB there).
     pub fn new(topology: &Topology, routes: &Routes, spatial: Spatial) -> Self {
         assert!(
             topology.site_count() >= 2,
             "partner sampling requires at least two sites"
         );
-        let mut rows = vec![None; topology.node_count()];
-        for &s in topology.sites() {
-            // Sort other sites by (distance, id): the paper's sorted list.
-            let mut by_distance: Vec<(u32, SiteId)> = topology
-                .sites()
-                .iter()
-                .filter(|&&t| t != s)
-                .map(|&t| (routes.distance(s, t), t))
-                .collect();
-            by_distance.sort_unstable();
+        let sites = topology.sites();
+        let rows = sites.len();
+        assert!(
+            rows <= usize::from(u16::MAX) + 1,
+            "partner tables hold site positions as u16"
+        );
+        let len = rows - 1;
+        let cells = len.next_power_of_two();
+        let mut row_of = vec![NO_ROW; topology.node_count()];
+        for (row, s) in sites.iter().enumerate() {
+            row_of[s.as_usize()] = row as u32;
+        }
+        let mut cumulative = Vec::with_capacity(rows * len);
+        let mut partners = Vec::with_capacity(rows * len);
+        let mut guide = Vec::with_capacity(rows * (cells + 1));
 
-            let mut targets = Vec::with_capacity(by_distance.len());
-            let mut weights = Vec::with_capacity(by_distance.len());
+        // Scratch shared by every row: where each distance's bucket ends,
+        // the row as (distance, position) in bucket order, and its weights.
+        let mut bucket_end = vec![0usize; routes.diameter() as usize + 1];
+        let mut by_distance = vec![(0u32, 0u16); len];
+        let mut weights = vec![0.0f64; len];
+        for (row, &s) in sites.iter().enumerate() {
+            let others = || (0..rows).filter(|&t| t != row);
+            bucket_end.fill(0);
+            for t in others() {
+                bucket_end[routes.distance(s, sites[t]) as usize] += 1;
+            }
+            let mut end = 0;
+            for slot in bucket_end.iter_mut() {
+                // Start of the bucket for now; the placement loop below
+                // advances it to the bucket's end.
+                end += std::mem::replace(slot, end);
+            }
+            for t in others() {
+                let d = routes.distance(s, sites[t]);
+                let slot = &mut bucket_end[d as usize];
+                by_distance[*slot] = (d, t as u16);
+                *slot += 1;
+            }
+            debug_assert!(by_distance.windows(2).all(|w| w[0] < w[1]));
+
             let mut i = 0;
             let mut q_prev = 0usize; // Q(d-1)
-            while i < by_distance.len() {
+            while i < len {
                 let d = by_distance[i].0;
-                let mut j = i;
-                while j < by_distance.len() && by_distance[j].0 == d {
-                    j += 1;
-                }
-                let q = q_prev + (j - i); // Q(d)
-                let w = spatial.weight(d, q_prev, q);
-                for &(_, t) in &by_distance[i..j] {
-                    targets.push(t);
-                    weights.push(w);
-                }
+                let q = bucket_end[d as usize]; // Q(d)
+                weights[i..q].fill(spatial.weight(d, q_prev, q));
                 q_prev = q;
-                i = j;
+                i = q;
             }
             let total: f64 = weights.iter().sum();
             debug_assert!(total.is_finite() && total > 0.0);
             let mut acc = 0.0;
-            let cumulative: Vec<f64> = weights
-                .iter()
-                .map(|w| {
-                    acc += w / total;
-                    acc
-                })
-                .collect();
-            rows[s.as_usize()] = Some(SamplerRow {
-                targets,
-                cumulative,
-            });
+            let row_start = cumulative.len();
+            for (&(_, t), w) in by_distance.iter().zip(&weights) {
+                acc += w / total;
+                cumulative.push(acc);
+                partners.push(t);
+            }
+
+            // One merge pass over the (ascending) row fills the guide.
+            let row_cumulative = &cumulative[row_start..];
+            let mut below = 0;
+            for k in 0..=cells {
+                let edge = k as f64 / cells as f64;
+                while below < len && row_cumulative[below] < edge {
+                    below += 1;
+                }
+                guide.push(below.min(len - 1) as u16);
+            }
         }
-        PartnerSampler { rows }
+        PartnerSampler {
+            sites: sites.to_vec(),
+            row_of,
+            len,
+            cells,
+            cumulative,
+            partners,
+            guide,
+        }
     }
 
-    /// Draws a partner for `from` according to the distribution.
+    /// Draws a partner for the site at position `from` of
+    /// [`Topology::sites`] and returns the partner's position: the form
+    /// the simulators use, one random word and no search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not a position of the site list.
+    pub fn sample_position<R: Rng + ?Sized>(&self, from: usize, rng: &mut R) -> usize {
+        let cumulative = self.cumulative(from);
+        let guide = &self.guide[from * (self.cells + 1)..][..self.cells + 1];
+        let u: f64 = rng.random();
+        // `cells` is a power of two, so the product and its floor are
+        // exact: `k / cells <= u`, and `guide[k]` is at or before the answer.
+        let k = (u * self.cells as f64) as usize;
+        let mut idx = guide[k] as usize;
+        while idx + 1 < self.len && cumulative[idx] < u {
+            idx += 1;
+        }
+        debug_assert_eq!(
+            idx,
+            cumulative.partition_point(|&c| c < u).min(self.len - 1),
+            "guide draw left the inverse CDF at u = {u}"
+        );
+        self.partners(from)[idx] as usize
+    }
+
+    /// Draws a partner for `from` according to the distribution: the
+    /// [`SiteId`] form of [`PartnerSampler::sample_position`].
     ///
     /// # Panics
     ///
     /// Panics if `from` is a relay node rather than a database site.
     pub fn sample<R: Rng + ?Sized>(&self, from: SiteId, rng: &mut R) -> SiteId {
-        let row = self.rows[from.as_usize()]
-            .as_ref()
-            .expect("relay nodes do not select partners");
-        let u: f64 = rng.random();
-        let idx = row.cumulative.partition_point(|&c| c < u);
-        row.targets[idx.min(row.targets.len() - 1)]
+        self.sites[self.sample_position(self.row(from), rng)]
     }
 
     /// The probability that `from` selects `to` on one draw. Zero if `to`
@@ -198,17 +295,48 @@ impl PartnerSampler {
     ///
     /// Panics if `from` is a relay node.
     pub fn probability(&self, from: SiteId, to: SiteId) -> f64 {
-        let row = self.rows[from.as_usize()]
-            .as_ref()
-            .expect("relay nodes do not select partners");
-        row.targets
+        let row = self.row(from);
+        let cumulative = self.cumulative(row);
+        self.partners(row)
             .iter()
-            .position(|&t| t == to)
+            .position(|&t| self.sites[t as usize] == to)
             .map(|i| {
-                let lo = if i == 0 { 0.0 } else { row.cumulative[i - 1] };
-                row.cumulative[i] - lo
+                let lo = if i == 0 { 0.0 } else { cumulative[i - 1] };
+                cumulative[i] - lo
             })
             .unwrap_or(0.0)
+    }
+
+    /// The position of `site` in [`Topology::sites`], `None` for a relay.
+    pub(crate) fn position(&self, site: SiteId) -> Option<usize> {
+        match self.row_of[site.as_usize()] {
+            NO_ROW => None,
+            row => Some(row as usize),
+        }
+    }
+
+    /// The cumulative probabilities of the row of the site at position
+    /// `from`, in `(distance, id)` order of its partners — what a draw is
+    /// inverted against (exposed for tests and benchmarks that compare the
+    /// draw with a binary search over the same row).
+    pub fn cumulative(&self, from: usize) -> &[f64] {
+        &self.cumulative[from * self.len..][..self.len]
+    }
+
+    /// The partners of the site at position `from`, as positions of
+    /// [`Topology::sites`], in the order of [`PartnerSampler::cumulative`].
+    pub fn partners(&self, from: usize) -> &[u16] {
+        &self.partners[from * self.len..][..self.len]
+    }
+
+    /// The site at `position` of [`Topology::sites`].
+    pub(crate) fn site(&self, position: usize) -> SiteId {
+        self.sites[position]
+    }
+
+    fn row(&self, from: SiteId) -> usize {
+        self.position(from)
+            .expect("relay nodes do not select partners")
     }
 }
 
@@ -320,6 +448,29 @@ mod tests {
                 (observed - expected).abs() < 0.01,
                 "{to}: {observed} vs {expected}"
             );
+        }
+    }
+
+    #[test]
+    fn guide_is_its_definition_on_power_of_two_cells() {
+        // The exactness of the draw rests on `cells` being a power of two
+        // (see `PartnerSampler`): pin that, and the merge pass that fills
+        // the guide against one binary search per cell.
+        for sites in [2usize, 3, 5, 6, 20, 33, 34] {
+            let topo = topologies::line(sites);
+            let routes = Routes::compute(&topo);
+            let s = PartnerSampler::new(&topo, &routes, Spatial::QsPower { a: 1.2 });
+            let len = sites - 1;
+            assert_eq!(s.cells, len.next_power_of_two());
+            assert_eq!(s.guide.len(), sites * (s.cells + 1));
+            for row in 0..sites {
+                let guide = &s.guide[row * (s.cells + 1)..][..s.cells + 1];
+                for (k, &start) in guide.iter().enumerate() {
+                    let edge = k as f64 / s.cells as f64;
+                    let below = s.cumulative(row).partition_point(|&c| c < edge);
+                    assert_eq!(start as usize, below.min(len - 1), "row {row}, cell {k}");
+                }
+            }
         }
     }
 

@@ -1,8 +1,13 @@
 //! Property-based tests for topologies, routing and spatial sampling on
-//! randomly generated connected graphs.
+//! randomly generated connected graphs, and the exhaustive edge-of-cell
+//! check of the sampler's guide-table draw against a binary search.
 
-use epidemic_net::{PartnerSampler, Routes, Spatial, Topology, TopologyBuilder};
+use epidemic_net::{
+    topologies, HierarchicalSampler, PartnerSampler, PartnerSelection, Routes, Spatial, Topology,
+    TopologyBuilder,
+};
 use proptest::prelude::*;
+use rand::Rng;
 
 /// Strategy: a random connected graph of `n` nodes — a random spanning
 /// tree plus extra random edges; a random subset of nodes (at least two)
@@ -152,4 +157,122 @@ proptest! {
             }
         }
     }
+}
+
+/// An [`Rng`] that replays chosen `f64` draws: `random::<f64>()` keeps the
+/// top 53 bits of a word, so word `m << 11` is the draw `m · 2⁻⁵³`.
+struct Script {
+    draws: std::vec::IntoIter<u64>,
+}
+
+impl Script {
+    fn new(draws: Vec<u64>) -> Self {
+        Script {
+            draws: draws.into_iter(),
+        }
+    }
+}
+
+impl Rng for Script {
+    fn next_u64(&mut self) -> u64 {
+        self.draws.next().expect("one word per draw") << 11
+    }
+}
+
+/// Number of representable draws: `u = m · 2⁻⁵³` for `m` below this.
+const DRAWS: u64 = 1 << 53;
+
+fn draw_value(m: u64) -> f64 {
+    m as f64 / DRAWS as f64
+}
+
+/// The draws where a guide-table scan could go wrong on this row: zero,
+/// the last draw, the draws around every cumulative value (nearest below,
+/// nearest above, and equal where the value is itself a draw) and around
+/// every guide-cell edge `k/G`.
+fn edge_draws(cumulative: &[f64]) -> Vec<u64> {
+    let cells = cumulative.len().next_power_of_two() as u64;
+    let mut draws = vec![0, DRAWS - 1];
+    let mut around = |m: u64| {
+        draws.extend([m.saturating_sub(1), m, m + 1]);
+    };
+    for &c in cumulative {
+        let scaled = c * DRAWS as f64; // exact: a power of two
+        around(scaled.floor() as u64);
+        around(scaled.ceil() as u64);
+    }
+    for k in 0..=cells {
+        around(k * (DRAWS / cells));
+    }
+    draws.retain(|&m| m < DRAWS);
+    draws
+}
+
+#[test]
+fn guide_draw_is_the_binary_search_at_every_edge() {
+    let cin = topologies::cin(&topologies::CinConfig::default()).topology;
+    let line = topologies::line(30);
+    for topo in [&cin, &line] {
+        let routes = Routes::compute(topo);
+        for spatial in [
+            Spatial::Uniform,
+            Spatial::DistancePower { a: 2.0 },
+            Spatial::QsPower { a: 1.0 },
+            Spatial::QsPower { a: 1.2 },
+            Spatial::QsPower { a: 2.0 },
+            Spatial::PositionPower { a: 2.0 },
+        ] {
+            let sampler = PartnerSampler::new(topo, &routes, spatial);
+            for from in 0..topo.site_count() {
+                let cumulative = sampler.cumulative(from);
+                let partners = sampler.partners(from);
+                let draws = edge_draws(cumulative);
+                let mut script = Script::new(draws.clone());
+                for m in draws {
+                    let u = draw_value(m);
+                    let searched = cumulative
+                        .partition_point(|&c| c < u)
+                        .min(cumulative.len() - 1);
+                    assert_eq!(
+                        sampler.sample_position(from, &mut script),
+                        partners[searched] as usize,
+                        "{spatial:?}, site {from}, draw {m} · 2^-53"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The trait's position form and the `SiteId` form agree, draw for draw
+/// and word for word, on both samplers.
+#[test]
+fn positions_are_site_ids_searched() {
+    use rand::SeedableRng;
+    let topo = topologies::cin(&topologies::CinConfig::default()).topology;
+    let routes = Routes::compute(&topo);
+    let sites = topo.sites();
+    let flat = PartnerSampler::new(&topo, &routes, Spatial::QsPower { a: 1.2 });
+    let tiered = HierarchicalSampler::new(&topo, &routes, 8, 0.5, Spatial::QsPower { a: 2.0 });
+    let mut by_position = rand::rngs::StdRng::seed_from_u64(23);
+    let mut by_id = rand::rngs::StdRng::seed_from_u64(23);
+    for _ in 0..20 {
+        for (from, &site) in sites.iter().enumerate() {
+            let flat_id = flat.sample(site, &mut by_id);
+            assert_eq!(
+                flat.select(from, &mut by_position),
+                sites.binary_search(&flat_id).unwrap()
+            );
+            let tiered_id = tiered.sample(site, &mut by_id);
+            assert_eq!(
+                tiered.select(from, &mut by_position),
+                sites.binary_search(&tiered_id).unwrap()
+            );
+        }
+    }
+    assert_eq!(
+        by_position.next_u64(),
+        by_id.next_u64(),
+        "RNG streams diverged"
+    );
 }

@@ -54,9 +54,9 @@ impl PartnerPolicy for UniformPartners {
 
 /// Topology-aware selection: delegates to any
 /// [`PartnerSelection`] strategy (flat
-/// [`Spatial`](epidemic_net::Spatial) distributions, the §4 hierarchy, …)
-/// and maps the chosen [`SiteId`] back to the dense replica index the
-/// engine works with.
+/// [`Spatial`](epidemic_net::Spatial) distributions, the §4 hierarchy, …).
+/// A strategy answers in positions of the topology's site list, which *is*
+/// the dense replica index the engine works with, so nothing is mapped.
 #[derive(Debug, Clone, Copy)]
 pub struct SpatialPartners<'a, S> {
     sites: &'a [SiteId],
@@ -64,7 +64,7 @@ pub struct SpatialPartners<'a, S> {
 }
 
 impl<'a, S: PartnerSelection> SpatialPartners<'a, S> {
-    /// Wraps `sampler` for the (sorted) dense site list `sites`.
+    /// Wraps `sampler`, built on the topology whose site list is `sites`.
     pub fn new(sites: &'a [SiteId], sampler: &'a S) -> Self {
         SpatialPartners { sites, sampler }
     }
@@ -72,8 +72,9 @@ impl<'a, S: PartnerSelection> SpatialPartners<'a, S> {
 
 impl<S: PartnerSelection> PartnerPolicy for SpatialPartners<'_, S> {
     fn attempt(&self, i: usize, rng: &mut StdRng) -> usize {
-        let partner = self.sampler.select(self.sites[i], rng);
-        self.sites.binary_search(&partner).expect("site exists")
+        let j = self.sampler.select(i, rng);
+        debug_assert!(j < self.sites.len() && j != i);
+        j
     }
 }
 
@@ -120,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn spatial_maps_back_to_dense_indices() {
+    fn spatial_answers_in_dense_indices() {
         let topo = topologies::ring(8);
         let routes = Routes::compute(&topo);
         let sampler = PartnerSampler::new(&topo, &routes, Spatial::Uniform);

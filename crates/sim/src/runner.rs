@@ -181,7 +181,9 @@ impl TrialRunner {
     /// runs ahead blocks once [`RESULTS_IN_FLIGHT`] of its results wait, so
     /// at most `W × (RESULTS_IN_FLIGHT + 1)` results wait to be folded
     /// (buffered, or held by a blocked sender) beside the one being folded.
-    /// A panic in a trial is re-raised here with its own payload.
+    /// A panic in a trial is re-raised here with its own payload. The
+    /// workers' threads have exited when this returns, so the next call's
+    /// workers reuse their malloc arenas and stacks.
     ///
     /// When the global [`profile`] recorder is
     /// on, the time spent inside `fold` is recorded under the
@@ -301,6 +303,16 @@ fn fold_across_workers<S, T: Send, A>(
                         .expect_err("a worker that hung up early has panicked");
                     std::panic::resume_unwind(panic);
                 }
+            }
+        }
+        // The scope only waits for the workers' closures to return; join
+        // the threads themselves. One still tearing down when the next
+        // call spawns its workers holds on to its malloc arena and stack,
+        // so that call gets fresh ones — how often that race was lost
+        // moved a run's peak RSS by hundreds of kB from one run to the next.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
             }
         }
         acc
@@ -558,6 +570,31 @@ mod tests {
             let expected: Vec<(u64, u64)> = (0..30).map(|t| (100 + t, t / workers + 1)).collect();
             assert_eq!(visits, expected, "{workers} workers");
         }
+    }
+
+    /// When the fold returns, its workers' threads are gone — their
+    /// thread-local destructors have run — not merely past their last trial.
+    #[test]
+    fn worker_threads_have_exited_when_the_fold_returns() {
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct SlowExit;
+        impl Drop for SlowExit {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static SLOW_EXIT: SlowExit = const { SlowExit });
+        let workers = 3;
+        let sum = TrialRunner::new().threads(workers).fold(
+            30,
+            0,
+            |seed| SLOW_EXIT.with(|_| seed),
+            0u64,
+            |sum, seed| sum + seed,
+        );
+        assert_eq!(sum, 29 * 30 / 2);
+        assert_eq!(EXITED.load(Ordering::SeqCst), workers);
     }
 
     #[test]

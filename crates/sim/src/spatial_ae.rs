@@ -319,6 +319,24 @@ impl EpidemicProtocol for SpatialAntiEntropyProtocol<'_> {
     }
 
     fn contact(&mut self, cycle: u32, i: usize, j: usize, _rng: &mut StdRng) -> ContactStats {
+        // A site is marked exactly when it holds the update — the origin
+        // from the start, everyone else from the contact that delivered it
+        // — and there is one version of one key, so two sites with equal
+        // marks hold equal databases: the conversation still happens and
+        // is charged, but its diff is empty and need not be computed.
+        if self.received.is_marked(i) == self.received.is_marked(j) {
+            #[cfg(debug_assertions)]
+            {
+                let (a, b) = pair_mut(&mut self.replicas, i, j);
+                let stats = self.exchange.exchange_with(a, b, &mut self.scratch);
+                assert!(
+                    !stats.update_flowed(),
+                    "sites {i} and {j} carry equal marks but exchanged {stats:?}"
+                );
+            }
+            self.recorder.record(self.sites[i], self.sites[j], 0);
+            return ContactStats::default();
+        }
         let (a, b) = pair_mut(&mut self.replicas, i, j);
         let stats = self.exchange.exchange_with(a, b, &mut self.scratch);
         let flowed = stats.update_flowed();

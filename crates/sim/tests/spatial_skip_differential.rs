@@ -1,0 +1,180 @@
+//! The known-converged skip in `SpatialAntiEntropyProtocol::contact` against
+//! a protocol that never skips.
+//!
+//! `AlwaysExchange` below is the contact body as it stood before the skip:
+//! every conversation runs the full push-pull compare. Both protocols go
+//! through the same engine, policy and seed, so every field of the
+//! `SpatialRunResult` and every line of the `TraceObserver` event log must
+//! be equal — a skip taken when only one side holds the update shows as a
+//! later `t_last` and missing update traffic, a skipped branch that forgets
+//! its compare charge as lower compare traffic.
+
+use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
+use epidemic_db::SiteId;
+use epidemic_net::{topologies, PartnerSampler, Routes, Spatial, Topology};
+use epidemic_sim::engine::{
+    ContactStats, CycleEngine, EpidemicProtocol, ReceiveLog, RouteRecorder, SirCounts, SirView,
+    SpatialPartners, TraceObserver,
+};
+use epidemic_sim::{AntiEntropySim, SpatialRunResult};
+use epidemic_trace::TraceConfig;
+use rand::rngs::StdRng;
+use rand::seq::IndexedRandom;
+use rand::SeedableRng;
+
+const KEY: u32 = 0;
+
+struct AlwaysExchange<'a> {
+    exchange: AntiEntropy,
+    sites: &'a [SiteId],
+    replicas: Vec<Replica<u32, u32>>,
+    received: ReceiveLog<u32>,
+    recorder: RouteRecorder<'a>,
+    scratch: ExchangeScratch<u32, u32>,
+}
+
+impl EpidemicProtocol for AlwaysExchange<'_> {
+    fn site_count(&self) -> usize {
+        self.replicas.len()
+    }
+
+    fn finished(&self, _cycle: u32, _active: &[usize]) -> bool {
+        self.received.complete()
+    }
+
+    fn contact(&mut self, cycle: u32, i: usize, j: usize, _rng: &mut StdRng) -> ContactStats {
+        let [a, b] = self
+            .replicas
+            .get_disjoint_mut([i, j])
+            .expect("two distinct sites");
+        let stats = self.exchange.exchange_with(a, b, &mut self.scratch);
+        let flowed = stats.update_flowed();
+        self.recorder
+            .record(self.sites[i], self.sites[j], u64::from(flowed));
+        if flowed {
+            for idx in [i, j] {
+                if self.replicas[idx].db().entry(&KEY).is_some() {
+                    self.received.mark(idx, cycle);
+                }
+            }
+        }
+        ContactStats {
+            sent: u64::from(flowed),
+            useful: u64::from(flowed),
+        }
+    }
+}
+
+impl SirView for AlwaysExchange<'_> {
+    fn sir_counts(&self) -> SirCounts {
+        let have = self.received.received_count();
+        SirCounts {
+            susceptible: self.replicas.len() - have,
+            infective: have,
+            removed: 0,
+        }
+    }
+}
+
+/// `AntiEntropySim::run_observed` with `AlwaysExchange` in the protocol's
+/// place: the same set-up draws, engine settings and result assembly.
+fn always_exchange_run(
+    topology: &Topology,
+    spatial: Spatial,
+    (connection_limit, hunt_limit): (Option<u32>, u32),
+    seed: u64,
+    observer: &mut TraceObserver,
+) -> SpatialRunResult {
+    let routes = Routes::compute(topology);
+    let sampler = PartnerSampler::new(topology, &routes, spatial);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sites = topology.sites();
+    let mut replicas: Vec<Replica<u32, u32>> = sites.iter().map(|&s| Replica::new(s)).collect();
+    let origin = *sites.choose(&mut rng).expect("sites");
+    let origin_idx = sites.binary_search(&origin).expect("site exists");
+    replicas[origin_idx].client_update(KEY, 1);
+    replicas[origin_idx].hot_mut().clear();
+    let mut received = ReceiveLog::new(sites.len());
+    received.mark(origin_idx, 0);
+
+    let mut protocol = AlwaysExchange {
+        exchange: AntiEntropy::new(Direction::PushPull, Comparison::Full),
+        sites,
+        replicas,
+        received,
+        recorder: RouteRecorder::new(&routes, topology.link_count()),
+        scratch: ExchangeScratch::new(),
+    };
+    let report = CycleEngine::new()
+        .connection_limit(connection_limit)
+        .hunt_limit(hunt_limit)
+        .max_cycles(10_000)
+        .run(
+            &mut protocol,
+            &SpatialPartners::new(sites, &sampler),
+            &mut rng,
+            observer,
+        );
+
+    SpatialRunResult {
+        t_last: protocol.received.t_last().unwrap_or(0),
+        t_ave: protocol.received.t_ave_all(report.cycles),
+        compare_traffic: protocol.recorder.compare,
+        update_traffic: protocol.recorder.update,
+        cycles: report.cycles,
+    }
+}
+
+#[test]
+fn skipping_known_equal_pairs_changes_nothing_observable() {
+    let cases = [
+        (topologies::ring(24), Spatial::Uniform),
+        (topologies::grid(&[6, 6]), Spatial::QsPower { a: 2.0 }),
+        (
+            topologies::cin(&topologies::CinConfig::default()).topology,
+            Spatial::QsPower { a: 1.2 },
+        ),
+    ];
+    for (topology, spatial) in &cases {
+        for limits in [(None, 0), (Some(1), 2)] {
+            let sim = AntiEntropySim::new(topology, *spatial)
+                .connection_limit(limits.0)
+                .hunt_limit(limits.1);
+            for seed in 0..3 {
+                let mut skipping_log = TraceObserver::new(TraceConfig::full());
+                let skipping = sim.run_observed(seed, None, &mut skipping_log);
+                let mut reference_log = TraceObserver::new(TraceConfig::full());
+                let reference =
+                    always_exchange_run(topology, *spatial, limits, seed, &mut reference_log);
+
+                let case = format!(
+                    "{spatial} on {} sites, {limits:?}, seed {seed}",
+                    topology.site_count()
+                );
+                assert_eq!(skipping.t_last, reference.t_last, "{case}");
+                assert_eq!(
+                    skipping.t_ave.to_bits(),
+                    reference.t_ave.to_bits(),
+                    "{case}"
+                );
+                assert_eq!(skipping.cycles, reference.cycles, "{case}");
+                assert_eq!(
+                    skipping.compare_traffic, reference.compare_traffic,
+                    "{case}"
+                );
+                assert_eq!(skipping.update_traffic, reference.update_traffic, "{case}");
+                let (skipping_log, reference_log) = (skipping_log.finish(), reference_log.finish());
+                assert_eq!(
+                    skipping_log.lines().count(),
+                    reference_log.lines().count(),
+                    "{case}"
+                );
+                for (line, (got, want)) in
+                    skipping_log.lines().zip(reference_log.lines()).enumerate()
+                {
+                    assert_eq!(got, want, "{case}, event log line {}", line + 1);
+                }
+            }
+        }
+    }
+}
