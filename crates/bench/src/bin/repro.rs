@@ -28,9 +28,9 @@
 //! file. `--json <dir>` writes the machine-readable rows
 //! (`<name>.rows.json`) plus the same `<name>.agg.json`. Both modes add
 //! a top-level `manifest.json` naming the experiments run and the
-//! threads / shard configuration. No artifact carries
-//! wall-clock fields, so every written byte is identical at any
-//! `EPIDEMIC_THREADS`. `epidemic-analyze` consumes these artifacts.
+//! worker-thread count. No artifact carries wall-clock fields, so every
+//! written byte is identical at any `EPIDEMIC_THREADS`.
+//! `epidemic-analyze` consumes these artifacts.
 //!
 //! `--timings [PATH]` additionally records per-experiment wall-clock
 //! seconds, per-experiment memory (`rss_delta_kb`, the experiment's own
@@ -127,7 +127,6 @@ const ALL: &[&str] = &[
     "fig-checksum-window",
     "fig-async",
     "fig-cin-steady",
-    "fig-cin-steady-sharded",
     "fig-megascale",
     "ablation-hierarchy",
     "ablation-weighted-cin",
@@ -174,10 +173,9 @@ fn write_artifact(dir: &str, file: &str, contents: &str) {
 }
 
 /// The top-level `manifest.json` written to every `--trace`/`--json`
-/// directory: which experiments ran (in order) and the deterministic run
-/// configuration — worker threads, shard count. The thread count
-/// documents the parallelism used; the artifacts themselves are
-/// byte-identical at any value of it.
+/// directory: which experiments ran (in order) and the worker-thread
+/// count. The thread count documents the parallelism used; the artifacts
+/// themselves are byte-identical at any value of it.
 fn manifest_json(experiments: &[&str]) -> String {
     let mut o = JsonObject::new();
     // Experiment names come from the fixed in-tree list: no escaping.
@@ -185,8 +183,7 @@ fn manifest_json(experiments: &[&str]) -> String {
         "experiments",
         &array_of(experiments.iter().map(|name| format!("\"{name}\""))),
     )
-    .field_u64("threads", epidemic_sim::runner::default_threads() as u64)
-    .field_u64("shards", epidemic_sim::engine::default_shards() as u64);
+    .field_u64("threads", epidemic_sim::runner::default_threads() as u64);
     o.finish()
 }
 
@@ -271,9 +268,8 @@ fn take_dir_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
 const DEFAULT_TIMINGS_PATH: &str = "BENCH_repro.json";
 
 /// Every `EPIDEMIC_*` variable `repro` reads.
-const KNOWN_ENV: [&str; 3] = [
+const KNOWN_ENV: [&str; 2] = [
     epidemic_sim::runner::THREADS_ENV_VAR,
-    epidemic_sim::engine::SHARDS_ENV_VAR,
     figures::MEGASCALE_MAX_N_ENV,
 ];
 
@@ -282,7 +278,6 @@ const KNOWN_ENV: [&str; 3] = [
 /// read at all (a typo, or a variable a past version had).
 fn check_environment() -> Result<(), String> {
     epidemic_sim::runner::thread_override()?;
-    epidemic_sim::engine::shard_override()?;
     figures::megascale_max_n_override()?;
     for (name, value) in std::env::vars_os() {
         let name = name.to_string_lossy();

@@ -943,129 +943,6 @@ pub fn cin_steady_table(runner: TrialRunner, trials: u64) -> FigTable {
     )
 }
 
-/// The sharded-engine counterpart of [`cin_steady_table`]'s measurement:
-/// one row per spatial distribution, each trial run on the deterministic
-/// shard-parallel engine. Exposed (with explicit runner/shard/worker
-/// inputs) so the determinism suite can pin that the rendered rows are
-/// byte-identical at any worker count.
-pub fn cin_steady_sharded_rows(
-    runner: TrialRunner,
-    net: &topologies::Cin,
-    trials: u64,
-    shards: usize,
-    workers: usize,
-) -> Vec<Vec<String>> {
-    cin_steady_sharded_data(runner, net, trials, shards, workers).0
-}
-
-/// As [`cin_steady_sharded_rows`], additionally streaming every trial
-/// through an [`AggregateObserver`] — one merged entry per distribution.
-/// The aggregate is a pure function of `(seed, shards)` and never of
-/// `workers` or thread count, so the serialized bytes are identical at
-/// any parallelism budget.
-pub fn cin_steady_sharded_data(
-    runner: TrialRunner,
-    net: &topologies::Cin,
-    trials: u64,
-    shards: usize,
-    workers: usize,
-) -> (Vec<Vec<String>>, Vec<AggEntry>) {
-    use epidemic_sim::spatial_steady::{SpatialSteadyConfig, SpatialSteadySim};
-    let config = SpatialSteadyConfig::default();
-    let mut rows = Vec::new();
-    let mut aggregates = Vec::new();
-    for (label, spatial) in [
-        ("uniform".to_string(), Spatial::Uniform),
-        ("a = 1.2".to_string(), Spatial::QsPower { a: 1.2 }),
-        ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
-    ] {
-        let sim = SpatialSteadySim::new(&net.topology, spatial, config);
-        let (acc, agg) = crate::parallel_trials_with(
-            runner,
-            trials,
-            |seed| {
-                let mut sink = AggregateObserver::new();
-                let r = sim.run_sharded_observed(seed + 31, shards, workers, &mut sink);
-                (
-                    [
-                        r.conversations_per_link_cycle,
-                        r.entries_per_link_cycle,
-                        r.entry_traffic.at(net.bushey_link) as f64 / f64::from(r.measured_cycles),
-                        r.full_compare_rate,
-                    ],
-                    sink.finish(),
-                )
-            },
-            ([0.0f64; 4], RunAggregate::default()),
-            |(mut a, mut agg), (r, trial_agg)| {
-                for (x, v) in a.iter_mut().zip(r) {
-                    *x += v;
-                }
-                agg.merge(&trial_agg);
-                (a, agg)
-            },
-        );
-        let t = trials as f64;
-        rows.push(vec![
-            label.clone(),
-            fmt(acc[0] / t),
-            fmt(acc[1] / t),
-            fmt(acc[2] / t),
-            fmt(acc[3] / t),
-        ]);
-        aggregates.push(AggEntry {
-            label: label.clone(),
-            params: vec![
-                ("distribution".to_string(), label),
-                ("trials".to_string(), trials.to_string()),
-                ("shards".to_string(), shards.to_string()),
-            ],
-            observed: vec![
-                ("conversations_per_link_cycle".to_string(), acc[0] / t),
-                ("entries_per_link_cycle".to_string(), acc[1] / t),
-                ("entries_bushey_per_cycle".to_string(), acc[2] / t),
-                ("full_compare_rate".to_string(), acc[3] / t),
-            ],
-            agg,
-        });
-    }
-    (rows, aggregates)
-}
-
-/// [`cin_steady_sharded_data`] at the default shard count, the thread
-/// budget split between trial fan-out and per-trial shard workers so
-/// nesting never oversubscribes (a different RNG universe from
-/// [`cin_steady_table`] — numbers agree statistically, not
-/// byte-for-byte).
-pub fn cin_steady_sharded_default(trials: u64) -> (FigTable, Vec<AggEntry>) {
-    let net = cin(&CinConfig::default());
-    let shards = epidemic_sim::engine::default_shards();
-    let runner = TrialRunner::new();
-    let (trial_workers, shard_workers) = runner.split_budget(trials, shards);
-    let (rows, aggregates) = cin_steady_sharded_data(
-        runner.threads(trial_workers),
-        &net,
-        trials,
-        shards,
-        shard_workers,
-    );
-    let table = FigTable::new(
-        &format!(
-            "Steady state on the CIN (sharded engine, {shards} shards): \
-             recent-list anti-entropy, 2 updates/cycle"
-        ),
-        &[
-            "distribution",
-            "conv/link/cycle",
-            "entries/link/cycle",
-            "entries Bushey/cycle",
-            "full-compare rate",
-        ],
-        rows,
-    );
-    (table, aggregates)
-}
-
 /// Weighted-CIN ablation: modelling the transatlantic phone lines as
 /// high-cost links. `d`-seen distance pushes `Q_s(d)`'s sorted lists
 /// around, so Europe appears "farther" and crossing traffic falls further
@@ -1565,7 +1442,6 @@ pub fn figure_data(runner: TrialRunner, name: &str, n: usize, mix_trials: u64) -
         "fig-checksum-window" => FigData::table(checksum_window_table()),
         "fig-async" => FigData::table(async_ablation_table(50)),
         "fig-cin-steady" => FigData::table(cin_steady_table(runner, 20)),
-        "fig-cin-steady-sharded" => FigData::with_aggregates(cin_steady_sharded_default(20)),
         "fig-megascale" => FigData::with_aggregates(megascale_fig()),
         "ablation-hierarchy" => FigData::table(hierarchy_table(50)),
         "ablation-weighted-cin" => FigData::table(weighted_cin_table(50)),

@@ -1,14 +1,12 @@
 //! The acceptance property behind the `.agg.json` artifacts: streaming
 //! aggregates are pure functions of the experiment's seed universe, so
 //! the serialized bytes must be identical at any `EPIDEMIC_THREADS`
-//! budget — and, for the sharded engine, at any worker count for a fixed
-//! shard count. They must also carry no wall-clock, allocation, or RSS
+//! budget. They must also carry no wall-clock, allocation, or RSS
 //! fields, or the byte-identity above would be unachievable.
 
-use epidemic_bench::figures::{cin_steady_sharded_data, figure_artifacts};
+use epidemic_bench::figures::figure_artifacts;
 use epidemic_bench::scenarios::scenario_artifacts;
-use epidemic_bench::trace::{agg_json, table_artifacts};
-use epidemic_net::topologies::{cin, CinConfig};
+use epidemic_bench::trace::table_artifacts;
 use epidemic_sim::runner::TrialRunner;
 
 /// Aggregates describe simulated cycles only; any of these substrings in
@@ -73,39 +71,4 @@ fn scenario_aggregate_is_byte_identical_across_thread_counts() {
     assert_eq!(sequential.agg, parallel.agg);
     assert!(sequential.agg.contains(r#""kind":"scenario""#));
     assert_no_wall_clock_fields(&sequential.agg);
-}
-
-#[test]
-fn sharded_aggregate_is_worker_invariant_at_each_shard_count() {
-    // A small CIN keeps the test fast; determinism does not depend on
-    // topology size.
-    let net = cin(&CinConfig {
-        na_regions: 3,
-        sites_per_region: 6,
-        europe_sites: 6,
-        backbone_chords: 1,
-        transatlantic_cost: 1,
-        seed: 42,
-    });
-    for shards in [4usize, 8] {
-        let run = |threads: usize, workers: usize| {
-            let (_, aggregates) = cin_steady_sharded_data(
-                TrialRunner::new().threads(threads),
-                &net,
-                3,
-                shards,
-                workers,
-            );
-            agg_json("fig-cin-steady-sharded", "figure", &aggregates)
-        };
-        let reference = run(1, 1);
-        // Vary the trial fan-out and the intra-trial worker pool
-        // together: the aggregate is a pure function of (seed, shards).
-        assert_eq!(
-            run(8, 2),
-            reference,
-            "aggregate differs across workers at {shards} shards"
-        );
-        assert_no_wall_clock_fields(&reference);
-    }
 }

@@ -39,11 +39,18 @@ fn only_with_no_match_exits_nonzero_and_lists_names() {
 
 #[test]
 fn unknown_experiment_exits_nonzero_and_lists_names() {
-    let out = repro(&["definitely-not-real"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown experiment"), "{stderr}");
-    assert!(stderr.contains("table1"), "{stderr}");
+    // The second name is the retired twin of fig-cin-steady, spelled in
+    // pieces so a search for it finds no live use.
+    for name in [
+        "definitely-not-real",
+        concat!("fig-cin-steady-", "sh", "arded"),
+    ] {
+        let out = repro(&[name]);
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown experiment"), "{stderr}");
+        assert!(stderr.contains("table1"), "{stderr}");
+    }
 }
 
 #[test]
@@ -143,19 +150,19 @@ fn timings_report_the_runner_phases() {
 
 #[test]
 fn invalid_environment_is_rejected_naming_variable_and_value() {
-    // A bad value used to fall back silently (threads, shards) or panic
-    // mid-run (megascale cap); a name `repro` does not read — retired, or
-    // a typo — used to be ignored.
-    const KNOWN: &str = "known: EPIDEMIC_THREADS EPIDEMIC_SHARDS EPIDEMIC_MEGASCALE_MAX_N";
+    // A bad value used to fall back silently (threads) or panic mid-run
+    // (megascale cap); a name `repro` does not read — retired, or a typo
+    // — used to be ignored.
+    const KNOWN: &str = "known: EPIDEMIC_THREADS EPIDEMIC_MEGASCALE_MAX_N";
     for (var, bad, unknown) in [
         ("EPIDEMIC_THREADS", "abc", false),
         ("EPIDEMIC_THREADS", "0", false),
-        ("EPIDEMIC_SHARDS", "abc", false),
-        ("EPIDEMIC_SHARDS", "0", false),
         ("EPIDEMIC_MEGASCALE_MAX_N", "ten", false),
-        // The retired storage switch, spelled in pieces so a search for
-        // the name finds no live use.
+        // The retired storage switch and the retired partition count of
+        // the third cycle engine, spelled in pieces so a search for the
+        // names finds no live use.
         (concat!("EPIDEMIC_", "BACKEND"), "flat", true),
+        (concat!("EPIDEMIC_", "SH", "ARDS"), "8", true),
         ("EPIDEMIC_THREAD", "4", true),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -208,13 +215,15 @@ fn figures_write_artifacts_and_a_manifest() {
     assert!(rows.contains(r#""kind":"figure""#), "{rows}");
     let manifest = std::fs::read_to_string(dir.join("manifest.json"))
         .expect("manifest.json written next to the artifacts");
-    for key in ["\"fig-line-traffic\"", "\"threads\"", "\"shards\""] {
+    for key in ["\"fig-line-traffic\"", "\"threads\""] {
         assert!(manifest.contains(key), "manifest records {key}: {manifest}");
     }
-    assert!(
-        !manifest.contains("backend"),
-        "there is one store layout, nothing to record: {manifest}"
-    );
+    for retired in ["backend", concat!("sh", "ards")] {
+        assert!(
+            !manifest.contains(retired),
+            "one store layout, one way to run a cycle — nothing to record: {manifest}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -227,6 +236,33 @@ fn list_knows_fig_megascale() {
         stdout.lines().any(|l| l == "fig-megascale"),
         "--list must include fig-megascale: {stdout}"
     );
+}
+
+/// The committed suite baseline has one row per experiment, in `--list`
+/// order: adding or retiring an experiment without re-recording
+/// `BENCH_repro.json` fails here rather than surfacing as bench-diff's
+/// "missing from candidate, not gated" line.
+#[test]
+fn list_equals_the_committed_baselines_experiments() {
+    let out = repro(&["--list"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let listed: Vec<&str> = stdout.lines().filter(|l| !l.starts_with('[')).collect();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
+    let baseline = std::fs::read_to_string(path).expect("BENCH_repro.json is committed");
+    let baseline = epidemic_trace::json::parse(&baseline).expect("BENCH_repro.json parses");
+    let recorded: Vec<&str> = baseline
+        .get("experiments")
+        .and_then(|e| e.as_array())
+        .expect("an experiments array")
+        .iter()
+        .map(|row| {
+            row.get("name")
+                .and_then(|n| n.as_str())
+                .expect("every row is named")
+        })
+        .collect();
+    assert_eq!(listed, recorded, "re-record BENCH_repro.json");
 }
 
 #[test]

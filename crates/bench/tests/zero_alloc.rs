@@ -123,46 +123,13 @@ fn converged_exchanges_do_not_allocate() {
         }
     }
 
-    // The sharded engine gives every shard its own `ExchangeScratch`
-    // (`ShardableProtocol::make_shard`) instead of the sequential engine's
-    // single scratch. Steady-state contacts must stay allocation-free per
-    // shard too: the scratch-reuse property cannot depend on there being
-    // exactly one scratch. (Same measured window discipline as above; this
-    // stays inside the single test so no sibling bleeds allocations.)
-    let (mut a, mut b) = converged_pair();
-    let protocol = AntiEntropy::new(Direction::PushPull, Comparison::RecentList { tau: TAU });
-    let mut shard_scratches = [ExchangeScratch::new(), ExchangeScratch::new()];
-    for scratch in &mut shard_scratches {
-        for _ in 0..2 {
-            black_box(protocol.exchange_with(&mut a, &mut b, scratch));
-        }
-    }
-    let delta = min_allocations(5, || {
-        for _ in 0..50 {
-            for scratch in &mut shard_scratches {
-                black_box(protocol.exchange_with(&mut a, &mut b, scratch));
-            }
-        }
-    });
-    assert_eq!(
-        delta, 0,
-        "per-shard scratch: converged steady-state exchanges allocated {delta} times"
-    );
-
     // The *engine* around those exchanges must be allocation-free per cycle
-    // too. The sharded engine's single-worker path used to assemble
-    // per-round slice/rng/state/task Vecs on every round of every cycle,
-    // which is why fig-cin-steady-sharded out-allocated its sequential twin
-    // (954,625 vs 783,861). With the borrows now carved inline, two
-    // identical steady-state runs differing only in `max_cycles` must
-    // allocate *identically*: the longer run is a strict single-threaded
+    // too: two identical steady-state runs differing only in their cycle
+    // count must allocate *identically* — the longer run is a strict
     // superset of the shorter one, so any difference is per-cycle engine
     // overhead. Zero update injection keeps the replicas converged-empty
     // (isolating the engine), and the two-site line forces deterministic
-    // partner choice so the per-pair event buckets reach their high-water
-    // capacity in cycle one of both runs — with two shards of one site
-    // each, every cycle still runs both the self-pair and the cross-pair
-    // inline branches the fix rewrote.
+    // partner choice.
     let topo = epidemic_net::topologies::line(2);
     let run_allocs = |cycles: u32| {
         let sim = epidemic_sim::spatial_steady::SpatialSteadySim::new(
@@ -176,7 +143,7 @@ fn converged_exchanges_do_not_allocate() {
             },
         );
         min_allocations(5, || {
-            black_box(sim.run_sharded(11, 2, 1));
+            black_box(sim.run(11));
         })
     };
     let short = run_allocs(6);
@@ -184,7 +151,7 @@ fn converged_exchanges_do_not_allocate() {
     assert_eq!(
         long,
         short,
-        "sharded engine allocated {} times over 50 extra steady-state cycles",
+        "the cycle engine allocated {} times over 50 extra steady-state cycles",
         long.saturating_sub(short)
     );
 }

@@ -90,27 +90,9 @@ impl LinkTraffic {
             .map(|(i, &c)| (LinkId::from_index(i), c))
     }
 
-    /// Adds another counter set into this one (for aggregating runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two counters track different numbers of links.
-    pub fn merge(&mut self, other: &LinkTraffic) {
-        assert_eq!(self.counts.len(), other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
-
     /// Raw per-link counts, indexable by [`LinkId::index`].
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Resets every counter to zero, keeping the link count (for reusable
-    /// per-shard accumulators that drain into a total each cycle).
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
     }
 }
 
@@ -159,25 +141,6 @@ mod tests {
         let mut t = LinkTraffic::new(topo.link_count());
         t.record_route(&routes, topo.sites()[1], topo.sites()[1]);
         assert_eq!(t.total(), 0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = LinkTraffic::new(3);
-        let mut b = LinkTraffic::new(3);
-        a.record_link(LinkId::from_index(0));
-        b.record_link(LinkId::from_index(0));
-        b.record_link(LinkId::from_index(2));
-        a.merge(&b);
-        assert_eq!(a.counts(), &[2, 0, 1]);
-        assert!((a.mean_per_link() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn merge_rejects_mismatched_sizes() {
-        let mut a = LinkTraffic::new(2);
-        a.merge(&LinkTraffic::new(3));
     }
 
     #[test]

@@ -218,9 +218,9 @@ pub mod rngs {
     ///
     /// * a contact loop may iterate **only the active sites, in any
     ///   order**, and still replay bit-identically;
-    /// * shard-parallel execution is byte-identical to sequential
-    ///   execution by construction — there is no per-shard stream to
-    ///   keep in sync.
+    /// * splitting the roster across worker threads is byte-identical to
+    ///   sequential execution by construction — there is no per-worker
+    ///   stream to keep in sync.
     ///
     /// The stream origin hashes the triple through three finalizer
     /// rounds (one per coordinate); successive draws then walk the

@@ -1,5 +1,5 @@
 //! The active-set cycle engine: per-cycle cost proportional to the
-//! *infective* sites, shard-parallel for free.
+//! *infective* sites, its draw phase parallel for free.
 //!
 //! [`CycleEngine`](super::CycleEngine) walks the full roster every cycle
 //! — it must, because its sequential RNG makes each partner draw depend
@@ -26,9 +26,7 @@
 //!    [`CycleEngine`](super::CycleEngine)'s asynchronous loop, just with a
 //!    sorted roster instead of a shuffled one. Because the replay order is fixed by the roster rather than
 //!    by thread scheduling, the result — and the observer's event stream
-//!    — is byte-identical at *any* worker count (a strictly stronger
-//!    guarantee than the [`ShardedCycleEngine`](super::ShardedCycleEngine)'s,
-//!    whose output depends on its shard count).
+//!    — is byte-identical at *any* worker count.
 //!
 //! Totals stay exact without full traversal: every active initiator makes
 //! exactly one contact, and `fruitless = contacts − useful` falls out of

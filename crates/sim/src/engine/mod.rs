@@ -30,17 +30,12 @@ pub mod active;
 pub mod observer;
 pub mod partner;
 pub mod protocols;
-pub mod sharded;
 pub mod trace;
 
 pub use active::{ActiveCycleEngine, ActiveSetProtocol};
 pub use observer::{Observer, SirCounts, SirObserver, SirView};
 pub use partner::{PartnerPolicy, SpatialPartners, UniformPartners};
 pub use protocols::{DirectMailProtocol, ReceiveLog, RouteRecorder, UpdateInjector};
-pub use sharded::{
-    default_shards, shard_override, ContactPair, ShardableProtocol, ShardedCycleEngine,
-    DEFAULT_SHARDS, SHARDS_ENV_VAR,
-};
 pub use trace::{AggregateObserver, InvariantObserver, TraceObserver, TraceView};
 
 use std::time::Instant;

@@ -25,10 +25,7 @@ use epidemic_net::{LinkTraffic, Routes};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use super::{
-    ContactPair, ContactStats, EpidemicProtocol, Roster, ShardableProtocol, SirCounts, SirView,
-    UniformPartners,
-};
+use super::{ContactStats, EpidemicProtocol, Roster, SirCounts, SirView, UniformPartners};
 use crate::bitset::BitSet;
 use crate::engine::PartnerPolicy;
 use crate::util::pair_mut;
@@ -187,11 +184,6 @@ impl<'a> RouteRecorder<'a> {
         self.update
             .record_route_units(self.routes, from, to, update_units);
     }
-
-    /// The routing table the recorder charges against.
-    pub fn routes(&self) -> &'a Routes {
-        self.routes
-    }
 }
 
 /// Fractional-rate client-update injection with carry accumulation.
@@ -280,9 +272,9 @@ pub(crate) struct MixingState {
     pub(crate) sites: Vec<Replica<u32, u32>>,
     pub(crate) received: ReceiveLog<u32>,
     /// "Hot list non-empty", one bit per site — the active set. `contact`
-    /// refreshes the bits of both endpoints, `end_cycle` those of the
-    /// sites it visits and `absorb` those a shard's contacts touched, so
-    /// whenever the engine looks it equals the `is_active` scan.
+    /// refreshes the bits of both endpoints and `end_cycle` those of the
+    /// sites it visits, so whenever the engine looks it equals the
+    /// `is_active` scan.
     pub(crate) active: BitSet,
     /// Start-of-cycle "holds the update" snapshot (push/pull synchronous).
     pub(crate) state0: BitSet,
@@ -335,7 +327,7 @@ impl MixingProtocol {
     /// Resets `state` to `n` empty sites, seeds the update at site 0 and
     /// marks it in the receive log and the active set — the one place
     /// that establishes "marked ⇔ holds the update" and "active ⇔ hot
-    /// list non-empty", which `contact`/`end_cycle`/`absorb` then keep.
+    /// list non-empty", which `contact`/`end_cycle` then keep.
     pub(crate) fn new(
         cfg: RumorConfig,
         synchronous: bool,
@@ -482,8 +474,8 @@ impl EpidemicProtocol for MixingProtocol {
     fn begin_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
         let state = &mut self.state;
         // A site holds the update exactly when the receive log has marked
-        // it (every `contact`/`absorb` branch marks as the entry lands),
-        // so the snapshot copies the log's marks, not each database.
+        // it (every `contact` branch marks as the entry lands), so the
+        // snapshot copies the log's marks, not each database.
         match self.cfg.direction {
             Direction::Push => state.state0.copy_from(state.received.marks()),
             Direction::Pull => {
@@ -517,154 +509,6 @@ impl EpidemicProtocol for MixingProtocol {
                 rumor::end_cycle(&self.cfg, &mut sites[i]);
                 !sites[i].hot().is_empty()
             });
-        }
-    }
-}
-
-/// Read-only cycle context for the sharded mixing path: configuration and
-/// the start-of-cycle snapshots captured by `begin_cycle`.
-pub struct MixingCtx<'p> {
-    cfg: &'p RumorConfig,
-    synchronous: bool,
-    state0: &'p BitSet,
-    hot0: &'p BitSet,
-}
-
-/// Per-shard accumulator for the sharded mixing path: one rumor scratch
-/// per shard (PR 4's buffer-reuse discipline, now shard-owned) plus the
-/// deferred receive-log marks.
-pub struct MixingShard {
-    scratch: RumorScratch<u32>,
-    marks: Vec<(usize, u32)>,
-    /// Endpoints of this shard's contacts: the sites whose hot lists may
-    /// have changed, for `absorb` to refresh in the active set.
-    touched: Vec<usize>,
-}
-
-impl ShardableProtocol for MixingProtocol {
-    type Site = Replica<u32, u32>;
-    type Ctx<'p> = MixingCtx<'p>;
-    type Shard = MixingShard;
-
-    fn make_shard(&self) -> MixingShard {
-        MixingShard {
-            scratch: RumorScratch::new(),
-            marks: Vec::new(),
-            touched: Vec::new(),
-        }
-    }
-
-    fn split(&mut self) -> (MixingCtx<'_>, &mut [Replica<u32, u32>]) {
-        (
-            MixingCtx {
-                cfg: &self.cfg,
-                synchronous: self.synchronous,
-                state0: &self.state.state0,
-                hot0: &self.state.hot0,
-            },
-            &mut self.state.sites,
-        )
-    }
-
-    fn contact_sharded(
-        ctx: &MixingCtx<'_>,
-        shard: &mut MixingShard,
-        cycle: u32,
-        pair: ContactPair<'_, Replica<u32, u32>>,
-        rng: &mut StdRng,
-    ) -> ContactStats {
-        let ContactPair { i, a, j, b } = pair;
-        shard.touched.extend([i, j]);
-        match ctx.cfg.direction {
-            Direction::Push => {
-                if ctx.synchronous {
-                    let Some(entry) = a.db().entry(&KEY).cloned() else {
-                        a.hot_mut().remove(&KEY);
-                        return ContactStats::default();
-                    };
-                    let applied = b.receive_rumor(KEY, entry).was_useful();
-                    rumor::record_feedback(ctx.cfg, a, &KEY, !ctx.state0.get(j), rng);
-                    if applied {
-                        shard.marks.push((j, cycle));
-                    }
-                    ContactStats {
-                        sent: 1,
-                        useful: u64::from(applied),
-                    }
-                } else {
-                    let stats =
-                        rumor::push_contact_with(ctx.cfg, a, b, rng, &mut shard.scratch.a_keys);
-                    if stats.useful > 0 {
-                        shard.marks.push((j, cycle));
-                    }
-                    stats.into()
-                }
-            }
-            Direction::Pull => {
-                let (requester, source) = (a, b);
-                if ctx.synchronous {
-                    if !ctx.hot0.get(j) {
-                        return ContactStats::default();
-                    }
-                    let Some(entry) = source.db().entry(&KEY).cloned() else {
-                        return ContactStats::default();
-                    };
-                    let applied = requester.receive_rumor(KEY, entry).was_useful();
-                    let needed = match ctx.cfg.feedback {
-                        Feedback::Feedback => !ctx.state0.get(i),
-                        Feedback::Blind => false,
-                    };
-                    match ctx.cfg.removal {
-                        Removal::Counter { .. } => {
-                            source.hot_mut().record_pending(&KEY, needed);
-                        }
-                        Removal::Coin { .. } => {
-                            rumor::record_feedback(ctx.cfg, source, &KEY, needed, rng);
-                        }
-                    }
-                    if applied {
-                        shard.marks.push((i, cycle));
-                    }
-                    ContactStats {
-                        sent: 1,
-                        useful: u64::from(applied),
-                    }
-                } else {
-                    let stats = rumor::pull_contact_with(
-                        ctx.cfg,
-                        requester,
-                        source,
-                        rng,
-                        &mut shard.scratch.b_keys,
-                    );
-                    if stats.useful > 0 {
-                        shard.marks.push((i, cycle));
-                    }
-                    stats.into()
-                }
-            }
-            Direction::PushPull => {
-                let stats = rumor::push_pull_contact_with(ctx.cfg, a, b, rng, &mut shard.scratch);
-                if a.db().entry(&KEY).is_some() {
-                    shard.marks.push((i, cycle));
-                }
-                if b.db().entry(&KEY).is_some() {
-                    shard.marks.push((j, cycle));
-                }
-                stats.into()
-            }
-        }
-    }
-
-    fn absorb(&mut self, shard: &mut MixingShard) {
-        // Every mark in a cycle carries the same cycle value and
-        // `ReceiveLog::mark` keeps the first receipt, so drain order
-        // across shards cannot change the recorded times.
-        for (site, cycle) in shard.marks.drain(..) {
-            self.state.received.mark(site, cycle);
-        }
-        for site in shard.touched.drain(..) {
-            self.state.refresh(site);
         }
     }
 }
@@ -730,63 +574,6 @@ impl EpidemicProtocol for BitAntiEntropyProtocol {
     fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
         let n = self.infected.len();
         self.trace.push((n - self.count) as f64 / n as f64);
-    }
-}
-
-/// Read-only cycle context for the sharded bit-anti-entropy path.
-pub struct BitAeCtx<'p> {
-    direction: Direction,
-    snapshot: &'p BitSet,
-}
-
-impl ShardableProtocol for BitAntiEntropyProtocol {
-    type Site = bool;
-    type Ctx<'p> = BitAeCtx<'p>;
-    /// Newly infected sites charged by this shard's contacts.
-    type Shard = usize;
-
-    fn make_shard(&self) -> usize {
-        0
-    }
-
-    fn split(&mut self) -> (BitAeCtx<'_>, &mut [bool]) {
-        (
-            BitAeCtx {
-                direction: self.direction,
-                snapshot: &self.snapshot,
-            },
-            &mut self.infected,
-        )
-    }
-
-    fn contact_sharded(
-        ctx: &BitAeCtx<'_>,
-        shard: &mut usize,
-        _cycle: u32,
-        pair: ContactPair<'_, bool>,
-        _rng: &mut StdRng,
-    ) -> ContactStats {
-        let ContactPair { i, a, j, b } = pair;
-        let mut useful = 0;
-        if ctx.direction.pushes() && ctx.snapshot.get(i) && !*b {
-            *b = true;
-            *shard += 1;
-            useful += 1;
-        }
-        if ctx.direction.pulls() && ctx.snapshot.get(j) && !*a {
-            *a = true;
-            *shard += 1;
-            useful += 1;
-        }
-        ContactStats {
-            sent: useful,
-            useful,
-        }
-    }
-
-    fn absorb(&mut self, shard: &mut usize) {
-        self.count += *shard;
-        *shard = 0;
     }
 }
 
@@ -875,60 +662,6 @@ impl EpidemicProtocol for DirectMailProtocol {
         ContactStats {
             sent: 1,
             useful: u64::from(useful),
-        }
-    }
-}
-
-/// Per-shard accumulator for the sharded direct-mail path: mails charged
-/// against the budget plus the deferred receive-log marks.
-#[derive(Debug, Default)]
-pub struct DirectMailShard {
-    mailed: u32,
-    marks: Vec<(usize, u32)>,
-}
-
-impl ShardableProtocol for DirectMailProtocol {
-    type Site = Replica<u32, u32>;
-    type Ctx<'p> = ();
-    type Shard = DirectMailShard;
-
-    fn make_shard(&self) -> DirectMailShard {
-        DirectMailShard::default()
-    }
-
-    fn split(&mut self) -> ((), &mut [Replica<u32, u32>]) {
-        ((), &mut self.sites)
-    }
-
-    fn contact_sharded(
-        _ctx: &(),
-        shard: &mut DirectMailShard,
-        cycle: u32,
-        pair: ContactPair<'_, Replica<u32, u32>>,
-        _rng: &mut StdRng,
-    ) -> ContactStats {
-        shard.mailed += 1;
-        let entry = pair
-            .a
-            .db()
-            .entry(&Self::KEY)
-            .cloned()
-            .expect("the origin holds the update it mails");
-        let useful = pair.b.receive_rumor(Self::KEY, entry).was_useful();
-        if useful {
-            shard.marks.push((pair.j, cycle));
-        }
-        ContactStats {
-            sent: 1,
-            useful: u64::from(useful),
-        }
-    }
-
-    fn absorb(&mut self, shard: &mut DirectMailShard) {
-        self.remaining = self.remaining.saturating_sub(shard.mailed);
-        shard.mailed = 0;
-        for (site, cycle) in shard.marks.drain(..) {
-            self.received.mark(site, cycle);
         }
     }
 }
@@ -1065,18 +798,13 @@ mod tests {
                 let mut check = ProbeCheck { cycles_checked: 0 };
                 driver.run_observed(200, 11, &mut check);
                 assert!(check.cycles_checked > 3, "{direction:?}: run too short");
-                // The sharded engine marks through `absorb`.
-                let mut check = ProbeCheck { cycles_checked: 0 };
-                driver.run_sharded_observed(200, 11, 4, 2, &mut check);
-                assert!(check.cycles_checked > 3, "{direction:?} sharded");
             }
         }
     }
 
     /// A [`MixingProtocol`] that probes itself after every step the
-    /// engines drive it through: each sequential contact, each
-    /// `begin_cycle`, and both sides of `end_cycle` (on the sharded engine
-    /// the first of those is the state `absorb` left).
+    /// engine drives it through: each contact, each `begin_cycle`, and
+    /// both sides of `end_cycle`.
     struct Probed {
         inner: MixingProtocol,
         contacts: u64,
@@ -1115,39 +843,12 @@ mod tests {
         }
     }
 
-    impl ShardableProtocol for Probed {
-        type Site = Replica<u32, u32>;
-        type Ctx<'p> = MixingCtx<'p>;
-        type Shard = MixingShard;
-
-        fn make_shard(&self) -> MixingShard {
-            self.inner.make_shard()
-        }
-        fn split(&mut self) -> (MixingCtx<'_>, &mut [Replica<u32, u32>]) {
-            self.inner.split()
-        }
-        fn contact_sharded(
-            ctx: &MixingCtx<'_>,
-            shard: &mut MixingShard,
-            cycle: u32,
-            pair: ContactPair<'_, Replica<u32, u32>>,
-            rng: &mut StdRng,
-        ) -> ContactStats {
-            MixingProtocol::contact_sharded(ctx, shard, cycle, pair, rng)
-        }
-        fn absorb(&mut self, shard: &mut MixingShard) {
-            self.contacts += shard.touched.len() as u64 / 2;
-            self.inner.absorb(shard);
-        }
-    }
-
     /// The active set and the marks stay equal to the probe through every
-    /// variant's contacts, on both engines. Dropping the refresh of `i`,
+    /// variant's contacts. Dropping the refresh of `i`,
     /// of `j` or of the sites `end_cycle` visits fails here (and trips the
     /// engine's debug cross-check in every other mixing test).
     #[test]
     fn active_set_and_marks_track_the_replicas_through_every_variant() {
-        use crate::engine::ShardedCycleEngine;
         let n = 60;
         let policy = UniformPartners::new(n);
         let mut contacts = 0;
@@ -1171,15 +872,6 @@ mod tests {
                             assert!(probed.contacts > 0, "{cfg:?} limit {limit:?}");
                             contacts += probed.contacts;
                         }
-                        let mut probed = fresh();
-                        ShardedCycleEngine::new(4).workers(2).max_cycles(200).run(
-                            &mut probed,
-                            &policy,
-                            5,
-                            &mut (),
-                        );
-                        assert!(probed.contacts > 0, "{cfg:?} sharded");
-                        contacts += probed.contacts;
                     }
                 }
             }

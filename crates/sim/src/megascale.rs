@@ -27,7 +27,7 @@
 //! * contacts draw from the counter-based
 //!   [`rand::rngs::ContactRng`], a pure function of
 //!   `(seed, cycle, site)`, so the engine visits only the hot sites and
-//!   shards the cycle across worker threads with byte-identical output
+//!   splits the cycle across worker threads with byte-identical output
 //!   at any worker count;
 //! * contacts are judged *asynchronously* — a push is useful iff the
 //!   partner lacks the entry at execution time, so two pushes reaching
@@ -533,8 +533,7 @@ mod tests {
     /// universe from the sequential-stream [`RumorEpidemic`] of Tables
     /// 1–3 (same push/feedback/coin k=4 model, same asynchronous
     /// judgment), so the two are compared statistically: over many seeds,
-    /// mean residue/traffic/t_ave/t_last must agree within 5σ (the house
-    /// methodology from the sharded-engine equivalence suite).
+    /// mean residue/traffic/t_ave/t_last must agree within 5σ.
     #[test]
     fn fast_path_statistically_matches_the_sequential_stream_model() {
         fn mean_and_var(samples: &[f64]) -> (f64, f64) {

@@ -26,8 +26,7 @@ use rand::SeedableRng;
 use crate::bitset::BitSet;
 use crate::engine::protocols::{BitAntiEntropyProtocol, MixingProtocol, MixingState};
 use crate::engine::{
-    CycleEngine, EngineBuffers, EngineReport, Observer, ShardedCycleEngine, SirObserver,
-    UniformPartners,
+    CycleEngine, EngineBuffers, EngineReport, Observer, SirObserver, UniformPartners,
 };
 
 /// Result of one single-update epidemic run.
@@ -293,50 +292,6 @@ impl RumorEpidemic {
         arena.state = protocol.state;
         result
     }
-
-    /// As [`RumorEpidemic::run`] on the deterministic shard-parallel
-    /// engine: the output is a pure function of `(n, seed, shards)` and
-    /// never of `workers` — but it is a *different* RNG universe from
-    /// [`RumorEpidemic::run`] (see [`engine::sharded`](crate::engine::sharded)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`, or if a connection limit or hunting is
-    /// configured: both serialize on global accept counters and are only
-    /// supported by the sequential engine.
-    pub fn run_sharded(
-        &self,
-        n: usize,
-        seed: u64,
-        shards: usize,
-        workers: usize,
-    ) -> EpidemicResult {
-        self.run_sharded_observed(n, seed, shards, workers, &mut ())
-    }
-
-    /// As [`RumorEpidemic::run_sharded`] with an observer; events arrive
-    /// in the engine's deterministic merge order.
-    pub fn run_sharded_observed<O: Observer<MixingProtocol>>(
-        &self,
-        n: usize,
-        seed: u64,
-        shards: usize,
-        workers: usize,
-        observer: &mut O,
-    ) -> EpidemicResult {
-        assert!(
-            self.connection_limit.is_none() && self.hunt_limit == 0,
-            "sharded mode does not support connection limits or hunting"
-        );
-        let policy = UniformPartners::new(n);
-        let mut protocol =
-            MixingProtocol::new(self.cfg, self.synchronous, n, MixingState::default());
-        let report = ShardedCycleEngine::new(shards)
-            .workers(workers)
-            .max_cycles(self.max_cycles)
-            .run(&mut protocol, &policy, seed, observer);
-        EpidemicResult::new(n, report, &protocol)
-    }
 }
 
 #[cfg(test)]
@@ -573,56 +528,6 @@ impl AntiEntropyEpidemic {
             &mut rng,
             observer,
         );
-        AntiEntropyRun {
-            cycles: report.cycles,
-            susceptible_trace: protocol.trace,
-            complete: protocol.count == n,
-        }
-    }
-
-    /// As [`AntiEntropyEpidemic::run`] on the deterministic shard-parallel
-    /// engine: the output is a pure function of `(n, seed, shards)` and
-    /// never of `workers` — but it is a *different* RNG universe from
-    /// [`AntiEntropyEpidemic::run`] (see
-    /// [`engine::sharded`](crate::engine::sharded)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn run_sharded(
-        &self,
-        n: usize,
-        seed: u64,
-        shards: usize,
-        workers: usize,
-    ) -> AntiEntropyRun {
-        self.run_sharded_observed(n, seed, shards, workers, &mut ())
-    }
-
-    /// As [`AntiEntropyEpidemic::run_sharded`] with an observer; events
-    /// arrive in the engine's deterministic merge order.
-    pub fn run_sharded_observed<O: Observer<BitAntiEntropyProtocol>>(
-        &self,
-        n: usize,
-        seed: u64,
-        shards: usize,
-        workers: usize,
-        observer: &mut O,
-    ) -> AntiEntropyRun {
-        let policy = UniformPartners::new(n);
-        let mut infected = vec![false; n];
-        infected[0] = true;
-        let mut protocol = BitAntiEntropyProtocol {
-            direction: self.direction,
-            infected,
-            snapshot: BitSet::new(n),
-            count: 1,
-            trace: Vec::new(),
-        };
-        let report = ShardedCycleEngine::new(shards)
-            .workers(workers)
-            .max_cycles(self.max_cycles)
-            .run(&mut protocol, &policy, seed, observer);
         AntiEntropyRun {
             cycles: report.cycles,
             susceptible_trace: protocol.trace,

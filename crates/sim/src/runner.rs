@@ -74,27 +74,6 @@ impl TrialRunner {
         configured.min(usize::try_from(trials).unwrap_or(usize::MAX).max(1))
     }
 
-    /// Splits this runner's thread budget between trial-level fan-out and
-    /// per-trial shard workers, so nesting the sharded engine under trial
-    /// parallelism never oversubscribes: `trial_workers × shard_workers`
-    /// stays within the budget. Trials get priority (they parallelize
-    /// perfectly); leftover budget goes to intra-trial shard workers,
-    /// capped at `max_shard_workers` (typically the shard count — more
-    /// workers than pair-tasks would idle).
-    ///
-    /// Returns `(trial_workers, shard_workers)`, both at least 1. The
-    /// split affects wall-clock only, never output: trial seeds are fixed
-    /// per index and the sharded engine's output is worker-invariant.
-    pub fn split_budget(&self, trials: u64, max_shard_workers: usize) -> (usize, usize) {
-        let budget = self
-            .threads
-            .map(NonZeroUsize::get)
-            .unwrap_or_else(default_threads);
-        let trial_workers = self.effective_threads(trials);
-        let shard_workers = (budget / trial_workers.max(1)).clamp(1, max_shard_workers.max(1));
-        (trial_workers, shard_workers)
-    }
-
     /// Runs `trials` trials with seeds `seed_base.wrapping_add(trial)` and
     /// returns their results **in trial order**.
     ///
@@ -342,19 +321,13 @@ pub fn default_threads() -> usize {
 /// Returns a message naming the variable and the offending value when it
 /// is set to anything else (`abc`, `0`, non-UTF-8).
 pub fn thread_override() -> Result<Option<usize>, String> {
-    positive_override(THREADS_ENV_VAR)
-}
-
-/// Reads the positive-integer variable `var` (threads, shards): `Ok(None)`
-/// when unset, an error naming variable and value when unusable.
-pub(crate) fn positive_override(var: &str) -> Result<Option<usize>, String> {
-    let Some(raw) = std::env::var_os(var) else {
+    let Some(raw) = std::env::var_os(THREADS_ENV_VAR) else {
         return Ok(None);
     };
     raw.to_str()
         .and_then(parse_positive)
         .map(Some)
-        .ok_or_else(|| format!("{var}={raw:?} is not a positive integer"))
+        .ok_or_else(|| format!("{THREADS_ENV_VAR}={raw:?} is not a positive integer"))
 }
 
 fn parse_positive(value: &str) -> Option<usize> {
@@ -624,25 +597,6 @@ mod tests {
         assert_eq!(parse_positive("0"), None);
         assert_eq!(parse_positive("many"), None);
         assert_eq!(parse_positive(""), None);
-    }
-
-    #[test]
-    fn split_budget_never_oversubscribes() {
-        // 8-thread budget, 2 trials: 2 trial workers × 4 shard workers.
-        assert_eq!(TrialRunner::new().threads(8).split_budget(2, 8), (2, 4));
-        // All budget consumed by trials: shards run sequentially.
-        assert_eq!(TrialRunner::new().threads(8).split_budget(100, 8), (8, 1));
-        // Single trial: the whole budget goes to shard workers, capped by
-        // the useful maximum.
-        assert_eq!(TrialRunner::new().threads(8).split_budget(1, 4), (1, 4));
-        assert_eq!(TrialRunner::new().threads(1).split_budget(10, 8), (1, 1));
-        for (threads, trials, cap) in [(8, 3, 8), (5, 2, 3), (16, 1, 8)] {
-            let (t, s) = TrialRunner::new()
-                .threads(threads)
-                .split_budget(trials, cap);
-            assert!(t * s <= threads, "{t}×{s} exceeds budget {threads}");
-            assert!(t >= 1 && s >= 1);
-        }
     }
 
     #[test]

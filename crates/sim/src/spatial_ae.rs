@@ -20,11 +20,10 @@ use epidemic_db::SiteId;
 use epidemic_net::{LinkTraffic, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::engine::{
-    ContactPair, ContactStats, CycleEngine, EpidemicProtocol, ReceiveLog, RouteRecorder,
-    ShardableProtocol, ShardedCycleEngine, SpatialPartners,
+    ContactStats, CycleEngine, EpidemicProtocol, ReceiveLog, RouteRecorder, SpatialPartners,
 };
 use crate::util::pair_mut;
 
@@ -194,88 +193,6 @@ impl<'a, S: PartnerSelection> AntiEntropySim<'a, S> {
         }
     }
 
-    /// As [`AntiEntropySim::run`] on the deterministic shard-parallel
-    /// engine: the output is a pure function of `(seed, origin, shards)`
-    /// and never of `workers` — but it is a *different* RNG universe from
-    /// [`AntiEntropySim::run`] (see
-    /// [`engine::sharded`](crate::engine::sharded)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a connection limit or hunting is configured: both
-    /// serialize on global accept counters and are only supported by the
-    /// sequential engine.
-    pub fn run_sharded(
-        &self,
-        seed: u64,
-        origin: Option<SiteId>,
-        shards: usize,
-        workers: usize,
-    ) -> SpatialRunResult
-    where
-        S: Sync,
-    {
-        self.run_sharded_observed(seed, origin, shards, workers, &mut ())
-    }
-
-    /// As [`AntiEntropySim::run_sharded`] with an observer; events arrive
-    /// in the engine's deterministic merge order.
-    pub fn run_sharded_observed<'s, O>(
-        &'s self,
-        seed: u64,
-        origin: Option<SiteId>,
-        shards: usize,
-        workers: usize,
-        observer: &mut O,
-    ) -> SpatialRunResult
-    where
-        S: Sync,
-        O: crate::engine::Observer<SpatialAntiEntropyProtocol<'s>>,
-    {
-        assert!(
-            self.connection_limit.is_none() && self.hunt_limit == 0,
-            "sharded mode does not support connection limits or hunting"
-        );
-        // The origin draw happens on a setup stream; the engine re-derives
-        // its own streams from the remainder of the setup stream.
-        let mut setup = StdRng::seed_from_u64(seed);
-        let sites = self.topology.sites();
-        let n = sites.len();
-        let mut replicas: Vec<Replica<u32, u32>> = sites.iter().map(|&s| Replica::new(s)).collect();
-        let origin = origin.unwrap_or_else(|| *sites.choose(&mut setup).expect("sites"));
-        let origin_idx = sites.binary_search(&origin).expect("site exists");
-        replicas[origin_idx].client_update(KEY, 1);
-        replicas[origin_idx].hot_mut().clear(); // pure anti-entropy: nothing is "hot"
-        let mut received = ReceiveLog::new(n);
-        received.mark(origin_idx, 0);
-
-        let mut protocol = SpatialAntiEntropyProtocol {
-            exchange: AntiEntropy::new(Direction::PushPull, Comparison::Full),
-            sites,
-            replicas,
-            received,
-            recorder: RouteRecorder::new(&self.routes, self.topology.link_count()),
-            scratch: ExchangeScratch::new(),
-        };
-        let report = ShardedCycleEngine::new(shards)
-            .workers(workers)
-            .max_cycles(self.max_cycles)
-            .run(
-                &mut protocol,
-                &SpatialPartners::new(sites, &self.sampler),
-                setup.next_u64(),
-                observer,
-            );
-
-        SpatialRunResult {
-            t_last: protocol.received.t_last().unwrap_or(0),
-            t_ave: protocol.received.t_ave_all(report.cycles),
-            compare_traffic: protocol.recorder.compare,
-            update_traffic: protocol.recorder.update,
-            cycles: report.cycles,
-        }
-    }
-
     /// Runs `trials` experiments in parallel with seeds
     /// `seed_base + trial`, returning results in trial order — identical
     /// to a sequential loop over [`AntiEntropySim::run`] at any thread
@@ -352,91 +269,6 @@ impl EpidemicProtocol for SpatialAntiEntropyProtocol<'_> {
         ContactStats {
             sent: u64::from(flowed),
             useful: u64::from(flowed),
-        }
-    }
-}
-
-/// Read-only cycle context for the sharded spatial anti-entropy path.
-pub struct SpatialAeCtx<'p> {
-    exchange: AntiEntropy,
-    sites: &'p [SiteId],
-    routes: &'p Routes,
-}
-
-/// Per-shard accumulator: one exchange scratch per shard plus shard-local
-/// traffic counters and deferred receive-log marks.
-pub struct SpatialAeShard {
-    scratch: ExchangeScratch<u32, u32>,
-    compare: LinkTraffic,
-    update: LinkTraffic,
-    marks: Vec<(usize, u32)>,
-}
-
-impl ShardableProtocol for SpatialAntiEntropyProtocol<'_> {
-    type Site = Replica<u32, u32>;
-    type Ctx<'p>
-        = SpatialAeCtx<'p>
-    where
-        Self: 'p;
-    type Shard = SpatialAeShard;
-
-    fn make_shard(&self) -> SpatialAeShard {
-        SpatialAeShard {
-            scratch: ExchangeScratch::new(),
-            compare: LinkTraffic::new(self.recorder.compare.link_count()),
-            update: LinkTraffic::new(self.recorder.update.link_count()),
-            marks: Vec::new(),
-        }
-    }
-
-    fn split(&mut self) -> (SpatialAeCtx<'_>, &mut [Replica<u32, u32>]) {
-        (
-            SpatialAeCtx {
-                exchange: self.exchange,
-                sites: self.sites,
-                routes: self.recorder.routes(),
-            },
-            &mut self.replicas,
-        )
-    }
-
-    fn contact_sharded(
-        ctx: &SpatialAeCtx<'_>,
-        shard: &mut SpatialAeShard,
-        cycle: u32,
-        pair: ContactPair<'_, Replica<u32, u32>>,
-        _rng: &mut StdRng,
-    ) -> ContactStats {
-        let ContactPair { i, a, j, b } = pair;
-        let stats = ctx.exchange.exchange_with(a, b, &mut shard.scratch);
-        let flowed = stats.update_flowed();
-        shard
-            .compare
-            .record_route(ctx.routes, ctx.sites[i], ctx.sites[j]);
-        if flowed {
-            shard
-                .update
-                .record_route(ctx.routes, ctx.sites[i], ctx.sites[j]);
-            if a.db().entry(&KEY).is_some() {
-                shard.marks.push((i, cycle));
-            }
-            if b.db().entry(&KEY).is_some() {
-                shard.marks.push((j, cycle));
-            }
-        }
-        ContactStats {
-            sent: u64::from(flowed),
-            useful: u64::from(flowed),
-        }
-    }
-
-    fn absorb(&mut self, shard: &mut SpatialAeShard) {
-        self.recorder.compare.merge(&shard.compare);
-        self.recorder.update.merge(&shard.update);
-        shard.compare.clear();
-        shard.update.clear();
-        for (site, cycle) in shard.marks.drain(..) {
-            self.received.mark(site, cycle);
         }
     }
 }

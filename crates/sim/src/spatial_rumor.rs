@@ -14,11 +14,10 @@ use epidemic_db::SiteId;
 use epidemic_net::{LinkTraffic, PartnerSampler, Routes, Spatial, Topology};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::engine::{
-    ContactPair, ContactStats, CycleEngine, EpidemicProtocol, ReceiveLog, Roster, RouteRecorder,
-    ShardableProtocol, ShardedCycleEngine, SpatialPartners,
+    ContactStats, CycleEngine, EpidemicProtocol, ReceiveLog, Roster, RouteRecorder, SpatialPartners,
 };
 use crate::runner::TrialRunner;
 use crate::util::pair_mut;
@@ -149,78 +148,6 @@ impl<'a> SpatialRumorSim<'a> {
         }
     }
 
-    /// As [`SpatialRumorSim::run`] on the deterministic shard-parallel
-    /// engine: the output is a pure function of `(seed, origin, shards)`
-    /// and never of `workers` — but it is a *different* RNG universe from
-    /// [`SpatialRumorSim::run`] (see
-    /// [`engine::sharded`](crate::engine::sharded)).
-    pub fn run_sharded(
-        &self,
-        seed: u64,
-        origin: Option<SiteId>,
-        shards: usize,
-        workers: usize,
-    ) -> SpatialRumorResult {
-        self.run_sharded_observed(seed, origin, shards, workers, &mut ())
-    }
-
-    /// As [`SpatialRumorSim::run_sharded`] with an observer; events arrive
-    /// in the engine's deterministic merge order.
-    pub fn run_sharded_observed<'s, O>(
-        &'s self,
-        seed: u64,
-        origin: Option<SiteId>,
-        shards: usize,
-        workers: usize,
-        observer: &mut O,
-    ) -> SpatialRumorResult
-    where
-        O: crate::engine::Observer<SpatialRumorProtocol<'s>>,
-    {
-        // The origin draw happens on a setup stream; the engine re-derives
-        // its own streams from the remainder of the setup stream.
-        let mut setup = StdRng::seed_from_u64(seed);
-        let sites = self.topology.sites();
-        let n = sites.len();
-        let mut replicas: Vec<Replica<u32, u32>> = sites.iter().map(|&s| Replica::new(s)).collect();
-        let origin = origin.unwrap_or_else(|| *sites.choose(&mut setup).expect("sites"));
-        let origin_idx = sites.binary_search(&origin).expect("site exists");
-        replicas[origin_idx].client_update(KEY, 1);
-        let mut received = ReceiveLog::new(n);
-        received.mark(origin_idx, 0);
-
-        let mut protocol = SpatialRumorProtocol {
-            cfg: self.cfg,
-            sites,
-            replicas,
-            received,
-            recorder: RouteRecorder::new(&self.routes, self.topology.link_count()),
-            scratch: rumor::RumorScratch::new(),
-        };
-        let report = ShardedCycleEngine::new(shards)
-            .workers(workers)
-            .max_cycles(self.max_cycles)
-            .run(
-                &mut protocol,
-                &SpatialPartners::new(sites, &self.sampler),
-                setup.next_u64(),
-                observer,
-            );
-
-        let received = protocol.received;
-        let susceptible_sites: Vec<SiteId> = received.unreceived().map(|i| sites[i]).collect();
-        SpatialRumorResult {
-            complete: received.complete(),
-            residue: received.residue(),
-            t_last: received.t_last().unwrap_or(0),
-            t_ave: received.t_ave_received(),
-            compare_traffic: protocol.recorder.compare,
-            update_traffic: protocol.recorder.update,
-            cycles: report.cycles,
-            susceptible_sites,
-        }
-    }
-
     /// Runs `trials` epidemics in parallel with seeds
     /// `seed_base + trial`, returning results in trial order — identical
     /// to a sequential loop over [`SpatialRumorSim::run`].
@@ -309,98 +236,6 @@ impl EpidemicProtocol for SpatialRumorProtocol<'_> {
             for r in &mut self.replicas {
                 rumor::end_cycle(&self.cfg, r);
             }
-        }
-    }
-}
-
-/// Read-only cycle context for the sharded spatial rumor path.
-pub struct SpatialRumorCtx<'p> {
-    cfg: RumorConfig,
-    sites: &'p [SiteId],
-    routes: &'p Routes,
-}
-
-/// Per-shard accumulator: one rumor scratch per shard plus shard-local
-/// traffic counters and deferred receive-log marks.
-pub struct SpatialRumorShard {
-    scratch: rumor::RumorScratch<u32>,
-    compare: LinkTraffic,
-    update: LinkTraffic,
-    marks: Vec<(usize, u32)>,
-}
-
-impl ShardableProtocol for SpatialRumorProtocol<'_> {
-    type Site = Replica<u32, u32>;
-    type Ctx<'p>
-        = SpatialRumorCtx<'p>
-    where
-        Self: 'p;
-    type Shard = SpatialRumorShard;
-
-    fn make_shard(&self) -> SpatialRumorShard {
-        SpatialRumorShard {
-            scratch: rumor::RumorScratch::new(),
-            compare: LinkTraffic::new(self.recorder.compare.link_count()),
-            update: LinkTraffic::new(self.recorder.update.link_count()),
-            marks: Vec::new(),
-        }
-    }
-
-    fn split(&mut self) -> (SpatialRumorCtx<'_>, &mut [Replica<u32, u32>]) {
-        (
-            SpatialRumorCtx {
-                cfg: self.cfg,
-                sites: self.sites,
-                routes: self.recorder.routes(),
-            },
-            &mut self.replicas,
-        )
-    }
-
-    fn contact_sharded(
-        ctx: &SpatialRumorCtx<'_>,
-        shard: &mut SpatialRumorShard,
-        cycle: u32,
-        pair: ContactPair<'_, Replica<u32, u32>>,
-        rng: &mut StdRng,
-    ) -> ContactStats {
-        let ContactPair { i, a, j, b } = pair;
-        let stats = rumor::contact_with(&ctx.cfg, a, b, rng, &mut shard.scratch);
-        let (from, to) = (ctx.sites[i], ctx.sites[j]);
-        shard.compare.record_route(ctx.routes, from, to);
-        shard
-            .update
-            .record_route_units(ctx.routes, from, to, stats.sent as u64);
-        match ctx.cfg.direction {
-            Direction::Push => {
-                if stats.useful > 0 {
-                    shard.marks.push((j, cycle));
-                }
-            }
-            Direction::Pull => {
-                if stats.useful > 0 {
-                    shard.marks.push((i, cycle));
-                }
-            }
-            Direction::PushPull => {
-                if a.db().entry(&KEY).is_some() {
-                    shard.marks.push((i, cycle));
-                }
-                if b.db().entry(&KEY).is_some() {
-                    shard.marks.push((j, cycle));
-                }
-            }
-        }
-        stats.into()
-    }
-
-    fn absorb(&mut self, shard: &mut SpatialRumorShard) {
-        self.recorder.compare.merge(&shard.compare);
-        self.recorder.update.merge(&shard.update);
-        shard.compare.clear();
-        shard.update.clear();
-        for (site, cycle) in shard.marks.drain(..) {
-            self.received.mark(site, cycle);
         }
     }
 }

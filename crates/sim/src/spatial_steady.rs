@@ -17,8 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::{
-    ContactPair, ContactStats, CycleEngine, EpidemicProtocol, Observer, RouteRecorder,
-    ShardableProtocol, ShardedCycleEngine, SirCounts, SirView, SpatialPartners, UpdateInjector,
+    ContactStats, CycleEngine, EpidemicProtocol, RouteRecorder, SpatialPartners, UpdateInjector,
 };
 use crate::util::pair_mut;
 
@@ -134,72 +133,12 @@ impl<'a> SpatialSteadySim<'a> {
             exchanges: protocol.exchanges,
         }
     }
-
-    /// As [`SpatialSteadySim::run`] on the deterministic shard-parallel
-    /// engine: the output is a pure function of `(seed, shards)` and never
-    /// of `workers` — but it is a *different* RNG universe from
-    /// [`SpatialSteadySim::run`] (see
-    /// [`engine::sharded`](crate::engine::sharded)).
-    pub fn run_sharded(&self, seed: u64, shards: usize, workers: usize) -> SpatialSteadyReport {
-        self.run_sharded_observed(seed, shards, workers, &mut ())
-    }
-
-    /// As [`SpatialSteadySim::run_sharded`], streaming every contact
-    /// through `observer` (e.g. an
-    /// [`AggregateObserver`](crate::engine::AggregateObserver)). The
-    /// sharded engine replays observer events in deterministic
-    /// site-sweep order, so the observer's state — like the report — is a
-    /// pure function of `(seed, shards)`, never of `workers`.
-    pub fn run_sharded_observed<O: for<'b> Observer<SpatialSteadyProtocol<'b>>>(
-        &self,
-        seed: u64,
-        shards: usize,
-        workers: usize,
-        observer: &mut O,
-    ) -> SpatialSteadyReport {
-        let sites = self.topology.sites();
-        let replicas: Vec<Replica<u32, u64>> = sites.iter().map(|&s| Replica::new(s)).collect();
-        let total = self.config.warmup + self.config.cycles;
-        let mut protocol = SpatialSteadyProtocol {
-            exchange: AntiEntropy::new(Direction::PushPull, self.config.comparison),
-            sites,
-            replicas,
-            injector: UpdateInjector::new(self.config.updates_per_cycle),
-            warmup: self.config.warmup,
-            exchanges: 0,
-            full_compares: 0,
-            recorder: RouteRecorder::new(&self.routes, self.topology.link_count()),
-            scratch: ExchangeScratch::new(),
-        };
-        ShardedCycleEngine::new(shards)
-            .workers(workers)
-            .max_cycles(total)
-            .run(
-                &mut protocol,
-                &SpatialPartners::new(sites, &self.sampler),
-                seed,
-                observer,
-            );
-        let measured = f64::from(self.config.cycles);
-        SpatialSteadyReport {
-            conversations_per_link_cycle: protocol.recorder.compare.mean_per_link() / measured,
-            entries_per_link_cycle: protocol.recorder.update.mean_per_link() / measured,
-            full_compare_rate: protocol.full_compares as f64 / protocol.exchanges as f64,
-            entry_traffic: protocol.recorder.update,
-            measured_cycles: self.config.cycles,
-            exchanges: protocol.exchanges,
-        }
-    }
 }
 
 /// Steady-state push-pull anti-entropy on a topology: continuous update
 /// injection, spatial partner selection, and per-link traffic recorded
 /// only after the warm-up period.
-///
-/// Public only so observers can be written against it (see
-/// [`SpatialSteadySim::run_sharded_observed`]); it is constructed
-/// exclusively by [`SpatialSteadySim`].
-pub struct SpatialSteadyProtocol<'a> {
+struct SpatialSteadyProtocol<'a> {
     exchange: AntiEntropy,
     sites: &'a [SiteId],
     replicas: Vec<Replica<u32, u64>>,
@@ -209,21 +148,6 @@ pub struct SpatialSteadyProtocol<'a> {
     full_compares: u64,
     recorder: RouteRecorder<'a>,
     scratch: ExchangeScratch<u32, u64>,
-}
-
-/// Steady-state runs have no single-update SIR notion — keys inject and
-/// retire continuously — so the projection is the degenerate
-/// all-infective one: every site is permanently exchanging. Observers
-/// that track per-update delay still work (the first *useful* contact
-/// marks a site), while the SIR curve is deliberately flat.
-impl SirView for SpatialSteadyProtocol<'_> {
-    fn sir_counts(&self) -> SirCounts {
-        SirCounts {
-            susceptible: 0,
-            infective: self.replicas.len(),
-            removed: 0,
-        }
-    }
 }
 
 impl EpidemicProtocol for SpatialSteadyProtocol<'_> {
@@ -261,91 +185,6 @@ impl EpidemicProtocol for SpatialSteadyProtocol<'_> {
             self.recorder.record(self.sites[i], self.sites[j], sent);
         }
         ContactStats { sent, useful: sent }
-    }
-}
-
-/// Read-only cycle context for the sharded steady-state path.
-pub struct SpatialSteadyCtx<'p> {
-    exchange: AntiEntropy,
-    sites: &'p [SiteId],
-    routes: &'p Routes,
-    warmup: u32,
-}
-
-/// Per-shard accumulator: one exchange scratch per shard plus shard-local
-/// exchange counters and traffic.
-pub struct SpatialSteadyShard {
-    scratch: ExchangeScratch<u32, u64>,
-    exchanges: u64,
-    full_compares: u64,
-    compare: LinkTraffic,
-    update: LinkTraffic,
-}
-
-impl ShardableProtocol for SpatialSteadyProtocol<'_> {
-    type Site = Replica<u32, u64>;
-    type Ctx<'p>
-        = SpatialSteadyCtx<'p>
-    where
-        Self: 'p;
-    type Shard = SpatialSteadyShard;
-
-    fn make_shard(&self) -> SpatialSteadyShard {
-        SpatialSteadyShard {
-            scratch: ExchangeScratch::new(),
-            exchanges: 0,
-            full_compares: 0,
-            compare: LinkTraffic::new(self.recorder.compare.link_count()),
-            update: LinkTraffic::new(self.recorder.update.link_count()),
-        }
-    }
-
-    fn split(&mut self) -> (SpatialSteadyCtx<'_>, &mut [Replica<u32, u64>]) {
-        (
-            SpatialSteadyCtx {
-                exchange: self.exchange,
-                sites: self.sites,
-                routes: self.recorder.routes(),
-                warmup: self.warmup,
-            },
-            &mut self.replicas,
-        )
-    }
-
-    fn contact_sharded(
-        ctx: &SpatialSteadyCtx<'_>,
-        shard: &mut SpatialSteadyShard,
-        cycle: u32,
-        pair: ContactPair<'_, Replica<u32, u64>>,
-        _rng: &mut StdRng,
-    ) -> ContactStats {
-        let ContactPair { i, a, j, b } = pair;
-        let stats = ctx.exchange.exchange_with(a, b, &mut shard.scratch);
-        let sent = stats.total_sent() as u64;
-        // Same warm-up boundary as the sequential path (`cycle > warmup`
-        // admits exactly `cycles` measured cycles).
-        if cycle > ctx.warmup {
-            shard.exchanges += 1;
-            shard.full_compares += u64::from(stats.full_compare);
-            shard
-                .compare
-                .record_route(ctx.routes, ctx.sites[i], ctx.sites[j]);
-            shard
-                .update
-                .record_route_units(ctx.routes, ctx.sites[i], ctx.sites[j], sent);
-        }
-        ContactStats { sent, useful: sent }
-    }
-
-    fn absorb(&mut self, shard: &mut SpatialSteadyShard) {
-        self.exchanges += shard.exchanges;
-        self.full_compares += shard.full_compares;
-        shard.exchanges = 0;
-        shard.full_compares = 0;
-        self.recorder.compare.merge(&shard.compare);
-        self.recorder.update.merge(&shard.update);
-        shard.compare.clear();
-        shard.update.clear();
     }
 }
 
@@ -414,29 +253,6 @@ mod tests {
             );
             assert_eq!(report.measured_cycles, cycles);
         }
-    }
-
-    #[test]
-    fn sharded_observer_state_is_worker_independent() {
-        use crate::engine::AggregateObserver;
-        let topo = topologies::grid(&[4, 4]);
-        let sim = SpatialSteadySim::new(&topo, Spatial::Uniform, SpatialSteadyConfig::default());
-        let plain = sim.run_sharded(5, 4, 1);
-        let mut obs1 = AggregateObserver::new();
-        let r1 = sim.run_sharded_observed(5, 4, 1, &mut obs1);
-        let mut obs2 = AggregateObserver::new();
-        let r2 = sim.run_sharded_observed(5, 4, 2, &mut obs2);
-        // Same shard count, different worker counts: identical observer
-        // bytes and identical reports.
-        assert_eq!(obs1.aggregate().to_json(), obs2.aggregate().to_json());
-        assert_eq!(r1.exchanges, r2.exchanges);
-        assert_eq!(r1.full_compare_rate, r2.full_compare_rate);
-        // The observer must not perturb the run itself.
-        assert_eq!(plain.exchanges, r1.exchanges);
-        assert_eq!(plain.entries_per_link_cycle, r1.entries_per_link_cycle);
-        let agg = obs1.finish();
-        assert_eq!(agg.sites(), 16);
-        assert!(agg.totals().contacts > 0);
     }
 
     #[test]

@@ -1,28 +1,23 @@
-//! Differential property test for the shard-merge engine, in the style of
+//! Reference-merge property test for the cycle engine, in the style of
 //! `crates/core/tests/exchange_reference.rs`.
 //!
-//! A minimal database-bearing anti-entropy protocol is driven through both
-//! engines over random update histories. The engines inhabit different RNG
-//! universes (different partner sequences, different cycle counts), so the
-//! differential claims are the ones that must hold *regardless* of the
-//! contact schedule:
+//! A minimal database-bearing anti-entropy protocol is driven through the
+//! [`CycleEngine`] over random update histories. The claims are the ones
+//! that must hold *regardless* of the contact schedule:
 //!
-//! * both engines converge, and both converge to the **same** database —
-//!   the per-key timestamp maximum over the injected history, computed
-//!   here by an independent reference merge;
-//! * each engine's aggregate totals equal the contact-by-contact
-//!   accumulation over its own observer event stream (no lost or
-//!   double-counted contacts across the shard merge);
-//! * the sharded engine is byte-identical across worker counts, report
-//!   and event stream both, for every random configuration tried.
+//! * the run converges, and converges to the per-key timestamp maximum
+//!   over the injected history, computed here by an independent reference
+//!   merge;
+//! * the report's aggregate totals equal the contact-by-contact
+//!   accumulation over the run's own observer event stream (no lost or
+//!   double-counted contacts).
 
 use std::collections::BTreeMap;
 
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
 use epidemic_db::{Entry, SiteId};
 use epidemic_sim::engine::{
-    ContactPair, ContactStats, CycleEngine, EpidemicProtocol, Observer, ShardableProtocol,
-    ShardedCycleEngine, UniformPartners,
+    ContactStats, CycleEngine, EpidemicProtocol, Observer, UniformPartners,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -101,36 +96,6 @@ impl EpidemicProtocol for DiffAe {
     }
 }
 
-impl ShardableProtocol for DiffAe {
-    type Site = Rep;
-    type Ctx<'p>
-        = AntiEntropy
-    where
-        Self: 'p;
-    type Shard = ExchangeScratch<u8, u32>;
-
-    fn make_shard(&self) -> Self::Shard {
-        ExchangeScratch::new()
-    }
-
-    fn split(&mut self) -> (AntiEntropy, &mut [Rep]) {
-        (self.exchange, &mut self.replicas)
-    }
-
-    fn contact_sharded(
-        ctx: &AntiEntropy,
-        shard: &mut Self::Shard,
-        _cycle: u32,
-        pair: ContactPair<'_, Rep>,
-        _rng: &mut StdRng,
-    ) -> ContactStats {
-        let stats = ctx.exchange_with(pair.a, pair.b, shard);
-        stats_of(&stats)
-    }
-
-    fn absorb(&mut self, _shard: &mut Self::Shard) {}
-}
-
 /// The database every site must converge to: per key, the entry with the
 /// greatest timestamp over the whole injected history. Independent of any
 /// engine — computed straight off the initial replica states.
@@ -149,7 +114,7 @@ fn reference_merge(initial: &DiffAe) -> Vec<(u8, Entry<u32>)> {
     best.into_iter().collect()
 }
 
-#[derive(Default, PartialEq, Eq, Debug)]
+#[derive(Default)]
 struct EventLog {
     events: Vec<(u32, usize, usize, u64, u64)>,
 }
@@ -176,12 +141,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn sharded_and_sequential_converge_to_the_reference_merge(
+    fn the_engine_converges_to_the_reference_merge(
         n in 2usize..10,
         dir in 0u8..3,
         updates in prop::collection::vec((0usize..10, 0u8..8, any::<u32>()), 1..20),
         seed in any::<u64>(),
-        shards in 1usize..6,
     ) {
         let direction = match dir {
             0 => Direction::Push,
@@ -191,46 +155,20 @@ proptest! {
         let expected = reference_merge(&DiffAe::new(n, direction, &updates));
         let policy = UniformPartners::new(n);
 
-        // Sequential engine.
-        let mut seq = DiffAe::new(n, direction, &updates);
-        let mut seq_log = EventLog::default();
+        let mut protocol = DiffAe::new(n, direction, &updates);
+        let mut log = EventLog::default();
         let mut rng = StdRng::seed_from_u64(seed);
-        let seq_report = CycleEngine::new()
+        let report = CycleEngine::new()
             .max_cycles(MAX_CYCLES)
-            .run(&mut seq, &policy, &mut rng, &mut seq_log);
-        prop_assert!(seq_report.cycles < MAX_CYCLES, "sequential run must converge");
-        for r in &seq.replicas {
-            prop_assert_eq!(db_image(r), expected.clone(), "sequential converged database");
+            .run(&mut protocol, &policy, &mut rng, &mut log);
+        prop_assert!(report.cycles < MAX_CYCLES, "the run must converge");
+        for r in &protocol.replicas {
+            prop_assert_eq!(db_image(r), expected.clone(), "converged database");
         }
-        let (contacts, sent, useful, fruitless) = accumulate(&seq_log);
-        prop_assert_eq!(seq_report.totals.contacts, contacts);
-        prop_assert_eq!(seq_report.totals.sent, sent);
-        prop_assert_eq!(seq_report.totals.useful, useful);
-        prop_assert_eq!(seq_report.totals.fruitless, fruitless);
-
-        // Sharded engine, two worker counts.
-        let mut runs = Vec::new();
-        for workers in [1usize, 2] {
-            let mut sharded = DiffAe::new(n, direction, &updates);
-            let mut log = EventLog::default();
-            let report = ShardedCycleEngine::new(shards)
-                .workers(workers)
-                .max_cycles(MAX_CYCLES)
-                .run(&mut sharded, &policy, seed, &mut log);
-            prop_assert!(report.cycles < MAX_CYCLES, "sharded run must converge");
-            for r in &sharded.replicas {
-                prop_assert_eq!(db_image(r), expected.clone(), "sharded converged database");
-            }
-            let (contacts, sent, useful, fruitless) = accumulate(&log);
-            prop_assert_eq!(report.totals.contacts, contacts);
-            prop_assert_eq!(report.totals.sent, sent);
-            prop_assert_eq!(report.totals.useful, useful);
-            prop_assert_eq!(report.totals.fruitless, fruitless);
-            runs.push((report, log));
-        }
-        let (ref report_1, ref log_1) = runs[0];
-        let (ref report_2, ref log_2) = runs[1];
-        prop_assert_eq!(report_1, report_2, "sharded report differs across workers");
-        prop_assert_eq!(log_1, log_2, "sharded event stream differs across workers");
+        let (contacts, sent, useful, fruitless) = accumulate(&log);
+        prop_assert_eq!(report.totals.contacts, contacts);
+        prop_assert_eq!(report.totals.sent, sent);
+        prop_assert_eq!(report.totals.useful, useful);
+        prop_assert_eq!(report.totals.fruitless, fruitless);
     }
 }

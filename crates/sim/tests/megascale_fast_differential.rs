@@ -1,6 +1,6 @@
 //! Differential property tests pinning the megascale fast path to its
 //! executable specification, in the style of
-//! `crates/sim/tests/shard_merge_differential.rs`.
+//! `crates/sim/tests/engine_reference_merge.rs`.
 //!
 //! The fast path ([`FastRumorProtocol`] on the [`ActiveCycleEngine`]) and
 //! the naive reference loop ([`megascale::reference`]) implement the same

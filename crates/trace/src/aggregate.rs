@@ -283,8 +283,7 @@ impl PartialEq for LinkAggregate {
 /// The bounded-memory summary of one or more runs (see the module docs).
 ///
 /// Built by an [`AggregatingSink`] or by [`RunAggregate::merge`]-ing
-/// per-trial/per-shard aggregates; serialized by
-/// [`RunAggregate::to_json`].
+/// per-trial aggregates; serialized by [`RunAggregate::to_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunAggregate {
     runs: u64,
