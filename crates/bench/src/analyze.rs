@@ -3,7 +3,7 @@
 //!
 //! Both consumers parse their inputs with the dependency-free
 //! [`epidemic_trace::json`] parser, so they accept exactly what the
-//! producers ([`crate::trace::agg_json`] and `repro --bench`) emit.
+//! producers (`repro --json` and `repro --bench`) emit.
 //!
 //! * [`report`] renders one `.agg.json` file as a human-readable
 //!   percentile report: per-entry contact totals, delay quantiles

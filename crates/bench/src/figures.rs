@@ -1,11 +1,12 @@
 //! Reproductions of the paper's figures, displayed equations and ablation
 //! studies (everything in the evaluation that is not a numbered table).
 //!
-//! Every figure is expressed as one or more [`FigTable`]s plus (for the
-//! statistically deep sweeps) streaming [`AggEntry`] aggregates, behind a
-//! single [`figure_data`] dispatcher. `repro` prints through
-//! [`print_figure`] and writes `--trace`/`--json` artifacts through
-//! [`figure_artifacts`], so no experiment is ever untraced.
+//! Every figure is one or more [`FigTable`]s; the statistically deep
+//! sweeps (`rumor_ode`, `ae_convergence`, `megascale`) also yield
+//! streaming [`AggEntry`] aggregates when artifacts were asked for. The
+//! registry ([`crate::registry`]) binds each to its experiment name and
+//! trial count; every trial loop here runs on `ctx.runner` for
+//! `ctx.trials` trials.
 
 use epidemic_analysis::{
     mean_line_traffic, pull_cycles_until, push_epidemic_time, residue_from_traffic, RumorOde,
@@ -14,75 +15,60 @@ use epidemic_core::anti_entropy::{AntiEntropy, Comparison};
 use epidemic_core::{Direction, Feedback, Removal, Replica, RumorConfig};
 use epidemic_db::SiteId;
 use epidemic_net::topologies::{self, cin, CinConfig};
-use epidemic_net::Spatial;
-use epidemic_sim::engine::{AggregateObserver, SirObserver};
+use epidemic_net::{Spatial, Topology};
+use epidemic_sim::engine::SirObserver;
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
-use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::scenario::legacy::{
     resurrection_without_certificates, ClearinghouseScenario, DormantDeathScenario,
 };
 use epidemic_sim::spatial_rumor::{failure_probability, minimum_k_with, SpatialRumorSim};
-use epidemic_trace::RunAggregate;
 
-use crate::render::{fmt, FigTable};
-use crate::tables::mixing_sweep_aggregated;
-use crate::trace::{agg_json, AggEntry, TableArtifacts};
-use crate::{parallel_trials, parallel_trials_with};
+use crate::registry::{Ctx, Output};
+use crate::render::{fmt, labelled, FigTable};
+use crate::tables::{mixing_entry, mixing_sweep};
+use crate::trace::{observed, AggEntry, Seen, Sinks};
 
 /// §1.4 rumor ODE: predicted residue `s = e^{-(k+1)(1-s)}` versus the
-/// simulated feedback+coin epidemic. Returns the formatted rows plus one
-/// merged streaming aggregate per `k` (observers never touch the RNG, so
-/// the rows are identical to an unobserved sweep's).
-pub fn rumor_ode_data(
-    runner: TrialRunner,
-    n: usize,
-    trials: u64,
-) -> (Vec<Vec<String>>, Vec<AggEntry>) {
-    let ks = [1, 2, 3, 4, 5, 6, 7, 8];
-    let swept = mixing_sweep_aggregated(runner, n, trials, &ks, |k| {
-        RumorEpidemic::new(RumorConfig::new(
-            Direction::Push,
-            Feedback::Feedback,
-            Removal::Coin { k },
-        ))
-    });
+/// simulated feedback+coin epidemic, with one merged streaming aggregate
+/// per `k` when observed.
+pub(crate) fn rumor_ode(ctx: &Ctx<'_>) -> Output {
     let mut rows = Vec::new();
     let mut aggregates = Vec::new();
-    for (row, agg) in swept {
-        let k = row.k;
-        let ode = RumorOde::new(k).final_residue();
-        rows.push(vec![
-            k.to_string(),
-            fmt(ode),
-            fmt(row.residue),
-            fmt(row.traffic),
-        ]);
-        aggregates.push(AggEntry {
-            label: format!("k={k}"),
-            params: vec![
-                ("n".to_string(), n.to_string()),
-                ("trials".to_string(), trials.to_string()),
-                ("k".to_string(), k.to_string()),
-            ],
-            observed: vec![
-                ("ode_residue".to_string(), ode),
-                ("residue".to_string(), row.residue),
-                ("traffic".to_string(), row.traffic),
-            ],
-            agg,
-        });
-    }
-    (rows, aggregates)
-}
-
-/// The rows of [`rumor_ode_data`] on a default runner (pinned by tests).
-pub fn rumor_ode(n: usize, trials: u64) -> Vec<Vec<String>> {
-    rumor_ode_data(TrialRunner::new(), n, trials).0
+    mixing_sweep(
+        ctx,
+        Sinks::Aggregate,
+        &[1, 2, 3, 4, 5, 6, 7, 8],
+        |k| {
+            RumorEpidemic::new(RumorConfig::new(
+                Direction::Push,
+                Feedback::Feedback,
+                Removal::Coin { k },
+            ))
+        },
+        |(k, [residue, traffic, ..]), seen| {
+            let ode = RumorOde::new(k).final_residue();
+            rows.push(labelled(k.to_string(), [ode, residue, traffic]));
+            aggregates.extend(seen.agg.map(|agg| {
+                let observed = [
+                    ("ode_residue", ode),
+                    ("residue", residue),
+                    ("traffic", traffic),
+                ];
+                mixing_entry(ctx, k, &observed, agg)
+            }));
+        },
+    );
+    let table = FigTable::new(
+        "Fig: rumor ODE residue s = e^-(k+1)(1-s) vs simulation (push, feedback, coin)",
+        &["k", "ODE residue", "sim residue", "sim traffic m"],
+        rows,
+    );
+    Output::figure(ctx, vec![table], aggregates)
 }
 
 /// §1.4 `s = e^{-m}` law: measured (m, s) pairs for several push variants
 /// against the prediction, including the connection-limited λ variants.
-pub fn residue_traffic(n: usize, trials: u64) -> Vec<Vec<String>> {
+pub(crate) fn residue_traffic_table(ctx: &Ctx<'_>) -> FigTable {
     let variants: Vec<(&str, RumorConfig, Option<u32>)> = vec![
         (
             "feedback+counter",
@@ -118,22 +104,14 @@ pub fn residue_traffic(n: usize, trials: u64) -> Vec<Vec<String>> {
             None,
         ),
     ];
-    variants
+    let rows = variants
         .into_iter()
         .map(|(label, cfg, climit)| {
             let driver = RumorEpidemic::new(cfg).connection_limit(climit);
-            let (s, m) = TrialRunner::new().fold_with(
-                trials,
-                0,
-                MixingArena::new,
-                |arena, seed| {
-                    let r = driver.run_in(arena, n, seed ^ 0xABCD, &mut ());
-                    (r.residue, r.traffic)
-                },
-                (0.0, 0.0),
-                |a, r| (a.0 + r.0, a.1 + r.1),
-            );
-            let (s, m) = (s / trials as f64, m / trials as f64);
+            let ([s, m], _) = ctx.mean_seen(MixingArena::new, |arena, seed| {
+                let r = driver.run_in(arena, ctx.n, seed ^ 0xABCD, &mut ());
+                ([r.residue, r.traffic], Seen::default())
+            });
             vec![
                 label.to_string(),
                 fmt(m),
@@ -142,40 +120,35 @@ pub fn residue_traffic(n: usize, trials: u64) -> Vec<Vec<String>> {
                 fmt(epidemic_analysis::push_connection_limited_residue(m)),
             ]
         })
-        .collect()
+        .collect();
+    FigTable::new(
+        "Fig: residue vs traffic — s = e^-m law and connection-limited variants",
+        &["variant", "m", "s (sim)", "e^-m", "e^-1.582m"],
+        rows,
+    )
 }
 
 /// §1.3 anti-entropy convergence: measured cover time for push vs the
 /// `log₂n + ln n` prediction, and pull's doubly-exponential tail. The
-/// push direction (the one the closed form predicts) streams through an
-/// [`AggregateObserver`], yielding one merged aggregate per `n`.
-pub fn ae_convergence_data(runner: TrialRunner, trials: u64) -> (Vec<Vec<String>>, Vec<AggEntry>) {
+/// push direction (the one the closed form predicts) yields one merged
+/// aggregate per `n` when observed.
+pub(crate) fn ae_convergence(ctx: &Ctx<'_>) -> Output {
+    let sinks = ctx.sinks(Sinks::Aggregate);
     let mut rows = Vec::new();
     let mut aggregates = Vec::new();
     for &n in &[100usize, 300, 1000, 3000, 10_000] {
-        let (push_sum, agg) = parallel_trials_with(
-            runner,
-            trials,
-            |seed| {
-                let mut sink = AggregateObserver::new();
-                let r = AntiEntropyEpidemic::new(Direction::Push).run_observed(n, seed, &mut sink);
-                (f64::from(r.cycles), sink.finish())
-            },
-            (0.0f64, RunAggregate::default()),
-            |(sum, mut agg), (cycles, trial_agg)| {
-                agg.merge(&trial_agg);
-                (sum + cycles, agg)
+        let ([push], seen) = ctx.mean_seen(
+            || (),
+            |(), seed| {
+                let (r, seen) = observed!(sinks, ctx.tracer(), |observer| {
+                    AntiEntropyEpidemic::new(Direction::Push).run_observed(n, seed, observer)
+                });
+                ([f64::from(r.cycles)], seen)
             },
         );
-        let push = push_sum / trials as f64;
         let mean = |direction| {
-            parallel_trials_with(
-                runner,
-                trials,
-                |seed| f64::from(AntiEntropyEpidemic::new(direction).run(n, seed).cycles),
-                0.0,
-                |a, x| a + x,
-            ) / trials as f64
+            let driver = AntiEntropyEpidemic::new(direction);
+            ctx.mean(|seed| [f64::from(driver.run(n, seed).cycles)])[0]
         };
         let pull = mean(Direction::Pull);
         let pushpull = mean(Direction::PushPull);
@@ -189,34 +162,39 @@ pub fn ae_convergence_data(runner: TrialRunner, trials: u64) -> (Vec<Vec<String>
             // Pull tail: cycles from 10% susceptible to < 1/n by p².
             fmt(f64::from(pull_cycles_until(0.1, 1.0 / n as f64))),
         ]);
-        aggregates.push(AggEntry {
-            label: format!("push n={n}"),
-            params: vec![
-                ("n".to_string(), n.to_string()),
-                ("trials".to_string(), trials.to_string()),
-                ("direction".to_string(), "push".to_string()),
-            ],
-            observed: vec![
-                ("cycles_mean".to_string(), push),
-                ("predicted_log2_ln".to_string(), predicted),
-            ],
-            agg,
-        });
+        aggregates.extend(seen.agg.map(|agg| {
+            AggEntry::new(
+                format!("push n={n}"),
+                &[
+                    ("n", n.to_string()),
+                    ("trials", ctx.trials.to_string()),
+                    ("direction", "push".to_string()),
+                ],
+                &[("cycles_mean", push), ("predicted_log2_ln", predicted)],
+                agg,
+            )
+        }));
     }
-    (rows, aggregates)
-}
-
-/// The rows of [`ae_convergence_data`] on a default runner (pinned by
-/// tests).
-pub fn ae_convergence(trials: u64) -> Vec<Vec<String>> {
-    ae_convergence_data(TrialRunner::new(), trials).0
+    let table = FigTable::new(
+        "Fig: anti-entropy cover time — push vs log2(n)+ln(n), pull, push-pull",
+        &[
+            "n",
+            "push (sim)",
+            "log2+ln",
+            "pull (sim)",
+            "push-pull (sim)",
+            "pull tail p^2",
+        ],
+        rows,
+    );
+    Output::figure(ctx, vec![table], aggregates)
 }
 
 /// §3 line-traffic scaling `T(n)` for `d^-a`: exact expectation per regime.
-pub fn line_traffic() -> Vec<Vec<String>> {
+pub(crate) fn line_traffic_table() -> FigTable {
     let sizes = [100usize, 200, 400, 800, 1600, 3200];
     let exps = [0.0, 1.0, 1.5, 2.0, 3.0];
-    sizes
+    let rows = sizes
         .iter()
         .map(|&n| {
             let mut row = vec![n.to_string()];
@@ -225,102 +203,69 @@ pub fn line_traffic() -> Vec<Vec<String>> {
             }
             row
         })
-        .collect()
-}
-
-/// [`line_traffic`] as a [`FigTable`].
-pub fn line_traffic_table() -> FigTable {
+        .collect();
     FigTable::new(
         "Fig: T(n), expected traffic/link on a line for p ~ d^-a (O(n), n/log n, n^(2-a), log n, O(1))",
         &["n", "a=0 (uniform)", "a=1", "a=1.5", "a=2", "a=3"],
-        line_traffic(),
+        rows,
     )
 }
 
 /// Figure 1 pathology: failure probability of push and pull rumor
 /// mongering between the s–t pair under `Q_s(d)^-2`, per `k`.
-pub fn figure1(trials: u32) -> Vec<Vec<String>> {
+pub(crate) fn figure1_table(ctx: &Ctx<'_>) -> FigTable {
     let topo = topologies::figure1(30);
     let s = topo.node_by_label("s").expect("site s exists");
-    (1..=6u32)
+    let rows = (1..=6u32)
         .map(|k| {
-            let push = failure_probability(
-                &topo,
-                Spatial::QsPower { a: 2.0 },
-                RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k }),
-                trials,
-                Some(s),
-            );
-            let pull = failure_probability(
-                &topo,
-                Spatial::QsPower { a: 2.0 },
-                RumorConfig::new(Direction::Pull, Feedback::Feedback, Removal::Counter { k }),
-                trials,
-                Some(s),
-            );
-            let uniform_push = failure_probability(
-                &topo,
-                Spatial::Uniform,
-                RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k }),
-                trials,
-                Some(s),
-            );
-            vec![k.to_string(), fmt(push), fmt(pull), fmt(uniform_push)]
+            let fails = |spatial, direction| {
+                let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k });
+                failure_probability(ctx.runner, &topo, spatial, cfg, ctx.trials, Some(s))
+            };
+            vec![
+                k.to_string(),
+                fmt(fails(Spatial::QsPower { a: 2.0 }, Direction::Push)),
+                fmt(fails(Spatial::QsPower { a: 2.0 }, Direction::Pull)),
+                fmt(fails(Spatial::Uniform, Direction::Push)),
+            ]
         })
-        .collect()
-}
-
-/// [`figure1`] as a [`FigTable`].
-pub fn figure1_table(trials: u32) -> FigTable {
+        .collect();
     FigTable::new(
         "Fig 1: failure probability on the s-t pathology (m=30, Qs^-2), update injected at s",
         &["k", "push Qs^-2", "pull Qs^-2", "push uniform"],
-        figure1(trials),
+        rows,
     )
 }
 
 /// Figure 2 pathology: probability that the distant site `s` misses a
 /// push rumor injected inside the binary tree.
-pub fn figure2(trials: u32) -> Vec<Vec<String>> {
+pub(crate) fn figure2_table(ctx: &Ctx<'_>) -> FigTable {
     let topo = topologies::figure2(5, 7); // 31 tree sites + distant s
     let root = topo.node_by_label("t0").expect("root exists");
     let s = topo.node_by_label("s").expect("site s exists");
-    (1..=6u32)
+    let qs2 = Spatial::QsPower { a: 2.0 };
+    let rows = (1..=6u32)
         .map(|k| {
             let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k });
-            let sim = SpatialRumorSim::new(&topo, Spatial::QsPower { a: 2.0 }, cfg);
-            let missed_s = parallel_trials(
-                u64::from(trials),
-                |t| {
-                    let r = sim.run(t + 17, Some(root));
-                    r.susceptible_sites.contains(&s)
-                },
-                0usize,
-                |acc, missed| acc + usize::from(missed),
-            );
-            let total_failures =
-                failure_probability(&topo, Spatial::QsPower { a: 2.0 }, cfg, trials, Some(root));
-            vec![
-                k.to_string(),
-                fmt(missed_s as f64 / f64::from(trials)),
-                fmt(total_failures),
-            ]
+            let sim = SpatialRumorSim::new(&topo, qs2, cfg);
+            let [missed_s] = ctx.mean(|t| {
+                let r = sim.run(t + 17, Some(root));
+                [f64::from(u8::from(r.susceptible_sites.contains(&s)))]
+            });
+            let any = failure_probability(ctx.runner, &topo, qs2, cfg, ctx.trials, Some(root));
+            vec![k.to_string(), fmt(missed_s), fmt(any)]
         })
-        .collect()
-}
-
-/// [`figure2`] as a [`FigTable`].
-pub fn figure2_table(trials: u32) -> FigTable {
+        .collect();
     FigTable::new(
         "Fig 2: binary tree + distant site s (push, Qs^-2), update injected at the root",
         &["k", "P(distant s missed)", "P(any failure)"],
-        figure2(trials),
+        rows,
     )
 }
 
 /// §2 death certificates: the equal-space law, the resurrection failure
 /// and the dormant-certificate immune response (two tables).
-pub fn death_certificates_tables() -> Vec<FigTable> {
+pub(crate) fn death_certificates_tables() -> Vec<FigTable> {
     // Equal-space law τ₂ = (τ - τ₁)·n/r (§2.1).
     let rows: Vec<Vec<String>> = [
         (30u64, 15u64, 300u64, 4u64),
@@ -367,43 +312,55 @@ pub fn death_certificates_tables() -> Vec<FigTable> {
 }
 
 /// §3.2: push-pull rumor mongering on the CIN with a spatial distribution —
-/// find the minimal `k` giving 100% distribution, then measure its traffic
-/// and convergence (the paper found them "nearly identical to Table 4").
-pub fn spatial_rumor(trials: u32, measure_runs: u64) -> Vec<Vec<String>> {
+/// find the minimal `k` giving 100% distribution in each of `ctx.trials`
+/// runs, then measure its traffic and convergence over twice as many
+/// (the paper found them "nearly identical to Table 4").
+pub(crate) fn spatial_rumor_table(ctx: &Ctx<'_>) -> FigTable {
     let net = cin(&CinConfig::default());
     spatial_rumor_on(
-        TrialRunner::new(),
+        ctx,
         &net,
         &[
             ("uniform".to_string(), Spatial::Uniform),
             ("a = 1.2".to_string(), Spatial::QsPower { a: 1.2 }),
             ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
         ],
-        trials,
         40,
-        measure_runs,
+        2 * ctx.trials,
     )
 }
 
-/// As [`spatial_rumor`] but on a caller-provided CIN, distribution list
-/// and [`TrialRunner`] (golden tests pin one cell of this on a small
-/// network).
+/// As `spatial_rumor_table` but on a caller-provided CIN, distribution
+/// list, `k` bound and measuring-run count (golden tests pin one cell of
+/// this on a small network).
 pub fn spatial_rumor_on(
-    runner: TrialRunner,
+    ctx: &Ctx<'_>,
     net: &topologies::Cin,
     distributions: &[(String, Spatial)],
-    trials: u32,
     max_k: u32,
     measure_runs: u64,
-) -> Vec<Vec<String>> {
+) -> FigTable {
     let base = RumorConfig::new(
         Direction::PushPull,
         Feedback::Feedback,
         Removal::Counter { k: 1 },
     );
+    let search_trials = u32::try_from(ctx.trials).expect("search trials fit u32");
+    let measure = Ctx {
+        trials: measure_runs,
+        ..*ctx
+    };
     let mut rows = Vec::new();
     for (label, spatial) in distributions.iter().cloned() {
-        let Some(k) = minimum_k_with(runner, &net.topology, spatial, base, trials, max_k) else {
+        let min_k = minimum_k_with(
+            ctx.runner,
+            &net.topology,
+            spatial,
+            base,
+            search_trials,
+            max_k,
+        );
+        let Some(k) = min_k else {
             rows.push(vec![
                 label,
                 "-".into(),
@@ -419,42 +376,25 @@ pub fn spatial_rumor_on(
             ..base
         };
         let sim = SpatialRumorSim::new(&net.topology, spatial, cfg);
-        let acc = parallel_trials_with(
-            runner,
-            measure_runs,
-            |seed| {
-                let r = sim.run(seed + 1000, None);
-                let cycles = f64::from(r.cycles.max(1));
-                (
-                    f64::from(r.t_last),
-                    r.compare_traffic.mean_per_link() / cycles,
-                    r.compare_traffic.at(net.bushey_link) as f64 / cycles,
-                    r.update_traffic.mean_per_link(),
-                )
-            },
-            [0.0f64; 4],
-            |mut a, r| {
-                for (x, v) in a.iter_mut().zip([r.0, r.1, r.2, r.3]) {
-                    *x += v;
-                }
-                a
-            },
-        );
-        let t = measure_runs as f64;
+        let [t_last, cmp_avg, cmp_bushey, upd_avg] = measure.mean(|seed| {
+            let r = sim.run(seed + 1000, None);
+            let cycles = f64::from(r.cycles.max(1));
+            [
+                f64::from(r.t_last),
+                r.compare_traffic.mean_per_link() / cycles,
+                r.compare_traffic.at(net.bushey_link) as f64 / cycles,
+                r.update_traffic.mean_per_link(),
+            ]
+        });
         rows.push(vec![
             label,
             k.to_string(),
-            fmt(acc[0] / t),
-            fmt(acc[1] / t),
-            fmt(acc[2] / t),
-            fmt(acc[3] / t),
+            fmt(t_last),
+            fmt(cmp_avg),
+            fmt(cmp_bushey),
+            fmt(upd_avg),
         ]);
     }
-    rows
-}
-
-/// [`spatial_rumor`]-shaped rows as a [`FigTable`].
-pub fn spatial_rumor_table(rows: Vec<Vec<String>>) -> FigTable {
     FigTable::new(
         "§3.2: push-pull rumor mongering on the CIN — minimal k for 100% distribution",
         &[
@@ -469,34 +409,34 @@ pub fn spatial_rumor_table(rows: Vec<Vec<String>>) -> FigTable {
     )
 }
 
-/// Renders [`spatial_rumor`]-shaped rows to a `String` (golden tests).
-pub fn render_spatial_rumor(rows: &[Vec<String>]) -> String {
-    spatial_rumor_table(rows.to_vec()).render()
-}
-
 /// Ablation: Table 3's counter-reset-on-useful-contact rule versus
 /// monotone counters (pull, feedback, counter).
-pub fn counter_reset_table(n: usize, trials: u64) -> FigTable {
-    let rows: Vec<Vec<String>> = [true, false]
+pub(crate) fn counter_reset_table(ctx: &Ctx<'_>) -> FigTable {
+    let rows = [true, false]
         .iter()
         .map(|&reset| {
-            let rows = crate::tables::mixing_sweep(n, trials, &[1, 2, 3], |k| {
-                RumorEpidemic::new(
-                    RumorConfig::new(Direction::Pull, Feedback::Feedback, Removal::Counter { k })
-                        .with_reset_on_useful(reset),
-                )
-            });
-            let cells: Vec<String> = rows
-                .iter()
-                .flat_map(|r| [fmt(r.residue), fmt(r.traffic)])
-                .collect();
             let mut row = vec![if reset {
                 "reset (footnote)"
             } else {
                 "monotone"
             }
             .to_string()];
-            row.extend(cells);
+            mixing_sweep(
+                ctx,
+                Sinks::Off,
+                &[1, 2, 3],
+                |k| {
+                    RumorEpidemic::new(
+                        RumorConfig::new(
+                            Direction::Pull,
+                            Feedback::Feedback,
+                            Removal::Counter { k },
+                        )
+                        .with_reset_on_useful(reset),
+                    )
+                },
+                |(_, [residue, traffic, ..]), _| row.extend([fmt(residue), fmt(traffic)]),
+            );
             row
         })
         .collect();
@@ -509,8 +449,8 @@ pub fn counter_reset_table(n: usize, trials: u64) -> FigTable {
 
 /// Ablation: hunting under connection limit 1 (§1.4: infinite hunting
 /// makes push and pull equivalent to a complete permutation).
-pub fn hunting_table(n: usize, trials: u64) -> FigTable {
-    let rows: Vec<Vec<String>> = [0u32, 1, 4, 16, u32::MAX]
+pub(crate) fn hunting_table(ctx: &Ctx<'_>) -> FigTable {
+    let rows = [0u32, 1, 4, 16, u32::MAX]
         .iter()
         .map(|&hunt| {
             let driver = RumorEpidemic::new(RumorConfig::new(
@@ -520,26 +460,16 @@ pub fn hunting_table(n: usize, trials: u64) -> FigTable {
             ))
             .connection_limit(Some(1))
             .hunt_limit(hunt.min(1_000));
-            let (s, m) = TrialRunner::new().fold_with(
-                trials,
-                0,
-                MixingArena::new,
-                |arena, seed| {
-                    let r = driver.run_in(arena, n, seed ^ 0x5EED, &mut ());
-                    (r.residue, r.traffic)
-                },
-                (0.0, 0.0),
-                |a, r| (a.0 + r.0, a.1 + r.1),
-            );
-            vec![
-                if hunt == u32::MAX {
-                    "~inf".into()
-                } else {
-                    hunt.to_string()
-                },
-                fmt(s / trials as f64),
-                fmt(m / trials as f64),
-            ]
+            let (means, _) = ctx.mean_seen(MixingArena::new, |arena, seed| {
+                let r = driver.run_in(arena, ctx.n, seed ^ 0x5EED, &mut ());
+                ([r.residue, r.traffic], Seen::default())
+            });
+            let label = if hunt == u32::MAX {
+                "~inf".into()
+            } else {
+                hunt.to_string()
+            };
+            labelled(label, means)
         })
         .collect();
     FigTable::new(
@@ -551,7 +481,7 @@ pub fn hunting_table(n: usize, trials: u64) -> FigTable {
 
 /// Ablation: comparison strategies (§1.3) on a pair of replicas with a
 /// large shared history and a small fresh divergence.
-pub fn comparison_table() -> FigTable {
+pub(crate) fn comparison_table() -> FigTable {
     let rows: Vec<Vec<String>> = [
         ("full", Comparison::Full),
         ("checksum", Comparison::Checksum),
@@ -598,9 +528,9 @@ pub fn comparison_table() -> FigTable {
 }
 
 /// Ablation: §1.5 redistribution policies in the Clearinghouse workload.
-pub fn redistribution_table(trials: u64) -> FigTable {
+pub(crate) fn redistribution_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_core::{MailConfig, Redistribution};
-    let rows: Vec<Vec<String>> = [
+    let rows = [
         ("none (conservative)", Redistribution::None),
         ("rumor", Redistribution::Rumor),
         ("re-mail (original CH)", Redistribution::Mail),
@@ -619,26 +549,15 @@ pub fn redistribution_table(trials: u64) -> FigTable {
             rumor_k: Some(2),
             max_cycles: 3_000,
         };
-        let acc = parallel_trials(
-            trials,
-            |seed| {
-                let r = scenario.run(seed);
-                (
-                    r.consistent_at.map_or(3_000.0, f64::from),
-                    r.mail_delivered as f64,
-                    r.ae_repairs as f64,
-                )
-            },
-            (0.0, 0.0, 0.0),
-            |a, r| (a.0 + r.0, a.1 + r.1, a.2 + r.2),
-        );
-        let t = trials as f64;
-        vec![
-            label.to_string(),
-            fmt(acc.0 / t),
-            fmt(acc.1 / t),
-            fmt(acc.2 / t),
-        ]
+        let means = ctx.mean(|seed| {
+            let r = scenario.run(seed);
+            [
+                r.consistent_at.map_or(3_000.0, f64::from),
+                r.mail_delivered as f64,
+                r.ae_repairs as f64,
+            ]
+        });
+        labelled(label, means)
     })
     .collect();
     FigTable::new(
@@ -657,7 +576,7 @@ pub fn redistribution_table(trials: u64) -> FigTable {
 /// function of the recent-update-list window `τ` under a steady update
 /// rate. The paper: choose `τ` below the distribution time and "checksum
 /// comparisons will usually fail".
-pub fn checksum_window_table() -> FigTable {
+pub(crate) fn checksum_window_table() -> FigTable {
     use epidemic_sim::steady::SteadyStateSim;
     let sim = SteadyStateSim::default();
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -700,7 +619,7 @@ pub fn checksum_window_table() -> FigTable {
 
 /// Ablation of the synchronous-cycle assumption: the Table 4 experiment
 /// re-run on the event-driven simulator with per-site jittered timers.
-pub fn async_ablation_table(trials: u64) -> FigTable {
+pub(crate) fn async_ablation_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_sim::event::AsyncAntiEntropySim;
     use epidemic_sim::spatial_ae::AntiEntropySim;
     let net = cin(&CinConfig::default());
@@ -711,34 +630,17 @@ pub fn async_ablation_table(trials: u64) -> FigTable {
     ] {
         let sync = AntiEntropySim::new(&net.topology, spatial);
         let asynchronous = AsyncAntiEntropySim::new(&net.topology, spatial, 0.3);
-        let acc = parallel_trials(
-            trials,
-            |seed| {
-                let s = sync.run(seed + 71, None);
-                let a = asynchronous.run(seed + 71, None);
-                (
-                    f64::from(s.t_last),
-                    a.t_last,
-                    s.compare_traffic.mean_per_link() / f64::from(s.cycles.max(1)),
-                    a.compare_per_link_period,
-                )
-            },
-            [0.0f64; 4],
-            |mut acc, r| {
-                for (x, v) in acc.iter_mut().zip([r.0, r.1, r.2, r.3]) {
-                    *x += v;
-                }
-                acc
-            },
-        );
-        let t = trials as f64;
-        rows.push(vec![
-            label,
-            fmt(acc[0] / t),
-            fmt(acc[1] / t),
-            fmt(acc[2] / t),
-            fmt(acc[3] / t),
-        ]);
+        let means = ctx.mean(|seed| {
+            let s = sync.run(seed + 71, None);
+            let a = asynchronous.run(seed + 71, None);
+            [
+                f64::from(s.t_last),
+                a.t_last,
+                s.compare_traffic.mean_per_link() / f64::from(s.cycles.max(1)),
+                a.compare_per_link_period,
+            ]
+        });
+        rows.push(labelled(label, means));
     }
     FigTable::new(
         "Ablation: synchronous cycles vs event-driven timers (±30% jitter) on the CIN",
@@ -755,7 +657,7 @@ pub fn async_ablation_table(trials: u64) -> FigTable {
 
 /// §4 future work: the dynamic hierarchy against flat spatial selection on
 /// the CIN — convergence, average traffic and the Bushey hot spot.
-pub fn hierarchy_table(trials: u64) -> FigTable {
+pub(crate) fn hierarchy_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_net::{HierarchicalSampler, Routes};
     use epidemic_sim::spatial_ae::AntiEntropySim;
     let net = cin(&CinConfig::default());
@@ -764,32 +666,16 @@ pub fn hierarchy_table(trials: u64) -> FigTable {
 
     let mut measure =
         |label: String, sim: &(dyn Fn(u64) -> epidemic_sim::SpatialRunResult + Sync)| {
-            let acc = parallel_trials(
-                trials,
-                |seed| {
-                    let r = sim(seed + 13);
-                    let cycles = f64::from(r.cycles.max(1));
-                    (
-                        f64::from(r.t_last),
-                        r.compare_traffic.mean_per_link() / cycles,
-                        r.compare_traffic.at(net.bushey_link) as f64 / cycles,
-                    )
-                },
-                [0.0f64; 3],
-                |mut a, r| {
-                    for (x, v) in a.iter_mut().zip([r.0, r.1, r.2]) {
-                        *x += v;
-                    }
-                    a
-                },
-            );
-            let t = trials as f64;
-            rows.push(vec![
-                label,
-                fmt(acc[0] / t),
-                fmt(acc[1] / t),
-                fmt(acc[2] / t),
-            ]);
+            let means = ctx.mean(|seed| {
+                let r = sim(seed + 13);
+                let cycles = f64::from(r.cycles.max(1));
+                [
+                    f64::from(r.t_last),
+                    r.compare_traffic.mean_per_link() / cycles,
+                    r.compare_traffic.at(net.bushey_link) as f64 / cycles,
+                ]
+            });
+            rows.push(labelled(label, means));
         };
 
     for (label, spatial) in [
@@ -827,20 +713,20 @@ pub fn hierarchy_table(trials: u64) -> FigTable {
 /// The §1.4 epidemic trajectory: the simulated infective fraction along
 /// the phase curve `i(s)` against the ODE's closed form, sampled at fixed
 /// susceptible fractions.
-pub fn sir_curve_table(n: usize, trials: u64) -> FigTable {
+pub(crate) fn sir_curve_table(ctx: &Ctx<'_>) -> FigTable {
     let k = 2;
     let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Coin { k });
     let driver = RumorEpidemic::new(cfg);
     // Average the infective fraction observed at (just below) each sampled
     // susceptible level across trials.
     let samples = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1];
-    let sums = TrialRunner::new().fold_with(
-        trials,
+    let sums = ctx.runner.fold_with(
+        ctx.trials,
         0,
         || (MixingArena::new(), SirObserver::new()),
         |(arena, sir), seed| {
             sir.points.clear();
-            driver.run_in(arena, n, seed ^ 0xC0FFEE, sir);
+            driver.run_in(arena, ctx.n, seed ^ 0xC0FFEE, sir);
             let mut at = [f64::NAN; 9];
             for &(s, i, _) in &sir.points {
                 for (slot, &level) in at.iter_mut().zip(&samples) {
@@ -863,7 +749,7 @@ pub fn sir_curve_table(n: usize, trials: u64) -> FigTable {
         },
     );
     let ode = RumorOde::new(k);
-    let rows: Vec<Vec<String>> = samples
+    let rows = samples
         .iter()
         .enumerate()
         .map(|(idx, &s)| {
@@ -876,7 +762,7 @@ pub fn sir_curve_table(n: usize, trials: u64) -> FigTable {
                 fmt(s),
                 fmt(ode.i_of_s(s).max(0.0)),
                 sim,
-                format!("{}/{trials}", sums.1[idx]),
+                format!("{}/{}", sums.1[idx], ctx.trials),
             ]
         })
         .collect();
@@ -890,7 +776,7 @@ pub fn sir_curve_table(n: usize, trials: u64) -> FigTable {
 /// Steady-state anti-entropy on the CIN with recent-update lists: entry
 /// traffic (the wire-cost proxy) per link under each distribution — the
 /// production Clearinghouse configuration.
-pub fn cin_steady_table(runner: TrialRunner, trials: u64) -> FigTable {
+pub(crate) fn cin_steady_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_sim::spatial_steady::{SpatialSteadyConfig, SpatialSteadySim};
     let net = cin(&CinConfig::default());
     let config = SpatialSteadyConfig::default();
@@ -901,34 +787,16 @@ pub fn cin_steady_table(runner: TrialRunner, trials: u64) -> FigTable {
         ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
         let sim = SpatialSteadySim::new(&net.topology, spatial, config);
-        let acc = parallel_trials_with(
-            runner,
-            trials,
-            |seed| {
-                let r = sim.run(seed + 31);
-                (
-                    r.conversations_per_link_cycle,
-                    r.entries_per_link_cycle,
-                    r.entry_traffic.at(net.bushey_link) as f64 / f64::from(r.measured_cycles),
-                    r.full_compare_rate,
-                )
-            },
-            [0.0f64; 4],
-            |mut a, r| {
-                for (x, v) in a.iter_mut().zip([r.0, r.1, r.2, r.3]) {
-                    *x += v;
-                }
-                a
-            },
-        );
-        let t = trials as f64;
-        rows.push(vec![
-            label,
-            fmt(acc[0] / t),
-            fmt(acc[1] / t),
-            fmt(acc[2] / t),
-            fmt(acc[3] / t),
-        ]);
+        let means = ctx.mean(|seed| {
+            let r = sim.run(seed + 31);
+            [
+                r.conversations_per_link_cycle,
+                r.entries_per_link_cycle,
+                r.entry_traffic.at(net.bushey_link) as f64 / f64::from(r.measured_cycles),
+                r.full_compare_rate,
+            ]
+        });
+        rows.push(labelled(label, means));
     }
     FigTable::new(
         "Steady state on the CIN: recent-list anti-entropy, 2 updates/cycle",
@@ -947,7 +815,7 @@ pub fn cin_steady_table(runner: TrialRunner, trials: u64) -> FigTable {
 /// high-cost links. `d`-seen distance pushes `Q_s(d)`'s sorted lists
 /// around, so Europe appears "farther" and crossing traffic falls further
 /// still — at the price of slower transatlantic convergence.
-pub fn weighted_cin_table(trials: u64) -> FigTable {
+pub(crate) fn weighted_cin_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_sim::spatial_ae::AntiEntropySim;
     let mut rows = Vec::new();
     for cost in [1u32, 3, 6] {
@@ -956,32 +824,16 @@ pub fn weighted_cin_table(trials: u64) -> FigTable {
             ..CinConfig::default()
         });
         let sim = AntiEntropySim::new(&net.topology, Spatial::QsPower { a: 2.0 });
-        let acc = parallel_trials(
-            trials,
-            |seed| {
-                let r = sim.run(seed + 47, None);
-                let cycles = f64::from(r.cycles.max(1));
-                (
-                    f64::from(r.t_last),
-                    r.compare_traffic.mean_per_link() / cycles,
-                    r.compare_traffic.at(net.bushey_link) as f64 / cycles,
-                )
-            },
-            [0.0f64; 3],
-            |mut a, r| {
-                for (x, v) in a.iter_mut().zip([r.0, r.1, r.2]) {
-                    *x += v;
-                }
-                a
-            },
-        );
-        let t = trials as f64;
-        rows.push(vec![
-            cost.to_string(),
-            fmt(acc[0] / t),
-            fmt(acc[1] / t),
-            fmt(acc[2] / t),
-        ]);
+        let means = ctx.mean(|seed| {
+            let r = sim.run(seed + 47, None);
+            let cycles = f64::from(r.cycles.max(1));
+            [
+                f64::from(r.t_last),
+                r.compare_traffic.mean_per_link() / cycles,
+                r.compare_traffic.at(net.bushey_link) as f64 / cycles,
+            ]
+        });
+        rows.push(labelled(cost.to_string(), means));
     }
     FigTable::new(
         "Ablation: transatlantic link cost under Qs^-2 anti-entropy (CIN)",
@@ -999,23 +851,22 @@ pub fn weighted_cin_table(trials: u64) -> FigTable {
 /// once the expected propagation time exceeds `τ₁`, so `τ₁` (and the space
 /// at each server) "eventually must grow as O(log n)". We estimate
 /// `P(cover time > τ₁)` for push-pull anti-entropy across network sizes.
-pub fn dc_scaling_table(trials: u64) -> FigTable {
+pub(crate) fn dc_scaling_table(ctx: &Ctx<'_>) -> FigTable {
     let taus = [8u32, 10, 12, 14];
-    let rows: Vec<Vec<String>> = [64usize, 256, 1024, 4096]
+    let rows = [64usize, 256, 1024, 4096]
         .iter()
         .map(|&n| {
             let driver = AntiEntropyEpidemic::new(Direction::PushPull);
-            let cover_times: Vec<f64> = {
-                parallel_trials(
-                    trials,
-                    |seed| f64::from(driver.run(n, seed ^ 0xDC).cycles),
-                    Vec::new(),
-                    |mut v, x| {
-                        v.push(x);
-                        v
-                    },
-                )
-            };
+            let cover_times: Vec<f64> = ctx.runner.fold(
+                ctx.trials,
+                0,
+                |seed| f64::from(driver.run(n, seed ^ 0xDC).cycles),
+                Vec::new(),
+                |mut v, x| {
+                    v.push(x);
+                    v
+                },
+            );
             let mut row = vec![
                 n.to_string(),
                 fmt(cover_times.iter().sum::<f64>() / cover_times.len() as f64),
@@ -1045,7 +896,7 @@ pub fn dc_scaling_table(trials: u64) -> FigTable {
 /// fleet is down at any moment (§2's hours-to-days outages). Anti-entropy
 /// completes regardless; convergence stretches roughly like 1/(up
 /// fraction)².
-pub fn churn_table(trials: u64) -> FigTable {
+pub(crate) fn churn_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_sim::failures::{Churn, ChurnedAntiEntropySim};
     let net = cin(&CinConfig::default());
     let mut rows = Vec::new();
@@ -1080,26 +931,15 @@ pub fn churn_table(trials: u64) -> FigTable {
         ),
     ] {
         let sim = ChurnedAntiEntropySim::new(&net.topology, Spatial::QsPower { a: 2.0 }, churn);
-        let acc = parallel_trials(
-            trials,
-            |seed| {
-                let r = sim.run(seed + 91, None);
-                (
-                    f64::from(r.t_last),
-                    r.observed_down_fraction,
-                    f64::from(u8::from(r.complete)),
-                )
-            },
-            (0.0, 0.0, 0.0),
-            |a, r| (a.0 + r.0, a.1 + r.1, a.2 + r.2),
-        );
-        let t = trials as f64;
-        rows.push(vec![
-            label.to_string(),
-            fmt(acc.1 / t),
-            fmt(acc.0 / t),
-            fmt(acc.2 / t),
-        ]);
+        let means = ctx.mean(|seed| {
+            let r = sim.run(seed + 91, None);
+            [
+                r.observed_down_fraction,
+                f64::from(r.t_last),
+                f64::from(u8::from(r.complete)),
+            ]
+        });
+        rows.push(labelled(label, means));
     }
     FigTable::new(
         "Ablation: site churn under Qs^-2 anti-entropy (CIN)",
@@ -1116,10 +956,10 @@ pub fn churn_table(trials: u64) -> FigTable {
 /// §4 asks to "characterize the pathological topologies": sweep topology
 /// families and report how uniform vs `Q_s(d)^-2` anti-entropy behaves on
 /// each — convergence time and the hottest link's load.
-pub fn topology_robustness_table(trials: u64) -> FigTable {
+pub(crate) fn topology_robustness_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_net::topologies::{binary_tree, grid, line, random_connected, ring, waxman};
     use epidemic_sim::spatial_ae::AntiEntropySim;
-    let topos: Vec<(&str, epidemic_net::Topology)> = vec![
+    let topos: Vec<(&str, Topology)> = vec![
         ("line(64)", line(64)),
         ("ring(64)", ring(64)),
         ("grid(8x8)", grid(&[8, 8])),
@@ -1132,23 +972,16 @@ pub fn topology_robustness_table(trials: u64) -> FigTable {
         let mut cells = vec![label.to_string()];
         for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
             let sim = AntiEntropySim::new(topo, spatial);
-            let acc = parallel_trials(
-                trials,
-                |seed| {
-                    let r = sim.run(seed + 3, None);
-                    let cycles = f64::from(r.cycles.max(1));
-                    let hottest = r
-                        .compare_traffic
-                        .hottest()
-                        .map_or(0.0, |(_, c)| c as f64 / cycles);
-                    (f64::from(r.t_last), hottest)
-                },
-                (0.0, 0.0),
-                |a, r| (a.0 + r.0, a.1 + r.1),
-            );
-            let t = trials as f64;
-            cells.push(fmt(acc.0 / t));
-            cells.push(fmt(acc.1 / t));
+            let means = ctx.mean(|seed| {
+                let r = sim.run(seed + 3, None);
+                let cycles = f64::from(r.cycles.max(1));
+                let hottest = r
+                    .compare_traffic
+                    .hottest()
+                    .map_or(0.0, |(_, c)| c as f64 / cycles);
+                [f64::from(r.t_last), hottest]
+            });
+            cells.extend(means.map(fmt));
         }
         rows.push(cells);
     }
@@ -1169,7 +1002,7 @@ pub fn topology_robustness_table(trials: u64) -> FigTable {
 /// while pull keeps polling; under load, pull's polls almost always find
 /// rumors and its superior residue pays off — "our own CIN application has
 /// a high enough update rate to warrant the use of pull".
-pub fn pull_vs_push_rate_table(runner: TrialRunner, trials: u64) -> FigTable {
+pub(crate) fn pull_vs_push_rate_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_sim::rumor_steady::{RumorSteadyConfig, RumorSteadySim};
     let mut rows = Vec::new();
     for rate in [0.0f64, 0.25, 1.0, 4.0] {
@@ -1180,34 +1013,16 @@ pub fn pull_vs_push_rate_table(runner: TrialRunner, trials: u64) -> FigTable {
                 ..RumorSteadyConfig::default()
             };
             let sim = RumorSteadySim::new(cfg, config);
-            let acc = parallel_trials_with(
-                runner,
-                trials,
-                |seed| {
-                    let r = sim.run(seed + 5);
-                    (
-                        r.coverage,
-                        r.messages_per_delivery,
-                        r.fruitless_per_cycle,
-                        r.contacts_per_cycle,
-                    )
-                },
-                [0.0f64; 4],
-                |mut a, r| {
-                    for (x, v) in a.iter_mut().zip([r.0, r.1, r.2, r.3]) {
-                        *x += v;
-                    }
-                    a
-                },
-            );
-            let t = trials as f64;
-            rows.push(vec![
-                format!("{rate} upd/cycle, {label}"),
-                fmt(acc[0] / t),
-                fmt(acc[1] / t),
-                fmt(acc[2] / t),
-                fmt(acc[3] / t),
-            ]);
+            let means = ctx.mean(|seed| {
+                let r = sim.run(seed + 5);
+                [
+                    r.coverage,
+                    r.messages_per_delivery,
+                    r.fruitless_per_cycle,
+                    r.contacts_per_cycle,
+                ]
+            });
+            rows.push(labelled(format!("{rate} upd/cycle, {label}"), means));
         }
     }
     FigTable::new(
@@ -1242,7 +1057,7 @@ const MEGASCALE_DEFAULT_MAX_N: usize = 1_000_000;
 ///
 /// Returns a message naming the variable and the offending value when it
 /// is set to anything else. `repro` refuses to start on it; a library
-/// caller of [`megascale_fig`] gets the default cap instead.
+/// caller of the megascale sweep gets the default cap instead.
 pub fn megascale_max_n_override() -> Result<Option<usize>, String> {
     let Some(raw) = std::env::var_os(MEGASCALE_MAX_N_ENV) else {
         return Ok(None);
@@ -1254,19 +1069,19 @@ pub fn megascale_max_n_override() -> Result<Option<usize>, String> {
 }
 
 /// Measures one sweep point: wall clock, allocations, and high-water-mark
-/// delta around `run`, pushing one rendered row and one [`AggEntry`].
+/// delta around `run`, pushing one rendered row and — when observed — one
+/// [`AggEntry`].
 fn megascale_point(
     n: usize,
     topology: &str,
     rows: &mut Vec<Vec<String>>,
     aggregates: &mut Vec<AggEntry>,
-    run: impl FnOnce(&mut AggregateObserver) -> epidemic_sim::EpidemicResult,
+    run: impl FnOnce() -> (epidemic_sim::EpidemicResult, Seen),
 ) {
     let allocs_before = crate::alloc_counter::allocations();
     let rss_before = crate::rss::peak_rss_kb();
     let start = std::time::Instant::now();
-    let mut sink = AggregateObserver::new();
-    let r = run(&mut sink);
+    let (r, seen) = run();
     let seconds = start.elapsed().as_secs_f64();
     let allocations = crate::alloc_counter::allocations() - allocs_before;
     let rss_delta_kb = crate::rss::peak_rss_kb().saturating_sub(rss_before);
@@ -1285,20 +1100,19 @@ fn megascale_point(
         },
         (rss_delta_kb / 1024).to_string(),
     ]);
-    aggregates.push(AggEntry {
-        label: format!("n={n} {topology}"),
-        params: vec![
-            ("n".to_string(), n.to_string()),
-            ("topology".to_string(), topology.to_string()),
-        ],
-        observed: vec![
-            ("residue".to_string(), r.residue),
-            ("t_last".to_string(), r.t_last),
-            ("traffic".to_string(), r.traffic),
-            ("cycles".to_string(), f64::from(r.cycles)),
-        ],
-        agg: sink.finish(),
-    });
+    aggregates.extend(seen.agg.map(|agg| {
+        AggEntry::new(
+            format!("n={n} {topology}"),
+            &[("n", n.to_string()), ("topology", topology.to_string())],
+            &[
+                ("residue", r.residue),
+                ("t_last", r.t_last),
+                ("traffic", r.traffic),
+                ("cycles", f64::from(r.cycles)),
+            ],
+            agg,
+        )
+    }));
 }
 
 /// Fig-megascale: the paper's workhorse rumor variant (push, feedback,
@@ -1308,15 +1122,15 @@ fn megascale_point(
 /// lazy site materialization ([`epidemic_sim::FastRumorProtocol`]) — what
 /// makes 10⁶ cheap and 10⁷ feasible at all.
 ///
-/// Every run streams through an [`AggregateObserver`] — bounded memory
-/// even at n = 10⁷ — and yields one row and one [`AggEntry`] per
-/// `(n, topology)` point. The cost columns are volatile: present in the
-/// rendered text, dropped from the JSON artifact so `--trace`/`--json`
-/// output stays byte-reproducible. Allocations need the `count-allocs`
-/// build ("n/a" otherwise); the RSS column is the per-point delta of the
-/// process high-water mark — how far this row pushed the peak, 0 if it
-/// fit inside an earlier row's footprint (see [`crate::rss`]).
-pub fn megascale_fig() -> (FigTable, Vec<AggEntry>) {
+/// One row per `(n, topology)` point, and when observed one [`AggEntry`]
+/// from a streaming aggregate — bounded memory even at n = 10⁷. The cost
+/// columns are volatile: present in the rendered text, dropped from the
+/// JSON artifact so `--trace`/`--json` output stays byte-reproducible.
+/// Allocations need the `count-allocs` build ("n/a" otherwise); the RSS
+/// column is the per-point delta of the process high-water mark — how far
+/// this row pushed the peak, 0 if it fit inside an earlier row's
+/// footprint (see [`crate::rss`]).
+pub(crate) fn megascale(ctx: &Ctx<'_>) -> Output {
     use epidemic_net::DegreeGraph;
     use epidemic_sim::MegascaleSim;
 
@@ -1324,6 +1138,7 @@ pub fn megascale_fig() -> (FigTable, Vec<AggEntry>) {
         .ok()
         .flatten()
         .unwrap_or(MEGASCALE_DEFAULT_MAX_N);
+    let sinks = ctx.sinks(Sinks::Aggregate);
     let sim = MegascaleSim::new();
     let mut rows = Vec::new();
     let mut aggregates = Vec::new();
@@ -1332,12 +1147,14 @@ pub fn megascale_fig() -> (FigTable, Vec<AggEntry>) {
             continue;
         }
         let seed = 1987 ^ n as u64;
-        megascale_point(n, "uniform", &mut rows, &mut aggregates, |sink| {
-            sim.run_uniform_fast_observed(n, seed, sink)
+        megascale_point(n, "uniform", &mut rows, &mut aggregates, || {
+            observed!(sinks, ctx.tracer(), |observer| sim
+                .run_uniform_fast_observed(n, seed, observer))
         });
         let graph = DegreeGraph::scale_free(n, 2, 1987);
-        megascale_point(n, "scale-free m=2", &mut rows, &mut aggregates, |sink| {
-            sim.run_scale_free_fast_observed(&graph, seed, sink)
+        megascale_point(n, "scale-free m=2", &mut rows, &mut aggregates, || {
+            observed!(sinks, ctx.tracer(), |observer| sim
+                .run_scale_free_fast_observed(&graph, seed, observer))
         });
     }
     let table = FigTable::new(
@@ -1357,163 +1174,22 @@ pub fn megascale_fig() -> (FigTable, Vec<AggEntry>) {
         rows,
     )
     .volatile(&[6, 7, 8]);
-    (table, aggregates)
-}
-
-/// One figure experiment's complete output: its rendered tables plus the
-/// streaming aggregates of its statistically deep sweeps (empty for
-/// figures whose value is a handful of derived numbers rather than a
-/// delay/traffic distribution).
-#[derive(Debug, Clone)]
-pub struct FigData {
-    /// The figure's tables, in print order.
-    pub tables: Vec<FigTable>,
-    /// Merged per-configuration streaming aggregates (may be empty).
-    pub aggregates: Vec<AggEntry>,
-}
-
-impl FigData {
-    fn table(table: FigTable) -> Self {
-        FigData {
-            tables: vec![table],
-            aggregates: Vec::new(),
-        }
-    }
-
-    fn with_aggregates((table, aggregates): (FigTable, Vec<AggEntry>)) -> Self {
-        FigData {
-            tables: vec![table],
-            aggregates,
-        }
-    }
-}
-
-/// The single dispatcher behind every figure experiment: resolves `name`
-/// to its tables (and aggregates), or `None` for non-figure names. The
-/// per-figure trial counts are fixed here — the same counts `repro` has
-/// always used — except for the sweeps that scale with `--trials`
-/// (`mix_trials`, on `n` sites).
-pub fn figure_data(runner: TrialRunner, name: &str, n: usize, mix_trials: u64) -> Option<FigData> {
-    let data = match name {
-        "fig-rumor-ode" => {
-            let (rows, aggregates) = rumor_ode_data(runner, n, mix_trials);
-            FigData::with_aggregates((
-                FigTable::new(
-                    "Fig: rumor ODE residue s = e^-(k+1)(1-s) vs simulation (push, feedback, coin)",
-                    &["k", "ODE residue", "sim residue", "sim traffic m"],
-                    rows,
-                ),
-                aggregates,
-            ))
-        }
-        "fig-residue-traffic" => FigData::table(FigTable::new(
-            "Fig: residue vs traffic — s = e^-m law and connection-limited variants",
-            &["variant", "m", "s (sim)", "e^-m", "e^-1.582m"],
-            residue_traffic(n, mix_trials),
-        )),
-        "fig-ae-convergence" => {
-            let (rows, aggregates) = ae_convergence_data(runner, 50);
-            FigData::with_aggregates((
-                FigTable::new(
-                    "Fig: anti-entropy cover time — push vs log2(n)+ln(n), pull, push-pull",
-                    &[
-                        "n",
-                        "push (sim)",
-                        "log2+ln",
-                        "pull (sim)",
-                        "push-pull (sim)",
-                        "pull tail p^2",
-                    ],
-                    rows,
-                ),
-                aggregates,
-            ))
-        }
-        "fig-line-traffic" => FigData::table(line_traffic_table()),
-        "fig1-pathology" => FigData::table(figure1_table(500)),
-        "fig2-pathology" => FigData::table(figure2_table(500)),
-        "death-certs" => FigData {
-            tables: death_certificates_tables(),
-            aggregates: Vec::new(),
-        },
-        "fig-dc-scaling" => FigData::table(dc_scaling_table(200)),
-        "fig-spatial-rumor" => FigData::table(spatial_rumor_table(spatial_rumor(50, 100))),
-        "fig-sir-curve" => FigData::table(sir_curve_table(n, mix_trials)),
-        "fig-checksum-window" => FigData::table(checksum_window_table()),
-        "fig-async" => FigData::table(async_ablation_table(50)),
-        "fig-cin-steady" => FigData::table(cin_steady_table(runner, 20)),
-        "fig-megascale" => FigData::with_aggregates(megascale_fig()),
-        "ablation-hierarchy" => FigData::table(hierarchy_table(50)),
-        "ablation-weighted-cin" => FigData::table(weighted_cin_table(50)),
-        "ablation-churn" => FigData::table(churn_table(30)),
-        "fig-topology-robustness" => FigData::table(topology_robustness_table(40)),
-        "fig-pull-vs-push-rate" => FigData::table(pull_vs_push_rate_table(runner, 20)),
-        "ablation-counter-reset" => FigData::table(counter_reset_table(n, mix_trials)),
-        "ablation-hunting" => FigData::table(hunting_table(n, mix_trials)),
-        "ablation-comparison" => FigData::table(comparison_table()),
-        "ablation-redistribution" => FigData::table(redistribution_table(20)),
-        _ => return None,
-    };
-    Some(data)
-}
-
-/// The plain `repro` path: prints a figure's tables to stdout. `false`
-/// for non-figure names.
-pub fn print_figure(name: &str, n: usize, mix_trials: u64) -> bool {
-    match figure_data(TrialRunner::new(), name, n, mix_trials) {
-        Some(data) => {
-            for table in &data.tables {
-                table.print();
-            }
-            true
-        }
-        None => false,
-    }
-}
-
-/// Runs a figure experiment and packages it in the same artifact-bundle
-/// shape as the traced tables and scenarios, so `repro --trace/--json`
-/// covers every experiment. Figures have no per-contact JSONL trace
-/// (`jsonl` is empty and `repro` skips the file); their machine-readable
-/// rows exclude volatile wall-clock columns, so every written byte is
-/// reproducible at any thread count.
-pub fn figure_artifacts(
-    runner: TrialRunner,
-    name: &str,
-    n: usize,
-    mix_trials: u64,
-) -> Option<TableArtifacts> {
-    use epidemic_trace::json::{array_of, JsonObject};
-    let data = figure_data(runner, name, n, mix_trials)?;
-    let rendered: String = data.tables.iter().map(FigTable::render).collect();
-    let mut rows = JsonObject::new();
-    rows.field_str("experiment", name)
-        .field_str("kind", "figure")
-        .field_raw(
-            "tables",
-            &array_of(data.tables.iter().map(FigTable::to_json)),
-        );
-    let rows = rows.finish();
-    let mut summary = JsonObject::new();
-    summary
-        .field_raw("table", &rows)
-        .field_u64("trace_lines", 0);
-    Some(TableArtifacts {
-        rendered,
-        jsonl: String::new(),
-        summary: summary.finish(),
-        rows,
-        agg: agg_json(name, "figure", &data.aggregates),
-    })
+    Output::figure(ctx, vec![table], aggregates)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::run_small;
+
+    /// The first table of the registry row `name` at reduced scale.
+    fn table(name: &str, n: usize, trials: u64) -> FigTable {
+        run_small(name, n, trials, false).tables.swap_remove(0)
+    }
 
     #[test]
     fn rumor_ode_rows_track_theory() {
-        let rows = rumor_ode(300, 20);
+        let rows = table("fig-rumor-ode", 300, 20).rows;
         assert_eq!(rows.len(), 8);
         // Column 1 is the ODE residue for k=1 ≈ 0.2.
         let ode_k1: f64 = rows[0][1].parse().unwrap();
@@ -1522,7 +1198,7 @@ mod tests {
 
     #[test]
     fn ae_convergence_rows_are_ordered() {
-        let rows = ae_convergence(5);
+        let rows = table("fig-ae-convergence", 0, 5).rows;
         // Cover time grows with n for push.
         let push: Vec<f64> = rows.iter().map(|r| r[1].parse().unwrap()).collect();
         assert!(push.windows(2).all(|w| w[1] > w[0]));
@@ -1530,7 +1206,7 @@ mod tests {
 
     #[test]
     fn line_traffic_rows_have_expected_shape() {
-        let rows = line_traffic();
+        let rows = line_traffic_table().rows;
         // Uniform column roughly doubles per size doubling; a=3 column is flat.
         let first: f64 = rows[0][1].parse().unwrap();
         let last: f64 = rows[5][1].parse().unwrap();
@@ -1542,7 +1218,7 @@ mod tests {
 
     #[test]
     fn figure1_failure_decreases_in_k() {
-        let rows = figure1(60);
+        let rows = table("fig1-pathology", 0, 60).rows;
         let k1: f64 = rows[0][1].parse().unwrap();
         let k6: f64 = rows[5][1].parse().unwrap();
         assert!(k6 <= k1);

@@ -1,10 +1,10 @@
 //! Experiment harness: regenerates every table and figure of Demers et
 //! al., *Epidemic Algorithms for Replicated Database Maintenance*.
 //!
-//! Each experiment is a plain function returning structured rows, so both
-//! the `repro` binary (full trial counts, prints the paper-shaped tables)
-//! and the criterion benches (timed single trials) share one
-//! implementation. See DESIGN.md for the experiment ↔ paper index and
+//! Each experiment is one row of [`registry`], so the `repro` binary
+//! (full trial counts), the criterion benches (reduced counts, timed
+//! single trials) and the tests share one implementation. See DESIGN.md
+//! for the experiment ↔ paper index (generated from the registry) and
 //! EXPERIMENTS.md for recorded results.
 
 // The crate is unsafe-free except for one audited exception: the
@@ -17,80 +17,9 @@
 pub mod alloc_counter;
 pub mod analyze;
 pub mod figures;
+pub mod registry;
 pub mod render;
 pub mod rss;
 pub mod scenarios;
 pub mod tables;
 pub mod trace;
-
-use epidemic_sim::runner::TrialRunner;
-
-/// Splits `trials` seeds across worker threads, accumulating per-seed
-/// results with `run` and folding them with `fold` into `init`.
-///
-/// Deterministic: the fold order is by seed, regardless of thread timing.
-/// A thin wrapper over [`epidemic_sim::runner::TrialRunner`] with
-/// `seed_base = 0`: `run` receives the raw trial index, and experiments
-/// apply their own per-experiment seed transforms on top. Honors the
-/// `EPIDEMIC_THREADS` override (see the runner docs).
-pub fn parallel_trials<T, A>(
-    trials: u64,
-    run: impl Fn(u64) -> T + Sync,
-    init: A,
-    fold: impl FnMut(A, T) -> A,
-) -> A
-where
-    T: Send,
-{
-    parallel_trials_with(TrialRunner::new(), trials, run, init, fold)
-}
-
-/// As [`parallel_trials`] but on a caller-provided [`TrialRunner`], so
-/// tests can pin an explicit thread count (the golden-output tests run the
-/// same experiment at 1 thread and at full parallelism and assert byte
-/// identity).
-pub fn parallel_trials_with<T, A>(
-    runner: TrialRunner,
-    trials: u64,
-    run: impl Fn(u64) -> T + Sync,
-    init: A,
-    fold: impl FnMut(A, T) -> A,
-) -> A
-where
-    T: Send,
-{
-    runner.fold(trials, 0, run, init, fold)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parallel_trials_covers_every_seed_once() {
-        let sum = parallel_trials(100, |seed| seed, 0u64, |a, b| a + b);
-        assert_eq!(sum, 99 * 100 / 2);
-    }
-
-    #[test]
-    fn parallel_trials_is_deterministic() {
-        let collect = || {
-            parallel_trials(
-                37,
-                |s| s * s,
-                Vec::new(),
-                |mut v, x| {
-                    v.push(x);
-                    v
-                },
-            )
-        };
-        assert_eq!(collect(), collect());
-    }
-
-    #[test]
-    fn handles_zero_and_one_trials() {
-        assert_eq!(parallel_trials(0, |s| s, 7u64, |a, b| a + b), 7);
-        assert_eq!(parallel_trials(1, |s| s + 5, 0u64, |a, b| a + b), 5);
-    }
-}

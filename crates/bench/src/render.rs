@@ -1,57 +1,7 @@
 //! Plain-text table rendering for experiment output.
 
-/// Prints a fixed-width table with a title, header row and data rows.
-///
-/// # Example
-///
-/// ```
-/// epidemic_bench::render::print_table(
-///     "Demo",
-///     &["k", "residue"],
-///     &[vec!["1".into(), "0.18".into()]],
-/// );
-/// ```
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", render_table(title, headers, rows));
-}
-
-/// Renders the same fixed-width table as [`print_table`] into a `String`
-/// (one trailing newline per line, including the last). The golden-output
-/// regression tests pin this text byte-for-byte.
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = format!("\n## {title}\n");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        let mut s = String::from("|");
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!(" {:>width$} |", c, width = widths[i]));
-        }
-        s
-    };
-    let headers_owned: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
-    out.push_str(&line(&headers_owned));
-    out.push('\n');
-    out.push('|');
-    for w in &widths {
-        out.push_str(&format!("{}|", "-".repeat(w + 2)));
-    }
-    out.push('\n');
-    for row in rows {
-        out.push_str(&line(row));
-        out.push('\n');
-    }
-    out
-}
-
-/// One figure table: the unit both the stdout path and the artifact path
-/// consume. `render`/`print` produce the classic fixed-width text;
+/// One table: the unit both the stdout path and the artifact path
+/// consume. `render` produces the classic fixed-width text;
 /// [`FigTable::to_json`] produces the machine-readable form written to
 /// `<name>.rows.json`, with [`FigTable::volatile_cols`] (wall-clock
 /// columns: seconds, allocations, RSS) dropped so the artifact bytes are
@@ -88,15 +38,38 @@ impl FigTable {
         self
     }
 
-    /// The fixed-width text table, exactly as [`print_table`] prints it.
+    /// The fixed-width text table: title, header row, rule, data rows (one
+    /// trailing newline per line, including the last). The golden-output
+    /// regression tests pin this text byte-for-byte.
     pub fn render(&self) -> String {
-        let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
-        render_table(&self.title, &headers, &self.rows)
-    }
-
-    /// Prints [`FigTable::render`] to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
+        let mut out = format!("\n## {}\n", self.title);
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (i, cell) in row.iter().enumerate() {
+                if i < widths.len() {
+                    widths[i] = widths[i].max(cell.len());
+                }
+            }
+        }
+        let line = |cells: &[String]| {
+            let mut s = String::from("|");
+            for (i, c) in cells.iter().enumerate() {
+                s.push_str(&format!(" {:>width$} |", c, width = widths[i]));
+            }
+            s
+        };
+        out.push_str(&line(&self.headers));
+        out.push('\n');
+        out.push('|');
+        for w in &widths {
+            out.push_str(&format!("{}|", "-".repeat(w + 2)));
+        }
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&line(row));
+            out.push('\n');
+        }
+        out
     }
 
     /// `{"title": …, "headers": […], "rows": [[…], …]}` with the volatile
@@ -127,6 +100,14 @@ impl FigTable {
             );
         o.finish()
     }
+}
+
+/// A table row: `label`, then each mean as the tables print numbers.
+pub(crate) fn labelled<const K: usize>(label: impl Into<String>, means: [f64; K]) -> Vec<String> {
+    let mut row = Vec::with_capacity(K + 1);
+    row.push(label.into());
+    row.extend(means.map(fmt));
+    row
 }
 
 /// Formats a float with three significant-ish decimals, trimming noise.

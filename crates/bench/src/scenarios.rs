@@ -1,174 +1,120 @@
-//! The `fig-scenarios` sweep: runs every bundled declarative scenario
-//! (`crates/sim/scenarios/*.scenario`) through the
-//! [`ScenarioEngine`] and aggregates per-trial reports with
-//! [`Summary`] statistics.
+//! Scenario sweeps: runs bundled declarative scenarios
+//! (`crates/sim/scenarios/*.scenario`) through the [`ScenarioEngine`] and
+//! aggregates per-trial reports with [`Summary`] statistics.
 //!
-//! Scenario experiments produce the same artifact kinds as the traced
-//! tables — `<name>.jsonl` run traces and a `<name>.summary.json` record,
-//! byte-identical at any `EPIDEMIC_THREADS` — via [`scenario_artifacts`].
-//! Unlike the tables there is no invariant tally: scenario workloads
-//! inject and delete keys mid-run, so the SIR-monotonicity rules the
+//! `fig-scenarios` sweeps every bundled file, `scenario-<name>` one. When
+//! artifacts are asked for, every trial is traced and aggregated — but
+//! not invariant-checked: scenario workloads inject and delete keys
+//! mid-run, so the SIR-monotonicity rules the
 //! [`InvariantObserver`](epidemic_sim::engine::InvariantObserver) checks
 //! do not apply (coverage legitimately drops when a flash crowd lands).
 
-use epidemic_sim::engine::{AggregateObserver, TraceObserver};
-use epidemic_sim::runner::TrialRunner;
-use epidemic_sim::scenario::{bundled, Scenario, ScenarioEngine};
+use epidemic_sim::scenario::{Scenario, ScenarioEngine};
 use epidemic_sim::stats::Summary;
 use epidemic_trace::json::{array_of, JsonObject};
-use epidemic_trace::{RunAggregate, RunTracer, TraceConfig};
 
-use crate::parallel_trials_with;
-use crate::render::{fmt, render_table};
-use crate::trace::{agg_json, AggEntry, TableArtifacts};
+use crate::registry::{Ctx, Output};
+use crate::render::{fmt, FigTable};
+use crate::trace::{observed, AggEntry, Seen, Sinks};
 
-/// Title of the `fig-scenarios` sweep table.
-pub const TITLE_SCENARIOS: &str = "Scenario sweep (bundled .scenario files)";
+/// Title of a scenario sweep table.
+const TITLE_SCENARIOS: &str = "Scenario sweep (bundled .scenario files)";
 
 /// Aggregates over one scenario's trials. Every distribution-valued
 /// column routes through [`Summary`] (mean over trials; the JSON rows
 /// also carry min/max where informative).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRow {
+struct ScenarioRow {
     /// Scenario name (the `scenario` directive / file stem).
-    pub name: String,
+    name: String,
     /// Trials aggregated.
-    pub trials: u64,
+    trials: u64,
     /// Trials that reached their stop rule before the cycle bound.
-    pub converged: u64,
+    converged: u64,
     /// Cycles to completion.
-    pub cycles: Summary,
+    cycles: Summary,
     /// Residue (fraction of site×key coverage still missing at the end).
-    pub residue: Summary,
+    residue: Summary,
     /// Updates sent per site.
-    pub traffic: Summary,
+    traffic: Summary,
     /// Mean injection-to-coverage delay, over trials that closed a key.
-    pub delay: Summary,
+    delay: Summary,
 }
 
-/// The per-trial seed transform for scenario sweeps, following the table
-/// convention (golden-ratio multiply, XOR with the sweep parameter).
-fn seed_for(scenario_idx: u64, trial: u64) -> u64 {
-    trial.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ scenario_idx
-}
-
-/// Runs `trials` seeds of one scenario, tracing every trial; returns the
-/// aggregate row, the concatenated JSONL (in trial order, so the bytes
-/// are thread-count independent), and the merged streaming aggregate.
-pub fn traced_scenario_sweep(
-    runner: TrialRunner,
-    experiment: &str,
-    scenario_idx: u64,
-    spec: &Scenario,
-    trials: u64,
-) -> (ScenarioRow, String, AggEntry) {
-    let engine = ScenarioEngine::new(spec.clone()).expect("bundled scenarios validate");
-    type Acc = (
-        Summary,
-        Summary,
-        Summary,
-        Summary,
-        u64,
-        String,
-        RunAggregate,
-    );
-    let (cycles, residue, traffic, delay, converged, jsonl, agg) = parallel_trials_with(
-        runner,
-        trials,
-        |trial| {
-            let tracer = RunTracer::new(TraceConfig::cycles_only())
-                .label_str("experiment", experiment)
-                .label_str("scenario", &engine.spec().name)
-                .label_u64("trial", trial);
-            let mut trace = TraceObserver::with_tracer(tracer);
-            let mut sink = AggregateObserver::new();
-            let report =
-                engine.run_observed(seed_for(scenario_idx, trial), &mut (&mut trace, &mut sink));
-            (report, trace.finish(), sink.finish())
-        },
-        (
-            Summary::new(),
-            Summary::new(),
-            Summary::new(),
-            Summary::new(),
-            0u64,
-            String::new(),
-            RunAggregate::default(),
-        ),
-        |acc: Acc, (report, text, trial_agg)| {
-            let (
-                mut cycles,
-                mut residue,
-                mut traffic,
-                mut delay,
-                mut converged,
-                mut jsonl,
-                mut agg,
-            ) = acc;
-            cycles.push(f64::from(report.cycles));
-            residue.push(report.residue);
-            traffic.push(report.traffic_per_site);
-            if report.delay.count() > 0 {
-                delay.push(report.delay.mean());
-            }
-            converged += u64::from(report.converged_at.is_some());
-            jsonl.push_str(&text);
-            agg.merge(&trial_agg);
-            (cycles, residue, traffic, delay, converged, jsonl, agg)
-        },
-    );
-    let row = ScenarioRow {
-        name: spec.name.clone(),
-        trials,
-        converged,
-        cycles,
-        residue,
-        traffic,
-        delay,
-    };
-    let entry = AggEntry {
-        label: spec.name.clone(),
-        params: vec![
-            ("scenario".to_string(), spec.name.clone()),
-            ("trials".to_string(), trials.to_string()),
-        ],
-        observed: vec![
-            ("cycles_mean".to_string(), row.cycles.mean()),
-            ("residue_mean".to_string(), row.residue.mean()),
-            ("traffic_mean".to_string(), row.traffic.mean()),
-            ("delay_mean".to_string(), row.delay.mean()),
-        ],
-        agg,
-    };
-    (row, jsonl, entry)
-}
-
-/// Sweeps the given scenarios, returning aggregate rows, the concatenated
-/// trace, and one merged [`AggEntry`] per scenario.
-pub fn scenario_sweep(
-    runner: TrialRunner,
-    experiment: &str,
-    specs: &[Scenario],
-    trials: u64,
-) -> (Vec<ScenarioRow>, String, Vec<AggEntry>) {
-    let mut jsonl = String::new();
-    let mut aggregates = Vec::with_capacity(specs.len());
-    let rows = specs
+/// Sweeps `specs` in order at `ctx.trials` seeds each. The per-trial seed
+/// follows the table convention (golden-ratio multiply, XOR with the
+/// scenario's position in `specs`).
+pub(crate) fn scenario_sweep(ctx: &Ctx<'_>, specs: &[Scenario]) -> Output {
+    let sinks = ctx.sinks(Sinks::Traced);
+    let mut output = Output::default();
+    let rows: Vec<ScenarioRow> = specs
         .iter()
         .enumerate()
         .map(|(idx, spec)| {
-            let (row, text, entry) =
-                traced_scenario_sweep(runner, experiment, idx as u64, spec, trials);
-            jsonl.push_str(&text);
-            aggregates.push(entry);
+            let engine = ScenarioEngine::new(spec.clone()).expect("bundled scenarios validate");
+            let empty = ScenarioRow {
+                name: spec.name.clone(),
+                trials: ctx.trials,
+                converged: 0,
+                cycles: Summary::new(),
+                residue: Summary::new(),
+                traffic: Summary::new(),
+                delay: Summary::new(),
+            };
+            let (row, seen) = ctx.runner.fold(
+                ctx.trials,
+                0,
+                |trial| {
+                    let seed = trial.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ idx as u64;
+                    observed!(
+                        sinks,
+                        ctx.tracer()
+                            .label_str("scenario", &spec.name)
+                            .label_u64("trial", trial),
+                        |observer| engine.run_observed(seed, observer)
+                    )
+                },
+                (empty, Seen::default()),
+                |(mut row, mut seen), (report, trial_seen)| {
+                    row.cycles.push(f64::from(report.cycles));
+                    row.residue.push(report.residue);
+                    row.traffic.push(report.traffic_per_site);
+                    if report.delay.count() > 0 {
+                        row.delay.push(report.delay.mean());
+                    }
+                    row.converged += u64::from(report.converged_at.is_some());
+                    seen.absorb(trial_seen);
+                    (row, seen)
+                },
+            );
+            output.absorb(seen, |agg| {
+                AggEntry::new(
+                    row.name.clone(),
+                    &[
+                        ("scenario", row.name.clone()),
+                        ("trials", ctx.trials.to_string()),
+                    ],
+                    &[
+                        ("cycles_mean", row.cycles.mean()),
+                        ("residue_mean", row.residue.mean()),
+                        ("traffic_mean", row.traffic.mean()),
+                        ("delay_mean", row.delay.mean()),
+                    ],
+                    agg,
+                )
+            });
             row
         })
         .collect();
-    (rows, jsonl, aggregates)
+    if ctx.observe {
+        output.rows_json = scenario_rows_json(ctx.experiment, ctx.trials, &rows);
+    }
+    output.tables = vec![render_scenarios(&rows)];
+    output
 }
 
-/// Renders the sweep as a fixed-width text table.
-pub fn render_scenarios(rows: &[ScenarioRow]) -> String {
+/// The sweep as a text table.
+fn render_scenarios(rows: &[ScenarioRow]) -> FigTable {
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -184,12 +130,12 @@ pub fn render_scenarios(rows: &[ScenarioRow]) -> String {
             ]
         })
         .collect();
-    render_table(
+    FigTable::new(
         TITLE_SCENARIOS,
         &[
             "scenario", "trials", "done", "cycles", "worst", "residue", "traffic", "delay",
         ],
-        &table,
+        table,
     )
 }
 
@@ -207,7 +153,7 @@ fn scenario_row_json(r: &ScenarioRow) -> String {
 }
 
 /// Machine-readable rows for a scenario sweep (`repro --json`).
-pub fn scenario_rows_json(experiment: &str, trials: u64, rows: &[ScenarioRow]) -> String {
+fn scenario_rows_json(experiment: &str, trials: u64, rows: &[ScenarioRow]) -> String {
     let mut o = JsonObject::new();
     o.field_str("experiment", experiment)
         .field_u64("trials", trials)
@@ -215,94 +161,56 @@ pub fn scenario_rows_json(experiment: &str, trials: u64, rows: &[ScenarioRow]) -
     o.finish()
 }
 
-/// Resolves an experiment name to the scenarios it sweeps:
-/// `fig-scenarios` is every bundled spec, `scenario-<name>` exactly one.
-/// `None` for anything else (including unknown `scenario-` suffixes, so
-/// the caller falls through to its unknown-experiment error).
-fn specs_for(name: &str) -> Option<Vec<Scenario>> {
-    if name == "fig-scenarios" {
-        return Some(bundled::all());
-    }
-    let spec = bundled::by_name(name.strip_prefix("scenario-")?)?;
-    Some(vec![spec])
-}
-
-/// Runs a scenario experiment traced, returning the same artifact bundle
-/// shape as the traced tables; `None` when `name` is not a scenario
-/// experiment.
-pub fn scenario_artifacts(runner: TrialRunner, name: &str, trials: u64) -> Option<TableArtifacts> {
-    let specs = specs_for(name)?;
-    let (rows, jsonl, aggregates) = scenario_sweep(runner, name, &specs, trials);
-    let rows_json = scenario_rows_json(name, trials, &rows);
-    let mut summary = JsonObject::new();
-    summary
-        .field_raw("table", &rows_json)
-        .field_u64("trace_lines", jsonl.lines().count() as u64);
-    Some(TableArtifacts {
-        rendered: render_scenarios(&rows),
-        jsonl,
-        summary: summary.finish(),
-        rows: rows_json,
-        agg: agg_json(name, "scenario", &aggregates),
-    })
-}
-
-/// The untraced `repro` path for scenario experiments: prints the sweep
-/// table. Returns `false` for non-scenario names.
-pub fn print_scenarios(name: &str, trials: u64) -> bool {
-    let Some(specs) = specs_for(name) else {
-        return false;
-    };
-    let (rows, _, _) = scenario_sweep(TrialRunner::new(), name, &specs, trials);
-    print!("{}", render_scenarios(&rows));
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{find, run_small, N};
+    use epidemic_sim::scenario::bundled;
+
+    fn run(name: &str, trials: u64) -> Output {
+        run_small(name, N, trials, true)
+    }
 
     #[test]
     fn fig_scenarios_covers_every_bundled_spec() {
-        let a = scenario_artifacts(TrialRunner::new(), "fig-scenarios", 2)
-            .expect("fig-scenarios is a scenario experiment");
+        let out = run("fig-scenarios", 2);
         for (name, _) in bundled::SOURCES {
             assert!(
-                a.rows.contains(&format!("\"scenario\":\"{name}\"")),
+                out.rows_json.contains(&format!("\"scenario\":\"{name}\"")),
                 "{name} missing from rows: {}",
-                a.rows
+                out.rows_json
             );
         }
-        assert!(a.rendered.starts_with(&format!("\n## {TITLE_SCENARIOS}")));
-        assert!(a.summary.contains(r#""trace_lines":"#));
-        assert!(!a.jsonl.is_empty());
+        assert!(out.text().starts_with(&format!("\n## {TITLE_SCENARIOS}")));
+        assert!(out.summary_json().contains(r#""trace_lines":"#));
+        assert_eq!(out.violations, None, "scenarios carry no invariant tally");
+        assert!(!out.jsonl.is_empty());
+        let agg = find("fig-scenarios").unwrap().agg_json(&out);
         assert!(
-            a.agg
-                .starts_with(r#"{"experiment":"fig-scenarios","kind":"scenario""#),
+            agg.starts_with(r#"{"experiment":"fig-scenarios","kind":"scenario""#),
             "agg header: {}",
-            &a.agg[..120.min(a.agg.len())]
+            &agg[..120.min(agg.len())]
         );
-        assert!(a.agg.contains(r#""p50":"#), "agg carries quantiles");
+        assert!(agg.contains(r#""p50":"#), "agg carries quantiles");
     }
 
     #[test]
     fn single_scenario_selector_resolves_and_unknown_does_not() {
-        let a = scenario_artifacts(TrialRunner::new(), "scenario-partition", 2)
-            .expect("scenario-partition resolves");
-        assert!(a.rows.contains(r#""scenario":"partition""#));
-        assert!(a.jsonl.contains(r#""scenario":"partition""#));
-        assert!(scenario_artifacts(TrialRunner::new(), "scenario-nope", 1).is_none());
-        assert!(scenario_artifacts(TrialRunner::new(), "table1", 1).is_none());
+        let out = run("scenario-partition", 2);
+        assert!(out.rows_json.contains(r#""scenario":"partition""#));
+        assert!(out.jsonl.contains(r#""scenario":"partition""#));
+        assert!(find("scenario-nope").is_none());
     }
 
     #[test]
     fn legacy_drivers_converge_under_the_sweep_seeds() {
         // The four historical scenarios must actually complete (not hit
         // their cycle bounds) under the sweep's seed transform.
-        let (rows, _, _) = scenario_sweep(TrialRunner::new(), "fig-scenarios", &bundled::all(), 3);
+        let out = run("fig-scenarios", 3);
         for legacy in ["clearinghouse", "dormant-death", "partition", "crash"] {
-            let row = rows.iter().find(|r| r.name == legacy).expect("swept");
-            assert_eq!(row.converged, row.trials, "{legacy} must finish: {row:?}");
+            let row = out.tables[0].rows.iter().find(|r| r[0] == legacy);
+            let row = row.expect("swept");
+            assert_eq!(row[2], "3/3", "{legacy} must finish: {row:?}");
         }
     }
 }

@@ -4,10 +4,22 @@
 //! budget. They must also carry no wall-clock, allocation, or RSS
 //! fields, or the byte-identity above would be unachievable.
 
-use epidemic_bench::figures::figure_artifacts;
-use epidemic_bench::scenarios::scenario_artifacts;
-use epidemic_bench::trace::table_artifacts;
+use epidemic_bench::registry::{self, Ctx, Output};
 use epidemic_sim::runner::TrialRunner;
+
+/// The registry row `name`, observed, at `threads` workers: its output
+/// and its `.agg.json` document.
+fn observed(name: &str, threads: usize, n: usize, trials: u64) -> (Output, String) {
+    let experiment = registry::find(name).expect("a registry row");
+    let output = experiment.run(&Ctx {
+        runner: TrialRunner::new().threads(threads),
+        n,
+        trials,
+        ..experiment.ctx(None, true)
+    });
+    let agg = experiment.agg_json(&output);
+    (output, agg)
+}
 
 /// Aggregates describe simulated cycles only; any of these substrings in
 /// the serialized document would smuggle a machine-dependent measurement
@@ -23,52 +35,40 @@ fn assert_no_wall_clock_fields(agg: &str) {
 
 #[test]
 fn table_aggregate_is_byte_identical_across_thread_counts() {
-    let run = |threads: usize| {
-        table_artifacts(TrialRunner::new().threads(threads), "table1", 150, 12, 12)
-            .expect("table1 is traceable")
-    };
-    let sequential = run(1);
-    let parallel = run(8);
+    let (_, sequential) = observed("table1", 1, 150, 12);
+    let (_, parallel) = observed("table1", 8, 150, 12);
     assert_eq!(
-        sequential.agg, parallel.agg,
+        sequential, parallel,
         "aggregate bytes must not depend on threads"
     );
-    assert!(sequential.agg.contains(r#""kind":"table""#));
-    assert!(sequential.agg.contains(r#""p50":"#));
-    assert_no_wall_clock_fields(&sequential.agg);
+    assert!(sequential.contains(r#""kind":"table""#));
+    assert!(sequential.contains(r#""p50":"#));
+    assert_no_wall_clock_fields(&sequential);
 }
 
 #[test]
 fn figure_aggregate_is_byte_identical_across_thread_counts() {
-    let run = |threads: usize| {
-        figure_artifacts(TrialRunner::new().threads(threads), "fig-rumor-ode", 150, 8)
-            .expect("fig-rumor-ode is a figure")
-    };
-    let sequential = run(1);
-    let parallel = run(8);
-    assert_eq!(sequential.agg, parallel.agg);
+    let (sequential, sequential_agg) = observed("fig-rumor-ode", 1, 150, 8);
+    let (parallel, parallel_agg) = observed("fig-rumor-ode", 8, 150, 8);
+    assert_eq!(sequential_agg, parallel_agg);
     assert_eq!(
         sequential, parallel,
         "every artifact must match, not just agg"
     );
-    assert!(sequential.agg.contains(r#""kind":"figure""#));
-    assert!(sequential.agg.contains(r#""p99":"#));
+    assert!(sequential_agg.contains(r#""kind":"figure""#));
+    assert!(sequential_agg.contains(r#""p99":"#));
     assert!(
         sequential.jsonl.is_empty(),
         "figures aggregate instead of tracing"
     );
-    assert_no_wall_clock_fields(&sequential.agg);
+    assert_no_wall_clock_fields(&sequential_agg);
 }
 
 #[test]
 fn scenario_aggregate_is_byte_identical_across_thread_counts() {
-    let run = |threads: usize| {
-        scenario_artifacts(TrialRunner::new().threads(threads), "scenario-partition", 4)
-            .expect("scenario-partition resolves")
-    };
-    let sequential = run(1);
-    let parallel = run(8);
-    assert_eq!(sequential.agg, parallel.agg);
-    assert!(sequential.agg.contains(r#""kind":"scenario""#));
-    assert_no_wall_clock_fields(&sequential.agg);
+    let (_, sequential) = observed("scenario-partition", 1, registry::N, 4);
+    let (_, parallel) = observed("scenario-partition", 8, registry::N, 4);
+    assert_eq!(sequential, parallel);
+    assert!(sequential.contains(r#""kind":"scenario""#));
+    assert_no_wall_clock_fields(&sequential);
 }

@@ -8,7 +8,6 @@
 //! One mixing-table driver and one declarative scenario are exercised,
 //! so both contact-loop implementations feed the seam identically.
 
-use epidemic_bench::parallel_trials_with;
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_sim::engine::trace::{AggregateObserver, TraceObserver};
 use epidemic_sim::mixing::RumorEpidemic;
@@ -138,9 +137,9 @@ fn observe_trials(
     trials: u64,
     run: impl Fn(u64) -> (String, RunAggregate) + Sync,
 ) -> (String, RunAggregate) {
-    parallel_trials_with(
-        TrialRunner::new().threads(1),
+    TrialRunner::new().threads(1).fold(
         trials,
+        0,
         run,
         (String::new(), RunAggregate::default()),
         |(mut jsonl, mut agg), (text, trial_agg)| {

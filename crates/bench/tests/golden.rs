@@ -15,12 +15,9 @@
 //! cargo test -p epidemic-bench --test golden -- --ignored regenerate
 //! ```
 
-use epidemic_bench::figures::{
-    cin_steady_table, pull_vs_push_rate_table, render_spatial_rumor, spatial_rumor_on,
-};
-use epidemic_bench::tables::{
-    render_mixing, render_spatial, table1_with, table45_on_with, PAPER_TABLE1,
-};
+use epidemic_bench::figures::spatial_rumor_on;
+use epidemic_bench::registry::{self, Ctx};
+use epidemic_bench::tables::table45_on;
 use epidemic_net::topologies::{cin, Cin, CinConfig};
 use epidemic_net::Spatial;
 use epidemic_sim::runner::TrialRunner;
@@ -44,42 +41,66 @@ fn small_cin() -> Cin {
     })
 }
 
+/// The registry row `name` on `runner` at `n` sites and `trials` trials,
+/// unobserved, as `repro` prints it.
+fn run(name: &str, runner: TrialRunner, n: usize, trials: u64) -> registry::Output {
+    let experiment = registry::find(name).expect("a registry row");
+    let ctx = Ctx {
+        runner,
+        n,
+        trials,
+        ..experiment.ctx(None, false)
+    };
+    experiment.run(&ctx)
+}
+
 fn table1_text(runner: TrialRunner) -> String {
-    render_mixing(
-        "Table 1 (golden): push, feedback, counter, n=200, 16 trials",
-        &table1_with(runner, 200, 16),
-        &PAPER_TABLE1,
-    )
+    let mut output = run("table1", runner, 200, 16);
+    output.tables[0].title =
+        "Table 1 (golden): push, feedback, counter, n=200, 16 trials".to_string();
+    output.text()
+}
+
+/// A context for the sweeps the goldens run on the small CIN.
+fn small_ctx(runner: TrialRunner, trials: u64) -> Ctx<'static> {
+    Ctx {
+        experiment: "golden",
+        runner,
+        n: registry::N,
+        trials,
+        observe: false,
+    }
 }
 
 fn table4_text(runner: TrialRunner) -> String {
-    render_spatial(
+    table45_on(
+        &small_ctx(runner, 6),
+        &small_cin(),
         "Table 4 (golden): push-pull anti-entropy on the 50-site CIN, 6 trials",
-        &table45_on_with(runner, &small_cin(), 6, None),
+        None,
     )
+    .text()
 }
 
 fn spatial_rumor_text(runner: TrialRunner) -> String {
-    let net = small_cin();
-    let rows = spatial_rumor_on(
-        runner,
-        &net,
+    spatial_rumor_on(
+        &small_ctx(runner, 6),
+        &small_cin(),
         &[("a = 1.2".to_string(), Spatial::QsPower { a: 1.2 })],
-        6,
         40,
         8,
-    );
-    render_spatial_rumor(&rows)
+    )
+    .render()
 }
 
 /// `fig-pull-vs-push-rate` as `repro` prints it, at 2 trials per cell.
 fn pull_vs_push_rate_text(runner: TrialRunner) -> String {
-    pull_vs_push_rate_table(runner, 2).render()
+    run("fig-pull-vs-push-rate", runner, registry::N, 2).text()
 }
 
 /// `fig-cin-steady` as `repro` prints it, at 2 trials per distribution.
 fn cin_steady_text(runner: TrialRunner) -> String {
-    cin_steady_table(runner, 2).render()
+    run("fig-cin-steady", runner, registry::N, 2).text()
 }
 
 #[test]

@@ -40,17 +40,92 @@ fn only_with_no_match_exits_nonzero_and_lists_names() {
 #[test]
 fn unknown_experiment_exits_nonzero_and_lists_names() {
     // The second name is the retired twin of fig-cin-steady, spelled in
-    // pieces so a search for it finds no live use.
-    for name in [
-        "definitely-not-real",
-        concat!("fig-cin-steady-", "sh", "arded"),
+    // pieces so a search for it finds no live use. The third selection
+    // has a typo behind a valid name: the whole selection is resolved
+    // before anything runs, so table1 must neither print nor write.
+    let dir = scratch("unknown-after-known");
+    let dir_str = dir.to_str().unwrap();
+    for args in [
+        &["definitely-not-real"][..],
+        &[concat!("fig-cin-steady-", "sh", "arded")][..],
+        &["--trials", "1", "--json", dir_str, "table1", "tabel5"][..],
     ] {
-        let out = repro(&[name]);
-        assert_eq!(out.status.code(), Some(2), "{name}");
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("unknown experiment"), "{stderr}");
-        assert!(stderr.contains("table1"), "{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown experiment: {}", args[args.len() - 1])),
+            "{stderr}"
+        );
+        assert!(stderr.contains("known: table1"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing may run: {args:?}");
     }
+    assert!(!dir.exists(), "nothing may be written");
+}
+
+#[test]
+fn trials_says_where_it_does_not_reach() {
+    let out = repro(&["--trials", "3", "fig-line-traffic", "table1"]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("[fig-line-traffic: --trials does not apply (exact)]"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("[table1: --trials"), "{stderr}");
+    // Without the flag there is nothing to say.
+    let out = repro(&["fig-line-traffic"]);
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("--trials"));
+}
+
+#[test]
+fn unwritable_timings_path_exits_1_after_running() {
+    let out = repro(&[
+        "--trials",
+        "1",
+        "--timings",
+        "/nonexistent/t.json",
+        "table1",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(!out.stdout.is_empty(), "the experiment still ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("failed to write /nonexistent/t.json"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let dir = scratch("closed-stdout");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let timings = dir.join("timings.json");
+    // Full trial counts: the reader is gone long before table2 prints.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--timings")
+        .arg(&timings)
+        .args(["table1", "table2", "table3"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro binary runs");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("one line arrives");
+    drop(stdout);
+    let out = child.wait_with_output().expect("repro exits");
+    assert_eq!(out.status.code(), Some(0), "a closed pipe is not a failure");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        !stderr.contains("[table3:"),
+        "nothing runs after the pipe closed: {stderr}"
+    );
+    assert!(!timings.exists(), "no timings file either");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

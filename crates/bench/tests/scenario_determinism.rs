@@ -1,15 +1,20 @@
 //! Thread-count determinism for scenario artifacts: the `fig-scenarios`
 //! sweep and single-scenario selections must produce byte-identical
 //! traces, rows and summaries whether trials run on one worker or eight.
-//! (The CI `scenario-smoke` job re-checks the same property end-to-end
-//! through the `repro` binary with `diff -r`.)
+//! (The CI `artifact-determinism` job re-checks the same property
+//! end-to-end through the `repro` binary with `diff -r`.)
 
-use epidemic_bench::scenarios::scenario_artifacts;
+use epidemic_bench::registry::{self, Ctx, Output};
 use epidemic_sim::runner::TrialRunner;
 
-fn artifacts_at(threads: usize, name: &str, trials: u64) -> epidemic_bench::trace::TableArtifacts {
-    scenario_artifacts(TrialRunner::new().threads(threads), name, trials)
-        .unwrap_or_else(|| panic!("{name} is a scenario experiment"))
+fn artifacts_at(threads: usize, name: &str, trials: u64) -> Output {
+    let experiment =
+        registry::find(name).unwrap_or_else(|| panic!("{name} is a scenario experiment"));
+    experiment.run(&Ctx {
+        runner: TrialRunner::new().threads(threads),
+        trials,
+        ..experiment.ctx(None, true)
+    })
 }
 
 #[test]
@@ -20,9 +25,9 @@ fn fig_scenarios_artifacts_are_thread_count_invariant() {
         one.jsonl, eight.jsonl,
         "trace bytes must not depend on threads"
     );
-    assert_eq!(one.rows, eight.rows);
-    assert_eq!(one.summary, eight.summary);
-    assert_eq!(one.rendered, eight.rendered);
+    assert_eq!(one.rows_json, eight.rows_json);
+    assert_eq!(one.summary_json(), eight.summary_json());
+    assert_eq!(one.text(), eight.text());
 }
 
 #[test]
@@ -31,9 +36,9 @@ fn single_scenario_artifacts_are_thread_count_invariant() {
         let one = artifacts_at(1, name, 6);
         let eight = artifacts_at(8, name, 6);
         assert_eq!(one.jsonl, eight.jsonl, "{name}");
-        assert_eq!(one.rows, eight.rows, "{name}");
-        assert_eq!(one.summary, eight.summary, "{name}");
-        assert_eq!(one.rendered, eight.rendered, "{name}");
+        assert_eq!(one.rows_json, eight.rows_json, "{name}");
+        assert_eq!(one.summary_json(), eight.summary_json(), "{name}");
+        assert_eq!(one.text(), eight.text(), "{name}");
     }
 }
 

@@ -4,16 +4,21 @@
 //! `EPIDEMIC_THREADS=1` and `=8`. These tests pin that down at reduced
 //! scale (same code path as the full-size tables, smaller `n`/trials).
 
-use epidemic_bench::tables::table1_with;
-use epidemic_bench::trace::{table_artifacts, traced_table1, traced_table45_on};
+use epidemic_bench::registry::{self, Ctx};
+use epidemic_bench::tables::table45_on;
 use epidemic_net::topologies::{cin, CinConfig};
 use epidemic_sim::runner::TrialRunner;
 
 #[test]
 fn table1_artifacts_are_byte_identical_across_thread_counts() {
+    let table1 = registry::find("table1").expect("table1 is a registry row");
     let run = |threads: usize| {
-        table_artifacts(TrialRunner::new().threads(threads), "table1", 150, 12, 12)
-            .expect("table1 is traceable")
+        table1.run(&Ctx {
+            runner: TrialRunner::new().threads(threads),
+            n: 150,
+            trials: 12,
+            ..table1.ctx(None, true)
+        })
     };
     let sequential = run(1);
     let parallel = run(8);
@@ -21,17 +26,9 @@ fn table1_artifacts_are_byte_identical_across_thread_counts() {
         sequential.jsonl, parallel.jsonl,
         "trace bytes must not depend on threads"
     );
-    assert_eq!(sequential.summary, parallel.summary);
-    assert_eq!(sequential.rows, parallel.rows);
-    assert_eq!(sequential.rendered, parallel.rendered);
-}
-
-#[test]
-fn traced_rows_match_untraced_rows_at_any_thread_count() {
-    let (traced, trace) = traced_table1(TrialRunner::new().threads(8), 150, 12);
-    let plain = table1_with(TrialRunner::new().threads(1), 150, 12);
-    assert_eq!(traced, plain, "tracing must not perturb the experiment");
-    assert_eq!(trace.violations, 0);
+    assert_eq!(sequential.summary_json(), parallel.summary_json());
+    assert_eq!(sequential.rows_json, parallel.rows_json);
+    assert_eq!(sequential.text(), parallel.text());
 }
 
 #[test]
@@ -44,22 +41,23 @@ fn spatial_trace_is_byte_identical_across_thread_counts() {
         seed: 7,
         ..CinConfig::default()
     });
+    let table5 = registry::find("table5").expect("table5 is a registry row");
     let run = |threads: usize| {
-        traced_table45_on(
-            TrialRunner::new().threads(threads),
-            &net,
-            8,
-            Some(1),
-            "table5",
-        )
+        let ctx = Ctx {
+            runner: TrialRunner::new().threads(threads),
+            trials: 8,
+            ..table5.ctx(None, true)
+        };
+        table45_on(&ctx, &net, "Table 5 on a small CIN", Some(1))
     };
-    let (rows1, trace1) = run(1);
-    let (rows8, trace8) = run(8);
-    assert_eq!(trace1.jsonl, trace8.jsonl);
-    assert_eq!(rows1, rows8);
+    let (one, eight) = (run(1), run(8));
+    assert_eq!(one.jsonl, eight.jsonl);
+    assert_eq!(one.tables, eight.tables);
+    assert_eq!(one.rows_json, eight.rows_json);
     assert_eq!(
-        trace1.violations, 0,
+        one.violations,
+        Some(0),
         "spatial anti-entropy is invariant-clean"
     );
-    assert!(trace1.jsonl.contains(r#""distribution":"a = 2.0""#));
+    assert!(one.jsonl.contains(r#""distribution":"a = 2.0""#));
 }

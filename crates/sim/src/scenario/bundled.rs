@@ -1,7 +1,7 @@
 //! The `.scenario` files shipped with the crate (`crates/sim/scenarios/`).
 //!
-//! Four re-express the historical drivers ([`super::legacy`]) — their
-//! event timelines parse to exactly what the corresponding
+//! Four re-express the historical drivers — for the two that keep an
+//! adapter in [`super::legacy`] the file parses to exactly what its
 //! `to_scenario()` builds, pinned by tests here — and the rest are new
 //! runs only expressible declaratively: the failures.rs churn model on a
 //! grid, a flash crowd under lossy links, and churn across a partition
@@ -59,9 +59,7 @@ pub fn by_name(name: &str) -> Option<Scenario> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::legacy::{
-        ClearinghouseScenario, CrashScenario, DormantDeathScenario, PartitionScenario,
-    };
+    use super::super::legacy::{ClearinghouseScenario, DormantDeathScenario};
     use super::*;
 
     #[test]
@@ -82,7 +80,7 @@ mod tests {
         }
     }
 
-    /// The four legacy drivers and their bundled files describe the same
+    /// The two legacy adapters and their bundled files describe the same
     /// runs: the file is exactly the adapter's spec (and, transitively,
     /// its canonical rendering — so regenerating a file after an adapter
     /// change is `to_scenario().render()`).
@@ -98,14 +96,6 @@ mod tests {
         assert_eq!(
             by_name("dormant-death").unwrap(),
             DormantDeathScenario::default().to_scenario()
-        );
-        assert_eq!(
-            by_name("partition").unwrap(),
-            PartitionScenario::default().to_scenario()
-        );
-        assert_eq!(
-            by_name("crash").unwrap(),
-            CrashScenario::default().to_scenario()
         );
     }
 }

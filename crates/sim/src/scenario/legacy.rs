@@ -1,15 +1,16 @@
-//! The four historical scenario drivers, re-expressed as declarative
-//! specs (paper §1.2, §1.5, §2).
+//! The historical scenario drivers that still have callers, re-expressed
+//! as declarative specs (paper §1.2, §1.5, §2).
 //!
 //! Each public type below used to hand-roll its own simulation loop;
 //! now each is a thin adapter: its `to_scenario` builds the
 //! equivalent [`Scenario`] spec (byte-identical to the bundled
 //! `.scenario` file of the same name — pinned in [`super::bundled`]) and
 //! `run` maps the [`super::ScenarioReport`] back onto the original report
-//! shape. The behavioral assertions the old drivers carried (goldened
-//! thresholds, not RNG streams — the bespoke loops drew randomness in
-//! driver-specific orders no shared engine could reproduce) live on in
-//! this module's tests.
+//! shape. The partition and crash scenarios have no adapter: they are
+//! their bundled files. The behavioral assertions all four old drivers
+//! carried (goldened thresholds, not RNG streams — the bespoke loops drew
+//! randomness in driver-specific orders no shared engine could
+//! reproduce) live on in this module's tests.
 
 use epidemic_core::rumor::{Feedback, Removal, RumorConfig};
 use epidemic_core::{AntiEntropy, Comparison, Direction, MailConfig, Redistribution, Replica};
@@ -280,187 +281,9 @@ impl DormantDeathScenario {
     }
 }
 
-/// §1.5's partition claim: the peel-back ∪ rumor (activity list) protocol
-/// "behaves well when a network partitions and rejoins". Two halves evolve
-/// independently while partitioned; after the rejoin the fresh updates are
-/// exchanged first and the fleet converges with bounded traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionScenario {
-    /// Sites per partition half.
-    pub half: usize,
-    /// Updates injected in each half while partitioned (the declarative
-    /// workload injects `2 ×` this many at uniformly random sites, which
-    /// the partition confines to their halves).
-    pub updates_per_half: usize,
-    /// Batch size for the activity-list exchanges.
-    pub batch: usize,
-}
-
-impl Default for PartitionScenario {
-    fn default() -> Self {
-        PartitionScenario {
-            half: 8,
-            updates_per_half: 12,
-            batch: 4,
-        }
-    }
-}
-
-/// Outcome of [`PartitionScenario::run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionReport {
-    /// Whether all replicas converged after the rejoin.
-    pub converged: bool,
-    /// Peel-back contacts after the heal (blocked cross-cut attempts
-    /// included — they pay a connection like everything else).
-    pub exchanges_after_rejoin: usize,
-    /// Entries shipped after the heal.
-    pub entries_after_rejoin: usize,
-}
-
-impl PartitionScenario {
-    /// The equivalent declarative spec: partition from cycle 0, a
-    /// 2-update-per-cycle workload while split, heal, then run to
-    /// convergence.
-    pub fn to_scenario(&self) -> Scenario {
-        let updates = 2 * self.updates_per_half as u64;
-        let heal = u32::try_from(self.updates_per_half + 4).expect("heal cycle fits u32");
-        let mut spec = Scenario::new("partition", 2 * self.half);
-        spec.protocol.peel_back = Some(self.batch);
-        spec.workload = update_workload(2.0, updates);
-        spec.events = vec![
-            FaultEvent {
-                cycle: 0,
-                kind: FaultKind::Partition(2),
-            },
-            FaultEvent {
-                cycle: heal,
-                kind: FaultKind::Heal,
-            },
-        ];
-        spec.until = StopRule::Converged;
-        spec.max_cycles = 500;
-        spec
-    }
-
-    /// Runs the scenario with the given seed.
-    pub fn run(&self, seed: u64) -> PartitionReport {
-        assert!(self.half >= 2);
-        let report = ScenarioEngine::new(self.to_scenario())
-            .expect("partition spec is valid")
-            .run(seed);
-        let at_heal = report
-            .milestone("heal")
-            .copied()
-            .expect("the heal event always fires");
-        PartitionReport {
-            converged: report.converged_at.is_some(),
-            exchanges_after_rejoin: usize::try_from(report.totals.contacts - at_heal.contacts)
-                .unwrap_or(usize::MAX),
-            entries_after_rejoin: usize::try_from(report.totals.sent - at_heal.sent)
-                .unwrap_or(usize::MAX),
-        }
-    }
-}
-
-/// Failure injection: a fraction of sites is down during the initial rumor
-/// spreading and comes back only for the anti-entropy backup phase —
-/// combining §1.4's failure mode with §1.5's remedy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrashScenario {
-    /// Total sites.
-    pub sites: usize,
-    /// Fraction of sites down during rumor spreading.
-    pub down_fraction: f64,
-    /// Rumor counter parameter `k`.
-    pub k: u32,
-}
-
-impl Default for CrashScenario {
-    fn default() -> Self {
-        CrashScenario {
-            sites: 40,
-            down_fraction: 0.3,
-            k: 2,
-        }
-    }
-}
-
-/// Outcome of [`CrashScenario::run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashReport {
-    /// Sites missing the update when the crashed sites recovered.
-    pub missed_by_rumor: usize,
-    /// Whether backup anti-entropy achieved full coverage afterwards.
-    pub repaired: bool,
-}
-
-impl CrashScenario {
-    /// The cycle at which the crashed sites recover and anti-entropy takes
-    /// over (generous headroom for the rumor to quiesce first; quiescent
-    /// rumor cycles cost nothing).
-    const RECOVER_AT: u32 = 100;
-
-    /// The equivalent declarative spec: push rumor with feedback counters
-    /// spreads while a site fraction is down, then everyone recovers and
-    /// per-cycle anti-entropy repairs to full coverage.
-    pub fn to_scenario(&self) -> Scenario {
-        let mut spec = Scenario::new("crash", self.sites);
-        spec.protocol.rumor = Some(RumorConfig::new(
-            Direction::Push,
-            Feedback::Feedback,
-            Removal::Counter { k: self.k },
-        ));
-        spec.protocol.anti_entropy = Some(AntiEntropySpec {
-            every: 1,
-            from: Self::RECOVER_AT,
-            redistribution: Redistribution::None,
-        });
-        spec.events = vec![
-            FaultEvent {
-                cycle: 0,
-                kind: FaultKind::Update {
-                    site: Some(0),
-                    count: 1,
-                },
-            },
-            FaultEvent {
-                cycle: 0,
-                kind: FaultKind::Crash(SiteSet::Fraction(self.down_fraction)),
-            },
-            FaultEvent {
-                cycle: Self::RECOVER_AT,
-                kind: FaultKind::Recover(SiteSet::All),
-            },
-        ];
-        spec.until = StopRule::Coverage;
-        spec.max_cycles = 2_000;
-        spec
-    }
-
-    /// Runs the scenario with the given seed.
-    pub fn run(&self, seed: u64) -> CrashReport {
-        assert!(self.sites >= 4);
-        let report = ScenarioEngine::new(self.to_scenario())
-            .expect("crash spec is valid")
-            .run(seed);
-        let at_recover = report
-            .milestone("recover")
-            .copied()
-            .expect("the recover event always fires");
-        CrashReport {
-            missed_by_rumor: self.sites - at_recover.covered,
-            repaired: report.residue == 0.0,
-        }
-    }
-}
-
-/// Re-exported for report post-processing (adapters above return it
-/// pre-digested; direct [`ScenarioEngine`] users get the full report).
-pub use super::engine::ScenarioReport as FullReport;
-
 #[cfg(test)]
 mod tests {
+    use super::super::bundled::by_name;
     use super::*;
 
     #[test]
@@ -533,47 +356,73 @@ mod tests {
         );
     }
 
+    /// The bundled `partition` scenario (§1.5: the peel-back ∪ rumor
+    /// protocol "behaves well when a network partitions and rejoins") with
+    /// `updates_per_half` updates injected in each half while split.
+    fn partition(updates_per_half: u64) -> ScenarioEngine {
+        let mut spec = by_name("partition").expect("bundled");
+        spec.workload.budget = Some(2 * updates_per_half);
+        let heal = spec.events.iter_mut().find(|e| e.kind == FaultKind::Heal);
+        heal.expect("the partition heals").cycle = u32::try_from(updates_per_half).unwrap() + 4;
+        ScenarioEngine::new(spec).expect("partition spec is valid")
+    }
+
     #[test]
     fn partition_rejoin_converges_with_bounded_traffic() {
-        let report = PartitionScenario::default().run(21);
-        assert!(report.converged);
-        // Each update must cross to 8 other sites: entries shipped is
-        // bounded by a small multiple of updates x sites.
-        assert!(report.entries_after_rejoin < 24 * 16 * 4);
+        let report = partition(12).run(21);
+        assert!(report.converged_at.is_some());
+        // Each update must cross to 8 other sites: entries shipped after
+        // the heal is bounded by a small multiple of updates x sites.
+        let at_heal = report.milestone("heal").expect("the heal event fires");
+        assert!(report.totals.sent - at_heal.sent < 24 * 16 * 4);
     }
 
     #[test]
     fn partition_rejoin_handles_conflicts() {
         // Concurrent writes race on both sides of the partition:
         // timestamps decide, and both halves agree after rejoin.
-        let scenario = PartitionScenario {
-            updates_per_half: 6,
-            ..PartitionScenario::default()
-        };
+        let engine = partition(6);
         for seed in 0..3 {
-            assert!(scenario.run(seed).converged);
+            assert!(engine.run(seed).converged_at.is_some());
         }
+    }
+
+    /// The bundled `crash` scenario (§1.4's failure mode with §1.5's
+    /// remedy) with `down_fraction` of the sites down while a rumor with
+    /// counter `k` spreads: how many sites the rumor had missed when they
+    /// recovered, and whether backup anti-entropy reached full coverage.
+    fn crash(down_fraction: f64, k: u32, seed: u64) -> (usize, bool) {
+        let mut spec = by_name("crash").expect("bundled");
+        for event in &mut spec.events {
+            if let FaultKind::Crash(set) = &mut event.kind {
+                *set = SiteSet::Fraction(down_fraction);
+            }
+        }
+        spec.protocol.rumor.as_mut().expect("a rumor stage").removal = Removal::Counter { k };
+        let sites = spec.sites;
+        let report = ScenarioEngine::new(spec)
+            .expect("crash spec is valid")
+            .run(seed);
+        let at_recover = report
+            .milestone("recover")
+            .expect("the recover event fires");
+        (sites - at_recover.covered, report.residue == 0.0)
     }
 
     #[test]
     fn downed_sites_miss_rumors_but_backup_repairs() {
-        let report = CrashScenario::default().run(5);
+        let (missed_by_rumor, repaired) = crash(0.3, 2, 5);
         assert!(
-            report.missed_by_rumor >= 12,
-            "the down sites cannot hear the rumor: {report:?}"
+            missed_by_rumor >= 12,
+            "the down sites cannot hear the rumor: {missed_by_rumor}"
         );
-        assert!(report.repaired);
+        assert!(repaired);
     }
 
     #[test]
     fn crash_free_run_misses_almost_nobody() {
-        let report = CrashScenario {
-            sites: 40,
-            down_fraction: 0.0,
-            k: 4,
-        }
-        .run(6);
-        assert!(report.missed_by_rumor <= 2, "{report:?}");
-        assert!(report.repaired);
+        let (missed_by_rumor, repaired) = crash(0.0, 4, 6);
+        assert!(missed_by_rumor <= 2, "{missed_by_rumor}");
+        assert!(repaired);
     }
 }

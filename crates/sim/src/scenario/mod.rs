@@ -17,9 +17,9 @@
 //! ([`Scenario::parse`]) and render back canonically
 //! ([`Scenario::render`], with `parse(render(s)) == s`). The bundled
 //! `.scenario` files under `crates/sim/scenarios/` ([`bundled`]) cover the
-//! four legacy drivers — re-expressed declaratively, with their original
-//! public types kept as thin adapters in [`legacy`] — and two genuinely
-//! new runs (a flash-crowd burst under lossy links; churn across a
+//! four legacy drivers — re-expressed declaratively, two of them with
+//! their original public types kept as thin adapters in [`legacy`] — and
+//! genuinely new runs (a flash-crowd burst under lossy links; churn across a
 //! partition heal).
 //!
 //! Determinism: a run is a pure function of `(spec, seed)`. All

@@ -311,24 +311,25 @@ pub fn minimum_k_with(
 }
 
 /// Estimates the probability that the epidemic fails to reach all sites,
-/// over `trials` runs injected at `origin`. Trials run in parallel; the
-/// estimate is identical to the sequential loop's.
+/// over `trials` runs injected at `origin`. Trials run in parallel on
+/// `runner`; the estimate is identical to the sequential loop's.
 pub fn failure_probability(
+    runner: TrialRunner,
     topology: &Topology,
     spatial: Spatial,
     cfg: RumorConfig,
-    trials: u32,
+    trials: u64,
     origin: Option<SiteId>,
 ) -> f64 {
     let sim = SpatialRumorSim::new(topology, spatial, cfg);
-    let failures = TrialRunner::new().fold(
-        u64::from(trials),
+    let failures = runner.fold(
+        trials,
         0,
         |t| !sim.run(t.wrapping_mul(0x9E37_79B9), origin).complete,
-        0u32,
-        |acc, failed| acc + u32::from(failed),
+        0u64,
+        |acc, failed| acc + u64::from(failed),
     );
-    f64::from(failures) / f64::from(trials)
+    failures as f64 / trials as f64
 }
 
 #[cfg(test)]
@@ -396,6 +397,7 @@ mod tests {
         let topo = topologies::figure1(30);
         let s = topo.node_by_label("s").unwrap();
         let p = failure_probability(
+            TrialRunner::new(),
             &topo,
             Spatial::QsPower { a: 2.0 },
             cfg(Direction::Push, 1),
@@ -410,6 +412,7 @@ mod tests {
         let topo = topologies::figure1(30);
         let s = topo.node_by_label("s").unwrap();
         let p1 = failure_probability(
+            TrialRunner::new(),
             &topo,
             Spatial::QsPower { a: 2.0 },
             cfg(Direction::Push, 1),
@@ -417,6 +420,7 @@ mod tests {
             Some(s),
         );
         let p6 = failure_probability(
+            TrialRunner::new(),
             &topo,
             Spatial::QsPower { a: 2.0 },
             cfg(Direction::Push, 6),
