@@ -12,12 +12,24 @@
 //!
 //! Both regimes thread one reused [`ExchangeScratch`] through
 //! `exchange_with`, exactly as the steady-state sim drivers do.
+//!
+//! Two more groups price the recent-list walk's checksum stop rule on
+//! push-pull recent-list exchanges of a 1k-entry window, at its best and
+//! its worst. In both the receiving side supersedes a row in place, so the
+//! measured offers move no memory:
+//!
+//! * **converged but newest** — `a` holds a newer version of the newest
+//!   shared key, so the push walk stops after two entries and the pull
+//!   walk before its first;
+//! * **diverged at oldest** — `b` holds a newer version of the oldest
+//!   shared key, so the remainders never agree: both walks visit, and
+//!   digest, every row.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
-use epidemic_db::SiteId;
+use epidemic_db::{Entry, SiteId};
 
 const SHARED: u32 = 1_000;
 const FRESH: u32 = 20;
@@ -55,6 +67,27 @@ fn divergent_pair() -> (Replica<u32, u64>, Replica<u32, u64>) {
     (a, b)
 }
 
+/// A converged pair in which `a` has since rewritten the newest key.
+fn converged_but_newest_pair() -> (Replica<u32, u64>, Replica<u32, u64>) {
+    let (mut a, b) = converged_pair();
+    let rewrite = Entry::live(2, a.now());
+    a.apply(SHARED - 1, rewrite);
+    (a, b)
+}
+
+/// A converged pair in which `b` holds a newer version of the oldest key.
+fn diverged_at_oldest_pair() -> (Replica<u32, u64>, Replica<u32, u64>) {
+    let (a, _) = converged_pair();
+    let mut b: Replica<u32, u64> = Replica::new(SiteId::new(1));
+    // Stamped (1, site 1): newer than `a`'s (1, site 0) for key 0, older
+    // than every other row.
+    b.client_update(0, 1);
+    for (key, entry) in a.db().iter() {
+        b.apply(*key, entry.clone());
+    }
+    (a, b)
+}
+
 fn bench_converged(c: &mut Criterion) {
     let mut group = c.benchmark_group("exchange_converged_1k");
     for (label, comparison) in strategies() {
@@ -85,9 +118,45 @@ fn bench_divergent(c: &mut Criterion) {
     group.finish();
 }
 
+/// One push-pull recent-list exchange per sample, on a fresh copy of
+/// `template`'s pair.
+fn bench_recent_list(
+    c: &mut Criterion,
+    group: &str,
+    template: (Replica<u32, u64>, Replica<u32, u64>),
+) {
+    let mut group = c.benchmark_group(group);
+    group.bench_function(BenchmarkId::from_parameter("recent_list"), |bench| {
+        let protocol = AntiEntropy::new(Direction::PushPull, Comparison::RecentList { tau: TAU });
+        let mut scratch = ExchangeScratch::new();
+        bench.iter_batched(
+            || template.clone(),
+            |(mut a, mut b)| black_box(protocol.exchange_with(&mut a, &mut b, &mut scratch)),
+            criterion::BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
+fn bench_converged_but_newest(c: &mut Criterion) {
+    bench_recent_list(
+        c,
+        "exchange_converged_but_newest_1k",
+        converged_but_newest_pair(),
+    );
+}
+
+fn bench_diverged_at_oldest(c: &mut Criterion) {
+    bench_recent_list(
+        c,
+        "exchange_diverged_at_oldest_1k",
+        diverged_at_oldest_pair(),
+    );
+}
+
 criterion_group! {
     name = exchange;
     config = Criterion::default().sample_size(10);
-    targets = bench_converged, bench_divergent
+    targets = bench_converged, bench_divergent, bench_converged_but_newest, bench_diverged_at_oldest
 }
 criterion_main!(exchange);

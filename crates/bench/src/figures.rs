@@ -23,7 +23,7 @@ use epidemic_sim::scenario::legacy::{
 };
 use epidemic_sim::spatial_rumor::{failure_probability, minimum_k_with, SpatialRumorSim};
 
-use crate::registry::{Ctx, Output};
+use crate::registry::{Arenas, Ctx, Output};
 use crate::render::{fmt, labelled, FigTable};
 use crate::tables::{mixing_entry, mixing_sweep};
 use crate::trace::{observed, AggEntry, Seen, Sinks};
@@ -780,6 +780,7 @@ pub(crate) fn cin_steady_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_sim::spatial_steady::{SpatialSteadyConfig, SpatialSteadySim};
     let net = cin(&CinConfig::default());
     let config = SpatialSteadyConfig::default();
+    let arenas = Arenas::default();
     let mut rows = Vec::new();
     for (label, spatial) in [
         ("uniform".to_string(), Spatial::Uniform),
@@ -787,15 +788,19 @@ pub(crate) fn cin_steady_table(ctx: &Ctx<'_>) -> FigTable {
         ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
         let sim = SpatialSteadySim::new(&net.topology, spatial, config);
-        let means = ctx.mean(|seed| {
-            let r = sim.run(seed + 31);
-            [
-                r.conversations_per_link_cycle,
-                r.entries_per_link_cycle,
-                r.entry_traffic.at(net.bushey_link) as f64 / f64::from(r.measured_cycles),
-                r.full_compare_rate,
-            ]
-        });
+        let (means, _) = ctx.mean_seen(
+            || arenas.take(),
+            |arena, seed| {
+                let r = sim.run(arena, seed + 31);
+                let means = [
+                    r.conversations_per_link_cycle,
+                    r.entries_per_link_cycle,
+                    r.entry_traffic.at(net.bushey_link) as f64 / f64::from(r.measured_cycles),
+                    r.full_compare_rate,
+                ];
+                (means, Seen::default())
+            },
+        );
         rows.push(labelled(label, means));
     }
     FigTable::new(
@@ -1004,6 +1009,7 @@ pub(crate) fn topology_robustness_table(ctx: &Ctx<'_>) -> FigTable {
 /// a high enough update rate to warrant the use of pull".
 pub(crate) fn pull_vs_push_rate_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_sim::rumor_steady::{RumorSteadyConfig, RumorSteadySim};
+    let arenas = Arenas::default();
     let mut rows = Vec::new();
     for rate in [0.0f64, 0.25, 1.0, 4.0] {
         for (label, direction) in [("push", Direction::Push), ("pull", Direction::Pull)] {
@@ -1013,15 +1019,19 @@ pub(crate) fn pull_vs_push_rate_table(ctx: &Ctx<'_>) -> FigTable {
                 ..RumorSteadyConfig::default()
             };
             let sim = RumorSteadySim::new(cfg, config);
-            let means = ctx.mean(|seed| {
-                let r = sim.run(seed + 5);
-                [
-                    r.coverage,
-                    r.messages_per_delivery,
-                    r.fruitless_per_cycle,
-                    r.contacts_per_cycle,
-                ]
-            });
+            let (means, _) = ctx.mean_seen(
+                || arenas.take(),
+                |arena, seed| {
+                    let r = sim.run(arena, seed + 5);
+                    let means = [
+                        r.coverage,
+                        r.messages_per_delivery,
+                        r.fruitless_per_cycle,
+                        r.contacts_per_cycle,
+                    ];
+                    (means, Seen::default())
+                },
+            );
             rows.push(labelled(format!("{rate} upd/cycle, {label}"), means));
         }
     }

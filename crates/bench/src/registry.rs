@@ -13,7 +13,8 @@
 
 use std::fmt;
 use std::io::{self, Write};
-use std::sync::OnceLock;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, OnceLock};
 
 use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::scenario::bundled;
@@ -178,6 +179,57 @@ impl Ctx<'_> {
             *sum /= self.trials as f64;
         }
         (sums, seen)
+    }
+}
+
+/// Trial arenas shared by the sweeps of one experiment: each worker of a
+/// [`Ctx::mean_seen`] call takes one ([`Arenas::take`]) and puts it back
+/// when it finishes, so the arenas grow once per experiment rather than
+/// once per swept configuration. Which arena a worker gets is immaterial:
+/// no trial's result depends on what its arena held.
+#[derive(Debug, Default)]
+pub(crate) struct Arenas<T>(Mutex<Vec<T>>);
+
+impl<T: Default> Arenas<T> {
+    /// An arena for one worker's trials: a used one if any is free.
+    pub(crate) fn take(&self) -> Lent<'_, T> {
+        let arena = self
+            .0
+            .lock()
+            .expect("the free list is locked only to push or pop")
+            .pop();
+        Lent {
+            pool: self,
+            arena: arena.unwrap_or_default(),
+        }
+    }
+}
+
+/// An arena lent out of [`Arenas`]; dropping it gives it back.
+pub(crate) struct Lent<'a, T: Default> {
+    pool: &'a Arenas<T>,
+    arena: T,
+}
+
+impl<T: Default> Deref for Lent<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.arena
+    }
+}
+
+impl<T: Default> DerefMut for Lent<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.arena
+    }
+}
+
+impl<T: Default> Drop for Lent<'_, T> {
+    fn drop(&mut self) {
+        if let Ok(mut free) = self.pool.0.lock() {
+            free.push(std::mem::take(&mut self.arena));
+        }
     }
 }
 

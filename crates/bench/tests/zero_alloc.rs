@@ -143,7 +143,8 @@ fn converged_exchanges_do_not_allocate() {
             },
         );
         min_allocations(5, || {
-            black_box(sim.run(11));
+            let mut arena = epidemic_sim::spatial_steady::SpatialSteadyArena::new();
+            black_box(sim.run(&mut arena, 11));
         })
     };
     let short = run_allocs(6);

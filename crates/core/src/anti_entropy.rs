@@ -11,7 +11,7 @@
 use std::hash::Hash;
 
 use epidemic_db::store::OfferOutcome;
-use epidemic_db::{Entry, Timestamp};
+use epidemic_db::{Database, Entry, Timestamp};
 
 use crate::replica::Replica;
 use crate::Direction;
@@ -350,15 +350,16 @@ fn full_resolve<K, V>(
 
 /// Exchanges recent-update lists (§1.3's refined checksum scheme).
 ///
-/// Both lists are walked straight off the peel-back index
-/// ([`Database::recent_index`](epidemic_db::Database::recent_index)):
-/// every listed entry still counts as wire traffic (`sent_ab`/`sent_ba` —
-/// the sender cannot know what the receiver holds), but the receiver's
-/// borrow-only [`would_accept`](epidemic_db::Database::would_accept)
-/// prefilter rejects already-known updates on a single map probe, without
-/// even fetching the sender's entry. Only accepted offers touch the entry
-/// store, and only they clone. The pull-direction list is read after
-/// push-direction offers complete, exactly as the snapshot version did.
+/// Both lists are walked straight off the peel-back order
+/// ([`Database::recent_entries`]), and only as far as the two databases
+/// differ ([`walk_recent`]): every listed entry still counts as wire
+/// traffic (`sent_ab`/`sent_ba` — the sender cannot know what the receiver
+/// holds), but already-known updates are rejected by the lockstep walk, the
+/// checksum stop rule or the receiver's borrow-only
+/// [`would_accept`](Database::would_accept) probe. Only accepted offers
+/// touch the entry store, and only they clone. The pull-direction list is
+/// read after push-direction offers complete, exactly as the snapshot
+/// version did.
 fn exchange_recent<K, V>(
     direction: Direction,
     a: &mut Replica<K, V>,
@@ -381,17 +382,10 @@ fn exchange_recent<K, V>(
 /// One direction of the recent-list exchange. Returns the number of
 /// entries listed (each is wire traffic whether or not it is accepted).
 ///
-/// The receiver's timestamp index is walked in lockstep with the sender's
-/// recent list: both run in descending `(timestamp, key)` order, so an
-/// exactly-matching pair proves the receiver already holds that version
-/// and the offer is rejected with no map probe at all. On a converged
-/// pair every listed entry short-circuits this way. Mismatches fall back
-/// to the borrow-only `would_accept` probe, and the rare accepted offers
-/// are deferred into `pending` (offers touch distinct keys, so deferral
-/// cannot change any outcome) because the receiver cannot be mutated
-/// while its index is being walked. The lockstep shortcut is disabled
-/// when the receiver parks dormant death certificates, since those make
-/// an offer mutate state even for an already-held timestamp.
+/// The accepted offers are found by [`walk_recent`] and deferred into
+/// `pending` (offers touch distinct keys, so deferral cannot change any
+/// outcome) because the receiver cannot be mutated while its rows are
+/// being walked.
 fn offer_recent<K, V>(
     from: &mut Replica<K, V>,
     to: &mut Replica<K, V>,
@@ -404,39 +398,128 @@ where
     V: Clone + Hash + Eq,
 {
     let now = from.local_time();
-    let mut listed = 0;
-    pending.clear();
-    {
-        let from_db = from.db();
-        let to_db = to.db();
-        let lockstep = to_db.dormant_len() == 0;
-        let mut rx = to_db.timestamp_index();
-        let mut rx_cur = rx.next();
-        for (t, k) in from_db.recent_index(now, tau) {
-            listed += 1;
-            if lockstep {
-                while let Some((rt, rk)) = rx_cur {
-                    if (rt, rk) > (t, k) {
-                        rx_cur = rx.next();
-                    } else {
-                        break;
-                    }
-                }
-                if rx_cur == Some((t, k)) {
-                    rx_cur = rx.next();
-                    continue;
-                }
-            }
-            if to_db.would_accept(k, t) {
-                pending.push((t, k.clone()));
-            }
-        }
-    }
+    let walk = walk_recent(from.db(), to.db(), now, tau, pending);
+    debug_assert!(
+        is_the_long_walk(from.db(), to.db(), now, tau, walk.listed, pending),
+        "the early-stopped recent-list walk must equal the entry-by-entry one"
+    );
     for (_, k) in pending.drain(..) {
         let e = from.db().entry(&k).expect("peel index is consistent");
         offer_counted_ref(to, &k, e, stats);
     }
-    listed
+    walk.listed
+}
+
+/// What one direction's [`walk_recent`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RecentWalk {
+    /// Entries on the sender's recent list: the wire traffic.
+    listed: usize,
+    /// Sender rows the walk actually visited before it stopped.
+    visited: usize,
+}
+
+/// Walks the sender's recent list (newest first) against the receiver,
+/// replacing `pending` with the listed `(timestamp, key)` pairs the
+/// receiver would accept.
+///
+/// The receiver's rows are walked in lockstep: both sides run in
+/// descending `(timestamp, key)` order, so an exactly-matching row proves
+/// the receiver already holds that version and the offer is rejected with
+/// no map probe at all; other entries fall back to the borrow-only
+/// `would_accept` probe.
+///
+/// **Stop rule.** Two remainder checksums start at both sides' maintained
+/// [`Checksum`](epidemic_db::Checksum)s, and every row the walk passes —
+/// each listed sender entry, each receiver row the lockstep consumes — is
+/// toggled out of its side's remainder. Before each sender entry the rows
+/// neither walk has reached are, on both sides, exactly those ordered
+/// below the last entry visited; once the two remainders agree those rows
+/// are the same set (up to the 64-bit collision the §1.3 checksum
+/// comparison after the exchange already assumes), so every entry still to
+/// be listed is held by the receiver. The walk stops there and the rest of
+/// the list is counted, not visited.
+///
+/// Both shortcuts stand aside while the receiver parks dormant death
+/// certificates, which make an offer mutate state even for an
+/// already-held timestamp.
+fn walk_recent<K, V>(
+    from: &Database<K, V>,
+    to: &Database<K, V>,
+    now: u64,
+    tau: u64,
+    pending: &mut Vec<(Timestamp, K)>,
+) -> RecentWalk
+where
+    K: Ord + Clone + Hash,
+    V: Hash,
+{
+    pending.clear();
+    let lockstep = to.dormant_len() == 0;
+    let mut from_rest = from.checksum();
+    let mut to_rest = to.checksum();
+    let mut rx = to.newest_first();
+    let mut rx_cur = rx.next();
+    let mut visited = 0;
+    for (k, e) in from.recent_entries(now, tau) {
+        if lockstep && from_rest == to_rest {
+            return RecentWalk {
+                listed: from.recent_len(now, tau),
+                visited,
+            };
+        }
+        visited += 1;
+        let t = e.timestamp();
+        if lockstep {
+            from_rest.toggle(&(k, e));
+            let mut held = false;
+            while let Some((rk, re)) = rx_cur {
+                let row = (re.timestamp(), rk);
+                if row < (t, k) {
+                    break;
+                }
+                to_rest.toggle(&(rk, re));
+                rx_cur = rx.next();
+                if row == (t, k) {
+                    held = true;
+                    break;
+                }
+            }
+            if held {
+                continue;
+            }
+        }
+        if to.would_accept(k, t) {
+            pending.push((t, k.clone()));
+        }
+    }
+    RecentWalk {
+        listed: visited,
+        visited,
+    }
+}
+
+/// Whether `listed` and `pending` are what listing every recent entry and
+/// asking the receiver's `would_accept` about each one yields — the
+/// definition both of [`walk_recent`]'s shortcuts must reproduce. Debug
+/// builds check every walk against it.
+fn is_the_long_walk<K, V>(
+    from: &Database<K, V>,
+    to: &Database<K, V>,
+    now: u64,
+    tau: u64,
+    listed: usize,
+    pending: &[(Timestamp, K)],
+) -> bool
+where
+    K: Ord + Clone + Hash,
+    V: Hash,
+{
+    listed == from.recent_index(now, tau).count()
+        && from
+            .recent_index(now, tau)
+            .filter(|&(t, k)| to.would_accept(k, t))
+            .eq(pending.iter().map(|(t, k)| (*t, k)))
 }
 
 /// Peel back (§1.3): ship entries in reverse timestamp order until the
@@ -635,6 +718,92 @@ mod tests {
         let stats = ae.exchange(&mut a, &mut b);
         assert!(stats.full_compare, "stale diff is beyond the window");
         assert_eq!(a.db(), b.db());
+    }
+
+    /// Two replicas that hold the same `keys` keys, written at the first.
+    fn converged(keys: u32) -> (Replica<u32, u64>, Replica<u32, u64>) {
+        let mut a = Replica::new(SiteId::new(0));
+        let mut b = Replica::new(SiteId::new(1));
+        for key in 0..keys {
+            a.client_update(key, u64::from(key));
+        }
+        AntiEntropy::new(Direction::PushPull, Comparison::Full).exchange(&mut a, &mut b);
+        assert_eq!(a.db().checksum(), b.db().checksum());
+        (a, b)
+    }
+
+    /// One direction's walk over a window covering the whole history,
+    /// checked against the long walk; returns it with the offers found.
+    fn walk(from: &Replica<u32, u64>, to: &Replica<u32, u64>) -> (RecentWalk, Vec<u32>) {
+        let (now, tau) = (from.local_time(), u64::MAX);
+        let mut pending = Vec::new();
+        let walk = walk_recent(from.db(), to.db(), now, tau, &mut pending);
+        assert!(is_the_long_walk(
+            from.db(),
+            to.db(),
+            now,
+            tau,
+            walk.listed,
+            &pending
+        ));
+        assert_eq!(walk.listed, from.db().len());
+        (walk, pending.into_iter().map(|(_, k)| k).collect())
+    }
+
+    #[test]
+    fn walk_stops_below_the_newest_difference() {
+        let (mut a, b) = converged(1_000);
+        a.client_update(1_000, 7);
+        let (walk, offers) = walk(&a, &b);
+        assert!(walk.visited <= 2, "visited {}", walk.visited);
+        assert_eq!(offers, [1_000]);
+        // Equal databases stop before the first entry.
+        let (walk, offers) = self::walk(&b, &b.clone());
+        assert_eq!((walk.visited, offers.len()), (0, 0));
+    }
+
+    #[test]
+    fn walk_reaches_a_difference_at_the_oldest_entry() {
+        let (a, _) = converged(1_000);
+        let mut b = Replica::new(SiteId::new(1));
+        for (k, e) in a.db().iter().filter(|(k, _)| **k != 0) {
+            b.apply(*k, e.clone());
+        }
+        let (walk, offers) = walk(&a, &b);
+        assert_eq!(walk.visited, 1_000, "every listed row is visited");
+        assert_eq!(offers, [0]);
+    }
+
+    #[test]
+    fn walk_never_stops_early_for_a_receiver_with_dormant_certificates() {
+        let (mut a, mut b) = converged(100);
+        a.client_delete_with_retention(&5, vec![b.site()]);
+        AntiEntropy::new(Direction::PushPull, Comparison::Full).exchange(&mut a, &mut b);
+        for r in [&mut a, &mut b] {
+            r.advance_clock(1_000);
+            r.collect_garbage(epidemic_db::GcPolicy::Dormant {
+                tau1: 10,
+                tau2: 10_000,
+            });
+        }
+        assert_eq!((a.db().dormant_len(), b.db().dormant_len()), (0, 1));
+        assert_eq!(a.db().checksum(), b.db().checksum());
+        let (walk, offers) = walk(&a, &b);
+        assert_eq!(walk.visited, walk.listed);
+        assert!(offers.is_empty());
+    }
+
+    #[test]
+    fn walk_passes_receiver_rows_newer_than_the_window_and_stops() {
+        let (mut a, mut b) = converged(100);
+        a.client_update(100, 1);
+        b.advance_clock(a.local_time() + 10);
+        for key in 101..104 {
+            b.client_update(key, 2);
+        }
+        let (walk, offers) = walk(&a, &b);
+        assert!(walk.visited <= 2, "visited {}", walk.visited);
+        assert_eq!(offers, [100]);
     }
 
     #[test]

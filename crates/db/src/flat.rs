@@ -349,6 +349,15 @@ where
         self.rows.iter().rev().map(|(k, e)| (e.timestamp(), k))
     }
 
+    /// Number of rows at most `tau` old at `now`: ages fall along the
+    /// column, so those rows are its tail, counted by one bisection.
+    pub fn recent_len(&self, now: u64, tau: u64) -> usize {
+        self.rows.len()
+            - self
+                .rows
+                .partition_point(|(_, e)| e.timestamp().age(now) > tau)
+    }
+
     /// Capacities of the row column and the lookup index: what the store
     /// holds on the heap.
     #[cfg(test)]

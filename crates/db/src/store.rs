@@ -299,9 +299,10 @@ where
 
     /// Borrowing form of the *recent update list* (§1.3): iterates all
     /// entries whose timestamp age relative to `now` is at most `tau`,
-    /// newest first, by reference. The anti-entropy hot path walks this
-    /// instead of materialising a [`RecentUpdates`] snapshot, so a
-    /// conversation over a converged pair allocates nothing.
+    /// newest first, by reference. The anti-entropy hot path walks this —
+    /// against the receiver's [`Database::newest_first`] rows, in
+    /// lockstep — instead of materialising a [`RecentUpdates`] snapshot,
+    /// so a conversation over a converged pair allocates nothing.
     pub fn recent_entries(&self, now: u64, tau: u64) -> impl Iterator<Item = (&K, &Entry<V>)> {
         self.newest_first()
             .take_while(move |(_, e)| e.timestamp().age(now) <= tau)
@@ -317,10 +318,15 @@ where
             .take_while(move |(t, _)| t.age(now) <= tau)
     }
 
+    /// Length of the recent update list — what
+    /// [`Database::recent_index`]`(now, tau)` yields — counted by a
+    /// partition point instead of a walk.
+    pub fn recent_len(&self, now: u64, tau: u64) -> usize {
+        self.store.recent_len(now, tau)
+    }
+
     /// The full inverted timestamp index as bare `(timestamp, key)` pairs,
     /// newest first — [`Database::recent_index`] without the age cutoff.
-    /// Receivers walk this in lockstep with a sender's recent list to
-    /// recognise already-held versions without a single map probe.
     pub fn timestamp_index(&self) -> impl Iterator<Item = (Timestamp, &K)> {
         self.store.timestamp_index()
     }
@@ -649,6 +655,7 @@ mod tests {
                 .map(|(k, e)| (*k, e.timestamp().time() as u32))
                 .collect();
             assert_eq!(borrowed, owned, "tau={tau}");
+            assert_eq!(db.recent_len(130, tau), owned.len(), "tau={tau}");
         }
     }
 

@@ -37,6 +37,13 @@ impl LinkTraffic {
         }
     }
 
+    /// Zeroes the counters for a topology with `links` links, keeping the
+    /// storage, so reused counters allocate only to grow.
+    pub fn reset(&mut self, links: usize) {
+        self.counts.clear();
+        self.counts.resize(links, 0);
+    }
+
     /// Number of links tracked.
     pub fn link_count(&self) -> usize {
         self.counts.len()
@@ -116,6 +123,8 @@ mod tests {
         assert_eq!(t.at(l12), 2);
         assert_eq!(t.total(), 3);
         assert_eq!(t.hottest(), Some((l12, 2)));
+        t.reset(topo.link_count());
+        assert_eq!(t, LinkTraffic::new(topo.link_count()));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use rand::RngExt;
 use super::{ContactStats, EpidemicProtocol, Roster, SirCounts, SirView, UniformPartners};
 use crate::bitset::BitSet;
 use crate::engine::PartnerPolicy;
-use crate::util::pair_mut;
+use crate::util::{pair_mut, reset_replicas, site_ids};
 
 /// The single key every single-update protocol spreads.
 const KEY: u32 = 0;
@@ -177,6 +177,23 @@ impl<'a> RouteRecorder<'a> {
         }
     }
 
+    /// As [`RouteRecorder::new`], on counters an earlier run filled: they
+    /// are zeroed for `links` links and keep their storage.
+    pub fn reusing(
+        routes: &'a Routes,
+        links: usize,
+        mut compare: LinkTraffic,
+        mut update: LinkTraffic,
+    ) -> Self {
+        compare.reset(links);
+        update.reset(links);
+        RouteRecorder {
+            routes,
+            compare,
+            update,
+        }
+    }
+
     /// Records one conversation `from → to` that shipped `update_units`
     /// units of update traffic.
     pub fn record(&mut self, from: SiteId, to: SiteId, update_units: u64) {
@@ -289,14 +306,7 @@ impl MixingState {
     /// nobody active — whatever an earlier run left behind, and keeping
     /// every capacity it grew.
     fn reset(&mut self, n: usize) {
-        let site_id = |i: usize| SiteId::new(u32::try_from(i).expect("site count fits u32"));
-        self.sites.truncate(n);
-        for (i, site) in self.sites.iter_mut().enumerate() {
-            site.reset(site_id(i));
-        }
-        for i in self.sites.len()..n {
-            self.sites.push(Replica::new(site_id(i)));
-        }
+        reset_replicas(&mut self.sites, site_ids(n));
         self.received.reset(n);
         self.active.reset(n);
         self.state0.reset(n);
@@ -611,9 +621,7 @@ impl DirectMailProtocol {
     /// `n` sites with the update injected at `origin` and a mailing budget
     /// of `n - 1` messages.
     pub fn new(n: usize, origin: usize) -> Self {
-        let mut sites: Vec<Replica<u32, u32>> = (0..n)
-            .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
-            .collect();
+        let mut sites: Vec<Replica<u32, u32>> = site_ids(n).map(Replica::new).collect();
         sites[origin].client_update(Self::KEY, 1);
         let mut received = ReceiveLog::new(n);
         received.mark(origin, 0);

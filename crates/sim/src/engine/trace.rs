@@ -62,7 +62,7 @@ fn sir_of<P: SirView + ?Sized>(protocol: &P) -> Sir {
 }
 
 fn db_digest(replica: &epidemic_core::Replica<u32, u32>) -> u64 {
-    epidemic_db::checksum::fnv1a_hash(&replica.db().checksum())
+    epidemic_db::Checksum::digest(&replica.db().checksum())
 }
 
 impl TraceView for MixingProtocol {

@@ -20,6 +20,7 @@ use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
 use crate::engine::{PartnerPolicy, ReceiveLog, RouteRecorder, SpatialPartners, UniformPartners};
+use crate::util::site_ids;
 
 /// Time in microticks; one nominal anti-entropy period is
 /// [`AsyncAntiEntropySim::PERIOD`] microticks.
@@ -280,9 +281,7 @@ impl AsyncRumorEpidemic {
         use epidemic_core::rumor;
         let policy = UniformPartners::new(n);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sites: Vec<Replica<u32, u32>> = (0..n)
-            .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
-            .collect();
+        let mut sites: Vec<Replica<u32, u32>> = site_ids(n).map(Replica::new).collect();
         sites[0].client_update(KEY, 1);
         let mut received: ReceiveLog<Micros> = ReceiveLog::new(n);
         received.mark(0, 0);

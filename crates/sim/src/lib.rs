@@ -85,11 +85,13 @@ pub use event::{AsyncAntiEntropySim, AsyncRumorEpidemic, AsyncRumorResult, Async
 pub use failures::{Churn, ChurnRunResult, ChurnedAntiEntropySim};
 pub use megascale::{FastDraw, FastRumorProtocol, MegascaleSim};
 pub use mixing::{EpidemicResult, MixingArena, RumorEpidemic};
-pub use rumor_steady::{RumorSteadyConfig, RumorSteadyReport, RumorSteadySim};
+pub use rumor_steady::{RumorSteadyArena, RumorSteadyConfig, RumorSteadyReport, RumorSteadySim};
 pub use runner::TrialRunner;
 pub use scenario::{Scenario, ScenarioEngine, ScenarioReport};
 pub use spatial_ae::{AntiEntropySim, SpatialRunResult};
 pub use spatial_rumor::SpatialRumorSim;
-pub use spatial_steady::{SpatialSteadyConfig, SpatialSteadyReport, SpatialSteadySim};
+pub use spatial_steady::{
+    SpatialSteadyArena, SpatialSteadyConfig, SpatialSteadyReport, SpatialSteadySim,
+};
 pub use stats::{Quantiles, Summary};
 pub use steady::{SteadyStateReport, SteadyStateSim};

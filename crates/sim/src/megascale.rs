@@ -361,11 +361,10 @@ pub mod reference {
     //! [`LazyTable`](epidemic_db::LazyTable) row exactly where this loop
     //! records a receipt.
 
-    use epidemic_core::Replica;
-    use epidemic_db::SiteId;
-
     use super::{ContactRng, DegreeGraph, EpidemicResult, RngExt, KEY};
     use crate::engine::protocols::ReceiveLog;
+    use crate::util::site_ids;
+    use epidemic_core::Replica;
 
     /// A finished reference run: the summary plus the per-site receipt
     /// log the differential suites compare against the fast path's
@@ -408,9 +407,7 @@ pub mod reference {
         seed: u64,
         partner: F,
     ) -> ReferenceRun {
-        let mut sites: Vec<Replica<u32, u32>> = (0..n)
-            .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
-            .collect();
+        let mut sites: Vec<Replica<u32, u32>> = site_ids(n).map(Replica::new).collect();
         sites[0].client_update(KEY, 1);
         let mut received = ReceiveLog::new(n);
         received.mark(0, 0);

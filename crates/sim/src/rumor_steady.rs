@@ -17,14 +17,14 @@
 
 use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
 use epidemic_core::{Direction, Replica};
-use epidemic_db::SiteId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::{
-    ContactStats, CycleEngine, EpidemicProtocol, Roster, UniformPartners, UpdateInjector,
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, Roster, UniformPartners,
+    UpdateInjector,
 };
-use crate::util::pair_mut;
+use crate::util::{pair_mut, reset_replicas, site_ids};
 
 /// Configuration for the steady-state rumor experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,7 +51,8 @@ impl Default for RumorSteadyConfig {
     }
 }
 
-/// Measurements from one steady-state rumor run.
+/// Measurements from one steady-state rumor run. A run of zero cycles
+/// reports 0 for both per-cycle rates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RumorSteadyReport {
     /// Updates injected over the run.
@@ -67,18 +68,37 @@ pub struct RumorSteadyReport {
     pub contacts_per_cycle: f64,
 }
 
+/// Everything a [`RumorSteadySim`] run keeps on the heap — the replicas,
+/// the rumor scratch and the engine's roster buffers — owned across runs,
+/// so that a run on a warm arena allocates nothing. One arena serves any
+/// sequence of configurations and site counts; each run starts from a
+/// state indistinguishable from a fresh one.
+#[derive(Debug, Default)]
+pub struct RumorSteadyArena {
+    sites: Vec<Replica<u32, u32>>,
+    scratch: RumorScratch<u32>,
+    buffers: EngineBuffers,
+}
+
+impl RumorSteadyArena {
+    /// An empty arena. Allocates nothing until its first run.
+    pub fn new() -> Self {
+        RumorSteadyArena::default()
+    }
+}
+
 /// Driver for steady-state rumor mongering under complete mixing.
 ///
 /// # Example
 ///
 /// ```
 /// use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-/// use epidemic_sim::rumor_steady::{RumorSteadyConfig, RumorSteadySim};
+/// use epidemic_sim::rumor_steady::{RumorSteadyArena, RumorSteadyConfig, RumorSteadySim};
 ///
 /// let cfg = RumorConfig::new(Direction::Pull, Feedback::Feedback,
 ///                            Removal::Counter { k: 2 });
 /// let sim = RumorSteadySim::new(cfg, RumorSteadyConfig::default());
-/// let report = sim.run(7);
+/// let report = sim.run(&mut RumorSteadyArena::new(), 7);
 /// assert!(report.coverage > 0.9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,32 +113,37 @@ impl RumorSteadySim {
         RumorSteadySim { cfg, config }
     }
 
-    /// Runs the workload.
+    /// Runs the workload on the heap state `arena` kept from earlier runs
+    /// (of any configuration): the report equals a fresh arena's, and once
+    /// the arena has grown to this run's size nothing is allocated. Trial
+    /// loops hold one arena per worker.
     ///
     /// # Panics
     ///
     /// Panics if the configuration has fewer than two sites.
-    pub fn run(&self, seed: u64) -> RumorSteadyReport {
+    pub fn run(&self, arena: &mut RumorSteadyArena, seed: u64) -> RumorSteadyReport {
         let n = self.config.sites;
         let mut rng = StdRng::seed_from_u64(seed);
         let policy = UniformPartners::new(n);
-        let sites: Vec<Replica<u32, u32>> = (0..n)
-            .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
-            .collect();
+        reset_replicas(&mut arena.sites, site_ids(n));
         let total_cycles = self.config.inject_cycles + self.config.drain_cycles;
         let mut protocol = RumorSteadyProtocol {
             cfg: self.cfg,
-            sites,
+            sites: &mut arena.sites,
             inject_cycles: self.config.inject_cycles,
             injector: UpdateInjector::new(self.config.updates_per_cycle),
-            scratch: RumorScratch::new(),
+            scratch: &mut arena.scratch,
         };
-        let report = CycleEngine::new().max_cycles(total_cycles).run(
-            &mut protocol,
-            &policy,
-            &mut rng,
-            &mut (),
-        );
+        let report = CycleEngine::new()
+            .max_cycles(total_cycles)
+            .run_instrumented(
+                &mut protocol,
+                &policy,
+                &mut rng,
+                &mut (),
+                &mut (),
+                &mut arena.buffers,
+            );
 
         // Coverage: each injected key should be at (nearly) all n sites.
         let injected = protocol.injector.injected();
@@ -129,6 +154,10 @@ impl RumorSteadySim {
             held as f64 / (u64::from(injected) * n as u64) as f64
         };
         let totals = report.totals;
+        let per_cycle = |count: u64| match total_cycles {
+            0 => 0.0,
+            cycles => count as f64 / f64::from(cycles),
+        };
         RumorSteadyReport {
             injected,
             coverage,
@@ -137,8 +166,8 @@ impl RumorSteadySim {
             } else {
                 totals.sent as f64 / totals.useful as f64
             },
-            fruitless_per_cycle: totals.fruitless as f64 / f64::from(total_cycles),
-            contacts_per_cycle: totals.contacts as f64 / f64::from(total_cycles),
+            fruitless_per_cycle: per_cycle(totals.fruitless),
+            contacts_per_cycle: per_cycle(totals.contacts),
         }
     }
 }
@@ -147,15 +176,15 @@ impl RumorSteadySim {
 /// sites (a quiescent network costs nothing), pull and push-pull poll from
 /// every site every cycle. The engine's contact totals *are* the
 /// measurement — fruitless contacts, messages sent, useful deliveries.
-struct RumorSteadyProtocol {
+struct RumorSteadyProtocol<'a> {
     cfg: RumorConfig,
-    sites: Vec<Replica<u32, u32>>,
+    sites: &'a mut [Replica<u32, u32>],
     inject_cycles: u32,
     injector: UpdateInjector,
-    scratch: RumorScratch<u32>,
+    scratch: &'a mut RumorScratch<u32>,
 }
 
-impl EpidemicProtocol for RumorSteadyProtocol {
+impl EpidemicProtocol for RumorSteadyProtocol<'_> {
     fn site_count(&self) -> usize {
         self.sites.len()
     }
@@ -183,7 +212,7 @@ impl EpidemicProtocol for RumorSteadyProtocol {
             r.advance_clock(time);
         }
         if cycle <= self.inject_cycles {
-            let sites = &mut self.sites;
+            let sites = &mut *self.sites;
             self.injector.inject(sites.len(), rng, |site, key| {
                 sites[site].client_update(key, cycle);
             });
@@ -191,8 +220,8 @@ impl EpidemicProtocol for RumorSteadyProtocol {
     }
 
     fn contact(&mut self, _cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
-        let (a, b) = pair_mut(&mut self.sites, i, j);
-        rumor::contact_with(&self.cfg, a, b, rng, &mut self.scratch).into()
+        let (a, b) = pair_mut(self.sites, i, j);
+        rumor::contact_with(&self.cfg, a, b, rng, self.scratch).into()
     }
 
     fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
@@ -221,8 +250,10 @@ mod tests {
             drain_cycles: 50,
             ..RumorSteadyConfig::default()
         };
-        let push = RumorSteadySim::new(cfg(Direction::Push, 2), config).run(1);
-        let pull = RumorSteadySim::new(cfg(Direction::Pull, 2), config).run(1);
+        let push = RumorSteadySim::new(cfg(Direction::Push, 2), config)
+            .run(&mut RumorSteadyArena::new(), 1);
+        let pull = RumorSteadySim::new(cfg(Direction::Pull, 2), config)
+            .run(&mut RumorSteadyArena::new(), 1);
         assert_eq!(push.contacts_per_cycle, 0.0, "§1.4: push goes silent");
         assert!(
             pull.fruitless_per_cycle > 100.0,
@@ -237,7 +268,8 @@ mod tests {
             updates_per_cycle: 4.0,
             ..RumorSteadyConfig::default()
         };
-        let pull = RumorSteadySim::new(cfg(Direction::Pull, 2), config).run(2);
+        let pull = RumorSteadySim::new(cfg(Direction::Pull, 2), config)
+            .run(&mut RumorSteadyArena::new(), 2);
         assert!(pull.coverage > 0.95, "coverage {}", pull.coverage);
         // At 4 updates/cycle most polls find a non-empty rumor list.
         assert!(
@@ -252,15 +284,36 @@ mod tests {
     fn push_and_pull_both_deliver_under_load() {
         let config = RumorSteadyConfig::default();
         for direction in [Direction::Push, Direction::Pull] {
-            let r = RumorSteadySim::new(cfg(direction, 3), config).run(3);
+            let r =
+                RumorSteadySim::new(cfg(direction, 3), config).run(&mut RumorSteadyArena::new(), 3);
             assert!(r.coverage > 0.9, "{direction:?} coverage {}", r.coverage);
             assert!(r.messages_per_delivery >= 1.0);
         }
     }
 
     #[test]
-    fn deterministic_per_seed() {
+    fn deterministic_per_seed_on_any_arena() {
         let sim = RumorSteadySim::new(cfg(Direction::Pull, 2), RumorSteadyConfig::default());
-        assert_eq!(sim.run(11), sim.run(11));
+        let fresh = sim.run(&mut RumorSteadyArena::new(), 11);
+        // An arena an earlier, larger push run has used is a fresh one.
+        let mut arena = RumorSteadyArena::new();
+        let larger = RumorSteadyConfig {
+            sites: 300,
+            ..RumorSteadyConfig::default()
+        };
+        RumorSteadySim::new(cfg(Direction::Push, 3), larger).run(&mut arena, 5);
+        assert_eq!(sim.run(&mut arena, 11), fresh);
+    }
+
+    #[test]
+    fn zero_cycles_report_zero_rates() {
+        let config = RumorSteadyConfig {
+            inject_cycles: 0,
+            drain_cycles: 0,
+            ..RumorSteadyConfig::default()
+        };
+        let r = RumorSteadySim::new(cfg(Direction::Pull, 2), config)
+            .run(&mut RumorSteadyArena::new(), 1);
+        assert_eq!((r.fruitless_per_cycle, r.contacts_per_cycle), (0.0, 0.0));
     }
 }

@@ -35,7 +35,7 @@ use crate::engine::{
     SirCounts, SirView, SpatialPartners, UniformPartners, UpdateInjector,
 };
 use crate::stats::Summary;
-use crate::util::pair_mut;
+use crate::util::{self, pair_mut};
 
 /// Contact totals snapshotted at the moment a [`FaultEvent`] fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,9 +226,7 @@ impl ScenarioEngine {
     {
         let everyone: Vec<SiteId> = match site_ids {
             Some(ids) => ids.to_vec(),
-            None => (0..self.spec.sites)
-                .map(|i| SiteId::new(u32::try_from(i).expect("site count fits u32")))
-                .collect(),
+            None => util::site_ids(self.spec.sites).collect(),
         };
         assert_eq!(
             everyone.len(),

@@ -23,7 +23,7 @@ use super::spec::{
     AntiEntropySpec, FaultEvent, FaultKind, Scenario, SiteSet, StopRule, Workload, WorkloadMix,
 };
 use crate::engine::protocols::random_pair;
-use crate::util::pair_mut;
+use crate::util::{pair_mut, site_ids};
 
 /// An update-only workload injecting `rate` updates per cycle until
 /// `budget` have been placed.
@@ -143,9 +143,7 @@ impl ClearinghouseScenario {
 pub fn resurrection_without_certificates(sites: usize, seed: u64) -> bool {
     assert!(sites >= 3);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut replicas: Vec<Replica<&str, u32>> = (0..sites)
-        .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
-        .collect();
+    let mut replicas: Vec<Replica<&str, u32>> = site_ids(sites).map(Replica::new).collect();
     let ae = AntiEntropy::new(Direction::PushPull, Comparison::Full);
     replicas[0].client_update("item", 7);
     converge(&mut replicas, &ae, &mut rng);

@@ -17,9 +17,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::{
-    ContactStats, CycleEngine, EpidemicProtocol, RouteRecorder, SpatialPartners, UpdateInjector,
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, RouteRecorder, SpatialPartners,
+    UpdateInjector,
 };
-use crate::util::pair_mut;
+use crate::util::{pair_mut, reset_replicas};
 
 /// Configuration for the steady-state spatial experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,23 +46,46 @@ impl Default for SpatialSteadyConfig {
     }
 }
 
-/// Measurements from one steady-state spatial run.
+/// Measurements from one steady-state spatial run. With no measured
+/// cycles, every per-cycle rate and `full_compare_rate` is 0.
 #[derive(Debug, Clone)]
-pub struct SpatialSteadyReport {
+pub struct SpatialSteadyReport<'a> {
     /// Conversations per link per cycle (mean over links).
     pub conversations_per_link_cycle: f64,
     /// Entries transmitted per link per cycle (mean over links).
     pub entries_per_link_cycle: f64,
     /// Fraction of exchanges that fell back to a full comparison.
     pub full_compare_rate: f64,
-    /// Entry traffic per link, for singling out critical links.
-    pub entry_traffic: LinkTraffic,
+    /// Entry traffic per link, for singling out critical links: the
+    /// counters of the arena the run was given.
+    pub entry_traffic: &'a LinkTraffic,
     /// Cycles measured.
     pub measured_cycles: u32,
     /// Conversations recorded during the measured cycles (the
     /// denominator behind `full_compare_rate`): exactly
     /// `sites × measured_cycles` when every site initiates each cycle.
     pub exchanges: u64,
+}
+
+/// Everything a [`SpatialSteadySim`] run keeps on the heap — the replicas,
+/// the per-link counters, the exchange scratch and the engine's roster
+/// buffers — owned across runs, so that a run on a warm arena allocates
+/// nothing. One arena serves any sequence of simulators and topologies;
+/// each run starts from a state indistinguishable from a fresh one.
+#[derive(Debug, Default)]
+pub struct SpatialSteadyArena {
+    replicas: Vec<Replica<u32, u64>>,
+    compare: LinkTraffic,
+    update: LinkTraffic,
+    scratch: ExchangeScratch<u32, u64>,
+    buffers: EngineBuffers,
+}
+
+impl SpatialSteadyArena {
+    /// An empty arena. Allocates nothing until its first run.
+    pub fn new() -> Self {
+        SpatialSteadyArena::default()
+    }
 }
 
 /// Driver: continuous updates + anti-entropy with spatial partner
@@ -71,12 +95,13 @@ pub struct SpatialSteadyReport {
 ///
 /// ```
 /// use epidemic_net::{topologies, Spatial};
-/// use epidemic_sim::spatial_steady::{SpatialSteadyConfig, SpatialSteadySim};
+/// use epidemic_sim::spatial_steady::{SpatialSteadyArena, SpatialSteadyConfig, SpatialSteadySim};
 ///
 /// let topo = topologies::ring(16);
 /// let sim = SpatialSteadySim::new(&topo, Spatial::QsPower { a: 2.0 },
 ///                                 SpatialSteadyConfig::default());
-/// let report = sim.run(3);
+/// let mut arena = SpatialSteadyArena::new();
+/// let report = sim.run(&mut arena, 3);
 /// assert!(report.conversations_per_link_cycle > 0.0);
 /// ```
 #[derive(Debug)]
@@ -100,37 +125,58 @@ impl<'a> SpatialSteadySim<'a> {
         }
     }
 
-    /// Runs the workload.
-    pub fn run(&self, seed: u64) -> SpatialSteadyReport {
+    /// Runs the workload on the heap state `arena` kept from earlier runs
+    /// (of any simulator): the report equals a fresh arena's, and once
+    /// the arena has grown to this run's size nothing is allocated. Trial
+    /// loops hold one arena per worker.
+    pub fn run<'r>(&self, arena: &'r mut SpatialSteadyArena, seed: u64) -> SpatialSteadyReport<'r> {
         let mut rng = StdRng::seed_from_u64(seed);
         let sites = self.topology.sites();
-        let replicas: Vec<Replica<u32, u64>> = sites.iter().map(|&s| Replica::new(s)).collect();
-        let total = self.config.warmup + self.config.cycles;
+        reset_replicas(&mut arena.replicas, sites.iter().copied());
+        let links = self.topology.link_count();
         let mut protocol = SpatialSteadyProtocol {
             exchange: AntiEntropy::new(Direction::PushPull, self.config.comparison),
             sites,
-            replicas,
+            replicas: &mut arena.replicas,
             injector: UpdateInjector::new(self.config.updates_per_cycle),
             warmup: self.config.warmup,
             exchanges: 0,
             full_compares: 0,
-            recorder: RouteRecorder::new(&self.routes, self.topology.link_count()),
-            scratch: ExchangeScratch::new(),
+            recorder: RouteRecorder::reusing(
+                &self.routes,
+                links,
+                std::mem::take(&mut arena.compare),
+                std::mem::take(&mut arena.update),
+            ),
+            scratch: &mut arena.scratch,
         };
-        CycleEngine::new().max_cycles(total).run(
-            &mut protocol,
-            &SpatialPartners::new(sites, &self.sampler),
-            &mut rng,
-            &mut (),
-        );
-        let measured = f64::from(self.config.cycles);
+        CycleEngine::new()
+            .max_cycles(self.config.warmup + self.config.cycles)
+            .run_instrumented(
+                &mut protocol,
+                &SpatialPartners::new(sites, &self.sampler),
+                &mut rng,
+                &mut (),
+                &mut (),
+                &mut arena.buffers,
+            );
+        let (exchanges, full_compares) = (protocol.exchanges, protocol.full_compares);
+        arena.compare = protocol.recorder.compare;
+        arena.update = protocol.recorder.update;
+        let per_cycle = |count: f64| match self.config.cycles {
+            0 => 0.0,
+            cycles => count / f64::from(cycles),
+        };
         SpatialSteadyReport {
-            conversations_per_link_cycle: protocol.recorder.compare.mean_per_link() / measured,
-            entries_per_link_cycle: protocol.recorder.update.mean_per_link() / measured,
-            full_compare_rate: protocol.full_compares as f64 / protocol.exchanges as f64,
-            entry_traffic: protocol.recorder.update,
+            conversations_per_link_cycle: per_cycle(arena.compare.mean_per_link()),
+            entries_per_link_cycle: per_cycle(arena.update.mean_per_link()),
+            full_compare_rate: match exchanges {
+                0 => 0.0,
+                exchanges => full_compares as f64 / exchanges as f64,
+            },
+            entry_traffic: &arena.update,
             measured_cycles: self.config.cycles,
-            exchanges: protocol.exchanges,
+            exchanges,
         }
     }
 }
@@ -141,13 +187,13 @@ impl<'a> SpatialSteadySim<'a> {
 struct SpatialSteadyProtocol<'a> {
     exchange: AntiEntropy,
     sites: &'a [SiteId],
-    replicas: Vec<Replica<u32, u64>>,
+    replicas: &'a mut [Replica<u32, u64>],
     injector: UpdateInjector,
     warmup: u32,
     exchanges: u64,
     full_compares: u64,
     recorder: RouteRecorder<'a>,
-    scratch: ExchangeScratch<u32, u64>,
+    scratch: &'a mut ExchangeScratch<u32, u64>,
 }
 
 impl EpidemicProtocol for SpatialSteadyProtocol<'_> {
@@ -165,15 +211,15 @@ impl EpidemicProtocol for SpatialSteadyProtocol<'_> {
         for r in self.replicas.iter_mut() {
             r.advance_clock(time);
         }
-        let replicas = &mut self.replicas;
+        let replicas = &mut *self.replicas;
         self.injector.inject(replicas.len(), rng, |site, key| {
             replicas[site].client_update(key, u64::from(cycle));
         });
     }
 
     fn contact(&mut self, cycle: u32, i: usize, j: usize, _rng: &mut StdRng) -> ContactStats {
-        let (a, b) = pair_mut(&mut self.replicas, i, j);
-        let stats = self.exchange.exchange_with(a, b, &mut self.scratch);
+        let (a, b) = pair_mut(self.replicas, i, j);
+        let stats = self.exchange.exchange_with(a, b, self.scratch);
         let sent = stats.total_sent() as u64;
         // Record strictly after the warm-up: contacts run at cycle values
         // `1..=warmup + cycles`, so `cycle > warmup` admits exactly
@@ -197,7 +243,8 @@ mod tests {
     fn steady_state_stays_consistent_enough() {
         let topo = topologies::grid(&[5, 5]);
         let sim = SpatialSteadySim::new(&topo, Spatial::Uniform, SpatialSteadyConfig::default());
-        let report = sim.run(1);
+        let mut arena = SpatialSteadyArena::new();
+        let report = sim.run(&mut arena, 1);
         // With τ well above the distribution time, the recent lists absorb
         // nearly everything.
         assert!(
@@ -216,7 +263,8 @@ mod tests {
             .unwrap();
         let measure = |spatial| {
             let sim = SpatialSteadySim::new(&topo, spatial, SpatialSteadyConfig::default());
-            let r = sim.run(3);
+            let mut arena = SpatialSteadyArena::new();
+            let r = sim.run(&mut arena, 3);
             r.entry_traffic.at(far_link) as f64 / f64::from(r.measured_cycles)
         };
         let uniform = measure(Spatial::Uniform);
@@ -245,7 +293,8 @@ mod tests {
                     ..SpatialSteadyConfig::default()
                 },
             );
-            let report = sim.run(4);
+            let mut arena = SpatialSteadyArena::new();
+            let report = sim.run(&mut arena, 4);
             assert_eq!(
                 report.exchanges,
                 10 * u64::from(cycles),
@@ -253,6 +302,46 @@ mod tests {
             );
             assert_eq!(report.measured_cycles, cycles);
         }
+    }
+
+    #[test]
+    fn zero_measured_cycles_report_zero_rates() {
+        let topo = topologies::ring(10);
+        for warmup in [0, 3] {
+            let config = SpatialSteadyConfig {
+                warmup,
+                cycles: 0,
+                ..SpatialSteadyConfig::default()
+            };
+            let sim = SpatialSteadySim::new(&topo, Spatial::Uniform, config);
+            let mut arena = SpatialSteadyArena::new();
+            let r = sim.run(&mut arena, 2);
+            assert_eq!(
+                [
+                    r.conversations_per_link_cycle,
+                    r.entries_per_link_cycle,
+                    r.full_compare_rate
+                ],
+                [0.0; 3],
+                "warmup={warmup}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_used_arena_runs_like_a_fresh_one() {
+        let ring = topologies::ring(12);
+        let grid = topologies::grid(&[4, 4]);
+        let config = SpatialSteadyConfig::default();
+        let sim = SpatialSteadySim::new(&ring, Spatial::Uniform, config);
+        let fresh = sim
+            .run(&mut SpatialSteadyArena::new(), 6)
+            .entry_traffic
+            .clone();
+        let mut arena = SpatialSteadyArena::new();
+        SpatialSteadySim::new(&grid, Spatial::QsPower { a: 2.0 }, config).run(&mut arena, 1);
+        let reused = sim.run(&mut arena, 6);
+        assert_eq!(*reused.entry_traffic, fresh);
     }
 
     #[test]
@@ -266,7 +355,8 @@ mod tests {
                 ..SpatialSteadyConfig::default()
             },
         );
-        let report = sim.run(9);
+        let mut arena = SpatialSteadyArena::new();
+        let report = sim.run(&mut arena, 9);
         assert_eq!(report.entries_per_link_cycle, 0.0);
         assert!(report.conversations_per_link_cycle > 0.0);
     }

@@ -11,12 +11,11 @@
 //! comparison strategy had to fall back to a full database comparison.
 
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
-use epidemic_db::SiteId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::{ContactStats, CycleEngine, EpidemicProtocol, UniformPartners, UpdateInjector};
-use crate::util::pair_mut;
+use crate::util::{pair_mut, site_ids};
 
 /// Configuration for the steady-state experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,9 +60,7 @@ impl SteadyStateSim {
         assert!(self.sites >= 2);
         let n = self.sites;
         let mut rng = StdRng::seed_from_u64(seed);
-        let replicas: Vec<Replica<u32, u64>> = (0..n)
-            .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
-            .collect();
+        let replicas: Vec<Replica<u32, u64>> = site_ids(n).map(Replica::new).collect();
         let total = self.warmup + self.cycles;
         let mut protocol = SteadyStateProtocol {
             exchange: AntiEntropy::new(Direction::PushPull, comparison),

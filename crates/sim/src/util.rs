@@ -1,5 +1,31 @@
 //! Internal helpers shared by the simulation drivers.
 
+use std::hash::Hash;
+
+use epidemic_core::Replica;
+use epidemic_db::SiteId;
+
+/// Site ids `0..n`.
+pub(crate) fn site_ids(n: usize) -> impl ExactSizeIterator<Item = SiteId> {
+    (0..n).map(|i| SiteId::new(u32::try_from(i).expect("site count fits u32")))
+}
+
+/// Makes `replicas` the replicas [`Replica::new`] builds for `sites`, in
+/// order, resetting the ones already there so a trial arena keeps every
+/// capacity an earlier run grew.
+pub(crate) fn reset_replicas<V: Hash>(
+    replicas: &mut Vec<Replica<u32, V>>,
+    sites: impl ExactSizeIterator<Item = SiteId>,
+) {
+    replicas.truncate(sites.len());
+    for (i, site) in sites.enumerate() {
+        match replicas.get_mut(i) {
+            Some(replica) => replica.reset(site),
+            None => replicas.push(Replica::new(site)),
+        }
+    }
+}
+
 /// Mutable references to two distinct elements of a slice.
 ///
 /// # Panics

@@ -25,11 +25,11 @@ use epidemic_net::{topologies, LinkTraffic, Spatial};
 use epidemic_sim::event::{AsyncAntiEntropySim, AsyncRumorEpidemic};
 use epidemic_sim::failures::{Churn, ChurnedAntiEntropySim};
 use epidemic_sim::mixing::{AntiEntropyEpidemic, RumorEpidemic};
-use epidemic_sim::rumor_steady::{RumorSteadyConfig, RumorSteadySim};
+use epidemic_sim::rumor_steady::{RumorSteadyArena, RumorSteadyConfig, RumorSteadySim};
 use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::spatial_ae::AntiEntropySim;
 use epidemic_sim::spatial_rumor::SpatialRumorSim;
-use epidemic_sim::spatial_steady::{SpatialSteadyConfig, SpatialSteadySim};
+use epidemic_sim::spatial_steady::{SpatialSteadyArena, SpatialSteadyConfig, SpatialSteadySim};
 use epidemic_sim::steady::SteadyStateSim;
 
 const FIXTURE: &str = include_str!("fixtures/engine_equivalence.txt");
@@ -269,6 +269,9 @@ fn build_fixture() -> String {
     }
 
     // --- rumor_steady::RumorSteadySim ----------------------------------
+    // One arena through every configuration: a reused arena must print
+    // exactly what fresh replicas did.
+    let mut rumor_arena = RumorSteadyArena::new();
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
         let sim = RumorSteadySim::new(
@@ -281,12 +284,13 @@ fn build_fixture() -> String {
             },
         );
         for seed in 0..2u64 {
-            let r = sim.run(seed);
+            let r = sim.run(&mut rumor_arena, seed);
             writeln!(out, "rumor-steady/{direction:?} seed={seed} => {r:?}").unwrap();
         }
     }
 
     // --- spatial_steady::SpatialSteadySim ------------------------------
+    let mut spatial_arena = SpatialSteadyArena::new();
     for (sp_tag, spatial) in [
         ("uniform", Spatial::Uniform),
         ("qs15", Spatial::QsPower { a: 1.5 }),
@@ -302,7 +306,7 @@ fn build_fixture() -> String {
             },
         );
         for seed in 0..2u64 {
-            let r = sim.run(seed);
+            let r = sim.run(&mut spatial_arena, seed);
             writeln!(
                 out,
                 "spatial-steady/ring12/{sp_tag} seed={seed} => \
@@ -311,7 +315,7 @@ fn build_fixture() -> String {
                 r.entries_per_link_cycle,
                 r.full_compare_rate,
                 r.measured_cycles,
-                traffic(&r.entry_traffic),
+                traffic(r.entry_traffic),
             )
             .unwrap();
         }
