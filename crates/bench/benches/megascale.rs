@@ -16,22 +16,23 @@ use epidemic_sim::MegascaleSim;
 const N: usize = 10_000;
 
 fn bench_one_cycle(c: &mut Criterion) {
-    let sim = MegascaleSim::new().max_cycles(1).workers(1);
     let graph = DegreeGraph::scale_free(N, 2, 1987);
+    let uniform = MegascaleSim::uniform(N).max_cycles(1).workers(1);
+    let scale_free = MegascaleSim::scale_free(&graph).max_cycles(1).workers(1);
 
     let mut group = c.benchmark_group("megascale_one_cycle_n10k");
     group.bench_function(BenchmarkId::from_parameter("uniform"), |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            black_box(sim.run_uniform_fast(N, seed))
+            black_box(uniform.run(seed, &mut ()))
         })
     });
     group.bench_function(BenchmarkId::from_parameter("scale_free_m2"), |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            black_box(sim.run_scale_free_fast(&graph, seed))
+            black_box(scale_free.run(seed, &mut ()))
         })
     });
     group.finish();

@@ -4,13 +4,12 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use epidemic_core::{AntiEntropy, Comparison, Direction, Feedback, Removal, Replica, RumorConfig};
+use epidemic_core::{AntiEntropy, Comparison, Direction, Replica};
 use epidemic_db::{Aux, Checksum, Database, Entry, FlatStore, SimClock, SiteId, Timestamp};
 use epidemic_net::{topologies, LinkTraffic, PartnerSampler, Routes, Spatial};
 use epidemic_sim::engine::{ContactStats, EpidemicProtocol};
-use epidemic_sim::mixing::RumorEpidemic;
 use epidemic_sim::BitSet;
-use epidemic_trace::{AggregatingSink, Registry, RunAggregate, Sir};
+use epidemic_trace::{AggregatingSink, RunAggregate, Sir};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -241,35 +240,6 @@ fn bench_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole's zero-cost claim: a full mixing epidemic through the
-/// instrumented engine with the no-op sink `()` must cost the same as the
-/// pre-instrumentation hot path (the sink monomorphizes away), while the
-/// recording `Registry` sink pays only a few map updates per *run*.
-fn bench_metrics_sink(c: &mut Criterion) {
-    let mut group = c.benchmark_group("metrics_sink_mixing_n500");
-    let driver = RumorEpidemic::new(RumorConfig::new(
-        Direction::Push,
-        Feedback::Feedback,
-        Removal::Counter { k: 3 },
-    ));
-    group.bench_function("noop", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            black_box(driver.run_metered(500, seed, &mut (), &mut ()))
-        })
-    });
-    group.bench_function("registry", |b| {
-        let mut registry = Registry::new();
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            black_box(driver.run_metered(500, seed, &mut (), &mut registry))
-        })
-    });
-    group.finish();
-}
-
 /// `contacts` uniform initiator/partner pairs over `n` sites — the contact
 /// stream a complete-mixing run hands its sink.
 fn mixing_stream(n: usize, contacts: usize, seed: u64) -> Vec<(usize, usize)> {
@@ -432,7 +402,7 @@ fn bench_routing(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(10);
-    targets = bench_store, bench_anti_entropy, bench_sampling, bench_metrics_sink,
-        bench_aggregating_sink, bench_roster, bench_routing
+    targets = bench_store, bench_anti_entropy, bench_sampling, bench_aggregating_sink,
+        bench_roster, bench_routing
 }
 criterion_main!(micro);

@@ -13,8 +13,8 @@ use epidemic_bench::registry::{self, Ctx, Group};
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::topologies::{cin, CinConfig};
 use epidemic_net::Spatial;
-use epidemic_sim::mixing::RumorEpidemic;
-use epidemic_sim::spatial_ae::AntiEntropySim;
+use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
+use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
 
 const N: usize = registry::N;
 
@@ -53,12 +53,13 @@ fn bench_mixing_tables(c: &mut Criterion) {
             Removal::Counter { k: 2 },
         ),
     ] {
-        let driver = RumorEpidemic::new(RumorConfig::new(direction, feedback, removal));
+        let driver = RumorEpidemic::new(N, RumorConfig::new(direction, feedback, removal));
+        let mut arena = MixingArena::new();
         c.bench_function(name, |b| {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                black_box(driver.run(N, seed))
+                black_box(driver.run(&mut arena, seed, &mut ()))
             })
         });
     }
@@ -69,11 +70,12 @@ fn bench_spatial_tables(c: &mut Criterion) {
     for (name, limit) in [("table4/one_run_a2", None), ("table5/one_run_a2", Some(1))] {
         let sim =
             AntiEntropySim::new(&net.topology, Spatial::QsPower { a: 2.0 }).connection_limit(limit);
+        let mut arena = SpatialArena::new();
         c.bench_function(name, |b| {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                black_box(sim.run(seed, None))
+                black_box(sim.run(&mut arena, seed, &mut ()).t_last)
             })
         });
     }

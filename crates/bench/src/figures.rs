@@ -15,15 +15,17 @@ use epidemic_core::anti_entropy::{AntiEntropy, Comparison};
 use epidemic_core::{Direction, Feedback, Removal, Replica, RumorConfig};
 use epidemic_db::SiteId;
 use epidemic_net::topologies::{self, cin, CinConfig};
-use epidemic_net::{Spatial, Topology};
+use epidemic_net::{LinkId, PartnerSelection, Spatial, Topology};
 use epidemic_sim::engine::SirObserver;
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
+use epidemic_sim::runner::Arenas;
 use epidemic_sim::scenario::legacy::{
     resurrection_without_certificates, ClearinghouseScenario, DormantDeathScenario,
 };
-use epidemic_sim::spatial_rumor::{failure_probability, minimum_k_with, SpatialRumorSim};
+use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
+use epidemic_sim::spatial_rumor::{failure_probability, minimum_k, SpatialRumorSim};
 
-use crate::registry::{Arenas, Ctx, Output};
+use crate::registry::{Ctx, Output};
 use crate::render::{fmt, labelled, FigTable};
 use crate::tables::{mixing_entry, mixing_sweep};
 use crate::trace::{observed, AggEntry, Seen, Sinks};
@@ -38,13 +40,7 @@ pub(crate) fn rumor_ode(ctx: &Ctx<'_>) -> Output {
         ctx,
         Sinks::Aggregate,
         &[1, 2, 3, 4, 5, 6, 7, 8],
-        |k| {
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Push,
-                Feedback::Feedback,
-                Removal::Coin { k },
-            ))
-        },
+        |k| RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Coin { k }),
         |(k, [residue, traffic, ..]), seen| {
             let ode = RumorOde::new(k).final_residue();
             rows.push(labelled(k.to_string(), [ode, residue, traffic]));
@@ -107,10 +103,10 @@ pub(crate) fn residue_traffic_table(ctx: &Ctx<'_>) -> FigTable {
     let rows = variants
         .into_iter()
         .map(|(label, cfg, climit)| {
-            let driver = RumorEpidemic::new(cfg).connection_limit(climit);
-            let ([s, m], _) = ctx.mean_seen(MixingArena::new, |arena, seed| {
-                let r = driver.run_in(arena, ctx.n, seed ^ 0xABCD, &mut ());
-                ([r.residue, r.traffic], Seen::default())
+            let driver = RumorEpidemic::new(ctx.n, cfg).connection_limit(climit);
+            let [s, m] = ctx.mean(MixingArena::new, |arena, seed| {
+                let r = driver.run(arena, seed ^ 0xABCD, &mut ());
+                [r.residue, r.traffic]
             });
             vec![
                 label.to_string(),
@@ -134,21 +130,26 @@ pub(crate) fn residue_traffic_table(ctx: &Ctx<'_>) -> FigTable {
 /// aggregate per `n` when observed.
 pub(crate) fn ae_convergence(ctx: &Ctx<'_>) -> Output {
     let sinks = ctx.sinks(Sinks::Aggregate);
+    let arenas = Arenas::<MixingArena>::default();
     let mut rows = Vec::new();
     let mut aggregates = Vec::new();
     for &n in &[100usize, 300, 1000, 3000, 10_000] {
+        let push_driver = AntiEntropyEpidemic::new(n, Direction::Push);
         let ([push], seen) = ctx.mean_seen(
-            || (),
-            |(), seed| {
+            || arenas.take(),
+            |arena, seed| {
                 let (r, seen) = observed!(sinks, ctx.tracer(), |observer| {
-                    AntiEntropyEpidemic::new(Direction::Push).run_observed(n, seed, observer)
+                    push_driver.run(arena, seed, observer)
                 });
                 ([f64::from(r.cycles)], seen)
             },
         );
         let mean = |direction| {
-            let driver = AntiEntropyEpidemic::new(direction);
-            ctx.mean(|seed| [f64::from(driver.run(n, seed).cycles)])[0]
+            let driver = AntiEntropyEpidemic::new(n, direction);
+            ctx.mean(
+                || arenas.take(),
+                |arena, seed| [f64::from(driver.run(arena, seed, &mut ()).cycles)],
+            )[0]
         };
         let pull = mean(Direction::Pull);
         let pushpull = mean(Direction::PushPull);
@@ -216,11 +217,13 @@ pub(crate) fn line_traffic_table() -> FigTable {
 pub(crate) fn figure1_table(ctx: &Ctx<'_>) -> FigTable {
     let topo = topologies::figure1(30);
     let s = topo.node_by_label("s").expect("site s exists");
+    let arenas = Arenas::default();
     let rows = (1..=6u32)
         .map(|k| {
             let fails = |spatial, direction| {
                 let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k });
-                failure_probability(ctx.runner, &topo, spatial, cfg, ctx.trials, Some(s))
+                let sim = SpatialRumorSim::new(&topo, spatial, cfg).origin(s);
+                failure_probability(ctx.runner, &arenas, &sim, ctx.trials)
             };
             vec![
                 k.to_string(),
@@ -243,16 +246,22 @@ pub(crate) fn figure2_table(ctx: &Ctx<'_>) -> FigTable {
     let topo = topologies::figure2(5, 7); // 31 tree sites + distant s
     let root = topo.node_by_label("t0").expect("root exists");
     let s = topo.node_by_label("s").expect("site s exists");
+    // A run's receive log is indexed by position in the site list.
+    let s_at = topo.sites().binary_search(&s).expect("site s exists");
     let qs2 = Spatial::QsPower { a: 2.0 };
+    let arenas = Arenas::default();
     let rows = (1..=6u32)
         .map(|k| {
             let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k });
-            let sim = SpatialRumorSim::new(&topo, qs2, cfg);
-            let [missed_s] = ctx.mean(|t| {
-                let r = sim.run(t + 17, Some(root));
-                [f64::from(u8::from(r.susceptible_sites.contains(&s)))]
-            });
-            let any = failure_probability(ctx.runner, &topo, qs2, cfg, ctx.trials, Some(root));
+            let sim = SpatialRumorSim::new(&topo, qs2, cfg).origin(root);
+            let [missed_s] = ctx.mean(
+                || arenas.take(),
+                |arena, t| {
+                    let r = sim.run(arena, t + 17, &mut ());
+                    [f64::from(u8::from(!r.received.is_marked(s_at)))]
+                },
+            );
+            let any = failure_probability(ctx.runner, &arenas, &sim, ctx.trials);
             vec![k.to_string(), fmt(missed_s), fmt(any)]
         })
         .collect();
@@ -350,10 +359,12 @@ pub fn spatial_rumor_on(
         trials: measure_runs,
         ..*ctx
     };
+    let arenas = Arenas::default();
     let mut rows = Vec::new();
     for (label, spatial) in distributions.iter().cloned() {
-        let min_k = minimum_k_with(
+        let min_k = minimum_k(
             ctx.runner,
+            &arenas,
             &net.topology,
             spatial,
             base,
@@ -376,16 +387,19 @@ pub fn spatial_rumor_on(
             ..base
         };
         let sim = SpatialRumorSim::new(&net.topology, spatial, cfg);
-        let [t_last, cmp_avg, cmp_bushey, upd_avg] = measure.mean(|seed| {
-            let r = sim.run(seed + 1000, None);
-            let cycles = f64::from(r.cycles.max(1));
-            [
-                f64::from(r.t_last),
-                r.compare_traffic.mean_per_link() / cycles,
-                r.compare_traffic.at(net.bushey_link) as f64 / cycles,
-                r.update_traffic.mean_per_link(),
-            ]
-        });
+        let [t_last, cmp_avg, cmp_bushey, upd_avg] = measure.mean(
+            || arenas.take(),
+            |arena, seed| {
+                let r = sim.run(arena, seed + 1000, &mut ());
+                let cycles = f64::from(r.cycles.max(1));
+                [
+                    f64::from(r.t_last),
+                    r.compare_traffic.mean_per_link() / cycles,
+                    r.compare_traffic.at(net.bushey_link) as f64 / cycles,
+                    r.update_traffic.mean_per_link(),
+                ]
+            },
+        );
         rows.push(vec![
             label,
             k.to_string(),
@@ -426,14 +440,8 @@ pub(crate) fn counter_reset_table(ctx: &Ctx<'_>) -> FigTable {
                 Sinks::Off,
                 &[1, 2, 3],
                 |k| {
-                    RumorEpidemic::new(
-                        RumorConfig::new(
-                            Direction::Pull,
-                            Feedback::Feedback,
-                            Removal::Counter { k },
-                        )
-                        .with_reset_on_useful(reset),
-                    )
+                    RumorConfig::new(Direction::Pull, Feedback::Feedback, Removal::Counter { k })
+                        .with_reset_on_useful(reset)
                 },
                 |(_, [residue, traffic, ..]), _| row.extend([fmt(residue), fmt(traffic)]),
             );
@@ -453,16 +461,19 @@ pub(crate) fn hunting_table(ctx: &Ctx<'_>) -> FigTable {
     let rows = [0u32, 1, 4, 16, u32::MAX]
         .iter()
         .map(|&hunt| {
-            let driver = RumorEpidemic::new(RumorConfig::new(
-                Direction::Push,
-                Feedback::Feedback,
-                Removal::Counter { k: 2 },
-            ))
+            let driver = RumorEpidemic::new(
+                ctx.n,
+                RumorConfig::new(
+                    Direction::Push,
+                    Feedback::Feedback,
+                    Removal::Counter { k: 2 },
+                ),
+            )
             .connection_limit(Some(1))
             .hunt_limit(hunt.min(1_000));
-            let (means, _) = ctx.mean_seen(MixingArena::new, |arena, seed| {
-                let r = driver.run_in(arena, ctx.n, seed ^ 0x5EED, &mut ());
-                ([r.residue, r.traffic], Seen::default())
+            let means = ctx.mean(MixingArena::new, |arena, seed| {
+                let r = driver.run(arena, seed ^ 0x5EED, &mut ());
+                [r.residue, r.traffic]
             });
             let label = if hunt == u32::MAX {
                 "~inf".into()
@@ -549,14 +560,17 @@ pub(crate) fn redistribution_table(ctx: &Ctx<'_>) -> FigTable {
             rumor_k: Some(2),
             max_cycles: 3_000,
         };
-        let means = ctx.mean(|seed| {
-            let r = scenario.run(seed);
-            [
-                r.consistent_at.map_or(3_000.0, f64::from),
-                r.mail_delivered as f64,
-                r.ae_repairs as f64,
-            ]
-        });
+        let means = ctx.mean(
+            || (),
+            |(), seed| {
+                let r = scenario.run(seed);
+                [
+                    r.consistent_at.map_or(3_000.0, f64::from),
+                    r.mail_delivered as f64,
+                    r.ae_repairs as f64,
+                ]
+            },
+        );
         labelled(label, means)
     })
     .collect();
@@ -621,8 +635,8 @@ pub(crate) fn checksum_window_table() -> FigTable {
 /// re-run on the event-driven simulator with per-site jittered timers.
 pub(crate) fn async_ablation_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_sim::event::AsyncAntiEntropySim;
-    use epidemic_sim::spatial_ae::AntiEntropySim;
     let net = cin(&CinConfig::default());
+    let arenas = Arenas::default();
     let mut rows = Vec::new();
     for (label, spatial) in [
         ("uniform".to_string(), Spatial::Uniform),
@@ -630,16 +644,19 @@ pub(crate) fn async_ablation_table(ctx: &Ctx<'_>) -> FigTable {
     ] {
         let sync = AntiEntropySim::new(&net.topology, spatial);
         let asynchronous = AsyncAntiEntropySim::new(&net.topology, spatial, 0.3);
-        let means = ctx.mean(|seed| {
-            let s = sync.run(seed + 71, None);
-            let a = asynchronous.run(seed + 71, None);
-            [
-                f64::from(s.t_last),
-                a.t_last,
-                s.compare_traffic.mean_per_link() / f64::from(s.cycles.max(1)),
-                a.compare_per_link_period,
-            ]
-        });
+        let means = ctx.mean(
+            || arenas.take(),
+            |arena, seed| {
+                let s = sync.run(arena, seed + 71, &mut ());
+                let a = asynchronous.run(seed + 71, None);
+                [
+                    f64::from(s.t_last),
+                    a.t_last,
+                    s.compare_traffic.mean_per_link() / f64::from(s.cycles.max(1)),
+                    a.compare_per_link_period,
+                ]
+            },
+        );
         rows.push(labelled(label, means));
     }
     FigTable::new(
@@ -655,35 +672,44 @@ pub(crate) fn async_ablation_table(ctx: &Ctx<'_>) -> FigTable {
     )
 }
 
+/// Mean `t_last` of `sim`'s runs at seeds `offset..`, with the mean compare
+/// conversations per link per cycle, and on `link` per cycle.
+fn convergence_and_load<S: PartnerSelection + Sync>(
+    ctx: &Ctx<'_>,
+    arenas: &Arenas<SpatialArena>,
+    sim: &AntiEntropySim<'_, S>,
+    offset: u64,
+    link: LinkId,
+) -> [f64; 3] {
+    ctx.mean(
+        || arenas.take(),
+        |arena, seed| {
+            let r = sim.run(arena, seed + offset, &mut ());
+            let cycles = f64::from(r.cycles.max(1));
+            [
+                f64::from(r.t_last),
+                r.compare_traffic.mean_per_link() / cycles,
+                r.compare_traffic.at(link) as f64 / cycles,
+            ]
+        },
+    )
+}
+
 /// §4 future work: the dynamic hierarchy against flat spatial selection on
 /// the CIN — convergence, average traffic and the Bushey hot spot.
 pub(crate) fn hierarchy_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_net::{HierarchicalSampler, Routes};
-    use epidemic_sim::spatial_ae::AntiEntropySim;
     let net = cin(&CinConfig::default());
     let routes = Routes::compute(&net.topology);
+    let arenas = Arenas::default();
     let mut rows = Vec::new();
-
-    let mut measure =
-        |label: String, sim: &(dyn Fn(u64) -> epidemic_sim::SpatialRunResult + Sync)| {
-            let means = ctx.mean(|seed| {
-                let r = sim(seed + 13);
-                let cycles = f64::from(r.cycles.max(1));
-                [
-                    f64::from(r.t_last),
-                    r.compare_traffic.mean_per_link() / cycles,
-                    r.compare_traffic.at(net.bushey_link) as f64 / cycles,
-                ]
-            });
-            rows.push(labelled(label, means));
-        };
-
     for (label, spatial) in [
         ("uniform".to_string(), Spatial::Uniform),
         ("flat a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
         let sim = AntiEntropySim::new(&net.topology, spatial);
-        measure(label, &|seed| sim.run(seed, None));
+        let means = convergence_and_load(ctx, &arenas, &sim, 13, net.bushey_link);
+        rows.push(labelled(label, means));
     }
     for (reps, long_range) in [(8usize, 0.3f64), (16, 0.3), (16, 0.6)] {
         let sampler = HierarchicalSampler::new(
@@ -694,9 +720,11 @@ pub(crate) fn hierarchy_table(ctx: &Ctx<'_>) -> FigTable {
             Spatial::QsPower { a: 2.0 },
         );
         let sim = AntiEntropySim::with_selection(&net.topology, sampler);
-        measure(format!("hierarchy r={reps} p={long_range}"), &|seed| {
-            sim.run(seed, None)
-        });
+        let means = convergence_and_load(ctx, &arenas, &sim, 13, net.bushey_link);
+        rows.push(labelled(
+            format!("hierarchy r={reps} p={long_range}"),
+            means,
+        ));
     }
     FigTable::new(
         "§4 future work: dynamic hierarchy vs flat spatial selection (CIN)",
@@ -716,7 +744,7 @@ pub(crate) fn hierarchy_table(ctx: &Ctx<'_>) -> FigTable {
 pub(crate) fn sir_curve_table(ctx: &Ctx<'_>) -> FigTable {
     let k = 2;
     let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Coin { k });
-    let driver = RumorEpidemic::new(cfg);
+    let driver = RumorEpidemic::new(ctx.n, cfg);
     // Average the infective fraction observed at (just below) each sampled
     // susceptible level across trials.
     let samples = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1];
@@ -726,7 +754,7 @@ pub(crate) fn sir_curve_table(ctx: &Ctx<'_>) -> FigTable {
         || (MixingArena::new(), SirObserver::new()),
         |(arena, sir), seed| {
             sir.points.clear();
-            driver.run_in(arena, ctx.n, seed ^ 0xC0FFEE, sir);
+            driver.run(arena, seed ^ 0xC0FFEE, sir);
             let mut at = [f64::NAN; 9];
             for &(s, i, _) in &sir.points {
                 for (slot, &level) in at.iter_mut().zip(&samples) {
@@ -821,7 +849,7 @@ pub(crate) fn cin_steady_table(ctx: &Ctx<'_>) -> FigTable {
 /// around, so Europe appears "farther" and crossing traffic falls further
 /// still — at the price of slower transatlantic convergence.
 pub(crate) fn weighted_cin_table(ctx: &Ctx<'_>) -> FigTable {
-    use epidemic_sim::spatial_ae::AntiEntropySim;
+    let arenas = Arenas::default();
     let mut rows = Vec::new();
     for cost in [1u32, 3, 6] {
         let net = cin(&CinConfig {
@@ -829,15 +857,7 @@ pub(crate) fn weighted_cin_table(ctx: &Ctx<'_>) -> FigTable {
             ..CinConfig::default()
         });
         let sim = AntiEntropySim::new(&net.topology, Spatial::QsPower { a: 2.0 });
-        let means = ctx.mean(|seed| {
-            let r = sim.run(seed + 47, None);
-            let cycles = f64::from(r.cycles.max(1));
-            [
-                f64::from(r.t_last),
-                r.compare_traffic.mean_per_link() / cycles,
-                r.compare_traffic.at(net.bushey_link) as f64 / cycles,
-            ]
-        });
+        let means = convergence_and_load(ctx, &arenas, &sim, 47, net.bushey_link);
         rows.push(labelled(cost.to_string(), means));
     }
     FigTable::new(
@@ -858,14 +878,16 @@ pub(crate) fn weighted_cin_table(ctx: &Ctx<'_>) -> FigTable {
 /// `P(cover time > τ₁)` for push-pull anti-entropy across network sizes.
 pub(crate) fn dc_scaling_table(ctx: &Ctx<'_>) -> FigTable {
     let taus = [8u32, 10, 12, 14];
+    let arenas = Arenas::<MixingArena>::default();
     let rows = [64usize, 256, 1024, 4096]
         .iter()
         .map(|&n| {
-            let driver = AntiEntropyEpidemic::new(Direction::PushPull);
-            let cover_times: Vec<f64> = ctx.runner.fold(
+            let driver = AntiEntropyEpidemic::new(n, Direction::PushPull);
+            let cover_times: Vec<f64> = ctx.runner.fold_with(
                 ctx.trials,
                 0,
-                |seed| f64::from(driver.run(n, seed ^ 0xDC).cycles),
+                || arenas.take(),
+                |arena, seed| f64::from(driver.run(arena, seed ^ 0xDC, &mut ()).cycles),
                 Vec::new(),
                 |mut v, x| {
                     v.push(x);
@@ -936,14 +958,17 @@ pub(crate) fn churn_table(ctx: &Ctx<'_>) -> FigTable {
         ),
     ] {
         let sim = ChurnedAntiEntropySim::new(&net.topology, Spatial::QsPower { a: 2.0 }, churn);
-        let means = ctx.mean(|seed| {
-            let r = sim.run(seed + 91, None);
-            [
-                r.observed_down_fraction,
-                f64::from(r.t_last),
-                f64::from(u8::from(r.complete)),
-            ]
-        });
+        let means = ctx.mean(
+            || (),
+            |(), seed| {
+                let r = sim.run(seed + 91, None);
+                [
+                    r.observed_down_fraction,
+                    f64::from(r.t_last),
+                    f64::from(u8::from(r.complete)),
+                ]
+            },
+        );
         rows.push(labelled(label, means));
     }
     FigTable::new(
@@ -963,7 +988,6 @@ pub(crate) fn churn_table(ctx: &Ctx<'_>) -> FigTable {
 /// each — convergence time and the hottest link's load.
 pub(crate) fn topology_robustness_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_net::topologies::{binary_tree, grid, line, random_connected, ring, waxman};
-    use epidemic_sim::spatial_ae::AntiEntropySim;
     let topos: Vec<(&str, Topology)> = vec![
         ("line(64)", line(64)),
         ("ring(64)", ring(64)),
@@ -972,20 +996,24 @@ pub(crate) fn topology_robustness_table(ctx: &Ctx<'_>) -> FigTable {
         ("ER(64, p=.05)", random_connected(64, 0.05, 5)),
         ("waxman(64)", waxman(64, 0.9, 0.15, 5)),
     ];
+    let arenas = Arenas::default();
     let mut rows = Vec::new();
     for (label, topo) in &topos {
         let mut cells = vec![label.to_string()];
         for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
             let sim = AntiEntropySim::new(topo, spatial);
-            let means = ctx.mean(|seed| {
-                let r = sim.run(seed + 3, None);
-                let cycles = f64::from(r.cycles.max(1));
-                let hottest = r
-                    .compare_traffic
-                    .hottest()
-                    .map_or(0.0, |(_, c)| c as f64 / cycles);
-                [f64::from(r.t_last), hottest]
-            });
+            let means = ctx.mean(
+                || arenas.take(),
+                |arena, seed| {
+                    let r = sim.run(arena, seed + 3, &mut ());
+                    let cycles = f64::from(r.cycles.max(1));
+                    let hottest = r
+                        .compare_traffic
+                        .hottest()
+                        .map_or(0.0, |(_, c)| c as f64 / cycles);
+                    [f64::from(r.t_last), hottest]
+                },
+            );
             cells.extend(means.map(fmt));
         }
         rows.push(cells);
@@ -1149,7 +1177,6 @@ pub(crate) fn megascale(ctx: &Ctx<'_>) -> Output {
         .flatten()
         .unwrap_or(MEGASCALE_DEFAULT_MAX_N);
     let sinks = ctx.sinks(Sinks::Aggregate);
-    let sim = MegascaleSim::new();
     let mut rows = Vec::new();
     let mut aggregates = Vec::new();
     for n in [10_000usize, 100_000, 1_000_000, 10_000_000] {
@@ -1158,13 +1185,15 @@ pub(crate) fn megascale(ctx: &Ctx<'_>) -> Output {
         }
         let seed = 1987 ^ n as u64;
         megascale_point(n, "uniform", &mut rows, &mut aggregates, || {
-            observed!(sinks, ctx.tracer(), |observer| sim
-                .run_uniform_fast_observed(n, seed, observer))
+            observed!(sinks, ctx.tracer(), |observer| MegascaleSim::uniform(n)
+                .run(seed, observer))
         });
         let graph = DegreeGraph::scale_free(n, 2, 1987);
         megascale_point(n, "scale-free m=2", &mut rows, &mut aggregates, || {
-            observed!(sinks, ctx.tracer(), |observer| sim
-                .run_scale_free_fast_observed(&graph, seed, observer))
+            observed!(sinks, ctx.tracer(), |observer| MegascaleSim::scale_free(
+                &graph
+            )
+            .run(seed, observer))
         });
     }
     let table = FigTable::new(

@@ -13,8 +13,7 @@
 
 use std::fmt;
 use std::io::{self, Write};
-use std::ops::{Deref, DerefMut};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::scenario::bundled;
@@ -148,14 +147,21 @@ impl Ctx<'_> {
     }
 
     /// The mean over `self.trials` trials of `K` measurements, summed in
-    /// trial order: bit-identical at any thread count.
-    pub(crate) fn mean<const K: usize>(&self, run: impl Fn(u64) -> [f64; K] + Sync) -> [f64; K] {
-        self.mean_seen(|| (), |(), trial| (run(trial), Seen::default()))
-            .0
+    /// trial order: bit-identical at any thread count. Each worker lends
+    /// its trials one reusable `state` (a trial arena).
+    pub(crate) fn mean<const K: usize, S>(
+        &self,
+        make_state: impl Fn() -> S + Sync,
+        run: impl Fn(&mut S, u64) -> [f64; K] + Sync,
+    ) -> [f64; K] {
+        self.mean_seen(make_state, |state, trial| {
+            (run(state, trial), Seen::default())
+        })
+        .0
     }
 
-    /// [`Ctx::mean`] with one reusable `state` per worker (a trial arena),
-    /// also folding what each trial's observers saw, in trial order.
+    /// [`Ctx::mean`], also folding what each trial's observers saw, in
+    /// trial order.
     pub(crate) fn mean_seen<const K: usize, S>(
         &self,
         make_state: impl Fn() -> S + Sync,
@@ -179,57 +185,6 @@ impl Ctx<'_> {
             *sum /= self.trials as f64;
         }
         (sums, seen)
-    }
-}
-
-/// Trial arenas shared by the sweeps of one experiment: each worker of a
-/// [`Ctx::mean_seen`] call takes one ([`Arenas::take`]) and puts it back
-/// when it finishes, so the arenas grow once per experiment rather than
-/// once per swept configuration. Which arena a worker gets is immaterial:
-/// no trial's result depends on what its arena held.
-#[derive(Debug, Default)]
-pub(crate) struct Arenas<T>(Mutex<Vec<T>>);
-
-impl<T: Default> Arenas<T> {
-    /// An arena for one worker's trials: a used one if any is free.
-    pub(crate) fn take(&self) -> Lent<'_, T> {
-        let arena = self
-            .0
-            .lock()
-            .expect("the free list is locked only to push or pop")
-            .pop();
-        Lent {
-            pool: self,
-            arena: arena.unwrap_or_default(),
-        }
-    }
-}
-
-/// An arena lent out of [`Arenas`]; dropping it gives it back.
-pub(crate) struct Lent<'a, T: Default> {
-    pool: &'a Arenas<T>,
-    arena: T,
-}
-
-impl<T: Default> Deref for Lent<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.arena
-    }
-}
-
-impl<T: Default> DerefMut for Lent<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.arena
-    }
-}
-
-impl<T: Default> Drop for Lent<'_, T> {
-    fn drop(&mut self) {
-        if let Ok(mut free) = self.pool.0.lock() {
-            free.push(std::mem::take(&mut self.arena));
-        }
     }
 }
 

@@ -71,7 +71,7 @@ pub(crate) fn scenario_sweep(ctx: &Ctx<'_>, specs: &[Scenario]) -> Output {
                         ctx.tracer()
                             .label_str("scenario", &spec.name)
                             .label_u64("trial", trial),
-                        |observer| engine.run_observed(seed, observer)
+                        |observer| engine.run(seed, observer)
                     )
                 },
                 (empty, Seen::default()),

@@ -6,6 +6,7 @@ use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::topologies::{cin, Cin, CinConfig};
 use epidemic_net::{PartnerSampler, Routes, Spatial};
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
+use epidemic_sim::runner::Arenas;
 use epidemic_sim::spatial_ae::AntiEntropySim;
 
 use crate::registry::{Ctx, Output};
@@ -20,20 +21,20 @@ pub(crate) const MIX_COLUMNS: [&str; 4] = ["residue", "traffic", "t_ave", "t_las
 /// One complete-mixing row: the `k` parameter and its [`MIX_COLUMNS`].
 pub(crate) type MixRow = (u32, [f64; 4]);
 
-/// Runs a complete-mixing sweep over `ks` for the given protocol factory,
-/// handing `each` every row with what its trials' observers saw (`sinks`,
-/// once artifacts were asked for). Each worker runs its trials in one
-/// [`MixingArena`], so only its first trial allocates.
+/// Runs a complete-mixing sweep on `ctx.n` sites over `ks` for the given
+/// protocol factory, handing `each` every row with what its trials'
+/// observers saw (`sinks`, once artifacts were asked for). Each worker runs
+/// its trials in one [`MixingArena`], so only its first trial allocates.
 pub(crate) fn mixing_sweep(
     ctx: &Ctx<'_>,
     sinks: Sinks,
     ks: &[u32],
-    make: impl Fn(u32) -> RumorEpidemic + Sync,
+    make: impl Fn(u32) -> RumorConfig,
     mut each: impl FnMut(MixRow, Seen),
 ) {
     let sinks = ctx.sinks(sinks);
     for &k in ks {
-        let driver = make(k);
+        let driver = RumorEpidemic::new(ctx.n, make(k));
         let (means, seen) = ctx.mean_seen(MixingArena::new, |arena, trial| {
             let seed = trial.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(k);
             let (r, seen) = observed!(
@@ -42,7 +43,7 @@ pub(crate) fn mixing_sweep(
                     .label_u64("k", u64::from(k))
                     .label_u64("trial", trial),
                 check,
-                |observer| driver.run_in(arena, ctx.n, seed, observer)
+                |observer| driver.run(arena, seed, observer)
             );
             ([r.residue, r.traffic, r.t_ave, r.t_last], seen)
         });
@@ -72,7 +73,7 @@ fn mixing_table(
     title: &str,
     paper: &[[f64; 4]],
     ks: &[u32],
-    make: impl Fn(u32) -> RumorEpidemic + Sync,
+    make: impl Fn(u32) -> RumorConfig,
 ) -> Output {
     let mut output = Output {
         violations: ctx.observe.then_some(0),
@@ -115,21 +116,15 @@ fn mixing_table(
 /// Table 1: push rumor mongering with feedback and counters, n sites.
 pub(crate) fn table1(ctx: &Ctx<'_>) -> Output {
     mixing_table(ctx, TITLE_TABLE1, &PAPER_TABLE1, &[1, 2, 3, 4, 5], |k| {
-        RumorEpidemic::new(
-            RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k })
-                .with_reset_on_useful(true),
-        )
+        RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k })
+            .with_reset_on_useful(true)
     })
 }
 
 /// Table 2: push rumor mongering, blind with coins.
 pub(crate) fn table2(ctx: &Ctx<'_>) -> Output {
     mixing_table(ctx, TITLE_TABLE2, &PAPER_TABLE2, &[1, 2, 3, 4, 5], |k| {
-        RumorEpidemic::new(RumorConfig::new(
-            Direction::Push,
-            Feedback::Blind,
-            Removal::Coin { k },
-        ))
+        RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k })
     })
 }
 
@@ -137,11 +132,7 @@ pub(crate) fn table2(ctx: &Ctx<'_>) -> Output {
 /// counter semantics).
 pub(crate) fn table3(ctx: &Ctx<'_>) -> Output {
     mixing_table(ctx, TITLE_TABLE3, &PAPER_TABLE3, &[1, 2, 3], |k| {
-        RumorEpidemic::new(RumorConfig::new(
-            Direction::Pull,
-            Feedback::Feedback,
-            Removal::Counter { k },
-        ))
+        RumorConfig::new(Direction::Pull, Feedback::Feedback, Removal::Counter { k })
     })
 }
 
@@ -165,6 +156,7 @@ pub(crate) type SpatialRow = (String, [f64; 6]);
 /// The Table 4/5 sweep — uniform and `a = 1.2 … 2.0` — on a
 /// caller-provided CIN (tests use smaller networks), under the tables'
 /// observers; every trace line carries the spatial-distribution label.
+/// One pool of trial arenas serves the whole sweep.
 pub fn table45_on(ctx: &Ctx<'_>, net: &Cin, title: &str, connection_limit: Option<u32>) -> Output {
     let sinks = ctx.sinks(Sinks::Traced);
     let mut output = Output {
@@ -176,6 +168,7 @@ pub fn table45_on(ctx: &Ctx<'_>, net: &Cin, title: &str, connection_limit: Optio
     // One routing table for the whole sweep: an all-pairs computation per
     // simulator would be most of the cost of a short one.
     let routes = Routes::compute(&net.topology);
+    let arenas = Arenas::default();
     let rows: Vec<SpatialRow> = std::iter::once(uniform)
         .chain(powers)
         .map(|(label, spatial)| {
@@ -183,8 +176,8 @@ pub fn table45_on(ctx: &Ctx<'_>, net: &Cin, title: &str, connection_limit: Optio
             let sim = AntiEntropySim::with_routes(&net.topology, Cow::Borrowed(&routes), sampler)
                 .connection_limit(connection_limit);
             let (means, seen) = ctx.mean_seen(
-                || (),
-                |(), trial| {
+                || arenas.take(),
+                |arena, trial| {
                     let seed = trial.wrapping_mul(0x2545_F491_4F6C_DD1D) + 1;
                     let (r, seen) = observed!(
                         sinks,
@@ -192,7 +185,7 @@ pub fn table45_on(ctx: &Ctx<'_>, net: &Cin, title: &str, connection_limit: Optio
                             .label_str("distribution", &label)
                             .label_u64("trial", trial),
                         check,
-                        |observer| sim.run_observed(seed, None, observer)
+                        |observer| sim.run(arena, seed, observer)
                     );
                     let cycles = f64::from(r.cycles.max(1));
                     let means = [

@@ -10,7 +10,7 @@
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_sim::engine::trace::{AggregateObserver, TraceObserver};
-use epidemic_sim::mixing::RumorEpidemic;
+use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::scenario::{bundled, ScenarioEngine};
 use epidemic_trace::json::{parse, Value};
@@ -152,17 +152,20 @@ fn observe_trials(
 
 #[test]
 fn sink_matches_post_hoc_scan_for_a_mixing_table() {
-    let driver = RumorEpidemic::new(RumorConfig::new(
-        Direction::Push,
-        Feedback::Feedback,
-        Removal::Counter { k: 2 },
-    ));
+    let driver = RumorEpidemic::new(
+        64,
+        RumorConfig::new(
+            Direction::Push,
+            Feedback::Feedback,
+            Removal::Counter { k: 2 },
+        ),
+    );
     let (jsonl, agg) = observe_trials(3, |trial| {
         let tracer = RunTracer::new(TraceConfig::full()).label_u64("trial", trial);
         let mut trace = TraceObserver::with_tracer(tracer);
         let mut sink = AggregateObserver::new();
         let seed = trial.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 2;
-        driver.run_observed(64, seed, &mut (&mut trace, &mut sink));
+        driver.run(&mut MixingArena::new(), seed, &mut (&mut trace, &mut sink));
         (trace.finish(), sink.finish())
     });
     let replayed = scan(&jsonl);
@@ -178,7 +181,7 @@ fn sink_matches_post_hoc_scan_for_a_scenario() {
         let tracer = RunTracer::new(TraceConfig::full()).label_u64("trial", trial);
         let mut trace = TraceObserver::with_tracer(tracer);
         let mut sink = AggregateObserver::new();
-        engine.run_observed(
+        engine.run(
             trial.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             &mut (&mut trace, &mut sink),
         );

@@ -2,9 +2,10 @@
 //! replicas own the row, index and hot-list blocks their trials grow, its
 //! counters, scratch and roster buffers are sized — every further trial on
 //! it completes without asking the heap for a single byte. Covered: every
-//! rumor variant on a [`MixingArena`], steady-state anti-entropy on the CIN
-//! on a [`SpatialSteadyArena`], and steady-state push and pull rumor
-//! mongering on a [`RumorSteadyArena`].
+//! rumor variant on a [`MixingArena`]; Table 4's anti-entropy and §3.2's
+//! push-pull rumor mongering on the CIN on a [`SpatialArena`]; steady-state
+//! anti-entropy on the CIN on a [`SpatialSteadyArena`]; and steady-state
+//! push and pull rumor mongering on a [`RumorSteadyArena`].
 //!
 //! Like `zero_alloc.rs`, this file registers [`CountingAlloc`] as the test
 //! binary's global allocator and therefore holds exactly one test (a
@@ -25,6 +26,8 @@ use epidemic_net::topologies::{cin, CinConfig};
 use epidemic_net::Spatial;
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::rumor_steady::{RumorSteadyArena, RumorSteadyConfig, RumorSteadySim};
+use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
+use epidemic_sim::spatial_rumor::SpatialRumorSim;
 use epidemic_sim::spatial_steady::{SpatialSteadyArena, SpatialSteadyConfig, SpatialSteadySim};
 
 #[global_allocator]
@@ -60,61 +63,85 @@ fn assert_warm_trials_do_not_allocate(label: &str, mut trial: impl FnMut(u64)) {
 #[test]
 fn trials_on_a_warm_arena_do_not_allocate() {
     mixing_trials();
+    spatial_trials();
     spatial_steady_trials();
     rumor_steady_trials();
 }
 
 fn mixing_trials() {
-    let counter =
-        |direction, k| RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k });
     let mut arena = MixingArena::new();
 
     // Warm-up: one epidemic that reaches every site, so no later trial is
     // the first to write to some replica.
     let warm =
-        RumorEpidemic::new(counter(Direction::PushPull, 5)).run_in(&mut arena, SITES, 1, &mut ());
+        RumorEpidemic::new(SITES, counter(Direction::PushPull, 5)).run(&mut arena, 1, &mut ());
     assert!(warm.complete, "the warm-up must touch every replica");
 
+    let push = RumorEpidemic::new(SITES, counter(Direction::Push, 2));
+    let blind_coin = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 2 });
     let variants = [
-        (
-            "push (Table 1)",
-            RumorEpidemic::new(counter(Direction::Push, 2)),
-        ),
+        ("push (Table 1)", push),
         (
             "push, blind coin (Table 2)",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Push,
-                Feedback::Blind,
-                Removal::Coin { k: 2 },
-            )),
+            RumorEpidemic::new(SITES, blind_coin),
         ),
         (
             "pull (Table 3)",
-            RumorEpidemic::new(counter(Direction::Pull, 2)),
+            RumorEpidemic::new(SITES, counter(Direction::Pull, 2)),
         ),
         (
             "push-pull",
-            RumorEpidemic::new(counter(Direction::PushPull, 2)),
+            RumorEpidemic::new(SITES, counter(Direction::PushPull, 2)),
         ),
-        (
-            "push, sequential contacts",
-            RumorEpidemic::new(counter(Direction::Push, 2)).synchronous(false),
-        ),
+        ("push, sequential contacts", push.synchronous(false)),
         (
             "push, connection limit 1 with hunting",
-            RumorEpidemic::new(counter(Direction::Push, 2))
-                .connection_limit(Some(1))
-                .hunt_limit(2),
+            push.connection_limit(Some(1)).hunt_limit(2),
         ),
     ];
     for (label, driver) in variants {
         let mut reached = 0.0;
         assert_warm_trials_do_not_allocate(label, |seed| {
-            let result = black_box(driver.run_in(&mut arena, SITES, seed, &mut ()));
+            let result = black_box(driver.run(&mut arena, seed, &mut ()));
             reached += 1.0 - result.residue;
         });
         assert!(reached > 1.0, "{label}: the epidemics must actually spread");
     }
+}
+
+fn counter(direction: Direction, k: u32) -> RumorConfig {
+    RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k })
+}
+
+/// `table5`'s and `fig-spatial-rumor`'s trials on the CIN, one arena for
+/// both drivers: anti-entropy under `a = 2.0` with connection limit 1,
+/// and push-pull rumor mongering.
+fn spatial_trials() {
+    let net = cin(&CinConfig::default());
+    let mut arena = SpatialArena::new();
+    let anti_entropy =
+        AntiEntropySim::new(&net.topology, Spatial::QsPower { a: 2.0 }).connection_limit(Some(1));
+    let rumor = SpatialRumorSim::new(
+        &net.topology,
+        Spatial::QsPower { a: 2.0 },
+        counter(Direction::PushPull, 8),
+    );
+    // Warm-up: anti-entropy reaches every site, so every replica has held
+    // the update, and a few rumor runs size the rumor scratch.
+    for seed in 0..4 {
+        anti_entropy.run(&mut arena, seed, &mut ());
+        rumor.run(&mut arena, seed, &mut ());
+    }
+    let mut converged = 0;
+    assert_warm_trials_do_not_allocate("CIN anti-entropy, a = 2.0, limit 1", |seed| {
+        converged += black_box(anti_entropy.run(&mut arena, seed, &mut ())).t_last;
+    });
+    assert!(converged > 0, "anti-entropy must actually spread");
+    let mut reached = 0.0;
+    assert_warm_trials_do_not_allocate("CIN push-pull rumor", |seed| {
+        reached += 1.0 - black_box(rumor.run(&mut arena, seed, &mut ())).residue;
+    });
+    assert!(reached > 1.0, "the rumors must actually spread");
 }
 
 /// `fig-cin-steady`'s trials: recent-list anti-entropy on the CIN under

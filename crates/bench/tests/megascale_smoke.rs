@@ -43,7 +43,6 @@ const BUDGET: Duration = Duration::from_secs(300);
 #[test]
 fn fast_path_with_streaming_aggregation_allocates_sublinearly() {
     let start = Instant::now();
-    let sim = MegascaleSim::new().workers(1);
     let seed = 1987 ^ N as u64;
     // The graph is the sweep's input, not the epidemic's cost.
     let graph = DegreeGraph::scale_free(N, 2, 1987);
@@ -52,9 +51,11 @@ fn fast_path_with_streaming_aggregation_allocates_sublinearly() {
         let before = allocations();
         let mut sink = AggregateObserver::new();
         let r = if scale_free {
-            sim.run_scale_free_fast_observed(&graph, seed, &mut sink)
+            MegascaleSim::scale_free(&graph)
+                .workers(1)
+                .run(seed, &mut sink)
         } else {
-            sim.run_uniform_fast_observed(N, seed, &mut sink)
+            MegascaleSim::uniform(N).workers(1).run(seed, &mut sink)
         };
         let agg = sink.finish();
         let fast_allocs = allocations() - before;

@@ -71,23 +71,6 @@ impl BitSet {
         self.len = len;
     }
 
-    /// Repacks a `bool`-per-site slice into this set, 64 sites per word —
-    /// the start-of-cycle snapshot operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bools.len() != self.len()`.
-    pub fn copy_from_bools(&mut self, bools: &[bool]) {
-        assert_eq!(bools.len(), self.len, "snapshot length mismatch");
-        for (word, chunk) in self.words.iter_mut().zip(bools.chunks(64)) {
-            let mut packed = 0u64;
-            for (bit, &b) in chunk.iter().enumerate() {
-                packed |= u64::from(b) << bit;
-            }
-            *word = packed;
-        }
-    }
-
     /// Copies `other` into this set word-at-a-time without reallocating —
     /// the bitset-to-bitset start-of-cycle snapshot operation (a derived
     /// `clone` would allocate a fresh word vector every cycle).
@@ -161,20 +144,6 @@ mod tests {
         assert_eq!(bits.count_ones(), 7);
         bits.clear();
         assert_eq!(bits.count_ones(), 0);
-    }
-
-    #[test]
-    fn copy_from_bools_matches_per_bit_sets() {
-        let n = 200;
-        let bools: Vec<bool> = (0..n).map(|i| i % 3 == 0 || i % 7 == 0).collect();
-        let mut packed = BitSet::new(n);
-        packed.copy_from_bools(&bools);
-        let mut reference = BitSet::new(n);
-        for (i, &b) in bools.iter().enumerate() {
-            reference.set(i, b);
-        }
-        assert_eq!(packed, reference);
-        assert_eq!(packed.count_ones(), bools.iter().filter(|&&b| b).count());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use trace::{AggregateObserver, InvariantObserver, TraceObserver, TraceView};
 
 use std::time::Instant;
 
-use epidemic_trace::{profile, MetricsSink};
+use epidemic_trace::profile;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -226,58 +226,32 @@ impl CycleEngine {
         self
     }
 
-    /// Drives `protocol` to completion, drawing partners from `policy` and
+    /// Drives `protocol` to completion, drawing partners from `policy`,
     /// reporting every event to `observer` (pass `&mut ()` to observe
-    /// nothing).
+    /// nothing) and keeping its scratch in `buffers` (whatever they held is
+    /// overwritten).
+    ///
+    /// The setup / contact-loop / end-of-cycle phases are clocked only
+    /// while the global [`epidemic_trace::profile`] recorder is on; with it
+    /// off the loop reads no clock.
     pub fn run<P, L, O>(
         &self,
         protocol: &mut P,
         policy: &L,
         rng: &mut StdRng,
         observer: &mut O,
-    ) -> EngineReport
-    where
-        P: EpidemicProtocol,
-        L: PartnerPolicy + ?Sized,
-        O: Observer<P>,
-    {
-        let mut buffers = EngineBuffers::default();
-        self.run_instrumented(protocol, policy, rng, observer, &mut (), &mut buffers)
-    }
-
-    /// As [`CycleEngine::run`], additionally reporting run metrics and
-    /// phase timings to `sink`, on caller-provided scratch `buffers`
-    /// (whatever they held is overwritten).
-    ///
-    /// Counters (`engine.cycles` / `engine.contacts` / `engine.sent` /
-    /// `engine.useful` / `engine.fruitless`) and an `engine.cycle_contacts`
-    /// histogram are emitted once per run; the setup / contact-loop /
-    /// end-of-cycle phases are clocked only when the sink records
-    /// ([`MetricsSink::ENABLED`]) or the global
-    /// [`epidemic_trace::profile`] recorder is on — with the no-op
-    /// sink `()` and profiling off, this monomorphizes to exactly
-    /// [`CycleEngine::run`] (which delegates here).
-    pub fn run_instrumented<P, L, O, S>(
-        &self,
-        protocol: &mut P,
-        policy: &L,
-        rng: &mut StdRng,
-        observer: &mut O,
-        sink: &mut S,
         buffers: &mut EngineBuffers,
     ) -> EngineReport
     where
         P: EpidemicProtocol,
         L: PartnerPolicy + ?Sized,
         O: Observer<P>,
-        S: MetricsSink,
     {
-        // Audited: `Instant::now` is reached only when the sink records
-        // (`S::ENABLED`) or the global profile recorder is on. With the
-        // no-op sink and profiling off every `timed.then(..)` below is
+        // Audited: `Instant::now` is reached only when the global profile
+        // recorder is on. With it off every `timed.then(..)` below is
         // `None` and the hot loop performs no clock syscalls — pinned by
         // `uninstrumented_run_reads_no_clocks_and_records_no_phases`.
-        let timed = S::ENABLED || profile::is_enabled();
+        let timed = profile::is_enabled();
         let setup_start = timed.then(Instant::now);
         let n = protocol.site_count();
         let EngineBuffers {
@@ -302,7 +276,6 @@ impl CycleEngine {
 
         while cycle < self.max_cycles {
             let cycle_start = timed.then(Instant::now);
-            let contacts_before = totals.contacts;
             protocol.active_sites(active);
             debug_assert!(is_the_active_scan(protocol, active));
             if protocol.finished(cycle, active) {
@@ -352,25 +325,9 @@ impl CycleEngine {
             if let Some(end) = contacts_end {
                 end_nanos += profile::span_nanos(end);
             }
-            if S::ENABLED {
-                sink.observe(
-                    "engine.cycle_contacts",
-                    (totals.contacts - contacts_before) as f64,
-                );
-            }
         }
 
-        if S::ENABLED {
-            sink.counter("engine.cycles", u64::from(cycle));
-            sink.counter("engine.contacts", totals.contacts);
-            sink.counter("engine.sent", totals.sent);
-            sink.counter("engine.useful", totals.useful);
-            sink.counter("engine.fruitless", totals.fruitless);
-            sink.phase("engine.setup", setup_nanos);
-            sink.phase("engine.contact_loop", contact_nanos);
-            sink.phase("engine.end_of_cycle", end_nanos);
-        }
-        if profile::is_enabled() {
+        if timed {
             profile::record("engine.setup", setup_nanos);
             profile::record("engine.contact_loop", contact_nanos);
             profile::record("engine.end_of_cycle", end_nanos);
@@ -456,8 +413,13 @@ mod tests {
             contact_log: Vec::new(),
         };
         let mut rng = StdRng::seed_from_u64(1);
-        let report =
-            CycleEngine::new().run(&mut protocol, &UniformPartners::new(32), &mut rng, &mut ());
+        let report = CycleEngine::new().run(
+            &mut protocol,
+            &UniformPartners::new(32),
+            &mut rng,
+            &mut (),
+            &mut EngineBuffers::default(),
+        );
         assert!(protocol.infected.iter().all(|&b| b));
         assert!(report.cycles > 0);
         assert_eq!(report.totals.contacts, protocol.contact_log.len() as u64);
@@ -477,8 +439,13 @@ mod tests {
                 contact_log: Vec::new(),
             };
             let mut rng = StdRng::seed_from_u64(9);
-            let report =
-                CycleEngine::new().run(&mut protocol, &UniformPartners::new(24), &mut rng, &mut ());
+            let report = CycleEngine::new().run(
+                &mut protocol,
+                &UniformPartners::new(24),
+                &mut rng,
+                &mut (),
+                &mut EngineBuffers::default(),
+            );
             (report, protocol.contact_log)
         };
         assert_eq!(run(), run());
@@ -520,7 +487,13 @@ mod tests {
             CycleEngine::new()
                 .connection_limit(limit)
                 .hunt_limit(hunt)
-                .run(&mut protocol, &UniformPartners::new(40), &mut rng, &mut ());
+                .run(
+                    &mut protocol,
+                    &UniformPartners::new(40),
+                    &mut rng,
+                    &mut (),
+                    &mut EngineBuffers::default(),
+                );
             protocol.contacts
         };
         let unlimited = run(None, 0);
@@ -557,6 +530,7 @@ mod tests {
             &UniformPartners::new(4),
             &mut rng,
             &mut (),
+            &mut EngineBuffers::default(),
         );
         assert_eq!(report.cycles, 17);
     }
@@ -596,6 +570,7 @@ mod tests {
             &UniformPartners::new(2),
             &mut rng,
             &mut (),
+            &mut EngineBuffers::default(),
         );
         assert_eq!(report.cycles, 250_000);
         assert_eq!(report.totals.contacts, 0);
@@ -619,11 +594,10 @@ mod tests {
         assert_eq!(converted.useful, converted.sent);
     }
 
-    /// Audit pin (hot-path sweep): with the no-op sink and the global
-    /// profile recorder off, the engine performs no phase timing at all —
-    /// no `engine.*` phases appear in the profile table afterwards. (The
-    /// `timed` gate in `run_instrumented` is what keeps `Instant::now`
-    /// off the uninstrumented hot path.)
+    /// Audit pin (hot-path sweep): with the global profile recorder off,
+    /// the engine performs no phase timing at all — no `engine.*` phases
+    /// appear in the profile table afterwards. (The `timed` gate in
+    /// `CycleEngine::run` is what keeps `Instant::now` off the hot path.)
     #[test]
     fn uninstrumented_run_reads_no_clocks_and_records_no_phases() {
         assert!(
@@ -639,7 +613,13 @@ mod tests {
             contact_log: Vec::new(),
         };
         let mut rng = StdRng::seed_from_u64(5);
-        CycleEngine::new().run(&mut protocol, &UniformPartners::new(16), &mut rng, &mut ());
+        CycleEngine::new().run(
+            &mut protocol,
+            &UniformPartners::new(16),
+            &mut rng,
+            &mut (),
+            &mut EngineBuffers::default(),
+        );
         let phases = profile::snapshot();
         assert!(
             phases.iter().all(|p| !p.name.starts_with("engine.")),

@@ -2,8 +2,7 @@
 //!
 //! An [`Observer`] sees every contact and every cycle boundary without the
 //! protocol knowing it is being watched — tracing is composed onto a run
-//! instead of being compiled into each driver (this is what replaced the
-//! bespoke `run_traced` plumbing in the mixing driver). The no-op observer
+//! instead of being compiled into each driver. The no-op observer
 //! is the unit type `()`, which compiles away entirely.
 
 use super::ContactStats;

@@ -325,7 +325,7 @@ impl MixingState {
 /// snapshots captured in `begin_cycle`.
 ///
 /// Public so observers can be written against it (it is the `P` of
-/// [`RumorEpidemic::run_observed`](crate::mixing::RumorEpidemic::run_observed));
+/// [`RumorEpidemic::run`](crate::mixing::RumorEpidemic::run));
 /// construction stays crate-internal.
 pub struct MixingProtocol {
     pub(crate) cfg: RumorConfig,
@@ -539,42 +539,64 @@ impl SirView for MixingProtocol {
 /// each cycle and differences resolve against the start-of-cycle snapshot.
 ///
 /// Public so observers can be written against it (it is the `P` of
-/// [`AntiEntropyEpidemic::run_observed`](crate::mixing::AntiEntropyEpidemic::run_observed));
+/// [`AntiEntropyEpidemic::run`](crate::mixing::AntiEntropyEpidemic::run));
 /// construction stays crate-internal.
 pub struct BitAntiEntropyProtocol {
     pub(crate) direction: Direction,
-    pub(crate) infected: Vec<bool>,
-    pub(crate) snapshot: BitSet,
+    /// The parts of a mixing arena this protocol uses: `active` is who
+    /// holds the update (in anti-entropy every holder keeps spreading it),
+    /// `state0` its start-of-cycle snapshot.
+    pub(crate) state: MixingState,
+    /// Sites holding the update: `active`'s population.
     pub(crate) count: usize,
     pub(crate) trace: Vec<f64>,
 }
 
+impl BitAntiEntropyProtocol {
+    /// `n` sites of which only site 0 holds the update, in `state` —
+    /// whatever an earlier run left there.
+    pub(crate) fn new(direction: Direction, n: usize, mut state: MixingState) -> Self {
+        state.active.reset(n);
+        state.state0.reset(n);
+        state.active.set(0, true);
+        BitAntiEntropyProtocol {
+            direction,
+            state,
+            count: 1,
+            trace: Vec::new(),
+        }
+    }
+
+    /// Gives site `i` the update; whether it lacked it.
+    fn infect(&mut self, i: usize) -> bool {
+        let fresh = !self.state.active.get(i);
+        if fresh {
+            self.state.active.set(i, true);
+            self.count += 1;
+        }
+        fresh
+    }
+}
+
 impl EpidemicProtocol for BitAntiEntropyProtocol {
     fn site_count(&self) -> usize {
-        self.infected.len()
+        self.state.active.len()
     }
 
     fn finished(&self, _cycle: u32, _active: &[usize]) -> bool {
-        self.count == self.infected.len()
+        self.count == self.site_count()
     }
 
     fn begin_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
         // Synchronous semantics: resolve against start-of-cycle state.
-        self.snapshot.copy_from_bools(&self.infected);
+        let MixingState { active, state0, .. } = &mut self.state;
+        state0.copy_from(active);
     }
 
     fn contact(&mut self, _cycle: u32, i: usize, j: usize, _rng: &mut StdRng) -> ContactStats {
-        let mut useful = 0;
-        if self.direction.pushes() && self.snapshot.get(i) && !self.infected[j] {
-            self.infected[j] = true;
-            self.count += 1;
-            useful += 1;
-        }
-        if self.direction.pulls() && self.snapshot.get(j) && !self.infected[i] {
-            self.infected[i] = true;
-            self.count += 1;
-            useful += 1;
-        }
+        let pushed = self.direction.pushes() && self.state.state0.get(i) && self.infect(j);
+        let pulled = self.direction.pulls() && self.state.state0.get(j) && self.infect(i);
+        let useful = u64::from(pushed) + u64::from(pulled);
         ContactStats {
             sent: useful,
             useful,
@@ -582,7 +604,7 @@ impl EpidemicProtocol for BitAntiEntropyProtocol {
     }
 
     fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
-        let n = self.infected.len();
+        let n = self.site_count();
         self.trace.push((n - self.count) as f64 / n as f64);
     }
 }
@@ -592,7 +614,7 @@ impl SirView for BitAntiEntropyProtocol {
         // Anti-entropy has no removal: every informed site keeps resolving
         // differences forever, so the removed compartment is always empty.
         SirCounts {
-            susceptible: self.infected.len() - self.count,
+            susceptible: self.site_count() - self.count,
             infective: self.count,
             removed: 0,
         }
@@ -691,7 +713,7 @@ impl SirView for DirectMailProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::CycleEngine;
+    use crate::engine::{CycleEngine, EngineBuffers};
     use epidemic_net::{topologies, Spatial};
     use rand::SeedableRng;
 
@@ -798,13 +820,13 @@ mod tests {
 
     #[test]
     fn mixing_sir_counts_equal_the_database_probe() {
-        use crate::mixing::RumorEpidemic;
+        use crate::mixing::{MixingArena, RumorEpidemic};
         for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
             let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
             for synchronous in [true, false] {
-                let driver = RumorEpidemic::new(cfg).synchronous(synchronous);
+                let driver = RumorEpidemic::new(200, cfg).synchronous(synchronous);
                 let mut check = ProbeCheck { cycles_checked: 0 };
-                driver.run_observed(200, 11, &mut check);
+                driver.run(&mut MixingArena::new(), 11, &mut check);
                 assert!(check.cycles_checked > 3, "{direction:?}: run too short");
             }
         }
@@ -876,7 +898,13 @@ mod tests {
                                 .connection_limit(limit)
                                 .hunt_limit(1)
                                 .max_cycles(200)
-                                .run(&mut probed, &policy, &mut rng, &mut ());
+                                .run(
+                                    &mut probed,
+                                    &policy,
+                                    &mut rng,
+                                    &mut (),
+                                    &mut EngineBuffers::default(),
+                                );
                             assert!(probed.contacts > 0, "{cfg:?} limit {limit:?}");
                             contacts += probed.contacts;
                         }
@@ -935,8 +963,13 @@ mod tests {
         for seed in 0..8 {
             let mut protocol = DirectMailProtocol::new(30, 0);
             let mut rng = StdRng::seed_from_u64(seed);
-            let report =
-                CycleEngine::new().run(&mut protocol, &UniformPartners::new(30), &mut rng, &mut ());
+            let report = CycleEngine::new().run(
+                &mut protocol,
+                &UniformPartners::new(30),
+                &mut rng,
+                &mut (),
+                &mut EngineBuffers::default(),
+            );
             assert_eq!(report.totals.sent, 29, "budget is exactly n - 1 mails");
             if protocol.deliveries().residue() > 0.0 {
                 misses += 1;

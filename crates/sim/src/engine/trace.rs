@@ -12,13 +12,14 @@
 //! ```
 //! use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 //! use epidemic_sim::engine::trace::{InvariantObserver, TraceObserver};
-//! use epidemic_sim::mixing::RumorEpidemic;
+//! use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 //! use epidemic_trace::TraceConfig;
 //!
 //! let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k: 2 });
 //! let mut trace = TraceObserver::new(TraceConfig::cycles_only());
 //! let mut check = InvariantObserver::new();
-//! let result = RumorEpidemic::new(cfg).run_observed(100, 7, &mut (&mut trace, &mut check));
+//! let observer = &mut (&mut trace, &mut check);
+//! let result = RumorEpidemic::new(100, cfg).run(&mut MixingArena::new(), 7, observer);
 //! assert!(check.is_clean());
 //! let jsonl = trace.finish();
 //! assert!(jsonl.lines().count() as u32 >= result.cycles);
@@ -73,7 +74,8 @@ impl TraceView for MixingProtocol {
 
 impl TraceView for BitAntiEntropyProtocol {
     fn site_digests(&self, out: &mut Vec<u64>) {
-        out.extend(self.infected.iter().map(|&b| u64::from(b)));
+        let holds = &self.state.active;
+        out.extend((0..holds.len()).map(|i| u64::from(holds.get(i))));
     }
 }
 
@@ -85,13 +87,13 @@ impl TraceView for DirectMailProtocol {
 
 impl TraceView for SpatialAntiEntropyProtocol<'_> {
     fn site_digests(&self, out: &mut Vec<u64>) {
-        out.extend(self.replicas.iter().map(db_digest));
+        out.extend(self.spread.replicas.iter().map(db_digest));
     }
 }
 
 impl TraceView for SpatialRumorProtocol<'_> {
     fn site_digests(&self, out: &mut Vec<u64>) {
-        out.extend(self.replicas.iter().map(db_digest));
+        out.extend(self.spread.replicas.iter().map(db_digest));
     }
 }
 
@@ -265,7 +267,7 @@ impl<P: TraceView + ?Sized> Observer<P> for InvariantObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CycleEngine, EpidemicProtocol, Roster, UniformPartners};
+    use crate::engine::{CycleEngine, EngineBuffers, EpidemicProtocol, Roster, UniformPartners};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -342,6 +344,7 @@ mod tests {
             &UniformPartners::new(10),
             &mut rng,
             &mut check,
+            &mut EngineBuffers::default(),
         );
         check.verify_totals(report.totals);
         assert!(!check.is_clean(), "the flapping protocol must be caught");

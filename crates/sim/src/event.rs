@@ -162,7 +162,7 @@ impl<'a> AsyncAntiEntropySim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spatial_ae::AntiEntropySim;
+    use crate::spatial_ae::{AntiEntropySim, SpatialArena};
     use epidemic_net::topologies;
 
     #[test]
@@ -181,13 +181,14 @@ mod tests {
         // The ablation claim: measured in periods, asynchronous t_last is
         // within a factor ~1.6 of the synchronous cycle count.
         let topo = topologies::grid(&[6, 6]);
-        let sync = AntiEntropySim::new(&topo, Spatial::Uniform);
+        let sync = AntiEntropySim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
         let async_ = AsyncAntiEntropySim::new(&topo, Spatial::Uniform, 0.3);
+        let mut arena = SpatialArena::new();
         let trials = 15;
         let mut sync_mean = 0.0;
         let mut async_mean = 0.0;
         for seed in 0..trials {
-            sync_mean += f64::from(sync.run(seed, Some(topo.sites()[0])).t_last);
+            sync_mean += f64::from(sync.run(&mut arena, seed, &mut ()).t_last);
             async_mean += async_.run(seed, Some(topo.sites()[0])).t_last;
         }
         sync_mean /= f64::from(trials as u32);
@@ -348,14 +349,15 @@ mod rumor_tests {
 
     #[test]
     fn async_matches_synchronous_sequential_mode_roughly() {
-        use crate::mixing::RumorEpidemic;
+        use crate::mixing::{MixingArena, RumorEpidemic};
         let trials = 15;
-        let sync_driver = RumorEpidemic::new(cfg(2)).synchronous(false);
+        let sync_driver = RumorEpidemic::new(500, cfg(2)).synchronous(false);
+        let mut arena = MixingArena::new();
         let async_driver = AsyncRumorEpidemic::new(cfg(2), 0.3);
         let mut sync_res = 0.0;
         let mut async_res = 0.0;
         for seed in 0..trials {
-            sync_res += sync_driver.run(500, seed).residue;
+            sync_res += sync_driver.run(&mut arena, seed, &mut ()).residue;
             async_res += async_driver.run(500, seed).residue;
         }
         sync_res /= f64::from(trials as u32);

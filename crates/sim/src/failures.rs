@@ -10,8 +10,8 @@
 //!
 //! Since the scenario refactor this driver is a thin adapter: the churn
 //! model is a two-line fault timeline (`at 0 update …`, `at 0 churn …`)
-//! lowered through [`ScenarioEngine::run_with_policy`] with this module's
-//! spatial partner sampler. The lowering is RNG-identical to the
+//! lowered onto the scenario engine with this module's spatial partner
+//! sampler in place of the spec's topology. The lowering is RNG-identical to the
 //! hand-rolled protocol it replaced — same per-site churn draws at cycle
 //! start, same roster shuffle, same partner draws, failed connections to
 //! down sites still paid for — pinned exactly by
@@ -76,7 +76,6 @@ pub struct ChurnRunResult {
 #[derive(Debug)]
 pub struct ChurnedAntiEntropySim<'a> {
     topology: &'a Topology,
-    routes: Routes,
     sampler: PartnerSampler,
     churn: Churn,
     max_cycles: u32,
@@ -85,25 +84,18 @@ pub struct ChurnedAntiEntropySim<'a> {
 impl<'a> ChurnedAntiEntropySim<'a> {
     /// Builds the simulator.
     pub fn new(topology: &'a Topology, spatial: Spatial, churn: Churn) -> Self {
-        let routes = Routes::compute(topology);
-        let sampler = PartnerSampler::new(topology, &routes, spatial);
+        let sampler = PartnerSampler::new(topology, &Routes::compute(topology), spatial);
         ChurnedAntiEntropySim {
             topology,
-            routes,
             sampler,
             churn,
             max_cycles: 50_000,
         }
     }
 
-    /// Shortest-path tables (for traffic assertions in tests).
-    pub fn routes(&self) -> &Routes {
-        &self.routes
-    }
-
     /// The declarative spec this simulator lowers to, given the dense
     /// index of the originating site (the topology itself is supplied at
-    /// run time via [`ScenarioEngine::run_with_policy`], so the spec's
+    /// run time with this simulator's own partner sampler, so the spec's
     /// `topology` line is the placeholder default).
     pub fn to_scenario(&self, origin_idx: usize) -> Scenario {
         let mut spec = Scenario::new("churn", self.topology.sites().len());
@@ -157,20 +149,6 @@ impl<'a> ChurnedAntiEntropySim<'a> {
                 report.down_site_cycles as f64 / (f64::from(report.cycles) * n as f64)
             },
         }
-    }
-
-    /// Runs `trials` experiments in parallel with seeds
-    /// `seed_base + trial`, returning results in trial order — identical
-    /// to a sequential loop over [`ChurnedAntiEntropySim::run`] at any
-    /// thread count.
-    pub fn run_trials(
-        &self,
-        runner: crate::runner::TrialRunner,
-        trials: u64,
-        seed_base: u64,
-        origin: Option<SiteId>,
-    ) -> Vec<ChurnRunResult> {
-        runner.run(trials, seed_base, |seed| self.run(seed, origin))
     }
 }
 

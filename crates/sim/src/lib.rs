@@ -36,11 +36,14 @@
 //!   tracing hooks;
 //! * [`runner`] — deterministic parallel trial execution: fans Monte-Carlo
 //!   trials across threads with per-trial seeds `seed_base + trial`,
-//!   returning results in trial order so aggregates are bit-identical at
+//!   folding results in trial order so aggregates are bit-identical at
 //!   any thread count (force one thread with `EPIDEMIC_THREADS=1` or
 //!   [`runner::TrialRunner::threads`]);
 //! * [`stats`] — small summary-statistics helpers.
 //!
+//! Every driver has one entry point, `run(arena, seed, observer)`: the
+//! trial arena keeps the run's heap state for the next trial, and the
+//! observer (`&mut ()` for none) sees every contact and cycle boundary.
 //! Everything is deterministic given a seed — including multi-trial
 //! aggregates run through [`runner::TrialRunner`].
 //!
@@ -48,11 +51,11 @@
 //!
 //! ```
 //! use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-//! use epidemic_sim::mixing::RumorEpidemic;
+//! use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 //!
 //! // One trial of Table 1's protocol at k = 2 on 200 sites.
 //! let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k: 2 });
-//! let result = RumorEpidemic::new(cfg).run(200, 42);
+//! let result = RumorEpidemic::new(200, cfg).run(&mut MixingArena::new(), 42, &mut ());
 //! assert!(result.residue < 0.5);
 //! assert!(result.traffic > 0.0);
 //! ```
@@ -88,7 +91,7 @@ pub use mixing::{EpidemicResult, MixingArena, RumorEpidemic};
 pub use rumor_steady::{RumorSteadyArena, RumorSteadyConfig, RumorSteadyReport, RumorSteadySim};
 pub use runner::TrialRunner;
 pub use scenario::{Scenario, ScenarioEngine, ScenarioReport};
-pub use spatial_ae::{AntiEntropySim, SpatialRunResult};
+pub use spatial_ae::{AntiEntropySim, SpatialArena, SpatialRunResult};
 pub use spatial_rumor::SpatialRumorSim;
 pub use spatial_steady::{
     SpatialSteadyArena, SpatialSteadyConfig, SpatialSteadyReport, SpatialSteadySim,

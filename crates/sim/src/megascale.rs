@@ -62,25 +62,35 @@ const COIN_K: u32 = 4;
 
 /// Single-update rumor epidemics at 10⁴–10⁶ sites; see the module docs.
 #[derive(Debug, Clone, Copy)]
-pub struct MegascaleSim {
+pub struct MegascaleSim<'g> {
+    /// The contact graph; `None` is complete mixing over `n` sites.
+    graph: Option<&'g DegreeGraph>,
+    n: usize,
     max_cycles: u32,
     workers: Option<usize>,
 }
 
-impl Default for MegascaleSim {
-    fn default() -> Self {
-        MegascaleSim::new()
+impl MegascaleSim<'static> {
+    /// Epidemics over `n` uniformly mixing sites.
+    pub fn uniform(n: usize) -> Self {
+        MegascaleSim {
+            graph: None,
+            n,
+            max_cycles: 100_000,
+            workers: None,
+        }
     }
 }
 
-impl MegascaleSim {
-    /// The fixed sweep protocol: push, feedback, coin removal with
-    /// `k = 4` — high-coverage and cheap per contact, so the interesting
-    /// variation is scale and topology.
-    pub fn new() -> Self {
+impl<'g> MegascaleSim<'g> {
+    /// Epidemics over the sites of `graph`, each initiator gossiping with
+    /// a uniform random neighbor. The update starts at site 0 — a member
+    /// of the Barabási–Albert seed clique, so scale-free runs start from
+    /// the well-connected core.
+    pub fn scale_free(graph: &'g DegreeGraph) -> Self {
         MegascaleSim {
-            max_cycles: 100_000,
-            workers: None,
+            graph: Some(graph),
+            ..MegascaleSim::uniform(graph.site_count())
         }
     }
 
@@ -100,58 +110,33 @@ impl MegascaleSim {
         self
     }
 
-    /// One epidemic over `n` uniformly mixing sites — active-set
-    /// iteration, counter-based RNG, lazy site rows; see the module docs.
-    /// Per-site state is bits until a site's first receipt.
+    /// One epidemic of the fixed sweep protocol — push, feedback, coin
+    /// removal with `k = 4`, high-coverage and cheap per contact, so the
+    /// interesting variation is scale and topology — on active-set
+    /// iteration, counter-based RNG and lazy site rows (see the module
+    /// docs), streaming the run through `observer` (`&mut ()` for none).
+    /// Observers never touch the RNG, so the result is identical to the
+    /// unobserved run's.
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`.
-    pub fn run_uniform_fast(&self, n: usize, seed: u64) -> EpidemicResult {
-        self.run_uniform_fast_observed(n, seed, &mut ())
-    }
-
-    /// As [`MegascaleSim::run_uniform_fast`], streaming the run through
-    /// `observer`. Observers never touch the RNG, so the result is
-    /// identical to the unobserved run's.
-    pub fn run_uniform_fast_observed<O: Observer<FastRumorProtocol<'static>>>(
+    /// Panics if a uniform simulator has fewer than two sites, or a site of
+    /// the graph has no neighbors.
+    pub fn run<O: Observer<FastRumorProtocol<'g>>>(
         &self,
-        n: usize,
         seed: u64,
         observer: &mut O,
     ) -> EpidemicResult {
-        let mut protocol = FastRumorProtocol::uniform(n, COIN_K);
-        let report = self.active_engine().run(&mut protocol, seed, observer);
-        protocol.result(&report)
-    }
-
-    /// One epidemic over the sites of `graph`, each initiator gossiping
-    /// with a uniform random neighbor. The update starts at site 0 — a
-    /// member of the Barabási–Albert seed clique, so scale-free runs start
-    /// from the well-connected core.
-    pub fn run_scale_free_fast(&self, graph: &DegreeGraph, seed: u64) -> EpidemicResult {
-        self.run_scale_free_fast_observed(graph, seed, &mut ())
-    }
-
-    /// As [`MegascaleSim::run_scale_free_fast`], streaming the run
-    /// through `observer`.
-    pub fn run_scale_free_fast_observed<'g, O: Observer<FastRumorProtocol<'g>>>(
-        &self,
-        graph: &'g DegreeGraph,
-        seed: u64,
-        observer: &mut O,
-    ) -> EpidemicResult {
-        let mut protocol = FastRumorProtocol::scale_free(graph, COIN_K);
-        let report = self.active_engine().run(&mut protocol, seed, observer);
-        protocol.result(&report)
-    }
-
-    fn active_engine(&self) -> ActiveCycleEngine {
-        let engine = ActiveCycleEngine::new().max_cycles(self.max_cycles);
-        match self.workers {
-            Some(w) => engine.workers(w),
-            None => engine,
+        let mut protocol = match self.graph {
+            Some(graph) => FastRumorProtocol::scale_free(graph, COIN_K),
+            None => FastRumorProtocol::uniform(self.n, COIN_K),
+        };
+        let mut engine = ActiveCycleEngine::new().max_cycles(self.max_cycles);
+        if let Some(workers) = self.workers {
+            engine = engine.workers(workers);
         }
+        let report = engine.run(&mut protocol, seed, observer);
+        protocol.result(&report)
     }
 }
 
@@ -467,52 +452,51 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mixing::RumorEpidemic;
+    use crate::mixing::{MixingArena, RumorEpidemic};
     use epidemic_core::rumor::RumorConfig;
     use epidemic_core::{Direction, Feedback, Removal};
 
     #[test]
     fn fast_path_matches_the_reference_spec_exactly() {
-        let sim = MegascaleSim::new().workers(1);
+        let sim = MegascaleSim::uniform(400).workers(1);
         for seed in [1, 2, 3] {
-            let fast = sim.run_uniform_fast(400, seed);
+            let fast = sim.run(seed, &mut ());
             let spec = reference::run_uniform(400, 4, seed);
             assert_eq!(fast, spec.result, "uniform seed={seed}");
         }
         let graph = DegreeGraph::scale_free(400, 2, 7);
-        let fast = sim.run_scale_free_fast(&graph, 5);
+        let fast = MegascaleSim::scale_free(&graph).workers(1).run(5, &mut ());
         let spec = reference::run_scale_free(&graph, 4, 5);
         assert_eq!(fast, spec.result, "scale-free");
     }
 
     #[test]
     fn fast_path_is_worker_count_invariant() {
-        let sim = MegascaleSim::new();
-        let sequential = sim.workers(1).run_uniform_fast(500, 11);
+        let sim = MegascaleSim::uniform(500);
+        let sequential = sim.workers(1).run(11, &mut ());
         for workers in [2, 8] {
-            let parallel = sim.workers(workers).run_uniform_fast(500, 11);
+            let parallel = sim.workers(workers).run(11, &mut ());
             assert_eq!(sequential, parallel, "workers={workers}");
         }
     }
 
     #[test]
     fn fast_epidemic_reaches_nearly_everyone() {
-        let sim = MegascaleSim::new().workers(1);
-        let uniform = sim.run_uniform_fast(500, 11);
+        let uniform = MegascaleSim::uniform(500).workers(1).run(11, &mut ());
         assert!(uniform.residue < 0.05, "residue {}", uniform.residue);
         assert!(uniform.cycles > 0 && uniform.t_last > 0.0);
         let graph = DegreeGraph::scale_free(500, 2, 11);
-        let sf = sim.run_scale_free_fast(&graph, 11);
+        let sf = MegascaleSim::scale_free(&graph).workers(1).run(11, &mut ());
         assert!(sf.residue < 0.20, "residue {}", sf.residue);
     }
 
     #[test]
     fn observed_fast_run_matches_unobserved_and_aggregates() {
         use crate::engine::AggregateObserver;
-        let sim = MegascaleSim::new().workers(1);
-        let plain = sim.run_uniform_fast(300, 9);
+        let sim = MegascaleSim::uniform(300).workers(1);
+        let plain = sim.run(9, &mut ());
         let mut obs = AggregateObserver::new();
-        let observed = sim.run_uniform_fast_observed(300, 9, &mut obs);
+        let observed = sim.run(9, &mut obs);
         assert_eq!(plain, observed, "observers must not perturb the run");
         let agg = obs.finish();
         assert_eq!(agg.sites(), 300);
@@ -551,20 +535,20 @@ mod tests {
             );
         }
 
-        let sim = MegascaleSim::new().workers(1);
         let n = 256;
+        let sim = MegascaleSim::uniform(n).workers(1);
         let trials = 60;
         let cfg = RumorConfig::new(
             Direction::Push,
             Feedback::Feedback,
             Removal::Coin { k: COIN_K },
         );
-        let mixing = RumorEpidemic::new(cfg).synchronous(false);
-        let sequential: Vec<EpidemicResult> =
-            (0..trials).map(|s| mixing.run(n, 1000 + s)).collect();
-        let fast: Vec<EpidemicResult> = (0..trials)
-            .map(|s| sim.run_uniform_fast(n, 1000 + s))
+        let mixing = RumorEpidemic::new(n, cfg).synchronous(false);
+        let mut arena = MixingArena::new();
+        let sequential: Vec<EpidemicResult> = (0..trials)
+            .map(|s| mixing.run(&mut arena, 1000 + s, &mut ()))
             .collect();
+        let fast: Vec<EpidemicResult> = (0..trials).map(|s| sim.run(1000 + s, &mut ())).collect();
         for (name, get) in [
             ("residue", (|r| r.residue) as fn(&EpidemicResult) -> f64),
             ("traffic", |r| r.traffic),

@@ -23,11 +23,8 @@ use epidemic_core::Direction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::bitset::BitSet;
 use crate::engine::protocols::{BitAntiEntropyProtocol, MixingProtocol, MixingState};
-use crate::engine::{
-    CycleEngine, EngineBuffers, EngineReport, Observer, SirObserver, UniformPartners,
-};
+use crate::engine::{CycleEngine, EngineBuffers, EngineReport, Observer, UniformPartners};
 
 /// Result of one single-update epidemic run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,12 +61,12 @@ impl EpidemicResult {
     }
 }
 
-/// Everything a [`RumorEpidemic`] run keeps on the heap — the replicas,
-/// the receive log, the active-set and snapshot bitsets, the rumor scratch
-/// and the engine's roster buffers — owned across runs, so that
-/// [`RumorEpidemic::run_in`] on a warm arena allocates nothing. One arena
-/// serves any sequence of drivers and site counts; each run starts from a
-/// state indistinguishable from a fresh one.
+/// Everything a [`RumorEpidemic`] or [`AntiEntropyEpidemic`] run keeps on
+/// the heap — the replicas, the receive log, the active-set and snapshot
+/// bitsets, the rumor scratch and the engine's roster buffers — owned
+/// across runs, so that a rumor run on a warm arena allocates nothing. One
+/// arena serves any sequence of drivers and site counts; each run starts
+/// from a state indistinguishable from a fresh one.
 #[derive(Debug, Default)]
 pub struct MixingArena {
     state: MixingState,
@@ -83,31 +80,21 @@ impl MixingArena {
     }
 }
 
-/// Per-cycle susceptible/infective/removed fractions from a traced run
-/// ([`RumorEpidemic::run_traced`]). Point 0 is the state immediately after
-/// injection; point `c` is the state after cycle `c`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SirTrace {
-    /// `(s, i, r)` fraction triples, one per recorded state.
-    pub points: Vec<(f64, f64, f64)>,
-    /// The run's summary result.
-    pub result: EpidemicResult,
-}
-
 /// Driver for single-update rumor epidemics under complete mixing.
 ///
 /// # Example
 ///
 /// ```
 /// use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-/// use epidemic_sim::mixing::RumorEpidemic;
+/// use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 ///
 /// let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k: 3 });
-/// let r = RumorEpidemic::new(cfg).run(500, 7);
+/// let r = RumorEpidemic::new(500, cfg).run(&mut MixingArena::new(), 7, &mut ());
 /// assert!(r.residue < 0.1); // k = 3 reaches almost everyone
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RumorEpidemic {
+    n: usize,
     cfg: RumorConfig,
     connection_limit: Option<u32>,
     hunt_limit: u32,
@@ -116,10 +103,11 @@ pub struct RumorEpidemic {
 }
 
 impl RumorEpidemic {
-    /// Creates a driver for the given rumor-mongering configuration, with
-    /// no connection limit and no hunting.
-    pub fn new(cfg: RumorConfig) -> Self {
+    /// Creates a driver for the given rumor-mongering configuration on `n`
+    /// sites, with no connection limit and no hunting.
+    pub fn new(n: usize, cfg: RumorConfig) -> Self {
         RumorEpidemic {
+            n,
             cfg,
             connection_limit: None,
             hunt_limit: 0,
@@ -159,119 +147,28 @@ impl RumorEpidemic {
         self
     }
 
-    /// Runs one epidemic: a single update injected at site 0 of `n` sites,
-    /// simulated to quiescence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn run(&self, n: usize, seed: u64) -> EpidemicResult {
-        self.run_observed(n, seed, &mut ())
-    }
-
-    /// As [`RumorEpidemic::run`], additionally recording the susceptible /
-    /// infective / removed fractions after every cycle — the simulated
-    /// counterpart of the §1.4 differential-equation trajectory, captured
-    /// by composing a [`SirObserver`] onto the engine run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn run_traced(&self, n: usize, seed: u64) -> SirTrace {
-        let mut observer = SirObserver::new();
-        let result = self.run_observed(n, seed, &mut observer);
-        SirTrace {
-            points: observer.points,
-            result,
-        }
-    }
-
-    /// Runs `trials` epidemics in parallel with seeds `seed_base + trial`,
-    /// returning results in trial order — identical to a sequential loop
-    /// over [`RumorEpidemic::run`] at any thread count.
-    pub fn run_trials(
-        &self,
-        runner: crate::runner::TrialRunner,
-        n: usize,
-        trials: u64,
-        seed_base: u64,
-    ) -> Vec<EpidemicResult> {
-        runner.run(trials, seed_base, |seed| self.run(n, seed))
-    }
-
-    /// As [`RumorEpidemic::run`], reporting every contact and cycle
-    /// boundary to `observer` — any composition of
+    /// Runs one epidemic — a single update injected at site 0, simulated
+    /// to quiescence — on the heap state `arena` kept from earlier runs (of
+    /// any driver and any site count), reporting every contact and cycle
+    /// boundary to `observer`: any composition of
     /// [`Observer<MixingProtocol>`] implementations, e.g. a
+    /// [`SirObserver`](crate::engine::SirObserver) or a
     /// [`TraceObserver`](crate::engine::trace::TraceObserver) paired with
-    /// an [`InvariantObserver`](crate::engine::trace::InvariantObserver).
+    /// an [`InvariantObserver`](crate::engine::trace::InvariantObserver),
+    /// and `&mut ()` for none. The result and every observed event equal a
+    /// fresh arena's, and once the arena has grown to this run's size
+    /// nothing is allocated. Trial loops hold one arena per worker.
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`.
-    pub fn run_observed<O: Observer<MixingProtocol>>(
+    /// Panics if the driver has fewer than two sites.
+    pub fn run<O: Observer<MixingProtocol>>(
         &self,
-        n: usize,
+        arena: &mut MixingArena,
         seed: u64,
         observer: &mut O,
     ) -> EpidemicResult {
-        self.run_in(&mut MixingArena::new(), n, seed, observer)
-    }
-
-    /// As [`RumorEpidemic::run_observed`] on the heap state `arena` kept
-    /// from earlier runs (of any driver and any `n`): the result and every
-    /// observed event equal a fresh run's, and once the arena has grown to
-    /// this run's size nothing is allocated. Trial loops hold one arena
-    /// per worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn run_in<O: Observer<MixingProtocol>>(
-        &self,
-        arena: &mut MixingArena,
-        n: usize,
-        seed: u64,
-        observer: &mut O,
-    ) -> EpidemicResult {
-        self.run_metered_in(arena, n, seed, observer, &mut ())
-    }
-
-    /// As [`RumorEpidemic::run_observed`], additionally reporting engine
-    /// counters and phase timings to `sink` (see
-    /// [`CycleEngine::run_instrumented`]). With the no-op sink `()` this
-    /// is exactly [`RumorEpidemic::run_observed`] — the instrumentation
-    /// compiles away — which is what the `metrics_sink` microbenchmark
-    /// pins down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn run_metered<O, S>(
-        &self,
-        n: usize,
-        seed: u64,
-        observer: &mut O,
-        sink: &mut S,
-    ) -> EpidemicResult
-    where
-        O: Observer<MixingProtocol>,
-        S: epidemic_trace::MetricsSink,
-    {
-        self.run_metered_in(&mut MixingArena::new(), n, seed, observer, sink)
-    }
-
-    fn run_metered_in<O, S>(
-        &self,
-        arena: &mut MixingArena,
-        n: usize,
-        seed: u64,
-        observer: &mut O,
-        sink: &mut S,
-    ) -> EpidemicResult
-    where
-        O: Observer<MixingProtocol>,
-        S: epidemic_trace::MetricsSink,
-    {
+        let n = self.n;
         let policy = UniformPartners::new(n);
         let mut rng = StdRng::seed_from_u64(seed);
         let state = std::mem::take(&mut arena.state);
@@ -280,12 +177,11 @@ impl RumorEpidemic {
             .connection_limit(self.connection_limit)
             .hunt_limit(self.hunt_limit)
             .max_cycles(self.max_cycles)
-            .run_instrumented(
+            .run(
                 &mut protocol,
                 &policy,
                 &mut rng,
                 observer,
-                sink,
                 &mut arena.buffers,
             );
         let result = EpidemicResult::new(n, report, &protocol);
@@ -303,9 +199,14 @@ mod tests {
         RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k })
     }
 
+    /// One unobserved run on a fresh arena.
+    fn run(driver: RumorEpidemic, seed: u64) -> EpidemicResult {
+        driver.run(&mut MixingArena::new(), seed, &mut ())
+    }
+
     #[test]
     fn push_epidemic_reaches_most_sites() {
-        let r = RumorEpidemic::new(cfg(Direction::Push, 3)).run(300, 1);
+        let r = run(RumorEpidemic::new(300, cfg(Direction::Push, 3)), 1);
         assert!(r.residue < 0.1, "residue {}", r.residue);
         assert!(r.traffic > 1.0 && r.traffic < 10.0);
         assert!(r.t_last >= r.t_ave);
@@ -318,7 +219,7 @@ mod tests {
             let mut residue = 0.0;
             let mut traffic = 0.0;
             for seed in 0..10 {
-                let r = RumorEpidemic::new(cfg(Direction::Push, k)).run(400, seed);
+                let r = run(RumorEpidemic::new(400, cfg(Direction::Push, k)), seed);
                 residue += r.residue;
                 traffic += r.traffic;
             }
@@ -335,12 +236,8 @@ mod tests {
         let mut push_res = 0.0;
         let mut pull_res = 0.0;
         for seed in 0..10 {
-            push_res += RumorEpidemic::new(cfg(Direction::Push, 2))
-                .run(400, seed)
-                .residue;
-            pull_res += RumorEpidemic::new(cfg(Direction::Pull, 2))
-                .run(400, seed)
-                .residue;
+            push_res += run(RumorEpidemic::new(400, cfg(Direction::Push, 2)), seed).residue;
+            pull_res += run(RumorEpidemic::new(400, cfg(Direction::Pull, 2)), seed).residue;
         }
         assert!(
             pull_res < push_res,
@@ -350,7 +247,7 @@ mod tests {
 
     #[test]
     fn push_pull_converges() {
-        let r = RumorEpidemic::new(cfg(Direction::PushPull, 4)).run(300, 3);
+        let r = run(RumorEpidemic::new(300, cfg(Direction::PushPull, 4)), 3);
         assert!(r.residue < 0.02, "residue {}", r.residue);
     }
 
@@ -359,7 +256,7 @@ mod tests {
         let cfg = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 1 });
         let mut residues = 0.0;
         for seed in 0..20 {
-            residues += RumorEpidemic::new(cfg).run(300, seed).residue;
+            residues += run(RumorEpidemic::new(300, cfg), seed).residue;
         }
         // Table 2, k=1: residue ≈ 0.96.
         assert!(residues / 20.0 > 0.75, "mean residue {}", residues / 20.0);
@@ -370,15 +267,12 @@ mod tests {
         // §1.4: "paradoxically, push gets significantly better" under a
         // connection limit of 1 — rejected contacts cost no traffic but the
         // update still spreads, improving the residue/traffic trade-off.
-        let protocol = cfg(Direction::Push, 1);
+        let driver = RumorEpidemic::new(400, cfg(Direction::Push, 1));
         let mut unlimited = 0.0;
         let mut limited = 0.0;
         for seed in 0..30 {
-            unlimited += RumorEpidemic::new(protocol).run(400, seed).residue;
-            limited += RumorEpidemic::new(protocol)
-                .connection_limit(Some(1))
-                .run(400, seed)
-                .residue;
+            unlimited += run(driver, seed).residue;
+            limited += run(driver.connection_limit(Some(1)), seed).residue;
         }
         assert!(
             limited < unlimited,
@@ -388,15 +282,12 @@ mod tests {
 
     #[test]
     fn connection_limit_hurts_pull_residue() {
-        let protocol = cfg(Direction::Pull, 1);
+        let driver = RumorEpidemic::new(300, cfg(Direction::Pull, 1));
         let mut unlimited = 0.0;
         let mut limited = 0.0;
         for seed in 0..20 {
-            unlimited += RumorEpidemic::new(protocol).run(300, seed).residue;
-            limited += RumorEpidemic::new(protocol)
-                .connection_limit(Some(1))
-                .run(300, seed)
-                .residue;
+            unlimited += run(driver, seed).residue;
+            limited += run(driver.connection_limit(Some(1)), seed).residue;
         }
         assert!(
             limited >= unlimited,
@@ -406,34 +297,26 @@ mod tests {
 
     #[test]
     fn hunting_recovers_lost_connections() {
-        let protocol = cfg(Direction::Push, 4);
+        let limited = RumorEpidemic::new(300, cfg(Direction::Push, 4)).connection_limit(Some(1));
         let mut no_hunt_residue = 0.0;
         let mut hunt_residue = 0.0;
         for seed in 0..10 {
-            no_hunt_residue += RumorEpidemic::new(protocol)
-                .connection_limit(Some(1))
-                .run(300, seed)
-                .residue;
-            hunt_residue += RumorEpidemic::new(protocol)
-                .connection_limit(Some(1))
-                .hunt_limit(8)
-                .run(300, seed)
-                .residue;
+            no_hunt_residue += run(limited, seed).residue;
+            hunt_residue += run(limited.hunt_limit(8), seed).residue;
         }
         assert!(hunt_residue <= no_hunt_residue + 1e-9);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = RumorEpidemic::new(cfg(Direction::Push, 2)).run(200, 99);
-        let b = RumorEpidemic::new(cfg(Direction::Push, 2)).run(200, 99);
-        assert_eq!(a, b);
+        let driver = RumorEpidemic::new(200, cfg(Direction::Push, 2));
+        assert_eq!(run(driver, 99), run(driver, 99));
     }
 
     #[test]
     #[should_panic(expected = "at least two sites")]
     fn rejects_single_site() {
-        RumorEpidemic::new(cfg(Direction::Push, 1)).run(1, 0);
+        run(RumorEpidemic::new(1, cfg(Direction::Push, 1)), 0);
     }
 }
 
@@ -447,17 +330,17 @@ mod tests {
 ///
 /// ```
 /// use epidemic_core::Direction;
-/// use epidemic_sim::mixing::AntiEntropyEpidemic;
+/// use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena};
 ///
-/// let run = AntiEntropyEpidemic::new(Direction::Push).run(256, 1);
+/// let run = AntiEntropyEpidemic::new(256, Direction::Push).run(&mut MixingArena::new(), 1, &mut ());
 /// assert!(run.complete);
 /// // Expected cover time is log2(256) + ln(256) ≈ 13.5 cycles.
 /// assert!(run.cycles > 4 && run.cycles < 40);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AntiEntropyEpidemic {
+    n: usize,
     direction: Direction,
-    max_cycles: u32,
 }
 
 /// Result of one anti-entropy epidemic run.
@@ -472,80 +355,45 @@ pub struct AntiEntropyRun {
 }
 
 impl AntiEntropyEpidemic {
-    /// Creates a driver resolving differences in `direction`.
-    pub fn new(direction: Direction) -> Self {
-        AntiEntropyEpidemic {
-            direction,
-            max_cycles: 10_000,
-        }
+    /// Creates a driver on `n` sites resolving differences in `direction`.
+    pub fn new(n: usize, direction: Direction) -> Self {
+        AntiEntropyEpidemic { n, direction }
     }
 
-    /// Safety bound on simulated cycles.
-    pub fn max_cycles(mut self, max: u32) -> Self {
-        self.max_cycles = max;
-        self
-    }
-
-    /// Runs one epidemic: site 0 of `n` holds the update; each cycle every
-    /// site contacts a uniform random partner and resolves differences.
-    /// The update state is a single bit per site, matching the §1.3 model
-    /// where contacts against start-of-cycle state would only slow both
-    /// variants equally.
+    /// Runs one epidemic on the heap state `arena` kept from earlier runs,
+    /// reporting every contact and cycle boundary to `observer`: site 0
+    /// holds the update; each cycle every site contacts a uniform random
+    /// partner and resolves differences. The update state is a single bit
+    /// per site, matching the §1.3 model where contacts against
+    /// start-of-cycle state would only slow both variants equally.
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`.
-    pub fn run(&self, n: usize, seed: u64) -> AntiEntropyRun {
-        self.run_observed(n, seed, &mut ())
-    }
-
-    /// As [`AntiEntropyEpidemic::run`], reporting every contact and cycle
-    /// boundary to `observer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn run_observed<O: Observer<BitAntiEntropyProtocol>>(
+    /// Panics if the driver has fewer than two sites.
+    pub fn run<O: Observer<BitAntiEntropyProtocol>>(
         &self,
-        n: usize,
+        arena: &mut MixingArena,
         seed: u64,
         observer: &mut O,
     ) -> AntiEntropyRun {
-        let policy = UniformPartners::new(n);
+        let policy = UniformPartners::new(self.n);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut infected = vec![false; n];
-        infected[0] = true;
-        let mut protocol = BitAntiEntropyProtocol {
-            direction: self.direction,
-            infected,
-            snapshot: BitSet::new(n),
-            count: 1,
-            trace: Vec::new(),
-        };
-        let report = CycleEngine::new().max_cycles(self.max_cycles).run(
+        let state = std::mem::take(&mut arena.state);
+        let mut protocol = BitAntiEntropyProtocol::new(self.direction, self.n, state);
+        let report = CycleEngine::new().max_cycles(10_000).run(
             &mut protocol,
             &policy,
             &mut rng,
             observer,
+            &mut arena.buffers,
         );
+        let complete = protocol.count == self.n;
+        arena.state = protocol.state;
         AntiEntropyRun {
             cycles: report.cycles,
             susceptible_trace: protocol.trace,
-            complete: protocol.count == n,
+            complete,
         }
-    }
-
-    /// Runs `trials` epidemics in parallel with seeds `seed_base + trial`,
-    /// returning results in trial order — identical to a sequential loop
-    /// over [`AntiEntropyEpidemic::run`] at any thread count.
-    pub fn run_trials(
-        &self,
-        runner: crate::runner::TrialRunner,
-        n: usize,
-        trials: u64,
-        seed_base: u64,
-    ) -> Vec<AntiEntropyRun> {
-        runner.run(trials, seed_base, |seed| self.run(n, seed))
     }
 }
 
@@ -553,14 +401,19 @@ impl AntiEntropyEpidemic {
 mod ae_tests {
     use super::*;
 
+    /// Mean cover time over `trials` seeds, one arena throughout.
+    fn mean_cycles(driver: AntiEntropyEpidemic, trials: u64) -> f64 {
+        let mut arena = MixingArena::new();
+        (0..trials)
+            .map(|s| f64::from(driver.run(&mut arena, s, &mut ()).cycles))
+            .sum::<f64>()
+            / trials as f64
+    }
+
     #[test]
     fn push_cover_time_tracks_log2_plus_ln() {
-        let driver = AntiEntropyEpidemic::new(Direction::Push);
         let n = 1024;
-        let mean: f64 = (0..20)
-            .map(|s| f64::from(driver.run(n, s).cycles))
-            .sum::<f64>()
-            / 20.0;
+        let mean = mean_cycles(AntiEntropyEpidemic::new(n, Direction::Push), 20);
         let expected = (n as f64).log2() + (n as f64).ln();
         assert!(
             (mean - expected).abs() < expected * 0.25,
@@ -572,10 +425,11 @@ mod ae_tests {
     fn pull_converges_faster_than_push_in_the_tail() {
         // Compare cycles spent below 10% susceptible.
         let tail = |direction| {
-            let driver = AntiEntropyEpidemic::new(direction);
+            let driver = AntiEntropyEpidemic::new(2048, direction);
+            let mut arena = MixingArena::new();
             (0..10)
                 .map(|s| {
-                    let run = driver.run(2048, s);
+                    let run = driver.run(&mut arena, s, &mut ());
                     run.susceptible_trace
                         .iter()
                         .filter(|&&p| p > 0.0 && p < 0.1)
@@ -591,21 +445,16 @@ mod ae_tests {
 
     #[test]
     fn push_pull_behaves_like_pull() {
-        let driver_pp = AntiEntropyEpidemic::new(Direction::PushPull);
-        let driver_push = AntiEntropyEpidemic::new(Direction::Push);
-        let mean = |d: AntiEntropyEpidemic| {
-            (0..10)
-                .map(|s| f64::from(d.run(1024, s).cycles))
-                .sum::<f64>()
-                / 10.0
-        };
-        assert!(mean(driver_pp) < mean(driver_push));
+        let push_pull = mean_cycles(AntiEntropyEpidemic::new(1024, Direction::PushPull), 10);
+        let push = mean_cycles(AntiEntropyEpidemic::new(1024, Direction::Push), 10);
+        assert!(push_pull < push);
     }
 
     #[test]
     fn all_directions_always_complete() {
         for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
-            let run = AntiEntropyEpidemic::new(direction).run(128, 7);
+            let run =
+                AntiEntropyEpidemic::new(128, direction).run(&mut MixingArena::new(), 7, &mut ());
             assert!(run.complete);
             assert_eq!(*run.susceptible_trace.last().unwrap(), 0.0);
         }
@@ -615,18 +464,27 @@ mod ae_tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
+    use crate::engine::SirObserver;
     use epidemic_core::{Feedback, Removal};
+
+    /// The `(s, i, r)` trajectory and result of one run.
+    fn traced(
+        n: usize,
+        direction: Direction,
+        k: u32,
+        seed: u64,
+    ) -> (Vec<(f64, f64, f64)>, EpidemicResult) {
+        let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k });
+        let mut sir = SirObserver::new();
+        let result = RumorEpidemic::new(n, cfg).run(&mut MixingArena::new(), seed, &mut sir);
+        (sir.points, result)
+    }
 
     #[test]
     fn sir_fractions_always_sum_to_one() {
-        let cfg = RumorConfig::new(
-            Direction::Push,
-            Feedback::Feedback,
-            Removal::Counter { k: 2 },
-        );
-        let trace = RumorEpidemic::new(cfg).run_traced(300, 5);
-        assert!(!trace.points.is_empty());
-        for &(s, i, r) in &trace.points {
+        let (points, _) = traced(300, Direction::Push, 2, 5);
+        assert!(!points.is_empty());
+        for &(s, i, r) in &points {
             assert!((s + i + r - 1.0).abs() < 1e-12);
             assert!(s >= 0.0 && i >= 0.0 && r >= 0.0);
         }
@@ -634,29 +492,19 @@ mod trace_tests {
 
     #[test]
     fn trace_starts_with_one_infective_and_ends_quiescent() {
-        let cfg = RumorConfig::new(
-            Direction::Push,
-            Feedback::Feedback,
-            Removal::Counter { k: 3 },
-        );
-        let trace = RumorEpidemic::new(cfg).run_traced(200, 9);
-        let first = trace.points[0];
+        let (points, result) = traced(200, Direction::Push, 3, 9);
+        let first = points[0];
         assert!((first.0 - 199.0 / 200.0).abs() < 1e-12);
         assert!((first.1 - 1.0 / 200.0).abs() < 1e-12);
-        let last = trace.points.last().unwrap();
+        let last = points.last().unwrap();
         assert_eq!(last.1, 0.0, "quiescent: nobody infective");
-        assert!((last.0 - trace.result.residue).abs() < 1e-12);
+        assert!((last.0 - result.residue).abs() < 1e-12);
     }
 
     #[test]
     fn susceptible_fraction_is_monotone_nonincreasing() {
-        let cfg = RumorConfig::new(
-            Direction::PushPull,
-            Feedback::Feedback,
-            Removal::Counter { k: 2 },
-        );
-        let trace = RumorEpidemic::new(cfg).run_traced(300, 11);
-        for w in trace.points.windows(2) {
+        let (points, _) = traced(300, Direction::PushPull, 2, 11);
+        for w in points.windows(2) {
             assert!(w[1].0 <= w[0].0 + 1e-12);
         }
     }
@@ -668,9 +516,7 @@ mod trace_tests {
             Feedback::Feedback,
             Removal::Counter { k: 2 },
         );
-        let driver = RumorEpidemic::new(cfg);
-        let plain = driver.run(250, 3);
-        let traced = driver.run_traced(250, 3);
-        assert_eq!(plain, traced.result);
+        let plain = RumorEpidemic::new(250, cfg).run(&mut MixingArena::new(), 3, &mut ());
+        assert_eq!(plain, traced(250, Direction::Pull, 2, 3).1);
     }
 }

@@ -134,16 +134,13 @@ impl RumorSteadySim {
             injector: UpdateInjector::new(self.config.updates_per_cycle),
             scratch: &mut arena.scratch,
         };
-        let report = CycleEngine::new()
-            .max_cycles(total_cycles)
-            .run_instrumented(
-                &mut protocol,
-                &policy,
-                &mut rng,
-                &mut (),
-                &mut (),
-                &mut arena.buffers,
-            );
+        let report = CycleEngine::new().max_cycles(total_cycles).run(
+            &mut protocol,
+            &policy,
+            &mut rng,
+            &mut (),
+            &mut arena.buffers,
+        );
 
         // Coverage: each injected key should be at (nearly) all n sites.
         let injected = protocol.injector.injected();

@@ -3,12 +3,12 @@
 //! Every table and figure in the reproduction is a Monte-Carlo aggregate:
 //! `trials` independent simulations whose per-trial seeds are derived as
 //! `seed_base.wrapping_add(trial)` — exactly the seeds a sequential
-//! `for trial in 0..trials` loop would use. [`TrialRunner`] fans those
-//! trials out across threads (`std::thread::scope`, no dependencies) and
-//! hands results back **in trial order**, so any aggregation over them is
-//! bit-identical regardless of thread count. [`TrialRunner::fold_with`]
-//! folds them as they arrive instead of collecting them first, and lends
-//! each worker one reusable state (a trial arena) for all of its trials.
+//! `for trial in 0..trials` loop would use. [`TrialRunner::fold_with`] fans
+//! those trials out across threads (`std::thread::scope`, no dependencies)
+//! and folds their results **in trial order**, so any aggregate over them
+//! is bit-identical regardless of thread count. It lends each worker one
+//! reusable state — a trial arena, say, from an [`Arenas`] pool — for all
+//! of its trials.
 //!
 //! Thread count resolution, highest priority first:
 //!
@@ -20,7 +20,9 @@
 //! always capped by the trial count.
 
 use std::num::NonZeroUsize;
+use std::ops::{Deref, DerefMut};
 use std::sync::mpsc::sync_channel;
+use std::sync::Mutex;
 use std::time::Instant;
 
 use epidemic_trace::profile;
@@ -36,11 +38,16 @@ pub const THREADS_ENV_VAR: &str = "EPIDEMIC_THREADS";
 /// use epidemic_sim::runner::TrialRunner;
 ///
 /// let runner = TrialRunner::new();
-/// // Results arrive in trial order: seeds are 100, 101, ..., 107.
-/// let seeds = runner.run(8, 100, |seed| seed);
+/// let collect = |mut seeds: Vec<u64>, seed| {
+///     seeds.push(seed);
+///     seeds
+/// };
+/// // Results are folded in trial order: seeds are 100, 101, ..., 107.
+/// let seeds = runner.fold(8, 100, |seed| seed, Vec::new(), collect);
 /// assert_eq!(seeds, (100..108).collect::<Vec<u64>>());
 /// // Identical to a forced single-thread run.
-/// assert_eq!(seeds, TrialRunner::new().threads(1).run(8, 100, |seed| seed));
+/// let one = TrialRunner::new().threads(1);
+/// assert_eq!(seeds, one.fold(8, 100, |seed| seed, Vec::new(), collect));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrialRunner {
@@ -75,65 +82,10 @@ impl TrialRunner {
     }
 
     /// Runs `trials` trials with seeds `seed_base.wrapping_add(trial)` and
-    /// returns their results **in trial order**.
-    ///
-    /// When the global [`profile`] recorder is on,
-    /// the whole fan-out (spawn + simulate + join) is clocked under the
-    /// `runner.trials` phase.
-    pub fn run<T: Send>(
-        &self,
-        trials: u64,
-        seed_base: u64,
-        run: impl Fn(u64) -> T + Sync,
-    ) -> Vec<T> {
-        profile::time("runner.trials", || self.run_inner(trials, seed_base, run))
-    }
-
-    fn run_inner<T: Send>(
-        &self,
-        trials: u64,
-        seed_base: u64,
-        run: impl Fn(u64) -> T + Sync,
-    ) -> Vec<T> {
-        let count = usize::try_from(trials).expect("trial count fits in memory");
-        let workers = self.effective_threads(trials);
-        if workers <= 1 {
-            return (0..trials)
-                .map(|t| run(seed_base.wrapping_add(t)))
-                .collect();
-        }
-        let mut results: Vec<Option<T>> = Vec::with_capacity(count);
-        results.resize_with(count, || None);
-        let chunk = trials.div_ceil(workers as u64);
-        std::thread::scope(|scope| {
-            let run = &run;
-            let mut rest: &mut [Option<T>] = &mut results;
-            for w in 0..workers as u64 {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(trials);
-                if lo >= hi {
-                    break;
-                }
-                let (mine, tail) = rest.split_at_mut(usize::try_from(hi - lo).expect("chunk fits"));
-                rest = tail;
-                scope.spawn(move || {
-                    for (offset, slot) in mine.iter_mut().enumerate() {
-                        *slot = Some(run(seed_base.wrapping_add(lo + offset as u64)));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every trial slot is filled by its worker"))
-            .collect()
-    }
-
-    /// As [`TrialRunner::run`], but folds the per-trial results into an
-    /// accumulator — in trial order, so the aggregate is bit-identical at
-    /// any thread count (floating-point addition is not associative; a
-    /// fixed fold order sidesteps that entirely). [`TrialRunner::fold_with`]
-    /// without per-worker state.
+    /// folds their results into an accumulator — in trial order, so the
+    /// aggregate is bit-identical at any thread count (floating-point
+    /// addition is not associative; a fixed fold order sidesteps that
+    /// entirely). [`TrialRunner::fold_with`] without per-worker state.
     pub fn fold<T: Send, A>(
         &self,
         trials: u64,
@@ -179,7 +131,7 @@ impl TrialRunner {
     ) -> A {
         let started = profile::is_enabled().then(Instant::now);
         let mut fold_nanos = 0u64;
-        let timed_fold = |acc: A, result: T| {
+        let mut timed_fold = |acc: A, result: T| {
             if started.is_none() {
                 return fold(acc, result);
             }
@@ -192,15 +144,22 @@ impl TrialRunner {
         let acc = if workers <= 1 {
             fold_on_this_thread(trials, seed_base, make_state, run, init, timed_fold)
         } else {
+            let workers = workers as u64;
+            let mut acc = Some(init);
             fold_across_workers(
-                workers as u64,
+                workers,
                 trials,
-                seed_base,
-                make_state,
-                run,
-                init,
-                timed_fold,
-            )
+                &|w, emit: &mut dyn FnMut(T) -> bool| {
+                    let mut state = make_state();
+                    for t in (w..trials).step_by(workers as usize) {
+                        if !emit(run(&mut state, seed_base.wrapping_add(t))) {
+                            return;
+                        }
+                    }
+                },
+                &mut |result| acc = acc.take().map(|acc| timed_fold(acc, result)),
+            );
+            acc.expect("the accumulator is back after every fold")
         };
         if let Some(started) = started {
             let total = profile::span_nanos(started);
@@ -236,39 +195,36 @@ fn fold_on_this_thread<S, T, A>(
     acc
 }
 
-/// [`TrialRunner::fold_with`] on `workers` ≥ 2 threads.
-fn fold_across_workers<S, T: Send, A>(
+/// Worker `w`'s share of a multi-worker fold: `work(w, emit)` hands `emit`
+/// each of the worker's results in turn until `emit` returns `false`.
+type Work<'a, T> = dyn Fn(u64, &mut dyn FnMut(T) -> bool) + Sync + 'a;
+
+/// [`TrialRunner::fold_with`] on `workers` ≥ 2 threads: every worker runs
+/// its [`Work`], and `fold` sees every result in trial order. Generic over
+/// the result type alone, so the thread and channel machinery is compiled
+/// once per result type rather than once per call site — code no
+/// single-threaded run executes.
+fn fold_across_workers<T: Send>(
     workers: u64,
     trials: u64,
-    seed_base: u64,
-    make_state: impl Fn() -> S + Sync,
-    run: impl Fn(&mut S, u64) -> T + Sync,
-    init: A,
-    mut fold: impl FnMut(A, T) -> A,
-) -> A {
+    work: &Work<'_, T>,
+    fold: &mut dyn FnMut(T),
+) {
     std::thread::scope(|scope| {
-        let (make_state, run) = (&make_state, &run);
         let (handles, receivers): (Vec<_>, Vec<_>) = (0..workers)
             .map(|w| {
                 let (results, receiver) = sync_channel(RESULTS_IN_FLIGHT);
-                let handle = scope.spawn(move || {
-                    let mut state = make_state();
-                    for t in (w..trials).step_by(workers as usize) {
-                        let result = run(&mut state, seed_base.wrapping_add(t));
-                        if results.send(result).is_err() {
-                            // The caller stopped receiving: it is unwinding.
-                            return;
-                        }
-                    }
-                });
+                // A failed send means the caller stopped receiving: it is
+                // unwinding, and the worker stops.
+                let handle =
+                    scope.spawn(move || work(w, &mut |result| results.send(result).is_ok()));
                 (handle, receiver)
             })
             .unzip();
-        let mut acc = init;
         for t in 0..trials {
             let owner = (t % workers) as usize;
             match receivers[owner].recv() {
-                Ok(result) => acc = fold(acc, result),
+                Ok(result) => fold(result),
                 Err(_) => {
                     // The owner hung up before sending trial `t`: it
                     // panicked. Hang up on the others so none stays blocked
@@ -294,8 +250,58 @@ fn fold_across_workers<S, T: Send, A>(
                 std::panic::resume_unwind(panic);
             }
         }
-        acc
-    })
+    });
+}
+
+/// Trial arenas shared by the trial loops of one sweep: each worker of a
+/// [`TrialRunner::fold_with`] call takes one ([`Arenas::take`]) and puts it
+/// back when it finishes, so the arenas grow once per sweep rather than
+/// once per call. Which arena a worker gets is immaterial: no trial's
+/// result depends on what its arena held.
+#[derive(Debug, Default)]
+pub struct Arenas<T>(Mutex<Vec<T>>);
+
+impl<T: Default> Arenas<T> {
+    /// An arena for one worker's trials: a used one if any is free.
+    pub fn take(&self) -> Lent<'_, T> {
+        let arena = self
+            .0
+            .lock()
+            .expect("the free list is locked only to push or pop")
+            .pop();
+        Lent {
+            pool: self,
+            arena: arena.unwrap_or_default(),
+        }
+    }
+}
+
+/// An arena lent out of [`Arenas`]; dropping it gives it back.
+pub struct Lent<'a, T: Default> {
+    pool: &'a Arenas<T>,
+    arena: T,
+}
+
+impl<T: Default> Deref for Lent<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.arena
+    }
+}
+
+impl<T: Default> DerefMut for Lent<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.arena
+    }
+}
+
+impl<T: Default> Drop for Lent<'_, T> {
+    fn drop(&mut self) {
+        if let Ok(mut free) = self.pool.0.lock() {
+            free.push(std::mem::take(&mut self.arena));
+        }
+    }
 }
 
 /// The thread count used when no builder override is set:
@@ -339,18 +345,34 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Collects the results a fold visits, in fold order.
+    fn collected<T: Send>(
+        runner: TrialRunner,
+        trials: u64,
+        seed_base: u64,
+        run: impl Fn(u64) -> T + Sync,
+    ) -> Vec<T> {
+        runner.fold(trials, seed_base, run, Vec::new(), |mut seen, result| {
+            seen.push(result);
+            seen
+        })
+    }
+
+    /// Collects the seeds a fold visits from seed 0, in fold order.
+    fn fold_order(runner: TrialRunner, trials: u64, run: impl Fn(u64) -> u64 + Sync) -> Vec<u64> {
+        collected(runner, trials, 0, run)
+    }
+
     #[test]
     fn seeds_are_seed_base_plus_trial() {
-        let runner = TrialRunner::new();
-        let seeds = runner.run(50, 1_000, |seed| seed);
+        let seeds = collected(TrialRunner::new(), 50, 1_000, |seed| seed);
         let expected: Vec<u64> = (0..50).map(|t| 1_000 + t).collect();
         assert_eq!(seeds, expected);
     }
 
     #[test]
     fn seed_derivation_wraps() {
-        let runner = TrialRunner::new().threads(2);
-        let seeds = runner.run(3, u64::MAX, |seed| seed);
+        let seeds = collected(TrialRunner::new().threads(2), 3, u64::MAX, |seed| seed);
         assert_eq!(seeds, vec![u64::MAX, 0, 1]);
     }
 
@@ -362,34 +384,17 @@ mod tests {
             let x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             (x, (x >> 11) as f64 * 0.5f64.powi(53))
         };
-        let sequential = TrialRunner::new().threads(1).run(97, 7, simulate);
+        let sequential = collected(TrialRunner::new().threads(1), 97, 7, simulate);
         for workers in [2, 3, 8] {
-            let parallel = TrialRunner::new().threads(workers).run(97, 7, simulate);
+            let parallel = collected(TrialRunner::new().threads(workers), 97, 7, simulate);
             assert_eq!(sequential, parallel, "{workers} workers");
         }
     }
 
     #[test]
     fn fold_accumulates_in_trial_order() {
-        let order = TrialRunner::new().threads(4).fold(
-            20,
-            0,
-            |seed| seed,
-            Vec::new(),
-            |mut v, s| {
-                v.push(s);
-                v
-            },
-        );
+        let order = fold_order(TrialRunner::new().threads(4), 20, |seed| seed);
         assert_eq!(order, (0..20).collect::<Vec<u64>>());
-    }
-
-    /// Collects the seeds a fold visits, in fold order.
-    fn fold_order(runner: TrialRunner, trials: u64, run: impl Fn(u64) -> u64 + Sync) -> Vec<u64> {
-        runner.fold(trials, 0, run, Vec::new(), |mut seen, seed| {
-            seen.push(seed);
-            seen
-        })
     }
 
     /// Trial 0 finishes only after the second worker has finished every
@@ -573,8 +578,6 @@ mod tests {
     #[test]
     fn handles_zero_and_one_trials() {
         let runner = TrialRunner::new();
-        assert_eq!(runner.run(0, 9, |seed| seed), Vec::<u64>::new());
-        assert_eq!(runner.run(1, 9, |seed| seed), vec![9]);
         assert_eq!(runner.effective_threads(0), 1);
         assert_eq!(runner.effective_threads(1), 1);
         for threads in [1, 8] {
@@ -601,8 +604,6 @@ mod tests {
 
     #[test]
     fn more_workers_than_trials_is_safe() {
-        let results = TrialRunner::new().threads(64).run(5, 0, |seed| seed * 2);
-        assert_eq!(results, vec![0, 2, 4, 6, 8]);
         let folded = fold_order(TrialRunner::new().threads(64), 5, |seed| seed * 2);
         assert_eq!(folded, vec![0, 2, 4, 6, 8]);
     }

@@ -31,8 +31,8 @@ use rand::{RngExt, SeedableRng};
 
 use super::spec::{FaultEvent, FaultKind, Scenario, SiteSet, SpecError, StopRule, TopologySpec};
 use crate::engine::{
-    ContactStats, CycleEngine, EngineTotals, EpidemicProtocol, Observer, PartnerPolicy, Roster,
-    SirCounts, SirView, SpatialPartners, UniformPartners, UpdateInjector,
+    ContactStats, CycleEngine, EngineBuffers, EngineTotals, EpidemicProtocol, Observer,
+    PartnerPolicy, Roster, SirCounts, SirView, SpatialPartners, UniformPartners, UpdateInjector,
 };
 use crate::stats::Summary;
 use crate::util::{self, pair_mut};
@@ -147,7 +147,7 @@ struct OpenKey {
 /// max-cycles 100
 /// ";
 /// let spec = Scenario::parse(text).unwrap();
-/// let report = ScenarioEngine::new(spec).unwrap().run(7);
+/// let report = ScenarioEngine::new(spec).unwrap().run(7, &mut ());
 /// assert_eq!(report.residue, 0.0);
 /// assert!(report.converged_at.is_some());
 /// ```
@@ -168,14 +168,9 @@ impl ScenarioEngine {
         &self.spec
     }
 
-    /// Runs the scenario with the spec's own topology.
-    pub fn run(&self, seed: u64) -> ScenarioReport {
-        self.run_observed(seed, &mut ())
-    }
-
-    /// As [`ScenarioEngine::run`], reporting every contact and cycle end
-    /// to `observer`.
-    pub fn run_observed<O>(&self, seed: u64, observer: &mut O) -> ScenarioReport
+    /// Runs the scenario with the spec's own topology, reporting every
+    /// contact and cycle end to `observer` (`&mut ()` for none).
+    pub fn run<O>(&self, seed: u64, observer: &mut O) -> ScenarioReport
     where
         O: Observer<ScenarioProtocol>,
     {
@@ -213,7 +208,7 @@ impl ScenarioEngine {
     /// consumed exactly as [`ScenarioEngine::run`] would after topology
     /// setup, so a caller that reproduces the setup draws gets identical
     /// results.
-    pub fn run_with_policy<L, O>(
+    pub(crate) fn run_with_policy<L, O>(
         &self,
         rng: &mut StdRng,
         policy: &L,
@@ -242,6 +237,7 @@ impl ScenarioEngine {
             policy,
             rng,
             observer,
+            &mut EngineBuffers::default(),
         );
         protocol.into_report(&self.spec, report)
     }

@@ -121,7 +121,7 @@ impl ClearinghouseScenario {
     pub fn run(&self, seed: u64) -> ClearinghouseReport {
         let report = ScenarioEngine::new(self.to_scenario())
             .expect("clearinghouse spec is valid")
-            .run(seed);
+            .run(seed, &mut ());
         let mail = report.mail.expect("clearinghouse always mails");
         ClearinghouseReport {
             consistent_at: report.converged_at,
@@ -269,7 +269,7 @@ impl DormantDeathScenario {
         assert!(self.retention >= 1 && self.retention < self.sites - 1);
         let report = ScenarioEngine::new(self.to_scenario())
             .expect("dormant-death spec is valid")
-            .run(seed);
+            .run(seed, &mut ());
         DormantReport {
             awakened: usize::try_from(report.awakened).unwrap_or(usize::MAX),
             obsolete_cancelled: report.cancelled,
@@ -367,7 +367,7 @@ mod tests {
 
     #[test]
     fn partition_rejoin_converges_with_bounded_traffic() {
-        let report = partition(12).run(21);
+        let report = partition(12).run(21, &mut ());
         assert!(report.converged_at.is_some());
         // Each update must cross to 8 other sites: entries shipped after
         // the heal is bounded by a small multiple of updates x sites.
@@ -381,7 +381,7 @@ mod tests {
         // timestamps decide, and both halves agree after rejoin.
         let engine = partition(6);
         for seed in 0..3 {
-            assert!(engine.run(seed).converged_at.is_some());
+            assert!(engine.run(seed, &mut ()).converged_at.is_some());
         }
     }
 
@@ -400,7 +400,7 @@ mod tests {
         let sites = spec.sites;
         let report = ScenarioEngine::new(spec)
             .expect("crash spec is valid")
-            .run(seed);
+            .run(seed, &mut ());
         let at_recover = report
             .milestone("recover")
             .expect("the recover event fires");

@@ -15,6 +15,7 @@
 
 use std::borrow::Cow;
 
+use epidemic_core::rumor::RumorScratch;
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
 use epidemic_db::SiteId;
 use epidemic_net::{LinkTraffic, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
@@ -23,39 +24,107 @@ use rand::seq::IndexedRandom;
 use rand::SeedableRng;
 
 use crate::engine::{
-    ContactStats, CycleEngine, EpidemicProtocol, ReceiveLog, RouteRecorder, SpatialPartners,
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, Observer, ReceiveLog,
+    RouteRecorder, SpatialPartners,
 };
-use crate::util::pair_mut;
+use crate::util::{pair_mut, reset_replicas};
 
 /// Result of one spatial anti-entropy run (one update, one topology).
 #[derive(Debug, Clone)]
-pub struct SpatialRunResult {
+pub struct SpatialRunResult<'r> {
     /// Cycles until the last site received the update.
     pub t_last: u32,
     /// Mean cycles from injection to receipt over all sites.
     pub t_ave: f64,
-    /// Conversations charged per link, accumulated over `t_last` cycles.
-    pub compare_traffic: LinkTraffic,
+    /// Conversations charged per link, accumulated over the run: the
+    /// counters of the arena the run was given.
+    pub compare_traffic: &'r LinkTraffic,
     /// Update-bearing conversations charged per link, accumulated over the
     /// whole run.
-    pub update_traffic: LinkTraffic,
-    /// Cycles simulated (equals `t_last`: the run stops at convergence).
+    pub update_traffic: &'r LinkTraffic,
+    /// Cycles simulated. The run stops at convergence, so this is `t_last`
+    /// unless the cycle bound ended the run first.
     pub cycles: u32,
 }
 
-impl SpatialRunResult {
-    /// Mean compare conversations per link *per cycle*.
-    pub fn compare_per_link_cycle(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.compare_traffic.mean_per_link() / f64::from(self.cycles)
+/// Everything a spatial single-update run keeps on the heap — the
+/// replicas, the receive log, the per-link counters, the exchange and rumor
+/// scratch and the engine's roster buffers — owned across runs, so that a
+/// run on a warm arena allocates nothing. One arena serves
+/// [`AntiEntropySim`] and
+/// [`SpatialRumorSim`](crate::spatial_rumor::SpatialRumorSim) on any
+/// topology; each run starts from a state indistinguishable from a fresh
+/// one.
+#[derive(Debug, Default)]
+pub struct SpatialArena {
+    replicas: Vec<Replica<u32, u32>>,
+    pub(crate) received: ReceiveLog<u32>,
+    pub(crate) compare: LinkTraffic,
+    pub(crate) update: LinkTraffic,
+    exchange: ExchangeScratch<u32, u32>,
+    pub(crate) rumor: RumorScratch<u32>,
+    pub(crate) buffers: EngineBuffers,
+}
+
+impl SpatialArena {
+    /// An empty arena. Allocates nothing until its first run.
+    pub fn new() -> Self {
+        SpatialArena::default()
     }
 
-    /// Mean update transmissions per link over the run.
-    pub fn update_per_link(&self) -> f64 {
-        self.update_traffic.mean_per_link()
+    /// Lends the replicas, the receive log and the link counters to one
+    /// run on `sites`: every replica empty but the one at `origin` (drawn
+    /// uniformly from `rng` when `None`), which holds the update and is the
+    /// only one marked received, and the counters zeroed for `links` links
+    /// in a recorder over `routes`. [`SpatialArena::restore`] takes them
+    /// back.
+    pub(crate) fn spread<'a>(
+        &mut self,
+        sites: &'a [SiteId],
+        origin: Option<SiteId>,
+        routes: &'a Routes,
+        links: usize,
+        rng: &mut StdRng,
+    ) -> Spread<'a> {
+        reset_replicas(&mut self.replicas, sites.iter().copied());
+        let origin = origin.unwrap_or_else(|| *sites.choose(rng).expect("sites"));
+        let origin_idx = sites.binary_search(&origin).expect("site exists");
+        self.replicas[origin_idx].client_update(KEY, 1);
+        self.received.reset(sites.len());
+        self.received.mark(origin_idx, 0);
+        Spread {
+            origin: origin_idx,
+            sites,
+            replicas: std::mem::take(&mut self.replicas),
+            received: std::mem::take(&mut self.received),
+            recorder: RouteRecorder::reusing(
+                routes,
+                links,
+                std::mem::take(&mut self.compare),
+                std::mem::take(&mut self.update),
+            ),
+        }
     }
+
+    /// Takes back what [`SpatialArena::spread`] lent.
+    pub(crate) fn restore(&mut self, spread: Spread<'_>) {
+        self.replicas = spread.replicas;
+        self.received = spread.received;
+        self.compare = spread.recorder.compare;
+        self.update = spread.recorder.update;
+    }
+}
+
+/// One spatial single-update run's state, lent out of a [`SpatialArena`]:
+/// the replicas of the topology's sites, who has received the update and
+/// when, and the per-link counters.
+pub(crate) struct Spread<'a> {
+    /// Index of the site the update was injected at.
+    pub(crate) origin: usize,
+    pub(crate) sites: &'a [SiteId],
+    pub(crate) replicas: Vec<Replica<u32, u32>>,
+    pub(crate) received: ReceiveLog<u32>,
+    pub(crate) recorder: RouteRecorder<'a>,
 }
 
 /// Driver for the Table 4/5 experiments.
@@ -64,11 +133,12 @@ impl SpatialRunResult {
 ///
 /// ```
 /// use epidemic_net::{topologies, Spatial};
-/// use epidemic_sim::spatial_ae::AntiEntropySim;
+/// use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
 ///
 /// let topo = topologies::ring(24);
 /// let sim = AntiEntropySim::new(&topo, Spatial::QsPower { a: 2.0 });
-/// let result = sim.run(7, None);
+/// let mut arena = SpatialArena::new();
+/// let result = sim.run(&mut arena, 7, &mut ());
 /// assert!(result.t_last > 0);
 /// ```
 #[derive(Debug)]
@@ -76,13 +146,14 @@ pub struct AntiEntropySim<'a, S = PartnerSampler> {
     topology: &'a Topology,
     routes: Cow<'a, Routes>,
     sampler: S,
+    origin: Option<SiteId>,
     connection_limit: Option<u32>,
     hunt_limit: u32,
     max_cycles: u32,
 }
 
 /// The single key the spreading update uses.
-const KEY: u32 = 0;
+pub(crate) const KEY: u32 = 0;
 
 impl<'a> AntiEntropySim<'a, PartnerSampler> {
     /// Builds a simulator for `topology` under the given spatial
@@ -111,10 +182,18 @@ impl<'a, S: PartnerSelection> AntiEntropySim<'a, S> {
             topology,
             routes,
             sampler,
+            origin: None,
             connection_limit: None,
             hunt_limit: 0,
             max_cycles: 10_000,
         }
+    }
+
+    /// Injects every run's update at `origin` instead of at a site drawn
+    /// uniformly at random (that draw is a run's first).
+    pub fn origin(mut self, origin: SiteId) -> Self {
+        self.origin = Some(origin);
+        self
     }
 
     /// Limits conversations per site per cycle (Table 5 uses `Some(1)`).
@@ -129,49 +208,33 @@ impl<'a, S: PartnerSelection> AntiEntropySim<'a, S> {
         self
     }
 
-    /// Shortest-path routing tables (exposed for analysis).
-    pub fn routes(&self) -> &Routes {
-        &self.routes
-    }
-
-    /// Runs one experiment: a single update injected at `origin` (or at a
-    /// random site when `None`), push-pull full-database anti-entropy each
-    /// cycle, simulated until every site holds the update.
-    pub fn run(&self, seed: u64, origin: Option<SiteId>) -> SpatialRunResult {
-        self.run_observed(seed, origin, &mut ())
-    }
-
-    /// As [`AntiEntropySim::run`], reporting every contact and cycle
-    /// boundary to `observer` — e.g. a
+    /// Runs one experiment — a single update, push-pull full-database
+    /// anti-entropy each cycle, simulated until every site holds the
+    /// update — on the heap state `arena` kept from earlier runs, reporting
+    /// every contact and cycle boundary to `observer` (e.g. a
     /// [`TraceObserver`](crate::engine::trace::TraceObserver) or
-    /// [`InvariantObserver`](crate::engine::trace::InvariantObserver).
-    pub fn run_observed<'s, O>(
+    /// [`InvariantObserver`](crate::engine::trace::InvariantObserver);
+    /// `&mut ()` for none). The result equals a fresh arena's, and once the
+    /// arena has grown to this topology nothing is allocated.
+    pub fn run<'s, 'r, O>(
         &'s self,
+        arena: &'r mut SpatialArena,
         seed: u64,
-        origin: Option<SiteId>,
         observer: &mut O,
-    ) -> SpatialRunResult
+    ) -> SpatialRunResult<'r>
     where
-        O: crate::engine::Observer<SpatialAntiEntropyProtocol<'s>>,
+        O: Observer<SpatialAntiEntropyProtocol<'s>>,
     {
         let mut rng = StdRng::seed_from_u64(seed);
         let sites = self.topology.sites();
-        let n = sites.len();
-        let mut replicas: Vec<Replica<u32, u32>> = sites.iter().map(|&s| Replica::new(s)).collect();
-        let origin = origin.unwrap_or_else(|| *sites.choose(&mut rng).expect("sites"));
-        let origin_idx = sites.binary_search(&origin).expect("site exists");
-        replicas[origin_idx].client_update(KEY, 1);
-        replicas[origin_idx].hot_mut().clear(); // pure anti-entropy: nothing is "hot"
-        let mut received = ReceiveLog::new(n);
-        received.mark(origin_idx, 0);
-
+        let links = self.topology.link_count();
+        let mut spread = arena.spread(sites, self.origin, &self.routes, links, &mut rng);
+        // Pure anti-entropy: nothing is "hot".
+        spread.replicas[spread.origin].hot_mut().clear();
         let mut protocol = SpatialAntiEntropyProtocol {
             exchange: AntiEntropy::new(Direction::PushPull, Comparison::Full),
-            sites,
-            replicas,
-            received,
-            recorder: RouteRecorder::new(&self.routes, self.topology.link_count()),
-            scratch: ExchangeScratch::new(),
+            spread,
+            scratch: std::mem::take(&mut arena.exchange),
         };
         let report = CycleEngine::new()
             .connection_limit(self.connection_limit)
@@ -182,32 +245,17 @@ impl<'a, S: PartnerSelection> AntiEntropySim<'a, S> {
                 &SpatialPartners::new(sites, &self.sampler),
                 &mut rng,
                 observer,
+                &mut arena.buffers,
             );
-
+        arena.restore(protocol.spread);
+        arena.exchange = protocol.scratch;
         SpatialRunResult {
-            t_last: protocol.received.t_last().unwrap_or(0),
-            t_ave: protocol.received.t_ave_all(report.cycles),
-            compare_traffic: protocol.recorder.compare,
-            update_traffic: protocol.recorder.update,
+            t_last: arena.received.t_last().unwrap_or(0),
+            t_ave: arena.received.t_ave_all(report.cycles),
+            compare_traffic: &arena.compare,
+            update_traffic: &arena.update,
             cycles: report.cycles,
         }
-    }
-
-    /// Runs `trials` experiments in parallel with seeds
-    /// `seed_base + trial`, returning results in trial order — identical
-    /// to a sequential loop over [`AntiEntropySim::run`] at any thread
-    /// count.
-    pub fn run_trials(
-        &self,
-        runner: crate::runner::TrialRunner,
-        trials: u64,
-        seed_base: u64,
-        origin: Option<SiteId>,
-    ) -> Vec<SpatialRunResult>
-    where
-        S: Sync,
-    {
-        runner.run(trials, seed_base, |seed| self.run(seed, origin))
     }
 }
 
@@ -216,53 +264,56 @@ impl<'a, S: PartnerSelection> AntiEntropySim<'a, S> {
 /// and each conversation is charged along its shortest route.
 ///
 /// Public so observers can be written against it (it is the `P` of
-/// [`AntiEntropySim::run_observed`]); construction stays crate-internal.
+/// [`AntiEntropySim::run`]); construction stays crate-internal.
 pub struct SpatialAntiEntropyProtocol<'a> {
     exchange: AntiEntropy,
-    pub(crate) sites: &'a [SiteId],
-    pub(crate) replicas: Vec<Replica<u32, u32>>,
-    received: ReceiveLog<u32>,
-    recorder: RouteRecorder<'a>,
+    pub(crate) spread: Spread<'a>,
     scratch: ExchangeScratch<u32, u32>,
 }
 
 impl EpidemicProtocol for SpatialAntiEntropyProtocol<'_> {
     fn site_count(&self) -> usize {
-        self.replicas.len()
+        self.spread.replicas.len()
     }
 
     fn finished(&self, _cycle: u32, _active: &[usize]) -> bool {
-        self.received.complete()
+        self.spread.received.complete()
     }
 
     fn contact(&mut self, cycle: u32, i: usize, j: usize, _rng: &mut StdRng) -> ContactStats {
+        let Spread {
+            sites,
+            replicas,
+            received,
+            recorder,
+            ..
+        } = &mut self.spread;
         // A site is marked exactly when it holds the update — the origin
         // from the start, everyone else from the contact that delivered it
         // — and there is one version of one key, so two sites with equal
         // marks hold equal databases: the conversation still happens and
         // is charged, but its diff is empty and need not be computed.
-        if self.received.is_marked(i) == self.received.is_marked(j) {
+        if received.is_marked(i) == received.is_marked(j) {
             #[cfg(debug_assertions)]
             {
-                let (a, b) = pair_mut(&mut self.replicas, i, j);
+                let (a, b) = pair_mut(replicas, i, j);
                 let stats = self.exchange.exchange_with(a, b, &mut self.scratch);
                 assert!(
                     !stats.update_flowed(),
                     "sites {i} and {j} carry equal marks but exchanged {stats:?}"
                 );
             }
-            self.recorder.record(self.sites[i], self.sites[j], 0);
+            recorder.record(sites[i], sites[j], 0);
             return ContactStats::default();
         }
-        let (a, b) = pair_mut(&mut self.replicas, i, j);
+        let (a, b) = pair_mut(replicas, i, j);
         let stats = self.exchange.exchange_with(a, b, &mut self.scratch);
         let flowed = stats.update_flowed();
-        self.recorder
-            .record(self.sites[i], self.sites[j], u64::from(flowed));
+        recorder.record(sites[i], sites[j], u64::from(flowed));
         if flowed {
             for idx in [i, j] {
-                if self.replicas[idx].db().entry(&KEY).is_some() {
-                    self.received.mark(idx, cycle);
+                if replicas[idx].db().entry(&KEY).is_some() {
+                    received.mark(idx, cycle);
                 }
             }
         }
@@ -277,9 +328,9 @@ impl crate::engine::SirView for SpatialAntiEntropyProtocol<'_> {
     fn sir_counts(&self) -> crate::engine::SirCounts {
         // Pure anti-entropy never removes: every informed site keeps
         // exchanging forever (the run just stops at full coverage).
-        let have = self.received.received_count();
+        let have = self.spread.received.received_count();
         crate::engine::SirCounts {
-            susceptible: self.replicas.len() - have,
+            susceptible: self.spread.replicas.len() - have,
             infective: have,
             removed: 0,
         }
@@ -294,8 +345,9 @@ mod tests {
     #[test]
     fn converges_on_a_ring() {
         let topo = topologies::ring(20);
-        let sim = AntiEntropySim::new(&topo, Spatial::Uniform);
-        let r = sim.run(1, Some(topo.sites()[0]));
+        let sim = AntiEntropySim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
+        let mut arena = SpatialArena::new();
+        let r = sim.run(&mut arena, 1, &mut ());
         assert!(r.t_last > 0);
         assert!(r.t_ave <= f64::from(r.t_last));
         assert_eq!(r.cycles, r.t_last, "run stops exactly at convergence");
@@ -307,18 +359,20 @@ mod tests {
         // On a line, the end-to-end links carry far less traffic under
         // Qs^-2 than under uniform selection.
         let topo = topologies::line(30);
-        let uniform = AntiEntropySim::new(&topo, Spatial::Uniform);
-        let local = AntiEntropySim::new(&topo, Spatial::QsPower { a: 2.0 });
-        let mut uniform_mid = 0.0;
-        let mut local_mid = 0.0;
+        let uniform = AntiEntropySim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
+        let local = AntiEntropySim::new(&topo, Spatial::QsPower { a: 2.0 }).origin(topo.sites()[0]);
         let mid_link = topo
             .link_between(topo.sites()[14], topo.sites()[15])
             .unwrap();
+        let mut arena = SpatialArena::new();
+        let mut mid = |sim: &AntiEntropySim<'_>, seed| {
+            let r = sim.run(&mut arena, seed, &mut ());
+            r.compare_traffic.at(mid_link) as f64 / f64::from(r.cycles)
+        };
+        let (mut uniform_mid, mut local_mid) = (0.0, 0.0);
         for seed in 0..10 {
-            let ru = uniform.run(seed, Some(topo.sites()[0]));
-            let rl = local.run(seed, Some(topo.sites()[0]));
-            uniform_mid += ru.compare_traffic.at(mid_link) as f64 / f64::from(ru.cycles);
-            local_mid += rl.compare_traffic.at(mid_link) as f64 / f64::from(rl.cycles);
+            uniform_mid += mid(&uniform, seed);
+            local_mid += mid(&local, seed);
         }
         assert!(
             local_mid < uniform_mid / 2.0,
@@ -329,13 +383,16 @@ mod tests {
     #[test]
     fn connection_limit_slows_but_still_converges() {
         let topo = topologies::grid(&[5, 5]);
-        let unlimited = AntiEntropySim::new(&topo, Spatial::Uniform);
-        let limited = AntiEntropySim::new(&topo, Spatial::Uniform).connection_limit(Some(1));
+        let unlimited = AntiEntropySim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
+        let limited = AntiEntropySim::new(&topo, Spatial::Uniform)
+            .origin(topo.sites()[0])
+            .connection_limit(Some(1));
+        let mut arena = SpatialArena::new();
         let mut t_unlimited = 0.0;
         let mut t_limited = 0.0;
         for seed in 0..10 {
-            t_unlimited += f64::from(unlimited.run(seed, Some(topo.sites()[0])).t_last);
-            t_limited += f64::from(limited.run(seed, Some(topo.sites()[0])).t_last);
+            t_unlimited += f64::from(unlimited.run(&mut arena, seed, &mut ()).t_last);
+            t_limited += f64::from(limited.run(&mut arena, seed, &mut ()).t_last);
         }
         assert!(t_limited > t_unlimited, "{t_limited} vs {t_unlimited}");
     }
@@ -344,9 +401,11 @@ mod tests {
     fn deterministic_given_seed() {
         let topo = topologies::ring(16);
         let sim = AntiEntropySim::new(&topo, Spatial::QsPower { a: 1.4 });
-        let a = sim.run(5, None);
-        let b = sim.run(5, None);
-        assert_eq!(a.t_last, b.t_last);
-        assert_eq!(a.compare_traffic, b.compare_traffic);
+        let mut arena = SpatialArena::new();
+        let a = sim.run(&mut arena, 5, &mut ());
+        let (t_last, compare) = (a.t_last, a.compare_traffic.clone());
+        let b = sim.run(&mut arena, 5, &mut ());
+        assert_eq!(t_last, b.t_last);
+        assert_eq!(&compare, b.compare_traffic);
     }
 }

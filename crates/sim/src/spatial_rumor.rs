@@ -8,23 +8,23 @@
 //! module provides the topology-aware driver, the minimal-`k` search and a
 //! failure-probability estimator.
 
-use epidemic_core::rumor::{self, RumorConfig};
-use epidemic_core::{Direction, Replica};
+use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
+use epidemic_core::{Direction, Removal};
 use epidemic_db::SiteId;
 use epidemic_net::{LinkTraffic, PartnerSampler, Routes, Spatial, Topology};
 use rand::rngs::StdRng;
-use rand::seq::IndexedRandom;
 use rand::SeedableRng;
 
 use crate::engine::{
-    ContactStats, CycleEngine, EpidemicProtocol, ReceiveLog, Roster, RouteRecorder, SpatialPartners,
+    ContactStats, CycleEngine, EpidemicProtocol, Observer, ReceiveLog, Roster, SpatialPartners,
 };
-use crate::runner::TrialRunner;
+use crate::runner::{Arenas, TrialRunner};
+use crate::spatial_ae::{SpatialArena, Spread, KEY};
 use crate::util::pair_mut;
 
 /// Result of one topology-aware rumor-mongering run.
 #[derive(Debug, Clone)]
-pub struct SpatialRumorResult {
+pub struct SpatialRumorResult<'r> {
     /// Whether every site received the update before quiescence.
     pub complete: bool,
     /// Fraction of sites still susceptible at quiescence.
@@ -33,14 +33,16 @@ pub struct SpatialRumorResult {
     pub t_last: u32,
     /// Mean cycles to receipt over receiving sites.
     pub t_ave: f64,
-    /// Conversations per link, accumulated over the run.
-    pub compare_traffic: LinkTraffic,
+    /// Conversations per link, accumulated over the run: the counters of
+    /// the arena the run was given.
+    pub compare_traffic: &'r LinkTraffic,
     /// Update transmissions per link, accumulated over the run.
-    pub update_traffic: LinkTraffic,
+    pub update_traffic: &'r LinkTraffic,
     /// Cycles until quiescence.
     pub cycles: u32,
-    /// Sites that never received the update.
-    pub susceptible_sites: Vec<SiteId>,
+    /// Who received the update and when, by index into the topology's
+    /// sites.
+    pub received: &'r ReceiveLog<u32>,
 }
 
 /// Driver for rumor mongering with spatial partner selection.
@@ -50,13 +52,15 @@ pub struct SpatialRumorResult {
 /// ```
 /// use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 /// use epidemic_net::{topologies, Spatial};
+/// use epidemic_sim::spatial_ae::SpatialArena;
 /// use epidemic_sim::spatial_rumor::SpatialRumorSim;
 ///
 /// let topo = topologies::ring(16);
 /// let cfg = RumorConfig::new(Direction::PushPull, Feedback::Feedback,
 ///                            Removal::Counter { k: 4 });
 /// let sim = SpatialRumorSim::new(&topo, Spatial::QsPower { a: 1.2 }, cfg);
-/// let r = sim.run(3, None);
+/// let mut arena = SpatialArena::new();
+/// let r = sim.run(&mut arena, 3, &mut ());
 /// assert!(r.cycles > 0);
 /// ```
 #[derive(Debug)]
@@ -65,10 +69,9 @@ pub struct SpatialRumorSim<'a> {
     routes: Routes,
     sampler: PartnerSampler,
     cfg: RumorConfig,
+    origin: Option<SiteId>,
     max_cycles: u32,
 }
-
-const KEY: u32 = 0;
 
 impl<'a> SpatialRumorSim<'a> {
     /// Builds a simulator; routing and sampling tables are precomputed.
@@ -80,85 +83,62 @@ impl<'a> SpatialRumorSim<'a> {
             routes,
             sampler,
             cfg,
+            origin: None,
             max_cycles: 100_000,
         }
     }
 
-    /// Replaces the rumor configuration (e.g. to sweep `k`).
-    pub fn with_config(mut self, cfg: RumorConfig) -> Self {
-        self.cfg = cfg;
+    /// Injects every run's rumor at `origin` instead of at a site drawn
+    /// uniformly at random (that draw is a run's first).
+    pub fn origin(mut self, origin: SiteId) -> Self {
+        self.origin = Some(origin);
         self
     }
 
-    /// Runs one epidemic from `origin` (random site when `None`) until no
-    /// rumor is hot anywhere.
-    pub fn run(&self, seed: u64, origin: Option<SiteId>) -> SpatialRumorResult {
-        self.run_observed(seed, origin, &mut ())
-    }
-
-    /// As [`SpatialRumorSim::run`], reporting every contact and cycle
-    /// boundary to `observer` — e.g. a
+    /// Runs one epidemic until no rumor is hot anywhere, on the heap state
+    /// `arena` kept from earlier runs, reporting every contact and cycle
+    /// boundary to `observer` (e.g. a
     /// [`TraceObserver`](crate::engine::trace::TraceObserver) or
-    /// [`InvariantObserver`](crate::engine::trace::InvariantObserver).
-    pub fn run_observed<'s, O>(
+    /// [`InvariantObserver`](crate::engine::trace::InvariantObserver);
+    /// `&mut ()` for none). The result equals a fresh arena's, and once the
+    /// arena has grown to this topology nothing is allocated.
+    pub fn run<'s, 'r, O>(
         &'s self,
+        arena: &'r mut SpatialArena,
         seed: u64,
-        origin: Option<SiteId>,
         observer: &mut O,
-    ) -> SpatialRumorResult
+    ) -> SpatialRumorResult<'r>
     where
-        O: crate::engine::Observer<SpatialRumorProtocol<'s>>,
+        O: Observer<SpatialRumorProtocol<'s>>,
     {
         let mut rng = StdRng::seed_from_u64(seed);
         let sites = self.topology.sites();
-        let n = sites.len();
-        let mut replicas: Vec<Replica<u32, u32>> = sites.iter().map(|&s| Replica::new(s)).collect();
-        let origin = origin.unwrap_or_else(|| *sites.choose(&mut rng).expect("sites"));
-        let origin_idx = sites.binary_search(&origin).expect("site exists");
-        replicas[origin_idx].client_update(KEY, 1);
-        let mut received = ReceiveLog::new(n);
-        received.mark(origin_idx, 0);
-
+        let links = self.topology.link_count();
         let mut protocol = SpatialRumorProtocol {
             cfg: self.cfg,
-            sites,
-            replicas,
-            received,
-            recorder: RouteRecorder::new(&self.routes, self.topology.link_count()),
-            scratch: rumor::RumorScratch::new(),
+            spread: arena.spread(sites, self.origin, &self.routes, links, &mut rng),
+            scratch: std::mem::take(&mut arena.rumor),
         };
         let report = CycleEngine::new().max_cycles(self.max_cycles).run(
             &mut protocol,
             &SpatialPartners::new(sites, &self.sampler),
             &mut rng,
             observer,
+            &mut arena.buffers,
         );
-
-        let received = protocol.received;
-        let susceptible_sites: Vec<SiteId> = received.unreceived().map(|i| sites[i]).collect();
+        arena.restore(protocol.spread);
+        arena.rumor = protocol.scratch;
+        let received = &arena.received;
         SpatialRumorResult {
             complete: received.complete(),
             residue: received.residue(),
             t_last: received.t_last().unwrap_or(0),
             t_ave: received.t_ave_received(),
-            compare_traffic: protocol.recorder.compare,
-            update_traffic: protocol.recorder.update,
+            compare_traffic: &arena.compare,
+            update_traffic: &arena.update,
             cycles: report.cycles,
-            susceptible_sites,
+            received,
         }
-    }
-
-    /// Runs `trials` epidemics in parallel with seeds
-    /// `seed_base + trial`, returning results in trial order — identical
-    /// to a sequential loop over [`SpatialRumorSim::run`].
-    pub fn run_trials(
-        &self,
-        runner: TrialRunner,
-        trials: u64,
-        seed_base: u64,
-        origin: Option<SiteId>,
-    ) -> Vec<SpatialRumorResult> {
-        runner.run(trials, seed_base, |seed| self.run(seed, origin))
     }
 }
 
@@ -168,19 +148,16 @@ impl<'a> SpatialRumorSim<'a> {
 /// one update unit per entry sent).
 ///
 /// Public so observers can be written against it (it is the `P` of
-/// [`SpatialRumorSim::run_observed`]); construction stays crate-internal.
+/// [`SpatialRumorSim::run`]); construction stays crate-internal.
 pub struct SpatialRumorProtocol<'a> {
     cfg: RumorConfig,
-    pub(crate) sites: &'a [SiteId],
-    pub(crate) replicas: Vec<Replica<u32, u32>>,
-    received: ReceiveLog<u32>,
-    recorder: RouteRecorder<'a>,
-    scratch: rumor::RumorScratch<u32>,
+    pub(crate) spread: Spread<'a>,
+    scratch: RumorScratch<u32>,
 }
 
 impl EpidemicProtocol for SpatialRumorProtocol<'_> {
     fn site_count(&self) -> usize {
-        self.replicas.len()
+        self.spread.replicas.len()
     }
 
     fn roster(&self) -> Roster {
@@ -191,7 +168,7 @@ impl EpidemicProtocol for SpatialRumorProtocol<'_> {
     }
 
     fn is_active(&self, i: usize) -> bool {
-        !self.replicas[i].hot().is_empty()
+        !self.spread.replicas[i].hot().is_empty()
     }
 
     fn finished(&self, _cycle: u32, active: &[usize]) -> bool {
@@ -199,11 +176,18 @@ impl EpidemicProtocol for SpatialRumorProtocol<'_> {
     }
 
     fn contact(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
-        let (a, b) = pair_mut(&mut self.replicas, i, j);
+        let Spread {
+            sites,
+            replicas,
+            received,
+            recorder,
+            ..
+        } = &mut self.spread;
+        let (a, b) = pair_mut(replicas, i, j);
         let stats = rumor::contact_with(&self.cfg, a, b, rng, &mut self.scratch);
-        self.recorder.record(
-            self.sites[i],
-            self.sites[j],
+        recorder.record(
+            sites[i],
+            sites[j],
             // Saturating, not panicking: the conversion cannot fail on
             // 64-bit targets, and a hot-path abort is the wrong failure
             // mode if it ever could.
@@ -212,18 +196,18 @@ impl EpidemicProtocol for SpatialRumorProtocol<'_> {
         match self.cfg.direction {
             Direction::Push => {
                 if stats.useful > 0 {
-                    self.received.mark(j, cycle);
+                    received.mark(j, cycle);
                 }
             }
             Direction::Pull => {
                 if stats.useful > 0 {
-                    self.received.mark(i, cycle);
+                    received.mark(i, cycle);
                 }
             }
             Direction::PushPull => {
                 for idx in [i, j] {
-                    if self.replicas[idx].db().entry(&KEY).is_some() {
-                        self.received.mark(idx, cycle);
+                    if replicas[idx].db().entry(&KEY).is_some() {
+                        received.mark(idx, cycle);
                     }
                 }
             }
@@ -233,7 +217,7 @@ impl EpidemicProtocol for SpatialRumorProtocol<'_> {
 
     fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
         if self.cfg.direction == Direction::Pull {
-            for r in &mut self.replicas {
+            for r in &mut self.spread.replicas {
                 rumor::end_cycle(&self.cfg, r);
             }
         }
@@ -242,10 +226,11 @@ impl EpidemicProtocol for SpatialRumorProtocol<'_> {
 
 impl crate::engine::SirView for SpatialRumorProtocol<'_> {
     fn sir_counts(&self) -> crate::engine::SirCounts {
-        let infective = self.replicas.iter().filter(|r| !r.hot().is_empty()).count();
-        let have = self.received.received_count();
+        let replicas = &self.spread.replicas;
+        let infective = replicas.iter().filter(|r| !r.hot().is_empty()).count();
+        let have = self.spread.received.received_count();
         crate::engine::SirCounts {
-            susceptible: self.replicas.len() - have,
+            susceptible: replicas.len() - have,
             infective,
             removed: have - infective,
         }
@@ -256,51 +241,46 @@ impl crate::engine::SirView for SpatialRumorProtocol<'_> {
 /// protocol achieves 100% distribution in each of `trials` runs (random
 /// origins). Returns `None` if no such `k` exists within the bound.
 ///
-/// Trials run in parallel waves (one wave per hardware thread batch) so a
-/// failing `k` is abandoned as early as a sequential scan would, while a
-/// succeeding `k` gets full fan-out. The verdict per `k` is identical to
-/// the sequential loop: seeds do not depend on scheduling.
+/// Trials run in parallel waves of the runner's worker count, on trial
+/// arenas from `arenas`. A wave runs all of its trials even after one of
+/// them fails, and only then abandons its `k`; so only the verdict per `k`
+/// is identical to a sequential scan's (seeds are fixed per trial index),
+/// not the number of runs it took.
 pub fn minimum_k(
-    topology: &Topology,
-    spatial: Spatial,
-    base: RumorConfig,
-    trials: u32,
-    max_k: u32,
-) -> Option<u32> {
-    minimum_k_with(TrialRunner::new(), topology, spatial, base, trials, max_k)
-}
-
-/// As [`minimum_k`] but on a caller-provided [`TrialRunner`]. The verdict
-/// per `k` does not depend on the runner's thread count (seeds are fixed
-/// per trial index); only the wave size — and hence how early a failing
-/// `k` is abandoned — varies.
-pub fn minimum_k_with(
     runner: TrialRunner,
+    arenas: &Arenas<SpatialArena>,
     topology: &Topology,
     spatial: Spatial,
     base: RumorConfig,
     trials: u32,
     max_k: u32,
 ) -> Option<u32> {
-    let wave = u64::try_from(runner.effective_threads(u64::from(trials))).expect("usize fits u64");
+    let trials = u64::from(trials);
+    let wave = u64::try_from(runner.effective_threads(trials)).expect("usize fits u64");
     for k in 1..=max_k {
         let cfg = RumorConfig {
             removal: match base.removal {
-                epidemic_core::Removal::Counter { .. } => epidemic_core::Removal::Counter { k },
-                epidemic_core::Removal::Coin { .. } => epidemic_core::Removal::Coin { k },
+                Removal::Counter { .. } => Removal::Counter { k },
+                Removal::Coin { .. } => Removal::Coin { k },
             },
             ..base
         };
         let sim = SpatialRumorSim::new(topology, spatial, cfg);
         let mut all_complete = true;
         let mut done = 0u64;
-        while all_complete && done < u64::from(trials) {
-            let batch = wave.min(u64::from(trials) - done);
+        while all_complete && done < trials {
+            let batch = wave.min(trials - done);
             // Seeds `k << 32 | t` with `t < 2^32` make `or` and `add`
             // coincide, so the runner's additive derivation reproduces the
             // historical per-trial seeds exactly.
-            let outcomes = sim.run_trials(runner, batch, u64::from(k) << 32 | done, None);
-            all_complete = outcomes.iter().all(|r| r.complete);
+            all_complete = runner.fold_with(
+                batch,
+                u64::from(k) << 32 | done,
+                || arenas.take(),
+                |arena, seed| sim.run(arena, seed, &mut ()).complete,
+                true,
+                |all, complete| all && complete,
+            );
             done += batch;
         }
         if all_complete {
@@ -310,22 +290,27 @@ pub fn minimum_k_with(
     None
 }
 
-/// Estimates the probability that the epidemic fails to reach all sites,
-/// over `trials` runs injected at `origin`. Trials run in parallel on
-/// `runner`; the estimate is identical to the sequential loop's.
+/// Estimates the probability that `sim`'s epidemic fails to reach all
+/// sites, over `trials` runs; 0 when `trials` is 0. Trials run on `runner`
+/// with trial arenas from `arenas`; the estimate is identical to the
+/// sequential loop's.
 pub fn failure_probability(
     runner: TrialRunner,
-    topology: &Topology,
-    spatial: Spatial,
-    cfg: RumorConfig,
+    arenas: &Arenas<SpatialArena>,
+    sim: &SpatialRumorSim<'_>,
     trials: u64,
-    origin: Option<SiteId>,
 ) -> f64 {
-    let sim = SpatialRumorSim::new(topology, spatial, cfg);
-    let failures = runner.fold(
+    if trials == 0 {
+        return 0.0;
+    }
+    let failures = runner.fold_with(
         trials,
         0,
-        |t| !sim.run(t.wrapping_mul(0x9E37_79B9), origin).complete,
+        || arenas.take(),
+        |arena, t| {
+            !sim.run(arena, t.wrapping_mul(0x9E37_79B9), &mut ())
+                .complete
+        },
         0u64,
         |acc, failed| acc + u64::from(failed),
     );
@@ -335,7 +320,7 @@ pub fn failure_probability(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epidemic_core::{Feedback, Removal};
+    use epidemic_core::Feedback;
     use epidemic_net::topologies;
 
     fn cfg(direction: Direction, k: u32) -> RumorConfig {
@@ -345,8 +330,10 @@ mod tests {
     #[test]
     fn push_pull_on_ring_completes_with_generous_k() {
         let topo = topologies::ring(20);
-        let sim = SpatialRumorSim::new(&topo, Spatial::Uniform, cfg(Direction::PushPull, 5));
-        let r = sim.run(1, Some(topo.sites()[0]));
+        let sim = SpatialRumorSim::new(&topo, Spatial::Uniform, cfg(Direction::PushPull, 5))
+            .origin(topo.sites()[0]);
+        let mut arena = SpatialArena::new();
+        let r = sim.run(&mut arena, 1, &mut ());
         assert!(r.complete, "residue {}", r.residue);
         assert!(r.update_traffic.total() > 0);
     }
@@ -355,11 +342,23 @@ mod tests {
     fn minimum_k_finds_the_smallest_working_k() {
         let topo = topologies::line(24);
         let base = cfg(Direction::PushPull, 1);
-        let k = minimum_k(&topo, Spatial::Uniform, base, 10, 16).expect("some k works");
+        let arenas = Arenas::default();
+        let search = |max_k| {
+            minimum_k(
+                TrialRunner::new(),
+                &arenas,
+                &topo,
+                Spatial::Uniform,
+                base,
+                10,
+                max_k,
+            )
+        };
+        let k = search(16).expect("some k works");
         assert!(k >= 1);
         if k > 1 {
             // Every smaller k must fail at least one of the same trials.
-            assert_eq!(minimum_k(&topo, Spatial::Uniform, base, 10, k - 1), None);
+            assert_eq!(search(k - 1), None);
         }
     }
 
@@ -376,10 +375,11 @@ mod tests {
         // s–t pair and most of the network stays susceptible — the paper's
         // Figure 1 scenario. It essentially never happens under uniform
         // selection; under Qs^-2 it has significant probability.
-        let catastrophic = |spatial| {
-            let sim = SpatialRumorSim::new(&topo, spatial, protocol);
+        let mut arena = SpatialArena::new();
+        let mut catastrophic = |spatial| {
+            let sim = SpatialRumorSim::new(&topo, spatial, protocol).origin(s);
             (0..300)
-                .filter(|&t| sim.run(t, Some(s)).residue > 0.5)
+                .filter(|&t| sim.run(&mut arena, t, &mut ()).residue > 0.5)
                 .count()
         };
         let uniform = catastrophic(Spatial::Uniform);
@@ -390,44 +390,33 @@ mod tests {
         );
     }
 
+    /// `failure_probability` of push with counter `k` from the Figure 1
+    /// pathology's `s` under Qs^-2.
+    fn figure1_failures(k: u32, trials: u64) -> f64 {
+        let topo = topologies::figure1(30);
+        let s = topo.node_by_label("s").unwrap();
+        let sim = SpatialRumorSim::new(&topo, Spatial::QsPower { a: 2.0 }, cfg(Direction::Push, k))
+            .origin(s);
+        failure_probability(TrialRunner::new(), &Arenas::default(), &sim, trials)
+    }
+
     #[test]
     fn figure1_push_fails_with_small_k_and_local_distribution() {
         // §3.2 Figure 1: with m >> k, push rumors between the s-t pair can
         // die before escaping to the u_i sites.
-        let topo = topologies::figure1(30);
-        let s = topo.node_by_label("s").unwrap();
-        let p = failure_probability(
-            TrialRunner::new(),
-            &topo,
-            Spatial::QsPower { a: 2.0 },
-            cfg(Direction::Push, 1),
-            200,
-            Some(s),
-        );
+        let p = figure1_failures(1, 200);
         assert!(p > 0.05, "failure probability {p}");
     }
 
     #[test]
     fn figure1_failures_shrink_with_larger_k() {
-        let topo = topologies::figure1(30);
-        let s = topo.node_by_label("s").unwrap();
-        let p1 = failure_probability(
-            TrialRunner::new(),
-            &topo,
-            Spatial::QsPower { a: 2.0 },
-            cfg(Direction::Push, 1),
-            100,
-            Some(s),
-        );
-        let p6 = failure_probability(
-            TrialRunner::new(),
-            &topo,
-            Spatial::QsPower { a: 2.0 },
-            cfg(Direction::Push, 6),
-            100,
-            Some(s),
-        );
+        let (p1, p6) = (figure1_failures(1, 100), figure1_failures(6, 100));
         assert!(p6 < p1, "k=6 {p6} should fail less than k=1 {p1}");
+    }
+
+    #[test]
+    fn no_trials_estimate_no_failures() {
+        assert_eq!(figure1_failures(1, 0), 0.0);
     }
 
     #[test]
@@ -438,9 +427,11 @@ mod tests {
             Spatial::QsPower { a: 1.5 },
             cfg(Direction::PushPull, 3),
         );
-        let a = sim.run(9, None);
-        let b = sim.run(9, None);
-        assert_eq!(a.t_last, b.t_last);
-        assert_eq!(a.residue, b.residue);
+        let mut arena = SpatialArena::new();
+        let a = sim.run(&mut arena, 9, &mut ());
+        let (t_last, residue) = (a.t_last, a.residue);
+        let b = sim.run(&mut arena, 9, &mut ());
+        assert_eq!(t_last, b.t_last);
+        assert_eq!(residue, b.residue);
     }
 }

@@ -152,11 +152,10 @@ impl<'a> SpatialSteadySim<'a> {
         };
         CycleEngine::new()
             .max_cycles(self.config.warmup + self.config.cycles)
-            .run_instrumented(
+            .run(
                 &mut protocol,
                 &SpatialPartners::new(sites, &self.sampler),
                 &mut rng,
-                &mut (),
                 &mut (),
                 &mut arena.buffers,
             );

@@ -14,7 +14,9 @@ use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::{ContactStats, CycleEngine, EpidemicProtocol, UniformPartners, UpdateInjector};
+use crate::engine::{
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, UniformPartners, UpdateInjector,
+};
 use crate::util::{pair_mut, site_ids};
 
 /// Configuration for the steady-state experiment.
@@ -79,6 +81,7 @@ impl SteadyStateSim {
             &UniformPartners::new(n),
             &mut rng,
             &mut (),
+            &mut EngineBuffers::default(),
         );
         SteadyStateReport {
             full_compare_rate: protocol.full_compares as f64 / protocol.exchanges as f64,

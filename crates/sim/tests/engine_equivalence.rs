@@ -22,12 +22,13 @@ use std::fmt::Write as _;
 
 use epidemic_core::{Comparison, Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, LinkTraffic, Spatial};
+use epidemic_sim::engine::SirObserver;
 use epidemic_sim::event::{AsyncAntiEntropySim, AsyncRumorEpidemic};
 use epidemic_sim::failures::{Churn, ChurnedAntiEntropySim};
-use epidemic_sim::mixing::{AntiEntropyEpidemic, RumorEpidemic};
+use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::rumor_steady::{RumorSteadyArena, RumorSteadyConfig, RumorSteadySim};
 use epidemic_sim::runner::TrialRunner;
-use epidemic_sim::spatial_ae::AntiEntropySim;
+use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
 use epidemic_sim::spatial_rumor::SpatialRumorSim;
 use epidemic_sim::spatial_steady::{SpatialSteadyArena, SpatialSteadyConfig, SpatialSteadySim};
 use epidemic_sim::steady::SteadyStateSim;
@@ -39,81 +40,83 @@ fn traffic(t: &LinkTraffic) -> String {
     format!("total={} counts={:?}", t.total(), t.counts())
 }
 
-/// The rumor-mongering configuration grid: every direction, feedback and
-/// removal rule, synchronous and sequential rounds, connection limits and
-/// hunting, counter reset and push-pull minimization.
+/// The rumor-mongering configuration grid on 24 sites: every direction,
+/// feedback and removal rule, synchronous and sequential rounds, connection
+/// limits and hunting, counter reset and push-pull minimization.
 fn rumor_grid() -> Vec<(&'static str, RumorEpidemic)> {
     let counter = |k| Removal::Counter { k };
     let coin = |k| Removal::Coin { k };
     vec![
         (
             "push-fb-ctr1-sync",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Push,
-                Feedback::Feedback,
-                counter(1),
-            )),
+            RumorEpidemic::new(
+                24,
+                RumorConfig::new(Direction::Push, Feedback::Feedback, counter(1)),
+            ),
         ),
         (
             "push-blind-coin2-sync",
-            RumorEpidemic::new(RumorConfig::new(Direction::Push, Feedback::Blind, coin(2))),
+            RumorEpidemic::new(
+                24,
+                RumorConfig::new(Direction::Push, Feedback::Blind, coin(2)),
+            ),
         ),
         (
             "pull-fb-ctr2-sync",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Pull,
-                Feedback::Feedback,
-                counter(2),
-            )),
+            RumorEpidemic::new(
+                24,
+                RumorConfig::new(Direction::Pull, Feedback::Feedback, counter(2)),
+            ),
         ),
         (
             "pull-blind-coin1-sync",
-            RumorEpidemic::new(RumorConfig::new(Direction::Pull, Feedback::Blind, coin(1))),
+            RumorEpidemic::new(
+                24,
+                RumorConfig::new(Direction::Pull, Feedback::Blind, coin(1)),
+            ),
         ),
         (
             "pull-fb-coin2-sync",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Pull,
-                Feedback::Feedback,
-                coin(2),
-            )),
+            RumorEpidemic::new(
+                24,
+                RumorConfig::new(Direction::Pull, Feedback::Feedback, coin(2)),
+            ),
         ),
         (
             "pushpull-fb-ctr2",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::PushPull,
-                Feedback::Feedback,
-                counter(2),
-            )),
+            RumorEpidemic::new(
+                24,
+                RumorConfig::new(Direction::PushPull, Feedback::Feedback, counter(2)),
+            ),
         ),
         (
             "pushpull-fb-ctr2-min",
             RumorEpidemic::new(
+                24,
                 RumorConfig::new(Direction::PushPull, Feedback::Feedback, counter(2))
                     .with_minimization(),
             ),
         ),
         (
             "push-fb-ctr1-seq",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Push,
-                Feedback::Feedback,
-                counter(1),
-            ))
+            RumorEpidemic::new(
+                24,
+                RumorConfig::new(Direction::Push, Feedback::Feedback, counter(1)),
+            )
             .synchronous(false),
         ),
         (
             "pull-fb-ctr2-seq",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Pull,
-                Feedback::Feedback,
-                counter(2),
-            ))
+            RumorEpidemic::new(
+                24,
+                RumorConfig::new(Direction::Pull, Feedback::Feedback, counter(2)),
+            )
             .synchronous(false),
         ),
         (
             "push-fb-ctr3-reset-seq",
             RumorEpidemic::new(
+                24,
                 RumorConfig::new(Direction::Push, Feedback::Feedback, counter(3))
                     .with_reset_on_useful(true),
             )
@@ -121,20 +124,18 @@ fn rumor_grid() -> Vec<(&'static str, RumorEpidemic)> {
         ),
         (
             "push-fb-ctr2-limit1",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Push,
-                Feedback::Feedback,
-                counter(2),
-            ))
+            RumorEpidemic::new(
+                24,
+                RumorConfig::new(Direction::Push, Feedback::Feedback, counter(2)),
+            )
             .connection_limit(Some(1)),
         ),
         (
             "push-fb-ctr2-limit1-hunt4",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Push,
-                Feedback::Feedback,
-                counter(2),
-            ))
+            RumorEpidemic::new(
+                24,
+                RumorConfig::new(Direction::Push, Feedback::Feedback, counter(2)),
+            )
             .connection_limit(Some(1))
             .hunt_limit(4),
         ),
@@ -147,30 +148,44 @@ fn build_fixture() -> String {
     let mut out = String::new();
 
     // --- mixing::RumorEpidemic -----------------------------------------
+    // One arena through every mixing run: a reused arena must print
+    // exactly what fresh state did.
+    let mut mixing_arena = MixingArena::new();
     for (tag, epidemic) in rumor_grid() {
         for seed in 0..4u64 {
-            let r = epidemic.run(24, seed);
+            let r = epidemic.run(&mut mixing_arena, seed, &mut ());
             writeln!(out, "mixing/{tag} seed={seed} => {r:?}").unwrap();
         }
     }
-    // SIR trace (run_traced): pins the per-cycle observation points.
-    let traced = RumorEpidemic::new(RumorConfig::new(
-        Direction::Push,
-        Feedback::Feedback,
-        Removal::Counter { k: 1 },
-    ))
-    .run_traced(24, 0);
-    writeln!(out, "mixing/traced seed=0 => {traced:?}").unwrap();
+    // SIR trace: pins the per-cycle observation points.
+    let mut sir = SirObserver::new();
+    let result = RumorEpidemic::new(
+        24,
+        RumorConfig::new(
+            Direction::Push,
+            Feedback::Feedback,
+            Removal::Counter { k: 1 },
+        ),
+    )
+    .run(&mut mixing_arena, 0, &mut sir);
+    writeln!(
+        out,
+        "mixing/traced seed=0 => SirTrace {{ points: {:?}, result: {result:?} }}",
+        sir.points
+    )
+    .unwrap();
 
     // --- mixing::AntiEntropyEpidemic -----------------------------------
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         for seed in 0..3u64 {
-            let r = AntiEntropyEpidemic::new(direction).run(32, seed);
+            let r = AntiEntropyEpidemic::new(32, direction).run(&mut mixing_arena, seed, &mut ());
             writeln!(out, "ae-mixing/{direction:?} seed={seed} => {r:?}").unwrap();
         }
     }
 
     // --- spatial_ae::AntiEntropySim ------------------------------------
+    // One arena through both spatial drivers and both topologies.
+    let mut spatial_arena = SpatialArena::new();
     let grid = topologies::grid(&[4, 4]);
     let ring = topologies::ring(12);
     for (topo_tag, topo) in [("grid4x4", &grid), ("ring12", &ring)] {
@@ -184,7 +199,7 @@ fn build_fixture() -> String {
                     .connection_limit(limit)
                     .hunt_limit(hunt);
                 for seed in 0..3u64 {
-                    let r = sim.run(seed, None);
+                    let r = sim.run(&mut spatial_arena, seed, &mut ());
                     writeln!(
                         out,
                         "spatial-ae/{topo_tag}/{sp_tag}/{lim_tag} seed={seed} => \
@@ -192,8 +207,8 @@ fn build_fixture() -> String {
                         r.t_last,
                         r.t_ave,
                         r.cycles,
-                        traffic(&r.compare_traffic),
-                        traffic(&r.update_traffic),
+                        traffic(r.compare_traffic),
+                        traffic(r.update_traffic),
                     )
                     .unwrap();
                 }
@@ -206,20 +221,20 @@ fn build_fixture() -> String {
         let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
         let sim = SpatialRumorSim::new(&ring, Spatial::QsPower { a: 1.5 }, cfg);
         for seed in 0..3u64 {
-            let r = sim.run(seed, None);
+            let r = sim.run(&mut spatial_arena, seed, &mut ());
+            let susceptible: Vec<_> = r.received.unreceived().map(|i| ring.sites()[i]).collect();
             writeln!(
                 out,
                 "spatial-rumor/ring12/{direction:?} seed={seed} => \
                  complete={} residue={:?} t_last={} t_ave={:?} cycles={} \
-                 susceptible={:?} cmp[{}] upd[{}]",
+                 susceptible={susceptible:?} cmp[{}] upd[{}]",
                 r.complete,
                 r.residue,
                 r.t_last,
                 r.t_ave,
                 r.cycles,
-                r.susceptible_sites,
-                traffic(&r.compare_traffic),
-                traffic(&r.update_traffic),
+                traffic(r.compare_traffic),
+                traffic(r.update_traffic),
             )
             .unwrap();
         }
@@ -290,7 +305,7 @@ fn build_fixture() -> String {
     }
 
     // --- spatial_steady::SpatialSteadySim ------------------------------
-    let mut spatial_arena = SpatialSteadyArena::new();
+    let mut steady_arena = SpatialSteadyArena::new();
     for (sp_tag, spatial) in [
         ("uniform", Spatial::Uniform),
         ("qs15", Spatial::QsPower { a: 1.5 }),
@@ -306,7 +321,7 @@ fn build_fixture() -> String {
             },
         );
         for seed in 0..2u64 {
-            let r = sim.run(&mut spatial_arena, seed);
+            let r = sim.run(&mut steady_arena, seed);
             writeln!(
                 out,
                 "spatial-steady/ring12/{sp_tag} seed={seed} => \
@@ -419,8 +434,10 @@ proptest! {
         n in 4usize..24,
         seed in any::<u64>(),
     ) {
-        let epidemic = RumorEpidemic::new(cfg).synchronous(synchronous);
-        prop_assert_eq!(epidemic.run(n, seed), epidemic.run(n, seed));
+        let epidemic = RumorEpidemic::new(n, cfg).synchronous(synchronous);
+        let mut arena = MixingArena::new();
+        let first = epidemic.run(&mut arena, seed, &mut ());
+        prop_assert_eq!(first, epidemic.run(&mut arena, seed, &mut ()));
     }
 
     /// Multi-trial fan-out is thread-count invariant for any configuration.
@@ -430,10 +447,21 @@ proptest! {
         n in 4usize..16,
         seed in any::<u64>(),
     ) {
-        let epidemic = RumorEpidemic::new(cfg);
-        let one = epidemic.run_trials(TrialRunner::new().threads(1), n, 6, seed);
-        let four = epidemic.run_trials(TrialRunner::new().threads(4), n, 6, seed);
-        prop_assert_eq!(one, four);
+        let epidemic = RumorEpidemic::new(n, cfg);
+        let trials = |threads| {
+            TrialRunner::new().threads(threads).fold_with(
+                6,
+                seed,
+                MixingArena::new,
+                |arena, seed| epidemic.run(arena, seed, &mut ()),
+                Vec::new(),
+                |mut results, r| {
+                    results.push(r);
+                    results
+                },
+            )
+        };
+        prop_assert_eq!(trials(1), trials(4));
     }
 
     /// Spatial anti-entropy runs are deterministic for any seed/origin.
@@ -441,8 +469,9 @@ proptest! {
     fn spatial_ae_is_deterministic(seed in any::<u64>(), a in 1.0f64..3.0) {
         let topo = topologies::ring(10);
         let sim = AntiEntropySim::new(&topo, Spatial::QsPower { a });
-        let x = sim.run(seed, None);
-        let y = sim.run(seed, None);
+        let (mut xa, mut ya) = (SpatialArena::new(), SpatialArena::new());
+        let x = sim.run(&mut xa, seed, &mut ());
+        let y = sim.run(&mut ya, seed, &mut ());
         prop_assert_eq!(x.t_last, y.t_last);
         prop_assert_eq!(x.t_ave, y.t_ave);
         prop_assert_eq!(x.compare_traffic, y.compare_traffic);

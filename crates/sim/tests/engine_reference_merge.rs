@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
 use epidemic_db::{Entry, SiteId};
 use epidemic_sim::engine::{
-    ContactStats, CycleEngine, EpidemicProtocol, Observer, UniformPartners,
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, Observer, UniformPartners,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -160,7 +160,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let report = CycleEngine::new()
             .max_cycles(MAX_CYCLES)
-            .run(&mut protocol, &policy, &mut rng, &mut log);
+            .run(&mut protocol, &policy, &mut rng, &mut log, &mut EngineBuffers::default());
         prop_assert!(report.cycles < MAX_CYCLES, "the run must converge");
         for r in &protocol.replicas {
             prop_assert_eq!(db_image(r), expected.clone(), "converged database");

@@ -6,8 +6,8 @@
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, Spatial};
 use epidemic_sim::engine::trace::{InvariantObserver, TraceObserver};
-use epidemic_sim::mixing::{AntiEntropyEpidemic, RumorEpidemic};
-use epidemic_sim::spatial_ae::AntiEntropySim;
+use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
+use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
 use epidemic_sim::spatial_rumor::SpatialRumorSim;
 use epidemic_trace::TraceConfig;
 
@@ -20,8 +20,11 @@ fn rumor_mongering_is_invariant_clean_in_every_direction() {
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         for seed in 0..5 {
             let mut check = InvariantObserver::new();
-            let result =
-                RumorEpidemic::new(rumor_cfg(direction)).run_observed(300, seed, &mut check);
+            let result = RumorEpidemic::new(300, rumor_cfg(direction)).run(
+                &mut MixingArena::new(),
+                seed,
+                &mut check,
+            );
             assert!(
                 check.is_clean(),
                 "{direction:?} seed {seed}: {}",
@@ -39,7 +42,7 @@ fn blind_coin_rumors_are_invariant_clean() {
     let cfg = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 1 });
     for seed in 0..10 {
         let mut check = InvariantObserver::new();
-        RumorEpidemic::new(cfg).run_observed(200, seed, &mut check);
+        RumorEpidemic::new(200, cfg).run(&mut MixingArena::new(), seed, &mut check);
         assert!(check.is_clean(), "seed {seed}: {}", check.to_jsonl());
     }
 }
@@ -48,7 +51,8 @@ fn blind_coin_rumors_are_invariant_clean() {
 fn bit_anti_entropy_is_invariant_clean() {
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         let mut check = InvariantObserver::new();
-        let run = AntiEntropyEpidemic::new(direction).run_observed(256, 11, &mut check);
+        let run =
+            AntiEntropyEpidemic::new(256, direction).run(&mut MixingArena::new(), 11, &mut check);
         assert!(run.complete);
         assert!(check.is_clean(), "{direction:?}: {}", check.to_jsonl());
     }
@@ -57,10 +61,11 @@ fn bit_anti_entropy_is_invariant_clean() {
 #[test]
 fn spatial_anti_entropy_is_invariant_clean() {
     let topo = topologies::grid(&[6, 6]);
-    let sim = AntiEntropySim::new(&topo, Spatial::QsPower { a: 1.5 });
+    let sim = AntiEntropySim::new(&topo, Spatial::QsPower { a: 1.5 }).origin(topo.sites()[0]);
+    let mut arena = SpatialArena::new();
     for seed in 0..3 {
         let mut check = InvariantObserver::new();
-        let r = sim.run_observed(seed, Some(topo.sites()[0]), &mut check);
+        let r = sim.run(&mut arena, seed, &mut check);
         assert!(r.t_last > 0);
         assert!(check.is_clean(), "seed {seed}: {}", check.to_jsonl());
     }
@@ -69,10 +74,12 @@ fn spatial_anti_entropy_is_invariant_clean() {
 #[test]
 fn spatial_rumor_mongering_is_invariant_clean() {
     let topo = topologies::ring(24);
-    let sim = SpatialRumorSim::new(&topo, Spatial::Uniform, rumor_cfg(Direction::PushPull));
+    let sim = SpatialRumorSim::new(&topo, Spatial::Uniform, rumor_cfg(Direction::PushPull))
+        .origin(topo.sites()[0]);
+    let mut arena = SpatialArena::new();
     for seed in 0..3 {
         let mut check = InvariantObserver::new();
-        let r = sim.run_observed(seed, Some(topo.sites()[0]), &mut check);
+        let r = sim.run(&mut arena, seed, &mut check);
         assert!(check.is_clean(), "seed {seed}: {}", check.to_jsonl());
         assert!(r.cycles > 0);
     }
@@ -82,8 +89,8 @@ fn spatial_rumor_mongering_is_invariant_clean() {
 fn trace_and_invariants_compose_and_agree_with_the_driver() {
     let mut trace = TraceObserver::new(TraceConfig::full());
     let mut check = InvariantObserver::new();
-    let result = RumorEpidemic::new(rumor_cfg(Direction::PushPull)).run_observed(
-        150,
+    let result = RumorEpidemic::new(150, rumor_cfg(Direction::PushPull)).run(
+        &mut MixingArena::new(),
         5,
         &mut (&mut trace, &mut check),
     );
@@ -110,7 +117,11 @@ fn trace_and_invariants_compose_and_agree_with_the_driver() {
 fn trace_is_identical_across_reruns_of_the_same_seed() {
     let run = || {
         let mut trace = TraceObserver::new(TraceConfig::full());
-        RumorEpidemic::new(rumor_cfg(Direction::Push)).run_observed(120, 42, &mut trace);
+        RumorEpidemic::new(120, rumor_cfg(Direction::Push)).run(
+            &mut MixingArena::new(),
+            42,
+            &mut trace,
+        );
         trace.finish()
     };
     assert_eq!(run(), run());

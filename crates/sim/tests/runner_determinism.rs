@@ -5,10 +5,10 @@
 //! exercised at one thread and at the machine's full parallelism.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-use epidemic_net::{topologies, Spatial};
-use epidemic_sim::mixing::RumorEpidemic;
+use epidemic_net::{topologies, LinkTraffic, Spatial};
+use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::runner::TrialRunner;
-use epidemic_sim::spatial_ae::AntiEntropySim;
+use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
 
 fn full_parallelism() -> usize {
     // At least 4 workers so the fan-out is exercised even on small CI
@@ -19,6 +19,28 @@ fn full_parallelism() -> usize {
         .max(4)
 }
 
+/// `run` over `trials` seeds from `seed_base` on `threads` workers, one
+/// `A` arena per worker, collected in trial order.
+fn trials<A, T: Send>(
+    threads: usize,
+    trials: u64,
+    seed_base: u64,
+    arena: impl Fn() -> A + Sync,
+    run: impl Fn(&mut A, u64) -> T + Sync,
+) -> Vec<T> {
+    TrialRunner::new().threads(threads).fold_with(
+        trials,
+        seed_base,
+        arena,
+        run,
+        Vec::new(),
+        |mut results, r| {
+            results.push(r);
+            results
+        },
+    )
+}
+
 #[test]
 fn mixing_table_cell_is_thread_count_invariant() {
     // Table 1 cell: (feedback, counter k = 2, push) at a reduced n.
@@ -27,18 +49,16 @@ fn mixing_table_cell_is_thread_count_invariant() {
         Feedback::Feedback,
         Removal::Counter { k: 2 },
     );
-    let epidemic = RumorEpidemic::new(cfg);
-    let trials = 16;
-    let sequential = epidemic.run_trials(TrialRunner::new().threads(1), 200, trials, 42);
-    let parallel = epidemic.run_trials(
-        TrialRunner::new().threads(full_parallelism()),
-        200,
-        trials,
-        42,
-    );
+    let epidemic = RumorEpidemic::new(200, cfg);
+    let run = |arena: &mut MixingArena, seed| epidemic.run(arena, seed, &mut ());
+    let sequential = trials(1, 16, 42, MixingArena::new, run);
+    let parallel = trials(full_parallelism(), 16, 42, MixingArena::new, run);
     assert_eq!(sequential, parallel, "results must not depend on threads");
-    // And both must equal a plain sequential loop with the same seeds.
-    let reference: Vec<_> = (0..trials).map(|t| epidemic.run(200, 42 + t)).collect();
+    // And both must equal a plain sequential loop with the same seeds, each
+    // on fresh state.
+    let reference: Vec<_> = (0..16)
+        .map(|t| epidemic.run(&mut MixingArena::new(), 42 + t, &mut ()))
+        .collect();
     assert_eq!(sequential, reference);
 }
 
@@ -46,25 +66,18 @@ fn mixing_table_cell_is_thread_count_invariant() {
 fn spatial_table4_cell_is_thread_count_invariant() {
     // Table 4 cell: push-pull anti-entropy on a grid under Qs^-2.
     let topo = topologies::grid(&[8, 8]);
-    let sim = AntiEntropySim::new(&topo, Spatial::QsPower { a: 2.0 });
-    let trials = 8;
-    let origin = Some(topo.sites()[0]);
-    let one = sim.run_trials(TrialRunner::new().threads(1), trials, 7, origin);
-    let many = sim.run_trials(
-        TrialRunner::new().threads(full_parallelism()),
-        trials,
-        7,
-        origin,
-    );
-    for (a, b) in one.iter().zip(&many) {
-        assert_eq!(a.t_last, b.t_last);
-        assert_eq!(a.t_ave, b.t_ave);
-        assert_eq!(a.compare_traffic, b.compare_traffic);
-        assert_eq!(a.update_traffic, b.update_traffic);
-    }
-    let reference: Vec<_> = (0..trials).map(|t| sim.run(7 + t, origin)).collect();
-    for (a, b) in one.iter().zip(&reference) {
-        assert_eq!(a.t_last, b.t_last);
-        assert_eq!(a.compare_traffic, b.compare_traffic);
-    }
+    let sim = AntiEntropySim::new(&topo, Spatial::QsPower { a: 2.0 }).origin(topo.sites()[0]);
+    type Cell = (u32, f64, LinkTraffic, LinkTraffic);
+    let run = |arena: &mut SpatialArena, seed| -> Cell {
+        let r = sim.run(arena, seed, &mut ());
+        let traffic = (r.compare_traffic.clone(), r.update_traffic.clone());
+        (r.t_last, r.t_ave, traffic.0, traffic.1)
+    };
+    let one = trials(1, 8, 7, SpatialArena::new, run);
+    let many = trials(full_parallelism(), 8, 7, SpatialArena::new, run);
+    assert_eq!(one, many);
+    let reference: Vec<Cell> = (0..8)
+        .map(|t| run(&mut SpatialArena::new(), 7 + t))
+        .collect();
+    assert_eq!(one, reference);
 }

@@ -17,9 +17,11 @@
 use epidemic_core::rumor::{Feedback, Removal, RumorConfig};
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
 use epidemic_net::{topologies, PartnerSampler, Routes, Spatial, Topology};
-use epidemic_sim::engine::{ContactStats, CycleEngine, EpidemicProtocol, SpatialPartners};
+use epidemic_sim::engine::{
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, SpatialPartners,
+};
 use epidemic_sim::failures::{Churn, ChurnRunResult, ChurnedAntiEntropySim};
-use epidemic_sim::mixing::RumorEpidemic;
+use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::scenario::{FaultEvent, FaultKind, Scenario, ScenarioEngine, StopRule};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -136,6 +138,7 @@ fn legacy_churn_run(
         &SpatialPartners::new(sites, &sampler),
         &mut rng,
         &mut (),
+        &mut EngineBuffers::default(),
     );
 
     let cycle = report.cycles;
@@ -215,9 +218,11 @@ fn empty_timeline_scenario_matches_plain_rumor_engine() {
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
         let engine = ScenarioEngine::new(rumor_scenario(128, cfg)).expect("valid spec");
+        let plain_driver = RumorEpidemic::new(128, cfg).synchronous(false);
+        let mut arena = MixingArena::new();
         for seed in 0..6 {
-            let plain = RumorEpidemic::new(cfg).synchronous(false).run(128, seed);
-            let report = engine.run(seed);
+            let plain = plain_driver.run(&mut arena, seed, &mut ());
+            let report = engine.run(seed, &mut ());
             assert_eq!(report.cycles, plain.cycles, "{direction:?} seed {seed}");
             assert_eq!(report.residue, plain.residue, "{direction:?} seed {seed}");
             assert_eq!(
@@ -234,9 +239,11 @@ fn empty_timeline_scenario_matches_blind_coin_variant_too() {
     // a different RNG profile inside contacts (a coin flip per contact).
     let cfg = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 3 });
     let engine = ScenarioEngine::new(rumor_scenario(96, cfg)).expect("valid spec");
+    let plain_driver = RumorEpidemic::new(96, cfg).synchronous(false);
+    let mut arena = MixingArena::new();
     for seed in 0..6 {
-        let plain = RumorEpidemic::new(cfg).synchronous(false).run(96, seed);
-        let report = engine.run(seed);
+        let plain = plain_driver.run(&mut arena, seed, &mut ());
+        let report = engine.run(seed, &mut ());
         assert_eq!(report.cycles, plain.cycles, "seed {seed}");
         assert_eq!(report.residue, plain.residue, "seed {seed}");
         assert_eq!(report.traffic_per_site, plain.traffic, "seed {seed}");

@@ -4,19 +4,19 @@
 //! `AlwaysExchange` below is the contact body as it stood before the skip:
 //! every conversation runs the full push-pull compare. Both protocols go
 //! through the same engine, policy and seed, so every field of the
-//! `SpatialRunResult` and every line of the `TraceObserver` event log must
+//! run's result and every line of the `TraceObserver` event log must
 //! be equal — a skip taken when only one side holds the update shows as a
 //! later `t_last` and missing update traffic, a skipped branch that forgets
 //! its compare charge as lower compare traffic.
 
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
 use epidemic_db::SiteId;
-use epidemic_net::{topologies, PartnerSampler, Routes, Spatial, Topology};
+use epidemic_net::{topologies, LinkTraffic, PartnerSampler, Routes, Spatial, Topology};
 use epidemic_sim::engine::{
-    ContactStats, CycleEngine, EpidemicProtocol, ReceiveLog, RouteRecorder, SirCounts, SirView,
-    SpatialPartners, TraceObserver,
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, RouteRecorder,
+    SirCounts, SirView, SpatialPartners, TraceObserver,
 };
-use epidemic_sim::{AntiEntropySim, SpatialRunResult};
+use epidemic_sim::{AntiEntropySim, SpatialArena};
 use epidemic_trace::TraceConfig;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -76,15 +76,19 @@ impl SirView for AlwaysExchange<'_> {
     }
 }
 
-/// `AntiEntropySim::run_observed` with `AlwaysExchange` in the protocol's
-/// place: the same set-up draws, engine settings and result assembly.
+/// What a run reports: `t_last`, `t_ave`, cycles, and the compare and
+/// update counters.
+type Outcome = (u32, f64, u32, LinkTraffic, LinkTraffic);
+
+/// `AntiEntropySim::run` with `AlwaysExchange` in the protocol's place:
+/// the same set-up draws, engine settings and result assembly.
 fn always_exchange_run(
     topology: &Topology,
     spatial: Spatial,
     (connection_limit, hunt_limit): (Option<u32>, u32),
     seed: u64,
     observer: &mut TraceObserver,
-) -> SpatialRunResult {
+) -> Outcome {
     let routes = Routes::compute(topology);
     let sampler = PartnerSampler::new(topology, &routes, spatial);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -114,15 +118,16 @@ fn always_exchange_run(
             &SpatialPartners::new(sites, &sampler),
             &mut rng,
             observer,
+            &mut EngineBuffers::default(),
         );
 
-    SpatialRunResult {
-        t_last: protocol.received.t_last().unwrap_or(0),
-        t_ave: protocol.received.t_ave_all(report.cycles),
-        compare_traffic: protocol.recorder.compare,
-        update_traffic: protocol.recorder.update,
-        cycles: report.cycles,
-    }
+    (
+        protocol.received.t_last().unwrap_or(0),
+        protocol.received.t_ave_all(report.cycles),
+        report.cycles,
+        protocol.recorder.compare,
+        protocol.recorder.update,
+    )
 }
 
 #[test]
@@ -135,6 +140,7 @@ fn skipping_known_equal_pairs_changes_nothing_observable() {
             Spatial::QsPower { a: 1.2 },
         ),
     ];
+    let mut arena = SpatialArena::new();
     for (topology, spatial) in &cases {
         for limits in [(None, 0), (Some(1), 2)] {
             let sim = AntiEntropySim::new(topology, *spatial)
@@ -142,7 +148,14 @@ fn skipping_known_equal_pairs_changes_nothing_observable() {
                 .hunt_limit(limits.1);
             for seed in 0..3 {
                 let mut skipping_log = TraceObserver::new(TraceConfig::full());
-                let skipping = sim.run_observed(seed, None, &mut skipping_log);
+                let r = sim.run(&mut arena, seed, &mut skipping_log);
+                let skipping = (
+                    r.t_last,
+                    r.t_ave,
+                    r.cycles,
+                    r.compare_traffic.clone(),
+                    r.update_traffic.clone(),
+                );
                 let mut reference_log = TraceObserver::new(TraceConfig::full());
                 let reference =
                     always_exchange_run(topology, *spatial, limits, seed, &mut reference_log);
@@ -151,18 +164,8 @@ fn skipping_known_equal_pairs_changes_nothing_observable() {
                     "{spatial} on {} sites, {limits:?}, seed {seed}",
                     topology.site_count()
                 );
-                assert_eq!(skipping.t_last, reference.t_last, "{case}");
-                assert_eq!(
-                    skipping.t_ave.to_bits(),
-                    reference.t_ave.to_bits(),
-                    "{case}"
-                );
-                assert_eq!(skipping.cycles, reference.cycles, "{case}");
-                assert_eq!(
-                    skipping.compare_traffic, reference.compare_traffic,
-                    "{case}"
-                );
-                assert_eq!(skipping.update_traffic, reference.update_traffic, "{case}");
+                assert_eq!(skipping.1.to_bits(), reference.1.to_bits(), "{case}");
+                assert_eq!(skipping, reference, "{case}");
                 let (skipping_log, reference_log) = (skipping_log.finish(), reference_log.finish());
                 assert_eq!(
                     skipping_log.lines().count(),

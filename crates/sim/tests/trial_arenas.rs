@@ -1,0 +1,142 @@
+//! Trial arenas are invisible: a run on an arena that earlier runs have
+//! used — other drivers, topologies, site counts, directions, feedback and
+//! removal rules, round semantics, connection limits — equals a run on
+//! fresh state, field for field and event for event. Covered: every
+//! [`RumorEpidemic`] variant on a [`MixingArena`], and [`AntiEntropySim`]
+//! and [`SpatialRumorSim`] on a [`SpatialArena`].
+
+use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
+use epidemic_net::{topologies, Spatial, Topology};
+use epidemic_sim::engine::{InvariantObserver, TraceObserver};
+use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
+use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
+use epidemic_sim::spatial_rumor::SpatialRumorSim;
+use epidemic_trace::TraceConfig;
+use proptest::prelude::*;
+
+fn rumor_config() -> impl Strategy<Value = RumorConfig> {
+    (0u8..3, any::<bool>(), any::<bool>(), 1u32..4).prop_map(|(direction, feedback, counter, k)| {
+        let direction =
+            [Direction::Push, Direction::Pull, Direction::PushPull][usize::from(direction)];
+        let feedback = if feedback {
+            Feedback::Feedback
+        } else {
+            Feedback::Blind
+        };
+        let removal = if counter {
+            Removal::Counter { k }
+        } else {
+            Removal::Coin { k }
+        };
+        RumorConfig::new(direction, feedback, removal)
+    })
+}
+
+/// One mixing run: a driver and a seed.
+fn trial() -> impl Strategy<Value = (RumorEpidemic, u64)> {
+    (
+        rumor_config(),
+        (any::<bool>(), 0u32..3, 0u32..3),
+        (2usize..90, any::<u64>()),
+    )
+        .prop_map(|(cfg, (synchronous, limit, hunt), (n, seed))| {
+            let driver = RumorEpidemic::new(n, cfg)
+                .synchronous(synchronous)
+                .connection_limit((limit > 0).then_some(limit))
+                .hunt_limit(hunt)
+                .max_cycles(300);
+            (driver, seed)
+        })
+}
+
+/// The topologies the spatial runs draw from: different site and link
+/// counts, so a reused arena has always held some other shape.
+fn topology(which: usize) -> Topology {
+    match which {
+        0 => topologies::ring(12),
+        1 => topologies::grid(&[4, 5]),
+        _ => topologies::line(9),
+    }
+}
+
+/// One spatial run: which driver (anti-entropy or push-pull rumor), which
+/// topology, which distribution, and the seed.
+fn spatial_trial() -> impl Strategy<Value = (bool, usize, f64, RumorConfig, u64)> {
+    (
+        any::<bool>(),
+        0usize..3,
+        0.0f64..2.5,
+        rumor_config(),
+        any::<u64>(),
+    )
+}
+
+/// Runs one spatial trial on `arena` under a full trace and the invariant
+/// checker, returning the driver's result with its link counters, the
+/// trace, and whether the checker stayed clean.
+fn spatial_run(
+    (anti_entropy, which, a, cfg, seed): (bool, usize, f64, RumorConfig, u64),
+    arena: &mut SpatialArena,
+) -> (String, String, bool) {
+    let topo = topology(which);
+    let spatial = if a < 0.5 {
+        Spatial::Uniform
+    } else {
+        Spatial::QsPower { a }
+    };
+    let mut trace = TraceObserver::new(TraceConfig::full());
+    let mut check = InvariantObserver::new();
+    let observer = &mut (&mut trace, &mut check);
+    let result = if anti_entropy {
+        format!(
+            "{:?}",
+            AntiEntropySim::new(&topo, spatial).run(arena, seed, observer)
+        )
+    } else {
+        format!(
+            "{:?}",
+            SpatialRumorSim::new(&topo, spatial, cfg).run(arena, seed, observer)
+        )
+    };
+    (result, trace.finish(), check.is_clean())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn a_used_mixing_arena_runs_like_a_fresh_one(
+        earlier in prop::collection::vec(trial(), 0..5),
+        (driver, seed) in trial(),
+    ) {
+        let mut arena = MixingArena::new();
+        for (earlier, seed) in &earlier {
+            earlier.run(&mut arena, *seed, &mut ());
+        }
+        let mut trace = TraceObserver::new(TraceConfig::full());
+        let mut check = InvariantObserver::new();
+        let reused = driver.run(&mut arena, seed, &mut (&mut trace, &mut check));
+        prop_assert!(check.is_clean(), "{:?}", check.violations());
+
+        let mut fresh_trace = TraceObserver::new(TraceConfig::full());
+        let fresh = driver.run(&mut MixingArena::new(), seed, &mut fresh_trace);
+        prop_assert_eq!(reused, fresh);
+        prop_assert_eq!(trace.finish(), fresh_trace.finish());
+    }
+
+    #[test]
+    fn a_used_spatial_arena_runs_like_a_fresh_one(
+        earlier in prop::collection::vec(spatial_trial(), 1..4),
+        last in spatial_trial(),
+    ) {
+        let mut arena = SpatialArena::new();
+        for t in &earlier {
+            spatial_run(*t, &mut arena);
+        }
+        let (reused, reused_trace, clean) = spatial_run(last, &mut arena);
+        prop_assert!(clean);
+        let (fresh, fresh_trace, _) = spatial_run(last, &mut SpatialArena::new());
+        prop_assert_eq!(reused, fresh);
+        prop_assert_eq!(reused_trace, fresh_trace);
+    }
+}

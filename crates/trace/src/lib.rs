@@ -4,10 +4,8 @@
 //! simulation crates — so every layer of the workspace can use it without
 //! cycles. It provides five pillars:
 //!
-//! * [`metrics`] — a deterministic metrics registry (counters, gauges,
-//!   fixed-bucket histograms) behind the [`MetricsSink`] trait. The no-op
-//!   sink `()` has [`MetricsSink::ENABLED`]` == false` and compiles away
-//!   entirely, so hot loops can stay instrumented for free.
+//! * [`metrics`] — the fixed-bucket [`Histogram`] behind the aggregate's
+//!   delay percentiles.
 //! * [`record`] — structured run tracing: [`RunTracer`] turns per-contact
 //!   events, per-cycle SIR snapshots and a per-link traffic matrix into
 //!   JSONL with *no* wall-clock fields, making trace files byte-identical
@@ -40,7 +38,7 @@ pub mod record;
 
 pub use aggregate::{AggregatingSink, LinkAggregate, LinkCell, RunAggregate, DELAY_BUCKETS};
 pub use invariant::{InvariantChecker, Violation};
-pub use metrics::{Histogram, MetricsSink, Registry, DEFAULT_BUCKETS};
+pub use metrics::Histogram;
 pub use profile::PhaseStat;
 pub use record::{RunTracer, TraceConfig, TraceTotals};
 

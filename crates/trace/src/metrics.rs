@@ -1,54 +1,5 @@
-//! A deterministic metrics registry and the zero-cost sink seam.
-//!
-//! Hot paths are instrumented against the [`MetricsSink`] trait rather
-//! than a concrete registry. The no-op sink is the unit type `()`: its
-//! methods are empty and [`MetricsSink::ENABLED`] is `false`, so after
-//! monomorphization an instrumented loop driven with `&mut ()` contains
-//! no metrics code at all — instrumentation costs nothing unless a real
-//! sink is plugged in.
-//!
-//! [`Registry`] is the in-memory implementation: counters, gauges and
-//! fixed-bucket histograms keyed by `&'static str`, stored in `BTreeMap`s
-//! so every export iterates in name order — byte-identical output
-//! regardless of the order metrics were first touched.
-
-use std::collections::BTreeMap;
-
-use crate::json::JsonObject;
-
-/// Where instrumented code reports its measurements.
-///
-/// All methods default to no-ops so sinks implement only what they keep.
-pub trait MetricsSink {
-    /// Whether this sink records anything. Instrumented code may use this
-    /// to skip measurement work (e.g. reading the monotonic clock) when
-    /// the sink discards it anyway.
-    const ENABLED: bool = true;
-
-    /// Adds `delta` to the named counter.
-    fn counter(&mut self, _name: &'static str, _delta: u64) {}
-
-    /// Sets the named gauge to `value`.
-    fn gauge(&mut self, _name: &'static str, _value: f64) {}
-
-    /// Records one observation of `value` into the named histogram.
-    fn observe(&mut self, _name: &'static str, _value: f64) {}
-
-    /// Reports `nanos` of wall-clock time spent in the named phase.
-    /// Phase durations are inherently nondeterministic; exports keep them
-    /// separate from the deterministic counters.
-    fn phase(&mut self, _name: &'static str, _nanos: u64) {}
-}
-
-/// The no-op sink: records nothing, costs nothing.
-impl MetricsSink for () {
-    const ENABLED: bool = false;
-}
-
-/// Default histogram bucket upper bounds (values above the last bound
-/// land in the overflow bucket).
-pub const DEFAULT_BUCKETS: [f64; 10] =
-    [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0];
+//! Fixed-bucket histograms: the bounded-memory distribution behind the
+//! streaming run aggregate's delay percentiles.
 
 /// A fixed-bucket histogram: counts per bucket plus sum and count.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,150 +122,11 @@ impl Histogram {
     }
 }
 
-/// An in-memory metrics store with deterministic, name-ordered export.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Registry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-    phases: BTreeMap<&'static str, (u64, u64)>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Current value of a counter (`0` if never touched).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge, if ever set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// The named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// `(calls, total_nanos)` for the named phase, if recorded.
-    pub fn phase_nanos(&self, name: &str) -> Option<(u64, u64)> {
-        self.phases.get(name).copied()
-    }
-
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Serializes the deterministic sections (counters, gauges,
-    /// histograms) as one JSON object, keys in name order. Phase timings
-    /// are wall-clock and intentionally excluded; fetch them with
-    /// [`Registry::phase_nanos`].
-    pub fn to_json(&self) -> String {
-        let mut counters = JsonObject::new();
-        for (&name, &v) in &self.counters {
-            counters.field_u64(name, v);
-        }
-        let mut gauges = JsonObject::new();
-        for (&name, &v) in &self.gauges {
-            gauges.field_f64(name, v);
-        }
-        let mut histograms = JsonObject::new();
-        for (&name, h) in &self.histograms {
-            let mut obj = JsonObject::new();
-            obj.field_u64("count", h.count())
-                .field_f64("sum", h.sum())
-                .field_f64_array("bounds", h.bounds().iter().copied())
-                .field_u64_array("buckets", h.bucket_counts().iter().copied())
-                .field_f64("p50", h.quantile(0.50))
-                .field_f64("p90", h.quantile(0.90))
-                .field_f64("p99", h.quantile(0.99));
-            histograms.field_raw(name, &obj.finish());
-        }
-        let mut root = JsonObject::new();
-        root.field_raw("counters", &counters.finish())
-            .field_raw("gauges", &gauges.finish())
-            .field_raw("histograms", &histograms.finish());
-        root.finish()
-    }
-}
-
-impl MetricsSink for Registry {
-    fn counter(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
-    }
-
-    fn gauge(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
-    }
-
-    fn observe(&mut self, name: &'static str, value: f64) {
-        self.histograms
-            .entry(name)
-            .or_insert_with(|| Histogram::new(&DEFAULT_BUCKETS))
-            .observe(value);
-    }
-
-    fn phase(&mut self, name: &'static str, nanos: u64) {
-        let slot = self.phases.entry(name).or_insert((0, 0));
-        slot.0 += 1;
-        slot.1 += nanos;
-    }
-}
-
-/// Forwarding impl so instrumented code can take sinks by value or
-/// reference interchangeably.
-impl<S: MetricsSink> MetricsSink for &mut S {
-    const ENABLED: bool = S::ENABLED;
-
-    fn counter(&mut self, name: &'static str, delta: u64) {
-        (**self).counter(name, delta);
-    }
-
-    fn gauge(&mut self, name: &'static str, value: f64) {
-        (**self).gauge(name, value);
-    }
-
-    fn observe(&mut self, name: &'static str, value: f64) {
-        (**self).observe(name, value);
-    }
-
-    fn phase(&mut self, name: &'static str, nanos: u64) {
-        (**self).phase(name, nanos);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_accumulate_and_export_in_name_order() {
-        let mut reg = Registry::new();
-        reg.counter("z.last", 1);
-        reg.counter("a.first", 2);
-        reg.counter("z.last", 3);
-        assert_eq!(reg.counter_value("z.last"), 4);
-        assert_eq!(reg.counter_value("a.first"), 2);
-        assert_eq!(reg.counter_value("missing"), 0);
-        let json = reg.to_json();
-        let a = json.find("a.first").unwrap();
-        let z = json.find("z.last").unwrap();
-        assert!(a < z, "name-ordered export: {json}");
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let mut reg = Registry::new();
-        reg.gauge("depth", 1.0);
-        reg.gauge("depth", 7.5);
-        assert_eq!(reg.gauge_value("depth"), Some(7.5));
-    }
+    const BUCKETS: [f64; 10] = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0];
 
     #[test]
     fn histogram_buckets_and_overflow() {
@@ -325,36 +137,6 @@ mod tests {
         assert_eq!(h.bucket_counts(), &[2, 1, 1]);
         assert_eq!(h.count(), 4);
         assert!((h.mean() - 26.625).abs() < 1e-12);
-    }
-
-    #[test]
-    fn registry_histograms_use_default_buckets() {
-        let mut reg = Registry::new();
-        reg.observe("cycle.contacts", 3.0);
-        reg.observe("cycle.contacts", 5000.0);
-        let h = reg.histogram("cycle.contacts").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(*h.bucket_counts().last().unwrap(), 1, "overflow bucket");
-    }
-
-    #[test]
-    fn phases_accumulate_but_stay_out_of_json() {
-        let mut reg = Registry::new();
-        reg.phase("contact_loop", 100);
-        reg.phase("contact_loop", 50);
-        assert_eq!(reg.phase_nanos("contact_loop"), Some((2, 150)));
-        assert!(!reg.to_json().contains("contact_loop"));
-    }
-
-    #[test]
-    fn noop_sink_is_disabled() {
-        const { assert!(!<() as MetricsSink>::ENABLED) };
-        const { assert!(<Registry as MetricsSink>::ENABLED) };
-        const { assert!(!<&mut () as MetricsSink>::ENABLED) };
-        // And it accepts calls without effect.
-        let mut sink = ();
-        sink.counter("x", 1);
-        sink.observe("y", 2.0);
     }
 
     #[test]
@@ -401,8 +183,8 @@ mod tests {
 
     #[test]
     fn merge_adds_buckets_sums_and_counts() {
-        let mut a = Histogram::new(&DEFAULT_BUCKETS);
-        let mut b = Histogram::new(&DEFAULT_BUCKETS);
+        let mut a = Histogram::new(&BUCKETS);
+        let mut b = Histogram::new(&BUCKETS);
         for v in [1.0, 3.0] {
             a.observe(v);
         }
@@ -411,14 +193,14 @@ mod tests {
         }
         let mut merged = a.clone();
         merged.merge(&b);
-        let mut direct = Histogram::new(&DEFAULT_BUCKETS);
+        let mut direct = Histogram::new(&BUCKETS);
         for v in [1.0, 3.0, 3.0, 7.0, 2000.0] {
             direct.observe(v);
         }
         assert_eq!(merged, direct);
         // Merging an empty histogram is the identity.
         let mut with_empty = a.clone();
-        with_empty.merge(&Histogram::new(&DEFAULT_BUCKETS));
+        with_empty.merge(&Histogram::new(&BUCKETS));
         assert_eq!(with_empty, a);
         // Quantiles of the merged histogram see the union of the data.
         assert_eq!(merged.count(), 5);
@@ -429,30 +211,7 @@ mod tests {
     #[should_panic(expected = "identical bucket bounds")]
     fn merge_panics_on_bound_mismatch() {
         static OTHER: [f64; 2] = [1.0, 2.0];
-        let mut a = Histogram::new(&DEFAULT_BUCKETS);
+        let mut a = Histogram::new(&BUCKETS);
         a.merge(&Histogram::new(&OTHER));
-    }
-
-    #[test]
-    fn registry_json_includes_derived_percentiles() {
-        let mut reg = Registry::new();
-        for _ in 0..10 {
-            reg.observe("h", 3.0);
-        }
-        let json = reg.to_json();
-        assert!(json.contains(r#""p50":"#), "{json}");
-        assert!(json.contains(r#""p90":"#), "{json}");
-        assert!(json.contains(r#""p99":"#), "{json}");
-    }
-
-    #[test]
-    fn registry_json_is_valid_shape() {
-        let mut reg = Registry::new();
-        reg.counter("c", 1);
-        reg.gauge("g", 2.0);
-        reg.observe("h", 3.0);
-        let json = reg.to_json();
-        assert!(json.starts_with(r#"{"counters":{"c":1},"gauges":{"g":2}"#));
-        assert!(json.contains(r#""count":1"#));
     }
 }

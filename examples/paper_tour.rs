@@ -14,15 +14,18 @@ use epidemics::analysis::{push_epidemic_time, residue_for_counter};
 use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
 use epidemics::net::topologies::{cin, CinConfig};
 use epidemics::net::Spatial;
-use epidemics::sim::mixing::{AntiEntropyEpidemic, RumorEpidemic};
+use epidemics::sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemics::sim::scenario::legacy::{resurrection_without_certificates, DormantDeathScenario};
-use epidemics::sim::spatial_ae::AntiEntropySim;
+use epidemics::sim::spatial_ae::{AntiEntropySim, SpatialArena};
 
 fn main() {
     println!("== §1.3: anti-entropy is a simple epidemic ==");
     let n = 1024;
+    // One trial arena serves every complete-mixing run below.
+    let mut arena = MixingArena::new();
+    let push = AntiEntropyEpidemic::new(n, Direction::Push);
     let cycles: f64 = (0..10)
-        .map(|s| f64::from(AntiEntropyEpidemic::new(Direction::Push).run(n, s).cycles))
+        .map(|s| f64::from(push.run(&mut arena, s, &mut ()).cycles))
         .sum::<f64>()
         / 10.0;
     println!(
@@ -34,13 +37,14 @@ fn main() {
     println!("  k | residue (sim) | residue (ODE) | traffic m");
     for k in 1..=4 {
         let driver = RumorEpidemic::new(
+            1000,
             RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k })
                 .with_reset_on_useful(true),
         );
         let mut residue = 0.0;
         let mut m = 0.0;
         for seed in 0..10 {
-            let r = driver.run(1000, seed);
+            let r = driver.run(&mut arena, seed, &mut ());
             residue += r.residue;
             m += r.traffic;
         }
@@ -65,6 +69,7 @@ fn main() {
 
     println!("\n== §3: spatial distributions rescue the Bushey link ==");
     let net = cin(&CinConfig::default());
+    let mut arena = SpatialArena::new();
     for (label, spatial) in [
         ("uniform ", Spatial::Uniform),
         ("Qs(d)^-2", Spatial::QsPower { a: 2.0 }),
@@ -74,7 +79,7 @@ fn main() {
         let mut bushey = 0.0;
         let mut cycles = 0.0;
         for seed in 0..10 {
-            let r = sim.run(seed, None);
+            let r = sim.run(&mut arena, seed, &mut ());
             t_last += f64::from(r.t_last);
             bushey += r.compare_traffic.at(net.bushey_link) as f64;
             cycles += f64::from(r.cycles);

@@ -10,7 +10,7 @@
 //! of the paper's Tables 1–3.
 
 use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
-use epidemics::sim::mixing::RumorEpidemic;
+use epidemics::sim::mixing::{MixingArena, RumorEpidemic};
 
 fn main() {
     let n = 1000;
@@ -24,39 +24,48 @@ fn main() {
     let variants: Vec<(&str, RumorEpidemic)> = vec![
         (
             "push, feedback, counter (Table 1)",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Push,
-                Feedback::Feedback,
-                Removal::Counter { k: 2 },
-            )),
+            RumorEpidemic::new(
+                n,
+                RumorConfig::new(
+                    Direction::Push,
+                    Feedback::Feedback,
+                    Removal::Counter { k: 2 },
+                ),
+            ),
         ),
         (
             "push, blind, coin (Table 2)",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Push,
-                Feedback::Blind,
-                Removal::Coin { k: 2 },
-            )),
+            RumorEpidemic::new(
+                n,
+                RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 2 }),
+            ),
         ),
         (
             "pull, feedback, counter (Table 3)",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Pull,
-                Feedback::Feedback,
-                Removal::Counter { k: 2 },
-            )),
+            RumorEpidemic::new(
+                n,
+                RumorConfig::new(
+                    Direction::Pull,
+                    Feedback::Feedback,
+                    Removal::Counter { k: 2 },
+                ),
+            ),
         ),
         (
             "push-pull, feedback, counter",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::PushPull,
-                Feedback::Feedback,
-                Removal::Counter { k: 2 },
-            )),
+            RumorEpidemic::new(
+                n,
+                RumorConfig::new(
+                    Direction::PushPull,
+                    Feedback::Feedback,
+                    Removal::Counter { k: 2 },
+                ),
+            ),
         ),
         (
             "push-pull + minimization",
             RumorEpidemic::new(
+                n,
                 RumorConfig::new(
                     Direction::PushPull,
                     Feedback::Feedback,
@@ -67,32 +76,39 @@ fn main() {
         ),
         (
             "push, feedback, counter, conn limit 1",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Push,
-                Feedback::Feedback,
-                Removal::Counter { k: 2 },
-            ))
+            RumorEpidemic::new(
+                n,
+                RumorConfig::new(
+                    Direction::Push,
+                    Feedback::Feedback,
+                    Removal::Counter { k: 2 },
+                ),
+            )
             .connection_limit(Some(1)),
         ),
         (
             "push, conn limit 1, hunt limit 8",
-            RumorEpidemic::new(RumorConfig::new(
-                Direction::Push,
-                Feedback::Feedback,
-                Removal::Counter { k: 2 },
-            ))
+            RumorEpidemic::new(
+                n,
+                RumorConfig::new(
+                    Direction::Push,
+                    Feedback::Feedback,
+                    Removal::Counter { k: 2 },
+                ),
+            )
             .connection_limit(Some(1))
             .hunt_limit(8),
         ),
     ];
 
+    let mut arena = MixingArena::new();
     for (label, driver) in variants {
         let mut residue = 0.0;
         let mut traffic = 0.0;
         let mut t_ave = 0.0;
         let mut t_last = 0.0;
         for seed in 0..trials {
-            let r = driver.run(n, seed);
+            let r = driver.run(&mut arena, seed, &mut ());
             residue += r.residue;
             traffic += r.traffic;
             t_ave += r.t_ave;

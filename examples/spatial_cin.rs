@@ -12,7 +12,7 @@
 
 use epidemics::net::topologies::{cin, CinConfig};
 use epidemics::net::{expected_cut_conversations, Spatial};
-use epidemics::sim::spatial_ae::AntiEntropySim;
+use epidemics::sim::spatial_ae::{AntiEntropySim, SpatialArena};
 
 fn main() {
     let net = cin(&CinConfig::default());
@@ -35,6 +35,7 @@ fn main() {
         "dist", "t_last", "t_ave", "cmp avg", "cmp Bushey", "upd avg", "upd Bushey"
     );
     let runs = 40;
+    let mut arena = SpatialArena::new();
     for (label, spatial) in [
         ("uniform".to_string(), Spatial::Uniform),
         ("a = 1.2".to_string(), Spatial::QsPower { a: 1.2 }),
@@ -49,7 +50,7 @@ fn main() {
         let mut upd_avg = 0.0;
         let mut upd_bushey = 0.0;
         for seed in 0..runs {
-            let r = sim.run(seed, None);
+            let r = sim.run(&mut arena, seed, &mut ());
             let cycles = f64::from(r.cycles.max(1));
             t_last += f64::from(r.t_last);
             t_ave += r.t_ave;

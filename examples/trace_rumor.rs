@@ -1,7 +1,8 @@
 //! Traces one rumor-mongering epidemic end to end through the
 //! observability stack: per-contact JSONL events, per-cycle SIR
 //! snapshots, the per-link traffic matrix, runtime invariant checking,
-//! and the engine's metrics-registry counters.
+//! and the run's streaming aggregate (totals, delay percentiles, SIR
+//! curve).
 //!
 //! ```text
 //! cargo run --example trace_rumor            # seed 42
@@ -13,9 +14,10 @@
 //! protocol variants cycle by cycle.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-use epidemic_sim::mixing::RumorEpidemic;
+use epidemic_sim::engine::AggregateObserver;
+use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::{InvariantObserver, TraceObserver};
-use epidemic_trace::{Registry, RunTracer, TraceConfig};
+use epidemic_trace::{RunTracer, TraceConfig};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -36,16 +38,16 @@ fn main() {
         .label_u64("seed", seed);
     let mut trace = TraceObserver::with_tracer(tracer);
     let mut check = InvariantObserver::new();
-    let mut registry = Registry::new();
+    let mut aggregate = AggregateObserver::new();
 
-    let result =
-        RumorEpidemic::new(cfg).run_metered(n, seed, &mut (&mut trace, &mut check), &mut registry);
+    let observer = &mut (&mut trace, &mut check, &mut aggregate);
+    let result = RumorEpidemic::new(n, cfg).run(&mut MixingArena::new(), seed, observer);
 
     println!("# run trace (JSONL; diffable, no wall-clock fields)");
     print!("{}", trace.finish());
 
-    println!("\n# engine metrics registry");
-    println!("{}", registry.to_json());
+    println!("\n# run aggregate");
+    println!("{}", aggregate.finish().to_json());
 
     println!(
         "\n# summary: n {n}, seed {seed} -> residue {:.3}, traffic {:.2}, t_ave {:.1}, t_last {:.0}, cycles {}",

@@ -7,63 +7,63 @@ use epidemics::analysis::{push_epidemic_time, residue_for_counter, RumorOde};
 use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
 use epidemics::net::topologies::{cin, CinConfig};
 use epidemics::net::{expected_cut_conversations, Spatial};
-use epidemics::sim::mixing::{AntiEntropyEpidemic, RumorEpidemic};
-use epidemics::sim::spatial_ae::AntiEntropySim;
+use epidemics::sim::mixing::{AntiEntropyEpidemic, EpidemicResult, MixingArena, RumorEpidemic};
+use epidemics::sim::spatial_ae::{AntiEntropySim, SpatialArena};
 
-fn mean<T>(trials: u64, f: impl Fn(u64) -> T) -> f64
+fn mean<T>(trials: u64, mut f: impl FnMut(u64) -> T) -> f64
 where
     T: Into<f64>,
 {
     (0..trials).map(|s| f(s).into()).sum::<f64>() / trials as f64
 }
 
+/// Mean of `measure` over `trials` runs of the 1000-site rumor epidemic
+/// `cfg`, one arena throughout.
+fn rumor_mean(cfg: RumorConfig, trials: u64, measure: impl Fn(EpidemicResult) -> f64) -> f64 {
+    let driver = RumorEpidemic::new(1000, cfg);
+    let mut arena = MixingArena::new();
+    mean(trials, |s| measure(driver.run(&mut arena, s, &mut ())))
+}
+
 #[test]
 fn table1_k1_residue_is_about_18_percent() {
-    let driver = RumorEpidemic::new(
-        RumorConfig::new(
-            Direction::Push,
-            Feedback::Feedback,
-            Removal::Counter { k: 1 },
-        )
-        .with_reset_on_useful(true),
-    );
-    let residue = mean(40, |s| driver.run(1000, s).residue);
+    let cfg = RumorConfig::new(
+        Direction::Push,
+        Feedback::Feedback,
+        Removal::Counter { k: 1 },
+    )
+    .with_reset_on_useful(true);
+    let residue = rumor_mean(cfg, 40, |r| r.residue);
     assert!((residue - 0.18).abs() < 0.03, "residue {residue}");
 }
 
 #[test]
 fn table1_k5_traffic_is_about_6_point_7() {
-    let driver = RumorEpidemic::new(
-        RumorConfig::new(
-            Direction::Push,
-            Feedback::Feedback,
-            Removal::Counter { k: 5 },
-        )
-        .with_reset_on_useful(true),
-    );
-    let m = mean(20, |s| driver.run(1000, s).traffic);
+    let cfg = RumorConfig::new(
+        Direction::Push,
+        Feedback::Feedback,
+        Removal::Counter { k: 5 },
+    )
+    .with_reset_on_useful(true);
+    let m = rumor_mean(cfg, 20, |r| r.traffic);
     assert!((m - 6.7).abs() < 0.4, "traffic {m}");
 }
 
 #[test]
 fn table2_k1_dies_with_96_percent_residue() {
-    let driver = RumorEpidemic::new(RumorConfig::new(
-        Direction::Push,
-        Feedback::Blind,
-        Removal::Coin { k: 1 },
-    ));
-    let residue = mean(40, |s| driver.run(1000, s).residue);
+    let cfg = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 1 });
+    let residue = rumor_mean(cfg, 40, |r| r.residue);
     assert!((residue - 0.96).abs() < 0.03, "residue {residue}");
 }
 
 #[test]
 fn table3_pull_k2_residue_is_under_a_thousandth() {
-    let driver = RumorEpidemic::new(RumorConfig::new(
+    let cfg = RumorConfig::new(
         Direction::Pull,
         Feedback::Feedback,
         Removal::Counter { k: 2 },
-    ));
-    let residue = mean(40, |s| driver.run(1000, s).residue);
+    );
+    let residue = rumor_mean(cfg, 40, |r| r.residue);
     assert!(residue < 2e-3, "residue {residue}");
 }
 
@@ -78,8 +78,9 @@ fn ode_quotes_20_and_6_percent() {
 
 #[test]
 fn push_anti_entropy_cover_time_is_log2_plus_ln() {
-    let driver = AntiEntropyEpidemic::new(Direction::Push);
-    let measured = mean(25, |s| f64::from(driver.run(1000, s).cycles));
+    let driver = AntiEntropyEpidemic::new(1000, Direction::Push);
+    let mut arena = MixingArena::new();
+    let measured = mean(25, |s| driver.run(&mut arena, s, &mut ()).cycles);
     let predicted = push_epidemic_time(1000.0);
     assert!(
         (measured - predicted).abs() / predicted < 0.15,
@@ -91,10 +92,11 @@ fn push_anti_entropy_cover_time_is_log2_plus_ln() {
 fn uniform_selection_loads_the_cut_at_the_formula_rate() {
     let net = cin(&CinConfig::default());
     let sim = AntiEntropySim::new(&net.topology, Spatial::Uniform);
+    let mut arena = SpatialArena::new();
     let mut crossing = 0.0;
     let mut cycles = 0.0;
     for seed in 0..8 {
-        let r = sim.run(seed, None);
+        let r = sim.run(&mut arena, seed, &mut ());
         crossing += (r.compare_traffic.at(net.bushey_link)
             + r.compare_traffic.at(net.second_transatlantic)) as f64;
         cycles += f64::from(r.cycles);
@@ -108,13 +110,14 @@ fn uniform_selection_loads_the_cut_at_the_formula_rate() {
 #[test]
 fn qs2_cuts_critical_link_traffic_by_an_order_of_magnitude() {
     let net = cin(&CinConfig::default());
-    let per_cycle = |spatial| {
+    let mut arena = SpatialArena::new();
+    let mut per_cycle = |spatial| {
         let sim = AntiEntropySim::new(&net.topology, spatial);
         let mut bushey = 0.0;
         let mut cycles = 0.0;
         let mut t_last = 0.0;
         for seed in 0..10 {
-            let r = sim.run(seed, None);
+            let r = sim.run(&mut arena, seed, &mut ());
             bushey += r.compare_traffic.at(net.bushey_link) as f64;
             cycles += f64::from(r.cycles);
             t_last += f64::from(r.t_last);
@@ -140,9 +143,14 @@ fn qs2_cuts_critical_link_traffic_by_an_order_of_magnitude() {
 #[test]
 fn connection_limit_one_keeps_total_update_traffic_constant() {
     let net = cin(&CinConfig::default());
-    let update_avg = |limit| {
+    let mut arena = SpatialArena::new();
+    let mut update_avg = |limit| {
         let sim = AntiEntropySim::new(&net.topology, Spatial::Uniform).connection_limit(limit);
-        mean(8, |s| sim.run(s, None).update_traffic.mean_per_link())
+        mean(8, |s| {
+            sim.run(&mut arena, s, &mut ())
+                .update_traffic
+                .mean_per_link()
+        })
     };
     let unlimited = update_avg(None);
     let limited = update_avg(Some(1));
@@ -155,11 +163,12 @@ fn connection_limit_one_keeps_total_update_traffic_constant() {
 #[test]
 fn connection_limit_success_fraction_is_one_minus_e_inverse() {
     let net = cin(&CinConfig::default());
-    let cmp_per_cycle = |limit| {
+    let mut arena = SpatialArena::new();
+    let mut cmp_per_cycle = |limit| {
         let sim = AntiEntropySim::new(&net.topology, Spatial::Uniform).connection_limit(limit);
         let mut total = 0.0;
         for seed in 0..8 {
-            let r = sim.run(seed, None);
+            let r = sim.run(&mut arena, seed, &mut ());
             total += r.compare_traffic.mean_per_link() / f64::from(r.cycles.max(1));
         }
         total / 8.0

@@ -3,7 +3,7 @@
 
 use epidemics::net::topologies::{cin, figure1, grid, line, CinConfig};
 use epidemics::net::{expected_cut_conversations, PartnerSampler, Routes, Spatial};
-use epidemics::sim::spatial_ae::AntiEntropySim;
+use epidemics::sim::spatial_ae::{AntiEntropySim, SpatialArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -13,10 +13,11 @@ fn uniform_cut_traffic_matches_the_papers_formula() {
     // under uniform selection and compare with 2·n1·n2/(n1+n2).
     let net = cin(&CinConfig::default());
     let sim = AntiEntropySim::new(&net.topology, Spatial::Uniform);
+    let mut arena = SpatialArena::new();
     let mut crossing = 0.0;
     let mut cycles = 0.0;
     for seed in 0..10 {
-        let r = sim.run(seed, None);
+        let r = sim.run(&mut arena, seed, &mut ());
         crossing += (r.compare_traffic.at(net.bushey_link)
             + r.compare_traffic.at(net.second_transatlantic)) as f64;
         cycles += f64::from(r.cycles);
@@ -37,8 +38,9 @@ fn compare_traffic_equals_sum_of_route_lengths() {
     // lengths over all conversations. With n sites and c cycles there are
     // n·c conversations, each of mean route length ≥ 1.
     let topo = grid(&[5, 5]);
-    let sim = AntiEntropySim::new(&topo, Spatial::Uniform);
-    let r = sim.run(3, Some(topo.sites()[0]));
+    let sim = AntiEntropySim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
+    let mut arena = SpatialArena::new();
+    let r = sim.run(&mut arena, 3, &mut ());
     let conversations = 25 * r.cycles as u64;
     let total = r.compare_traffic.total();
     assert!(total >= conversations, "every conversation crosses ≥1 link");
@@ -81,10 +83,11 @@ fn spatial_anti_entropy_converges_on_every_zoo_topology() {
         star(10),
         figure1(8),
     ];
+    let mut arena = SpatialArena::new();
     for topo in &topos {
         for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
-            let sim = AntiEntropySim::new(topo, spatial);
-            let r = sim.run(11, Some(topo.sites()[0]));
+            let sim = AntiEntropySim::new(topo, spatial).origin(topo.sites()[0]);
+            let r = sim.run(&mut arena, 11, &mut ());
             assert!(
                 r.cycles < 1_000,
                 "slow convergence on {} sites under {spatial:?}",
@@ -119,10 +122,12 @@ fn hunting_restores_convergence_speed_under_connection_limit() {
     let topo = grid(&[6, 6]);
     let mean_t_last = |hunt: u32| {
         let sim = AntiEntropySim::new(&topo, Spatial::Uniform)
+            .origin(topo.sites()[0])
             .connection_limit(Some(1))
             .hunt_limit(hunt);
+        let mut arena = SpatialArena::new();
         (0..15)
-            .map(|s| f64::from(sim.run(s, Some(topo.sites()[0])).t_last))
+            .map(|s| f64::from(sim.run(&mut arena, s, &mut ()).t_last))
             .sum::<f64>()
             / 15.0
     };
