@@ -55,8 +55,19 @@ impl<K: Eq + Clone> HotList<K> {
         self.items.is_empty()
     }
 
-    fn position(&self, key: &K) -> Option<usize> {
+    /// Where `key` sits in activity order, if hot: the index the
+    /// positional edits (`*_at`) take.
+    pub(crate) fn position(&self, key: &K) -> Option<usize> {
         self.items.iter().position(|i| &i.key == key)
+    }
+
+    /// The key at position `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= len()`, as do all the positional edits.
+    pub fn key_at(&self, idx: usize) -> &K {
+        &self.items[idx].key
     }
 
     /// Whether `key` is hot here.
@@ -95,11 +106,17 @@ impl<K: Eq + Clone> HotList<K> {
     pub fn remove(&mut self, key: &K) -> bool {
         match self.position(key) {
             Some(pos) => {
-                self.items.remove(pos);
+                self.remove_at(pos);
                 true
             }
             None => false,
         }
+    }
+
+    /// Removes the rumor at position `idx`; the item after it moves up to
+    /// `idx`.
+    pub(crate) fn remove_at(&mut self, idx: usize) {
+        self.items.remove(idx);
     }
 
     /// Drops every rumor.
@@ -117,19 +134,17 @@ impl<K: Eq + Clone> HotList<K> {
         self.items.iter()
     }
 
-    /// Snapshot of the hot keys (hottest first). Convenient when the caller
-    /// must mutate the replica while walking its rumors.
-    pub fn keys_snapshot(&self) -> Vec<K> {
-        self.items.iter().map(|i| i.key.clone()).collect()
-    }
-
     /// Adds `delta` unnecessary contacts to `key`'s counter and returns the
     /// new value; `None` if the key is not hot.
     pub fn bump_counter(&mut self, key: &K, delta: u32) -> Option<u32> {
-        self.items.iter_mut().find(|i| &i.key == key).map(|i| {
-            i.counter += delta;
-            i.counter
-        })
+        self.position(key).map(|pos| self.bump_at(pos, delta))
+    }
+
+    /// [`HotList::bump_counter`] for the rumor at position `idx`.
+    pub(crate) fn bump_at(&mut self, idx: usize, delta: u32) -> u32 {
+        let item = &mut self.items[idx];
+        item.counter += delta;
+        item.counter
     }
 
     /// Resets `key`'s counter to zero (a useful contact under the
@@ -137,20 +152,33 @@ impl<K: Eq + Clone> HotList<K> {
     /// order.
     pub fn mark_useful(&mut self, key: &K) {
         if let Some(pos) = self.position(key) {
-            self.items[..=pos].rotate_right(1);
-            self.items[0].counter = 0;
+            self.mark_useful_at(pos);
         }
+    }
+
+    /// [`HotList::mark_useful`] for the rumor at position `idx`: the items
+    /// before it move down one place, so the one after it stays at
+    /// `idx + 1`.
+    pub(crate) fn mark_useful_at(&mut self, idx: usize) {
+        self.items[..=idx].rotate_right(1);
+        self.items[0].counter = 0;
     }
 
     /// Records deferred feedback for `key` during the current cycle (pull
     /// semantics, Table 3 footnote). Applied by [`HotList::end_cycle`].
     pub fn record_pending(&mut self, key: &K, needed: bool) {
-        if let Some(item) = self.items.iter_mut().find(|i| &i.key == key) {
-            if needed {
-                item.pending_needed = true;
-            } else {
-                item.pending_useless = true;
-            }
+        if let Some(pos) = self.position(key) {
+            self.record_pending_at(pos, needed);
+        }
+    }
+
+    /// [`HotList::record_pending`] for the rumor at position `idx`.
+    pub(crate) fn record_pending_at(&mut self, idx: usize, needed: bool) {
+        let item = &mut self.items[idx];
+        if needed {
+            item.pending_needed = true;
+        } else {
+            item.pending_useless = true;
         }
     }
 
@@ -227,7 +255,7 @@ mod tests {
         list.bump_counter(&"a", 3);
         list.insert("a");
         assert_eq!(list.counter(&"a"), Some(0));
-        assert_eq!(list.keys_snapshot(), ["a", "b"]);
+        assert!(list.keys().eq(&["a", "b"]));
         assert_eq!(list.len(), 2);
     }
 
@@ -248,52 +276,104 @@ mod tests {
         list.bump_counter(&"a", 2);
         list.mark_useful(&"a");
         assert_eq!(list.counter(&"a"), Some(0));
-        assert_eq!(list.keys_snapshot(), ["a", "b"]);
+        assert!(list.keys().eq(&["a", "b"]));
     }
 
     /// The list's order is defined by "drop the key wherever it is, then
-    /// put it in front"; the one-pass edits must produce exactly that.
+    /// put it in front"; the one-pass edits, keyed and positional, must
+    /// produce exactly that.
     #[test]
     fn one_pass_edits_match_retain_then_push_front() {
-        // The old definition, on bare `(key, counter)` pairs.
-        fn drop_key(model: &mut Vec<(u8, u32)>, key: u8) -> Option<u32> {
-            let counter = model.iter().find(|(k, _)| *k == key).map(|(_, c)| *c);
-            model.retain(|(k, _)| *k != key);
-            counter
+        // The definition, on bare `(key, counter, pending_needed,
+        // pending_useless)` tuples.
+        type Model = Vec<(u8, u32, bool, bool)>;
+        fn drop_key(model: &mut Model, key: u8) -> Option<(u8, u32, bool, bool)> {
+            let item = model.iter().find(|m| m.0 == key).copied();
+            model.retain(|m| m.0 != key);
+            item
+        }
+        fn promote(model: &mut Model, key: u8) -> bool {
+            let Some((_, _, needed, useless)) = drop_key(model, key) else {
+                return false;
+            };
+            model.insert(0, (key, 0, needed, useless));
+            true
+        }
+        fn pend(item: &mut (u8, u32, bool, bool), needed: bool) {
+            if needed {
+                item.2 = true;
+            } else {
+                item.3 = true;
+            }
         }
         let mut list = HotList::new();
-        let mut model: Vec<(u8, u32)> = Vec::new();
+        let mut model: Model = Vec::new();
         // A scripted history over six keys that re-inserts hot keys at
-        // the front, middle and back, and edits absent keys too.
-        for step in 0..400u32 {
+        // the front, middle and back, edits absent keys too, and applies
+        // every positional edit at every position the list reaches.
+        for step in 0..1_000u32 {
             let key = ((step * 7 + step / 5) % 6) as u8;
-            match step % 5 {
+            let op = step % 10;
+            if op >= 5 && model.is_empty() {
+                continue;
+            }
+            let idx = (step / 10) as usize % model.len().max(1);
+            if op >= 5 {
+                assert_eq!(*list.key_at(idx), model[idx].0, "step {step}");
+            }
+            match op {
                 0 | 1 => {
                     list.insert(key);
                     drop_key(&mut model, key);
-                    model.insert(0, (key, 0));
+                    model.insert(0, (key, 0, false, false));
                 }
                 2 => {
                     let bumped = list.bump_counter(&key, 1);
-                    let slot = model.iter_mut().find(|(k, _)| *k == key);
+                    let slot = model.iter_mut().find(|m| m.0 == key);
                     assert_eq!(bumped.is_some(), slot.is_some());
-                    if let Some((_, c)) = slot {
-                        *c += 1;
+                    if let Some(m) = slot {
+                        m.1 += 1;
+                        assert_eq!(bumped, Some(m.1));
                     }
                 }
                 3 => {
                     list.mark_useful(&key);
-                    if drop_key(&mut model, key).is_some() {
-                        model.insert(0, (key, 0));
-                    }
+                    promote(&mut model, key);
                 }
-                _ => {
+                4 => {
                     let removed = list.remove(&key);
                     assert_eq!(removed, drop_key(&mut model, key).is_some());
                 }
+                5 => {
+                    model[idx].1 += 1;
+                    assert_eq!(list.bump_at(idx, 1), model[idx].1);
+                }
+                6 => {
+                    list.mark_useful_at(idx);
+                    let key = model[idx].0;
+                    promote(&mut model, key);
+                }
+                7 => {
+                    list.remove_at(idx);
+                    model.remove(idx);
+                }
+                8 => {
+                    list.record_pending_at(idx, step % 3 == 0);
+                    pend(&mut model[idx], step % 3 == 0);
+                }
+                _ => {
+                    list.record_pending(&key, step % 4 == 1);
+                    if let Some(m) = model.iter_mut().find(|m| m.0 == key) {
+                        pend(m, step % 4 == 1);
+                    }
+                }
             }
-            let got: Vec<(u8, u32)> = list.iter().map(|i| (*i.key(), i.counter())).collect();
+            let got: Model = list
+                .iter()
+                .map(|i| (i.key, i.counter, i.pending_needed, i.pending_useless))
+                .collect();
             assert_eq!(got, model, "after step {step}");
+            assert_eq!(list.position(&key), model.iter().position(|m| m.0 == key));
         }
     }
 

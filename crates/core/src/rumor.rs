@@ -23,6 +23,7 @@ use std::hash::Hash;
 
 use rand::{Rng, RngExt};
 
+use crate::hot::HotList;
 use crate::replica::Replica;
 use crate::Direction;
 
@@ -136,10 +137,12 @@ impl RumorStats {
     }
 }
 
-/// Reusable buffers for the hot-key snapshots a rumor contact takes of
-/// each party. Steady-state drivers keep one per protocol and thread it
-/// through [`contact_with`], so a fleet under continuous update load
-/// stops allocating a fresh `Vec` on every multi-rumor contact — the
+/// Reusable buffers for the hot-key snapshots a push-pull contact takes of
+/// both parties: its second half must not see what its first half
+/// inserted. Push and pull walk the sender's list in place and take no
+/// snapshot. Steady-state drivers keep one per protocol and thread it
+/// through [`contact_with`], so a push-pull fleet under continuous update
+/// load stops allocating a fresh `Vec` on every multi-rumor contact — the
 /// rumor-side counterpart of `ExchangeScratch`.
 #[derive(Debug, Default)]
 pub struct RumorScratch<K> {
@@ -207,6 +210,43 @@ where
     Some(to.receive_rumor_ref(key, entry).was_useful())
 }
 
+/// Offers every hot rumor of `from` to `to` ([`offer_rumor`]'s probes) in
+/// one pass over `from`'s list, and hands each one sent to
+/// `edit(hot, idx, useful, stats)`, which returns whether it removed the
+/// rumor at `idx`. Every edit lands at the cursor: the receiver's list is
+/// another replica's, a removal leaves the next rumor at the cursor, and
+/// a promotion to the front leaves it one place further on — so rumors
+/// are visited, and coins tossed, in start-of-contact order, with no
+/// snapshot taken.
+fn walk_hot<K, V>(
+    from: &mut Replica<K, V>,
+    to: &mut Replica<K, V>,
+    mut edit: impl FnMut(&mut HotList<K>, usize, bool, &mut RumorStats) -> bool,
+) -> RumorStats
+where
+    K: Ord + Clone + Hash + Eq,
+    V: Clone + Hash,
+{
+    let mut stats = RumorStats::default();
+    let mut idx = 0;
+    while idx < from.hot().len() {
+        let key = from.hot().key_at(idx);
+        let Some(entry) = from.db().entry(key) else {
+            from.hot_mut().remove_at(idx); // stale: dropped unsent
+            continue;
+        };
+        let useful = to.receive_rumor_ref(key, entry).was_useful();
+        stats.sent += 1;
+        if useful {
+            stats.useful += 1;
+        }
+        if !edit(from.hot_mut(), idx, useful, &mut stats) {
+            idx += 1;
+        }
+    }
+    stats
+}
+
 /// One **push** contact: `sender` offers every hot rumor to `receiver`
 /// (§1.4's basic scenario). Interest-loss is applied immediately per the
 /// configured feedback/removal rules.
@@ -221,36 +261,9 @@ where
     V: Clone + Hash,
     R: Rng + ?Sized,
 {
-    push_contact_with(cfg, sender, receiver, rng, &mut Vec::new())
-}
-
-/// [`push_contact`] with a caller-owned snapshot buffer (see
-/// [`RumorScratch`]).
-pub fn push_contact_with<K, V, R>(
-    cfg: &RumorConfig,
-    sender: &mut Replica<K, V>,
-    receiver: &mut Replica<K, V>,
-    rng: &mut R,
-    buf: &mut Vec<K>,
-) -> RumorStats
-where
-    K: Ord + Clone + Hash + Eq,
-    V: Clone + Hash,
-    R: Rng + ?Sized,
-{
-    let mut stats = RumorStats::default();
-    let keys = HotKeys::snapshot(sender, buf);
-    for key in keys.as_slice() {
-        let Some(useful) = offer_rumor(sender, receiver, key) else {
-            continue;
-        };
-        stats.sent += 1;
-        if useful {
-            stats.useful += 1;
-        }
-        apply_interest_loss(cfg, sender, key, useful, rng, &mut stats);
-    }
-    stats
+    walk_hot(sender, receiver, |hot, idx, useful, stats| {
+        lose_interest(cfg, hot, Some(idx), useful, rng, stats)
+    })
 }
 
 /// One **pull** contact: `requester` asks `source` for its hot rumors.
@@ -268,50 +281,21 @@ where
     V: Clone + Hash,
     R: Rng + ?Sized,
 {
-    pull_contact_with(cfg, requester, source, rng, &mut Vec::new())
-}
-
-/// [`pull_contact`] with a caller-owned snapshot buffer (see
-/// [`RumorScratch`]).
-pub fn pull_contact_with<K, V, R>(
-    cfg: &RumorConfig,
-    requester: &mut Replica<K, V>,
-    source: &mut Replica<K, V>,
-    rng: &mut R,
-    buf: &mut Vec<K>,
-) -> RumorStats
-where
-    K: Ord + Clone + Hash + Eq,
-    V: Clone + Hash,
-    R: Rng + ?Sized,
-{
-    let mut stats = RumorStats::default();
-    let keys = HotKeys::snapshot(source, buf);
-    for key in keys.as_slice() {
-        let Some(useful) = offer_rumor(source, requester, key) else {
-            continue;
-        };
-        stats.sent += 1;
-        if useful {
-            stats.useful += 1;
-        }
+    walk_hot(source, requester, |hot, idx, useful, stats| {
         match cfg.removal {
             Removal::Counter { .. } => {
-                // Deferred to end_cycle (Table 3 footnote). Blind pull
-                // records every serve as useless — no feedback reaches the
-                // source.
+                // Deferred to end_cycle (Table 3 footnote). Blind pull records
+                // every serve as useless — no feedback reaches the source.
                 let needed = match cfg.feedback {
                     Feedback::Feedback => useful,
                     Feedback::Blind => false,
                 };
-                source.hot_mut().record_pending(key, needed);
+                hot.record_pending_at(idx, needed);
+                false
             }
-            Removal::Coin { .. } => {
-                apply_interest_loss(cfg, source, key, useful, rng, &mut stats);
-            }
+            Removal::Coin { .. } => lose_interest(cfg, hot, Some(idx), useful, rng, stats),
         }
-    }
-    stats
+    })
 }
 
 /// One **push-pull** contact: both parties offer their hot rumors, with
@@ -350,7 +334,7 @@ where
     let b_keys = HotKeys::snapshot(b, b_keys);
 
     for key in a_keys.as_slice() {
-        let both_hot = b_keys.as_slice().contains(key);
+        let both_hot = cfg.minimization && b_keys.as_slice().contains(key);
         let Some(useful) = offer_rumor(a, b, key) else {
             continue;
         };
@@ -358,7 +342,7 @@ where
         if useful {
             stats.useful += 1;
         }
-        if cfg.minimization && both_hot && !useful {
+        if both_hot && !useful {
             // Both parties knew the rumor: increment only the smaller
             // counter; on ties increment both (§1.4 Minimization). The
             // b→a direction for this key is subsumed here.
@@ -406,7 +390,9 @@ where
 
 /// [`contact`] with caller-owned snapshot buffers: the form the
 /// steady-state drivers use, one [`RumorScratch`] per protocol, so
-/// multi-rumor contacts stop allocating a snapshot `Vec` apiece.
+/// multi-rumor push-pull contacts stop allocating a snapshot `Vec`
+/// apiece. Only push-pull uses the buffers; push and pull take no
+/// snapshot.
 pub fn contact_with<K, V, R>(
     cfg: &RumorConfig,
     initiator: &mut Replica<K, V>,
@@ -420,8 +406,8 @@ where
     R: Rng + ?Sized,
 {
     match cfg.direction {
-        Direction::Push => push_contact_with(cfg, initiator, partner, rng, &mut scratch.a_keys),
-        Direction::Pull => pull_contact_with(cfg, initiator, partner, rng, &mut scratch.b_keys),
+        Direction::Push => push_contact(cfg, initiator, partner, rng),
+        Direction::Pull => pull_contact(cfg, initiator, partner, rng),
         Direction::PushPull => push_pull_contact_with(cfg, initiator, partner, rng, scratch),
     }
 }
@@ -474,30 +460,48 @@ fn apply_interest_loss<K, V, R>(
     V: Hash,
     R: Rng + ?Sized,
 {
+    let idx = holder.hot().position(key);
+    lose_interest(cfg, holder.hot_mut(), idx, useful, rng, stats);
+}
+
+/// The interest-loss rule applied to the rumor at position `idx` of `hot`
+/// (`None`: the rumor is no longer hot there, so only the coin is tossed).
+/// Returns whether the rumor left the list.
+fn lose_interest<K, R>(
+    cfg: &RumorConfig,
+    hot: &mut HotList<K>,
+    idx: Option<usize>,
+    useful: bool,
+    rng: &mut R,
+    stats: &mut RumorStats,
+) -> bool
+where
+    K: Eq + Clone,
+    R: Rng + ?Sized,
+{
     let counts_against = match cfg.feedback {
         Feedback::Feedback => !useful,
         Feedback::Blind => true,
     };
     if !counts_against {
         if useful && cfg.reset_on_useful {
-            holder.hot_mut().mark_useful(key);
+            if let Some(idx) = idx {
+                hot.mark_useful_at(idx);
+            }
         }
-        return;
+        return false;
     }
-    match cfg.removal {
-        Removal::Counter { k } => {
-            if let Some(c) = holder.hot_mut().bump_counter(key, 1) {
-                if c >= k {
-                    holder.hot_mut().remove(key);
-                    stats.deactivated += 1;
-                }
-            }
+    let lost = match cfg.removal {
+        Removal::Counter { k } => idx.is_some_and(|idx| hot.bump_at(idx, 1) >= k),
+        Removal::Coin { k } => rng.random::<f64>() < 1.0 / f64::from(k.max(1)),
+    };
+    match idx {
+        Some(idx) if lost => {
+            hot.remove_at(idx);
+            stats.deactivated += 1;
+            true
         }
-        Removal::Coin { k } => {
-            if rng.random::<f64>() < 1.0 / f64::from(k.max(1)) && holder.hot_mut().remove(key) {
-                stats.deactivated += 1;
-            }
-        }
+        _ => false,
     }
 }
 

@@ -42,13 +42,12 @@ impl DegreeGraph {
         assert!(m >= 1, "each arriving site must attach somewhere");
         assert!(n >= 2, "a graph of partners needs at least two sites");
         let core = (m + 1).min(n);
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(core * (core - 1) / 2 + m * n);
-        // Every edge contributes both endpoints; sampling this list
-        // uniformly is sampling sites proportionally to degree.
-        let mut endpoints: Vec<u32> = Vec::with_capacity(2 * edges.capacity());
+        // Every edge contributes both endpoints, as a consecutive pair;
+        // sampling this list uniformly is sampling sites proportionally to
+        // degree, and its pairs are the edge list the CSR is built from.
+        let mut endpoints: Vec<u32> = Vec::with_capacity(2 * (core * (core - 1) / 2 + m * n));
         for i in 0..core as u32 {
             for j in (i + 1)..core as u32 {
-                edges.push((i, j));
                 endpoints.push(i);
                 endpoints.push(j);
             }
@@ -64,37 +63,37 @@ impl DegreeGraph {
                 }
             }
             for &t in &picked {
-                edges.push((v, t));
                 endpoints.push(t);
                 endpoints.push(v);
             }
         }
-        Self::from_edges(n, &edges)
+        Self::from_endpoints(n, &endpoints)
     }
 
-    /// Builds the CSR form from an undirected edge list (no self-loops,
-    /// no duplicate edges). Each edge appears in both endpoints' neighbor
-    /// lists; per-site lists come out sorted.
-    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut degree = vec![0u32; n];
-        for &(a, b) in edges {
-            degree[a as usize] += 1;
-            degree[b as usize] += 1;
+    /// Builds the CSR form from an undirected edge list stored as
+    /// consecutive endpoint pairs (no self-loops, no duplicate edges).
+    /// Each edge appears in both endpoints' neighbor lists; per-site lists
+    /// come out sorted. No column is allocated beside the two it returns.
+    fn from_endpoints(n: usize, endpoints: &[u32]) -> Self {
+        // offsets[i] counts site i's degree, then becomes the end of its
+        // neighbor list; filling walks each end back down to the start.
+        let mut offsets = vec![0u32; n + 1];
+        for &site in endpoints {
+            offsets[site as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
         let mut total = 0u32;
-        offsets.push(0);
-        for &d in &degree {
-            total += d;
-            offsets.push(total);
+        for end in &mut offsets[..n] {
+            total += *end;
+            *end = total;
         }
+        offsets[n] = total;
         let mut targets = vec![0u32; total as usize];
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for &(a, b) in edges {
-            targets[cursor[a as usize] as usize] = b;
-            cursor[a as usize] += 1;
-            targets[cursor[b as usize] as usize] = a;
-            cursor[b as usize] += 1;
+        for edge in endpoints.chunks_exact(2) {
+            for (site, other) in [(edge[0], edge[1]), (edge[1], edge[0])] {
+                let cursor = &mut offsets[site as usize];
+                *cursor -= 1;
+                targets[*cursor as usize] = other;
+            }
         }
         for i in 0..n {
             targets[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
@@ -199,9 +198,29 @@ mod tests {
         assert_eq!(g.neighbors(1), [0]);
     }
 
+    /// `scale_free(10_000, 2, 1987)`'s edge count, max degree and FNV-1a
+    /// of both CSR columns: how the CSR is built must not change the graph
+    /// (megascale runs replay from it).
     #[test]
-    fn from_edges_builds_exact_adjacency() {
-        let g = DegreeGraph::from_edges(4, &[(0, 1), (1, 2), (3, 1)]);
+    fn scale_free_fingerprint_is_pinned() {
+        fn fnv(column: &[u32]) -> u64 {
+            column
+                .iter()
+                .flat_map(|x| x.to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                })
+        }
+        let g = DegreeGraph::scale_free(10_000, 2, 1987);
+        assert_eq!(g.edge_count(), 19_997);
+        assert_eq!((0..g.site_count()).map(|i| g.degree(i)).max(), Some(229));
+        assert_eq!(fnv(&g.offsets), 0x184c_ee66_956a_8dd2);
+        assert_eq!(fnv(&g.targets), 0x18f1_496c_c6bc_29ce);
+    }
+
+    #[test]
+    fn from_endpoints_builds_exact_adjacency() {
+        let g = DegreeGraph::from_endpoints(4, &[0, 1, 1, 2, 3, 1]);
         assert_eq!(g.neighbors(0), [1]);
         assert_eq!(g.neighbors(1), [0, 2, 3]);
         assert_eq!(g.neighbors(2), [1]);

@@ -297,7 +297,7 @@ pub(crate) struct MixingState {
     pub(crate) state0: BitSet,
     /// Start-of-cycle "is infective" snapshot (pull synchronous).
     pub(crate) hot0: BitSet,
-    /// Reused hot-key snapshot buffers for the sequential contact paths.
+    /// Reused hot-key snapshot buffers for push-pull contacts.
     pub(crate) scratch: RumorScratch<u32>,
 }
 
@@ -391,7 +391,7 @@ impl MixingProtocol {
                         useful: u64::from(applied),
                     }
                 } else {
-                    let stats = rumor::push_contact_with(&self.cfg, a, b, rng, &mut scratch.a_keys);
+                    let stats = rumor::push_contact(&self.cfg, a, b, rng);
                     if stats.useful > 0 {
                         received.mark(j, cycle);
                     }
@@ -429,13 +429,7 @@ impl MixingProtocol {
                         useful: u64::from(applied),
                     }
                 } else {
-                    let stats = rumor::pull_contact_with(
-                        &self.cfg,
-                        requester,
-                        source,
-                        rng,
-                        &mut scratch.b_keys,
-                    );
+                    let stats = rumor::pull_contact(&self.cfg, requester, source, rng);
                     if stats.useful > 0 {
                         received.mark(i, cycle);
                     }

@@ -810,26 +810,9 @@ impl EpidemicProtocol for ScenarioProtocol {
             }
             Phase::Rumor => {
                 let cfg = self.rumor.expect("rumor phase has a config");
-                let stats = match cfg.direction {
-                    Direction::Push => {
-                        let (a, b) = pair_mut(&mut self.replicas, i, j);
-                        rumor::push_contact_with(&cfg, a, b, rng, &mut self.rumor_scratch.a_keys)
-                    }
-                    Direction::Pull => {
-                        let (requester, source) = pair_mut(&mut self.replicas, i, j);
-                        rumor::pull_contact_with(
-                            &cfg,
-                            requester,
-                            source,
-                            rng,
-                            &mut self.rumor_scratch.b_keys,
-                        )
-                    }
-                    Direction::PushPull => {
-                        let (a, b) = pair_mut(&mut self.replicas, i, j);
-                        rumor::push_pull_contact_with(&cfg, a, b, rng, &mut self.rumor_scratch)
-                    }
-                };
+                let (initiator, partner) = pair_mut(&mut self.replicas, i, j);
+                let stats =
+                    rumor::contact_with(&cfg, initiator, partner, rng, &mut self.rumor_scratch);
                 self.rumor_sent += u64::try_from(stats.sent).unwrap_or(u64::MAX);
                 stats.into()
             }

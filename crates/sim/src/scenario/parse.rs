@@ -193,6 +193,9 @@ fn parse_rumor(cur: &mut Cursor<'_>) -> Result<RumorConfig, ParseError> {
     };
     let removal_kind = cur.next("counter|coin")?.to_string();
     let k = cur.parse("removal threshold k")?;
+    if k == 0 {
+        return Err(cur.err("removal threshold k must be positive"));
+    }
     let removal = match removal_kind.as_str() {
         "counter" => Removal::Counter { k },
         "coin" => Removal::Coin { k },

@@ -362,6 +362,13 @@ impl Scenario {
         if self.protocol.peel_back == Some(0) {
             return Err(err("peel-back batch must be positive"));
         }
+        if self
+            .protocol
+            .rumor
+            .is_some_and(|rumor| rumor.removal.k() == 0)
+        {
+            return Err(err("rumor removal threshold k must be positive"));
+        }
         if let Some(ae) = &self.protocol.anti_entropy {
             if ae.every == 0 {
                 return Err(err(

@@ -318,6 +318,30 @@ fn validation_failures_surface_after_parsing() {
 }
 
 #[test]
+fn zero_removal_threshold_is_a_located_error() {
+    // Coin `k = 0` would run as `k = 1`; counter `k = 0` would drop every
+    // hot rumor at pull's end of cycle, served or not.
+    for rule in ["counter", "coin"] {
+        let text = format!("scenario x\nsites 4\nrumor pull feedback {rule} 0\n");
+        let e = Scenario::parse(&text).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.message.contains("threshold k must be positive"), "{e}");
+    }
+}
+
+#[test]
+fn zero_removal_threshold_fails_validation() {
+    let mut spec =
+        Scenario::parse("scenario x\nsites 4\nrumor push feedback coin 1\n").expect("k = 1 parses");
+    assert!(spec.validate().is_ok());
+    for removal in [Removal::Coin { k: 0 }, Removal::Counter { k: 0 }] {
+        spec.protocol.rumor.as_mut().expect("a rumor stage").removal = removal;
+        let e = spec.validate().unwrap_err();
+        assert!(e.message.contains("threshold k must be positive"), "{e}");
+    }
+}
+
+#[test]
 fn comments_and_blank_lines_are_ignored() {
     let spec = Scenario::parse(
         "# header comment\n\nscenario x # trailing comment\nsites 4\n\n# middle\nuntil bound\n",
