@@ -20,7 +20,7 @@
 
 use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
 use epidemic_core::{Direction, Feedback, Removal, Replica};
-use epidemic_db::SiteId;
+use epidemic_db::{OfferOutcome, SiteId};
 use epidemic_net::{LinkTraffic, Routes};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -289,9 +289,9 @@ pub(crate) struct MixingState {
     pub(crate) sites: Vec<Replica<u32, u32>>,
     pub(crate) received: ReceiveLog<u32>,
     /// "Hot list non-empty", one bit per site — the active set. `contact`
-    /// refreshes the bits of both endpoints and `end_cycle` those of the
-    /// sites it visits, so whenever the engine looks it equals the
-    /// `is_active` scan.
+    /// refreshes the bits of the endpoints whose replicas it touched and
+    /// `end_cycle` those of the sites it visits, so whenever the engine
+    /// looks it equals the `is_active` scan.
     pub(crate) active: BitSet,
     /// Start-of-cycle "holds the update" snapshot (push/pull synchronous).
     pub(crate) state0: BitSet,
@@ -362,92 +362,109 @@ impl MixingProtocol {
         }
     }
 
-    /// One contact, active set not yet refreshed.
-    fn exchange(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
+    /// A synchronous push from `i`, which is hot and so holds the update,
+    /// to `j`: feedback is judged against `j`'s start-of-cycle state, and a
+    /// partner the log already marks is not offered the update (see
+    /// [`offer`]).
+    fn sync_push(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
+        let MixingState {
+            sites,
+            received,
+            state0,
+            ..
+        } = &mut self.state;
+        let (a, b) = pair_mut(sites, i, j);
+        let applied = offer(a, b, received.is_marked(j));
+        rumor::record_feedback(&self.cfg, a, &KEY, !state0.get(j), rng);
+        self.state.refresh(i);
+        if applied {
+            self.state.received.mark(j, cycle);
+            self.state.refresh(j);
+        }
+        ContactStats {
+            sent: 1,
+            useful: u64::from(applied),
+        }
+    }
+
+    /// A synchronous pull by `i` from `j`, served from `j`'s start-of-cycle
+    /// state: a source that was not hot then touches neither replica, and a
+    /// requester the log already marks is not offered the update.
+    fn sync_pull(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
         let MixingState {
             sites,
             received,
             state0,
             hot0,
-            scratch,
             ..
         } = &mut self.state;
-        match self.cfg.direction {
-            Direction::Push => {
-                let (a, b) = pair_mut(sites, i, j);
-                if self.synchronous {
-                    // Single-rumor push against start-of-cycle state.
-                    let Some(entry) = a.db().entry(&KEY).cloned() else {
-                        a.hot_mut().remove(&KEY);
-                        return ContactStats::default();
-                    };
-                    let applied = b.receive_rumor(KEY, entry).was_useful();
-                    rumor::record_feedback(&self.cfg, a, &KEY, !state0.get(j), rng);
-                    if applied {
-                        received.mark(j, cycle);
-                    }
-                    ContactStats {
-                        sent: 1,
-                        useful: u64::from(applied),
-                    }
-                } else {
-                    let stats = rumor::push_contact(&self.cfg, a, b, rng);
-                    if stats.useful > 0 {
-                        received.mark(j, cycle);
-                    }
-                    stats.into()
-                }
-            }
-            Direction::Pull => {
-                let (requester, source) = pair_mut(sites, i, j);
-                if self.synchronous {
-                    // Serve from the source's start-of-cycle state.
-                    if !hot0.get(j) {
-                        return ContactStats::default();
-                    }
-                    let Some(entry) = source.db().entry(&KEY).cloned() else {
-                        return ContactStats::default();
-                    };
-                    let applied = requester.receive_rumor(KEY, entry).was_useful();
-                    let needed = match self.cfg.feedback {
-                        Feedback::Feedback => !state0.get(i),
-                        Feedback::Blind => false,
-                    };
-                    match self.cfg.removal {
-                        Removal::Counter { .. } => {
-                            source.hot_mut().record_pending(&KEY, needed);
-                        }
-                        Removal::Coin { .. } => {
-                            rumor::record_feedback(&self.cfg, source, &KEY, needed, rng);
-                        }
-                    }
-                    if applied {
-                        received.mark(i, cycle);
-                    }
-                    ContactStats {
-                        sent: 1,
-                        useful: u64::from(applied),
-                    }
-                } else {
-                    let stats = rumor::pull_contact(&self.cfg, requester, source, rng);
-                    if stats.useful > 0 {
-                        received.mark(i, cycle);
-                    }
-                    stats.into()
-                }
-            }
-            Direction::PushPull => {
-                let (a, b) = pair_mut(sites, i, j);
-                let stats = rumor::push_pull_contact_with(&self.cfg, a, b, rng, scratch);
-                for idx in [i, j] {
-                    if sites[idx].db().entry(&KEY).is_some() {
-                        received.mark(idx, cycle);
-                    }
-                }
-                stats.into()
+        if !hot0.get(j) {
+            return ContactStats::default();
+        }
+        let (requester, source) = pair_mut(sites, i, j);
+        let applied = offer(source, requester, received.is_marked(i));
+        let needed = match self.cfg.feedback {
+            Feedback::Feedback => !state0.get(i),
+            Feedback::Blind => false,
+        };
+        match self.cfg.removal {
+            Removal::Counter { .. } => source.hot_mut().record_pending(&KEY, needed),
+            Removal::Coin { .. } => {
+                rumor::record_feedback(&self.cfg, source, &KEY, needed, rng);
             }
         }
+        self.state.refresh(j);
+        if applied {
+            self.state.received.mark(i, cycle);
+            self.state.refresh(i);
+        }
+        ContactStats {
+            sent: 1,
+            useful: u64::from(applied),
+        }
     }
+
+    /// An asynchronous push or pull, or a push-pull: `core::rumor`'s
+    /// multi-key walk, after which both endpoints are re-read.
+    fn walk(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
+        let state = &mut self.state;
+        let (a, b) = pair_mut(&mut state.sites, i, j);
+        let stats = rumor::contact_with(&self.cfg, a, b, rng, &mut state.scratch);
+        for idx in [i, j] {
+            if state.sites[idx].db().entry(&KEY).is_some() {
+                state.received.mark(idx, cycle);
+            }
+            state.refresh(idx);
+        }
+        stats.into()
+    }
+}
+
+/// Offers `from`'s update to `to`, whose receive-log mark is `marked`;
+/// whether it was news. A site is marked exactly when it holds the only
+/// version of the only key, so a marked site's offer is `AlreadyKnown` and
+/// is skipped — debug builds make it anyway and assert that it changes
+/// nothing.
+fn offer(from: &Replica<u32, u32>, to: &mut Replica<u32, u32>, marked: bool) -> bool {
+    let entry = || {
+        from.db()
+            .entry(&KEY)
+            .expect("a hot sender holds the update")
+    };
+    if !marked {
+        return to.receive_rumor_ref(&KEY, entry()).was_useful();
+    }
+    if cfg!(debug_assertions) {
+        let before = (to.db().entry(&KEY).cloned(), to.hot().len());
+        let outcome = to.receive_rumor_ref(&KEY, entry());
+        assert_eq!(outcome, OfferOutcome::AlreadyKnown);
+        assert_eq!(
+            (to.db().entry(&KEY).cloned(), to.hot().len()),
+            before,
+            "an offer to a marked site changed it"
+        );
+    }
+    false
 }
 
 impl EpidemicProtocol for MixingProtocol {
@@ -498,10 +515,11 @@ impl EpidemicProtocol for MixingProtocol {
     }
 
     fn contact(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
-        let stats = self.exchange(cycle, i, j, rng);
-        self.state.refresh(i);
-        self.state.refresh(j);
-        stats
+        match (self.cfg.direction, self.synchronous) {
+            (Direction::Push, true) => self.sync_push(cycle, i, j, rng),
+            (Direction::Pull, true) => self.sync_pull(cycle, i, j, rng),
+            _ => self.walk(cycle, i, j, rng),
+        }
     }
 
     fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {

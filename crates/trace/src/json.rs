@@ -250,11 +250,15 @@ impl std::error::Error for ParseError {}
 /// Strict on structure (unbalanced brackets, missing colons and trailing
 /// garbage are errors) and tolerant on content the writer can produce:
 /// `null` in number position parses as a `Value::Null`. Duplicate object
-/// keys are kept as-is; [`Value::get`] returns the first.
+/// keys are kept as-is; [`Value::get`] returns the first. Arrays and
+/// objects nested more than [`MAX_DEPTH`] deep are an error at the bracket
+/// that goes one level too far.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -265,9 +269,17 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
     Ok(value)
 }
 
+/// How deeply [`parse`] lets arrays and objects nest — far above anything
+/// this workspace writes, and low enough that the recursive descent cannot
+/// overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -308,8 +320,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -317,6 +329,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -412,13 +439,17 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-scan the full UTF-8 character starting here.
+                    // Copy the run up to the next quote or backslash whole:
+                    // both are ASCII, so the run ends on a char boundary.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = s.chars().next().expect("non-empty by construction");
-                    out.push(ch);
-                    self.pos = start + ch.len_utf8();
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = self
+                        .input
+                        .get(start..self.pos)
+                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -573,5 +604,42 @@ mod tests {
             assert!(!err.message.is_empty());
             assert!(err.to_string().contains("at byte"));
         }
+    }
+
+    /// Regression: every ordinary string character re-validated the rest
+    /// of the document as UTF-8, so an 80 k-character string took 0.2 s
+    /// and a megabyte one minutes.
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        let body = "é€x🦀".repeat(100_000);
+        assert_eq!(body.len(), 1_000_000);
+        let doc = format!(r#"{{"s":"{body}\n{body}"}}"#);
+        let start = std::time::Instant::now();
+        let v = parse(&doc).expect("a long string parses");
+        let elapsed = start.elapsed();
+        assert_eq!(
+            v.get("s").unwrap().as_str(),
+            Some(&*format!("{body}\n{body}"))
+        );
+        assert!(elapsed.as_secs_f64() < 0.5, "took {elapsed:?}");
+    }
+
+    /// Regression: nesting recursed without bound, so two million `[`
+    /// overflowed the stack and aborted the process.
+    #[test]
+    fn nesting_past_the_limit_is_an_error_at_the_bracket() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = parse(&format!("[{{\"a\":{}", "[".repeat(MAX_DEPTH))).expect_err("mixed");
+        assert_eq!(err.offset, 6 + MAX_DEPTH - 2);
+
+        let err = parse(&"[".repeat(2_000_000)).expect_err("two million brackets");
+        assert_eq!(err.offset, MAX_DEPTH);
     }
 }
