@@ -39,8 +39,10 @@ fn read(path: &str) -> Result<String, String> {
 }
 
 /// Pulls `--flag <value>` out of `args` (mutating it), parsing the value
-/// as f64. `Ok(None)` when the flag is absent.
-fn take_f64_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<f64>, String> {
+/// as a finite f64 that is positive, or also zero when `zero_ok`: every
+/// comparison against NaN is false, so a NaN threshold would pass any
+/// regression. `Ok(None)` when the flag is absent.
+fn take_f64_flag(args: &mut Vec<String>, flag: &str, zero_ok: bool) -> Result<Option<f64>, String> {
     let Some(pos) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
@@ -49,10 +51,14 @@ fn take_f64_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<f64>, Stri
     }
     let value = args.remove(pos + 1);
     args.remove(pos);
-    value
+    let x = value
         .parse::<f64>()
-        .map(Some)
-        .map_err(|_| format!("{flag}: not a number: {value:?}"))
+        .map_err(|_| format!("{flag}: not a number: {value:?}"))?;
+    if !x.is_finite() || x < 0.0 || (x == 0.0 && !zero_ok) {
+        let rule = if zero_ok { "at least 0" } else { "positive" };
+        return Err(format!("{flag}: must be finite and {rule}: {value:?}"));
+    }
+    Ok(Some(x))
 }
 
 fn run_report(files: &[String]) -> Result<(), String> {
@@ -68,16 +74,16 @@ fn run_report(files: &[String]) -> Result<(), String> {
 
 fn run_bench_diff(mut args: Vec<String>) -> Result<bool, String> {
     let mut thresholds = DiffThresholds::default();
-    if let Some(x) = take_f64_flag(&mut args, "--max-seconds-ratio")? {
+    if let Some(x) = take_f64_flag(&mut args, "--max-seconds-ratio", false)? {
         thresholds.max_seconds_ratio = x;
     }
-    if let Some(x) = take_f64_flag(&mut args, "--max-alloc-ratio")? {
+    if let Some(x) = take_f64_flag(&mut args, "--max-alloc-ratio", false)? {
         thresholds.max_alloc_ratio = x;
     }
-    if let Some(x) = take_f64_flag(&mut args, "--max-rss-ratio")? {
+    if let Some(x) = take_f64_flag(&mut args, "--max-rss-ratio", false)? {
         thresholds.max_rss_ratio = x;
     }
-    if let Some(x) = take_f64_flag(&mut args, "--min-seconds")? {
+    if let Some(x) = take_f64_flag(&mut args, "--min-seconds", true)? {
         thresholds.min_seconds = x;
     }
     let [baseline, candidate] = args.as_slice() else {

@@ -340,6 +340,37 @@ fn list_equals_the_committed_baselines_experiments() {
     assert_eq!(listed, recorded, "re-record BENCH_repro.json");
 }
 
+/// A bench-diff threshold that is NaN, infinite or out of range would
+/// switch the gate off (every comparison with NaN is false) or flag
+/// everything: it is a usage error naming the flag and the value.
+#[test]
+fn bench_diff_rejects_thresholds_that_cannot_gate() {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
+    let bench_diff = |flag: &str, value: &str| {
+        Command::new(env!("CARGO_BIN_EXE_epidemic-analyze"))
+            .args(["bench-diff", baseline, baseline, flag, value])
+            .output()
+            .expect("epidemic-analyze runs")
+    };
+    for (flag, value) in [
+        ("--max-seconds-ratio", "nan"),
+        ("--min-seconds", "nan"),
+        ("--max-seconds-ratio", "-1"),
+        ("--max-alloc-ratio", "0"),
+        ("--max-rss-ratio", "inf"),
+        ("--min-seconds", "-0.5"),
+    ] {
+        let out = bench_diff(flag, value);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag) && stderr.contains(value), "{stderr}");
+    }
+    for (flag, value) in [("--min-seconds", "0"), ("--max-seconds-ratio", "1.5")] {
+        let out = bench_diff(flag, value);
+        assert_eq!(out.status.code(), Some(0), "{flag} {value}");
+    }
+}
+
 #[test]
 fn list_groups_experiments_by_kind() {
     let out = repro(&["--list"]);

@@ -45,16 +45,6 @@ impl<K: Eq + Clone> ActivityList<K> {
         }
     }
 
-    /// Number of tracked keys.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
     /// Moves `key` to the front (inserting it if unseen) — called when the
     /// key was updated locally or proved useful to a partner.
     pub fn touch(&mut self, key: K) {
@@ -63,7 +53,7 @@ impl<K: Eq + Clone> ActivityList<K> {
     }
 
     /// Removes `key` (its entry was garbage-collected).
-    pub fn forget(&mut self, key: &K) {
+    pub(crate) fn forget(&mut self, key: &K) {
         self.order.retain(|k| k != key);
     }
 
@@ -73,14 +63,14 @@ impl<K: Eq + Clone> ActivityList<K> {
     }
 
     /// The key at `position` in activity order, if any.
-    pub fn get(&self, position: usize) -> Option<&K> {
+    pub(crate) fn get(&self, position: usize) -> Option<&K> {
         self.order.get(position)
     }
 
     /// Brings the list in sync with the replica's database: keys missing
     /// from the list are prepended (newest timestamp first — fresh updates
     /// are the hottest); keys no longer in the database are dropped.
-    pub fn sync_with<V: std::hash::Hash>(&mut self, replica: &Replica<K, V>)
+    pub(crate) fn sync_with<V: std::hash::Hash>(&mut self, replica: &Replica<K, V>)
     where
         K: Ord + Hash,
     {
@@ -295,8 +285,8 @@ mod tests {
         // recently useful — now heads both lists.
         assert_eq!(la.get(0), Some(&"old"));
         assert_eq!(lb.get(0), Some(&"old"));
-        assert_eq!(la.len(), 2);
-        assert_eq!(lb.len(), 2);
+        assert_eq!(la.iter().count(), 2);
+        assert_eq!(lb.iter().count(), 2);
     }
 
     #[test]

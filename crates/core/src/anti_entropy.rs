@@ -144,16 +144,6 @@ impl AntiEntropy {
         }
     }
 
-    /// The configured transfer direction.
-    pub const fn direction(self) -> Direction {
-        self.direction
-    }
-
-    /// The configured comparison strategy.
-    pub const fn comparison(self) -> Comparison {
-        self.comparison
-    }
-
     /// Performs `ResolveDifference[a, b]` (§1.3): one conversation between
     /// the initiator `a` and partner `b`. Both replicas end up consistent
     /// on every key a transfer direction allows.
@@ -951,10 +941,7 @@ mod directional_tests {
     }
 
     #[test]
-    fn accessors_expose_configuration() {
-        let ae = AntiEntropy::new(Direction::Pull, Comparison::PeelBack);
-        assert_eq!(ae.direction(), Direction::Pull);
-        assert_eq!(ae.comparison(), Comparison::PeelBack);
+    fn directions_say_which_way_data_flows() {
         assert!(Direction::Pull.pulls() && !Direction::Pull.pushes());
         assert!(Direction::PushPull.pulls() && Direction::PushPull.pushes());
     }

@@ -77,11 +77,6 @@ impl BackupAntiEntropy {
         BackupAntiEntropy { redistribution }
     }
 
-    /// The configured redistribution policy.
-    pub const fn redistribution(self) -> Redistribution {
-        self.redistribution
-    }
-
     /// One push-pull full-database exchange with redistribution.
     pub fn exchange<K, V>(
         &self,

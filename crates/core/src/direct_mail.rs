@@ -122,11 +122,6 @@ impl<K, V> MailSystem<K, V> {
         letters
     }
 
-    /// Messages currently queued for `site`.
-    pub fn queued(&self, site: SiteId) -> usize {
-        self.queues[site.as_usize()].len()
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> MailStats {
         self.stats
@@ -231,7 +226,7 @@ mod tests {
         let entry = Entry::live(1, epidemic_db::Timestamp::new(1, SiteId::new(0)));
         assert!(!mail.post(SiteId::new(1), "k", entry, &mut rng));
         assert_eq!(mail.stats().lost, 1);
-        assert_eq!(mail.queued(SiteId::new(1)), 0);
+        assert!(mail.deliver(SiteId::new(1)).is_empty());
     }
 
     #[test]
@@ -261,8 +256,8 @@ mod tests {
         // The origin only knows about site 1, not site 2.
         let stale_view = [SiteId::new(0), SiteId::new(1)];
         DirectMail::new().broadcast(&origin, &stale_view, &"k", &mut mail, &mut rng);
-        assert_eq!(mail.queued(SiteId::new(1)), 1);
-        assert_eq!(mail.queued(SiteId::new(2)), 0);
+        assert_eq!(mail.deliver(SiteId::new(1)).len(), 1);
+        assert!(mail.deliver(SiteId::new(2)).is_empty());
     }
 
     #[test]

@@ -21,11 +21,6 @@ pub struct HotItem<K> {
 }
 
 impl<K> HotItem<K> {
-    /// The rumor's key.
-    pub fn key(&self) -> &K {
-        &self.key
-    }
-
     /// Unnecessary contacts accumulated so far.
     pub fn counter(&self) -> u32 {
         self.counter
@@ -41,7 +36,7 @@ pub struct HotList<K> {
 
 impl<K: Eq + Clone> HotList<K> {
     /// Creates an empty list.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HotList { items: Vec::new() }
     }
 
@@ -71,7 +66,7 @@ impl<K: Eq + Clone> HotList<K> {
     }
 
     /// Whether `key` is hot here.
-    pub fn contains(&self, key: &K) -> bool {
+    pub(crate) fn contains(&self, key: &K) -> bool {
         self.items.iter().any(|i| &i.key == key)
     }
 
@@ -165,7 +160,8 @@ impl<K: Eq + Clone> HotList<K> {
     }
 
     /// Records deferred feedback for `key` during the current cycle (pull
-    /// semantics, Table 3 footnote). Applied by [`HotList::end_cycle`].
+    /// semantics, Table 3 footnote). Applied at the end of the cycle by
+    /// [`rumor::end_cycle`](crate::rumor::end_cycle).
     pub fn record_pending(&mut self, key: &K, needed: bool) {
         if let Some(pos) = self.position(key) {
             self.record_pending_at(pos, needed);
@@ -187,27 +183,8 @@ impl<K: Eq + Clone> HotList<K> {
     /// (when `reset_on_useful` is set — the footnote's rule), otherwise add
     /// one. Rumors whose counter reaches `k` are removed.
     ///
-    /// Returns the keys that ceased to be hot.
-    pub fn end_cycle(&mut self, k: u32, reset_on_useful: bool) -> Vec<K> {
-        let mut deactivated = Vec::new();
-        self.end_cycle_retain(k, reset_on_useful, |key| deactivated.push(key.clone()));
-        deactivated
-    }
-
-    /// [`HotList::end_cycle`] when only the number of deactivations is
-    /// needed: identical bookkeeping, no key collection, no allocation.
-    pub fn end_cycle_count(&mut self, k: u32, reset_on_useful: bool) -> usize {
-        let mut deactivated = 0;
-        self.end_cycle_retain(k, reset_on_useful, |_| deactivated += 1);
-        deactivated
-    }
-
-    fn end_cycle_retain(
-        &mut self,
-        k: u32,
-        reset_on_useful: bool,
-        mut on_deactivate: impl FnMut(&K),
-    ) {
+    /// Returns how many rumors ceased to be hot.
+    pub(crate) fn end_cycle(&mut self, k: u32, reset_on_useful: bool) -> usize {
         for item in &mut self.items {
             if item.pending_needed {
                 if reset_on_useful {
@@ -219,14 +196,9 @@ impl<K: Eq + Clone> HotList<K> {
             item.pending_needed = false;
             item.pending_useless = false;
         }
-        self.items.retain(|i| {
-            if i.counter >= k {
-                on_deactivate(&i.key);
-                false
-            } else {
-                true
-            }
-        });
+        let before = self.items.len();
+        self.items.retain(|i| i.counter < k);
+        before - self.items.len()
     }
 }
 
@@ -388,11 +360,10 @@ mod tests {
         list.record_pending(&"reset", true);
         list.record_pending(&"reset", false); // mixed: any-needed wins
         list.record_pending(&"bump", false);
-        let mut removed = list.end_cycle(1, true);
-        removed.sort_unstable();
         // "bump" reached k=1 and is deactivated; "idle" already sat at the
         // threshold; "reset" went back to 0 and stays hot.
-        assert_eq!(removed, ["bump", "idle"]);
+        assert_eq!(list.end_cycle(1, true), 2);
+        assert!(list.keys().eq(&["reset"]));
         assert_eq!(list.counter(&"reset"), Some(0));
         assert!(!list.contains(&"bump"));
     }
@@ -402,8 +373,7 @@ mod tests {
         let mut list = HotList::new();
         list.insert("a");
         list.bump_counter(&"a", 2);
-        let removed = list.end_cycle(2, true);
-        assert_eq!(removed, ["a"]);
+        assert_eq!(list.end_cycle(2, true), 1);
         assert!(list.is_empty());
     }
 }

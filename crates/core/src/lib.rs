@@ -18,9 +18,7 @@
 //!   a tunable, nonzero failure probability. Backed up by anti-entropy
 //!   (§1.5, [`backup`]) the combination is both cheap and certain.
 //!
-//! All protocol steps are expressed as exchanges between two [`Replica`]s,
-//! and [`wire`] additionally realizes anti-entropy as explicit
-//! request/response messages over a [`Transport`] for real deployments.
+//! All protocol steps are expressed as exchanges between two [`Replica`]s.
 //! A replica is a [`Database`](epidemic_db::Database) plus a local clock and
 //! the per-update rumor state ([`hot::HotList`]). The round-synchronous
 //! driver lives in the `epidemic-sim` crate; nothing here depends on it, so
@@ -53,14 +51,12 @@ pub mod direct_mail;
 pub mod hot;
 pub mod replica;
 pub mod rumor;
-pub mod wire;
 
 pub use anti_entropy::{AntiEntropy, Comparison, ExchangeScratch, ExchangeStats};
 pub use backup::{BackupAntiEntropy, Redistribution};
 pub use direct_mail::{DirectMail, MailConfig, MailSystem};
 pub use replica::Replica;
 pub use rumor::{Feedback, Removal, RumorConfig, RumorScratch, RumorStats};
-pub use wire::{handle_request, sync_via, SyncRequest, SyncResponse, Transport};
 
 /// Transfer direction of an exchange (§1.3, §1.4).
 ///

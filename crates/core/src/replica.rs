@@ -3,9 +3,7 @@
 use std::hash::Hash;
 
 use epidemic_db::store::OfferOutcome;
-use epidemic_db::{
-    ApplyOutcome, Clock, Database, Entry, GcPolicy, GcStats, SimClock, SiteId, Timestamp,
-};
+use epidemic_db::{ApplyOutcome, Database, Entry, GcPolicy, GcStats, SimClock, SiteId, Timestamp};
 
 use crate::hot::HotList;
 
@@ -94,11 +92,6 @@ where
         self.hot.contains(key)
     }
 
-    /// Whether this replica has never heard of `key`.
-    pub fn is_susceptible(&self, key: &K) -> bool {
-        self.db.entry(key).is_none() && self.db.dormant_certificate(key).is_none()
-    }
-
     /// Local clock reading.
     pub fn local_time(&self) -> u64 {
         self.clock.peek()
@@ -116,7 +109,7 @@ where
     /// one must not advance local time (a replica receiving thousands of
     /// entries would otherwise drift far ahead of real time and corrupt
     /// every age-based window).
-    pub fn observation(&self) -> Timestamp {
+    pub(crate) fn observation(&self) -> Timestamp {
         Timestamp::new(self.clock.peek(), self.site)
     }
 
@@ -241,10 +234,10 @@ mod tests {
     #[test]
     fn client_update_is_infective() {
         let mut r = replica(0);
-        assert!(r.is_susceptible(&"k"));
+        assert!(r.db().entry(&"k").is_none());
         r.client_update("k", 7);
         assert!(r.is_infective(&"k"));
-        assert!(!r.is_susceptible(&"k"));
+        assert!(r.db().entry(&"k").is_some());
     }
 
     #[test]

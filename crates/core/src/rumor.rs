@@ -11,7 +11,7 @@
 //! * **Push vs. pull vs. push-pull** — who drives the data flow. Pull
 //!   counters follow the Table 3 footnote: all pulls served in a cycle are
 //!   aggregated, any useful one resets the counter
-//!   ([`crate::hot::HotList::end_cycle`]).
+//!   ([`end_cycle`]).
 //! * **Minimization** — in a push-pull contact where *both* parties already
 //!   know the update, only the smaller counter is incremented (both on a
 //!   tie).
@@ -126,15 +126,6 @@ pub struct RumorStats {
     pub useful: usize,
     /// Rumors that ceased to be hot at either party during this contact.
     pub deactivated: usize,
-}
-
-impl RumorStats {
-    /// Accumulates another contact's statistics into this one.
-    pub fn merge(&mut self, other: RumorStats) {
-        self.sent += other.sent;
-        self.useful += other.useful;
-        self.deactivated += other.deactivated;
-    }
 }
 
 /// Reusable buffers for the hot-key snapshots a push-pull contact takes of
@@ -316,7 +307,7 @@ where
 
 /// [`push_pull_contact`] with caller-owned snapshot buffers (see
 /// [`RumorScratch`]).
-pub fn push_pull_contact_with<K, V, R>(
+pub(crate) fn push_pull_contact_with<K, V, R>(
     cfg: &RumorConfig,
     a: &mut Replica<K, V>,
     b: &mut Replica<K, V>,
@@ -373,26 +364,10 @@ where
 /// `initiator` is the site that opened the connection — the sender under
 /// push, the requester under pull, either party under push-pull. This is
 /// the single entry point the `epidemic-sim` engine drivers use, so the
-/// direction dispatch lives in exactly one place.
-pub fn contact<K, V, R>(
-    cfg: &RumorConfig,
-    initiator: &mut Replica<K, V>,
-    partner: &mut Replica<K, V>,
-    rng: &mut R,
-) -> RumorStats
-where
-    K: Ord + Clone + Hash + Eq,
-    V: Clone + Hash,
-    R: Rng + ?Sized,
-{
-    contact_with(cfg, initiator, partner, rng, &mut RumorScratch::new())
-}
-
-/// [`contact`] with caller-owned snapshot buffers: the form the
-/// steady-state drivers use, one [`RumorScratch`] per protocol, so
-/// multi-rumor push-pull contacts stop allocating a snapshot `Vec`
-/// apiece. Only push-pull uses the buffers; push and pull take no
-/// snapshot.
+/// direction dispatch lives in exactly one place. The caller owns the
+/// snapshot buffers, one [`RumorScratch`] per protocol, so multi-rumor
+/// push-pull contacts stop allocating a snapshot `Vec` apiece. Only
+/// push-pull uses the buffers; push and pull take no snapshot.
 pub fn contact_with<K, V, R>(
     cfg: &RumorConfig,
     initiator: &mut Replica<K, V>,
@@ -420,7 +395,7 @@ where
     V: Hash,
 {
     match cfg.removal {
-        Removal::Counter { k } => site.hot_mut().end_cycle_count(k, cfg.reset_on_useful),
+        Removal::Counter { k } => site.hot_mut().end_cycle(k, cfg.reset_on_useful),
         Removal::Coin { .. } => 0,
     }
 }

@@ -44,7 +44,7 @@ pub struct DeathCertificate {
 impl DeathCertificate {
     /// Creates a certificate with no retention sites. Its activation
     /// timestamp starts equal to the deletion timestamp (§2.2).
-    pub fn new(deleted_at: Timestamp) -> Self {
+    pub(crate) fn new(deleted_at: Timestamp) -> Self {
         DeathCertificate {
             deleted_at,
             activation: deleted_at,
@@ -73,13 +73,8 @@ impl DeathCertificate {
         self.activation
     }
 
-    /// Sites holding dormant copies between `τ₁` and `τ₁ + τ₂`.
-    pub fn retention_sites(&self) -> &[SiteId] {
-        &self.retention
-    }
-
     /// Whether `site` is one of the retention sites.
-    pub fn retains_at(&self, site: SiteId) -> bool {
+    pub(crate) fn retains_at(&self, site: SiteId) -> bool {
         self.retention.contains(&site)
     }
 
@@ -93,7 +88,7 @@ impl DeathCertificate {
 
     /// The certificate's lifecycle stage at local time `now` under a dormant
     /// scheme with thresholds `τ₁` and `τ₂`, as seen from `site`.
-    pub fn stage(&self, site: SiteId, now: u64, tau1: u64, tau2: u64) -> DeathStage {
+    pub(crate) fn stage(&self, site: SiteId, now: u64, tau1: u64, tau2: u64) -> DeathStage {
         let age = self.activation.age(now);
         if age <= tau1 {
             DeathStage::Active
@@ -107,7 +102,7 @@ impl DeathCertificate {
 
 /// Lifecycle stage of a death certificate under the dormant scheme (§2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeathStage {
+pub(crate) enum DeathStage {
     /// Younger than `τ₁`: held at every site and propagated normally.
     Active,
     /// Between `τ₁` and `τ₁+τ₂` at a retention site: held but **not**
@@ -295,6 +290,5 @@ mod reactivation_aging_tests {
         assert!(dc.retains_at(SiteId::new(3)));
         assert!(dc.retains_at(SiteId::new(5)));
         assert!(!dc.retains_at(SiteId::new(4)));
-        assert_eq!(dc.retention_sites().len(), 2);
     }
 }

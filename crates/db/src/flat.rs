@@ -96,7 +96,7 @@ where
 
     /// Drops every row and keeps both heap blocks, so a store that is
     /// refilled to its former size allocates nothing.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.rows.clear();
         self.by_key.clear();
     }
@@ -351,7 +351,7 @@ where
 
     /// Number of rows at most `tau` old at `now`: ages fall along the
     /// column, so those rows are its tail, counted by one bisection.
-    pub fn recent_len(&self, now: u64, tau: u64) -> usize {
+    pub(crate) fn recent_len(&self, now: u64, tau: u64) -> usize {
         self.rows.len()
             - self
                 .rows

@@ -63,7 +63,7 @@ impl<V> Entry<V> {
     }
 
     /// The live value, if any.
-    pub fn value(&self) -> Option<&V> {
+    pub(crate) fn value(&self) -> Option<&V> {
         match self {
             Entry::Live { value, .. } => Some(value),
             Entry::Dead(_) => None,
@@ -103,13 +103,6 @@ pub enum ApplyOutcome {
     /// The replica held a strictly newer version; the received entry was
     /// discarded. The *sender* is the out-of-date party.
     Obsolete,
-}
-
-impl ApplyOutcome {
-    /// True if the receiving replica needed the entry.
-    pub fn was_useful(self) -> bool {
-        matches!(self, ApplyOutcome::Applied)
-    }
 }
 
 #[cfg(test)]
@@ -169,12 +162,5 @@ mod tests {
         use std::mem::size_of;
         assert!(size_of::<(u32, Entry<u32>)>() <= 32);
         assert!(size_of::<(u32, Entry<u64>)>() <= 40);
-    }
-
-    #[test]
-    fn apply_outcome_usefulness() {
-        assert!(ApplyOutcome::Applied.was_useful());
-        assert!(!ApplyOutcome::AlreadyKnown.was_useful());
-        assert!(!ApplyOutcome::Obsolete.was_useful());
     }
 }

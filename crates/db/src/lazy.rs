@@ -81,17 +81,12 @@ impl<V> LazyTable<V> {
         self.sites.is_empty()
     }
 
-    /// Site ids, in write order.
-    pub fn sites(&self) -> &[u32] {
-        &self.sites
-    }
-
-    /// Values, in write order (parallel to [`LazyTable::sites`]).
+    /// Values, in write order.
     pub fn values(&self) -> &[V] {
         &self.values
     }
 
-    /// Write cycles, in write order (parallel to [`LazyTable::sites`]).
+    /// Write cycles, in write order (parallel to [`LazyTable::values`]).
     pub fn cycles(&self) -> &[u32] {
         &self.cycles
     }
@@ -123,7 +118,6 @@ mod tests {
             table.rows().collect::<Vec<_>>(),
             vec![(7, &70, 1), (3, &30, 2), (99, &990, 2)]
         );
-        assert_eq!(table.sites(), &[7, 3, 99]);
         assert_eq!(table.cycles(), &[1, 2, 2]);
     }
 

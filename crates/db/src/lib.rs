@@ -15,7 +15,8 @@
 //!   ([`timestamp`]),
 //! * the versioned store itself ([`Database`]),
 //! * incremental database [`checksum`]s (§1.3),
-//! * recent-update lists with a window `τ` ([`recent`], §1.3),
+//! * recent-update lists with a window `τ`, walked in place
+//!   ([`Database::recent_entries`], §1.3),
 //! * a *peel-back* inverted index by timestamp, derived from the store's
 //!   column order ([`flat`], §1.3, §1.5),
 //! * dormant death certificates with activation timestamps ([`death`], §2),
@@ -46,19 +47,15 @@
 pub mod checksum;
 pub mod death;
 pub mod flat;
-pub mod interner;
 pub mod item;
 pub mod lazy;
-pub mod recent;
 pub mod store;
 pub mod timestamp;
 
 pub use checksum::Checksum;
 pub use death::{DeathCertificate, GcPolicy, GcStats};
 pub use flat::{Aux, FlatStore};
-pub use interner::KeyInterner;
 pub use item::{ApplyOutcome, Entry};
 pub use lazy::LazyTable;
-pub use recent::RecentUpdates;
 pub use store::{Database, OfferOutcome};
-pub use timestamp::{Clock, SimClock, SiteId, SkewedClock, Timestamp};
+pub use timestamp::{SimClock, SiteId, Timestamp};

@@ -7,8 +7,7 @@ use crate::checksum::Checksum;
 use crate::death::{DeathCertificate, DeathStage, GcPolicy, GcStats};
 use crate::flat::{Aux, FlatStore, KeyOrderIter};
 use crate::item::{ApplyOutcome, Entry};
-use crate::recent::RecentUpdates;
-use crate::timestamp::{Clock, SiteId, Timestamp};
+use crate::timestamp::{SimClock, SiteId, Timestamp};
 
 /// One replica of the database: the time-varying partial function
 /// `ValueOf : K → (v ∪ NIL, t)` of §1.1.
@@ -185,7 +184,7 @@ where
     /// fresh timestamp from the local clock and installs it.
     ///
     /// Returns the timestamp assigned to the update.
-    pub fn update<C: Clock>(&mut self, key: K, value: V, clock: &mut C) -> Timestamp {
+    pub fn update(&mut self, key: K, value: V, clock: &mut SimClock) -> Timestamp {
         let at = clock.now();
         self.install(key, Entry::live(value, at));
         at
@@ -193,7 +192,7 @@ where
 
     /// Deletes `key` by installing a death certificate (§2) with no
     /// retention sites. Returns the deletion timestamp.
-    pub fn delete<C: Clock>(&mut self, key: &K, clock: &mut C) -> Timestamp {
+    pub fn delete(&mut self, key: &K, clock: &mut SimClock) -> Timestamp {
         let at = clock.now();
         self.install(key.clone(), Entry::dead(at));
         at
@@ -201,11 +200,11 @@ where
 
     /// Deletes `key` with a death certificate whose dormant copies will be
     /// retained at the given sites (§2.1). Returns the deletion timestamp.
-    pub fn delete_with_retention<C: Clock>(
+    pub fn delete_with_retention(
         &mut self,
         key: &K,
         retention: Vec<SiteId>,
-        clock: &mut C,
+        clock: &mut SimClock,
     ) -> Timestamp {
         let at = clock.now();
         self.install(
@@ -228,7 +227,7 @@ where
     /// [`Database::apply`] from borrowed data: the entry is cloned only
     /// when it actually supersedes, so an obsolete or already-known offer
     /// costs a single store probe and no ownership transfer.
-    pub fn apply_ref(&mut self, key: &K, entry: &Entry<V>) -> ApplyOutcome
+    pub(crate) fn apply_ref(&mut self, key: &K, entry: &Entry<V>) -> ApplyOutcome
     where
         V: Clone,
     {
@@ -301,8 +300,8 @@ where
     /// entries whose timestamp age relative to `now` is at most `tau`,
     /// newest first, by reference. The anti-entropy hot path walks this —
     /// against the receiver's [`Database::newest_first`] rows, in
-    /// lockstep — instead of materialising a [`RecentUpdates`] snapshot,
-    /// so a conversation over a converged pair allocates nothing.
+    /// lockstep — instead of materialising a snapshot, so a conversation
+    /// over a converged pair allocates nothing.
     pub fn recent_entries(&self, now: u64, tau: u64) -> impl Iterator<Item = (&K, &Entry<V>)> {
         self.newest_first()
             .take_while(move |(_, e)| e.timestamp().age(now) <= tau)
@@ -329,17 +328,6 @@ where
     /// newest first — [`Database::recent_index`] without the age cutoff.
     pub fn timestamp_index(&self) -> impl Iterator<Item = (Timestamp, &K)> {
         self.store.timestamp_index()
-    }
-
-    /// The *recent update list* (§1.3): all entries whose timestamp age
-    /// relative to `now` is at most `tau`, newest first, as an owned
-    /// snapshot (e.g. for a wire message). Collected via
-    /// [`Database::recent_entries`].
-    pub fn recent_updates(&self, now: u64, tau: u64) -> RecentUpdates<K, V>
-    where
-        V: Clone,
-    {
-        RecentUpdates::collect(self.recent_entries(now, tau), now, tau)
     }
 
     /// Discards or parks death certificates according to `policy`, as
@@ -443,7 +431,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timestamp::SimClock;
 
     fn clock(site: u32) -> SimClock {
         SimClock::new(SiteId::new(site))
@@ -613,7 +600,8 @@ mod tests {
 
         // A *reinstatement* newer than the deletion must not be cancelled
         // (§2.2's correctness concern).
-        let mut remote_clock = SimClock::starting_at(SiteId::new(5), c.peek() + 60);
+        let mut remote_clock = clock(5);
+        remote_clock.advance_to(c.peek() + 60);
         let t_new = remote_clock.now();
         let now = Timestamp::new(c.peek() + 61, SiteId::new(9));
         let outcome = db.offer("k", Entry::live(2, t_new), now);
@@ -623,21 +611,20 @@ mod tests {
     }
 
     #[test]
-    fn recent_updates_window() {
+    fn recent_entries_window() {
         let mut c = clock(0);
         let mut db = Database::new();
         db.update("old", 1, &mut c); // t=1
         c.advance_to(100);
         db.update("new", 2, &mut c); // t=100
-        let recent = db.recent_updates(101, 5);
-        assert_eq!(recent.len(), 1);
-        assert_eq!(recent.iter().next().unwrap().0, &"new");
-        let all = db.recent_updates(101, 1000);
-        assert_eq!(all.len(), 2);
+        let recent: Vec<_> = db.recent_entries(101, 5).map(|(k, _)| *k).collect();
+        assert_eq!(recent, ["new"]);
+        let all: Vec<_> = db.recent_entries(101, 1000).map(|(k, _)| *k).collect();
+        assert_eq!(all, ["new", "old"]);
     }
 
     #[test]
-    fn recent_entries_matches_recent_updates_snapshot() {
+    fn recent_len_counts_the_recent_entries() {
         let mut c = clock(0);
         let mut db = Database::new();
         for (i, key) in ["a", "b", "c", "d"].iter().enumerate() {
@@ -645,17 +632,9 @@ mod tests {
             db.update(*key, i as u32, &mut c);
         }
         for tau in [0, 40, 80, 1_000] {
-            let borrowed: Vec<(&str, u32)> = db
-                .recent_entries(130, tau)
-                .map(|(k, e)| (*k, e.timestamp().time() as u32))
-                .collect();
-            let owned: Vec<(&str, u32)> = db
-                .recent_updates(130, tau)
-                .iter()
-                .map(|(k, e)| (*k, e.timestamp().time() as u32))
-                .collect();
-            assert_eq!(borrowed, owned, "tau={tau}");
-            assert_eq!(db.recent_len(130, tau), owned.len(), "tau={tau}");
+            let listed = db.recent_entries(130, tau).count();
+            assert_eq!(db.recent_len(130, tau), listed, "tau={tau}");
+            assert_eq!(db.recent_index(130, tau).count(), listed, "tau={tau}");
         }
     }
 
@@ -846,7 +825,6 @@ where
 #[cfg(test)]
 mod collect_tests {
     use super::*;
-    use crate::timestamp::SimClock;
 
     #[test]
     fn from_iterator_resolves_duplicates_by_timestamp() {
@@ -883,42 +861,6 @@ mod collect_tests {
         db.update("a", 1, &mut clock);
         db.update("b", 2, &mut clock);
         let keys: Vec<_> = (&db).into_iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, ["a", "b"]);
-    }
-}
-
-impl<K, V> Database<K, V>
-where
-    K: Ord + Clone + Hash,
-    V: Hash,
-{
-    /// Iterates the keys in order (live and deleted alike).
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.iter().map(|(k, _)| k)
-    }
-
-    /// Iterates only the live `(key, value)` pairs, skipping death
-    /// certificates — the client-visible contents of the replica.
-    pub fn live_entries(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.iter().filter_map(|(k, e)| e.value().map(|v| (k, v)))
-    }
-}
-
-#[cfg(test)]
-mod iter_tests {
-    use super::*;
-    use crate::timestamp::SimClock;
-
-    #[test]
-    fn live_entries_skip_tombstones() {
-        let mut clock = SimClock::new(SiteId::new(0));
-        let mut db: Database<&str, u32> = Database::new();
-        db.update("a", 1, &mut clock);
-        db.update("b", 2, &mut clock);
-        db.delete(&"a", &mut clock);
-        let live: Vec<_> = db.live_entries().collect();
-        assert_eq!(live, [(&"b", &2)]);
-        let keys: Vec<_> = db.keys().copied().collect();
         assert_eq!(keys, ["a", "b"]);
     }
 }

@@ -76,7 +76,7 @@ pub struct Timestamp {
 
 impl Timestamp {
     /// The smallest possible timestamp; no real update ever carries it.
-    pub const ZERO: Timestamp = Timestamp {
+    pub(crate) const ZERO: Timestamp = Timestamp {
         time: 0,
         site: SiteId::new(0),
     };
@@ -89,11 +89,6 @@ impl Timestamp {
     /// The time component (simulated ticks).
     pub const fn time(self) -> u64 {
         self.time
-    }
-
-    /// The site that issued this timestamp.
-    pub const fn site(self) -> SiteId {
-        self.site
     }
 
     /// Age of this timestamp relative to `now` in ticks, saturating at zero
@@ -115,35 +110,17 @@ impl Default for Timestamp {
     }
 }
 
-/// A source of globally unique timestamps — the paper's `Now[]` (§1.1).
+/// Deterministic simulated clock: the source of globally unique timestamps,
+/// the paper's `Now[]` (§1.1).
 ///
-/// Implementations must be strictly monotonic per site and must never return
-/// the same `(time, site)` pair twice.
-pub trait Clock {
-    /// Returns a fresh timestamp strictly greater than any previously
-    /// returned by this clock.
-    fn now(&mut self) -> Timestamp;
-
-    /// Current reading of the time component without consuming a timestamp.
-    fn peek(&self) -> u64;
-
-    /// Advances the clock's time component to at least `time`.
-    ///
-    /// The simulator calls this once per cycle so that timestamp ages (used
-    /// by recent-update lists and death-certificate thresholds) track
-    /// simulated time.
-    fn advance_to(&mut self, time: u64);
-}
-
-/// Deterministic simulated clock.
-///
-/// Produces timestamps `(t, site)` with strictly increasing `t`. Suitable
-/// both for unit tests and as each simulated site's local clock.
+/// Produces timestamps `(t, site)` with strictly increasing `t`, so it never
+/// returns the same `(time, site)` pair twice. Each simulated site's local
+/// clock is one of these.
 ///
 /// # Example
 ///
 /// ```
-/// use epidemic_db::{Clock, SimClock, SiteId};
+/// use epidemic_db::{SimClock, SiteId};
 /// let mut c = SimClock::new(SiteId::new(3));
 /// let a = c.now();
 /// let b = c.now();
@@ -161,80 +138,28 @@ impl SimClock {
         SimClock { site, time: 1 }
     }
 
-    /// Creates a clock starting at an arbitrary time.
-    pub const fn starting_at(site: SiteId, time: u64) -> Self {
-        SimClock { site, time }
-    }
-
-    /// The site this clock stamps for.
-    pub const fn site(&self) -> SiteId {
-        self.site
-    }
-}
-
-impl Clock for SimClock {
-    fn now(&mut self) -> Timestamp {
+    /// Returns a fresh timestamp strictly greater than any previously
+    /// returned by this clock.
+    pub fn now(&mut self) -> Timestamp {
         let ts = Timestamp::new(self.time, self.site);
         self.time += 1;
         ts
     }
 
-    fn peek(&self) -> u64 {
+    /// Current reading of the time component without consuming a timestamp.
+    pub const fn peek(&self) -> u64 {
         self.time
     }
 
-    fn advance_to(&mut self, time: u64) {
+    /// Advances the clock's time component to at least `time`.
+    ///
+    /// The simulator calls this once per cycle so that timestamp ages (used
+    /// by recent-update lists and death-certificate thresholds) track
+    /// simulated time.
+    pub fn advance_to(&mut self, time: u64) {
         if time > self.time {
             self.time = time;
         }
-    }
-}
-
-/// A clock with a constant offset from simulated global time, modelling the
-/// bounded clock-synchronization error `ε ≪ τ₁` the paper assumes (§2.1).
-///
-/// # Example
-///
-/// ```
-/// use epidemic_db::{Clock, SiteId, SkewedClock};
-/// let mut c = SkewedClock::new(SiteId::new(0), -3);
-/// c.advance_to(10);
-/// assert_eq!(c.peek(), 7); // reads 3 ticks behind global time
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SkewedClock {
-    inner: SimClock,
-    skew: i64,
-}
-
-impl SkewedClock {
-    /// Creates a clock for `site` whose local reading differs from global
-    /// time by `skew` ticks (positive = fast, negative = slow).
-    pub fn new(site: SiteId, skew: i64) -> Self {
-        SkewedClock {
-            inner: SimClock::new(site),
-            skew,
-        }
-    }
-
-    /// The configured skew in ticks.
-    pub const fn skew(&self) -> i64 {
-        self.skew
-    }
-}
-
-impl Clock for SkewedClock {
-    fn now(&mut self) -> Timestamp {
-        self.inner.now()
-    }
-
-    fn peek(&self) -> u64 {
-        self.inner.peek()
-    }
-
-    fn advance_to(&mut self, time: u64) {
-        let local = time.saturating_add_signed(self.skew);
-        self.inner.advance_to(local.max(1));
     }
 }
 
@@ -284,23 +209,6 @@ mod tests {
         let ts = c.now();
         assert_eq!(ts.time(), 10);
         assert_eq!(c.peek(), 11);
-    }
-
-    #[test]
-    fn skewed_clock_tracks_global_time_with_offset() {
-        let mut slow = SkewedClock::new(SiteId::new(1), -5);
-        let mut fast = SkewedClock::new(SiteId::new(2), 5);
-        slow.advance_to(100);
-        fast.advance_to(100);
-        assert_eq!(slow.peek(), 95);
-        assert_eq!(fast.peek(), 105);
-    }
-
-    #[test]
-    fn skewed_clock_saturates_below_one() {
-        let mut c = SkewedClock::new(SiteId::new(0), -50);
-        c.advance_to(10);
-        assert_eq!(c.peek(), 1);
     }
 
     #[test]

@@ -16,8 +16,8 @@ use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use epidemic_db::{
-    ApplyOutcome, Aux, Checksum, Clock, Database, DeathCertificate, Entry, FlatStore, GcPolicy,
-    SimClock, SiteId, Timestamp,
+    ApplyOutcome, Aux, Checksum, Database, DeathCertificate, Entry, FlatStore, GcPolicy, SimClock,
+    SiteId, Timestamp,
 };
 use proptest::prelude::*;
 

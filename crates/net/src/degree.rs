@@ -106,16 +106,6 @@ impl DegreeGraph {
         self.offsets.len() - 1
     }
 
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.targets.len() / 2
-    }
-
-    /// Degree of site `i`.
-    pub fn degree(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) as usize
-    }
-
     /// The sorted neighbor list of site `i`.
     pub fn neighbors(&self, i: usize) -> &[u32] {
         &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
@@ -139,10 +129,10 @@ mod tests {
     #[test]
     fn degrees_sum_to_twice_edges() {
         let g = DegreeGraph::scale_free(300, 2, 7);
-        let sum: usize = (0..g.site_count()).map(|i| g.degree(i)).sum();
-        assert_eq!(sum, 2 * g.edge_count());
+        let sum: usize = (0..g.site_count()).map(|i| g.neighbors(i).len()).sum();
+        assert_eq!(sum, g.targets.len());
         // BA with m = 2 on n sites starting from a 3-clique.
-        assert_eq!(g.edge_count(), 3 + 2 * (300 - 3));
+        assert_eq!(g.targets.len() / 2, 3 + 2 * (300 - 3));
     }
 
     #[test]
@@ -162,7 +152,7 @@ mod tests {
         // while the median site stays near it — the heavy tail uniform
         // graphs lack.
         let g = DegreeGraph::scale_free(2_000, 2, 1);
-        let mut degrees: Vec<usize> = (0..g.site_count()).map(|i| g.degree(i)).collect();
+        let mut degrees: Vec<usize> = (0..g.site_count()).map(|i| g.neighbors(i).len()).collect();
         degrees.sort_unstable();
         let median = degrees[degrees.len() / 2];
         let max = *degrees.last().unwrap();
@@ -212,8 +202,9 @@ mod tests {
                 })
         }
         let g = DegreeGraph::scale_free(10_000, 2, 1987);
-        assert_eq!(g.edge_count(), 19_997);
-        assert_eq!((0..g.site_count()).map(|i| g.degree(i)).max(), Some(229));
+        assert_eq!(g.targets.len() / 2, 19_997);
+        let max_degree = (0..g.site_count()).map(|i| g.neighbors(i).len()).max();
+        assert_eq!(max_degree, Some(229));
         assert_eq!(fnv(&g.offsets), 0x184c_ee66_956a_8dd2);
         assert_eq!(fnv(&g.targets), 0x18f1_496c_c6bc_29ce);
     }
@@ -225,6 +216,6 @@ mod tests {
         assert_eq!(g.neighbors(1), [0, 2, 3]);
         assert_eq!(g.neighbors(2), [1]);
         assert_eq!(g.neighbors(3), [1]);
-        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.targets.len() / 2, 3);
     }
 }

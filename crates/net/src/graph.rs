@@ -10,7 +10,7 @@ pub struct LinkId(usize);
 
 impl LinkId {
     /// The link's index into [`Topology::links`].
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self.0
     }
 
@@ -131,18 +131,18 @@ impl Topology {
     }
 
     /// Neighbors of `node` with the links that reach them.
-    pub fn neighbors(&self, node: SiteId) -> &[(SiteId, LinkId)] {
+    pub(crate) fn neighbors(&self, node: SiteId) -> &[(SiteId, LinkId)] {
         &self.adjacency[node.as_usize()]
     }
 
     /// The traversal cost of `link` (1 for ordinary links; higher for slow
     /// lines added with [`TopologyBuilder::link_weighted`]).
-    pub fn link_cost(&self, link: LinkId) -> u32 {
+    pub(crate) fn link_cost(&self, link: LinkId) -> u32 {
         self.costs[link.index()]
     }
 
     /// Whether every link has unit cost (routing can use plain BFS).
-    pub fn is_unit_cost(&self) -> bool {
+    pub(crate) fn is_unit_cost(&self) -> bool {
         self.costs.iter().all(|&c| c == 1)
     }
 
@@ -209,17 +209,12 @@ impl TopologyBuilder {
     /// # Panics
     ///
     /// Panics if `cost == 0`.
-    pub fn link_weighted(&mut self, a: SiteId, b: SiteId, cost: u32) -> LinkId {
+    pub(crate) fn link_weighted(&mut self, a: SiteId, b: SiteId, cost: u32) -> LinkId {
         assert!(cost >= 1, "link cost must be at least 1");
         let id = LinkId(self.links.len());
         self.links.push((a, b));
         self.costs.push(cost);
         id
-    }
-
-    /// Number of nodes added so far.
-    pub fn node_count(&self) -> usize {
-        self.labels.len()
     }
 
     /// Validates and builds the topology.

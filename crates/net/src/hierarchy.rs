@@ -121,13 +121,6 @@ impl HierarchicalSampler {
         &self.representatives
     }
 
-    /// Whether `site` is a representative.
-    pub fn is_representative(&self, site: SiteId) -> bool {
-        self.local
-            .position(site)
-            .is_some_and(|p| self.rank[p] != LEAF)
-    }
-
     /// Draws a partner for `from`: the [`SiteId`] form of
     /// [`PartnerSelection::select`].
     ///
@@ -213,7 +206,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..50 {
             let p = h.sample(rep, &mut rng);
-            assert!(h.is_representative(p), "long_range=1 always picks reps");
+            assert!(
+                h.representatives().contains(&p),
+                "long_range=1 always picks reps"
+            );
             assert_ne!(p, rep);
         }
     }
@@ -224,7 +220,7 @@ mod tests {
         let routes = Routes::compute(&topo);
         let h = HierarchicalSampler::new(&topo, &routes, 2, 1.0, Spatial::QsPower { a: 2.0 });
         let leaf = topo.sites()[15];
-        assert!(!h.is_representative(leaf));
+        assert!(!h.representatives().contains(&leaf));
         let mut rng = StdRng::seed_from_u64(5);
         // Local Qs^-2 selection strongly favors neighbors.
         let mut near = 0;
@@ -240,7 +236,7 @@ mod tests {
     /// `select` as first written: every representative but the chooser,
     /// collected, then one uniform index into that list.
     fn select_by_collecting(h: &HierarchicalSampler, from: SiteId, rng: &mut StdRng) -> SiteId {
-        if h.is_representative(from) && rng.random::<f64>() < h.long_range {
+        if h.representatives().contains(&from) && rng.random::<f64>() < h.long_range {
             let others: Vec<SiteId> = h
                 .representatives()
                 .iter()
@@ -271,7 +267,7 @@ mod tests {
             // Every site draws, representatives ten times as often.
             for round in 0..10 {
                 for (position, &from) in topo.sites().iter().enumerate() {
-                    if round > 0 && !h.is_representative(from) {
+                    if round > 0 && !h.representatives().contains(&from) {
                         continue;
                     }
                     let expected = select_by_collecting(&h, from, &mut reference);

@@ -52,5 +52,3 @@ pub use hierarchy::{HierarchicalSampler, PartnerSelection};
 pub use routing::Routes;
 pub use spatial::{cumulative_sites, expected_cut_conversations, PartnerSampler, Spatial};
 pub use traffic::LinkTraffic;
-
-pub use epidemic_db::SiteId;

@@ -137,7 +137,7 @@ impl Routes {
     }
 
     /// The largest hop distance between any two nodes.
-    pub fn diameter(&self) -> Hops {
+    pub(crate) fn diameter(&self) -> Hops {
         self.diameter
     }
 
@@ -151,7 +151,7 @@ impl Routes {
 
     /// Visits each link on the shortest route `from → to` without
     /// allocating.
-    pub fn for_each_route_link(&self, from: SiteId, to: SiteId, mut f: impl FnMut(LinkId)) {
+    pub(crate) fn for_each_route_link(&self, from: SiteId, to: SiteId, mut f: impl FnMut(LinkId)) {
         let row = to.as_usize();
         let mut cur = from.as_usize();
         while cur != row {

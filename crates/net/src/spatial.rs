@@ -156,7 +156,7 @@ impl PartnerSampler {
     /// Builds sampling tables for every site of `topology`.
     ///
     /// Rows are built without a comparison sort or a per-row allocation:
-    /// partners are bucketed by distance (at most [`Routes::diameter`]),
+    /// partners are bucketed by distance (at most the routes' diameter),
     /// and since sites are visited in ascending order, bucket order *is*
     /// `(distance, id)` order.
     ///

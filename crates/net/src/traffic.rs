@@ -44,11 +44,6 @@ impl LinkTraffic {
         self.counts.resize(links, 0);
     }
 
-    /// Number of links tracked.
-    pub fn link_count(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Charges one unit to every link on the route `from → to`.
     pub fn record_route(&mut self, routes: &Routes, from: SiteId, to: SiteId) {
         self.record_route_units(routes, from, to, 1);
@@ -62,11 +57,6 @@ impl LinkTraffic {
             return;
         }
         routes.for_each_route_link(from, to, |l| self.counts[l.index()] += units);
-    }
-
-    /// Charges one unit to a single link.
-    pub fn record_link(&mut self, link: LinkId) {
-        self.counts[link.index()] += 1;
     }
 
     /// Units charged to `link`.
@@ -97,7 +87,7 @@ impl LinkTraffic {
             .map(|(i, &c)| (LinkId::from_index(i), c))
     }
 
-    /// Raw per-link counts, indexable by [`LinkId::index`].
+    /// Raw per-link counts, in link-id order.
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }

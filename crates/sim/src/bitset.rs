@@ -24,13 +24,8 @@ impl BitSet {
     }
 
     /// Number of bits.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the set has zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The bit at `i`.
@@ -38,7 +33,7 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if `i >= len` (same contract as slice indexing).
-    pub fn get(&self, i: usize) -> bool {
+    pub(crate) fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of range (len {})", self.len);
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
@@ -58,14 +53,9 @@ impl BitSet {
         }
     }
 
-    /// Clears every bit.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Makes this a set of `len` bits, all false, keeping the word
     /// vector's capacity — [`BitSet::new`] for a set that is reused.
-    pub fn reset(&mut self, len: usize) {
+    pub(crate) fn reset(&mut self, len: usize) {
         self.words.clear();
         self.words.resize(len.div_ceil(64), 0);
         self.len = len;
@@ -78,20 +68,20 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if the lengths differ.
-    pub fn copy_from(&mut self, other: &BitSet) {
+    pub(crate) fn copy_from(&mut self, other: &BitSet) {
         assert_eq!(other.len, self.len, "snapshot length mismatch");
         self.words.copy_from_slice(&other.words);
     }
 
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    pub(crate) fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Visits the set bits in ascending order and clears each one `keep`
     /// rejects — [`BitSet::iter_ones`] for a caller that updates the bits
     /// it visits. Cost is proportional to `words + ones`.
-    pub fn retain_ones(&mut self, mut keep: impl FnMut(usize) -> bool) {
+    pub(crate) fn retain_ones(&mut self, mut keep: impl FnMut(usize) -> bool) {
         for (w, word) in self.words.iter_mut().enumerate() {
             let mut bits = *word;
             while bits != 0 {
@@ -142,7 +132,7 @@ mod tests {
         bits.set(64, false);
         assert!(!bits.get(64));
         assert_eq!(bits.count_ones(), 7);
-        bits.clear();
+        bits.reset(130);
         assert_eq!(bits.count_ones(), 0);
     }
 
@@ -156,7 +146,7 @@ mod tests {
         }
         assert_eq!(bits.iter_ones().collect::<Vec<_>>(), expected);
         assert_eq!(bits.iter_ones().count(), bits.count_ones());
-        bits.clear();
+        bits.reset(n);
         assert_eq!(bits.iter_ones().next(), None);
     }
 
@@ -208,7 +198,6 @@ mod tests {
     #[test]
     fn zero_length_set_is_empty() {
         let bits = BitSet::new(0);
-        assert!(bits.is_empty());
-        assert_eq!(bits.count_ones(), 0);
+        assert_eq!((bits.len(), bits.count_ones()), (0, 0));
     }
 }

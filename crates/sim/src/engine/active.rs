@@ -275,7 +275,7 @@ mod tests {
 
         fn begin_cycle(&mut self, _cycle: u32) {
             std::mem::swap(&mut self.active, &mut self.next);
-            self.next.clear();
+            self.next.reset(self.infected.len());
         }
 
         fn active(&self) -> &BitSet {
@@ -361,7 +361,7 @@ mod tests {
     #[test]
     fn empty_active_set_ends_immediately() {
         let mut toy = Toy::new(8);
-        toy.next.clear();
+        toy.next.reset(8);
         toy.infected = vec![false; 8];
         let report = ActiveCycleEngine::new().run(&mut toy, 1, &mut ());
         assert_eq!(report.cycles, 0);

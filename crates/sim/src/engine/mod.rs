@@ -35,7 +35,8 @@ pub mod trace;
 pub use active::{ActiveCycleEngine, ActiveSetProtocol};
 pub use observer::{Observer, SirCounts, SirObserver, SirView};
 pub use partner::{PartnerPolicy, SpatialPartners, UniformPartners};
-pub use protocols::{DirectMailProtocol, ReceiveLog, RouteRecorder, UpdateInjector};
+pub(crate) use protocols::UpdateInjector;
+pub use protocols::{ReceiveLog, RouteRecorder};
 pub use trace::{AggregateObserver, InvariantObserver, TraceObserver, TraceView};
 
 use std::time::Instant;

@@ -3,20 +3,17 @@
 //! The drivers' ports onto the [`CycleEngine`](super::CycleEngine) all need
 //! the same bookkeeping: who has received the update and when
 //! ([`ReceiveLog`]), per-link comparison/update traffic ([`RouteRecorder`]),
-//! Poisson-ish client-update injection ([`UpdateInjector`]), and the
-//! uniform random-pair draw the scenario tests use ([`random_pair`]).
+//! Poisson-ish client-update injection (`UpdateInjector`), and the
+//! uniform random-pair draw the scenario tests use (`random_pair`).
 //! Each existed as copy-pasted inline code in several drivers; now each
 //! exists once.
 //!
-//! The paper's three propagation mechanisms live here as engine
+//! Two of the paper's propagation mechanisms live here as engine
 //! protocols: `MixingProtocol` (§1.4 rumor mongering over complete
 //! mixing, with the connection-limit/hunting variants supplied by the
-//! engine), `BitAntiEntropyProtocol` (§1.3 anti-entropy on one bit of
-//! state per site), and [`DirectMailProtocol`] — §1.1's baseline, where
-//! the originating site mails its update to `n - 1` randomly addressed
-//! recipients and then goes quiet. Nobody re-mails, so duplicate
-//! addressing leaves a residue of never-notified sites — the motivating
-//! failure the other two mechanisms repair.
+//! engine) and `BitAntiEntropyProtocol` (§1.3 anti-entropy on one bit of
+//! state per site). §1.2's direct mail runs in the scenario engine, over
+//! `epidemic_core::direct_mail`.
 
 use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
 use epidemic_core::{Direction, Feedback, Removal, Replica};
@@ -61,7 +58,7 @@ impl<T: Copy> ReceiveLog<T> {
     /// Makes this a log for `n` sites, none of which has received the
     /// update, keeping its capacity — [`ReceiveLog::new`] for a log that
     /// is reused across runs.
-    pub fn reset(&mut self, n: usize) {
+    pub(crate) fn reset(&mut self, n: usize) {
         self.times.clear();
         self.times.resize(n, None);
         self.marks.reset(n);
@@ -87,7 +84,7 @@ impl<T: Copy> ReceiveLog<T> {
     }
 
     /// The sites that have received the update, one bit per site.
-    pub fn marks(&self) -> &BitSet {
+    pub(crate) fn marks(&self) -> &BitSet {
         &self.marks
     }
 
@@ -179,7 +176,7 @@ impl<'a> RouteRecorder<'a> {
 
     /// As [`RouteRecorder::new`], on counters an earlier run filled: they
     /// are zeroed for `links` links and keep their storage.
-    pub fn reusing(
+    pub(crate) fn reusing(
         routes: &'a Routes,
         links: usize,
         mut compare: LinkTraffic,
@@ -205,13 +202,13 @@ impl<'a> RouteRecorder<'a> {
 
 /// Fractional-rate client-update injection with carry accumulation.
 ///
-/// At `rate` updates per cycle, [`inject`](Self::inject) fires
-/// `floor(carry + rate)` updates this cycle and carries the remainder, so
+/// At `rate` updates per cycle, `inject` fires `floor(carry + rate)`
+/// updates this cycle and carries the remainder, so
 /// e.g. `rate = 0.5` injects one update every other cycle. Keys are
 /// sequential from zero, sites uniform random — exactly the loop the
 /// steady-state drivers each inlined.
 #[derive(Debug, Clone, Copy)]
-pub struct UpdateInjector {
+pub(crate) struct UpdateInjector {
     rate: f64,
     carry: f64,
     next_key: u32,
@@ -219,7 +216,7 @@ pub struct UpdateInjector {
 
 impl UpdateInjector {
     /// An injector producing `rate` updates per cycle on average.
-    pub fn new(rate: f64) -> Self {
+    pub(crate) fn new(rate: f64) -> Self {
         UpdateInjector {
             rate,
             carry: 0.0,
@@ -230,7 +227,12 @@ impl UpdateInjector {
     /// Runs one cycle of injection over `n` sites, calling
     /// `place(site, key)` for each new update. Returns how many updates
     /// were injected this cycle.
-    pub fn inject(&mut self, n: usize, rng: &mut StdRng, mut place: impl FnMut(usize, u32)) -> u32 {
+    pub(crate) fn inject(
+        &mut self,
+        n: usize,
+        rng: &mut StdRng,
+        mut place: impl FnMut(usize, u32),
+    ) -> u32 {
         let due = self.due();
         for _ in 0..due {
             let site = rng.random_range(0..n);
@@ -243,7 +245,7 @@ impl UpdateInjector {
     /// Advances the carry accumulator by one cycle and returns how many
     /// operations are due, for callers that place updates themselves
     /// (e.g. a weighted workload mix choosing among update/delete/read).
-    pub fn due(&mut self) -> u32 {
+    pub(crate) fn due(&mut self) -> u32 {
         let mut due = 0;
         self.carry += self.rate;
         while self.carry >= 1.0 {
@@ -254,7 +256,7 @@ impl UpdateInjector {
     }
 
     /// Mints the next sequential key without drawing a site.
-    pub fn alloc_key(&mut self) -> u32 {
+    pub(crate) fn alloc_key(&mut self) -> u32 {
         let key = self.next_key;
         // Checked-with-context rather than a silent debug-only wrap: a
         // steady-state run long enough to mint 2^32 keys would start
@@ -267,7 +269,7 @@ impl UpdateInjector {
     }
 
     /// Total updates injected so far (equivalently, the next unused key).
-    pub fn injected(&self) -> u32 {
+    pub(crate) fn injected(&self) -> u32 {
         self.next_key
     }
 }
@@ -275,7 +277,7 @@ impl UpdateInjector {
 /// Draws a uniform random ordered pair of distinct site indices — the
 /// `(i, j)` draw the scenario tests perform for ad-hoc anti-entropy
 /// exchanges. Uses the same skip-self idiom as [`UniformPartners`].
-pub fn random_pair(n: usize, rng: &mut StdRng) -> (usize, usize) {
+pub(crate) fn random_pair(n: usize, rng: &mut StdRng) -> (usize, usize) {
     let i = rng.random_range(0..n);
     let j = UniformPartners::new(n).attempt(i, rng);
     (i, j)
@@ -633,95 +635,6 @@ impl SirView for BitAntiEntropyProtocol {
     }
 }
 
-/// §1.1 direct mail as an engine protocol.
-///
-/// The originating site mails its update to `n - 1` uniformly random
-/// recipients — matching the *number* of messages a complete mailing would
-/// take — but random addressing double-mails some sites and misses others,
-/// and recipients never forward. The run ends when the mailing budget is
-/// spent; [`ReceiveLog::residue`] on [`Self::deliveries`] measures the
-/// coverage gap.
-#[derive(Debug)]
-pub struct DirectMailProtocol {
-    pub(crate) sites: Vec<Replica<u32, u32>>,
-    origin: usize,
-    remaining: u32,
-    received: ReceiveLog<u32>,
-}
-
-impl DirectMailProtocol {
-    const KEY: u32 = 0;
-
-    /// `n` sites with the update injected at `origin` and a mailing budget
-    /// of `n - 1` messages.
-    pub fn new(n: usize, origin: usize) -> Self {
-        let mut sites: Vec<Replica<u32, u32>> = site_ids(n).map(Replica::new).collect();
-        sites[origin].client_update(Self::KEY, 1);
-        let mut received = ReceiveLog::new(n);
-        received.mark(origin, 0);
-        DirectMailProtocol {
-            sites,
-            origin,
-            remaining: u32::try_from(n - 1).expect("mailing budget fits u32"),
-            received,
-        }
-    }
-
-    /// Per-site receive log after (or during) a run.
-    pub fn deliveries(&self) -> &ReceiveLog<u32> {
-        &self.received
-    }
-}
-
-impl EpidemicProtocol for DirectMailProtocol {
-    fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
-    fn roster(&self) -> Roster {
-        Roster::Active
-    }
-
-    fn is_active(&self, i: usize) -> bool {
-        i == self.origin && self.remaining > 0
-    }
-
-    fn finished(&self, _cycle: u32, active: &[usize]) -> bool {
-        active.is_empty()
-    }
-
-    fn contact(&mut self, cycle: u32, i: usize, j: usize, _rng: &mut StdRng) -> ContactStats {
-        self.remaining -= 1;
-        let entry = self.sites[i]
-            .db()
-            .entry(&Self::KEY)
-            .cloned()
-            .expect("the origin holds the update it mails");
-        let useful = self.sites[j].receive_rumor(Self::KEY, entry).was_useful();
-        if useful {
-            self.received.mark(j, cycle);
-        }
-        ContactStats {
-            sent: 1,
-            useful: u64::from(useful),
-        }
-    }
-}
-
-impl SirView for DirectMailProtocol {
-    fn sir_counts(&self) -> SirCounts {
-        // Only the origin ever spreads, and only while its mailing budget
-        // lasts; every other recipient holds the update passively.
-        let have = self.received.received_count();
-        let infective = usize::from(self.remaining > 0);
-        SirCounts {
-            susceptible: self.sites.len() - have,
-            infective,
-            removed: have - infective,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -967,31 +880,5 @@ mod tests {
             assert!(i < 6 && j < 6);
             assert_ne!(i, j);
         }
-    }
-
-    #[test]
-    fn direct_mail_spends_its_budget_and_usually_misses_someone() {
-        let mut misses = 0;
-        for seed in 0..8 {
-            let mut protocol = DirectMailProtocol::new(30, 0);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let report = CycleEngine::new().run(
-                &mut protocol,
-                &UniformPartners::new(30),
-                &mut rng,
-                &mut (),
-                &mut EngineBuffers::default(),
-            );
-            assert_eq!(report.totals.sent, 29, "budget is exactly n - 1 mails");
-            if protocol.deliveries().residue() > 0.0 {
-                misses += 1;
-            }
-        }
-        // Duplicate random addressing leaves holes with overwhelming
-        // probability; requiring most seeds to miss keeps the test robust.
-        assert!(
-            misses >= 6,
-            "direct mail covered everyone in {misses}/8 runs"
-        );
     }
 }

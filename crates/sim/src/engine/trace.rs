@@ -31,8 +31,8 @@ use epidemic_trace::{
 };
 
 use super::observer::{Observer, SirCounts, SirView};
-use super::protocols::{BitAntiEntropyProtocol, DirectMailProtocol, MixingProtocol};
-use super::{ContactStats, EngineTotals};
+use super::protocols::{BitAntiEntropyProtocol, MixingProtocol};
+use super::ContactStats;
 use crate::spatial_ae::SpatialAntiEntropyProtocol;
 use crate::spatial_rumor::SpatialRumorProtocol;
 
@@ -76,12 +76,6 @@ impl TraceView for BitAntiEntropyProtocol {
     fn site_digests(&self, out: &mut Vec<u64>) {
         let holds = &self.state.active;
         out.extend((0..holds.len()).map(|i| u64::from(holds.get(i))));
-    }
-}
-
-impl TraceView for DirectMailProtocol {
-    fn site_digests(&self, out: &mut Vec<u64>) {
-        out.extend(self.sites.iter().map(db_digest));
     }
 }
 
@@ -166,11 +160,6 @@ impl AggregateObserver {
         AggregateObserver::default()
     }
 
-    /// A view of the aggregate accumulated so far.
-    pub fn aggregate(&self) -> &RunAggregate {
-        self.sink.aggregate()
-    }
-
     /// Consumes the observer, returning its aggregate.
     pub fn finish(self) -> RunAggregate {
         self.sink.finish()
@@ -206,21 +195,6 @@ impl InvariantObserver {
     /// A fresh checker.
     pub fn new() -> Self {
         InvariantObserver::default()
-    }
-
-    /// Verifies the engine's aggregate totals against contact-by-contact
-    /// accumulation (call after the run with the
-    /// [`EngineReport`](super::EngineReport) totals, when available).
-    pub fn verify_totals(&mut self, totals: EngineTotals) {
-        self.checker.finish(
-            TraceTotals {
-                contacts: totals.contacts,
-                sent: totals.sent,
-                useful: totals.useful,
-                fruitless: totals.fruitless,
-            },
-            None,
-        );
     }
 
     /// `true` when no invariant violation has been detected.
@@ -277,7 +251,6 @@ mod tests {
         fn assert_traceable<P: TraceView>() {}
         assert_traceable::<MixingProtocol>();
         assert_traceable::<BitAntiEntropyProtocol>();
-        assert_traceable::<DirectMailProtocol>();
         assert_traceable::<SpatialAntiEntropyProtocol<'static>>();
         assert_traceable::<SpatialRumorProtocol<'static>>();
     }
@@ -339,14 +312,13 @@ mod tests {
         let mut protocol = Flapping { n: 10, cycle: 0 };
         let mut rng = StdRng::seed_from_u64(3);
         let mut check = InvariantObserver::new();
-        let report = CycleEngine::new().run(
+        CycleEngine::new().run(
             &mut protocol,
             &UniformPartners::new(10),
             &mut rng,
             &mut check,
             &mut EngineBuffers::default(),
         );
-        check.verify_totals(report.totals);
         assert!(!check.is_clean(), "the flapping protocol must be caught");
         let rules: Vec<_> = check.violations().iter().map(|v| v.rule).collect();
         assert!(
@@ -358,20 +330,5 @@ mod tests {
             "susceptible grew back: {rules:?}"
         );
         assert!(check.to_jsonl().contains(r#""event":"violation""#));
-    }
-
-    #[test]
-    fn totals_mismatch_is_reported() {
-        let mut check = InvariantObserver::new();
-        let protocol = Flapping { n: 4, cycle: 0 };
-        Observer::<Flapping>::on_run_start(&mut check, &protocol);
-        check.verify_totals(EngineTotals {
-            contacts: 99,
-            ..EngineTotals::default()
-        });
-        assert!(check
-            .violations()
-            .iter()
-            .any(|v| v.rule == "totals_consistency"));
     }
 }

@@ -19,12 +19,11 @@ use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::engine::{PartnerPolicy, ReceiveLog, RouteRecorder, SpatialPartners, UniformPartners};
-use crate::util::site_ids;
+use crate::engine::{PartnerPolicy, ReceiveLog, RouteRecorder, SpatialPartners};
 
 /// Time in microticks; one nominal anti-entropy period is
 /// [`AsyncAntiEntropySim::PERIOD`] microticks.
-pub type Micros = u64;
+pub(crate) type Micros = u64;
 
 /// Result of one asynchronous run.
 #[derive(Debug, Clone)]
@@ -69,7 +68,7 @@ const KEY: u32 = 0;
 
 impl<'a> AsyncAntiEntropySim<'a> {
     /// Nominal anti-entropy period in microticks.
-    pub const PERIOD: Micros = 1_000;
+    pub(crate) const PERIOD: Micros = 1_000;
 
     /// Builds the simulator. `jitter` is the fraction of the period by
     /// which each firing deviates, uniformly in `[-jitter, +jitter]`.
@@ -215,174 +214,5 @@ mod tests {
     fn rejects_out_of_range_jitter() {
         let topo = topologies::ring(6);
         AsyncAntiEntropySim::new(&topo, Spatial::Uniform, 1.5);
-    }
-}
-
-/// Event-driven rumor mongering under complete mixing: each site fires
-/// contacts on its own jittered timer instead of lockstep cycles —
-/// ablating the cycle model behind Tables 1–3.
-///
-/// Counter semantics are necessarily per-contact here (there is no cycle
-/// over which to aggregate pull feedback), so results are compared against
-/// the synchronous driver's *sequential* mode.
-///
-/// # Example
-///
-/// ```
-/// use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-/// use epidemic_sim::event::AsyncRumorEpidemic;
-///
-/// let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback,
-///                            Removal::Counter { k: 3 });
-/// let r = AsyncRumorEpidemic::new(cfg, 0.2).run(300, 5);
-/// assert!(r.residue < 0.2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AsyncRumorEpidemic {
-    cfg: epidemic_core::RumorConfig,
-    jitter: f64,
-    max_events: u64,
-}
-
-/// Result of one asynchronous rumor epidemic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AsyncRumorResult {
-    /// Fraction of sites still susceptible at quiescence.
-    pub residue: f64,
-    /// Updates sent per site.
-    pub traffic: f64,
-    /// Time (in periods) until the last receiving site got the update.
-    pub t_last: f64,
-    /// Whether every site received the update.
-    pub complete: bool,
-}
-
-impl AsyncRumorEpidemic {
-    /// Creates the driver.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= jitter < 1.0`.
-    pub fn new(cfg: epidemic_core::RumorConfig, jitter: f64) -> Self {
-        assert!((0.0..1.0).contains(&jitter), "jitter must be in [0, 1)");
-        AsyncRumorEpidemic {
-            cfg,
-            jitter,
-            max_events: 10_000_000,
-        }
-    }
-
-    /// Runs one epidemic: a single update injected at site 0, each site
-    /// firing one contact per (jittered) period, until no rumor is hot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn run(&self, n: usize, seed: u64) -> AsyncRumorResult {
-        use epidemic_core::rumor;
-        let policy = UniformPartners::new(n);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut sites: Vec<Replica<u32, u32>> = site_ids(n).map(Replica::new).collect();
-        sites[0].client_update(KEY, 1);
-        let mut received: ReceiveLog<Micros> = ReceiveLog::new(n);
-        received.mark(0, 0);
-        let period = AsyncAntiEntropySim::PERIOD;
-        let mut queue: BinaryHeap<Reverse<(Micros, usize)>> = (0..n)
-            .map(|i| Reverse((rng.random_range(0..period), i)))
-            .collect();
-        let mut sent: u64 = 0;
-        let mut events = 0u64;
-        let mut scratch = rumor::RumorScratch::new();
-
-        while events < self.max_events {
-            // Quiescence: no site is infective.
-            if sites.iter().all(|s| s.hot().is_empty()) {
-                break;
-            }
-            let Some(Reverse((now, i))) = queue.pop() else {
-                break;
-            };
-            events += 1;
-            let j = policy.attempt(i, &mut rng);
-            let (a, b) = crate::util::pair_mut(&mut sites, i, j);
-            let stats = rumor::contact_with(&self.cfg, a, b, &mut rng, &mut scratch);
-            if self.cfg.direction == Direction::Pull {
-                // No cycle boundary exists: apply counters immediately.
-                rumor::end_cycle(&self.cfg, b);
-            }
-            sent += u64::try_from(stats.sent).expect("sent count fits u64");
-            for idx in [i, j] {
-                if sites[idx].db().entry(&KEY).is_some() {
-                    received.mark(idx, now);
-                }
-            }
-            let jitter = 1.0 + self.jitter * (2.0 * rng.random::<f64>() - 1.0);
-            let next = now + (period as f64 * jitter).max(1.0) as Micros;
-            queue.push(Reverse((next, i)));
-        }
-
-        AsyncRumorResult {
-            residue: received.residue(),
-            traffic: sent as f64 / n as f64,
-            t_last: received.t_last().unwrap_or(0) as f64 / period as f64,
-            complete: received.complete(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod rumor_tests {
-    use super::*;
-    use epidemic_core::{Feedback, Removal, RumorConfig};
-
-    fn cfg(k: u32) -> RumorConfig {
-        RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k })
-    }
-
-    #[test]
-    fn async_push_epidemic_completes_mostly() {
-        let r = AsyncRumorEpidemic::new(cfg(4), 0.3).run(400, 2);
-        assert!(r.residue < 0.05, "residue {}", r.residue);
-        assert!(r.traffic > 1.0);
-        assert!(r.t_last > 0.0);
-    }
-
-    #[test]
-    fn async_matches_synchronous_sequential_mode_roughly() {
-        use crate::mixing::{MixingArena, RumorEpidemic};
-        let trials = 15;
-        let sync_driver = RumorEpidemic::new(500, cfg(2)).synchronous(false);
-        let mut arena = MixingArena::new();
-        let async_driver = AsyncRumorEpidemic::new(cfg(2), 0.3);
-        let mut sync_res = 0.0;
-        let mut async_res = 0.0;
-        for seed in 0..trials {
-            sync_res += sync_driver.run(&mut arena, seed, &mut ()).residue;
-            async_res += async_driver.run(500, seed).residue;
-        }
-        sync_res /= f64::from(trials as u32);
-        async_res /= f64::from(trials as u32);
-        assert!(
-            (async_res - sync_res).abs() < 0.05,
-            "async {async_res} vs sync {sync_res}"
-        );
-    }
-
-    #[test]
-    fn pull_works_without_cycle_boundaries() {
-        let cfg = RumorConfig::new(
-            Direction::Pull,
-            Feedback::Feedback,
-            Removal::Counter { k: 2 },
-        );
-        let r = AsyncRumorEpidemic::new(cfg, 0.2).run(300, 3);
-        assert!(r.residue < 0.1, "residue {}", r.residue);
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let a = AsyncRumorEpidemic::new(cfg(3), 0.25).run(200, 9);
-        let b = AsyncRumorEpidemic::new(cfg(3), 0.25).run(200, 9);
-        assert_eq!(a, b);
     }
 }

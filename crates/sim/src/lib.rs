@@ -84,17 +84,7 @@ pub use engine::{
     ContactStats, CycleEngine, EngineReport, EpidemicProtocol, InvariantObserver, Observer,
     PartnerPolicy, SirObserver, SpatialPartners, TraceObserver, TraceView, UniformPartners,
 };
-pub use event::{AsyncAntiEntropySim, AsyncRumorEpidemic, AsyncRumorResult, AsyncRunResult};
-pub use failures::{Churn, ChurnRunResult, ChurnedAntiEntropySim};
 pub use megascale::{FastDraw, FastRumorProtocol, MegascaleSim};
 pub use mixing::{EpidemicResult, MixingArena, RumorEpidemic};
-pub use rumor_steady::{RumorSteadyArena, RumorSteadyConfig, RumorSteadyReport, RumorSteadySim};
-pub use runner::TrialRunner;
-pub use scenario::{Scenario, ScenarioEngine, ScenarioReport};
 pub use spatial_ae::{AntiEntropySim, SpatialArena, SpatialRunResult};
-pub use spatial_rumor::SpatialRumorSim;
-pub use spatial_steady::{
-    SpatialSteadyArena, SpatialSteadyConfig, SpatialSteadyReport, SpatialSteadySim,
-};
-pub use stats::{Quantiles, Summary};
-pub use steady::{SteadyStateReport, SteadyStateSim};
+pub use stats::Summary;

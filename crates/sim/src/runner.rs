@@ -73,7 +73,7 @@ impl TrialRunner {
     }
 
     /// The worker count this runner would use for `trials` trials.
-    pub fn effective_threads(&self, trials: u64) -> usize {
+    pub(crate) fn effective_threads(&self, trials: u64) -> usize {
         let configured = self
             .threads
             .map(NonZeroUsize::get)
@@ -109,7 +109,7 @@ impl TrialRunner {
     /// With `W` workers, worker `w` runs trials `w, w + W, w + 2W, …` and
     /// sends each result down its own bounded channel; the caller receives
     /// from the workers round-robin, which *is* trial order. A worker that
-    /// runs ahead blocks once [`RESULTS_IN_FLIGHT`] of its results wait, so
+    /// runs ahead blocks once `RESULTS_IN_FLIGHT` of its results wait, so
     /// at most `W × (RESULTS_IN_FLIGHT + 1)` results wait to be folded
     /// (buffered, or held by a blocked sender) beside the one being folded.
     /// A panic in a trial is re-raised here with its own payload. The
@@ -174,7 +174,7 @@ impl TrialRunner {
 /// channel before it blocks. Small on purpose: a result can be a
 /// quarter-megabyte run aggregate, and a worker that is ahead gains
 /// nothing by running further ahead — its share of the trials is fixed.
-pub const RESULTS_IN_FLIGHT: usize = 2;
+pub(crate) const RESULTS_IN_FLIGHT: usize = 2;
 
 /// [`TrialRunner::fold_with`] on one worker: the plain loop. Kept apart
 /// from the fan-out so the single-threaded path every experiment takes

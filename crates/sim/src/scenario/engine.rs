@@ -12,9 +12,8 @@
 //! The lowering uses the existing seams rather than a new loop:
 //! partitions and lossy links mask contacts *after* the partner draw (a
 //! blocked contact pays its RNG cost, exactly like the engine's admission
-//! rule for down sites), the workload rides on
-//! [`UpdateInjector`](crate::engine::UpdateInjector)'s carry accumulator,
-//! and per-scenario metrics come out of the same
+//! rule for down sites), the workload rides on `UpdateInjector`'s carry
+//! accumulator, and per-scenario metrics come out of the same
 //! [`ContactStats`]/[`EngineTotals`] plumbing as every other driver.
 
 use epidemic_core::activity::{ActivityList, PeelBackRumor};
@@ -42,7 +41,7 @@ use crate::util::{self, pair_mut};
 pub struct Milestone {
     /// Cycle at which the event fired.
     pub cycle: u32,
-    /// The event's [`FaultKind::label`].
+    /// The event's `FaultKind::label`.
     pub label: &'static str,
     /// Engine contacts completed before the event.
     pub contacts: u64,
@@ -105,13 +104,6 @@ pub struct ScenarioReport {
     pub milestones: Vec<Milestone>,
 }
 
-impl ScenarioReport {
-    /// The first milestone with the given label, if that event fired.
-    pub fn milestone(&self, label: &str) -> Option<&Milestone> {
-        self.milestones.iter().find(|m| m.label == label)
-    }
-}
-
 /// Which contact mechanism a cycle runs (at most one per cycle:
 /// anti-entropy on its scheduled cycles, otherwise rumor or peel-back).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,11 +153,6 @@ impl ScenarioEngine {
     pub fn new(spec: Scenario) -> Result<Self, SpecError> {
         spec.validate()?;
         Ok(ScenarioEngine { spec })
-    }
-
-    /// The compiled spec.
-    pub fn spec(&self) -> &Scenario {
-        &self.spec
     }
 
     /// Runs the scenario with the spec's own topology, reporting every

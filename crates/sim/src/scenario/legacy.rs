@@ -98,7 +98,7 @@ pub struct ClearinghouseReport {
 
 impl ClearinghouseScenario {
     /// The equivalent declarative spec.
-    pub fn to_scenario(&self) -> Scenario {
+    pub(crate) fn to_scenario(&self) -> Scenario {
         let mut spec = Scenario::new("clearinghouse", self.sites);
         spec.protocol.mail = Some(self.mail);
         if self.anti_entropy_every > 0 {
@@ -219,7 +219,7 @@ impl DormantDeathScenario {
     ///    (dormant copies remain only at retention sites);
     /// 4. the down site rejoins with its obsolete copy — a dormant
     ///    certificate must awaken and cancel it everywhere.
-    pub fn to_scenario(&self) -> Scenario {
+    pub(crate) fn to_scenario(self) -> Scenario {
         let mut spec = Scenario::new("dormant-death", self.sites);
         spec.protocol.anti_entropy = Some(AntiEntropySpec {
             every: 1,
@@ -371,7 +371,8 @@ mod tests {
         assert!(report.converged_at.is_some());
         // Each update must cross to 8 other sites: entries shipped after
         // the heal is bounded by a small multiple of updates x sites.
-        let at_heal = report.milestone("heal").expect("the heal event fires");
+        let at_heal = report.milestones.iter().find(|m| m.label == "heal");
+        let at_heal = at_heal.expect("the heal event fires");
         assert!(report.totals.sent - at_heal.sent < 24 * 16 * 4);
     }
 
@@ -401,9 +402,8 @@ mod tests {
         let report = ScenarioEngine::new(spec)
             .expect("crash spec is valid")
             .run(seed, &mut ());
-        let at_recover = report
-            .milestone("recover")
-            .expect("the recover event fires");
+        let at_recover = report.milestones.iter().find(|m| m.label == "recover");
+        let at_recover = at_recover.expect("the recover event fires");
         (sites - at_recover.covered, report.residue == 0.0)
     }
 

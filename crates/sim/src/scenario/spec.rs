@@ -27,7 +27,7 @@ pub enum SpatialSpec {
 
 impl SpatialSpec {
     /// The equivalent [`epidemic_net::Spatial`] selection.
-    pub fn to_net(self) -> epidemic_net::Spatial {
+    pub(crate) fn to_net(self) -> epidemic_net::Spatial {
         match self {
             SpatialSpec::Uniform => epidemic_net::Spatial::Uniform,
             SpatialSpec::QsPower { a } => epidemic_net::Spatial::QsPower { a },
@@ -107,7 +107,7 @@ pub struct WorkloadMix {
 
 impl WorkloadMix {
     /// Total weight (the probability denominator).
-    pub fn total(&self) -> u32 {
+    pub(crate) fn total(&self) -> u32 {
         self.update + self.delete + self.read
     }
 }
@@ -238,7 +238,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// A stable label for milestones and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             FaultKind::Update { .. } => "update",
             FaultKind::Delete { .. } => "delete",
@@ -352,7 +352,7 @@ impl Scenario {
             return Err(err("name must be non-empty printable ASCII without spaces"));
         }
         if let TopologySpec::Grid { rows, cols, .. } = self.topology {
-            if rows * cols != n {
+            if rows.checked_mul(cols) != Some(n) {
                 return Err(err(format!("grid {rows}x{cols} does not cover {n} sites")));
             }
         }
@@ -438,7 +438,7 @@ impl Scenario {
             FaultKind::Crash(set) | FaultKind::Recover(set) => match set {
                 SiteSet::Site(i) => site_ok(*i, "crash/recover")?,
                 SiteSet::Span { from, count } => {
-                    if from + count > n {
+                    if from.checked_add(*count).is_none_or(|end| end > n) {
                         return Err(err("crash/recover span out of range"));
                     }
                 }

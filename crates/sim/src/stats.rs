@@ -1,6 +1,6 @@
 //! Summary statistics over repeated simulation runs.
 
-/// Streaming mean/variance accumulator (Welford's algorithm).
+/// Streaming mean and maximum accumulator.
 ///
 /// # Example
 ///
@@ -17,8 +17,6 @@
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
     max: f64,
 }
 
@@ -28,8 +26,6 @@ impl Summary {
         Summary {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
@@ -37,10 +33,7 @@ impl Summary {
     /// Adds one observation.
     pub fn push(&mut self, x: f64) {
         self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
+        self.mean += (x - self.mean) / self.count as f64;
         self.max = self.max.max(x);
     }
 
@@ -56,20 +49,6 @@ impl Summary {
         } else {
             self.mean
         }
-    }
-
-    /// Sample standard deviation (0 with fewer than two observations).
-    pub fn std_dev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
     }
 
     /// Largest observation (`None` when empty).
@@ -99,14 +78,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std_match_closed_form() {
+    fn mean_and_max_match_closed_form() {
         let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
             .into_iter()
             .collect();
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Sample std dev of this classic set is ~2.138.
-        assert!((s.std_dev() - 2.1380899).abs() < 1e-6);
-        assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }
 
@@ -114,8 +90,6 @@ mod tests {
     fn empty_summary_is_well_behaved() {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
-        assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
     }
 
@@ -124,116 +98,6 @@ mod tests {
         let mut s = Summary::new();
         s.push(42.0);
         assert_eq!(s.mean(), 42.0);
-        assert_eq!(s.std_dev(), 0.0);
-        assert_eq!(s.min(), Some(42.0));
-    }
-}
-
-/// Exact quantile accumulator for the modest sample counts the experiment
-/// harness produces (hundreds of trials): stores all observations, sorts
-/// on demand.
-///
-/// # Example
-///
-/// ```
-/// use epidemic_sim::stats::Quantiles;
-/// let mut q: Quantiles = (1..=100).map(f64::from).collect();
-/// assert_eq!(q.quantile(0.5), Some(50.0));
-/// assert_eq!(q.quantile(0.99), Some(99.0));
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Quantiles {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Quantiles {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Quantiles::default()
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) by the nearest-rank method; `None`
-    /// when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]` or any observation was NaN.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
-            self.sorted = true;
-        }
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).max(1) - 1;
-        Some(self.samples[rank.min(self.samples.len() - 1)])
-    }
-
-    /// Convenience: the median.
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-}
-
-impl Extend<f64> for Quantiles {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for Quantiles {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut q = Quantiles::new();
-        q.extend(iter);
-        q
-    }
-}
-
-#[cfg(test)]
-mod quantile_tests {
-    use super::*;
-
-    #[test]
-    fn nearest_rank_quantiles() {
-        let mut q: Quantiles = [5.0, 1.0, 3.0, 2.0, 4.0].into_iter().collect();
-        assert_eq!(q.quantile(0.0), Some(1.0));
-        assert_eq!(q.median(), Some(3.0));
-        assert_eq!(q.quantile(1.0), Some(5.0));
-        assert_eq!(q.quantile(0.2), Some(1.0));
-        assert_eq!(q.quantile(0.21), Some(2.0));
-    }
-
-    #[test]
-    fn empty_and_single() {
-        let mut q = Quantiles::new();
-        assert_eq!(q.median(), None);
-        q.push(7.0);
-        assert_eq!(q.quantile(0.01), Some(7.0));
-        assert_eq!(q.quantile(0.99), Some(7.0));
-        assert_eq!(q.count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in")]
-    fn rejects_out_of_range_q() {
-        let mut q: Quantiles = [1.0].into_iter().collect();
-        q.quantile(1.5);
+        assert_eq!(s.max(), Some(42.0));
     }
 }

@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use epidemic_core::{Comparison, Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, LinkTraffic, Spatial};
 use epidemic_sim::engine::SirObserver;
-use epidemic_sim::event::{AsyncAntiEntropySim, AsyncRumorEpidemic};
+use epidemic_sim::event::AsyncAntiEntropySim;
 use epidemic_sim::failures::{Churn, ChurnedAntiEntropySim};
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::rumor_steady::{RumorSteadyArena, RumorSteadyConfig, RumorSteadySim};
@@ -352,16 +352,6 @@ fn build_fixture() -> String {
             traffic(&r.update_traffic),
         )
         .unwrap();
-    }
-
-    // --- event::AsyncRumorEpidemic -------------------------------------
-    for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
-        let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
-        let sim = AsyncRumorEpidemic::new(cfg, 0.2);
-        for seed in 0..2u64 {
-            let r = sim.run(24, seed);
-            writeln!(out, "async-rumor/{direction:?} seed={seed} => {r:?}").unwrap();
-        }
     }
 
     out

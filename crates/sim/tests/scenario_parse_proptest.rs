@@ -305,6 +305,18 @@ fn validation_failures_surface_after_parsing() {
     assert_eq!(e.line, 0);
     assert!(e.message.contains("grid"), "{e}");
 
+    // Grid dims whose product wraps around to the site count.
+    let e = Scenario::parse("scenario x\nsites 4\ntopology grid 9223372036854775810 2 uniform\n")
+        .unwrap_err();
+    assert_eq!(e.line, 0);
+    assert!(e.message.contains("grid"), "{e}");
+
+    // A crash span whose end overflows.
+    let e = Scenario::parse("scenario x\nsites 4\nat 1 crash span 18446744073709551615 2\n")
+        .unwrap_err();
+    assert_eq!(e.line, 0);
+    assert!(e.message.contains("span out of range"), "{e}");
+
     // Mutually exclusive contact protocols.
     let e = Scenario::parse("scenario x\nsites 4\nrumor push feedback counter 2\npeel-back 3\n")
         .unwrap_err();

@@ -338,11 +338,6 @@ impl RunAggregate {
         &self.delay
     }
 
-    /// Exact maximum recorded delay, in cycles.
-    pub fn delay_max(&self) -> u64 {
-        self.delay_max
-    }
-
     /// The bounded per-link traffic matrix.
     pub fn links(&self) -> &LinkAggregate {
         &self.links
@@ -356,14 +351,6 @@ impl RunAggregate {
     /// Highest cycle number any folded run reached.
     pub fn max_cycle(&self) -> u64 {
         self.max_cycle
-    }
-
-    /// Summed SIR curves: `(s, i, r, runs_at)` vectors indexed by cycle
-    /// (entry 0 is the pre-run state). `runs_at[c]` counts the runs that
-    /// reached cycle `c`, so `s[c] / runs_at[c]` is the mean susceptible
-    /// count at that cycle over the runs still going.
-    pub fn sir_curve(&self) -> (&[u64], &[u64], &[u64], &[u64]) {
-        (&self.sir_s, &self.sir_i, &self.sir_r, &self.sir_runs)
     }
 
     fn record_sir(&mut self, index: usize, sir: Sir) {
@@ -385,9 +372,8 @@ impl RunAggregate {
     ///
     /// # Panics
     ///
-    /// Panics if the delay histograms were built over different bounds
-    /// (see [`Histogram::merge`]); aggregates built by this module always
-    /// share [`DELAY_BUCKETS`].
+    /// Panics if the delay histograms were built over different bounds;
+    /// aggregates built by this module always share [`DELAY_BUCKETS`].
     pub fn merge(&mut self, other: &RunAggregate) {
         self.runs += other.runs;
         self.sites = self.sites.max(other.sites);
@@ -600,7 +586,7 @@ mod tests {
         // Four sites marked: origin + 2 at cycle 1, site 1 at 2, site 3
         // at 3 → delays [1, 1, 2, 3].
         assert_eq!(agg.delay().count(), 4);
-        assert_eq!(agg.delay_max(), 3);
+        assert_eq!(agg.delay_max, 3);
         assert!((agg.delay().sum() - 7.0).abs() < 1e-12);
         assert_eq!(agg.totals().contacts, 4);
         assert_eq!(agg.totals().fruitless, 1);
@@ -654,11 +640,10 @@ mod tests {
     #[test]
     fn sir_curve_sums_and_run_counts() {
         let agg = scripted_sink().finish();
-        let (s, i, r, runs) = agg.sir_curve();
-        assert_eq!(s, &[3, 2, 1, 0]);
-        assert_eq!(i, &[1, 2, 3, 3]);
-        assert_eq!(r, &[0, 0, 0, 1]);
-        assert_eq!(runs, &[1, 1, 1, 1]);
+        assert_eq!(agg.sir_s, [3, 2, 1, 0]);
+        assert_eq!(agg.sir_i, [1, 2, 3, 3]);
+        assert_eq!(agg.sir_r, [0, 0, 0, 1]);
+        assert_eq!(agg.sir_runs, [1, 1, 1, 1]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct Violation {
 
 impl Violation {
     /// Serializes the violation as one JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
         obj.field_str("event", "violation")
             .field_u64("cycle", self.cycle)
@@ -74,11 +74,6 @@ pub struct InvariantChecker {
 }
 
 impl InvariantChecker {
-    /// A checker with no run started yet.
-    pub fn new() -> Self {
-        InvariantChecker::default()
-    }
-
     fn report(&mut self, cycle: u64, rule: &'static str, detail: String) {
         self.detected += 1;
         if self.violations.len() < MAX_STORED {
@@ -218,16 +213,10 @@ impl InvariantChecker {
         self.detected == 0
     }
 
-    /// Violations stored so far (capped at an internal limit; see
-    /// [`InvariantChecker::detected`]).
+    /// Violations stored so far, capped at an internal limit;
+    /// [`InvariantChecker::is_clean`] still counts the ones dropped past it.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
-    }
-
-    /// Total violations detected, including any dropped past the storage
-    /// cap.
-    pub fn detected(&self) -> u64 {
-        self.detected
     }
 
     /// All stored violations as JSONL (one object per line); empty string
@@ -256,7 +245,7 @@ mod tests {
 
     #[test]
     fn clean_run_reports_nothing() {
-        let mut ck = InvariantChecker::new();
+        let mut ck = InvariantChecker::default();
         ck.start(sir(3, 1, 0));
         ck.contact(1, 1, 1);
         ck.cycle(1, sir(2, 2, 0), None);
@@ -277,7 +266,7 @@ mod tests {
 
     #[test]
     fn conservation_violation_is_reported_not_panicked() {
-        let mut ck = InvariantChecker::new();
+        let mut ck = InvariantChecker::default();
         ck.start(sir(4, 1, 0));
         ck.cycle(1, sir(3, 1, 0), None); // 4 sites — one vanished
         assert!(!ck.is_clean());
@@ -287,7 +276,7 @@ mod tests {
 
     #[test]
     fn monotonicity_violations() {
-        let mut ck = InvariantChecker::new();
+        let mut ck = InvariantChecker::default();
         ck.start(sir(2, 1, 1));
         ck.contact(1, 1, 1);
         ck.contact(1, 1, 1);
@@ -300,7 +289,7 @@ mod tests {
 
     #[test]
     fn infection_without_traffic_is_caught() {
-        let mut ck = InvariantChecker::new();
+        let mut ck = InvariantChecker::default();
         ck.start(sir(5, 1, 0));
         ck.contact(1, 1, 0); // fruitless
         ck.cycle(1, sir(3, 3, 0), None); // 2 infected with 0 useful units
@@ -309,7 +298,7 @@ mod tests {
 
     #[test]
     fn useful_exceeding_sent_is_caught() {
-        let mut ck = InvariantChecker::new();
+        let mut ck = InvariantChecker::default();
         ck.start(sir(1, 1, 0));
         ck.contact(1, 1, 2);
         assert_eq!(ck.violations()[0].rule, "useful_le_sent");
@@ -317,7 +306,7 @@ mod tests {
 
     #[test]
     fn totals_mismatch_is_caught() {
-        let mut ck = InvariantChecker::new();
+        let mut ck = InvariantChecker::default();
         ck.start(sir(1, 1, 0));
         ck.contact(1, 1, 1);
         ck.cycle(1, sir(0, 2, 0), None);
@@ -335,13 +324,13 @@ mod tests {
 
     #[test]
     fn divergent_digests_after_coverage_are_caught() {
-        let mut ck = InvariantChecker::new();
+        let mut ck = InvariantChecker::default();
         ck.start(sir(1, 1, 0));
         ck.contact(1, 1, 1);
         ck.cycle(1, sir(0, 2, 0), Some(&[1, 2]));
         assert_eq!(ck.violations()[0].rule, "coverage_convergence");
         // With susceptible sites remaining, digests may differ freely.
-        let mut ok = InvariantChecker::new();
+        let mut ok = InvariantChecker::default();
         ok.start(sir(2, 1, 0));
         ok.cycle(1, sir(2, 1, 0), Some(&[1, 2, 3]));
         assert!(ok.is_clean());
@@ -349,12 +338,12 @@ mod tests {
 
     #[test]
     fn storage_cap_keeps_counting() {
-        let mut ck = InvariantChecker::new();
+        let mut ck = InvariantChecker::default();
         ck.start(sir(1, 1, 0));
         for c in 0..150 {
             ck.contact(c, 0, 1); // useful > sent, every time
         }
         assert_eq!(ck.violations().len(), 100);
-        assert_eq!(ck.detected(), 150);
+        assert_eq!(ck.detected, 150);
     }
 }

@@ -40,7 +40,7 @@ pub fn escape_into(out: &mut String, s: &str) {
 
 /// Writes `x` into `out` as a JSON number; non-finite values become
 /// `null` (JSON has no NaN/Infinity).
-pub fn write_f64(out: &mut String, x: f64) {
+pub(crate) fn write_f64(out: &mut String, x: f64) {
     if x.is_finite() {
         write!(out, "{x}").expect("writing to String cannot fail");
     } else {

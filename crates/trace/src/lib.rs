@@ -4,8 +4,8 @@
 //! simulation crates — so every layer of the workspace can use it without
 //! cycles. It provides five pillars:
 //!
-//! * [`metrics`] — the fixed-bucket [`Histogram`] behind the aggregate's
-//!   delay percentiles.
+//! * [`metrics`] — the fixed-bucket [`Histogram`](metrics::Histogram)
+//!   behind the aggregate's delay percentiles.
 //! * [`record`] — structured run tracing: [`RunTracer`] turns per-contact
 //!   events, per-cycle SIR snapshots and a per-link traffic matrix into
 //!   JSONL with *no* wall-clock fields, making trace files byte-identical
@@ -38,7 +38,6 @@ pub mod record;
 
 pub use aggregate::{AggregatingSink, LinkAggregate, LinkCell, RunAggregate, DELAY_BUCKETS};
 pub use invariant::{InvariantChecker, Violation};
-pub use metrics::Histogram;
 pub use profile::PhaseStat;
 pub use record::{RunTracer, TraceConfig, TraceTotals};
 
@@ -57,7 +56,7 @@ pub struct Sir {
 
 impl Sir {
     /// Total number of sites.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.susceptible + self.infective + self.removed
     }
 }

@@ -13,7 +13,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// An empty histogram over `bounds` (ascending upper bounds).
-    pub fn new(bounds: &'static [f64]) -> Self {
+    pub(crate) fn new(bounds: &'static [f64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         Histogram {
             bounds,
@@ -24,7 +24,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, value: f64) {
+    pub(crate) fn observe(&mut self, value: f64) {
         let idx = self
             .bounds
             .iter()
@@ -41,12 +41,12 @@ impl Histogram {
     }
 
     /// Sum of all observed values.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
     /// Mean observed value (`0.0` when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.total == 0 {
             0.0
         } else {
@@ -55,12 +55,12 @@ impl Histogram {
     }
 
     /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn bucket_counts(&self) -> &[u64] {
+    pub(crate) fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
 
     /// The bucket upper bounds this histogram was built with.
-    pub fn bounds(&self) -> &'static [f64] {
+    pub(crate) fn bounds(&self) -> &'static [f64] {
         self.bounds
     }
 
@@ -77,7 +77,7 @@ impl Histogram {
     /// bound, so quantiles resolving there return the last configured
     /// bound (a lower bound on the true quantile). An empty histogram
     /// returns `0.0`.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.total == 0 || self.bounds.is_empty() {
             return 0.0;
         }
@@ -109,7 +109,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics when `other.bounds() != self.bounds()`.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         assert_eq!(
             self.bounds, other.bounds,
             "Histogram::merge requires identical bucket bounds"

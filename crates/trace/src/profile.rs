@@ -48,12 +48,6 @@ pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns phase recording off; already-recorded data is kept until
-/// [`take`] drains it.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
 /// Whether spans are currently being recorded. Instrumented sites check
 /// this once per run and skip all clock reads when it is `false`.
 #[inline]
@@ -74,18 +68,6 @@ pub fn record(name: &'static str, nanos: u64) {
         .or_insert((0, 0));
     slot.0 += 1;
     slot.1 += nanos;
-}
-
-/// Times `f`, records its duration under `name` (when enabled), and
-/// returns its result.
-pub fn time<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
-    if !is_enabled() {
-        return f();
-    }
-    let start = Instant::now();
-    let out = f();
-    record(name, span_nanos(start));
-    out
 }
 
 /// Nanoseconds elapsed since `start`, saturating at `u64::MAX`.
@@ -123,7 +105,7 @@ mod tests {
     #[test]
     fn lifecycle_record_snapshot_take() {
         // Disabled: nothing sticks.
-        disable();
+        ENABLED.store(false, Ordering::Relaxed);
         record("test.ignored", 10);
         assert!(snapshot().iter().all(|p| p.name != "test.ignored"));
 
@@ -131,8 +113,6 @@ mod tests {
         record("test.b", 5);
         record("test.a", 3);
         record("test.b", 7);
-        let got = time("test.timed", || 42);
-        assert_eq!(got, 42);
 
         let snap = snapshot();
         let find = |name: &str| snap.iter().find(|p| p.name == name).copied();
@@ -142,7 +122,6 @@ mod tests {
             "snapshot {snap:?}"
         );
         assert_eq!(find("test.a").map(|p| p.calls), Some(1));
-        assert!(find("test.timed").is_some());
         // Name-ordered.
         let names: Vec<_> = snap.iter().map(|p| p.name).collect();
         let mut sorted = names.clone();
@@ -152,7 +131,7 @@ mod tests {
         let taken = take();
         assert!(!taken.is_empty());
         assert!(take().is_empty(), "take drains the table");
-        disable();
+        ENABLED.store(false, Ordering::Relaxed);
         assert!(
             (PhaseStat {
                 name: "x",
