@@ -71,7 +71,7 @@ fn divergent_pair() -> (Replica<u32, u64>, Replica<u32, u64>) {
 fn converged_but_newest_pair() -> (Replica<u32, u64>, Replica<u32, u64>) {
     let (mut a, b) = converged_pair();
     let rewrite = Entry::live(2, a.now());
-    a.apply(SHARED - 1, rewrite);
+    a.receive_quietly_ref(&(SHARED - 1), &rewrite);
     (a, b)
 }
 
@@ -83,7 +83,7 @@ fn diverged_at_oldest_pair() -> (Replica<u32, u64>, Replica<u32, u64>) {
     // than every other row.
     b.client_update(0, 1);
     for (key, entry) in a.db().iter() {
-        b.apply(*key, entry.clone());
+        b.receive_quietly_ref(key, entry);
     }
     (a, b)
 }

@@ -19,9 +19,7 @@ use epidemic_net::{LinkId, PartnerSelection, Spatial, Topology};
 use epidemic_sim::engine::SirObserver;
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::runner::Arenas;
-use epidemic_sim::scenario::legacy::{
-    resurrection_without_certificates, ClearinghouseScenario, DormantDeathScenario,
-};
+use epidemic_sim::scenario::{bundled, AntiEntropySpec, FaultKind, ScenarioEngine};
 use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
 use epidemic_sim::spatial_rumor::{failure_probability, minimum_k, SpatialRumorSim};
 
@@ -298,8 +296,22 @@ pub(crate) fn death_certificates_tables() -> Vec<FigTable> {
         rows,
     );
 
-    let resurrected = resurrection_without_certificates(12, 3);
-    let report = DormantDeathScenario::default().run(11);
+    let dormant = bundled::by_name("dormant-death").expect("bundled");
+    let run = |spec, seed| {
+        ScenarioEngine::new(spec)
+            .expect("bundled spec is valid")
+            .run(seed, &mut ())
+    };
+    // Naive deletion: no certificate survives τ₁ (retention 0), so the
+    // site that slept through the deletion brings the item back.
+    let mut naive = dormant.clone();
+    for event in &mut naive.events {
+        if let FaultKind::Delete { retention, .. } = &mut event.kind {
+            *retention = 0;
+        }
+    }
+    let resurrected = !run(naive, 3).cancelled;
+    let report = run(dormant, 11);
     let semantics = FigTable::new(
         "§2: deletion semantics",
         &["scenario", "outcome"],
@@ -312,7 +324,7 @@ pub(crate) fn death_certificates_tables() -> Vec<FigTable> {
                 "dormant certificate, obsolete site rejoins".into(),
                 format!(
                     "awakened = {}, obsolete cancelled = {}",
-                    report.awakened, report.obsolete_cancelled
+                    report.awakened, report.cancelled
                 ),
             ],
         ],
@@ -541,6 +553,19 @@ pub(crate) fn comparison_table() -> FigTable {
 /// Ablation: §1.5 redistribution policies in the Clearinghouse workload.
 pub(crate) fn redistribution_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_core::{MailConfig, Redistribution};
+    let mut spec = bundled::by_name("clearinghouse").expect("bundled");
+    spec.sites = 40;
+    spec.protocol.mail = Some(MailConfig {
+        loss_probability: 0.3,
+        queue_capacity: 200,
+    });
+    spec.protocol.rumor = Some(RumorConfig::new(
+        Direction::Push,
+        Feedback::Feedback,
+        Removal::Counter { k: 2 },
+    ));
+    spec.workload.budget = Some(15);
+    spec.max_cycles = 3_000;
     let rows = [
         ("none (conservative)", Redistribution::None),
         ("rumor", Redistribution::Rumor),
@@ -548,26 +573,22 @@ pub(crate) fn redistribution_table(ctx: &Ctx<'_>) -> FigTable {
     ]
     .iter()
     .map(|&(label, redistribution)| {
-        let scenario = ClearinghouseScenario {
-            sites: 40,
-            mail: MailConfig {
-                loss_probability: 0.3,
-                queue_capacity: 200,
-            },
-            updates: 15,
-            anti_entropy_every: 8,
+        let mut spec = spec.clone();
+        spec.protocol.anti_entropy = Some(AntiEntropySpec {
+            every: 8,
+            from: 0,
             redistribution,
-            rumor_k: Some(2),
-            max_cycles: 3_000,
-        };
+        });
+        let engine = ScenarioEngine::new(spec).expect("clearinghouse spec is valid");
         let means = ctx.mean(
             || (),
             |(), seed| {
-                let r = scenario.run(seed);
+                let r = engine.run(seed, &mut ());
+                let mail = r.mail.expect("the spec mails");
                 [
-                    r.consistent_at.map_or(3_000.0, f64::from),
-                    r.mail_delivered as f64,
-                    r.ae_repairs as f64,
+                    r.converged_at.map_or(3_000.0, f64::from),
+                    mail.delivered as f64,
+                    r.ae_sent as f64,
                 ]
             },
         );

@@ -190,7 +190,7 @@ impl PeelBackRumor {
         K: Ord + Clone + Hash + Eq,
         V: Clone + Hash + Eq,
     {
-        let Some(entry) = sender.db().entry(key).cloned() else {
+        let Some(entry) = sender.db().entry(key) else {
             sender_list.forget(key);
             return;
         };
@@ -204,7 +204,7 @@ impl PeelBackRumor {
             stats.sent_ba += 1;
         }
         stats.entries_scanned += 1;
-        let outcome = receiver.receive_quietly(key.clone(), entry);
+        let outcome = receiver.receive_quietly_ref(key, entry);
         if outcome.was_useful() {
             // Rumor feedback: the update was news — to the front at both.
             sender_list.touch(key.clone());

@@ -16,34 +16,31 @@ use epidemic_db::{Database, Entry, Timestamp};
 use crate::replica::Replica;
 use crate::Direction;
 
-/// The two one-way diffs computed by [`diff`]: entries to send `a → b`,
-/// entries to send `b → a`, and the number of entries scanned.
-pub(crate) type DiffResult<K, V> = (Vec<(K, Entry<V>)>, Vec<(K, Entry<V>)>, usize);
-
 /// Reusable buffers for anti-entropy conversations.
 ///
 /// A conversation that falls back to a full comparison fills two diff
-/// buffers; peel back snapshots both sides' timestamp indexes. Freshly
-/// allocating those `Vec`s per contact dominates steady-state drivers that
-/// run thousands of conversations, so the engine threads one scratch
-/// through every exchange via [`AntiEntropy::exchange_with`] and the
-/// buffers keep their capacity between conversations.
+/// buffers with the keys to send each way; peel back snapshots both
+/// sides' timestamp indexes. Freshly allocating those `Vec`s per contact
+/// dominates steady-state drivers that run thousands of conversations, so
+/// the engine threads one scratch through every exchange via
+/// [`AntiEntropy::exchange_with`] and the buffers keep their capacity
+/// between conversations.
 ///
 /// [`AntiEntropy::exchange`] works on a throwaway scratch — behaviour is
 /// identical, only the buffer reuse is lost.
 #[derive(Debug, Clone)]
-pub struct ExchangeScratch<K, V> {
-    /// Full-comparison diff buffer, `a → b`.
-    a_to_b: Vec<(K, Entry<V>)>,
-    /// Full-comparison diff buffer, `b → a`.
-    b_to_a: Vec<(K, Entry<V>)>,
+pub struct ExchangeScratch<K> {
+    /// Full-comparison diff buffer: keys to send `a → b`.
+    a_to_b: Vec<K>,
+    /// Full-comparison diff buffer: keys to send `b → a`.
+    b_to_a: Vec<K>,
     /// Peel-back snapshot of the initiator's timestamp index.
     peel_a: Vec<(Timestamp, K)>,
     /// Peel-back snapshot of the partner's timestamp index.
     peel_b: Vec<(Timestamp, K)>,
 }
 
-impl<K, V> ExchangeScratch<K, V> {
+impl<K> ExchangeScratch<K> {
     /// Creates an empty scratch. No allocation happens until a
     /// conversation actually needs a buffer.
     pub fn new() -> Self {
@@ -56,7 +53,7 @@ impl<K, V> ExchangeScratch<K, V> {
     }
 }
 
-impl<K, V> Default for ExchangeScratch<K, V> {
+impl<K> Default for ExchangeScratch<K> {
     fn default() -> Self {
         ExchangeScratch::new()
     }
@@ -164,7 +161,7 @@ impl AntiEntropy {
         &self,
         a: &mut Replica<K, V>,
         b: &mut Replica<K, V>,
-        scratch: &mut ExchangeScratch<K, V>,
+        scratch: &mut ExchangeScratch<K>,
     ) -> ExchangeStats
     where
         K: Ord + Clone + Hash + Eq,
@@ -199,19 +196,9 @@ impl AntiEntropy {
     }
 }
 
-/// Offers an entry quietly and accounts for awakened certificates.
-fn offer_counted<K, V>(to: &mut Replica<K, V>, key: K, entry: Entry<V>, stats: &mut ExchangeStats)
-where
-    K: Ord + Clone + Hash + Eq,
-    V: Clone + Hash + Eq,
-{
-    if to.receive_quietly(key, entry) == OfferOutcome::AwakenedDormant {
-        stats.awakened += 1;
-    }
-}
-
-/// [`offer_counted`] from borrowed data: the receiver clones the entry
-/// only if the offer changes its state.
+/// Offers the sender's entry quietly, by reference, and accounts for
+/// awakened certificates: the receiver clones the entry only if the offer
+/// changes its state.
 fn offer_counted_ref<K, V>(
     to: &mut Replica<K, V>,
     key: &K,
@@ -226,35 +213,18 @@ fn offer_counted_ref<K, V>(
     }
 }
 
-/// Computes the two one-way diffs between replicas: entries `a` holds
-/// strictly newer than `b` (or that `b` lacks), and vice versa. Returns the
-/// pair `(a_to_b, b_to_a)` plus the number of entries scanned. Entries are
-/// cloned only for the directions `direction` allows to flow — a one-way
-/// exchange never materialises the list it would discard.
-pub(crate) fn diff<K, V>(
-    direction: Direction,
-    a: &Replica<K, V>,
-    b: &Replica<K, V>,
-) -> DiffResult<K, V>
-where
-    K: Ord + Clone + Hash + Eq,
-    V: Clone + Hash,
-{
-    let mut a_to_b: Vec<(K, Entry<V>)> = Vec::new();
-    let mut b_to_a: Vec<(K, Entry<V>)> = Vec::new();
-    let scanned = diff_into(direction, a, b, &mut a_to_b, &mut b_to_a);
-    (a_to_b, b_to_a, scanned)
-}
-
-/// [`diff`] into caller-provided buffers (cleared first), so a reused
-/// scratch keeps its capacity across conversations. Returns the number of
-/// entries scanned.
+/// Lists the keys of the two one-way diffs between replicas into
+/// caller-provided buffers (cleared first, so a reused scratch keeps its
+/// capacity across conversations): keys `a` holds strictly newer than `b`
+/// (or that `b` lacks), and vice versa. Keys are listed only for the
+/// directions `direction` allows to flow. Returns the number of entries
+/// scanned.
 pub(crate) fn diff_into<K, V>(
     direction: Direction,
     a: &Replica<K, V>,
     b: &Replica<K, V>,
-    a_to_b: &mut Vec<(K, Entry<V>)>,
-    b_to_a: &mut Vec<(K, Entry<V>)>,
+    a_to_b: &mut Vec<K>,
+    b_to_a: &mut Vec<K>,
 ) -> usize
 where
     K: Ord + Clone + Hash + Eq,
@@ -268,15 +238,15 @@ where
     loop {
         match (ia.peek(), ib.peek()) {
             (None, None) => break,
-            (Some((ka, ea)), None) => {
+            (Some((ka, _)), None) => {
                 if direction.pushes() {
-                    a_to_b.push(((*ka).clone(), (*ea).clone()));
+                    a_to_b.push((*ka).clone());
                 }
                 ia.next();
             }
-            (None, Some((kb, eb))) => {
+            (None, Some((kb, _))) => {
                 if direction.pulls() {
-                    b_to_a.push(((*kb).clone(), (*eb).clone()));
+                    b_to_a.push((*kb).clone());
                 }
                 ib.next();
             }
@@ -285,23 +255,23 @@ where
                 match ka.cmp(kb) {
                     Ordering::Less => {
                         if direction.pushes() {
-                            a_to_b.push(((*ka).clone(), (*ea).clone()));
+                            a_to_b.push((*ka).clone());
                         }
                         ia.next();
                     }
                     Ordering::Greater => {
                         if direction.pulls() {
-                            b_to_a.push(((*kb).clone(), (*eb).clone()));
+                            b_to_a.push((*kb).clone());
                         }
                         ib.next();
                     }
                     Ordering::Equal => {
                         if ea.timestamp() > eb.timestamp() {
                             if direction.pushes() {
-                                a_to_b.push(((*ka).clone(), (*ea).clone()));
+                                a_to_b.push((*ka).clone());
                             }
                         } else if eb.timestamp() > ea.timestamp() && direction.pulls() {
-                            b_to_a.push(((*kb).clone(), (*eb).clone()));
+                            b_to_a.push((*kb).clone());
                         }
                         ia.next();
                         ib.next();
@@ -317,24 +287,31 @@ where
 }
 
 /// Complete database comparison and resolution (§1.3's basic algorithm).
+///
+/// Each listed key is offered by reference from its sender, so an entry is
+/// cloned once, when the receiver accepts it. Looking the `b → a` entries
+/// up after the `a → b` offers have changed `b` is sound because the two
+/// key lists are disjoint.
 fn full_resolve<K, V>(
     direction: Direction,
     a: &mut Replica<K, V>,
     b: &mut Replica<K, V>,
-    scratch: &mut ExchangeScratch<K, V>,
+    scratch: &mut ExchangeScratch<K>,
     stats: &mut ExchangeStats,
 ) where
     K: Ord + Clone + Hash + Eq,
     V: Clone + Hash + Eq,
 {
     stats.entries_scanned += diff_into(direction, a, b, &mut scratch.a_to_b, &mut scratch.b_to_a);
-    for (k, e) in scratch.a_to_b.drain(..) {
+    for k in &scratch.a_to_b {
         stats.sent_ab += 1;
-        offer_counted(b, k, e, stats);
+        let e = a.db().entry(k).expect("listed by the diff");
+        offer_counted_ref(b, k, e, stats);
     }
-    for (k, e) in scratch.b_to_a.drain(..) {
+    for k in &scratch.b_to_a {
         stats.sent_ba += 1;
-        offer_counted(a, k, e, stats);
+        let e = b.db().entry(k).expect("listed by the diff");
+        offer_counted_ref(a, k, e, stats);
     }
 }
 
@@ -355,7 +332,7 @@ fn exchange_recent<K, V>(
     a: &mut Replica<K, V>,
     b: &mut Replica<K, V>,
     tau: u64,
-    scratch: &mut ExchangeScratch<K, V>,
+    scratch: &mut ExchangeScratch<K>,
     stats: &mut ExchangeStats,
 ) where
     K: Ord + Clone + Hash + Eq,
@@ -517,7 +494,7 @@ where
 fn peel_back<K, V>(
     a: &mut Replica<K, V>,
     b: &mut Replica<K, V>,
-    scratch: &mut ExchangeScratch<K, V>,
+    scratch: &mut ExchangeScratch<K>,
     stats: &mut ExchangeStats,
 ) where
     K: Ord + Clone + Hash + Eq,
@@ -757,7 +734,7 @@ mod tests {
         let (a, _) = converged(1_000);
         let mut b = Replica::new(SiteId::new(1));
         for (k, e) in a.db().iter().filter(|(k, _)| **k != 0) {
-            b.apply(*k, e.clone());
+            b.receive_quietly_ref(k, e);
         }
         let (walk, offers) = walk(&a, &b);
         assert_eq!(walk.visited, 1_000, "every listed row is visited");

@@ -18,7 +18,7 @@ use std::hash::Hash;
 
 use epidemic_db::Entry;
 
-use crate::anti_entropy::{diff, ExchangeStats};
+use crate::anti_entropy::{diff_into, ExchangeStats};
 use crate::replica::Replica;
 use crate::Direction;
 
@@ -91,29 +91,28 @@ impl BackupAntiEntropy {
             full_compare: true,
             ..ExchangeStats::default()
         };
-        let (a_to_b, b_to_a, scanned) = diff(Direction::PushPull, a, b);
-        stats.entries_scanned = scanned;
+        let (mut a_to_b, mut b_to_a) = (Vec::new(), Vec::new());
+        stats.entries_scanned = diff_into(Direction::PushPull, a, b, &mut a_to_b, &mut b_to_a);
         let mut remail = Vec::new();
 
-        for (k, e) in a_to_b {
+        for k in &a_to_b {
             stats.sent_ab += 1;
-            self.apply_one(b, a, k, e, &mut remail, &mut stats);
+            self.apply_one(b, a, k, &mut remail, &mut stats);
         }
-        for (k, e) in b_to_a {
+        for k in &b_to_a {
             stats.sent_ba += 1;
-            self.apply_one(a, b, k, e, &mut remail, &mut stats);
+            self.apply_one(a, b, k, &mut remail, &mut stats);
         }
         BackupOutcome { stats, remail }
     }
 
-    /// Delivers one discovered update from `sender` to `receiver`, applying
-    /// the redistribution policy.
+    /// Delivers one discovered update, offered by reference from `sender`
+    /// to `receiver`, applying the redistribution policy.
     fn apply_one<K, V>(
         &self,
         receiver: &mut Replica<K, V>,
         sender: &mut Replica<K, V>,
-        key: K,
-        entry: Entry<V>,
+        key: &K,
         remail: &mut Vec<(K, Entry<V>)>,
         stats: &mut ExchangeStats,
     ) where
@@ -121,21 +120,22 @@ impl BackupAntiEntropy {
         V: Clone + Hash + Eq,
     {
         use epidemic_db::store::OfferOutcome;
+        let entry = sender.db().entry(key).expect("listed by the diff");
         let outcome = match self.redistribution {
-            Redistribution::None => receiver.receive_quietly(key.clone(), entry.clone()),
+            Redistribution::None => receiver.receive_quietly_ref(key, entry),
             Redistribution::Rumor => {
                 // Re-ignite at both ends: the receiver just heard news, and
                 // the sender just learned its partner was missing it.
-                let outcome = receiver.receive_rumor(key.clone(), entry.clone());
+                let outcome = receiver.receive_rumor_ref(key, entry);
                 if outcome.was_useful() {
                     sender.hot_mut().insert(key.clone());
                 }
                 outcome
             }
             Redistribution::Mail => {
-                let outcome = receiver.receive_quietly(key.clone(), entry.clone());
+                let outcome = receiver.receive_quietly_ref(key, entry);
                 if outcome.was_useful() {
-                    remail.push((key.clone(), entry));
+                    remail.push((key.clone(), entry.clone()));
                 }
                 outcome
             }

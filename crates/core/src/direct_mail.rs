@@ -180,7 +180,7 @@ impl DirectMail {
             .into_iter()
             .filter(|letter| {
                 replica
-                    .receive_quietly(letter.key.clone(), letter.entry.clone())
+                    .receive_quietly_ref(&letter.key, &letter.entry)
                     .was_useful()
             })
             .count()

@@ -3,7 +3,7 @@
 use std::hash::Hash;
 
 use epidemic_db::store::OfferOutcome;
-use epidemic_db::{ApplyOutcome, Database, Entry, GcPolicy, GcStats, SimClock, SiteId, Timestamp};
+use epidemic_db::{Database, Entry, GcPolicy, GcStats, SimClock, SiteId, Timestamp};
 
 use crate::hot::HotList;
 
@@ -149,22 +149,10 @@ where
     /// rumor mongering, redistribution): if it is news, it becomes a hot
     /// rumor here (§1.4: "every person hearing the rumor also becomes
     /// active"). Dormant death certificates are honored and awakened ones
-    /// also become hot (§2.3).
-    pub fn receive_rumor(&mut self, key: K, entry: Entry<V>) -> OfferOutcome {
-        let now = self.observation();
-        let outcome = self.db.offer(key.clone(), entry, now);
-        match outcome {
-            OfferOutcome::Applied | OfferOutcome::AwakenedDormant => self.hot.insert(key),
-            OfferOutcome::AlreadyKnown | OfferOutcome::Obsolete => {}
-        }
-        outcome
-    }
-
-    /// [`Replica::receive_rumor`] from borrowed data
-    /// ([`Database::offer_ref`](epidemic_db::Database::offer_ref)): rumor
-    /// contacts offer the sender's entry by reference, so the two thirds
-    /// to three quarters of offers the recipient rejects cost one probe
-    /// of its database and no clone.
+    /// also become hot (§2.3). The entry is offered by reference
+    /// ([`Database::offer_ref`](epidemic_db::Database::offer_ref)), so the
+    /// offers the recipient rejects cost one probe of its database and no
+    /// clone.
     pub fn receive_rumor_ref(&mut self, key: &K, entry: &Entry<V>) -> OfferOutcome
     where
         V: Clone,
@@ -181,21 +169,9 @@ where
     /// Receives an entry through a *quiet* channel (plain anti-entropy):
     /// the entry is merged but does **not** become a hot rumor — except for
     /// an awakened dormant death certificate, which must propagate again
-    /// (§2.2) and is therefore marked hot.
-    pub fn receive_quietly(&mut self, key: K, entry: Entry<V>) -> OfferOutcome {
-        let now = self.observation();
-        let outcome = self.db.offer(key.clone(), entry, now);
-        if outcome == OfferOutcome::AwakenedDormant {
-            self.hot.insert(key);
-        }
-        outcome
-    }
-
-    /// [`Replica::receive_quietly`] from borrowed data
-    /// ([`Database::offer_ref`](epidemic_db::Database::offer_ref)): the
-    /// anti-entropy hot path offers entries by reference and lets the
-    /// store clone only those that actually change state. Offered-but-
-    /// rejected entries cost one probe and zero allocations.
+    /// (§2.2) and is therefore marked hot. Offered by reference, like
+    /// [`Replica::receive_rumor_ref`]: only an entry that changes state is
+    /// cloned.
     pub fn receive_quietly_ref(&mut self, key: &K, entry: &Entry<V>) -> OfferOutcome
     where
         V: Clone,
@@ -213,13 +189,6 @@ where
     pub fn collect_garbage(&mut self, policy: GcPolicy) -> GcStats {
         self.db
             .collect_garbage(self.site, self.clock.peek(), policy)
-    }
-
-    /// Convenience: merges an entry under plain last-writer-wins without
-    /// dormant handling. Prefer [`Replica::receive_rumor`] /
-    /// [`Replica::receive_quietly`] in protocol code.
-    pub fn apply(&mut self, key: K, entry: Entry<V>) -> ApplyOutcome {
-        self.db.apply(key, entry)
     }
 }
 
@@ -241,25 +210,28 @@ mod tests {
     }
 
     #[test]
-    fn receive_rumor_becomes_hot_only_when_news() {
+    fn receive_rumor_ref_becomes_hot_only_when_news() {
         let mut a = replica(0);
         let mut b = replica(1);
         let at = a.client_update("k", 7);
         let entry = Entry::live(7, at);
-        assert_eq!(b.receive_rumor("k", entry.clone()), OfferOutcome::Applied);
+        assert_eq!(b.receive_rumor_ref(&"k", &entry), OfferOutcome::Applied);
         assert!(b.is_infective(&"k"));
         b.hot_mut().remove(&"k");
-        assert_eq!(b.receive_rumor("k", entry), OfferOutcome::AlreadyKnown);
+        assert_eq!(
+            b.receive_rumor_ref(&"k", &entry),
+            OfferOutcome::AlreadyKnown
+        );
         assert!(!b.is_infective(&"k")); // stale news does not re-ignite
     }
 
     #[test]
-    fn receive_quietly_never_ignites_fresh_updates() {
+    fn receive_quietly_ref_never_ignites_fresh_updates() {
         let mut a = replica(0);
         let mut b = replica(1);
         let at = a.client_update("k", 7);
         assert_eq!(
-            b.receive_quietly("k", Entry::live(7, at)),
+            b.receive_quietly_ref(&"k", &Entry::live(7, at)),
             OfferOutcome::Applied
         );
         assert!(!b.is_infective(&"k"));
@@ -281,16 +253,14 @@ mod tests {
         });
         assert_eq!(a.db().len(), 0);
         // An obsolete copy arrives via plain anti-entropy.
-        let outcome = a.receive_quietly("k", Entry::live(1, t_old));
+        let outcome = a.receive_quietly_ref(&"k", &Entry::live(1, t_old));
         assert_eq!(outcome, OfferOutcome::AwakenedDormant);
         assert!(a.is_infective(&"k"));
     }
 
-    /// `receive_rumor_ref` is `receive_rumor` without the ownership
-    /// transfer: same outcome, database, dormant store and hot list in
-    /// every case the offer can meet.
+    /// Every outcome an offer can meet, and whether it ignites a rumor.
     #[test]
-    fn receive_rumor_ref_agrees_with_receive_rumor() {
+    fn receive_rumor_ref_meets_every_offer_outcome() {
         // A replica holding "k" live at t=5 (no longer hot) and a dormant
         // death certificate for "gone" deleted at t=20.
         let mut base = replica(0);
@@ -324,25 +294,21 @@ mod tests {
             ("gone", Entry::live(4, remote(500)), OfferOutcome::Applied),
         ];
         for (key, entry, expected) in cases {
-            let mut owned = base.clone();
-            let mut borrowed = base.clone();
-            let a = owned.receive_rumor(key, entry.clone());
-            let b = borrowed.receive_rumor_ref(&key, &entry);
-            assert_eq!(a, expected, "{key} {entry:?}");
-            assert_eq!(a, b, "{key} {entry:?}");
-            assert_eq!(owned.db(), borrowed.db());
-            assert_eq!(owned.db().checksum(), borrowed.db().checksum());
-            assert_eq!(owned.db().dormant_len(), borrowed.db().dormant_len());
+            let mut site = base.clone();
             assert_eq!(
-                owned.db().dormant_certificate(&"gone"),
-                borrowed.db().dormant_certificate(&"gone")
+                site.receive_rumor_ref(&key, &entry),
+                expected,
+                "{key} {entry:?}"
             );
-            assert_eq!(owned.hot(), borrowed.hot());
+            assert_eq!(site.db().checksum(), site.db().recompute_checksum());
+            // Both dormant cases leave the side store: awakened or superseded.
+            let dormant = usize::from(key != "gone");
+            assert_eq!(site.db().dormant_len(), dormant, "{key} {entry:?}");
             let ignites = matches!(
                 expected,
                 OfferOutcome::Applied | OfferOutcome::AwakenedDormant
             );
-            assert_eq!(owned.is_infective(&key), ignites);
+            assert_eq!(site.is_infective(&key), ignites);
         }
     }
 

@@ -17,10 +17,10 @@ use proptest::prelude::*;
 
 type Rep = Replica<u8, u16>;
 
-/// Quiet owned-entry offer with awakened-certificate accounting — the
-/// reference counterpart of the hot path's borrow-only offers.
+/// Quiet offer of a snapshotted entry with awakened-certificate
+/// accounting.
 fn offer(to: &mut Rep, key: u8, entry: Entry<u16>, stats: &mut ExchangeStats) {
-    if to.receive_quietly(key, entry) == OfferOutcome::AwakenedDormant {
+    if to.receive_quietly_ref(&key, &entry) == OfferOutcome::AwakenedDormant {
         stats.awakened += 1;
     }
 }

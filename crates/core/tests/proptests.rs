@@ -412,7 +412,7 @@ fn apply_local(replica: &mut Replica<u8, u16>, op: &LocalOp) {
         }
         LocalOp::Receive { key, value, time } => {
             let at = Timestamp::new(u64::from(time), SiteId::new(9));
-            replica.receive_rumor(key, Entry::live(value, at));
+            replica.receive_rumor_ref(&key, &Entry::live(value, at));
         }
         LocalOp::Bump { key } => {
             replica.hot_mut().bump_counter(&key, 1);

@@ -326,8 +326,7 @@ fn build(hist: &[Step], k: u32) -> (Rep, Rep) {
                 // later with itself as retention site, and lets the
                 // certificate age past τ₁.
                 other.client_update(key, 7);
-                let entry = other.db().entry(&key).expect("just written").clone();
-                holder.receive_quietly(key, entry);
+                holder.receive_quietly_ref(&key, other.db().entry(&key).expect("just written"));
                 holder.advance_clock(time + 5);
                 let site = holder.site();
                 holder.client_delete_with_retention(&key, vec![site]);

@@ -92,7 +92,7 @@ impl DeathCertificate {
         let age = self.activation.age(now);
         if age <= tau1 {
             DeathStage::Active
-        } else if age <= tau1 + tau2 && self.retains_at(site) {
+        } else if age - tau1 <= tau2 && self.retains_at(site) {
             DeathStage::Dormant
         } else {
             DeathStage::Expired
@@ -204,6 +204,23 @@ mod tests {
         assert_eq!(dc.stage(retained, 130, tau1, tau2), DeathStage::Dormant);
         assert_eq!(dc.stage(other, 130, tau1, tau2), DeathStage::Expired);
         assert_eq!(dc.stage(retained, 200, tau1, tau2), DeathStage::Expired);
+    }
+
+    #[test]
+    fn an_unbounded_dormant_window_never_expires() {
+        // τ₂ = u64::MAX keeps dormant copies forever: τ₁ + τ₂ must not wrap.
+        let dc = DeathCertificate::with_retention(ts(0), vec![SiteId::new(1)]);
+        let policy = GcPolicy::Dormant {
+            tau1: 10,
+            tau2: u64::MAX,
+        };
+        for now in [11, 1_000, u64::MAX] {
+            assert_eq!(
+                dc.stage(SiteId::new(1), now, 10, u64::MAX),
+                DeathStage::Dormant
+            );
+            assert!(!policy.discards(&dc, SiteId::new(1), now));
+        }
     }
 
     #[test]

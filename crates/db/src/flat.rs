@@ -109,30 +109,9 @@ where
         }
     }
 
-    /// Merges an owned entry under the §1.1 supersession rule.
-    pub fn apply(&mut self, key: K, entry: Entry<V>, aux: Aux<'_>) -> ApplyOutcome {
-        match self.lookup(&key) {
-            Ok((rank, pos)) => {
-                let current = &self.rows[pos].1;
-                if !entry.supersedes(current) {
-                    return if current.timestamp() == entry.timestamp() {
-                        ApplyOutcome::AlreadyKnown
-                    } else {
-                        ApplyOutcome::Obsolete
-                    };
-                }
-                self.replace(rank, pos, entry, aux);
-                ApplyOutcome::Applied
-            }
-            Err(rank) => {
-                self.insert_fresh(rank, key, entry, aux);
-                ApplyOutcome::Applied
-            }
-        }
-    }
-
-    /// [`FlatStore::apply`] from borrowed data: clones the entry (and key)
-    /// only when the offer actually supersedes.
+    /// Merges a received entry under the §1.1 supersession rule, from
+    /// borrowed data: the entry (and key) is cloned only when the offer
+    /// actually supersedes.
     pub fn apply_ref(&mut self, key: &K, entry: &Entry<V>, aux: Aux<'_>) -> ApplyOutcome
     where
         V: Clone,
@@ -464,7 +443,7 @@ mod tests {
                 checksum: &mut self.checksum,
                 live: &mut self.live,
             };
-            let out = self.store.apply(key, entry, aux);
+            let out = self.store.apply_ref(&key, &entry, aux);
             self.store.check_invariants();
             out
         }

@@ -91,8 +91,7 @@ impl<V> Entry<V> {
     }
 }
 
-/// Outcome of offering a received entry to a replica
-/// ([`Database::apply`](crate::Database::apply)).
+/// Outcome of the plain §1.1 supersession merge of a received entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ApplyOutcome {
     /// The received entry was newer and was installed.

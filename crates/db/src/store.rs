@@ -44,7 +44,7 @@ pub struct Database<K, V> {
     live: usize,
 }
 
-/// Outcome of [`Database::offer`], which adds dormant-death-certificate
+/// Outcome of [`Database::offer_ref`], which adds dormant-death-certificate
 /// handling (§2.2–2.3) on top of the plain [`ApplyOutcome`] merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OfferOutcome {
@@ -157,7 +157,7 @@ where
         self.dormant.get(key)
     }
 
-    /// Whether [`Database::offer`]ing an entry for `key` stamped
+    /// Whether [`Database::offer_ref`]ing an entry for `key` stamped
     /// `timestamp` would change this database — either by installing the
     /// entry or by touching a dormant death certificate. A borrow-only
     /// prefilter: senders consult it to avoid cloning entries the
@@ -216,17 +216,11 @@ where
 
     /// Merges a received entry under the §1.1 supersession rule: install it
     /// iff its timestamp is strictly newer than what the replica holds.
+    /// The entry is cloned only when it actually supersedes, so an
+    /// obsolete or already-known offer costs a single store probe.
     ///
-    /// This is the pure semilattice join; use [`Database::offer`] to also
-    /// honor dormant death certificates.
-    pub fn apply(&mut self, key: K, entry: Entry<V>) -> ApplyOutcome {
-        let (store, aux) = self.aux();
-        store.apply(key, entry, aux)
-    }
-
-    /// [`Database::apply`] from borrowed data: the entry is cloned only
-    /// when it actually supersedes, so an obsolete or already-known offer
-    /// costs a single store probe and no ownership transfer.
+    /// This is the pure semilattice join; [`Database::offer_ref`] also
+    /// honors dormant death certificates.
     pub(crate) fn apply_ref(&mut self, key: &K, entry: &Entry<V>) -> ApplyOutcome
     where
         V: Clone,
@@ -236,7 +230,9 @@ where
     }
 
     /// Merges a received entry, first consulting the dormant
-    /// death-certificate store (§2.2–2.3).
+    /// death-certificate store (§2.2–2.3). Every protocol offers the
+    /// sender's entry by reference; it is cloned only when the offer
+    /// changes this database.
     ///
     /// If the entry is an obsolete copy of an item whose certificate lies
     /// dormant here, the certificate is *awakened*: its activation timestamp
@@ -245,23 +241,6 @@ where
     /// afresh. If the entry is *newer* than the dormant certificate (a
     /// legitimate reinstatement or re-deletion), the certificate is simply
     /// superseded and dropped.
-    pub fn offer(&mut self, key: K, entry: Entry<V>, now: Timestamp) -> OfferOutcome {
-        if let Some(dc) = self.dormant.get(&key) {
-            if entry.timestamp() <= dc.deleted_at() {
-                let mut dc = self.dormant.remove(&key).expect("checked above");
-                dc.reactivate(now);
-                self.install(key, Entry::dead_with(dc));
-                return OfferOutcome::AwakenedDormant;
-            }
-            self.dormant.remove(&key);
-        }
-        self.apply(key, entry).into()
-    }
-
-    /// [`Database::offer`] from borrowed data: the single-probe merge
-    /// senders use on the anti-entropy hot path. Dormant death
-    /// certificates are honored exactly as in `offer`; the entry is cloned
-    /// only when the offer changes this database.
     pub fn offer_ref(&mut self, key: &K, entry: &Entry<V>, now: Timestamp) -> OfferOutcome
     where
         V: Clone,
@@ -465,11 +444,15 @@ mod tests {
         let mut a = Database::new();
         let mut b = Database::new();
         let t1 = a.update("k", 1, &mut c0);
-        assert_eq!(b.apply("k", Entry::live(1, t1)), ApplyOutcome::Applied);
-        assert_eq!(b.apply("k", Entry::live(1, t1)), ApplyOutcome::AlreadyKnown);
+        let old = Entry::live(1, t1);
+        assert_eq!(b.apply_ref(&"k", &old), ApplyOutcome::Applied);
+        assert_eq!(b.apply_ref(&"k", &old), ApplyOutcome::AlreadyKnown);
         let t2 = a.update("k", 2, &mut c0);
-        assert_eq!(b.apply("k", Entry::live(2, t2)), ApplyOutcome::Applied);
-        assert_eq!(b.apply("k", Entry::live(1, t1)), ApplyOutcome::Obsolete);
+        assert_eq!(
+            b.apply_ref(&"k", &Entry::live(2, t2)),
+            ApplyOutcome::Applied
+        );
+        assert_eq!(b.apply_ref(&"k", &old), ApplyOutcome::Obsolete);
         assert_eq!(a, b);
     }
 
@@ -482,8 +465,8 @@ mod tests {
         let ta = a.update("x", 10, &mut c0);
         let tb = a.update("y", 20, &mut c0);
         // b receives the same updates in the opposite order.
-        b.apply("y", Entry::live(20, tb));
-        b.apply("x", Entry::live(10, ta));
+        b.apply_ref(&"y", &Entry::live(20, tb));
+        b.apply_ref(&"x", &Entry::live(10, ta));
         assert_eq!(a.checksum(), b.checksum());
         // A divergent update makes the checksums differ.
         b.update("z", 30, &mut c1);
@@ -573,13 +556,15 @@ mod tests {
 
         // An obsolete copy arrives from a badly out-of-date replica.
         let now = Timestamp::new(c.peek() + 50, SiteId::new(9));
-        let outcome = db.offer("k", Entry::live(1, t_old), now);
+        let outcome = db.offer_ref(&"k", &Entry::live(1, t_old), now);
         assert_eq!(outcome, OfferOutcome::AwakenedDormant);
         let entry = db.entry(&"k").unwrap();
         assert!(entry.is_dead());
         let dc = entry.death_certificate().unwrap();
         assert_eq!(dc.activation(), now);
         assert!(dc.deleted_at() < now); // ordinary timestamp unchanged
+        assert_eq!(db.dormant_len(), 0);
+        assert_eq!(db.checksum(), db.recompute_checksum());
     }
 
     #[test]
@@ -604,7 +589,7 @@ mod tests {
         remote_clock.advance_to(c.peek() + 60);
         let t_new = remote_clock.now();
         let now = Timestamp::new(c.peek() + 61, SiteId::new(9));
-        let outcome = db.offer("k", Entry::live(2, t_new), now);
+        let outcome = db.offer_ref(&"k", &Entry::live(2, t_new), now);
         assert_eq!(outcome, OfferOutcome::Applied);
         assert_eq!(db.get(&"k"), Some(&2));
         assert_eq!(db.dormant_len(), 0);
@@ -636,68 +621,6 @@ mod tests {
             assert_eq!(db.recent_len(130, tau), listed, "tau={tau}");
             assert_eq!(db.recent_index(130, tau).count(), listed, "tau={tau}");
         }
-    }
-
-    #[test]
-    fn apply_ref_agrees_with_apply() {
-        // A stream with repeated keys and non-monotone timestamps, so the
-        // applied / already-known / obsolete cases all occur.
-        let ts = |t: u64| Timestamp::new(t, SiteId::new(1));
-        let mut stream: Vec<(u32, Entry<u32>)> = Vec::new();
-        for i in 0..40u32 {
-            let t = u64::from((i * 7) % 13 + 1);
-            let e = if i % 5 == 0 {
-                Entry::dead(ts(t))
-            } else {
-                Entry::live(i, ts(t))
-            };
-            stream.push((i % 6, e));
-        }
-        let mut owned: Database<u32, u32> = Database::new();
-        let mut borrowed: Database<u32, u32> = Database::new();
-        // Replay a prefix so exact duplicates (already-known) occur too.
-        let replay: Vec<_> = stream.iter().take(10).cloned().collect();
-        stream.extend(replay);
-        for (k, e) in &stream {
-            let a = owned.apply(*k, e.clone());
-            let b = borrowed.apply_ref(k, e);
-            assert_eq!(a, b);
-        }
-        assert_eq!(owned, borrowed);
-        assert_eq!(borrowed.checksum(), borrowed.recompute_checksum());
-        assert_eq!(owned.live_len(), borrowed.live_len());
-    }
-
-    #[test]
-    fn offer_ref_awakens_dormant_certificate_like_offer() {
-        let retention = SiteId::new(0);
-        let build = || {
-            let mut c = clock(0);
-            let mut db = Database::new();
-            let t_old = c.now();
-            db.update("k", 1, &mut c);
-            db.delete_with_retention(&"k", vec![retention], &mut c);
-            db.collect_garbage(
-                retention,
-                c.peek() + 50,
-                GcPolicy::Dormant {
-                    tau1: 10,
-                    tau2: 1000,
-                },
-            );
-            (db, t_old, c.peek())
-        };
-        let (mut by_value, t_old, local) = build();
-        let (mut by_ref, _, _) = build();
-        let now = Timestamp::new(local + 50, SiteId::new(9));
-        let offered = Entry::live(1, t_old);
-        let a = by_value.offer("k", offered.clone(), now);
-        let b = by_ref.offer_ref(&"k", &offered, now);
-        assert_eq!(a, OfferOutcome::AwakenedDormant);
-        assert_eq!(a, b);
-        assert_eq!(by_value, by_ref);
-        assert_eq!(by_ref.dormant_len(), 0);
-        assert_eq!(by_ref.checksum(), by_ref.recompute_checksum());
     }
 
     /// The property the flat layout is chosen for: footprint follows
@@ -781,34 +704,6 @@ mod tests {
     }
 }
 
-impl<K, V> Extend<(K, Entry<V>)> for Database<K, V>
-where
-    K: Ord + Clone + Hash,
-    V: Hash,
-{
-    /// Merges a stream of entries under the supersession rule — equivalent
-    /// to [`Database::apply`] per item.
-    fn extend<T: IntoIterator<Item = (K, Entry<V>)>>(&mut self, iter: T) {
-        for (k, e) in iter {
-            self.apply(k, e);
-        }
-    }
-}
-
-impl<K, V> FromIterator<(K, Entry<V>)> for Database<K, V>
-where
-    K: Ord + Clone + Hash,
-    V: Hash,
-{
-    /// Builds a replica from a stream of entries (e.g. a full-database
-    /// transfer), resolving duplicates by timestamp.
-    fn from_iter<T: IntoIterator<Item = (K, Entry<V>)>>(iter: T) -> Self {
-        let mut db = Database::new();
-        db.extend(iter);
-        db
-    }
-}
-
 impl<'a, K, V> IntoIterator for &'a Database<K, V>
 where
     K: Ord + Clone + Hash,
@@ -823,36 +718,8 @@ where
 }
 
 #[cfg(test)]
-mod collect_tests {
+mod iter_tests {
     use super::*;
-
-    #[test]
-    fn from_iterator_resolves_duplicates_by_timestamp() {
-        let ts = |t| Timestamp::new(t, SiteId::new(0));
-        let db: Database<&str, u32> = vec![
-            ("k", Entry::live(1, ts(1))),
-            ("k", Entry::live(2, ts(5))),
-            ("k", Entry::live(3, ts(3))),
-            ("j", Entry::dead(ts(2))),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(db.get(&"k"), Some(&2));
-        assert_eq!(db.get(&"j"), None);
-        assert_eq!(db.len(), 2);
-        assert_eq!(db.checksum(), db.recompute_checksum());
-    }
-
-    #[test]
-    fn extend_merges_a_transfer() {
-        let mut clock = SimClock::new(SiteId::new(0));
-        let mut a: Database<&str, u32> = Database::new();
-        a.update("x", 1, &mut clock);
-        a.update("y", 2, &mut clock);
-        let mut b: Database<&str, u32> = Database::new();
-        b.extend(a.iter().map(|(k, e)| (*k, e.clone())));
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn ref_into_iterator_walks_entries() {

@@ -3,8 +3,7 @@
 //! The store and an in-test `BTreeMap` model replay the *same* random
 //! history of client updates, deletions (with and without retention
 //! sites), remote offers, garbage collection and clock advances, lowered
-//! to the four store mutations (`install`, `apply`, `apply_ref`,
-//! `remove`). After every single operation the pair must agree on
+//! to the three store mutations (`install`, `apply_ref`, `remove`). After every single operation the pair must agree on
 //! everything a protocol can observe: entry contents, the live count, the
 //! incremental checksum, key-order iteration, peel-back order, the bare
 //! timestamp index and the recent-update window — where the model sorts
@@ -29,15 +28,13 @@ enum Op {
     Delete { key: u8 },
     /// Client deletion with a dormant-retention site.
     Retain { key: u8, site: u8 },
-    /// A remote entry arrives through `offer` (owned) or `offer_ref`
-    /// (borrowed) — both paths must agree with the model. `value: None`
-    /// offers a death certificate.
+    /// A remote entry arrives through `offer_ref`. `value: None` offers a
+    /// death certificate.
     Offer {
         key: u8,
         value: Option<u16>,
         stamp: Stamp,
         site: u8,
-        by_ref: bool,
     },
     /// Local clock advances (makes GC and recency windows bite).
     Advance { dt: u64 },
@@ -86,14 +83,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 any::<u8>().prop_map(Stamp::Behind),
             ],
             1u8..8,
-            any::<bool>()
         )
-            .prop_map(|(key, value, live, stamp, site, by_ref)| Op::Offer {
+            .prop_map(|(key, value, live, stamp, site)| Op::Offer {
                 key,
                 value: live.then_some(value),
                 stamp,
                 site,
-                by_ref,
             }),
         (1u64..120).prop_map(|dt| Op::Advance { dt }),
         prop_oneof![
@@ -115,19 +110,15 @@ struct Model {
 }
 
 impl Model {
-    fn apply(&mut self, key: u8, entry: Entry<u16>) -> ApplyOutcome {
-        match self.entries.get(&key).map(Entry::timestamp) {
+    fn apply_ref(&mut self, key: &u8, entry: &Entry<u16>) -> ApplyOutcome {
+        match self.entries.get(key).map(Entry::timestamp) {
             Some(held) if held == entry.timestamp() => ApplyOutcome::AlreadyKnown,
             Some(held) if held > entry.timestamp() => ApplyOutcome::Obsolete,
             _ => {
-                self.entries.insert(key, entry);
+                self.entries.insert(*key, entry.clone());
                 ApplyOutcome::Applied
             }
         }
-    }
-
-    fn apply_ref(&mut self, key: &u8, entry: &Entry<u16>) -> ApplyOutcome {
-        self.apply(*key, entry.clone())
     }
 
     fn install(&mut self, key: u8, entry: Entry<u16>) {
@@ -206,7 +197,6 @@ impl Pair {
                 value,
                 stamp,
                 site,
-                by_ref,
             } => {
                 let held = self.flat.timestamp_index().map(|(t, _)| t);
                 let time = stamp.resolve(self.flat.len(), held);
@@ -215,17 +205,8 @@ impl Pair {
                     checksum: &mut self.checksum,
                     live: &mut self.live,
                 };
-                let (got, want) = if by_ref {
-                    (
-                        self.flat.apply_ref(&key, &entry, aux),
-                        self.model.apply_ref(&key, &entry),
-                    )
-                } else {
-                    (
-                        self.flat.apply(key, entry.clone(), aux),
-                        self.model.apply(key, entry),
-                    )
-                };
+                let got = self.flat.apply_ref(&key, &entry, aux);
+                let want = self.model.apply_ref(&key, &entry);
                 prop_assert_eq!(got, want, "apply outcome diverged on {:?}", op);
             }
             Op::Advance { dt } => {
@@ -327,7 +308,6 @@ fn step_database(db: &mut Database<u8, u16>, clock: &mut SimClock, site: SiteId,
             value: _,
             stamp,
             site: from,
-            by_ref,
         } => {
             // The offered entry is a pure function of its timestamp: the
             // site id moves into the 2+ range (clear of both replicas'
@@ -340,11 +320,7 @@ fn step_database(db: &mut Database<u8, u16>, clock: &mut SimClock, site: SiteId,
             let value = live.then_some((time as u16) ^ (u16::from(from) << 9));
             let entry = offered(value, time, from);
             let now = Timestamp::new(clock.peek(), site);
-            if by_ref {
-                db.offer_ref(&key, &entry, now);
-            } else {
-                db.offer(key, entry, now);
-            }
+            db.offer_ref(&key, &entry, now);
         }
         Op::Advance { dt } => {
             let now = clock.peek();

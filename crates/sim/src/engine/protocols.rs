@@ -2,9 +2,8 @@
 //!
 //! The drivers' ports onto the [`CycleEngine`](super::CycleEngine) all need
 //! the same bookkeeping: who has received the update and when
-//! ([`ReceiveLog`]), per-link comparison/update traffic ([`RouteRecorder`]),
-//! Poisson-ish client-update injection (`UpdateInjector`), and the
-//! uniform random-pair draw the scenario tests use (`random_pair`).
+//! ([`ReceiveLog`]), per-link comparison/update traffic ([`RouteRecorder`])
+//! and Poisson-ish client-update injection (`UpdateInjector`).
 //! Each existed as copy-pasted inline code in several drivers; now each
 //! exists once.
 //!
@@ -22,9 +21,8 @@ use epidemic_net::{LinkTraffic, Routes};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use super::{ContactStats, EpidemicProtocol, Roster, SirCounts, SirView, UniformPartners};
+use super::{ContactStats, EpidemicProtocol, Roster, SirCounts, SirView};
 use crate::bitset::BitSet;
-use crate::engine::PartnerPolicy;
 use crate::util::{pair_mut, reset_replicas, site_ids};
 
 /// The single key every single-update protocol spreads.
@@ -272,15 +270,6 @@ impl UpdateInjector {
     pub(crate) fn injected(&self) -> u32 {
         self.next_key
     }
-}
-
-/// Draws a uniform random ordered pair of distinct site indices — the
-/// `(i, j)` draw the scenario tests perform for ad-hoc anti-entropy
-/// exchanges. Uses the same skip-self idiom as [`UniformPartners`].
-pub(crate) fn random_pair(n: usize, rng: &mut StdRng) -> (usize, usize) {
-    let i = rng.random_range(0..n);
-    let j = UniformPartners::new(n).attempt(i, rng);
-    (i, j)
 }
 
 /// The heap state of a mixing run: what a
@@ -638,7 +627,7 @@ impl SirView for BitAntiEntropyProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CycleEngine, EngineBuffers};
+    use crate::engine::{CycleEngine, EngineBuffers, UniformPartners};
     use epidemic_net::{topologies, Spatial};
     use rand::SeedableRng;
 
@@ -870,15 +859,5 @@ mod tests {
         }
         assert_eq!(keys, vec![0, 1, 2], "rate 0.5 over 6 cycles fires thrice");
         assert_eq!(inj.injected(), 3);
-    }
-
-    #[test]
-    fn random_pair_is_distinct_and_in_range() {
-        let mut rng = StdRng::seed_from_u64(8);
-        for _ in 0..100 {
-            let (i, j) = random_pair(6, &mut rng);
-            assert!(i < 6 && j < 6);
-            assert_ne!(i, j);
-        }
     }
 }

@@ -19,9 +19,8 @@
 //! * [`scenario`] — the declarative scenario subsystem: a parsed
 //!   [`scenario::Scenario`] spec (site count, protocol, weighted workload
 //!   mix, fault-event timeline) lowered onto the cycle engine by
-//!   [`scenario::ScenarioEngine`], with the historical Clearinghouse and
-//!   death-certificate drivers kept as thin adapters in
-//!   [`scenario::legacy`] over bundled `.scenario` files;
+//!   [`scenario::ScenarioEngine`]; the Clearinghouse and
+//!   death-certificate demonstrations are bundled `.scenario` files;
 //! * [`steady`] — steady-state anti-entropy under continuous updates: the
 //!   §1.3 checksum/recent-list window trade-off;
 //! * [`event`] — a discrete-event, per-site-timer driver ablating the

@@ -348,7 +348,7 @@ pub mod reference {
 
     use super::{ContactRng, DegreeGraph, EpidemicResult, RngExt, KEY};
     use crate::engine::protocols::ReceiveLog;
-    use crate::util::site_ids;
+    use crate::util::{pair_mut, site_ids};
     use epidemic_core::Replica;
 
     /// A finished reference run: the summary plus the per-site receipt
@@ -419,15 +419,12 @@ pub mod reference {
                 let j = partner(i, &mut rng);
                 let coin = rng.random_bool(1.0 / f64::from(k.max(1)));
                 sent += 1;
-                let entry = sites[i]
-                    .db()
-                    .entry(&KEY)
-                    .cloned()
-                    .expect("hot implies entry");
+                let (from, to) = pair_mut(&mut sites, i, j);
+                let entry = from.db().entry(&KEY).expect("hot implies entry");
                 // Asynchronous judgment: useful iff the partner lacks the
                 // entry right now, mid-cycle receipts included.
-                let useful = sites[j].db().entry(&KEY).is_none();
-                sites[j].receive_rumor(KEY, entry);
+                let useful = to.db().entry(&KEY).is_none();
+                to.receive_rumor_ref(&KEY, entry);
                 if useful {
                     received.mark(j, cycle);
                 } else if coin {

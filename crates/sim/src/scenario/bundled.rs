@@ -1,11 +1,12 @@
 //! The `.scenario` files shipped with the crate (`crates/sim/scenarios/`).
 //!
-//! Four re-express the historical drivers — for the two that keep an
-//! adapter in [`super::legacy`] the file parses to exactly what its
-//! `to_scenario()` builds, pinned by tests here — and the rest are new
-//! runs only expressible declaratively: the failures.rs churn model on a
-//! grid, a flash crowd under lossy links, and churn across a partition
-//! heal. `repro fig-scenarios` sweeps all of them.
+//! Four re-express the historical drivers (§1.5's Clearinghouse, §2.3's
+//! dormant death certificates, a partition that heals and a crash during
+//! a rumor); their callers run them as specs, editing fields for their
+//! variants. The rest are new runs only expressible declaratively: the
+//! failures.rs churn model on a grid, a flash crowd under lossy links,
+//! and churn across a partition heal. `repro fig-scenarios` sweeps all of
+//! them.
 
 use super::spec::Scenario;
 
@@ -59,8 +60,17 @@ pub fn by_name(name: &str) -> Option<Scenario> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::legacy::{ClearinghouseScenario, DormantDeathScenario};
+    use epidemic_core::rumor::Removal;
+    use epidemic_core::MailConfig;
+
     use super::*;
+    use crate::scenario::{AntiEntropySpec, FaultKind, ScenarioEngine, ScenarioReport, SiteSet};
+
+    fn run(spec: Scenario, seed: u64) -> ScenarioReport {
+        ScenarioEngine::new(spec)
+            .expect("spec is valid")
+            .run(seed, &mut ())
+    }
 
     #[test]
     fn every_bundled_scenario_parses_and_validates() {
@@ -80,22 +90,164 @@ mod tests {
         }
     }
 
-    /// The two legacy adapters and their bundled files describe the same
-    /// runs: the file is exactly the adapter's spec (and, transitively,
-    /// its canonical rendering — so regenerating a file after an adapter
-    /// change is `to_scenario().render()`).
+    /// A bundled file without comments is exactly its spec's canonical
+    /// rendering, so regenerating one after a spec change is `render()`.
     #[test]
-    fn legacy_adapters_match_their_bundled_files() {
-        let clearinghouse = ClearinghouseScenario::default().to_scenario();
-        assert_eq!(by_name("clearinghouse").unwrap(), clearinghouse);
-        assert_eq!(
-            SOURCES[0].1,
-            clearinghouse.render(),
-            "clearinghouse.scenario is the canonical rendering"
+    fn every_comment_free_bundled_file_is_its_own_canonical_rendering() {
+        let plain: Vec<_> = SOURCES
+            .iter()
+            .filter(|(_, text)| !text.lines().any(|line| line.starts_with('#')))
+            .collect();
+        assert_eq!(plain.len(), 4, "the four historical drivers");
+        for (name, text) in plain {
+            assert_eq!(*text, by_name(name).unwrap().render(), "{name}");
+        }
+    }
+
+    /// The bundled `clearinghouse` run (§1.5: fallible direct mail with
+    /// anti-entropy every `ae_every` cycles as the backup, or none).
+    fn clearinghouse(
+        sites: usize,
+        mail: MailConfig,
+        updates: u64,
+        ae_every: Option<u32>,
+    ) -> Scenario {
+        let mut spec = by_name("clearinghouse").expect("bundled");
+        spec.sites = sites;
+        spec.protocol.mail = Some(mail);
+        let ae = spec.protocol.anti_entropy.take().expect("a backup");
+        spec.protocol.anti_entropy = ae_every.map(|every| AntiEntropySpec { every, ..ae });
+        spec.workload.budget = Some(updates);
+        spec
+    }
+
+    const LOSSY: MailConfig = MailConfig {
+        loss_probability: 0.2,
+        queue_capacity: 100,
+    };
+
+    #[test]
+    fn clearinghouse_reaches_consistency_despite_lossy_mail() {
+        let mut spec = clearinghouse(30, LOSSY, 10, Some(3));
+        spec.max_cycles = 2_000;
+        let report = run(spec, 11);
+        let mail = report.mail.expect("the spec mails");
+        assert!(report.converged_at.is_some());
+        assert!(
+            mail.lost + mail.overflowed > 0,
+            "the mail should actually fail"
         );
-        assert_eq!(
-            by_name("dormant-death").unwrap(),
-            DormantDeathScenario::default().to_scenario()
+        assert!(report.ae_sent > 0, "anti-entropy should repair losses");
+    }
+
+    #[test]
+    fn without_anti_entropy_lossy_mail_leaves_holes() {
+        let mut spec = clearinghouse(30, LOSSY, 10, None);
+        spec.max_cycles = 300;
+        assert_eq!(run(spec, 11).converged_at, None);
+    }
+
+    #[test]
+    fn perfect_mail_needs_no_repairs() {
+        let mut spec = clearinghouse(20, MailConfig::default(), 5, Some(4));
+        spec.max_cycles = 500;
+        let report = run(spec, 3);
+        let mail = report.mail.expect("the spec mails");
+        assert!(report.converged_at.is_some());
+        assert_eq!(mail.lost + mail.overflowed, 0);
+    }
+
+    /// The bundled `dormant-death` run (§2.3): a site sleeps through a
+    /// deletion and the certificate's active window, then rejoins with the
+    /// obsolete item. τ₂ = u64::MAX keeps the dormant copies forever.
+    #[test]
+    fn dormant_certificates_cancel_rejoining_obsolete_data() {
+        for tau2 in [100_000, u64::MAX] {
+            let mut spec = by_name("dormant-death").expect("bundled");
+            for event in &mut spec.events {
+                if let FaultKind::Gc { tau2: t, .. } = &mut event.kind {
+                    *t = tau2;
+                }
+            }
+            let report = run(spec, 17);
+            assert!(
+                report.awakened >= 1,
+                "τ₂ = {tau2}: a dormant certificate must awaken"
+            );
+            assert!(report.cancelled, "τ₂ = {tau2}");
+            assert_eq!(
+                report.certs_after_gc,
+                Some(0),
+                "no active certificates should remain after τ₁"
+            );
+        }
+    }
+
+    /// The bundled `partition` scenario (§1.5: the peel-back ∪ rumor
+    /// protocol "behaves well when a network partitions and rejoins") with
+    /// `updates_per_half` updates injected in each half while split.
+    fn partition(updates_per_half: u64) -> ScenarioEngine {
+        let mut spec = by_name("partition").expect("bundled");
+        spec.workload.budget = Some(2 * updates_per_half);
+        let heal = spec.events.iter_mut().find(|e| e.kind == FaultKind::Heal);
+        heal.expect("the partition heals").cycle = u32::try_from(updates_per_half).unwrap() + 4;
+        ScenarioEngine::new(spec).expect("partition spec is valid")
+    }
+
+    #[test]
+    fn partition_rejoin_converges_with_bounded_traffic() {
+        let report = partition(12).run(21, &mut ());
+        assert!(report.converged_at.is_some());
+        // Each update must cross to 8 other sites: entries shipped after
+        // the heal is bounded by a small multiple of updates x sites.
+        let at_heal = report.milestones.iter().find(|m| m.label == "heal");
+        let at_heal = at_heal.expect("the heal event fires");
+        assert!(report.totals.sent - at_heal.sent < 24 * 16 * 4);
+    }
+
+    #[test]
+    fn partition_rejoin_handles_conflicts() {
+        // Concurrent writes race on both sides of the partition:
+        // timestamps decide, and both halves agree after rejoin.
+        let engine = partition(6);
+        for seed in 0..3 {
+            assert!(engine.run(seed, &mut ()).converged_at.is_some());
+        }
+    }
+
+    /// The bundled `crash` scenario (§1.4's failure mode with §1.5's
+    /// remedy) with `down_fraction` of the sites down while a rumor with
+    /// counter `k` spreads: how many sites the rumor had missed when they
+    /// recovered, and whether backup anti-entropy reached full coverage.
+    fn crash(down_fraction: f64, k: u32, seed: u64) -> (usize, bool) {
+        let mut spec = by_name("crash").expect("bundled");
+        for event in &mut spec.events {
+            if let FaultKind::Crash(set) = &mut event.kind {
+                *set = SiteSet::Fraction(down_fraction);
+            }
+        }
+        spec.protocol.rumor.as_mut().expect("a rumor stage").removal = Removal::Counter { k };
+        let sites = spec.sites;
+        let report = run(spec, seed);
+        let at_recover = report.milestones.iter().find(|m| m.label == "recover");
+        let at_recover = at_recover.expect("the recover event fires");
+        (sites - at_recover.covered, report.residue == 0.0)
+    }
+
+    #[test]
+    fn downed_sites_miss_rumors_but_backup_repairs() {
+        let (missed_by_rumor, repaired) = crash(0.3, 2, 5);
+        assert!(
+            missed_by_rumor >= 12,
+            "the down sites cannot hear the rumor: {missed_by_rumor}"
         );
+        assert!(repaired);
+    }
+
+    #[test]
+    fn crash_free_run_misses_almost_nobody() {
+        let (missed_by_rumor, repaired) = crash(0.0, 4, 6);
+        assert!(missed_by_rumor <= 2, "{missed_by_rumor}");
+        assert!(repaired);
     }
 }

@@ -266,7 +266,7 @@ pub struct ScenarioProtocol {
     peel: Option<PeelBackRumor>,
     direct: DirectMail,
     rumor_scratch: RumorScratch<u32>,
-    ae_scratch: ExchangeScratch<u32, u64>,
+    ae_scratch: ExchangeScratch<u32>,
     newly_mailed: Vec<usize>,
     // --- counters ---
     updates: u64,

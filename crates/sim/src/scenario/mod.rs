@@ -17,9 +17,8 @@
 //! ([`Scenario::parse`]) and render back canonically
 //! ([`Scenario::render`], with `parse(render(s)) == s`). The bundled
 //! `.scenario` files under `crates/sim/scenarios/` ([`bundled`]) cover the
-//! four legacy drivers — re-expressed declaratively, two of them with
-//! their original public types kept as thin adapters in [`legacy`] — and
-//! genuinely new runs (a flash-crowd burst under lossy links; churn across a
+//! four historical drivers — callers run them directly, editing spec
+//! fields for their variants — and genuinely new runs (a flash-crowd burst under lossy links; churn across a
 //! partition heal).
 //!
 //! Determinism: a run is a pure function of `(spec, seed)`. All
@@ -32,7 +31,6 @@ mod parse;
 mod spec;
 
 pub mod bundled;
-pub mod legacy;
 
 pub use engine::{Milestone, ScenarioEngine, ScenarioProtocol, ScenarioReport};
 pub use parse::ParseError;

@@ -406,6 +406,29 @@ impl Scenario {
         for event in &self.events {
             self.validate_event(event)?;
         }
+        // A site's clock reads cycle + Σ(τ₁ + 1) over the gc events fired
+        // so far + its skew, and must stay within u64.
+        let bumped = self
+            .events
+            .iter()
+            .try_fold(u64::from(self.max_cycles), |clock, e| match e.kind {
+                FaultKind::Gc { tau1, .. } => {
+                    tau1.checked_add(1).and_then(|b| clock.checked_add(b))
+                }
+                _ => Some(clock),
+            });
+        let skew = self.events.iter().filter_map(|e| match e.kind {
+            FaultKind::Skew { offset, .. } => Some(offset),
+            _ => None,
+        });
+        if bumped
+            .and_then(|clock| clock.checked_add(skew.max().unwrap_or(0)))
+            .is_none()
+        {
+            return Err(err(
+                "site clocks overflow u64: max-cycles + each gc's tau1 + 1 + the largest skew",
+            ));
+        }
         Ok(())
     }
 

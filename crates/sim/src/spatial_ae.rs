@@ -61,7 +61,7 @@ pub struct SpatialArena {
     pub(crate) received: ReceiveLog<u32>,
     pub(crate) compare: LinkTraffic,
     pub(crate) update: LinkTraffic,
-    exchange: ExchangeScratch<u32, u32>,
+    exchange: ExchangeScratch<u32>,
     pub(crate) rumor: RumorScratch<u32>,
     pub(crate) buffers: EngineBuffers,
 }
@@ -268,7 +268,7 @@ impl<'a, S: PartnerSelection> AntiEntropySim<'a, S> {
 pub struct SpatialAntiEntropyProtocol<'a> {
     exchange: AntiEntropy,
     pub(crate) spread: Spread<'a>,
-    scratch: ExchangeScratch<u32, u32>,
+    scratch: ExchangeScratch<u32>,
 }
 
 impl EpidemicProtocol for SpatialAntiEntropyProtocol<'_> {

@@ -77,7 +77,7 @@ pub struct SpatialSteadyArena {
     replicas: Vec<Replica<u32, u64>>,
     compare: LinkTraffic,
     update: LinkTraffic,
-    scratch: ExchangeScratch<u32, u64>,
+    scratch: ExchangeScratch<u32>,
     buffers: EngineBuffers,
 }
 
@@ -192,7 +192,7 @@ struct SpatialSteadyProtocol<'a> {
     exchanges: u64,
     full_compares: u64,
     recorder: RouteRecorder<'a>,
-    scratch: &'a mut ExchangeScratch<u32, u64>,
+    scratch: &'a mut ExchangeScratch<u32>,
 }
 
 impl EpidemicProtocol for SpatialSteadyProtocol<'_> {

@@ -105,7 +105,7 @@ struct SteadyStateProtocol {
     full_compares: u64,
     sent: u64,
     scanned: u64,
-    scratch: ExchangeScratch<u32, u64>,
+    scratch: ExchangeScratch<u32>,
 }
 
 impl EpidemicProtocol for SteadyStateProtocol {

@@ -38,7 +38,7 @@ fn db_image(r: &Rep) -> Vec<(u8, Entry<u32>)> {
 struct DiffAe {
     exchange: AntiEntropy,
     replicas: Vec<Rep>,
-    scratch: ExchangeScratch<u8, u32>,
+    scratch: ExchangeScratch<u8>,
 }
 
 impl DiffAe {

@@ -89,11 +89,11 @@ impl EpidemicProtocol for AlwaysProbe {
             .expect("two distinct sites");
         match self.cfg.direction {
             Direction::Push => {
-                let Some(entry) = a.db().entry(&KEY).cloned() else {
+                let Some(entry) = a.db().entry(&KEY) else {
                     a.hot_mut().remove(&KEY);
                     return ContactStats::default();
                 };
-                let applied = b.receive_rumor(KEY, entry).was_useful();
+                let applied = b.receive_rumor_ref(&KEY, entry).was_useful();
                 rumor::record_feedback(&self.cfg, a, &KEY, !self.state0[j], rng);
                 if applied {
                     self.received.mark(j, cycle);
@@ -108,10 +108,10 @@ impl EpidemicProtocol for AlwaysProbe {
                 if !self.hot0[j] {
                     return ContactStats::default();
                 }
-                let Some(entry) = source.db().entry(&KEY).cloned() else {
+                let Some(entry) = source.db().entry(&KEY) else {
                     return ContactStats::default();
                 };
-                let applied = requester.receive_rumor(KEY, entry).was_useful();
+                let applied = requester.receive_rumor_ref(&KEY, entry).was_useful();
                 let needed = match self.cfg.feedback {
                     Feedback::Feedback => !self.state0[i],
                     Feedback::Blind => false,

@@ -52,7 +52,7 @@ struct LegacyChurnedProtocol {
     have: Vec<bool>,
     have_count: usize,
     down_cycles: u64,
-    scratch: ExchangeScratch<u32, u32>,
+    scratch: ExchangeScratch<u32>,
 }
 
 impl EpidemicProtocol for LegacyChurnedProtocol {

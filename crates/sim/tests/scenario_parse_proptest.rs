@@ -7,8 +7,8 @@
 use epidemic_core::rumor::{Feedback, Removal, RumorConfig};
 use epidemic_core::{Direction, MailConfig, Redistribution};
 use epidemic_sim::scenario::{
-    AntiEntropySpec, FaultEvent, FaultKind, Scenario, SiteSet, SpatialSpec, StopRule, TopologySpec,
-    Workload, WorkloadMix,
+    AntiEntropySpec, FaultEvent, FaultKind, Scenario, ScenarioEngine, SiteSet, SpatialSpec,
+    StopRule, TopologySpec, Workload, WorkloadMix,
 };
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
@@ -327,6 +327,20 @@ fn validation_failures_surface_after_parsing() {
     let e = Scenario::parse("scenario x\nsites 4\nat 0 loss 1.5\n").unwrap_err();
     assert_eq!(e.line, 0);
     assert!(e.message.contains("probability"), "{e}");
+
+    // Site clocks that would pass u64: a gc jump past τ₁, or a skew.
+    for event in [
+        "at 26 gc 18446744073709551615 5",
+        "at 0 skew site 3 offset 18446744073709551615",
+    ] {
+        let e = Scenario::parse(&format!("scenario x\nsites 4\n{event}\n")).unwrap_err();
+        assert_eq!(e.line, 0);
+        assert!(e.message.contains("clocks overflow"), "{event}: {e}");
+    }
+    // The largest skew the default 1000-cycle bound leaves room for.
+    let text = "scenario x\nsites 4\nat 0 skew site 3 offset 18446744073709550615\n";
+    let spec = Scenario::parse(text).expect("fits u64");
+    ScenarioEngine::new(spec).unwrap().run(1, &mut ());
 }
 
 #[test]

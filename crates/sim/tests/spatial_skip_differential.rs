@@ -30,7 +30,7 @@ struct AlwaysExchange<'a> {
     replicas: Vec<Replica<u32, u32>>,
     received: ReceiveLog<u32>,
     recorder: RouteRecorder<'a>,
-    scratch: ExchangeScratch<u32, u32>,
+    scratch: ExchangeScratch<u32>,
 }
 
 impl EpidemicProtocol for AlwaysExchange<'_> {

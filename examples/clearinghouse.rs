@@ -10,45 +10,59 @@
 //! anti-entropy repairs whatever mail drops. The same run with anti-entropy
 //! disabled never converges.
 
-use epidemics::core::{MailConfig, Redistribution};
-use epidemics::sim::scenario::legacy::ClearinghouseScenario;
+use epidemics::core::{Direction, Feedback, MailConfig, Redistribution, Removal, RumorConfig};
+use epidemics::sim::scenario::{bundled, AntiEntropySpec, ScenarioEngine};
 
 fn main() {
-    let lossy_mail = MailConfig {
+    // The bundled §1.5 run, at 25 updates under much lossier mail.
+    let mut base = bundled::by_name("clearinghouse").expect("bundled");
+    base.protocol.mail = Some(MailConfig {
         loss_probability: 0.25,
         queue_capacity: 500,
-    };
+    });
+    base.workload.budget = Some(25);
+    base.max_cycles = 1_000;
 
     println!("50 sites, 25 updates, mail losing 25% of messages\n");
 
     for (label, anti_entropy_every, redistribution, rumor_k) in [
-        ("mail only (no anti-entropy)", 0, Redistribution::None, None),
-        ("mail + anti-entropy backup", 5, Redistribution::None, None),
+        (
+            "mail only (no anti-entropy)",
+            None,
+            Redistribution::None,
+            None,
+        ),
+        (
+            "mail + anti-entropy backup",
+            Some(5),
+            Redistribution::None,
+            None,
+        ),
         (
             "mail + AE + rumor redistribution",
-            5,
+            Some(5),
             Redistribution::Rumor,
             Some(2),
         ),
     ] {
-        let scenario = ClearinghouseScenario {
-            sites: 50,
-            mail: lossy_mail,
-            updates: 25,
-            anti_entropy_every,
+        let mut spec = base.clone();
+        spec.protocol.anti_entropy = anti_entropy_every.map(|every| AntiEntropySpec {
+            every,
+            from: 0,
             redistribution,
-            rumor_k,
-            max_cycles: 1_000,
-        };
-        let report = scenario.run(1987);
-        match report.consistent_at {
+        });
+        spec.protocol.rumor = rumor_k
+            .map(|k| RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k }));
+        let report = ScenarioEngine::new(spec).unwrap().run(1987, &mut ());
+        let mail = report.mail.expect("the spec mails");
+        let mail_failures = mail.lost + mail.overflowed;
+        match report.converged_at {
             Some(cycle) => println!(
-                "{label:45} consistent at cycle {cycle:4} ({} mail failures repaired by {} anti-entropy transfers)",
-                report.mail_failures, report.ae_repairs
+                "{label:45} consistent at cycle {cycle:4} ({mail_failures} mail failures repaired by {} anti-entropy transfers)",
+                report.ae_sent
             ),
             None => println!(
-                "{label:45} NEVER consistent within 1000 cycles ({} mail failures)",
-                report.mail_failures
+                "{label:45} NEVER consistent within 1000 cycles ({mail_failures} mail failures)"
             ),
         }
     }

@@ -6,13 +6,26 @@
 //! ```
 
 use epidemics::db::GcPolicy;
-use epidemics::sim::scenario::legacy::{resurrection_without_certificates, DormantDeathScenario};
+use epidemics::sim::scenario::{bundled, FaultKind, ScenarioEngine};
 
 fn main() {
-    // 1. The failure that motivates §2: naive deletion is undone by the
-    //    propagation mechanism itself.
-    let resurrected = resurrection_without_certificates(12, 7);
-    println!("naive deletion (just forget the item):");
+    // The bundled §2.3 run: 20 sites converge on an item, the last goes
+    // down, the item is deleted with r = 2 retention sites, certificates
+    // are collected past τ1 = 50 and the down site rejoins.
+    let dormant = bundled::by_name("dormant-death").expect("bundled");
+
+    // 1. The failure that motivates §2: with no retention site, no
+    //    certificate survives τ1, and the propagation mechanism itself
+    //    undoes the deletion.
+    let mut naive = dormant.clone();
+    for event in &mut naive.events {
+        if let FaultKind::Delete { retention, .. } = &mut event.kind {
+            *retention = 0;
+        }
+    }
+    let report = ScenarioEngine::new(naive).unwrap().run(7, &mut ());
+    let resurrected = !report.cancelled;
+    println!("naive deletion (no certificate survives τ1):");
     println!("  item resurrected by anti-entropy = {resurrected}\n");
     assert!(resurrected, "the paper's failure mode always reproduces");
 
@@ -30,24 +43,18 @@ fn main() {
     // 3. The immune response of §2.2–2.3: a site that slept through the
     //    deletion *and* the certificate's active window rejoins with the
     //    obsolete item; a dormant certificate awakens and cancels it.
-    let report = DormantDeathScenario {
-        sites: 20,
-        tau1: 50,
-        tau2: 100_000,
-        retention: 2,
-    }
-    .run(99);
+    let report = ScenarioEngine::new(dormant).unwrap().run(99, &mut ());
     println!("obsolete site rejoins after τ1 (20 sites, r = 2 retention sites):");
     println!(
         "  active certificates left after GC = {}",
-        report.certificates_active_after_gc
+        report.certs_after_gc.unwrap_or(0)
     );
     println!("  dormant certificates awakened    = {}", report.awakened);
     println!(
         "  obsolete item cancelled everywhere = {}",
-        report.obsolete_cancelled
+        report.cancelled
     );
-    assert!(report.obsolete_cancelled);
+    assert!(report.cancelled);
     println!(
         "\nNote the antibody analogy (§2.1): the awakened certificate propagates\n\
          with a fresh activation timestamp but its *original* deletion timestamp,\n\

@@ -15,7 +15,7 @@ use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
 use epidemics::net::topologies::{cin, CinConfig};
 use epidemics::net::Spatial;
 use epidemics::sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
-use epidemics::sim::scenario::legacy::{resurrection_without_certificates, DormantDeathScenario};
+use epidemics::sim::scenario::{bundled, FaultKind, ScenarioEngine};
 use epidemics::sim::spatial_ae::{AntiEntropySim, SpatialArena};
 
 fn main() {
@@ -57,14 +57,19 @@ fn main() {
     }
 
     println!("\n== §2: deletion needs death certificates ==");
-    println!(
-        "  naive deletion resurrects: {}",
-        resurrection_without_certificates(10, 1)
-    );
-    let report = DormantDeathScenario::default().run(1);
+    let dormant = bundled::by_name("dormant-death").expect("bundled");
+    let mut naive = dormant.clone();
+    for event in &mut naive.events {
+        if let FaultKind::Delete { retention, .. } = &mut event.kind {
+            *retention = 0; // no certificate survives τ1
+        }
+    }
+    let naive = ScenarioEngine::new(naive).unwrap().run(1, &mut ());
+    println!("  naive deletion resurrects: {}", !naive.cancelled);
+    let report = ScenarioEngine::new(dormant).unwrap().run(1, &mut ());
     println!(
         "  dormant certificate awakens and cancels a rejoining obsolete item: {}",
-        report.obsolete_cancelled
+        report.cancelled
     );
 
     println!("\n== §3: spatial distributions rescue the Bushey link ==");

@@ -2,7 +2,7 @@
 
 use epidemics::core::{AntiEntropy, Comparison, Direction, Replica};
 use epidemics::db::{Entry, GcPolicy, SiteId};
-use epidemics::sim::scenario::legacy::{resurrection_without_certificates, DormantDeathScenario};
+use epidemics::sim::scenario::{bundled, FaultKind, ScenarioEngine, ScenarioReport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -30,11 +30,35 @@ fn converge(replicas: &mut [Replica<&'static str, u32>], rng: &mut StdRng) {
     panic!("failed to converge");
 }
 
+/// The bundled §2.3 dormant-death run at `sites` sites, its deletion
+/// keeping dormant copies at `retention` sites: the last site goes down
+/// holding the item, the item is deleted, certificates are collected past
+/// τ₁ and the down site rejoins.
+fn dormant_death(sites: usize, retention: u32, seed: u64) -> ScenarioReport {
+    let mut spec = bundled::by_name("dormant-death").expect("bundled");
+    spec.sites = sites;
+    for event in &mut spec.events {
+        if let FaultKind::Delete { retention: r, .. } = &mut event.kind {
+            *r = retention;
+        }
+    }
+    ScenarioEngine::new(spec).unwrap().run(seed, &mut ())
+}
+
+/// §2's motivating failure: with no retention site no certificate
+/// survives τ₁, so the item comes back exactly when the site that slept
+/// through the deletion went down holding it.
 #[test]
 fn naive_deletion_always_resurrects() {
-    for seed in 0..5 {
-        assert!(resurrection_without_certificates(8, seed));
+    let mut resurrected = 0;
+    for seed in 0..50 {
+        let report = dormant_death(20, 0, seed);
+        let crash = report.milestones.iter().find(|m| m.label == "crash");
+        let held = crash.expect("the crash event fires").covered == 20;
+        assert_eq!(!report.cancelled, held, "seed {seed}");
+        resurrected += usize::from(!report.cancelled);
     }
+    assert!(resurrected > 0, "the failure mode reproduces");
 }
 
 #[test]
@@ -92,18 +116,14 @@ fn fixed_threshold_gc_reclaims_space_at_every_site() {
     }
 }
 
+/// §2.3's remedy: with retention sites a dormant certificate awakens and
+/// cancels the rejoining obsolete copy.
 #[test]
 fn dormant_scenario_is_robust_across_seeds_and_sizes() {
     for (sites, retention, seed) in [(10, 1, 1), (20, 2, 2), (30, 3, 3)] {
-        let report = DormantDeathScenario {
-            sites,
-            tau1: 50,
-            tau2: 1_000_000,
-            retention,
-        }
-        .run(seed);
+        let report = dormant_death(sites, retention, seed);
         assert!(
-            report.obsolete_cancelled,
+            report.cancelled,
             "sites={sites} retention={retention} seed={seed}: {report:?}"
         );
         assert!(report.awakened >= 1);
@@ -133,14 +153,14 @@ fn reactivated_certificate_does_not_cancel_newer_reinstatement() {
     let mut other: Replica<&str, u32> = Replica::new(SiteId::new(1));
     other.advance_clock(2_000);
     let t_new = other.client_update("x", 2);
-    let outcome = a.receive_quietly("x", Entry::live(2, t_new));
+    let outcome = a.receive_quietly_ref(&"x", &Entry::live(2, t_new));
     assert!(outcome.was_useful());
     assert_eq!(a.db().get(&"x"), Some(&2));
     assert_eq!(a.db().dormant_len(), 0, "superseded certificate dropped");
 
     // Even if the obsolete original shows up later, it cannot displace the
     // reinstated value.
-    let outcome = a.receive_quietly("x", old_entry);
+    let outcome = a.receive_quietly_ref(&"x", &old_entry);
     assert!(!outcome.was_useful());
     assert_eq!(a.db().get(&"x"), Some(&2));
 }
