@@ -15,13 +15,14 @@ use epidemic_core::anti_entropy::{AntiEntropy, Comparison};
 use epidemic_core::{Direction, Feedback, Removal, Replica, RumorConfig};
 use epidemic_db::SiteId;
 use epidemic_net::topologies::{self, cin, CinConfig};
-use epidemic_net::{LinkId, PartnerSelection, Spatial, Topology};
-use epidemic_sim::engine::SirObserver;
+use epidemic_net::{LinkId, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
+use epidemic_sim::engine::{SirObserver, SpatialPartners};
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::runner::Arenas;
 use epidemic_sim::scenario::{bundled, AntiEntropySpec, FaultKind, ScenarioEngine};
 use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
 use epidemic_sim::spatial_rumor::{failure_probability, minimum_k, SpatialRumorSim};
+use epidemic_sim::steady::{Mechanism, SteadyArena, SteadyConfig, SteadySim};
 
 use crate::registry::{Ctx, Output};
 use crate::render::{fmt, labelled, FigTable};
@@ -612,39 +613,33 @@ pub(crate) fn redistribution_table(ctx: &Ctx<'_>) -> FigTable {
 /// rate. The paper: choose `τ` below the distribution time and "checksum
 /// comparisons will usually fail".
 pub(crate) fn checksum_window_table() -> FigTable {
-    use epidemic_sim::steady::SteadyStateSim;
-    let sim = SteadyStateSim::default();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let full = sim.run(Comparison::Full, 11);
-    rows.push(vec![
-        "full (baseline)".into(),
-        "1.00".into(),
-        fmt(full.entries_per_exchange),
-        fmt(full.scanned_per_exchange),
-    ]);
-    let naive = sim.run(Comparison::Checksum, 11);
-    rows.push(vec![
-        "naive checksum".into(),
-        fmt(naive.full_compare_rate),
-        fmt(naive.entries_per_exchange),
-        fmt(naive.scanned_per_exchange),
-    ]);
-    for tau in [10u64, 20, 30, 40, 50, 100, 200, 400] {
-        let r = sim.run(Comparison::RecentList { tau }, 11);
-        rows.push(vec![
-            format!("recent list τ={tau}"),
-            fmt(r.full_compare_rate),
+    let (window, mut arena) = (SteadyConfig::CHECKSUM_WINDOW, SteadyArena::new());
+    let mut row = |label: String, comparison| {
+        let sim = SteadySim::uniform(60, Mechanism::AntiEntropy(comparison), window);
+        let r = sim.run(&mut arena, 11);
+        let full_compare_rate = match comparison {
+            Comparison::Full => "1.00".into(),
+            Comparison::PeelBack => "0".into(),
+            _ => fmt(r.full_compare_rate),
+        };
+        vec![
+            label,
+            full_compare_rate,
             fmt(r.entries_per_exchange),
             fmt(r.scanned_per_exchange),
-        ]);
+        ]
+    };
+    let mut rows = vec![
+        row("full (baseline)".into(), Comparison::Full),
+        row("naive checksum".into(), Comparison::Checksum),
+    ];
+    for tau in [10u64, 20, 30, 40, 50, 100, 200, 400] {
+        rows.push(row(
+            format!("recent list τ={tau}"),
+            Comparison::RecentList { tau },
+        ));
     }
-    let peel = sim.run(Comparison::PeelBack, 11);
-    rows.push(vec![
-        "peel back".into(),
-        "0".into(),
-        fmt(peel.entries_per_exchange),
-        fmt(peel.scanned_per_exchange),
-    ]);
+    rows.push(row("peel back".into(), Comparison::PeelBack));
     FigTable::new(
         "§1.3: checksum window — 60 sites, 1 update/cycle (10 ticks/cycle), distribution time ≈ 100 ticks",
         &["strategy", "full-compare rate", "entries/exchange", "scanned/exchange"],
@@ -719,7 +714,7 @@ fn convergence_and_load<S: PartnerSelection + Sync>(
 /// §4 future work: the dynamic hierarchy against flat spatial selection on
 /// the CIN — convergence, average traffic and the Bushey hot spot.
 pub(crate) fn hierarchy_table(ctx: &Ctx<'_>) -> FigTable {
-    use epidemic_net::{HierarchicalSampler, Routes};
+    use epidemic_net::HierarchicalSampler;
     let net = cin(&CinConfig::default());
     let routes = Routes::compute(&net.topology);
     let arenas = Arenas::default();
@@ -826,9 +821,8 @@ pub(crate) fn sir_curve_table(ctx: &Ctx<'_>) -> FigTable {
 /// traffic (the wire-cost proxy) per link under each distribution — the
 /// production Clearinghouse configuration.
 pub(crate) fn cin_steady_table(ctx: &Ctx<'_>) -> FigTable {
-    use epidemic_sim::spatial_steady::{SpatialSteadyConfig, SpatialSteadySim};
     let net = cin(&CinConfig::default());
-    let config = SpatialSteadyConfig::default();
+    let recent = Mechanism::AntiEntropy(Comparison::RecentList { tau: 400 });
     let arenas = Arenas::default();
     let mut rows = Vec::new();
     for (label, spatial) in [
@@ -836,18 +830,17 @@ pub(crate) fn cin_steady_table(ctx: &Ctx<'_>) -> FigTable {
         ("a = 1.2".to_string(), Spatial::QsPower { a: 1.2 }),
         ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
-        let sim = SpatialSteadySim::new(&net.topology, spatial, config);
-        let (means, _) = ctx.mean_seen(
+        let sim = SteadySim::spatial(&net.topology, spatial, recent, SteadyConfig::CIN_STEADY);
+        let means = ctx.mean(
             || arenas.take(),
             |arena, seed| {
                 let r = sim.run(arena, seed + 31);
-                let means = [
+                [
                     r.conversations_per_link_cycle,
                     r.entries_per_link_cycle,
                     r.entry_traffic.at(net.bushey_link) as f64 / f64::from(r.measured_cycles),
                     r.full_compare_rate,
-                ];
-                (means, Seen::default())
+                ]
             },
         );
         rows.push(labelled(label, means));
@@ -945,48 +938,28 @@ pub(crate) fn dc_scaling_table(ctx: &Ctx<'_>) -> FigTable {
 /// completes regardless; convergence stretches roughly like 1/(up
 /// fraction)².
 pub(crate) fn churn_table(ctx: &Ctx<'_>) -> FigTable {
-    use epidemic_sim::failures::{Churn, ChurnedAntiEntropySim};
     let net = cin(&CinConfig::default());
+    let sites = net.topology.sites();
+    let routes = Routes::compute(&net.topology);
+    let sampler = PartnerSampler::new(&net.topology, &routes, Spatial::QsPower { a: 2.0 });
+    let partners = SpatialPartners::new(sites, &sampler);
     let mut rows = Vec::new();
-    for (label, churn) in [
-        (
-            "0% down",
-            Churn {
-                fail: 0.0,
-                recover: 1.0,
-            },
-        ),
-        (
-            "~10% down",
-            Churn {
-                fail: 0.02,
-                recover: 0.18,
-            },
-        ),
-        (
-            "~25% down",
-            Churn {
-                fail: 0.05,
-                recover: 0.15,
-            },
-        ),
-        (
-            "~50% down",
-            Churn {
-                fail: 0.10,
-                recover: 0.10,
-            },
-        ),
+    for (label, fail, recover) in [
+        ("0% down", 0.0, 1.0),
+        ("~10% down", 0.02, 0.18),
+        ("~25% down", 0.05, 0.15),
+        ("~50% down", 0.10, 0.10),
     ] {
-        let sim = ChurnedAntiEntropySim::new(&net.topology, Spatial::QsPower { a: 2.0 }, churn);
+        let spec = bundled::churn(sites.len(), fail, recover);
+        let engine = ScenarioEngine::new(spec).expect("churn spec is valid");
         let means = ctx.mean(
             || (),
             |(), seed| {
-                let r = sim.run(seed + 91, None);
+                let r = engine.run_with_policy(seed + 91, &partners, Some(sites), &mut ());
                 [
-                    r.observed_down_fraction,
-                    f64::from(r.t_last),
-                    f64::from(u8::from(r.complete)),
+                    r.down_fraction,
+                    f64::from(r.cycles),
+                    f64::from(u8::from(r.residue == 0.0)),
                 ]
             },
         );
@@ -1057,28 +1030,26 @@ pub(crate) fn topology_robustness_table(ctx: &Ctx<'_>) -> FigTable {
 /// rumors and its superior residue pays off — "our own CIN application has
 /// a high enough update rate to warrant the use of pull".
 pub(crate) fn pull_vs_push_rate_table(ctx: &Ctx<'_>) -> FigTable {
-    use epidemic_sim::rumor_steady::{RumorSteadyConfig, RumorSteadySim};
     let arenas = Arenas::default();
     let mut rows = Vec::new();
     for rate in [0.0f64, 0.25, 1.0, 4.0] {
         for (label, direction) in [("push", Direction::Push), ("pull", Direction::Pull)] {
             let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
-            let config = RumorSteadyConfig {
+            let config = SteadyConfig {
                 updates_per_cycle: rate,
-                ..RumorSteadyConfig::default()
+                ..SteadyConfig::PULL_VS_PUSH
             };
-            let sim = RumorSteadySim::new(cfg, config);
-            let (means, _) = ctx.mean_seen(
+            let sim = SteadySim::uniform(200, Mechanism::Rumor(cfg), config);
+            let means = ctx.mean(
                 || arenas.take(),
                 |arena, seed| {
                     let r = sim.run(arena, seed + 5);
-                    let means = [
+                    [
                         r.coverage,
                         r.messages_per_delivery,
                         r.fruitless_per_cycle,
                         r.contacts_per_cycle,
-                    ];
-                    (means, Seen::default())
+                    ]
                 },
             );
             rows.push(labelled(format!("{rate} upd/cycle, {label}"), means));

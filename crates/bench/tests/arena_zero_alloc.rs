@@ -3,9 +3,8 @@
 //! counters, scratch and roster buffers are sized — every further trial on
 //! it completes without asking the heap for a single byte. Covered: every
 //! rumor variant on a [`MixingArena`]; Table 4's anti-entropy and §3.2's
-//! push-pull rumor mongering on the CIN on a [`SpatialArena`]; steady-state
-//! anti-entropy on the CIN on a [`SpatialSteadyArena`]; and steady-state
-//! push and pull rumor mongering on a [`RumorSteadyArena`].
+//! push-pull rumor mongering on the CIN on a [`SpatialArena`]; and the three
+//! steady-state figures' trials on one [`SteadyArena`].
 //!
 //! Like `zero_alloc.rs`, this file registers [`CountingAlloc`] as the test
 //! binary's global allocator and therefore holds exactly one test (a
@@ -21,14 +20,13 @@
 use std::hint::black_box;
 
 use epidemic_bench::alloc_counter::{allocations, CountingAlloc};
-use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
+use epidemic_core::{Comparison, Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::topologies::{cin, CinConfig};
 use epidemic_net::Spatial;
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
-use epidemic_sim::rumor_steady::{RumorSteadyArena, RumorSteadyConfig, RumorSteadySim};
 use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
 use epidemic_sim::spatial_rumor::SpatialRumorSim;
-use epidemic_sim::spatial_steady::{SpatialSteadyArena, SpatialSteadyConfig, SpatialSteadySim};
+use epidemic_sim::steady::{Mechanism, SteadyArena, SteadyConfig, SteadySim};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -64,8 +62,7 @@ fn assert_warm_trials_do_not_allocate(label: &str, mut trial: impl FnMut(u64)) {
 fn trials_on_a_warm_arena_do_not_allocate() {
     mixing_trials();
     spatial_trials();
-    spatial_steady_trials();
-    rumor_steady_trials();
+    steady_trials();
 }
 
 fn mixing_trials() {
@@ -144,55 +141,71 @@ fn spatial_trials() {
     assert!(reached > 1.0, "the rumors must actually spread");
 }
 
-/// `fig-cin-steady`'s trials: recent-list anti-entropy on the CIN under
-/// its extreme distributions, one arena throughout.
-fn spatial_steady_trials() {
+/// The steady figures' trials, one arena throughout: `fig-checksum-window`'s
+/// anti-entropy under each kind of comparison, `fig-cin-steady`'s on the
+/// CIN under its extreme distributions, and `fig-pull-vs-push-rate`'s
+/// busiest push and pull trials.
+fn steady_trials() {
     let net = cin(&CinConfig::default());
-    let mut arena = SpatialSteadyArena::new();
-    for (label, spatial) in [
-        ("CIN steady, uniform", Spatial::Uniform),
-        ("CIN steady, a = 2.0", Spatial::QsPower { a: 2.0 }),
+    let mut arena = SteadyArena::new();
+    for comparison in [
+        Comparison::Full,
+        Comparison::Checksum,
+        Comparison::RecentList { tau: 10 },
+        Comparison::PeelBack,
     ] {
-        // Warm-up: trials at twice the update rate grow every block past
-        // what a trial at the figure's rate needs.
-        let config = SpatialSteadyConfig::default();
-        let busier = SpatialSteadyConfig {
-            updates_per_cycle: 2.0 * config.updates_per_cycle,
-            ..config
-        };
-        for seed in 0..4 {
-            SpatialSteadySim::new(&net.topology, spatial, busier).run(&mut arena, seed);
-        }
-        let sim = SpatialSteadySim::new(&net.topology, spatial, config);
-        let mut entries = 0.0;
-        assert_warm_trials_do_not_allocate(label, |seed| {
-            entries += black_box(sim.run(&mut arena, seed)).entries_per_link_cycle;
-        });
-        assert!(entries > 0.0, "{label}: updates must actually flow");
+        let label = format!("checksum window, {comparison:?}");
+        steady_case(
+            &mut arena,
+            &label,
+            SteadyConfig::CHECKSUM_WINDOW,
+            |config| SteadySim::uniform(60, Mechanism::AntiEntropy(comparison), config),
+        );
+    }
+    let recent = Mechanism::AntiEntropy(Comparison::RecentList { tau: 400 });
+    for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
+        steady_case(
+            &mut arena,
+            &format!("CIN steady, {spatial:?}"),
+            SteadyConfig::CIN_STEADY,
+            |config| SteadySim::spatial(&net.topology, spatial, recent, config),
+        );
+    }
+    let busiest = SteadyConfig {
+        updates_per_cycle: 4.0,
+        ..SteadyConfig::PULL_VS_PUSH
+    };
+    for direction in [Direction::Push, Direction::Pull] {
+        let rumor = Mechanism::Rumor(counter(direction, 2));
+        steady_case(
+            &mut arena,
+            &format!("steady {direction:?}"),
+            busiest,
+            |config| SteadySim::uniform(200, rumor, config),
+        );
     }
 }
 
-/// `fig-pull-vs-push-rate`'s busiest trials, push and pull, one arena.
-fn rumor_steady_trials() {
-    let mut arena = RumorSteadyArena::new();
-    let at_rate = |updates_per_cycle| RumorSteadyConfig {
-        updates_per_cycle,
-        ..RumorSteadyConfig::default()
-    };
-    for (label, direction) in [
-        ("steady push, 4 upd/cycle", Direction::Push),
-        ("steady pull, 4 upd/cycle", Direction::Pull),
-    ] {
-        let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
-        // Warm-up, as above: trials at twice the measured rate.
-        for seed in 0..4 {
-            RumorSteadySim::new(cfg, at_rate(8.0)).run(&mut arena, seed);
-        }
-        let sim = RumorSteadySim::new(cfg, at_rate(4.0));
-        let mut coverage = 0.0;
-        assert_warm_trials_do_not_allocate(label, |seed| {
-            coverage += black_box(sim.run(&mut arena, seed)).coverage;
-        });
-        assert!(coverage > 0.0, "{label}: rumors must actually spread");
+/// Warms `arena` with trials at twice `config`'s rate — they grow every
+/// block past what a trial at the rate needs — then pins that trials at
+/// `config` allocate nothing.
+fn steady_case<'t>(
+    arena: &mut SteadyArena,
+    label: &str,
+    config: SteadyConfig,
+    sim: impl Fn(SteadyConfig) -> SteadySim<'t>,
+) {
+    let busier = sim(SteadyConfig {
+        updates_per_cycle: 2.0 * config.updates_per_cycle,
+        ..config
+    });
+    for seed in 0..4 {
+        busier.run(arena, seed);
     }
+    let sim = sim(config);
+    let mut sent = 0.0;
+    assert_warm_trials_do_not_allocate(label, |seed| {
+        sent += black_box(sim.run(arena, seed)).entries_per_exchange;
+    });
+    assert!(sent > 0.0, "{label}: updates must actually flow");
 }

@@ -1,9 +1,10 @@
 //! Golden-output regression tests.
 //!
 //! These pin the exact rendered text of Table 1, Table 4, one
-//! spatial-rumor cell and the two steady-state figures (live databases
+//! spatial-rumor cell, the three steady-state figures (live databases
 //! under continuous updates — the only goldens whose sites hold more than
-//! one key), at deliberately small trial counts so the suite stays fast. The numbers depend on every RNG draw a driver makes, so
+//! one key) and the churn ablation, at deliberately small trial counts so
+//! the suite stays fast. The numbers depend on every RNG draw a driver makes, so
 //! any refactor that perturbs the partner-selection, contact or
 //! convergence logic — however slightly — shows up as a byte-level diff
 //! here. Each table is checked at 1 worker thread and at 8 to prove the
@@ -27,6 +28,8 @@ const TABLE4_GOLDEN: &str = include_str!("golden/table4.txt");
 const SPATIAL_RUMOR_GOLDEN: &str = include_str!("golden/spatial_rumor.txt");
 const PULL_VS_PUSH_RATE_GOLDEN: &str = include_str!("golden/fig_pull_vs_push_rate.txt");
 const CIN_STEADY_GOLDEN: &str = include_str!("golden/fig_cin_steady.txt");
+const CHECKSUM_WINDOW_GOLDEN: &str = include_str!("golden/fig_checksum_window.txt");
+const CHURN_GOLDEN: &str = include_str!("golden/ablation_churn.txt");
 
 /// The 50-site CIN used by the spatial goldens (same configuration as the
 /// in-crate `table45_on` unit test).
@@ -93,15 +96,15 @@ fn spatial_rumor_text(runner: TrialRunner) -> String {
     .render()
 }
 
-/// `fig-pull-vs-push-rate` as `repro` prints it, at 2 trials per cell.
-fn pull_vs_push_rate_text(runner: TrialRunner) -> String {
-    run("fig-pull-vs-push-rate", runner, registry::N, 2).text()
-}
-
-/// `fig-cin-steady` as `repro` prints it, at 2 trials per distribution.
-fn cin_steady_text(runner: TrialRunner) -> String {
-    run("fig-cin-steady", runner, registry::N, 2).text()
-}
+/// Registry rows pinned as `repro` prints them: name, trials and golden
+/// (the file is the name with `_` for `-`). Each is checked at 1 and 8
+/// worker threads.
+const ROWS: [(&str, u64, &str); 4] = [
+    ("fig-pull-vs-push-rate", 2, PULL_VS_PUSH_RATE_GOLDEN),
+    ("fig-cin-steady", 2, CIN_STEADY_GOLDEN),
+    ("fig-checksum-window", 1, CHECKSUM_WINDOW_GOLDEN),
+    ("ablation-churn", 30, CHURN_GOLDEN),
+];
 
 #[test]
 fn table1_matches_golden_single_thread() {
@@ -140,24 +143,13 @@ fn spatial_rumor_matches_golden_parallel() {
 }
 
 #[test]
-fn pull_vs_push_rate_matches_golden_at_1_and_8_threads() {
-    for threads in [1, 8] {
-        assert_eq!(
-            pull_vs_push_rate_text(TrialRunner::new().threads(threads)),
-            PULL_VS_PUSH_RATE_GOLDEN,
-            "{threads} threads"
-        );
-    }
-}
-
-#[test]
-fn cin_steady_matches_golden_at_1_and_8_threads() {
-    for threads in [1, 8] {
-        assert_eq!(
-            cin_steady_text(TrialRunner::new().threads(threads)),
-            CIN_STEADY_GOLDEN,
-            "{threads} threads"
-        );
+fn registry_rows_match_goldens_at_1_and_8_threads() {
+    for (name, trials, golden) in ROWS {
+        for threads in [1, 8] {
+            let runner = TrialRunner::new().threads(threads);
+            let text = run(name, runner, registry::N, trials).text();
+            assert_eq!(text, golden, "{name} at {threads} threads");
+        }
     }
 }
 
@@ -174,11 +166,9 @@ fn regenerate() {
         spatial_rumor_text(single),
     )
     .expect("write spatial_rumor");
-    std::fs::write(
-        format!("{dir}/fig_pull_vs_push_rate.txt"),
-        pull_vs_push_rate_text(single),
-    )
-    .expect("write fig_pull_vs_push_rate");
-    std::fs::write(format!("{dir}/fig_cin_steady.txt"), cin_steady_text(single))
-        .expect("write fig_cin_steady");
+    for (name, trials, _) in ROWS {
+        let file = format!("{dir}/{}.txt", name.replace('-', "_"));
+        let text = run(name, single, registry::N, trials).text();
+        std::fs::write(file, text).expect("write a registry row's golden");
+    }
 }

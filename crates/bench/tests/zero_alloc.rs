@@ -20,6 +20,7 @@ use std::hint::black_box;
 use epidemic_bench::alloc_counter::{allocations, CountingAlloc};
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
 use epidemic_db::SiteId;
+use epidemic_sim::steady::{Mechanism, SteadyArena, SteadyConfig, SteadySim};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -132,18 +133,16 @@ fn converged_exchanges_do_not_allocate() {
     // partner choice.
     let topo = epidemic_net::topologies::line(2);
     let run_allocs = |cycles: u32| {
-        let sim = epidemic_sim::spatial_steady::SpatialSteadySim::new(
-            &topo,
-            epidemic_net::Spatial::Uniform,
-            epidemic_sim::spatial_steady::SpatialSteadyConfig {
-                updates_per_cycle: 0.0,
-                warmup: 4,
-                cycles,
-                ..Default::default()
-            },
-        );
+        let config = SteadyConfig {
+            updates_per_cycle: 0.0,
+            warmup: 4,
+            cycles,
+            drain: 0,
+        };
+        let recent = Mechanism::AntiEntropy(Comparison::RecentList { tau: 400 });
+        let sim = SteadySim::spatial(&topo, epidemic_net::Spatial::Uniform, recent, config);
         min_allocations(5, || {
-            let mut arena = epidemic_sim::spatial_steady::SpatialSteadyArena::new();
+            let mut arena = SteadyArena::new();
             black_box(sim.run(&mut arena, 11));
         })
     };

@@ -192,6 +192,24 @@ mod tests {
         assert_eq!(Checksum::digest(&row), 0x8ea8_9e5b_d4b2_8337);
     }
 
+    /// Every integer is one word, whatever its width: a store of `u32`
+    /// values digests, and so compares, exactly like one of `u64` values
+    /// holding the same numbers — live entries and certificates alike.
+    #[test]
+    fn value_width_does_not_change_a_row_digest() {
+        let at = Timestamp::new(1_000, SiteId::new(3));
+        for value in [0u32, 42, u32::MAX] {
+            assert_eq!(
+                Checksum::digest(&(7u32, Entry::live(value, at))),
+                Checksum::digest(&(7u32, Entry::live(u64::from(value), at)))
+            );
+        }
+        assert_eq!(
+            Checksum::digest(&(7u32, Entry::<u32>::dead(at))),
+            Checksum::digest(&(7u32, Entry::<u64>::dead(at)))
+        );
+    }
+
     #[test]
     fn byte_strings_are_length_delimited() {
         // Zero padding of the last word must not make these equal.

@@ -20,15 +20,14 @@
 //!   [`scenario::Scenario`] spec (site count, protocol, weighted workload
 //!   mix, fault-event timeline) lowered onto the cycle engine by
 //!   [`scenario::ScenarioEngine`]; the Clearinghouse and
-//!   death-certificate demonstrations are bundled `.scenario` files;
-//! * [`steady`] — steady-state anti-entropy under continuous updates: the
-//!   §1.3 checksum/recent-list window trade-off;
+//!   death-certificate demonstrations and §2's site churn are bundled
+//!   `.scenario` files;
+//! * [`steady`] — the one steady-state driver: anti-entropy or rumor
+//!   mongering under continuous updates, on uniform partners or a
+//!   topology (§1.3's checksum/recent-list window, §3.1's distributions in
+//!   steady state, §1.4's push-vs-pull update-rate trade-off);
 //! * [`event`] — a discrete-event, per-site-timer driver ablating the
 //!   synchronous-cycle assumption;
-//! * [`failures`] — spatial anti-entropy under site churn (§2's
-//!   hours-to-days downtime);
-//! * [`rumor_steady`] — continuous-update rumor mongering: §1.4's
-//!   push-vs-pull update-rate trade-off;
 //! * [`engine`] — the shared cycle engine all of the above drive:
 //!   pluggable [`engine::EpidemicProtocol`] contacts, uniform or spatial
 //!   [`engine::PartnerPolicy`] partner selection, and [`engine::Observer`]
@@ -65,15 +64,12 @@
 pub mod bitset;
 pub mod engine;
 pub mod event;
-pub mod failures;
 pub mod megascale;
 pub mod mixing;
-pub mod rumor_steady;
 pub mod runner;
 pub mod scenario;
 pub mod spatial_ae;
 pub mod spatial_rumor;
-pub mod spatial_steady;
 pub mod stats;
 pub mod steady;
 mod util;

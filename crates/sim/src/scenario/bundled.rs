@@ -3,12 +3,12 @@
 //! Four re-express the historical drivers (§1.5's Clearinghouse, §2.3's
 //! dormant death certificates, a partition that heals and a crash during
 //! a rumor); their callers run them as specs, editing fields for their
-//! variants. The rest are new runs only expressible declaratively: the
-//! failures.rs churn model on a grid, a flash crowd under lossy links,
-//! and churn across a partition heal. `repro fig-scenarios` sweeps all of
-//! them.
+//! variants. The rest are new runs only expressible declaratively: §2's
+//! site churn on a grid (which `ablation-churn` edits and runs on the
+//! CIN), a flash crowd under lossy links, and churn across a partition
+//! heal. `repro fig-scenarios` sweeps all of them.
 
-use super::spec::Scenario;
+use super::spec::{FaultKind, Scenario, TopologySpec};
 
 /// Name → source text of every bundled scenario, in sweep order.
 pub const SOURCES: &[(&str, &str)] = &[
@@ -58,13 +58,36 @@ pub fn by_name(name: &str) -> Option<Scenario> {
         .map(|(n, text)| Scenario::parse(text).unwrap_or_else(|e| panic!("bundled {n}: {e}")))
 }
 
+/// The bundled `churn` spec on `sites` sites under the per-cycle churn
+/// rates `fail` and `recover`, its update at a random site: §2's churn
+/// ablation, for [`ScenarioEngine::run_with_policy`] on a topology's own
+/// sampler, which stands in for the spec's grid (dropped here).
+///
+/// [`ScenarioEngine::run_with_policy`]: super::ScenarioEngine::run_with_policy
+pub fn churn(sites: usize, fail: f64, recover: f64) -> Scenario {
+    let mut spec = by_name("churn").expect("bundled");
+    spec.sites = sites;
+    spec.topology = TopologySpec::Uniform;
+    for event in &mut spec.events {
+        match &mut event.kind {
+            FaultKind::Update { site, .. } => *site = None,
+            FaultKind::Churn {
+                fail: f,
+                recover: r,
+            } => (*f, *r) = (fail, recover),
+            _ => {}
+        }
+    }
+    spec
+}
+
 #[cfg(test)]
 mod tests {
     use epidemic_core::rumor::Removal;
     use epidemic_core::MailConfig;
 
     use super::*;
-    use crate::scenario::{AntiEntropySpec, FaultKind, ScenarioEngine, ScenarioReport, SiteSet};
+    use crate::scenario::{AntiEntropySpec, ScenarioEngine, ScenarioReport, SiteSet};
 
     fn run(spec: Scenario, seed: u64) -> ScenarioReport {
         ScenarioEngine::new(spec)
@@ -181,6 +204,40 @@ mod tests {
                 "no active certificates should remain after τ₁"
             );
         }
+    }
+
+    /// The bundled `churn` scenario: a third of the fleet is down at any
+    /// moment, and distribution still completes (§2's premise for why
+    /// anti-entropy does not stall where snapshot protocols do).
+    #[test]
+    fn anti_entropy_survives_heavy_churn() {
+        let engine = ScenarioEngine::new(by_name("churn").expect("bundled")).expect("valid");
+        for seed in 0..10 {
+            let report = engine.run(seed, &mut ());
+            assert_eq!(report.residue, 0.0, "seed {seed}");
+            // The chain's stationary down fraction, fail / (fail + recover).
+            let down = report.down_fraction;
+            assert!((down - 1.0 / 3.0).abs() < 0.15, "seed {seed}: {down}");
+        }
+    }
+
+    /// Churn slows anti-entropy down but does not stop it; with no churn
+    /// every site stays up.
+    #[test]
+    fn churn_slows_but_does_not_stop_convergence() {
+        let engine = |fail, recover| ScenarioEngine::new(churn(36, fail, recover)).expect("valid");
+        let (quiet, stormy) = (engine(0.0, 1.0), engine(0.2, 0.2));
+        let (mut quiet_t, mut stormy_t) = (0, 0);
+        for seed in 0..10 {
+            let (q, s) = (quiet.run(seed, &mut ()), stormy.run(seed, &mut ()));
+            assert_eq!(
+                [q.residue, q.down_fraction, s.residue],
+                [0.0; 3],
+                "seed {seed}"
+            );
+            (quiet_t, stormy_t) = (quiet_t + q.cycles, stormy_t + s.cycles);
+        }
+        assert!(stormy_t > quiet_t, "stormy {stormy_t} vs quiet {quiet_t}");
     }
 
     /// The bundled `partition` scenario (§1.5: the peel-back ∪ rumor

@@ -85,8 +85,9 @@ pub struct ScenarioReport {
     pub read_misses: u64,
     /// Contacts blocked by a partition cut or link loss.
     pub blocked_contacts: u64,
-    /// Site-cycles spent down (summed over sites and cycles).
-    pub down_site_cycles: u64,
+    /// Fraction of site-cycles spent down: down site-cycles over cycles ×
+    /// sites, 0 when no cycle ran.
+    pub down_fraction: f64,
     /// Dormant death certificates awakened by obsolete incoming data.
     pub awakened: u64,
     /// Entries shipped by anti-entropy exchanges.
@@ -161,43 +162,33 @@ impl ScenarioEngine {
     where
         O: Observer<ScenarioProtocol>,
     {
-        let mut rng = StdRng::seed_from_u64(seed);
-        match self.spec.topology {
+        let (topo, spatial) = match self.spec.topology {
             TopologySpec::Uniform => {
                 let policy = UniformPartners::new(self.spec.sites);
-                self.run_with_policy(&mut rng, &policy, None, observer)
+                return self.run_with_policy(seed, &policy, None, observer);
             }
             TopologySpec::Grid {
                 rows,
                 cols,
                 spatial,
-            } => {
-                let topo = topologies::grid(&[rows, cols]);
-                let routes = Routes::compute(&topo);
-                let sampler = PartnerSampler::new(&topo, &routes, spatial.to_net());
-                let policy = SpatialPartners::new(topo.sites(), &sampler);
-                self.run_with_policy(&mut rng, &policy, Some(topo.sites()), observer)
-            }
-            TopologySpec::Ring { spatial } => {
-                let topo = topologies::ring(self.spec.sites);
-                let routes = Routes::compute(&topo);
-                let sampler = PartnerSampler::new(&topo, &routes, spatial.to_net());
-                let policy = SpatialPartners::new(topo.sites(), &sampler);
-                self.run_with_policy(&mut rng, &policy, Some(topo.sites()), observer)
-            }
-        }
+            } => (topologies::grid(&[rows, cols]), spatial),
+            TopologySpec::Ring { spatial } => (topologies::ring(self.spec.sites), spatial),
+        };
+        let routes = Routes::compute(&topo);
+        let sampler = PartnerSampler::new(&topo, &routes, spatial.to_net());
+        let policy = SpatialPartners::new(topo.sites(), &sampler);
+        self.run_with_policy(seed, &policy, Some(topo.sites()), observer)
     }
 
     /// Runs the scenario against a caller-supplied partner policy and site
-    /// id list, bypassing the spec's `topology` line — the seam the legacy
-    /// churn driver uses to keep its own [`PartnerSampler`] while the
-    /// fault timeline and stop rule come from a spec. `rng` state is
-    /// consumed exactly as [`ScenarioEngine::run`] would after topology
-    /// setup, so a caller that reproduces the setup draws gets identical
-    /// results.
-    pub(crate) fn run_with_policy<L, O>(
+    /// id list (`None` for `0..sites`), bypassing the spec's `topology`
+    /// line: the churn ablation runs the bundled churn spec on the CIN's
+    /// sampler this way. Draws exactly what [`ScenarioEngine::run`] draws
+    /// for the same seed once its policy is built (building one draws
+    /// nothing).
+    pub fn run_with_policy<L, O>(
         &self,
-        rng: &mut StdRng,
+        seed: u64,
         policy: &L,
         site_ids: Option<&[SiteId]>,
         observer: &mut O,
@@ -206,6 +197,7 @@ impl ScenarioEngine {
         L: PartnerPolicy + ?Sized,
         O: Observer<ScenarioProtocol>,
     {
+        let mut rng = StdRng::seed_from_u64(seed);
         let everyone: Vec<SiteId> = match site_ids {
             Some(ids) => ids.to_vec(),
             None => util::site_ids(self.spec.sites).collect(),
@@ -218,11 +210,11 @@ impl ScenarioEngine {
         let mut protocol = ScenarioProtocol::new(&self.spec, everyone);
         // Cycle-0 events fire before the first engine cycle (initial
         // updates, a partition present from the start, churn from cycle 1).
-        protocol.apply_due_events(0, rng);
+        protocol.apply_due_events(0, &mut rng);
         let report = CycleEngine::new().max_cycles(self.spec.max_cycles).run(
             &mut protocol,
             policy,
-            rng,
+            &mut rng,
             observer,
             &mut EngineBuffers::default(),
         );
@@ -654,7 +646,11 @@ impl ScenarioProtocol {
             reads: self.reads,
             read_misses: self.read_misses,
             blocked_contacts: self.blocked_contacts,
-            down_site_cycles: self.down_site_cycles,
+            down_fraction: if report.cycles == 0 {
+                0.0
+            } else {
+                self.down_site_cycles as f64 / (f64::from(report.cycles) * n as f64)
+            },
             awakened: self.awakened,
             ae_sent: self.ae_sent,
             rumor_sent: self.rumor_sent,

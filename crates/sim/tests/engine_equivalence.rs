@@ -22,16 +22,16 @@ use std::fmt::Write as _;
 
 use epidemic_core::{Comparison, Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, LinkTraffic, Spatial};
+use epidemic_net::{PartnerSampler, Routes};
 use epidemic_sim::engine::SirObserver;
+use epidemic_sim::engine::SpatialPartners;
 use epidemic_sim::event::AsyncAntiEntropySim;
-use epidemic_sim::failures::{Churn, ChurnedAntiEntropySim};
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
-use epidemic_sim::rumor_steady::{RumorSteadyArena, RumorSteadyConfig, RumorSteadySim};
 use epidemic_sim::runner::TrialRunner;
+use epidemic_sim::scenario::{bundled, ScenarioEngine};
 use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
 use epidemic_sim::spatial_rumor::SpatialRumorSim;
-use epidemic_sim::spatial_steady::{SpatialSteadyArena, SpatialSteadyConfig, SpatialSteadySim};
-use epidemic_sim::steady::SteadyStateSim;
+use epidemic_sim::steady::{Mechanism, SteadyArena, SteadyConfig, SteadySim};
 
 const FIXTURE: &str = include_str!("fixtures/engine_equivalence.txt");
 
@@ -240,36 +240,38 @@ fn build_fixture() -> String {
         }
     }
 
-    // --- failures::ChurnedAntiEntropySim -------------------------------
-    for (tag, churn) in [
-        (
-            "mild",
-            Churn {
-                fail: 0.05,
-                recover: 0.5,
-            },
-        ),
-        (
-            "harsh",
-            Churn {
-                fail: 0.3,
-                recover: 0.3,
-            },
-        ),
-    ] {
-        let sim = ChurnedAntiEntropySim::new(&grid, Spatial::Uniform, churn);
+    // --- the bundled churn spec on a uniform 4x4 grid -------------------
+    // Printed in the shape of the retired churn driver's result, whose
+    // lines the fixture recorded.
+    let routes = Routes::compute(&grid);
+    let sampler = PartnerSampler::new(&grid, &routes, Spatial::Uniform);
+    let partners = SpatialPartners::new(grid.sites(), &sampler);
+    for (tag, fail, recover) in [("mild", 0.05, 0.5), ("harsh", 0.3, 0.3)] {
+        let spec = bundled::churn(grid.sites().len(), fail, recover);
+        let engine = ScenarioEngine::new(spec).expect("churn spec is valid");
         for seed in 0..3u64 {
-            let r = sim.run(seed, None);
-            writeln!(out, "churn/{tag} seed={seed} => {r:?}").unwrap();
+            let r = engine.run_with_policy(seed, &partners, Some(grid.sites()), &mut ());
+            writeln!(
+                out,
+                "churn/{tag} seed={seed} => ChurnRunResult {{ t_last: {}, complete: {}, \
+                 observed_down_fraction: {:?} }}",
+                r.cycles,
+                r.residue == 0.0,
+                r.down_fraction,
+            )
+            .unwrap();
         }
     }
 
-    // --- steady::SteadyStateSim ----------------------------------------
-    let steady = SteadyStateSim {
-        sites: 24,
+    // --- steady::SteadySim, printed in its three retired drivers' shapes --
+    // One arena through every steady run: a reused arena must print
+    // exactly what fresh replicas did.
+    let mut steady_arena = SteadyArena::new();
+    let window = SteadyConfig {
         updates_per_cycle: 1.0,
         warmup: 5,
         cycles: 10,
+        drain: 0,
     };
     for (tag, comparison) in [
         ("full", Comparison::Full),
@@ -277,49 +279,57 @@ fn build_fixture() -> String {
         ("recent400", Comparison::RecentList { tau: 400 }),
         ("peelback", Comparison::PeelBack),
     ] {
+        let sim = SteadySim::uniform(24, Mechanism::AntiEntropy(comparison), window);
         for seed in 0..2u64 {
-            let r = steady.run(comparison, seed);
-            writeln!(out, "steady/{tag} seed={seed} => {r:?}").unwrap();
+            let r = sim.run(&mut steady_arena, seed);
+            writeln!(
+                out,
+                "steady/{tag} seed={seed} => SteadyStateReport {{ full_compare_rate: {:?}, \
+                 entries_per_exchange: {:?}, scanned_per_exchange: {:?}, final_db_len: {} }}",
+                r.full_compare_rate, r.entries_per_exchange, r.scanned_per_exchange, r.final_db_len,
+            )
+            .unwrap();
         }
     }
 
-    // --- rumor_steady::RumorSteadySim ----------------------------------
-    // One arena through every configuration: a reused arena must print
-    // exactly what fresh replicas did.
-    let mut rumor_arena = RumorSteadyArena::new();
+    let drained = SteadyConfig {
+        updates_per_cycle: 0.5,
+        warmup: 0,
+        cycles: 10,
+        drain: 20,
+    };
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
-        let sim = RumorSteadySim::new(
-            cfg,
-            RumorSteadyConfig {
-                sites: 24,
-                updates_per_cycle: 0.5,
-                inject_cycles: 10,
-                drain_cycles: 20,
-            },
-        );
+        let sim = SteadySim::uniform(24, Mechanism::Rumor(cfg), drained);
         for seed in 0..2u64 {
-            let r = sim.run(&mut rumor_arena, seed);
-            writeln!(out, "rumor-steady/{direction:?} seed={seed} => {r:?}").unwrap();
+            let r = sim.run(&mut steady_arena, seed);
+            writeln!(
+                out,
+                "rumor-steady/{direction:?} seed={seed} => RumorSteadyReport {{ injected: {}, \
+                 coverage: {:?}, messages_per_delivery: {:?}, fruitless_per_cycle: {:?}, \
+                 contacts_per_cycle: {:?} }}",
+                r.injected,
+                r.coverage,
+                r.messages_per_delivery,
+                r.fruitless_per_cycle,
+                r.contacts_per_cycle,
+            )
+            .unwrap();
         }
     }
 
-    // --- spatial_steady::SpatialSteadySim ------------------------------
-    let mut steady_arena = SpatialSteadyArena::new();
+    let measured = SteadyConfig {
+        updates_per_cycle: 1.0,
+        warmup: 4,
+        cycles: 8,
+        drain: 0,
+    };
     for (sp_tag, spatial) in [
         ("uniform", Spatial::Uniform),
         ("qs15", Spatial::QsPower { a: 1.5 }),
     ] {
-        let sim = SpatialSteadySim::new(
-            &ring,
-            spatial,
-            SpatialSteadyConfig {
-                updates_per_cycle: 1.0,
-                comparison: Comparison::RecentList { tau: 400 },
-                warmup: 4,
-                cycles: 8,
-            },
-        );
+        let recent = Mechanism::AntiEntropy(Comparison::RecentList { tau: 400 });
+        let sim = SteadySim::spatial(&ring, spatial, recent, measured);
         for seed in 0..2u64 {
             let r = sim.run(&mut steady_arena, seed);
             writeln!(

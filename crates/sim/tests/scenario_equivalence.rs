@@ -2,12 +2,14 @@
 //!
 //! Two families:
 //!
-//! * **Churn delegation is RNG-identical.** `ChurnedAntiEntropySim::run`
-//!   now lowers through `ScenarioEngine`; this file carries a verbatim
-//!   copy of the hand-rolled protocol it replaced and asserts the full
-//!   `ChurnRunResult` (t_last, completeness, observed down fraction) is
-//!   *exactly* equal across seeds and churn regimes — the legacy-field
-//!   regression test for the stats rerouting.
+//! * **The churn spec is the churn driver, RNG-identically.** The bundled
+//!   `churn` spec with a random origin and the caller's churn rates
+//!   (`bundled::churn`), run
+//!   through `ScenarioEngine::run_with_policy` on a topology's sampler (as
+//!   `ablation-churn` runs it on the CIN), is checked against a verbatim
+//!   copy of the hand-rolled protocol it replaced: t_last, completeness
+//!   and the observed down fraction are *exactly* equal across seeds and
+//!   churn regimes.
 //!
 //! * **An empty fault timeline is the plain engine.** A scenario whose
 //!   only event is the cycle-0 injection, running one rumor protocol,
@@ -20,9 +22,8 @@ use epidemic_net::{topologies, PartnerSampler, Routes, Spatial, Topology};
 use epidemic_sim::engine::{
     ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, SpatialPartners,
 };
-use epidemic_sim::failures::{Churn, ChurnRunResult, ChurnedAntiEntropySim};
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
-use epidemic_sim::scenario::{FaultEvent, FaultKind, Scenario, ScenarioEngine, StopRule};
+use epidemic_sim::scenario::{bundled, FaultEvent, FaultKind, Scenario, ScenarioEngine, StopRule};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
@@ -32,6 +33,21 @@ use rand::{RngExt, SeedableRng};
 // ---------------------------------------------------------------------------
 
 const KEY: u32 = 0;
+
+/// Per-cycle transition probabilities of each site's up/down chain.
+#[derive(Debug, Clone, Copy)]
+struct Churn {
+    fail: f64,
+    recover: f64,
+}
+
+/// What a churn run is judged by.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ChurnRunResult {
+    t_last: u32,
+    complete: bool,
+    observed_down_fraction: f64,
+}
 
 fn pair_mut<T>(slice: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
     assert!(i != j);
@@ -182,10 +198,19 @@ fn scenario_lowering_matches_legacy_churn_driver_exactly() {
         ),
     ];
     for (topo, spatial, churn) in cases {
-        let sim = ChurnedAntiEntropySim::new(&topo, spatial, churn);
+        let routes = Routes::compute(&topo);
+        let sampler = PartnerSampler::new(&topo, &routes, spatial);
+        let partners = SpatialPartners::new(topo.sites(), &sampler);
+        let spec = bundled::churn(topo.sites().len(), churn.fail, churn.recover);
+        let engine = ScenarioEngine::new(spec).expect("valid");
         for seed in 0..8 {
             let legacy = legacy_churn_run(&topo, spatial, churn, seed);
-            let new = sim.run(seed, None);
+            let r = engine.run_with_policy(seed, &partners, Some(topo.sites()), &mut ());
+            let new = ChurnRunResult {
+                t_last: r.cycles,
+                complete: r.residue == 0.0,
+                observed_down_fraction: r.down_fraction,
+            };
             assert_eq!(
                 new, legacy,
                 "churn lowering diverged (seed {seed}, {churn:?})"
