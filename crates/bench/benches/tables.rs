@@ -14,7 +14,7 @@ use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::topologies::{cin, CinConfig};
 use epidemic_net::Spatial;
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
-use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
+use epidemic_sim::spatial::{SpatialArena, SpatialSim};
 
 const N: usize = registry::N;
 
@@ -69,7 +69,7 @@ fn bench_spatial_tables(c: &mut Criterion) {
     let net = cin(&CinConfig::default());
     for (name, limit) in [("table4/one_run_a2", None), ("table5/one_run_a2", Some(1))] {
         let sim =
-            AntiEntropySim::new(&net.topology, Spatial::QsPower { a: 2.0 }).connection_limit(limit);
+            SpatialSim::new(&net.topology, Spatial::QsPower { a: 2.0 }).connection_limit(limit);
         let mut arena = SpatialArena::new();
         c.bench_function(name, |b| {
             let mut seed = 0;

@@ -16,6 +16,7 @@
 //!   count. PATH may be omitted only with `all`: the default,
 //!   `BENCH_repro.json`, is the committed baseline of the whole suite.
 
+use std::collections::HashSet;
 use std::io::Write;
 
 use epidemic_bench::registry::{self, Experiment};
@@ -242,6 +243,10 @@ fn main() {
             unknown(&format!("--only {selector} matches no experiment"));
         }
     }
+    // An experiment selected twice — by name and by prefix, or by two
+    // selectors — runs once, where it was first selected.
+    let mut seen = HashSet::new();
+    selection.retain(|experiment| seen.insert(&experiment.name));
     if timings_path.is_some() {
         profile::enable();
     }

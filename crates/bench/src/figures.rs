@@ -8,6 +8,8 @@
 //! trial count; every trial loop here runs on `ctx.runner` for
 //! `ctx.trials` trials.
 
+use std::borrow::Cow;
+
 use epidemic_analysis::{
     mean_line_traffic, pull_cycles_until, push_epidemic_time, residue_from_traffic, RumorOde,
 };
@@ -20,8 +22,7 @@ use epidemic_sim::engine::{SirObserver, SpatialPartners};
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::runner::Arenas;
 use epidemic_sim::scenario::{bundled, AntiEntropySpec, FaultKind, ScenarioEngine};
-use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
-use epidemic_sim::spatial_rumor::{failure_probability, minimum_k, SpatialRumorSim};
+use epidemic_sim::spatial::{failure_probability, minimum_k, SpatialArena, SpatialSim};
 use epidemic_sim::steady::{Mechanism, SteadyArena, SteadyConfig, SteadySim};
 
 use crate::registry::{Ctx, Output};
@@ -216,19 +217,24 @@ pub(crate) fn line_traffic_table() -> FigTable {
 pub(crate) fn figure1_table(ctx: &Ctx<'_>) -> FigTable {
     let topo = topologies::figure1(30);
     let s = topo.node_by_label("s").expect("site s exists");
+    let routes = Routes::compute(&topo);
+    let qs2 = PartnerSampler::new(&topo, &routes, Spatial::QsPower { a: 2.0 });
+    let uniform = PartnerSampler::new(&topo, &routes, Spatial::Uniform);
     let arenas = Arenas::default();
     let rows = (1..=6u32)
         .map(|k| {
-            let fails = |spatial, direction| {
+            let fails = |sampler: &PartnerSampler, direction| {
                 let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k });
-                let sim = SpatialRumorSim::new(&topo, spatial, cfg).origin(s);
+                let sim = SpatialSim::with_routes(&topo, Cow::Borrowed(&routes), sampler)
+                    .rumor(cfg)
+                    .origin(s);
                 failure_probability(ctx.runner, &arenas, &sim, ctx.trials)
             };
             vec![
                 k.to_string(),
-                fmt(fails(Spatial::QsPower { a: 2.0 }, Direction::Push)),
-                fmt(fails(Spatial::QsPower { a: 2.0 }, Direction::Pull)),
-                fmt(fails(Spatial::Uniform, Direction::Push)),
+                fmt(fails(&qs2, Direction::Push)),
+                fmt(fails(&qs2, Direction::Pull)),
+                fmt(fails(&uniform, Direction::Push)),
             ]
         })
         .collect();
@@ -247,12 +253,15 @@ pub(crate) fn figure2_table(ctx: &Ctx<'_>) -> FigTable {
     let s = topo.node_by_label("s").expect("site s exists");
     // A run's receive log is indexed by position in the site list.
     let s_at = topo.sites().binary_search(&s).expect("site s exists");
-    let qs2 = Spatial::QsPower { a: 2.0 };
+    let routes = Routes::compute(&topo);
+    let qs2 = PartnerSampler::new(&topo, &routes, Spatial::QsPower { a: 2.0 });
     let arenas = Arenas::default();
     let rows = (1..=6u32)
         .map(|k| {
             let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k });
-            let sim = SpatialRumorSim::new(&topo, qs2, cfg).origin(root);
+            let sim = SpatialSim::with_routes(&topo, Cow::Borrowed(&routes), &qs2)
+                .rumor(cfg)
+                .origin(root);
             let [missed_s] = ctx.mean(
                 || arenas.take(),
                 |arena, t| {
@@ -372,6 +381,7 @@ pub fn spatial_rumor_on(
         trials: measure_runs,
         ..*ctx
     };
+    let routes = Routes::compute(&net.topology);
     let arenas = Arenas::default();
     let mut rows = Vec::new();
     for (label, spatial) in distributions.iter().cloned() {
@@ -399,7 +409,9 @@ pub fn spatial_rumor_on(
             removal: Removal::Counter { k },
             ..base
         };
-        let sim = SpatialRumorSim::new(&net.topology, spatial, cfg);
+        let sampler = PartnerSampler::new(&net.topology, &routes, spatial);
+        let sim =
+            SpatialSim::with_routes(&net.topology, Cow::Borrowed(&routes), sampler).rumor(cfg);
         let [t_last, cmp_avg, cmp_bushey, upd_avg] = measure.mean(
             || arenas.take(),
             |arena, seed| {
@@ -650,7 +662,7 @@ pub(crate) fn checksum_window_table() -> FigTable {
 /// Ablation of the synchronous-cycle assumption: the Table 4 experiment
 /// re-run on the event-driven simulator with per-site jittered timers.
 pub(crate) fn async_ablation_table(ctx: &Ctx<'_>) -> FigTable {
-    use epidemic_sim::event::AsyncAntiEntropySim;
+    use epidemic_sim::event::AsyncSpatialSim;
     let net = cin(&CinConfig::default());
     let arenas = Arenas::default();
     let mut rows = Vec::new();
@@ -658,8 +670,8 @@ pub(crate) fn async_ablation_table(ctx: &Ctx<'_>) -> FigTable {
         ("uniform".to_string(), Spatial::Uniform),
         ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
-        let sync = AntiEntropySim::new(&net.topology, spatial);
-        let asynchronous = AsyncAntiEntropySim::new(&net.topology, spatial, 0.3);
+        let sync = SpatialSim::new(&net.topology, spatial);
+        let asynchronous = AsyncSpatialSim::new(&net.topology, spatial, 0.3);
         let means = ctx.mean(
             || arenas.take(),
             |arena, seed| {
@@ -693,7 +705,7 @@ pub(crate) fn async_ablation_table(ctx: &Ctx<'_>) -> FigTable {
 fn convergence_and_load<S: PartnerSelection + Sync>(
     ctx: &Ctx<'_>,
     arenas: &Arenas<SpatialArena>,
-    sim: &AntiEntropySim<'_, S>,
+    sim: &SpatialSim<'_, S>,
     offset: u64,
     link: LinkId,
 ) -> [f64; 3] {
@@ -723,7 +735,7 @@ pub(crate) fn hierarchy_table(ctx: &Ctx<'_>) -> FigTable {
         ("uniform".to_string(), Spatial::Uniform),
         ("flat a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
-        let sim = AntiEntropySim::new(&net.topology, spatial);
+        let sim = SpatialSim::new(&net.topology, spatial);
         let means = convergence_and_load(ctx, &arenas, &sim, 13, net.bushey_link);
         rows.push(labelled(label, means));
     }
@@ -735,7 +747,7 @@ pub(crate) fn hierarchy_table(ctx: &Ctx<'_>) -> FigTable {
             long_range,
             Spatial::QsPower { a: 2.0 },
         );
-        let sim = AntiEntropySim::with_selection(&net.topology, sampler);
+        let sim = SpatialSim::with_selection(&net.topology, sampler);
         let means = convergence_and_load(ctx, &arenas, &sim, 13, net.bushey_link);
         rows.push(labelled(
             format!("hierarchy r={reps} p={long_range}"),
@@ -870,7 +882,7 @@ pub(crate) fn weighted_cin_table(ctx: &Ctx<'_>) -> FigTable {
             transatlantic_cost: cost,
             ..CinConfig::default()
         });
-        let sim = AntiEntropySim::new(&net.topology, Spatial::QsPower { a: 2.0 });
+        let sim = SpatialSim::new(&net.topology, Spatial::QsPower { a: 2.0 });
         let means = convergence_and_load(ctx, &arenas, &sim, 47, net.bushey_link);
         rows.push(labelled(cost.to_string(), means));
     }
@@ -995,7 +1007,7 @@ pub(crate) fn topology_robustness_table(ctx: &Ctx<'_>) -> FigTable {
     for (label, topo) in &topos {
         let mut cells = vec![label.to_string()];
         for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
-            let sim = AntiEntropySim::new(topo, spatial);
+            let sim = SpatialSim::new(topo, spatial);
             let means = ctx.mean(
                 || arenas.take(),
                 |arena, seed| {

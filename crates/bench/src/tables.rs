@@ -7,7 +7,7 @@ use epidemic_net::topologies::{cin, Cin, CinConfig};
 use epidemic_net::{PartnerSampler, Routes, Spatial};
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::runner::Arenas;
-use epidemic_sim::spatial_ae::AntiEntropySim;
+use epidemic_sim::spatial::SpatialSim;
 
 use crate::registry::{Ctx, Output};
 use crate::render::{labelled, FigTable};
@@ -173,7 +173,7 @@ pub fn table45_on(ctx: &Ctx<'_>, net: &Cin, title: &str, connection_limit: Optio
         .chain(powers)
         .map(|(label, spatial)| {
             let sampler = PartnerSampler::new(&net.topology, &routes, spatial);
-            let sim = AntiEntropySim::with_routes(&net.topology, Cow::Borrowed(&routes), sampler)
+            let sim = SpatialSim::with_routes(&net.topology, Cow::Borrowed(&routes), sampler)
                 .connection_limit(connection_limit);
             let (means, seen) = ctx.mean_seen(
                 || arenas.take(),

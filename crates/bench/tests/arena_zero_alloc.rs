@@ -24,8 +24,7 @@ use epidemic_core::{Comparison, Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::topologies::{cin, CinConfig};
 use epidemic_net::Spatial;
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
-use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
-use epidemic_sim::spatial_rumor::SpatialRumorSim;
+use epidemic_sim::spatial::{SpatialArena, SpatialSim};
 use epidemic_sim::steady::{Mechanism, SteadyArena, SteadyConfig, SteadySim};
 
 #[global_allocator]
@@ -111,18 +110,15 @@ fn counter(direction: Direction, k: u32) -> RumorConfig {
 }
 
 /// `table5`'s and `fig-spatial-rumor`'s trials on the CIN, one arena for
-/// both drivers: anti-entropy under `a = 2.0` with connection limit 1,
+/// both mechanisms: anti-entropy under `a = 2.0` with connection limit 1,
 /// and push-pull rumor mongering.
 fn spatial_trials() {
     let net = cin(&CinConfig::default());
     let mut arena = SpatialArena::new();
     let anti_entropy =
-        AntiEntropySim::new(&net.topology, Spatial::QsPower { a: 2.0 }).connection_limit(Some(1));
-    let rumor = SpatialRumorSim::new(
-        &net.topology,
-        Spatial::QsPower { a: 2.0 },
-        counter(Direction::PushPull, 8),
-    );
+        SpatialSim::new(&net.topology, Spatial::QsPower { a: 2.0 }).connection_limit(Some(1));
+    let rumor = SpatialSim::new(&net.topology, Spatial::QsPower { a: 2.0 })
+        .rumor(counter(Direction::PushPull, 8));
     // Warm-up: anti-entropy reaches every site, so every replica has held
     // the update, and a few rumor runs size the rumor scratch.
     for seed in 0..4 {

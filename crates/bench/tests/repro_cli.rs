@@ -64,6 +64,28 @@ fn unknown_experiment_exits_nonzero_and_lists_names() {
 }
 
 #[test]
+fn an_experiment_selected_twice_runs_once() {
+    let once = scratch("selected-once");
+    let twice = scratch("selected-twice");
+    let run = |dir: &PathBuf, extra: &[&str]| {
+        let json = dir.to_str().unwrap();
+        let out = repro(&[&["--trials", "1", "--json", json, "table1"][..], extra].concat());
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let manifest =
+            std::fs::read_to_string(dir.join("manifest.json")).expect("manifest.json written");
+        (String::from_utf8(out.stdout).expect("utf-8"), manifest)
+    };
+    let (stdout, manifest) = run(&once, &[]);
+    assert_eq!(run(&twice, &["--only", "table1"]), (stdout, manifest));
+    let _ = std::fs::remove_dir_all(&once);
+    let _ = std::fs::remove_dir_all(&twice);
+}
+
+#[test]
 fn trials_says_where_it_does_not_reach() {
     let out = repro(&["--trials", "3", "fig-line-traffic", "table1"]);
     assert!(out.status.success());

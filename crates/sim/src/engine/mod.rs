@@ -33,7 +33,7 @@ pub mod protocols;
 pub mod trace;
 
 pub use active::{ActiveCycleEngine, ActiveSetProtocol};
-pub use observer::{Observer, SirCounts, SirObserver, SirView};
+pub use observer::{Observer, SirObserver, SirView};
 pub use partner::{PartnerPolicy, SpatialPartners, UniformPartners};
 pub(crate) use protocols::UpdateInjector;
 pub use protocols::{ReceiveLog, RouteRecorder};

@@ -5,6 +5,8 @@
 //! instead of being compiled into each driver. The no-op observer
 //! is the unit type `()`, which compiles away entirely.
 
+use epidemic_trace::Sir;
+
 use super::ContactStats;
 
 /// Hooks invoked by [`CycleEngine::run`](super::CycleEngine::run).
@@ -77,44 +79,10 @@ impl<P: ?Sized, A: Observer<P>, B: Observer<P>, C: Observer<P>> Observer<P> for 
     }
 }
 
-/// Homogeneous fan-out: every observer in the vector sees every event, in
-/// vector order. For a dynamic observer count (tuples cover the static
-/// case).
-impl<P: ?Sized, O: Observer<P>> Observer<P> for Vec<O> {
-    fn on_run_start(&mut self, protocol: &P) {
-        for obs in self.iter_mut() {
-            obs.on_run_start(protocol);
-        }
-    }
-    fn on_contact(&mut self, cycle: u32, i: usize, j: usize, stats: &ContactStats) {
-        for obs in self.iter_mut() {
-            obs.on_contact(cycle, i, j, stats);
-        }
-    }
-    fn on_cycle_end(&mut self, cycle: u32, protocol: &P) {
-        for obs in self.iter_mut() {
-            obs.on_cycle_end(cycle, protocol);
-        }
-    }
-}
-
-/// Susceptible / infective / removed counts at one instant, as site
-/// counts. Protocols that model a single spreading update expose these via
-/// [`SirView`] so the same trace observer serves them all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SirCounts {
-    /// Sites that have not received the update.
-    pub susceptible: usize,
-    /// Sites actively spreading the update.
-    pub infective: usize,
-    /// Sites that hold the update but no longer spread it.
-    pub removed: usize,
-}
-
 /// A protocol whose state projects onto the §1.4 SIR compartments.
 pub trait SirView {
     /// Current susceptible/infective/removed site counts.
-    fn sir_counts(&self) -> SirCounts;
+    fn sir_counts(&self) -> Sir;
 }
 
 /// Records the `(s, i, r)` fraction trajectory of a run — point 0 is the
@@ -133,7 +101,7 @@ impl SirObserver {
     }
 
     fn record<P: SirView>(&mut self, protocol: &P) {
-        let SirCounts {
+        let Sir {
             susceptible,
             infective,
             removed,
@@ -161,9 +129,9 @@ impl<P: SirView> Observer<P> for SirObserver {
 mod tests {
     use super::*;
 
-    struct Fixed(SirCounts);
+    struct Fixed(Sir);
     impl SirView for Fixed {
-        fn sir_counts(&self) -> SirCounts {
+        fn sir_counts(&self) -> Sir {
             self.0
         }
     }
@@ -218,11 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn vec_and_mut_ref_observers_compose() {
-        let mut many = vec![Counting::default(), Counting::default()];
-        drive(&mut many);
-        assert!(many.iter().all(|c| c.starts == 1 && c.contacts == 2));
-
+    fn mut_ref_observers_compose() {
         // A `&mut` observer can be composed without giving up ownership.
         let mut keep = Counting::default();
         let mut pair = (&mut keep, Counting::default());
@@ -232,7 +196,7 @@ mod tests {
 
     #[test]
     fn sir_observer_records_fractions_that_sum_to_one() {
-        let state = Fixed(SirCounts {
+        let state = Fixed(Sir {
             susceptible: 6,
             infective: 1,
             removed: 3,

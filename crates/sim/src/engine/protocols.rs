@@ -18,10 +18,11 @@ use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
 use epidemic_core::{Direction, Feedback, Removal, Replica};
 use epidemic_db::{OfferOutcome, SiteId};
 use epidemic_net::{LinkTraffic, Routes};
+use epidemic_trace::Sir;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use super::{ContactStats, EpidemicProtocol, Roster, SirCounts, SirView};
+use super::{ContactStats, EpidemicProtocol, Roster, SirView};
 use crate::bitset::BitSet;
 use crate::util::{pair_mut, reset_replicas, site_ids};
 
@@ -136,7 +137,8 @@ impl<T: Copy + Into<u64>> ReceiveLog<T> {
     }
 
     /// Mean receive time over *all* sites, charging `fallback` to sites
-    /// that never received the update — the spatial drivers' convention.
+    /// that never received the update — the event-driven driver's
+    /// convention.
     pub fn t_ave_all(&self, fallback: T) -> f64 {
         let n = self.times.len();
         let sum: u64 = self
@@ -527,10 +529,10 @@ impl EpidemicProtocol for MixingProtocol {
 }
 
 impl SirView for MixingProtocol {
-    fn sir_counts(&self) -> SirCounts {
+    fn sir_counts(&self) -> Sir {
         let infective = self.state.active.count_ones();
         let have = self.state.received.received_count();
-        SirCounts {
+        Sir {
             susceptible: self.state.sites.len() - have,
             infective,
             removed: have - infective,
@@ -613,10 +615,10 @@ impl EpidemicProtocol for BitAntiEntropyProtocol {
 }
 
 impl SirView for BitAntiEntropyProtocol {
-    fn sir_counts(&self) -> SirCounts {
+    fn sir_counts(&self) -> Sir {
         // Anti-entropy has no removal: every informed site keeps resolving
         // differences forever, so the removed compartment is always empty.
-        SirCounts {
+        Sir {
             susceptible: self.site_count() - self.count,
             infective: self.count,
             removed: 0,
@@ -705,7 +707,7 @@ mod tests {
             have += usize::from(holds);
             infective += usize::from(hot);
         }
-        let probed = SirCounts {
+        let probed = Sir {
             susceptible: state.sites.len() - have,
             infective,
             removed: have - infective,
@@ -842,7 +844,7 @@ mod tests {
         assert_eq!(rec.compare.total(), 4);
         assert_eq!(rec.update.total(), 6);
         // Spatial is imported to prove the recorder composes with any
-        // sampler-driven run (the spatial drivers construct both).
+        // sampler-driven run (the spatial driver constructs both).
         let _ = Spatial::Uniform;
     }
 

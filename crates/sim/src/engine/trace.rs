@@ -26,15 +26,13 @@
 //! ```
 
 use epidemic_trace::{
-    AggregatingSink, InvariantChecker, RunAggregate, RunTracer, Sir, TraceConfig, TraceTotals,
-    Violation,
+    AggregatingSink, InvariantChecker, RunAggregate, RunTracer, TraceConfig, TraceTotals, Violation,
 };
 
-use super::observer::{Observer, SirCounts, SirView};
+use super::observer::{Observer, SirView};
 use super::protocols::{BitAntiEntropyProtocol, MixingProtocol};
 use super::ContactStats;
-use crate::spatial_ae::SpatialAntiEntropyProtocol;
-use crate::spatial_rumor::SpatialRumorProtocol;
+use crate::spatial::SpatialProtocol;
 
 /// A protocol whose state can be traced: SIR counts plus a stable
 /// per-site database digest.
@@ -47,19 +45,6 @@ use crate::spatial_rumor::SpatialRumorProtocol;
 pub trait TraceView: SirView {
     /// Appends one digest per site to `out` (site order).
     fn site_digests(&self, out: &mut Vec<u64>);
-}
-
-fn sir_of<P: SirView + ?Sized>(protocol: &P) -> Sir {
-    let SirCounts {
-        susceptible,
-        infective,
-        removed,
-    } = protocol.sir_counts();
-    Sir {
-        susceptible,
-        infective,
-        removed,
-    }
 }
 
 fn db_digest(replica: &epidemic_core::Replica<u32, u32>) -> u64 {
@@ -79,15 +64,9 @@ impl TraceView for BitAntiEntropyProtocol {
     }
 }
 
-impl TraceView for SpatialAntiEntropyProtocol<'_> {
+impl TraceView for SpatialProtocol<'_> {
     fn site_digests(&self, out: &mut Vec<u64>) {
-        out.extend(self.spread.replicas.iter().map(db_digest));
-    }
-}
-
-impl TraceView for SpatialRumorProtocol<'_> {
-    fn site_digests(&self, out: &mut Vec<u64>) {
-        out.extend(self.spread.replicas.iter().map(db_digest));
+        out.extend(self.replicas.iter().map(db_digest));
     }
 }
 
@@ -126,7 +105,7 @@ impl TraceObserver {
 
 impl<P: SirView + ?Sized> Observer<P> for TraceObserver {
     fn on_run_start(&mut self, protocol: &P) {
-        self.tracer.run_start(sir_of(protocol));
+        self.tracer.run_start(protocol.sir_counts());
     }
 
     fn on_contact(&mut self, cycle: u32, i: usize, j: usize, stats: &ContactStats) {
@@ -140,7 +119,7 @@ impl<P: SirView + ?Sized> Observer<P> for TraceObserver {
     }
 
     fn on_cycle_end(&mut self, cycle: u32, protocol: &P) {
-        self.tracer.cycle(u64::from(cycle), sir_of(protocol));
+        self.tracer.cycle(u64::from(cycle), protocol.sir_counts());
     }
 }
 
@@ -168,7 +147,7 @@ impl AggregateObserver {
 
 impl<P: SirView + ?Sized> Observer<P> for AggregateObserver {
     fn on_run_start(&mut self, protocol: &P) {
-        self.sink.run_start(sir_of(protocol));
+        self.sink.run_start(protocol.sir_counts());
     }
 
     fn on_contact(&mut self, cycle: u32, i: usize, j: usize, stats: &ContactStats) {
@@ -176,7 +155,7 @@ impl<P: SirView + ?Sized> Observer<P> for AggregateObserver {
     }
 
     fn on_cycle_end(&mut self, cycle: u32, protocol: &P) {
-        self.sink.cycle(cycle, sir_of(protocol));
+        self.sink.cycle(cycle, protocol.sir_counts());
     }
 }
 
@@ -215,7 +194,7 @@ impl InvariantObserver {
 
 impl<P: TraceView + ?Sized> Observer<P> for InvariantObserver {
     fn on_run_start(&mut self, protocol: &P) {
-        self.checker.start(sir_of(protocol));
+        self.checker.start(protocol.sir_counts());
     }
 
     fn on_contact(&mut self, cycle: u32, _i: usize, _j: usize, stats: &ContactStats) {
@@ -224,7 +203,7 @@ impl<P: TraceView + ?Sized> Observer<P> for InvariantObserver {
     }
 
     fn on_cycle_end(&mut self, cycle: u32, protocol: &P) {
-        let sir = sir_of(protocol);
+        let sir = protocol.sir_counts();
         // Digests are only needed — and only computed — once coverage is
         // complete, which is when the convergence invariant can fire.
         let digests = if sir.susceptible == 0 {
@@ -242,6 +221,7 @@ impl<P: TraceView + ?Sized> Observer<P> for InvariantObserver {
 mod tests {
     use super::*;
     use crate::engine::{CycleEngine, EngineBuffers, EpidemicProtocol, Roster, UniformPartners};
+    use epidemic_trace::Sir;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -251,8 +231,7 @@ mod tests {
         fn assert_traceable<P: TraceView>() {}
         assert_traceable::<MixingProtocol>();
         assert_traceable::<BitAntiEntropyProtocol>();
-        assert_traceable::<SpatialAntiEntropyProtocol<'static>>();
-        assert_traceable::<SpatialRumorProtocol<'static>>();
+        assert_traceable::<SpatialProtocol<'static>>();
     }
 
     /// A deliberately broken protocol: sites "unhear" the update (the
@@ -288,12 +267,12 @@ mod tests {
     }
 
     impl SirView for Flapping {
-        fn sir_counts(&self) -> SirCounts {
+        fn sir_counts(&self) -> Sir {
             // Susceptible oscillates: 2 fewer on odd cycles, back up on
             // even ones — infections appear without useful traffic and
             // un-happen later.
             let infected = if self.cycle % 2 == 1 { 3 } else { 1 };
-            SirCounts {
+            Sir {
                 susceptible: self.n - infected,
                 infective: infected,
                 removed: 0,

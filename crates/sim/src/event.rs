@@ -22,7 +22,7 @@ use rand::{RngExt, SeedableRng};
 use crate::engine::{PartnerPolicy, ReceiveLog, RouteRecorder, SpatialPartners};
 
 /// Time in microticks; one nominal anti-entropy period is
-/// [`AsyncAntiEntropySim::PERIOD`] microticks.
+/// [`AsyncSpatialSim::PERIOD`] microticks.
 pub(crate) type Micros = u64;
 
 /// Result of one asynchronous run.
@@ -48,15 +48,15 @@ pub struct AsyncRunResult {
 ///
 /// ```
 /// use epidemic_net::{topologies, Spatial};
-/// use epidemic_sim::event::AsyncAntiEntropySim;
+/// use epidemic_sim::event::AsyncSpatialSim;
 ///
 /// let topo = topologies::ring(16);
-/// let sim = AsyncAntiEntropySim::new(&topo, Spatial::Uniform, 0.2);
+/// let sim = AsyncSpatialSim::new(&topo, Spatial::Uniform, 0.2);
 /// let r = sim.run(3, None);
 /// assert!(r.t_last > 0.0);
 /// ```
 #[derive(Debug)]
-pub struct AsyncAntiEntropySim<'a> {
+pub struct AsyncSpatialSim<'a> {
     topology: &'a Topology,
     routes: Routes,
     sampler: PartnerSampler,
@@ -66,7 +66,7 @@ pub struct AsyncAntiEntropySim<'a> {
 
 const KEY: u32 = 0;
 
-impl<'a> AsyncAntiEntropySim<'a> {
+impl<'a> AsyncSpatialSim<'a> {
     /// Nominal anti-entropy period in microticks.
     pub(crate) const PERIOD: Micros = 1_000;
 
@@ -80,7 +80,7 @@ impl<'a> AsyncAntiEntropySim<'a> {
         assert!((0.0..1.0).contains(&jitter), "jitter must be in [0, 1)");
         let routes = Routes::compute(topology);
         let sampler = PartnerSampler::new(topology, &routes, spatial);
-        AsyncAntiEntropySim {
+        AsyncSpatialSim {
             topology,
             routes,
             sampler,
@@ -161,13 +161,13 @@ impl<'a> AsyncAntiEntropySim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spatial_ae::{AntiEntropySim, SpatialArena};
+    use crate::spatial::{SpatialArena, SpatialSim};
     use epidemic_net::topologies;
 
     #[test]
     fn converges_and_accounts_traffic() {
         let topo = topologies::grid(&[5, 5]);
-        let sim = AsyncAntiEntropySim::new(&topo, Spatial::Uniform, 0.2);
+        let sim = AsyncSpatialSim::new(&topo, Spatial::Uniform, 0.2);
         let r = sim.run(1, Some(topo.sites()[0]));
         assert!(r.t_last > 0.0);
         assert!(r.t_ave <= r.t_last);
@@ -180,8 +180,8 @@ mod tests {
         // The ablation claim: measured in periods, asynchronous t_last is
         // within a factor ~1.6 of the synchronous cycle count.
         let topo = topologies::grid(&[6, 6]);
-        let sync = AntiEntropySim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
-        let async_ = AsyncAntiEntropySim::new(&topo, Spatial::Uniform, 0.3);
+        let sync = SpatialSim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
+        let async_ = AsyncSpatialSim::new(&topo, Spatial::Uniform, 0.3);
         let mut arena = SpatialArena::new();
         let trials = 15;
         let mut sync_mean = 0.0;
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn jitter_zero_is_allowed_and_deterministic() {
         let topo = topologies::ring(12);
-        let sim = AsyncAntiEntropySim::new(&topo, Spatial::QsPower { a: 2.0 }, 0.0);
+        let sim = AsyncSpatialSim::new(&topo, Spatial::QsPower { a: 2.0 }, 0.0);
         let a = sim.run(7, None);
         let b = sim.run(7, None);
         assert_eq!(a.exchanges, b.exchanges);
@@ -213,6 +213,6 @@ mod tests {
     #[should_panic(expected = "jitter")]
     fn rejects_out_of_range_jitter() {
         let topo = topologies::ring(6);
-        AsyncAntiEntropySim::new(&topo, Spatial::Uniform, 1.5);
+        AsyncSpatialSim::new(&topo, Spatial::Uniform, 1.5);
     }
 }

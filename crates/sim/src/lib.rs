@@ -8,11 +8,10 @@
 //! * [`mixing`] — uniform complete-mixing rumor epidemics on `n` sites
 //!   (Tables 1–3): residue, traffic `m`, `t_ave`, `t_last`, with connection
 //!   limits and hunting;
-//! * [`spatial_ae`] — anti-entropy on a real topology with spatial partner
-//!   selection and per-link traffic accounting (Tables 4–5);
-//! * [`spatial_rumor`] — rumor mongering on a topology (§3.2), including
-//!   the minimal-`k` search used to match Table 4 and the Figure 1/2
-//!   pathology demonstrations;
+//! * [`spatial`] — one update on a real topology with spatial partner
+//!   selection and per-link traffic accounting, spread by anti-entropy
+//!   (Tables 4–5) or rumor mongering (§3.2, with the minimal-`k` search
+//!   used to match Table 4 and the Figure 1/2 pathology demonstrations);
 //! * [`megascale`] — the single-update rumor epidemic at 10⁴–10⁷ sites on
 //!   uniform and scale-free topologies ([`FastRumorProtocol`] on
 //!   [`engine::ActiveCycleEngine`], the fig-megascale sweep);
@@ -68,8 +67,7 @@ pub mod megascale;
 pub mod mixing;
 pub mod runner;
 pub mod scenario;
-pub mod spatial_ae;
-pub mod spatial_rumor;
+pub mod spatial;
 pub mod stats;
 pub mod steady;
 mod util;
@@ -81,5 +79,5 @@ pub use engine::{
 };
 pub use megascale::{FastDraw, FastRumorProtocol, MegascaleSim};
 pub use mixing::{EpidemicResult, MixingArena, RumorEpidemic};
-pub use spatial_ae::{AntiEntropySim, SpatialArena, SpatialRunResult};
+pub use spatial::{SpatialArena, SpatialRunResult, SpatialSim};
 pub use stats::Summary;

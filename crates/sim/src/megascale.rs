@@ -37,25 +37,24 @@
 //!   sampled in parallel from each contact's private stream, then
 //!   executed sequentially in ascending initiator order.
 //!
-//! The protocol is pinned exactly against [`mod@reference`] (same RNG
-//! contract, naive eager loop over real replicas) by the differential
-//! suites, and statistically (5σ) against the sequential-stream
+//! The protocol is pinned exactly against a naive eager loop over real
+//! replicas with the same RNG contract (the reference in
+//! `crates/sim/tests/megascale_fast_differential.rs`), and statistically
+//! (5σ) against the sequential-stream
 //! [`RumorEpidemic`](crate::mixing::RumorEpidemic) of Tables 1–3, where
 //! the RNG contract legitimately differs.
 
 use epidemic_db::LazyTable;
 use epidemic_net::DegreeGraph;
+use epidemic_trace::Sir;
 use rand::rngs::ContactRng;
 use rand::RngExt;
 
 use crate::bitset::BitSet;
 use crate::engine::{
-    ActiveCycleEngine, ActiveSetProtocol, ContactStats, EngineReport, Observer, SirCounts, SirView,
+    ActiveCycleEngine, ActiveSetProtocol, ContactStats, EngineReport, Observer, SirView,
 };
 use crate::mixing::EpidemicResult;
-
-/// The single key the megascale update spreads under.
-const KEY: u32 = 0;
 
 /// Coin-removal loss rate `k` of the fixed sweep protocol.
 const COIN_K: u32 = 4;
@@ -280,10 +279,10 @@ impl<'a> FastRumorProtocol<'a> {
 }
 
 impl SirView for FastRumorProtocol<'_> {
-    fn sir_counts(&self) -> SirCounts {
+    fn sir_counts(&self) -> Sir {
         let holders = self.has_entry.count_ones();
         let infective = self.hot.count_ones();
-        SirCounts {
+        Sir {
             susceptible: self.has_entry.len() - holders,
             infective,
             removed: holders - infective,
@@ -335,137 +334,12 @@ impl ActiveSetProtocol for FastRumorProtocol<'_> {
     }
 }
 
-pub mod reference {
-    //! The executable specification of the fast path: the same
-    //! counter-RNG, ascending-order asynchronous protocol, run as a
-    //! naive eager loop over real [`Replica`]s with none of the fast
-    //! path's machinery — no active-set iteration, no lazy rows, no
-    //! draw/apply split, no threads. The differential suites pin
-    //! [`FastRumorProtocol`](super::FastRumorProtocol) against this
-    //! module exactly: equal [`EpidemicResult`]s, and a materialized
-    //! [`LazyTable`](epidemic_db::LazyTable) row exactly where this loop
-    //! records a receipt.
-
-    use super::{ContactRng, DegreeGraph, EpidemicResult, RngExt, KEY};
-    use crate::engine::protocols::ReceiveLog;
-    use crate::util::{pair_mut, site_ids};
-    use epidemic_core::Replica;
-
-    /// A finished reference run: the summary plus the per-site receipt
-    /// log the differential suites compare against the fast path's
-    /// materialized table.
-    #[derive(Debug, Clone)]
-    pub struct ReferenceRun {
-        /// Result under the mixing drivers' conventions.
-        pub result: EpidemicResult,
-        /// First-receipt cycle per site (site 0 at cycle 0).
-        pub received: ReceiveLog<u32>,
-    }
-
-    /// Reference run over `n` uniformly mixing sites; see the module
-    /// docs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn run_uniform(n: usize, k: u32, seed: u64) -> ReferenceRun {
-        run(n, k, seed, |i, rng| {
-            let mut j = rng.random_range(0..n - 1);
-            if j >= i {
-                j += 1;
-            }
-            j
-        })
-    }
-
-    /// Reference run over the sites of `graph`; see the module docs.
-    pub fn run_scale_free(graph: &DegreeGraph, k: u32, seed: u64) -> ReferenceRun {
-        run(graph.site_count(), k, seed, |i, rng| {
-            let neighbors = graph.neighbors(i);
-            neighbors[rng.random_range(0..neighbors.len())] as usize
-        })
-    }
-
-    fn run<F: Fn(usize, &mut ContactRng) -> usize>(
-        n: usize,
-        k: u32,
-        seed: u64,
-        partner: F,
-    ) -> ReferenceRun {
-        let mut sites: Vec<Replica<u32, u32>> = site_ids(n).map(Replica::new).collect();
-        sites[0].client_update(KEY, 1);
-        let mut received = ReceiveLog::new(n);
-        received.mark(0, 0);
-
-        let mut hot0 = vec![false; n];
-        let mut cycle = 0u32;
-        let mut sent = 0u64;
-        loop {
-            for (flag, site) in hot0.iter_mut().zip(sites.iter()) {
-                *flag = site.is_infective(&KEY);
-            }
-            if !hot0.contains(&true) || cycle >= 100_000 {
-                break;
-            }
-            cycle += 1;
-            for i in 0..n {
-                if !hot0[i] {
-                    continue;
-                }
-                // The counter-RNG contract: partner first, then the
-                // feedback coin, both drawn unconditionally from the
-                // contact's private (seed, cycle, i) stream.
-                let mut rng = ContactRng::new(seed, u64::from(cycle), i as u64);
-                let j = partner(i, &mut rng);
-                let coin = rng.random_bool(1.0 / f64::from(k.max(1)));
-                sent += 1;
-                let (from, to) = pair_mut(&mut sites, i, j);
-                let entry = from.db().entry(&KEY).expect("hot implies entry");
-                // Asynchronous judgment: useful iff the partner lacks the
-                // entry right now, mid-cycle receipts included.
-                let useful = to.db().entry(&KEY).is_none();
-                to.receive_rumor_ref(&KEY, entry);
-                if useful {
-                    received.mark(j, cycle);
-                } else if coin {
-                    sites[i].hot_mut().remove(&KEY);
-                }
-            }
-        }
-
-        let result = EpidemicResult {
-            n,
-            residue: received.residue(),
-            traffic: sent as f64 / n as f64,
-            t_ave: received.t_ave_received(),
-            t_last: f64::from(received.t_last().unwrap_or(0)),
-            cycles: cycle,
-            complete: received.complete(),
-        };
-        ReferenceRun { result, received }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mixing::{MixingArena, RumorEpidemic};
     use epidemic_core::rumor::RumorConfig;
     use epidemic_core::{Direction, Feedback, Removal};
-
-    #[test]
-    fn fast_path_matches_the_reference_spec_exactly() {
-        let sim = MegascaleSim::uniform(400).workers(1);
-        for seed in [1, 2, 3] {
-            let fast = sim.run(seed, &mut ());
-            let spec = reference::run_uniform(400, 4, seed);
-            assert_eq!(fast, spec.result, "uniform seed={seed}");
-        }
-        let graph = DegreeGraph::scale_free(400, 2, 7);
-        let fast = MegascaleSim::scale_free(&graph).workers(1).run(5, &mut ());
-        let spec = reference::run_scale_free(&graph, 4, 5);
-        assert_eq!(fast, spec.result, "scale-free");
-    }
 
     #[test]
     fn fast_path_is_worker_count_invariant() {

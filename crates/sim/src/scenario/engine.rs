@@ -25,13 +25,14 @@ use epidemic_core::{
 };
 use epidemic_db::{GcPolicy, SiteId};
 use epidemic_net::{topologies, PartnerSampler, Routes};
+use epidemic_trace::Sir;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use super::spec::{FaultEvent, FaultKind, Scenario, SiteSet, SpecError, StopRule, TopologySpec};
 use crate::engine::{
     ContactStats, CycleEngine, EngineBuffers, EngineTotals, EpidemicProtocol, Observer,
-    PartnerPolicy, Roster, SirCounts, SirView, SpatialPartners, UniformPartners, UpdateInjector,
+    PartnerPolicy, Roster, SirView, SpatialPartners, UniformPartners, UpdateInjector,
 };
 use crate::stats::Summary;
 use crate::util::{self, pair_mut};
@@ -829,14 +830,14 @@ impl EpidemicProtocol for ScenarioProtocol {
 }
 
 impl SirView for ScenarioProtocol {
-    fn sir_counts(&self) -> SirCounts {
+    fn sir_counts(&self) -> Sir {
         let n = self.replicas.len();
         let covered = self.covered_count();
         let hot = self.replicas.iter().filter(|r| !r.hot().is_empty()).count();
         // Clamp so the compartments always sum to n even when a hot site
         // does not yet hold every open key (multi-update runs).
         let infective = hot.min(covered);
-        SirCounts {
+        Sir {
             susceptible: n - covered,
             infective,
             removed: covered - infective,

@@ -25,12 +25,11 @@ use epidemic_net::{topologies, LinkTraffic, Spatial};
 use epidemic_net::{PartnerSampler, Routes};
 use epidemic_sim::engine::SirObserver;
 use epidemic_sim::engine::SpatialPartners;
-use epidemic_sim::event::AsyncAntiEntropySim;
+use epidemic_sim::event::AsyncSpatialSim;
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::scenario::{bundled, ScenarioEngine};
-use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
-use epidemic_sim::spatial_rumor::SpatialRumorSim;
+use epidemic_sim::spatial::{SpatialArena, SpatialSim};
 use epidemic_sim::steady::{Mechanism, SteadyArena, SteadyConfig, SteadySim};
 
 const FIXTURE: &str = include_str!("fixtures/engine_equivalence.txt");
@@ -183,8 +182,9 @@ fn build_fixture() -> String {
         }
     }
 
-    // --- spatial_ae::AntiEntropySim ------------------------------------
-    // One arena through both spatial drivers and both topologies.
+    // --- spatial::SpatialSim, anti-entropy -----------------------------
+    // One arena through both mechanisms and both topologies, each printed
+    // in the line shape of the driver that once ran it.
     let mut spatial_arena = SpatialArena::new();
     let grid = topologies::grid(&[4, 4]);
     let ring = topologies::ring(12);
@@ -195,7 +195,7 @@ fn build_fixture() -> String {
         ] {
             for (lim_tag, limit, hunt) in [("nolimit", None, 0u32), ("limit1-hunt2", Some(1), 2u32)]
             {
-                let sim = AntiEntropySim::new(topo, spatial)
+                let sim = SpatialSim::new(topo, spatial)
                     .connection_limit(limit)
                     .hunt_limit(hunt);
                 for seed in 0..3u64 {
@@ -216,10 +216,10 @@ fn build_fixture() -> String {
         }
     }
 
-    // --- spatial_rumor::SpatialRumorSim --------------------------------
+    // --- spatial::SpatialSim, rumor mongering --------------------------
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
-        let sim = SpatialRumorSim::new(&ring, Spatial::QsPower { a: 1.5 }, cfg);
+        let sim = SpatialSim::new(&ring, Spatial::QsPower { a: 1.5 }).rumor(cfg);
         for seed in 0..3u64 {
             let r = sim.run(&mut spatial_arena, seed, &mut ());
             let susceptible: Vec<_> = r.received.unreceived().map(|i| ring.sites()[i]).collect();
@@ -346,8 +346,8 @@ fn build_fixture() -> String {
         }
     }
 
-    // --- event::AsyncAntiEntropySim ------------------------------------
-    let async_ae = AsyncAntiEntropySim::new(&ring, Spatial::QsPower { a: 1.5 }, 0.3);
+    // --- event::AsyncSpatialSim ----------------------------------------
+    let async_ae = AsyncSpatialSim::new(&ring, Spatial::QsPower { a: 1.5 }, 0.3);
     for seed in 0..2u64 {
         let r = async_ae.run(seed, None);
         writeln!(
@@ -468,7 +468,7 @@ proptest! {
     #[test]
     fn spatial_ae_is_deterministic(seed in any::<u64>(), a in 1.0f64..3.0) {
         let topo = topologies::ring(10);
-        let sim = AntiEntropySim::new(&topo, Spatial::QsPower { a });
+        let sim = SpatialSim::new(&topo, Spatial::QsPower { a });
         let (mut xa, mut ya) = (SpatialArena::new(), SpatialArena::new());
         let x = sim.run(&mut xa, seed, &mut ());
         let y = sim.run(&mut ya, seed, &mut ());

@@ -1,14 +1,13 @@
 //! The invariant checker must pass cleanly on every shipped driver —
-//! rumor mongering in all three directions, bit anti-entropy, and both
-//! spatial drivers — and the trace observer composed alongside it must
-//! agree with the driver's own accounting.
+//! rumor mongering in all three directions, bit anti-entropy, and the
+//! spatial driver's two mechanisms — and the trace observer composed
+//! alongside it must agree with the driver's own accounting.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, Spatial};
 use epidemic_sim::engine::trace::{InvariantObserver, TraceObserver};
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
-use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
-use epidemic_sim::spatial_rumor::SpatialRumorSim;
+use epidemic_sim::spatial::{SpatialArena, SpatialSim};
 use epidemic_trace::TraceConfig;
 
 fn rumor_cfg(direction: Direction) -> RumorConfig {
@@ -61,7 +60,7 @@ fn bit_anti_entropy_is_invariant_clean() {
 #[test]
 fn spatial_anti_entropy_is_invariant_clean() {
     let topo = topologies::grid(&[6, 6]);
-    let sim = AntiEntropySim::new(&topo, Spatial::QsPower { a: 1.5 }).origin(topo.sites()[0]);
+    let sim = SpatialSim::new(&topo, Spatial::QsPower { a: 1.5 }).origin(topo.sites()[0]);
     let mut arena = SpatialArena::new();
     for seed in 0..3 {
         let mut check = InvariantObserver::new();
@@ -74,7 +73,8 @@ fn spatial_anti_entropy_is_invariant_clean() {
 #[test]
 fn spatial_rumor_mongering_is_invariant_clean() {
     let topo = topologies::ring(24);
-    let sim = SpatialRumorSim::new(&topo, Spatial::Uniform, rumor_cfg(Direction::PushPull))
+    let sim = SpatialSim::new(&topo, Spatial::Uniform)
+        .rumor(rumor_cfg(Direction::PushPull))
         .origin(topo.sites()[0]);
     let mut arena = SpatialArena::new();
     for seed in 0..3 {

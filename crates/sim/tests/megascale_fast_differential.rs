@@ -3,7 +3,7 @@
 //! `crates/sim/tests/engine_reference_merge.rs`.
 //!
 //! The fast path ([`FastRumorProtocol`] on the [`ActiveCycleEngine`]) and
-//! the naive reference loop ([`megascale::reference`]) implement the same
+//! the naive reference loop ([`reference`], below) implement the same
 //! counter-RNG contract — partner then feedback coin from a private
 //! `(seed, cycle, site)` stream, asynchronous usefulness judgment in
 //! ascending roster order — so they must agree *exactly*, not just
@@ -21,9 +21,117 @@
 use epidemic_db::LazyTable;
 use epidemic_net::DegreeGraph;
 use epidemic_sim::engine::{ActiveCycleEngine, AggregateObserver, ContactStats, Observer};
-use epidemic_sim::megascale::{reference, FastRumorProtocol};
+use epidemic_sim::megascale::FastRumorProtocol;
 use epidemic_sim::EpidemicResult;
 use proptest::prelude::*;
+
+mod reference {
+    //! The executable specification of the fast path: the same
+    //! counter-RNG, ascending-order asynchronous protocol, run as a
+    //! naive eager loop over real [`Replica`]s with none of the fast
+    //! path's machinery — no active-set iteration, no lazy rows, no
+    //! draw/apply split, no threads.
+
+    use epidemic_core::Replica;
+    use epidemic_db::SiteId;
+    use epidemic_net::DegreeGraph;
+    use epidemic_sim::engine::ReceiveLog;
+    use epidemic_sim::EpidemicResult;
+    use rand::rngs::ContactRng;
+    use rand::RngExt;
+
+    const KEY: u32 = 0;
+
+    /// A finished reference run: the summary plus the per-site receipt
+    /// log the fast path's materialized table is compared against.
+    #[derive(Debug, Clone)]
+    pub struct ReferenceRun {
+        /// Result under the mixing drivers' conventions.
+        pub result: EpidemicResult,
+        /// First-receipt cycle per site (site 0 at cycle 0).
+        pub received: ReceiveLog<u32>,
+    }
+
+    /// Reference run over `n` uniformly mixing sites.
+    pub fn run_uniform(n: usize, k: u32, seed: u64) -> ReferenceRun {
+        run(n, k, seed, |i, rng| {
+            let mut j = rng.random_range(0..n - 1);
+            if j >= i {
+                j += 1;
+            }
+            j
+        })
+    }
+
+    /// Reference run over the sites of `graph`.
+    pub fn run_scale_free(graph: &DegreeGraph, k: u32, seed: u64) -> ReferenceRun {
+        run(graph.site_count(), k, seed, |i, rng| {
+            let neighbors = graph.neighbors(i);
+            neighbors[rng.random_range(0..neighbors.len())] as usize
+        })
+    }
+
+    fn run<F: Fn(usize, &mut ContactRng) -> usize>(
+        n: usize,
+        k: u32,
+        seed: u64,
+        partner: F,
+    ) -> ReferenceRun {
+        let mut sites: Vec<Replica<u32, u32>> = (0..n)
+            .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
+            .collect();
+        sites[0].client_update(KEY, 1);
+        let mut received = ReceiveLog::new(n);
+        received.mark(0, 0);
+
+        let mut hot0 = vec![false; n];
+        let mut cycle = 0u32;
+        let mut sent = 0u64;
+        loop {
+            for (flag, site) in hot0.iter_mut().zip(sites.iter()) {
+                *flag = site.is_infective(&KEY);
+            }
+            if !hot0.contains(&true) || cycle >= 100_000 {
+                break;
+            }
+            cycle += 1;
+            for i in 0..n {
+                if !hot0[i] {
+                    continue;
+                }
+                // The counter-RNG contract: partner first, then the
+                // feedback coin, both drawn unconditionally from the
+                // contact's private (seed, cycle, i) stream.
+                let mut rng = ContactRng::new(seed, u64::from(cycle), i as u64);
+                let j = partner(i, &mut rng);
+                let coin = rng.random_bool(1.0 / f64::from(k.max(1)));
+                sent += 1;
+                let [from, to] = sites.get_disjoint_mut([i, j]).expect("two distinct sites");
+                let entry = from.db().entry(&KEY).expect("hot implies entry");
+                // Asynchronous judgment: useful iff the partner lacks the
+                // entry right now, mid-cycle receipts included.
+                let useful = to.db().entry(&KEY).is_none();
+                to.receive_rumor_ref(&KEY, entry);
+                if useful {
+                    received.mark(j, cycle);
+                } else if coin {
+                    sites[i].hot_mut().remove(&KEY);
+                }
+            }
+        }
+
+        let result = EpidemicResult {
+            n,
+            residue: received.residue(),
+            traffic: sent as f64 / n as f64,
+            t_ave: received.t_ave_received(),
+            t_last: f64::from(received.t_last().unwrap_or(0)),
+            cycles: cycle,
+            complete: received.complete(),
+        };
+        ReferenceRun { result, received }
+    }
+}
 
 #[derive(Default, PartialEq, Eq, Debug)]
 struct EventLog {

@@ -15,11 +15,11 @@ use epidemic_core::rumor::{self, RumorConfig};
 use epidemic_core::{Direction, Feedback, Removal, Replica};
 use epidemic_db::SiteId;
 use epidemic_sim::engine::{
-    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, Roster, SirCounts,
-    SirView, TraceObserver, UniformPartners,
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, Roster, SirView,
+    TraceObserver, UniformPartners,
 };
 use epidemic_sim::{EpidemicResult, MixingArena, RumorEpidemic};
-use epidemic_trace::TraceConfig;
+use epidemic_trace::{Sir, TraceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -144,10 +144,10 @@ impl EpidemicProtocol for AlwaysProbe {
 }
 
 impl SirView for AlwaysProbe {
-    fn sir_counts(&self) -> SirCounts {
+    fn sir_counts(&self) -> Sir {
         let have = self.received.received_count();
         let infective = (0..self.sites.len()).filter(|&i| self.is_active(i)).count();
-        SirCounts {
+        Sir {
             susceptible: self.sites.len() - have,
             infective,
             removed: have - infective,

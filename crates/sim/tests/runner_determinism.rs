@@ -8,7 +8,7 @@ use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, LinkTraffic, Spatial};
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::runner::TrialRunner;
-use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
+use epidemic_sim::spatial::{SpatialArena, SpatialSim};
 
 fn full_parallelism() -> usize {
     // At least 4 workers so the fan-out is exercised even on small CI
@@ -66,7 +66,7 @@ fn mixing_table_cell_is_thread_count_invariant() {
 fn spatial_table4_cell_is_thread_count_invariant() {
     // Table 4 cell: push-pull anti-entropy on a grid under Qs^-2.
     let topo = topologies::grid(&[8, 8]);
-    let sim = AntiEntropySim::new(&topo, Spatial::QsPower { a: 2.0 }).origin(topo.sites()[0]);
+    let sim = SpatialSim::new(&topo, Spatial::QsPower { a: 2.0 }).origin(topo.sites()[0]);
     type Cell = (u32, f64, LinkTraffic, LinkTraffic);
     let run = |arena: &mut SpatialArena, seed| -> Cell {
         let r = sim.run(arena, seed, &mut ());

@@ -1,5 +1,5 @@
-//! The known-converged skip in `SpatialAntiEntropyProtocol::contact` against
-//! a protocol that never skips.
+//! The known-converged skip in `SpatialProtocol`'s anti-entropy contact
+//! against a protocol that never skips.
 //!
 //! `AlwaysExchange` below is the contact body as it stood before the skip:
 //! every conversation runs the full push-pull compare. Both protocols go
@@ -13,11 +13,11 @@ use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica
 use epidemic_db::SiteId;
 use epidemic_net::{topologies, LinkTraffic, PartnerSampler, Routes, Spatial, Topology};
 use epidemic_sim::engine::{
-    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, RouteRecorder,
-    SirCounts, SirView, SpatialPartners, TraceObserver,
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, RouteRecorder, SirView,
+    SpatialPartners, TraceObserver,
 };
-use epidemic_sim::{AntiEntropySim, SpatialArena};
-use epidemic_trace::TraceConfig;
+use epidemic_sim::{SpatialArena, SpatialSim};
+use epidemic_trace::{Sir, TraceConfig};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::SeedableRng;
@@ -66,9 +66,9 @@ impl EpidemicProtocol for AlwaysExchange<'_> {
 }
 
 impl SirView for AlwaysExchange<'_> {
-    fn sir_counts(&self) -> SirCounts {
+    fn sir_counts(&self) -> Sir {
         let have = self.received.received_count();
-        SirCounts {
+        Sir {
             susceptible: self.replicas.len() - have,
             infective: have,
             removed: 0,
@@ -80,7 +80,7 @@ impl SirView for AlwaysExchange<'_> {
 /// update counters.
 type Outcome = (u32, f64, u32, LinkTraffic, LinkTraffic);
 
-/// `AntiEntropySim::run` with `AlwaysExchange` in the protocol's place:
+/// `SpatialSim::run` with `AlwaysExchange` in the protocol's place:
 /// the same set-up draws, engine settings and result assembly.
 fn always_exchange_run(
     topology: &Topology,
@@ -112,7 +112,6 @@ fn always_exchange_run(
     let report = CycleEngine::new()
         .connection_limit(connection_limit)
         .hunt_limit(hunt_limit)
-        .max_cycles(10_000)
         .run(
             &mut protocol,
             &SpatialPartners::new(sites, &sampler),
@@ -123,7 +122,7 @@ fn always_exchange_run(
 
     (
         protocol.received.t_last().unwrap_or(0),
-        protocol.received.t_ave_all(report.cycles),
+        protocol.received.t_ave_received(),
         report.cycles,
         protocol.recorder.compare,
         protocol.recorder.update,
@@ -143,7 +142,7 @@ fn skipping_known_equal_pairs_changes_nothing_observable() {
     let mut arena = SpatialArena::new();
     for (topology, spatial) in &cases {
         for limits in [(None, 0), (Some(1), 2)] {
-            let sim = AntiEntropySim::new(topology, *spatial)
+            let sim = SpatialSim::new(topology, *spatial)
                 .connection_limit(limits.0)
                 .hunt_limit(limits.1);
             for seed in 0..3 {

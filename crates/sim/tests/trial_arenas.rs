@@ -2,15 +2,14 @@
 //! used — other drivers, topologies, site counts, directions, feedback and
 //! removal rules, round semantics, connection limits — equals a run on
 //! fresh state, field for field and event for event. Covered: every
-//! [`RumorEpidemic`] variant on a [`MixingArena`], and [`AntiEntropySim`]
-//! and [`SpatialRumorSim`] on a [`SpatialArena`].
+//! [`RumorEpidemic`] variant on a [`MixingArena`], and [`SpatialSim`]'s
+//! anti-entropy and every rumor variant on a [`SpatialArena`].
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, Spatial, Topology};
 use epidemic_sim::engine::{InvariantObserver, TraceObserver};
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
-use epidemic_sim::spatial_ae::{AntiEntropySim, SpatialArena};
-use epidemic_sim::spatial_rumor::SpatialRumorSim;
+use epidemic_sim::spatial::{SpatialArena, SpatialSim};
 use epidemic_trace::TraceConfig;
 use proptest::prelude::*;
 
@@ -59,7 +58,7 @@ fn topology(which: usize) -> Topology {
     }
 }
 
-/// One spatial run: which driver (anti-entropy or push-pull rumor), which
+/// One spatial run: which mechanism (anti-entropy or rumor), which
 /// topology, which distribution, and the seed.
 fn spatial_trial() -> impl Strategy<Value = (bool, usize, f64, RumorConfig, u64)> {
     (
@@ -87,17 +86,9 @@ fn spatial_run(
     let mut trace = TraceObserver::new(TraceConfig::full());
     let mut check = InvariantObserver::new();
     let observer = &mut (&mut trace, &mut check);
-    let result = if anti_entropy {
-        format!(
-            "{:?}",
-            AntiEntropySim::new(&topo, spatial).run(arena, seed, observer)
-        )
-    } else {
-        format!(
-            "{:?}",
-            SpatialRumorSim::new(&topo, spatial, cfg).run(arena, seed, observer)
-        )
-    };
+    let sim = SpatialSim::new(&topo, spatial);
+    let sim = if anti_entropy { sim } else { sim.rumor(cfg) };
+    let result = format!("{:?}", sim.run(arena, seed, observer));
     (result, trace.finish(), check.is_clean())
 }
 

@@ -16,7 +16,7 @@ use epidemics::net::topologies::{cin, CinConfig};
 use epidemics::net::Spatial;
 use epidemics::sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemics::sim::scenario::{bundled, FaultKind, ScenarioEngine};
-use epidemics::sim::spatial_ae::{AntiEntropySim, SpatialArena};
+use epidemics::sim::spatial::{SpatialArena, SpatialSim};
 
 fn main() {
     println!("== §1.3: anti-entropy is a simple epidemic ==");
@@ -79,7 +79,7 @@ fn main() {
         ("uniform ", Spatial::Uniform),
         ("Qs(d)^-2", Spatial::QsPower { a: 2.0 }),
     ] {
-        let sim = AntiEntropySim::new(&net.topology, spatial);
+        let sim = SpatialSim::new(&net.topology, spatial);
         let mut t_last = 0.0;
         let mut bushey = 0.0;
         let mut cycles = 0.0;

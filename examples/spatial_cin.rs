@@ -12,7 +12,7 @@
 
 use epidemics::net::topologies::{cin, CinConfig};
 use epidemics::net::{expected_cut_conversations, Spatial};
-use epidemics::sim::spatial_ae::{AntiEntropySim, SpatialArena};
+use epidemics::sim::spatial::{SpatialArena, SpatialSim};
 
 fn main() {
     let net = cin(&CinConfig::default());
@@ -42,7 +42,7 @@ fn main() {
         ("a = 1.6".to_string(), Spatial::QsPower { a: 1.6 }),
         ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
-        let sim = AntiEntropySim::new(&net.topology, spatial);
+        let sim = SpatialSim::new(&net.topology, spatial);
         let mut t_last = 0.0;
         let mut t_ave = 0.0;
         let mut cmp_avg = 0.0;

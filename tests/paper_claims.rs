@@ -8,7 +8,7 @@ use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
 use epidemics::net::topologies::{cin, CinConfig};
 use epidemics::net::{expected_cut_conversations, Spatial};
 use epidemics::sim::mixing::{AntiEntropyEpidemic, EpidemicResult, MixingArena, RumorEpidemic};
-use epidemics::sim::spatial_ae::{AntiEntropySim, SpatialArena};
+use epidemics::sim::spatial::{SpatialArena, SpatialSim};
 
 fn mean<T>(trials: u64, mut f: impl FnMut(u64) -> T) -> f64
 where
@@ -91,7 +91,7 @@ fn push_anti_entropy_cover_time_is_log2_plus_ln() {
 #[test]
 fn uniform_selection_loads_the_cut_at_the_formula_rate() {
     let net = cin(&CinConfig::default());
-    let sim = AntiEntropySim::new(&net.topology, Spatial::Uniform);
+    let sim = SpatialSim::new(&net.topology, Spatial::Uniform);
     let mut arena = SpatialArena::new();
     let mut crossing = 0.0;
     let mut cycles = 0.0;
@@ -112,7 +112,7 @@ fn qs2_cuts_critical_link_traffic_by_an_order_of_magnitude() {
     let net = cin(&CinConfig::default());
     let mut arena = SpatialArena::new();
     let mut per_cycle = |spatial| {
-        let sim = AntiEntropySim::new(&net.topology, spatial);
+        let sim = SpatialSim::new(&net.topology, spatial);
         let mut bushey = 0.0;
         let mut cycles = 0.0;
         let mut t_last = 0.0;
@@ -145,7 +145,7 @@ fn connection_limit_one_keeps_total_update_traffic_constant() {
     let net = cin(&CinConfig::default());
     let mut arena = SpatialArena::new();
     let mut update_avg = |limit| {
-        let sim = AntiEntropySim::new(&net.topology, Spatial::Uniform).connection_limit(limit);
+        let sim = SpatialSim::new(&net.topology, Spatial::Uniform).connection_limit(limit);
         mean(8, |s| {
             sim.run(&mut arena, s, &mut ())
                 .update_traffic
@@ -165,7 +165,7 @@ fn connection_limit_success_fraction_is_one_minus_e_inverse() {
     let net = cin(&CinConfig::default());
     let mut arena = SpatialArena::new();
     let mut cmp_per_cycle = |limit| {
-        let sim = AntiEntropySim::new(&net.topology, Spatial::Uniform).connection_limit(limit);
+        let sim = SpatialSim::new(&net.topology, Spatial::Uniform).connection_limit(limit);
         let mut total = 0.0;
         for seed in 0..8 {
             let r = sim.run(&mut arena, seed, &mut ());

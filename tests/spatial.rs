@@ -3,7 +3,7 @@
 
 use epidemics::net::topologies::{cin, figure1, grid, line, CinConfig};
 use epidemics::net::{expected_cut_conversations, PartnerSampler, Routes, Spatial};
-use epidemics::sim::spatial_ae::{AntiEntropySim, SpatialArena};
+use epidemics::sim::spatial::{SpatialArena, SpatialSim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -12,7 +12,7 @@ fn uniform_cut_traffic_matches_the_papers_formula() {
     // Measure conversations crossing the transatlantic cut on the CIN
     // under uniform selection and compare with 2·n1·n2/(n1+n2).
     let net = cin(&CinConfig::default());
-    let sim = AntiEntropySim::new(&net.topology, Spatial::Uniform);
+    let sim = SpatialSim::new(&net.topology, Spatial::Uniform);
     let mut arena = SpatialArena::new();
     let mut crossing = 0.0;
     let mut cycles = 0.0;
@@ -38,7 +38,7 @@ fn compare_traffic_equals_sum_of_route_lengths() {
     // lengths over all conversations. With n sites and c cycles there are
     // n·c conversations, each of mean route length ≥ 1.
     let topo = grid(&[5, 5]);
-    let sim = AntiEntropySim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
+    let sim = SpatialSim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
     let mut arena = SpatialArena::new();
     let r = sim.run(&mut arena, 3, &mut ());
     let conversations = 25 * r.cycles as u64;
@@ -86,7 +86,7 @@ fn spatial_anti_entropy_converges_on_every_zoo_topology() {
     let mut arena = SpatialArena::new();
     for topo in &topos {
         for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
-            let sim = AntiEntropySim::new(topo, spatial).origin(topo.sites()[0]);
+            let sim = SpatialSim::new(topo, spatial).origin(topo.sites()[0]);
             let r = sim.run(&mut arena, 11, &mut ());
             assert!(
                 r.cycles < 1_000,
@@ -121,7 +121,7 @@ fn cin_regenerates_identically_and_respects_config() {
 fn hunting_restores_convergence_speed_under_connection_limit() {
     let topo = grid(&[6, 6]);
     let mean_t_last = |hunt: u32| {
-        let sim = AntiEntropySim::new(&topo, Spatial::Uniform)
+        let sim = SpatialSim::new(&topo, Spatial::Uniform)
             .origin(topo.sites()[0])
             .connection_limit(Some(1))
             .hunt_limit(hunt);
