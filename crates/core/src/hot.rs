@@ -185,7 +185,8 @@ impl<K: Eq + Clone> HotList<K> {
     ///
     /// Returns how many rumors ceased to be hot.
     pub(crate) fn end_cycle(&mut self, k: u32, reset_on_useful: bool) -> usize {
-        for item in &mut self.items {
+        let before = self.items.len();
+        self.items.retain_mut(|item| {
             if item.pending_needed {
                 if reset_on_useful {
                     item.counter = 0;
@@ -195,9 +196,8 @@ impl<K: Eq + Clone> HotList<K> {
             }
             item.pending_needed = false;
             item.pending_useless = false;
-        }
-        let before = self.items.len();
-        self.items.retain(|i| i.counter < k);
+            item.counter < k
+        });
         before - self.items.len()
     }
 }
@@ -205,51 +205,6 @@ impl<K: Eq + Clone> HotList<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn insert_and_remove() {
-        let mut list = HotList::new();
-        assert!(list.is_empty());
-        list.insert("a");
-        list.insert("b");
-        assert_eq!(list.len(), 2);
-        assert!(list.contains(&"a"));
-        assert!(list.remove(&"a"));
-        assert!(!list.remove(&"a"));
-        assert_eq!(list.len(), 1);
-    }
-
-    #[test]
-    fn reinsert_resets_counter_and_moves_to_front() {
-        let mut list = HotList::new();
-        list.insert("a");
-        list.insert("b");
-        list.bump_counter(&"a", 3);
-        list.insert("a");
-        assert_eq!(list.counter(&"a"), Some(0));
-        assert!(list.keys().eq(&["a", "b"]));
-        assert_eq!(list.len(), 2);
-    }
-
-    #[test]
-    fn bump_counter_accumulates() {
-        let mut list = HotList::new();
-        list.insert("a");
-        assert_eq!(list.bump_counter(&"a", 1), Some(1));
-        assert_eq!(list.bump_counter(&"a", 2), Some(3));
-        assert_eq!(list.bump_counter(&"zzz", 1), None);
-    }
-
-    #[test]
-    fn mark_useful_resets_and_promotes() {
-        let mut list = HotList::new();
-        list.insert("a");
-        list.insert("b"); // b now in front
-        list.bump_counter(&"a", 2);
-        list.mark_useful(&"a");
-        assert_eq!(list.counter(&"a"), Some(0));
-        assert!(list.keys().eq(&["a", "b"]));
-    }
 
     /// The list's order is defined by "drop the key wherever it is, then
     /// put it in front"; the one-pass edits, keyed and positional, must
@@ -281,10 +236,11 @@ mod tests {
         let mut list = HotList::new();
         let mut model: Model = Vec::new();
         // A scripted history over six keys that re-inserts hot keys at
-        // the front, middle and back, edits absent keys too, and applies
-        // every positional edit at every position the list reaches.
+        // the front, middle and back, makes every keyed edit on hot and
+        // absent keys, bumps by 1 to 3, and applies every positional edit
+        // at every position the list reaches.
         for step in 0..1_000u32 {
-            let key = ((step * 7 + step / 5) % 6) as u8;
+            let key = ((step * step / 7) % 6) as u8;
             let op = step % 10;
             if op >= 5 && model.is_empty() {
                 continue;
@@ -300,11 +256,12 @@ mod tests {
                     model.insert(0, (key, 0, false, false));
                 }
                 2 => {
-                    let bumped = list.bump_counter(&key, 1);
+                    let delta = 1 + step % 3;
+                    let bumped = list.bump_counter(&key, delta);
                     let slot = model.iter_mut().find(|m| m.0 == key);
                     assert_eq!(bumped.is_some(), slot.is_some());
                     if let Some(m) = slot {
-                        m.1 += 1;
+                        m.1 += delta;
                         assert_eq!(bumped, Some(m.1));
                     }
                 }
@@ -346,6 +303,9 @@ mod tests {
                 .collect();
             assert_eq!(got, model, "after step {step}");
             assert_eq!(list.position(&key), model.iter().position(|m| m.0 == key));
+            assert_eq!(list.contains(&key), list.position(&key).is_some());
+            assert_eq!(list.len(), model.len());
+            assert_eq!(list.is_empty(), model.is_empty());
         }
     }
 

@@ -23,6 +23,8 @@ use std::hash::Hash;
 
 use rand::{Rng, RngExt};
 
+use epidemic_db::store::OfferOutcome;
+
 use crate::hot::HotList;
 use crate::replica::Replica;
 use crate::Direction;
@@ -187,21 +189,45 @@ impl<'s, K: Ord + Clone + Hash + Eq> HotKeys<'s, K> {
 /// merge it. The entry is cloned only when `to` actually needs it, so the
 /// common late-epidemic case (everyone already knows the update) transmits
 /// nothing owned. Returns `None` when `from` no longer holds an entry for
-/// the key (e.g. an expired death certificate), after dropping the stale
-/// rumor; otherwise `Some(useful)`.
-fn offer_rumor<K, V>(from: &mut Replica<K, V>, to: &mut Replica<K, V>, key: &K) -> Option<bool>
+/// the key (e.g. an expired death certificate; the caller drops the stale
+/// rumor), otherwise `Some(useful)`.
+///
+/// A `known` offer — the caller knows `to` holds `key` at `from`'s
+/// version — probes neither database and was not useful. Debug builds
+/// make it anyway and panic unless it was `AlreadyKnown` and changed
+/// neither `to`'s database nor its hot list: the long way of every such
+/// skip, the complete-mixing one and [`contact_with_known`]'s.
+pub fn offer<K, V>(
+    from: &Replica<K, V>,
+    to: &mut Replica<K, V>,
+    key: &K,
+    known: bool,
+) -> Option<bool>
 where
     K: Ord + Clone + Hash + Eq,
     V: Clone + Hash,
 {
-    let Some(entry) = from.db().entry(key) else {
-        from.hot_mut().remove(key);
-        return None;
-    };
-    Some(to.receive_rumor_ref(key, entry).was_useful())
+    if !known {
+        let entry = from.db().entry(key)?;
+        return Some(to.receive_rumor_ref(key, entry).was_useful());
+    }
+    if cfg!(debug_assertions) {
+        let entry = from
+            .db()
+            .entry(key)
+            .expect("the sender holds a known rumor");
+        let before = (to.db().checksum(), to.db().len(), to.hot().clone());
+        let outcome = to.receive_rumor_ref(key, entry);
+        let after = (to.db().checksum(), to.db().len(), to.hot().clone());
+        assert!(
+            outcome == OfferOutcome::AlreadyKnown && after == before,
+            "a known offer was {outcome:?}, or changed the recipient"
+        );
+    }
+    Some(false)
 }
 
-/// Offers every hot rumor of `from` to `to` ([`offer_rumor`]'s probes) in
+/// Offers every hot rumor of `from` to `to` (see [`offer`]) in
 /// one pass over `from`'s list, and hands each one sent to
 /// `edit(hot, idx, useful, stats)`, which returns whether it removed the
 /// rumor at `idx`. Every edit lands at the cursor: the receiver's list is
@@ -209,9 +235,12 @@ where
 /// a promotion to the front leaves it one place further on — so rumors
 /// are visited, and coins tossed, in start-of-contact order, with no
 /// snapshot taken.
+///
+/// A rumor `known` names is offered as known (see [`contact_with_known`]).
 fn walk_hot<K, V>(
     from: &mut Replica<K, V>,
     to: &mut Replica<K, V>,
+    mut known: impl FnMut(&K) -> bool,
     mut edit: impl FnMut(&mut HotList<K>, usize, bool, &mut RumorStats) -> bool,
 ) -> RumorStats
 where
@@ -222,11 +251,10 @@ where
     let mut idx = 0;
     while idx < from.hot().len() {
         let key = from.hot().key_at(idx);
-        let Some(entry) = from.db().entry(key) else {
+        let Some(useful) = offer(from, to, key, known(key)) else {
             from.hot_mut().remove_at(idx); // stale: dropped unsent
             continue;
         };
-        let useful = to.receive_rumor_ref(key, entry).was_useful();
         stats.sent += 1;
         if useful {
             stats.useful += 1;
@@ -238,76 +266,11 @@ where
     stats
 }
 
-/// One **push** contact: `sender` offers every hot rumor to `receiver`
-/// (§1.4's basic scenario). Interest-loss is applied immediately per the
-/// configured feedback/removal rules.
-pub fn push_contact<K, V, R>(
-    cfg: &RumorConfig,
-    sender: &mut Replica<K, V>,
-    receiver: &mut Replica<K, V>,
-    rng: &mut R,
-) -> RumorStats
-where
-    K: Ord + Clone + Hash + Eq,
-    V: Clone + Hash,
-    R: Rng + ?Sized,
-{
-    walk_hot(sender, receiver, |hot, idx, useful, stats| {
-        lose_interest(cfg, hot, Some(idx), useful, rng, stats)
-    })
-}
-
-/// One **pull** contact: `requester` asks `source` for its hot rumors.
-/// Counter bookkeeping is *deferred*: the source records whether each pull
-/// was needed and applies the Table 3 footnote at end of cycle via
-/// [`end_cycle`]. Coin removal is applied immediately.
-pub fn pull_contact<K, V, R>(
-    cfg: &RumorConfig,
-    requester: &mut Replica<K, V>,
-    source: &mut Replica<K, V>,
-    rng: &mut R,
-) -> RumorStats
-where
-    K: Ord + Clone + Hash + Eq,
-    V: Clone + Hash,
-    R: Rng + ?Sized,
-{
-    walk_hot(source, requester, |hot, idx, useful, stats| {
-        match cfg.removal {
-            Removal::Counter { .. } => {
-                // Deferred to end_cycle (Table 3 footnote). Blind pull records
-                // every serve as useless — no feedback reaches the source.
-                let needed = match cfg.feedback {
-                    Feedback::Feedback => useful,
-                    Feedback::Blind => false,
-                };
-                hot.record_pending_at(idx, needed);
-                false
-            }
-            Removal::Coin { .. } => lose_interest(cfg, hot, Some(idx), useful, rng, stats),
-        }
-    })
-}
-
 /// One **push-pull** contact: both parties offer their hot rumors, with
-/// immediate interest-loss and optional §1.4 minimization.
-pub fn push_pull_contact<K, V, R>(
-    cfg: &RumorConfig,
-    a: &mut Replica<K, V>,
-    b: &mut Replica<K, V>,
-    rng: &mut R,
-) -> RumorStats
-where
-    K: Ord + Clone + Hash + Eq,
-    V: Clone + Hash,
-    R: Rng + ?Sized,
-{
-    push_pull_contact_with(cfg, a, b, rng, &mut RumorScratch::new())
-}
-
-/// [`push_pull_contact`] with caller-owned snapshot buffers (see
-/// [`RumorScratch`]).
-pub(crate) fn push_pull_contact_with<K, V, R>(
+/// immediate interest-loss and optional §1.4 minimization. Each half walks
+/// a start-of-contact snapshot of its sender's hot keys, taken into the
+/// caller's [`RumorScratch`].
+fn push_pull_contact<K, V, R>(
     cfg: &RumorConfig,
     a: &mut Replica<K, V>,
     b: &mut Replica<K, V>,
@@ -326,7 +289,8 @@ where
 
     for key in a_keys.as_slice() {
         let both_hot = cfg.minimization && b_keys.as_slice().contains(key);
-        let Some(useful) = offer_rumor(a, b, key) else {
+        let Some(useful) = offer(a, b, key, false) else {
+            a.hot_mut().remove(key);
             continue;
         };
         stats.sent += 1;
@@ -340,34 +304,38 @@ where
             minimize_counters(cfg, a, b, key, &mut stats);
             continue;
         }
-        apply_interest_loss(cfg, a, key, useful, rng, &mut stats);
+        if record_feedback(cfg, a, key, useful, rng) {
+            stats.deactivated += 1;
+        }
     }
     for key in b_keys.as_slice() {
         if cfg.minimization && a_keys.as_slice().contains(key) {
             continue; // handled in the first loop
         }
-        let Some(useful) = offer_rumor(b, a, key) else {
+        let Some(useful) = offer(b, a, key, false) else {
+            b.hot_mut().remove(key);
             continue;
         };
         stats.sent += 1;
         if useful {
             stats.useful += 1;
         }
-        apply_interest_loss(cfg, b, key, useful, rng, &mut stats);
+        if record_feedback(cfg, b, key, useful, rng) {
+            stats.deactivated += 1;
+        }
     }
     stats
 }
 
-/// One contact in the configured [`Direction`]: dispatches to
-/// [`push_contact`], [`pull_contact`] or [`push_pull_contact`].
+/// One contact in the configured [`Direction`].
 ///
 /// `initiator` is the site that opened the connection — the sender under
-/// push, the requester under pull, either party under push-pull. This is
-/// the single entry point the `epidemic-sim` engine drivers use, so the
-/// direction dispatch lives in exactly one place. The caller owns the
-/// snapshot buffers, one [`RumorScratch`] per protocol, so multi-rumor
-/// push-pull contacts stop allocating a snapshot `Vec` apiece. Only
-/// push-pull uses the buffers; push and pull take no snapshot.
+/// push, the requester under pull, either party under push-pull. This and
+/// [`contact_with_known`] are the entry points the `epidemic-sim` engine
+/// drivers use, so the direction dispatch lives in exactly one place. The
+/// caller owns the snapshot buffers, one [`RumorScratch`] per protocol, so
+/// multi-rumor push-pull contacts stop allocating a snapshot `Vec` apiece.
+/// Only push-pull uses the buffers; push and pull take no snapshot.
 pub fn contact_with<K, V, R>(
     cfg: &RumorConfig,
     initiator: &mut Replica<K, V>,
@@ -380,10 +348,58 @@ where
     V: Clone + Hash,
     R: Rng + ?Sized,
 {
+    contact_with_known(cfg, initiator, partner, rng, scratch, |_| false)
+}
+
+/// [`contact_with`] for a driver that knows which rumors the recipient
+/// holds — the partner under push, the initiator under pull. `known(key)`
+/// is asked once per hot rumor before it is offered; `true` promises the
+/// recipient holds `key` at the version the sender would send, and the
+/// offer is then not made: it counts as sent and not useful, and the
+/// sender's interest-loss rule runs as usual (same coin, same RNG order).
+/// `false` sends the offer as [`contact_with`] would. Push-pull offers in
+/// both directions and never asks.
+///
+/// Debug builds make every skipped offer anyway (see [`offer`]).
+pub fn contact_with_known<K, V, R>(
+    cfg: &RumorConfig,
+    initiator: &mut Replica<K, V>,
+    partner: &mut Replica<K, V>,
+    rng: &mut R,
+    scratch: &mut RumorScratch<K>,
+    known: impl FnMut(&K) -> bool,
+) -> RumorStats
+where
+    K: Ord + Clone + Hash + Eq,
+    V: Clone + Hash,
+    R: Rng + ?Sized,
+{
     match cfg.direction {
-        Direction::Push => push_contact(cfg, initiator, partner, rng),
-        Direction::Pull => pull_contact(cfg, initiator, partner, rng),
-        Direction::PushPull => push_pull_contact_with(cfg, initiator, partner, rng, scratch),
+        // Push, §1.4's basic scenario: the initiator offers every hot
+        // rumor and loses interest at once.
+        Direction::Push => walk_hot(initiator, partner, known, |hot, idx, useful, stats| {
+            lose_interest(cfg, hot, Some(idx), useful, rng, stats)
+        }),
+        // Pull: the partner serves its hot rumors. Counter bookkeeping is
+        // deferred: the source records whether each pull was needed and
+        // applies the Table 3 footnote at end of cycle via [`end_cycle`].
+        // Coin removal is applied immediately.
+        Direction::Pull => walk_hot(partner, initiator, known, |hot, idx, useful, stats| {
+            match cfg.removal {
+                Removal::Counter { .. } => {
+                    // Blind pull records every serve as useless — no
+                    // feedback reaches the source.
+                    let needed = match cfg.feedback {
+                        Feedback::Feedback => useful,
+                        Feedback::Blind => false,
+                    };
+                    hot.record_pending_at(idx, needed);
+                    false
+                }
+                Removal::Coin { .. } => lose_interest(cfg, hot, Some(idx), useful, rng, stats),
+            }
+        }),
+        Direction::PushPull => push_pull_contact(cfg, initiator, partner, rng, scratch),
     }
 }
 
@@ -416,27 +432,9 @@ where
     V: Hash,
     R: Rng + ?Sized,
 {
-    let mut stats = RumorStats::default();
-    apply_interest_loss(cfg, holder, key, useful, rng, &mut stats);
-    stats.deactivated > 0
-}
-
-/// Applies the configured interest-loss rule to `holder` after a contact
-/// about `key` whose usefulness was `useful`.
-fn apply_interest_loss<K, V, R>(
-    cfg: &RumorConfig,
-    holder: &mut Replica<K, V>,
-    key: &K,
-    useful: bool,
-    rng: &mut R,
-    stats: &mut RumorStats,
-) where
-    K: Ord + Clone + Hash + Eq,
-    V: Hash,
-    R: Rng + ?Sized,
-{
     let idx = holder.hot().position(key);
-    lose_interest(cfg, holder.hot_mut(), idx, useful, rng, stats);
+    let mut stats = RumorStats::default();
+    lose_interest(cfg, holder.hot_mut(), idx, useful, rng, &mut stats)
 }
 
 /// The interest-loss rule applied to the rumor at position `idx` of `hot`
@@ -541,7 +539,7 @@ mod tests {
             Feedback::Feedback,
             Removal::Counter { k: 2 },
         );
-        let stats = push_contact(&cfg, &mut a, &mut b, &mut rng());
+        let stats = contact_with(&cfg, &mut a, &mut b, &mut rng(), &mut RumorScratch::new());
         assert_eq!(stats.sent, 1);
         assert_eq!(stats.useful, 1);
         assert!(b.is_infective(&"k"));
@@ -558,11 +556,11 @@ mod tests {
             Removal::Counter { k: 2 },
         );
         let mut r = rng();
-        push_contact(&cfg, &mut a, &mut b, &mut r); // useful
+        contact_with(&cfg, &mut a, &mut b, &mut r, &mut RumorScratch::new()); // useful
         b.hot_mut().clear(); // keep b from counting for this test
-        push_contact(&cfg, &mut a, &mut b, &mut r); // unnecessary #1
+        contact_with(&cfg, &mut a, &mut b, &mut r, &mut RumorScratch::new()); // unnecessary #1
         assert!(a.is_infective(&"k"));
-        let stats = push_contact(&cfg, &mut a, &mut b, &mut r); // unnecessary #2
+        let stats = contact_with(&cfg, &mut a, &mut b, &mut r, &mut RumorScratch::new()); // unnecessary #2
         assert_eq!(stats.deactivated, 1);
         assert!(!a.is_infective(&"k"));
         assert_eq!(a.db().get(&"k"), Some(&1), "update retained after removal");
@@ -574,9 +572,9 @@ mod tests {
         a.client_update("k", 1);
         let cfg = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Counter { k: 2 });
         let mut r = rng();
-        push_contact(&cfg, &mut a, &mut b, &mut r); // useful, still counts
+        contact_with(&cfg, &mut a, &mut b, &mut r, &mut RumorScratch::new()); // useful, still counts
         assert_eq!(a.hot().counter(&"k"), Some(1));
-        push_contact(&cfg, &mut a, &mut b, &mut r);
+        contact_with(&cfg, &mut a, &mut b, &mut r, &mut RumorScratch::new());
         assert!(!a.is_infective(&"k"));
     }
 
@@ -586,7 +584,7 @@ mod tests {
         a.client_update("k", 1);
         b.client_update("k2", 2); // make b non-susceptible on key k? no: k unknown to b
         let cfg = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 1 });
-        let stats = push_contact(&cfg, &mut a, &mut b, &mut rng());
+        let stats = contact_with(&cfg, &mut a, &mut b, &mut rng(), &mut RumorScratch::new());
         // Blind coin with k=1: removed with probability 1 after the send.
         assert_eq!(stats.deactivated, 1);
         assert!(!a.is_infective(&"k"));
@@ -602,7 +600,7 @@ mod tests {
             Feedback::Feedback,
             Removal::Counter { k: 1 },
         );
-        let stats = pull_contact(&cfg, &mut a, &mut b, &mut rng());
+        let stats = contact_with(&cfg, &mut a, &mut b, &mut rng(), &mut RumorScratch::new());
         assert_eq!(stats.sent, 1);
         assert_eq!(a.db().get(&"k"), Some(&1));
         // Counter is deferred: b still hot until end_cycle.
@@ -624,13 +622,13 @@ mod tests {
         // Cycle 1: two pulls, one useful (a needs it) one not (c knows it).
         let mut c: Replica<&str, u32> = Replica::new(SiteId::new(2));
         c.client_update("other", 5);
-        pull_contact(&cfg, &mut a, &mut b, &mut r); // useful
-        pull_contact(&cfg, &mut c, &mut b, &mut r); // c needed it too actually
+        contact_with(&cfg, &mut a, &mut b, &mut r, &mut RumorScratch::new()); // useful
+        contact_with(&cfg, &mut c, &mut b, &mut r, &mut RumorScratch::new()); // c needed it too actually
         end_cycle(&cfg, &mut b);
         assert!(b.is_infective(&"k"), "some recipient needed the update");
         // Cycle 2: only unnecessary pulls.
-        pull_contact(&cfg, &mut a, &mut b, &mut r);
-        pull_contact(&cfg, &mut c, &mut b, &mut r);
+        contact_with(&cfg, &mut a, &mut b, &mut r, &mut RumorScratch::new());
+        contact_with(&cfg, &mut c, &mut b, &mut r, &mut RumorScratch::new());
         let removed = end_cycle(&cfg, &mut b);
         assert_eq!(removed, 1);
         assert!(!b.is_infective(&"k"));
@@ -646,7 +644,7 @@ mod tests {
             Feedback::Feedback,
             Removal::Counter { k: 3 },
         );
-        let stats = push_pull_contact(&cfg, &mut a, &mut b, &mut rng());
+        let stats = contact_with(&cfg, &mut a, &mut b, &mut rng(), &mut RumorScratch::new());
         assert_eq!(stats.sent, 2);
         assert_eq!(stats.useful, 2);
         assert_eq!(a.db().get(&"y"), Some(&2));
@@ -666,9 +664,9 @@ mod tests {
         .with_minimization();
         let mut r = rng();
         // Spread to b, then pre-load a's counter.
-        push_pull_contact(&cfg, &mut a, &mut b, &mut r);
+        contact_with(&cfg, &mut a, &mut b, &mut r, &mut RumorScratch::new());
         a.hot_mut().bump_counter(&"k", 2); // a: 2, b: 0
-        push_pull_contact(&cfg, &mut a, &mut b, &mut r);
+        contact_with(&cfg, &mut a, &mut b, &mut r, &mut RumorScratch::new());
         assert_eq!(a.hot().counter(&"k"), Some(2), "larger counter untouched");
         assert_eq!(b.hot().counter(&"k"), Some(1), "smaller counter bumped");
     }
@@ -684,8 +682,8 @@ mod tests {
         )
         .with_minimization();
         let mut r = rng();
-        push_pull_contact(&cfg, &mut a, &mut b, &mut r); // both infective, a:0 b:0
-        push_pull_contact(&cfg, &mut a, &mut b, &mut r); // tie: both bump to 1
+        contact_with(&cfg, &mut a, &mut b, &mut r, &mut RumorScratch::new()); // both infective, a:0 b:0
+        contact_with(&cfg, &mut a, &mut b, &mut r, &mut RumorScratch::new()); // tie: both bump to 1
         assert_eq!(a.hot().counter(&"k"), Some(1));
         assert_eq!(b.hot().counter(&"k"), Some(1));
     }
@@ -724,7 +722,7 @@ mod tests {
                             let (lo, hi) = sites.split_at_mut(i);
                             (&mut hi[0], &mut lo[j])
                         };
-                        push_pull_contact(cfg, x, y, r);
+                        contact_with(cfg, x, y, r, &mut RumorScratch::new());
                     }
                     guard += 1;
                     assert!(guard < 10_000);
@@ -753,16 +751,12 @@ mod tests {
         // A hot rumor whose entry was garbage-collected (an expired death
         // certificate) must silently leave the hot list.
         let (mut a, mut b) = pair();
-        a.hot_mut().insert("ghost");
-        let cfg = RumorConfig::new(
-            Direction::Push,
-            Feedback::Feedback,
-            Removal::Counter { k: 1 },
-        );
-        let stats = push_contact(&cfg, &mut a, &mut b, &mut rng());
-        assert_eq!(stats.sent, 0);
-        assert!(!a.is_infective(&"ghost"));
-        let stats = push_pull_contact(&cfg, &mut a, &mut b, &mut rng());
-        assert_eq!(stats.sent, 0);
+        for direction in [Direction::Push, Direction::PushPull] {
+            a.hot_mut().insert("ghost");
+            let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 1 });
+            let stats = contact_with(&cfg, &mut a, &mut b, &mut rng(), &mut RumorScratch::new());
+            assert_eq!(stats.sent, 0);
+            assert!(!a.is_infective(&"ghost"), "{direction:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the protocol layer: no mix of protocol
 //! actions can lose or regress data, and rumor bookkeeping stays sound.
 
-use epidemic_core::rumor::{self, RumorConfig};
+use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
 use epidemic_core::{
     AntiEntropy, BackupAntiEntropy, Comparison, Direction, Feedback, Redistribution, Removal,
     Replica,
@@ -31,20 +31,10 @@ enum Action {
         comparison: u8,
         direction: u8,
     },
-    RumorPush {
+    Rumor {
         a: u8,
         b: u8,
-        cfg: u8,
-    },
-    RumorPull {
-        a: u8,
-        b: u8,
-        cfg: u8,
-    },
-    RumorPushPull {
-        a: u8,
-        b: u8,
-        cfg: u8,
+        cfg: RumorConfig,
     },
     Backup {
         a: u8,
@@ -72,21 +62,9 @@ fn action() -> impl Strategy<Value = Action> {
                 direction
             }
         ),
-        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(a, b, cfg)| Action::RumorPush {
-            a,
-            b,
-            cfg
-        }),
-        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(a, b, cfg)| Action::RumorPull {
-            a,
-            b,
-            cfg
-        }),
-        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(a, b, cfg)| Action::RumorPushPull {
-            a,
-            b,
-            cfg
-        }),
+        rumor(Direction::Push),
+        rumor(Direction::Pull),
+        rumor(Direction::PushPull),
         (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(a, b, policy)| Action::Backup {
             a,
             b,
@@ -94,6 +72,18 @@ fn action() -> impl Strategy<Value = Action> {
         }),
         any::<u8>().prop_map(|site| Action::EndCycle { site }),
     ]
+}
+
+/// A rumor contact in `direction` under `rumor_config`'s other settings.
+fn rumor(direction: Direction) -> impl Strategy<Value = Action> {
+    (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(move |(a, b, code)| Action::Rumor {
+        a,
+        b,
+        cfg: RumorConfig {
+            direction,
+            ..rumor_config(code)
+        },
+    })
 }
 
 fn rumor_config(code: u8) -> RumorConfig {
@@ -189,25 +179,11 @@ fn run_schedule(actions: &[Action]) -> Vec<Replica<u8, u16>> {
                     protocol.exchange(x, y);
                 }
             }
-            Action::RumorPush { a, b, cfg } => {
+            Action::Rumor { a, b, cfg } => {
                 let (i, j) = (*a as usize % SITES, *b as usize % SITES);
                 if i != j {
                     let (x, y) = split_pair(&mut replicas, i, j);
-                    rumor::push_contact(&rumor_config(*cfg), x, y, &mut rng);
-                }
-            }
-            Action::RumorPull { a, b, cfg } => {
-                let (i, j) = (*a as usize % SITES, *b as usize % SITES);
-                if i != j {
-                    let (x, y) = split_pair(&mut replicas, i, j);
-                    rumor::pull_contact(&rumor_config(*cfg), x, y, &mut rng);
-                }
-            }
-            Action::RumorPushPull { a, b, cfg } => {
-                let (i, j) = (*a as usize % SITES, *b as usize % SITES);
-                if i != j {
-                    let (x, y) = split_pair(&mut replicas, i, j);
-                    rumor::push_pull_contact(&rumor_config(*cfg), x, y, &mut rng);
+                    rumor::contact_with(cfg, x, y, &mut rng, &mut RumorScratch::new());
                 }
             }
             Action::Backup { a, b, policy } => {
@@ -314,11 +290,7 @@ proptest! {
         a.client_update(1, 1);
         b.client_update(1, 2); // b newer? same tick, site tie-break: b wins
         for _ in 0..contacts {
-            match cfg.direction {
-                Direction::Push => rumor::push_contact(&cfg, &mut a, &mut b, &mut rng),
-                Direction::Pull => rumor::pull_contact(&cfg, &mut a, &mut b, &mut rng),
-                Direction::PushPull => rumor::push_pull_contact(&cfg, &mut a, &mut b, &mut rng),
-            };
+            rumor::contact_with(&cfg, &mut a, &mut b, &mut rng, &mut RumorScratch::new());
             rumor::end_cycle(&cfg, &mut a);
             rumor::end_cycle(&cfg, &mut b);
             for r in [&a, &b] {

@@ -1,6 +1,6 @@
 //! Differential property test for the in-place rumor walk.
 //!
-//! [`rumor::push_contact`] and [`rumor::pull_contact`] walk the sender's
+//! Push and pull contacts ([`rumor::contact_with`]) walk the sender's
 //! hot list by position and apply every edit at the cursor. That must be
 //! *observationally invisible*: this test pins it against a reference
 //! written the snapshot way — copy the sender's hot keys, then re-find

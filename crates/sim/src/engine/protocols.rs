@@ -16,7 +16,7 @@
 
 use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
 use epidemic_core::{Direction, Feedback, Removal, Replica};
-use epidemic_db::{OfferOutcome, SiteId};
+use epidemic_db::SiteId;
 use epidemic_net::{LinkTraffic, Routes};
 use epidemic_trace::Sir;
 use rand::rngs::StdRng;
@@ -100,15 +100,6 @@ impl<T: Copy> ReceiveLog<T> {
     /// Fraction of sites still missing the update (the paper's *residue*).
     pub fn residue(&self) -> f64 {
         (self.times.len() - self.received_count()) as f64 / self.times.len() as f64
-    }
-
-    /// Indices of sites that never received the update, ascending.
-    pub fn unreceived(&self) -> impl Iterator<Item = usize> + '_ {
-        self.times
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_none())
-            .map(|(i, _)| i)
     }
 
     /// The raw per-site receive times.
@@ -225,34 +216,26 @@ impl UpdateInjector {
     }
 
     /// Runs one cycle of injection over `n` sites, calling
-    /// `place(site, key)` for each new update. Returns how many updates
-    /// were injected this cycle.
-    pub(crate) fn inject(
-        &mut self,
-        n: usize,
-        rng: &mut StdRng,
-        mut place: impl FnMut(usize, u32),
-    ) -> u32 {
-        let due = self.due();
-        for _ in 0..due {
+    /// `place(site, key)` for each new update.
+    pub(crate) fn inject(&mut self, n: usize, rng: &mut StdRng, mut place: impl FnMut(usize, u32)) {
+        for _ in 0..self.due() {
             let site = rng.random_range(0..n);
             let key = self.alloc_key();
             place(site, key);
         }
-        due
     }
 
     /// Advances the carry accumulator by one cycle and returns how many
     /// operations are due, for callers that place updates themselves
     /// (e.g. a weighted workload mix choosing among update/delete/read).
+    /// Taking the whole part at once leaves exactly what subtracting 1
+    /// that many times would, and it fits a `u32` at any rate
+    /// `Scenario::validate` accepts.
     pub(crate) fn due(&mut self) -> u32 {
-        let mut due = 0;
         self.carry += self.rate;
-        while self.carry >= 1.0 {
-            self.carry -= 1.0;
-            due += 1;
-        }
-        due
+        let due = self.carry.floor();
+        self.carry -= due;
+        due as u32
     }
 
     /// Mints the next sequential key without drawing a site.
@@ -435,29 +418,10 @@ impl MixingProtocol {
 
 /// Offers `from`'s update to `to`, whose receive-log mark is `marked`;
 /// whether it was news. A site is marked exactly when it holds the only
-/// version of the only key, so a marked site's offer is `AlreadyKnown` and
-/// is skipped — debug builds make it anyway and assert that it changes
-/// nothing.
+/// version of the only key, so a marked site's offer is known to be
+/// `AlreadyKnown` and is skipped (made anyway in debug builds).
 fn offer(from: &Replica<u32, u32>, to: &mut Replica<u32, u32>, marked: bool) -> bool {
-    let entry = || {
-        from.db()
-            .entry(&KEY)
-            .expect("a hot sender holds the update")
-    };
-    if !marked {
-        return to.receive_rumor_ref(&KEY, entry()).was_useful();
-    }
-    if cfg!(debug_assertions) {
-        let before = (to.db().entry(&KEY).cloned(), to.hot().len());
-        let outcome = to.receive_rumor_ref(&KEY, entry());
-        assert_eq!(outcome, OfferOutcome::AlreadyKnown);
-        assert_eq!(
-            (to.db().entry(&KEY).cloned(), to.hot().len()),
-            before,
-            "an offer to a marked site changed it"
-        );
-    }
-    false
+    rumor::offer(from, to, &KEY, marked).expect("a hot sender holds the update")
 }
 
 impl EpidemicProtocol for MixingProtocol {
@@ -669,7 +633,7 @@ mod tests {
         assert_eq!(log.t_last(), Some(5));
         assert!((log.t_ave_received() - 4.0).abs() < 1e-12);
         assert!((log.t_ave_all(7) - (3.0 + 5.0 + 7.0 + 7.0) / 4.0).abs() < 1e-12);
-        assert_eq!(log.unreceived().collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(log.times()[2..], [None, None]);
         assert!((log.residue() - 0.5).abs() < 1e-12);
     }
 

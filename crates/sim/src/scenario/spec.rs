@@ -382,8 +382,11 @@ impl Scenario {
         if let Some(mail) = &self.protocol.mail {
             check_prob(mail.loss_probability, "mail loss")?;
         }
-        if self.workload.rate < 0.0 || !self.workload.rate.is_finite() {
-            return Err(err("workload rate must be finite and non-negative"));
+        // A cycle's operations are counted in a `u32`.
+        if !(0.0..=f64::from(u32::MAX)).contains(&self.workload.rate) {
+            return Err(err(
+                "workload rate must lie in [0, 4294967295] operations a cycle",
+            ));
         }
         if self.workload.rate > 0.0 && self.workload.mix.total() == 0 {
             return Err(err("a positive workload rate needs a non-empty mix"));

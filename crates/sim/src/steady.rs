@@ -29,6 +29,7 @@ use epidemic_net::{LinkTraffic, PartnerSampler, Routes, Spatial, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::bitset::BitSet;
 use crate::engine::{
     ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, Roster, RouteRecorder,
     SpatialPartners, UniformPartners, UpdateInjector,
@@ -130,11 +131,11 @@ pub struct SteadyReport<'a> {
 }
 
 /// Everything a [`SteadySim`] run keeps on the heap — the replicas, the
-/// per-link counters, the exchange and rumor scratch and the engine's
-/// roster buffers — owned across runs, so that a run on a warm arena
-/// allocates nothing. One arena serves any sequence of simulators,
-/// mechanisms and topologies; each run starts from a state
-/// indistinguishable from a fresh one.
+/// per-link counters, the exchange and rumor scratch, the rumor holder
+/// set and the engine's roster buffers — owned across runs, so that a
+/// run on a warm arena allocates nothing. One arena serves any sequence
+/// of simulators, mechanisms and topologies; each run starts from a
+/// state indistinguishable from a fresh one.
 #[derive(Debug, Default)]
 pub struct SteadyArena {
     replicas: Vec<Replica<u32, u32>>,
@@ -142,6 +143,13 @@ pub struct SteadyArena {
     update: LinkTraffic,
     exchange: ExchangeScratch<u32>,
     rumor: RumorScratch<u32>,
+    /// Which site holds which key in a push or pull rumor run: bit `site *
+    /// keys + key`, set when a key is injected at a site and when a site
+    /// accepts it. A steady run writes each key once, at one site, and
+    /// never deletes or supersedes it, so every copy of a key is the same
+    /// version: an offer to a marked site is `AlreadyKnown`, and one to an
+    /// unmarked site is accepted.
+    holders: BitSet,
     buffers: EngineBuffers,
 }
 
@@ -260,16 +268,30 @@ impl<'a> SteadySim<'a> {
                 (sites, Some(recorder))
             }
         };
+        let injector = UpdateInjector::new(self.config.updates_per_cycle);
+        let inject_until = warmup + cycles;
+        let mut schedule = injector;
+        let keys = (0..inject_until).map(|_| schedule.due() as usize).sum();
+        // Only a push or pull walk has one recipient to ask about.
+        let holders = match self.mechanism {
+            Mechanism::Rumor(cfg) if cfg.direction != Direction::PushPull => {
+                arena.holders.reset(arena.replicas.len() * keys);
+                Some(&mut arena.holders)
+            }
+            _ => None,
+        };
         let mut protocol = SteadyProtocol {
             mechanism: self.mechanism,
             sites,
             replicas: &mut arena.replicas,
-            injector: UpdateInjector::new(self.config.updates_per_cycle),
+            injector,
             warmup,
-            inject_until: warmup + cycles,
+            inject_until,
             recorder,
             exchange: &mut arena.exchange,
             rumor: &mut arena.rumor,
+            holders,
+            keys,
             tally: Tally::default(),
         };
         let measured_cycles = cycles + self.config.drain;
@@ -364,6 +386,10 @@ struct SteadyProtocol<'a> {
     recorder: Option<RouteRecorder<'a>>,
     exchange: &'a mut ExchangeScratch<u32>,
     rumor: &'a mut RumorScratch<u32>,
+    /// Push and pull rumor runs skip their offers to holders (see
+    /// [`SteadyArena`]); the run injects `keys` keys.
+    holders: Option<&'a mut BitSet>,
+    keys: usize,
     tally: Tally,
 }
 
@@ -395,8 +421,12 @@ impl EpidemicProtocol for SteadyProtocol<'_> {
         }
         if cycle <= self.inject_until {
             let replicas = &mut *self.replicas;
+            let (holders, keys) = (&mut self.holders, self.keys);
             self.injector.inject(replicas.len(), rng, |site, key| {
                 replicas[site].client_update(key, cycle);
+                if let Some(holders) = holders {
+                    holders.set(site * keys + key as usize, true);
+                }
             });
         }
     }
@@ -412,7 +442,26 @@ impl EpidemicProtocol for SteadyProtocol<'_> {
                 (contact, stats.full_compare, stats.entries_scanned)
             }
             Mechanism::Rumor(cfg) => {
-                let stats = rumor::contact_with(&cfg, a, b, rng, self.rumor);
+                let stats = match &mut self.holders {
+                    Some(holders) => {
+                        let recipient = if cfg.direction.pushes() { j } else { i };
+                        let first_bit = recipient * self.keys;
+                        let mut fresh = 0;
+                        // An unmarked recipient is marked before the offer,
+                        // which it then accepts.
+                        let stats =
+                            rumor::contact_with_known(&cfg, a, b, rng, self.rumor, |&key| {
+                                let bit = first_bit + key as usize;
+                                let held = holders.get(bit);
+                                holders.set(bit, true);
+                                fresh += usize::from(!held);
+                                held
+                            });
+                        debug_assert_eq!(stats.useful, fresh, "a holder was left unmarked");
+                        stats
+                    }
+                    None => rumor::contact_with(&cfg, a, b, rng, self.rumor),
+                };
                 (stats.into(), false, 0)
             }
         };
@@ -676,18 +725,27 @@ mod tests {
         let ring = topologies::ring(12);
         let grid = topologies::grid(&[4, 4]);
         let on_ring = SteadySim::spatial(&ring, Spatial::Uniform, RECENT_400, CIN);
-        let pull = SteadySim::uniform(30, rumor(Direction::Pull, 2), RUMOR);
         let fresh_ring = on_ring
             .run(&mut SteadyArena::new(), 6)
             .entry_traffic
             .clone();
-        let fresh_pull = format!("{:?}", pull.run(&mut SteadyArena::new(), 11));
         // One arena through another topology, a larger push fleet and
         // both mechanisms in between.
         let mut arena = SteadyArena::new();
         SteadySim::spatial(&grid, Spatial::QsPower { a: 2.0 }, RECENT_400, CIN).run(&mut arena, 1);
         SteadySim::uniform(60, rumor(Direction::Push, 3), RUMOR).run(&mut arena, 5);
         assert_eq!(*on_ring.run(&mut arena, 6).entry_traffic, fresh_ring);
-        assert_eq!(format!("{:?}", pull.run(&mut arena, 11)), fresh_pull);
+        // Push and pull under every feedback and removal rule skip their
+        // offers to holders (made anyway, and checked, in debug builds).
+        for direction in [Direction::Push, Direction::Pull] {
+            for feedback in [Feedback::Feedback, Feedback::Blind] {
+                for removal in [Removal::Counter { k: 2 }, Removal::Coin { k: 2 }] {
+                    let cfg = RumorConfig::new(direction, feedback, removal);
+                    let sim = SteadySim::uniform(30, Mechanism::Rumor(cfg), RUMOR);
+                    let fresh = format!("{:?}", sim.run(&mut SteadyArena::new(), 11));
+                    assert_eq!(format!("{:?}", sim.run(&mut arena, 11)), fresh, "{cfg:?}");
+                }
+            }
+        }
     }
 }

@@ -222,7 +222,10 @@ fn build_fixture() -> String {
         let sim = SpatialSim::new(&ring, Spatial::QsPower { a: 1.5 }).rumor(cfg);
         for seed in 0..3u64 {
             let r = sim.run(&mut spatial_arena, seed, &mut ());
-            let susceptible: Vec<_> = r.received.unreceived().map(|i| ring.sites()[i]).collect();
+            let susceptible: Vec<_> = (0..ring.sites().len())
+                .filter(|&i| !r.received.is_marked(i))
+                .map(|i| ring.sites()[i])
+                .collect();
             writeln!(
                 out,
                 "spatial-rumor/ring12/{direction:?} seed={seed} => \

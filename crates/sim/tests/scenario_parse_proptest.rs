@@ -1,8 +1,9 @@
 //! Property tests for the `.scenario` grammar: `parse(render(spec))`
 //! equals the original spec for arbitrary valid specs (floats included —
 //! Rust's shortest-representation `Display` round-trips exactly), the
-//! parser never panics on arbitrary input, and malformed input reports
-//! the offending line.
+//! parser never panics on arbitrary input, malformed input reports the
+//! offending line, and any workload rate either fails validation or,
+//! under an operation budget, runs.
 
 use epidemic_core::rumor::{Feedback, Removal, RumorConfig};
 use epidemic_core::{Direction, MailConfig, Redistribution};
@@ -234,6 +235,24 @@ proptest! {
         prop_assert_eq!(reparsed, spec);
     }
 
+    /// Any `f64` workload rate either fails validation (negative, not
+    /// finite, or more operations a cycle than a `u32` counts) or runs the
+    /// spec's first cycles without a panic under a budget of at most 200
+    /// operations. Without a budget, a validated rate near `u32::MAX` would
+    /// still mint keys until the `u32` key space ran out.
+    #[test]
+    fn any_rate_validates_or_runs(spec in scenario(), bits in any::<u64>(), seed in any::<u64>()) {
+        let mut spec = spec;
+        spec.workload.rate = f64::from_bits(bits);
+        let accepted = (0.0..=f64::from(u32::MAX)).contains(&spec.workload.rate);
+        prop_assert_eq!(spec.validate().is_ok(), accepted);
+        if accepted {
+            spec.workload.budget = Some(spec.workload.budget.unwrap_or(200));
+            spec.max_cycles = spec.max_cycles.min(3);
+            ScenarioEngine::new(spec).expect("validated").run(seed, &mut ());
+        }
+    }
+
     /// The parser is total: arbitrary text yields `Ok` or a structured
     /// error, never a panic.
     #[test]
@@ -328,14 +347,21 @@ fn validation_failures_surface_after_parsing() {
     assert_eq!(e.line, 0);
     assert!(e.message.contains("probability"), "{e}");
 
-    // Site clocks that would pass u64: a gc jump past τ₁, or a skew.
-    for event in [
-        "at 26 gc 18446744073709551615 5",
-        "at 0 skew site 3 offset 18446744073709551615",
+    // Site clocks that would pass u64 (a gc jump past τ₁, or a skew), and
+    // per-cycle counts past u32 (1e18 hung the injector: from 2^53 up,
+    // `carry - 1.0 == carry`; 5e9 overflowed its count).
+    for (line, message) in [
+        ("at 26 gc 18446744073709551615 5", "clocks overflow"),
+        (
+            "at 0 skew site 3 offset 18446744073709551615",
+            "clocks overflow",
+        ),
+        ("workload rate 1e18 budget 20", "4294967295]"),
+        ("workload rate 5e9 budget 20", "4294967295]"),
     ] {
-        let e = Scenario::parse(&format!("scenario x\nsites 4\n{event}\n")).unwrap_err();
+        let e = Scenario::parse(&format!("scenario x\nsites 4\n{line}\n")).unwrap_err();
         assert_eq!(e.line, 0);
-        assert!(e.message.contains("clocks overflow"), "{event}: {e}");
+        assert!(e.message.contains(message), "{line}: {e}");
     }
     // The largest skew the default 1000-cycle bound leaves room for.
     let text = "scenario x\nsites 4\nat 0 skew site 3 offset 18446744073709550615\n";

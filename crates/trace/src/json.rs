@@ -604,6 +604,12 @@ mod tests {
             assert!(!err.message.is_empty());
             assert!(err.to_string().contains("at byte"));
         }
+        // A real artifact cut short at any character before its end.
+        let bench = include_str!("../../../BENCH_repro.json").trim_end();
+        assert!(parse(bench).is_ok());
+        for (cut, _) in bench.char_indices() {
+            assert!(parse(&bench[..cut]).is_err(), "cut at byte {cut}");
+        }
     }
 
     /// Regression: every ordinary string character re-validated the rest
@@ -641,5 +647,13 @@ mod tests {
 
         let err = parse(&"[".repeat(2_000_000)).expect_err("two million brackets");
         assert_eq!(err.offset, MAX_DEPTH);
+    }
+
+    proptest::proptest! {
+        /// Text from JSON's alphabet and beyond ASCII parses or errs.
+        #[test]
+        fn parse_never_panics(text in "[\\[\\]{}\":,.0-9eE+\\\\ a-z\t\n\u{e9}\u{1F600}-]{0,64}") {
+            let _ = parse(&text);
+        }
     }
 }

@@ -5,7 +5,7 @@ use epidemics::core::activity::{ActivityList, PeelBackRumor};
 use epidemics::core::rumor;
 use epidemics::core::{
     AntiEntropy, BackupAntiEntropy, Comparison, Direction, Feedback, Redistribution, Removal,
-    Replica, RumorConfig,
+    Replica, RumorConfig, RumorScratch,
 };
 use epidemics::db::SiteId;
 use rand::rngs::StdRng;
@@ -129,7 +129,7 @@ fn rumor_mongering_with_backup_never_loses_updates() {
                 j += 1;
             }
             let (a, b) = split_pair(&mut replicas, i, j);
-            rumor::push_contact(&cfg, a, b, &mut rng);
+            rumor::contact_with(&cfg, a, b, &mut rng, &mut RumorScratch::new());
         }
         guard += 1;
         assert!(guard < 10_000);
