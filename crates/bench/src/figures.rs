@@ -18,7 +18,7 @@ use epidemic_core::{Direction, Feedback, Removal, Replica, RumorConfig};
 use epidemic_db::SiteId;
 use epidemic_net::topologies::{self, cin, CinConfig};
 use epidemic_net::{LinkId, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
-use epidemic_sim::engine::{SirObserver, SpatialPartners};
+use epidemic_sim::engine::SirObserver;
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::runner::Arenas;
 use epidemic_sim::scenario::{bundled, AntiEntropySpec, FaultKind, ScenarioEngine};
@@ -954,7 +954,6 @@ pub(crate) fn churn_table(ctx: &Ctx<'_>) -> FigTable {
     let sites = net.topology.sites();
     let routes = Routes::compute(&net.topology);
     let sampler = PartnerSampler::new(&net.topology, &routes, Spatial::QsPower { a: 2.0 });
-    let partners = SpatialPartners::new(sites, &sampler);
     let mut rows = Vec::new();
     for (label, fail, recover) in [
         ("0% down", 0.0, 1.0),
@@ -967,7 +966,7 @@ pub(crate) fn churn_table(ctx: &Ctx<'_>) -> FigTable {
         let means = ctx.mean(
             || (),
             |(), seed| {
-                let r = engine.run_with_policy(seed + 91, &partners, Some(sites), &mut ());
+                let r = engine.run_with_policy(seed + 91, &sampler, Some(sites), &mut ());
                 [
                     r.down_fraction,
                     f64::from(r.cycles),

@@ -87,7 +87,7 @@ macro_rules! observed {
                 $(let mut $check = ::epidemic_sim::engine::InvariantObserver::new();)?
                 let mut sink = AggregateObserver::new();
                 let result = {
-                    let $obs = &mut (&mut trace, $(&mut $check,)? &mut sink);
+                    let $obs = &mut (&mut trace, ($(&mut $check,)? &mut sink));
                     $run
                 };
                 seen.jsonl = trace.finish();

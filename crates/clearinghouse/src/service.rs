@@ -214,14 +214,10 @@ impl Clearinghouse {
 }
 
 fn pair_mut(servers: &mut [Server], i: usize, j: usize) -> (&mut Server, &mut Server) {
-    assert_ne!(i, j);
-    if i < j {
-        let (lo, hi) = servers.split_at_mut(j);
-        (&mut lo[i], &mut hi[0])
-    } else {
-        let (lo, hi) = servers.split_at_mut(i);
-        (&mut hi[0], &mut lo[j])
-    }
+    let [a, b] = servers
+        .get_disjoint_mut([i, j])
+        .expect("two distinct servers");
+    (a, b)
 }
 
 #[cfg(test)]

@@ -715,13 +715,7 @@ mod tests {
                         if j >= i {
                             j += 1;
                         }
-                        let (x, y) = if i < j {
-                            let (lo, hi) = sites.split_at_mut(j);
-                            (&mut lo[i], &mut hi[0])
-                        } else {
-                            let (lo, hi) = sites.split_at_mut(i);
-                            (&mut hi[0], &mut lo[j])
-                        };
+                        let [x, y] = sites.get_disjoint_mut([i, j]).unwrap();
                         contact_with(cfg, x, y, r, &mut RumorScratch::new());
                     }
                     guard += 1;

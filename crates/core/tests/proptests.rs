@@ -125,13 +125,10 @@ fn split_pair(
     i: usize,
     j: usize,
 ) -> (&mut Replica<u8, u16>, &mut Replica<u8, u16>) {
-    if i < j {
-        let (lo, hi) = replicas.split_at_mut(j);
-        (&mut lo[i], &mut hi[0])
-    } else {
-        let (lo, hi) = replicas.split_at_mut(i);
-        (&mut hi[0], &mut lo[j])
-    }
+    let [a, b] = replicas
+        .get_disjoint_mut([i, j])
+        .expect("two distinct sites");
+    (a, b)
 }
 
 /// Executes a schedule and after every action checks the safety

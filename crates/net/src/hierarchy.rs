@@ -19,6 +19,7 @@
 use epidemic_db::SiteId;
 use rand::{Rng, RngExt};
 
+use crate::degree::DegreeGraph;
 use crate::graph::Topology;
 use crate::routing::Routes;
 use crate::spatial::{PartnerSampler, Spatial};
@@ -28,22 +29,37 @@ use crate::spatial::{PartnerSampler, Spatial};
 /// Both sides are *positions* in [`Topology::sites`] — the dense site index
 /// the simulators work in — so a draw involves no id lookup.
 ///
-/// Implemented by [`PartnerSampler`] (flat spatial distributions) and
-/// [`HierarchicalSampler`] (§4's two-level scheme).
+/// Implemented by [`PartnerSampler`] (flat spatial distributions),
+/// [`HierarchicalSampler`] (§4's two-level scheme) and [`DegreeGraph`]
+/// (a uniform random neighbor); the simulators add uniform complete
+/// mixing. Generic over the RNG, so a draw from a sequential stream and
+/// one from a per-contact counter stream each compile to direct calls.
 pub trait PartnerSelection {
     /// Draws a partner for the site at position `from`. Never returns
     /// `from` itself.
-    fn select(&self, from: usize, rng: &mut dyn Rng) -> usize;
+    fn select<R: Rng + ?Sized>(&self, from: usize, rng: &mut R) -> usize;
 }
 
 impl PartnerSelection for PartnerSampler {
-    fn select(&self, from: usize, rng: &mut dyn Rng) -> usize {
+    fn select<R: Rng + ?Sized>(&self, from: usize, rng: &mut R) -> usize {
         self.sample_position(from, rng)
     }
 }
 
+impl PartnerSelection for DegreeGraph {
+    /// A uniform random neighbor of `from`: one `random_range` draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` has no neighbors.
+    fn select<R: Rng + ?Sized>(&self, from: usize, rng: &mut R) -> usize {
+        let neighbors = self.neighbors(from);
+        neighbors[rng.random_range(0..neighbors.len())] as usize
+    }
+}
+
 impl<T: PartnerSelection + ?Sized> PartnerSelection for &T {
-    fn select(&self, from: usize, rng: &mut dyn Rng) -> usize {
+    fn select<R: Rng + ?Sized>(&self, from: usize, rng: &mut R) -> usize {
         (**self).select(from, rng)
     }
 }
@@ -127,7 +143,7 @@ impl HierarchicalSampler {
     /// # Panics
     ///
     /// Panics if `from` is a relay node rather than a database site.
-    pub fn sample(&self, from: SiteId, rng: &mut dyn Rng) -> SiteId {
+    pub fn sample<R: Rng + ?Sized>(&self, from: SiteId, rng: &mut R) -> SiteId {
         let from = self
             .local
             .position(from)
@@ -137,7 +153,7 @@ impl HierarchicalSampler {
 }
 
 impl PartnerSelection for HierarchicalSampler {
-    fn select(&self, from: usize, rng: &mut dyn Rng) -> usize {
+    fn select<R: Rng + ?Sized>(&self, from: usize, rng: &mut R) -> usize {
         let rank = self.rank[from];
         if rank != LEAF && rng.random::<f64>() < self.long_range {
             // Long-haul hop: a uniform random *other* representative — the

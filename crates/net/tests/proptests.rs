@@ -3,11 +3,12 @@
 //! check of the sampler's guide-table draw against a binary search.
 
 use epidemic_net::{
-    topologies, HierarchicalSampler, PartnerSampler, PartnerSelection, Routes, Spatial, Topology,
-    TopologyBuilder,
+    topologies, DegreeGraph, HierarchicalSampler, PartnerSampler, PartnerSelection, Routes,
+    Spatial, Topology, TopologyBuilder,
 };
 use proptest::prelude::*;
-use rand::Rng;
+use rand::rngs::{ContactRng, StdRng};
+use rand::{Rng, RngExt, SeedableRng};
 
 /// Strategy: a random connected graph of `n` nodes — a random spanning
 /// tree plus extra random edges; a random subset of nodes (at least two)
@@ -145,15 +146,36 @@ proptest! {
     /// Sampling never returns the chooser or a relay node.
     #[test]
     fn samples_are_other_sites(topo in random_topology(), seed in any::<u64>()) {
-        use rand::SeedableRng;
         let routes = Routes::compute(&topo);
         let sampler = PartnerSampler::new(&topo, &routes, Spatial::QsPower { a: 2.0 });
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         for &from in topo.sites() {
             for _ in 0..20 {
                 let p = sampler.sample(from, &mut rng);
                 prop_assert_ne!(p, from);
                 prop_assert!(topo.is_site(p));
+            }
+        }
+    }
+
+    /// A contact graph's draw is one uniform pick from the chooser's
+    /// neighbors — never the chooser, always a site — on a sequential
+    /// stream and a per-contact counter stream alike.
+    #[test]
+    fn graph_draws_are_uniform_neighbors(n in 3usize..200, m in 1usize..4, seed in any::<u64>()) {
+        let graph = DegreeGraph::scale_free(n, m, seed);
+        let (mut sequential, mut twin) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        for from in 0..n {
+            let mut counter = ContactRng::new(seed, 1, from as u64);
+            let neighbors = graph.neighbors(from);
+            let expected = [
+                neighbors[twin.random_range(0..neighbors.len())],
+                neighbors[counter.clone().random_range(0..neighbors.len())],
+            ];
+            let drawn = [graph.select(from, &mut sequential), graph.select(from, &mut counter)];
+            for (j, expected) in drawn.into_iter().zip(expected) {
+                prop_assert_eq!(j, expected as usize);
+                prop_assert!(j != from && j < n);
             }
         }
     }
@@ -248,14 +270,13 @@ fn guide_draw_is_the_binary_search_at_every_edge() {
 /// and word for word, on both samplers.
 #[test]
 fn positions_are_site_ids_searched() {
-    use rand::SeedableRng;
     let topo = topologies::cin(&topologies::CinConfig::default()).topology;
     let routes = Routes::compute(&topo);
     let sites = topo.sites();
     let flat = PartnerSampler::new(&topo, &routes, Spatial::QsPower { a: 1.2 });
     let tiered = HierarchicalSampler::new(&topo, &routes, 8, 0.5, Spatial::QsPower { a: 2.0 });
-    let mut by_position = rand::rngs::StdRng::seed_from_u64(23);
-    let mut by_id = rand::rngs::StdRng::seed_from_u64(23);
+    let mut by_position = StdRng::seed_from_u64(23);
+    let mut by_id = StdRng::seed_from_u64(23);
     for _ in 0..20 {
         for (from, &site) in sites.iter().enumerate() {
             let flat_id = flat.sample(site, &mut by_id);

@@ -30,17 +30,17 @@
 //!
 //! Totals stay exact without full traversal: every active initiator makes
 //! exactly one contact, and `fruitless = contacts − useful` falls out of
-//! the per-contact stats the apply phase returns ([`EngineTotals`]).
+//! the per-contact stats the apply phase returns ([`TraceTotals`]).
 //!
 //! The engine records the `engine.active_setup` /
 //! `engine.active_contact_loop` / `engine.active_apply` phases through
 //! [`epidemic_trace::profile`] when profiling is enabled (`repro
 //! --timings`), mirroring the sequential engine's phase accounting.
 
-use epidemic_trace::profile;
+use epidemic_trace::{profile, TraceTotals};
 use rand::rngs::ContactRng;
 
-use super::{ContactStats, EngineReport, EngineTotals, Observer};
+use super::{ContactStats, EngineReport, Observer};
 use crate::bitset::BitSet;
 
 /// A protocol the active-set engine can run.
@@ -164,7 +164,7 @@ impl ActiveCycleEngine {
         let mut apply_nanos = 0u64;
 
         observer.on_run_start(protocol);
-        let mut totals = EngineTotals::default();
+        let mut totals = TraceTotals::default();
         let mut cycle = 0u32;
         let mut roster: Vec<u32> = Vec::new();
         let mut chunks: Vec<Vec<P::Draw>> = (0..self.workers).map(|_| Vec::new()).collect();
@@ -228,6 +228,7 @@ impl ActiveCycleEngine {
             profile::record("engine.active_contact_loop", contact_nanos);
             profile::record("engine.active_apply", apply_nanos);
         }
+        observer.on_run_end(&totals);
         EngineReport {
             cycles: cycle,
             totals,

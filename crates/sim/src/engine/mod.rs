@@ -11,9 +11,9 @@
 //!   rumor mongering in any [`Direction`](epidemic_core::Direction),
 //!   direct mail) plus per-cycle state transitions and the finish
 //!   predicate;
-//! * [`PartnerPolicy`] — where partners come from: uniform complete mixing
-//!   or any [`PartnerSelection`](epidemic_net::PartnerSelection) topology
-//!   sampler ([`UniformPartners`], [`SpatialPartners`]);
+//! * [`PartnerSelection`] — where partners come from: uniform complete
+//!   mixing ([`UniformPartners`]) or any `epidemic-net` strategy (spatial
+//!   samplers, the §4 hierarchy, a contact graph), one draw per attempt;
 //! * [`CycleEngine`] — the round loop itself: roster computation, scratch
 //!   buffer reuse, connection-limit/hunting retries, per-contact traffic
 //!   totals and the cycle bound;
@@ -34,14 +34,16 @@ pub mod trace;
 
 pub use active::{ActiveCycleEngine, ActiveSetProtocol};
 pub use observer::{Observer, SirObserver, SirView};
-pub use partner::{PartnerPolicy, SpatialPartners, UniformPartners};
+pub(crate) use partner::Partners;
+pub use partner::UniformPartners;
 pub(crate) use protocols::UpdateInjector;
 pub use protocols::{ReceiveLog, RouteRecorder};
 pub use trace::{AggregateObserver, InvariantObserver, TraceObserver, TraceView};
 
 use std::time::Instant;
 
-use epidemic_trace::profile;
+use epidemic_net::PartnerSelection;
+use epidemic_trace::{profile, TraceTotals};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -148,26 +150,13 @@ pub trait EpidemicProtocol {
     fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {}
 }
 
-/// Aggregate contact totals for one engine run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineTotals {
-    /// Contacts executed (connections accepted).
-    pub contacts: u64,
-    /// Database updates transmitted.
-    pub sent: u64,
-    /// Transmissions that were news to the recipient.
-    pub useful: u64,
-    /// Contacts that transmitted nothing useful.
-    pub fruitless: u64,
-}
-
 /// Outcome of one [`CycleEngine::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineReport {
     /// Cycles executed before the finish predicate held (or the bound).
     pub cycles: u32,
     /// Aggregate contact totals.
-    pub totals: EngineTotals,
+    pub totals: TraceTotals,
 }
 
 /// The round loop's scratch: the everyone-roster, the active roster and
@@ -245,7 +234,7 @@ impl CycleEngine {
     ) -> EngineReport
     where
         P: EpidemicProtocol,
-        L: PartnerPolicy + ?Sized,
+        L: PartnerSelection + ?Sized,
         O: Observer<P>,
     {
         // Audited: `Instant::now` is reached only when the global profile
@@ -266,7 +255,7 @@ impl CycleEngine {
         active.reserve(n);
         accepted.clear();
         accepted.resize(n, 0);
-        let mut totals = EngineTotals::default();
+        let mut totals = TraceTotals::default();
         // `cycle` cannot overflow: it only increments while strictly below
         // `max_cycles`, itself a `u32`, so the counter tops out there.
         let mut cycle = 0u32;
@@ -334,6 +323,7 @@ impl CycleEngine {
             profile::record("engine.end_of_cycle", end_nanos);
         }
 
+        observer.on_run_end(&totals);
         EngineReport {
             cycles: cycle,
             totals,
@@ -343,7 +333,7 @@ impl CycleEngine {
     /// Draws a partner for `i`, honoring the connection limit with up to
     /// `hunt_limit` retries. Every attempt pays its RNG draw whether or
     /// not the candidate accepts.
-    fn find_partner<L: PartnerPolicy + ?Sized>(
+    fn find_partner<L: PartnerSelection + ?Sized>(
         &self,
         policy: &L,
         i: usize,
@@ -351,7 +341,8 @@ impl CycleEngine {
         rng: &mut StdRng,
     ) -> Option<usize> {
         for _ in 0..=self.hunt_limit {
-            let j = policy.attempt(i, rng);
+            let j = policy.select(i, rng);
+            debug_assert!(j < accepted.len() && j != i);
             match self.connection_limit {
                 Some(limit) if accepted[j] >= limit => continue,
                 _ => return Some(j),

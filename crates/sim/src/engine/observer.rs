@@ -5,7 +5,7 @@
 //! instead of being compiled into each driver. The no-op observer
 //! is the unit type `()`, which compiles away entirely.
 
-use epidemic_trace::Sir;
+use epidemic_trace::{Sir, TraceTotals};
 
 use super::ContactStats;
 
@@ -23,6 +23,10 @@ pub trait Observer<P: ?Sized> {
 
     /// Called after each cycle completes (post `end_cycle`).
     fn on_cycle_end(&mut self, _cycle: u32, _protocol: &P) {}
+
+    /// Called once after the last cycle, with the totals the engine
+    /// reports.
+    fn on_run_end(&mut self, _totals: &TraceTotals) {}
 }
 
 /// The null observer: observes nothing, costs nothing.
@@ -40,11 +44,14 @@ impl<P: ?Sized, O: Observer<P>> Observer<P> for &mut O {
     fn on_cycle_end(&mut self, cycle: u32, protocol: &P) {
         (**self).on_cycle_end(cycle, protocol);
     }
+    fn on_run_end(&mut self, totals: &TraceTotals) {
+        (**self).on_run_end(totals);
+    }
 }
 
-/// Pair composition: both observers see every event, `A` first. Nest pairs
-/// or use the 3-tuple for wider fan-out, e.g.
-/// `(&mut sir_observer, &mut invariant_observer)`.
+/// Pair composition: both observers see every event, `A` first, e.g.
+/// `(&mut sir_observer, &mut invariant_observer)`. Nest pairs for wider
+/// fan-out: `(a, (b, c))` runs `a`, `b`, `c` in that order.
 impl<P: ?Sized, A: Observer<P>, B: Observer<P>> Observer<P> for (A, B) {
     fn on_run_start(&mut self, protocol: &P) {
         self.0.on_run_start(protocol);
@@ -58,24 +65,9 @@ impl<P: ?Sized, A: Observer<P>, B: Observer<P>> Observer<P> for (A, B) {
         self.0.on_cycle_end(cycle, protocol);
         self.1.on_cycle_end(cycle, protocol);
     }
-}
-
-/// Triple composition: all three observers see every event, in order.
-impl<P: ?Sized, A: Observer<P>, B: Observer<P>, C: Observer<P>> Observer<P> for (A, B, C) {
-    fn on_run_start(&mut self, protocol: &P) {
-        self.0.on_run_start(protocol);
-        self.1.on_run_start(protocol);
-        self.2.on_run_start(protocol);
-    }
-    fn on_contact(&mut self, cycle: u32, i: usize, j: usize, stats: &ContactStats) {
-        self.0.on_contact(cycle, i, j, stats);
-        self.1.on_contact(cycle, i, j, stats);
-        self.2.on_contact(cycle, i, j, stats);
-    }
-    fn on_cycle_end(&mut self, cycle: u32, protocol: &P) {
-        self.0.on_cycle_end(cycle, protocol);
-        self.1.on_cycle_end(cycle, protocol);
-        self.2.on_cycle_end(cycle, protocol);
+    fn on_run_end(&mut self, totals: &TraceTotals) {
+        self.0.on_run_end(totals);
+        self.1.on_run_end(totals);
     }
 }
 
@@ -142,6 +134,7 @@ mod tests {
         starts: u32,
         contacts: u32,
         cycles: u32,
+        ends: u32,
     }
     impl<P: ?Sized> Observer<P> for Counting {
         fn on_run_start(&mut self, _protocol: &P) {
@@ -153,6 +146,9 @@ mod tests {
         fn on_cycle_end(&mut self, _cycle: u32, _protocol: &P) {
             self.cycles += 1;
         }
+        fn on_run_end(&mut self, _totals: &TraceTotals) {
+            self.ends += 1;
+        }
     }
 
     fn drive<O: Observer<()>>(observer: &mut O) {
@@ -160,6 +156,7 @@ mod tests {
         observer.on_contact(1, 0, 1, &ContactStats::default());
         observer.on_contact(1, 2, 3, &ContactStats::default());
         observer.on_cycle_end(1, &());
+        observer.on_run_end(&TraceTotals::default());
     }
 
     #[test]
@@ -170,18 +167,18 @@ mod tests {
             starts: 1,
             contacts: 2,
             cycles: 1,
+            ends: 1,
         };
         assert_eq!(pair.0, expected);
         assert_eq!(pair.1, expected);
 
-        let mut triple = (
+        let mut nested = (
             Counting::default(),
-            Counting::default(),
-            Counting::default(),
+            (Counting::default(), Counting::default()),
         );
-        drive(&mut triple);
-        for obs in [&triple.0, &triple.1, &triple.2] {
-            assert_eq!(obs.contacts, 2);
+        drive(&mut nested);
+        for obs in [&nested.0, &nested.1 .0, &nested.1 .1] {
+            assert_eq!(obs, &expected);
         }
     }
 

@@ -1,26 +1,16 @@
-//! Partner-selection policies for the [`CycleEngine`](super::CycleEngine).
+//! Uniform complete mixing as a [`PartnerSelection`] strategy.
 //!
-//! A [`PartnerPolicy`] produces exactly one candidate partner per call —
-//! the engine layers connection limits and hunting (retry draws) on top,
-//! so the *same* limit/hunt logic serves uniform mixing and topology-aware
-//! spatial selection. Each `attempt` consumes exactly the RNG draws the
-//! historical drivers consumed, which is what keeps the engine port
-//! byte-identical to the pre-engine simulators.
+//! Every driver draws partners through the one seam,
+//! [`PartnerSelection`]: topology samplers, the §4 hierarchy and the
+//! megascale contact graph implement it in `epidemic-net`, and
+//! [`UniformPartners`] adds the §1.4 tables' uniform draw. The engine
+//! calls `select` once per hunting attempt and layers connection limits
+//! on top, so the *same* limit/hunt logic serves every strategy. Each
+//! `select` consumes exactly the RNG draws the historical drivers
+//! consumed, which is what keeps every output byte-identical.
 
-use epidemic_db::SiteId;
 use epidemic_net::PartnerSelection;
-use rand::rngs::StdRng;
-use rand::RngExt;
-
-/// A source of candidate gossip partners for the engine's contact loop.
-///
-/// `attempt` draws one candidate for initiator `i` (a dense site index,
-/// never `i` itself). The engine calls it once per hunting attempt; a
-/// policy must not loop internally.
-pub trait PartnerPolicy {
-    /// Draws one candidate partner index for initiator `i`.
-    fn attempt(&self, i: usize, rng: &mut StdRng) -> usize;
-}
+use rand::{Rng, RngExt};
 
 /// Uniform complete mixing over `n` sites: every other site is equally
 /// likely (the Tables 1–3 model). Uses the classic skip-self draw — one
@@ -42,39 +32,30 @@ impl UniformPartners {
     }
 }
 
-impl PartnerPolicy for UniformPartners {
-    fn attempt(&self, i: usize, rng: &mut StdRng) -> usize {
+impl PartnerSelection for UniformPartners {
+    fn select<R: Rng + ?Sized>(&self, from: usize, rng: &mut R) -> usize {
         let mut j = rng.random_range(0..self.n - 1);
-        if j >= i {
+        if j >= from {
             j += 1;
         }
         j
     }
 }
 
-/// Topology-aware selection: delegates to any
-/// [`PartnerSelection`] strategy (flat
-/// [`Spatial`](epidemic_net::Spatial) distributions, the §4 hierarchy, …).
-/// A strategy answers in positions of the topology's site list, which *is*
-/// the dense replica index the engine works with, so nothing is mapped.
+/// Uniform mixing or a drawn strategy `S`, chosen when a driver is built —
+/// so a driver that offers both runs its engine once.
 #[derive(Debug, Clone, Copy)]
-pub struct SpatialPartners<'a, S> {
-    sites: &'a [SiteId],
-    sampler: &'a S,
+pub(crate) enum Partners<'a, S> {
+    Uniform(UniformPartners),
+    Drawn(&'a S),
 }
 
-impl<'a, S: PartnerSelection> SpatialPartners<'a, S> {
-    /// Wraps `sampler`, built on the topology whose site list is `sites`.
-    pub fn new(sites: &'a [SiteId], sampler: &'a S) -> Self {
-        SpatialPartners { sites, sampler }
-    }
-}
-
-impl<S: PartnerSelection> PartnerPolicy for SpatialPartners<'_, S> {
-    fn attempt(&self, i: usize, rng: &mut StdRng) -> usize {
-        let j = self.sampler.select(i, rng);
-        debug_assert!(j < self.sites.len() && j != i);
-        j
+impl<S: PartnerSelection> PartnerSelection for Partners<'_, S> {
+    fn select<R: Rng + ?Sized>(&self, from: usize, rng: &mut R) -> usize {
+        match self {
+            Partners::Uniform(uniform) => uniform.select(from, rng),
+            Partners::Drawn(strategy) => strategy.select(from, rng),
+        }
     }
 }
 
@@ -82,6 +63,7 @@ impl<S: PartnerSelection> PartnerPolicy for SpatialPartners<'_, S> {
 mod tests {
     use super::*;
     use epidemic_net::{topologies, PartnerSampler, Routes, Spatial};
+    use rand::rngs::{ContactRng, StdRng};
     use rand::SeedableRng;
 
     #[test]
@@ -90,7 +72,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut seen = [false; 5];
         for _ in 0..200 {
-            let j = policy.attempt(2, &mut rng);
+            let j = policy.select(2, &mut rng);
             assert_ne!(j, 2);
             seen[j] = true;
         }
@@ -99,19 +81,21 @@ mod tests {
 
     #[test]
     fn uniform_matches_the_historical_skip_self_idiom() {
-        let policy = UniformPartners::new(7);
-        let mut a = StdRng::seed_from_u64(11);
-        let mut b = StdRng::seed_from_u64(11);
-        for i in 0..7 {
-            let expected = {
-                let mut j = b.random_range(0..6);
-                if j >= i {
-                    j += 1;
-                }
-                j
-            };
-            assert_eq!(policy.attempt(i, &mut a), expected);
+        fn check<R: Rng>(mut a: R, mut b: R) {
+            let policy = UniformPartners::new(7);
+            for i in 0..7 {
+                let expected = {
+                    let mut j = b.random_range(0..6);
+                    if j >= i {
+                        j += 1;
+                    }
+                    j
+                };
+                assert_eq!(policy.select(i, &mut a), expected);
+            }
         }
+        check(StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
+        check(ContactRng::new(11, 3, 5), ContactRng::new(11, 3, 5));
     }
 
     #[test]
@@ -125,10 +109,9 @@ mod tests {
         let topo = topologies::ring(8);
         let routes = Routes::compute(&topo);
         let sampler = PartnerSampler::new(&topo, &routes, Spatial::Uniform);
-        let policy = SpatialPartners::new(topo.sites(), &sampler);
         let mut rng = StdRng::seed_from_u64(5);
         for i in 0..8 {
-            let j = policy.attempt(i, &mut rng);
+            let j = sampler.select(i, &mut rng);
             assert!(j < 8);
             assert_ne!(j, i, "PartnerSelection never returns the chooser");
         }

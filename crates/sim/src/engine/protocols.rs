@@ -518,7 +518,6 @@ pub struct BitAntiEntropyProtocol {
     pub(crate) state: MixingState,
     /// Sites holding the update: `active`'s population.
     pub(crate) count: usize,
-    pub(crate) trace: Vec<f64>,
 }
 
 impl BitAntiEntropyProtocol {
@@ -532,7 +531,6 @@ impl BitAntiEntropyProtocol {
             direction,
             state,
             count: 1,
-            trace: Vec::new(),
         }
     }
 
@@ -570,11 +568,6 @@ impl EpidemicProtocol for BitAntiEntropyProtocol {
             sent: useful,
             useful,
         }
-    }
-
-    fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
-        let n = self.site_count();
-        self.trace.push((n - self.count) as f64 / n as f64);
     }
 }
 

@@ -215,6 +215,11 @@ impl<P: TraceView + ?Sized> Observer<P> for InvariantObserver {
         };
         self.checker.cycle(u64::from(cycle), sir, digests);
     }
+
+    fn on_run_end(&mut self, totals: &TraceTotals) {
+        // Rule 7 already ran at the last cycle end; only rule 6 is left.
+        self.checker.finish(*totals, None);
+    }
 }
 
 #[cfg(test)]

@@ -14,12 +14,12 @@ use std::collections::BinaryHeap;
 
 use epidemic_core::{AntiEntropy, Comparison, Direction, Replica};
 use epidemic_db::SiteId;
-use epidemic_net::{LinkTraffic, PartnerSampler, Routes, Spatial, Topology};
+use epidemic_net::{LinkTraffic, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::engine::{PartnerPolicy, ReceiveLog, RouteRecorder, SpatialPartners};
+use crate::engine::{ReceiveLog, RouteRecorder};
 
 /// Time in microticks; one nominal anti-entropy period is
 /// [`AsyncSpatialSim::PERIOD`] microticks.
@@ -96,7 +96,6 @@ impl<'a> AsyncSpatialSim<'a> {
         let mut rng = StdRng::seed_from_u64(seed);
         let sites = self.topology.sites();
         let n = sites.len();
-        let policy = SpatialPartners::new(sites, &self.sampler);
         let mut replicas: Vec<Replica<u32, u32>> = sites.iter().map(|&s| Replica::new(s)).collect();
         let origin = origin.unwrap_or_else(|| *sites.choose(&mut rng).expect("sites"));
         let origin_idx = sites.binary_search(&origin).expect("site exists");
@@ -122,7 +121,7 @@ impl<'a> AsyncSpatialSim<'a> {
                 break;
             };
             now = t;
-            let j = policy.attempt(i, &mut rng);
+            let j = self.sampler.select(i, &mut rng);
             let (a, b) = crate::util::pair_mut(&mut replicas, i, j);
             let stats = protocol.exchange_with(a, b, &mut scratch);
             exchanges += 1;

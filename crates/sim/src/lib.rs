@@ -28,9 +28,10 @@
 //! * [`event`] — a discrete-event, per-site-timer driver ablating the
 //!   synchronous-cycle assumption;
 //! * [`engine`] — the shared cycle engine all of the above drive:
-//!   pluggable [`engine::EpidemicProtocol`] contacts, uniform or spatial
-//!   [`engine::PartnerPolicy`] partner selection, and [`engine::Observer`]
-//!   tracing hooks;
+//!   pluggable [`engine::EpidemicProtocol`] contacts, partners from any
+//!   [`PartnerSelection`](epidemic_net::PartnerSelection) strategy
+//!   ([`engine::UniformPartners`] for complete mixing), and
+//!   [`engine::Observer`] tracing hooks;
 //! * [`runner`] — deterministic parallel trial execution: fans Monte-Carlo
 //!   trials across threads with per-trial seeds `seed_base + trial`,
 //!   folding results in trial order so aggregates are bit-identical at
@@ -75,7 +76,7 @@ mod util;
 pub use bitset::BitSet;
 pub use engine::{
     ContactStats, CycleEngine, EngineReport, EpidemicProtocol, InvariantObserver, Observer,
-    PartnerPolicy, SirObserver, SpatialPartners, TraceObserver, TraceView, UniformPartners,
+    SirObserver, TraceObserver, TraceView, UniformPartners,
 };
 pub use megascale::{FastDraw, FastRumorProtocol, MegascaleSim};
 pub use mixing::{EpidemicResult, MixingArena, RumorEpidemic};

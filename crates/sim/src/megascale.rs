@@ -45,14 +45,15 @@
 //! the RNG contract legitimately differs.
 
 use epidemic_db::LazyTable;
-use epidemic_net::DegreeGraph;
+use epidemic_net::{DegreeGraph, PartnerSelection};
 use epidemic_trace::Sir;
 use rand::rngs::ContactRng;
 use rand::RngExt;
 
 use crate::bitset::BitSet;
 use crate::engine::{
-    ActiveCycleEngine, ActiveSetProtocol, ContactStats, EngineReport, Observer, SirView,
+    ActiveCycleEngine, ActiveSetProtocol, ContactStats, EngineReport, Observer, Partners, SirView,
+    UniformPartners,
 };
 use crate::mixing::EpidemicResult;
 
@@ -139,32 +140,6 @@ impl<'g> MegascaleSim<'g> {
     }
 }
 
-/// Where partners come from: the classic skip-self uniform draw, or a
-/// uniform random neighbor. One [`ContactRng`] draw either way.
-#[derive(Debug, Clone, Copy)]
-enum Partners<'a> {
-    Uniform { n: usize },
-    Neighbors(&'a DegreeGraph),
-}
-
-impl Partners<'_> {
-    fn draw(&self, i: usize, rng: &mut ContactRng) -> usize {
-        match *self {
-            Partners::Uniform { n } => {
-                let mut j = rng.random_range(0..n - 1);
-                if j >= i {
-                    j += 1;
-                }
-                j
-            }
-            Partners::Neighbors(graph) => {
-                let neighbors = graph.neighbors(i);
-                neighbors[rng.random_range(0..neighbors.len())] as usize
-            }
-        }
-    }
-}
-
 /// The pure record of one fast-path contact's random choices (the
 /// [`ActiveSetProtocol::Draw`] of [`FastRumorProtocol`]): where the push
 /// goes, and how the feedback coin landed.
@@ -190,7 +165,9 @@ pub struct FastDraw {
 /// no entry, infective = entry and hot, removed = entry but not hot.
 #[derive(Debug, Clone)]
 pub struct FastRumorProtocol<'a> {
-    partners: Partners<'a>,
+    /// The classic skip-self uniform draw, or a uniform random neighbor:
+    /// one [`ContactRng`] draw either way.
+    partners: Partners<'a, DegreeGraph>,
     k: u32,
     /// Sites that hold the update (I ∪ R).
     has_entry: BitSet,
@@ -210,8 +187,7 @@ impl<'a> FastRumorProtocol<'a> {
     ///
     /// Panics if `n < 2`.
     pub fn uniform(n: usize, k: u32) -> FastRumorProtocol<'static> {
-        assert!(n >= 2, "uniform mixing needs at least two sites");
-        FastRumorProtocol::with_partners(Partners::Uniform { n }, n, k)
+        FastRumorProtocol::with_partners(Partners::Uniform(UniformPartners::new(n)), n, k)
     }
 
     /// An epidemic over the sites of `graph` with coin loss rate `k`,
@@ -230,10 +206,14 @@ impl<'a> FastRumorProtocol<'a> {
                 "site {i} has no neighbors to gossip with"
             );
         }
-        FastRumorProtocol::with_partners(Partners::Neighbors(graph), n, k)
+        FastRumorProtocol::with_partners(Partners::Drawn(graph), n, k)
     }
 
-    fn with_partners(partners: Partners<'_>, n: usize, k: u32) -> FastRumorProtocol<'_> {
+    fn with_partners(
+        partners: Partners<'_, DegreeGraph>,
+        n: usize,
+        k: u32,
+    ) -> FastRumorProtocol<'_> {
         let mut protocol = FastRumorProtocol {
             partners,
             k,
@@ -306,7 +286,7 @@ impl ActiveSetProtocol for FastRumorProtocol<'_> {
     }
 
     fn contact(&self, _cycle: u32, i: usize, rng: &mut ContactRng) -> FastDraw {
-        let to = self.partners.draw(i, rng) as u32;
+        let to = self.partners.select(i, rng) as u32;
         // Same draw as `rumor::record_feedback` under `Coin { k }`;
         // sampled whether or not the push turns out fruitless.
         let coin = rng.random_bool(1.0 / f64::from(self.k.max(1)));

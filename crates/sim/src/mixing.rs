@@ -348,8 +348,6 @@ pub struct AntiEntropyEpidemic {
 pub struct AntiEntropyRun {
     /// Cycles until every site held the update.
     pub cycles: u32,
-    /// Susceptible fraction after each cycle (index 0 = after cycle 1).
-    pub susceptible_trace: Vec<f64>,
     /// Whether full coverage was reached within the cycle bound.
     pub complete: bool,
 }
@@ -391,7 +389,6 @@ impl AntiEntropyEpidemic {
         arena.state = protocol.state;
         AntiEntropyRun {
             cycles: report.cycles,
-            susceptible_trace: protocol.trace,
             complete,
         }
     }
@@ -400,6 +397,7 @@ impl AntiEntropyEpidemic {
 #[cfg(test)]
 mod ae_tests {
     use super::*;
+    use crate::engine::SirObserver;
 
     /// Mean cover time over `trials` seeds, one arena throughout.
     fn mean_cycles(driver: AntiEntropyEpidemic, trials: u64) -> f64 {
@@ -423,16 +421,18 @@ mod ae_tests {
 
     #[test]
     fn pull_converges_faster_than_push_in_the_tail() {
-        // Compare cycles spent below 10% susceptible.
+        // Compare cycles spent below 10% susceptible (point c of the SIR
+        // trajectory is the state after cycle c).
         let tail = |direction| {
             let driver = AntiEntropyEpidemic::new(2048, direction);
             let mut arena = MixingArena::new();
             (0..10)
                 .map(|s| {
-                    let run = driver.run(&mut arena, s, &mut ());
-                    run.susceptible_trace
+                    let mut sir = SirObserver::new();
+                    driver.run(&mut arena, s, &mut sir);
+                    sir.points[1..]
                         .iter()
-                        .filter(|&&p| p > 0.0 && p < 0.1)
+                        .filter(|&&(p, _, _)| p > 0.0 && p < 0.1)
                         .count() as f64
                 })
                 .sum::<f64>()
@@ -453,10 +453,11 @@ mod ae_tests {
     #[test]
     fn all_directions_always_complete() {
         for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
+            let mut sir = SirObserver::new();
             let run =
-                AntiEntropyEpidemic::new(128, direction).run(&mut MixingArena::new(), 7, &mut ());
+                AntiEntropyEpidemic::new(128, direction).run(&mut MixingArena::new(), 7, &mut sir);
             assert!(run.complete);
-            assert_eq!(*run.susceptible_trace.last().unwrap(), 0.0);
+            assert_eq!(sir.points.last().unwrap().0, 0.0);
         }
     }
 }

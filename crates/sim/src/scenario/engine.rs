@@ -14,7 +14,7 @@
 //! blocked contact pays its RNG cost, exactly like the engine's admission
 //! rule for down sites), the workload rides on `UpdateInjector`'s carry
 //! accumulator, and per-scenario metrics come out of the same
-//! [`ContactStats`]/[`EngineTotals`] plumbing as every other driver.
+//! [`ContactStats`]/[`TraceTotals`] plumbing as every other driver.
 
 use epidemic_core::activity::{ActivityList, PeelBackRumor};
 use epidemic_core::direct_mail::MailStats;
@@ -24,15 +24,15 @@ use epidemic_core::{
     Redistribution, Replica,
 };
 use epidemic_db::{GcPolicy, SiteId};
-use epidemic_net::{topologies, PartnerSampler, Routes};
-use epidemic_trace::Sir;
+use epidemic_net::{topologies, PartnerSampler, PartnerSelection, Routes};
+use epidemic_trace::{Sir, TraceTotals};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use super::spec::{FaultEvent, FaultKind, Scenario, SiteSet, SpecError, StopRule, TopologySpec};
 use crate::engine::{
-    ContactStats, CycleEngine, EngineBuffers, EngineTotals, EpidemicProtocol, Observer,
-    PartnerPolicy, Roster, SirView, SpatialPartners, UniformPartners, UpdateInjector,
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, Observer, Roster, SirView,
+    UniformPartners, UpdateInjector,
 };
 use crate::stats::Summary;
 use crate::util::{self, pair_mut};
@@ -63,7 +63,7 @@ pub struct ScenarioReport {
     /// Cycles executed.
     pub cycles: u32,
     /// Aggregate engine contact totals.
-    pub totals: EngineTotals,
+    pub totals: TraceTotals,
     /// Cycle at which the stop rule held, `None` if the run hit
     /// [`Scenario::max_cycles`] first.
     pub converged_at: Option<u32>,
@@ -177,12 +177,11 @@ impl ScenarioEngine {
         };
         let routes = Routes::compute(&topo);
         let sampler = PartnerSampler::new(&topo, &routes, spatial.to_net());
-        let policy = SpatialPartners::new(topo.sites(), &sampler);
-        self.run_with_policy(seed, &policy, Some(topo.sites()), observer)
+        self.run_with_policy(seed, &sampler, Some(topo.sites()), observer)
     }
 
-    /// Runs the scenario against a caller-supplied partner policy and site
-    /// id list (`None` for `0..sites`), bypassing the spec's `topology`
+    /// Runs the scenario against a caller-supplied partner strategy and
+    /// site id list (`None` for `0..sites`), bypassing the spec's `topology`
     /// line: the churn ablation runs the bundled churn spec on the CIN's
     /// sampler this way. Draws exactly what [`ScenarioEngine::run`] draws
     /// for the same seed once its policy is built (building one draws
@@ -195,7 +194,7 @@ impl ScenarioEngine {
         observer: &mut O,
     ) -> ScenarioReport
     where
-        L: PartnerPolicy + ?Sized,
+        L: PartnerSelection + ?Sized,
         O: Observer<ScenarioProtocol>,
     {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -394,6 +394,29 @@ impl Scenario {
         if self.workload.retention as usize >= n {
             return Err(err("workload retention must be below the site count"));
         }
+        // Every update mints a `u32` key. The workload runs once a cycle,
+        // so it performs at most rate × max-cycles operations (fewer under
+        // a budget); each update event fires at most once.
+        let workload = (self.workload.rate * f64::from(self.max_cycles)).ceil();
+        let workload = self
+            .workload
+            .budget
+            .map_or(workload, |b| workload.min(b as f64));
+        let events: f64 = self
+            .events
+            .iter()
+            .map(|e| match e.kind {
+                FaultKind::Update { count, .. } => f64::from(count),
+                _ => 0.0,
+            })
+            .sum();
+        if workload + events > f64::from(u32::MAX) {
+            return Err(err(
+                "operations could exhaust the u32 key space: the workload budget \
+                 (or rate × max-cycles) plus the update events' counts must stay \
+                 within 4294967295",
+            ));
+        }
         if self.until == StopRule::Quiescent && self.protocol.rumor.is_none() {
             return Err(err("until quiescent requires a rumor protocol"));
         }

@@ -10,8 +10,8 @@
 //! *accept* at most `C` inbound conversations per cycle (its own outgoing
 //! conversation is not charged against it, matching the paper's 0.63
 //! success fraction at limit 1); rejected initiators may hunt. Limits and
-//! hunting are the shared [`CycleEngine`]'s, applied to a
-//! [`SpatialPartners`] policy.
+//! hunting are the shared [`CycleEngine`]'s, applied to the sampler's own
+//! draws.
 //!
 //! Anti-entropy runs until every site holds the update. Rumor mongering
 //! "runs to quiescence", so on irregular topologies with nonuniform
@@ -33,7 +33,7 @@ use rand::SeedableRng;
 
 use crate::engine::{
     ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, Observer, ReceiveLog, Roster,
-    RouteRecorder, SirView, SpatialPartners,
+    RouteRecorder, SirView,
 };
 use crate::runner::{Arenas, TrialRunner};
 use crate::util::{pair_mut, reset_replicas};
@@ -236,7 +236,7 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
             .hunt_limit(self.hunt_limit)
             .run(
                 &mut protocol,
-                &SpatialPartners::new(sites, &self.sampler),
+                &self.sampler,
                 &mut rng,
                 observer,
                 &mut arena.buffers,

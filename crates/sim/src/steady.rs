@@ -31,8 +31,8 @@ use rand::SeedableRng;
 
 use crate::bitset::BitSet;
 use crate::engine::{
-    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, Roster, RouteRecorder,
-    SpatialPartners, UniformPartners, UpdateInjector,
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, Partners, Roster, RouteRecorder,
+    UniformPartners, UpdateInjector,
 };
 use crate::util::{pair_mut, reset_replicas, site_ids};
 
@@ -160,9 +160,9 @@ impl SteadyArena {
     }
 }
 
-/// Where partners come from.
+/// The fleet a driver runs on.
 #[derive(Debug)]
-enum Partners<'a> {
+enum Fleet<'a> {
     /// Uniform complete mixing over this many sites.
     Uniform(usize),
     /// A spatial distribution on a topology, with per-link accounting.
@@ -198,7 +198,7 @@ enum Partners<'a> {
 /// ```
 #[derive(Debug)]
 pub struct SteadySim<'a> {
-    partners: Partners<'a>,
+    fleet: Fleet<'a>,
     mechanism: Mechanism,
     config: SteadyConfig,
 }
@@ -212,7 +212,7 @@ impl<'a> SteadySim<'a> {
     pub fn uniform(sites: usize, mechanism: Mechanism, config: SteadyConfig) -> Self {
         assert!(sites >= 2, "an epidemic needs at least two sites");
         SteadySim {
-            partners: Partners::Uniform(sites),
+            fleet: Fleet::Uniform(sites),
             mechanism,
             config,
         }
@@ -230,7 +230,7 @@ impl<'a> SteadySim<'a> {
         let routes = Routes::compute(topology);
         let sampler = PartnerSampler::new(topology, &routes, spatial);
         SteadySim {
-            partners: Partners::Spatial {
+            fleet: Fleet::Spatial {
                 topology,
                 routes,
                 sampler,
@@ -247,15 +247,17 @@ impl<'a> SteadySim<'a> {
     pub fn run<'r>(&self, arena: &'r mut SteadyArena, seed: u64) -> SteadyReport<'r> {
         let mut rng = StdRng::seed_from_u64(seed);
         let SteadyConfig { warmup, cycles, .. } = self.config;
-        let (sites, recorder) = match &self.partners {
-            Partners::Uniform(n) => {
+        let (sites, recorder, partners) = match &self.fleet {
+            Fleet::Uniform(n) => {
                 reset_replicas(&mut arena.replicas, site_ids(*n));
                 arena.compare.reset(0);
                 arena.update.reset(0);
-                (&[][..], None)
+                (&[][..], None, Partners::Uniform(UniformPartners::new(*n)))
             }
-            Partners::Spatial {
-                topology, routes, ..
+            Fleet::Spatial {
+                topology,
+                routes,
+                sampler,
             } => {
                 let sites = topology.sites();
                 reset_replicas(&mut arena.replicas, sites.iter().copied());
@@ -265,7 +267,7 @@ impl<'a> SteadySim<'a> {
                     std::mem::take(&mut arena.compare),
                     std::mem::take(&mut arena.update),
                 );
-                (sites, Some(recorder))
+                (sites, Some(recorder), Partners::Drawn(sampler))
             }
         };
         let injector = UpdateInjector::new(self.config.updates_per_cycle);
@@ -295,23 +297,13 @@ impl<'a> SteadySim<'a> {
             tally: Tally::default(),
         };
         let measured_cycles = cycles + self.config.drain;
-        let engine = CycleEngine::new().max_cycles(warmup + measured_cycles);
-        match &self.partners {
-            Partners::Uniform(n) => engine.run(
-                &mut protocol,
-                &UniformPartners::new(*n),
-                &mut rng,
-                &mut (),
-                &mut arena.buffers,
-            ),
-            Partners::Spatial { sampler, .. } => engine.run(
-                &mut protocol,
-                &SpatialPartners::new(sites, sampler),
-                &mut rng,
-                &mut (),
-                &mut arena.buffers,
-            ),
-        };
+        CycleEngine::new().max_cycles(warmup + measured_cycles).run(
+            &mut protocol,
+            &partners,
+            &mut rng,
+            &mut (),
+            &mut arena.buffers,
+        );
         let SteadyProtocol {
             replicas,
             injector,
@@ -712,7 +704,7 @@ mod tests {
                         ],
                         [0.0; 8],
                         "{mechanism:?} warmup={warmup} {:?}",
-                        sim.partners
+                        sim.fleet
                     );
                     assert_eq!((r.measured_cycles, r.exchanges), (0, 0));
                 }

@@ -32,14 +32,10 @@ pub(crate) fn reset_replicas<V: Hash>(
 ///
 /// Panics if `i == j` or either index is out of bounds.
 pub(crate) fn pair_mut<T>(slice: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
-    assert_ne!(i, j, "a site cannot exchange with itself");
-    if i < j {
-        let (lo, hi) = slice.split_at_mut(j);
-        (&mut lo[i], &mut hi[0])
-    } else {
-        let (lo, hi) = slice.split_at_mut(i);
-        (&mut hi[0], &mut lo[j])
-    }
+    let [a, b] = slice
+        .get_disjoint_mut([i, j])
+        .expect("a site cannot exchange with itself");
+    (a, b)
 }
 
 #[cfg(test)]

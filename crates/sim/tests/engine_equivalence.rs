@@ -24,7 +24,6 @@ use epidemic_core::{Comparison, Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, LinkTraffic, Spatial};
 use epidemic_net::{PartnerSampler, Routes};
 use epidemic_sim::engine::SirObserver;
-use epidemic_sim::engine::SpatialPartners;
 use epidemic_sim::event::AsyncSpatialSim;
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::runner::TrialRunner;
@@ -175,10 +174,20 @@ fn build_fixture() -> String {
     .unwrap();
 
     // --- mixing::AntiEntropyEpidemic -----------------------------------
+    // Printed with the per-cycle susceptible trace the result once carried,
+    // now read off the SIR observer's points after cycles 1, 2, ...
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         for seed in 0..3u64 {
-            let r = AntiEntropyEpidemic::new(32, direction).run(&mut mixing_arena, seed, &mut ());
-            writeln!(out, "ae-mixing/{direction:?} seed={seed} => {r:?}").unwrap();
+            let mut sir = SirObserver::new();
+            let r = AntiEntropyEpidemic::new(32, direction).run(&mut mixing_arena, seed, &mut sir);
+            let trace: Vec<f64> = sir.points[1..].iter().map(|p| p.0).collect();
+            writeln!(
+                out,
+                "ae-mixing/{direction:?} seed={seed} => AntiEntropyRun {{ cycles: {}, \
+                 susceptible_trace: {trace:?}, complete: {} }}",
+                r.cycles, r.complete,
+            )
+            .unwrap();
         }
     }
 
@@ -248,12 +257,11 @@ fn build_fixture() -> String {
     // lines the fixture recorded.
     let routes = Routes::compute(&grid);
     let sampler = PartnerSampler::new(&grid, &routes, Spatial::Uniform);
-    let partners = SpatialPartners::new(grid.sites(), &sampler);
     for (tag, fail, recover) in [("mild", 0.05, 0.5), ("harsh", 0.3, 0.3)] {
         let spec = bundled::churn(grid.sites().len(), fail, recover);
         let engine = ScenarioEngine::new(spec).expect("churn spec is valid");
         for seed in 0..3u64 {
-            let r = engine.run_with_policy(seed, &partners, Some(grid.sites()), &mut ());
+            let r = engine.run_with_policy(seed, &sampler, Some(grid.sites()), &mut ());
             writeln!(
                 out,
                 "churn/{tag} seed={seed} => ChurnRunResult {{ t_last: {}, complete: {}, \

@@ -63,14 +63,10 @@ impl DiffAe {
 }
 
 fn split_pair(replicas: &mut [Rep], i: usize, j: usize) -> (&mut Rep, &mut Rep) {
-    assert_ne!(i, j, "a site cannot exchange with itself");
-    if i < j {
-        let (lo, hi) = replicas.split_at_mut(j);
-        (&mut lo[i], &mut hi[0])
-    } else {
-        let (lo, hi) = replicas.split_at_mut(i);
-        (&mut hi[0], &mut lo[j])
-    }
+    let [a, b] = replicas
+        .get_disjoint_mut([i, j])
+        .expect("a site cannot exchange with itself");
+    (a, b)
 }
 
 fn stats_of(stats: &epidemic_core::ExchangeStats) -> ContactStats {

@@ -1,14 +1,16 @@
 //! The invariant checker must pass cleanly on every shipped driver —
 //! rumor mongering in all three directions, bit anti-entropy, and the
-//! spatial driver's two mechanisms — and the trace observer composed
-//! alongside it must agree with the driver's own accounting.
+//! spatial driver's two mechanisms — must catch a lossy event stream, and
+//! the trace observer composed alongside it must agree with the driver's
+//! own accounting.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, Spatial};
-use epidemic_sim::engine::trace::{InvariantObserver, TraceObserver};
+use epidemic_sim::engine::trace::{InvariantObserver, TraceObserver, TraceView};
+use epidemic_sim::engine::{ContactStats, Observer};
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::spatial::{SpatialArena, SpatialSim};
-use epidemic_trace::TraceConfig;
+use epidemic_trace::{TraceConfig, TraceTotals};
 
 fn rumor_cfg(direction: Direction) -> RumorConfig {
     RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 3 })
@@ -83,6 +85,36 @@ fn spatial_rumor_mongering_is_invariant_clean() {
         assert!(check.is_clean(), "seed {seed}: {}", check.to_jsonl());
         assert!(r.cycles > 0);
     }
+}
+
+/// Forwards every event to the checker but every other contact: what a
+/// sink that loses records looks like.
+struct Lossy(InvariantObserver, bool);
+
+impl<P: TraceView> Observer<P> for Lossy {
+    fn on_run_start(&mut self, protocol: &P) {
+        self.0.on_run_start(protocol);
+    }
+    fn on_contact(&mut self, cycle: u32, i: usize, j: usize, stats: &ContactStats) {
+        self.1 = !self.1;
+        if self.1 {
+            Observer::<P>::on_contact(&mut self.0, cycle, i, j, stats);
+        }
+    }
+    fn on_cycle_end(&mut self, cycle: u32, protocol: &P) {
+        self.0.on_cycle_end(cycle, protocol);
+    }
+    fn on_run_end(&mut self, totals: &TraceTotals) {
+        Observer::<P>::on_run_end(&mut self.0, totals);
+    }
+}
+
+#[test]
+fn lost_contacts_break_the_totals_rule_at_run_end() {
+    let mut lossy = Lossy(InvariantObserver::new(), false);
+    RumorEpidemic::new(150, rumor_cfg(Direction::Push)).run(&mut MixingArena::new(), 5, &mut lossy);
+    let rules: Vec<_> = lossy.0.violations().iter().map(|v| v.rule).collect();
+    assert!(rules.contains(&"totals_consistency"), "{rules:?}");
 }
 
 #[test]

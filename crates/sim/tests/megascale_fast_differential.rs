@@ -30,13 +30,16 @@ mod reference {
     //! counter-RNG, ascending-order asynchronous protocol, run as a
     //! naive eager loop over real [`Replica`]s with none of the fast
     //! path's machinery — no active-set iteration, no lazy rows, no
-    //! draw/apply split, no threads.
+    //! draw/apply split, no threads. Partners come through the one
+    //! `PartnerSelection` seam, whose draws `partner.rs`'s unit tests and
+    //! `epidemic-net`'s proptests pin to their formulas.
 
     use epidemic_core::Replica;
     use epidemic_db::SiteId;
-    use epidemic_net::DegreeGraph;
+    use epidemic_net::{DegreeGraph, PartnerSelection};
     use epidemic_sim::engine::ReceiveLog;
     use epidemic_sim::EpidemicResult;
+    use epidemic_sim::UniformPartners;
     use rand::rngs::ContactRng;
     use rand::RngExt;
 
@@ -54,29 +57,15 @@ mod reference {
 
     /// Reference run over `n` uniformly mixing sites.
     pub fn run_uniform(n: usize, k: u32, seed: u64) -> ReferenceRun {
-        run(n, k, seed, |i, rng| {
-            let mut j = rng.random_range(0..n - 1);
-            if j >= i {
-                j += 1;
-            }
-            j
-        })
+        run(n, k, seed, &UniformPartners::new(n))
     }
 
     /// Reference run over the sites of `graph`.
     pub fn run_scale_free(graph: &DegreeGraph, k: u32, seed: u64) -> ReferenceRun {
-        run(graph.site_count(), k, seed, |i, rng| {
-            let neighbors = graph.neighbors(i);
-            neighbors[rng.random_range(0..neighbors.len())] as usize
-        })
+        run(graph.site_count(), k, seed, graph)
     }
 
-    fn run<F: Fn(usize, &mut ContactRng) -> usize>(
-        n: usize,
-        k: u32,
-        seed: u64,
-        partner: F,
-    ) -> ReferenceRun {
+    fn run<P: PartnerSelection>(n: usize, k: u32, seed: u64, partners: &P) -> ReferenceRun {
         let mut sites: Vec<Replica<u32, u32>> = (0..n)
             .map(|i| Replica::new(SiteId::new(u32::try_from(i).expect("site count fits u32"))))
             .collect();
@@ -103,7 +92,7 @@ mod reference {
                 // feedback coin, both drawn unconditionally from the
                 // contact's private (seed, cycle, i) stream.
                 let mut rng = ContactRng::new(seed, u64::from(cycle), i as u64);
-                let j = partner(i, &mut rng);
+                let j = partners.select(i, &mut rng);
                 let coin = rng.random_bool(1.0 / f64::from(k.max(1)));
                 sent += 1;
                 let [from, to] = sites.get_disjoint_mut([i, j]).expect("two distinct sites");

@@ -19,9 +19,7 @@
 use epidemic_core::rumor::{Feedback, Removal, RumorConfig};
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
 use epidemic_net::{topologies, PartnerSampler, Routes, Spatial, Topology};
-use epidemic_sim::engine::{
-    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, SpatialPartners,
-};
+use epidemic_sim::engine::{ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol};
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::scenario::{bundled, FaultEvent, FaultKind, Scenario, ScenarioEngine, StopRule};
 use rand::rngs::StdRng;
@@ -50,14 +48,8 @@ struct ChurnRunResult {
 }
 
 fn pair_mut<T>(slice: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
-    assert!(i != j);
-    if i < j {
-        let (a, b) = slice.split_at_mut(j);
-        (&mut a[i], &mut b[0])
-    } else {
-        let (a, b) = slice.split_at_mut(i);
-        (&mut b[0], &mut a[j])
-    }
+    let [a, b] = slice.get_disjoint_mut([i, j]).expect("two distinct sites");
+    (a, b)
 }
 
 struct LegacyChurnedProtocol {
@@ -151,7 +143,7 @@ fn legacy_churn_run(
     };
     let report = CycleEngine::new().max_cycles(50_000).run(
         &mut protocol,
-        &SpatialPartners::new(sites, &sampler),
+        &sampler,
         &mut rng,
         &mut (),
         &mut EngineBuffers::default(),
@@ -200,12 +192,11 @@ fn scenario_lowering_matches_legacy_churn_driver_exactly() {
     for (topo, spatial, churn) in cases {
         let routes = Routes::compute(&topo);
         let sampler = PartnerSampler::new(&topo, &routes, spatial);
-        let partners = SpatialPartners::new(topo.sites(), &sampler);
         let spec = bundled::churn(topo.sites().len(), churn.fail, churn.recover);
         let engine = ScenarioEngine::new(spec).expect("valid");
         for seed in 0..8 {
             let legacy = legacy_churn_run(&topo, spatial, churn, seed);
-            let r = engine.run_with_policy(seed, &partners, Some(topo.sites()), &mut ());
+            let r = engine.run_with_policy(seed, &sampler, Some(topo.sites()), &mut ());
             let new = ChurnRunResult {
                 t_last: r.cycles,
                 complete: r.residue == 0.0,

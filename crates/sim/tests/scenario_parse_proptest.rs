@@ -358,6 +358,8 @@ fn validation_failures_surface_after_parsing() {
         ),
         ("workload rate 1e18 budget 20", "4294967295]"),
         ("workload rate 5e9 budget 20", "4294967295]"),
+        // 5·10⁶ a cycle over the default 1000 cycles: 5·10⁹ keys.
+        ("workload rate 5000000", "key space"),
     ] {
         let e = Scenario::parse(&format!("scenario x\nsites 4\n{line}\n")).unwrap_err();
         assert_eq!(e.line, 0);
@@ -367,6 +369,9 @@ fn validation_failures_surface_after_parsing() {
     let text = "scenario x\nsites 4\nat 0 skew site 3 offset 18446744073709550615\n";
     let spec = Scenario::parse(text).expect("fits u64");
     ScenarioEngine::new(spec).unwrap().run(1, &mut ());
+    // A budget bounds the same rate's keys.
+    Scenario::parse("scenario x\nsites 4\nworkload rate 5000000 budget 20\n")
+        .expect("a budget bounds the key count");
 }
 
 #[test]

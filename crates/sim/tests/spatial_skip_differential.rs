@@ -14,7 +14,7 @@ use epidemic_db::SiteId;
 use epidemic_net::{topologies, LinkTraffic, PartnerSampler, Routes, Spatial, Topology};
 use epidemic_sim::engine::{
     ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, RouteRecorder, SirView,
-    SpatialPartners, TraceObserver,
+    TraceObserver,
 };
 use epidemic_sim::{SpatialArena, SpatialSim};
 use epidemic_trace::{Sir, TraceConfig};
@@ -114,7 +114,7 @@ fn always_exchange_run(
         .hunt_limit(hunt_limit)
         .run(
             &mut protocol,
-            &SpatialPartners::new(sites, &sampler),
+            &sampler,
             &mut rng,
             observer,
             &mut EngineBuffers::default(),

@@ -40,7 +40,7 @@ fn main() {
     let mut check = InvariantObserver::new();
     let mut aggregate = AggregateObserver::new();
 
-    let observer = &mut (&mut trace, &mut check, &mut aggregate);
+    let observer = &mut (&mut trace, (&mut check, &mut aggregate));
     let result = RumorEpidemic::new(n, cfg).run(&mut MixingArena::new(), seed, observer);
 
     println!("# run trace (JSONL; diffable, no wall-clock fields)");

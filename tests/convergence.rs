@@ -28,18 +28,9 @@ fn random_pair(rng: &mut StdRng, n: usize) -> (usize, usize) {
     (i, j)
 }
 
-fn split_pair(
-    replicas: &mut Fleet,
-    i: usize,
-    j: usize,
-) -> (&mut Replica<u32, u64>, &mut Replica<u32, u64>) {
-    if i < j {
-        let (lo, hi) = replicas.split_at_mut(j);
-        (&mut lo[i], &mut hi[0])
-    } else {
-        let (lo, hi) = replicas.split_at_mut(i);
-        (&mut hi[0], &mut lo[j])
-    }
+fn split_pair<T>(items: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
+    let [a, b] = items.get_disjoint_mut([i, j]).expect("two distinct sites");
+    (a, b)
 }
 
 fn all_equal(replicas: &Fleet) -> bool {
@@ -166,13 +157,7 @@ fn peel_back_rumor_combination_is_failure_free() {
     while !all_equal(&replicas) {
         let (i, j) = random_pair(&mut rng, n);
         let (a, b) = split_pair(&mut replicas, i, j);
-        let (la, lb) = if i < j {
-            let (lo, hi) = lists.split_at_mut(j);
-            (&mut lo[i], &mut hi[0])
-        } else {
-            let (lo, hi) = lists.split_at_mut(i);
-            (&mut hi[0], &mut lo[j])
-        };
+        let (la, lb) = split_pair(&mut lists, i, j);
         protocol.exchange(a, la, b, lb);
         exchanges += 1;
         assert!(exchanges < 10_000);

@@ -15,13 +15,7 @@ fn converge(replicas: &mut [Replica<&'static str, u32>], rng: &mut StdRng) {
         if j >= i {
             j += 1;
         }
-        let (a, b) = if i < j {
-            let (lo, hi) = replicas.split_at_mut(j);
-            (&mut lo[i], &mut hi[0])
-        } else {
-            let (lo, hi) = replicas.split_at_mut(i);
-            (&mut hi[0], &mut lo[j])
-        };
+        let [a, b] = replicas.get_disjoint_mut([i, j]).unwrap();
         protocol.exchange(a, b);
         if replicas[1..].iter().all(|r| r.db() == replicas[0].db()) {
             return;

@@ -47,13 +47,7 @@ fn run_schedule(replicas: &mut Fleet, protocol: &AntiEntropy, schedule: &[(u8, u
         if i == j {
             continue;
         }
-        let (a, b) = if i < j {
-            let (lo, hi) = replicas.split_at_mut(j);
-            (&mut lo[i], &mut hi[0])
-        } else {
-            let (lo, hi) = replicas.split_at_mut(i);
-            (&mut hi[0], &mut lo[j])
-        };
+        let [a, b] = replicas.get_disjoint_mut([i, j]).unwrap();
         protocol.exchange(a, b);
     }
 }
