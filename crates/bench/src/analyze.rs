@@ -157,20 +157,15 @@ pub fn bench_diff(
             continue;
         };
         let s_ratio = ratio(base.seconds, cand.seconds);
-        let alloc_ratio = match (base.allocations, cand.allocations) {
-            (Some(b), Some(c)) => Some(ratio(b, c)),
-            _ => None,
-        };
+        let both = |b: Option<f64>, c: Option<f64>| b.zip(c).map(|(b, c)| ratio(b, c));
+        let alloc_ratio = both(base.allocations, cand.allocations);
         // Prefer the per-experiment delta when both records carry it; fall
         // back to the monotone process peak for legacy baselines.
         let (rss_field, base_rss, cand_rss) = match (base.rss_delta_kb, cand.rss_delta_kb) {
             (Some(b), Some(c)) => ("rss_delta_kb", Some(b), Some(c)),
             _ => ("peak_rss_kb", base.peak_rss_kb, cand.peak_rss_kb),
         };
-        let rss_ratio = match (base_rss, cand_rss) {
-            (Some(b), Some(c)) => Some(ratio(b, c)),
-            _ => None,
-        };
+        let rss_ratio = both(base_rss, cand_rss);
         let opt = |r: Option<f64>| r.map_or_else(|| "-".to_string(), |x| format!("{x:.2}"));
         out.push_str(&format!(
             "{:<24} {:>10.3} {:>10.3} {:>6.2}x {:>9} {:>9}\n",
@@ -403,19 +398,19 @@ mod tests {
     use crate::trace::{agg_json, AggEntry};
     use epidemic_trace::{AggregatingSink, Sir};
 
+    /// A record around `rows`, each one experiment's JSON object.
+    fn record(total: &dyn std::fmt::Display, rows: impl Iterator<Item = String>) -> String {
+        let rows = rows.collect::<Vec<_>>().join(", ");
+        format!(r#"{{"total_seconds": {total}, "experiments": [{rows}]}}"#)
+    }
+
     fn bench(total: f64, rows: &[(&str, f64, f64, f64)]) -> String {
-        let rows: Vec<String> = rows
-            .iter()
-            .map(|(name, s, a, r)| {
-                format!(
-                    r#"{{"name": "{name}", "seconds": {s}, "allocations": {a}, "peak_rss_kb": {r}}}"#
-                )
-            })
-            .collect();
-        format!(
-            r#"{{"threads": 1, "total_seconds": {total}, "experiments": [{}], "phases": []}}"#,
-            rows.join(", ")
-        )
+        let rows = rows.iter().map(|&(name, s, a, r)| {
+            format!(
+                r#"{{"name": "{name}", "seconds": {s}, "allocations": {a}, "peak_rss_kb": {r}}}"#
+            )
+        });
+        record(&total, rows)
     }
 
     #[test]
@@ -458,18 +453,12 @@ mod tests {
 
     /// New-format rows: peak_rss_kb plus the attributable rss_delta_kb.
     fn bench_with_delta(total: f64, rows: &[(&str, f64, f64, f64, f64)]) -> String {
-        let rows: Vec<String> = rows
-            .iter()
-            .map(|(name, s, a, d, r)| {
-                format!(
-                    r#"{{"name": "{name}", "seconds": {s}, "allocations": {a}, "rss_delta_kb": {d}, "peak_rss_kb": {r}}}"#
-                )
-            })
-            .collect();
-        format!(
-            r#"{{"threads": 1, "total_seconds": {total}, "experiments": [{}], "phases": []}}"#,
-            rows.join(", ")
-        )
+        let rows = rows.iter().map(|&(name, s, a, d, r)| {
+            format!(
+                r#"{{"name": "{name}", "seconds": {s}, "allocations": {a}, "rss_delta_kb": {d}, "peak_rss_kb": {r}}}"#
+            )
+        });
+        record(&total, rows)
     }
 
     #[test]
@@ -535,15 +524,46 @@ mod tests {
 
     #[test]
     fn malformed_bench_json_is_a_readable_error() {
-        let err = bench_diff("{nope", "{}", &DiffThresholds::default()).unwrap_err();
+        let gate = DiffThresholds::default();
+        let err = bench_diff("{nope", "{}", &gate).unwrap_err();
         assert!(err.starts_with("baseline:"), "{err}");
-        let err = bench_diff(
-            &bench(1.0, &[]),
-            r#"{"total_seconds": 1.0}"#,
-            &DiffThresholds::default(),
-        )
-        .unwrap_err();
+        let no_rows = r#"{"total_seconds": 1.0}"#;
+        let err = bench_diff(&bench(1.0, &[]), no_rows, &gate).unwrap_err();
         assert!(err.contains("candidate"), "{err}");
+        // The committed record cut short at any character is an error.
+        let record = include_str!("../../../BENCH_repro.json").trim_end();
+        assert!(bench_diff(record, record, &gate).unwrap().passed());
+        for (cut, _) in record.char_indices() {
+            let cut_short = bench_diff(record, &record[..cut], &gate);
+            assert!(cut_short.is_err(), "cut at byte {cut}");
+        }
+    }
+
+    /// Generated records: `total_seconds` and each row field take one of
+    /// `VALUES` — non-numeric, negative, zero, 1e308 — or are left
+    /// out (pick 0); names are empty or shared; a record may list nothing.
+    fn generated() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::{collection::vec, strategy::Strategy};
+        const VALUES: [&str; 7] = ["", r#""""#, r#""a""#, "-2.5", "0", "1e308", "0.5"];
+        let fields = "name seconds allocations rss_delta_kb peak_rss_kb".split(' ');
+        let row = move |picks: &Vec<usize>| {
+            let row = fields.clone().zip(picks).filter(|&(_, &v)| v > 0);
+            let row: Vec<_> = row
+                .map(|(f, &v)| format!(r#""{f}": {}"#, VALUES[v]))
+                .collect();
+            format!("{{{}}}", row.join(", "))
+        };
+        (1..7usize, vec(vec(0..7usize, 5), 0..4))
+            .prop_map(move |(total, rows)| record(&VALUES[total], rows.iter().map(&row)))
+    }
+
+    proptest::proptest! {
+        /// `bench_diff` on generated records returns `Ok` or `Err`, never
+        /// panics.
+        #[test]
+        fn bench_diff_never_panics(base in generated(), cand in generated()) {
+            let _ = bench_diff(&base, &cand, &DiffThresholds::default());
+        }
     }
 
     /// Builds a small real aggregate: 2 runs over 4 sites, with one

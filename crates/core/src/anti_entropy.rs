@@ -38,6 +38,9 @@ pub struct ExchangeScratch<K> {
     peel_a: Vec<(Timestamp, K)>,
     /// Peel-back snapshot of the partner's timestamp index.
     peel_b: Vec<(Timestamp, K)>,
+    /// Recent-list offers the walk defers: the sender rows' newest-first
+    /// ranks.
+    recent: Vec<u32>,
 }
 
 impl<K> ExchangeScratch<K> {
@@ -49,6 +52,7 @@ impl<K> ExchangeScratch<K> {
             b_to_a: Vec::new(),
             peel_a: Vec::new(),
             peel_b: Vec::new(),
+            recent: Vec::new(),
         }
     }
 }
@@ -317,16 +321,14 @@ fn full_resolve<K, V>(
 
 /// Exchanges recent-update lists (§1.3's refined checksum scheme).
 ///
-/// Both lists are walked straight off the peel-back order
-/// ([`Database::recent_entries`]), and only as far as the two databases
-/// differ ([`walk_recent`]): every listed entry still counts as wire
-/// traffic (`sent_ab`/`sent_ba` — the sender cannot know what the receiver
-/// holds), but already-known updates are rejected by the lockstep walk, the
-/// checksum stop rule or the receiver's borrow-only
-/// [`would_accept`](Database::would_accept) probe. Only accepted offers
-/// touch the entry store, and only they clone. The pull-direction list is
-/// read after push-direction offers complete, exactly as the snapshot
-/// version did.
+/// Both lists are walked straight off the peel-back order, and only as far
+/// as the two databases differ ([`walk_recent`]): every listed entry still
+/// counts as wire traffic (`sent_ab`/`sent_ba` — the sender cannot know
+/// what the receiver holds), but already-known updates are rejected by the
+/// lockstep walk, the checksum stop rule or the receiver's one
+/// [`offer_ref`](Database::offer_ref) probe, which clones only what it
+/// accepts. The pull-direction list is read after push-direction offers
+/// complete, exactly as the snapshot version did.
 fn exchange_recent<K, V>(
     direction: Direction,
     a: &mut Replica<K, V>,
@@ -339,25 +341,25 @@ fn exchange_recent<K, V>(
     V: Clone + Hash + Eq,
 {
     if direction.pushes() {
-        stats.sent_ab += offer_recent(a, b, tau, &mut scratch.peel_a, stats);
+        stats.sent_ab += offer_recent(a, b, tau, &mut scratch.recent, stats);
     }
     if direction.pulls() {
-        stats.sent_ba += offer_recent(b, a, tau, &mut scratch.peel_a, stats);
+        stats.sent_ba += offer_recent(b, a, tau, &mut scratch.recent, stats);
     }
 }
 
 /// One direction of the recent-list exchange. Returns the number of
 /// entries listed (each is wire traffic whether or not it is accepted).
 ///
-/// The accepted offers are found by [`walk_recent`] and deferred into
-/// `pending` (offers touch distinct keys, so deferral cannot change any
-/// outcome) because the receiver cannot be mutated while its rows are
-/// being walked.
+/// The offers [`walk_recent`] could not rule out are deferred into
+/// `pending` as sender ranks (offers touch distinct keys, and a rejected
+/// one changes nothing, so deferral cannot change any outcome) because the
+/// receiver cannot be mutated while its rows are being walked.
 fn offer_recent<K, V>(
     from: &mut Replica<K, V>,
     to: &mut Replica<K, V>,
     tau: u64,
-    pending: &mut Vec<(Timestamp, K)>,
+    pending: &mut Vec<u32>,
     stats: &mut ExchangeStats,
 ) -> usize
 where
@@ -365,36 +367,27 @@ where
     V: Clone + Hash + Eq,
 {
     let now = from.local_time();
-    let walk = walk_recent(from.db(), to.db(), now, tau, pending);
+    let listed = from.db_mut().recent_len(now, tau);
+    walk_recent(from.db(), to.db(), listed, pending);
     debug_assert!(
-        is_the_long_walk(from.db(), to.db(), now, tau, walk.listed, pending),
+        is_the_long_walk(from.db(), to.db(), now, tau, listed, pending),
         "the early-stopped recent-list walk must equal the entry-by-entry one"
     );
-    for (_, k) in pending.drain(..) {
-        let e = from.db().entry(&k).expect("peel index is consistent");
-        offer_counted_ref(to, &k, e, stats);
+    for &rank in pending.iter() {
+        let (k, e) = from.db().nth_newest(rank as usize).expect("a listed rank");
+        offer_counted_ref(to, k, e, stats);
     }
-    walk.listed
+    listed
 }
 
-/// What one direction's [`walk_recent`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RecentWalk {
-    /// Entries on the sender's recent list: the wire traffic.
-    listed: usize,
-    /// Sender rows the walk actually visited before it stopped.
-    visited: usize,
-}
-
-/// Walks the sender's recent list (newest first) against the receiver,
-/// replacing `pending` with the listed `(timestamp, key)` pairs the
-/// receiver would accept.
+/// Walks the sender's `listed` newest rows (its recent list) against the
+/// receiver, replacing `pending` with the ranks of those the walk cannot
+/// prove the receiver holds; returns the rows it visited.
 ///
 /// The receiver's rows are walked in lockstep: both sides run in
 /// descending `(timestamp, key)` order, so an exactly-matching row proves
-/// the receiver already holds that version and the offer is rejected with
-/// no map probe at all; other entries fall back to the borrow-only
-/// `would_accept` probe.
+/// the receiver already holds that version and the offer is dropped with
+/// no map probe at all.
 ///
 /// **Stop rule.** Two remainder checksums start at both sides' maintained
 /// [`Checksum`](epidemic_db::Checksum)s, and every row the walk passes —
@@ -404,8 +397,7 @@ struct RecentWalk {
 /// below the last entry visited; once the two remainders agree those rows
 /// are the same set (up to the 64-bit collision the §1.3 checksum
 /// comparison after the exchange already assumes), so every entry still to
-/// be listed is held by the receiver. The walk stops there and the rest of
-/// the list is counted, not visited.
+/// be listed is held by the receiver. The walk stops there.
 ///
 /// Both shortcuts stand aside while the receiver parks dormant death
 /// certificates, which make an offer mutate state even for an
@@ -413,10 +405,9 @@ struct RecentWalk {
 fn walk_recent<K, V>(
     from: &Database<K, V>,
     to: &Database<K, V>,
-    now: u64,
-    tau: u64,
-    pending: &mut Vec<(Timestamp, K)>,
-) -> RecentWalk
+    listed: usize,
+    pending: &mut Vec<u32>,
+) -> usize
 where
     K: Ord + Clone + Hash,
     V: Hash,
@@ -427,18 +418,13 @@ where
     let mut to_rest = to.checksum();
     let mut rx = to.newest_first();
     let mut rx_cur = rx.next();
-    let mut visited = 0;
-    for (k, e) in from.recent_entries(now, tau) {
-        if lockstep && from_rest == to_rest {
-            return RecentWalk {
-                listed: from.recent_len(now, tau),
-                visited,
-            };
-        }
-        visited += 1;
-        let t = e.timestamp();
+    for (rank, (k, e)) in (0..).zip(from.newest_first().take(listed)) {
         if lockstep {
+            if from_rest == to_rest {
+                return rank as usize;
+            }
             from_rest.toggle(&(k, e));
+            let t = e.timestamp();
             let mut held = false;
             while let Some((rk, re)) = rx_cur {
                 let row = (re.timestamp(), rk);
@@ -456,19 +442,16 @@ where
                 continue;
             }
         }
-        if to.would_accept(k, t) {
-            pending.push((t, k.clone()));
-        }
+        pending.push(rank);
     }
-    RecentWalk {
-        listed: visited,
-        visited,
-    }
+    listed
 }
 
-/// Whether `listed` and `pending` are what listing every recent entry and
-/// asking the receiver's `would_accept` about each one yields — the
-/// definition both of [`walk_recent`]'s shortcuts must reproduce. Debug
+/// Whether `listed` and `pending` agree with listing every recent entry
+/// and asking the receiver's `would_accept` about each one — the
+/// definition both of [`walk_recent`]'s shortcuts must reproduce:
+/// `pending` holds distinct listed ranks, ascending, and the offers among
+/// them the receiver would accept are exactly the long walk's. Debug
 /// builds check every walk against it.
 fn is_the_long_walk<K, V>(
     from: &Database<K, V>,
@@ -476,17 +459,22 @@ fn is_the_long_walk<K, V>(
     now: u64,
     tau: u64,
     listed: usize,
-    pending: &[(Timestamp, K)],
+    pending: &[u32],
 ) -> bool
 where
     K: Ord + Clone + Hash,
     V: Hash,
 {
+    let accepted = |&(t, k): &(Timestamp, &K)| to.would_accept(k, t);
     listed == from.recent_index(now, tau).count()
-        && from
-            .recent_index(now, tau)
-            .filter(|&(t, k)| to.would_accept(k, t))
-            .eq(pending.iter().map(|(t, k)| (*t, k)))
+        && pending.windows(2).all(|w| w[0] < w[1])
+        && pending.last().is_none_or(|&r| (r as usize) < listed)
+        && pending
+            .iter()
+            .filter_map(|&r| from.nth_newest(r as usize))
+            .map(|(k, e)| (e.timestamp(), k))
+            .filter(accepted)
+            .eq(from.recent_index(now, tau).filter(accepted))
 }
 
 /// Peel back (§1.3): ship entries in reverse timestamp order until the
@@ -700,45 +688,42 @@ mod tests {
     }
 
     /// One direction's walk over a window covering the whole history,
-    /// checked against the long walk; returns it with the offers found.
-    fn walk(from: &Replica<u32, u64>, to: &Replica<u32, u64>) -> (RecentWalk, Vec<u32>) {
+    /// checked against the long walk and against the offers the receiver
+    /// accepts among those deferred; returns the rows it visited.
+    fn walk(from: &mut Replica<u32, u64>, to: &Replica<u32, u64>, accepted: &[u32]) -> usize {
         let (now, tau) = (from.local_time(), u64::MAX);
-        let mut pending = Vec::new();
-        let walk = walk_recent(from.db(), to.db(), now, tau, &mut pending);
-        assert!(is_the_long_walk(
-            from.db(),
-            to.db(),
-            now,
-            tau,
-            walk.listed,
-            &pending
-        ));
-        assert_eq!(walk.listed, from.db().len());
-        (walk, pending.into_iter().map(|(_, k)| k).collect())
+        let listed = from.db_mut().recent_len(now, tau);
+        assert_eq!(listed, from.db().len());
+        let (db, mut pending) = (from.db(), Vec::new());
+        let visited = walk_recent(db, to.db(), listed, &mut pending);
+        assert!(is_the_long_walk(db, to.db(), now, tau, listed, &pending));
+        let offers = pending.iter().map(|&r| db.nth_newest(r as usize).unwrap());
+        let offers: Vec<u32> = offers
+            .filter(|(k, e)| to.db().would_accept(k, e.timestamp()))
+            .map(|(k, _)| *k)
+            .collect();
+        assert_eq!(offers, accepted);
+        visited
     }
 
     #[test]
     fn walk_stops_below_the_newest_difference() {
         let (mut a, b) = converged(1_000);
         a.client_update(1_000, 7);
-        let (walk, offers) = walk(&a, &b);
-        assert!(walk.visited <= 2, "visited {}", walk.visited);
-        assert_eq!(offers, [1_000]);
+        let visited = walk(&mut a, &b, &[1_000]);
+        assert!(visited <= 2, "visited {visited}");
         // Equal databases stop before the first entry.
-        let (walk, offers) = self::walk(&b, &b.clone());
-        assert_eq!((walk.visited, offers.len()), (0, 0));
+        assert_eq!(walk(&mut b.clone(), &b, &[]), 0);
     }
 
     #[test]
     fn walk_reaches_a_difference_at_the_oldest_entry() {
-        let (a, _) = converged(1_000);
+        let (mut a, _) = converged(1_000);
         let mut b = Replica::new(SiteId::new(1));
         for (k, e) in a.db().iter().filter(|(k, _)| **k != 0) {
             b.receive_quietly_ref(k, e);
         }
-        let (walk, offers) = walk(&a, &b);
-        assert_eq!(walk.visited, 1_000, "every listed row is visited");
-        assert_eq!(offers, [0]);
+        assert_eq!(walk(&mut a, &b, &[0]), 1_000, "every listed row is visited");
     }
 
     #[test]
@@ -755,9 +740,7 @@ mod tests {
         }
         assert_eq!((a.db().dormant_len(), b.db().dormant_len()), (0, 1));
         assert_eq!(a.db().checksum(), b.db().checksum());
-        let (walk, offers) = walk(&a, &b);
-        assert_eq!(walk.visited, walk.listed);
-        assert!(offers.is_empty());
+        assert_eq!(walk(&mut a, &b, &[]), a.db().len());
     }
 
     #[test]
@@ -768,9 +751,8 @@ mod tests {
         for key in 101..104 {
             b.client_update(key, 2);
         }
-        let (walk, offers) = walk(&a, &b);
-        assert!(walk.visited <= 2, "visited {}", walk.visited);
-        assert_eq!(offers, [100]);
+        let visited = walk(&mut a, &b, &[100]);
+        assert!(visited <= 2, "visited {visited}");
     }
 
     #[test]
@@ -871,16 +853,6 @@ mod tests {
         let mut naive = Replica::<&str, u32>::new(SiteId::new(2));
         AntiEntropy::new(Direction::PushPull, Comparison::Full).exchange(&mut naive, &mut b);
         assert_eq!(naive.db().get(&"k"), Some(&1), "the item comes back");
-    }
-}
-
-#[cfg(test)]
-mod directional_tests {
-    use super::*;
-    use epidemic_db::SiteId;
-
-    fn pair() -> (Replica<&'static str, u32>, Replica<&'static str, u32>) {
-        (Replica::new(SiteId::new(0)), Replica::new(SiteId::new(1)))
     }
 
     #[test]

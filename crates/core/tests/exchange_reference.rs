@@ -99,7 +99,8 @@ fn reference_offer_recent(from: &Rep, to: &mut Rep, tau: u64, stats: &mut Exchan
     let now = from.local_time();
     let listed: Vec<(u8, Entry<u16>)> = from
         .db()
-        .recent_entries(now, tau)
+        .newest_first()
+        .take_while(|(_, e)| e.timestamp().age(now) <= tau)
         .map(|(k, e)| (*k, e.clone()))
         .collect();
     let count = listed.len();

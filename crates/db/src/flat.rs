@@ -59,6 +59,22 @@ fn position(pos: usize) -> u32 {
     u32::try_from(pos).expect("flat store holds at most u32::MAX rows")
 }
 
+/// The partition point of `pred`, true on a prefix of `rows` and false
+/// on every row from `hi` on: gallop backwards from `hi` (1, 2, 4… rows),
+/// then bisect the bracket, so a boundary `d` rows below `hi` costs
+/// `O(log d)` reads.
+fn gallop_back<T>(rows: &[T], mut hi: usize, pred: impl Fn(&T) -> bool) -> usize {
+    let mut step = 1;
+    while hi > 0 {
+        let lo = hi.saturating_sub(step);
+        if pred(&rows[lo]) {
+            return lo + 1 + rows[lo + 1..hi].partition_point(pred);
+        }
+        (hi, step) = (lo, step * 2);
+    }
+    0
+}
+
 /// Flat timestamp-sorted main store; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct FlatStore<K, V> {
@@ -69,6 +85,9 @@ pub struct FlatStore<K, V> {
     /// the keys inline so a probe never dereferences a row. Empty while
     /// the store holds fewer than two rows (a lone row needs no index).
     by_key: Vec<(K, u32)>,
+    /// Where the last [`FlatStore::recent_len`] found the list's oldest
+    /// row: the next call gallops from here.
+    finger: u32,
 }
 
 impl<K, V> FlatStore<K, V>
@@ -81,6 +100,7 @@ where
         FlatStore {
             rows: Vec::new(),
             by_key: Vec::new(),
+            finger: 0,
         }
     }
 
@@ -99,6 +119,7 @@ where
     pub(crate) fn clear(&mut self) {
         self.rows.clear();
         self.by_key.clear();
+        self.finger = 0;
     }
 
     /// The entry for `key`, if present.
@@ -173,24 +194,12 @@ where
     }
 
     /// Row position where an entry stamped `at` under `key` belongs: the
-    /// number of rows ordered before `(at, key)`. The search is
-    /// tail-first — it gallops backwards from the newest row (1, 2, 4…
-    /// rows) until it meets a row ordered before the entry, then bisects
-    /// that bracket — so a timestamp newer than everything held costs one
+    /// number of rows ordered before `(at, key)`, galloped for from the
+    /// newest row — so a timestamp newer than everything held costs one
     /// comparison and one among the recent rows reads only the column tail.
     fn row_position(&self, at: Timestamp, key: &K) -> usize {
         let before = |(k, e): &(K, Entry<V>)| (e.timestamp(), k) < (at, key);
-        // Every row at `hi` or later is ordered after the entry.
-        let (mut hi, mut step) = (self.rows.len(), 1);
-        while hi > 0 {
-            let lo = hi.saturating_sub(step);
-            if before(&self.rows[lo]) {
-                return lo + 1 + self.rows[lo + 1..hi].partition_point(before);
-            }
-            hi = lo;
-            step *= 2;
-        }
-        0
+        gallop_back(&self.rows, self.rows.len(), before)
     }
 
     /// Brings the index up to date with the rows now at positions `moved`,
@@ -322,19 +331,28 @@ where
         self.rows.iter().rev().map(|(k, e)| (k, e))
     }
 
-    /// The derived timestamp index as bare `(timestamp, key)` pairs,
-    /// newest first.
-    pub fn timestamp_index(&self) -> impl Iterator<Item = (Timestamp, &K)> {
-        self.rows.iter().rev().map(|(k, e)| (e.timestamp(), k))
+    /// Number of rows at most `tau` old at `now`: ages fall along the
+    /// column, so those rows are its tail. The search gallops from where
+    /// the last call found the list's start, so it costs `O(log d)` in how
+    /// far that boundary has moved since — one or two row reads in steady
+    /// state.
+    pub fn recent_len(&mut self, now: u64, tau: u64) -> usize {
+        let old = |(_, e): &(K, Entry<V>)| e.timestamp().age(now) > tau;
+        // Gallop forwards while the rows are old, then back to the start.
+        let (len, mut hi, mut step) = (self.rows.len(), self.finger as usize, 1);
+        while hi < len && old(&self.rows[hi]) {
+            (hi, step) = ((hi + step).min(len), step * 2);
+        }
+        let start = gallop_back(&self.rows, hi.min(len), old);
+        debug_assert_eq!(start, self.rows.partition_point(old), "finger search");
+        self.finger = position(start);
+        self.rows.len() - start
     }
 
-    /// Number of rows at most `tau` old at `now`: ages fall along the
-    /// column, so those rows are its tail, counted by one bisection.
-    pub(crate) fn recent_len(&self, now: u64, tau: u64) -> usize {
-        self.rows.len()
-            - self
-                .rows
-                .partition_point(|(_, e)| e.timestamp().age(now) > tau)
+    /// The row `rank` places below the newest: [`FlatStore::newest_first`]'s
+    /// item at `rank`, read in `O(1)`.
+    pub(crate) fn nth_newest(&self, rank: usize) -> Option<(&K, &Entry<V>)> {
+        self.rows.iter().rev().nth(rank).map(|(k, e)| (k, e))
     }
 
     /// Capacities of the row column and the lookup index: what the store
@@ -473,8 +491,12 @@ mod tests {
         assert_eq!(key_order, [10, 20, 30, 40]);
         let peel: Vec<u32> = h.store.newest_first().map(|(k, _)| *k).collect();
         assert_eq!(peel, [20, 30, 10, 40]);
-        let index: Vec<u64> = h.store.timestamp_index().map(|(t, _)| t.time()).collect();
-        assert_eq!(index, [9, 4, 2, 1]);
+        let times: Vec<u64> = h
+            .store
+            .newest_first()
+            .map(|(_, e)| e.timestamp().time())
+            .collect();
+        assert_eq!(times, [9, 4, 2, 1]);
     }
 
     #[test]
@@ -504,35 +526,31 @@ mod tests {
         assert_eq!(h.store.len(), 1);
     }
 
-    /// The tail-first search is the whole-column bisection, at every
-    /// position of every small column: each probe lands before, between,
-    /// on and after the rows, with timestamps reused across keys so the
-    /// key breaks ties on both sides.
+    /// The backward gallop is the whole-slice bisection from every bound
+    /// at or above the boundary of every small slice.
     #[test]
-    fn row_position_is_the_whole_column_partition_point() {
-        for len in 0..=9u32 {
-            // Two rows per timestamp: (2, 10), (2, 20), (4, 30), (4, 40), …
-            let rows: Vec<(u32, Entry<u32>)> = (0..len)
-                .map(|i| (10 * (i + 1), Entry::live(i, ts(u64::from(2 * (i / 2) + 2)))))
-                .collect();
-            let store = FlatStore {
-                rows,
-                by_key: Vec::new(),
-            };
-            for time in 1..=u64::from(len) + 3 {
-                for key in (5..=10 * len + 5).step_by(5) {
-                    let at = ts(time);
-                    let expected = store
-                        .rows
-                        .partition_point(|(k, e)| (e.timestamp(), k) < (at, &key));
-                    assert_eq!(
-                        store.row_position(at, &key),
-                        expected,
-                        "{len} rows, probe ({time}, {key})"
-                    );
+    fn gallop_back_is_the_partition_point_from_every_bound() {
+        for len in 0..=9 {
+            for point in 0..=len {
+                let rows: Vec<bool> = (0..len).map(|i| i < point).collect();
+                for hi in point..=len {
+                    let found = gallop_back(&rows, hi, |&before| before);
+                    assert_eq!(found, point, "{len} rows, bound {hi}");
                 }
             }
         }
+    }
+
+    /// The finger rests where the recent list starts; `clear()` resets it.
+    #[test]
+    fn the_finger_rests_where_the_recent_list_starts() {
+        let mut h = Harness::new();
+        for t in 1..=9 {
+            h.apply(t, Entry::live(0, ts(u64::from(t))));
+        }
+        assert_eq!((h.store.recent_len(9, 3), h.store.finger), (4, 5));
+        h.store.clear();
+        assert_eq!(h.store.finger, 0);
     }
 
     #[test]
@@ -546,8 +564,8 @@ mod tests {
         h.apply(0, Entry::live(0, ts(75)));
         let order: Vec<(u64, u32)> = h
             .store
-            .timestamp_index()
-            .map(|(t, k)| (t.time(), *k))
+            .newest_first()
+            .map(|(k, e)| (e.timestamp().time(), *k))
             .collect();
         assert_eq!(order, [(100, 1), (75, 4), (75, 3), (75, 0), (50, 2)]);
     }

@@ -16,7 +16,7 @@
 //! * the versioned store itself ([`Database`]),
 //! * incremental database [`checksum`]s (§1.3),
 //! * recent-update lists with a window `τ`, walked in place
-//!   ([`Database::recent_entries`], §1.3),
+//!   ([`Database::recent_index`], §1.3),
 //! * a *peel-back* inverted index by timestamp, derived from the store's
 //!   column order ([`flat`], §1.3, §1.5),
 //! * dormant death certificates with activation timestamps ([`death`], §2),

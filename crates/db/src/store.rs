@@ -275,38 +275,27 @@ where
         self.store.newest_first()
     }
 
-    /// Borrowing form of the *recent update list* (§1.3): iterates all
-    /// entries whose timestamp age relative to `now` is at most `tau`,
-    /// newest first, by reference. The anti-entropy hot path walks this —
-    /// against the receiver's [`Database::newest_first`] rows, in
-    /// lockstep — instead of materialising a snapshot, so a conversation
-    /// over a converged pair allocates nothing.
-    pub fn recent_entries(&self, now: u64, tau: u64) -> impl Iterator<Item = (&K, &Entry<V>)> {
-        self.newest_first()
-            .take_while(move |(_, e)| e.timestamp().age(now) <= tau)
-    }
-
-    /// The recent update list as bare `(timestamp, key)` pairs straight
-    /// off the peel-back order, newest first. This is the cheapest form
-    /// of the §1.3 list: the timestamps are read off the store's column
-    /// walk, so no entry is cloned until a recipient actually
-    /// [`would_accept`](Database::would_accept) it.
+    /// The *recent update list* (§1.3) as bare `(timestamp, key)` pairs:
+    /// the entries whose timestamp age relative to `now` is at most `tau`,
+    /// newest first, read straight off the peel-back order so that no
+    /// entry is cloned until a recipient actually takes it.
     pub fn recent_index(&self, now: u64, tau: u64) -> impl Iterator<Item = (Timestamp, &K)> {
-        self.timestamp_index()
+        self.newest_first()
+            .map(|(k, e)| (e.timestamp(), k))
             .take_while(move |(t, _)| t.age(now) <= tau)
     }
 
     /// Length of the recent update list — what
-    /// [`Database::recent_index`]`(now, tau)` yields — counted by a
-    /// partition point instead of a walk.
-    pub fn recent_len(&self, now: u64, tau: u64) -> usize {
+    /// [`Database::recent_index`]`(now, tau)` yields — found by a finger
+    /// search from where the last call found the list's end.
+    pub fn recent_len(&mut self, now: u64, tau: u64) -> usize {
         self.store.recent_len(now, tau)
     }
 
-    /// The full inverted timestamp index as bare `(timestamp, key)` pairs,
-    /// newest first — [`Database::recent_index`] without the age cutoff.
-    pub fn timestamp_index(&self) -> impl Iterator<Item = (Timestamp, &K)> {
-        self.store.timestamp_index()
+    /// The entry `rank` places below the newest: [`Database::newest_first`]'s
+    /// item at `rank`, read in `O(1)`.
+    pub fn nth_newest(&self, rank: usize) -> Option<(&K, &Entry<V>)> {
+        self.store.nth_newest(rank)
     }
 
     /// Discards or parks death certificates according to `policy`, as
@@ -405,6 +394,19 @@ where
     K: Ord + Clone + Hash,
     V: Hash + Eq,
 {
+}
+
+impl<'a, K, V> IntoIterator for &'a Database<K, V>
+where
+    K: Ord + Clone + Hash,
+    V: Hash,
+{
+    type Item = (&'a K, &'a Entry<V>);
+    type IntoIter = KeyOrderIter<'a, K, V>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 #[cfg(test)]
@@ -595,32 +597,38 @@ mod tests {
         assert_eq!(db.dormant_len(), 0);
     }
 
-    #[test]
-    fn recent_entries_window() {
-        let mut c = clock(0);
-        let mut db = Database::new();
-        db.update("old", 1, &mut c); // t=1
-        c.advance_to(100);
-        db.update("new", 2, &mut c); // t=100
-        let recent: Vec<_> = db.recent_entries(101, 5).map(|(k, _)| *k).collect();
-        assert_eq!(recent, ["new"]);
-        let all: Vec<_> = db.recent_entries(101, 1000).map(|(k, _)| *k).collect();
-        assert_eq!(all, ["new", "old"]);
-    }
-
+    /// The recent list's length, found by a finger search from a boundary
+    /// the column has moved under: an old row arriving below it, a GC
+    /// removal below it, a cleared and refilled store, a clock earlier
+    /// than `tau`.
     #[test]
     fn recent_len_counts_the_recent_entries() {
-        let mut c = clock(0);
+        let (mut c, at) = (clock(0), |t| Timestamp::new(t, SiteId::new(1)));
         let mut db = Database::new();
-        for (i, key) in ["a", "b", "c", "d"].iter().enumerate() {
-            c.advance_to(u64::try_from(i).unwrap() * 40);
-            db.update(*key, i as u32, &mut c);
+        for key in 0..8u32 {
+            c.advance_to(10 * u64::from(key));
+            db.update(key, key, &mut c);
         }
-        for tau in [0, 40, 80, 1_000] {
-            let listed = db.recent_entries(130, tau).count();
-            assert_eq!(db.recent_len(130, tau), listed, "tau={tau}");
-            assert_eq!(db.recent_index(130, tau).count(), listed, "tau={tau}");
-        }
+        let check = |db: &mut Database<u32, u32>, now, tau, want: usize| {
+            let listed = db.recent_index(now, tau).count();
+            assert_eq!([listed, db.recent_len(now, tau)], [want; 2], "{now} {tau}");
+        };
+        check(&mut db, 100, 45, 2);
+        assert!(db.recent_index(100, 45).map(|(_, k)| *k).eq([7, 6]));
+        assert_eq!(db.nth_newest(1).map(|(k, _)| *k), Some(6));
+        db.apply_ref(&8, &Entry::live(8, at(2)));
+        check(&mut db, 100, 45, 2);
+        db.apply_ref(&0, &Entry::dead(at(3)));
+        let gc = db.collect_garbage(SiteId::new(0), 100, GcPolicy::FixedThreshold { tau: 50 });
+        assert_eq!((gc.discarded, db.nth_newest(8)), (1, None));
+        check(&mut db, 100, 45, 2);
+        check(&mut db, 100, 5, 0);
+        check(&mut db, 100, 95, 7);
+        check(&mut db, 20, 45, 8);
+        db.clear();
+        check(&mut db, 100, 45, 0);
+        db.update(9, 9, &mut c);
+        check(&mut db, 100, 45, 1);
     }
 
     /// The property the flat layout is chosen for: footprint follows
@@ -702,24 +710,6 @@ mod tests {
         assert_eq!(db.checksum(), fresh.checksum());
         assert_eq!(db.store.capacities(), grown);
     }
-}
-
-impl<'a, K, V> IntoIterator for &'a Database<K, V>
-where
-    K: Ord + Clone + Hash,
-    V: Hash,
-{
-    type Item = (&'a K, &'a Entry<V>);
-    type IntoIter = KeyOrderIter<'a, K, V>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-#[cfg(test)]
-mod iter_tests {
-    use super::*;
 
     #[test]
     fn ref_into_iterator_walks_entries() {

@@ -5,8 +5,8 @@
 //! sites), remote offers, garbage collection and clock advances, lowered
 //! to the three store mutations (`install`, `apply_ref`, `remove`). After every single operation the pair must agree on
 //! everything a protocol can observe: entry contents, the live count, the
-//! incremental checksum, key-order iteration, peel-back order, the bare
-//! timestamp index and the recent-update window — where the model sorts
+//! incremental checksum, key-order iteration, peel-back order, the
+//! recent-update window and its length — where the model sorts
 //! on demand and recomputes checksum and live count from scratch. A
 //! second property checks the §1.1 goal on two whole [`Database`]s:
 //! push-pull exchange to fixpoint leaves equal stores.
@@ -198,7 +198,7 @@ impl Pair {
                 stamp,
                 site,
             } => {
-                let held = self.flat.timestamp_index().map(|(t, _)| t);
+                let held = self.flat.newest_first().map(|(_, e)| e.timestamp());
                 let time = stamp.resolve(self.flat.len(), held);
                 let entry = offered(value, time, site);
                 let aux = Aux {
@@ -240,8 +240,8 @@ impl Pair {
     }
 
     /// Full observational comparison of the store against the model.
-    fn check(&self) -> Result<(), TestCaseError> {
-        let (flat, model) = (&self.flat, &self.model);
+    fn check(&mut self) -> Result<(), TestCaseError> {
+        let (flat, model) = (&mut self.flat, &self.model);
         flat.check_invariants();
         prop_assert_eq!(flat.len(), model.entries.len());
         prop_assert_eq!(flat.is_empty(), model.entries.is_empty());
@@ -259,22 +259,19 @@ impl Pair {
             flat.newest_first().eq(peel.iter().copied()),
             "peel-back order diverged"
         );
-        prop_assert!(
-            flat.timestamp_index()
-                .eq(peel.iter().map(|&(k, e)| (e.timestamp(), k))),
-            "timestamp index diverged"
-        );
         // The recent-update list is the prefix of the peel-back order no
         // older than tau; the model filters instead of stopping early.
         let now = self.clock.peek();
         for tau in [0, 5, 50, u64::MAX] {
+            let listed = flat.recent_len(now, tau);
             let recent = flat
-                .timestamp_index()
-                .take_while(|(t, _)| t.age(now) <= tau);
+                .newest_first()
+                .take_while(|(_, e)| e.timestamp().age(now) <= tau);
             let expected = peel
                 .iter()
-                .map(|&(k, e)| (e.timestamp(), k))
-                .filter(|(t, _)| t.age(now) <= tau);
+                .copied()
+                .filter(|(_, e)| e.timestamp().age(now) <= tau);
+            prop_assert_eq!(listed, expected.clone().count(), "finger at tau={}", tau);
             prop_assert!(recent.eq(expected), "recent list diverged at tau={}", tau);
         }
         Ok(())
@@ -314,7 +311,8 @@ fn step_database(db: &mut Database<u8, u16>, clock: &mut SimClock, site: SiteId,
             // client clocks) and kind and value derive from `(time, site)`,
             // so two independent histories that collide on a timestamp
             // still agree on its payload.
-            let time = stamp.resolve(db.len(), db.timestamp_index().map(|(t, _)| t));
+            let held = db.newest_first().map(|(_, e)| e.timestamp());
+            let time = stamp.resolve(db.len(), held);
             let from = 2 + from % 6;
             let live = !(time + u64::from(from) + u64::from(key)).is_multiple_of(4);
             let value = live.then_some((time as u16) ^ (u16::from(from) << 9));
@@ -392,6 +390,6 @@ proptest! {
         // arrived), but main stores and checksums must agree.
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.checksum(), b.checksum());
-        prop_assert!(a.timestamp_index().eq(b.timestamp_index()));
+        prop_assert!(a.recent_index(0, u64::MAX).eq(b.recent_index(0, u64::MAX)));
     }
 }
