@@ -6,35 +6,23 @@
 //! `repro --timings` report records memory readings alongside each
 //! experiment's seconds and allocations.
 //!
-//! The only portable-enough source for this is the kernel's own
-//! accounting in `/proc/self/status`, in kB:
-//!
-//! * `VmHWM` ("high water mark", [`peak_rss_kb`]) — the peak resident
-//!   set over the **whole process lifetime**. It is monotone: sampling
-//!   after each experiment yields a non-decreasing sequence, and an
-//!   experiment's own footprint is visible only when it pushes the mark
-//!   past everything that ran before it. Reported raw, one experiment's
-//!   large footprint is silently inherited by every row after it — which
-//!   is why the repro binary attributes memory per experiment as the
-//!   *delta* of `VmHWM` across the experiment instead (`rss_delta_kb`:
-//!   how far this experiment pushed the process peak, 0 for experiments
-//!   that fit inside an earlier peak);
-//! * `VmRSS` ([`current_rss_kb`]) — the resident set *right now*. Not
-//!   monotone; useful as a floor reading between experiments.
+//! The source is the kernel's own accounting, `VmHWM` ("high water
+//! mark", [`peak_rss_kb`]) in `/proc/self/status`, in kB: the peak
+//! resident set over the **whole process lifetime**. It is monotone, so
+//! an experiment's own footprint shows only when it pushes the mark past
+//! everything that ran before it, and reported raw, one experiment's
+//! large footprint would be inherited by every row after it. The repro
+//! binary therefore attributes memory per experiment as the *delta* of
+//! `VmHWM` across it (`rss_delta_kb`: how far this experiment pushed the
+//! process peak, 0 if it fit inside an earlier peak).
 //!
 //! On non-Linux hosts there is no `/proc`, and the helpers return 0 —
 //! "unknown", never a guess.
 
-/// The process's peak resident set size in kB (`VmHWM`), or 0 when the
-/// platform does not expose it.
+/// The process's peak resident set size in kB, or 0 when the platform
+/// does not expose it.
 pub fn peak_rss_kb() -> u64 {
     read_vm_field("VmHWM:").unwrap_or(0)
-}
-
-/// The process's current resident set size in kB (`VmRSS`), or 0 when
-/// the platform does not expose it.
-pub fn current_rss_kb() -> u64 {
-    read_vm_field("VmRSS:").unwrap_or(0)
 }
 
 #[cfg(target_os = "linux")]
@@ -92,7 +80,6 @@ mod tests {
         let after = peak_rss_kb();
         if cfg!(target_os = "linux") {
             assert!(before > 0, "VmHWM readable");
-            assert!(current_rss_kb() > 0, "VmRSS readable");
         }
         assert!(after >= before, "high-water mark never shrinks");
     }

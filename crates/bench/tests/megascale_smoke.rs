@@ -1,4 +1,4 @@
-//! CI smoke for the megascale sweep: the `n = 10⁴` point of
+//! CI smoke for the megascale sweep: the `n = 10⁴` and `10⁵` points of
 //! fig-megascale, under the counting allocator, with a wall-clock budget.
 //!
 //! This pins the sweep's load-bearing claim at a size CI can afford: the
@@ -28,10 +28,9 @@ use epidemic_sim::MegascaleSim;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const N: usize = 10_000;
-/// Generous even for an unoptimized single-CPU debug run; a release build
-/// finishes the whole test in a couple of seconds. The budget exists to
-/// catch complexity regressions (an accidentally quadratic path at 10⁴
-/// sites blows straight past it), not to benchmark.
+/// Generous even for an unoptimized single-CPU debug run: the budget
+/// catches complexity regressions (an accidentally quadratic path blows
+/// straight past it), not speed.
 const BUDGET: Duration = Duration::from_secs(300);
 
 /// The memory claim, in allocator terms: a full epidemic at `n = 10⁴`,
@@ -39,37 +38,43 @@ const BUDGET: Duration = Duration::from_secs(300);
 /// than one heap allocation per site. An eager run cannot do this — it
 /// materializes a replica per site before the first contact — so this
 /// bound is what "lazy site materialization" buys, and it holds for the
-/// observer too (the aggregate is bounded, not per-event).
+/// observer too (the aggregate is bounded, not per-event). The per-run
+/// state is sized once, so the count is the same at `n = 10⁵`: no column
+/// grows by reallocation.
 #[test]
 fn fast_path_with_streaming_aggregation_allocates_sublinearly() {
     let start = Instant::now();
-    let seed = 1987 ^ N as u64;
-    // The graph is the sweep's input, not the epidemic's cost.
-    let graph = DegreeGraph::scale_free(N, 2, 1987);
-
     for scale_free in [false, true] {
-        let before = allocations();
-        let mut sink = AggregateObserver::new();
-        let r = if scale_free {
-            MegascaleSim::scale_free(&graph)
-                .workers(1)
-                .run(seed, &mut sink)
-        } else {
-            MegascaleSim::uniform(N).workers(1).run(seed, &mut sink)
-        };
-        let agg = sink.finish();
-        let fast_allocs = allocations() - before;
-
+        let counts = [N, 10 * N].map(|n| {
+            // The graph is the sweep's input, not the epidemic's cost.
+            let graph = DegreeGraph::scale_free(n, 2, 1987);
+            let before = allocations();
+            let sim = if scale_free {
+                MegascaleSim::scale_free(&graph)
+            } else {
+                MegascaleSim::uniform(n)
+            };
+            let mut sink = AggregateObserver::new();
+            let r = sim.workers(1).run(1987 ^ n as u64, &mut sink);
+            let agg = sink.finish();
+            let fast_allocs = allocations() - before;
+            assert!(
+                r.residue < if scale_free { 0.30 } else { 0.05 },
+                "epidemic failed to spread (n={n}, scale_free={scale_free}): {r:?}"
+            );
+            assert_eq!(agg.runs(), 1, "aggregate folded exactly one run");
+            fast_allocs
+        });
         assert!(
-            r.residue < if scale_free { 0.30 } else { 0.05 },
-            "epidemic failed to spread (scale_free={scale_free}): {r:?}"
-        );
-        assert_eq!(agg.runs(), 1, "aggregate folded exactly one run");
-        assert!(
-            fast_allocs < N as u64,
-            "fast path + aggregation allocated {fast_allocs} times for n = {N} \
+            counts[0] < N as u64,
+            "fast path + aggregation allocated {} times for n = {N} \
              (scale_free={scale_free}) — lazy materialization must stay strictly \
-             below one allocation per site"
+             below one allocation per site",
+            counts[0]
+        );
+        assert_eq!(
+            counts[0], counts[1],
+            "allocations at n = 10⁴ and 10⁵ (scale_free={scale_free})"
         );
     }
 

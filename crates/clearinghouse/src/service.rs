@@ -81,11 +81,6 @@ impl Clearinghouse {
         }
     }
 
-    /// Number of servers.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
     /// The domain directory.
     pub fn directory(&self) -> &Directory {
         &self.directory

@@ -1,22 +1,19 @@
 //! Lazily materialized site rows: storage that grows with *receipts*,
 //! not with the fleet.
 //!
-//! Every other container in this crate is built per site, up front — a
-//! [`Database`](crate::Database) (or a whole `Replica`) for each of `n`
-//! sites, before the first update flows. At CIN scale that is free; at
-//! the megascale sweep's 10⁶–10⁷ sites it is the dominant cost of the
-//! whole experiment, paid mostly for sites that are *susceptible*: they
-//! hold no data yet, and a single-update epidemic touches each of them
-//! at most once.
+//! Every other container in this crate is built per site, up front. At
+//! the megascale sweep's 10⁶–10⁷ sites that is the dominant cost of the
+//! whole experiment, paid mostly for *susceptible* sites: they hold no
+//! data yet, and a single-update epidemic touches each at most once.
 //!
 //! [`LazyTable`] inverts the construction: a site gets **no row at all
 //! until its first write**. Rows are appended in write order into three
-//! parallel columns (site, value, write cycle) — the same
-//! struct-of-arrays discipline as the per-replica store
-//! ([`crate::flat::FlatStore`]), but shared by the entire fleet instead
-//! of instantiated per replica. Startup cost and resident footprint are
-//! both proportional to the number of sites that actually received
-//! something.
+//! parallel columns (site, value, write cycle), the struct-of-arrays
+//! discipline of [`crate::flat::FlatStore`] shared by the whole fleet; a
+//! value type of `()` (the megascale fast path's) makes its column free.
+//! Address space follows `n`: the columns are reserved for every site up
+//! front, so no push copies a column. Resident memory follows receipts:
+//! only the pages of pushed rows are ever touched.
 //!
 //! The table is deliberately minimal: one (implicit) key, first write
 //! wins, no deletions — exactly the shape of a single-update epidemic,
@@ -39,14 +36,15 @@ pub struct LazyTable<V> {
 }
 
 impl<V> LazyTable<V> {
-    /// An empty table over a fleet of `n` sites. Allocates nothing
-    /// per-site: capacity grows only as rows are pushed.
+    /// An empty table over a fleet of `n` sites, its columns reserved
+    /// for `n` rows: a reservation is address space, and a row's pages
+    /// become resident only when it is pushed.
     pub fn new(n: usize) -> Self {
         LazyTable {
             n,
-            sites: Vec::new(),
-            values: Vec::new(),
-            cycles: Vec::new(),
+            sites: Vec::with_capacity(n),
+            values: Vec::with_capacity(n),
+            cycles: Vec::with_capacity(n),
         }
     }
 
@@ -81,12 +79,7 @@ impl<V> LazyTable<V> {
         self.sites.is_empty()
     }
 
-    /// Values, in write order.
-    pub fn values(&self) -> &[V] {
-        &self.values
-    }
-
-    /// Write cycles, in write order (parallel to [`LazyTable::values`]).
+    /// Write cycles, in write order.
     pub fn cycles(&self) -> &[u32] {
         &self.cycles
     }
@@ -119,17 +112,6 @@ mod tests {
             vec![(7, &70, 1), (3, &30, 2), (99, &990, 2)]
         );
         assert_eq!(table.cycles(), &[1, 2, 2]);
-    }
-
-    #[test]
-    fn identical_histories_produce_identical_tables() {
-        let build = || {
-            let mut t: LazyTable<u8> = LazyTable::new(10);
-            t.push(0, 1, 0);
-            t.push(4, 1, 3);
-            t
-        };
-        assert_eq!(build(), build());
     }
 
     #[test]

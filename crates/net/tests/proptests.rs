@@ -158,6 +158,27 @@ proptest! {
         }
     }
 
+    /// The builder that stores only its picks is the endpoints-list
+    /// generator, column for column, down to the seed clique alone
+    /// (`n ≤ m + 1`); its graph is simple, with `m` edges per arrival.
+    #[test]
+    fn scale_free_is_the_endpoints_list_generator(
+        n in prop_oneof![2usize..7, 2usize..3000],
+        m in 1usize..=5,
+        seed in any::<u64>(),
+    ) {
+        let graph = DegreeGraph::scale_free(n, m, seed);
+        let columns = csr_columns(&graph);
+        prop_assert_eq!(&columns, &scale_free_reference(n, m, seed));
+        let core = (m + 1).min(n);
+        prop_assert_eq!(columns[1].len(), core * (core - 1) + 2 * m * (n - core));
+        for i in 0..n {
+            let list = graph.neighbors(i);
+            prop_assert!(list.windows(2).all(|w| w[0] < w[1]), "site {}: {:?}", i, list);
+            prop_assert!(list.iter().all(|&t| t as usize != i && (t as usize) < n));
+        }
+    }
+
     /// A contact graph's draw is one uniform pick from the chooser's
     /// neighbors — never the chooser, always a site — on a sequential
     /// stream and a per-contact counter stream alike.
@@ -179,6 +200,62 @@ proptest! {
             }
         }
     }
+}
+
+/// The Barabási–Albert generator as first written, which
+/// [`DegreeGraph::scale_free`] must equal: it keeps the whole list of
+/// every edge's endpoints, samples it, and builds the CSR columns from its
+/// pairs by counting, filling downward and sorting each list.
+fn scale_free_reference(n: usize, m: usize, seed: u64) -> [Vec<u32>; 2] {
+    let core = (m + 1).min(n);
+    let mut endpoints: Vec<u32> = Vec::new();
+    for i in 0..core as u32 {
+        endpoints.extend((i + 1..core as u32).flat_map(|j| [i, j]));
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut picked: Vec<u32> = Vec::with_capacity(m);
+    for v in core as u32..n as u32 {
+        picked.clear();
+        while picked.len() < m.min(v as usize) {
+            let t = endpoints[rng.random_range(0..endpoints.len())];
+            if !picked.contains(&t) {
+                picked.push(t);
+            }
+        }
+        for &t in &picked {
+            endpoints.extend([t, v]);
+        }
+    }
+    let mut offsets = vec![0u32; n + 1];
+    for &site in &endpoints {
+        offsets[site as usize] += 1;
+    }
+    let mut total = 0u32;
+    for end in &mut offsets {
+        total += *end;
+        *end = total;
+    }
+    let mut targets = vec![0u32; total as usize];
+    for edge in endpoints.chunks_exact(2) {
+        for (site, other) in [(edge[0], edge[1]), (edge[1], edge[0])] {
+            offsets[site as usize] -= 1;
+            targets[offsets[site as usize] as usize] = other;
+        }
+    }
+    for i in 0..n {
+        targets[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
+    }
+    [offsets, targets]
+}
+
+/// `graph`'s two CSR columns, read back through its neighbor lists.
+fn csr_columns(graph: &DegreeGraph) -> [Vec<u32>; 2] {
+    let mut columns = [vec![0], Vec::new()];
+    for i in 0..graph.site_count() {
+        columns[1].extend_from_slice(graph.neighbors(i));
+        columns[0].push(columns[1].len() as u32);
+    }
+    columns
 }
 
 /// An [`Rng`] that replays chosen `f64` draws: `random::<f64>()` keeps the

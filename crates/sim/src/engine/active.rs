@@ -166,8 +166,14 @@ impl ActiveCycleEngine {
         observer.on_run_start(protocol);
         let mut totals = TraceTotals::default();
         let mut cycle = 0u32;
-        let mut roster: Vec<u32> = Vec::new();
-        let mut chunks: Vec<Vec<P::Draw>> = (0..self.workers).map(|_| Vec::new()).collect();
+        // Sized once, so no cycle reallocates: a roster of every site, and
+        // chunks of the largest `per_worker` below (or the whole roster).
+        let n = protocol.site_count();
+        let mut roster: Vec<u32> = Vec::with_capacity(n);
+        let share = n.div_ceil(self.workers).max(MIN_PARALLEL_CHUNK).min(n);
+        let mut chunks: Vec<Vec<P::Draw>> = (0..self.workers)
+            .map(|_| Vec::with_capacity(share))
+            .collect();
 
         loop {
             let setup_start = timed.then(Instant::now);

@@ -22,13 +22,13 @@
 //! [`FastRumorProtocol`] + [`ActiveCycleEngine`] avoid them:
 //!
 //! * per-site state is three bits (`has_entry`, `hot`, and their
-//!   start-of-cycle snapshots) plus a [`LazyTable`] row materialized at
-//!   first receipt — footprint follows *receipts*, not fleet size;
-//! * contacts draw from the counter-based
-//!   [`rand::rngs::ContactRng`], a pure function of
-//!   `(seed, cycle, site)`, so the engine visits only the hot sites and
-//!   splits the cycle across worker threads with byte-identical output
-//!   at any worker count;
+//!   start-of-cycle snapshots) plus a `(site, cycle)` [`LazyTable`] row
+//!   written at first receipt: every buffer is sized once, and resident
+//!   memory follows *receipts*, not fleet size;
+//! * contacts draw from the counter-based [`rand::rngs::ContactRng`], a
+//!   pure function of `(seed, cycle, site)`, so the engine visits only
+//!   the hot sites and splits the cycle across worker threads with
+//!   byte-identical output at any worker count;
 //! * contacts are judged *asynchronously* — a push is useful iff the
 //!   partner lacks the entry at execution time, so two pushes reaching
 //!   the same susceptible site in one cycle score one useful and one
@@ -66,8 +66,7 @@ pub struct MegascaleSim<'g> {
     /// The contact graph; `None` is complete mixing over `n` sites.
     graph: Option<&'g DegreeGraph>,
     n: usize,
-    max_cycles: u32,
-    workers: Option<usize>,
+    engine: ActiveCycleEngine,
 }
 
 impl MegascaleSim<'static> {
@@ -76,8 +75,7 @@ impl MegascaleSim<'static> {
         MegascaleSim {
             graph: None,
             n,
-            max_cycles: 100_000,
-            workers: None,
+            engine: ActiveCycleEngine::new().max_cycles(100_000),
         }
     }
 }
@@ -97,7 +95,7 @@ impl<'g> MegascaleSim<'g> {
     /// Safety bound on simulated cycles.
     #[must_use]
     pub fn max_cycles(mut self, max: u32) -> Self {
-        self.max_cycles = max;
+        self.engine = self.engine.max_cycles(max);
         self
     }
 
@@ -106,7 +104,7 @@ impl<'g> MegascaleSim<'g> {
     /// value produces byte-identical results.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
+        self.engine = self.engine.workers(workers);
         self
     }
 
@@ -131,18 +129,15 @@ impl<'g> MegascaleSim<'g> {
             Some(graph) => FastRumorProtocol::scale_free(graph, COIN_K),
             None => FastRumorProtocol::uniform(self.n, COIN_K),
         };
-        let mut engine = ActiveCycleEngine::new().max_cycles(self.max_cycles);
-        if let Some(workers) = self.workers {
-            engine = engine.workers(workers);
-        }
-        let report = engine.run(&mut protocol, seed, observer);
+        let report = self.engine.run(&mut protocol, seed, observer);
         protocol.result(&report)
     }
 }
 
 /// The pure record of one fast-path contact's random choices (the
-/// [`ActiveSetProtocol::Draw`] of [`FastRumorProtocol`]): where the push
-/// goes, and how the feedback coin landed.
+/// [`ActiveSetProtocol::Draw`] of [`FastRumorProtocol`]), in one word:
+/// the drawn partner `to` and whether the feedback coin toss came up
+/// "lose interest", packed as `to << 1 | coin`.
 ///
 /// The coin is sampled *unconditionally* — each contact owns its private
 /// stream, so over-drawing is free — and consulted at apply time only if
@@ -150,12 +145,7 @@ impl<'g> MegascaleSim<'g> {
 /// sequentially against current state while the sampling runs in
 /// parallel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastDraw {
-    /// The drawn partner.
-    to: u32,
-    /// Whether the feedback coin toss came up "lose interest".
-    coin: bool,
-}
+pub struct FastDraw(u32);
 
 /// The single-update push/feedback/coin rumor epidemic, restated over
 /// bitsets and a [`LazyTable`] for the [`ActiveCycleEngine`]; see the
@@ -175,8 +165,9 @@ pub struct FastRumorProtocol<'a> {
     hot: BitSet,
     /// Start-of-cycle snapshot of `hot`: the cycle's roster.
     hot0: BitSet,
-    /// Materialized rows: `(site, value, receipt cycle)`, write order.
-    table: LazyTable<u32>,
+    /// Materialized rows: `(site, receipt cycle)`, write order; the one
+    /// update's value is implicit.
+    table: LazyTable<()>,
 }
 
 impl<'a> FastRumorProtocol<'a> {
@@ -185,7 +176,7 @@ impl<'a> FastRumorProtocol<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`.
+    /// Panics if `n < 2` or `n ≥ 2³¹`.
     pub fn uniform(n: usize, k: u32) -> FastRumorProtocol<'static> {
         FastRumorProtocol::with_partners(Partners::Uniform(UniformPartners::new(n)), n, k)
     }
@@ -197,14 +188,12 @@ impl<'a> FastRumorProtocol<'a> {
     /// # Panics
     ///
     /// Panics if any site of `graph` has no neighbors — an isolated
-    /// initiator would have no partner to draw.
+    /// initiator would have no partner to draw — or if it has 2³¹ sites
+    /// or more.
     pub fn scale_free(graph: &'a DegreeGraph, k: u32) -> FastRumorProtocol<'a> {
         let n = graph.site_count();
-        for i in 0..n {
-            assert!(
-                !graph.neighbors(i).is_empty(),
-                "site {i} has no neighbors to gossip with"
-            );
+        if let Some(i) = (0..n).find(|&i| graph.neighbors(i).is_empty()) {
+            panic!("site {i} has no neighbors to gossip with");
         }
         FastRumorProtocol::with_partners(Partners::Drawn(graph), n, k)
     }
@@ -214,6 +203,7 @@ impl<'a> FastRumorProtocol<'a> {
         n: usize,
         k: u32,
     ) -> FastRumorProtocol<'_> {
+        assert!(n < 1 << 31, "{n} sites overflow a draw's 31-bit partner");
         let mut protocol = FastRumorProtocol {
             partners,
             k,
@@ -224,13 +214,13 @@ impl<'a> FastRumorProtocol<'a> {
         };
         protocol.has_entry.set(0, true);
         protocol.hot.set(0, true);
-        protocol.table.push(0, 1, 0);
+        protocol.table.push(0, (), 0);
         protocol
     }
 
-    /// The materialized site rows: who received the update, what they
-    /// hold, and when — one row per infected site, in receipt order.
-    pub fn table(&self) -> &LazyTable<u32> {
+    /// The materialized site rows: who received the update, and when —
+    /// one row per infected site, in receipt order.
+    pub fn table(&self) -> &LazyTable<()> {
         &self.table
     }
 
@@ -239,18 +229,14 @@ impl<'a> FastRumorProtocol<'a> {
     /// table, traffic from the engine totals).
     pub fn result(&self, report: &EngineReport) -> EpidemicResult {
         let n = self.table.site_count();
+        // Never empty: the origin's row is pushed at construction.
         let received = self.table.len();
-        let t_ave = if received == 0 {
-            0.0
-        } else {
-            let total: u64 = self.table.cycles().iter().map(|&c| u64::from(c)).sum();
-            total as f64 / received as f64
-        };
+        let total: u64 = self.table.cycles().iter().map(|&c| u64::from(c)).sum();
         EpidemicResult {
             n,
             residue: (n - received) as f64 / n as f64,
             traffic: report.totals.sent as f64 / n as f64,
-            t_ave,
+            t_ave: total as f64 / received as f64,
             t_last: f64::from(self.table.cycles().iter().copied().max().unwrap_or(0)),
             cycles: report.cycles,
             complete: received == n,
@@ -290,17 +276,17 @@ impl ActiveSetProtocol for FastRumorProtocol<'_> {
         // Same draw as `rumor::record_feedback` under `Coin { k }`;
         // sampled whether or not the push turns out fruitless.
         let coin = rng.random_bool(1.0 / f64::from(self.k.max(1)));
-        FastDraw { to, coin }
+        FastDraw(to << 1 | u32::from(coin))
     }
 
-    fn apply(&mut self, cycle: u32, i: usize, draw: &FastDraw) -> (usize, ContactStats) {
-        let j = draw.to as usize;
+    fn apply(&mut self, cycle: u32, i: usize, &FastDraw(draw): &FastDraw) -> (usize, ContactStats) {
+        let j = (draw >> 1) as usize;
         let useful = !self.has_entry.get(j);
         if useful {
             self.has_entry.set(j, true);
             self.hot.set(j, true);
-            self.table.push(draw.to, 1, cycle);
-        } else if draw.coin {
+            self.table.push(j as u32, (), cycle);
+        } else if draw & 1 == 1 {
             // Feedback: a fruitless push costs the initiator its coin.
             self.hot.set(i, false);
         }
@@ -322,13 +308,14 @@ mod tests {
     use epidemic_core::{Direction, Feedback, Removal};
 
     #[test]
-    fn fast_path_is_worker_count_invariant() {
-        let sim = MegascaleSim::uniform(500);
-        let sequential = sim.workers(1).run(11, &mut ());
-        for workers in [2, 8] {
-            let parallel = sim.workers(workers).run(11, &mut ());
-            assert_eq!(sequential, parallel, "workers={workers}");
-        }
+    fn a_draw_is_one_word() {
+        assert_eq!(std::mem::size_of::<FastDraw>(), std::mem::size_of::<u32>());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow a draw's 31-bit partner")]
+    fn a_fleet_of_two_to_the_31_sites_is_refused_up_front() {
+        let _ = FastRumorProtocol::uniform(1 << 31, COIN_K);
     }
 
     #[test]

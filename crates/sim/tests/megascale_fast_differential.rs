@@ -135,7 +135,7 @@ impl<P: ?Sized> Observer<P> for EventLog {
 
 struct FastRun {
     result: EpidemicResult,
-    table: LazyTable<u32>,
+    table: LazyTable<()>,
     log: EventLog,
     totals_match_events: bool,
 }
@@ -165,7 +165,7 @@ fn run_fast(mut protocol: FastRumorProtocol<'_>, seed: u64, workers: usize) -> F
 /// Receipt cycles by site, `None` for sites that never received — the
 /// common denominator between the fast path's table and the reference's
 /// receive log.
-fn receipts_of_table(table: &LazyTable<u32>) -> Vec<Option<u32>> {
+fn receipts_of_table(table: &LazyTable<()>) -> Vec<Option<u32>> {
     let mut receipts = vec![None; table.site_count()];
     for (site, _value, cycle) in table.rows() {
         assert!(
@@ -189,10 +189,6 @@ fn assert_fast_matches_reference(
         "per-site receipt cycles differ"
     );
     prop_assert!(
-        fast.table.values().iter().all(|&v| v == 1),
-        "every materialized row holds the injected value"
-    );
-    prop_assert!(
         fast.totals_match_events,
         "engine totals drifted from the event stream"
     );
@@ -207,21 +203,9 @@ fn assert_worker_invariant(
     for workers in [2usize, 8] {
         let candidate = run_fast(protocol.clone(), seed, workers);
         prop_assert_eq!(
-            baseline.result,
-            candidate.result,
-            "result differs at {} workers",
-            workers
-        );
-        prop_assert_eq!(
-            &baseline.table,
-            &candidate.table,
-            "table differs at {} workers",
-            workers
-        );
-        prop_assert_eq!(
-            &baseline.log,
-            &candidate.log,
-            "event stream differs at {} workers",
+            (&baseline.result, &baseline.table, &baseline.log),
+            (&candidate.result, &candidate.table, &candidate.log),
+            "result, table or event stream differs at {} workers",
             workers
         );
     }
@@ -260,12 +244,12 @@ proptest! {
 }
 
 /// Streaming aggregation composes with the fast path identically at any
-/// worker count: the whole [`RunAggregate`](epidemic_trace::RunAggregate)
-/// — delay histogram, SIR trajectory, totals — is a pure function of the
-/// seed.
+/// worker count, at a size whose rosters split across workers: the whole
+/// [`RunAggregate`](epidemic_trace::RunAggregate) — delay histogram, SIR
+/// trajectory, totals — is a pure function of the seed.
 #[test]
 fn aggregates_are_worker_count_invariant() {
-    let n = 2000;
+    let n = 20_000;
     let graph = DegreeGraph::scale_free(n, 2, 1987);
     let run = |workers: usize, scale_free: bool| {
         let mut protocol = if scale_free {
