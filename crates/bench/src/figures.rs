@@ -18,12 +18,13 @@ use epidemic_core::{Direction, Feedback, Removal, Replica, RumorConfig};
 use epidemic_db::SiteId;
 use epidemic_net::topologies::{self, cin, CinConfig};
 use epidemic_net::{LinkId, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
-use epidemic_sim::engine::SirObserver;
+use epidemic_sim::engine::{RouteCharge, SirObserver};
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::runner::Arenas;
-use epidemic_sim::scenario::{bundled, AntiEntropySpec, FaultKind, ScenarioEngine};
+use epidemic_sim::scenario::{
+    bundled, AntiEntropySpec, FaultKind, Scenario, ScenarioArena, ScenarioEngine,
+};
 use epidemic_sim::spatial::{failure_probability, minimum_k, SpatialArena, SpatialSim};
-use epidemic_sim::steady::{Mechanism, SteadyArena, SteadyConfig, SteadySim};
 
 use crate::registry::{Ctx, Output};
 use crate::render::{fmt, labelled, FigTable};
@@ -310,7 +311,7 @@ pub(crate) fn death_certificates_tables() -> Vec<FigTable> {
     let run = |spec, seed| {
         ScenarioEngine::new(spec)
             .expect("bundled spec is valid")
-            .run(seed, &mut ())
+            .run(&mut ScenarioArena::new(), seed, &mut ())
     };
     // Naive deletion: no certificate survives τ₁ (retention 0), so the
     // site that slept through the deletion brings the item back.
@@ -589,22 +590,19 @@ pub(crate) fn redistribution_table(ctx: &Ctx<'_>) -> FigTable {
         let mut spec = spec.clone();
         spec.protocol.anti_entropy = Some(AntiEntropySpec {
             every: 8,
-            from: 0,
             redistribution,
+            ..AntiEntropySpec::every_cycle(Comparison::Full)
         });
         let engine = ScenarioEngine::new(spec).expect("clearinghouse spec is valid");
-        let means = ctx.mean(
-            || (),
-            |(), seed| {
-                let r = engine.run(seed, &mut ());
-                let mail = r.mail.expect("the spec mails");
-                [
-                    r.converged_at.map_or(3_000.0, f64::from),
-                    mail.delivered as f64,
-                    r.ae_sent as f64,
-                ]
-            },
-        );
+        let means = ctx.mean(ScenarioArena::new, |arena, seed| {
+            let r = engine.run(arena, seed, &mut ());
+            let mail = r.mail.expect("the spec mails");
+            [
+                r.converged_at.map_or(3_000.0, f64::from),
+                mail.delivered as f64,
+                r.ae_sent as f64,
+            ]
+        });
         labelled(label, means)
     })
     .collect();
@@ -620,34 +618,50 @@ pub(crate) fn redistribution_table(ctx: &Ctx<'_>) -> FigTable {
     )
 }
 
+/// `count / over`, and 0 when there is nothing to divide by.
+fn ratio(count: f64, over: f64) -> f64 {
+    if over == 0.0 {
+        0.0
+    } else {
+        count / over
+    }
+}
+
+/// `spec` running push-pull anti-entropy every cycle under `comparison`.
+fn anti_entropy(mut spec: Scenario, comparison: Comparison) -> ScenarioEngine {
+    spec.protocol.anti_entropy = Some(AntiEntropySpec::every_cycle(comparison));
+    ScenarioEngine::new(spec).expect("a steady spec is valid")
+}
+
 /// §1.3 checksum-window experiment: full-comparison rate and traffic as a
 /// function of the recent-update-list window `τ` under a steady update
 /// rate. The paper: choose `τ` below the distribution time and "checksum
 /// comparisons will usually fail".
 pub(crate) fn checksum_window_table() -> FigTable {
-    let (window, mut arena) = (SteadyConfig::CHECKSUM_WINDOW, SteadyArena::new());
+    let (spec, mut arena) = (bundled::steady(60, 1.0, [30, 100, 0]), ScenarioArena::new());
     let mut row = |label: String, comparison| {
-        let sim = SteadySim::uniform(60, Mechanism::AntiEntropy(comparison), window);
-        let r = sim.run(&mut arena, 11);
+        let r = anti_entropy(spec.clone(), comparison).run(&mut arena, 11, &mut ());
+        let per_exchange = |count: u64| ratio(count as f64, r.totals.contacts as f64);
         let full_compare_rate = match comparison {
             Comparison::Full => "1.00".into(),
             Comparison::PeelBack => "0".into(),
-            _ => fmt(r.full_compare_rate),
+            _ => fmt(per_exchange(r.full_compares)),
         };
         vec![
             label,
             full_compare_rate,
-            fmt(r.entries_per_exchange),
-            fmt(r.scanned_per_exchange),
+            fmt(per_exchange(r.totals.sent)),
+            fmt(per_exchange(r.scanned)),
         ]
     };
     let mut rows = vec![
         row("full (baseline)".into(), Comparison::Full),
         row("naive checksum".into(), Comparison::Checksum),
     ];
-    for tau in [10u64, 20, 30, 40, 50, 100, 200, 400] {
+    // Windows in cycles, labelled in ticks.
+    for tau in [1u64, 2, 3, 4, 5, 10, 20, 40] {
         rows.push(row(
-            format!("recent list τ={tau}"),
+            format!("recent list τ={}", tau * 10),
             Comparison::RecentList { tau },
         ));
     }
@@ -833,25 +847,32 @@ pub(crate) fn sir_curve_table(ctx: &Ctx<'_>) -> FigTable {
 /// traffic (the wire-cost proxy) per link under each distribution — the
 /// production Clearinghouse configuration.
 pub(crate) fn cin_steady_table(ctx: &Ctx<'_>) -> FigTable {
+    const WARMUP: u32 = 20;
     let net = cin(&CinConfig::default());
-    let recent = Mechanism::AntiEntropy(Comparison::RecentList { tau: 400 });
-    let arenas = Arenas::default();
+    let topo = &net.topology;
+    let (sites, routes) = (topo.sites(), Routes::compute(topo));
+    let spec = bundled::steady(sites.len(), 2.0, [WARMUP, 60, 0]);
+    let engine = anti_entropy(spec, Comparison::RecentList { tau: 40 });
+    let arenas = Arenas::<ScenarioArena>::default();
     let mut rows = Vec::new();
     for (label, spatial) in [
         ("uniform".to_string(), Spatial::Uniform),
         ("a = 1.2".to_string(), Spatial::QsPower { a: 1.2 }),
         ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
-        let sim = SteadySim::spatial(&net.topology, spatial, recent, SteadyConfig::CIN_STEADY);
+        let sampler = PartnerSampler::new(topo, &routes, spatial);
         let means = ctx.mean(
-            || arenas.take(),
-            |arena, seed| {
-                let r = sim.run(arena, seed + 31);
+            || (arenas.take(), RouteCharge::new(topo, &routes, WARMUP)),
+            |(arena, charge), seed| {
+                charge.recorder.reset();
+                let r = engine.run_with_policy(arena, seed + 31, &sampler, Some(sites), charge);
+                let per_cycle = |count: f64| ratio(count, f64::from(r.cycles - WARMUP));
+                let (compare, update) = (&charge.recorder.compare, &charge.recorder.update);
                 [
-                    r.conversations_per_link_cycle,
-                    r.entries_per_link_cycle,
-                    r.entry_traffic.at(net.bushey_link) as f64 / f64::from(r.measured_cycles),
-                    r.full_compare_rate,
+                    per_cycle(compare.mean_per_link()),
+                    per_cycle(update.mean_per_link()),
+                    update.at(net.bushey_link) as f64 / f64::from(r.cycles - WARMUP),
+                    ratio(r.full_compares as f64, r.totals.contacts as f64),
                 ]
             },
         );
@@ -963,17 +984,14 @@ pub(crate) fn churn_table(ctx: &Ctx<'_>) -> FigTable {
     ] {
         let spec = bundled::churn(sites.len(), fail, recover);
         let engine = ScenarioEngine::new(spec).expect("churn spec is valid");
-        let means = ctx.mean(
-            || (),
-            |(), seed| {
-                let r = engine.run_with_policy(seed + 91, &sampler, Some(sites), &mut ());
-                [
-                    r.down_fraction,
-                    f64::from(r.cycles),
-                    f64::from(u8::from(r.residue == 0.0)),
-                ]
-            },
-        );
+        let means = ctx.mean(ScenarioArena::new, |arena, seed| {
+            let r = engine.run_with_policy(arena, seed + 91, &sampler, Some(sites), &mut ());
+            [
+                r.down_fraction,
+                f64::from(r.cycles),
+                f64::from(u8::from(r.residue == 0.0)),
+            ]
+        });
         rows.push(labelled(label, means));
     }
     FigTable::new(
@@ -1041,29 +1059,29 @@ pub(crate) fn topology_robustness_table(ctx: &Ctx<'_>) -> FigTable {
 /// rumors and its superior residue pays off — "our own CIN application has
 /// a high enough update rate to warrant the use of pull".
 pub(crate) fn pull_vs_push_rate_table(ctx: &Ctx<'_>) -> FigTable {
-    let arenas = Arenas::default();
+    let arenas = Arenas::<ScenarioArena>::default();
     let mut rows = Vec::new();
     for rate in [0.0f64, 0.25, 1.0, 4.0] {
+        let mut spec = bundled::steady(200, rate, [0, 100, 200]);
         for (label, direction) in [("push", Direction::Push), ("pull", Direction::Pull)] {
             let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
-            let config = SteadyConfig {
-                updates_per_cycle: rate,
-                ..SteadyConfig::PULL_VS_PUSH
-            };
-            let sim = SteadySim::uniform(200, Mechanism::Rumor(cfg), config);
+            spec.protocol.rumor = Some(cfg);
+            let engine = ScenarioEngine::new(spec).expect("a steady spec is valid");
             let means = ctx.mean(
                 || arenas.take(),
                 |arena, seed| {
-                    let r = sim.run(arena, seed + 5);
+                    let r = engine.run(arena, seed + 5, &mut ());
+                    let per_cycle = |count: u64| ratio(count as f64, f64::from(r.cycles));
                     [
                         r.coverage,
-                        r.messages_per_delivery,
-                        r.fruitless_per_cycle,
-                        r.contacts_per_cycle,
+                        ratio(r.totals.sent as f64, r.totals.useful as f64),
+                        per_cycle(r.totals.fruitless),
+                        per_cycle(r.totals.contacts),
                     ]
                 },
             );
             rows.push(labelled(format!("{rate} upd/cycle, {label}"), means));
+            spec = engine.into_spec();
         }
     }
     FigTable::new(

@@ -9,7 +9,7 @@
 //! [`InvariantObserver`](epidemic_sim::engine::InvariantObserver) checks
 //! do not apply (coverage legitimately drops when a flash crowd lands).
 
-use epidemic_sim::scenario::{Scenario, ScenarioEngine};
+use epidemic_sim::scenario::{Scenario, ScenarioArena, ScenarioEngine};
 use epidemic_sim::stats::Summary;
 use epidemic_trace::json::{array_of, JsonObject};
 
@@ -61,17 +61,18 @@ pub(crate) fn scenario_sweep(ctx: &Ctx<'_>, specs: &[Scenario]) -> Output {
                 traffic: Summary::new(),
                 delay: Summary::new(),
             };
-            let (row, seen) = ctx.runner.fold(
+            let (row, seen) = ctx.runner.fold_with(
                 ctx.trials,
                 0,
-                |trial| {
+                ScenarioArena::new,
+                |arena, trial| {
                     let seed = trial.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ idx as u64;
                     observed!(
                         sinks,
                         ctx.tracer()
                             .label_str("scenario", &spec.name)
                             .label_u64("trial", trial),
-                        |observer| engine.run(seed, observer)
+                        |observer| engine.run(arena, seed, observer)
                     )
                 },
                 (empty, Seen::default()),

@@ -12,7 +12,7 @@ use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_sim::engine::trace::{AggregateObserver, TraceObserver};
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::runner::TrialRunner;
-use epidemic_sim::scenario::{bundled, ScenarioEngine};
+use epidemic_sim::scenario::{bundled, ScenarioArena, ScenarioEngine};
 use epidemic_trace::json::{parse, Value};
 use epidemic_trace::{RunAggregate, RunTracer, TraceConfig, DELAY_BUCKETS};
 
@@ -182,6 +182,7 @@ fn sink_matches_post_hoc_scan_for_a_scenario() {
         let mut trace = TraceObserver::with_tracer(tracer);
         let mut sink = AggregateObserver::new();
         engine.run(
+            &mut ScenarioArena::new(),
             trial.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             &mut (&mut trace, &mut sink),
         );

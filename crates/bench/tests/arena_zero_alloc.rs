@@ -4,7 +4,7 @@
 //! it completes without asking the heap for a single byte. Covered: every
 //! rumor variant on a [`MixingArena`]; Table 4's anti-entropy and §3.2's
 //! push-pull rumor mongering on the CIN on a [`SpatialArena`]; and the three
-//! steady-state figures' trials on one [`SteadyArena`].
+//! steady-state figures' trials on one [`ScenarioArena`].
 //!
 //! Like `zero_alloc.rs`, this file registers [`CountingAlloc`] as the test
 //! binary's global allocator and therefore holds exactly one test (a
@@ -22,10 +22,13 @@ use std::hint::black_box;
 use epidemic_bench::alloc_counter::{allocations, CountingAlloc};
 use epidemic_core::{Comparison, Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::topologies::{cin, CinConfig};
-use epidemic_net::Spatial;
+use epidemic_net::{PartnerSampler, Routes, Spatial};
+use epidemic_sim::engine::RouteCharge;
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
+use epidemic_sim::scenario::{
+    bundled, AntiEntropySpec, Scenario, ScenarioArena, ScenarioEngine, ScenarioReport,
+};
 use epidemic_sim::spatial::{SpatialArena, SpatialSim};
-use epidemic_sim::steady::{Mechanism, SteadyArena, SteadyConfig, SteadySim};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -142,66 +145,67 @@ fn spatial_trials() {
 /// CIN under its extreme distributions, and `fig-pull-vs-push-rate`'s
 /// busiest push and pull trials.
 fn steady_trials() {
-    let net = cin(&CinConfig::default());
-    let mut arena = SteadyArena::new();
+    let ae = |mut spec: Scenario, comparison| {
+        spec.protocol.anti_entropy = Some(AntiEntropySpec::every_cycle(comparison));
+        spec
+    };
+    let mut arena = ScenarioArena::new();
     for comparison in [
         Comparison::Full,
         Comparison::Checksum,
-        Comparison::RecentList { tau: 10 },
+        Comparison::RecentList { tau: 1 },
         Comparison::PeelBack,
     ] {
         let label = format!("checksum window, {comparison:?}");
-        steady_case(
-            &mut arena,
-            &label,
-            SteadyConfig::CHECKSUM_WINDOW,
-            |config| SteadySim::uniform(60, Mechanism::AntiEntropy(comparison), config),
-        );
+        let spec = |rate| ae(bundled::steady(60, rate, [30, 100, 0]), comparison);
+        steady_case(&mut arena, &label, 1.0, spec, |arena, engine, seed| {
+            engine.run(arena, seed, &mut ())
+        });
     }
-    let recent = Mechanism::AntiEntropy(Comparison::RecentList { tau: 400 });
+    let net = cin(&CinConfig::default());
+    let (sites, routes) = (net.topology.sites(), Routes::compute(&net.topology));
+    let mut charge = RouteCharge::new(&net.topology, &routes, 20);
     for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
-        steady_case(
-            &mut arena,
-            &format!("CIN steady, {spatial:?}"),
-            SteadyConfig::CIN_STEADY,
-            |config| SteadySim::spatial(&net.topology, spatial, recent, config),
-        );
+        let sampler = PartnerSampler::new(&net.topology, &routes, spatial);
+        let recent = Comparison::RecentList { tau: 40 };
+        let spec = |rate| ae(bundled::steady(sites.len(), rate, [20, 60, 0]), recent);
+        let label = format!("CIN steady, {spatial:?}");
+        steady_case(&mut arena, &label, 2.0, spec, |arena, engine, seed| {
+            charge.recorder.reset();
+            engine.run_with_policy(arena, seed, &sampler, Some(sites), &mut charge)
+        });
     }
-    let busiest = SteadyConfig {
-        updates_per_cycle: 4.0,
-        ..SteadyConfig::PULL_VS_PUSH
-    };
     for direction in [Direction::Push, Direction::Pull] {
-        let rumor = Mechanism::Rumor(counter(direction, 2));
-        steady_case(
-            &mut arena,
-            &format!("steady {direction:?}"),
-            busiest,
-            |config| SteadySim::uniform(200, rumor, config),
-        );
+        let spec = |rate| {
+            let mut spec = bundled::steady(200, rate, [0, 100, 200]);
+            spec.protocol.rumor = Some(counter(direction, 2));
+            spec
+        };
+        let label = format!("steady {direction:?}");
+        steady_case(&mut arena, &label, 4.0, spec, |arena, engine, seed| {
+            engine.run(arena, seed, &mut ())
+        });
     }
 }
 
-/// Warms `arena` with trials at twice `config`'s rate — they grow every
-/// block past what a trial at the rate needs — then pins that trials at
-/// `config` allocate nothing.
-fn steady_case<'t>(
-    arena: &mut SteadyArena,
+/// Warms `arena` with trials at twice `rate` — they grow every block past
+/// what a trial at the rate needs — then pins that trials of `spec(rate)`
+/// allocate nothing.
+fn steady_case(
+    arena: &mut ScenarioArena,
     label: &str,
-    config: SteadyConfig,
-    sim: impl Fn(SteadyConfig) -> SteadySim<'t>,
+    rate: f64,
+    spec: impl Fn(f64) -> Scenario,
+    mut run: impl FnMut(&mut ScenarioArena, &ScenarioEngine, u64) -> ScenarioReport,
 ) {
-    let busier = sim(SteadyConfig {
-        updates_per_cycle: 2.0 * config.updates_per_cycle,
-        ..config
-    });
+    let busier = ScenarioEngine::new(spec(2.0 * rate)).expect("a steady spec is valid");
     for seed in 0..4 {
-        busier.run(arena, seed);
+        run(arena, &busier, seed);
     }
-    let sim = sim(config);
-    let mut sent = 0.0;
+    let engine = ScenarioEngine::new(spec(rate)).expect("a steady spec is valid");
+    let mut sent = 0;
     assert_warm_trials_do_not_allocate(label, |seed| {
-        sent += black_box(sim.run(arena, seed)).entries_per_exchange;
+        sent += black_box(run(arena, &engine, seed)).totals.sent;
     });
-    assert!(sent > 0.0, "{label}: updates must actually flow");
+    assert!(sent > 0, "{label}: updates must actually flow");
 }

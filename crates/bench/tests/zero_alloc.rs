@@ -20,7 +20,7 @@ use std::hint::black_box;
 use epidemic_bench::alloc_counter::{allocations, CountingAlloc};
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
 use epidemic_db::SiteId;
-use epidemic_sim::steady::{Mechanism, SteadyArena, SteadyConfig, SteadySim};
+use epidemic_sim::scenario::{bundled, AntiEntropySpec, ScenarioArena, ScenarioEngine};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -129,21 +129,16 @@ fn converged_exchanges_do_not_allocate() {
     // count must allocate *identically* — the longer run is a strict
     // superset of the shorter one, so any difference is per-cycle engine
     // overhead. Zero update injection keeps the replicas converged-empty
-    // (isolating the engine), and the two-site line forces deterministic
-    // partner choice.
-    let topo = epidemic_net::topologies::line(2);
+    // (isolating the engine), and two sites force deterministic partner
+    // choice.
     let run_allocs = |cycles: u32| {
-        let config = SteadyConfig {
-            updates_per_cycle: 0.0,
-            warmup: 4,
-            cycles,
-            drain: 0,
-        };
-        let recent = Mechanism::AntiEntropy(Comparison::RecentList { tau: 400 });
-        let sim = SteadySim::spatial(&topo, epidemic_net::Spatial::Uniform, recent, config);
+        let mut spec = bundled::steady(2, 0.0, [4, cycles, 0]);
+        let recent = Comparison::RecentList { tau: 40 };
+        spec.protocol.anti_entropy = Some(AntiEntropySpec::every_cycle(recent));
+        let engine = ScenarioEngine::new(spec).expect("a steady spec is valid");
         min_allocations(5, || {
-            let mut arena = SteadyArena::new();
-            black_box(sim.run(&mut arena, 11));
+            let mut arena = ScenarioArena::new();
+            black_box(engine.run(&mut arena, 11, &mut ()));
         })
     };
     let short = run_allocs(6);

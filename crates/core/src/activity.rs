@@ -17,7 +17,7 @@ use std::hash::Hash;
 
 use epidemic_db::{Entry, Timestamp};
 
-use crate::anti_entropy::ExchangeStats;
+use crate::anti_entropy::{ExchangeScratch, ExchangeStats};
 use crate::replica::Replica;
 
 /// A replica's *local activity order* over all of its keys: hottest first.
@@ -99,7 +99,7 @@ impl<K: Eq + Clone> ActivityList<K> {
 ///
 /// ```
 /// use epidemic_core::activity::{ActivityList, PeelBackRumor};
-/// use epidemic_core::Replica;
+/// use epidemic_core::{ExchangeScratch, Replica};
 /// use epidemic_db::SiteId;
 ///
 /// let mut a = Replica::new(SiteId::new(0));
@@ -108,8 +108,10 @@ impl<K: Eq + Clone> ActivityList<K> {
 /// a.client_update("k", 1);
 ///
 /// let protocol = PeelBackRumor::new(4);
-/// protocol.exchange(&mut a, &mut la, &mut b, &mut lb);
+/// let mut scratch = ExchangeScratch::new();
+/// protocol.exchange(&mut a, &mut la, &mut b, &mut lb, &mut scratch);
 /// assert_eq!(a.db(), b.db());
+/// assert_eq!(scratch.landed, [vec![], vec!["k"]]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PeelBackRumor {
@@ -128,20 +130,24 @@ impl PeelBackRumor {
         PeelBackRumor { batch }
     }
 
-    /// One conversation. Returns exchange statistics; afterwards the two
-    /// databases are identical (zero failure probability).
+    /// One conversation. Returns exchange statistics, and reports the keys
+    /// it landed in `scratch` (see [`ExchangeScratch::landed`]); afterwards
+    /// the two databases are identical (zero failure probability).
     pub fn exchange<K, V>(
         &self,
         a: &mut Replica<K, V>,
         a_list: &mut ActivityList<K>,
         b: &mut Replica<K, V>,
         b_list: &mut ActivityList<K>,
+        scratch: &mut ExchangeScratch<K>,
     ) -> ExchangeStats
     where
         K: Ord + Clone + Hash + Eq,
         V: Clone + Hash + Eq,
     {
         let mut stats = ExchangeStats::default();
+        scratch.landed.iter_mut().for_each(Vec::clear);
+        let [landed_a, landed_b] = &mut scratch.landed;
         a_list.sync_with(a);
         b_list.sync_with(b);
         stats.checksum_exchanges += 1;
@@ -156,12 +162,14 @@ impl PeelBackRumor {
                 if let Some(key) = a_list.get(ia).cloned() {
                     ia += 1;
                     progressed = true;
-                    Self::send_one(a, b, &key, true, a_list, b_list, &mut stats);
+                    let lists = (&mut *a_list, &mut *b_list);
+                    Self::send_one(a, b, &key, true, lists, landed_b, &mut stats);
                 }
                 if let Some(key) = b_list.get(ib).cloned() {
                     ib += 1;
                     progressed = true;
-                    Self::send_one(b, a, &key, false, b_list, a_list, &mut stats);
+                    let lists = (&mut *b_list, &mut *a_list);
+                    Self::send_one(b, a, &key, false, lists, landed_a, &mut stats);
                 }
             }
             stats.checksum_exchanges += 1;
@@ -183,8 +191,8 @@ impl PeelBackRumor {
         receiver: &mut Replica<K, V>,
         key: &K,
         a_to_b: bool,
-        sender_list: &mut ActivityList<K>,
-        receiver_list: &mut ActivityList<K>,
+        (sender_list, receiver_list): (&mut ActivityList<K>, &mut ActivityList<K>),
+        landed: &mut Vec<K>,
         stats: &mut ExchangeStats,
     ) where
         K: Ord + Clone + Hash + Eq,
@@ -209,6 +217,7 @@ impl PeelBackRumor {
             // Rumor feedback: the update was news — to the front at both.
             sender_list.touch(key.clone());
             receiver_list.touch(key.clone());
+            landed.push(key.clone());
         }
         if outcome == epidemic_db::store::OfferOutcome::AwakenedDormant {
             stats.awakened += 1;
@@ -222,8 +231,13 @@ mod tests {
     use epidemic_db::SiteId;
 
     type R = Replica<&'static str, u32>;
+    type L = ActivityList<&'static str>;
 
-    fn setup() -> (R, ActivityList<&'static str>, R, ActivityList<&'static str>) {
+    fn exchange(p: PeelBackRumor, a: &mut R, la: &mut L, b: &mut R, lb: &mut L) -> ExchangeStats {
+        p.exchange(a, la, b, lb, &mut ExchangeScratch::new())
+    }
+
+    fn setup() -> (R, L, R, L) {
         (
             Replica::new(SiteId::new(0)),
             ActivityList::new(),
@@ -237,7 +251,7 @@ mod tests {
         let (mut a, mut la, mut b, mut lb) = setup();
         a.client_update("x", 1);
         b.client_update("y", 2);
-        let stats = PeelBackRumor::new(2).exchange(&mut a, &mut la, &mut b, &mut lb);
+        let stats = exchange(PeelBackRumor::new(2), &mut a, &mut la, &mut b, &mut lb);
         assert_eq!(a.db(), b.db());
         assert_eq!(stats.total_sent(), 2);
     }
@@ -247,8 +261,8 @@ mod tests {
         let (mut a, mut la, mut b, mut lb) = setup();
         a.client_update("x", 1);
         let p = PeelBackRumor::new(2);
-        p.exchange(&mut a, &mut la, &mut b, &mut lb);
-        let stats = p.exchange(&mut a, &mut la, &mut b, &mut lb);
+        exchange(p, &mut a, &mut la, &mut b, &mut lb);
+        let stats = exchange(p, &mut a, &mut la, &mut b, &mut lb);
         assert_eq!(stats.checksum_exchanges, 1);
         assert_eq!(stats.total_sent(), 0);
     }
@@ -264,12 +278,12 @@ mod tests {
             a.client_update(k, i as u32);
         }
         let p = PeelBackRumor::new(4);
-        p.exchange(&mut a, &mut la, &mut b, &mut lb);
+        exchange(p, &mut a, &mut la, &mut b, &mut lb);
         assert_eq!(a.db(), b.db());
         // One fresh divergent update: only it (and at most a batch of
         // redundant candidates) is examined.
         a.client_update("fresh", 99);
-        let stats = p.exchange(&mut a, &mut la, &mut b, &mut lb);
+        let stats = exchange(p, &mut a, &mut la, &mut b, &mut lb);
         assert_eq!(stats.total_sent(), 1, "only the fresh entry ships");
         assert_eq!(a.db(), b.db());
     }
@@ -279,7 +293,7 @@ mod tests {
         let (mut a, mut la, mut b, mut lb) = setup();
         a.client_update("old", 1);
         a.client_update("new", 2);
-        PeelBackRumor::new(1).exchange(&mut a, &mut la, &mut b, &mut lb);
+        exchange(PeelBackRumor::new(1), &mut a, &mut la, &mut b, &mut lb);
         // "new" shipped first (it heads a's activity list), then "old";
         // each useful transfer promotes its key, so "old" — the most
         // recently useful — now heads both lists.
@@ -318,7 +332,7 @@ mod tests {
                 );
             }
         }
-        PeelBackRumor::new(3).exchange(&mut a, &mut la, &mut b, &mut lb);
+        exchange(PeelBackRumor::new(3), &mut a, &mut la, &mut b, &mut lb);
         assert_eq!(a.db(), b.db());
         assert_eq!(a.db().len(), 20);
     }

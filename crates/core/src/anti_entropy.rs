@@ -28,12 +28,19 @@ use crate::Direction;
 ///
 /// [`AntiEntropy::exchange`] works on a throwaway scratch — behaviour is
 /// identical, only the buffer reuse is lost.
+///
+/// The scratch also reports what the last conversation did: the keys it
+/// *landed* (offers the receiver applied) at each party, so a driver can
+/// track who holds what without probing either database.
 #[derive(Debug, Clone)]
 pub struct ExchangeScratch<K> {
+    /// Keys the last conversation landed at the initiator (`[0]`) and at
+    /// the partner (`[1]`), in offer order.
+    pub landed: [Vec<K>; 2],
     /// Full-comparison diff buffer: keys to send `a → b`.
-    a_to_b: Vec<K>,
+    pub(crate) a_to_b: Vec<K>,
     /// Full-comparison diff buffer: keys to send `b → a`.
-    b_to_a: Vec<K>,
+    pub(crate) b_to_a: Vec<K>,
     /// Peel-back snapshot of the initiator's timestamp index.
     peel_a: Vec<(Timestamp, K)>,
     /// Peel-back snapshot of the partner's timestamp index.
@@ -48,6 +55,7 @@ impl<K> ExchangeScratch<K> {
     /// conversation actually needs a buffer.
     pub fn new() -> Self {
         ExchangeScratch {
+            landed: [Vec::new(), Vec::new()],
             a_to_b: Vec::new(),
             b_to_a: Vec::new(),
             peel_a: Vec::new(),
@@ -172,6 +180,7 @@ impl AntiEntropy {
         V: Clone + Hash + Eq,
     {
         let mut stats = ExchangeStats::default();
+        scratch.landed.iter_mut().for_each(Vec::clear);
         match self.comparison {
             Comparison::Full => {
                 stats.full_compare = true;
@@ -201,19 +210,22 @@ impl AntiEntropy {
 }
 
 /// Offers the sender's entry quietly, by reference, and accounts for
-/// awakened certificates: the receiver clones the entry only if the offer
-/// changes its state.
+/// awakened certificates and landed keys: the receiver clones the entry
+/// only if the offer changes its state.
 fn offer_counted_ref<K, V>(
     to: &mut Replica<K, V>,
     key: &K,
     entry: &Entry<V>,
+    landed: &mut Vec<K>,
     stats: &mut ExchangeStats,
 ) where
     K: Ord + Clone + Hash + Eq,
     V: Clone + Hash + Eq,
 {
-    if to.receive_quietly_ref(key, entry) == OfferOutcome::AwakenedDormant {
-        stats.awakened += 1;
+    match to.receive_quietly_ref(key, entry) {
+        OfferOutcome::Applied => landed.push(key.clone()),
+        OfferOutcome::AwakenedDormant => stats.awakened += 1,
+        OfferOutcome::AlreadyKnown | OfferOutcome::Obsolete => {}
     }
 }
 
@@ -310,12 +322,12 @@ fn full_resolve<K, V>(
     for k in &scratch.a_to_b {
         stats.sent_ab += 1;
         let e = a.db().entry(k).expect("listed by the diff");
-        offer_counted_ref(b, k, e, stats);
+        offer_counted_ref(b, k, e, &mut scratch.landed[1], stats);
     }
     for k in &scratch.b_to_a {
         stats.sent_ba += 1;
         let e = b.db().entry(k).expect("listed by the diff");
-        offer_counted_ref(a, k, e, stats);
+        offer_counted_ref(a, k, e, &mut scratch.landed[0], stats);
     }
 }
 
@@ -340,11 +352,12 @@ fn exchange_recent<K, V>(
     K: Ord + Clone + Hash + Eq,
     V: Clone + Hash + Eq,
 {
+    let [landed_a, landed_b] = &mut scratch.landed;
     if direction.pushes() {
-        stats.sent_ab += offer_recent(a, b, tau, &mut scratch.recent, stats);
+        stats.sent_ab += offer_recent(a, b, tau, &mut scratch.recent, landed_b, stats);
     }
     if direction.pulls() {
-        stats.sent_ba += offer_recent(b, a, tau, &mut scratch.recent, stats);
+        stats.sent_ba += offer_recent(b, a, tau, &mut scratch.recent, landed_a, stats);
     }
 }
 
@@ -360,6 +373,7 @@ fn offer_recent<K, V>(
     to: &mut Replica<K, V>,
     tau: u64,
     pending: &mut Vec<u32>,
+    landed: &mut Vec<K>,
     stats: &mut ExchangeStats,
 ) -> usize
 where
@@ -375,7 +389,7 @@ where
     );
     for &rank in pending.iter() {
         let (k, e) = from.db().nth_newest(rank as usize).expect("a listed rank");
-        offer_counted_ref(to, k, e, stats);
+        offer_counted_ref(to, k, e, landed, stats);
     }
     listed
 }
@@ -534,11 +548,11 @@ fn peel_back<K, V>(
         if ta > tb {
             let entry = a.db().entry(key).expect("ta is Some");
             stats.sent_ab += 1;
-            offer_counted_ref(b, key, entry, stats);
+            offer_counted_ref(b, key, entry, &mut scratch.landed[1], stats);
         } else if tb > ta {
             let entry = b.db().entry(key).expect("tb is Some");
             stats.sent_ba += 1;
-            offer_counted_ref(a, key, entry, stats);
+            offer_counted_ref(a, key, entry, &mut scratch.landed[0], stats);
         }
         stats.checksum_exchanges += 1;
         if a.db().checksum() == b.db().checksum() {

@@ -18,7 +18,7 @@ use std::hash::Hash;
 
 use epidemic_db::Entry;
 
-use crate::anti_entropy::{diff_into, ExchangeStats};
+use crate::anti_entropy::{diff_into, ExchangeScratch, ExchangeStats};
 use crate::replica::Replica;
 use crate::Direction;
 
@@ -52,7 +52,7 @@ pub struct BackupOutcome<K, V> {
 /// # Example
 ///
 /// ```
-/// use epidemic_core::{BackupAntiEntropy, Redistribution, Replica};
+/// use epidemic_core::{BackupAntiEntropy, ExchangeScratch, Redistribution, Replica};
 /// use epidemic_db::SiteId;
 ///
 /// let mut a = Replica::new(SiteId::new(0));
@@ -61,8 +61,10 @@ pub struct BackupOutcome<K, V> {
 /// a.hot_mut().clear(); // the rumor died before reaching b
 ///
 /// let backup = BackupAntiEntropy::new(Redistribution::Rumor);
-/// let outcome = backup.exchange(&mut a, &mut b);
+/// let mut scratch = ExchangeScratch::new();
+/// let outcome = backup.exchange(&mut a, &mut b, &mut scratch);
 /// assert_eq!(outcome.stats.sent_ab, 1);
+/// assert_eq!(scratch.landed, [vec![], vec!["k"]]);
 /// // Both participants now treat the update as a hot rumor again.
 /// assert!(a.is_infective(&"k") && b.is_infective(&"k"));
 /// ```
@@ -77,11 +79,14 @@ impl BackupAntiEntropy {
         BackupAntiEntropy { redistribution }
     }
 
-    /// One push-pull full-database exchange with redistribution.
+    /// One push-pull full-database exchange with redistribution, diffing
+    /// in `scratch`'s buffers and reporting the keys it landed there (see
+    /// [`ExchangeScratch::landed`]).
     pub fn exchange<K, V>(
         &self,
         a: &mut Replica<K, V>,
         b: &mut Replica<K, V>,
+        scratch: &mut ExchangeScratch<K>,
     ) -> BackupOutcome<K, V>
     where
         K: Ord + Clone + Hash + Eq,
@@ -91,17 +96,18 @@ impl BackupAntiEntropy {
             full_compare: true,
             ..ExchangeStats::default()
         };
-        let (mut a_to_b, mut b_to_a) = (Vec::new(), Vec::new());
-        stats.entries_scanned = diff_into(Direction::PushPull, a, b, &mut a_to_b, &mut b_to_a);
+        scratch.landed.iter_mut().for_each(Vec::clear);
+        let (a_to_b, b_to_a) = (&mut scratch.a_to_b, &mut scratch.b_to_a);
+        stats.entries_scanned = diff_into(Direction::PushPull, a, b, a_to_b, b_to_a);
         let mut remail = Vec::new();
-
-        for k in &a_to_b {
+        let [landed_a, landed_b] = &mut scratch.landed;
+        for k in &scratch.a_to_b {
             stats.sent_ab += 1;
-            self.apply_one(b, a, k, &mut remail, &mut stats);
+            self.apply_one(b, a, k, &mut remail, landed_b, &mut stats);
         }
-        for k in &b_to_a {
+        for k in &scratch.b_to_a {
             stats.sent_ba += 1;
-            self.apply_one(a, b, k, &mut remail, &mut stats);
+            self.apply_one(a, b, k, &mut remail, landed_a, &mut stats);
         }
         BackupOutcome { stats, remail }
     }
@@ -114,6 +120,7 @@ impl BackupAntiEntropy {
         sender: &mut Replica<K, V>,
         key: &K,
         remail: &mut Vec<(K, Entry<V>)>,
+        landed: &mut Vec<K>,
         stats: &mut ExchangeStats,
     ) where
         K: Ord + Clone + Hash + Eq,
@@ -140,8 +147,10 @@ impl BackupAntiEntropy {
                 outcome
             }
         };
-        if outcome == OfferOutcome::AwakenedDormant {
-            stats.awakened += 1;
+        match outcome {
+            OfferOutcome::Applied => landed.push(key.clone()),
+            OfferOutcome::AwakenedDormant => stats.awakened += 1,
+            OfferOutcome::AlreadyKnown | OfferOutcome::Obsolete => {}
         }
     }
 }
@@ -151,7 +160,7 @@ mod tests {
     use super::*;
     use epidemic_db::SiteId;
 
-    fn cold_pair() -> (Replica<&'static str, u32>, Replica<&'static str, u32>) {
+    fn cold_pair() -> (R, R) {
         let mut a = Replica::new(SiteId::new(0));
         let b = Replica::new(SiteId::new(1));
         a.client_update("k", 1);
@@ -159,10 +168,16 @@ mod tests {
         (a, b)
     }
 
+    type R = Replica<&'static str, u32>;
+
+    fn exchange(policy: Redistribution, a: &mut R, b: &mut R) -> BackupOutcome<&'static str, u32> {
+        BackupAntiEntropy::new(policy).exchange(a, b, &mut ExchangeScratch::new())
+    }
+
     #[test]
     fn conservative_backup_reconciles_without_reigniting() {
         let (mut a, mut b) = cold_pair();
-        let outcome = BackupAntiEntropy::new(Redistribution::None).exchange(&mut a, &mut b);
+        let outcome = exchange(Redistribution::None, &mut a, &mut b);
         assert_eq!(outcome.stats.sent_ab, 1);
         assert_eq!(b.db().get(&"k"), Some(&1));
         assert!(!a.is_infective(&"k") && !b.is_infective(&"k"));
@@ -172,7 +187,7 @@ mod tests {
     #[test]
     fn rumor_redistribution_reignites_both_parties() {
         let (mut a, mut b) = cold_pair();
-        let outcome = BackupAntiEntropy::new(Redistribution::Rumor).exchange(&mut a, &mut b);
+        let outcome = exchange(Redistribution::Rumor, &mut a, &mut b);
         assert!(outcome.remail.is_empty());
         assert!(a.is_infective(&"k") && b.is_infective(&"k"));
     }
@@ -180,7 +195,7 @@ mod tests {
     #[test]
     fn mail_redistribution_hands_back_updates() {
         let (mut a, mut b) = cold_pair();
-        let outcome = BackupAntiEntropy::new(Redistribution::Mail).exchange(&mut a, &mut b);
+        let outcome = exchange(Redistribution::Mail, &mut a, &mut b);
         assert_eq!(outcome.remail.len(), 1);
         assert_eq!(outcome.remail[0].0, "k");
         assert!(!b.is_infective(&"k"));
@@ -189,11 +204,10 @@ mod tests {
     #[test]
     fn redundant_exchange_redistributes_nothing() {
         let (mut a, mut b) = cold_pair();
-        let backup = BackupAntiEntropy::new(Redistribution::Rumor);
-        backup.exchange(&mut a, &mut b);
+        exchange(Redistribution::Rumor, &mut a, &mut b);
         a.hot_mut().clear();
         b.hot_mut().clear();
-        let outcome = backup.exchange(&mut a, &mut b);
+        let outcome = exchange(Redistribution::Rumor, &mut a, &mut b);
         assert_eq!(outcome.stats.total_sent(), 0);
         assert!(!a.is_infective(&"k") && !b.is_infective(&"k"));
     }
@@ -203,7 +217,7 @@ mod tests {
         let (mut a, mut b) = cold_pair();
         b.client_update("j", 9);
         b.hot_mut().clear();
-        let outcome = BackupAntiEntropy::new(Redistribution::Rumor).exchange(&mut a, &mut b);
+        let outcome = exchange(Redistribution::Rumor, &mut a, &mut b);
         assert_eq!(outcome.stats.sent_ab, 1);
         assert_eq!(outcome.stats.sent_ba, 1);
         assert!(a.is_infective(&"j") && b.is_infective(&"k"));

@@ -170,20 +170,26 @@ impl DirectMail {
     /// t THEN s.ValueOf ← (v, t)`. Mailed updates are merged quietly — in a
     /// direct-mail system receipt does not trigger further mailing.
     ///
-    /// Returns the number of letters that carried news.
-    pub fn deliver<K, V>(&self, replica: &mut Replica<K, V>, mail: &mut MailSystem<K, V>) -> usize
+    /// Appends the key of every letter that carried news to `landed` and
+    /// returns how many did.
+    pub fn deliver<K, V>(
+        &self,
+        replica: &mut Replica<K, V>,
+        mail: &mut MailSystem<K, V>,
+        landed: &mut Vec<K>,
+    ) -> usize
     where
         K: Ord + Clone + Hash + Eq,
         V: Clone + Hash,
     {
-        mail.deliver(replica.site())
-            .into_iter()
-            .filter(|letter| {
-                replica
-                    .receive_quietly_ref(&letter.key, &letter.entry)
-                    .was_useful()
-            })
-            .count()
+        let before = landed.len();
+        for letter in mail.deliver(replica.site()) {
+            let outcome = replica.receive_quietly_ref(&letter.key, &letter.entry);
+            if outcome.was_useful() {
+                landed.push(letter.key);
+            }
+        }
+        landed.len() - before
     }
 }
 
@@ -207,8 +213,9 @@ mod tests {
         let sent = DirectMail::new().broadcast(&origin, &all, &"k", &mut mail, &mut rng);
         assert_eq!(sent, 3, "origin does not mail itself");
         let mut r1: Replica<&str, u32> = Replica::new(SiteId::new(1));
-        let news = DirectMail::new().deliver(&mut r1, &mut mail);
-        assert_eq!(news, 1);
+        let mut landed = Vec::new();
+        let news = DirectMail::new().deliver(&mut r1, &mut mail, &mut landed);
+        assert_eq!((news, landed), (1, vec!["k"]));
         assert_eq!(r1.db().get(&"k"), Some(&9));
         assert!(!r1.is_infective(&"k"), "mail delivery is quiet");
     }
@@ -270,7 +277,7 @@ mod tests {
         DirectMail::new().broadcast(&origin, &[SiteId::new(1)], &"k", &mut mail, &mut rng);
         dest.advance_clock(100);
         dest.client_update("k", 2); // newer local value
-        let news = DirectMail::new().deliver(&mut dest, &mut mail);
+        let news = DirectMail::new().deliver(&mut dest, &mut mail, &mut Vec::new());
         assert_eq!(news, 0);
         assert_eq!(dest.db().get(&"k"), Some(&2));
     }

@@ -136,13 +136,17 @@ pub struct RumorStats {
 /// snapshot. Steady-state drivers keep one per protocol and thread it
 /// through [`contact_with`], so a push-pull fleet under continuous update
 /// load stops allocating a fresh `Vec` on every multi-rumor contact — the
-/// rumor-side counterpart of `ExchangeScratch`.
+/// rumor-side counterpart of `ExchangeScratch`, and like it reports the
+/// keys the last contact landed.
 #[derive(Debug, Default)]
 pub struct RumorScratch<K> {
     /// Snapshot buffer for the initiator's hot keys.
     pub a_keys: Vec<K>,
     /// Snapshot buffer for the partner's hot keys.
     pub b_keys: Vec<K>,
+    /// Keys the last contact landed — offers the recipient applied — at
+    /// the initiator (`[0]`) and at the partner (`[1]`), in offer order.
+    pub landed: [Vec<K>; 2],
 }
 
 impl<K> RumorScratch<K> {
@@ -152,6 +156,7 @@ impl<K> RumorScratch<K> {
         RumorScratch {
             a_keys: Vec::new(),
             b_keys: Vec::new(),
+            landed: [Vec::new(), Vec::new()],
         }
     }
 }
@@ -236,10 +241,12 @@ where
 /// are visited, and coins tossed, in start-of-contact order, with no
 /// snapshot taken.
 ///
-/// A rumor `known` names is offered as known (see [`contact_with_known`]).
+/// A rumor `known` names is offered as known (see [`contact_with_known`]);
+/// every useful one is appended to `landed`, the keys landed at `to`.
 fn walk_hot<K, V>(
     from: &mut Replica<K, V>,
     to: &mut Replica<K, V>,
+    landed: &mut Vec<K>,
     mut known: impl FnMut(&K) -> bool,
     mut edit: impl FnMut(&mut HotList<K>, usize, bool, &mut RumorStats) -> bool,
 ) -> RumorStats
@@ -258,6 +265,7 @@ where
         stats.sent += 1;
         if useful {
             stats.useful += 1;
+            landed.push(key.clone());
         }
         if !edit(from.hot_mut(), idx, useful, &mut stats) {
             idx += 1;
@@ -283,7 +291,11 @@ where
     R: Rng + ?Sized,
 {
     let mut stats = RumorStats::default();
-    let RumorScratch { a_keys, b_keys } = scratch;
+    let RumorScratch {
+        a_keys,
+        b_keys,
+        landed: [to_a, to_b],
+    } = scratch;
     let a_keys = HotKeys::snapshot(a, a_keys);
     let b_keys = HotKeys::snapshot(b, b_keys);
 
@@ -296,6 +308,7 @@ where
         stats.sent += 1;
         if useful {
             stats.useful += 1;
+            to_b.push(key.clone());
         }
         if both_hot && !useful {
             // Both parties knew the rumor: increment only the smaller
@@ -319,6 +332,7 @@ where
         stats.sent += 1;
         if useful {
             stats.useful += 1;
+            to_a.push(key.clone());
         }
         if record_feedback(cfg, b, key, useful, rng) {
             stats.deactivated += 1;
@@ -335,7 +349,8 @@ where
 /// drivers use, so the direction dispatch lives in exactly one place. The
 /// caller owns the snapshot buffers, one [`RumorScratch`] per protocol, so
 /// multi-rumor push-pull contacts stop allocating a snapshot `Vec` apiece.
-/// Only push-pull uses the buffers; push and pull take no snapshot.
+/// Only push-pull uses the buffers; push and pull take no snapshot. Every
+/// direction reports the keys it landed in [`RumorScratch::landed`].
 pub fn contact_with<K, V, R>(
     cfg: &RumorConfig,
     initiator: &mut Replica<K, V>,
@@ -374,17 +389,19 @@ where
     V: Clone + Hash,
     R: Rng + ?Sized,
 {
+    scratch.landed.iter_mut().for_each(Vec::clear);
+    let [to_a, to_b] = &mut scratch.landed;
     match cfg.direction {
         // Push, §1.4's basic scenario: the initiator offers every hot
         // rumor and loses interest at once.
-        Direction::Push => walk_hot(initiator, partner, known, |hot, idx, useful, stats| {
-            lose_interest(cfg, hot, Some(idx), useful, rng, stats)
+        Direction::Push => walk_hot(initiator, partner, to_b, known, |hot, i, useful, stats| {
+            lose_interest(cfg, hot, Some(i), useful, rng, stats)
         }),
         // Pull: the partner serves its hot rumors. Counter bookkeeping is
         // deferred: the source records whether each pull was needed and
         // applies the Table 3 footnote at end of cycle via [`end_cycle`].
         // Coin removal is applied immediately.
-        Direction::Pull => walk_hot(partner, initiator, known, |hot, idx, useful, stats| {
+        Direction::Pull => walk_hot(partner, initiator, to_a, known, |hot, i, useful, stats| {
             match cfg.removal {
                 Removal::Counter { .. } => {
                     // Blind pull records every serve as useless — no
@@ -393,10 +410,10 @@ where
                         Feedback::Feedback => useful,
                         Feedback::Blind => false,
                     };
-                    hot.record_pending_at(idx, needed);
+                    hot.record_pending_at(i, needed);
                     false
                 }
-                Removal::Coin { .. } => lose_interest(cfg, hot, Some(idx), useful, rng, stats),
+                Removal::Coin { .. } => lose_interest(cfg, hot, Some(i), useful, rng, stats),
             }
         }),
         Direction::PushPull => push_pull_contact(cfg, initiator, partner, rng, scratch),

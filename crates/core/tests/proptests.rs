@@ -3,8 +3,8 @@
 
 use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
 use epidemic_core::{
-    AntiEntropy, BackupAntiEntropy, Comparison, Direction, Feedback, Redistribution, Removal,
-    Replica,
+    AntiEntropy, BackupAntiEntropy, Comparison, Direction, ExchangeScratch, Feedback,
+    Redistribution, Removal, Replica,
 };
 use epidemic_db::{Entry, GcPolicy, SiteId, Timestamp};
 use proptest::prelude::*;
@@ -192,7 +192,11 @@ fn run_schedule(actions: &[Action]) -> Vec<Replica<u8, u16>> {
                         _ => Redistribution::Mail,
                     };
                     let (x, y) = split_pair(&mut replicas, i, j);
-                    BackupAntiEntropy::new(redistribution).exchange(x, y);
+                    BackupAntiEntropy::new(redistribution).exchange(
+                        x,
+                        y,
+                        &mut ExchangeScratch::new(),
+                    );
                 }
             }
             Action::EndCycle { site } => {

@@ -61,6 +61,15 @@ impl BitSet {
         self.len = len;
     }
 
+    /// Lengthens the set to at least `len` bits, the new ones false,
+    /// keeping every bit it holds.
+    pub(crate) fn grow(&mut self, len: usize) {
+        if len > self.len {
+            self.words.resize(len.div_ceil(64), 0);
+            self.len = len;
+        }
+    }
+
     /// Copies `other` into this set word-at-a-time without reallocating —
     /// the bitset-to-bitset start-of-cycle snapshot operation (a derived
     /// `clone` would allocate a fresh word vector every cycle).

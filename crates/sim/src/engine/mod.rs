@@ -37,7 +37,7 @@ pub use observer::{Observer, SirObserver, SirView};
 pub(crate) use partner::Partners;
 pub use partner::UniformPartners;
 pub(crate) use protocols::UpdateInjector;
-pub use protocols::{ReceiveLog, RouteRecorder};
+pub use protocols::{ReceiveLog, RouteCharge, RouteRecorder};
 pub use trace::{AggregateObserver, InvariantObserver, TraceObserver, TraceView};
 
 use std::time::Instant;

@@ -17,12 +17,11 @@
 use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
 use epidemic_core::{Direction, Feedback, Removal, Replica};
 use epidemic_db::SiteId;
-use epidemic_net::{LinkTraffic, Routes};
+use epidemic_net::{LinkTraffic, Routes, Topology};
 use epidemic_trace::Sir;
 use rand::rngs::StdRng;
-use rand::RngExt;
 
-use super::{ContactStats, EpidemicProtocol, Roster, SirView};
+use super::{ContactStats, EpidemicProtocol, Observer, Roster, SirView};
 use crate::bitset::BitSet;
 use crate::util::{pair_mut, reset_replicas, site_ids};
 
@@ -182,6 +181,12 @@ impl<'a> RouteRecorder<'a> {
         }
     }
 
+    /// Zeroes both counters, keeping their storage.
+    pub fn reset(&mut self) {
+        self.compare.reset(self.compare.counts().len());
+        self.update.reset(self.update.counts().len());
+    }
+
     /// Records one conversation `from → to` that shipped `update_units`
     /// units of update traffic.
     pub fn record(&mut self, from: SiteId, to: SiteId, update_units: u64) {
@@ -191,13 +196,48 @@ impl<'a> RouteRecorder<'a> {
     }
 }
 
+/// An [`Observer`] charging every contact of the cycles after `after` to
+/// its route, with the entries it sent as update units; dense site `i` is
+/// `sites[i]`. Any protocol's run can be measured on a topology this way.
+#[derive(Debug)]
+pub struct RouteCharge<'a> {
+    /// The per-link counters charged.
+    pub recorder: RouteRecorder<'a>,
+    /// Site id of each dense site index.
+    pub sites: &'a [SiteId],
+    /// Cycles left uncharged (a warm-up).
+    pub after: u32,
+}
+
+impl<'a> RouteCharge<'a> {
+    /// Zeroed counters for `topology`, charging along `routes` every
+    /// contact of the cycles after `after`.
+    pub fn new(topology: &'a Topology, routes: &'a Routes, after: u32) -> Self {
+        let recorder = RouteRecorder::new(routes, topology.link_count());
+        let sites = topology.sites();
+        RouteCharge {
+            recorder,
+            sites,
+            after,
+        }
+    }
+}
+
+impl<P: ?Sized> Observer<P> for RouteCharge<'_> {
+    fn on_contact(&mut self, cycle: u32, i: usize, j: usize, stats: &ContactStats) {
+        if cycle > self.after {
+            self.recorder
+                .record(self.sites[i], self.sites[j], stats.sent);
+        }
+    }
+}
+
 /// Fractional-rate client-update injection with carry accumulation.
 ///
 /// At `rate` updates per cycle, `inject` fires `floor(carry + rate)`
 /// updates this cycle and carries the remainder, so
 /// e.g. `rate = 0.5` injects one update every other cycle. Keys are
-/// sequential from zero, sites uniform random — exactly the loop the
-/// steady-state drivers each inlined.
+/// sequential from zero, sites uniform random.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct UpdateInjector {
     rate: f64,
@@ -212,16 +252,6 @@ impl UpdateInjector {
             rate,
             carry: 0.0,
             next_key: 0,
-        }
-    }
-
-    /// Runs one cycle of injection over `n` sites, calling
-    /// `place(site, key)` for each new update.
-    pub(crate) fn inject(&mut self, n: usize, rng: &mut StdRng, mut place: impl FnMut(usize, u32)) {
-        for _ in 0..self.due() {
-            let site = rng.random_range(0..n);
-            let key = self.alloc_key();
-            place(site, key);
         }
     }
 
@@ -242,7 +272,7 @@ impl UpdateInjector {
     pub(crate) fn alloc_key(&mut self) -> u32 {
         let key = self.next_key;
         // Checked-with-context rather than a silent debug-only wrap: a
-        // steady-state run long enough to mint 2^32 keys would start
+        // run long enough to mint 2^32 keys would start
         // recycling update identities, corrupting every receive log.
         self.next_key = self
             .next_key
@@ -588,7 +618,7 @@ mod tests {
     use super::*;
     use crate::engine::{CycleEngine, EngineBuffers, UniformPartners};
     use epidemic_net::{topologies, Spatial};
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     /// Regression (hot-path sweep): the injector mints keys right up to
     /// the top of the `u32` range without wrapping.
@@ -596,12 +626,8 @@ mod tests {
     fn update_injector_issues_keys_to_the_top_of_the_range() {
         let mut injector = UpdateInjector::new(1.0);
         injector.next_key = u32::MAX - 2;
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut keys = Vec::new();
-        for _ in 0..2 {
-            injector.inject(4, &mut rng, |_, key| keys.push(key));
-        }
-        assert_eq!(keys, vec![u32::MAX - 2, u32::MAX - 1]);
+        let keys = [injector.alloc_key(), injector.alloc_key()];
+        assert_eq!(keys, [u32::MAX - 2, u32::MAX - 1]);
     }
 
     /// Regression (hot-path sweep): exhausting the key space fails loudly
@@ -611,8 +637,7 @@ mod tests {
     fn update_injector_panics_with_context_on_key_exhaustion() {
         let mut injector = UpdateInjector::new(1.0);
         injector.next_key = u32::MAX;
-        let mut rng = StdRng::seed_from_u64(0);
-        injector.inject(4, &mut rng, |_, _| {});
+        injector.alloc_key();
     }
 
     #[test]
@@ -808,15 +833,11 @@ mod tests {
     #[test]
     fn injector_carries_fractional_rates() {
         let mut inj = UpdateInjector::new(0.5);
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut keys = Vec::new();
-        for _ in 0..6 {
-            inj.inject(10, &mut rng, |site, key| {
-                assert!(site < 10);
-                keys.push(key);
-            });
-        }
-        assert_eq!(keys, vec![0, 1, 2], "rate 0.5 over 6 cycles fires thrice");
-        assert_eq!(inj.injected(), 3);
+        let due: Vec<u32> = (0..6).map(|_| inj.due()).collect();
+        assert_eq!(
+            due,
+            [0, 1, 0, 1, 0, 1],
+            "rate 0.5 over 6 cycles fires thrice"
+        );
     }
 }

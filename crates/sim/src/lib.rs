@@ -15,16 +15,14 @@
 //! * [`megascale`] — the single-update rumor epidemic at 10⁴–10⁷ sites on
 //!   uniform and scale-free topologies ([`FastRumorProtocol`] on
 //!   [`engine::ActiveCycleEngine`], the fig-megascale sweep);
-//! * [`scenario`] — the declarative scenario subsystem: a parsed
+//! * [`scenario`] — the one workload engine: a parsed
 //!   [`scenario::Scenario`] spec (site count, protocol, weighted workload
-//!   mix, fault-event timeline) lowered onto the cycle engine by
+//!   mix, fault-event timeline, warm-up) lowered onto the cycle engine by
 //!   [`scenario::ScenarioEngine`]; the Clearinghouse and
 //!   death-certificate demonstrations and §2's site churn are bundled
-//!   `.scenario` files;
-//! * [`steady`] — the one steady-state driver: anti-entropy or rumor
-//!   mongering under continuous updates, on uniform partners or a
-//!   topology (§1.3's checksum/recent-list window, §3.1's distributions in
-//!   steady state, §1.4's push-vs-pull update-rate trade-off);
+//!   `.scenario` files, and the steady-state figures (§1.3's
+//!   checksum/recent-list window, §3.1's distributions in steady state,
+//!   §1.4's push-vs-pull update-rate trade-off) are specs too;
 //! * [`event`] — a discrete-event, per-site-timer driver ablating the
 //!   synchronous-cycle assumption;
 //! * [`engine`] — the shared cycle engine all of the above drive:
@@ -70,7 +68,6 @@ pub mod runner;
 pub mod scenario;
 pub mod spatial;
 pub mod stats;
-pub mod steady;
 mod util;
 
 pub use bitset::BitSet;

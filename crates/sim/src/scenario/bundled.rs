@@ -9,6 +9,7 @@
 //! heal. `repro fig-scenarios` sweeps all of them.
 
 use super::spec::{FaultKind, Scenario, TopologySpec};
+use crate::engine::UpdateInjector;
 
 /// Name → source text of every bundled scenario, in sweep order.
 pub const SOURCES: &[(&str, &str)] = &[
@@ -81,18 +82,34 @@ pub fn churn(sites: usize, fail: f64, recover: f64) -> Scenario {
     spec
 }
 
+/// A steady-state workload on `sites` uniformly mixed sites and no
+/// protocol yet: `rate` client updates a cycle, at random sites under
+/// fresh keys, through `warmup` unmeasured and `cycles` measured cycles,
+/// then `drain` measured cycles without injection — the schedule of the
+/// §1.3, §1.4 and §3.1 steady-state figures, which set the protocol.
+pub fn steady(sites: usize, rate: f64, [warmup, cycles, drain]: [u32; 3]) -> Scenario {
+    let (mut spec, mut carry) = (Scenario::new("steady", sites), UpdateInjector::new(rate));
+    spec.workload.rate = rate;
+    // What the carry accumulator injects over those cycles, exactly.
+    spec.workload.budget = Some((0..warmup + cycles).map(|_| u64::from(carry.due())).sum());
+    spec.warmup = warmup;
+    spec.max_cycles = warmup + cycles + drain;
+    spec
+}
+
 #[cfg(test)]
 mod tests {
     use epidemic_core::rumor::Removal;
     use epidemic_core::MailConfig;
 
     use super::*;
-    use crate::scenario::{AntiEntropySpec, ScenarioEngine, ScenarioReport, SiteSet};
+    use crate::scenario::{
+        AntiEntropySpec, ScenarioArena, ScenarioEngine, ScenarioReport, SiteSet,
+    };
 
     fn run(spec: Scenario, seed: u64) -> ScenarioReport {
-        ScenarioEngine::new(spec)
-            .expect("spec is valid")
-            .run(seed, &mut ())
+        let engine = ScenarioEngine::new(spec).expect("spec is valid");
+        engine.run(&mut ScenarioArena::new(), seed, &mut ())
     }
 
     #[test]
@@ -213,7 +230,7 @@ mod tests {
     fn anti_entropy_survives_heavy_churn() {
         let engine = ScenarioEngine::new(by_name("churn").expect("bundled")).expect("valid");
         for seed in 0..10 {
-            let report = engine.run(seed, &mut ());
+            let report = engine.run(&mut ScenarioArena::new(), seed, &mut ());
             assert_eq!(report.residue, 0.0, "seed {seed}");
             // The chain's stationary down fraction, fail / (fail + recover).
             let down = report.down_fraction;
@@ -229,7 +246,11 @@ mod tests {
         let (quiet, stormy) = (engine(0.0, 1.0), engine(0.2, 0.2));
         let (mut quiet_t, mut stormy_t) = (0, 0);
         for seed in 0..10 {
-            let (q, s) = (quiet.run(seed, &mut ()), stormy.run(seed, &mut ()));
+            let arena = &mut ScenarioArena::new();
+            let (q, s) = (
+                quiet.run(arena, seed, &mut ()),
+                stormy.run(arena, seed, &mut ()),
+            );
             assert_eq!(
                 [q.residue, q.down_fraction, s.residue],
                 [0.0; 3],
@@ -253,7 +274,7 @@ mod tests {
 
     #[test]
     fn partition_rejoin_converges_with_bounded_traffic() {
-        let report = partition(12).run(21, &mut ());
+        let report = partition(12).run(&mut ScenarioArena::new(), 21, &mut ());
         assert!(report.converged_at.is_some());
         // Each update must cross to 8 other sites: entries shipped after
         // the heal is bounded by a small multiple of updates x sites.
@@ -268,7 +289,8 @@ mod tests {
         // timestamps decide, and both halves agree after rejoin.
         let engine = partition(6);
         for seed in 0..3 {
-            assert!(engine.run(seed, &mut ()).converged_at.is_some());
+            let report = engine.run(&mut ScenarioArena::new(), seed, &mut ());
+            assert!(report.converged_at.is_some());
         }
     }
 

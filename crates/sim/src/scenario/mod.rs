@@ -32,7 +32,7 @@ mod spec;
 
 pub mod bundled;
 
-pub use engine::{Milestone, ScenarioEngine, ScenarioProtocol, ScenarioReport};
+pub use engine::{Milestone, ScenarioArena, ScenarioEngine, ScenarioProtocol, ScenarioReport};
 pub use parse::ParseError;
 pub use spec::{
     AntiEntropySpec, FaultEvent, FaultKind, ProtocolSpec, Scenario, SiteSet, SpatialSpec,

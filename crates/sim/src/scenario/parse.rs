@@ -14,7 +14,7 @@ use super::spec::{
     Workload, WorkloadMix,
 };
 use epidemic_core::rumor::{Feedback, Removal};
-use epidemic_core::{Direction, MailConfig, Redistribution, RumorConfig};
+use epidemic_core::{Comparison, Direction, MailConfig, Redistribution, RumorConfig};
 
 /// A syntax or consistency error in `.scenario` text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,6 +113,7 @@ impl Scenario {
                 "at" => spec.events.push(parse_event(&mut cur)?),
                 "until" => spec.until = parse_until(&mut cur)?,
                 "max-cycles" => spec.max_cycles = cur.parse("cycle bound")?,
+                "warmup" => spec.warmup = cur.parse("warm-up cycles")?,
                 other => return Err(cur.err(format!("unknown directive {other:?}"))),
             }
             cur.finish()?;
@@ -172,7 +173,21 @@ fn parse_anti_entropy(cur: &mut Cursor<'_>) -> Result<AntiEntropySpec, ParseErro
         "mail" => Redistribution::Mail,
         other => return Err(cur.err(format!("unknown redistribution {other:?}"))),
     };
+    let comparison = match cur.peek_done() {
+        None => Comparison::Full,
+        Some("comparison") => match cur.next("a comparison (full|checksum|recent|peel-back)")? {
+            "full" => Comparison::Full,
+            "checksum" => Comparison::Checksum,
+            "recent" => Comparison::RecentList {
+                tau: cur.parse("recent-list window")?,
+            },
+            "peel-back" => Comparison::PeelBack,
+            other => return Err(cur.err(format!("unknown comparison {other:?}"))),
+        },
+        Some(other) => return Err(cur.err(format!("unknown anti-entropy field {other:?}"))),
+    };
     Ok(AntiEntropySpec {
+        comparison,
         every,
         from,
         redistribution,

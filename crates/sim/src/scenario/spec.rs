@@ -9,7 +9,7 @@
 //! grammar is documented in DESIGN.md §Scenario subsystem and
 //! round-tripping (`parse(render(spec)) == spec`) is pinned by proptest.
 
-use epidemic_core::{MailConfig, Redistribution, RumorConfig};
+use epidemic_core::{Comparison, MailConfig, Redistribution, RumorConfig};
 
 /// Partner-distance bias for spatial topologies, mirroring
 /// [`epidemic_net::Spatial`] (which is not `PartialEq`-comparable across
@@ -59,6 +59,10 @@ pub enum TopologySpec {
 /// Periodic anti-entropy backup configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AntiEntropySpec {
+    /// How the two databases are compared (§1.3). A recent-list window
+    /// `τ` is in cycles, like every duration of a spec. Backup
+    /// redistribution always compares full databases.
+    pub comparison: Comparison,
     /// Run anti-entropy on cycles divisible by `every` (1 = every cycle).
     pub every: u32,
     /// First cycle at which anti-entropy may run (0 = from the start) —
@@ -66,6 +70,20 @@ pub struct AntiEntropySpec {
     pub from: u32,
     /// What to do with rediscovered updates (§1.5).
     pub redistribution: Redistribution,
+}
+
+impl AntiEntropySpec {
+    /// Push-pull anti-entropy every cycle from the start under
+    /// `comparison`, with no redistribution: the steady-state figures'
+    /// protocol.
+    pub fn every_cycle(comparison: Comparison) -> Self {
+        AntiEntropySpec {
+            comparison,
+            every: 1,
+            from: 0,
+            redistribution: Redistribution::None,
+        }
+    }
 }
 
 /// The protocol composition a scenario runs: any subset of periodic
@@ -156,8 +174,8 @@ pub enum SiteSet {
     },
     /// The last `count` sites.
     Last(usize),
-    /// Sites `1..=floor(n * fraction)` — never site 0, which scenarios
-    /// conventionally use as the injection origin.
+    /// Sites `1..=min(floor(n * fraction), n - 1)` — never site 0, which
+    /// scenarios conventionally use as the injection origin.
     Fraction(f64),
     /// Every site.
     All,
@@ -222,16 +240,16 @@ pub enum FaultKind {
     /// Advance every up site's clock past `τ₁` and garbage-collect death
     /// certificates with the dormant policy (§2.1).
     Gc {
-        /// Active retention window `τ₁` in ticks.
+        /// Active retention window `τ₁` in cycles.
         tau1: u64,
-        /// Dormant retention window `τ₂` in ticks.
+        /// Dormant retention window `τ₂` in cycles.
         tau2: u64,
     },
-    /// Run `site`'s clock `offset` ticks ahead of the cycle counter.
+    /// Run `site`'s clock `offset` cycles ahead of the cycle counter.
     Skew {
         /// The skewed site.
         site: usize,
-        /// Clock offset in ticks.
+        /// Clock offset in cycles.
         offset: u64,
     },
 }
@@ -294,6 +312,9 @@ pub struct Scenario {
     pub until: StopRule,
     /// Safety bound on simulated cycles.
     pub max_cycles: u32,
+    /// Cycles run before measurement starts: the report's contact totals
+    /// and exchange counts cover only the cycles after them.
+    pub warmup: u32,
 }
 
 /// A spec-validation failure (see [`Scenario::validate`]).
@@ -310,6 +331,10 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+/// Clock ticks a site's clock advances per cycle. Spec durations are in
+/// cycles; the engine converts them.
+pub(crate) const TICKS_PER_CYCLE: u64 = 10;
 
 fn err(message: impl Into<String>) -> SpecError {
     SpecError {
@@ -338,6 +363,7 @@ impl Scenario {
             events: Vec::new(),
             until: StopRule::Bound,
             max_cycles: 1_000,
+            warmup: 0,
         }
     }
 
@@ -378,6 +404,12 @@ impl Scenario {
             if ae.redistribution == Redistribution::Mail && self.protocol.mail.is_none() {
                 return Err(err("redistribute mail requires a mail transport"));
             }
+            if ae.redistribution != Redistribution::None && ae.comparison != Comparison::Full {
+                return Err(err("backup redistribution compares full databases"));
+            }
+        }
+        if self.warmup > self.max_cycles {
+            return Err(err("warmup must not exceed max-cycles"));
         }
         if let Some(mail) = &self.protocol.mail {
             check_prob(mail.loss_probability, "mail loss")?;
@@ -394,23 +426,8 @@ impl Scenario {
         if self.workload.retention as usize >= n {
             return Err(err("workload retention must be below the site count"));
         }
-        // Every update mints a `u32` key. The workload runs once a cycle,
-        // so it performs at most rate × max-cycles operations (fewer under
-        // a budget); each update event fires at most once.
-        let workload = (self.workload.rate * f64::from(self.max_cycles)).ceil();
-        let workload = self
-            .workload
-            .budget
-            .map_or(workload, |b| workload.min(b as f64));
-        let events: f64 = self
-            .events
-            .iter()
-            .map(|e| match e.kind {
-                FaultKind::Update { count, .. } => f64::from(count),
-                _ => 0.0,
-            })
-            .sum();
-        if workload + events > f64::from(u32::MAX) {
+        // Every update mints a `u32` key.
+        if self.max_keys() > f64::from(u32::MAX) {
             return Err(err(
                 "operations could exhaust the u32 key space: the workload budget \
                  (or rate × max-cycles) plus the update events' counts must stay \
@@ -420,20 +437,14 @@ impl Scenario {
         if self.until == StopRule::Quiescent && self.protocol.rumor.is_none() {
             return Err(err("until quiescent requires a rumor protocol"));
         }
-        if self.until == StopRule::Cancelled
-            && self.workload.mix.delete == 0
-            && !self
-                .events
-                .iter()
-                .any(|e| matches!(e.kind, FaultKind::Delete { .. }))
-        {
+        if self.until == StopRule::Cancelled && !self.deletes() {
             return Err(err("until cancelled requires a delete somewhere"));
         }
         for event in &self.events {
             self.validate_event(event)?;
         }
-        // A site's clock reads cycle + Σ(τ₁ + 1) over the gc events fired
-        // so far + its skew, and must stay within u64.
+        // A site's clock reads ticks-per-cycle × (cycle + Σ(τ₁ + 1) over
+        // the gc events fired so far + its skew), and must stay within u64.
         let bumped = self
             .events
             .iter()
@@ -449,13 +460,37 @@ impl Scenario {
         });
         if bumped
             .and_then(|clock| clock.checked_add(skew.max().unwrap_or(0)))
+            .and_then(|clock| clock.checked_mul(TICKS_PER_CYCLE))
             .is_none()
         {
             return Err(err(
-                "site clocks overflow u64: max-cycles + each gc's tau1 + 1 + the largest skew",
+                "site clocks overflow u64: 10 × (max-cycles + each gc's tau1 + 1 + the largest skew)",
             ));
         }
         Ok(())
+    }
+
+    /// Whether the mix or the timeline deletes; if not, every key is
+    /// written once.
+    pub(crate) fn deletes(&self) -> bool {
+        let event = |e: &FaultEvent| matches!(e.kind, FaultKind::Delete { .. });
+        self.workload.mix.delete > 0 || self.events.iter().any(event)
+    }
+
+    /// The most keys a run can mint: the workload runs once a cycle, so it
+    /// performs at most rate × max-cycles operations (fewer under a
+    /// budget), and each update event fires once.
+    pub(crate) fn max_keys(&self) -> f64 {
+        let workload = (self.workload.rate * f64::from(self.max_cycles)).ceil();
+        let workload = self
+            .workload
+            .budget
+            .map_or(workload, |b| workload.min(b as f64));
+        let events = self.events.iter().map(|e| match e.kind {
+            FaultKind::Update { count, .. } => f64::from(count),
+            _ => 0.0,
+        });
+        workload + events.sum::<f64>()
     }
 
     fn validate_event(&self, event: &FaultEvent) -> Result<(), SpecError> {
@@ -546,11 +581,19 @@ impl Scenario {
                 Redistribution::Rumor => "rumor",
                 Redistribution::Mail => "mail",
             };
-            let _ = writeln!(
+            let _ = write!(
                 out,
                 "anti-entropy every {} from {} redistribute {redistribute}",
                 ae.every, ae.from
             );
+            match ae.comparison {
+                Comparison::Full => out.push('\n'),
+                Comparison::Checksum => out.push_str(" comparison checksum\n"),
+                Comparison::RecentList { tau } => {
+                    let _ = writeln!(out, " comparison recent {tau}");
+                }
+                Comparison::PeelBack => out.push_str(" comparison peel-back\n"),
+            }
         }
         if let Some(rumor) = &self.protocol.rumor {
             out.push_str(&render_rumor(rumor));
@@ -588,6 +631,9 @@ impl Scenario {
         };
         let _ = writeln!(out, "until {until}");
         let _ = writeln!(out, "max-cycles {}", self.max_cycles);
+        if self.warmup > 0 {
+            let _ = writeln!(out, "warmup {}", self.warmup);
+        }
         out
     }
 }

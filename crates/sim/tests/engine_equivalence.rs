@@ -23,13 +23,13 @@ use std::fmt::Write as _;
 use epidemic_core::{Comparison, Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, LinkTraffic, Spatial};
 use epidemic_net::{PartnerSampler, Routes};
+use epidemic_sim::engine::RouteCharge;
 use epidemic_sim::engine::SirObserver;
 use epidemic_sim::event::AsyncSpatialSim;
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::runner::TrialRunner;
-use epidemic_sim::scenario::{bundled, ScenarioEngine};
+use epidemic_sim::scenario::{bundled, AntiEntropySpec, ScenarioArena, ScenarioEngine};
 use epidemic_sim::spatial::{SpatialArena, SpatialSim};
-use epidemic_sim::steady::{Mechanism, SteadyArena, SteadyConfig, SteadySim};
 
 const FIXTURE: &str = include_str!("fixtures/engine_equivalence.txt");
 
@@ -254,14 +254,17 @@ fn build_fixture() -> String {
 
     // --- the bundled churn spec on a uniform 4x4 grid -------------------
     // Printed in the shape of the retired churn driver's result, whose
-    // lines the fixture recorded.
+    // lines the fixture recorded. One scenario arena serves every run
+    // from here on: a reused arena must print exactly what fresh replicas
+    // did.
+    let mut arena = ScenarioArena::new();
     let routes = Routes::compute(&grid);
     let sampler = PartnerSampler::new(&grid, &routes, Spatial::Uniform);
     for (tag, fail, recover) in [("mild", 0.05, 0.5), ("harsh", 0.3, 0.3)] {
         let spec = bundled::churn(grid.sites().len(), fail, recover);
         let engine = ScenarioEngine::new(spec).expect("churn spec is valid");
         for seed in 0..3u64 {
-            let r = engine.run_with_policy(seed, &sampler, Some(grid.sites()), &mut ());
+            let r = engine.run_with_policy(&mut arena, seed, &sampler, Some(grid.sites()), &mut ());
             writeln!(
                 out,
                 "churn/{tag} seed={seed} => ChurnRunResult {{ t_last: {}, complete: {}, \
@@ -274,84 +277,83 @@ fn build_fixture() -> String {
         }
     }
 
-    // --- steady::SteadySim, printed in its three retired drivers' shapes --
-    // One arena through every steady run: a reused arena must print
-    // exactly what fresh replicas did.
-    let mut steady_arena = SteadyArena::new();
-    let window = SteadyConfig {
-        updates_per_cycle: 1.0,
-        warmup: 5,
-        cycles: 10,
-        drain: 0,
-    };
+    // --- steady workloads on the scenario engine, printed in their three
+    // retired drivers' shapes.
+    let ratio = |count: u64, over: u64| count as f64 / over as f64;
+    let mut window = bundled::steady(24, 1.0, [5, 10, 0]);
     for (tag, comparison) in [
         ("full", Comparison::Full),
         ("checksum", Comparison::Checksum),
-        ("recent400", Comparison::RecentList { tau: 400 }),
+        ("recent400", Comparison::RecentList { tau: 40 }),
         ("peelback", Comparison::PeelBack),
     ] {
-        let sim = SteadySim::uniform(24, Mechanism::AntiEntropy(comparison), window);
+        window.protocol.anti_entropy = Some(AntiEntropySpec::every_cycle(comparison));
+        let engine = ScenarioEngine::new(window.clone()).unwrap();
         for seed in 0..2u64 {
-            let r = sim.run(&mut steady_arena, seed);
+            let r = engine.run(&mut arena, seed, &mut ());
             writeln!(
                 out,
                 "steady/{tag} seed={seed} => SteadyStateReport {{ full_compare_rate: {:?}, \
                  entries_per_exchange: {:?}, scanned_per_exchange: {:?}, final_db_len: {} }}",
-                r.full_compare_rate, r.entries_per_exchange, r.scanned_per_exchange, r.final_db_len,
+                ratio(r.full_compares, r.totals.contacts),
+                ratio(r.totals.sent, r.totals.contacts),
+                ratio(r.scanned, r.totals.contacts),
+                arena.replicas()[0].db().len(),
             )
             .unwrap();
         }
     }
 
-    let drained = SteadyConfig {
-        updates_per_cycle: 0.5,
-        warmup: 0,
-        cycles: 10,
-        drain: 20,
-    };
+    let mut drained = bundled::steady(24, 0.5, [0, 10, 20]);
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
-        let sim = SteadySim::uniform(24, Mechanism::Rumor(cfg), drained);
+        drained.protocol.rumor = Some(cfg);
+        let engine = ScenarioEngine::new(drained.clone()).unwrap();
         for seed in 0..2u64 {
-            let r = sim.run(&mut steady_arena, seed);
+            let r = engine.run(&mut arena, seed, &mut ());
+            let cycles = u64::from(r.cycles);
             writeln!(
                 out,
                 "rumor-steady/{direction:?} seed={seed} => RumorSteadyReport {{ injected: {}, \
                  coverage: {:?}, messages_per_delivery: {:?}, fruitless_per_cycle: {:?}, \
                  contacts_per_cycle: {:?} }}",
-                r.injected,
+                r.updates,
                 r.coverage,
-                r.messages_per_delivery,
-                r.fruitless_per_cycle,
-                r.contacts_per_cycle,
+                ratio(r.totals.sent, r.totals.useful),
+                ratio(r.totals.fruitless, cycles),
+                ratio(r.totals.contacts, cycles),
             )
             .unwrap();
         }
     }
 
-    let measured = SteadyConfig {
-        updates_per_cycle: 1.0,
-        warmup: 4,
-        cycles: 8,
-        drain: 0,
-    };
+    let mut measured = bundled::steady(12, 1.0, [4, 8, 0]);
+    let recent = AntiEntropySpec::every_cycle(Comparison::RecentList { tau: 40 });
+    measured.protocol.anti_entropy = Some(recent);
+    let (recent, routes) = (
+        ScenarioEngine::new(measured).unwrap(),
+        Routes::compute(&ring),
+    );
     for (sp_tag, spatial) in [
         ("uniform", Spatial::Uniform),
         ("qs15", Spatial::QsPower { a: 1.5 }),
     ] {
-        let recent = Mechanism::AntiEntropy(Comparison::RecentList { tau: 400 });
-        let sim = SteadySim::spatial(&ring, spatial, recent, measured);
+        let sampler = PartnerSampler::new(&ring, &routes, spatial);
         for seed in 0..2u64 {
-            let r = sim.run(&mut steady_arena, seed);
+            let mut charge = RouteCharge::new(&ring, &routes, 4);
+            let sites = Some(ring.sites());
+            let r = recent.run_with_policy(&mut arena, seed, &sampler, sites, &mut charge);
+            let per_cycle = |count: f64| count / 8.0;
+            let (compare, update) = (&charge.recorder.compare, &charge.recorder.update);
             writeln!(
                 out,
                 "spatial-steady/ring12/{sp_tag} seed={seed} => \
                  conv={:?} entries={:?} full={:?} measured={} traffic[{}]",
-                r.conversations_per_link_cycle,
-                r.entries_per_link_cycle,
-                r.full_compare_rate,
-                r.measured_cycles,
-                traffic(r.entry_traffic),
+                per_cycle(compare.mean_per_link()),
+                per_cycle(update.mean_per_link()),
+                ratio(r.full_compares, r.totals.contacts),
+                r.cycles - 4,
+                traffic(update),
             )
             .unwrap();
         }

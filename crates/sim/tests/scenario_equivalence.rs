@@ -21,7 +21,9 @@ use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica
 use epidemic_net::{topologies, PartnerSampler, Routes, Spatial, Topology};
 use epidemic_sim::engine::{ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol};
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
-use epidemic_sim::scenario::{bundled, FaultEvent, FaultKind, Scenario, ScenarioEngine, StopRule};
+use epidemic_sim::scenario::{
+    bundled, FaultEvent, FaultKind, Scenario, ScenarioArena, ScenarioEngine, StopRule,
+};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
@@ -196,7 +198,8 @@ fn scenario_lowering_matches_legacy_churn_driver_exactly() {
         let engine = ScenarioEngine::new(spec).expect("valid");
         for seed in 0..8 {
             let legacy = legacy_churn_run(&topo, spatial, churn, seed);
-            let r = engine.run_with_policy(seed, &sampler, Some(topo.sites()), &mut ());
+            let arena = &mut ScenarioArena::new();
+            let r = engine.run_with_policy(arena, seed, &sampler, Some(topo.sites()), &mut ());
             let new = ChurnRunResult {
                 t_last: r.cycles,
                 complete: r.residue == 0.0,
@@ -238,7 +241,7 @@ fn empty_timeline_scenario_matches_plain_rumor_engine() {
         let mut arena = MixingArena::new();
         for seed in 0..6 {
             let plain = plain_driver.run(&mut arena, seed, &mut ());
-            let report = engine.run(seed, &mut ());
+            let report = engine.run(&mut ScenarioArena::new(), seed, &mut ());
             assert_eq!(report.cycles, plain.cycles, "{direction:?} seed {seed}");
             assert_eq!(report.residue, plain.residue, "{direction:?} seed {seed}");
             assert_eq!(
@@ -259,7 +262,7 @@ fn empty_timeline_scenario_matches_blind_coin_variant_too() {
     let mut arena = MixingArena::new();
     for seed in 0..6 {
         let plain = plain_driver.run(&mut arena, seed, &mut ());
-        let report = engine.run(seed, &mut ());
+        let report = engine.run(&mut ScenarioArena::new(), seed, &mut ());
         assert_eq!(report.cycles, plain.cycles, "seed {seed}");
         assert_eq!(report.residue, plain.residue, "seed {seed}");
         assert_eq!(report.traffic_per_site, plain.traffic, "seed {seed}");

@@ -6,10 +6,10 @@
 //! under an operation budget, runs.
 
 use epidemic_core::rumor::{Feedback, Removal, RumorConfig};
-use epidemic_core::{Direction, MailConfig, Redistribution};
+use epidemic_core::{Comparison, Direction, MailConfig, Redistribution};
 use epidemic_sim::scenario::{
-    AntiEntropySpec, FaultEvent, FaultKind, Scenario, ScenarioEngine, SiteSet, SpatialSpec,
-    StopRule, TopologySpec, Workload, WorkloadMix,
+    AntiEntropySpec, FaultEvent, FaultKind, Scenario, ScenarioArena, ScenarioEngine, SiteSet,
+    SpatialSpec, StopRule, TopologySpec, Workload, WorkloadMix,
 };
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
@@ -126,14 +126,23 @@ fn fault_kind(n: usize) -> BoxedStrategy<FaultKind> {
 }
 
 fn anti_entropy() -> impl Strategy<Value = AntiEntropySpec> {
-    (1u32..=10, 0u32..=50, 0u8..3).prop_map(|(every, from, r)| AntiEntropySpec {
-        every,
-        from,
-        redistribution: match r {
-            0 => Redistribution::None,
-            1 => Redistribution::Rumor,
-            _ => Redistribution::Mail,
-        },
+    let comparison = prop_oneof![
+        Just(Comparison::Full),
+        Just(Comparison::Checksum),
+        (0u64..=100).prop_map(|tau| Comparison::RecentList { tau }),
+        Just(Comparison::PeelBack),
+    ];
+    (1u32..=10, 0u32..=50, 0u8..3, comparison).prop_map(|(every, from, r, comparison)| {
+        AntiEntropySpec {
+            comparison,
+            every,
+            from,
+            redistribution: match r {
+                0 => Redistribution::None,
+                1 => Redistribution::Rumor,
+                _ => Redistribution::Mail,
+            },
+        }
     })
 }
 
@@ -183,10 +192,10 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             (opt(anti_entropy()), opt(mail())),
             workload(sites),
             0u8..5,
-            1u32..=100_000,
+            (1u32..=100_000, 0u32..=300),
         )
             .prop_map(
-                move |(events, (rumor, peel_back), (mut ae, mail), workload, until, max_cycles)| {
+                move |(events, (rumor, peel_back), (mut ae, mail), workload, until, cycles)| {
                     let mut spec = Scenario::new(name.clone(), sites);
                     spec.topology = topology;
                     // Repair the handful of cross-field rules validate()
@@ -194,6 +203,9 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                     if let Some(ae) = &mut ae {
                         if ae.redistribution == Redistribution::Mail && mail.is_none() {
                             ae.redistribution = Redistribution::None;
+                        }
+                        if ae.redistribution != Redistribution::None {
+                            ae.comparison = Comparison::Full;
                         }
                     }
                     spec.protocol.anti_entropy = ae;
@@ -214,7 +226,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                         3 if has_delete => StopRule::Cancelled,
                         _ => StopRule::Bound,
                     };
-                    spec.max_cycles = max_cycles;
+                    (spec.max_cycles, spec.warmup) = (cycles.0, cycles.1.min(cycles.0));
                     spec
                 },
             )
@@ -237,19 +249,21 @@ proptest! {
 
     /// Any `f64` workload rate either fails validation (negative, not
     /// finite, or more operations a cycle than a `u32` counts) or runs the
-    /// spec's first cycles without a panic under a budget of at most 200
-    /// operations. Without a budget, a validated rate near `u32::MAX` would
-    /// still mint keys until the `u32` key space ran out.
+    /// spec without a panic to just past its last event, under a budget of
+    /// at most 200 operations. Without a budget, a validated rate near
+    /// `u32::MAX` would still mint keys until the `u32` key space ran out.
     #[test]
     fn any_rate_validates_or_runs(spec in scenario(), bits in any::<u64>(), seed in any::<u64>()) {
         let mut spec = spec;
         spec.workload.rate = f64::from_bits(bits);
+        spec.workload.budget = Some(spec.workload.budget.unwrap_or(200));
         let accepted = (0.0..=f64::from(u32::MAX)).contains(&spec.workload.rate);
         prop_assert_eq!(spec.validate().is_ok(), accepted);
         if accepted {
-            spec.workload.budget = Some(spec.workload.budget.unwrap_or(200));
-            spec.max_cycles = spec.max_cycles.min(3);
-            ScenarioEngine::new(spec).expect("validated").run(seed, &mut ());
+            let last_event = spec.events.iter().map(|e| e.cycle).max().unwrap_or(0);
+            spec.max_cycles = spec.max_cycles.min(last_event + 1);
+            spec.warmup = spec.warmup.min(spec.max_cycles);
+            ScenarioEngine::new(spec).expect("validated").run(&mut ScenarioArena::new(), seed, &mut ());
         }
     }
 
@@ -365,13 +379,68 @@ fn validation_failures_surface_after_parsing() {
         assert_eq!(e.line, 0);
         assert!(e.message.contains(message), "{line}: {e}");
     }
-    // The largest skew the default 1000-cycle bound leaves room for.
-    let text = "scenario x\nsites 4\nat 0 skew site 3 offset 18446744073709550615\n";
+    // The largest skew the default 1000-cycle bound leaves room for at 10
+    // ticks a cycle.
+    let text = "scenario x\nsites 4\nat 0 skew site 3 offset 1844674407370954161\n";
     let spec = Scenario::parse(text).expect("fits u64");
-    ScenarioEngine::new(spec).unwrap().run(1, &mut ());
+    ScenarioEngine::new(spec)
+        .unwrap()
+        .run(&mut ScenarioArena::new(), 1, &mut ());
+    let text = "scenario x\nsites 4\nat 0 skew site 3 offset 1844674407370954162\n";
+    assert!(Scenario::parse(text)
+        .unwrap_err()
+        .message
+        .contains("clocks overflow"));
     // A budget bounds the same rate's keys.
     Scenario::parse("scenario x\nsites 4\nworkload rate 5000000 budget 20\n")
         .expect("a budget bounds the key count");
+}
+
+#[test]
+fn comparison_and_warmup_errors_are_located() {
+    let ae = "anti-entropy every 1 from 0 redistribute";
+    for (line, at, message) in [
+        (format!("{ae} none comparison"), 3, "expected a comparison"),
+        (
+            format!("{ae} none comparison fast"),
+            3,
+            "unknown comparison",
+        ),
+        (
+            format!("{ae} none comparison recent"),
+            3,
+            "recent-list window",
+        ),
+        (format!("{ae} none compare full"), 3, "anti-entropy field"),
+        ("warmup soon".into(), 3, "warm-up cycles"),
+        (
+            format!("{ae} rumor comparison checksum"),
+            0,
+            "full databases",
+        ),
+        ("warmup 1001".into(), 0, "warmup must not exceed"),
+    ] {
+        let e = Scenario::parse(&format!("scenario x\nsites 4\n{line}\n")).unwrap_err();
+        assert_eq!(e.line, at, "{line}: {e}");
+        assert!(e.message.contains(message), "{line}: {e}");
+    }
+}
+
+/// `fraction 1` selects every site but site 0: a crash and a recover of
+/// them run, and the update reaches everyone once they are back.
+#[test]
+fn whole_fractions_crash_and_recover_all_but_site_zero() {
+    for f in ["1", "1.0"] {
+        let text = format!(
+            "scenario x\nsites 10\nanti-entropy every 1 from 0 redistribute none\n\
+             at 0 update site 0\nat 1 crash fraction {f}\nat 3 recover fraction {f}\n\
+             until coverage\nmax-cycles 50\n"
+        );
+        let engine = ScenarioEngine::new(Scenario::parse(&text).expect("a whole fraction"));
+        let report = engine.unwrap().run(&mut ScenarioArena::new(), 1, &mut ());
+        let down: Vec<usize> = report.milestones.iter().map(|m| m.down).collect();
+        assert_eq!((down, report.residue), (vec![0, 0, 9], 0.0));
+    }
 }
 
 #[test]

@@ -10,8 +10,10 @@
 //! anti-entropy repairs whatever mail drops. The same run with anti-entropy
 //! disabled never converges.
 
-use epidemics::core::{Direction, Feedback, MailConfig, Redistribution, Removal, RumorConfig};
-use epidemics::sim::scenario::{bundled, AntiEntropySpec, ScenarioEngine};
+use epidemics::core::{
+    Comparison, Direction, Feedback, MailConfig, Redistribution, Removal, RumorConfig,
+};
+use epidemics::sim::scenario::{bundled, AntiEntropySpec, ScenarioArena, ScenarioEngine};
 
 fn main() {
     // The bundled §1.5 run, at 25 updates under much lossier mail.
@@ -48,12 +50,13 @@ fn main() {
         let mut spec = base.clone();
         spec.protocol.anti_entropy = anti_entropy_every.map(|every| AntiEntropySpec {
             every,
-            from: 0,
             redistribution,
+            ..AntiEntropySpec::every_cycle(Comparison::Full)
         });
         spec.protocol.rumor = rumor_k
             .map(|k| RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k }));
-        let report = ScenarioEngine::new(spec).unwrap().run(1987, &mut ());
+        let engine = ScenarioEngine::new(spec).unwrap();
+        let report = engine.run(&mut ScenarioArena::new(), 1987, &mut ());
         let mail = report.mail.expect("the spec mails");
         let mail_failures = mail.lost + mail.overflowed;
         match report.converged_at {

@@ -6,7 +6,7 @@
 //! ```
 
 use epidemics::db::GcPolicy;
-use epidemics::sim::scenario::{bundled, FaultKind, ScenarioEngine};
+use epidemics::sim::scenario::{bundled, FaultKind, ScenarioArena, ScenarioEngine};
 
 fn main() {
     // The bundled §2.3 run: 20 sites converge on an item, the last goes
@@ -23,7 +23,9 @@ fn main() {
             *retention = 0;
         }
     }
-    let report = ScenarioEngine::new(naive).unwrap().run(7, &mut ());
+    let report = ScenarioEngine::new(naive)
+        .unwrap()
+        .run(&mut ScenarioArena::new(), 7, &mut ());
     let resurrected = !report.cancelled;
     println!("naive deletion (no certificate survives τ1):");
     println!("  item resurrected by anti-entropy = {resurrected}\n");
@@ -43,7 +45,9 @@ fn main() {
     // 3. The immune response of §2.2–2.3: a site that slept through the
     //    deletion *and* the certificate's active window rejoins with the
     //    obsolete item; a dormant certificate awakens and cancels it.
-    let report = ScenarioEngine::new(dormant).unwrap().run(99, &mut ());
+    let report = ScenarioEngine::new(dormant)
+        .unwrap()
+        .run(&mut ScenarioArena::new(), 99, &mut ());
     println!("obsolete site rejoins after τ1 (20 sites, r = 2 retention sites):");
     println!(
         "  active certificates left after GC = {}",

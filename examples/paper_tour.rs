@@ -15,7 +15,7 @@ use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
 use epidemics::net::topologies::{cin, CinConfig};
 use epidemics::net::Spatial;
 use epidemics::sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
-use epidemics::sim::scenario::{bundled, FaultKind, ScenarioEngine};
+use epidemics::sim::scenario::{bundled, FaultKind, ScenarioArena, ScenarioEngine};
 use epidemics::sim::spatial::{SpatialArena, SpatialSim};
 
 fn main() {
@@ -64,9 +64,13 @@ fn main() {
             *retention = 0; // no certificate survives τ1
         }
     }
-    let naive = ScenarioEngine::new(naive).unwrap().run(1, &mut ());
+    let naive = ScenarioEngine::new(naive)
+        .unwrap()
+        .run(&mut ScenarioArena::new(), 1, &mut ());
     println!("  naive deletion resurrects: {}", !naive.cancelled);
-    let report = ScenarioEngine::new(dormant).unwrap().run(1, &mut ());
+    let report = ScenarioEngine::new(dormant)
+        .unwrap()
+        .run(&mut ScenarioArena::new(), 1, &mut ());
     println!(
         "  dormant certificate awakens and cancels a rejoining obsolete item: {}",
         report.cancelled

@@ -4,8 +4,8 @@
 use epidemics::core::activity::{ActivityList, PeelBackRumor};
 use epidemics::core::rumor;
 use epidemics::core::{
-    AntiEntropy, BackupAntiEntropy, Comparison, Direction, Feedback, Redistribution, Removal,
-    Replica, RumorConfig, RumorScratch,
+    AntiEntropy, BackupAntiEntropy, Comparison, Direction, ExchangeScratch, Feedback,
+    Redistribution, Removal, Replica, RumorConfig, RumorScratch,
 };
 use epidemics::db::SiteId;
 use rand::rngs::StdRng;
@@ -128,11 +128,12 @@ fn rumor_mongering_with_backup_never_loses_updates() {
     let converged_by_rumor = all_equal(&replicas);
     // Back up with anti-entropy: redistributionless, pure repair.
     let backup = BackupAntiEntropy::new(Redistribution::None);
+    let mut scratch = ExchangeScratch::new();
     let mut exchanges = 0;
     while !all_equal(&replicas) {
         let (i, j) = random_pair(&mut rng, n);
         let (a, b) = split_pair(&mut replicas, i, j);
-        backup.exchange(a, b);
+        backup.exchange(a, b, &mut scratch);
         exchanges += 1;
         assert!(exchanges < 20_000);
     }
@@ -153,12 +154,13 @@ fn peel_back_rumor_combination_is_failure_free() {
     let mut lists: Vec<ActivityList<u32>> = (0..n).map(|_| ActivityList::new()).collect();
     scatter_updates(&mut replicas, 60, &mut rng);
     let protocol = PeelBackRumor::new(4);
+    let mut scratch = ExchangeScratch::new();
     let mut exchanges = 0;
     while !all_equal(&replicas) {
         let (i, j) = random_pair(&mut rng, n);
         let (a, b) = split_pair(&mut replicas, i, j);
         let (la, lb) = split_pair(&mut lists, i, j);
-        protocol.exchange(a, la, b, lb);
+        protocol.exchange(a, la, b, lb, &mut scratch);
         exchanges += 1;
         assert!(exchanges < 10_000);
     }

@@ -2,7 +2,7 @@
 
 use epidemics::core::{AntiEntropy, Comparison, Direction, Replica};
 use epidemics::db::{Entry, GcPolicy, SiteId};
-use epidemics::sim::scenario::{bundled, FaultKind, ScenarioEngine, ScenarioReport};
+use epidemics::sim::scenario::{bundled, FaultKind, ScenarioArena, ScenarioEngine, ScenarioReport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -36,7 +36,8 @@ fn dormant_death(sites: usize, retention: u32, seed: u64) -> ScenarioReport {
             *r = retention;
         }
     }
-    ScenarioEngine::new(spec).unwrap().run(seed, &mut ())
+    let engine = ScenarioEngine::new(spec).unwrap();
+    engine.run(&mut ScenarioArena::new(), seed, &mut ())
 }
 
 /// §2's motivating failure: with no retention site no certificate
