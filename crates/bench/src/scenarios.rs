@@ -6,7 +6,7 @@
 //! artifacts are asked for, every trial is traced and aggregated — but
 //! not invariant-checked: scenario workloads inject and delete keys
 //! mid-run, so the SIR-monotonicity rules the
-//! [`InvariantObserver`](epidemic_sim::engine::InvariantObserver) checks
+//! [`InvariantChecker`](epidemic_trace::InvariantChecker) checks
 //! do not apply (coverage legitimately drops when a flash crowd lands).
 
 use epidemic_sim::scenario::{Scenario, ScenarioArena, ScenarioEngine};

@@ -59,14 +59,14 @@ impl Seen {
 /// and evaluates to `(result, Seen)`. `$tracer` (a labelled
 /// [`RunTracer`](epidemic_trace::RunTracer)) is evaluated only when a
 /// trace is kept. Naming a `$check` variable also rides an
-/// [`InvariantObserver`](epidemic_sim::engine::InvariantObserver) on
-/// every traced trial; its rules need per-site digests, so only sweeps of
-/// a protocol that has them (the tables') can ask. A macro because the
-/// observer type must be static for the compile-away contract and a
-/// closure cannot be generic over it.
+/// [`InvariantChecker`](epidemic_trace::InvariantChecker) on every traced
+/// trial; its rules need per-site digests, so only sweeps of a protocol
+/// that has them (the tables') can ask. A macro because the observer type
+/// must be static for the compile-away contract and a closure cannot be
+/// generic over it.
 macro_rules! observed {
     ($sinks:expr, $tracer:expr $(, $check:ident)?, |$obs:ident| $run:expr) => {{
-        use ::epidemic_sim::engine::{AggregateObserver, TraceObserver};
+        use ::epidemic_trace::AggregatingSink;
         let mut seen = $crate::trace::Seen::default();
         let result = match $sinks {
             $crate::trace::Sinks::Off => {
@@ -74,7 +74,7 @@ macro_rules! observed {
                 $run
             }
             $crate::trace::Sinks::Aggregate => {
-                let mut sink = AggregateObserver::new();
+                let mut sink = AggregatingSink::new();
                 let result = {
                     let $obs = &mut sink;
                     $run
@@ -83,15 +83,15 @@ macro_rules! observed {
                 result
             }
             $crate::trace::Sinks::Traced => {
-                let mut trace = TraceObserver::with_tracer($tracer);
-                $(let mut $check = ::epidemic_sim::engine::InvariantObserver::new();)?
-                let mut sink = AggregateObserver::new();
+                let mut trace = $tracer;
+                $(let mut $check = ::epidemic_trace::InvariantChecker::default();)?
+                let mut sink = AggregatingSink::new();
                 let result = {
                     let $obs = &mut (&mut trace, ($(&mut $check,)? &mut sink));
                     $run
                 };
                 seen.jsonl = trace.finish();
-                $(seen.violations = $check.violations().len() as u64;)?
+                $(seen.violations = $check.violation_count();)?
                 seen.agg = Some(sink.finish());
                 result
             }

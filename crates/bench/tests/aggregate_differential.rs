@@ -9,12 +9,11 @@
 //! so both contact-loop implementations feed the seam identically.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-use epidemic_sim::engine::trace::{AggregateObserver, TraceObserver};
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::scenario::{bundled, ScenarioArena, ScenarioEngine};
 use epidemic_trace::json::{parse, Value};
-use epidemic_trace::{RunAggregate, RunTracer, TraceConfig, DELAY_BUCKETS};
+use epidemic_trace::{AggregatingSink, RunAggregate, RunTracer, TraceConfig, DELAY_BUCKETS};
 
 /// What the naive scan recovers from a full-granularity JSONL trace.
 #[derive(Debug, Default, PartialEq)]
@@ -137,10 +136,11 @@ fn observe_trials(
     trials: u64,
     run: impl Fn(u64) -> (String, RunAggregate) + Sync,
 ) -> (String, RunAggregate) {
-    TrialRunner::new().threads(1).fold(
+    TrialRunner::new().threads(1).fold_with(
         trials,
         0,
-        run,
+        || (),
+        |(), seed| run(seed),
         (String::new(), RunAggregate::default()),
         |(mut jsonl, mut agg), (text, trial_agg)| {
             jsonl.push_str(&text);
@@ -161,9 +161,8 @@ fn sink_matches_post_hoc_scan_for_a_mixing_table() {
         ),
     );
     let (jsonl, agg) = observe_trials(3, |trial| {
-        let tracer = RunTracer::new(TraceConfig::full()).label_u64("trial", trial);
-        let mut trace = TraceObserver::with_tracer(tracer);
-        let mut sink = AggregateObserver::new();
+        let mut trace = RunTracer::new(TraceConfig::full()).label_u64("trial", trial);
+        let mut sink = AggregatingSink::new();
         let seed = trial.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 2;
         driver.run(&mut MixingArena::new(), seed, &mut (&mut trace, &mut sink));
         (trace.finish(), sink.finish())
@@ -178,9 +177,8 @@ fn sink_matches_post_hoc_scan_for_a_scenario() {
     let spec = bundled::by_name("partition").expect("bundled scenario");
     let engine = ScenarioEngine::new(spec).expect("bundled scenarios validate");
     let (jsonl, agg) = observe_trials(2, |trial| {
-        let tracer = RunTracer::new(TraceConfig::full()).label_u64("trial", trial);
-        let mut trace = TraceObserver::with_tracer(tracer);
-        let mut sink = AggregateObserver::new();
+        let mut trace = RunTracer::new(TraceConfig::full()).label_u64("trial", trial);
+        let mut sink = AggregatingSink::new();
         engine.run(
             &mut ScenarioArena::new(),
             trial.wrapping_mul(0x9E37_79B9_7F4A_7C15),

@@ -4,7 +4,7 @@
 //! This pins the sweep's load-bearing claim at a size CI can afford: the
 //! active-set path plus streaming aggregation allocates *sublinearly* in
 //! `n` — lazy materialization means no replica-per-site, and the
-//! [`AggregateObserver`] folds the whole run into bounded memory — on
+//! [`AggregatingSink`] folds the whole run into bounded memory — on
 //! both topologies, inside a wall-clock budget.
 //!
 //! Like `zero_alloc.rs`, this file owns its test binary: it registers
@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 
 use epidemic_bench::alloc_counter::{allocations, CountingAlloc};
 use epidemic_net::DegreeGraph;
-use epidemic_sim::engine::AggregateObserver;
 use epidemic_sim::MegascaleSim;
+use epidemic_trace::AggregatingSink;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -34,7 +34,7 @@ const N: usize = 10_000;
 const BUDGET: Duration = Duration::from_secs(300);
 
 /// The memory claim, in allocator terms: a full epidemic at `n = 10⁴`,
-/// streamed through an [`AggregateObserver`], allocates strictly fewer
+/// streamed through an [`AggregatingSink`], allocates strictly fewer
 /// than one heap allocation per site. An eager run cannot do this — it
 /// materializes a replica per site before the first contact — so this
 /// bound is what "lazy site materialization" buys, and it holds for the
@@ -54,7 +54,7 @@ fn fast_path_with_streaming_aggregation_allocates_sublinearly() {
             } else {
                 MegascaleSim::uniform(n)
             };
-            let mut sink = AggregateObserver::new();
+            let mut sink = AggregatingSink::new();
             let r = sim.workers(1).run(1987 ^ n as u64, &mut sink);
             let agg = sink.finish();
             let fast_allocs = allocations() - before;

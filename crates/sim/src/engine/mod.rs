@@ -38,7 +38,7 @@ pub(crate) use partner::Partners;
 pub use partner::UniformPartners;
 pub(crate) use protocols::UpdateInjector;
 pub use protocols::{ReceiveLog, RouteCharge, RouteRecorder};
-pub use trace::{AggregateObserver, InvariantObserver, TraceObserver, TraceView};
+pub use trace::TraceView;
 
 use std::time::Instant;
 

@@ -1,33 +1,30 @@
-//! Trace and invariant observers: the bridge between the engine's
-//! [`Observer`] seam and the `epidemic-trace` crate.
+//! The engine's [`Observer`] seam for the `epidemic-trace` sinks.
 //!
-//! [`TraceObserver`] records a run as deterministic JSONL (see
-//! [`epidemic_trace::record`]); [`InvariantObserver`] checks the protocol
+//! [`RunTracer`] records a run as deterministic JSONL (see
+//! [`epidemic_trace::record`]), [`AggregatingSink`] folds it into a
+//! bounded-memory aggregate, and [`InvariantChecker`] checks the protocol
 //! invariants from [`epidemic_trace::invariant`] as the run streams by.
-//! Both work against any protocol implementing [`TraceView`] — every
-//! engine protocol in this crate does — and compose with each other and
-//! with [`SirObserver`](super::SirObserver) through the tuple observer
-//! combinators, e.g.:
+//! Each is an observer of any protocol implementing [`TraceView`] — every
+//! engine protocol in this crate does — and they compose with each other
+//! and with [`SirObserver`](super::SirObserver) through the tuple
+//! observer combinators, e.g.:
 //!
 //! ```
 //! use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-//! use epidemic_sim::engine::trace::{InvariantObserver, TraceObserver};
 //! use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
-//! use epidemic_trace::TraceConfig;
+//! use epidemic_trace::{InvariantChecker, RunTracer, TraceConfig};
 //!
 //! let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k: 2 });
-//! let mut trace = TraceObserver::new(TraceConfig::cycles_only());
-//! let mut check = InvariantObserver::new();
+//! let mut trace = RunTracer::new(TraceConfig::cycles_only());
+//! let mut check = InvariantChecker::default();
 //! let observer = &mut (&mut trace, &mut check);
 //! let result = RumorEpidemic::new(100, cfg).run(&mut MixingArena::new(), 7, observer);
-//! assert!(check.is_clean());
+//! assert_eq!(check.violation_count(), 0);
 //! let jsonl = trace.finish();
 //! assert!(jsonl.lines().count() as u32 >= result.cycles);
 //! ```
 
-use epidemic_trace::{
-    AggregatingSink, InvariantChecker, RunAggregate, RunTracer, TraceConfig, TraceTotals, Violation,
-};
+use epidemic_trace::{AggregatingSink, InvariantChecker, RunTracer, TraceTotals};
 
 use super::observer::{Observer, SirView};
 use super::protocols::{BitAntiEntropyProtocol, MixingProtocol};
@@ -70,46 +67,13 @@ impl TraceView for SpatialProtocol<'_> {
     }
 }
 
-/// Records a run as deterministic JSONL through the engine's observer
-/// seam. Works with any [`SirView`] protocol; wraps
-/// [`epidemic_trace::RunTracer`].
-#[derive(Debug, Clone)]
-pub struct TraceObserver {
-    tracer: RunTracer,
-}
-
-impl TraceObserver {
-    /// An observer emitting the streams selected by `config`.
-    pub fn new(config: TraceConfig) -> Self {
-        TraceObserver {
-            tracer: RunTracer::new(config),
-        }
-    }
-
-    /// As [`TraceObserver::new`], with a pre-labelled tracer (labels are
-    /// stamped onto every line; see [`RunTracer::label_u64`]).
-    pub fn with_tracer(tracer: RunTracer) -> Self {
-        TraceObserver { tracer }
-    }
-
-    /// Aggregate contact totals recorded so far.
-    pub fn totals(&self) -> TraceTotals {
-        self.tracer.totals()
-    }
-
-    /// Finishes the trace and returns the complete JSONL text.
-    pub fn finish(self) -> String {
-        self.tracer.finish()
-    }
-}
-
-impl<P: SirView + ?Sized> Observer<P> for TraceObserver {
+impl<P: SirView + ?Sized> Observer<P> for RunTracer {
     fn on_run_start(&mut self, protocol: &P) {
-        self.tracer.run_start(protocol.sir_counts());
+        self.run_start(protocol.sir_counts());
     }
 
     fn on_contact(&mut self, cycle: u32, i: usize, j: usize, stats: &ContactStats) {
-        self.tracer.contact(
+        self.contact(
             u64::from(cycle),
             i as u64,
             j as u64,
@@ -119,106 +83,41 @@ impl<P: SirView + ?Sized> Observer<P> for TraceObserver {
     }
 
     fn on_cycle_end(&mut self, cycle: u32, protocol: &P) {
-        self.tracer.cycle(u64::from(cycle), protocol.sir_counts());
+        self.cycle(u64::from(cycle), protocol.sir_counts());
     }
 }
 
-/// Folds a run into a bounded-memory [`RunAggregate`] through the
-/// engine's observer seam. Works with any [`SirView`] protocol; wraps
-/// [`epidemic_trace::AggregatingSink`]. Unlike [`TraceObserver`] the
-/// memory footprint does not grow with run length, so this is the
-/// observer the megascale sweep can afford.
-#[derive(Debug, Clone, Default)]
-pub struct AggregateObserver {
-    sink: AggregatingSink,
-}
-
-impl AggregateObserver {
-    /// An observer with an empty aggregate.
-    pub fn new() -> Self {
-        AggregateObserver::default()
-    }
-
-    /// Consumes the observer, returning its aggregate.
-    pub fn finish(self) -> RunAggregate {
-        self.sink.finish()
-    }
-}
-
-impl<P: SirView + ?Sized> Observer<P> for AggregateObserver {
+impl<P: SirView + ?Sized> Observer<P> for AggregatingSink {
     fn on_run_start(&mut self, protocol: &P) {
-        self.sink.run_start(protocol.sir_counts());
+        self.run_start(protocol.sir_counts());
     }
 
     fn on_contact(&mut self, cycle: u32, i: usize, j: usize, stats: &ContactStats) {
-        self.sink.contact(cycle, i, j, stats.sent, stats.useful);
+        self.contact(cycle, i, j, stats.sent, stats.useful);
     }
 
     fn on_cycle_end(&mut self, cycle: u32, protocol: &P) {
-        self.sink.cycle(cycle, protocol.sir_counts());
+        self.cycle(cycle, protocol.sir_counts());
     }
 }
 
-/// Checks protocol invariants as a run streams by, through the engine's
-/// observer seam. Violations are recorded, never panicked on; inspect
-/// [`InvariantObserver::is_clean`] / [`InvariantObserver::violations`]
-/// after the run. Wraps [`epidemic_trace::InvariantChecker`]; the rule set
-/// is documented in [`epidemic_trace::invariant`].
-#[derive(Debug, Clone, Default)]
-pub struct InvariantObserver {
-    checker: InvariantChecker,
-    digests: Vec<u64>,
-}
-
-impl InvariantObserver {
-    /// A fresh checker.
-    pub fn new() -> Self {
-        InvariantObserver::default()
-    }
-
-    /// `true` when no invariant violation has been detected.
-    pub fn is_clean(&self) -> bool {
-        self.checker.is_clean()
-    }
-
-    /// Violations detected so far.
-    pub fn violations(&self) -> &[Violation] {
-        self.checker.violations()
-    }
-
-    /// All stored violations as JSONL; empty string when clean.
-    pub fn to_jsonl(&self) -> String {
-        self.checker.to_jsonl()
-    }
-}
-
-impl<P: TraceView + ?Sized> Observer<P> for InvariantObserver {
+impl<P: TraceView + ?Sized> Observer<P> for InvariantChecker {
     fn on_run_start(&mut self, protocol: &P) {
-        self.checker.start(protocol.sir_counts());
+        self.start(protocol.sir_counts());
     }
 
     fn on_contact(&mut self, cycle: u32, _i: usize, _j: usize, stats: &ContactStats) {
-        self.checker
-            .contact(u64::from(cycle), stats.sent, stats.useful);
+        self.contact(u64::from(cycle), stats.sent, stats.useful);
     }
 
     fn on_cycle_end(&mut self, cycle: u32, protocol: &P) {
-        let sir = protocol.sir_counts();
-        // Digests are only needed — and only computed — once coverage is
-        // complete, which is when the convergence invariant can fire.
-        let digests = if sir.susceptible == 0 {
-            self.digests.clear();
-            protocol.site_digests(&mut self.digests);
-            Some(self.digests.as_slice())
-        } else {
-            None
-        };
-        self.checker.cycle(u64::from(cycle), sir, digests);
+        self.cycle(u64::from(cycle), protocol.sir_counts(), |out| {
+            protocol.site_digests(out)
+        });
     }
 
     fn on_run_end(&mut self, totals: &TraceTotals) {
-        // Rule 7 already ran at the last cycle end; only rule 6 is left.
-        self.checker.finish(*totals, None);
+        self.finish(*totals);
     }
 }
 
@@ -241,11 +140,14 @@ mod tests {
 
     /// A deliberately broken protocol: sites "unhear" the update (the
     /// susceptible count grows back), violating monotonicity and the
-    /// infection-needs-traffic rule.
+    /// infection-needs-traffic rule — exactly one rule a cycle, for more
+    /// cycles than the checker stores violations.
     struct Flapping {
         n: usize,
         cycle: u32,
     }
+
+    const FLAPPING_CYCLES: u32 = 150;
 
     impl EpidemicProtocol for Flapping {
         fn site_count(&self) -> usize {
@@ -255,7 +157,7 @@ mod tests {
             Roster::Everyone
         }
         fn finished(&self, cycle: u32, _active: &[usize]) -> bool {
-            cycle >= 4
+            cycle >= FLAPPING_CYCLES
         }
         fn begin_cycle(&mut self, cycle: u32, _rng: &mut StdRng) {
             self.cycle = cycle;
@@ -295,7 +197,7 @@ mod tests {
     fn broken_protocol_is_reported_not_panicked() {
         let mut protocol = Flapping { n: 10, cycle: 0 };
         let mut rng = StdRng::seed_from_u64(3);
-        let mut check = InvariantObserver::new();
+        let mut check = InvariantChecker::default();
         CycleEngine::new().run(
             &mut protocol,
             &UniformPartners::new(10),
@@ -303,7 +205,12 @@ mod tests {
             &mut check,
             &mut EngineBuffers::default(),
         );
-        assert!(!check.is_clean(), "the flapping protocol must be caught");
+        assert_eq!(
+            check.violation_count(),
+            u64::from(FLAPPING_CYCLES),
+            "every flapping cycle is counted, past the storage cap"
+        );
+        assert_eq!(check.violations().len(), 100);
         let rules: Vec<_> = check.violations().iter().map(|v| v.rule).collect();
         assert!(
             rules.contains(&"infection_needs_traffic"),

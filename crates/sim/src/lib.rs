@@ -72,8 +72,8 @@ mod util;
 
 pub use bitset::BitSet;
 pub use engine::{
-    ContactStats, CycleEngine, EngineReport, EpidemicProtocol, InvariantObserver, Observer,
-    SirObserver, TraceObserver, TraceView, UniformPartners,
+    ContactStats, CycleEngine, EngineReport, EpidemicProtocol, Observer, SirObserver, TraceView,
+    UniformPartners,
 };
 pub use megascale::{FastDraw, FastRumorProtocol, MegascaleSim};
 pub use mixing::{EpidemicResult, MixingArena, RumorEpidemic};

@@ -330,10 +330,9 @@ mod tests {
 
     #[test]
     fn observed_fast_run_matches_unobserved_and_aggregates() {
-        use crate::engine::AggregateObserver;
         let sim = MegascaleSim::uniform(300).workers(1);
         let plain = sim.run(9, &mut ());
-        let mut obs = AggregateObserver::new();
+        let mut obs = epidemic_trace::AggregatingSink::new();
         let observed = sim.run(9, &mut obs);
         assert_eq!(plain, observed, "observers must not perturb the run");
         let agg = obs.finish();

@@ -153,9 +153,9 @@ impl RumorEpidemic {
     /// boundary to `observer`: any composition of
     /// [`Observer<MixingProtocol>`] implementations, e.g. a
     /// [`SirObserver`](crate::engine::SirObserver) or a
-    /// [`TraceObserver`](crate::engine::trace::TraceObserver) paired with
-    /// an [`InvariantObserver`](crate::engine::trace::InvariantObserver),
-    /// and `&mut ()` for none. The result and every observed event equal a
+    /// [`RunTracer`](epidemic_trace::RunTracer) paired with an
+    /// [`InvariantChecker`](epidemic_trace::InvariantChecker), and
+    /// `&mut ()` for none. The result and every observed event equal a
     /// fresh arena's, and once the arena has grown to this run's size
     /// nothing is allocated. Trial loops hold one arena per worker.
     ///

@@ -43,11 +43,11 @@ pub const THREADS_ENV_VAR: &str = "EPIDEMIC_THREADS";
 ///     seeds
 /// };
 /// // Results are folded in trial order: seeds are 100, 101, ..., 107.
-/// let seeds = runner.fold(8, 100, |seed| seed, Vec::new(), collect);
+/// let seeds = runner.fold_with(8, 100, || (), |(), seed| seed, Vec::new(), collect);
 /// assert_eq!(seeds, (100..108).collect::<Vec<u64>>());
 /// // Identical to a forced single-thread run.
 /// let one = TrialRunner::new().threads(1);
-/// assert_eq!(seeds, one.fold(8, 100, |seed| seed, Vec::new(), collect));
+/// assert_eq!(seeds, one.fold_with(8, 100, || (), |(), seed| seed, Vec::new(), collect));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrialRunner {
@@ -82,24 +82,8 @@ impl TrialRunner {
     }
 
     /// Runs `trials` trials with seeds `seed_base.wrapping_add(trial)` and
-    /// folds their results into an accumulator — in trial order, so the
-    /// aggregate is bit-identical at any thread count (floating-point
-    /// addition is not associative; a fixed fold order sidesteps that
-    /// entirely). [`TrialRunner::fold_with`] without per-worker state.
-    pub fn fold<T: Send, A>(
-        &self,
-        trials: u64,
-        seed_base: u64,
-        run: impl Fn(u64) -> T + Sync,
-        init: A,
-        fold: impl FnMut(A, T) -> A,
-    ) -> A {
-        self.fold_with(trials, seed_base, || (), |(), seed| run(seed), init, fold)
-    }
-
-    /// Runs `trials` trials and folds their results into `init` **in
-    /// trial order, while later trials are still running**: no vector of
-    /// results is ever held.
+    /// folds their results into `init` **in trial order, while later
+    /// trials are still running**: no vector of results is ever held.
     ///
     /// Every worker builds one `state` with `make_state` and lends it to
     /// each of its trials in turn (`run(&mut state, seed)`) — a trial
@@ -349,13 +333,14 @@ mod tests {
     fn collected<T: Send>(
         runner: TrialRunner,
         trials: u64,
-        seed_base: u64,
+        base: u64,
         run: impl Fn(u64) -> T + Sync,
     ) -> Vec<T> {
-        runner.fold(trials, seed_base, run, Vec::new(), |mut seen, result| {
+        let push = |mut seen: Vec<T>, result| {
             seen.push(result);
             seen
-        })
+        };
+        runner.fold_with(trials, base, || (), |(), seed| run(seed), Vec::new(), push)
     }
 
     /// Collects the seeds a fold visits from seed 0, in fold order.
@@ -445,10 +430,11 @@ mod tests {
         for workers in [2usize, 3, 8] {
             let waiting = workers * (RESULTS_IN_FLIGHT + 1);
             let (alive, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
-            let folded = TrialRunner::new().threads(workers).fold(
+            let folded = TrialRunner::new().threads(workers).fold_with(
                 100,
                 0,
-                |_| Counted::new(&alive, &most),
+                || (),
+                |(), _| Counted::new(&alive, &most),
                 0u64,
                 |folded, result| {
                     if folded == 0 {
@@ -494,10 +480,11 @@ mod tests {
                 let others_stuck = (workers - 1) * (RESULTS_IN_FLIGHT + 1) + 1;
                 let finished = AtomicUsize::new(0);
                 let fold = std::panic::AssertUnwindSafe(|| {
-                    TrialRunner::new().threads(workers).fold(
+                    TrialRunner::new().threads(workers).fold_with(
                         64,
                         0,
-                        |seed| {
+                        || (),
+                        |(), seed| {
                             if seed == 1 {
                                 while finished.load(Ordering::SeqCst) < others_stuck {
                                     std::thread::yield_now();
@@ -564,10 +551,11 @@ mod tests {
         }
         thread_local!(static SLOW_EXIT: SlowExit = const { SlowExit });
         let workers = 3;
-        let sum = TrialRunner::new().threads(workers).fold(
+        let sum = TrialRunner::new().threads(workers).fold_with(
             30,
             0,
-            |seed| SLOW_EXIT.with(|_| seed),
+            || (),
+            |(), seed| SLOW_EXIT.with(|_| seed),
             0u64,
             |sum, seed| sum + seed,
         );

@@ -189,10 +189,9 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
     /// spread until every site holds it (anti-entropy) or no site is
     /// infective (rumor mongering) — on the heap state `arena` kept from
     /// earlier runs, reporting every contact and cycle boundary to
-    /// `observer` (e.g. a
-    /// [`TraceObserver`](crate::engine::trace::TraceObserver) or
-    /// [`InvariantObserver`](crate::engine::trace::InvariantObserver);
-    /// `&mut ()` for none). The result equals a fresh arena's, and once the
+    /// `observer` (e.g. a [`RunTracer`](epidemic_trace::RunTracer) or an
+    /// [`InvariantChecker`](epidemic_trace::InvariantChecker); `&mut ()`
+    /// for none). The result equals a fresh arena's, and once the
     /// arena has grown to this topology nothing is allocated.
     pub fn run<'s, 'r, O>(
         &'s self,

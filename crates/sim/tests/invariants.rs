@@ -6,11 +6,16 @@
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, Spatial};
-use epidemic_sim::engine::trace::{InvariantObserver, TraceObserver, TraceView};
-use epidemic_sim::engine::{ContactStats, Observer};
+use epidemic_sim::engine::{ContactStats, Observer, TraceView};
 use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
 use epidemic_sim::spatial::{SpatialArena, SpatialSim};
-use epidemic_trace::{TraceConfig, TraceTotals};
+use epidemic_trace::{InvariantChecker, RunTracer, TraceConfig, TraceTotals};
+
+/// Asserts `check` saw no violation, naming `case` and listing them if it
+/// did.
+fn assert_clean(check: &InvariantChecker, case: &str) {
+    assert_eq!(check.violation_count(), 0, "{case}: {}", check.to_jsonl());
+}
 
 fn rumor_cfg(direction: Direction) -> RumorConfig {
     RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 3 })
@@ -20,17 +25,13 @@ fn rumor_cfg(direction: Direction) -> RumorConfig {
 fn rumor_mongering_is_invariant_clean_in_every_direction() {
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         for seed in 0..5 {
-            let mut check = InvariantObserver::new();
+            let mut check = InvariantChecker::default();
             let result = RumorEpidemic::new(300, rumor_cfg(direction)).run(
                 &mut MixingArena::new(),
                 seed,
                 &mut check,
             );
-            assert!(
-                check.is_clean(),
-                "{direction:?} seed {seed}: {}",
-                check.to_jsonl()
-            );
+            assert_clean(&check, &format!("{direction:?} seed {seed}"));
             assert!(result.cycles > 0);
         }
     }
@@ -42,20 +43,20 @@ fn blind_coin_rumors_are_invariant_clean() {
     // invariants must hold on failed epidemics too.
     let cfg = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 1 });
     for seed in 0..10 {
-        let mut check = InvariantObserver::new();
+        let mut check = InvariantChecker::default();
         RumorEpidemic::new(200, cfg).run(&mut MixingArena::new(), seed, &mut check);
-        assert!(check.is_clean(), "seed {seed}: {}", check.to_jsonl());
+        assert_clean(&check, &format!("seed {seed}"));
     }
 }
 
 #[test]
 fn bit_anti_entropy_is_invariant_clean() {
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
-        let mut check = InvariantObserver::new();
+        let mut check = InvariantChecker::default();
         let run =
             AntiEntropyEpidemic::new(256, direction).run(&mut MixingArena::new(), 11, &mut check);
         assert!(run.complete);
-        assert!(check.is_clean(), "{direction:?}: {}", check.to_jsonl());
+        assert_clean(&check, &format!("{direction:?}"));
     }
 }
 
@@ -65,10 +66,10 @@ fn spatial_anti_entropy_is_invariant_clean() {
     let sim = SpatialSim::new(&topo, Spatial::QsPower { a: 1.5 }).origin(topo.sites()[0]);
     let mut arena = SpatialArena::new();
     for seed in 0..3 {
-        let mut check = InvariantObserver::new();
+        let mut check = InvariantChecker::default();
         let r = sim.run(&mut arena, seed, &mut check);
         assert!(r.t_last > 0);
-        assert!(check.is_clean(), "seed {seed}: {}", check.to_jsonl());
+        assert_clean(&check, &format!("seed {seed}"));
     }
 }
 
@@ -80,16 +81,16 @@ fn spatial_rumor_mongering_is_invariant_clean() {
         .origin(topo.sites()[0]);
     let mut arena = SpatialArena::new();
     for seed in 0..3 {
-        let mut check = InvariantObserver::new();
+        let mut check = InvariantChecker::default();
         let r = sim.run(&mut arena, seed, &mut check);
-        assert!(check.is_clean(), "seed {seed}: {}", check.to_jsonl());
+        assert_clean(&check, &format!("seed {seed}"));
         assert!(r.cycles > 0);
     }
 }
 
 /// Forwards every event to the checker but every other contact: what a
 /// sink that loses records looks like.
-struct Lossy(InvariantObserver, bool);
+struct Lossy(InvariantChecker, bool);
 
 impl<P: TraceView> Observer<P> for Lossy {
     fn on_run_start(&mut self, protocol: &P) {
@@ -111,7 +112,7 @@ impl<P: TraceView> Observer<P> for Lossy {
 
 #[test]
 fn lost_contacts_break_the_totals_rule_at_run_end() {
-    let mut lossy = Lossy(InvariantObserver::new(), false);
+    let mut lossy = Lossy(InvariantChecker::default(), false);
     RumorEpidemic::new(150, rumor_cfg(Direction::Push)).run(&mut MixingArena::new(), 5, &mut lossy);
     let rules: Vec<_> = lossy.0.violations().iter().map(|v| v.rule).collect();
     assert!(rules.contains(&"totals_consistency"), "{rules:?}");
@@ -119,14 +120,14 @@ fn lost_contacts_break_the_totals_rule_at_run_end() {
 
 #[test]
 fn trace_and_invariants_compose_and_agree_with_the_driver() {
-    let mut trace = TraceObserver::new(TraceConfig::full());
-    let mut check = InvariantObserver::new();
+    let mut trace = RunTracer::new(TraceConfig::full());
+    let mut check = InvariantChecker::default();
     let result = RumorEpidemic::new(150, rumor_cfg(Direction::PushPull)).run(
         &mut MixingArena::new(),
         5,
         &mut (&mut trace, &mut check),
     );
-    assert!(check.is_clean(), "{}", check.to_jsonl());
+    assert_clean(&check, "composed with a tracer");
 
     // The tracer's aggregate totals must reproduce the driver's traffic
     // figure exactly.
@@ -148,7 +149,7 @@ fn trace_and_invariants_compose_and_agree_with_the_driver() {
 #[test]
 fn trace_is_identical_across_reruns_of_the_same_seed() {
     let run = || {
-        let mut trace = TraceObserver::new(TraceConfig::full());
+        let mut trace = RunTracer::new(TraceConfig::full());
         RumorEpidemic::new(120, rumor_cfg(Direction::Push)).run(
             &mut MixingArena::new(),
             42,

@@ -20,7 +20,7 @@
 
 use epidemic_db::LazyTable;
 use epidemic_net::DegreeGraph;
-use epidemic_sim::engine::{ActiveCycleEngine, AggregateObserver, ContactStats, Observer};
+use epidemic_sim::engine::{ActiveCycleEngine, ContactStats, Observer};
 use epidemic_sim::megascale::FastRumorProtocol;
 use epidemic_sim::EpidemicResult;
 use proptest::prelude::*;
@@ -257,7 +257,7 @@ fn aggregates_are_worker_count_invariant() {
         } else {
             FastRumorProtocol::uniform(n, 4)
         };
-        let mut obs = AggregateObserver::new();
+        let mut obs = epidemic_trace::AggregatingSink::new();
         ActiveCycleEngine::new()
             .workers(workers)
             .max_cycles(100_000)

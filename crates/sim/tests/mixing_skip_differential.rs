@@ -6,7 +6,7 @@
 //! source asks it for the update, and who is active, who holds the update
 //! and who was hot at cycle start are read off the replicas themselves.
 //! Both protocols go through the same engine, policy and seed, so the
-//! `EpidemicResult`s and every line of the `TraceObserver` event log must
+//! `EpidemicResult`s and every line of the `RunTracer` event log must
 //! be equal — a skipped push that forgets its sender's feedback shows as a
 //! rumor that lives longer and sends more, a skipped pull that forgets the
 //! source's pending flag as a source that loses interest later.
@@ -16,10 +16,10 @@ use epidemic_core::{Direction, Feedback, Removal, Replica};
 use epidemic_db::SiteId;
 use epidemic_sim::engine::{
     ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, Roster, SirView,
-    TraceObserver, UniformPartners,
+    UniformPartners,
 };
 use epidemic_sim::{EpidemicResult, MixingArena, RumorEpidemic};
-use epidemic_trace::{Sir, TraceConfig};
+use epidemic_trace::{RunTracer, Sir, TraceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -162,7 +162,7 @@ fn always_probe_run(
     cfg: RumorConfig,
     (connection_limit, hunt_limit): (Option<u32>, u32),
     seed: u64,
-    observer: &mut TraceObserver,
+    observer: &mut RunTracer,
 ) -> (EpidemicResult, u64) {
     let mut protocol = AlwaysProbe::new(cfg, SITES);
     let report = CycleEngine::new()
@@ -203,9 +203,9 @@ fn skipping_offers_the_log_decides_changes_nothing_observable() {
                             .connection_limit(limits.0)
                             .hunt_limit(limits.1);
                         for seed in 0..2 {
-                            let mut skipping_log = TraceObserver::new(TraceConfig::full());
+                            let mut skipping_log = RunTracer::new(TraceConfig::full());
                             let skipping = driver.run(&mut arena, seed, &mut skipping_log);
-                            let mut reference_log = TraceObserver::new(TraceConfig::full());
+                            let mut reference_log = RunTracer::new(TraceConfig::full());
                             let (reference, wasted) =
                                 always_probe_run(cfg, limits, seed, &mut reference_log);
                             redundant += wasted;

@@ -4,7 +4,7 @@
 //! `AlwaysExchange` below is the contact body as it stood before the skip:
 //! every conversation runs the full push-pull compare. Both protocols go
 //! through the same engine, policy and seed, so every field of the
-//! run's result and every line of the `TraceObserver` event log must
+//! run's result and every line of the `RunTracer` event log must
 //! be equal — a skip taken when only one side holds the update shows as a
 //! later `t_last` and missing update traffic, a skipped branch that forgets
 //! its compare charge as lower compare traffic.
@@ -14,10 +14,9 @@ use epidemic_db::SiteId;
 use epidemic_net::{topologies, LinkTraffic, PartnerSampler, Routes, Spatial, Topology};
 use epidemic_sim::engine::{
     ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, RouteRecorder, SirView,
-    TraceObserver,
 };
 use epidemic_sim::{SpatialArena, SpatialSim};
-use epidemic_trace::{Sir, TraceConfig};
+use epidemic_trace::{RunTracer, Sir, TraceConfig};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::SeedableRng;
@@ -87,7 +86,7 @@ fn always_exchange_run(
     spatial: Spatial,
     (connection_limit, hunt_limit): (Option<u32>, u32),
     seed: u64,
-    observer: &mut TraceObserver,
+    observer: &mut RunTracer,
 ) -> Outcome {
     let routes = Routes::compute(topology);
     let sampler = PartnerSampler::new(topology, &routes, spatial);
@@ -146,7 +145,7 @@ fn skipping_known_equal_pairs_changes_nothing_observable() {
                 .connection_limit(limits.0)
                 .hunt_limit(limits.1);
             for seed in 0..3 {
-                let mut skipping_log = TraceObserver::new(TraceConfig::full());
+                let mut skipping_log = RunTracer::new(TraceConfig::full());
                 let r = sim.run(&mut arena, seed, &mut skipping_log);
                 let skipping = (
                     r.t_last,
@@ -155,7 +154,7 @@ fn skipping_known_equal_pairs_changes_nothing_observable() {
                     r.compare_traffic.clone(),
                     r.update_traffic.clone(),
                 );
-                let mut reference_log = TraceObserver::new(TraceConfig::full());
+                let mut reference_log = RunTracer::new(TraceConfig::full());
                 let reference =
                     always_exchange_run(topology, *spatial, limits, seed, &mut reference_log);
 

@@ -7,10 +7,9 @@
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, Spatial, Topology};
-use epidemic_sim::engine::{InvariantObserver, TraceObserver};
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::spatial::{SpatialArena, SpatialSim};
-use epidemic_trace::TraceConfig;
+use epidemic_trace::{InvariantChecker, RunTracer, TraceConfig};
 use proptest::prelude::*;
 
 fn rumor_config() -> impl Strategy<Value = RumorConfig> {
@@ -83,13 +82,13 @@ fn spatial_run(
     } else {
         Spatial::QsPower { a }
     };
-    let mut trace = TraceObserver::new(TraceConfig::full());
-    let mut check = InvariantObserver::new();
+    let mut trace = RunTracer::new(TraceConfig::full());
+    let mut check = InvariantChecker::default();
     let observer = &mut (&mut trace, &mut check);
     let sim = SpatialSim::new(&topo, spatial);
     let sim = if anti_entropy { sim } else { sim.rumor(cfg) };
     let result = format!("{:?}", sim.run(arena, seed, observer));
-    (result, trace.finish(), check.is_clean())
+    (result, trace.finish(), check.violation_count() == 0)
 }
 
 proptest! {
@@ -104,12 +103,12 @@ proptest! {
         for (earlier, seed) in &earlier {
             earlier.run(&mut arena, *seed, &mut ());
         }
-        let mut trace = TraceObserver::new(TraceConfig::full());
-        let mut check = InvariantObserver::new();
+        let mut trace = RunTracer::new(TraceConfig::full());
+        let mut check = InvariantChecker::default();
         let reused = driver.run(&mut arena, seed, &mut (&mut trace, &mut check));
-        prop_assert!(check.is_clean(), "{:?}", check.violations());
+        prop_assert_eq!(check.violation_count(), 0, "{:?}", check.violations());
 
-        let mut fresh_trace = TraceObserver::new(TraceConfig::full());
+        let mut fresh_trace = RunTracer::new(TraceConfig::full());
         let fresh = driver.run(&mut MixingArena::new(), seed, &mut fresh_trace);
         prop_assert_eq!(reused, fresh);
         prop_assert_eq!(trace.finish(), fresh_trace.finish());

@@ -71,6 +71,9 @@ pub struct InvariantChecker {
     /// Total violations detected, including ones dropped past the
     /// storage cap.
     detected: u64,
+    /// Per-site digests of the current cycle, refilled only at full
+    /// coverage.
+    digests: Vec<u64>,
 }
 
 impl InvariantChecker {
@@ -112,9 +115,11 @@ impl InvariantChecker {
         }
     }
 
-    /// Checks rules 1–4 against the post-cycle SIR counts, and rule 7 if
-    /// per-site database digests are supplied.
-    pub fn cycle(&mut self, cycle: u64, sir: Sir, digests: Option<&[u64]>) {
+    /// Checks rules 1–4 against the post-cycle SIR counts and, once no
+    /// site is susceptible, rule 7 against the per-site database digests
+    /// that `digests` appends to its buffer. `digests` is called only
+    /// then, so the digests are never computed while rule 7 cannot fire.
+    pub fn cycle(&mut self, cycle: u64, sir: Sir, digests: impl FnOnce(&mut Vec<u64>)) {
         let total = (sir.susceptible + sir.infective + sir.removed) as u64;
         if let Some(n) = self.n {
             if total != n {
@@ -161,39 +166,30 @@ impl InvariantChecker {
             }
         }
         if sir.susceptible == 0 {
-            if let Some(digests) = digests {
-                self.check_convergence(cycle, digests);
+            self.digests.clear();
+            digests(&mut self.digests);
+            if let Some((&first, rest)) = self.digests.split_first() {
+                if let Some(pos) = rest.iter().position(|&d| d != first) {
+                    let detail = format!(
+                        "susceptible = 0 but site {} digest {:#x} differs from \
+                         site 0 digest {first:#x}",
+                        pos + 1,
+                        rest[pos]
+                    );
+                    self.report(cycle, "coverage_convergence", detail);
+                }
             }
         }
         self.prev = Some(sir);
         self.cycle_useful = 0;
     }
 
-    fn check_convergence(&mut self, cycle: u64, digests: &[u64]) {
-        if let Some((&first, rest)) = digests.split_first() {
-            if let Some(pos) = rest.iter().position(|&d| d != first) {
-                self.report(
-                    cycle,
-                    "coverage_convergence",
-                    format!(
-                        "susceptible = 0 but site {} digest {:#x} differs from \
-                         site 0 digest {first:#x}",
-                        pos + 1,
-                        rest[pos]
-                    ),
-                );
-            }
-        }
-    }
-
     /// Final check: the engine's aggregate totals must match contact-level
-    /// accumulation (rule 6), and, with digests supplied, full coverage
-    /// must mean replica agreement (rule 7).
-    pub fn finish(&mut self, engine: TraceTotals, digests: Option<&[u64]>) {
-        let cycle = 0;
+    /// accumulation (rule 6). Rule 7 already ran at the last cycle end.
+    pub fn finish(&mut self, engine: TraceTotals) {
         if engine != self.acc {
             self.report(
-                cycle,
+                0,
                 "totals_consistency",
                 format!(
                     "engine reported {engine:?} but per-contact accumulation gives {:?}",
@@ -201,20 +197,17 @@ impl InvariantChecker {
                 ),
             );
         }
-        if self.prev.map(|sir| sir.susceptible) == Some(0) {
-            if let Some(digests) = digests {
-                self.check_convergence(cycle, digests);
-            }
-        }
     }
 
-    /// `true` when no violation has been detected.
-    pub fn is_clean(&self) -> bool {
-        self.detected == 0
+    /// How many violations were detected, counting the ones dropped past the
+    /// storage cap of [`InvariantChecker::violations`]; `0` on a clean run.
+    pub fn violation_count(&self) -> u64 {
+        self.detected
     }
 
     /// Violations stored so far, capped at an internal limit;
-    /// [`InvariantChecker::is_clean`] still counts the ones dropped past it.
+    /// [`InvariantChecker::violation_count`] still counts the ones dropped
+    /// past it.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
@@ -243,24 +236,33 @@ mod tests {
         }
     }
 
+    /// A digest closure supplying `digests` and counting its calls.
+    fn counted<'a>(calls: &'a mut u32, digests: &'a [u64]) -> impl FnOnce(&mut Vec<u64>) + 'a {
+        move |out| {
+            *calls += 1;
+            out.extend_from_slice(digests);
+        }
+    }
+
     #[test]
     fn clean_run_reports_nothing() {
         let mut ck = InvariantChecker::default();
+        let mut calls = 0;
         ck.start(sir(3, 1, 0));
         ck.contact(1, 1, 1);
-        ck.cycle(1, sir(2, 2, 0), None);
+        ck.cycle(1, sir(2, 2, 0), counted(&mut calls, &[7, 7, 7, 7]));
+        assert_eq!(calls, 0, "no digests while a site is susceptible");
         ck.contact(2, 2, 2);
-        ck.cycle(2, sir(0, 2, 2), Some(&[7, 7, 7, 7]));
-        ck.finish(
-            TraceTotals {
-                contacts: 2,
-                sent: 3,
-                useful: 3,
-                fruitless: 0,
-            },
-            Some(&[7, 7, 7, 7]),
-        );
-        assert!(ck.is_clean(), "{:?}", ck.violations());
+        ck.cycle(2, sir(0, 2, 2), counted(&mut calls, &[7, 7, 7, 7]));
+        ck.cycle(3, sir(0, 0, 4), counted(&mut calls, &[7, 7, 7, 7]));
+        assert_eq!(calls, 2, "digests once per cycle at full coverage");
+        ck.finish(TraceTotals {
+            contacts: 2,
+            sent: 3,
+            useful: 3,
+            fruitless: 0,
+        });
+        assert_eq!(ck.violation_count(), 0, "{:?}", ck.violations());
         assert_eq!(ck.to_jsonl(), "");
     }
 
@@ -268,8 +270,8 @@ mod tests {
     fn conservation_violation_is_reported_not_panicked() {
         let mut ck = InvariantChecker::default();
         ck.start(sir(4, 1, 0));
-        ck.cycle(1, sir(3, 1, 0), None); // 4 sites — one vanished
-        assert!(!ck.is_clean());
+        ck.cycle(1, sir(3, 1, 0), |_| {}); // 4 sites — one vanished
+        assert_ne!(ck.violation_count(), 0);
         assert_eq!(ck.violations()[0].rule, "conservation");
         assert!(ck.to_jsonl().contains(r#""rule":"conservation""#));
     }
@@ -281,7 +283,7 @@ mod tests {
         ck.contact(1, 1, 1);
         ck.contact(1, 1, 1);
         ck.contact(1, 1, 1);
-        ck.cycle(1, sir(3, 1, 0), None); // s grew AND r shrank
+        ck.cycle(1, sir(3, 1, 0), |_| {}); // s grew AND r shrank
         let rules: Vec<_> = ck.violations().iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"monotone_susceptible"), "{rules:?}");
         assert!(rules.contains(&"monotone_removed"), "{rules:?}");
@@ -292,7 +294,7 @@ mod tests {
         let mut ck = InvariantChecker::default();
         ck.start(sir(5, 1, 0));
         ck.contact(1, 1, 0); // fruitless
-        ck.cycle(1, sir(3, 3, 0), None); // 2 infected with 0 useful units
+        ck.cycle(1, sir(3, 3, 0), |_| {}); // 2 infected with 0 useful units
         assert_eq!(ck.violations()[0].rule, "infection_needs_traffic");
     }
 
@@ -309,31 +311,33 @@ mod tests {
         let mut ck = InvariantChecker::default();
         ck.start(sir(1, 1, 0));
         ck.contact(1, 1, 1);
-        ck.cycle(1, sir(0, 2, 0), None);
-        ck.finish(
-            TraceTotals {
-                contacts: 5,
-                sent: 5,
-                useful: 5,
-                fruitless: 0,
-            },
-            None,
-        );
+        ck.cycle(1, sir(0, 2, 0), |_| {});
+        ck.finish(TraceTotals {
+            contacts: 5,
+            sent: 5,
+            useful: 5,
+            fruitless: 0,
+        });
         assert_eq!(ck.violations()[0].rule, "totals_consistency");
     }
 
     #[test]
     fn divergent_digests_after_coverage_are_caught() {
         let mut ck = InvariantChecker::default();
+        let mut calls = 0;
         ck.start(sir(1, 1, 0));
         ck.contact(1, 1, 1);
-        ck.cycle(1, sir(0, 2, 0), Some(&[1, 2]));
+        ck.cycle(1, sir(0, 2, 0), counted(&mut calls, &[1, 2]));
+        assert_eq!(calls, 1);
         assert_eq!(ck.violations()[0].rule, "coverage_convergence");
-        // With susceptible sites remaining, digests may differ freely.
+        // With susceptible sites remaining, digests may differ freely and
+        // are never computed.
         let mut ok = InvariantChecker::default();
+        let mut calls = 0;
         ok.start(sir(2, 1, 0));
-        ok.cycle(1, sir(2, 1, 0), Some(&[1, 2, 3]));
-        assert!(ok.is_clean());
+        ok.cycle(1, sir(2, 1, 0), counted(&mut calls, &[1, 2, 3]));
+        assert_eq!(calls, 0);
+        assert_eq!(ok.violation_count(), 0);
     }
 
     #[test]
@@ -344,6 +348,6 @@ mod tests {
             ck.contact(c, 0, 1); // useful > sent, every time
         }
         assert_eq!(ck.violations().len(), 100);
-        assert_eq!(ck.detected, 150);
+        assert_eq!(ck.violation_count(), 150);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! This crate has **no dependencies** — not even on the sibling
 //! simulation crates — so every layer of the workspace can use it without
-//! cycles. It provides five pillars:
+//! cycles; `epidemic-sim` makes its three sinks ([`RunTracer`],
+//! [`AggregatingSink`], [`InvariantChecker`]) engine observers. It
+//! provides five pillars:
 //!
 //! * [`metrics`] — the fixed-bucket [`Histogram`](metrics::Histogram)
 //!   behind the aggregate's delay percentiles.

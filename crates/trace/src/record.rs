@@ -3,8 +3,8 @@
 //!
 //! [`RunTracer`] is deliberately independent of the simulation crates: it
 //! consumes plain numbers (`cycle`, site indices, contact stats, SIR
-//! counts) and produces deterministic JSONL text. The simulator's
-//! `TraceObserver` adapts engine callbacks onto it; the bench harness
+//! counts) and produces deterministic JSONL text. The simulator makes it
+//! an engine observer (`epidemic_sim::engine::trace`); the bench harness
 //! concatenates per-trial tracer outputs in trial order, which is what
 //! keeps trace files byte-identical at any worker-thread count.
 //!

@@ -14,10 +14,8 @@
 //! protocol variants cycle by cycle.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-use epidemic_sim::engine::AggregateObserver;
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
-use epidemic_sim::{InvariantObserver, TraceObserver};
-use epidemic_trace::{RunTracer, TraceConfig};
+use epidemic_trace::{AggregatingSink, InvariantChecker, RunTracer, TraceConfig};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -33,12 +31,11 @@ fn main() {
     .with_reset_on_useful(true);
 
     // Everything on: contact events, cycle snapshots, the link matrix.
-    let tracer = RunTracer::new(TraceConfig::full())
+    let mut trace = RunTracer::new(TraceConfig::full())
         .label_str("example", "trace_rumor")
         .label_u64("seed", seed);
-    let mut trace = TraceObserver::with_tracer(tracer);
-    let mut check = InvariantObserver::new();
-    let mut aggregate = AggregateObserver::new();
+    let mut check = InvariantChecker::default();
+    let mut aggregate = AggregatingSink::new();
 
     let observer = &mut (&mut trace, (&mut check, &mut aggregate));
     let result = RumorEpidemic::new(n, cfg).run(&mut MixingArena::new(), seed, observer);
@@ -53,7 +50,7 @@ fn main() {
         "\n# summary: n {n}, seed {seed} -> residue {:.3}, traffic {:.2}, t_ave {:.1}, t_last {:.0}, cycles {}",
         result.residue, result.traffic, result.t_ave, result.t_last, result.cycles
     );
-    if check.is_clean() {
+    if check.violation_count() == 0 {
         println!("# invariants: clean");
     } else {
         println!("# invariants VIOLATED:");
