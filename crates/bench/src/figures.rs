@@ -864,10 +864,10 @@ pub(crate) fn cin_steady_table(ctx: &Ctx<'_>) -> FigTable {
         let means = ctx.mean(
             || (arenas.take(), RouteCharge::new(topo, &routes, WARMUP)),
             |(arena, charge), seed| {
-                charge.recorder.reset();
+                charge.reset();
                 let r = engine.run_with_policy(arena, seed + 31, &sampler, Some(sites), charge);
                 let per_cycle = |count: f64| ratio(count, f64::from(r.cycles - WARMUP));
-                let (compare, update) = (&charge.recorder.compare, &charge.recorder.update);
+                let (compare, update) = (&charge.compare, &charge.update);
                 [
                     per_cycle(compare.mean_per_link()),
                     per_cycle(update.mean_per_link()),

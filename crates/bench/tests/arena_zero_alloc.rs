@@ -171,7 +171,7 @@ fn steady_trials() {
         let spec = |rate| ae(bundled::steady(sites.len(), rate, [20, 60, 0]), recent);
         let label = format!("CIN steady, {spatial:?}");
         steady_case(&mut arena, &label, 2.0, spec, |arena, engine, seed| {
-            charge.recorder.reset();
+            charge.reset();
             engine.run_with_policy(arena, seed, &sampler, Some(sites), &mut charge)
         });
     }

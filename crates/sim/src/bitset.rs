@@ -1,9 +1,9 @@
 //! A packed fixed-length bitset for per-site infection state.
 //!
 //! The synchronous protocols snapshot one bit per site at the start of
-//! every cycle (`state0`, `hot0`, the anti-entropy `snapshot`). As
-//! `Vec<bool>` those snapshots cost a byte per site; at the `fig-megascale`
-//! scale of 10⁶ sites that is a megabyte re-touched every cycle. Packed
+//! every cycle (`state0`, `hot0`). As `Vec<bool>` those snapshots cost a
+//! byte per site; at the `fig-megascale` scale of 10⁶ sites that is a
+//! megabyte re-touched every cycle. Packed
 //! into `u64` words the same snapshot is 64× smaller, sits in a handful of
 //! cache lines for CIN-scale runs, and copies word-at-a-time.
 

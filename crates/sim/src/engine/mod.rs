@@ -37,7 +37,7 @@ pub use observer::{Observer, SirObserver, SirView};
 pub(crate) use partner::Partners;
 pub use partner::UniformPartners;
 pub(crate) use protocols::UpdateInjector;
-pub use protocols::{ReceiveLog, RouteCharge, RouteRecorder};
+pub use protocols::{ReceiveLog, RouteCharge};
 pub use trace::TraceView;
 
 use std::time::Instant;

@@ -1,21 +1,20 @@
-//! Shared protocol building blocks and a reference protocol.
+//! Shared protocol building blocks and the single-update protocols.
 //!
-//! The drivers' ports onto the [`CycleEngine`](super::CycleEngine) all need
-//! the same bookkeeping: who has received the update and when
-//! ([`ReceiveLog`]), per-link comparison/update traffic ([`RouteRecorder`])
+//! The building blocks: who has received the update and when
+//! ([`ReceiveLog`]), per-link comparison/update traffic ([`RouteCharge`])
 //! and Poisson-ish client-update injection (`UpdateInjector`).
-//! Each existed as copy-pasted inline code in several drivers; now each
-//! exists once.
 //!
-//! Two of the paper's propagation mechanisms live here as engine
-//! protocols: `MixingProtocol` (§1.4 rumor mongering over complete
-//! mixing, with the connection-limit/hunting variants supplied by the
-//! engine) and `BitAntiEntropyProtocol` (§1.3 anti-entropy on one bit of
-//! state per site). §1.2's direct mail runs in the scenario engine, over
-//! `epidemic_core::direct_mail`.
+//! The protocols: `MixingProtocol` (one update spread by §1.4 rumor
+//! mongering or Table 4's anti-entropy, over complete mixing or a
+//! topology's spatial partners, with the connection-limit/hunting
+//! variants supplied by the engine) and `BitAntiEntropyProtocol` (§1.3
+//! anti-entropy on one bit of state per site). §1.2's direct mail runs in
+//! the scenario engine, over `epidemic_core::direct_mail`.
 
 use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
-use epidemic_core::{Direction, Feedback, Removal, Replica};
+use epidemic_core::{
+    AntiEntropy, Comparison, Direction, ExchangeScratch, Feedback, Removal, Replica,
+};
 use epidemic_db::SiteId;
 use epidemic_net::{LinkTraffic, Routes, Topology};
 use epidemic_trace::Sir;
@@ -23,10 +22,13 @@ use rand::rngs::StdRng;
 
 use super::{ContactStats, EpidemicProtocol, Observer, Roster, SirView};
 use crate::bitset::BitSet;
-use crate::util::{pair_mut, reset_replicas, site_ids};
+use crate::util::{pair_mut, reset_replicas};
 
 /// The single key every single-update protocol spreads.
 const KEY: u32 = 0;
+
+/// Table 4's mechanism: push-pull anti-entropy comparing whole databases.
+const TABLE4: AntiEntropy = AntiEntropy::new(Direction::PushPull, Comparison::Full);
 
 /// Per-site receive times for a single spreading update.
 ///
@@ -129,7 +131,7 @@ impl<T: Copy + Into<u64>> ReceiveLog<T> {
     /// Mean receive time over *all* sites, charging `fallback` to sites
     /// that never received the update — the event-driven driver's
     /// convention.
-    pub fn t_ave_all(&self, fallback: T) -> f64 {
+    pub(crate) fn t_ave_all(&self, fallback: T) -> f64 {
         let n = self.times.len();
         let sum: u64 = self
             .times
@@ -140,42 +142,52 @@ impl<T: Copy + Into<u64>> ReceiveLog<T> {
     }
 }
 
-/// Paired comparison/update traffic counters for a spatial run.
+/// Paired comparison/update traffic counters, charged along shortest
+/// routes: every contact charges one *comparison* unit to each link of its
+/// route, and `units` *update* units more (entries shipped, or 1 when an
+/// update flowed).
 ///
-/// Every contact charges one *comparison* unit along the route; an update
-/// charges `update_units` additional units (entries shipped, or simply
-/// 1 when an update flowed).
+/// As an [`Observer`] it charges every contact of the cycles after `after`,
+/// with the entries it sent as update units; dense site `i` is `sites[i]`.
+/// Any protocol's run can be measured on a topology this way.
 #[derive(Debug)]
-pub struct RouteRecorder<'a> {
+pub struct RouteCharge<'a> {
     routes: &'a Routes,
+    /// Site id of each dense site index.
+    sites: &'a [SiteId],
+    /// Cycles left uncharged (a warm-up).
+    after: u32,
     /// Conversation (comparison) traffic: one route charge per contact.
     pub compare: LinkTraffic,
     /// Update traffic: one route charge per transmitted unit.
     pub update: LinkTraffic,
 }
 
-impl<'a> RouteRecorder<'a> {
-    /// Creates zeroed counters for a topology with `links` links.
-    pub fn new(routes: &'a Routes, links: usize) -> Self {
-        RouteRecorder {
-            routes,
-            compare: LinkTraffic::new(links),
-            update: LinkTraffic::new(links),
+impl<'a> RouteCharge<'a> {
+    /// Zeroed counters for `topology`, charging along `routes` every
+    /// contact of the cycles after `after`.
+    pub fn new(topology: &'a Topology, routes: &'a Routes, after: u32) -> Self {
+        let empty = || LinkTraffic::new(0);
+        RouteCharge {
+            after,
+            ..Self::reusing(topology, routes, empty(), empty())
         }
     }
 
-    /// As [`RouteRecorder::new`], on counters an earlier run filled: they
-    /// are zeroed for `links` links and keep their storage.
+    /// As [`RouteCharge::new`] with no warm-up, on counters an earlier run
+    /// filled: they are zeroed for `topology` and keep their storage.
     pub(crate) fn reusing(
+        topology: &'a Topology,
         routes: &'a Routes,
-        links: usize,
         mut compare: LinkTraffic,
         mut update: LinkTraffic,
     ) -> Self {
-        compare.reset(links);
-        update.reset(links);
-        RouteRecorder {
+        compare.reset(topology.link_count());
+        update.reset(topology.link_count());
+        RouteCharge {
             routes,
+            sites: topology.sites(),
+            after: 0,
             compare,
             update,
         }
@@ -187,47 +199,19 @@ impl<'a> RouteRecorder<'a> {
         self.update.reset(self.update.counts().len());
     }
 
-    /// Records one conversation `from → to` that shipped `update_units`
-    /// units of update traffic.
-    pub fn record(&mut self, from: SiteId, to: SiteId, update_units: u64) {
+    /// Charges one conversation between dense sites `i` and `j` that
+    /// shipped `units` units of update traffic.
+    pub(crate) fn record(&mut self, i: usize, j: usize, units: u64) {
+        let (from, to) = (self.sites[i], self.sites[j]);
         self.compare.record_route(self.routes, from, to);
-        self.update
-            .record_route_units(self.routes, from, to, update_units);
-    }
-}
-
-/// An [`Observer`] charging every contact of the cycles after `after` to
-/// its route, with the entries it sent as update units; dense site `i` is
-/// `sites[i]`. Any protocol's run can be measured on a topology this way.
-#[derive(Debug)]
-pub struct RouteCharge<'a> {
-    /// The per-link counters charged.
-    pub recorder: RouteRecorder<'a>,
-    /// Site id of each dense site index.
-    pub sites: &'a [SiteId],
-    /// Cycles left uncharged (a warm-up).
-    pub after: u32,
-}
-
-impl<'a> RouteCharge<'a> {
-    /// Zeroed counters for `topology`, charging along `routes` every
-    /// contact of the cycles after `after`.
-    pub fn new(topology: &'a Topology, routes: &'a Routes, after: u32) -> Self {
-        let recorder = RouteRecorder::new(routes, topology.link_count());
-        let sites = topology.sites();
-        RouteCharge {
-            recorder,
-            sites,
-            after,
-        }
+        self.update.record_route_units(self.routes, from, to, units);
     }
 }
 
 impl<P: ?Sized> Observer<P> for RouteCharge<'_> {
     fn on_contact(&mut self, cycle: u32, i: usize, j: usize, stats: &ContactStats) {
         if cycle > self.after {
-            self.recorder
-                .record(self.sites[i], self.sites[j], stats.sent);
+            self.record(i, j, stats.sent);
         }
     }
 }
@@ -287,14 +271,16 @@ impl UpdateInjector {
     }
 }
 
-/// The heap state of a mixing run: what a
-/// [`MixingArena`](crate::mixing::MixingArena) keeps between runs so the
-/// next one allocates nothing.
+/// The heap state of a single-update run: what a
+/// [`MixingArena`](crate::mixing::MixingArena) or a
+/// [`SpatialArena`](crate::spatial::SpatialArena) keeps between runs so
+/// the next one allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct MixingState {
     pub(crate) sites: Vec<Replica<u32, u32>>,
     pub(crate) received: ReceiveLog<u32>,
-    /// "Hot list non-empty", one bit per site — the active set. `contact`
+    /// "Hot list non-empty", one bit per site — the active set of a rumor
+    /// run (empty under anti-entropy, which fills no hot list). `contact`
     /// refreshes the bits of the endpoints whose replicas it touched and
     /// `end_cycle` those of the sites it visits, so whenever the engine
     /// looks it equals the `is_active` scan.
@@ -305,52 +291,65 @@ pub(crate) struct MixingState {
     pub(crate) hot0: BitSet,
     /// Reused hot-key snapshot buffers for push-pull contacts.
     pub(crate) scratch: RumorScratch<u32>,
+    /// Reused diff buffers for anti-entropy exchanges.
+    pub(crate) exchange: ExchangeScratch<u32>,
 }
 
 impl MixingState {
-    /// `n` replicas in their [`Replica::new`] state, nothing received,
-    /// nobody active — whatever an earlier run left behind, and keeping
-    /// every capacity it grew.
-    fn reset(&mut self, n: usize) {
-        reset_replicas(&mut self.sites, site_ids(n));
-        self.received.reset(n);
-        self.active.reset(n);
-        self.state0.reset(n);
-        self.hot0.reset(n);
-    }
-
     /// Re-reads site `i`'s hot list into the active set.
     fn refresh(&mut self, i: usize) {
         self.active.set(i, !self.sites[i].hot().is_empty());
     }
+
+    /// Marks site `i` as having received the update at `cycle`, if its
+    /// replica holds it.
+    fn mark_if_holding(&mut self, i: usize, cycle: u32) {
+        if self.sites[i].db().entry(&KEY).is_some() {
+            self.received.mark(i, cycle);
+        }
+    }
 }
 
-/// Single-update rumor mongering as an engine protocol: push initiators
-/// are the infective sites, pull/push-pull initiators are everyone, and
-/// the synchronous variants judge feedback against start-of-cycle
-/// snapshots captured in `begin_cycle`.
+/// One update spreading from one origin, by rumor mongering (push
+/// initiators are the infective sites, pull/push-pull initiators everyone,
+/// the run ends at quiescence) or, with no [`RumorConfig`], by Table 4's
+/// push-pull anti-entropy (everyone initiates, the run ends at full
+/// coverage). Partners come from the engine's policy: complete mixing or a
+/// topology's spatial distribution. The synchronous rumor variants judge
+/// feedback against start-of-cycle snapshots captured in `begin_cycle`.
 ///
 /// Public so observers can be written against it (it is the `P` of
-/// [`RumorEpidemic::run`](crate::mixing::RumorEpidemic::run));
-/// construction stays crate-internal.
+/// [`RumorEpidemic::run`](crate::mixing::RumorEpidemic::run) and
+/// [`SpatialSim::run`](crate::spatial::SpatialSim::run)); construction
+/// stays crate-internal.
 pub struct MixingProtocol {
-    pub(crate) cfg: RumorConfig,
+    /// `None` for anti-entropy.
+    pub(crate) rumor: Option<RumorConfig>,
     pub(crate) synchronous: bool,
     pub(crate) state: MixingState,
 }
 
 impl MixingProtocol {
-    /// Resets `state` to `n` empty sites, seeds the update at site 0 and
-    /// marks it in the receive log and the active set — the one place
-    /// that establishes "marked ⇔ holds the update" and "active ⇔ hot
-    /// list non-empty", which `contact`/`end_cycle` then keep.
+    /// Resets `state` to one empty replica per id in `sites`, seeds the
+    /// update at dense site `origin` and marks it in the receive log and,
+    /// for a rumor, the active set — the one place that establishes
+    /// "marked ⇔ holds the update" and "active ⇔ hot list non-empty", which
+    /// `contact`/`end_cycle` then keep. Only rumors keep an active set, and
+    /// only synchronous runs take snapshots.
     pub(crate) fn new(
-        cfg: RumorConfig,
+        rumor: Option<RumorConfig>,
         synchronous: bool,
-        n: usize,
+        sites: impl ExactSizeIterator<Item = SiteId>,
+        origin: usize,
         mut state: MixingState,
     ) -> Self {
-        state.reset(n);
+        let n = sites.len();
+        reset_replicas(&mut state.sites, sites);
+        state.received.reset(n);
+        state.active.reset(if rumor.is_some() { n } else { 0 });
+        let snapshots = if synchronous { n } else { 0 };
+        state.state0.reset(snapshots);
+        state.hot0.reset(snapshots);
         debug_assert!(
             state
                 .sites
@@ -358,13 +357,49 @@ impl MixingProtocol {
                 .all(|site| site.db().is_empty() && site.hot().is_empty()),
             "every site is empty before the update is seeded"
         );
-        state.sites[0].client_update(KEY, 1);
-        state.received.mark(0, 0);
-        state.active.set(0, true);
+        state.sites[origin].client_update(KEY, 1);
+        state.received.mark(origin, 0);
+        if rumor.is_some() {
+            state.active.set(origin, true);
+        } else {
+            // Pure anti-entropy: nothing is "hot".
+            state.sites[origin].hot_mut().clear();
+        }
         MixingProtocol {
-            cfg,
+            rumor,
             synchronous,
             state,
+        }
+    }
+
+    /// One push-pull anti-entropy conversation between `i` and `j`; both
+    /// endpoints are marked when the update flowed.
+    fn exchange(&mut self, cycle: u32, i: usize, j: usize) -> ContactStats {
+        // A site is marked exactly when it holds the update — the origin
+        // from the start, everyone else from the contact that delivered it
+        // — and there is one version of one key, so two sites with equal
+        // marks hold equal databases: the conversation still happens and
+        // is charged, but its diff is empty and need not be computed
+        // (debug builds compute it anyway, and check that it is).
+        let state = &mut self.state;
+        let known_converged = state.received.is_marked(i) == state.received.is_marked(j);
+        if known_converged && !cfg!(debug_assertions) {
+            return ContactStats::default();
+        }
+        let (a, b) = pair_mut(&mut state.sites, i, j);
+        let stats = TABLE4.exchange_with(a, b, &mut state.exchange);
+        debug_assert!(
+            !(known_converged && stats.update_flowed()),
+            "sites {i} and {j} carry equal marks but exchanged {stats:?}"
+        );
+        if stats.update_flowed() {
+            state.mark_if_holding(i, cycle);
+            state.mark_if_holding(j, cycle);
+        }
+        let flowed = u64::from(stats.update_flowed());
+        ContactStats {
+            sent: flowed,
+            useful: flowed,
         }
     }
 
@@ -372,7 +407,14 @@ impl MixingProtocol {
     /// to `j`: feedback is judged against `j`'s start-of-cycle state, and a
     /// partner the log already marks is not offered the update (see
     /// [`offer`]).
-    fn sync_push(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
+    fn sync_push(
+        &mut self,
+        cfg: &RumorConfig,
+        cycle: u32,
+        i: usize,
+        j: usize,
+        rng: &mut StdRng,
+    ) -> ContactStats {
         let MixingState {
             sites,
             received,
@@ -381,7 +423,7 @@ impl MixingProtocol {
         } = &mut self.state;
         let (a, b) = pair_mut(sites, i, j);
         let applied = offer(a, b, received.is_marked(j));
-        rumor::record_feedback(&self.cfg, a, &KEY, !state0.get(j), rng);
+        rumor::record_feedback(cfg, a, &KEY, !state0.get(j), rng);
         self.state.refresh(i);
         if applied {
             self.state.received.mark(j, cycle);
@@ -396,7 +438,14 @@ impl MixingProtocol {
     /// A synchronous pull by `i` from `j`, served from `j`'s start-of-cycle
     /// state: a source that was not hot then touches neither replica, and a
     /// requester the log already marks is not offered the update.
-    fn sync_pull(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
+    fn sync_pull(
+        &mut self,
+        cfg: &RumorConfig,
+        cycle: u32,
+        i: usize,
+        j: usize,
+        rng: &mut StdRng,
+    ) -> ContactStats {
         let MixingState {
             sites,
             received,
@@ -409,14 +458,14 @@ impl MixingProtocol {
         }
         let (requester, source) = pair_mut(sites, i, j);
         let applied = offer(source, requester, received.is_marked(i));
-        let needed = match self.cfg.feedback {
+        let needed = match cfg.feedback {
             Feedback::Feedback => !state0.get(i),
             Feedback::Blind => false,
         };
-        match self.cfg.removal {
+        match cfg.removal {
             Removal::Counter { .. } => source.hot_mut().record_pending(&KEY, needed),
             Removal::Coin { .. } => {
-                rumor::record_feedback(&self.cfg, source, &KEY, needed, rng);
+                rumor::record_feedback(cfg, source, &KEY, needed, rng);
             }
         }
         self.state.refresh(j);
@@ -432,14 +481,19 @@ impl MixingProtocol {
 
     /// An asynchronous push or pull, or a push-pull: `core::rumor`'s
     /// multi-key walk, after which both endpoints are re-read.
-    fn walk(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
+    fn walk(
+        &mut self,
+        cfg: &RumorConfig,
+        cycle: u32,
+        i: usize,
+        j: usize,
+        rng: &mut StdRng,
+    ) -> ContactStats {
         let state = &mut self.state;
         let (a, b) = pair_mut(&mut state.sites, i, j);
-        let stats = rumor::contact_with(&self.cfg, a, b, rng, &mut state.scratch);
+        let stats = rumor::contact_with(cfg, a, b, rng, &mut state.scratch);
         for idx in [i, j] {
-            if state.sites[idx].db().entry(&KEY).is_some() {
-                state.received.mark(idx, cycle);
-            }
+            state.mark_if_holding(idx, cycle);
             state.refresh(idx);
         }
         stats.into()
@@ -460,9 +514,9 @@ impl EpidemicProtocol for MixingProtocol {
     }
 
     fn roster(&self) -> Roster {
-        match self.cfg.direction {
-            Direction::Push => Roster::Active,
-            Direction::Pull | Direction::PushPull => Roster::Everyone,
+        match self.rumor {
+            Some(cfg) if cfg.direction == Direction::Push => Roster::Active,
+            _ => Roster::Everyone,
         }
     }
 
@@ -476,15 +530,21 @@ impl EpidemicProtocol for MixingProtocol {
     }
 
     fn finished(&self, _cycle: u32, active: &[usize]) -> bool {
-        active.is_empty()
+        match self.rumor {
+            Some(_) => active.is_empty(),
+            None => self.state.received.complete(),
+        }
     }
 
     fn begin_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
+        let Some(cfg) = self.rumor.filter(|_| self.synchronous) else {
+            return;
+        };
         let state = &mut self.state;
         // A site holds the update exactly when the receive log has marked
         // it (every `contact` branch marks as the entry lands), so the
         // snapshot copies the log's marks, not each database.
-        match self.cfg.direction {
+        match cfg.direction {
             Direction::Push => state.state0.copy_from(state.received.marks()),
             Direction::Pull => {
                 state.state0.copy_from(state.received.marks());
@@ -502,20 +562,23 @@ impl EpidemicProtocol for MixingProtocol {
     }
 
     fn contact(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
-        match (self.cfg.direction, self.synchronous) {
-            (Direction::Push, true) => self.sync_push(cycle, i, j, rng),
-            (Direction::Pull, true) => self.sync_pull(cycle, i, j, rng),
-            _ => self.walk(cycle, i, j, rng),
+        let Some(cfg) = self.rumor else {
+            return self.exchange(cycle, i, j);
+        };
+        match (cfg.direction, self.synchronous) {
+            (Direction::Push, true) => self.sync_push(&cfg, cycle, i, j, rng),
+            (Direction::Pull, true) => self.sync_pull(&cfg, cycle, i, j, rng),
+            _ => self.walk(&cfg, cycle, i, j, rng),
         }
     }
 
     fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
-        if self.cfg.direction == Direction::Pull {
+        if let Some(cfg) = self.rumor.filter(|cfg| cfg.direction == Direction::Pull) {
             // Pending pull feedback lives in hot items, so only active
             // sites have any to settle.
             let MixingState { sites, active, .. } = &mut self.state;
             active.retain_ones(|i| {
-                rumor::end_cycle(&self.cfg, &mut sites[i]);
+                rumor::end_cycle(&cfg, &mut sites[i]);
                 !sites[i].hot().is_empty()
             });
         }
@@ -524,8 +587,13 @@ impl EpidemicProtocol for MixingProtocol {
 
 impl SirView for MixingProtocol {
     fn sir_counts(&self) -> Sir {
-        let infective = self.state.active.count_ones();
         let have = self.state.received.received_count();
+        let infective = match self.rumor {
+            // Pure anti-entropy never removes: every informed site keeps
+            // exchanging forever (the run just stops at full coverage).
+            None => have,
+            Some(_) => self.state.active.count_ones(),
+        };
         Sir {
             susceptible: self.state.sites.len() - have,
             infective,
@@ -617,7 +685,8 @@ impl SirView for BitAntiEntropyProtocol {
 mod tests {
     use super::*;
     use crate::engine::{CycleEngine, EngineBuffers, UniformPartners};
-    use epidemic_net::{topologies, Spatial};
+    use crate::util::site_ids;
+    use epidemic_net::{topologies, PartnerSampler, PartnerSelection, Spatial};
     use rand::{RngExt, SeedableRng};
 
     /// Regression (hot-path sweep): the injector mints keys right up to
@@ -671,7 +740,9 @@ mod tests {
     /// Asserts that the protocol's incremental state says exactly what
     /// probing every replica says: marks ≡ "database holds the update"
     /// (what `begin_cycle` snapshots), active set ≡ "hot list non-empty"
-    /// (what `active_sites` yields), and `sir_counts` ≡ the counted probe.
+    /// (what `active_sites` yields; under anti-entropy no list is ever
+    /// hot), and `sir_counts` ≡ the counted probe (anti-entropy removes no
+    /// one: every holder is infective).
     fn assert_matches_the_probe(p: &MixingProtocol) {
         let state = &p.state;
         let (mut have, mut infective) = (0, 0);
@@ -685,9 +756,12 @@ mod tests {
                 "time of site {i}"
             );
             let hot = !site.hot().is_empty();
-            assert_eq!(state.active.get(i), hot, "active bit of site {i}");
+            match p.rumor {
+                Some(_) => assert_eq!(state.active.get(i), hot, "active bit of site {i}"),
+                None => assert!(!hot, "site {i} is hot under anti-entropy"),
+            }
             have += usize::from(holds);
-            infective += usize::from(hot);
+            infective += usize::from(if p.rumor.is_some() { hot } else { holds });
         }
         let probed = Sir {
             susceptible: state.sites.len() - have,
@@ -771,10 +845,35 @@ mod tests {
         }
     }
 
+    /// Runs `inner` to its end under `policy` and connection limit
+    /// `limit`, probing after every step; the contacts it made.
+    fn probed_run(
+        inner: MixingProtocol,
+        policy: &impl PartnerSelection,
+        limit: Option<u32>,
+    ) -> u64 {
+        let mut probed = Probed { inner, contacts: 0 };
+        CycleEngine::new()
+            .connection_limit(limit)
+            .hunt_limit(1)
+            .max_cycles(200)
+            .run(
+                &mut probed,
+                policy,
+                &mut StdRng::seed_from_u64(5),
+                &mut (),
+                &mut EngineBuffers::default(),
+            );
+        probed.contacts
+    }
+
     /// The active set and the marks stay equal to the probe through every
-    /// variant's contacts. Dropping the refresh of `i`,
-    /// of `j` or of the sites `end_cycle` visits fails here (and trips the
-    /// engine's debug cross-check in every other mixing test).
+    /// variant's contacts, over complete mixing from site 0 and over a
+    /// topology's spatial partners from another origin. Dropping the
+    /// refresh of `i`, of `j` or of the sites `end_cycle` visits fails here
+    /// (and trips the engine's debug cross-check in every other mixing
+    /// test); so do dropping the exchange's marks, seeding site 0 instead
+    /// of the origin, and leaving the origin hot under anti-entropy.
     #[test]
     fn active_set_and_marks_track_the_replicas_through_every_variant() {
         let n = 60;
@@ -785,49 +884,62 @@ mod tests {
                 for removal in [Removal::Counter { k: 2 }, Removal::Coin { k: 2 }] {
                     for synchronous in [true, false] {
                         let cfg = RumorConfig::new(direction, feedback, removal);
-                        let fresh = || Probed {
-                            inner: MixingProtocol::new(cfg, synchronous, n, MixingState::default()),
-                            contacts: 0,
-                        };
                         for limit in [None, Some(1)] {
-                            let mut probed = fresh();
-                            let mut rng = StdRng::seed_from_u64(5);
-                            CycleEngine::new()
-                                .connection_limit(limit)
-                                .hunt_limit(1)
-                                .max_cycles(200)
-                                .run(
-                                    &mut probed,
-                                    &policy,
-                                    &mut rng,
-                                    &mut (),
-                                    &mut EngineBuffers::default(),
-                                );
-                            assert!(probed.contacts > 0, "{cfg:?} limit {limit:?}");
-                            contacts += probed.contacts;
+                            let sites = site_ids(n);
+                            let inner = MixingProtocol::new(
+                                Some(cfg),
+                                synchronous,
+                                sites,
+                                0,
+                                MixingState::default(),
+                            );
+                            let made = probed_run(inner, &policy, limit);
+                            assert!(made > 0, "{cfg:?} limit {limit:?}");
+                            contacts += made;
                         }
                     }
                 }
             }
         }
+        let topo = topologies::grid(&[5, 5]);
+        let routes = Routes::compute(&topo);
+        let sampler = PartnerSampler::new(&topo, &routes, Spatial::QsPower { a: 2.0 });
+        let origin = 7;
+        let counter =
+            |direction| RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
+        for rumor in [
+            None,
+            Some(counter(Direction::Push)),
+            Some(counter(Direction::Pull)),
+            Some(counter(Direction::PushPull)),
+        ] {
+            let sites = topo.sites().iter().copied();
+            let inner = MixingProtocol::new(rumor, false, sites, origin, MixingState::default());
+            let seeded = &inner.state.sites[origin];
+            assert!(
+                seeded.db().entry(&KEY).is_some(),
+                "{rumor:?}: origin seeded"
+            );
+            let made = probed_run(inner, &sampler, Some(1));
+            assert!(made > 0, "{rumor:?}");
+            contacts += made;
+        }
         assert!(contacts > 10_000, "only {contacts} contacts probed");
     }
 
     #[test]
-    fn route_recorder_charges_compare_once_and_update_per_unit() {
+    fn route_charge_charges_compare_once_and_update_per_unit() {
         let topo = topologies::line(4);
         let routes = Routes::compute(&topo);
-        let mut rec = RouteRecorder::new(&routes, topo.link_count());
-        let s = topo.sites();
-        rec.record(s[0], s[3], 2); // 3 links on the route
-        assert_eq!(rec.compare.total(), 3);
-        assert_eq!(rec.update.total(), 6);
-        rec.record(s[0], s[1], 0);
-        assert_eq!(rec.compare.total(), 4);
-        assert_eq!(rec.update.total(), 6);
-        // Spatial is imported to prove the recorder composes with any
-        // sampler-driven run (the spatial driver constructs both).
-        let _ = Spatial::Uniform;
+        let mut charge = RouteCharge::new(&topo, &routes, 0);
+        charge.record(0, 3, 2); // 3 links on the route
+        assert_eq!(charge.compare.total(), 3);
+        assert_eq!(charge.update.total(), 6);
+        charge.record(0, 1, 0);
+        assert_eq!(charge.compare.total(), 4);
+        assert_eq!(charge.update.total(), 6);
+        charge.reset();
+        assert_eq!((charge.compare.total(), charge.update.total()), (0, 0));
     }
 
     #[test]

@@ -29,7 +29,6 @@ use epidemic_trace::{AggregatingSink, InvariantChecker, RunTracer, TraceTotals};
 use super::observer::{Observer, SirView};
 use super::protocols::{BitAntiEntropyProtocol, MixingProtocol};
 use super::ContactStats;
-use crate::spatial::SpatialProtocol;
 
 /// A protocol whose state can be traced: SIR counts plus a stable
 /// per-site database digest.
@@ -58,12 +57,6 @@ impl TraceView for BitAntiEntropyProtocol {
     fn site_digests(&self, out: &mut Vec<u64>) {
         let holds = &self.state.active;
         out.extend((0..holds.len()).map(|i| u64::from(holds.get(i))));
-    }
-}
-
-impl TraceView for SpatialProtocol<'_> {
-    fn site_digests(&self, out: &mut Vec<u64>) {
-        out.extend(self.replicas.iter().map(db_digest));
     }
 }
 
@@ -135,7 +128,6 @@ mod tests {
         fn assert_traceable<P: TraceView>() {}
         assert_traceable::<MixingProtocol>();
         assert_traceable::<BitAntiEntropyProtocol>();
-        assert_traceable::<SpatialProtocol<'static>>();
     }
 
     /// A deliberately broken protocol: sites "unhear" the update (the

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::engine::{ReceiveLog, RouteRecorder};
+use crate::engine::{ReceiveLog, RouteCharge};
 
 /// Time in microticks; one nominal anti-entropy period is
 /// [`AsyncSpatialSim::PERIOD`] microticks.
@@ -61,10 +61,12 @@ pub struct AsyncSpatialSim<'a> {
     routes: Routes,
     sampler: PartnerSampler,
     jitter: f64,
-    max_events: u64,
 }
 
 const KEY: u32 = 0;
+
+/// Safety bound on the exchanges of one run.
+const MAX_EVENTS: u64 = 10_000_000;
 
 impl<'a> AsyncSpatialSim<'a> {
     /// Nominal anti-entropy period in microticks.
@@ -85,7 +87,6 @@ impl<'a> AsyncSpatialSim<'a> {
             routes,
             sampler,
             jitter,
-            max_events: 10_000_000,
         }
     }
 
@@ -112,11 +113,11 @@ impl<'a> AsyncSpatialSim<'a> {
 
         let protocol = AntiEntropy::new(Direction::PushPull, Comparison::Full);
         let mut scratch = epidemic_core::ExchangeScratch::new();
-        let mut recorder = RouteRecorder::new(&self.routes, self.topology.link_count());
+        let mut charge = RouteCharge::new(self.topology, &self.routes, 0);
         let mut exchanges = 0u64;
         let mut now = 0;
 
-        while !received.complete() && exchanges < self.max_events {
+        while !received.complete() && exchanges < MAX_EVENTS {
             let Some(Reverse((t, i))) = queue.pop() else {
                 break;
             };
@@ -126,7 +127,7 @@ impl<'a> AsyncSpatialSim<'a> {
             let stats = protocol.exchange_with(a, b, &mut scratch);
             exchanges += 1;
             let flowed = stats.update_flowed();
-            recorder.record(sites[i], sites[j], u64::from(flowed));
+            charge.record(i, j, u64::from(flowed));
             if flowed {
                 for idx in [i, j] {
                     if replicas[idx].db().entry(&KEY).is_some() {
@@ -145,13 +146,13 @@ impl<'a> AsyncSpatialSim<'a> {
         let t_last = received.t_last().unwrap_or(0) as f64 / period;
         let t_ave = received.t_ave_all(now) / period;
         let periods_elapsed = (now as f64 / period).max(1.0);
-        let compare_per_link_period = recorder.compare.mean_per_link() / periods_elapsed;
+        let compare_per_link_period = charge.compare.mean_per_link() / periods_elapsed;
         AsyncRunResult {
             t_last,
             t_ave,
             exchanges,
-            compare_traffic: recorder.compare,
-            update_traffic: recorder.update,
+            compare_traffic: charge.compare,
+            update_traffic: charge.update,
             compare_per_link_period,
         }
     }

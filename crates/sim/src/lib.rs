@@ -8,10 +8,11 @@
 //! * [`mixing`] — uniform complete-mixing rumor epidemics on `n` sites
 //!   (Tables 1–3): residue, traffic `m`, `t_ave`, `t_last`, with connection
 //!   limits and hunting;
-//! * [`spatial`] — one update on a real topology with spatial partner
-//!   selection and per-link traffic accounting, spread by anti-entropy
-//!   (Tables 4–5) or rumor mongering (§3.2, with the minimal-`k` search
-//!   used to match Table 4 and the Figure 1/2 pathology demonstrations);
+//! * [`spatial`] — the same single-update protocol on a real topology,
+//!   with spatial partner selection and per-link traffic accounting,
+//!   spread by anti-entropy (Tables 4–5) or rumor mongering (§3.2, with
+//!   the minimal-`k` search used to match Table 4 and the Figure 1/2
+//!   pathology demonstrations);
 //! * [`megascale`] — the single-update rumor epidemic at 10⁴–10⁷ sites on
 //!   uniform and scale-free topologies ([`FastRumorProtocol`] on
 //!   [`engine::ActiveCycleEngine`], the fig-megascale sweep);

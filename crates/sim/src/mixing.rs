@@ -25,6 +25,7 @@ use rand::SeedableRng;
 
 use crate::engine::protocols::{BitAntiEntropyProtocol, MixingProtocol, MixingState};
 use crate::engine::{CycleEngine, EngineBuffers, EngineReport, Observer, UniformPartners};
+use crate::util::site_ids;
 
 /// Result of one single-update epidemic run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,10 +64,10 @@ impl EpidemicResult {
 
 /// Everything a [`RumorEpidemic`] or [`AntiEntropyEpidemic`] run keeps on
 /// the heap — the replicas, the receive log, the active-set and snapshot
-/// bitsets, the rumor scratch and the engine's roster buffers — owned
-/// across runs, so that a rumor run on a warm arena allocates nothing. One
-/// arena serves any sequence of drivers and site counts; each run starts
-/// from a state indistinguishable from a fresh one.
+/// bitsets, the rumor and exchange scratch and the engine's roster
+/// buffers — owned across runs, so that a rumor run on a warm arena
+/// allocates nothing. One arena serves any sequence of drivers and site
+/// counts; each run starts from a state indistinguishable from a fresh one.
 #[derive(Debug, Default)]
 pub struct MixingArena {
     state: MixingState,
@@ -172,7 +173,8 @@ impl RumorEpidemic {
         let policy = UniformPartners::new(n);
         let mut rng = StdRng::seed_from_u64(seed);
         let state = std::mem::take(&mut arena.state);
-        let mut protocol = MixingProtocol::new(self.cfg, self.synchronous, n, state);
+        let mut protocol =
+            MixingProtocol::new(Some(self.cfg), self.synchronous, site_ids(n), 0, state);
         let report = CycleEngine::new()
             .connection_limit(self.connection_limit)
             .hunt_limit(self.hunt_limit)

@@ -2,10 +2,13 @@
 //! selection: push-pull anti-entropy (paper §3.1, Tables 4 and 5) or rumor
 //! mongering (§3.2, Figures 1 and 2).
 //!
-//! Each cycle, initiators draw partners from a [`Spatial`] distribution
-//! (or any [`PartnerSelection`]) and every conversation is charged to each
-//! link on the shortest route between the participants: *compare traffic*
-//! counts conversations per link, *update traffic* the update units sent.
+//! The epidemic is the complete-mixing drivers' [`MixingProtocol`], run
+//! asynchronously (contacts within a cycle are sequential). Each cycle,
+//! initiators draw partners from a [`Spatial`] distribution (or any
+//! [`PartnerSelection`]) and a [`RouteCharge`] charges every conversation
+//! to each link on the shortest route between the participants: *compare
+//! traffic* counts conversations per link, *update traffic* the update
+//! units sent.
 //! Connection limits follow Table 5's pessimistic model: a site can
 //! *accept* at most `C` inbound conversations per cycle (its own outgoing
 //! conversation is not charged against it, matching the paper's 0.63
@@ -22,27 +25,17 @@
 
 use std::borrow::Cow;
 
-use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
-use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Removal, Replica};
+use epidemic_core::rumor::RumorConfig;
+use epidemic_core::Removal;
 use epidemic_db::SiteId;
 use epidemic_net::{LinkTraffic, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
-use epidemic_trace::Sir;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::SeedableRng;
 
-use crate::engine::{
-    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, Observer, ReceiveLog, Roster,
-    RouteRecorder, SirView,
-};
+use crate::engine::protocols::{MixingProtocol, MixingState};
+use crate::engine::{CycleEngine, EngineBuffers, Observer, ReceiveLog, RouteCharge};
 use crate::runner::{Arenas, TrialRunner};
-use crate::util::{pair_mut, reset_replicas};
-
-/// The single key the spreading update uses.
-const KEY: u32 = 0;
-
-/// Table 4's mechanism: push-pull anti-entropy comparing whole databases.
-const TABLE4: AntiEntropy = AntiEntropy::new(Direction::PushPull, Comparison::Full);
 
 /// Result of one spatial run (one update, one topology).
 #[derive(Debug, Clone)]
@@ -68,20 +61,16 @@ pub struct SpatialRunResult<'r> {
     pub received: &'r ReceiveLog<u32>,
 }
 
-/// Everything a spatial run keeps on the heap — the replicas, the receive
-/// log, the per-link counters, the exchange and rumor scratch and the
-/// engine's roster buffers — owned across runs, so that a run on a warm
-/// arena allocates nothing. One arena serves every [`SpatialSim`] on any
-/// topology; each run starts from a state indistinguishable from a fresh
-/// one.
+/// Everything a spatial run keeps on the heap — the protocol's replicas,
+/// receive log and scratch, the per-link counters and the engine's roster
+/// buffers — owned across runs, so that a run on a warm arena allocates
+/// nothing. One arena serves every [`SpatialSim`] on any topology; each
+/// run starts from a state indistinguishable from a fresh one.
 #[derive(Debug, Default)]
 pub struct SpatialArena {
-    replicas: Vec<Replica<u32, u32>>,
-    received: ReceiveLog<u32>,
+    state: MixingState,
     compare: LinkTraffic,
     update: LinkTraffic,
-    exchange: ExchangeScratch<u32>,
-    rumor: RumorScratch<u32>,
     buffers: EngineBuffers,
 }
 
@@ -193,43 +182,30 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
     /// [`InvariantChecker`](epidemic_trace::InvariantChecker); `&mut ()`
     /// for none). The result equals a fresh arena's, and once the
     /// arena has grown to this topology nothing is allocated.
-    pub fn run<'s, 'r, O>(
-        &'s self,
+    pub fn run<'r, O>(
+        &self,
         arena: &'r mut SpatialArena,
         seed: u64,
         observer: &mut O,
     ) -> SpatialRunResult<'r>
     where
-        O: Observer<SpatialProtocol<'s>>,
+        O: Observer<MixingProtocol>,
     {
         let mut rng = StdRng::seed_from_u64(seed);
         let sites = self.topology.sites();
-        reset_replicas(&mut arena.replicas, sites.iter().copied());
         let origin = self
             .origin
             .unwrap_or_else(|| *sites.choose(&mut rng).expect("sites"));
         let origin = sites.binary_search(&origin).expect("site exists");
-        arena.replicas[origin].client_update(KEY, 1);
-        if self.rumor.is_none() {
-            // Pure anti-entropy: nothing is "hot".
-            arena.replicas[origin].hot_mut().clear();
-        }
-        arena.received.reset(sites.len());
-        arena.received.mark(origin, 0);
-        let mut protocol = SpatialProtocol {
-            rumor: self.rumor,
-            sites,
-            replicas: std::mem::take(&mut arena.replicas),
-            received: std::mem::take(&mut arena.received),
-            recorder: RouteRecorder::reusing(
-                &self.routes,
-                self.topology.link_count(),
-                std::mem::take(&mut arena.compare),
-                std::mem::take(&mut arena.update),
-            ),
-            exchange: std::mem::take(&mut arena.exchange),
-            scratch: std::mem::take(&mut arena.rumor),
-        };
+        let state = std::mem::take(&mut arena.state);
+        let mut protocol =
+            MixingProtocol::new(self.rumor, false, sites.iter().copied(), origin, state);
+        let mut charge = RouteCharge::reusing(
+            self.topology,
+            &self.routes,
+            std::mem::take(&mut arena.compare),
+            std::mem::take(&mut arena.update),
+        );
         let report = CycleEngine::new()
             .connection_limit(self.connection_limit)
             .hunt_limit(self.hunt_limit)
@@ -237,16 +213,13 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
                 &mut protocol,
                 &self.sampler,
                 &mut rng,
-                observer,
+                &mut (&mut charge, observer),
                 &mut arena.buffers,
             );
-        arena.replicas = protocol.replicas;
-        arena.received = protocol.received;
-        arena.compare = protocol.recorder.compare;
-        arena.update = protocol.recorder.update;
-        arena.exchange = protocol.exchange;
-        arena.rumor = protocol.scratch;
-        let received = &arena.received;
+        arena.state = protocol.state;
+        arena.compare = charge.compare;
+        arena.update = charge.update;
+        let received = &arena.state.received;
         SpatialRunResult {
             complete: received.complete(),
             residue: received.residue(),
@@ -256,122 +229,6 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
             update_traffic: &arena.update,
             cycles: report.cycles,
             received,
-        }
-    }
-}
-
-/// A single update spreading over a topology, each conversation charged
-/// along its shortest route: Table 4's anti-entropy (every site initiates
-/// each cycle, the run ends at full coverage) or rumor mongering (one
-/// comparison unit per conversation, one update unit per entry sent).
-///
-/// Public so observers can be written against it (it is the `P` of
-/// [`SpatialSim::run`]); construction stays crate-internal.
-pub struct SpatialProtocol<'a> {
-    /// `None` for anti-entropy.
-    rumor: Option<RumorConfig>,
-    sites: &'a [SiteId],
-    pub(crate) replicas: Vec<Replica<u32, u32>>,
-    received: ReceiveLog<u32>,
-    recorder: RouteRecorder<'a>,
-    exchange: ExchangeScratch<u32>,
-    scratch: RumorScratch<u32>,
-}
-
-impl SpatialProtocol<'_> {
-    /// One push-pull anti-entropy conversation between `i` and `j`.
-    fn exchange(&mut self, i: usize, j: usize) -> ContactStats {
-        // A site is marked exactly when it holds the update — the origin
-        // from the start, everyone else from the contact that delivered it
-        // — and there is one version of one key, so two sites with equal
-        // marks hold equal databases: the conversation still happens and
-        // is charged, but its diff is empty and need not be computed
-        // (debug builds compute it anyway, and check that it is).
-        let known_converged = self.received.is_marked(i) == self.received.is_marked(j);
-        if known_converged && !cfg!(debug_assertions) {
-            return ContactStats::default();
-        }
-        let (a, b) = pair_mut(&mut self.replicas, i, j);
-        let stats = TABLE4.exchange_with(a, b, &mut self.exchange);
-        debug_assert!(
-            !(known_converged && stats.update_flowed()),
-            "sites {i} and {j} carry equal marks but exchanged {stats:?}"
-        );
-        let flowed = u64::from(stats.update_flowed());
-        ContactStats {
-            sent: flowed,
-            useful: flowed,
-        }
-    }
-}
-
-impl EpidemicProtocol for SpatialProtocol<'_> {
-    fn site_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    fn roster(&self) -> Roster {
-        match self.rumor {
-            Some(cfg) if cfg.direction == Direction::Push => Roster::Active,
-            _ => Roster::Everyone,
-        }
-    }
-
-    fn is_active(&self, i: usize) -> bool {
-        !self.replicas[i].hot().is_empty()
-    }
-
-    fn finished(&self, _cycle: u32, active: &[usize]) -> bool {
-        match self.rumor {
-            None => self.received.complete(),
-            Some(_) => active.is_empty(),
-        }
-    }
-
-    fn contact(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
-        let stats = match self.rumor {
-            None => self.exchange(i, j),
-            Some(cfg) => {
-                let (a, b) = pair_mut(&mut self.replicas, i, j);
-                rumor::contact_with(&cfg, a, b, rng, &mut self.scratch).into()
-            }
-        };
-        self.recorder
-            .record(self.sites[i], self.sites[j], stats.sent);
-        // Only a useful transmission makes a new holder, and the new
-        // holder is one of the two endpoints.
-        if stats.useful > 0 {
-            for idx in [i, j] {
-                if self.replicas[idx].db().entry(&KEY).is_some() {
-                    self.received.mark(idx, cycle);
-                }
-            }
-        }
-        stats
-    }
-
-    fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
-        if let Some(cfg) = self.rumor.filter(|cfg| cfg.direction == Direction::Pull) {
-            for r in &mut self.replicas {
-                rumor::end_cycle(&cfg, r);
-            }
-        }
-    }
-}
-
-impl SirView for SpatialProtocol<'_> {
-    fn sir_counts(&self) -> Sir {
-        let have = self.received.received_count();
-        let infective = match self.rumor {
-            // Pure anti-entropy never removes: every informed site keeps
-            // exchanging forever (the run just stops at full coverage).
-            None => have,
-            Some(_) => self.replicas.iter().filter(|r| !r.hot().is_empty()).count(),
-        };
-        Sir {
-            susceptible: self.replicas.len() - have,
-            infective,
-            removed: have - infective,
         }
     }
 }
@@ -457,7 +314,7 @@ pub fn failure_probability<S: PartnerSelection + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epidemic_core::Feedback;
+    use epidemic_core::{Direction, Feedback};
     use epidemic_net::topologies;
 
     fn cfg(direction: Direction, k: u32) -> RumorConfig {

@@ -344,7 +344,7 @@ fn build_fixture() -> String {
             let sites = Some(ring.sites());
             let r = recent.run_with_policy(&mut arena, seed, &sampler, sites, &mut charge);
             let per_cycle = |count: f64| count / 8.0;
-            let (compare, update) = (&charge.recorder.compare, &charge.recorder.update);
+            let (compare, update) = (&charge.compare, &charge.update);
             writeln!(
                 out,
                 "spatial-steady/ring12/{sp_tag} seed={seed} => \

@@ -1,4 +1,4 @@
-//! The known-converged skip in `SpatialProtocol`'s anti-entropy contact
+//! The known-converged skip in `MixingProtocol`'s anti-entropy contact
 //! against a protocol that never skips.
 //!
 //! `AlwaysExchange` below is the contact body as it stood before the skip:
@@ -13,7 +13,7 @@ use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica
 use epidemic_db::SiteId;
 use epidemic_net::{topologies, LinkTraffic, PartnerSampler, Routes, Spatial, Topology};
 use epidemic_sim::engine::{
-    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, RouteRecorder, SirView,
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, SirView,
 };
 use epidemic_sim::{SpatialArena, SpatialSim};
 use epidemic_trace::{RunTracer, Sir, TraceConfig};
@@ -28,7 +28,9 @@ struct AlwaysExchange<'a> {
     sites: &'a [SiteId],
     replicas: Vec<Replica<u32, u32>>,
     received: ReceiveLog<u32>,
-    recorder: RouteRecorder<'a>,
+    routes: &'a Routes,
+    compare: LinkTraffic,
+    update: LinkTraffic,
     scratch: ExchangeScratch<u32>,
 }
 
@@ -48,8 +50,10 @@ impl EpidemicProtocol for AlwaysExchange<'_> {
             .expect("two distinct sites");
         let stats = self.exchange.exchange_with(a, b, &mut self.scratch);
         let flowed = stats.update_flowed();
-        self.recorder
-            .record(self.sites[i], self.sites[j], u64::from(flowed));
+        let (from, to) = (self.sites[i], self.sites[j]);
+        self.compare.record_route(self.routes, from, to);
+        self.update
+            .record_route_units(self.routes, from, to, u64::from(flowed));
         if flowed {
             for idx in [i, j] {
                 if self.replicas[idx].db().entry(&KEY).is_some() {
@@ -105,7 +109,9 @@ fn always_exchange_run(
         sites,
         replicas,
         received,
-        recorder: RouteRecorder::new(&routes, topology.link_count()),
+        routes: &routes,
+        compare: LinkTraffic::new(topology.link_count()),
+        update: LinkTraffic::new(topology.link_count()),
         scratch: ExchangeScratch::new(),
     };
     let report = CycleEngine::new()
@@ -123,8 +129,8 @@ fn always_exchange_run(
         protocol.received.t_last().unwrap_or(0),
         protocol.received.t_ave_received(),
         report.cycles,
-        protocol.recorder.compare,
-        protocol.recorder.update,
+        protocol.compare,
+        protocol.update,
     )
 }
 

@@ -91,7 +91,7 @@ fn run(
     let mut charge = RouteCharge::new(topo, &routes, after);
     let sites = Some(topo.sites());
     let (cycles, r) = measured(engine.run_with_policy(arena, seed, &sampler, sites, &mut charge));
-    Steady(r, cycles, charge.recorder.compare, charge.recorder.update)
+    Steady(r, cycles, charge.compare, charge.update)
 }
 
 /// Recent-list windows below the distribution time degenerate to full
