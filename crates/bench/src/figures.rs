@@ -39,6 +39,7 @@ pub(crate) fn rumor_ode(ctx: &Ctx<'_>) -> Output {
     let mut aggregates = Vec::new();
     mixing_sweep(
         ctx,
+        &Arenas::default(),
         Sinks::Aggregate,
         &[1, 2, 3, 4, 5, 6, 7, 8],
         |k| RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Coin { k }),
@@ -66,49 +67,29 @@ pub(crate) fn rumor_ode(ctx: &Ctx<'_>) -> Output {
 /// §1.4 `s = e^{-m}` law: measured (m, s) pairs for several push variants
 /// against the prediction, including the connection-limited λ variants.
 pub(crate) fn residue_traffic_table(ctx: &Ctx<'_>) -> FigTable {
-    let variants: Vec<(&str, RumorConfig, Option<u32>)> = vec![
-        (
-            "feedback+counter",
-            RumorConfig::new(
-                Direction::Push,
-                Feedback::Feedback,
-                Removal::Counter { k: 2 },
-            ),
-            None,
-        ),
-        (
-            "blind+coin",
-            RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 3 }),
-            None,
-        ),
-        (
-            "feedback+counter, climit 1",
-            RumorConfig::new(
-                Direction::Push,
-                Feedback::Feedback,
-                Removal::Counter { k: 2 },
-            ),
-            Some(1),
-        ),
-        (
-            "minimization (push-pull)",
-            RumorConfig::new(
-                Direction::PushPull,
-                Feedback::Feedback,
-                Removal::Counter { k: 2 },
-            )
-            .with_minimization(),
-            None,
-        ),
+    let counter =
+        |direction| RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
+    let push = counter(Direction::Push);
+    let blind_coin = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 3 });
+    let minimized = counter(Direction::PushPull).with_minimization();
+    let variants = [
+        ("feedback+counter", push, None),
+        ("blind+coin", blind_coin, None),
+        ("feedback+counter, climit 1", push, Some(1)),
+        ("minimization (push-pull)", minimized, None),
     ];
+    let arenas = Arenas::<MixingArena>::default();
     let rows = variants
         .into_iter()
         .map(|(label, cfg, climit)| {
             let driver = RumorEpidemic::new(ctx.n, cfg).connection_limit(climit);
-            let [s, m] = ctx.mean(MixingArena::new, |arena, seed| {
-                let r = driver.run(arena, seed ^ 0xABCD, &mut ());
-                [r.residue, r.traffic]
-            });
+            let [s, m] = ctx.mean(
+                || arenas.take(),
+                |arena, seed| {
+                    let r = driver.run(arena, seed ^ 0xABCD, &mut ());
+                    [r.residue, r.traffic]
+                },
+            );
             vec![
                 label.to_string(),
                 fmt(m),
@@ -452,6 +433,7 @@ pub fn spatial_rumor_on(
 /// Ablation: Table 3's counter-reset-on-useful-contact rule versus
 /// monotone counters (pull, feedback, counter).
 pub(crate) fn counter_reset_table(ctx: &Ctx<'_>) -> FigTable {
+    let arenas = Arenas::default();
     let rows = [true, false]
         .iter()
         .map(|&reset| {
@@ -463,6 +445,7 @@ pub(crate) fn counter_reset_table(ctx: &Ctx<'_>) -> FigTable {
             .to_string()];
             mixing_sweep(
                 ctx,
+                &arenas,
                 Sinks::Off,
                 &[1, 2, 3],
                 |k| {
@@ -484,6 +467,7 @@ pub(crate) fn counter_reset_table(ctx: &Ctx<'_>) -> FigTable {
 /// Ablation: hunting under connection limit 1 (§1.4: infinite hunting
 /// makes push and pull equivalent to a complete permutation).
 pub(crate) fn hunting_table(ctx: &Ctx<'_>) -> FigTable {
+    let arenas = Arenas::<MixingArena>::default();
     let rows = [0u32, 1, 4, 16, u32::MAX]
         .iter()
         .map(|&hunt| {
@@ -497,10 +481,13 @@ pub(crate) fn hunting_table(ctx: &Ctx<'_>) -> FigTable {
             )
             .connection_limit(Some(1))
             .hunt_limit(hunt.min(1_000));
-            let means = ctx.mean(MixingArena::new, |arena, seed| {
-                let r = driver.run(arena, seed ^ 0x5EED, &mut ());
-                [r.residue, r.traffic]
-            });
+            let means = ctx.mean(
+                || arenas.take(),
+                |arena, seed| {
+                    let r = driver.run(arena, seed ^ 0x5EED, &mut ());
+                    [r.residue, r.traffic]
+                },
+            );
             let label = if hunt == u32::MAX {
                 "~inf".into()
             } else {
@@ -580,6 +567,7 @@ pub(crate) fn redistribution_table(ctx: &Ctx<'_>) -> FigTable {
     ));
     spec.workload.budget = Some(15);
     spec.max_cycles = 3_000;
+    let arenas = Arenas::<ScenarioArena>::default();
     let rows = [
         ("none (conservative)", Redistribution::None),
         ("rumor", Redistribution::Rumor),
@@ -594,15 +582,18 @@ pub(crate) fn redistribution_table(ctx: &Ctx<'_>) -> FigTable {
             ..AntiEntropySpec::every_cycle(Comparison::Full)
         });
         let engine = ScenarioEngine::new(spec).expect("clearinghouse spec is valid");
-        let means = ctx.mean(ScenarioArena::new, |arena, seed| {
-            let r = engine.run(arena, seed, &mut ());
-            let mail = r.mail.expect("the spec mails");
-            [
-                r.converged_at.map_or(3_000.0, f64::from),
-                mail.delivered as f64,
-                r.ae_sent as f64,
-            ]
-        });
+        let means = ctx.mean(
+            || arenas.take(),
+            |arena, seed| {
+                let r = engine.run(arena, seed, &mut ());
+                let mail = r.mail.expect("the spec mails");
+                [
+                    r.converged_at.map_or(3_000.0, f64::from),
+                    mail.delivered as f64,
+                    r.ae_sent as f64,
+                ]
+            },
+        );
         labelled(label, means)
     })
     .collect();
@@ -690,13 +681,10 @@ pub(crate) fn async_ablation_table(ctx: &Ctx<'_>) -> FigTable {
             || arenas.take(),
             |arena, seed| {
                 let s = sync.run(arena, seed + 71, &mut ());
-                let a = asynchronous.run(seed + 71, None);
-                [
-                    f64::from(s.t_last),
-                    a.t_last,
-                    s.compare_traffic.mean_per_link() / f64::from(s.cycles.max(1)),
-                    a.compare_per_link_period,
-                ]
+                let sync_cmp = s.compare_traffic.mean_per_link() / f64::from(s.cycles.max(1));
+                let t_last = f64::from(s.t_last);
+                let a = asynchronous.run(arena, seed + 71, None);
+                [t_last, a.t_last, sync_cmp, a.compare_per_link_period]
             },
         );
         rows.push(labelled(label, means));
@@ -975,6 +963,7 @@ pub(crate) fn churn_table(ctx: &Ctx<'_>) -> FigTable {
     let sites = net.topology.sites();
     let routes = Routes::compute(&net.topology);
     let sampler = PartnerSampler::new(&net.topology, &routes, Spatial::QsPower { a: 2.0 });
+    let arenas = Arenas::<ScenarioArena>::default();
     let mut rows = Vec::new();
     for (label, fail, recover) in [
         ("0% down", 0.0, 1.0),
@@ -984,14 +973,17 @@ pub(crate) fn churn_table(ctx: &Ctx<'_>) -> FigTable {
     ] {
         let spec = bundled::churn(sites.len(), fail, recover);
         let engine = ScenarioEngine::new(spec).expect("churn spec is valid");
-        let means = ctx.mean(ScenarioArena::new, |arena, seed| {
-            let r = engine.run_with_policy(arena, seed + 91, &sampler, Some(sites), &mut ());
-            [
-                r.down_fraction,
-                f64::from(r.cycles),
-                f64::from(u8::from(r.residue == 0.0)),
-            ]
-        });
+        let means = ctx.mean(
+            || arenas.take(),
+            |arena, seed| {
+                let r = engine.run_with_policy(arena, seed + 91, &sampler, Some(sites), &mut ());
+                [
+                    r.down_fraction,
+                    f64::from(r.cycles),
+                    f64::from(u8::from(r.residue == 0.0)),
+                ]
+            },
+        );
         rows.push(labelled(label, means));
     }
     FigTable::new(

@@ -15,7 +15,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::sync::OnceLock;
 
-use epidemic_sim::runner::TrialRunner;
+use epidemic_sim::runner::{Arenas, TrialRunner};
 use epidemic_sim::scenario::bundled;
 use epidemic_trace::json::{array_of, JsonObject};
 use epidemic_trace::{RunAggregate, RunTracer, TraceConfig};
@@ -148,7 +148,8 @@ impl Ctx<'_> {
 
     /// The mean over `self.trials` trials of `K` measurements, summed in
     /// trial order: bit-identical at any thread count. Each worker lends
-    /// its trials one reusable `state` (a trial arena).
+    /// its trials one `make_state()`: an arena from the experiment's pool
+    /// (`|| arenas.take()`), so the next row's trials reuse it.
     pub(crate) fn mean<const K: usize, S>(
         &self,
         make_state: impl Fn() -> S + Sync,
@@ -305,7 +306,7 @@ fn one_scenario(ctx: &Ctx<'_>) -> Output {
         .strip_prefix(SCENARIO_PREFIX)
         .and_then(bundled::by_name)
         .expect("scenario rows are derived from the bundled sources");
-    scenarios::scenario_sweep(ctx, &[spec])
+    scenarios::scenario_sweep(ctx, &Arenas::default(), &[spec])
 }
 
 /// A single-table figure without aggregates.
@@ -540,7 +541,7 @@ const SCENARIOS: &[Row] = &[(
     "§1.5, §2",
     "every bundled .scenario file",
     FEW,
-    |c| scenarios::scenario_sweep(c, &bundled::all()),
+    |c| scenarios::scenario_sweep(c, &Arenas::default(), &bundled::all()),
 )];
 
 fn build() -> Vec<Experiment> {

@@ -9,6 +9,7 @@
 //! [`InvariantChecker`](epidemic_trace::InvariantChecker) checks
 //! do not apply (coverage legitimately drops when a flash crowd lands).
 
+use epidemic_sim::runner::Arenas;
 use epidemic_sim::scenario::{Scenario, ScenarioArena, ScenarioEngine};
 use epidemic_sim::stats::Summary;
 use epidemic_trace::json::{array_of, JsonObject};
@@ -41,10 +42,15 @@ struct ScenarioRow {
     delay: Summary,
 }
 
-/// Sweeps `specs` in order at `ctx.trials` seeds each. The per-trial seed
-/// follows the table convention (golden-ratio multiply, XOR with the
-/// scenario's position in `specs`).
-pub(crate) fn scenario_sweep(ctx: &Ctx<'_>, specs: &[Scenario]) -> Output {
+/// Sweeps `specs` in order at `ctx.trials` seeds each, on arenas from the
+/// experiment's pool `arenas`. The per-trial seed follows the table
+/// convention (golden-ratio multiply, XOR with the scenario's position in
+/// `specs`).
+pub(crate) fn scenario_sweep(
+    ctx: &Ctx<'_>,
+    arenas: &Arenas<ScenarioArena>,
+    specs: &[Scenario],
+) -> Output {
     let sinks = ctx.sinks(Sinks::Traced);
     let mut output = Output::default();
     let rows: Vec<ScenarioRow> = specs
@@ -64,7 +70,7 @@ pub(crate) fn scenario_sweep(ctx: &Ctx<'_>, specs: &[Scenario]) -> Output {
             let (row, seen) = ctx.runner.fold_with(
                 ctx.trials,
                 0,
-                ScenarioArena::new,
+                || arenas.take(),
                 |arena, trial| {
                     let seed = trial.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ idx as u64;
                     observed!(

@@ -24,9 +24,11 @@ pub(crate) type MixRow = (u32, [f64; 4]);
 /// Runs a complete-mixing sweep on `ctx.n` sites over `ks` for the given
 /// protocol factory, handing `each` every row with what its trials'
 /// observers saw (`sinks`, once artifacts were asked for). Each worker runs
-/// its trials in one [`MixingArena`], so only its first trial allocates.
+/// its trials in a [`MixingArena`] from `arenas`, the experiment's pool, so
+/// only the pool's first trials allocate.
 pub(crate) fn mixing_sweep(
     ctx: &Ctx<'_>,
+    arenas: &Arenas<MixingArena>,
     sinks: Sinks,
     ks: &[u32],
     make: impl Fn(u32) -> RumorConfig,
@@ -35,18 +37,21 @@ pub(crate) fn mixing_sweep(
     let sinks = ctx.sinks(sinks);
     for &k in ks {
         let driver = RumorEpidemic::new(ctx.n, make(k));
-        let (means, seen) = ctx.mean_seen(MixingArena::new, |arena, trial| {
-            let seed = trial.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(k);
-            let (r, seen) = observed!(
-                sinks,
-                ctx.tracer()
-                    .label_u64("k", u64::from(k))
-                    .label_u64("trial", trial),
-                check,
-                |observer| driver.run(arena, seed, observer)
-            );
-            ([r.residue, r.traffic, r.t_ave, r.t_last], seen)
-        });
+        let (means, seen) = ctx.mean_seen(
+            || arenas.take(),
+            |arena, trial| {
+                let seed = trial.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(k);
+                let (r, seen) = observed!(
+                    sinks,
+                    ctx.tracer()
+                        .label_u64("k", u64::from(k))
+                        .label_u64("trial", trial),
+                    check,
+                    |observer| driver.run(arena, seed, observer)
+                );
+                ([r.residue, r.traffic, r.t_ave, r.t_last], seen)
+            },
+        );
         each((k, means), seen);
     }
 }
@@ -80,7 +85,8 @@ fn mixing_table(
         ..Output::default()
     };
     let mut rows = Vec::with_capacity(ks.len());
-    mixing_sweep(ctx, Sinks::Traced, ks, make, |(k, means), seen| {
+    let arenas = Arenas::default();
+    mixing_sweep(ctx, &arenas, Sinks::Traced, ks, make, |(k, means), seen| {
         output.absorb(seen, |agg| {
             mixing_entry(ctx, k, &named(&MIX_COLUMNS, &means), agg)
         });

@@ -2,9 +2,10 @@
 //! replicas own the row, index and hot-list blocks their trials grow, its
 //! counters, scratch and roster buffers are sized — every further trial on
 //! it completes without asking the heap for a single byte. Covered: every
-//! rumor variant on a [`MixingArena`]; Table 4's anti-entropy and §3.2's
-//! push-pull rumor mongering on the CIN on a [`SpatialArena`]; and the three
-//! steady-state figures' trials on one [`ScenarioArena`].
+//! rumor variant on a [`MixingArena`]; Table 4's anti-entropy, §3.2's
+//! push-pull rumor mongering and `fig-async`'s event-driven anti-entropy on
+//! the CIN on a [`SpatialArena`]; and the three steady-state figures' trials
+//! on one [`ScenarioArena`].
 //!
 //! Like `zero_alloc.rs`, this file registers [`CountingAlloc`] as the test
 //! binary's global allocator and therefore holds exactly one test (a
@@ -21,9 +22,10 @@ use std::hint::black_box;
 
 use epidemic_bench::alloc_counter::{allocations, CountingAlloc};
 use epidemic_core::{Comparison, Direction, Feedback, Removal, RumorConfig};
-use epidemic_net::topologies::{cin, CinConfig};
+use epidemic_net::topologies::{cin, Cin, CinConfig};
 use epidemic_net::{PartnerSampler, Routes, Spatial};
 use epidemic_sim::engine::RouteCharge;
+use epidemic_sim::event::AsyncSpatialSim;
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::scenario::{
     bundled, AntiEntropySpec, Scenario, ScenarioArena, ScenarioEngine, ScenarioReport,
@@ -62,9 +64,11 @@ fn assert_warm_trials_do_not_allocate(label: &str, mut trial: impl FnMut(u64)) {
 
 #[test]
 fn trials_on_a_warm_arena_do_not_allocate() {
+    let net = cin(&CinConfig::default());
     mixing_trials();
-    spatial_trials();
-    steady_trials();
+    spatial_trials(&net);
+    async_trials(&net);
+    steady_trials(&net);
 }
 
 fn mixing_trials() {
@@ -76,22 +80,14 @@ fn mixing_trials() {
         RumorEpidemic::new(SITES, counter(Direction::PushPull, 5)).run(&mut arena, 1, &mut ());
     assert!(warm.complete, "the warm-up must touch every replica");
 
-    let push = RumorEpidemic::new(SITES, counter(Direction::Push, 2));
+    let mix = |cfg| RumorEpidemic::new(SITES, cfg);
+    let push = mix(counter(Direction::Push, 2));
     let blind_coin = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 2 });
     let variants = [
         ("push (Table 1)", push),
-        (
-            "push, blind coin (Table 2)",
-            RumorEpidemic::new(SITES, blind_coin),
-        ),
-        (
-            "pull (Table 3)",
-            RumorEpidemic::new(SITES, counter(Direction::Pull, 2)),
-        ),
-        (
-            "push-pull",
-            RumorEpidemic::new(SITES, counter(Direction::PushPull, 2)),
-        ),
+        ("push, blind coin (Table 2)", mix(blind_coin)),
+        ("pull (Table 3)", mix(counter(Direction::Pull, 2))),
+        ("push-pull", mix(counter(Direction::PushPull, 2))),
         ("push, sequential contacts", push.synchronous(false)),
         (
             "push, connection limit 1 with hunting",
@@ -115,8 +111,7 @@ fn counter(direction: Direction, k: u32) -> RumorConfig {
 /// `table5`'s and `fig-spatial-rumor`'s trials on the CIN, one arena for
 /// both mechanisms: anti-entropy under `a = 2.0` with connection limit 1,
 /// and push-pull rumor mongering.
-fn spatial_trials() {
-    let net = cin(&CinConfig::default());
+fn spatial_trials(net: &Cin) {
     let mut arena = SpatialArena::new();
     let anti_entropy =
         SpatialSim::new(&net.topology, Spatial::QsPower { a: 2.0 }).connection_limit(Some(1));
@@ -140,11 +135,31 @@ fn spatial_trials() {
     assert!(reached > 1.0, "the rumors must actually spread");
 }
 
+/// `fig-async`'s event-driven trials on the CIN, under uniform and Qs^-2
+/// selection, on one arena.
+fn async_trials(net: &Cin) {
+    let mut arena = SpatialArena::new();
+    for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
+        let sim = AsyncSpatialSim::new(&net.topology, spatial, 0.3);
+        // Warm-up: one run, as `fig-async`'s first; the update reaches
+        // every replica, and the origin is seeded without a hot list.
+        sim.run(&mut arena, 0, None);
+        let mut exchanges = 0;
+        assert_warm_trials_do_not_allocate(&format!("CIN event-driven, {spatial:?}"), |seed| {
+            exchanges += black_box(sim.run(&mut arena, seed, None)).exchanges;
+        });
+        assert!(
+            exchanges > 0,
+            "the event-driven runs must actually exchange"
+        );
+    }
+}
+
 /// The steady figures' trials, one arena throughout: `fig-checksum-window`'s
 /// anti-entropy under each kind of comparison, `fig-cin-steady`'s on the
 /// CIN under its extreme distributions, and `fig-pull-vs-push-rate`'s
 /// busiest push and pull trials.
-fn steady_trials() {
+fn steady_trials(net: &Cin) {
     let ae = |mut spec: Scenario, comparison| {
         spec.protocol.anti_entropy = Some(AntiEntropySpec::every_cycle(comparison));
         spec
@@ -162,7 +177,6 @@ fn steady_trials() {
             engine.run(arena, seed, &mut ())
         });
     }
-    let net = cin(&CinConfig::default());
     let (sites, routes) = (net.topology.sites(), Routes::compute(&net.topology));
     let mut charge = RouteCharge::new(&net.topology, &routes, 20);
     for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {

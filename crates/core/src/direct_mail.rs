@@ -37,12 +37,12 @@ impl Default for MailConfig {
 }
 
 /// One queued update notification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Letter<K, V> {
+#[derive(Debug, Clone)]
+struct Letter<K, V> {
     /// Key the update concerns.
-    pub key: K,
+    key: K,
     /// The updated entry.
-    pub entry: Entry<V>,
+    entry: Entry<V>,
 }
 
 /// Counters describing the mail system's lifetime behaviour.
@@ -72,7 +72,7 @@ pub struct MailStats {
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let entry = Entry::live(7, Timestamp::new(1, SiteId::new(0)));
 /// mail.post(SiteId::new(2), "k", entry, &mut rng);
-/// assert_eq!(mail.deliver(SiteId::new(2)).len(), 1);
+/// assert_eq!(mail.stats().posted, 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MailSystem<K, V> {
@@ -113,13 +113,6 @@ impl<K, V> MailSystem<K, V> {
         queue.push_back(Letter { key, entry });
         self.stats.posted += 1;
         true
-    }
-
-    /// Drains and returns everything queued for `site`.
-    pub fn deliver(&mut self, site: SiteId) -> Vec<Letter<K, V>> {
-        let letters: Vec<_> = self.queues[site.as_usize()].drain(..).collect();
-        self.stats.delivered += letters.len();
-        letters
     }
 
     /// Lifetime counters.
@@ -183,7 +176,9 @@ impl DirectMail {
         V: Clone + Hash,
     {
         let before = landed.len();
-        for letter in mail.deliver(replica.site()) {
+        let queue = &mut mail.queues[replica.site().as_usize()];
+        mail.stats.delivered += queue.len();
+        for letter in queue.drain(..) {
             let outcome = replica.receive_quietly_ref(&letter.key, &letter.entry);
             if outcome.was_useful() {
                 landed.push(letter.key);
@@ -201,6 +196,14 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    /// Delivers `site`'s queue into a fresh replica: the letters it held.
+    fn drain(mail: &mut MailSystem<&'static str, u32>, site: u32) -> usize {
+        let before = mail.stats().delivered;
+        let mut replica = Replica::new(SiteId::new(site));
+        DirectMail::new().deliver(&mut replica, mail, &mut Vec::new());
+        mail.stats().delivered - before
     }
 
     #[test]
@@ -233,7 +236,7 @@ mod tests {
         let entry = Entry::live(1, epidemic_db::Timestamp::new(1, SiteId::new(0)));
         assert!(!mail.post(SiteId::new(1), "k", entry, &mut rng));
         assert_eq!(mail.stats().lost, 1);
-        assert!(mail.deliver(SiteId::new(1)).is_empty());
+        assert_eq!(drain(&mut mail, 1), 0);
     }
 
     #[test]
@@ -251,7 +254,8 @@ mod tests {
         assert!(mail.post(SiteId::new(1), "b", entry.clone(), &mut rng));
         assert!(!mail.post(SiteId::new(1), "c", entry, &mut rng));
         assert_eq!(mail.stats().overflowed, 1);
-        assert_eq!(mail.deliver(SiteId::new(1)).len(), 2);
+        assert_eq!(drain(&mut mail, 1), 2);
+        assert_eq!(drain(&mut mail, 1), 0, "delivery empties the queue");
     }
 
     #[test]
@@ -263,8 +267,7 @@ mod tests {
         // The origin only knows about site 1, not site 2.
         let stale_view = [SiteId::new(0), SiteId::new(1)];
         DirectMail::new().broadcast(&origin, &stale_view, &"k", &mut mail, &mut rng);
-        assert_eq!(mail.deliver(SiteId::new(1)).len(), 1);
-        assert!(mail.deliver(SiteId::new(2)).is_empty());
+        assert_eq!((drain(&mut mail, 1), drain(&mut mail, 2)), (1, 0));
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //! paper's conclusions do not hinge on lockstep cycles.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-use epidemic_core::{AntiEntropy, Comparison, Direction, Replica};
-use epidemic_db::SiteId;
+use epidemic_core::{AntiEntropy, Comparison, Direction};
+use epidemic_db::{Entry, SiteId};
 use epidemic_net::{LinkTraffic, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::engine::{ReceiveLog, RouteCharge};
+use crate::engine::RouteCharge;
+use crate::spatial::SpatialArena;
+use crate::util::reset_replicas;
 
 /// Time in microticks; one nominal anti-entropy period is
 /// [`AsyncSpatialSim::PERIOD`] microticks.
@@ -27,17 +28,18 @@ pub(crate) type Micros = u64;
 
 /// Result of one asynchronous run.
 #[derive(Debug, Clone)]
-pub struct AsyncRunResult {
+pub struct AsyncRunResult<'r> {
     /// Time (in periods) until the last site received the update.
     pub t_last: f64,
     /// Mean time (in periods) from injection to receipt over all sites.
     pub t_ave: f64,
     /// Total exchanges performed until convergence.
     pub exchanges: u64,
-    /// Conversations per link, accumulated over the run.
-    pub compare_traffic: LinkTraffic,
+    /// Conversations per link, accumulated over the run: the counters of
+    /// the arena the run was given.
+    pub compare_traffic: &'r LinkTraffic,
     /// Update-bearing conversations per link.
-    pub update_traffic: LinkTraffic,
+    pub update_traffic: &'r LinkTraffic,
     /// Conversations per link per period, averaged over links.
     pub compare_per_link_period: f64,
 }
@@ -49,11 +51,12 @@ pub struct AsyncRunResult {
 /// ```
 /// use epidemic_net::{topologies, Spatial};
 /// use epidemic_sim::event::AsyncSpatialSim;
+/// use epidemic_sim::spatial::SpatialArena;
 ///
 /// let topo = topologies::ring(16);
+/// let mut arena = SpatialArena::new();
 /// let sim = AsyncSpatialSim::new(&topo, Spatial::Uniform, 0.2);
-/// let r = sim.run(3, None);
-/// assert!(r.t_last > 0.0);
+/// assert!(sim.run(&mut arena, 3, None).t_last > 0.0);
 /// ```
 #[derive(Debug)]
 pub struct AsyncSpatialSim<'a> {
@@ -92,28 +95,43 @@ impl<'a> AsyncSpatialSim<'a> {
 
     /// Runs one experiment: a single update injected at `origin` (random
     /// when `None`) at time 0; every site fires anti-entropy exchanges on
-    /// its own jittered timer until all sites hold the update.
-    pub fn run(&self, seed: u64, origin: Option<SiteId>) -> AsyncRunResult {
+    /// its own jittered timer until all sites hold the update. The run
+    /// keeps its replicas, log, queue and counters in `arena`; the result
+    /// equals a fresh arena's, and once the arena has grown to this
+    /// topology nothing is allocated.
+    pub fn run<'r>(
+        &self,
+        arena: &'r mut SpatialArena,
+        seed: u64,
+        origin: Option<SiteId>,
+    ) -> AsyncRunResult<'r> {
         let mut rng = StdRng::seed_from_u64(seed);
         let sites = self.topology.sites();
         let n = sites.len();
-        let mut replicas: Vec<Replica<u32, u32>> = sites.iter().map(|&s| Replica::new(s)).collect();
+        let (replicas, scratch) = (&mut arena.state.sites, &mut arena.state.exchange);
+        let (received, queue) = (&mut arena.timed, &mut arena.queue);
+        let (compare, update) = (&mut arena.compare, &mut arena.update);
+        reset_replicas(replicas, sites.iter().copied());
         let origin = origin.unwrap_or_else(|| *sites.choose(&mut rng).expect("sites"));
         let origin_idx = sites.binary_search(&origin).expect("site exists");
-        replicas[origin_idx].client_update(KEY, 1);
-        replicas[origin_idx].hot_mut().clear();
-        let mut received: ReceiveLog<Micros> = ReceiveLog::new(n);
+        // Stored, not hot: a client update would grow the origin's hot list.
+        let at = replicas[origin_idx].now();
+        replicas[origin_idx].receive_quietly_ref(&KEY, &Entry::live(1, at));
+        received.reset(n);
         received.mark(origin_idx, 0);
 
         // Seed each site's first firing with a random phase so the fleet
         // starts fully desynchronized.
-        let mut queue: BinaryHeap<Reverse<(Micros, usize)>> = (0..n)
-            .map(|i| Reverse((rng.random_range(0..Self::PERIOD), i)))
-            .collect();
+        queue.clear();
+        queue.extend((0..n).map(|i| Reverse((rng.random_range(0..Self::PERIOD), i))));
 
         let protocol = AntiEntropy::new(Direction::PushPull, Comparison::Full);
-        let mut scratch = epidemic_core::ExchangeScratch::new();
-        let mut charge = RouteCharge::new(self.topology, &self.routes, 0);
+        let mut charge = RouteCharge::reusing(
+            self.topology,
+            &self.routes,
+            std::mem::take(compare),
+            std::mem::take(update),
+        );
         let mut exchanges = 0u64;
         let mut now = 0;
 
@@ -123,8 +141,8 @@ impl<'a> AsyncSpatialSim<'a> {
             };
             now = t;
             let j = self.sampler.select(i, &mut rng);
-            let (a, b) = crate::util::pair_mut(&mut replicas, i, j);
-            let stats = protocol.exchange_with(a, b, &mut scratch);
+            let (a, b) = crate::util::pair_mut(replicas, i, j);
+            let stats = protocol.exchange_with(a, b, scratch);
             exchanges += 1;
             let flowed = stats.update_flowed();
             charge.record(i, j, u64::from(flowed));
@@ -147,12 +165,13 @@ impl<'a> AsyncSpatialSim<'a> {
         let t_ave = received.t_ave_all(now) / period;
         let periods_elapsed = (now as f64 / period).max(1.0);
         let compare_per_link_period = charge.compare.mean_per_link() / periods_elapsed;
+        (*compare, *update) = (charge.compare, charge.update);
         AsyncRunResult {
             t_last,
             t_ave,
             exchanges,
-            compare_traffic: charge.compare,
-            update_traffic: charge.update,
+            compare_traffic: compare,
+            update_traffic: update,
             compare_per_link_period,
         }
     }
@@ -161,14 +180,15 @@ impl<'a> AsyncSpatialSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spatial::{SpatialArena, SpatialSim};
+    use crate::spatial::SpatialSim;
     use epidemic_net::topologies;
 
     #[test]
     fn converges_and_accounts_traffic() {
         let topo = topologies::grid(&[5, 5]);
         let sim = AsyncSpatialSim::new(&topo, Spatial::Uniform, 0.2);
-        let r = sim.run(1, Some(topo.sites()[0]));
+        let mut arena = SpatialArena::new();
+        let r = sim.run(&mut arena, 1, Some(topo.sites()[0]));
         assert!(r.t_last > 0.0);
         assert!(r.t_ave <= r.t_last);
         assert!(r.update_traffic.total() > 0);
@@ -188,7 +208,7 @@ mod tests {
         let mut async_mean = 0.0;
         for seed in 0..trials {
             sync_mean += f64::from(sync.run(&mut arena, seed, &mut ()).t_last);
-            async_mean += async_.run(seed, Some(topo.sites()[0])).t_last;
+            async_mean += async_.run(&mut arena, seed, Some(topo.sites()[0])).t_last;
         }
         sync_mean /= f64::from(trials as u32);
         async_mean /= f64::from(trials as u32);
@@ -203,8 +223,8 @@ mod tests {
     fn jitter_zero_is_allowed_and_deterministic() {
         let topo = topologies::ring(12);
         let sim = AsyncSpatialSim::new(&topo, Spatial::QsPower { a: 2.0 }, 0.0);
-        let a = sim.run(7, None);
-        let b = sim.run(7, None);
+        let (mut xa, mut ya) = (SpatialArena::new(), SpatialArena::new());
+        let (a, b) = (sim.run(&mut xa, 7, None), sim.run(&mut ya, 7, None));
         assert_eq!(a.exchanges, b.exchanges);
         assert_eq!(a.t_last, b.t_last);
     }

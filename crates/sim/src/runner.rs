@@ -237,10 +237,10 @@ fn fold_across_workers<T: Send>(
     });
 }
 
-/// Trial arenas shared by the trial loops of one sweep: each worker of a
-/// [`TrialRunner::fold_with`] call takes one ([`Arenas::take`]) and puts it
-/// back when it finishes, so the arenas grow once per sweep rather than
-/// once per call. Which arena a worker gets is immaterial: no trial's
+/// Trial arenas shared by the trial loops of one experiment: each worker of
+/// a [`TrialRunner::fold_with`] call takes one ([`Arenas::take`]) and puts
+/// it back when it finishes, so the arenas grow once per experiment rather
+/// than once per call. Which arena a worker gets is immaterial: no trial's
 /// result depends on what its arena held.
 #[derive(Debug, Default)]
 pub struct Arenas<T>(Mutex<Vec<T>>);

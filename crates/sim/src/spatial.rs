@@ -24,6 +24,8 @@
 //! ([`minimum_k`]), then compare traffic and convergence against Table 4.
 
 use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use epidemic_core::rumor::RumorConfig;
 use epidemic_core::Removal;
@@ -35,6 +37,7 @@ use rand::SeedableRng;
 
 use crate::engine::protocols::{MixingProtocol, MixingState};
 use crate::engine::{CycleEngine, EngineBuffers, Observer, ReceiveLog, RouteCharge};
+use crate::event::Micros;
 use crate::runner::{Arenas, TrialRunner};
 
 /// Result of one spatial run (one update, one topology).
@@ -62,16 +65,20 @@ pub struct SpatialRunResult<'r> {
 }
 
 /// Everything a spatial run keeps on the heap — the protocol's replicas,
-/// receive log and scratch, the per-link counters and the engine's roster
-/// buffers — owned across runs, so that a run on a warm arena allocates
-/// nothing. One arena serves every [`SpatialSim`] on any topology; each
-/// run starts from a state indistinguishable from a fresh one.
+/// receive log and scratch, the per-link counters, the engine's roster
+/// buffers and the event-driven driver's log and queue — owned across
+/// runs, so that a run on a warm arena allocates nothing. One arena serves
+/// every [`SpatialSim`] and [`AsyncSpatialSim`](crate::event::AsyncSpatialSim)
+/// on any topology; each run starts from a state indistinguishable from a
+/// fresh one.
 #[derive(Debug, Default)]
 pub struct SpatialArena {
-    state: MixingState,
-    compare: LinkTraffic,
-    update: LinkTraffic,
+    pub(crate) state: MixingState,
+    pub(crate) compare: LinkTraffic,
+    pub(crate) update: LinkTraffic,
     buffers: EngineBuffers,
+    pub(crate) timed: ReceiveLog<Micros>,
+    pub(crate) queue: BinaryHeap<Reverse<(Micros, usize)>>,
 }
 
 impl SpatialArena {

@@ -362,7 +362,7 @@ fn build_fixture() -> String {
     // --- event::AsyncSpatialSim ----------------------------------------
     let async_ae = AsyncSpatialSim::new(&ring, Spatial::QsPower { a: 1.5 }, 0.3);
     for seed in 0..2u64 {
-        let r = async_ae.run(seed, None);
+        let r = async_ae.run(&mut spatial_arena, seed, None);
         writeln!(
             out,
             "async-ae/ring12 seed={seed} => t_last={:?} t_ave={:?} exchanges={} \
@@ -371,8 +371,8 @@ fn build_fixture() -> String {
             r.t_ave,
             r.exchanges,
             r.compare_per_link_period,
-            traffic(&r.compare_traffic),
-            traffic(&r.update_traffic),
+            traffic(r.compare_traffic),
+            traffic(r.update_traffic),
         )
         .unwrap();
     }

@@ -2,11 +2,13 @@
 //! used — other drivers, topologies, site counts, directions, feedback and
 //! removal rules, round semantics, connection limits — equals a run on
 //! fresh state, field for field and event for event. Covered: every
-//! [`RumorEpidemic`] variant on a [`MixingArena`], and [`SpatialSim`]'s
-//! anti-entropy and every rumor variant on a [`SpatialArena`].
+//! [`RumorEpidemic`] variant on a [`MixingArena`]; and [`SpatialSim`]'s
+//! anti-entropy and every rumor variant, and [`AsyncSpatialSim`] with and
+//! without jitter, on a [`SpatialArena`].
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, Spatial, Topology};
+use epidemic_sim::event::AsyncSpatialSim;
 use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::spatial::{SpatialArena, SpatialSim};
 use epidemic_trace::{InvariantChecker, RunTracer, TraceConfig};
@@ -57,23 +59,19 @@ fn topology(which: usize) -> Topology {
     }
 }
 
-/// One spatial run: which mechanism (anti-entropy or rumor), which
-/// topology, which distribution, and the seed.
-fn spatial_trial() -> impl Strategy<Value = (bool, usize, f64, RumorConfig, u64)> {
-    (
-        any::<bool>(),
-        0usize..3,
-        0.0f64..2.5,
-        rumor_config(),
-        any::<u64>(),
-    )
+/// One spatial run: which mechanism (anti-entropy, rumor, or event-driven
+/// anti-entropy with jitter 0.3 or 0), which topology, which distribution,
+/// and the seed.
+fn spatial_trial() -> impl Strategy<Value = (u8, usize, f64, RumorConfig, u64)> {
+    (0u8..4, 0usize..3, 0.0f64..2.5, rumor_config(), any::<u64>())
 }
 
 /// Runs one spatial trial on `arena` under a full trace and the invariant
-/// checker, returning the driver's result with its link counters, the
-/// trace, and whether the checker stayed clean.
+/// checker (the event-driven driver takes no observer), returning the
+/// driver's result with its link counters, the trace, and whether the
+/// checker stayed clean.
 fn spatial_run(
-    (anti_entropy, which, a, cfg, seed): (bool, usize, f64, RumorConfig, u64),
+    (mechanism, which, a, cfg, seed): (u8, usize, f64, RumorConfig, u64),
     arena: &mut SpatialArena,
 ) -> (String, String, bool) {
     let topo = topology(which);
@@ -86,8 +84,15 @@ fn spatial_run(
     let mut check = InvariantChecker::default();
     let observer = &mut (&mut trace, &mut check);
     let sim = SpatialSim::new(&topo, spatial);
-    let sim = if anti_entropy { sim } else { sim.rumor(cfg) };
-    let result = format!("{:?}", sim.run(arena, seed, observer));
+    let result = match mechanism {
+        0 => format!("{:?}", sim.run(arena, seed, observer)),
+        1 => format!("{:?}", sim.rumor(cfg).run(arena, seed, observer)),
+        _ => {
+            let jitter = if mechanism == 2 { 0.3 } else { 0.0 };
+            let sim = AsyncSpatialSim::new(&topo, spatial, jitter);
+            format!("{:?}", sim.run(arena, seed, None))
+        }
+    };
     (result, trace.finish(), check.violation_count() == 0)
 }
 

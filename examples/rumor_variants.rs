@@ -21,84 +21,26 @@ fn main() {
         "variant", "residue", "traffic", "t_ave", "t_last"
     );
 
-    let variants: Vec<(&str, RumorEpidemic)> = vec![
-        (
-            "push, feedback, counter (Table 1)",
-            RumorEpidemic::new(
-                n,
-                RumorConfig::new(
-                    Direction::Push,
-                    Feedback::Feedback,
-                    Removal::Counter { k: 2 },
-                ),
-            ),
-        ),
-        (
-            "push, blind, coin (Table 2)",
-            RumorEpidemic::new(
-                n,
-                RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 2 }),
-            ),
-        ),
-        (
-            "pull, feedback, counter (Table 3)",
-            RumorEpidemic::new(
-                n,
-                RumorConfig::new(
-                    Direction::Pull,
-                    Feedback::Feedback,
-                    Removal::Counter { k: 2 },
-                ),
-            ),
-        ),
-        (
-            "push-pull, feedback, counter",
-            RumorEpidemic::new(
-                n,
-                RumorConfig::new(
-                    Direction::PushPull,
-                    Feedback::Feedback,
-                    Removal::Counter { k: 2 },
-                ),
-            ),
-        ),
-        (
-            "push-pull + minimization",
-            RumorEpidemic::new(
-                n,
-                RumorConfig::new(
-                    Direction::PushPull,
-                    Feedback::Feedback,
-                    Removal::Counter { k: 2 },
-                )
-                .with_minimization(),
-            ),
-        ),
-        (
-            "push, feedback, counter, conn limit 1",
-            RumorEpidemic::new(
-                n,
-                RumorConfig::new(
-                    Direction::Push,
-                    Feedback::Feedback,
-                    Removal::Counter { k: 2 },
-                ),
-            )
-            .connection_limit(Some(1)),
-        ),
-        (
-            "push, conn limit 1, hunt limit 8",
-            RumorEpidemic::new(
-                n,
-                RumorConfig::new(
-                    Direction::Push,
-                    Feedback::Feedback,
-                    Removal::Counter { k: 2 },
-                ),
-            )
-            .connection_limit(Some(1))
-            .hunt_limit(8),
-        ),
+    // Every variant but Table 2's is feedback with counter k = 2.
+    let epidemic = |cfg| RumorEpidemic::new(n, cfg);
+    let counter =
+        |direction| RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
+    let blind_coin = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 2 });
+    let (push, pull) = (
+        epidemic(counter(Direction::Push)),
+        epidemic(counter(Direction::Pull)),
+    );
+    let push_pull = counter(Direction::PushPull);
+    let minimized = epidemic(push_pull.with_minimization());
+    let limited = push.connection_limit(Some(1));
+    let variants = [
+        ("push, feedback, counter (Table 1)", push),
+        ("push, blind, coin (Table 2)", epidemic(blind_coin)),
+        ("pull, feedback, counter (Table 3)", pull),
+        ("push-pull, feedback, counter", epidemic(push_pull)),
+        ("push-pull + minimization", minimized),
+        ("push, feedback, counter, conn limit 1", limited),
+        ("push, conn limit 1, hunt limit 8", limited.hunt_limit(8)),
     ];
 
     let mut arena = MixingArena::new();
