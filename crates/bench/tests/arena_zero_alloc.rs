@@ -2,10 +2,12 @@
 //! replicas own the row, index and hot-list blocks their trials grow, its
 //! counters, scratch and roster buffers are sized — every further trial on
 //! it completes without asking the heap for a single byte. Covered: every
-//! rumor variant on a [`MixingArena`]; Table 4's anti-entropy, §3.2's
-//! push-pull rumor mongering and `fig-async`'s event-driven anti-entropy on
-//! the CIN on a [`SpatialArena`]; and the three steady-state figures' trials
-//! on one [`ScenarioArena`].
+//! rumor variant on a [`MixingArena`]; Table 4's anti-entropy (warmed by
+//! one run, so later trials seed origins it never did), §3.2's push-pull
+//! rumor mongering and `fig-async`'s event-driven anti-entropy on the CIN
+//! on a [`SpatialArena`]; and the three steady-state figures' trials and
+//! the mail-carrying `clearinghouse` scenario on one [`ScenarioArena`],
+//! whose first run sizes every store once.
 //!
 //! Like `zero_alloc.rs`, this file registers [`CountingAlloc`] as the test
 //! binary's global allocator and therefore holds exactly one test (a
@@ -68,6 +70,7 @@ fn trials_on_a_warm_arena_do_not_allocate() {
     mixing_trials();
     spatial_trials(&net);
     async_trials(&net);
+    cold_steady_run();
     steady_trials(&net);
 }
 
@@ -117,17 +120,18 @@ fn spatial_trials(net: &Cin) {
         SpatialSim::new(&net.topology, Spatial::QsPower { a: 2.0 }).connection_limit(Some(1));
     let rumor = SpatialSim::new(&net.topology, Spatial::QsPower { a: 2.0 })
         .rumor(counter(Direction::PushPull, 8));
-    // Warm-up: anti-entropy reaches every site, so every replica has held
-    // the update, and a few rumor runs size the rumor scratch.
-    for seed in 0..4 {
-        anti_entropy.run(&mut arena, seed, &mut ());
-        rumor.run(&mut arena, seed, &mut ());
-    }
+    // Warm-up: one anti-entropy run reaches every site, so every replica
+    // has held the update; the trials then seed origins it never did.
+    anti_entropy.run(&mut arena, 0, &mut ());
     let mut converged = 0;
     assert_warm_trials_do_not_allocate("CIN anti-entropy, a = 2.0, limit 1", |seed| {
         converged += black_box(anti_entropy.run(&mut arena, seed, &mut ())).t_last;
     });
     assert!(converged > 0, "anti-entropy must actually spread");
+    // A few rumor runs size the rumor scratch.
+    for seed in 0..4 {
+        rumor.run(&mut arena, seed, &mut ());
+    }
     let mut reached = 0.0;
     assert_warm_trials_do_not_allocate("CIN push-pull rumor", |seed| {
         reached += 1.0 - black_box(rumor.run(&mut arena, seed, &mut ())).residue;
@@ -153,6 +157,20 @@ fn async_trials(net: &Cin) {
             "the event-driven runs must actually exchange"
         );
     }
+}
+
+/// `fig-pull-vs-push-rate`'s busiest pull trial on a fresh arena: its
+/// stores are sized once for the 400 keys the spec can mint, two blocks a
+/// site, where growing them by doubling took ≈ 20.
+fn cold_steady_run() {
+    let mut spec = bundled::steady(200, 4.0, [0, 100, 200]);
+    spec.protocol.rumor = Some(counter(Direction::Pull, 2));
+    let engine = ScenarioEngine::new(spec).expect("a steady spec is valid");
+    let before = allocations();
+    let report = black_box(engine.run(&mut ScenarioArena::new(), 5, &mut ()));
+    let cold = allocations() - before;
+    assert!(report.coverage > 0.99, "the updates must reach every site");
+    assert!(cold < 10 * 200, "{cold} allocations in a cold steady run");
 }
 
 /// The steady figures' trials, one arena throughout: `fig-checksum-window`'s
@@ -200,6 +218,18 @@ fn steady_trials(net: &Cin) {
             engine.run(arena, seed, &mut ())
         });
     }
+    // The arena keeps the mail transport too.
+    let spec = bundled::by_name("clearinghouse").expect("bundled");
+    let mail = ScenarioEngine::new(spec).expect("a bundled spec is valid");
+    for seed in 0..4 {
+        mail.run(&mut arena, seed, &mut ());
+    }
+    let mut delivered = 0;
+    assert_warm_trials_do_not_allocate("clearinghouse (mail)", |seed| {
+        let report = black_box(mail.run(&mut arena, seed, &mut ()));
+        delivered += report.mail.expect("a mail line").delivered;
+    });
+    assert!(delivered > 0, "clearinghouse: mail must actually flow");
 }
 
 /// Warms `arena` with trials at twice `rate` — they grow every block past

@@ -11,7 +11,7 @@
 use std::hash::Hash;
 
 use epidemic_db::store::OfferOutcome;
-use epidemic_db::{Database, Entry, Timestamp};
+use epidemic_db::{Checksum, Database, Entry, Timestamp};
 
 use crate::replica::Replica;
 use crate::Direction;
@@ -411,7 +411,10 @@ where
 /// below the last entry visited; once the two remainders agree those rows
 /// are the same set (up to the 64-bit collision the §1.3 checksum
 /// comparison after the exchange already assumes), so every entry still to
-/// be listed is held by the receiver. The walk stops there.
+/// be listed is held by the receiver. The walk stops there. It keeps only
+/// the remainders' difference (their XOR): a row both sides hold equal
+/// toggles the same digest out of both, so only rows one side lacks or
+/// holds differently are hashed.
 ///
 /// Both shortcuts stand aside while the receiver parks dormant death
 /// certificates, which make an offer mutate state even for an
@@ -424,39 +427,53 @@ fn walk_recent<K, V>(
 ) -> usize
 where
     K: Ord + Clone + Hash,
-    V: Hash,
+    V: Hash + Eq,
 {
     pending.clear();
-    let lockstep = to.dormant_len() == 0;
-    let mut from_rest = from.checksum();
-    let mut to_rest = to.checksum();
-    let mut rx = to.newest_first();
-    let mut rx_cur = rx.next();
+    if to.dormant_len() > 0 {
+        pending.extend(0..listed as u32);
+        return listed;
+    }
+    let digest = |k, e| Checksum::digest(&(k, e));
+    let mut diff = from.checksum().value() ^ to.checksum().value();
+    // The two remainders themselves, which debug builds check the
+    // difference against.
+    #[cfg(debug_assertions)]
+    let (mut from_rest, mut to_rest) = (from.checksum(), to.checksum());
+    let mut rx = to.newest_first().peekable();
     for (rank, (k, e)) in (0..).zip(from.newest_first().take(listed)) {
-        if lockstep {
-            if from_rest == to_rest {
-                return rank as usize;
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(diff, from_rest.value() ^ to_rest.value(), "remainders");
+        if diff == 0 {
+            return rank as usize;
+        }
+        #[cfg(debug_assertions)]
+        from_rest.toggle(&(k, e));
+        let t = e.timestamp();
+        let mut held = None;
+        while let Some(&(rk, re)) = rx.peek() {
+            let row = (re.timestamp(), rk);
+            if row < (t, k) {
+                break;
             }
-            from_rest.toggle(&(k, e));
-            let t = e.timestamp();
-            let mut held = false;
-            while let Some((rk, re)) = rx_cur {
-                let row = (re.timestamp(), rk);
-                if row < (t, k) {
-                    break;
-                }
-                to_rest.toggle(&(rk, re));
-                rx_cur = rx.next();
-                if row == (t, k) {
-                    held = true;
-                    break;
-                }
+            rx.next();
+            #[cfg(debug_assertions)]
+            to_rest.toggle(&(rk, re));
+            if row == (t, k) {
+                held = Some(re);
+                break;
             }
-            if held {
-                continue;
+            diff ^= digest(rk, re);
+        }
+        match held {
+            // Toggled out of both remainders, equal rows cancel.
+            Some(re) if re == e => {}
+            Some(re) => diff ^= digest(k, e) ^ digest(k, re),
+            None => {
+                diff ^= digest(k, e);
+                pending.push(rank);
             }
         }
-        pending.push(rank);
     }
     listed
 }

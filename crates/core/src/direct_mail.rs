@@ -74,7 +74,7 @@ pub struct MailStats {
 /// mail.post(SiteId::new(2), "k", entry, &mut rng);
 /// assert_eq!(mail.stats().posted, 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MailSystem<K, V> {
     config: MailConfig,
     queues: Vec<VecDeque<Letter<K, V>>>,
@@ -89,6 +89,18 @@ impl<K, V> MailSystem<K, V> {
             queues: (0..sites).map(|_| VecDeque::new()).collect(),
             stats: MailStats::default(),
         }
+    }
+
+    /// Returns the transport to the state [`MailSystem::new`] builds: no
+    /// letters, zeroed counters. Every queue keeps its block, so a run that
+    /// reuses the transport allocates nothing its queues have not held
+    /// before.
+    pub fn reset(&mut self, sites: usize, config: MailConfig) {
+        self.config = config;
+        self.queues.truncate(sites);
+        self.queues.iter_mut().for_each(VecDeque::clear);
+        self.queues.resize_with(sites, VecDeque::new);
+        self.stats = MailStats::default();
     }
 
     /// Posts one update notification to `to`. Returns `false` if the
@@ -126,11 +138,6 @@ impl<K, V> MailSystem<K, V> {
 pub struct DirectMail;
 
 impl DirectMail {
-    /// Creates the protocol marker.
-    pub const fn new() -> Self {
-        DirectMail
-    }
-
     /// Executes `FOR EACH s' ∈ S DO PostMail[...]` at the update's entry
     /// site: mails `key`'s current entry to every site in `recipients`
     /// (the origin's possibly *incomplete* view of S).
@@ -202,7 +209,7 @@ mod tests {
     fn drain(mail: &mut MailSystem<&'static str, u32>, site: u32) -> usize {
         let before = mail.stats().delivered;
         let mut replica = Replica::new(SiteId::new(site));
-        DirectMail::new().deliver(&mut replica, mail, &mut Vec::new());
+        DirectMail.deliver(&mut replica, mail, &mut Vec::new());
         mail.stats().delivered - before
     }
 
@@ -213,11 +220,11 @@ mod tests {
         let mut origin: Replica<&str, u32> = Replica::new(SiteId::new(0));
         origin.client_update("k", 9);
         let all: Vec<SiteId> = (0..4).map(SiteId::new).collect();
-        let sent = DirectMail::new().broadcast(&origin, &all, &"k", &mut mail, &mut rng);
+        let sent = DirectMail.broadcast(&origin, &all, &"k", &mut mail, &mut rng);
         assert_eq!(sent, 3, "origin does not mail itself");
         let mut r1: Replica<&str, u32> = Replica::new(SiteId::new(1));
         let mut landed = Vec::new();
-        let news = DirectMail::new().deliver(&mut r1, &mut mail, &mut landed);
+        let news = DirectMail.deliver(&mut r1, &mut mail, &mut landed);
         assert_eq!((news, landed), (1, vec!["k"]));
         assert_eq!(r1.db().get(&"k"), Some(&9));
         assert!(!r1.is_infective(&"k"), "mail delivery is quiet");
@@ -266,7 +273,7 @@ mod tests {
         origin.client_update("k", 1);
         // The origin only knows about site 1, not site 2.
         let stale_view = [SiteId::new(0), SiteId::new(1)];
-        DirectMail::new().broadcast(&origin, &stale_view, &"k", &mut mail, &mut rng);
+        DirectMail.broadcast(&origin, &stale_view, &"k", &mut mail, &mut rng);
         assert_eq!((drain(&mut mail, 1), drain(&mut mail, 2)), (1, 0));
     }
 
@@ -277,10 +284,10 @@ mod tests {
         let mut origin: Replica<&str, u32> = Replica::new(SiteId::new(0));
         let mut dest: Replica<&str, u32> = Replica::new(SiteId::new(1));
         origin.client_update("k", 1);
-        DirectMail::new().broadcast(&origin, &[SiteId::new(1)], &"k", &mut mail, &mut rng);
+        DirectMail.broadcast(&origin, &[SiteId::new(1)], &"k", &mut mail, &mut rng);
         dest.advance_clock(100);
         dest.client_update("k", 2); // newer local value
-        let news = DirectMail::new().deliver(&mut dest, &mut mail, &mut Vec::new());
+        let news = DirectMail.deliver(&mut dest, &mut mail, &mut Vec::new());
         assert_eq!(news, 0);
         assert_eq!(dest.db().get(&"k"), Some(&2));
     }
@@ -290,8 +297,7 @@ mod tests {
         let mut rng = rng();
         let mut mail = MailSystem::new(2, MailConfig::default());
         let origin: Replica<&str, u32> = Replica::new(SiteId::new(0));
-        let sent =
-            DirectMail::new().broadcast(&origin, &[SiteId::new(1)], &"k", &mut mail, &mut rng);
+        let sent = DirectMail.broadcast(&origin, &[SiteId::new(1)], &"k", &mut mail, &mut rng);
         assert_eq!(sent, 0);
     }
 }

@@ -53,11 +53,13 @@ where
     /// empty database, no dormant certificates, empty hot list, a fresh
     /// clock — keeping the capacity of its store and hot list, so a
     /// simulator can reuse one set of replicas across trials without
-    /// allocating.
-    pub fn reset(&mut self, site: SiteId) {
+    /// allocating. The store is grown to hold `keys` entries
+    /// ([`Database::clear`]): a run that bounds the keys it mints sizes
+    /// it once.
+    pub fn reset(&mut self, site: SiteId, keys: usize) {
         self.site = site;
         self.clock = SimClock::new(site);
-        self.db.clear();
+        self.db.clear(keys);
         self.hot.clear();
     }
 

@@ -414,22 +414,24 @@ fn assert_same_replica(a: &Replica<u8, u16>, b: &Replica<u8, u16>) -> Result<(),
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `Replica::reset(site)` is `Replica::new(site)`: whatever the
-    /// replica lived through — deletions whose certificates went dormant
-    /// here, clock advances, hot items with counters — the reset replica
-    /// equals a new one and stays equal to it through any later history.
+    /// `Replica::reset(site, keys)` is `Replica::new(site)`: whatever room
+    /// it reserves and whatever the replica lived through — deletions whose
+    /// certificates went dormant here, clock advances, hot items with
+    /// counters — the reset replica equals a new one and stays equal to it
+    /// through any later history.
     #[test]
     fn reset_is_new_after_any_history(
         before in prop::collection::vec(local_op(), 0..60),
         after in prop::collection::vec(local_op(), 0..40),
         old_site in 0u32..4,
         site in 0u32..4,
+        keys in 0usize..8,
     ) {
         let mut used: Replica<u8, u16> = Replica::new(SiteId::new(old_site));
         for op in &before {
             apply_local(&mut used, op);
         }
-        used.reset(SiteId::new(site));
+        used.reset(SiteId::new(site), keys);
         let mut fresh: Replica<u8, u16> = Replica::new(SiteId::new(site));
         assert_same_replica(&used, &fresh)?;
         prop_assert_eq!(used.db().checksum(), used.db().recompute_checksum());

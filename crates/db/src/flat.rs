@@ -9,25 +9,34 @@
 //! Key lookup goes through a small key-inline index (`by_key`, `(key, row
 //! position)` pairs sorted by key) that only exists once the store holds
 //! two or more rows — a single-row site, the common case in epidemic
-//! spreading experiments, is just one heap block.
+//! spreading experiments, is just one heap block. Each row carries its
+//! key's rank in that index, in padding its entry leaves free (a `u32`
+//! key's row stays 32 bytes), so the pair naming a row is found without a
+//! search.
 //!
 //! Cost model:
 //!
 //! * an empty store allocates nothing and a site's first entry costs
-//!   **one** allocation (the row column, `reserve_exact(1)`);
+//!   **one** allocation (the row column, `reserve_exact(1)`); a run that
+//!   knows how many keys it can mint sizes both blocks once, through
+//!   [`Database::clear`](crate::Database::clear), so they never grow by
+//!   doubling;
 //! * a probe never reads a row: it binary-searches the index's own copy
 //!   of the keys, so a rejected offer (most rumor offers are) touches the
-//!   dense index and then the one row it names. The index holds the only
-//!   second copy of each key, cloned once when the key is first stored and
-//!   never on supersession — intern wide keys;
+//!   dense index and then the one row it names. The index holds the only second copy of
+//!   each key, cloned once when the key is first stored and never on
+//!   supersession — intern wide keys;
 //! * placement is tail-first: the column position of a new or superseding
-//!   row is found by galloping backwards from the newest row, the few
-//!   rows it displaces at the tail are re-indexed by key, and a row that
-//!   lands at the very tail displaces nothing — so updates that arrive
-//!   newest-first-ish stay in the rows already in cache;
+//!   row is found by galloping backwards from the newest row, and each row
+//!   it displaces writes its new position into the pair its rank names —
+//!   a row that lands at the very tail displaces nothing, so updates that
+//!   arrive newest-first-ish stay in the rows already in cache;
+//! * a key new to the index shifts the ranks of the keys after it by one,
+//!   and a removed key those after it back: one write per shifted rank,
+//!   none for a key that sorts last;
 //! * a mutation far from the tail is `O(rows)` per site (a memmove of the
-//!   rows between the old and the new position plus one pass over the
-//!   index) — the trade is deliberate: per-site databases in every
+//!   rows between the old and the new position plus one write per row
+//!   moved) — the trade is deliberate: per-site databases in every
 //!   experiment hold from one to a few hundred entries, while site
 //!   *count* is large.
 //!
@@ -75,12 +84,21 @@ fn gallop_back<T>(rows: &[T], mut hi: usize, pred: impl Fn(&T) -> bool) -> usize
     0
 }
 
+/// One row of the column: a key, its entry and the key's rank in the
+/// lookup index (0 while the store has no index).
+#[derive(Debug, Clone)]
+struct Row<K, V> {
+    key: K,
+    entry: Entry<V>,
+    rank: u32,
+}
+
 /// Flat timestamp-sorted main store; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct FlatStore<K, V> {
     /// Rows ascending by `(timestamp, key)`; walking backwards yields the
     /// peel-back (newest-first) order.
-    rows: Vec<(K, Entry<V>)>,
+    rows: Vec<Row<K, V>>,
     /// `(key, row position)` pairs sorted by key — the lookup index, with
     /// the keys inline so a probe never dereferences a row. Empty while
     /// the store holds fewer than two rows (a lone row needs no index).
@@ -114,18 +132,23 @@ where
         self.rows.is_empty()
     }
 
-    /// Drops every row and keeps both heap blocks, so a store that is
-    /// refilled to its former size allocates nothing.
-    pub(crate) fn clear(&mut self) {
+    /// Drops every row and keeps both heap blocks, growing each to hold
+    /// `keys` rows if it is smaller, so a store that is refilled to its
+    /// former size, or to `keys`, allocates nothing.
+    pub(crate) fn clear(&mut self, keys: usize) {
         self.rows.clear();
         self.by_key.clear();
         self.finger = 0;
+        self.rows.reserve_exact(keys);
+        if keys > 1 {
+            self.by_key.reserve_exact(keys);
+        }
     }
 
     /// The entry for `key`, if present.
     pub fn get(&self, key: &K) -> Option<&Entry<V>> {
         match self.lookup(key) {
-            Ok((_, pos)) => Some(&self.rows[pos].1),
+            Ok((_, pos)) => Some(&self.rows[pos].entry),
             Err(_) => None,
         }
     }
@@ -139,7 +162,7 @@ where
     {
         match self.lookup(key) {
             Ok((rank, pos)) => {
-                let current = &self.rows[pos].1;
+                let current = &self.rows[pos].entry;
                 if !entry.supersedes(current) {
                     return if current.timestamp() == entry.timestamp() {
                         ApplyOutcome::AlreadyKnown
@@ -168,12 +191,12 @@ where
     /// Removes an entry outright (garbage collection), returning it.
     pub fn remove(&mut self, key: &K, aux: Aux<'_>) -> Option<Entry<V>> {
         let (rank, pos) = self.lookup(key).ok()?;
-        let (k, old) = self.remove_row(rank, pos);
-        aux.checksum.toggle(&(&k, &old));
-        if !old.is_dead() {
+        let row = self.remove_row(rank, pos);
+        aux.checksum.toggle(&(&row.key, &row.entry));
+        if !row.entry.is_dead() {
             *aux.live -= 1;
         }
-        Some(old)
+        Some(row.entry)
     }
 
     /// Locates `key`: `Ok((rank, pos))` gives its rank in key order and
@@ -182,7 +205,7 @@ where
         if self.rows.len() < 2 {
             return match self.rows.first() {
                 None => Err(0),
-                Some((k, _)) => match k.cmp(key) {
+                Some(row) => match row.key.cmp(key) {
                     Ordering::Equal => Ok((0, 0)),
                     Ordering::Less => Err(1),
                     Ordering::Greater => Err(0),
@@ -198,41 +221,15 @@ where
     /// newest row — so a timestamp newer than everything held costs one
     /// comparison and one among the recent rows reads only the column tail.
     fn row_position(&self, at: Timestamp, key: &K) -> usize {
-        let before = |(k, e): &(K, Entry<V>)| (e.timestamp(), k) < (at, key);
+        let before = |row: &Row<K, V>| (row.entry.timestamp(), &row.key) < (at, key);
         gallop_back(&self.rows, self.rows.len(), before)
     }
 
-    /// Brings the index up to date with the rows now at positions `moved`,
-    /// which a row inserted, removed or relocated beside them has just
-    /// shifted by `delta` (±1). Placement is tail-first, so the typical
-    /// shift moves a handful of rows at the column tail: those are looked
-    /// up by key and handed their position. A shift of a large part of
-    /// the column (an old key superseded, say) is one pass over the index
-    /// instead. A shift at the very tail moves no row and costs nothing.
-    fn reindex(&mut self, moved: Range<usize>, delta: i32) {
-        // A bisection step costs about what two pairs of the pass do.
-        let steps_per_lookup = (usize::BITS - self.by_key.len().leading_zeros()) as usize;
-        if moved.len() * steps_per_lookup * 2 < self.by_key.len() {
-            for pos in moved {
-                let key = &self.rows[pos].0;
-                let rank = self
-                    .by_key
-                    .binary_search_by(|(k, _)| k.cmp(key))
-                    .expect("every row but the one being placed is indexed");
-                self.by_key[rank].1 = position(pos);
-            }
-        } else {
-            let moved = position(moved.start)..position(moved.end);
-            // Branch-free: after out-of-order supersessions positions are
-            // scattered over key order, and a test per pair mispredicts.
-            for (_, p) in &mut self.by_key {
-                let shifted = p.wrapping_add_signed(delta);
-                *p = if moved.contains(&shifted) {
-                    shifted
-                } else {
-                    *p
-                };
-            }
+    /// Hands each row at positions `moved` its position, in the index pair
+    /// its rank names.
+    fn patch(&mut self, moved: Range<usize>) {
+        for pos in moved {
+            self.by_key[self.rows[pos].rank as usize].1 = position(pos);
         }
     }
 
@@ -248,7 +245,12 @@ where
             // allocator's doubling growth takes over beyond that.
             self.rows.reserve_exact(1);
         }
-        self.rows.insert(pos, (key, entry));
+        let row = Row {
+            key,
+            entry,
+            rank: position(rank),
+        };
+        self.rows.insert(pos, row);
         match self.rows.len() {
             // A lone row needs no index.
             1 => return,
@@ -256,33 +258,44 @@ where
             2 => {
                 let lone = 1 - pos;
                 self.by_key
-                    .push((self.rows[lone].0.clone(), position(lone)));
+                    .push((self.rows[lone].key.clone(), position(lone)));
             }
-            len => self.reindex(pos + 1..len, 1),
+            len => self.patch(pos + 1..len),
         }
         self.by_key
-            .insert(rank, (self.rows[pos].0.clone(), position(pos)));
+            .insert(rank, (self.rows[pos].key.clone(), position(pos)));
+        // Every key after the new one moved up a rank.
+        for &(_, p) in &self.by_key[rank + 1..] {
+            self.rows[p as usize].rank += 1;
+        }
     }
 
     /// Removes the row at column position `pos` / key rank `rank`,
     /// maintaining the lookup index, and returns it.
-    fn remove_row(&mut self, rank: usize, pos: usize) -> (K, Entry<V>) {
+    fn remove_row(&mut self, rank: usize, pos: usize) -> Row<K, V> {
         let row = self.rows.remove(pos);
         if self.rows.len() < 2 {
             self.by_key.clear();
+            if let Some(lone) = self.rows.first_mut() {
+                lone.rank = 0;
+            }
         } else {
+            self.patch(pos..self.rows.len());
             self.by_key.remove(rank);
-            self.reindex(pos..self.rows.len(), -1);
+            // Every key after the removed one moved down a rank.
+            for &(_, p) in &self.by_key[rank..] {
+                self.rows[p as usize].rank -= 1;
+            }
         }
         row
     }
 
     /// Replaces the entry of the key at `(rank, pos)`, moving the row to
     /// its new timestamp position. The key's rank is unchanged (no other
-    /// key moves in key order), so its index pair stays where it is and
-    /// only positions are patched: no key is cloned.
+    /// key moves in key order), so only positions are patched: no key is
+    /// cloned.
     fn replace(&mut self, rank: usize, pos: usize, new: Entry<V>, aux: Aux<'_>) {
-        let (key, old) = &self.rows[pos];
+        let (key, old) = (&self.rows[pos].key, &self.rows[pos].entry);
         aux.checksum.toggle(&(key, old));
         if !old.is_dead() {
             *aux.live -= 1;
@@ -300,20 +313,15 @@ where
             among_all
         };
         if dest == pos {
-            self.rows[pos].1 = new;
+            self.rows[pos].entry = new;
             return;
         }
         // Two memmoves that together cover only the rows between the old
-        // and the new position.
-        let (key, _) = self.rows.remove(pos);
-        self.rows.insert(dest, (key, new));
-        if dest > pos {
-            self.reindex(pos..dest, -1);
-        } else {
-            self.reindex(dest + 1..pos + 1, 1);
-        }
-        // A lone row never moves, so the pair exists.
-        self.by_key[rank].1 = position(dest);
+        // and the new position; the row keeps its rank.
+        let row = self.rows.remove(pos);
+        debug_assert_eq!(row.rank as usize, rank, "a row carries its rank");
+        self.rows.insert(dest, Row { entry: new, ..row });
+        self.patch(pos.min(dest)..pos.max(dest) + 1);
     }
 
     /// Iterates `(key, entry)` pairs in key order.
@@ -328,7 +336,7 @@ where
     /// Iterates entries in reverse `(timestamp, key)` order — the §1.3
     /// peel-back order, i.e. the column walked backwards.
     pub fn newest_first(&self) -> impl Iterator<Item = (&K, &Entry<V>)> {
-        self.rows.iter().rev().map(|(k, e)| (k, e))
+        self.rows.iter().rev().map(|row| (&row.key, &row.entry))
     }
 
     /// Number of rows at most `tau` old at `now`: ages fall along the
@@ -337,7 +345,7 @@ where
     /// far that boundary has moved since — one or two row reads in steady
     /// state.
     pub fn recent_len(&mut self, now: u64, tau: u64) -> usize {
-        let old = |(_, e): &(K, Entry<V>)| e.timestamp().age(now) > tau;
+        let old = |row: &Row<K, V>| row.entry.timestamp().age(now) > tau;
         // Gallop forwards while the rows are old, then back to the start.
         let (len, mut hi, mut step) = (self.rows.len(), self.finger as usize, 1);
         while hi < len && old(&self.rows[hi]) {
@@ -352,7 +360,11 @@ where
     /// The row `rank` places below the newest: [`FlatStore::newest_first`]'s
     /// item at `rank`, read in `O(1)`.
     pub(crate) fn nth_newest(&self, rank: usize) -> Option<(&K, &Entry<V>)> {
-        self.rows.iter().rev().nth(rank).map(|(k, e)| (k, e))
+        self.rows
+            .iter()
+            .rev()
+            .nth(rank)
+            .map(|row| (&row.key, &row.entry))
     }
 
     /// Capacities of the row column and the lookup index: what the store
@@ -367,13 +379,17 @@ where
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         assert!(
-            self.rows
-                .windows(2)
-                .all(|w| (w[0].1.timestamp(), &w[0].0) < (w[1].1.timestamp(), &w[1].0)),
+            self.rows.windows(2).all(|w| {
+                (w[0].entry.timestamp(), &w[0].key) < (w[1].entry.timestamp(), &w[1].key)
+            }),
             "rows must be strictly ascending by (timestamp, key)"
         );
         if self.rows.len() < 2 {
             assert!(self.by_key.is_empty(), "small stores carry no index");
+            assert!(
+                self.rows.iter().all(|row| row.rank == 0),
+                "a lone row has rank 0"
+            );
         } else {
             assert_eq!(self.by_key.len(), self.rows.len(), "index covers all rows");
             assert!(
@@ -383,8 +399,16 @@ where
             assert!(
                 self.by_key
                     .iter()
-                    .all(|(k, p)| self.rows.get(*p as usize).is_some_and(|row| row.0 == *k)),
+                    .all(|(k, p)| self.rows.get(*p as usize).is_some_and(|row| row.key == *k)),
                 "every index pair names the row that holds its key"
+            );
+            assert!(
+                (0..).zip(&self.rows).all(|(pos, row)| {
+                    self.by_key
+                        .get(row.rank as usize)
+                        .is_some_and(|p| p.1 == pos)
+                }),
+                "every row's rank names its own index pair"
             );
         }
     }
@@ -395,7 +419,7 @@ where
 /// order is trivially the key order).
 #[derive(Debug, Clone)]
 pub struct KeyOrderIter<'a, K, V> {
-    rows: &'a [(K, Entry<V>)],
+    rows: &'a [Row<K, V>],
     by_key: &'a [(K, u32)],
     idx: usize,
 }
@@ -410,7 +434,7 @@ impl<'a, K, V> Iterator for KeyOrderIter<'a, K, V> {
             &self.rows[self.by_key.get(self.idx)?.1 as usize]
         };
         self.idx += 1;
-        Some((&row.0, &row.1))
+        Some((&row.key, &row.entry))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -426,104 +450,35 @@ mod tests {
     use super::*;
     use crate::timestamp::SiteId;
 
-    fn ts(t: u64) -> Timestamp {
-        Timestamp::new(t, SiteId::new(0))
-    }
-
-    /// Drives a store through scripted operations with live aux state.
-    struct Harness {
-        store: FlatStore<u32, u32>,
-        checksum: Checksum,
-        live: usize,
-    }
-
-    impl Harness {
-        fn new() -> Self {
-            Harness {
-                store: FlatStore::new(),
-                checksum: Checksum::new(),
-                live: 0,
-            }
-        }
-
-        fn remove(&mut self, key: u32) -> Option<Entry<u32>> {
+    /// Applies `(key, time)` updates to `store`, checking the invariants
+    /// after each one.
+    fn fill(store: &mut FlatStore<u32, u32>, updates: impl IntoIterator<Item = (u32, u64)>) {
+        let (mut checksum, mut live) = (Checksum::new(), 0);
+        for (key, t) in updates {
+            let entry = Entry::live(key, Timestamp::new(t, SiteId::new(0)));
             let aux = Aux {
-                checksum: &mut self.checksum,
-                live: &mut self.live,
+                checksum: &mut checksum,
+                live: &mut live,
             };
-            let out = self.store.remove(&key, aux);
-            self.store.check_invariants();
-            out
-        }
-
-        fn apply(&mut self, key: u32, entry: Entry<u32>) -> ApplyOutcome {
-            let aux = Aux {
-                checksum: &mut self.checksum,
-                live: &mut self.live,
-            };
-            let out = self.store.apply_ref(&key, &entry, aux);
-            self.store.check_invariants();
-            out
+            store.apply_ref(&key, &entry, aux);
+            store.check_invariants();
         }
     }
 
+    /// A row's size is what a column walk, a placement memmove and the
+    /// lockstep recent-list walk pay per row: a `u32` key's row carries its
+    /// rank in the padding beside its entry. `clear(keys)` sizes both
+    /// blocks for `keys` rows at once: filling them grows neither.
     #[test]
-    fn apply_respects_supersession() {
-        let mut h = Harness::new();
-        assert_eq!(h.apply(7, Entry::live(1, ts(1))), ApplyOutcome::Applied);
-        assert_eq!(
-            h.apply(7, Entry::live(1, ts(1))),
-            ApplyOutcome::AlreadyKnown
-        );
-        assert_eq!(h.apply(7, Entry::live(2, ts(2))), ApplyOutcome::Applied);
-        assert_eq!(h.apply(7, Entry::live(1, ts(1))), ApplyOutcome::Obsolete);
-        assert_eq!(h.store.get(&7).unwrap().value(), Some(&2));
-        assert_eq!(h.live, 1);
-    }
-
-    #[test]
-    fn iteration_orders_agree_with_definitions() {
-        let mut h = Harness::new();
-        for (key, t) in [(30u32, 4), (10, 2), (20, 9), (40, 1)] {
-            h.apply(key, Entry::live(key, ts(t)));
-        }
-        let key_order: Vec<u32> = h.store.iter().map(|(k, _)| *k).collect();
-        assert_eq!(key_order, [10, 20, 30, 40]);
-        let peel: Vec<u32> = h.store.newest_first().map(|(k, _)| *k).collect();
-        assert_eq!(peel, [20, 30, 10, 40]);
-        let times: Vec<u64> = h
-            .store
-            .newest_first()
-            .map(|(_, e)| e.timestamp().time())
-            .collect();
-        assert_eq!(times, [9, 4, 2, 1]);
-    }
-
-    #[test]
-    fn remove_keeps_index_consistent_through_size_transitions() {
-        let mut h = Harness::new();
-        for key in 0..5u32 {
-            h.apply(key, Entry::live(key, ts(u64::from(key) + 1)));
-        }
-        for key in [2u32, 0, 4, 3, 1] {
-            assert!(h.remove(key).is_some());
-        }
-        assert_eq!(h.store.len(), 0);
-        assert_eq!(h.live, 0);
-        assert_eq!(h.checksum, Checksum::new());
-    }
-
-    #[test]
-    fn single_row_store_needs_no_index() {
-        let mut h = Harness::new();
-        h.apply(3, Entry::live(1, ts(1)));
-        assert!(h.store.by_key.is_empty());
-        assert_eq!(h.store.get(&3).unwrap().value(), Some(&1));
-        assert_eq!(h.store.get(&4), None);
-        // Supersede in place: still one row, still no index.
-        h.apply(3, Entry::live(2, ts(5)));
-        assert!(h.store.by_key.is_empty());
-        assert_eq!(h.store.len(), 1);
+    fn rows_stay_small_and_clear_sizes_both_blocks() {
+        assert_eq!(std::mem::size_of::<Row<u32, u32>>(), 32);
+        assert!(std::mem::size_of::<Row<u32, u64>>() <= 40);
+        let mut store = FlatStore::new();
+        fill(&mut store, [(1, 1)]);
+        store.clear(6);
+        assert_eq!(store.capacities(), (6, 6));
+        fill(&mut store, (0..6).map(|key| (5 - key, u64::from(key))));
+        assert_eq!((store.len(), store.capacities()), (6, (6, 6)));
     }
 
     /// The backward gallop is the whole-slice bisection from every bound
@@ -544,29 +499,10 @@ mod tests {
     /// The finger rests where the recent list starts; `clear()` resets it.
     #[test]
     fn the_finger_rests_where_the_recent_list_starts() {
-        let mut h = Harness::new();
-        for t in 1..=9 {
-            h.apply(t, Entry::live(0, ts(u64::from(t))));
-        }
-        assert_eq!((h.store.recent_len(9, 3), h.store.finger), (4, 5));
-        h.store.clear();
-        assert_eq!(h.store.finger, 0);
-    }
-
-    #[test]
-    fn out_of_order_timestamps_sort_into_the_column() {
-        let mut h = Harness::new();
-        h.apply(1, Entry::live(1, ts(100)));
-        h.apply(2, Entry::live(2, ts(50))); // older arrives later
-        h.apply(3, Entry::live(3, ts(75)));
-        // A reused timestamp is ordered by key, on either side of key 3.
-        h.apply(4, Entry::live(4, ts(75)));
-        h.apply(0, Entry::live(0, ts(75)));
-        let order: Vec<(u64, u32)> = h
-            .store
-            .newest_first()
-            .map(|(k, e)| (e.timestamp().time(), *k))
-            .collect();
-        assert_eq!(order, [(100, 1), (75, 4), (75, 3), (75, 0), (50, 2)]);
+        let mut store = FlatStore::new();
+        fill(&mut store, (1..=9).map(|t| (t, u64::from(t))));
+        assert_eq!((store.recent_len(9, 3), store.finger), (4, 5));
+        store.clear(0);
+        assert_eq!(store.finger, 0);
     }
 }

@@ -152,14 +152,4 @@ mod tests {
         assert_eq!(dead.timestamp(), ts(9));
         assert!(dead.death_certificate().is_some());
     }
-
-    /// The flat store's rows are `(key, entry)` pairs; their size is what a
-    /// column walk, a placement memmove and the lockstep recent-list walk
-    /// pay per row.
-    #[test]
-    fn rows_stay_small() {
-        use std::mem::size_of;
-        assert!(size_of::<(u32, Entry<u32>)>() <= 32);
-        assert!(size_of::<(u32, Entry<u64>)>() <= 40);
-    }
 }

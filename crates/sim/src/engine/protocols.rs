@@ -22,10 +22,7 @@ use rand::rngs::StdRng;
 
 use super::{ContactStats, EpidemicProtocol, Observer, Roster, SirView};
 use crate::bitset::BitSet;
-use crate::util::{pair_mut, reset_replicas};
-
-/// The single key every single-update protocol spreads.
-const KEY: u32 = 0;
+use crate::util::{pair_mut, reset_replicas, seed_quietly, KEY};
 
 /// Table 4's mechanism: push-pull anti-entropy comparing whole databases.
 const TABLE4: AntiEntropy = AntiEntropy::new(Direction::PushPull, Comparison::Full);
@@ -344,7 +341,7 @@ impl MixingProtocol {
         mut state: MixingState,
     ) -> Self {
         let n = sites.len();
-        reset_replicas(&mut state.sites, sites);
+        reset_replicas(&mut state.sites, sites, 0);
         state.received.reset(n);
         state.active.reset(if rumor.is_some() { n } else { 0 });
         let snapshots = if synchronous { n } else { 0 };
@@ -357,14 +354,14 @@ impl MixingProtocol {
                 .all(|site| site.db().is_empty() && site.hot().is_empty()),
             "every site is empty before the update is seeded"
         );
-        state.sites[origin].client_update(KEY, 1);
-        state.received.mark(origin, 0);
         if rumor.is_some() {
+            state.sites[origin].client_update(KEY, 1);
             state.active.set(origin, true);
         } else {
             // Pure anti-entropy: nothing is "hot".
-            state.sites[origin].hot_mut().clear();
+            seed_quietly(&mut state.sites[origin]);
         }
+        state.received.mark(origin, 0);
         MixingProtocol {
             rumor,
             synchronous,

@@ -12,7 +12,7 @@
 use std::cmp::Reverse;
 
 use epidemic_core::{AntiEntropy, Comparison, Direction};
-use epidemic_db::{Entry, SiteId};
+use epidemic_db::SiteId;
 use epidemic_net::{LinkTraffic, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -20,7 +20,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::engine::RouteCharge;
 use crate::spatial::SpatialArena;
-use crate::util::reset_replicas;
+use crate::util::{reset_replicas, seed_quietly, KEY};
 
 /// Time in microticks; one nominal anti-entropy period is
 /// [`AsyncSpatialSim::PERIOD`] microticks.
@@ -66,8 +66,6 @@ pub struct AsyncSpatialSim<'a> {
     jitter: f64,
 }
 
-const KEY: u32 = 0;
-
 /// Safety bound on the exchanges of one run.
 const MAX_EVENTS: u64 = 10_000_000;
 
@@ -111,12 +109,10 @@ impl<'a> AsyncSpatialSim<'a> {
         let (replicas, scratch) = (&mut arena.state.sites, &mut arena.state.exchange);
         let (received, queue) = (&mut arena.timed, &mut arena.queue);
         let (compare, update) = (&mut arena.compare, &mut arena.update);
-        reset_replicas(replicas, sites.iter().copied());
+        reset_replicas(replicas, sites.iter().copied(), 0);
         let origin = origin.unwrap_or_else(|| *sites.choose(&mut rng).expect("sites"));
         let origin_idx = sites.binary_search(&origin).expect("site exists");
-        // Stored, not hot: a client update would grow the origin's hot list.
-        let at = replicas[origin_idx].now();
-        replicas[origin_idx].receive_quietly_ref(&KEY, &Entry::live(1, at));
+        seed_quietly(&mut replicas[origin_idx]);
         received.reset(n);
         received.mark(origin_idx, 0);
 

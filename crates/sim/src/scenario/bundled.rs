@@ -121,6 +121,18 @@ mod tests {
         }
     }
 
+    /// Stores are sized only for a budget of updates, ≤ 2¹⁸ rows in all.
+    #[test]
+    fn stores_are_sized_only_for_a_budget_of_updates() {
+        assert_eq!(steady(200, 4.0, [0, 100, 200]).store_keys(), 400);
+        let mut spec = steady(64, 1.0, [0, 100_000, 0]);
+        assert_eq!(spec.store_keys(), (1 << 18) / 64);
+        spec.workload.mix.read = 1;
+        assert_eq!(spec.store_keys(), 0, "reads draw from the budget");
+        (spec.workload.mix.read, spec.workload.budget) = (0, None);
+        assert_eq!(spec.store_keys(), 0, "unbudgeted");
+    }
+
     #[test]
     fn bundled_files_round_trip_through_render() {
         for spec in all() {

@@ -199,11 +199,12 @@ impl Holders {
     }
 }
 
-/// Everything a scenario run keeps on the heap — replicas, activity
-/// lists, per-site vectors, the landed-key holder set, the exchange and
-/// rumor scratch and the engine's roster buffers — owned across runs, so
-/// that a run on a warm arena allocates nothing (a mail transport, fault
-/// milestones and gc certificates aside). One arena serves any sequence
+/// Everything a scenario run keeps on the heap — replicas (their stores
+/// sized for every key the run can mint), activity lists, per-site
+/// vectors, the landed-key holder set, the mail transport, the exchange
+/// and rumor scratch and the engine's roster buffers — owned across runs,
+/// so that a run on a warm arena allocates nothing (fault milestones and
+/// gc certificates aside). One arena serves any sequence
 /// of specs; each run starts from a state indistinguishable from a fresh
 /// one.
 #[derive(Debug, Default)]
@@ -237,6 +238,7 @@ struct State {
     deleted_keys: Vec<u32>,
     open: Vec<OpenKey>,
     holders: Holders,
+    mail: MailSystem<u32, u32>,
     mailed: Vec<u32>,
     exchange: ExchangeScratch<u32>,
     rumor: RumorScratch<u32>,
@@ -376,7 +378,8 @@ pub struct ScenarioProtocol {
     write_once: bool,
     // --- simulation state ---
     s: State,
-    mail: Option<MailSystem<u32, u32>>,
+    /// The spec has a mail line: `s.mail` is this run's transport.
+    mailing: bool,
     partitioned: bool,
     loss: f64,
     churn: Option<(f64, f64)>,
@@ -391,7 +394,6 @@ pub struct ScenarioProtocol {
     exchange: AntiEntropy,
     backup: BackupAntiEntropy,
     peel: Option<PeelBackRumor>,
-    direct: DirectMail,
     // --- counters: the report's as they accrue ---
     down_site_cycles: u64,
     r: ScenarioReport,
@@ -403,7 +405,8 @@ impl ScenarioProtocol {
     fn new(spec: &Scenario, mut s: State) -> Self {
         let n = spec.sites;
         let peel = spec.protocol.peel_back.map(PeelBackRumor::new);
-        reset_replicas(&mut s.replicas, s.everyone.iter().copied());
+        let rows = spec.store_keys();
+        reset_replicas(&mut s.replicas, s.everyone.iter().copied(), rows);
         s.lists.clear();
         s.lists
             .resize_with(peel.map_or(0, |_| n), ActivityList::new);
@@ -423,6 +426,9 @@ impl ScenarioProtocol {
         s.open.reserve(keys);
         let ae = spec.protocol.anti_entropy;
         let redistribution = ae.map_or(Redistribution::None, |ae| ae.redistribution);
+        if let Some(config) = spec.protocol.mail {
+            s.mail.reset(n, config);
+        }
         let comparison = match ae.map_or(Comparison::Full, |ae| ae.comparison) {
             // A window past the clock's range lists every entry.
             Comparison::RecentList { tau } => Comparison::RecentList {
@@ -439,7 +445,7 @@ impl ScenarioProtocol {
             warmup: spec.warmup,
             write_once: !spec.deletes(),
             s,
-            mail: spec.protocol.mail.map(|config| MailSystem::new(n, config)),
+            mailing: spec.protocol.mail.is_some(),
             partitioned: false,
             loss: 0.0,
             churn: None,
@@ -452,7 +458,6 @@ impl ScenarioProtocol {
             exchange: AntiEntropy::new(Direction::PushPull, comparison),
             backup: BackupAntiEntropy::new(redistribution),
             peel,
-            direct: DirectMail::new(),
             down_site_cycles: 0,
             r: ScenarioReport {
                 delay: Summary::new(),
@@ -597,9 +602,9 @@ impl ScenarioProtocol {
             // anti-entropy drivers did exactly this after injecting).
             self.s.replicas[site].hot_mut().remove(&key);
         }
-        if let Some(mail) = &mut self.mail {
-            self.direct
-                .broadcast(&self.s.replicas[site], &self.s.everyone, &key, mail, rng);
+        if self.mailing {
+            let s = &mut self.s;
+            DirectMail.broadcast(&s.replicas[site], &s.everyone, &key, &mut s.mail, rng);
         }
         self.s.holders.mint();
         self.s.holders.land(site, &[key]);
@@ -772,7 +777,7 @@ impl ScenarioProtocol {
         if cycles > 0 {
             r.down_fraction = self.down_site_cycles as f64 / (f64::from(cycles) * n as f64);
         }
-        r.mail = self.mail.as_ref().map(MailSystem::stats);
+        r.mail = self.mailing.then(|| self.s.mail.stats());
         (self.r, self.s)
     }
 
@@ -784,10 +789,10 @@ impl ScenarioProtocol {
             self.exchange.exchange_with(a, b, &mut self.s.exchange)
         } else {
             let outcome = self.backup.exchange(a, b, &mut self.s.exchange);
-            if let Some(mail) = &mut self.mail {
+            if self.mailing {
                 for (key, entry) in outcome.remail {
                     for &to in &self.s.everyone {
-                        mail.post(to, key, entry.clone(), rng);
+                        self.s.mail.post(to, key, entry.clone(), rng);
                     }
                 }
             }
@@ -895,19 +900,18 @@ impl EpidemicProtocol for ScenarioProtocol {
         self.run_workload(cycle, rng);
         // 5. Mail delivery to up sites (queued letters survive an outage
         //    until the destination recovers or the queue overflows).
-        if let Some(mut mail) = self.mail.take() {
+        if self.mailing {
             for i in 0..self.n() {
                 if !self.s.up[i] {
                     continue;
                 }
-                self.s.mailed.clear();
-                let replica = &mut self.s.replicas[i];
-                if self.direct.deliver(replica, &mut mail, &mut self.s.mailed) > 0 {
-                    self.s.holders.land(i, &self.s.mailed);
+                let s = &mut self.s;
+                s.mailed.clear();
+                if DirectMail.deliver(&mut s.replicas[i], &mut s.mail, &mut s.mailed) > 0 {
+                    s.holders.land(i, &s.mailed);
                     self.close_covered(cycle);
                 }
             }
-            self.mail = Some(mail);
         }
         // 6. Which mechanism runs this cycle.
         self.phase = self.phase_for(cycle);

@@ -493,6 +493,17 @@ impl Scenario {
         workload + events.sum::<f64>()
     }
 
+    /// Rows each store is sized for before a run: the keys a budget of
+    /// updates alone mints, up to 2¹⁸ rows across the sites; else 0 (the
+    /// run may hold far fewer keys than it could mint: stores grow).
+    pub(crate) fn store_keys(&self) -> usize {
+        let mix = self.workload.mix;
+        if self.workload.budget.is_none() || mix.delete + mix.read > 0 {
+            return 0;
+        }
+        (self.max_keys() as usize).min((1 << 18) / self.sites)
+    }
+
     fn validate_event(&self, event: &FaultEvent) -> Result<(), SpecError> {
         let n = self.sites;
         let site_ok = |site: usize, what: &str| {

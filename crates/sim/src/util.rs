@@ -3,7 +3,10 @@
 use std::hash::Hash;
 
 use epidemic_core::Replica;
-use epidemic_db::SiteId;
+use epidemic_db::{Entry, SiteId};
+
+/// The one key the single-update drivers spread.
+pub(crate) const KEY: u32 = 0;
 
 /// Site ids `0..n`.
 pub(crate) fn site_ids(n: usize) -> impl ExactSizeIterator<Item = SiteId> {
@@ -12,18 +15,27 @@ pub(crate) fn site_ids(n: usize) -> impl ExactSizeIterator<Item = SiteId> {
 
 /// Makes `replicas` the replicas [`Replica::new`] builds for `sites`, in
 /// order, resetting the ones already there so a trial arena keeps every
-/// capacity an earlier run grew.
+/// capacity an earlier run grew, each store sized for `keys` entries.
 pub(crate) fn reset_replicas<V: Hash>(
     replicas: &mut Vec<Replica<u32, V>>,
     sites: impl ExactSizeIterator<Item = SiteId>,
+    keys: usize,
 ) {
     replicas.truncate(sites.len());
     for (i, site) in sites.enumerate() {
-        match replicas.get_mut(i) {
-            Some(replica) => replica.reset(site),
-            None => replicas.push(Replica::new(site)),
+        if i == replicas.len() {
+            replicas.push(Replica::new(site));
         }
+        replicas[i].reset(site, keys);
     }
+}
+
+/// Stores a single-update run's update at `origin` without making it hot
+/// — what a client update leaves once its hot entry is cleared, without
+/// growing the origin's hot list: anti-entropy spreads it.
+pub(crate) fn seed_quietly(origin: &mut Replica<u32, u32>) {
+    let at = origin.now();
+    origin.receive_quietly_ref(&KEY, &Entry::live(1, at));
 }
 
 /// Mutable references to two distinct elements of a slice.

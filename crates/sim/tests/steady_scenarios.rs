@@ -243,6 +243,14 @@ fn used_arena(arena: &mut ScenarioArena) {
     run(arena, Err((&grid, QS2)), ae(RECENT, 2.0, CIN), 1);
     run(arena, Ok(60), rumor(Direction::Push, 3, 1.0, RUMOR), 5);
     assert_eq!(on_ring(arena), fresh_ring);
+    // A used mail transport delivers like a new one.
+    let mail = ScenarioEngine::new(bundled::by_name("clearinghouse").expect("bundled"));
+    let mail = mail.expect("a bundled spec is valid");
+    mail.run(arena, 2, &mut ());
+    assert_eq!(
+        mail.run(arena, 3, &mut ()),
+        mail.run(&mut ScenarioArena::new(), 3, &mut ())
+    );
     // Push and pull under every feedback and removal rule skip their
     // offers to holders (made anyway, and checked, in debug builds).
     for direction in [Direction::Push, Direction::Pull] {
