@@ -12,9 +12,9 @@ use std::hint::black_box;
 use epidemic_bench::registry::{self, Ctx, Group};
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::topologies::{cin, CinConfig};
-use epidemic_net::Spatial;
-use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
-use epidemic_sim::spatial::{SpatialArena, SpatialSim};
+use epidemic_net::{LinkTraffic, Routes, Spatial};
+use epidemic_sim::engine::RouteCharge;
+use epidemic_sim::{MixingArena, SpatialSim};
 
 const N: usize = registry::N;
 
@@ -53,7 +53,7 @@ fn bench_mixing_tables(c: &mut Criterion) {
             Removal::Counter { k: 2 },
         ),
     ] {
-        let driver = RumorEpidemic::new(N, RumorConfig::new(direction, feedback, removal));
+        let driver = SpatialSim::mixing(N, RumorConfig::new(direction, feedback, removal));
         let mut arena = MixingArena::new();
         c.bench_function(name, |b| {
             let mut seed = 0;
@@ -67,15 +67,18 @@ fn bench_mixing_tables(c: &mut Criterion) {
 
 fn bench_spatial_tables(c: &mut Criterion) {
     let net = cin(&CinConfig::default());
+    let (topo, routes) = (&net.topology, Routes::compute(&net.topology));
     for (name, limit) in [("table4/one_run_a2", None), ("table5/one_run_a2", Some(1))] {
         let sim =
-            SpatialSim::new(&net.topology, Spatial::QsPower { a: 2.0 }).connection_limit(limit);
-        let mut arena = SpatialArena::new();
+            SpatialSim::new(topo, &routes, Spatial::QsPower { a: 2.0 }).connection_limit(limit);
+        let mut arena = MixingArena::new();
+        let mut counters = <[LinkTraffic; 2]>::default();
         c.bench_function(name, |b| {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                black_box(sim.run(&mut arena, seed, &mut ()).t_last)
+                let mut charge = RouteCharge::new(topo, &routes, 0, &mut counters);
+                black_box(sim.run(&mut arena, seed, &mut charge).t_last)
             })
         });
     }

@@ -8,23 +8,21 @@
 //! trial count; every trial loop here runs on `ctx.runner` for
 //! `ctx.trials` trials.
 
-use std::borrow::Cow;
-
 use epidemic_analysis::{
     mean_line_traffic, pull_cycles_until, push_epidemic_time, residue_from_traffic, RumorOde,
 };
 use epidemic_core::anti_entropy::{AntiEntropy, Comparison};
 use epidemic_core::{Direction, Feedback, Removal, Replica, RumorConfig};
 use epidemic_db::SiteId;
-use epidemic_net::topologies::{self, cin, CinConfig};
-use epidemic_net::{LinkId, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
+use epidemic_net::topologies::{self, cin, Cin, CinConfig};
+use epidemic_net::{LinkTraffic, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
 use epidemic_sim::engine::{RouteCharge, SirObserver};
-use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
+use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena};
 use epidemic_sim::runner::Arenas;
 use epidemic_sim::scenario::{
     bundled, AntiEntropySpec, FaultKind, Scenario, ScenarioArena, ScenarioEngine,
 };
-use epidemic_sim::spatial::{failure_probability, minimum_k, SpatialArena, SpatialSim};
+use epidemic_sim::spatial::{failure_probability, minimum_k, SpatialSim};
 
 use crate::registry::{Ctx, Output};
 use crate::render::{fmt, labelled, FigTable};
@@ -82,7 +80,7 @@ pub(crate) fn residue_traffic_table(ctx: &Ctx<'_>) -> FigTable {
     let rows = variants
         .into_iter()
         .map(|(label, cfg, climit)| {
-            let driver = RumorEpidemic::new(ctx.n, cfg).connection_limit(climit);
+            let driver = SpatialSim::mixing(ctx.n, cfg).connection_limit(climit);
             let [s, m] = ctx.mean(
                 || arenas.take(),
                 |arena, seed| {
@@ -207,7 +205,7 @@ pub(crate) fn figure1_table(ctx: &Ctx<'_>) -> FigTable {
         .map(|k| {
             let fails = |sampler: &PartnerSampler, direction| {
                 let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k });
-                let sim = SpatialSim::with_routes(&topo, Cow::Borrowed(&routes), sampler)
+                let sim = SpatialSim::with_selection(&topo, sampler)
                     .rumor(cfg)
                     .origin(s);
                 failure_probability(ctx.runner, &arenas, &sim, ctx.trials)
@@ -241,14 +239,14 @@ pub(crate) fn figure2_table(ctx: &Ctx<'_>) -> FigTable {
     let rows = (1..=6u32)
         .map(|k| {
             let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k });
-            let sim = SpatialSim::with_routes(&topo, Cow::Borrowed(&routes), &qs2)
+            let sim = SpatialSim::with_selection(&topo, &qs2)
                 .rumor(cfg)
                 .origin(root);
             let [missed_s] = ctx.mean(
                 || arenas.take(),
                 |arena, t| {
-                    let r = sim.run(arena, t + 17, &mut ());
-                    [f64::from(u8::from(!r.received.is_marked(s_at)))]
+                    sim.run(arena, t + 17, &mut ());
+                    [f64::from(u8::from(!arena.received().is_marked(s_at)))]
                 },
             );
             let any = failure_probability(ctx.runner, &arenas, &sim, ctx.trials);
@@ -364,7 +362,7 @@ pub fn spatial_rumor_on(
         ..*ctx
     };
     let routes = Routes::compute(&net.topology);
-    let arenas = Arenas::default();
+    let (arenas, counters) = (Arenas::default(), Arenas::<[LinkTraffic; 2]>::default());
     let mut rows = Vec::new();
     for (label, spatial) in distributions.iter().cloned() {
         let min_k = minimum_k(
@@ -391,19 +389,18 @@ pub fn spatial_rumor_on(
             removal: Removal::Counter { k },
             ..base
         };
-        let sampler = PartnerSampler::new(&net.topology, &routes, spatial);
-        let sim =
-            SpatialSim::with_routes(&net.topology, Cow::Borrowed(&routes), sampler).rumor(cfg);
+        let sim = SpatialSim::new(&net.topology, &routes, spatial).rumor(cfg);
         let [t_last, cmp_avg, cmp_bushey, upd_avg] = measure.mean(
-            || arenas.take(),
-            |arena, seed| {
-                let r = sim.run(arena, seed + 1000, &mut ());
+            || (arenas.take(), counters.take()),
+            |(arena, counters), seed| {
+                let mut charge = RouteCharge::new(&net.topology, &routes, 0, counters);
+                let r = sim.run(arena, seed + 1000, &mut charge);
                 let cycles = f64::from(r.cycles.max(1));
                 [
-                    f64::from(r.t_last),
-                    r.compare_traffic.mean_per_link() / cycles,
-                    r.compare_traffic.at(net.bushey_link) as f64 / cycles,
-                    r.update_traffic.mean_per_link(),
+                    r.t_last,
+                    charge.compare.mean_per_link() / cycles,
+                    charge.compare.at(net.bushey_link) as f64 / cycles,
+                    charge.update.mean_per_link(),
                 ]
             },
         );
@@ -471,7 +468,7 @@ pub(crate) fn hunting_table(ctx: &Ctx<'_>) -> FigTable {
     let rows = [0u32, 1, 4, 16, u32::MAX]
         .iter()
         .map(|&hunt| {
-            let driver = RumorEpidemic::new(
+            let driver = SpatialSim::mixing(
                 ctx.n,
                 RumorConfig::new(
                     Direction::Push,
@@ -669,22 +666,25 @@ pub(crate) fn checksum_window_table() -> FigTable {
 pub(crate) fn async_ablation_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_sim::event::AsyncSpatialSim;
     let net = cin(&CinConfig::default());
-    let arenas = Arenas::default();
+    let (topo, routes) = (&net.topology, Routes::compute(&net.topology));
+    let arenas = Charged::default();
     let mut rows = Vec::new();
     for (label, spatial) in [
         ("uniform".to_string(), Spatial::Uniform),
         ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
-        let sync = SpatialSim::new(&net.topology, spatial);
-        let asynchronous = AsyncSpatialSim::new(&net.topology, spatial, 0.3);
+        let sync = SpatialSim::new(topo, &routes, spatial);
+        let asynchronous = AsyncSpatialSim::new(topo, &routes, spatial, 0.3);
         let means = ctx.mean(
             || arenas.take(),
-            |arena, seed| {
-                let s = sync.run(arena, seed + 71, &mut ());
-                let sync_cmp = s.compare_traffic.mean_per_link() / f64::from(s.cycles.max(1));
-                let t_last = f64::from(s.t_last);
-                let a = asynchronous.run(arena, seed + 71, None);
-                [t_last, a.t_last, sync_cmp, a.compare_per_link_period]
+            |state, seed| {
+                let (arena, counters) = &mut **state;
+                let mut charge = RouteCharge::new(topo, &routes, 0, counters);
+                let s = sync.run(arena, seed + 71, &mut charge);
+                let sync_cmp = charge.compare.mean_per_link() / f64::from(s.cycles.max(1));
+                let mut charge = RouteCharge::new(topo, &routes, 0, counters);
+                let a = asynchronous.run(arena, seed + 71, None, &mut charge);
+                [s.t_last, a.t_last, sync_cmp, a.compare_per_link_period]
             },
         );
         rows.push(labelled(label, means));
@@ -702,25 +702,29 @@ pub(crate) fn async_ablation_table(ctx: &Ctx<'_>) -> FigTable {
     )
 }
 
-/// Mean `t_last` of `sim`'s runs at seeds `offset..`, with the mean compare
-/// conversations per link per cycle, and on `link` per cycle.
+/// Trial arenas, each beside the link counters its trials' charges fill.
+type Charged = Arenas<(MixingArena, [LinkTraffic; 2])>;
+
+/// Mean `t_last` of `sim`'s runs on `net` (along `routes`) at seeds
+/// `offset..`, with the mean compare conversations per link per cycle, and
+/// on the Bushey link per cycle.
 fn convergence_and_load<S: PartnerSelection + Sync>(
     ctx: &Ctx<'_>,
-    arenas: &Arenas<SpatialArena>,
+    arenas: &Charged,
     sim: &SpatialSim<'_, S>,
+    (net, routes): (&Cin, &Routes),
     offset: u64,
-    link: LinkId,
 ) -> [f64; 3] {
     ctx.mean(
         || arenas.take(),
-        |arena, seed| {
-            let r = sim.run(arena, seed + offset, &mut ());
+        |state, seed| {
+            let (arena, counters) = &mut **state;
+            let mut charge = RouteCharge::new(&net.topology, routes, 0, counters);
+            let r = sim.run(arena, seed + offset, &mut charge);
             let cycles = f64::from(r.cycles.max(1));
-            [
-                f64::from(r.t_last),
-                r.compare_traffic.mean_per_link() / cycles,
-                r.compare_traffic.at(link) as f64 / cycles,
-            ]
+            let compare = &charge.compare;
+            let bushey = compare.at(net.bushey_link) as f64;
+            [r.t_last, compare.mean_per_link() / cycles, bushey / cycles]
         },
     )
 }
@@ -731,14 +735,14 @@ pub(crate) fn hierarchy_table(ctx: &Ctx<'_>) -> FigTable {
     use epidemic_net::HierarchicalSampler;
     let net = cin(&CinConfig::default());
     let routes = Routes::compute(&net.topology);
-    let arenas = Arenas::default();
+    let arenas = Charged::default();
     let mut rows = Vec::new();
     for (label, spatial) in [
         ("uniform".to_string(), Spatial::Uniform),
         ("flat a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
-        let sim = SpatialSim::new(&net.topology, spatial);
-        let means = convergence_and_load(ctx, &arenas, &sim, 13, net.bushey_link);
+        let sim = SpatialSim::new(&net.topology, &routes, spatial);
+        let means = convergence_and_load(ctx, &arenas, &sim, (&net, &routes), 13);
         rows.push(labelled(label, means));
     }
     for (reps, long_range) in [(8usize, 0.3f64), (16, 0.3), (16, 0.6)] {
@@ -750,7 +754,7 @@ pub(crate) fn hierarchy_table(ctx: &Ctx<'_>) -> FigTable {
             Spatial::QsPower { a: 2.0 },
         );
         let sim = SpatialSim::with_selection(&net.topology, sampler);
-        let means = convergence_and_load(ctx, &arenas, &sim, 13, net.bushey_link);
+        let means = convergence_and_load(ctx, &arenas, &sim, (&net, &routes), 13);
         rows.push(labelled(
             format!("hierarchy r={reps} p={long_range}"),
             means,
@@ -774,7 +778,7 @@ pub(crate) fn hierarchy_table(ctx: &Ctx<'_>) -> FigTable {
 pub(crate) fn sir_curve_table(ctx: &Ctx<'_>) -> FigTable {
     let k = 2;
     let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Coin { k });
-    let driver = RumorEpidemic::new(ctx.n, cfg);
+    let driver = SpatialSim::mixing(ctx.n, cfg);
     // Average the infective fraction observed at (just below) each sampled
     // susceptible level across trials.
     let samples = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1];
@@ -841,7 +845,7 @@ pub(crate) fn cin_steady_table(ctx: &Ctx<'_>) -> FigTable {
     let (sites, routes) = (topo.sites(), Routes::compute(topo));
     let spec = bundled::steady(sites.len(), 2.0, [WARMUP, 60, 0]);
     let engine = anti_entropy(spec, Comparison::RecentList { tau: 40 });
-    let arenas = Arenas::<ScenarioArena>::default();
+    let arenas = Arenas::<(ScenarioArena, [LinkTraffic; 2])>::default();
     let mut rows = Vec::new();
     for (label, spatial) in [
         ("uniform".to_string(), Spatial::Uniform),
@@ -850,9 +854,10 @@ pub(crate) fn cin_steady_table(ctx: &Ctx<'_>) -> FigTable {
     ] {
         let sampler = PartnerSampler::new(topo, &routes, spatial);
         let means = ctx.mean(
-            || (arenas.take(), RouteCharge::new(topo, &routes, WARMUP)),
-            |(arena, charge), seed| {
-                charge.reset();
+            || arenas.take(),
+            |state, seed| {
+                let (arena, counters) = &mut **state;
+                let charge = &mut RouteCharge::new(topo, &routes, WARMUP, counters);
                 let r = engine.run_with_policy(arena, seed + 31, &sampler, Some(sites), charge);
                 let per_cycle = |count: f64| ratio(count, f64::from(r.cycles - WARMUP));
                 let (compare, update) = (&charge.compare, &charge.update);
@@ -884,15 +889,16 @@ pub(crate) fn cin_steady_table(ctx: &Ctx<'_>) -> FigTable {
 /// around, so Europe appears "farther" and crossing traffic falls further
 /// still — at the price of slower transatlantic convergence.
 pub(crate) fn weighted_cin_table(ctx: &Ctx<'_>) -> FigTable {
-    let arenas = Arenas::default();
+    let arenas = Charged::default();
     let mut rows = Vec::new();
     for cost in [1u32, 3, 6] {
         let net = cin(&CinConfig {
             transatlantic_cost: cost,
             ..CinConfig::default()
         });
-        let sim = SpatialSim::new(&net.topology, Spatial::QsPower { a: 2.0 });
-        let means = convergence_and_load(ctx, &arenas, &sim, 47, net.bushey_link);
+        let routes = Routes::compute(&net.topology);
+        let sim = SpatialSim::new(&net.topology, &routes, Spatial::QsPower { a: 2.0 });
+        let means = convergence_and_load(ctx, &arenas, &sim, (&net, &routes), 47);
         rows.push(labelled(cost.to_string(), means));
     }
     FigTable::new(
@@ -1011,22 +1017,22 @@ pub(crate) fn topology_robustness_table(ctx: &Ctx<'_>) -> FigTable {
         ("ER(64, p=.05)", random_connected(64, 0.05, 5)),
         ("waxman(64)", waxman(64, 0.9, 0.15, 5)),
     ];
-    let arenas = Arenas::default();
+    let arenas = Charged::default();
     let mut rows = Vec::new();
     for (label, topo) in &topos {
         let mut cells = vec![label.to_string()];
+        let routes = Routes::compute(topo);
         for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
-            let sim = SpatialSim::new(topo, spatial);
+            let sim = SpatialSim::new(topo, &routes, spatial);
             let means = ctx.mean(
                 || arenas.take(),
-                |arena, seed| {
-                    let r = sim.run(arena, seed + 3, &mut ());
+                |state, seed| {
+                    let (arena, counters) = &mut **state;
+                    let mut charge = RouteCharge::new(topo, &routes, 0, counters);
+                    let r = sim.run(arena, seed + 3, &mut charge);
                     let cycles = f64::from(r.cycles.max(1));
-                    let hottest = r
-                        .compare_traffic
-                        .hottest()
-                        .map_or(0.0, |(_, c)| c as f64 / cycles);
-                    [f64::from(r.t_last), hottest]
+                    let hottest = charge.compare.hottest();
+                    [r.t_last, hottest.map_or(0.0, |(_, c)| c as f64 / cycles)]
                 },
             );
             cells.extend(means.map(fmt));

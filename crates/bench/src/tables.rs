@@ -1,13 +1,11 @@
 //! Reproductions of the paper's numbered tables.
 
-use std::borrow::Cow;
-
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::topologies::{cin, Cin, CinConfig};
-use epidemic_net::{PartnerSampler, Routes, Spatial};
-use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
+use epidemic_net::{LinkTraffic, Routes, Spatial};
+use epidemic_sim::engine::RouteCharge;
 use epidemic_sim::runner::Arenas;
-use epidemic_sim::spatial::SpatialSim;
+use epidemic_sim::{MixingArena, SpatialSim};
 
 use crate::registry::{Ctx, Output};
 use crate::render::{labelled, FigTable};
@@ -36,7 +34,7 @@ pub(crate) fn mixing_sweep(
 ) {
     let sinks = ctx.sinks(sinks);
     for &k in ks {
-        let driver = RumorEpidemic::new(ctx.n, make(k));
+        let driver = SpatialSim::mixing(ctx.n, make(k));
         let (means, seen) = ctx.mean_seen(
             || arenas.take(),
             |arena, trial| {
@@ -162,7 +160,8 @@ pub(crate) type SpatialRow = (String, [f64; 6]);
 /// The Table 4/5 sweep — uniform and `a = 1.2 … 2.0` — on a
 /// caller-provided CIN (tests use smaller networks), under the tables'
 /// observers; every trace line carries the spatial-distribution label.
-/// One pool of trial arenas serves the whole sweep.
+/// One pool of trial arenas, each beside the link counters its trials'
+/// charges fill, serves the whole sweep.
 pub fn table45_on(ctx: &Ctx<'_>, net: &Cin, title: &str, connection_limit: Option<u32>) -> Output {
     let sinks = ctx.sinks(Sinks::Traced);
     let mut output = Output {
@@ -174,16 +173,17 @@ pub fn table45_on(ctx: &Ctx<'_>, net: &Cin, title: &str, connection_limit: Optio
     // One routing table for the whole sweep: an all-pairs computation per
     // simulator would be most of the cost of a short one.
     let routes = Routes::compute(&net.topology);
-    let arenas = Arenas::default();
+    let arenas = Arenas::<(MixingArena, [LinkTraffic; 2])>::default();
     let rows: Vec<SpatialRow> = std::iter::once(uniform)
         .chain(powers)
         .map(|(label, spatial)| {
-            let sampler = PartnerSampler::new(&net.topology, &routes, spatial);
-            let sim = SpatialSim::with_routes(&net.topology, Cow::Borrowed(&routes), sampler)
-                .connection_limit(connection_limit);
+            let sim =
+                SpatialSim::new(&net.topology, &routes, spatial).connection_limit(connection_limit);
             let (means, seen) = ctx.mean_seen(
                 || arenas.take(),
-                |arena, trial| {
+                |state, trial| {
+                    let (arena, counters) = &mut **state;
+                    let mut charge = RouteCharge::new(&net.topology, &routes, 0, counters);
                     let seed = trial.wrapping_mul(0x2545_F491_4F6C_DD1D) + 1;
                     let (r, seen) = observed!(
                         sinks,
@@ -191,16 +191,17 @@ pub fn table45_on(ctx: &Ctx<'_>, net: &Cin, title: &str, connection_limit: Optio
                             .label_str("distribution", &label)
                             .label_u64("trial", trial),
                         check,
-                        |observer| sim.run(arena, seed, observer)
+                        |observer| sim.run(arena, seed, &mut (&mut charge, observer))
                     );
                     let cycles = f64::from(r.cycles.max(1));
+                    let (compare, update) = (&charge.compare, &charge.update);
                     let means = [
-                        f64::from(r.t_last),
+                        r.t_last,
                         r.t_ave,
-                        r.compare_traffic.mean_per_link() / cycles,
-                        r.compare_traffic.at(net.bushey_link) as f64 / cycles,
-                        r.update_traffic.mean_per_link(),
-                        r.update_traffic.at(net.bushey_link) as f64,
+                        compare.mean_per_link() / cycles,
+                        compare.at(net.bushey_link) as f64 / cycles,
+                        update.mean_per_link(),
+                        update.at(net.bushey_link) as f64,
                     ];
                     (means, seen)
                 },

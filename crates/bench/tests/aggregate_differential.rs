@@ -9,9 +9,9 @@
 //! so both contact-loop implementations feed the seam identically.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::scenario::{bundled, ScenarioArena, ScenarioEngine};
+use epidemic_sim::{MixingArena, SpatialSim};
 use epidemic_trace::json::{parse, Value};
 use epidemic_trace::{AggregatingSink, RunAggregate, RunTracer, TraceConfig, DELAY_BUCKETS};
 
@@ -152,7 +152,7 @@ fn observe_trials(
 
 #[test]
 fn sink_matches_post_hoc_scan_for_a_mixing_table() {
-    let driver = RumorEpidemic::new(
+    let driver = SpatialSim::mixing(
         64,
         RumorConfig::new(
             Direction::Push,

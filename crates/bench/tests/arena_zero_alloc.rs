@@ -2,12 +2,14 @@
 //! replicas own the row, index and hot-list blocks their trials grow, its
 //! counters, scratch and roster buffers are sized — every further trial on
 //! it completes without asking the heap for a single byte. Covered: every
-//! rumor variant on a [`MixingArena`]; Table 4's anti-entropy (warmed by
-//! one run, so later trials seed origins it never did), §3.2's push-pull
-//! rumor mongering and `fig-async`'s event-driven anti-entropy on the CIN
-//! on a [`SpatialArena`]; and the three steady-state figures' trials and
-//! the mail-carrying `clearinghouse` scenario on one [`ScenarioArena`],
-//! whose first run sizes every store once.
+//! complete-mixing rumor variant on a [`MixingArena`]; Table 5's
+//! anti-entropy (warmed by one run, so later trials seed origins it never
+//! did) and §3.2's push-pull rumor mongering on the CIN, each trial taking
+//! its arena and link counters from one pool and charging its links as
+//! `table45_on` does; `fig-async`'s event-driven anti-entropy on a
+//! [`MixingArena`] and a caller's charge; and the three steady-state
+//! figures' trials and the mail-carrying `clearinghouse` scenario on one
+//! [`ScenarioArena`], whose first run sizes every store once.
 //!
 //! Like `zero_alloc.rs`, this file registers [`CountingAlloc`] as the test
 //! binary's global allocator and therefore holds exactly one test (a
@@ -25,14 +27,14 @@ use std::hint::black_box;
 use epidemic_bench::alloc_counter::{allocations, CountingAlloc};
 use epidemic_core::{Comparison, Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::topologies::{cin, Cin, CinConfig};
-use epidemic_net::{PartnerSampler, Routes, Spatial};
+use epidemic_net::{LinkTraffic, PartnerSampler, Routes, Spatial};
 use epidemic_sim::engine::RouteCharge;
 use epidemic_sim::event::AsyncSpatialSim;
-use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
+use epidemic_sim::runner::Arenas;
 use epidemic_sim::scenario::{
     bundled, AntiEntropySpec, Scenario, ScenarioArena, ScenarioEngine, ScenarioReport,
 };
-use epidemic_sim::spatial::{SpatialArena, SpatialSim};
+use epidemic_sim::{EpidemicResult, MixingArena, SpatialSim};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -80,10 +82,10 @@ fn mixing_trials() {
     // Warm-up: one epidemic that reaches every site, so no later trial is
     // the first to write to some replica.
     let warm =
-        RumorEpidemic::new(SITES, counter(Direction::PushPull, 5)).run(&mut arena, 1, &mut ());
+        SpatialSim::mixing(SITES, counter(Direction::PushPull, 5)).run(&mut arena, 1, &mut ());
     assert!(warm.complete, "the warm-up must touch every replica");
 
-    let mix = |cfg| RumorEpidemic::new(SITES, cfg);
+    let mix = |cfg| SpatialSim::mixing(SITES, cfg);
     let push = mix(counter(Direction::Push, 2));
     let blind_coin = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 2 });
     let variants = [
@@ -111,46 +113,65 @@ fn counter(direction: Direction, k: u32) -> RumorConfig {
     RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k })
 }
 
-/// `table5`'s and `fig-spatial-rumor`'s trials on the CIN, one arena for
-/// both mechanisms: anti-entropy under `a = 2.0` with connection limit 1,
-/// and push-pull rumor mongering.
+/// `table5`'s and `fig-spatial-rumor`'s trials on the CIN, one pool for
+/// both mechanisms — anti-entropy under `a = 2.0` with connection limit 1,
+/// and push-pull rumor mongering — each trial taking its arena and link
+/// counters from the pool and charging its links, as `table45_on` does.
 fn spatial_trials(net: &Cin) {
-    let mut arena = SpatialArena::new();
-    let anti_entropy =
-        SpatialSim::new(&net.topology, Spatial::QsPower { a: 2.0 }).connection_limit(Some(1));
-    let rumor = SpatialSim::new(&net.topology, Spatial::QsPower { a: 2.0 })
-        .rumor(counter(Direction::PushPull, 8));
+    let (topo, routes) = (&net.topology, Routes::compute(&net.topology));
+    let pool = Arenas::<(MixingArena, [LinkTraffic; 2])>::default();
+    let charged = |sim: &SpatialSim<'_>, seed| -> (EpidemicResult, u64) {
+        let mut state = pool.take();
+        let (arena, counters) = &mut *state;
+        let mut charge = RouteCharge::new(topo, &routes, 0, counters);
+        let r = sim.run(arena, seed, &mut charge);
+        (r, charge.compare.total())
+    };
+    let a2 = SpatialSim::new(topo, &routes, Spatial::QsPower { a: 2.0 });
+    let anti_entropy = a2.clone().connection_limit(Some(1));
+    let rumor = a2.rumor(counter(Direction::PushPull, 8));
     // Warm-up: one anti-entropy run reaches every site, so every replica
     // has held the update; the trials then seed origins it never did.
-    anti_entropy.run(&mut arena, 0, &mut ());
-    let mut converged = 0;
+    charged(&anti_entropy, 0);
+    let (mut converged, mut charged_links) = (0.0, 0);
     assert_warm_trials_do_not_allocate("CIN anti-entropy, a = 2.0, limit 1", |seed| {
-        converged += black_box(anti_entropy.run(&mut arena, seed, &mut ())).t_last;
+        let (r, compare) = black_box(charged(&anti_entropy, seed));
+        converged += r.t_last;
+        charged_links += compare;
     });
-    assert!(converged > 0, "anti-entropy must actually spread");
+    assert!(
+        converged > 0.0 && charged_links > 0,
+        "anti-entropy must spread, charged"
+    );
     // A few rumor runs size the rumor scratch.
     for seed in 0..4 {
-        rumor.run(&mut arena, seed, &mut ());
+        charged(&rumor, seed);
     }
     let mut reached = 0.0;
     assert_warm_trials_do_not_allocate("CIN push-pull rumor", |seed| {
-        reached += 1.0 - black_box(rumor.run(&mut arena, seed, &mut ())).residue;
+        reached += 1.0 - black_box(charged(&rumor, seed)).0.residue;
     });
     assert!(reached > 1.0, "the rumors must actually spread");
 }
 
 /// `fig-async`'s event-driven trials on the CIN, under uniform and Qs^-2
-/// selection, on one arena.
+/// selection, on one arena and one pair of link counters.
 fn async_trials(net: &Cin) {
-    let mut arena = SpatialArena::new();
+    let (topo, routes) = (&net.topology, Routes::compute(&net.topology));
+    let mut arena = MixingArena::new();
+    let mut counters = <[LinkTraffic; 2]>::default();
     for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
-        let sim = AsyncSpatialSim::new(&net.topology, spatial, 0.3);
+        let sim = AsyncSpatialSim::new(topo, &routes, spatial, 0.3);
+        let mut run = |seed| {
+            let mut charge = RouteCharge::new(topo, &routes, 0, &mut counters);
+            sim.run(&mut arena, seed, None, &mut charge)
+        };
         // Warm-up: one run, as `fig-async`'s first; the update reaches
         // every replica, and the origin is seeded without a hot list.
-        sim.run(&mut arena, 0, None);
+        run(0);
         let mut exchanges = 0;
         assert_warm_trials_do_not_allocate(&format!("CIN event-driven, {spatial:?}"), |seed| {
-            exchanges += black_box(sim.run(&mut arena, seed, None)).exchanges;
+            exchanges += black_box(run(seed)).exchanges;
         });
         assert!(
             exchanges > 0,
@@ -196,14 +217,14 @@ fn steady_trials(net: &Cin) {
         });
     }
     let (sites, routes) = (net.topology.sites(), Routes::compute(&net.topology));
-    let mut charge = RouteCharge::new(&net.topology, &routes, 20);
+    let mut counters = <[LinkTraffic; 2]>::default();
     for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
         let sampler = PartnerSampler::new(&net.topology, &routes, spatial);
         let recent = Comparison::RecentList { tau: 40 };
         let spec = |rate| ae(bundled::steady(sites.len(), rate, [20, 60, 0]), recent);
         let label = format!("CIN steady, {spatial:?}");
         steady_case(&mut arena, &label, 2.0, spec, |arena, engine, seed| {
-            charge.reset();
+            let mut charge = RouteCharge::new(&net.topology, &routes, 20, &mut counters);
             engine.run_with_policy(arena, seed, &sampler, Some(sites), &mut charge)
         });
     }

@@ -146,7 +146,9 @@ impl<T: Copy + Into<u64>> ReceiveLog<T> {
 ///
 /// As an [`Observer`] it charges every contact of the cycles after `after`,
 /// with the entries it sent as update units; dense site `i` is `sites[i]`.
-/// Any protocol's run can be measured on a topology this way.
+/// Any protocol's run can be measured on a topology this way. The counters
+/// are the caller's, so a sweep that keeps them beside its trial arenas
+/// grows them once.
 #[derive(Debug)]
 pub struct RouteCharge<'a> {
     routes: &'a Routes,
@@ -155,45 +157,32 @@ pub struct RouteCharge<'a> {
     /// Cycles left uncharged (a warm-up).
     after: u32,
     /// Conversation (comparison) traffic: one route charge per contact.
-    pub compare: LinkTraffic,
+    pub compare: &'a mut LinkTraffic,
     /// Update traffic: one route charge per transmitted unit.
-    pub update: LinkTraffic,
+    pub update: &'a mut LinkTraffic,
 }
 
 impl<'a> RouteCharge<'a> {
-    /// Zeroed counters for `topology`, charging along `routes` every
-    /// contact of the cycles after `after`.
-    pub fn new(topology: &'a Topology, routes: &'a Routes, after: u32) -> Self {
-        let empty = || LinkTraffic::new(0);
-        RouteCharge {
-            after,
-            ..Self::reusing(topology, routes, empty(), empty())
-        }
-    }
-
-    /// As [`RouteCharge::new`] with no warm-up, on counters an earlier run
-    /// filled: they are zeroed for `topology` and keep their storage.
-    pub(crate) fn reusing(
+    /// Charges every contact of the cycles after `after` along `routes`
+    /// to `counters` — compare traffic, then update traffic — zeroed here
+    /// for `topology`. They keep their storage, so reused counters
+    /// allocate only to grow.
+    pub fn new(
         topology: &'a Topology,
         routes: &'a Routes,
-        mut compare: LinkTraffic,
-        mut update: LinkTraffic,
+        after: u32,
+        counters: &'a mut [LinkTraffic; 2],
     ) -> Self {
+        let [compare, update] = counters;
         compare.reset(topology.link_count());
         update.reset(topology.link_count());
         RouteCharge {
             routes,
             sites: topology.sites(),
-            after: 0,
+            after,
             compare,
             update,
         }
-    }
-
-    /// Zeroes both counters, keeping their storage.
-    pub fn reset(&mut self) {
-        self.compare.reset(self.compare.counts().len());
-        self.update.reset(self.update.counts().len());
     }
 
     /// Charges one conversation between dense sites `i` and `j` that
@@ -269,9 +258,8 @@ impl UpdateInjector {
 }
 
 /// The heap state of a single-update run: what a
-/// [`MixingArena`](crate::mixing::MixingArena) or a
-/// [`SpatialArena`](crate::spatial::SpatialArena) keeps between runs so
-/// the next one allocates nothing.
+/// [`MixingArena`](crate::mixing::MixingArena) keeps between runs so the
+/// next one allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct MixingState {
     pub(crate) sites: Vec<Replica<u32, u32>>,
@@ -316,7 +304,6 @@ impl MixingState {
 /// feedback against start-of-cycle snapshots captured in `begin_cycle`.
 ///
 /// Public so observers can be written against it (it is the `P` of
-/// [`RumorEpidemic::run`](crate::mixing::RumorEpidemic::run) and
 /// [`SpatialSim::run`](crate::spatial::SpatialSim::run)); construction
 /// stays crate-internal.
 pub struct MixingProtocol {
@@ -789,11 +776,11 @@ mod tests {
 
     #[test]
     fn mixing_sir_counts_equal_the_database_probe() {
-        use crate::mixing::{MixingArena, RumorEpidemic};
+        use crate::{MixingArena, SpatialSim};
         for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
             let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
             for synchronous in [true, false] {
-                let driver = RumorEpidemic::new(200, cfg).synchronous(synchronous);
+                let driver = SpatialSim::mixing(200, cfg).synchronous(synchronous);
                 let mut check = ProbeCheck { cycles_checked: 0 };
                 driver.run(&mut MixingArena::new(), 11, &mut check);
                 assert!(check.cycles_checked > 3, "{direction:?}: run too short");
@@ -928,14 +915,15 @@ mod tests {
     fn route_charge_charges_compare_once_and_update_per_unit() {
         let topo = topologies::line(4);
         let routes = Routes::compute(&topo);
-        let mut charge = RouteCharge::new(&topo, &routes, 0);
+        let mut counters = Default::default();
+        let mut charge = RouteCharge::new(&topo, &routes, 0, &mut counters);
         charge.record(0, 3, 2); // 3 links on the route
         assert_eq!(charge.compare.total(), 3);
         assert_eq!(charge.update.total(), 6);
         charge.record(0, 1, 0);
         assert_eq!(charge.compare.total(), 4);
         assert_eq!(charge.update.total(), 6);
-        charge.reset();
+        let charge = RouteCharge::new(&topo, &routes, 0, &mut counters);
         assert_eq!((charge.compare.total(), charge.update.total()), (0, 0));
     }
 

@@ -11,14 +11,14 @@
 //!
 //! ```
 //! use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-//! use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
+//! use epidemic_sim::{MixingArena, SpatialSim};
 //! use epidemic_trace::{InvariantChecker, RunTracer, TraceConfig};
 //!
 //! let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k: 2 });
 //! let mut trace = RunTracer::new(TraceConfig::cycles_only());
 //! let mut check = InvariantChecker::default();
 //! let observer = &mut (&mut trace, &mut check);
-//! let result = RumorEpidemic::new(100, cfg).run(&mut MixingArena::new(), 7, observer);
+//! let result = SpatialSim::mixing(100, cfg).run(&mut MixingArena::new(), 7, observer);
 //! assert_eq!(check.violation_count(), 0);
 //! let jsonl = trace.finish();
 //! assert!(jsonl.lines().count() as u32 >= result.cycles);

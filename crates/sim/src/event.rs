@@ -13,13 +13,13 @@ use std::cmp::Reverse;
 
 use epidemic_core::{AntiEntropy, Comparison, Direction};
 use epidemic_db::SiteId;
-use epidemic_net::{LinkTraffic, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
+use epidemic_net::{PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
 use crate::engine::RouteCharge;
-use crate::spatial::SpatialArena;
+use crate::mixing::MixingArena;
 use crate::util::{reset_replicas, seed_quietly, KEY};
 
 /// Time in microticks; one nominal anti-entropy period is
@@ -27,19 +27,14 @@ use crate::util::{reset_replicas, seed_quietly, KEY};
 pub(crate) type Micros = u64;
 
 /// Result of one asynchronous run.
-#[derive(Debug, Clone)]
-pub struct AsyncRunResult<'r> {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AsyncRunResult {
     /// Time (in periods) until the last site received the update.
     pub t_last: f64,
     /// Mean time (in periods) from injection to receipt over all sites.
     pub t_ave: f64,
     /// Total exchanges performed until convergence.
     pub exchanges: u64,
-    /// Conversations per link, accumulated over the run: the counters of
-    /// the arena the run was given.
-    pub compare_traffic: &'r LinkTraffic,
-    /// Update-bearing conversations per link.
-    pub update_traffic: &'r LinkTraffic,
     /// Conversations per link per period, averaged over links.
     pub compare_per_link_period: f64,
 }
@@ -49,19 +44,21 @@ pub struct AsyncRunResult<'r> {
 /// # Example
 ///
 /// ```
-/// use epidemic_net::{topologies, Spatial};
+/// use epidemic_net::{topologies, LinkTraffic, Routes, Spatial};
+/// use epidemic_sim::engine::RouteCharge;
 /// use epidemic_sim::event::AsyncSpatialSim;
-/// use epidemic_sim::spatial::SpatialArena;
+/// use epidemic_sim::MixingArena;
 ///
 /// let topo = topologies::ring(16);
-/// let mut arena = SpatialArena::new();
-/// let sim = AsyncSpatialSim::new(&topo, Spatial::Uniform, 0.2);
-/// assert!(sim.run(&mut arena, 3, None).t_last > 0.0);
+/// let routes = Routes::compute(&topo);
+/// let sim = AsyncSpatialSim::new(&topo, &routes, Spatial::Uniform, 0.2);
+/// let mut counters = <[LinkTraffic; 2]>::default();
+/// let mut charge = RouteCharge::new(&topo, &routes, 0, &mut counters);
+/// assert!(sim.run(&mut MixingArena::new(), 3, None, &mut charge).t_last > 0.0);
 /// ```
 #[derive(Debug)]
 pub struct AsyncSpatialSim<'a> {
-    topology: &'a Topology,
-    routes: Routes,
+    sites: &'a [SiteId],
     sampler: PartnerSampler,
     jitter: f64,
 }
@@ -73,42 +70,42 @@ impl<'a> AsyncSpatialSim<'a> {
     /// Nominal anti-entropy period in microticks.
     pub(crate) const PERIOD: Micros = 1_000;
 
-    /// Builds the simulator. `jitter` is the fraction of the period by
-    /// which each firing deviates, uniformly in `[-jitter, +jitter]`.
+    /// Builds the simulator for `topology`, sampling along `routes` (which
+    /// must be [`Routes::compute`]`(topology)`). `jitter` is the fraction
+    /// of the period by which each firing deviates, uniformly in
+    /// `[-jitter, +jitter]`.
     ///
     /// # Panics
     ///
     /// Panics unless `0.0 <= jitter < 1.0`.
-    pub fn new(topology: &'a Topology, spatial: Spatial, jitter: f64) -> Self {
+    pub fn new(topology: &'a Topology, routes: &Routes, spatial: Spatial, jitter: f64) -> Self {
         assert!((0.0..1.0).contains(&jitter), "jitter must be in [0, 1)");
-        let routes = Routes::compute(topology);
-        let sampler = PartnerSampler::new(topology, &routes, spatial);
         AsyncSpatialSim {
-            topology,
-            routes,
-            sampler,
+            sites: topology.sites(),
+            sampler: PartnerSampler::new(topology, routes, spatial),
             jitter,
         }
     }
 
     /// Runs one experiment: a single update injected at `origin` (random
     /// when `None`) at time 0; every site fires anti-entropy exchanges on
-    /// its own jittered timer until all sites hold the update. The run
-    /// keeps its replicas, log, queue and counters in `arena`; the result
-    /// equals a fresh arena's, and once the arena has grown to this
-    /// topology nothing is allocated.
-    pub fn run<'r>(
+    /// its own jittered timer until all sites hold the update, each
+    /// exchange charged to `charge` (built for this topology). The run
+    /// keeps its replicas, log and queue in `arena`; the result equals a
+    /// fresh arena's, and once the arena has grown to this topology
+    /// nothing is allocated.
+    pub fn run(
         &self,
-        arena: &'r mut SpatialArena,
+        arena: &mut MixingArena,
         seed: u64,
         origin: Option<SiteId>,
-    ) -> AsyncRunResult<'r> {
+        charge: &mut RouteCharge<'_>,
+    ) -> AsyncRunResult {
         let mut rng = StdRng::seed_from_u64(seed);
-        let sites = self.topology.sites();
+        let sites = self.sites;
         let n = sites.len();
         let (replicas, scratch) = (&mut arena.state.sites, &mut arena.state.exchange);
         let (received, queue) = (&mut arena.timed, &mut arena.queue);
-        let (compare, update) = (&mut arena.compare, &mut arena.update);
         reset_replicas(replicas, sites.iter().copied(), 0);
         let origin = origin.unwrap_or_else(|| *sites.choose(&mut rng).expect("sites"));
         let origin_idx = sites.binary_search(&origin).expect("site exists");
@@ -122,12 +119,6 @@ impl<'a> AsyncSpatialSim<'a> {
         queue.extend((0..n).map(|i| Reverse((rng.random_range(0..Self::PERIOD), i))));
 
         let protocol = AntiEntropy::new(Direction::PushPull, Comparison::Full);
-        let mut charge = RouteCharge::reusing(
-            self.topology,
-            &self.routes,
-            std::mem::take(compare),
-            std::mem::take(update),
-        );
         let mut exchanges = 0u64;
         let mut now = 0;
 
@@ -157,18 +148,12 @@ impl<'a> AsyncSpatialSim<'a> {
         }
 
         let period = Self::PERIOD as f64;
-        let t_last = received.t_last().unwrap_or(0) as f64 / period;
-        let t_ave = received.t_ave_all(now) / period;
         let periods_elapsed = (now as f64 / period).max(1.0);
-        let compare_per_link_period = charge.compare.mean_per_link() / periods_elapsed;
-        (*compare, *update) = (charge.compare, charge.update);
         AsyncRunResult {
-            t_last,
-            t_ave,
+            t_last: received.t_last().unwrap_or(0) as f64 / period,
+            t_ave: received.t_ave_all(now) / period,
             exchanges,
-            compare_traffic: compare,
-            update_traffic: update,
-            compare_per_link_period,
+            compare_per_link_period: charge.compare.mean_per_link() / periods_elapsed,
         }
     }
 }
@@ -177,17 +162,24 @@ impl<'a> AsyncSpatialSim<'a> {
 mod tests {
     use super::*;
     use crate::spatial::SpatialSim;
-    use epidemic_net::topologies;
+    use epidemic_net::{topologies, LinkTraffic};
 
     #[test]
     fn converges_and_accounts_traffic() {
         let topo = topologies::grid(&[5, 5]);
-        let sim = AsyncSpatialSim::new(&topo, Spatial::Uniform, 0.2);
-        let mut arena = SpatialArena::new();
-        let r = sim.run(&mut arena, 1, Some(topo.sites()[0]));
+        let routes = Routes::compute(&topo);
+        let sim = AsyncSpatialSim::new(&topo, &routes, Spatial::Uniform, 0.2);
+        let mut counters = <[LinkTraffic; 2]>::default();
+        let mut charge = RouteCharge::new(&topo, &routes, 0, &mut counters);
+        let r = sim.run(
+            &mut MixingArena::new(),
+            1,
+            Some(topo.sites()[0]),
+            &mut charge,
+        );
         assert!(r.t_last > 0.0);
         assert!(r.t_ave <= r.t_last);
-        assert!(r.update_traffic.total() > 0);
+        assert!(charge.update.total() > 0);
         assert!(r.exchanges >= 24);
     }
 
@@ -196,15 +188,19 @@ mod tests {
         // The ablation claim: measured in periods, asynchronous t_last is
         // within a factor ~1.6 of the synchronous cycle count.
         let topo = topologies::grid(&[6, 6]);
-        let sync = SpatialSim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
-        let async_ = AsyncSpatialSim::new(&topo, Spatial::Uniform, 0.3);
-        let mut arena = SpatialArena::new();
+        let routes = Routes::compute(&topo);
+        let sync = SpatialSim::new(&topo, &routes, Spatial::Uniform).origin(topo.sites()[0]);
+        let async_ = AsyncSpatialSim::new(&topo, &routes, Spatial::Uniform, 0.3);
+        let mut arena = MixingArena::new();
+        let mut counters = Default::default();
         let trials = 15;
         let mut sync_mean = 0.0;
         let mut async_mean = 0.0;
         for seed in 0..trials {
-            sync_mean += f64::from(sync.run(&mut arena, seed, &mut ()).t_last);
-            async_mean += async_.run(&mut arena, seed, Some(topo.sites()[0])).t_last;
+            sync_mean += sync.run(&mut arena, seed, &mut ()).t_last;
+            let mut charge = RouteCharge::new(&topo, &routes, 0, &mut counters);
+            let origin = Some(topo.sites()[0]);
+            async_mean += async_.run(&mut arena, seed, origin, &mut charge).t_last;
         }
         sync_mean /= f64::from(trials as u32);
         async_mean /= f64::from(trials as u32);
@@ -216,19 +212,9 @@ mod tests {
     }
 
     #[test]
-    fn jitter_zero_is_allowed_and_deterministic() {
-        let topo = topologies::ring(12);
-        let sim = AsyncSpatialSim::new(&topo, Spatial::QsPower { a: 2.0 }, 0.0);
-        let (mut xa, mut ya) = (SpatialArena::new(), SpatialArena::new());
-        let (a, b) = (sim.run(&mut xa, 7, None), sim.run(&mut ya, 7, None));
-        assert_eq!(a.exchanges, b.exchanges);
-        assert_eq!(a.t_last, b.t_last);
-    }
-
-    #[test]
     #[should_panic(expected = "jitter")]
     fn rejects_out_of_range_jitter() {
         let topo = topologies::ring(6);
-        AsyncSpatialSim::new(&topo, Spatial::Uniform, 1.5);
+        AsyncSpatialSim::new(&topo, &Routes::compute(&topo), Spatial::Uniform, 1.5);
     }
 }

@@ -5,14 +5,15 @@
 //! cycle every (relevant) site chooses a partner and performs one protocol
 //! exchange. This crate provides those drivers:
 //!
-//! * [`mixing`] — uniform complete-mixing rumor epidemics on `n` sites
-//!   (Tables 1–3): residue, traffic `m`, `t_ave`, `t_last`, with connection
-//!   limits and hunting;
-//! * [`spatial`] — the same single-update protocol on a real topology,
-//!   with spatial partner selection and per-link traffic accounting,
-//!   spread by anti-entropy (Tables 4–5) or rumor mongering (§3.2, with
-//!   the minimal-`k` search used to match Table 4 and the Figure 1/2
-//!   pathology demonstrations);
+//! * [`spatial`] — the one single-update driver: rumor mongering under
+//!   complete mixing on `n` sites (Tables 1–3: residue, traffic `m`,
+//!   `t_ave`, `t_last`, with connection limits and hunting), and
+//!   anti-entropy (Tables 4–5) or rumor mongering (§3.2, with the
+//!   minimal-`k` search used to match Table 4 and the Figure 1/2
+//!   pathology demonstrations) on a real topology with spatial partner
+//!   selection and per-link traffic charged by an observer;
+//! * [`mixing`] — the result and trial arena those runs share, and §1.3's
+//!   bit-model anti-entropy;
 //! * [`megascale`] — the single-update rumor epidemic at 10⁴–10⁷ sites on
 //!   uniform and scale-free topologies ([`FastRumorProtocol`] on
 //!   [`engine::ActiveCycleEngine`], the fig-megascale sweep);
@@ -48,11 +49,11 @@
 //!
 //! ```
 //! use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-//! use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
+//! use epidemic_sim::{MixingArena, SpatialSim};
 //!
 //! // One trial of Table 1's protocol at k = 2 on 200 sites.
 //! let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k: 2 });
-//! let result = RumorEpidemic::new(200, cfg).run(&mut MixingArena::new(), 42, &mut ());
+//! let result = SpatialSim::mixing(200, cfg).run(&mut MixingArena::new(), 42, &mut ());
 //! assert!(result.residue < 0.5);
 //! assert!(result.traffic > 0.0);
 //! ```
@@ -77,6 +78,6 @@ pub use engine::{
     UniformPartners,
 };
 pub use megascale::{FastDraw, FastRumorProtocol, MegascaleSim};
-pub use mixing::{EpidemicResult, MixingArena, RumorEpidemic};
-pub use spatial::{SpatialArena, SpatialRunResult, SpatialSim};
+pub use mixing::{EpidemicResult, MixingArena};
+pub use spatial::SpatialSim;
 pub use stats::Summary;

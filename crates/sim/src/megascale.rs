@@ -41,7 +41,7 @@
 //! replicas with the same RNG contract (the reference in
 //! `crates/sim/tests/megascale_fast_differential.rs`), and statistically
 //! (5σ) against the sequential-stream
-//! [`RumorEpidemic`](crate::mixing::RumorEpidemic) of Tables 1–3, where
+//! [`SpatialSim::mixing`](crate::spatial::SpatialSim::mixing) of Tables 1–3, where
 //! the RNG contract legitimately differs.
 
 use epidemic_db::LazyTable;
@@ -303,7 +303,8 @@ impl ActiveSetProtocol for FastRumorProtocol<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mixing::{MixingArena, RumorEpidemic};
+    use crate::mixing::MixingArena;
+    use crate::spatial::SpatialSim;
     use epidemic_core::rumor::RumorConfig;
     use epidemic_core::{Direction, Feedback, Removal};
 
@@ -348,7 +349,7 @@ mod tests {
     }
 
     /// The counter RNG and ascending apply order are a different RNG
-    /// universe from the sequential-stream [`RumorEpidemic`] of Tables
+    /// universe from the sequential-stream [`SpatialSim::mixing`] of Tables
     /// 1–3 (same push/feedback/coin k=4 model, same asynchronous
     /// judgment), so the two are compared statistically: over many seeds,
     /// mean residue/traffic/t_ave/t_last must agree within 5σ.
@@ -380,7 +381,7 @@ mod tests {
             Feedback::Feedback,
             Removal::Coin { k: COIN_K },
         );
-        let mixing = RumorEpidemic::new(n, cfg).synchronous(false);
+        let mixing = SpatialSim::mixing(n, cfg).synchronous(false);
         let mut arena = MixingArena::new();
         let sequential: Vec<EpidemicResult> = (0..trials)
             .map(|s| mixing.run(&mut arena, 1000 + s, &mut ()))

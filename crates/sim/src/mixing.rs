@@ -1,7 +1,9 @@
-//! Complete-mixing rumor epidemics (paper §1.4, Tables 1–3).
+//! Complete mixing (paper §1.3–§1.4): the result and trial arena every
+//! single-update run shares, and §1.3's bit-model anti-entropy.
 //!
 //! The Tables 1–3 experiments run a single update through `n = 1000` sites
-//! with uniform partner selection and no network topology, measuring
+//! with uniform partner selection and no network topology
+//! ([`SpatialSim::mixing`](crate::spatial::SpatialSim::mixing)), measuring
 //!
 //! * **residue** `s` — the fraction of sites still susceptible when the
 //!   epidemic quiesces,
@@ -9,23 +11,21 @@
 //! * **delay** `t_ave` / `t_last` — mean and maximum cycles from injection
 //!   to receipt.
 //!
-//! Connection limits and hunting (§1.4's *Connection Limit* and *Hunting*
-//! variations) come from the shared [`CycleEngine`]: under push, a site can
-//! accept at most `C` inbound connections per cycle and rejected senders
-//! may hunt for alternates; under pull, a source serves at most `C`
-//! requests per cycle.
-//!
-//! Both drivers here are thin shims over the engine's rumor-mongering
-//! and bit-anti-entropy protocols with [`UniformPartners`] selection.
+//! [`AntiEntropyEpidemic`] is a thin shim over the engine's
+//! bit-anti-entropy protocol with [`UniformPartners`] selection.
 
-use epidemic_core::rumor::RumorConfig;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use epidemic_core::Direction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::protocols::{BitAntiEntropyProtocol, MixingProtocol, MixingState};
-use crate::engine::{CycleEngine, EngineBuffers, EngineReport, Observer, UniformPartners};
-use crate::util::site_ids;
+use crate::engine::{
+    CycleEngine, EngineBuffers, EngineReport, Observer, ReceiveLog, UniformPartners,
+};
+use crate::event::Micros;
 
 /// Result of one single-update epidemic run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,14 +41,16 @@ pub struct EpidemicResult {
     pub t_ave: f64,
     /// Cycles until the last receiving site got the update.
     pub t_last: f64,
-    /// Cycles until quiescence (no site infective).
+    /// Cycles until quiescence (no site infective) or, under
+    /// anti-entropy, full coverage, unless the cycle bound ended the run
+    /// first.
     pub cycles: u32,
     /// Whether every site received the update.
     pub complete: bool,
 }
 
 impl EpidemicResult {
-    fn new(n: usize, report: EngineReport, protocol: &MixingProtocol) -> Self {
+    pub(crate) fn new(n: usize, report: EngineReport, protocol: &MixingProtocol) -> Self {
         let received = &protocol.state.received;
         EpidemicResult {
             n,
@@ -62,16 +64,21 @@ impl EpidemicResult {
     }
 }
 
-/// Everything a [`RumorEpidemic`] or [`AntiEntropyEpidemic`] run keeps on
-/// the heap — the replicas, the receive log, the active-set and snapshot
-/// bitsets, the rumor and exchange scratch and the engine's roster
-/// buffers — owned across runs, so that a rumor run on a warm arena
-/// allocates nothing. One arena serves any sequence of drivers and site
-/// counts; each run starts from a state indistinguishable from a fresh one.
+/// Everything a single-update run keeps on the heap — the replicas, the
+/// receive log, the active-set and snapshot bitsets, the rumor and
+/// exchange scratch, the engine's roster buffers and the event-driven
+/// driver's log and queue — owned across runs, so that a run on a warm
+/// arena allocates nothing. One arena serves any sequence of
+/// [`SpatialSim`](crate::spatial::SpatialSim), [`AntiEntropyEpidemic`] and
+/// [`AsyncSpatialSim`](crate::event::AsyncSpatialSim) runs on any site
+/// count or topology; each run starts from a state indistinguishable from
+/// a fresh one.
 #[derive(Debug, Default)]
 pub struct MixingArena {
-    state: MixingState,
-    buffers: EngineBuffers,
+    pub(crate) state: MixingState,
+    pub(crate) buffers: EngineBuffers,
+    pub(crate) timed: ReceiveLog<Micros>,
+    pub(crate) queue: BinaryHeap<Reverse<(Micros, usize)>>,
 }
 
 impl MixingArena {
@@ -79,136 +86,33 @@ impl MixingArena {
     pub fn new() -> Self {
         MixingArena::default()
     }
-}
 
-/// Driver for single-update rumor epidemics under complete mixing.
-///
-/// # Example
-///
-/// ```
-/// use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-/// use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
-///
-/// let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k: 3 });
-/// let r = RumorEpidemic::new(500, cfg).run(&mut MixingArena::new(), 7, &mut ());
-/// assert!(r.residue < 0.1); // k = 3 reaches almost everyone
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RumorEpidemic {
-    n: usize,
-    cfg: RumorConfig,
-    connection_limit: Option<u32>,
-    hunt_limit: u32,
-    max_cycles: u32,
-    synchronous: bool,
-}
-
-impl RumorEpidemic {
-    /// Creates a driver for the given rumor-mongering configuration on `n`
-    /// sites, with no connection limit and no hunting.
-    pub fn new(n: usize, cfg: RumorConfig) -> Self {
-        RumorEpidemic {
-            n,
-            cfg,
-            connection_limit: None,
-            hunt_limit: 0,
-            max_cycles: 100_000,
-            synchronous: true,
-        }
-    }
-
-    /// Chooses round semantics for push feedback. When `true` (the
-    /// default, matching the paper's cycle model), a sender's feedback is
-    /// judged against the recipient's state at the *start* of the cycle,
-    /// so two infectives pushing to the same susceptible site in one cycle
-    /// both receive useful feedback. When `false`, contacts within a cycle
-    /// are fully sequential.
-    pub fn synchronous(mut self, synchronous: bool) -> Self {
-        self.synchronous = synchronous;
-        self
-    }
-
-    /// Limits how many connections a site can accept per cycle (§1.4
-    /// *Connection Limit*). `None` means unlimited.
-    pub fn connection_limit(mut self, limit: Option<u32>) -> Self {
-        self.connection_limit = limit;
-        self
-    }
-
-    /// Number of alternate partners a rejected initiator may try (§1.4
-    /// *Hunting*).
-    pub fn hunt_limit(mut self, hunt: u32) -> Self {
-        self.hunt_limit = hunt;
-        self
-    }
-
-    /// Safety bound on simulated cycles.
-    pub fn max_cycles(mut self, max: u32) -> Self {
-        self.max_cycles = max;
-        self
-    }
-
-    /// Runs one epidemic — a single update injected at site 0, simulated
-    /// to quiescence — on the heap state `arena` kept from earlier runs (of
-    /// any driver and any site count), reporting every contact and cycle
-    /// boundary to `observer`: any composition of
-    /// [`Observer<MixingProtocol>`] implementations, e.g. a
-    /// [`SirObserver`](crate::engine::SirObserver) or a
-    /// [`RunTracer`](epidemic_trace::RunTracer) paired with an
-    /// [`InvariantChecker`](epidemic_trace::InvariantChecker), and
-    /// `&mut ()` for none. The result and every observed event equal a
-    /// fresh arena's, and once the arena has grown to this run's size
-    /// nothing is allocated. Trial loops hold one arena per worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the driver has fewer than two sites.
-    pub fn run<O: Observer<MixingProtocol>>(
-        &self,
-        arena: &mut MixingArena,
-        seed: u64,
-        observer: &mut O,
-    ) -> EpidemicResult {
-        let n = self.n;
-        let policy = UniformPartners::new(n);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let state = std::mem::take(&mut arena.state);
-        let mut protocol =
-            MixingProtocol::new(Some(self.cfg), self.synchronous, site_ids(n), 0, state);
-        let report = CycleEngine::new()
-            .connection_limit(self.connection_limit)
-            .hunt_limit(self.hunt_limit)
-            .max_cycles(self.max_cycles)
-            .run(
-                &mut protocol,
-                &policy,
-                &mut rng,
-                observer,
-                &mut arena.buffers,
-            );
-        let result = EpidemicResult::new(n, report, &protocol);
-        arena.state = protocol.state;
-        result
+    /// Who received the last [`SpatialSim`](crate::spatial::SpatialSim)
+    /// run's update and when, by dense site index (a topology's sites in
+    /// order).
+    pub fn received(&self) -> &ReceiveLog<u32> {
+        &self.state.received
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epidemic_core::{Feedback, Removal};
+    use crate::spatial::SpatialSim;
+    use epidemic_core::{Feedback, Removal, RumorConfig};
 
     fn cfg(direction: Direction, k: u32) -> RumorConfig {
         RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k })
     }
 
     /// One unobserved run on a fresh arena.
-    fn run(driver: RumorEpidemic, seed: u64) -> EpidemicResult {
+    fn run(driver: SpatialSim<'_, UniformPartners>, seed: u64) -> EpidemicResult {
         driver.run(&mut MixingArena::new(), seed, &mut ())
     }
 
     #[test]
     fn push_epidemic_reaches_most_sites() {
-        let r = run(RumorEpidemic::new(300, cfg(Direction::Push, 3)), 1);
+        let r = run(SpatialSim::mixing(300, cfg(Direction::Push, 3)), 1);
         assert!(r.residue < 0.1, "residue {}", r.residue);
         assert!(r.traffic > 1.0 && r.traffic < 10.0);
         assert!(r.t_last >= r.t_ave);
@@ -216,30 +120,12 @@ mod tests {
     }
 
     #[test]
-    fn higher_k_means_lower_residue_and_more_traffic() {
-        let avg = |k: u32| {
-            let mut residue = 0.0;
-            let mut traffic = 0.0;
-            for seed in 0..10 {
-                let r = run(RumorEpidemic::new(400, cfg(Direction::Push, k)), seed);
-                residue += r.residue;
-                traffic += r.traffic;
-            }
-            (residue / 10.0, traffic / 10.0)
-        };
-        let (res1, traf1) = avg(1);
-        let (res4, traf4) = avg(4);
-        assert!(res4 < res1);
-        assert!(traf4 > traf1);
-    }
-
-    #[test]
     fn pull_beats_push_on_residue() {
         let mut push_res = 0.0;
         let mut pull_res = 0.0;
         for seed in 0..10 {
-            push_res += run(RumorEpidemic::new(400, cfg(Direction::Push, 2)), seed).residue;
-            pull_res += run(RumorEpidemic::new(400, cfg(Direction::Pull, 2)), seed).residue;
+            push_res += run(SpatialSim::mixing(400, cfg(Direction::Push, 2)), seed).residue;
+            pull_res += run(SpatialSim::mixing(400, cfg(Direction::Pull, 2)), seed).residue;
         }
         assert!(
             pull_res < push_res,
@@ -249,19 +135,8 @@ mod tests {
 
     #[test]
     fn push_pull_converges() {
-        let r = run(RumorEpidemic::new(300, cfg(Direction::PushPull, 4)), 3);
+        let r = run(SpatialSim::mixing(300, cfg(Direction::PushPull, 4)), 3);
         assert!(r.residue < 0.02, "residue {}", r.residue);
-    }
-
-    #[test]
-    fn blind_coin_k1_dies_early() {
-        let cfg = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 1 });
-        let mut residues = 0.0;
-        for seed in 0..20 {
-            residues += run(RumorEpidemic::new(300, cfg), seed).residue;
-        }
-        // Table 2, k=1: residue ≈ 0.96.
-        assert!(residues / 20.0 > 0.75, "mean residue {}", residues / 20.0);
     }
 
     #[test]
@@ -269,7 +144,7 @@ mod tests {
         // §1.4: "paradoxically, push gets significantly better" under a
         // connection limit of 1 — rejected contacts cost no traffic but the
         // update still spreads, improving the residue/traffic trade-off.
-        let driver = RumorEpidemic::new(400, cfg(Direction::Push, 1));
+        let driver = SpatialSim::mixing(400, cfg(Direction::Push, 1));
         let mut unlimited = 0.0;
         let mut limited = 0.0;
         for seed in 0..30 {
@@ -284,7 +159,7 @@ mod tests {
 
     #[test]
     fn connection_limit_hurts_pull_residue() {
-        let driver = RumorEpidemic::new(300, cfg(Direction::Pull, 1));
+        let driver = SpatialSim::mixing(300, cfg(Direction::Pull, 1));
         let mut unlimited = 0.0;
         let mut limited = 0.0;
         for seed in 0..20 {
@@ -299,7 +174,7 @@ mod tests {
 
     #[test]
     fn hunting_recovers_lost_connections() {
-        let limited = RumorEpidemic::new(300, cfg(Direction::Push, 4)).connection_limit(Some(1));
+        let limited = SpatialSim::mixing(300, cfg(Direction::Push, 4)).connection_limit(Some(1));
         let mut no_hunt_residue = 0.0;
         let mut hunt_residue = 0.0;
         for seed in 0..10 {
@@ -310,15 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_given_seed() {
-        let driver = RumorEpidemic::new(200, cfg(Direction::Push, 2));
-        assert_eq!(run(driver, 99), run(driver, 99));
-    }
-
-    #[test]
     #[should_panic(expected = "at least two sites")]
     fn rejects_single_site() {
-        run(RumorEpidemic::new(1, cfg(Direction::Push, 1)), 0);
+        run(SpatialSim::mixing(1, cfg(Direction::Push, 1)), 0);
     }
 }
 
@@ -468,7 +337,8 @@ mod ae_tests {
 mod trace_tests {
     use super::*;
     use crate::engine::SirObserver;
-    use epidemic_core::{Feedback, Removal};
+    use crate::spatial::SpatialSim;
+    use epidemic_core::{Feedback, Removal, RumorConfig};
 
     /// The `(s, i, r)` trajectory and result of one run.
     fn traced(
@@ -479,18 +349,8 @@ mod trace_tests {
     ) -> (Vec<(f64, f64, f64)>, EpidemicResult) {
         let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k });
         let mut sir = SirObserver::new();
-        let result = RumorEpidemic::new(n, cfg).run(&mut MixingArena::new(), seed, &mut sir);
+        let result = SpatialSim::mixing(n, cfg).run(&mut MixingArena::new(), seed, &mut sir);
         (sir.points, result)
-    }
-
-    #[test]
-    fn sir_fractions_always_sum_to_one() {
-        let (points, _) = traced(300, Direction::Push, 2, 5);
-        assert!(!points.is_empty());
-        for &(s, i, r) in &points {
-            assert!((s + i + r - 1.0).abs() < 1e-12);
-            assert!(s >= 0.0 && i >= 0.0 && r >= 0.0);
-        }
     }
 
     #[test]
@@ -510,16 +370,5 @@ mod trace_tests {
         for w in points.windows(2) {
             assert!(w[1].0 <= w[0].0 + 1e-12);
         }
-    }
-
-    #[test]
-    fn traced_result_matches_untraced_run() {
-        let cfg = RumorConfig::new(
-            Direction::Pull,
-            Feedback::Feedback,
-            Removal::Counter { k: 2 },
-        );
-        let plain = RumorEpidemic::new(250, cfg).run(&mut MixingArena::new(), 3, &mut ());
-        assert_eq!(plain, traced(250, Direction::Pull, 2, 3).1);
     }
 }

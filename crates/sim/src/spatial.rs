@@ -1,20 +1,25 @@
-//! One update spreading over a network topology with spatial partner
-//! selection: push-pull anti-entropy (paper §3.1, Tables 4 and 5) or rumor
-//! mongering (§3.2, Figures 1 and 2).
+//! The one single-update driver: one update spreading from one origin,
+//! by rumor mongering (§1.4, Tables 1–3; §3.2, Figures 1 and 2) or by
+//! push-pull anti-entropy (§3.1, Tables 4 and 5), over complete mixing or
+//! a network topology's spatial partner selection.
 //!
-//! The epidemic is the complete-mixing drivers' [`MixingProtocol`], run
-//! asynchronously (contacts within a cycle are sequential). Each cycle,
-//! initiators draw partners from a [`Spatial`] distribution (or any
-//! [`PartnerSelection`]) and a [`RouteCharge`] charges every conversation
-//! to each link on the shortest route between the participants: *compare
-//! traffic* counts conversations per link, *update traffic* the update
-//! units sent.
-//! Connection limits follow Table 5's pessimistic model: a site can
-//! *accept* at most `C` inbound conversations per cycle (its own outgoing
-//! conversation is not charged against it, matching the paper's 0.63
-//! success fraction at limit 1); rejected initiators may hunt. Limits and
-//! hunting are the shared [`CycleEngine`]'s, applied to the sampler's own
-//! draws.
+//! Every run is [`MixingProtocol`] on the shared [`CycleEngine`]; only
+//! the partner distribution differs. [`SpatialSim::mixing`] is the uniform
+//! case on `n` sites (the tables' synchronous rounds, the update at site
+//! 0); [`SpatialSim::new`] draws partners from a [`Spatial`] distribution
+//! on a topology (or [`SpatialSim::with_selection`] from any
+//! [`PartnerSelection`]), with sequential contacts and the update at a
+//! random site. Connection limits and hunting are the engine's (§1.4
+//! *Connection Limit* and *Hunting*; Table 5's pessimistic model): a site
+//! can *accept* at most `C` inbound conversations per cycle (its own
+//! outgoing conversation is not charged against it, matching the paper's
+//! 0.63 success fraction at limit 1), and rejected initiators may hunt.
+//!
+//! Link traffic is observation: a caller that reads it passes a
+//! [`RouteCharge`](crate::engine::RouteCharge) as (part of) the run's
+//! observer, which charges every conversation to each link on the
+//! shortest route between the participants — *compare traffic* counts
+//! conversations per link, *update traffic* the update units sent.
 //!
 //! Anti-entropy runs until every site holds the update. Rumor mongering
 //! "runs to quiescence", so on irregular topologies with nonuniform
@@ -23,131 +28,110 @@
 //! protocol achieves 100% distribution in every one of `N` trials
 //! ([`minimum_k`]), then compare traffic and convergence against Table 4.
 
-use std::borrow::Cow;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use epidemic_core::rumor::RumorConfig;
 use epidemic_core::Removal;
 use epidemic_db::SiteId;
-use epidemic_net::{LinkTraffic, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
+use epidemic_net::{PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::SeedableRng;
 
-use crate::engine::protocols::{MixingProtocol, MixingState};
-use crate::engine::{CycleEngine, EngineBuffers, Observer, ReceiveLog, RouteCharge};
-use crate::event::Micros;
+use crate::engine::protocols::MixingProtocol;
+use crate::engine::{CycleEngine, Observer, UniformPartners};
+use crate::mixing::{EpidemicResult, MixingArena};
 use crate::runner::{Arenas, TrialRunner};
 
-/// Result of one spatial run (one update, one topology).
-#[derive(Debug, Clone)]
-pub struct SpatialRunResult<'r> {
-    /// Whether every site received the update.
-    pub complete: bool,
-    /// Fraction of sites that never received the update.
-    pub residue: f64,
-    /// Cycles until the last receiving site got the update.
-    pub t_last: u32,
-    /// Mean cycles from injection to receipt over the receiving sites.
-    pub t_ave: f64,
-    /// Conversations charged per link, accumulated over the run: the
-    /// counters of the arena the run was given.
-    pub compare_traffic: &'r LinkTraffic,
-    /// Update units charged per link, accumulated over the run.
-    pub update_traffic: &'r LinkTraffic,
-    /// Cycles simulated: until full coverage (anti-entropy) or quiescence
-    /// (rumor mongering), unless the cycle bound ended the run first.
-    pub cycles: u32,
-    /// Who received the update and when, by index into the topology's
-    /// sites.
-    pub received: &'r ReceiveLog<u32>,
+/// The ids of a driver's sites, by dense index.
+#[derive(Debug, Clone, Copy)]
+enum Sites<'a> {
+    /// Complete mixing: site `i` is `SiteId(i)`.
+    Dense(usize),
+    /// A topology's sites, sorted.
+    Of(&'a [SiteId]),
 }
 
-/// Everything a spatial run keeps on the heap — the protocol's replicas,
-/// receive log and scratch, the per-link counters, the engine's roster
-/// buffers and the event-driven driver's log and queue — owned across
-/// runs, so that a run on a warm arena allocates nothing. One arena serves
-/// every [`SpatialSim`] and [`AsyncSpatialSim`](crate::event::AsyncSpatialSim)
-/// on any topology; each run starts from a state indistinguishable from a
-/// fresh one.
-#[derive(Debug, Default)]
-pub struct SpatialArena {
-    pub(crate) state: MixingState,
-    pub(crate) compare: LinkTraffic,
-    pub(crate) update: LinkTraffic,
-    buffers: EngineBuffers,
-    pub(crate) timed: ReceiveLog<Micros>,
-    pub(crate) queue: BinaryHeap<Reverse<(Micros, usize)>>,
-}
-
-impl SpatialArena {
-    /// An empty arena. Allocates nothing until its first run.
-    pub fn new() -> Self {
-        SpatialArena::default()
-    }
-}
-
-/// Driver for the Table 4/5 and §3.2 experiments: anti-entropy by default,
-/// rumor mongering once given a [`RumorConfig`] through
-/// [`SpatialSim::rumor`].
+/// Driver for every single-update experiment: rumor mongering under
+/// complete mixing ([`SpatialSim::mixing`], Tables 1–3), anti-entropy on
+/// a topology ([`SpatialSim::new`], Tables 4 and 5), and rumor mongering
+/// on a topology once given a [`RumorConfig`] through
+/// [`SpatialSim::rumor`] (§3.2). Building one allocates nothing beyond
+/// its sampler; reuse it across runs.
 ///
 /// # Example
 ///
 /// ```
 /// use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-/// use epidemic_net::{topologies, Spatial};
-/// use epidemic_sim::spatial::{SpatialArena, SpatialSim};
+/// use epidemic_net::{topologies, LinkTraffic, Routes, Spatial};
+/// use epidemic_sim::engine::RouteCharge;
+/// use epidemic_sim::{MixingArena, SpatialSim};
+///
+/// let mut arena = MixingArena::new();
+/// let cfg = RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k: 3 });
+/// let r = SpatialSim::mixing(500, cfg).run(&mut arena, 7, &mut ());
+/// assert!(r.residue < 0.1); // k = 3 reaches almost everyone
 ///
 /// let topo = topologies::ring(24);
-/// let mut arena = SpatialArena::new();
-/// let sim = SpatialSim::new(&topo, Spatial::QsPower { a: 2.0 });
-/// assert!(sim.run(&mut arena, 7, &mut ()).complete);
-///
-/// let cfg = RumorConfig::new(Direction::PushPull, Feedback::Feedback, Removal::Counter { k: 4 });
-/// let rumor = SpatialSim::new(&topo, Spatial::QsPower { a: 1.2 }).rumor(cfg);
-/// assert!(rumor.run(&mut arena, 3, &mut ()).cycles > 0);
+/// let routes = Routes::compute(&topo);
+/// let sim = SpatialSim::new(&topo, &routes, Spatial::QsPower { a: 2.0 });
+/// let mut counters = <[LinkTraffic; 2]>::default();
+/// let mut charge = RouteCharge::new(&topo, &routes, 0, &mut counters);
+/// assert!(sim.run(&mut arena, 7, &mut charge).complete);
+/// assert!(charge.compare.total() > 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpatialSim<'a, S = PartnerSampler> {
-    topology: &'a Topology,
-    routes: Cow<'a, Routes>,
+    sites: Sites<'a>,
     sampler: S,
+    /// `None` for anti-entropy.
     rumor: Option<RumorConfig>,
+    synchronous: bool,
     origin: Option<SiteId>,
     connection_limit: Option<u32>,
     hunt_limit: u32,
 }
 
+impl SpatialSim<'static, UniformPartners> {
+    /// Rumor mongering under `cfg` on `n` sites with uniform partner
+    /// selection (complete mixing), synchronous rounds, no connection
+    /// limit and no hunting; every run injects the update at site 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`.
+    pub fn mixing(n: usize, cfg: RumorConfig) -> Self {
+        SpatialSim {
+            sites: Sites::Dense(n),
+            sampler: UniformPartners::new(n),
+            rumor: Some(cfg),
+            synchronous: true,
+            origin: None,
+            connection_limit: None,
+            hunt_limit: 0,
+        }
+    }
+}
+
 impl<'a> SpatialSim<'a, PartnerSampler> {
-    /// Builds a simulator for `topology` under the given spatial
-    /// distribution. Routing tables and sampling tables are precomputed
-    /// once; reuse the simulator across runs.
-    pub fn new(topology: &'a Topology, spatial: Spatial) -> Self {
-        let routes = Routes::compute(topology);
-        let sampler = PartnerSampler::new(topology, &routes, spatial);
-        Self::with_routes(topology, Cow::Owned(routes), sampler)
+    /// Anti-entropy on `topology` under the given spatial distribution,
+    /// sampling along `routes` (which must be
+    /// [`Routes::compute`]`(topology)`; a sweep computes them once).
+    pub fn new(topology: &'a Topology, routes: &Routes, spatial: Spatial) -> Self {
+        Self::with_selection(topology, PartnerSampler::new(topology, routes, spatial))
     }
 }
 
 impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
-    /// Builds a simulator with an arbitrary [`PartnerSelection`] strategy —
-    /// e.g. the §4 [`HierarchicalSampler`](epidemic_net::HierarchicalSampler).
+    /// Anti-entropy on `topology` with an arbitrary [`PartnerSelection`]
+    /// strategy — e.g. the §4
+    /// [`HierarchicalSampler`](epidemic_net::HierarchicalSampler), or a
+    /// `&PartnerSampler` a sweep lends to several drivers — with
+    /// sequential contacts and the update at a random site.
     pub fn with_selection(topology: &'a Topology, sampler: S) -> Self {
-        Self::with_routes(topology, Cow::Owned(Routes::compute(topology)), sampler)
-    }
-
-    /// As [`SpatialSim::with_selection`] on routing tables the caller
-    /// already has — `routes` must be [`Routes::compute`]`(topology)`. A
-    /// sweep over several distributions or `k`s on one topology computes
-    /// them once and lends them to every simulator (`Cow::Borrowed`), and
-    /// the sampler too (`&sampler`).
-    pub fn with_routes(topology: &'a Topology, routes: Cow<'a, Routes>, sampler: S) -> Self {
         SpatialSim {
-            topology,
-            routes,
+            sites: Sites::Of(topology.sites()),
             sampler,
             rumor: None,
+            synchronous: false,
             origin: None,
             connection_limit: None,
             hunt_limit: 0,
@@ -162,57 +146,79 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
         self
     }
 
-    /// Injects every run's update at `origin` instead of at a site drawn
-    /// uniformly at random (that draw is a run's first).
+    /// Chooses round semantics for rumor feedback. When `true` (complete
+    /// mixing's default, matching the paper's cycle model), a sender's
+    /// feedback is judged against the recipient's state at the *start* of
+    /// the cycle, so two infectives pushing to the same susceptible site
+    /// in one cycle both receive useful feedback. When `false` (a
+    /// topology's default), contacts within a cycle are fully sequential.
+    pub fn synchronous(mut self, synchronous: bool) -> Self {
+        self.synchronous = synchronous;
+        self
+    }
+
+    /// Injects every run's update at `origin` instead of at site 0 under
+    /// complete mixing, or at a site drawn uniformly at random on a
+    /// topology (that draw is a run's first).
     pub fn origin(mut self, origin: SiteId) -> Self {
         self.origin = Some(origin);
         self
     }
 
-    /// Limits conversations per site per cycle (Table 5 uses `Some(1)`).
+    /// Limits how many connections a site can accept per cycle (§1.4
+    /// *Connection Limit*; Table 5 uses `Some(1)`). `None` means
+    /// unlimited.
     pub fn connection_limit(mut self, limit: Option<u32>) -> Self {
         self.connection_limit = limit;
         self
     }
 
-    /// Alternate partners a rejected initiator may try.
+    /// Number of alternate partners a rejected initiator may try (§1.4
+    /// *Hunting*).
     pub fn hunt_limit(mut self, hunt: u32) -> Self {
         self.hunt_limit = hunt;
         self
     }
 
-    /// Runs one experiment — a single update injected at one site and
+    /// Runs one epidemic — a single update injected at one site and
     /// spread until every site holds it (anti-entropy) or no site is
     /// infective (rumor mongering) — on the heap state `arena` kept from
-    /// earlier runs, reporting every contact and cycle boundary to
-    /// `observer` (e.g. a [`RunTracer`](epidemic_trace::RunTracer) or an
-    /// [`InvariantChecker`](epidemic_trace::InvariantChecker); `&mut ()`
-    /// for none). The result equals a fresh arena's, and once the
-    /// arena has grown to this topology nothing is allocated.
-    pub fn run<'r, O>(
+    /// earlier runs (of any driver and any site count), reporting every
+    /// contact and cycle boundary to `observer`: any composition of
+    /// [`Observer<MixingProtocol>`] implementations, e.g. a
+    /// [`RouteCharge`](crate::engine::RouteCharge) for link traffic, a
+    /// [`SirObserver`](crate::engine::SirObserver), or a
+    /// [`RunTracer`](epidemic_trace::RunTracer) paired with an
+    /// [`InvariantChecker`](epidemic_trace::InvariantChecker), and
+    /// `&mut ()` for none. The result, the arena's
+    /// [`received`](MixingArena::received) log and every observed event
+    /// equal a fresh arena's, and once the arena has grown to this run's
+    /// size nothing is allocated. Trial loops hold one arena per worker.
+    pub fn run<O: Observer<MixingProtocol>>(
         &self,
-        arena: &'r mut SpatialArena,
+        arena: &mut MixingArena,
         seed: u64,
         observer: &mut O,
-    ) -> SpatialRunResult<'r>
-    where
-        O: Observer<MixingProtocol>,
-    {
+    ) -> EpidemicResult {
         let mut rng = StdRng::seed_from_u64(seed);
-        let sites = self.topology.sites();
-        let origin = self
-            .origin
-            .unwrap_or_else(|| *sites.choose(&mut rng).expect("sites"));
-        let origin = sites.binary_search(&origin).expect("site exists");
+        let (n, origin) = match self.sites {
+            Sites::Dense(n) => (n, self.origin.map_or(0, SiteId::as_usize)),
+            Sites::Of(sites) => {
+                let origin = self
+                    .origin
+                    .unwrap_or_else(|| *sites.choose(&mut rng).expect("sites"));
+                (
+                    sites.len(),
+                    sites.binary_search(&origin).expect("site exists"),
+                )
+            }
+        };
+        let ids = (0..n).map(|i| match self.sites {
+            Sites::Dense(_) => SiteId::new(u32::try_from(i).expect("site count fits u32")),
+            Sites::Of(sites) => sites[i],
+        });
         let state = std::mem::take(&mut arena.state);
-        let mut protocol =
-            MixingProtocol::new(self.rumor, false, sites.iter().copied(), origin, state);
-        let mut charge = RouteCharge::reusing(
-            self.topology,
-            &self.routes,
-            std::mem::take(&mut arena.compare),
-            std::mem::take(&mut arena.update),
-        );
+        let mut protocol = MixingProtocol::new(self.rumor, self.synchronous, ids, origin, state);
         let report = CycleEngine::new()
             .connection_limit(self.connection_limit)
             .hunt_limit(self.hunt_limit)
@@ -220,23 +226,12 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
                 &mut protocol,
                 &self.sampler,
                 &mut rng,
-                &mut (&mut charge, observer),
+                observer,
                 &mut arena.buffers,
             );
+        let result = EpidemicResult::new(n, report, &protocol);
         arena.state = protocol.state;
-        arena.compare = charge.compare;
-        arena.update = charge.update;
-        let received = &arena.state.received;
-        SpatialRunResult {
-            complete: received.complete(),
-            residue: received.residue(),
-            t_last: received.t_last().unwrap_or(0),
-            t_ave: received.t_ave_received(),
-            compare_traffic: &arena.compare,
-            update_traffic: &arena.update,
-            cycles: report.cycles,
-            received,
-        }
+        result
     }
 }
 
@@ -252,7 +247,7 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
 /// not the number of runs it took.
 pub fn minimum_k(
     runner: TrialRunner,
-    arenas: &Arenas<SpatialArena>,
+    arenas: &Arenas<MixingArena>,
     topology: &Topology,
     spatial: Spatial,
     base: RumorConfig,
@@ -268,8 +263,8 @@ pub fn minimum_k(
             Removal::Counter { .. } => Removal::Counter { k },
             Removal::Coin { .. } => Removal::Coin { k },
         };
-        let sim = SpatialSim::with_routes(topology, Cow::Borrowed(&routes), &sampler)
-            .rumor(RumorConfig { removal, ..base });
+        let sim =
+            SpatialSim::with_selection(topology, &sampler).rumor(RumorConfig { removal, ..base });
         let mut all_complete = true;
         let mut done = 0u64;
         while all_complete && done < trials {
@@ -297,7 +292,7 @@ pub fn minimum_k(
 /// sequential loop's.
 pub fn failure_probability<S: PartnerSelection + Sync>(
     runner: TrialRunner,
-    arenas: &Arenas<SpatialArena>,
+    arenas: &Arenas<MixingArena>,
     sim: &SpatialSim<'_, S>,
     trials: u64,
 ) -> f64 {
@@ -321,24 +316,46 @@ pub fn failure_probability<S: PartnerSelection + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RouteCharge;
     use epidemic_core::{Direction, Feedback};
-    use epidemic_net::topologies;
+    use epidemic_net::{topologies, LinkTraffic};
 
     fn cfg(direction: Direction, k: u32) -> RumorConfig {
         RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k })
     }
 
+    /// One run of `sim` on `topo`, its links charged to `counters`.
+    fn charged(
+        sim: &SpatialSim<'_>,
+        topo: &Topology,
+        arena: &mut MixingArena,
+        seed: u64,
+        counters: &mut [LinkTraffic; 2],
+    ) -> EpidemicResult {
+        let routes = Routes::compute(topo);
+        sim.run(
+            arena,
+            seed,
+            &mut RouteCharge::new(topo, &routes, 0, counters),
+        )
+    }
+
     #[test]
     fn anti_entropy_converges_on_a_ring() {
         let topo = topologies::ring(20);
-        let sim = SpatialSim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
-        let mut arena = SpatialArena::new();
-        let r = sim.run(&mut arena, 1, &mut ());
+        let routes = Routes::compute(&topo);
+        let sim = SpatialSim::new(&topo, &routes, Spatial::Uniform).origin(topo.sites()[0]);
+        let mut counters = Default::default();
+        let r = charged(&sim, &topo, &mut MixingArena::new(), 1, &mut counters);
         assert!(r.complete && r.residue == 0.0);
-        assert!(r.t_last > 0);
-        assert!(r.t_ave <= f64::from(r.t_last));
-        assert_eq!(r.cycles, r.t_last, "run stops exactly at convergence");
-        assert!(r.update_traffic.total() > 0);
+        assert!(r.t_last > 0.0);
+        assert!(r.t_ave <= r.t_last);
+        assert_eq!(
+            f64::from(r.cycles),
+            r.t_last,
+            "run stops exactly at convergence"
+        );
+        assert!(counters[1].total() > 0);
     }
 
     #[test]
@@ -346,15 +363,17 @@ mod tests {
         // On a line, the end-to-end links carry far less traffic under
         // Qs^-2 than under uniform selection.
         let topo = topologies::line(30);
-        let uniform = SpatialSim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
-        let local = SpatialSim::new(&topo, Spatial::QsPower { a: 2.0 }).origin(topo.sites()[0]);
+        let routes = Routes::compute(&topo);
+        let at = |spatial| SpatialSim::new(&topo, &routes, spatial).origin(topo.sites()[0]);
+        let (uniform, local) = (at(Spatial::Uniform), at(Spatial::QsPower { a: 2.0 }));
         let mid_link = topo
             .link_between(topo.sites()[14], topo.sites()[15])
             .unwrap();
-        let mut arena = SpatialArena::new();
+        let mut arena = MixingArena::new();
         let mut mid = |sim: &SpatialSim<'_>, seed| {
-            let r = sim.run(&mut arena, seed, &mut ());
-            r.compare_traffic.at(mid_link) as f64 / f64::from(r.cycles)
+            let mut counters = Default::default();
+            let r = charged(sim, &topo, &mut arena, seed, &mut counters);
+            counters[0].at(mid_link) as f64 / f64::from(r.cycles)
         };
         let (mut uniform_mid, mut local_mid) = (0.0, 0.0);
         for seed in 0..10 {
@@ -370,45 +389,17 @@ mod tests {
     #[test]
     fn connection_limit_slows_but_still_converges() {
         let topo = topologies::grid(&[5, 5]);
-        let unlimited = SpatialSim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
-        let limited = SpatialSim::new(&topo, Spatial::Uniform)
-            .origin(topo.sites()[0])
-            .connection_limit(Some(1));
-        let mut arena = SpatialArena::new();
+        let routes = Routes::compute(&topo);
+        let unlimited = SpatialSim::new(&topo, &routes, Spatial::Uniform).origin(topo.sites()[0]);
+        let limited = unlimited.clone().connection_limit(Some(1));
+        let mut arena = MixingArena::new();
         let mut t_unlimited = 0.0;
         let mut t_limited = 0.0;
         for seed in 0..10 {
-            t_unlimited += f64::from(unlimited.run(&mut arena, seed, &mut ()).t_last);
-            t_limited += f64::from(limited.run(&mut arena, seed, &mut ()).t_last);
+            t_unlimited += unlimited.run(&mut arena, seed, &mut ()).t_last;
+            t_limited += limited.run(&mut arena, seed, &mut ()).t_last;
         }
         assert!(t_limited > t_unlimited, "{t_limited} vs {t_unlimited}");
-    }
-
-    #[test]
-    fn push_pull_rumor_on_ring_completes_with_generous_k() {
-        let topo = topologies::ring(20);
-        let sim = SpatialSim::new(&topo, Spatial::Uniform)
-            .rumor(cfg(Direction::PushPull, 5))
-            .origin(topo.sites()[0]);
-        let mut arena = SpatialArena::new();
-        let r = sim.run(&mut arena, 1, &mut ());
-        assert!(r.complete, "residue {}", r.residue);
-        assert!(r.update_traffic.total() > 0);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let topo = topologies::grid(&[4, 4]);
-        let mut arena = SpatialArena::new();
-        for rumor in [None, Some(cfg(Direction::PushPull, 3))] {
-            let mut sim = SpatialSim::new(&topo, Spatial::QsPower { a: 1.5 });
-            sim.rumor = rumor;
-            let a = sim.run(&mut arena, 9, &mut ());
-            let (t_last, residue, compare) = (a.t_last, a.residue, a.compare_traffic.clone());
-            let b = sim.run(&mut arena, 9, &mut ());
-            assert_eq!((t_last, residue), (b.t_last, b.residue), "{rumor:?}");
-            assert_eq!(&compare, b.compare_traffic, "{rumor:?}");
-        }
     }
 
     #[test]
@@ -442,14 +433,15 @@ mod tests {
         // topology. On the Figure 1 pathology, the s–t pair mostly talk to
         // each other under Qs^-2 and k must grow to guarantee escape.
         let topo = topologies::figure1(30);
+        let routes = Routes::compute(&topo);
         let s = topo.node_by_label("s").unwrap();
         // A run is a *catastrophic* failure when the rumor dies inside the
         // s–t pair and most of the network stays susceptible — the paper's
         // Figure 1 scenario. It essentially never happens under uniform
         // selection; under Qs^-2 it has significant probability.
-        let mut arena = SpatialArena::new();
+        let mut arena = MixingArena::new();
         let mut catastrophic = |spatial| {
-            let sim = SpatialSim::new(&topo, spatial)
+            let sim = SpatialSim::new(&topo, &routes, spatial)
                 .rumor(cfg(Direction::Push, 2))
                 .origin(s);
             (0..300)
@@ -469,7 +461,7 @@ mod tests {
     fn figure1_failures(k: u32, trials: u64) -> f64 {
         let topo = topologies::figure1(30);
         let s = topo.node_by_label("s").unwrap();
-        let sim = SpatialSim::new(&topo, Spatial::QsPower { a: 2.0 })
+        let sim = SpatialSim::new(&topo, &Routes::compute(&topo), Spatial::QsPower { a: 2.0 })
             .rumor(cfg(Direction::Push, k))
             .origin(s);
         failure_probability(TrialRunner::new(), &Arenas::default(), &sim, trials)

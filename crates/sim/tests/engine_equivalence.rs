@@ -14,22 +14,21 @@
 //! cargo test -p epidemic-sim --test engine_equivalence -- --ignored regenerate
 //! ```
 //!
-//! The property tests at the bottom are the part of satellite #3 that
-//! outlives the legacy code: run-twice determinism and thread-count
-//! invariance over *randomized* configurations, not just the fixed grid.
+//! The property test at the bottom checks thread-count invariance over
+//! *randomized* configurations, not just the fixed grid (run-twice
+//! determinism is `trial_arenas.rs`'s reused-equals-fresh property).
 
 use std::fmt::Write as _;
 
 use epidemic_core::{Comparison, Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, LinkTraffic, Spatial};
 use epidemic_net::{PartnerSampler, Routes};
-use epidemic_sim::engine::RouteCharge;
-use epidemic_sim::engine::SirObserver;
+use epidemic_sim::engine::{RouteCharge, SirObserver, UniformPartners};
 use epidemic_sim::event::AsyncSpatialSim;
-use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
+use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena};
 use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::scenario::{bundled, AntiEntropySpec, ScenarioArena, ScenarioEngine};
-use epidemic_sim::spatial::{SpatialArena, SpatialSim};
+use epidemic_sim::spatial::SpatialSim;
 
 const FIXTURE: &str = include_str!("fixtures/engine_equivalence.txt");
 
@@ -41,55 +40,55 @@ fn traffic(t: &LinkTraffic) -> String {
 /// The rumor-mongering configuration grid on 24 sites: every direction,
 /// feedback and removal rule, synchronous and sequential rounds, connection
 /// limits and hunting, counter reset and push-pull minimization.
-fn rumor_grid() -> Vec<(&'static str, RumorEpidemic)> {
+fn rumor_grid() -> Vec<(&'static str, SpatialSim<'static, UniformPartners>)> {
     let counter = |k| Removal::Counter { k };
     let coin = |k| Removal::Coin { k };
     vec![
         (
             "push-fb-ctr1-sync",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::Push, Feedback::Feedback, counter(1)),
             ),
         ),
         (
             "push-blind-coin2-sync",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::Push, Feedback::Blind, coin(2)),
             ),
         ),
         (
             "pull-fb-ctr2-sync",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::Pull, Feedback::Feedback, counter(2)),
             ),
         ),
         (
             "pull-blind-coin1-sync",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::Pull, Feedback::Blind, coin(1)),
             ),
         ),
         (
             "pull-fb-coin2-sync",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::Pull, Feedback::Feedback, coin(2)),
             ),
         ),
         (
             "pushpull-fb-ctr2",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::PushPull, Feedback::Feedback, counter(2)),
             ),
         ),
         (
             "pushpull-fb-ctr2-min",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::PushPull, Feedback::Feedback, counter(2))
                     .with_minimization(),
@@ -97,7 +96,7 @@ fn rumor_grid() -> Vec<(&'static str, RumorEpidemic)> {
         ),
         (
             "push-fb-ctr1-seq",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::Push, Feedback::Feedback, counter(1)),
             )
@@ -105,7 +104,7 @@ fn rumor_grid() -> Vec<(&'static str, RumorEpidemic)> {
         ),
         (
             "pull-fb-ctr2-seq",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::Pull, Feedback::Feedback, counter(2)),
             )
@@ -113,7 +112,7 @@ fn rumor_grid() -> Vec<(&'static str, RumorEpidemic)> {
         ),
         (
             "push-fb-ctr3-reset-seq",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::Push, Feedback::Feedback, counter(3))
                     .with_reset_on_useful(true),
@@ -122,7 +121,7 @@ fn rumor_grid() -> Vec<(&'static str, RumorEpidemic)> {
         ),
         (
             "push-fb-ctr2-limit1",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::Push, Feedback::Feedback, counter(2)),
             )
@@ -130,7 +129,7 @@ fn rumor_grid() -> Vec<(&'static str, RumorEpidemic)> {
         ),
         (
             "push-fb-ctr2-limit1-hunt4",
-            RumorEpidemic::new(
+            SpatialSim::mixing(
                 24,
                 RumorConfig::new(Direction::Push, Feedback::Feedback, counter(2)),
             )
@@ -145,7 +144,7 @@ fn rumor_grid() -> Vec<(&'static str, RumorEpidemic)> {
 fn build_fixture() -> String {
     let mut out = String::new();
 
-    // --- mixing::RumorEpidemic -----------------------------------------
+    // --- spatial::SpatialSim::mixing ----------------------------------
     // One arena through every mixing run: a reused arena must print
     // exactly what fresh state did.
     let mut mixing_arena = MixingArena::new();
@@ -157,7 +156,7 @@ fn build_fixture() -> String {
     }
     // SIR trace: pins the per-cycle observation points.
     let mut sir = SirObserver::new();
-    let result = RumorEpidemic::new(
+    let result = SpatialSim::mixing(
         24,
         RumorConfig::new(
             Direction::Push,
@@ -192,23 +191,26 @@ fn build_fixture() -> String {
     }
 
     // --- spatial::SpatialSim, anti-entropy -----------------------------
-    // One arena through both mechanisms and both topologies, each printed
-    // in the line shape of the driver that once ran it.
-    let mut spatial_arena = SpatialArena::new();
+    // The same arena through both mechanisms and both topologies, each
+    // printed in the line shape of the driver that once ran it, with the
+    // links a `RouteCharge` charged.
+    let mut counters = <[LinkTraffic; 2]>::default();
     let grid = topologies::grid(&[4, 4]);
     let ring = topologies::ring(12);
     for (topo_tag, topo) in [("grid4x4", &grid), ("ring12", &ring)] {
+        let routes = Routes::compute(topo);
         for (sp_tag, spatial) in [
             ("uniform", Spatial::Uniform),
             ("qs2", Spatial::QsPower { a: 2.0 }),
         ] {
             for (lim_tag, limit, hunt) in [("nolimit", None, 0u32), ("limit1-hunt2", Some(1), 2u32)]
             {
-                let sim = SpatialSim::new(topo, spatial)
+                let sim = SpatialSim::new(topo, &routes, spatial)
                     .connection_limit(limit)
                     .hunt_limit(hunt);
                 for seed in 0..3u64 {
-                    let r = sim.run(&mut spatial_arena, seed, &mut ());
+                    let mut charge = RouteCharge::new(topo, &routes, 0, &mut counters);
+                    let r = sim.run(&mut mixing_arena, seed, &mut charge);
                     writeln!(
                         out,
                         "spatial-ae/{topo_tag}/{sp_tag}/{lim_tag} seed={seed} => \
@@ -216,8 +218,8 @@ fn build_fixture() -> String {
                         r.t_last,
                         r.t_ave,
                         r.cycles,
-                        traffic(r.compare_traffic),
-                        traffic(r.update_traffic),
+                        traffic(charge.compare),
+                        traffic(charge.update),
                     )
                     .unwrap();
                 }
@@ -226,13 +228,15 @@ fn build_fixture() -> String {
     }
 
     // --- spatial::SpatialSim, rumor mongering --------------------------
+    let routes = Routes::compute(&ring);
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
-        let sim = SpatialSim::new(&ring, Spatial::QsPower { a: 1.5 }).rumor(cfg);
+        let sim = SpatialSim::new(&ring, &routes, Spatial::QsPower { a: 1.5 }).rumor(cfg);
         for seed in 0..3u64 {
-            let r = sim.run(&mut spatial_arena, seed, &mut ());
+            let mut charge = RouteCharge::new(&ring, &routes, 0, &mut counters);
+            let r = sim.run(&mut mixing_arena, seed, &mut charge);
             let susceptible: Vec<_> = (0..ring.sites().len())
-                .filter(|&i| !r.received.is_marked(i))
+                .filter(|&i| !mixing_arena.received().is_marked(i))
                 .map(|i| ring.sites()[i])
                 .collect();
             writeln!(
@@ -245,8 +249,8 @@ fn build_fixture() -> String {
                 r.t_last,
                 r.t_ave,
                 r.cycles,
-                traffic(r.compare_traffic),
-                traffic(r.update_traffic),
+                traffic(charge.compare),
+                traffic(charge.update),
             )
             .unwrap();
         }
@@ -340,7 +344,7 @@ fn build_fixture() -> String {
     ] {
         let sampler = PartnerSampler::new(&ring, &routes, spatial);
         for seed in 0..2u64 {
-            let mut charge = RouteCharge::new(&ring, &routes, 4);
+            let mut charge = RouteCharge::new(&ring, &routes, 4, &mut counters);
             let sites = Some(ring.sites());
             let r = recent.run_with_policy(&mut arena, seed, &sampler, sites, &mut charge);
             let per_cycle = |count: f64| count / 8.0;
@@ -360,9 +364,10 @@ fn build_fixture() -> String {
     }
 
     // --- event::AsyncSpatialSim ----------------------------------------
-    let async_ae = AsyncSpatialSim::new(&ring, Spatial::QsPower { a: 1.5 }, 0.3);
+    let async_ae = AsyncSpatialSim::new(&ring, &routes, Spatial::QsPower { a: 1.5 }, 0.3);
     for seed in 0..2u64 {
-        let r = async_ae.run(&mut spatial_arena, seed, None);
+        let mut charge = RouteCharge::new(&ring, &routes, 0, &mut counters);
+        let r = async_ae.run(&mut mixing_arena, seed, None, &mut charge);
         writeln!(
             out,
             "async-ae/ring12 seed={seed} => t_last={:?} t_ave={:?} exchanges={} \
@@ -371,8 +376,8 @@ fn build_fixture() -> String {
             r.t_ave,
             r.exchanges,
             r.compare_per_link_period,
-            traffic(r.compare_traffic),
-            traffic(r.update_traffic),
+            traffic(charge.compare),
+            traffic(charge.update),
         )
         .unwrap();
     }
@@ -438,21 +443,6 @@ fn arb_cfg() -> impl Strategy<Value = RumorConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Same seed → identical result, twice over, for any small rumor
-    /// configuration (sequential and synchronous rounds).
-    #[test]
-    fn rumor_epidemic_is_deterministic(
-        cfg in arb_cfg(),
-        synchronous in any::<bool>(),
-        n in 4usize..24,
-        seed in any::<u64>(),
-    ) {
-        let epidemic = RumorEpidemic::new(n, cfg).synchronous(synchronous);
-        let mut arena = MixingArena::new();
-        let first = epidemic.run(&mut arena, seed, &mut ());
-        prop_assert_eq!(first, epidemic.run(&mut arena, seed, &mut ()));
-    }
-
     /// Multi-trial fan-out is thread-count invariant for any configuration.
     #[test]
     fn rumor_trials_are_thread_invariant(
@@ -460,7 +450,7 @@ proptest! {
         n in 4usize..16,
         seed in any::<u64>(),
     ) {
-        let epidemic = RumorEpidemic::new(n, cfg);
+        let epidemic = SpatialSim::mixing(n, cfg);
         let trials = |threads| {
             TrialRunner::new().threads(threads).fold_with(
                 6,
@@ -475,19 +465,5 @@ proptest! {
             )
         };
         prop_assert_eq!(trials(1), trials(4));
-    }
-
-    /// Spatial anti-entropy runs are deterministic for any seed/origin.
-    #[test]
-    fn spatial_ae_is_deterministic(seed in any::<u64>(), a in 1.0f64..3.0) {
-        let topo = topologies::ring(10);
-        let sim = SpatialSim::new(&topo, Spatial::QsPower { a });
-        let (mut xa, mut ya) = (SpatialArena::new(), SpatialArena::new());
-        let x = sim.run(&mut xa, seed, &mut ());
-        let y = sim.run(&mut ya, seed, &mut ());
-        prop_assert_eq!(x.t_last, y.t_last);
-        prop_assert_eq!(x.t_ave, y.t_ave);
-        prop_assert_eq!(x.compare_traffic, y.compare_traffic);
-        prop_assert_eq!(x.update_traffic, y.update_traffic);
     }
 }

@@ -5,10 +5,10 @@
 //! own accounting.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-use epidemic_net::{topologies, Spatial};
+use epidemic_net::{topologies, Routes, Spatial};
 use epidemic_sim::engine::{ContactStats, Observer, TraceView};
-use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
-use epidemic_sim::spatial::{SpatialArena, SpatialSim};
+use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena};
+use epidemic_sim::spatial::SpatialSim;
 use epidemic_trace::{InvariantChecker, RunTracer, TraceConfig, TraceTotals};
 
 /// Asserts `check` saw no violation, naming `case` and listing them if it
@@ -26,7 +26,7 @@ fn rumor_mongering_is_invariant_clean_in_every_direction() {
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         for seed in 0..5 {
             let mut check = InvariantChecker::default();
-            let result = RumorEpidemic::new(300, rumor_cfg(direction)).run(
+            let result = SpatialSim::mixing(300, rumor_cfg(direction)).run(
                 &mut MixingArena::new(),
                 seed,
                 &mut check,
@@ -44,7 +44,7 @@ fn blind_coin_rumors_are_invariant_clean() {
     let cfg = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 1 });
     for seed in 0..10 {
         let mut check = InvariantChecker::default();
-        RumorEpidemic::new(200, cfg).run(&mut MixingArena::new(), seed, &mut check);
+        SpatialSim::mixing(200, cfg).run(&mut MixingArena::new(), seed, &mut check);
         assert_clean(&check, &format!("seed {seed}"));
     }
 }
@@ -63,12 +63,13 @@ fn bit_anti_entropy_is_invariant_clean() {
 #[test]
 fn spatial_anti_entropy_is_invariant_clean() {
     let topo = topologies::grid(&[6, 6]);
-    let sim = SpatialSim::new(&topo, Spatial::QsPower { a: 1.5 }).origin(topo.sites()[0]);
-    let mut arena = SpatialArena::new();
+    let routes = Routes::compute(&topo);
+    let sim = SpatialSim::new(&topo, &routes, Spatial::QsPower { a: 1.5 }).origin(topo.sites()[0]);
+    let mut arena = MixingArena::new();
     for seed in 0..3 {
         let mut check = InvariantChecker::default();
         let r = sim.run(&mut arena, seed, &mut check);
-        assert!(r.t_last > 0);
+        assert!(r.t_last > 0.0);
         assert_clean(&check, &format!("seed {seed}"));
     }
 }
@@ -76,10 +77,10 @@ fn spatial_anti_entropy_is_invariant_clean() {
 #[test]
 fn spatial_rumor_mongering_is_invariant_clean() {
     let topo = topologies::ring(24);
-    let sim = SpatialSim::new(&topo, Spatial::Uniform)
+    let sim = SpatialSim::new(&topo, &Routes::compute(&topo), Spatial::Uniform)
         .rumor(rumor_cfg(Direction::PushPull))
         .origin(topo.sites()[0]);
-    let mut arena = SpatialArena::new();
+    let mut arena = MixingArena::new();
     for seed in 0..3 {
         let mut check = InvariantChecker::default();
         let r = sim.run(&mut arena, seed, &mut check);
@@ -113,7 +114,7 @@ impl<P: TraceView> Observer<P> for Lossy {
 #[test]
 fn lost_contacts_break_the_totals_rule_at_run_end() {
     let mut lossy = Lossy(InvariantChecker::default(), false);
-    RumorEpidemic::new(150, rumor_cfg(Direction::Push)).run(&mut MixingArena::new(), 5, &mut lossy);
+    SpatialSim::mixing(150, rumor_cfg(Direction::Push)).run(&mut MixingArena::new(), 5, &mut lossy);
     let rules: Vec<_> = lossy.0.violations().iter().map(|v| v.rule).collect();
     assert!(rules.contains(&"totals_consistency"), "{rules:?}");
 }
@@ -122,7 +123,7 @@ fn lost_contacts_break_the_totals_rule_at_run_end() {
 fn trace_and_invariants_compose_and_agree_with_the_driver() {
     let mut trace = RunTracer::new(TraceConfig::full());
     let mut check = InvariantChecker::default();
-    let result = RumorEpidemic::new(150, rumor_cfg(Direction::PushPull)).run(
+    let result = SpatialSim::mixing(150, rumor_cfg(Direction::PushPull)).run(
         &mut MixingArena::new(),
         5,
         &mut (&mut trace, &mut check),
@@ -144,18 +145,4 @@ fn trace_and_invariants_compose_and_agree_with_the_driver() {
         run_end.contains(&format!(r#""s":{expected_s},"i":0"#)),
         "{run_end}"
     );
-}
-
-#[test]
-fn trace_is_identical_across_reruns_of_the_same_seed() {
-    let run = || {
-        let mut trace = RunTracer::new(TraceConfig::full());
-        RumorEpidemic::new(120, rumor_cfg(Direction::Push)).run(
-            &mut MixingArena::new(),
-            42,
-            &mut trace,
-        );
-        trace.finish()
-    };
-    assert_eq!(run(), run());
 }

@@ -18,7 +18,7 @@ use epidemic_sim::engine::{
     ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, Roster, SirView,
     UniformPartners,
 };
-use epidemic_sim::{EpidemicResult, MixingArena, RumorEpidemic};
+use epidemic_sim::{EpidemicResult, MixingArena, SpatialSim};
 use epidemic_trace::{RunTracer, Sir, TraceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -155,7 +155,7 @@ impl SirView for AlwaysProbe {
     }
 }
 
-/// `RumorEpidemic::run` with `AlwaysProbe` in the protocol's place: the
+/// `SpatialSim::mixing`'s run with `AlwaysProbe` in the protocol's place: the
 /// same engine settings and result assembly. Also returns how many offers
 /// went to a site that already held the update.
 fn always_probe_run(
@@ -199,7 +199,7 @@ fn skipping_offers_the_log_decides_changes_nothing_observable() {
                 for removal in [Removal::Counter { k }, Removal::Coin { k }] {
                     let cfg = RumorConfig::new(direction, feedback, removal);
                     for limits in [(None, 0), (Some(1), 0), (Some(1), 2)] {
-                        let driver = RumorEpidemic::new(SITES, cfg)
+                        let driver = SpatialSim::mixing(SITES, cfg)
                             .connection_limit(limits.0)
                             .hunt_limit(limits.1);
                         for seed in 0..2 {

@@ -5,10 +5,10 @@
 //! exercised at one thread and at the machine's full parallelism.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-use epidemic_net::{topologies, LinkTraffic, Spatial};
-use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
+use epidemic_net::{topologies, LinkTraffic, Routes, Spatial};
+use epidemic_sim::engine::RouteCharge;
 use epidemic_sim::runner::TrialRunner;
-use epidemic_sim::spatial::{SpatialArena, SpatialSim};
+use epidemic_sim::{EpidemicResult, MixingArena, SpatialSim};
 
 fn full_parallelism() -> usize {
     // At least 4 workers so the fan-out is exercised even on small CI
@@ -49,7 +49,7 @@ fn mixing_table_cell_is_thread_count_invariant() {
         Feedback::Feedback,
         Removal::Counter { k: 2 },
     );
-    let epidemic = RumorEpidemic::new(200, cfg);
+    let epidemic = SpatialSim::mixing(200, cfg);
     let run = |arena: &mut MixingArena, seed| epidemic.run(arena, seed, &mut ());
     let sequential = trials(1, 16, 42, MixingArena::new, run);
     let parallel = trials(full_parallelism(), 16, 42, MixingArena::new, run);
@@ -66,18 +66,21 @@ fn mixing_table_cell_is_thread_count_invariant() {
 fn spatial_table4_cell_is_thread_count_invariant() {
     // Table 4 cell: push-pull anti-entropy on a grid under Qs^-2.
     let topo = topologies::grid(&[8, 8]);
-    let sim = SpatialSim::new(&topo, Spatial::QsPower { a: 2.0 }).origin(topo.sites()[0]);
-    type Cell = (u32, f64, LinkTraffic, LinkTraffic);
-    let run = |arena: &mut SpatialArena, seed| -> Cell {
-        let r = sim.run(arena, seed, &mut ());
-        let traffic = (r.compare_traffic.clone(), r.update_traffic.clone());
-        (r.t_last, r.t_ave, traffic.0, traffic.1)
+    let routes = Routes::compute(&topo);
+    let sim = SpatialSim::new(&topo, &routes, Spatial::QsPower { a: 2.0 }).origin(topo.sites()[0]);
+    type Cell = (EpidemicResult, [LinkTraffic; 2]);
+    type State = (MixingArena, [LinkTraffic; 2]);
+    let run = |(arena, counters): &mut State, seed| -> Cell {
+        let r = sim.run(
+            arena,
+            seed,
+            &mut RouteCharge::new(&topo, &routes, 0, counters),
+        );
+        (r, counters.clone())
     };
-    let one = trials(1, 8, 7, SpatialArena::new, run);
-    let many = trials(full_parallelism(), 8, 7, SpatialArena::new, run);
+    let one = trials(1, 8, 7, State::default, run);
+    let many = trials(full_parallelism(), 8, 7, State::default, run);
     assert_eq!(one, many);
-    let reference: Vec<Cell> = (0..8)
-        .map(|t| run(&mut SpatialArena::new(), 7 + t))
-        .collect();
+    let reference: Vec<Cell> = (0..8).map(|t| run(&mut State::default(), 7 + t)).collect();
     assert_eq!(one, reference);
 }

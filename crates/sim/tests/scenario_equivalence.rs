@@ -13,17 +13,17 @@
 //!
 //! * **An empty fault timeline is the plain engine.** A scenario whose
 //!   only event is the cycle-0 injection, running one rumor protocol,
-//!   reproduces `RumorEpidemic` (sequential-contact semantics) exactly:
+//!   reproduces `SpatialSim::mixing` (sequential-contact semantics) exactly:
 //!   same cycle count, residue and per-site traffic for every direction.
 
 use epidemic_core::rumor::{Feedback, Removal, RumorConfig};
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
 use epidemic_net::{topologies, PartnerSampler, Routes, Spatial, Topology};
 use epidemic_sim::engine::{ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol};
-use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
 use epidemic_sim::scenario::{
     bundled, FaultEvent, FaultKind, Scenario, ScenarioArena, ScenarioEngine, StopRule,
 };
+use epidemic_sim::{MixingArena, SpatialSim};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
@@ -237,7 +237,7 @@ fn empty_timeline_scenario_matches_plain_rumor_engine() {
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         let cfg = RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
         let engine = ScenarioEngine::new(rumor_scenario(128, cfg)).expect("valid spec");
-        let plain_driver = RumorEpidemic::new(128, cfg).synchronous(false);
+        let plain_driver = SpatialSim::mixing(128, cfg).synchronous(false);
         let mut arena = MixingArena::new();
         for seed in 0..6 {
             let plain = plain_driver.run(&mut arena, seed, &mut ());
@@ -258,7 +258,7 @@ fn empty_timeline_scenario_matches_blind_coin_variant_too() {
     // a different RNG profile inside contacts (a coin flip per contact).
     let cfg = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 3 });
     let engine = ScenarioEngine::new(rumor_scenario(96, cfg)).expect("valid spec");
-    let plain_driver = RumorEpidemic::new(96, cfg).synchronous(false);
+    let plain_driver = SpatialSim::mixing(96, cfg).synchronous(false);
     let mut arena = MixingArena::new();
     for seed in 0..6 {
         let plain = plain_driver.run(&mut arena, seed, &mut ());

@@ -13,9 +13,9 @@ use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica
 use epidemic_db::SiteId;
 use epidemic_net::{topologies, LinkTraffic, PartnerSampler, Routes, Spatial, Topology};
 use epidemic_sim::engine::{
-    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, SirView,
+    ContactStats, CycleEngine, EngineBuffers, EpidemicProtocol, ReceiveLog, RouteCharge, SirView,
 };
-use epidemic_sim::{SpatialArena, SpatialSim};
+use epidemic_sim::{MixingArena, SpatialSim};
 use epidemic_trace::{RunTracer, Sir, TraceConfig};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -81,10 +81,11 @@ impl SirView for AlwaysExchange<'_> {
 
 /// What a run reports: `t_last`, `t_ave`, cycles, and the compare and
 /// update counters.
-type Outcome = (u32, f64, u32, LinkTraffic, LinkTraffic);
+type Outcome = (f64, f64, u32, LinkTraffic, LinkTraffic);
 
 /// `SpatialSim::run` with `AlwaysExchange` in the protocol's place:
-/// the same set-up draws, engine settings and result assembly.
+/// the same set-up draws, engine settings and result assembly, with the
+/// links charged inside the protocol rather than by a `RouteCharge`.
 fn always_exchange_run(
     topology: &Topology,
     spatial: Spatial,
@@ -126,7 +127,7 @@ fn always_exchange_run(
         );
 
     (
-        protocol.received.t_last().unwrap_or(0),
+        f64::from(protocol.received.t_last().unwrap_or(0)),
         protocol.received.t_ave_received(),
         report.cycles,
         protocol.compare,
@@ -144,21 +145,24 @@ fn skipping_known_equal_pairs_changes_nothing_observable() {
             Spatial::QsPower { a: 1.2 },
         ),
     ];
-    let mut arena = SpatialArena::new();
+    let mut arena = MixingArena::new();
+    let mut counters = Default::default();
     for (topology, spatial) in &cases {
+        let routes = Routes::compute(topology);
         for limits in [(None, 0), (Some(1), 2)] {
-            let sim = SpatialSim::new(topology, *spatial)
+            let sim = SpatialSim::new(topology, &routes, *spatial)
                 .connection_limit(limits.0)
                 .hunt_limit(limits.1);
             for seed in 0..3 {
                 let mut skipping_log = RunTracer::new(TraceConfig::full());
-                let r = sim.run(&mut arena, seed, &mut skipping_log);
+                let mut charge = RouteCharge::new(topology, &routes, 0, &mut counters);
+                let r = sim.run(&mut arena, seed, &mut (&mut charge, &mut skipping_log));
                 let skipping = (
                     r.t_last,
                     r.t_ave,
                     r.cycles,
-                    r.compare_traffic.clone(),
-                    r.update_traffic.clone(),
+                    charge.compare.clone(),
+                    charge.update.clone(),
                 );
                 let mut reference_log = RunTracer::new(TraceConfig::full());
                 let reference =

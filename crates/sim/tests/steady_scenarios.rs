@@ -88,10 +88,12 @@ fn run(
     };
     let routes = Routes::compute(topo);
     let sampler = PartnerSampler::new(topo, &routes, spatial);
-    let mut charge = RouteCharge::new(topo, &routes, after);
+    let mut counters = Default::default();
+    let mut charge = RouteCharge::new(topo, &routes, after, &mut counters);
     let sites = Some(topo.sites());
     let (cycles, r) = measured(engine.run_with_policy(arena, seed, &sampler, sites, &mut charge));
-    Steady(r, cycles, charge.compare, charge.update)
+    let [compare, update] = counters;
+    Steady(r, cycles, compare, update)
 }
 
 /// Recent-list windows below the distribution time degenerate to full

@@ -1,16 +1,17 @@
 //! Trial arenas are invisible: a run on an arena that earlier runs have
 //! used — other drivers, topologies, site counts, directions, feedback and
 //! removal rules, round semantics, connection limits — equals a run on
-//! fresh state, field for field and event for event. Covered: every
-//! [`RumorEpidemic`] variant on a [`MixingArena`]; and [`SpatialSim`]'s
-//! anti-entropy and every rumor variant, and [`AsyncSpatialSim`] with and
-//! without jitter, on a [`SpatialArena`].
+//! fresh state, field for field and event for event. Covered, each on a
+//! [`MixingArena`]: every complete-mixing variant of [`SpatialSim::mixing`];
+//! and [`SpatialSim`]'s anti-entropy and every rumor variant on a
+//! topology, and [`AsyncSpatialSim`] with and without jitter, with their
+//! receive logs and the link counters a [`RouteCharge`] filled.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-use epidemic_net::{topologies, Spatial, Topology};
+use epidemic_net::{topologies, LinkTraffic, Routes, Spatial, Topology};
+use epidemic_sim::engine::{RouteCharge, UniformPartners};
 use epidemic_sim::event::AsyncSpatialSim;
-use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
-use epidemic_sim::spatial::{SpatialArena, SpatialSim};
+use epidemic_sim::{MixingArena, SpatialSim};
 use epidemic_trace::{InvariantChecker, RunTracer, TraceConfig};
 use proptest::prelude::*;
 
@@ -33,18 +34,17 @@ fn rumor_config() -> impl Strategy<Value = RumorConfig> {
 }
 
 /// One mixing run: a driver and a seed.
-fn trial() -> impl Strategy<Value = (RumorEpidemic, u64)> {
+fn trial() -> impl Strategy<Value = (SpatialSim<'static, UniformPartners>, u64)> {
     (
         rumor_config(),
         (any::<bool>(), 0u32..3, 0u32..3),
         (2usize..90, any::<u64>()),
     )
         .prop_map(|(cfg, (synchronous, limit, hunt), (n, seed))| {
-            let driver = RumorEpidemic::new(n, cfg)
+            let driver = SpatialSim::mixing(n, cfg)
                 .synchronous(synchronous)
                 .connection_limit((limit > 0).then_some(limit))
-                .hunt_limit(hunt)
-                .max_cycles(300);
+                .hunt_limit(hunt);
             (driver, seed)
         })
 }
@@ -66,15 +66,16 @@ fn spatial_trial() -> impl Strategy<Value = (u8, usize, f64, RumorConfig, u64)> 
     (0u8..4, 0usize..3, 0.0f64..2.5, rumor_config(), any::<u64>())
 }
 
-/// Runs one spatial trial on `arena` under a full trace and the invariant
-/// checker (the event-driven driver takes no observer), returning the
-/// driver's result with its link counters, the trace, and whether the
-/// checker stayed clean.
+/// Runs one spatial trial on `arena`, charging its links, under a full
+/// trace and the invariant checker (the event-driven driver takes no
+/// observer), returning the driver's result with its receive log and link
+/// counters, the trace, and whether the checker stayed clean.
 fn spatial_run(
     (mechanism, which, a, cfg, seed): (u8, usize, f64, RumorConfig, u64),
-    arena: &mut SpatialArena,
+    arena: &mut MixingArena,
 ) -> (String, String, bool) {
     let topo = topology(which);
+    let routes = Routes::compute(&topo);
     let spatial = if a < 0.5 {
         Spatial::Uniform
     } else {
@@ -82,17 +83,23 @@ fn spatial_run(
     };
     let mut trace = RunTracer::new(TraceConfig::full());
     let mut check = InvariantChecker::default();
-    let observer = &mut (&mut trace, &mut check);
-    let sim = SpatialSim::new(&topo, spatial);
+    let mut counters = <[LinkTraffic; 2]>::default();
+    let mut charge = RouteCharge::new(&topo, &routes, 0, &mut counters);
+    let observer = &mut (&mut charge, (&mut trace, &mut check));
+    let sim = SpatialSim::new(&topo, &routes, spatial);
     let result = match mechanism {
-        0 => format!("{:?}", sim.run(arena, seed, observer)),
-        1 => format!("{:?}", sim.rumor(cfg).run(arena, seed, observer)),
+        0 | 1 => {
+            let sim = if mechanism == 0 { sim } else { sim.rumor(cfg) };
+            let result = sim.run(arena, seed, observer);
+            format!("{result:?} {:?}", arena.received())
+        }
         _ => {
             let jitter = if mechanism == 2 { 0.3 } else { 0.0 };
-            let sim = AsyncSpatialSim::new(&topo, spatial, jitter);
-            format!("{:?}", sim.run(arena, seed, None))
+            let sim = AsyncSpatialSim::new(&topo, &routes, spatial, jitter);
+            format!("{:?}", sim.run(arena, seed, None, &mut charge))
         }
     };
+    let result = format!("{result} {counters:?}");
     (result, trace.finish(), check.violation_count() == 0)
 }
 
@@ -124,13 +131,13 @@ proptest! {
         earlier in prop::collection::vec(spatial_trial(), 1..4),
         last in spatial_trial(),
     ) {
-        let mut arena = SpatialArena::new();
+        let mut arena = MixingArena::new();
         for t in &earlier {
             spatial_run(*t, &mut arena);
         }
         let (reused, reused_trace, clean) = spatial_run(last, &mut arena);
         prop_assert!(clean);
-        let (fresh, fresh_trace, _) = spatial_run(last, &mut SpatialArena::new());
+        let (fresh, fresh_trace, _) = spatial_run(last, &mut MixingArena::new());
         prop_assert_eq!(reused, fresh);
         prop_assert_eq!(reused_trace, fresh_trace);
     }

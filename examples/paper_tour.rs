@@ -13,15 +13,16 @@
 use epidemics::analysis::{push_epidemic_time, residue_for_counter};
 use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
 use epidemics::net::topologies::{cin, CinConfig};
-use epidemics::net::Spatial;
-use epidemics::sim::mixing::{AntiEntropyEpidemic, MixingArena, RumorEpidemic};
+use epidemics::net::{Routes, Spatial};
+use epidemics::sim::engine::RouteCharge;
+use epidemics::sim::mixing::{AntiEntropyEpidemic, MixingArena};
 use epidemics::sim::scenario::{bundled, FaultKind, ScenarioArena, ScenarioEngine};
-use epidemics::sim::spatial::{SpatialArena, SpatialSim};
+use epidemics::sim::spatial::SpatialSim;
 
 fn main() {
     println!("== §1.3: anti-entropy is a simple epidemic ==");
     let n = 1024;
-    // One trial arena serves every complete-mixing run below.
+    // One trial arena serves every single-update run below.
     let mut arena = MixingArena::new();
     let push = AntiEntropyEpidemic::new(n, Direction::Push);
     let cycles: f64 = (0..10)
@@ -36,7 +37,7 @@ fn main() {
     println!("\n== §1.4: rumor mongering trades residue for traffic ==");
     println!("  k | residue (sim) | residue (ODE) | traffic m");
     for k in 1..=4 {
-        let driver = RumorEpidemic::new(
+        let driver = SpatialSim::mixing(
             1000,
             RumorConfig::new(Direction::Push, Feedback::Feedback, Removal::Counter { k })
                 .with_reset_on_useful(true),
@@ -78,19 +79,21 @@ fn main() {
 
     println!("\n== §3: spatial distributions rescue the Bushey link ==");
     let net = cin(&CinConfig::default());
-    let mut arena = SpatialArena::new();
+    let (topo, routes) = (&net.topology, Routes::compute(&net.topology));
+    let mut counters = Default::default();
     for (label, spatial) in [
         ("uniform ", Spatial::Uniform),
         ("Qs(d)^-2", Spatial::QsPower { a: 2.0 }),
     ] {
-        let sim = SpatialSim::new(&net.topology, spatial);
+        let sim = SpatialSim::new(topo, &routes, spatial);
         let mut t_last = 0.0;
         let mut bushey = 0.0;
         let mut cycles = 0.0;
         for seed in 0..10 {
-            let r = sim.run(&mut arena, seed, &mut ());
-            t_last += f64::from(r.t_last);
-            bushey += r.compare_traffic.at(net.bushey_link) as f64;
+            let mut charge = RouteCharge::new(topo, &routes, 0, &mut counters);
+            let r = sim.run(&mut arena, seed, &mut charge);
+            t_last += r.t_last;
+            bushey += charge.compare.at(net.bushey_link) as f64;
             cycles += f64::from(r.cycles);
         }
         println!(

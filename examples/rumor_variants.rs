@@ -10,7 +10,7 @@
 //! of the paper's Tables 1–3.
 
 use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
-use epidemics::sim::mixing::{MixingArena, RumorEpidemic};
+use epidemics::sim::{MixingArena, SpatialSim};
 
 fn main() {
     let n = 1000;
@@ -22,7 +22,7 @@ fn main() {
     );
 
     // Every variant but Table 2's is feedback with counter k = 2.
-    let epidemic = |cfg| RumorEpidemic::new(n, cfg);
+    let epidemic = |cfg| SpatialSim::mixing(n, cfg);
     let counter =
         |direction| RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
     let blind_coin = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 2 });

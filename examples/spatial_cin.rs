@@ -11,8 +11,9 @@
 //! it below twice the mean at a modest cost in convergence time.
 
 use epidemics::net::topologies::{cin, CinConfig};
-use epidemics::net::{expected_cut_conversations, Spatial};
-use epidemics::sim::spatial::{SpatialArena, SpatialSim};
+use epidemics::net::{expected_cut_conversations, Routes, Spatial};
+use epidemics::sim::engine::RouteCharge;
+use epidemics::sim::{MixingArena, SpatialSim};
 
 fn main() {
     let net = cin(&CinConfig::default());
@@ -35,14 +36,16 @@ fn main() {
         "dist", "t_last", "t_ave", "cmp avg", "cmp Bushey", "upd avg", "upd Bushey"
     );
     let runs = 40;
-    let mut arena = SpatialArena::new();
+    let (topo, routes) = (&net.topology, Routes::compute(&net.topology));
+    let mut arena = MixingArena::new();
+    let mut counters = Default::default();
     for (label, spatial) in [
         ("uniform".to_string(), Spatial::Uniform),
         ("a = 1.2".to_string(), Spatial::QsPower { a: 1.2 }),
         ("a = 1.6".to_string(), Spatial::QsPower { a: 1.6 }),
         ("a = 2.0".to_string(), Spatial::QsPower { a: 2.0 }),
     ] {
-        let sim = SpatialSim::new(&net.topology, spatial);
+        let sim = SpatialSim::new(topo, &routes, spatial);
         let mut t_last = 0.0;
         let mut t_ave = 0.0;
         let mut cmp_avg = 0.0;
@@ -50,14 +53,16 @@ fn main() {
         let mut upd_avg = 0.0;
         let mut upd_bushey = 0.0;
         for seed in 0..runs {
-            let r = sim.run(&mut arena, seed, &mut ());
+            let mut charge = RouteCharge::new(topo, &routes, 0, &mut counters);
+            let r = sim.run(&mut arena, seed, &mut charge);
             let cycles = f64::from(r.cycles.max(1));
-            t_last += f64::from(r.t_last);
+            let (compare, update) = (charge.compare, charge.update);
+            t_last += r.t_last;
             t_ave += r.t_ave;
-            cmp_avg += r.compare_traffic.mean_per_link() / cycles;
-            cmp_bushey += r.compare_traffic.at(net.bushey_link) as f64 / cycles;
-            upd_avg += r.update_traffic.mean_per_link();
-            upd_bushey += r.update_traffic.at(net.bushey_link) as f64;
+            cmp_avg += compare.mean_per_link() / cycles;
+            cmp_bushey += compare.at(net.bushey_link) as f64 / cycles;
+            upd_avg += update.mean_per_link();
+            upd_bushey += update.at(net.bushey_link) as f64;
         }
         let t = f64::from(runs as u32);
         println!(

@@ -14,7 +14,7 @@
 //! protocol variants cycle by cycle.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
-use epidemic_sim::mixing::{MixingArena, RumorEpidemic};
+use epidemic_sim::{MixingArena, SpatialSim};
 use epidemic_trace::{AggregatingSink, InvariantChecker, RunTracer, TraceConfig};
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     let mut aggregate = AggregatingSink::new();
 
     let observer = &mut (&mut trace, (&mut check, &mut aggregate));
-    let result = RumorEpidemic::new(n, cfg).run(&mut MixingArena::new(), seed, observer);
+    let result = SpatialSim::mixing(n, cfg).run(&mut MixingArena::new(), seed, observer);
 
     println!("# run trace (JSONL; diffable, no wall-clock fields)");
     print!("{}", trace.finish());

@@ -5,10 +5,11 @@
 
 use epidemics::analysis::{push_epidemic_time, residue_for_counter, RumorOde};
 use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
-use epidemics::net::topologies::{cin, CinConfig};
-use epidemics::net::{expected_cut_conversations, Spatial};
-use epidemics::sim::mixing::{AntiEntropyEpidemic, EpidemicResult, MixingArena, RumorEpidemic};
-use epidemics::sim::spatial::{SpatialArena, SpatialSim};
+use epidemics::net::topologies::{cin, Cin, CinConfig};
+use epidemics::net::{expected_cut_conversations, LinkTraffic, Routes, Spatial};
+use epidemics::sim::engine::RouteCharge;
+use epidemics::sim::mixing::{AntiEntropyEpidemic, EpidemicResult, MixingArena};
+use epidemics::sim::spatial::SpatialSim;
 
 fn mean<T>(trials: u64, mut f: impl FnMut(u64) -> T) -> f64
 where
@@ -20,9 +21,30 @@ where
 /// Mean of `measure` over `trials` runs of the 1000-site rumor epidemic
 /// `cfg`, one arena throughout.
 fn rumor_mean(cfg: RumorConfig, trials: u64, measure: impl Fn(EpidemicResult) -> f64) -> f64 {
-    let driver = RumorEpidemic::new(1000, cfg);
+    let driver = SpatialSim::mixing(1000, cfg);
     let mut arena = MixingArena::new();
     mean(trials, |s| measure(driver.run(&mut arena, s, &mut ())))
+}
+
+/// Runs `trials` Table 4-style anti-entropy runs on the CIN (seeds
+/// `0..trials`, one arena throughout), handing `each` every run's result
+/// with the compare and update traffic its links were charged.
+fn on_cin(
+    net: &Cin,
+    spatial: Spatial,
+    limit: Option<u32>,
+    trials: u64,
+    mut each: impl FnMut(EpidemicResult, &LinkTraffic, &LinkTraffic),
+) {
+    let (topo, routes) = (&net.topology, Routes::compute(&net.topology));
+    let sim = SpatialSim::new(topo, &routes, spatial).connection_limit(limit);
+    let mut arena = MixingArena::new();
+    let mut counters = Default::default();
+    for seed in 0..trials {
+        let mut charge = RouteCharge::new(topo, &routes, 0, &mut counters);
+        let r = sim.run(&mut arena, seed, &mut charge);
+        each(r, charge.compare, charge.update);
+    }
 }
 
 #[test]
@@ -91,16 +113,12 @@ fn push_anti_entropy_cover_time_is_log2_plus_ln() {
 #[test]
 fn uniform_selection_loads_the_cut_at_the_formula_rate() {
     let net = cin(&CinConfig::default());
-    let sim = SpatialSim::new(&net.topology, Spatial::Uniform);
-    let mut arena = SpatialArena::new();
     let mut crossing = 0.0;
     let mut cycles = 0.0;
-    for seed in 0..8 {
-        let r = sim.run(&mut arena, seed, &mut ());
-        crossing += (r.compare_traffic.at(net.bushey_link)
-            + r.compare_traffic.at(net.second_transatlantic)) as f64;
+    on_cin(&net, Spatial::Uniform, None, 8, |r, compare, _| {
+        crossing += (compare.at(net.bushey_link) + compare.at(net.second_transatlantic)) as f64;
         cycles += f64::from(r.cycles);
-    }
+    });
     let predicted =
         expected_cut_conversations(net.europe.len() as f64, net.north_america.len() as f64);
     let ratio = crossing / cycles / predicted;
@@ -110,18 +128,15 @@ fn uniform_selection_loads_the_cut_at_the_formula_rate() {
 #[test]
 fn qs2_cuts_critical_link_traffic_by_an_order_of_magnitude() {
     let net = cin(&CinConfig::default());
-    let mut arena = SpatialArena::new();
-    let mut per_cycle = |spatial| {
-        let sim = SpatialSim::new(&net.topology, spatial);
+    let per_cycle = |spatial| {
         let mut bushey = 0.0;
         let mut cycles = 0.0;
         let mut t_last = 0.0;
-        for seed in 0..10 {
-            let r = sim.run(&mut arena, seed, &mut ());
-            bushey += r.compare_traffic.at(net.bushey_link) as f64;
+        on_cin(&net, spatial, None, 10, |r, compare, _| {
+            bushey += compare.at(net.bushey_link) as f64;
             cycles += f64::from(r.cycles);
-            t_last += f64::from(r.t_last);
-        }
+            t_last += r.t_last;
+        });
         (bushey / cycles, t_last / 10.0)
     };
     let (uniform_bushey, uniform_t) = per_cycle(Spatial::Uniform);
@@ -143,14 +158,12 @@ fn qs2_cuts_critical_link_traffic_by_an_order_of_magnitude() {
 #[test]
 fn connection_limit_one_keeps_total_update_traffic_constant() {
     let net = cin(&CinConfig::default());
-    let mut arena = SpatialArena::new();
-    let mut update_avg = |limit| {
-        let sim = SpatialSim::new(&net.topology, Spatial::Uniform).connection_limit(limit);
-        mean(8, |s| {
-            sim.run(&mut arena, s, &mut ())
-                .update_traffic
-                .mean_per_link()
-        })
+    let update_avg = |limit| {
+        let mut total = 0.0;
+        on_cin(&net, Spatial::Uniform, limit, 8, |_, _, update| {
+            total += update.mean_per_link();
+        });
+        total / 8.0
     };
     let unlimited = update_avg(None);
     let limited = update_avg(Some(1));
@@ -163,14 +176,11 @@ fn connection_limit_one_keeps_total_update_traffic_constant() {
 #[test]
 fn connection_limit_success_fraction_is_one_minus_e_inverse() {
     let net = cin(&CinConfig::default());
-    let mut arena = SpatialArena::new();
-    let mut cmp_per_cycle = |limit| {
-        let sim = SpatialSim::new(&net.topology, Spatial::Uniform).connection_limit(limit);
+    let cmp_per_cycle = |limit| {
         let mut total = 0.0;
-        for seed in 0..8 {
-            let r = sim.run(&mut arena, seed, &mut ());
-            total += r.compare_traffic.mean_per_link() / f64::from(r.cycles.max(1));
-        }
+        on_cin(&net, Spatial::Uniform, limit, 8, |r, compare, _| {
+            total += compare.mean_per_link() / f64::from(r.cycles.max(1));
+        });
         total / 8.0
     };
     let fraction = cmp_per_cycle(Some(1)) / cmp_per_cycle(None);

@@ -1,9 +1,11 @@
 //! Cross-crate integration: spatial distributions, traffic accounting and
 //! the synthetic CIN.
 
-use epidemics::net::topologies::{cin, figure1, grid, line, CinConfig};
+use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
+use epidemics::net::topologies::{cin, figure1, grid, line, ring, CinConfig};
 use epidemics::net::{expected_cut_conversations, PartnerSampler, Routes, Spatial};
-use epidemics::sim::spatial::{SpatialArena, SpatialSim};
+use epidemics::sim::engine::{ContactStats, Observer, RouteCharge};
+use epidemics::sim::{MixingArena, SpatialSim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -12,14 +14,17 @@ fn uniform_cut_traffic_matches_the_papers_formula() {
     // Measure conversations crossing the transatlantic cut on the CIN
     // under uniform selection and compare with 2·n1·n2/(n1+n2).
     let net = cin(&CinConfig::default());
-    let sim = SpatialSim::new(&net.topology, Spatial::Uniform);
-    let mut arena = SpatialArena::new();
+    let (topo, routes) = (&net.topology, Routes::compute(&net.topology));
+    let sim = SpatialSim::new(topo, &routes, Spatial::Uniform);
+    let mut arena = MixingArena::new();
+    let mut counters = Default::default();
     let mut crossing = 0.0;
     let mut cycles = 0.0;
     for seed in 0..10 {
-        let r = sim.run(&mut arena, seed, &mut ());
-        crossing += (r.compare_traffic.at(net.bushey_link)
-            + r.compare_traffic.at(net.second_transatlantic)) as f64;
+        let mut charge = RouteCharge::new(topo, &routes, 0, &mut counters);
+        let r = sim.run(&mut arena, seed, &mut charge);
+        crossing += (charge.compare.at(net.bushey_link)
+            + charge.compare.at(net.second_transatlantic)) as f64;
         cycles += f64::from(r.cycles);
     }
     let measured_per_cycle = crossing / cycles;
@@ -32,20 +37,45 @@ fn uniform_cut_traffic_matches_the_papers_formula() {
     );
 }
 
+/// Every conversation of a run, as dense site pairs.
+#[derive(Default)]
+struct Conversations(Vec<(usize, usize)>);
+
+impl<P: ?Sized> Observer<P> for Conversations {
+    fn on_contact(&mut self, _cycle: u32, i: usize, j: usize, _stats: &ContactStats) {
+        self.0.push((i, j));
+    }
+}
+
 #[test]
 fn compare_traffic_equals_sum_of_route_lengths() {
-    // Conservation: total compare traffic must equal the sum of route
-    // lengths over all conversations. With n sites and c cycles there are
-    // n·c conversations, each of mean route length ≥ 1.
-    let topo = grid(&[5, 5]);
-    let sim = SpatialSim::new(&topo, Spatial::Uniform).origin(topo.sites()[0]);
-    let mut arena = SpatialArena::new();
-    let r = sim.run(&mut arena, 3, &mut ());
-    let conversations = 25 * r.cycles as u64;
-    let total = r.compare_traffic.total();
-    assert!(total >= conversations, "every conversation crosses ≥1 link");
-    // Mean route length on a 5x5 grid is well under 5.
-    assert!(total < conversations * 5);
+    // Conservation: total compare traffic equals the sum of route lengths
+    // over all conversations. And charging is observation only: the same
+    // run uncharged reaches the same sites at the same times.
+    let rumor = |d| RumorConfig::new(d, Feedback::Feedback, Removal::Counter { k: 3 });
+    let rumors = [Direction::Push, Direction::Pull, Direction::PushPull].map(rumor);
+    let cases = [None].into_iter().chain(rumors.map(Some));
+    let cases = cases.flat_map(|m| [(m, None), (m, Some(1))]);
+    let (mut charged_arena, mut plain_arena) = (MixingArena::new(), MixingArena::new());
+    let mut counters = Default::default();
+    for (topo, (mechanism, limit)) in cases.flat_map(|c| [(grid(&[5, 5]), c), (ring(16), c)]) {
+        let (routes, sites, n) = (Routes::compute(&topo), topo.sites(), topo.site_count());
+        let sim = SpatialSim::new(&topo, &routes, Spatial::Uniform).connection_limit(limit);
+        let sim = mechanism.map_or(sim.clone(), |cfg| sim.rumor(cfg));
+        for seed in 0..3 {
+            let case = format!("{mechanism:?} {limit:?} on {n} sites, seed {seed}");
+            let mut conversations = Conversations::default();
+            let mut charge = RouteCharge::new(&topo, &routes, 0, &mut counters);
+            let observer = &mut (&mut charge, &mut conversations);
+            let charged = sim.run(&mut charged_arena, seed, observer);
+            assert_eq!(charged, sim.run(&mut plain_arena, seed, &mut ()), "{case}");
+            assert_eq!(charged_arena.received(), plain_arena.received(), "{case}");
+            let route = |&(i, j): &(usize, usize)| routes.route_links(sites[i], sites[j]).len();
+            let links: usize = conversations.0.iter().map(route).sum();
+            assert!(links >= conversations.0.len() && links > 0, "{case}");
+            assert_eq!(charge.compare.total(), links as u64, "{case}");
+        }
+    }
 }
 
 #[test]
@@ -83,10 +113,11 @@ fn spatial_anti_entropy_converges_on_every_zoo_topology() {
         star(10),
         figure1(8),
     ];
-    let mut arena = SpatialArena::new();
+    let mut arena = MixingArena::new();
     for topo in &topos {
+        let routes = Routes::compute(topo);
         for spatial in [Spatial::Uniform, Spatial::QsPower { a: 2.0 }] {
-            let sim = SpatialSim::new(topo, spatial).origin(topo.sites()[0]);
+            let sim = SpatialSim::new(topo, &routes, spatial).origin(topo.sites()[0]);
             let r = sim.run(&mut arena, 11, &mut ());
             assert!(
                 r.cycles < 1_000,
@@ -121,13 +152,13 @@ fn cin_regenerates_identically_and_respects_config() {
 fn hunting_restores_convergence_speed_under_connection_limit() {
     let topo = grid(&[6, 6]);
     let mean_t_last = |hunt: u32| {
-        let sim = SpatialSim::new(&topo, Spatial::Uniform)
+        let sim = SpatialSim::new(&topo, &Routes::compute(&topo), Spatial::Uniform)
             .origin(topo.sites()[0])
             .connection_limit(Some(1))
             .hunt_limit(hunt);
-        let mut arena = SpatialArena::new();
+        let mut arena = MixingArena::new();
         (0..15)
-            .map(|s| f64::from(sim.run(&mut arena, s, &mut ()).t_last))
+            .map(|s| sim.run(&mut arena, s, &mut ()).t_last)
             .sum::<f64>()
             / 15.0
     };
