@@ -365,11 +365,12 @@ pub fn spatial_rumor_on(
     let (arenas, counters) = (Arenas::default(), Arenas::<[LinkTraffic; 2]>::default());
     let mut rows = Vec::new();
     for (label, spatial) in distributions.iter().cloned() {
+        let sampler = PartnerSampler::new(&net.topology, &routes, spatial);
         let min_k = minimum_k(
             ctx.runner,
             &arenas,
             &net.topology,
-            spatial,
+            &sampler,
             base,
             search_trials,
             max_k,
@@ -389,7 +390,7 @@ pub fn spatial_rumor_on(
             removal: Removal::Counter { k },
             ..base
         };
-        let sim = SpatialSim::new(&net.topology, &routes, spatial).rumor(cfg);
+        let sim = SpatialSim::with_selection(&net.topology, &sampler).rumor(cfg);
         let [t_last, cmp_avg, cmp_bushey, upd_avg] = measure.mean(
             || (arenas.take(), counters.take()),
             |(arena, counters), seed| {
@@ -684,7 +685,8 @@ pub(crate) fn async_ablation_table(ctx: &Ctx<'_>) -> FigTable {
                 let sync_cmp = charge.compare.mean_per_link() / f64::from(s.cycles.max(1));
                 let mut charge = RouteCharge::new(topo, &routes, 0, counters);
                 let a = asynchronous.run(arena, seed + 71, None, &mut charge);
-                [s.t_last, a.t_last, sync_cmp, a.compare_per_link_period]
+                let async_cmp = charge.compare.mean_per_link() / a.t_last.max(1.0);
+                [s.t_last, a.t_last, sync_cmp, async_cmp]
             },
         );
         rows.push(labelled(label, means));

@@ -214,12 +214,7 @@ impl ActiveCycleEngine {
             for (chunk, draws) in roster.chunks(per_worker).zip(chunks.iter()).take(used) {
                 for (&i, draw) in chunk.iter().zip(draws.iter()) {
                     let (j, stats) = protocol.apply(cycle, i as usize, draw);
-                    totals.contacts += 1;
-                    totals.sent += stats.sent;
-                    totals.useful += stats.useful;
-                    if stats.useful == 0 {
-                        totals.fruitless += 1;
-                    }
+                    stats.add_to(&mut totals);
                     observer.on_contact(cycle, i as usize, j, &stats);
                 }
             }

@@ -56,6 +56,18 @@ pub struct ContactStats {
     pub useful: u64,
 }
 
+impl ContactStats {
+    /// Adds this contact to a run's `totals`.
+    pub(crate) fn add_to(&self, totals: &mut TraceTotals) {
+        totals.contacts += 1;
+        totals.sent += self.sent;
+        totals.useful += self.useful;
+        if self.useful == 0 {
+            totals.fruitless += 1;
+        }
+    }
+}
+
 impl From<epidemic_core::rumor::RumorStats> for ContactStats {
     fn from(stats: epidemic_core::rumor::RumorStats) -> Self {
         // Saturate instead of panicking: `usize > u64` only exists on
@@ -298,12 +310,7 @@ impl CycleEngine {
                 }
                 accepted[j] += 1;
                 let stats = protocol.contact(cycle, i, j, rng);
-                totals.contacts += 1;
-                totals.sent += stats.sent;
-                totals.useful += stats.useful;
-                if stats.useful == 0 {
-                    totals.fruitless += 1;
-                }
+                stats.add_to(&mut totals);
                 observer.on_contact(cycle, i, j, &stats);
             }
             let contacts_end = timed.then(Instant::now);

@@ -15,25 +15,24 @@ use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
 use epidemic_core::{
     AntiEntropy, Comparison, Direction, ExchangeScratch, Feedback, Removal, Replica,
 };
-use epidemic_db::SiteId;
+use epidemic_db::{Entry, SiteId};
 use epidemic_net::{LinkTraffic, Routes, Topology};
 use epidemic_trace::Sir;
 use rand::rngs::StdRng;
 
 use super::{ContactStats, EpidemicProtocol, Observer, Roster, SirView};
 use crate::bitset::BitSet;
-use crate::util::{pair_mut, reset_replicas, seed_quietly, KEY};
+use crate::util::{pair_mut, reset_replicas, KEY};
 
 /// Table 4's mechanism: push-pull anti-entropy comparing whole databases.
 const TABLE4: AntiEntropy = AntiEntropy::new(Direction::PushPull, Comparison::Full);
 
-/// Per-site receive times for a single spreading update.
-///
-/// `T` is the clock type: cycles (`u32`) for the round-synchronous drivers,
-/// microseconds (`u64`) for the event-driven ones.
+/// Per-site receive times for a single spreading update, in the unit of
+/// the run's scheduler: cycles under the cycle engine, micro-ticks under
+/// the event-driven driver's timers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReceiveLog<T = u32> {
-    times: Vec<Option<T>>,
+pub struct ReceiveLog {
+    times: Vec<Option<u32>>,
     /// One bit per site, set exactly where `times` is `Some`, so a
     /// start-of-cycle "who holds the update" snapshot is a word copy.
     marks: BitSet,
@@ -42,7 +41,7 @@ pub struct ReceiveLog<T = u32> {
     received: usize,
 }
 
-impl<T: Copy> ReceiveLog<T> {
+impl ReceiveLog {
     /// A log for `n` sites, none of which has received the update.
     pub fn new(n: usize) -> Self {
         ReceiveLog {
@@ -64,7 +63,7 @@ impl<T: Copy> ReceiveLog<T> {
 
     /// Records that site `i` received the update at time `t`, unless it
     /// already had it. Returns whether this was the first receipt.
-    pub fn mark(&mut self, i: usize, t: T) -> bool {
+    pub fn mark(&mut self, i: usize, t: u32) -> bool {
         if self.marks.get(i) {
             false
         } else {
@@ -101,41 +100,24 @@ impl<T: Copy> ReceiveLog<T> {
     }
 
     /// The raw per-site receive times.
-    pub fn times(&self) -> &[Option<T>] {
+    pub fn times(&self) -> &[Option<u32>] {
         &self.times
     }
-}
 
-impl<T: Copy + Ord> ReceiveLog<T> {
     /// Latest receive time, if anyone received the update.
-    pub fn t_last(&self) -> Option<T> {
+    pub fn t_last(&self) -> Option<u32> {
         self.times.iter().flatten().max().copied()
     }
-}
 
-impl<T: Copy + Into<u64>> ReceiveLog<T> {
     /// Mean receive time over sites that *did* receive the update
-    /// (`0.0` if nobody did) — the mixing driver's `t_ave` convention.
+    /// (`0.0` if nobody did).
     pub fn t_ave_received(&self) -> f64 {
         if self.received == 0 {
             0.0
         } else {
-            let sum: u64 = self.times.iter().flatten().map(|&t| t.into()).sum();
+            let sum: u64 = self.times.iter().flatten().map(|&t| u64::from(t)).sum();
             sum as f64 / self.received as f64
         }
-    }
-
-    /// Mean receive time over *all* sites, charging `fallback` to sites
-    /// that never received the update — the event-driven driver's
-    /// convention.
-    pub(crate) fn t_ave_all(&self, fallback: T) -> f64 {
-        let n = self.times.len();
-        let sum: u64 = self
-            .times
-            .iter()
-            .map(|t| t.unwrap_or(fallback).into())
-            .sum();
-        sum as f64 / n as f64
     }
 }
 
@@ -263,7 +245,7 @@ impl UpdateInjector {
 #[derive(Debug, Default)]
 pub(crate) struct MixingState {
     pub(crate) sites: Vec<Replica<u32, u32>>,
-    pub(crate) received: ReceiveLog<u32>,
+    pub(crate) received: ReceiveLog,
     /// "Hot list non-empty", one bit per site — the active set of a rumor
     /// run (empty under anti-entropy, which fills no hot list). `contact`
     /// refreshes the bits of the endpoints whose replicas it touched and
@@ -341,12 +323,14 @@ impl MixingProtocol {
                 .all(|site| site.db().is_empty() && site.hot().is_empty()),
             "every site is empty before the update is seeded"
         );
+        let seeded = &mut state.sites[origin];
         if rumor.is_some() {
-            state.sites[origin].client_update(KEY, 1);
+            seeded.client_update(KEY, 1);
             state.active.set(origin, true);
         } else {
-            // Pure anti-entropy: nothing is "hot".
-            seed_quietly(&mut state.sites[origin]);
+            // Pure anti-entropy: stored with no hot entry; exchanges spread it.
+            let at = seeded.now();
+            seeded.receive_quietly_ref(&KEY, &Entry::live(1, at));
         }
         state.received.mark(origin, 0);
         MixingProtocol {
@@ -695,7 +679,7 @@ mod tests {
 
     #[test]
     fn receive_log_marks_once_and_reports() {
-        let mut log: ReceiveLog<u32> = ReceiveLog::new(4);
+        let mut log = ReceiveLog::new(4);
         assert!(log.mark(1, 3));
         assert!(!log.mark(1, 9), "second receipt is ignored");
         assert!(log.mark(0, 5));
@@ -703,14 +687,13 @@ mod tests {
         assert_eq!(log.received_count(), 2);
         assert_eq!(log.t_last(), Some(5));
         assert!((log.t_ave_received() - 4.0).abs() < 1e-12);
-        assert!((log.t_ave_all(7) - (3.0 + 5.0 + 7.0 + 7.0) / 4.0).abs() < 1e-12);
         assert_eq!(log.times()[2..], [None, None]);
         assert!((log.residue() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn receive_log_count_equals_a_scan() {
-        let mut log: ReceiveLog<u32> = ReceiveLog::new(64);
+        let mut log = ReceiveLog::new(64);
         let mut rng = StdRng::seed_from_u64(3);
         for step in 0..400 {
             log.mark(rng.random_range(0..64), step);

@@ -8,38 +8,37 @@
 //! assumption*: convergence times (measured in periods) and per-link
 //! traffic rates come out close to the round-synchronous results, so the
 //! paper's conclusions do not hinge on lockstep cycles.
+//! Only the scheduling differs from [`SpatialSim`]'s Table 4 runs: the
+//! same [`MixingProtocol`] makes every contact, its receipt times in
+//! micro-ticks instead of cycles.
 
 use std::cmp::Reverse;
 
-use epidemic_core::{AntiEntropy, Comparison, Direction};
 use epidemic_db::SiteId;
-use epidemic_net::{PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
+use epidemic_net::{PartnerSelection, Routes, Spatial, Topology};
+use epidemic_trace::TraceTotals;
 use rand::rngs::StdRng;
-use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::engine::RouteCharge;
+use crate::engine::protocols::MixingProtocol;
+use crate::engine::{EpidemicProtocol, Observer};
 use crate::mixing::MixingArena;
-use crate::util::{reset_replicas, seed_quietly, KEY};
-
-/// Time in microticks; one nominal anti-entropy period is
-/// [`AsyncSpatialSim::PERIOD`] microticks.
-pub(crate) type Micros = u64;
+use crate::spatial::SpatialSim;
 
 /// Result of one asynchronous run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsyncRunResult {
     /// Time (in periods) until the last site received the update.
     pub t_last: f64,
-    /// Mean time (in periods) from injection to receipt over all sites.
+    /// Mean time (in periods) from injection to receipt over the sites
+    /// that received the update: all of them once the run completes.
     pub t_ave: f64,
     /// Total exchanges performed until convergence.
     pub exchanges: u64,
-    /// Conversations per link per period, averaged over links.
-    pub compare_per_link_period: f64,
 }
 
-/// Discrete-event anti-entropy driver with per-site timers.
+/// Discrete-event scheduler of [`SpatialSim`]'s anti-entropy runs, with
+/// per-site timers in place of cycles.
 ///
 /// # Example
 ///
@@ -58,18 +57,21 @@ pub struct AsyncRunResult {
 /// ```
 #[derive(Debug)]
 pub struct AsyncSpatialSim<'a> {
-    sites: &'a [SiteId],
-    sampler: PartnerSampler,
+    sim: SpatialSim<'a>,
     jitter: f64,
 }
 
-/// Safety bound on the exchanges of one run.
-const MAX_EVENTS: u64 = 10_000_000;
+/// Nominal anti-entropy period in micro-ticks.
+const PERIOD: u32 = 1_000;
+
+/// Safety bound on a run's clock, in periods, as the cycle engine bounds
+/// cycles. Every site fires at least once every two periods, so a run on
+/// a connected topology converges long before it; the bound stops any
+/// other while the clock, in micro-ticks, still fits the receive log's
+/// `u32`.
+const MAX_PERIODS: u32 = 100_000;
 
 impl<'a> AsyncSpatialSim<'a> {
-    /// Nominal anti-entropy period in microticks.
-    pub(crate) const PERIOD: Micros = 1_000;
-
     /// Builds the simulator for `topology`, sampling along `routes` (which
     /// must be [`Routes::compute`]`(topology)`). `jitter` is the fraction
     /// of the period by which each firing deviates, uniformly in
@@ -81,88 +83,73 @@ impl<'a> AsyncSpatialSim<'a> {
     pub fn new(topology: &'a Topology, routes: &Routes, spatial: Spatial, jitter: f64) -> Self {
         assert!((0.0..1.0).contains(&jitter), "jitter must be in [0, 1)");
         AsyncSpatialSim {
-            sites: topology.sites(),
-            sampler: PartnerSampler::new(topology, routes, spatial),
+            sim: SpatialSim::new(topology, routes, spatial),
             jitter,
         }
     }
 
     /// Runs one experiment: a single update injected at `origin` (random
     /// when `None`) at time 0; every site fires anti-entropy exchanges on
-    /// its own jittered timer until all sites hold the update, each
-    /// exchange charged to `charge` (built for this topology). The run
-    /// keeps its replicas, log and queue in `arena`; the result equals a
-    /// fresh arena's, and once the arena has grown to this topology
-    /// nothing is allocated.
-    pub fn run(
+    /// its own jittered timer until all sites hold the update. `observer`
+    /// sees the run start, every exchange, with the 1-based period it fell
+    /// in as its cycle, and the run's totals: e.g. a
+    /// [`RouteCharge`](crate::engine::RouteCharge) built for this
+    /// topology, and `&mut ()` for none. The run keeps its replicas, log
+    /// and queue in `arena`; the result equals a fresh arena's, and once
+    /// the arena has grown to this topology nothing is allocated.
+    pub fn run<O: Observer<MixingProtocol>>(
         &self,
         arena: &mut MixingArena,
         seed: u64,
         origin: Option<SiteId>,
-        charge: &mut RouteCharge<'_>,
+        observer: &mut O,
     ) -> AsyncRunResult {
         let mut rng = StdRng::seed_from_u64(seed);
-        let sites = self.sites;
-        let n = sites.len();
-        let (replicas, scratch) = (&mut arena.state.sites, &mut arena.state.exchange);
-        let (received, queue) = (&mut arena.timed, &mut arena.queue);
-        reset_replicas(replicas, sites.iter().copied(), 0);
-        let origin = origin.unwrap_or_else(|| *sites.choose(&mut rng).expect("sites"));
-        let origin_idx = sites.binary_search(&origin).expect("site exists");
-        seed_quietly(&mut replicas[origin_idx]);
-        received.reset(n);
-        received.mark(origin_idx, 0);
+        let mut protocol = self.sim.start(&mut arena.state, origin, &mut rng);
 
         // Seed each site's first firing with a random phase so the fleet
         // starts fully desynchronized.
+        let queue = &mut arena.queue;
         queue.clear();
-        queue.extend((0..n).map(|i| Reverse((rng.random_range(0..Self::PERIOD), i))));
+        let n = protocol.site_count();
+        queue.extend((0..n).map(|i| Reverse((rng.random_range(0..PERIOD), i))));
 
-        let protocol = AntiEntropy::new(Direction::PushPull, Comparison::Full);
-        let mut exchanges = 0u64;
-        let mut now = 0;
-
-        while !received.complete() && exchanges < MAX_EVENTS {
-            let Some(Reverse((t, i))) = queue.pop() else {
+        observer.on_run_start(&protocol);
+        let mut totals = TraceTotals::default();
+        while !protocol.state.received.complete() {
+            let Reverse((now, i)) = queue.pop().expect("every site has a firing queued");
+            if now > MAX_PERIODS * PERIOD {
                 break;
-            };
-            now = t;
-            let j = self.sampler.select(i, &mut rng);
-            let (a, b) = crate::util::pair_mut(replicas, i, j);
-            let stats = protocol.exchange_with(a, b, scratch);
-            exchanges += 1;
-            let flowed = stats.update_flowed();
-            charge.record(i, j, u64::from(flowed));
-            if flowed {
-                for idx in [i, j] {
-                    if replicas[idx].db().entry(&KEY).is_some() {
-                        received.mark(idx, now);
-                    }
-                }
             }
+            let j = self.sim.sampler.select(i, &mut rng);
+            let stats = protocol.contact(now, i, j, &mut rng);
+            stats.add_to(&mut totals);
+            observer.on_contact(now / PERIOD + 1, i, j, &stats);
             // Schedule this site's next firing.
-            let base = Self::PERIOD as f64;
             let jitter = 1.0 + self.jitter * (2.0 * rng.random::<f64>() - 1.0);
-            let next = now + (base * jitter).max(1.0) as Micros;
+            let next = now + (f64::from(PERIOD) * jitter).max(1.0) as u32;
             queue.push(Reverse((next, i)));
         }
+        observer.on_run_end(&totals);
 
-        let period = Self::PERIOD as f64;
-        let periods_elapsed = (now as f64 / period).max(1.0);
-        AsyncRunResult {
-            t_last: received.t_last().unwrap_or(0) as f64 / period,
-            t_ave: received.t_ave_all(now) / period,
-            exchanges,
-            compare_per_link_period: charge.compare.mean_per_link() / periods_elapsed,
-        }
+        let received = &protocol.state.received;
+        let period = f64::from(PERIOD);
+        let result = AsyncRunResult {
+            t_last: f64::from(received.t_last().unwrap_or(0)) / period,
+            t_ave: received.t_ave_received() / period,
+            exchanges: totals.contacts,
+        };
+        arena.state = protocol.state;
+        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spatial::SpatialSim;
+    use crate::engine::RouteCharge;
     use epidemic_net::{topologies, LinkTraffic};
+    use epidemic_trace::InvariantChecker;
 
     #[test]
     fn converges_and_accounts_traffic() {
@@ -183,6 +170,26 @@ mod tests {
         assert!(r.exchanges >= 24);
     }
 
+    /// Observers only watch: a run under a charge and the invariant
+    /// checker returns what the unobserved run does, and the checker finds
+    /// the run's totals equal to the exchanges it saw.
+    #[test]
+    fn observing_a_run_changes_nothing() {
+        let topo = topologies::grid(&[5, 5]);
+        let routes = Routes::compute(&topo);
+        let sim = AsyncSpatialSim::new(&topo, &routes, Spatial::QsPower { a: 2.0 }, 0.3);
+        let mut arena = MixingArena::new();
+        let mut counters = <[LinkTraffic; 2]>::default();
+        for seed in 0..4 {
+            let mut charge = RouteCharge::new(&topo, &routes, 0, &mut counters);
+            let mut check = InvariantChecker::default();
+            let observed = sim.run(&mut arena, seed, None, &mut (&mut charge, &mut check));
+            assert_eq!(observed, sim.run(&mut arena, seed, None, &mut ()));
+            assert_eq!(check.violation_count(), 0, "{:?}", check.violations());
+            assert!(charge.compare.total() >= observed.exchanges);
+        }
+    }
+
     #[test]
     fn asynchronous_matches_synchronous_convergence_roughly() {
         // The ablation claim: measured in periods, asynchronous t_last is
@@ -192,15 +199,13 @@ mod tests {
         let sync = SpatialSim::new(&topo, &routes, Spatial::Uniform).origin(topo.sites()[0]);
         let async_ = AsyncSpatialSim::new(&topo, &routes, Spatial::Uniform, 0.3);
         let mut arena = MixingArena::new();
-        let mut counters = Default::default();
         let trials = 15;
         let mut sync_mean = 0.0;
         let mut async_mean = 0.0;
         for seed in 0..trials {
             sync_mean += sync.run(&mut arena, seed, &mut ()).t_last;
-            let mut charge = RouteCharge::new(&topo, &routes, 0, &mut counters);
             let origin = Some(topo.sites()[0]);
-            async_mean += async_.run(&mut arena, seed, origin, &mut charge).t_last;
+            async_mean += async_.run(&mut arena, seed, origin, &mut ()).t_last;
         }
         sync_mean /= f64::from(trials as u32);
         async_mean /= f64::from(trials as u32);

@@ -25,7 +25,6 @@ use crate::engine::protocols::{BitAntiEntropyProtocol, MixingProtocol, MixingSta
 use crate::engine::{
     CycleEngine, EngineBuffers, EngineReport, Observer, ReceiveLog, UniformPartners,
 };
-use crate::event::Micros;
 
 /// Result of one single-update epidemic run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,8 +49,9 @@ pub struct EpidemicResult {
 }
 
 impl EpidemicResult {
-    pub(crate) fn new(n: usize, report: EngineReport, protocol: &MixingProtocol) -> Self {
+    pub(crate) fn new(report: EngineReport, protocol: &MixingProtocol) -> Self {
         let received = &protocol.state.received;
+        let n = received.times().len();
         EpidemicResult {
             n,
             residue: received.residue(),
@@ -67,7 +67,7 @@ impl EpidemicResult {
 /// Everything a single-update run keeps on the heap — the replicas, the
 /// receive log, the active-set and snapshot bitsets, the rumor and
 /// exchange scratch, the engine's roster buffers and the event-driven
-/// driver's log and queue — owned across runs, so that a run on a warm
+/// driver's timer queue — owned across runs, so that a run on a warm
 /// arena allocates nothing. One arena serves any sequence of
 /// [`SpatialSim`](crate::spatial::SpatialSim), [`AntiEntropyEpidemic`] and
 /// [`AsyncSpatialSim`](crate::event::AsyncSpatialSim) runs on any site
@@ -77,8 +77,8 @@ impl EpidemicResult {
 pub struct MixingArena {
     pub(crate) state: MixingState,
     pub(crate) buffers: EngineBuffers,
-    pub(crate) timed: ReceiveLog<Micros>,
-    pub(crate) queue: BinaryHeap<Reverse<(Micros, usize)>>,
+    /// Each site's next firing, in micro-ticks, earliest first.
+    pub(crate) queue: BinaryHeap<Reverse<(u32, usize)>>,
 }
 
 impl MixingArena {
@@ -87,10 +87,12 @@ impl MixingArena {
         MixingArena::default()
     }
 
-    /// Who received the last [`SpatialSim`](crate::spatial::SpatialSim)
-    /// run's update and when, by dense site index (a topology's sites in
+    /// Who received the update of the last
+    /// [`SpatialSim`](crate::spatial::SpatialSim) run, in cycles, or
+    /// [`AsyncSpatialSim`](crate::event::AsyncSpatialSim) run, in
+    /// micro-ticks, and when, by dense site index (a topology's sites in
     /// order).
-    pub fn received(&self) -> &ReceiveLog<u32> {
+    pub fn received(&self) -> &ReceiveLog {
         &self.state.received
     }
 }

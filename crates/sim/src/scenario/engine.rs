@@ -958,10 +958,7 @@ impl EpidemicProtocol for ScenarioProtocol {
             stats
         };
         if measured {
-            self.r.totals.contacts += 1;
-            self.r.totals.sent += stats.sent;
-            self.r.totals.useful += stats.useful;
-            self.r.totals.fruitless += u64::from(stats.useful == 0);
+            stats.add_to(&mut self.r.totals);
         }
         stats
     }

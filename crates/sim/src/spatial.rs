@@ -36,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::SeedableRng;
 
-use crate::engine::protocols::MixingProtocol;
+use crate::engine::protocols::{MixingProtocol, MixingState};
 use crate::engine::{CycleEngine, Observer, UniformPartners};
 use crate::mixing::{EpidemicResult, MixingArena};
 use crate::runner::{Arenas, TrialRunner};
@@ -81,7 +81,7 @@ enum Sites<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct SpatialSim<'a, S = PartnerSampler> {
     sites: Sites<'a>,
-    sampler: S,
+    pub(crate) sampler: S,
     /// `None` for anti-entropy.
     rumor: Option<RumorConfig>,
     synchronous: bool,
@@ -201,24 +201,7 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
         observer: &mut O,
     ) -> EpidemicResult {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (n, origin) = match self.sites {
-            Sites::Dense(n) => (n, self.origin.map_or(0, SiteId::as_usize)),
-            Sites::Of(sites) => {
-                let origin = self
-                    .origin
-                    .unwrap_or_else(|| *sites.choose(&mut rng).expect("sites"));
-                (
-                    sites.len(),
-                    sites.binary_search(&origin).expect("site exists"),
-                )
-            }
-        };
-        let ids = (0..n).map(|i| match self.sites {
-            Sites::Dense(_) => SiteId::new(u32::try_from(i).expect("site count fits u32")),
-            Sites::Of(sites) => sites[i],
-        });
-        let state = std::mem::take(&mut arena.state);
-        let mut protocol = MixingProtocol::new(self.rumor, self.synchronous, ids, origin, state);
+        let mut protocol = self.start(&mut arena.state, self.origin, &mut rng);
         let report = CycleEngine::new()
             .connection_limit(self.connection_limit)
             .hunt_limit(self.hunt_limit)
@@ -229,42 +212,68 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
                 observer,
                 &mut arena.buffers,
             );
-        let result = EpidemicResult::new(n, report, &protocol);
+        let result = EpidemicResult::new(report, &protocol);
         arena.state = protocol.state;
         result
+    }
+
+    /// The protocol every scheduler of this driver's runs (the cycle
+    /// engine, the event-driven timers) drives, on the heap state taken
+    /// from `state`, with the update at `origin`: by default site 0 under
+    /// complete mixing, or a topology's site drawn as the run's first draw.
+    pub(crate) fn start(
+        &self,
+        state: &mut MixingState,
+        origin: Option<SiteId>,
+        rng: &mut StdRng,
+    ) -> MixingProtocol {
+        let (n, origin) = match self.sites {
+            Sites::Dense(n) => (n, origin.map_or(0, SiteId::as_usize)),
+            Sites::Of(sites) => {
+                let origin = origin.unwrap_or_else(|| *sites.choose(rng).expect("sites"));
+                (
+                    sites.len(),
+                    sites.binary_search(&origin).expect("site exists"),
+                )
+            }
+        };
+        let ids = (0..n).map(|i| match self.sites {
+            Sites::Dense(_) => SiteId::new(u32::try_from(i).expect("site count fits u32")),
+            Sites::Of(sites) => sites[i],
+        });
+        let state = std::mem::take(state);
+        MixingProtocol::new(self.rumor, self.synchronous, ids, origin, state)
     }
 }
 
 /// The paper's §3.2 methodology: the smallest `k ≤ max_k` for which the
 /// rumor protocol `base` (its `k` replaced) achieves 100% distribution in
-/// each of `trials` runs (random origins). Returns `None` if no such `k`
-/// exists within the bound.
+/// each of `trials` runs (random origins) on `topology`, partners drawn
+/// from `sampler`. Returns `None` if no such `k` exists within the bound.
 ///
 /// Trials run in parallel waves of the runner's worker count, on trial
 /// arenas from `arenas`. A wave runs all of its trials even after one of
 /// them fails, and only then abandons its `k`; so only the verdict per `k`
 /// is identical to a sequential scan's (seeds are fixed per trial index),
 /// not the number of runs it took.
-pub fn minimum_k(
+pub fn minimum_k<S: PartnerSelection + Sync>(
     runner: TrialRunner,
     arenas: &Arenas<MixingArena>,
     topology: &Topology,
-    spatial: Spatial,
+    sampler: &S,
     base: RumorConfig,
     trials: u32,
     max_k: u32,
 ) -> Option<u32> {
     let trials = u64::from(trials);
     let wave = u64::try_from(runner.effective_threads(trials)).expect("usize fits u64");
-    let routes = Routes::compute(topology);
-    let sampler = PartnerSampler::new(topology, &routes, spatial);
     (1..=max_k).find(|&k| {
         let removal = match base.removal {
             Removal::Counter { .. } => Removal::Counter { k },
             Removal::Coin { .. } => Removal::Coin { k },
         };
         let sim =
-            SpatialSim::with_selection(topology, &sampler).rumor(RumorConfig { removal, ..base });
+            SpatialSim::with_selection(topology, sampler).rumor(RumorConfig { removal, ..base });
         let mut all_complete = true;
         let mut done = 0u64;
         while all_complete && done < trials {
@@ -405,6 +414,7 @@ mod tests {
     #[test]
     fn minimum_k_finds_the_smallest_working_k() {
         let topo = topologies::line(24);
+        let sampler = PartnerSampler::new(&topo, &Routes::compute(&topo), Spatial::Uniform);
         let base = cfg(Direction::PushPull, 1);
         let arenas = Arenas::default();
         let search = |max_k| {
@@ -412,7 +422,7 @@ mod tests {
                 TrialRunner::new(),
                 &arenas,
                 &topo,
-                Spatial::Uniform,
+                &sampler,
                 base,
                 10,
                 max_k,

@@ -3,7 +3,7 @@
 use std::hash::Hash;
 
 use epidemic_core::Replica;
-use epidemic_db::{Entry, SiteId};
+use epidemic_db::SiteId;
 
 /// The one key the single-update drivers spread.
 pub(crate) const KEY: u32 = 0;
@@ -28,14 +28,6 @@ pub(crate) fn reset_replicas<V: Hash>(
         }
         replicas[i].reset(site, keys);
     }
-}
-
-/// Stores a single-update run's update at `origin` without making it hot
-/// — what a client update leaves once its hot entry is cleared, without
-/// growing the origin's hot list: anti-entropy spreads it.
-pub(crate) fn seed_quietly(origin: &mut Replica<u32, u32>) {
-    let at = origin.now();
-    origin.receive_quietly_ref(&KEY, &Entry::live(1, at));
 }
 
 /// Mutable references to two distinct elements of a slice.

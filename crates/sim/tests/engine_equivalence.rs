@@ -375,7 +375,7 @@ fn build_fixture() -> String {
             r.t_last,
             r.t_ave,
             r.exchanges,
-            r.compare_per_link_period,
+            charge.compare.mean_per_link() / r.t_last.max(1.0),
             traffic(charge.compare),
             traffic(charge.update),
         )

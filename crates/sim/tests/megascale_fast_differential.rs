@@ -52,7 +52,7 @@ mod reference {
         /// Result under the mixing drivers' conventions.
         pub result: EpidemicResult,
         /// First-receipt cycle per site (site 0 at cycle 0).
-        pub received: ReceiveLog<u32>,
+        pub received: ReceiveLog,
     }
 
     /// Reference run over `n` uniformly mixing sites.

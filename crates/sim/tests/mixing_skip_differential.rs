@@ -29,7 +29,7 @@ const SITES: usize = 120;
 struct AlwaysProbe {
     cfg: RumorConfig,
     sites: Vec<Replica<u32, u32>>,
-    received: ReceiveLog<u32>,
+    received: ReceiveLog,
     /// Start-of-cycle "holds the update", read off each database.
     state0: Vec<bool>,
     /// Start-of-cycle "is infective", read off each hot list.

@@ -27,7 +27,7 @@ struct AlwaysExchange<'a> {
     exchange: AntiEntropy,
     sites: &'a [SiteId],
     replicas: Vec<Replica<u32, u32>>,
-    received: ReceiveLog<u32>,
+    received: ReceiveLog,
     routes: &'a Routes,
     compare: LinkTraffic,
     update: LinkTraffic,

@@ -67,9 +67,9 @@ fn spatial_trial() -> impl Strategy<Value = (u8, usize, f64, RumorConfig, u64)> 
 }
 
 /// Runs one spatial trial on `arena`, charging its links, under a full
-/// trace and the invariant checker (the event-driven driver takes no
-/// observer), returning the driver's result with its receive log and link
-/// counters, the trace, and whether the checker stayed clean.
+/// trace and the invariant checker, returning the driver's result with its
+/// receive log and link counters, the trace, and whether the checker
+/// stayed clean.
 fn spatial_run(
     (mechanism, which, a, cfg, seed): (u8, usize, f64, RumorConfig, u64),
     arena: &mut MixingArena,
@@ -90,16 +90,15 @@ fn spatial_run(
     let result = match mechanism {
         0 | 1 => {
             let sim = if mechanism == 0 { sim } else { sim.rumor(cfg) };
-            let result = sim.run(arena, seed, observer);
-            format!("{result:?} {:?}", arena.received())
+            format!("{:?}", sim.run(arena, seed, observer))
         }
         _ => {
             let jitter = if mechanism == 2 { 0.3 } else { 0.0 };
             let sim = AsyncSpatialSim::new(&topo, &routes, spatial, jitter);
-            format!("{:?}", sim.run(arena, seed, None, &mut charge))
+            format!("{:?}", sim.run(arena, seed, None, observer))
         }
     };
-    let result = format!("{result} {counters:?}");
+    let result = format!("{result} {:?} {counters:?}", arena.received());
     (result, trace.finish(), check.violation_count() == 0)
 }
 
