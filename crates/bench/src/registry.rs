@@ -772,15 +772,26 @@ mod tests {
     }
 
     /// Observers never touch the RNG, so asking for artifacts changes
-    /// nothing an experiment prints — for every row. (`fig-megascale`
-    /// prints wall-clock columns; plain ≡ observed is asserted on its
-    /// drivers, `observed_fast_run_matches_unobserved_and_aggregates`.)
+    /// nothing an experiment prints; and the trial runner folds results in
+    /// trial order and no artifact carries a host measurement, so the
+    /// worker count changes no byte of any of them — for every row.
+    /// (`fig-megascale` prints wall-clock columns; plain ≡ observed is
+    /// asserted on its drivers,
+    /// `observed_fast_run_matches_unobserved_and_aggregates`.)
     #[test]
     fn observation_never_perturbs_any_experiment() {
         for experiment in all().iter().filter(|e| e.name != "fig-megascale") {
             let name = &experiment.name;
-            let run = |observe| run_small(name, 120, 2, observe);
-            let (plain, observed) = (run(false), run(true));
+            // Two trials, so two workers really split them and fold.
+            let run = |threads, observe| {
+                experiment.run(&Ctx {
+                    runner: TrialRunner::new().threads(threads),
+                    n: 120,
+                    trials: 2,
+                    ..experiment.ctx(None, observe)
+                })
+            };
+            let (plain, observed, parallel) = (run(1, false), run(1, true), run(2, true));
             assert_eq!(plain.text(), observed.text(), "{name}");
             assert!(!plain.text().is_empty(), "{name} prints something");
             assert!(
@@ -802,6 +813,33 @@ mod tests {
             let traced = experiment.group != Group::Figures;
             assert_eq!(!observed.aggregates.is_empty(), traced || deep, "{name}");
             assert_eq!(!observed.jsonl.is_empty(), traced, "{name}");
+
+            let agg = experiment.agg_json(&observed);
+            assert_eq!(observed.text(), parallel.text(), "{name}");
+            assert_eq!(observed.jsonl, parallel.jsonl, "{name}");
+            assert_eq!(observed.rows_json, parallel.rows_json, "{name}");
+            assert_eq!(observed.summary_json(), parallel.summary_json(), "{name}");
+            assert_eq!(agg, experiment.agg_json(&parallel), "{name}");
+            for needle in [
+                "seconds",
+                "alloc",
+                "rss",
+                "wall_clock",
+                "elapsed",
+                "time",
+                "duration",
+            ] {
+                assert!(
+                    !agg.contains(needle) && !observed.jsonl.contains(needle),
+                    "{name} leaks a host-dependent field ({needle:?})"
+                );
+            }
+            let kind = format!(r#""kind":"{}""#, experiment.group.kind());
+            assert!(agg.contains(&kind), "{name}");
+            assert_eq!(agg.contains(r#""p50":"#), traced || deep, "{name}");
+            if name == "table5" {
+                assert!(observed.jsonl.contains(r#""distribution":"a = 2.0""#));
+            }
         }
     }
 

@@ -10,14 +10,17 @@
 //! Batches are sent from the head of the list until checksum agreement is
 //! reached, so — unlike plain rumor mongering — the combined protocol has
 //! **no failure probability**: any update can become hot again, and a full
-//! pass over both lists is a complete anti-entropy exchange.
+//! pass over both lists is a complete anti-entropy exchange. Each entry it
+//! ships is accounted exactly as §1.3's exchanges account theirs (landed
+//! keys, awakened certificates); only the activity-list feedback is its
+//! own.
 
 use std::collections::VecDeque;
 use std::hash::Hash;
 
 use epidemic_db::{Entry, Timestamp};
 
-use crate::anti_entropy::{ExchangeScratch, ExchangeStats};
+use crate::anti_entropy::{count_delivery, ExchangeScratch, ExchangeStats};
 use crate::replica::Replica;
 
 /// A replica's *local activity order* over all of its keys: hottest first.
@@ -217,11 +220,8 @@ impl PeelBackRumor {
             // Rumor feedback: the update was news — to the front at both.
             sender_list.touch(key.clone());
             receiver_list.touch(key.clone());
-            landed.push(key.clone());
         }
-        if outcome == epidemic_db::store::OfferOutcome::AwakenedDormant {
-            stats.awakened += 1;
-        }
+        count_delivery(outcome, key, landed, stats);
     }
 }
 

@@ -181,37 +181,43 @@ impl AntiEntropy {
     {
         let mut stats = ExchangeStats::default();
         scratch.landed.iter_mut().for_each(Vec::clear);
+        let direction = self.direction;
         match self.comparison {
-            Comparison::Full => {
-                stats.full_compare = true;
-                full_resolve(self.direction, a, b, scratch, &mut stats);
-            }
-            Comparison::Checksum => {
+            Comparison::Full => full_resolve(direction, a, b, scratch, &mut stats, offer_quietly),
+            Comparison::Checksum | Comparison::RecentList { .. } => {
+                if let Comparison::RecentList { tau } = self.comparison {
+                    exchange_recent(direction, a, b, tau, scratch, &mut stats);
+                }
                 stats.checksum_exchanges += 1;
                 if a.db().checksum() != b.db().checksum() {
-                    stats.full_compare = true;
-                    full_resolve(self.direction, a, b, scratch, &mut stats);
+                    full_resolve(direction, a, b, scratch, &mut stats, offer_quietly);
                 }
             }
-            Comparison::RecentList { tau } => {
-                exchange_recent(self.direction, a, b, tau, scratch, &mut stats);
-                stats.checksum_exchanges += 1;
-                if a.db().checksum() != b.db().checksum() {
-                    stats.full_compare = true;
-                    full_resolve(self.direction, a, b, scratch, &mut stats);
-                }
-            }
-            Comparison::PeelBack => {
-                peel_back(a, b, scratch, &mut stats);
-            }
+            Comparison::PeelBack => peel_back(a, b, scratch, &mut stats),
         }
         stats
     }
 }
 
-/// Offers the sender's entry quietly, by reference, and accounts for
-/// awakened certificates and landed keys: the receiver clones the entry
-/// only if the offer changes its state.
+/// Accounts for one delivered entry, whatever the delivery: an applied
+/// offer lands `key` at the receiver, an awakened dormant certificate is
+/// counted, a redundant offer changes nothing.
+pub(crate) fn count_delivery<K: Clone>(
+    outcome: OfferOutcome,
+    key: &K,
+    landed: &mut Vec<K>,
+    stats: &mut ExchangeStats,
+) {
+    match outcome {
+        OfferOutcome::Applied => landed.push(key.clone()),
+        OfferOutcome::AwakenedDormant => stats.awakened += 1,
+        OfferOutcome::AlreadyKnown | OfferOutcome::Obsolete => {}
+    }
+}
+
+/// Offers the sender's entry quietly, by reference, and accounts for the
+/// delivery: the receiver clones the entry only if the offer changes its
+/// state.
 fn offer_counted_ref<K, V>(
     to: &mut Replica<K, V>,
     key: &K,
@@ -222,11 +228,18 @@ fn offer_counted_ref<K, V>(
     K: Ord + Clone + Hash + Eq,
     V: Clone + Hash + Eq,
 {
-    match to.receive_quietly_ref(key, entry) {
-        OfferOutcome::Applied => landed.push(key.clone()),
-        OfferOutcome::AwakenedDormant => stats.awakened += 1,
-        OfferOutcome::AlreadyKnown | OfferOutcome::Obsolete => {}
-    }
+    count_delivery(to.receive_quietly_ref(key, entry), key, landed, stats);
+}
+
+/// §1.3's delivery of a listed key: the sender's entry is offered quietly,
+/// by reference, so the receiver clones it only if the offer changes its
+/// state.
+fn offer_quietly<K, V>(to: &mut Replica<K, V>, from: &mut Replica<K, V>, key: &K) -> OfferOutcome
+where
+    K: Ord + Clone + Hash + Eq,
+    V: Clone + Hash + Eq,
+{
+    to.receive_quietly_ref(key, from.db().entry(key).expect("listed by the diff"))
 }
 
 /// Lists the keys of the two one-way diffs between replicas into
@@ -235,7 +248,7 @@ fn offer_counted_ref<K, V>(
 /// (or that `b` lacks), and vice versa. Keys are listed only for the
 /// directions `direction` allows to flow. Returns the number of entries
 /// scanned.
-pub(crate) fn diff_into<K, V>(
+fn diff_into<K, V>(
     direction: Direction,
     a: &Replica<K, V>,
     b: &Replica<K, V>,
@@ -302,32 +315,35 @@ where
     scanned
 }
 
-/// Complete database comparison and resolution (§1.3's basic algorithm).
+/// Complete database comparison and resolution (§1.3's basic algorithm),
+/// the one diff-and-deliver loop: every `a → b` key, then every `b → a`
+/// key, is handed to `deliver(receiver, sender, key)` as it comes, and the
+/// outcome is counted by [`count_delivery`]. Anti-entropy delivers with
+/// [`offer_quietly`]; the §1.5 backup brings its redistribution.
 ///
-/// Each listed key is offered by reference from its sender, so an entry is
-/// cloned once, when the receiver accepts it. Looking the `b → a` entries
-/// up after the `a → b` offers have changed `b` is sound because the two
-/// key lists are disjoint.
-fn full_resolve<K, V>(
+/// Looking the `b → a` entries up after the `a → b` deliveries have
+/// changed `b` is sound because the two key lists are disjoint.
+pub(crate) fn full_resolve<K, V>(
     direction: Direction,
     a: &mut Replica<K, V>,
     b: &mut Replica<K, V>,
     scratch: &mut ExchangeScratch<K>,
     stats: &mut ExchangeStats,
+    mut deliver: impl FnMut(&mut Replica<K, V>, &mut Replica<K, V>, &K) -> OfferOutcome,
 ) where
     K: Ord + Clone + Hash + Eq,
     V: Clone + Hash + Eq,
 {
+    stats.full_compare = true;
     stats.entries_scanned += diff_into(direction, a, b, &mut scratch.a_to_b, &mut scratch.b_to_a);
+    let [landed_a, landed_b] = &mut scratch.landed;
     for k in &scratch.a_to_b {
         stats.sent_ab += 1;
-        let e = a.db().entry(k).expect("listed by the diff");
-        offer_counted_ref(b, k, e, &mut scratch.landed[1], stats);
+        count_delivery(deliver(b, a, k), k, landed_b, stats);
     }
     for k in &scratch.b_to_a {
         stats.sent_ba += 1;
-        let e = b.db().entry(k).expect("listed by the diff");
-        offer_counted_ref(a, k, e, &mut scratch.landed[0], stats);
+        count_delivery(deliver(a, b, k), k, landed_a, stats);
     }
 }
 

@@ -13,12 +13,19 @@
 //!   Clearinghouse originally did this and had to abandon it: if half the
 //!   sites miss an update, the next anti-entropy round generates `O(n²)`
 //!   mail messages.
+//!
+//! The backup pass *is* §1.3's push-pull full comparison: it runs the one
+//! resolve loop of [`anti_entropy`](crate::anti_entropy), and only the
+//! per-key delivery — the policy above — is its own. A discovered update is
+//! redistributed as it is delivered, so a re-ignited rumor takes its place
+//! in both hot lists in offer order.
 
 use std::hash::Hash;
 
+use epidemic_db::store::OfferOutcome;
 use epidemic_db::Entry;
 
-use crate::anti_entropy::{diff_into, ExchangeScratch, ExchangeStats};
+use crate::anti_entropy::{full_resolve, ExchangeScratch, ExchangeStats};
 use crate::replica::Replica;
 use crate::Direction;
 
@@ -79,9 +86,10 @@ impl BackupAntiEntropy {
         BackupAntiEntropy { redistribution }
     }
 
-    /// One push-pull full-database exchange with redistribution, diffing
-    /// in `scratch`'s buffers and reporting the keys it landed there (see
-    /// [`ExchangeScratch::landed`]).
+    /// One push-pull full-database exchange with redistribution: §1.3's
+    /// full resolve, diffing in `scratch`'s buffers and reporting the keys
+    /// it landed there (see [`ExchangeScratch::landed`]), with this
+    /// policy's delivery.
     pub fn exchange<K, V>(
         &self,
         a: &mut Replica<K, V>,
@@ -92,43 +100,36 @@ impl BackupAntiEntropy {
         K: Ord + Clone + Hash + Eq,
         V: Clone + Hash + Eq,
     {
-        let mut stats = ExchangeStats {
-            full_compare: true,
-            ..ExchangeStats::default()
-        };
-        scratch.landed.iter_mut().for_each(Vec::clear);
-        let (a_to_b, b_to_a) = (&mut scratch.a_to_b, &mut scratch.b_to_a);
-        stats.entries_scanned = diff_into(Direction::PushPull, a, b, a_to_b, b_to_a);
+        let mut stats = ExchangeStats::default();
         let mut remail = Vec::new();
-        let [landed_a, landed_b] = &mut scratch.landed;
-        for k in &scratch.a_to_b {
-            stats.sent_ab += 1;
-            self.apply_one(b, a, k, &mut remail, landed_b, &mut stats);
-        }
-        for k in &scratch.b_to_a {
-            stats.sent_ba += 1;
-            self.apply_one(a, b, k, &mut remail, landed_a, &mut stats);
-        }
+        scratch.landed.iter_mut().for_each(Vec::clear);
+        full_resolve(
+            Direction::PushPull,
+            a,
+            b,
+            scratch,
+            &mut stats,
+            |to, from, key| self.deliver(to, from, key, &mut remail),
+        );
         BackupOutcome { stats, remail }
     }
 
     /// Delivers one discovered update, offered by reference from `sender`
-    /// to `receiver`, applying the redistribution policy.
-    fn apply_one<K, V>(
+    /// to `receiver`, applying the redistribution policy at once: a
+    /// re-ignited rumor is hot at both ends before the next key is offered.
+    fn deliver<K, V>(
         &self,
         receiver: &mut Replica<K, V>,
         sender: &mut Replica<K, V>,
         key: &K,
         remail: &mut Vec<(K, Entry<V>)>,
-        landed: &mut Vec<K>,
-        stats: &mut ExchangeStats,
-    ) where
+    ) -> OfferOutcome
+    where
         K: Ord + Clone + Hash + Eq,
         V: Clone + Hash + Eq,
     {
-        use epidemic_db::store::OfferOutcome;
         let entry = sender.db().entry(key).expect("listed by the diff");
-        let outcome = match self.redistribution {
+        match self.redistribution {
             Redistribution::None => receiver.receive_quietly_ref(key, entry),
             Redistribution::Rumor => {
                 // Re-ignite at both ends: the receiver just heard news, and
@@ -146,11 +147,6 @@ impl BackupAntiEntropy {
                 }
                 outcome
             }
-        };
-        match outcome {
-            OfferOutcome::Applied => landed.push(key.clone()),
-            OfferOutcome::AwakenedDormant => stats.awakened += 1,
-            OfferOutcome::AlreadyKnown | OfferOutcome::Obsolete => {}
         }
     }
 }

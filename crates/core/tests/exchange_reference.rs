@@ -8,22 +8,41 @@
 //! owned snapshots, fresh `Vec`s per conversation, clone-everything offers
 //! through the public [`Replica`] API. For random update/delete/GC
 //! histories, every direction × comparison strategy must produce an
-//! identical [`ExchangeStats`] and identical final replica states, with one
-//! dirty scratch threaded through all of the optimized runs.
+//! identical [`ExchangeStats`], landed keys and final replica states, with
+//! one dirty scratch threaded through all of the optimized runs. The §1.5
+//! backup pass ([`BackupAntiEntropy`]) is held to the same reference under
+//! every [`Redistribution`] policy, its re-mail list included.
 
-use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, ExchangeStats, Replica};
+use epidemic_core::{
+    AntiEntropy, BackupAntiEntropy, Comparison, Direction, ExchangeScratch, ExchangeStats,
+    Redistribution, Replica,
+};
 use epidemic_db::{Entry, GcPolicy, OfferOutcome, SiteId, Timestamp};
 use proptest::prelude::*;
 
 type Rep = Replica<u8, u16>;
 
-/// Quiet offer of a snapshotted entry with awakened-certificate
-/// accounting.
-fn offer(to: &mut Rep, key: u8, entry: Entry<u16>, stats: &mut ExchangeStats) {
-    if to.receive_quietly_ref(&key, &entry) == OfferOutcome::AwakenedDormant {
-        stats.awakened += 1;
+/// Keys landed at the initiator (`[0]`) and at the partner (`[1]`).
+type Landed = [Vec<u8>; 2];
+
+/// Quiet offer of a snapshotted entry with awakened-certificate and
+/// landed-key accounting.
+fn offer(
+    to: &mut Rep,
+    key: u8,
+    entry: Entry<u16>,
+    landed: &mut Vec<u8>,
+    stats: &mut ExchangeStats,
+) {
+    match to.receive_quietly_ref(&key, &entry) {
+        OfferOutcome::Applied => landed.push(key),
+        OfferOutcome::AwakenedDormant => stats.awakened += 1,
+        OfferOutcome::AlreadyKnown | OfferOutcome::Obsolete => {}
     }
 }
+
+/// A snapshotted difference: the keys to send one way, with their entries.
+type SendList = Vec<(u8, Entry<u16>)>;
 
 /// Full database comparison the snapshot-happy way: clone both databases
 /// into sorted vectors, merge-walk them, clone every difference into fresh
@@ -32,12 +51,32 @@ fn reference_full_resolve(
     direction: Direction,
     a: &mut Rep,
     b: &mut Rep,
+    landed: &mut Landed,
     stats: &mut ExchangeStats,
 ) {
+    let (a_to_b, b_to_a) = reference_diff(direction, a, b, stats);
+    for (k, e) in a_to_b {
+        stats.sent_ab += 1;
+        offer(b, k, e, &mut landed[1], stats);
+    }
+    for (k, e) in b_to_a {
+        stats.sent_ba += 1;
+        offer(a, k, e, &mut landed[0], stats);
+    }
+}
+
+/// The two one-way differences of a full comparison, cloned out of owned
+/// snapshots of both databases, counting every entry scanned.
+fn reference_diff(
+    direction: Direction,
+    a: &Rep,
+    b: &Rep,
+    stats: &mut ExchangeStats,
+) -> (SendList, SendList) {
     let snap_a: Vec<(u8, Entry<u16>)> = a.db().iter().map(|(k, e)| (*k, e.clone())).collect();
     let snap_b: Vec<(u8, Entry<u16>)> = b.db().iter().map(|(k, e)| (*k, e.clone())).collect();
-    let mut a_to_b: Vec<(u8, Entry<u16>)> = Vec::new();
-    let mut b_to_a: Vec<(u8, Entry<u16>)> = Vec::new();
+    let mut a_to_b = SendList::new();
+    let mut b_to_a = SendList::new();
     let (mut i, mut j) = (0, 0);
     loop {
         match (snap_a.get(i), snap_b.get(j)) {
@@ -82,20 +121,19 @@ fn reference_full_resolve(
         }
         stats.entries_scanned += 1;
     }
-    for (k, e) in a_to_b {
-        stats.sent_ab += 1;
-        offer(b, k, e, stats);
-    }
-    for (k, e) in b_to_a {
-        stats.sent_ba += 1;
-        offer(a, k, e, stats);
-    }
+    (a_to_b, b_to_a)
 }
 
 /// One direction of the recent-list exchange, snapshot style: clone the
 /// whole window up front, offer every listed entry, count each as wire
 /// traffic whether or not it lands.
-fn reference_offer_recent(from: &Rep, to: &mut Rep, tau: u64, stats: &mut ExchangeStats) -> usize {
+fn reference_offer_recent(
+    from: &Rep,
+    to: &mut Rep,
+    tau: u64,
+    landed: &mut Vec<u8>,
+    stats: &mut ExchangeStats,
+) -> usize {
     let now = from.local_time();
     let listed: Vec<(u8, Entry<u16>)> = from
         .db()
@@ -105,14 +143,14 @@ fn reference_offer_recent(from: &Rep, to: &mut Rep, tau: u64, stats: &mut Exchan
         .collect();
     let count = listed.len();
     for (k, e) in listed {
-        offer(to, k, e, stats);
+        offer(to, k, e, landed, stats);
     }
     count
 }
 
 /// Peel back with owned index snapshots: newest-first `(timestamp, key)`
 /// vectors for both sides, merged walk, checksum after every key.
-fn reference_peel_back(a: &mut Rep, b: &mut Rep, stats: &mut ExchangeStats) {
+fn reference_peel_back(a: &mut Rep, b: &mut Rep, landed: &mut Landed, stats: &mut ExchangeStats) {
     stats.checksum_exchanges += 1;
     if a.db().checksum() == b.db().checksum() {
         return;
@@ -149,11 +187,11 @@ fn reference_peel_back(a: &mut Rep, b: &mut Rep, stats: &mut ExchangeStats) {
         if ta > tb {
             let entry = a.db().entry(&key).expect("ta is Some").clone();
             stats.sent_ab += 1;
-            offer(b, key, entry, stats);
+            offer(b, key, entry, &mut landed[1], stats);
         } else if tb > ta {
             let entry = b.db().entry(&key).expect("tb is Some").clone();
             stats.sent_ba += 1;
-            offer(a, key, entry, stats);
+            offer(a, key, entry, &mut landed[0], stats);
         }
         stats.checksum_exchanges += 1;
         if a.db().checksum() == b.db().checksum() {
@@ -170,36 +208,100 @@ fn reference_exchange(
     comparison: Comparison,
     a: &mut Rep,
     b: &mut Rep,
-) -> ExchangeStats {
+) -> (ExchangeStats, Landed) {
     let mut stats = ExchangeStats::default();
+    let mut landed = Landed::default();
     match comparison {
         Comparison::Full => {
             stats.full_compare = true;
-            reference_full_resolve(direction, a, b, &mut stats);
+            reference_full_resolve(direction, a, b, &mut landed, &mut stats);
         }
         Comparison::Checksum => {
             stats.checksum_exchanges += 1;
             if a.db().checksum() != b.db().checksum() {
                 stats.full_compare = true;
-                reference_full_resolve(direction, a, b, &mut stats);
+                reference_full_resolve(direction, a, b, &mut landed, &mut stats);
             }
         }
         Comparison::RecentList { tau } => {
+            let [landed_a, landed_b] = &mut landed;
             if direction.pushes() {
-                stats.sent_ab += reference_offer_recent(&*a, b, tau, &mut stats);
+                stats.sent_ab += reference_offer_recent(&*a, b, tau, landed_b, &mut stats);
             }
             if direction.pulls() {
-                stats.sent_ba += reference_offer_recent(&*b, a, tau, &mut stats);
+                stats.sent_ba += reference_offer_recent(&*b, a, tau, landed_a, &mut stats);
             }
             stats.checksum_exchanges += 1;
             if a.db().checksum() != b.db().checksum() {
                 stats.full_compare = true;
-                reference_full_resolve(direction, a, b, &mut stats);
+                reference_full_resolve(direction, a, b, &mut landed, &mut stats);
             }
         }
-        Comparison::PeelBack => reference_peel_back(a, b, &mut stats),
+        Comparison::PeelBack => reference_peel_back(a, b, &mut landed, &mut stats),
     }
-    stats
+    (stats, landed)
+}
+
+/// The §1.5 backup pass written out on its own: a push-pull full
+/// comparison of owned snapshots, then every difference offered and
+/// redistributed per key — a rumor offer and the sender's re-ignition, or a
+/// quiet offer and, for news, a re-mail entry. Returns the stats, the
+/// landed keys and the re-mail list.
+fn reference_backup(
+    policy: Redistribution,
+    a: &mut Rep,
+    b: &mut Rep,
+) -> (ExchangeStats, Landed, SendList) {
+    let mut stats = ExchangeStats {
+        full_compare: true,
+        ..ExchangeStats::default()
+    };
+    let mut landed = Landed::default();
+    let mut remail = SendList::new();
+    let (a_to_b, b_to_a) = reference_diff(Direction::PushPull, a, b, &mut stats);
+    for (k, e) in a_to_b {
+        stats.sent_ab += 1;
+        let news = redistribute(policy, b, a, k, e, &mut remail, &mut stats);
+        landed[1].extend(news);
+    }
+    for (k, e) in b_to_a {
+        stats.sent_ba += 1;
+        let news = redistribute(policy, a, b, k, e, &mut remail, &mut stats);
+        landed[0].extend(news);
+    }
+    (stats, landed, remail)
+}
+
+/// Delivers one backup difference `from → to` under `policy`; returns the
+/// key if the receiver applied it.
+fn redistribute(
+    policy: Redistribution,
+    to: &mut Rep,
+    from: &mut Rep,
+    key: u8,
+    entry: Entry<u16>,
+    remail: &mut SendList,
+    stats: &mut ExchangeStats,
+) -> Option<u8> {
+    let outcome = match policy {
+        Redistribution::Rumor => to.receive_rumor_ref(&key, &entry),
+        Redistribution::None | Redistribution::Mail => to.receive_quietly_ref(&key, &entry),
+    };
+    match outcome {
+        OfferOutcome::Applied => {
+            match policy {
+                Redistribution::None => {}
+                Redistribution::Rumor => from.hot_mut().insert(key),
+                Redistribution::Mail => remail.push((key, entry)),
+            }
+            Some(key)
+        }
+        OfferOutcome::AwakenedDormant => {
+            stats.awakened += 1;
+            None
+        }
+        OfferOutcome::AlreadyKnown | OfferOutcome::Obsolete => None,
+    }
 }
 
 /// One step of a random pair history. Deletes with retention plus dormant
@@ -301,7 +403,7 @@ proptest! {
 
     /// For any history, every direction × strategy conversation run through
     /// one dirty reused scratch matches the naive reference bit for bit:
-    /// same stats, same databases, same hot lists.
+    /// same stats, same landed keys, same databases, same hot lists.
     #[test]
     fn scratch_exchange_matches_naive_reference(
         hist in history(),
@@ -318,15 +420,39 @@ proptest! {
             ] {
                 let (mut ar, mut br) = (a0.clone(), b0.clone());
                 let (mut ax, mut bx) = (a0.clone(), b0.clone());
-                let want = reference_exchange(direction, comparison, &mut ar, &mut br);
+                let (want, landed) = reference_exchange(direction, comparison, &mut ar, &mut br);
                 let got = AntiEntropy::new(direction, comparison)
                     .exchange_with(&mut ax, &mut bx, &mut scratch);
                 prop_assert_eq!(want, got, "stats diverge: {:?} {:?}", direction, comparison);
+                prop_assert_eq!(&landed, &scratch.landed, "landed keys diverge: {:?} {:?}", direction, comparison);
                 prop_assert_eq!(ar.db(), ax.db(), "initiator db diverges: {:?} {:?}", direction, comparison);
                 prop_assert_eq!(br.db(), bx.db(), "partner db diverges: {:?} {:?}", direction, comparison);
                 prop_assert_eq!(ar.hot(), ax.hot(), "initiator hot list diverges: {:?} {:?}", direction, comparison);
                 prop_assert_eq!(br.hot(), bx.hot(), "partner hot list diverges: {:?} {:?}", direction, comparison);
             }
+        }
+    }
+
+    /// For any history — dormant certificates included — the backup pass
+    /// under every redistribution policy, through the same dirty scratch,
+    /// matches the naive reference: stats, landed keys, re-mail list in
+    /// order, both databases and both hot lists in order.
+    #[test]
+    fn backup_exchange_matches_naive_reference(hist in history()) {
+        let (a0, b0) = run_history(&hist);
+        let mut scratch = ExchangeScratch::new();
+        for policy in [Redistribution::None, Redistribution::Rumor, Redistribution::Mail] {
+            let (mut ar, mut br) = (a0.clone(), b0.clone());
+            let (mut ax, mut bx) = (a0.clone(), b0.clone());
+            let (want, landed, remail) = reference_backup(policy, &mut ar, &mut br);
+            let got = BackupAntiEntropy::new(policy).exchange(&mut ax, &mut bx, &mut scratch);
+            prop_assert_eq!(want, got.stats, "stats diverge: {:?}", policy);
+            prop_assert_eq!(&landed, &scratch.landed, "landed keys diverge: {:?}", policy);
+            prop_assert_eq!(remail, got.remail, "re-mail list diverges: {:?}", policy);
+            prop_assert_eq!(ar.db(), ax.db(), "initiator db diverges: {:?}", policy);
+            prop_assert_eq!(br.db(), bx.db(), "partner db diverges: {:?}", policy);
+            prop_assert_eq!(ar.hot(), ax.hot(), "initiator hot list diverges: {:?}", policy);
+            prop_assert_eq!(br.hot(), bx.hot(), "partner hot list diverges: {:?}", policy);
         }
     }
 }

@@ -359,57 +359,3 @@ mod tests {
         assert!(err.to_string().contains("s4"));
     }
 }
-
-impl Topology {
-    /// Renders the topology in Graphviz DOT format: database sites as
-    /// ellipses, relay nodes as boxes. Handy for eyeballing generated
-    /// networks (`dot -Tsvg`).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use epidemic_net::topologies;
-    /// let dot = topologies::line(3).to_dot();
-    /// assert!(dot.starts_with("graph topology {"));
-    /// assert!(dot.contains("n0 -- n1"));
-    /// ```
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("graph topology {\n");
-        for i in 0..self.node_count() {
-            let node = SiteId::new(i as u32);
-            let shape = if self.is_site(node) { "ellipse" } else { "box" };
-            writeln!(
-                out,
-                "  n{i} [label=\"{}\", shape={shape}];",
-                self.label(node)
-            )
-            .expect("writing to a String cannot fail");
-        }
-        for &(a, b) in self.links() {
-            writeln!(out, "  n{} -- n{};", a.index(), b.index())
-                .expect("writing to a String cannot fail");
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-
-    #[test]
-    fn dot_contains_every_node_and_link() {
-        let mut b = TopologyBuilder::new();
-        let s = b.add_site("alpha");
-        let r = b.add_relay("gw");
-        b.link(s, r);
-        let t = b.build().unwrap();
-        let dot = t.to_dot();
-        assert!(dot.contains("label=\"alpha\", shape=ellipse"));
-        assert!(dot.contains("label=\"gw\", shape=box"));
-        assert!(dot.contains("n0 -- n1;"));
-        assert!(dot.ends_with("}\n"));
-    }
-}

@@ -810,24 +810,22 @@ impl ScenarioProtocol {
 
     /// One rumor contact `i → j`. In a write-once run push and pull skip
     /// their offers to holders (made anyway, and checked, in debug
-    /// builds).
+    /// builds); push-pull never asks.
     fn rumor_contact(&mut self, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
         let cfg = self.rumor.expect("rumor phase has a config");
         let (a, b) = pair_mut(&mut self.s.replicas, i, j);
-        let (holders, scratch) = (&self.s.holders, &mut self.s.rumor);
-        let stats = if self.write_once && cfg.direction != Direction::PushPull {
-            let recipient = if cfg.direction.pushes() { j } else { i };
-            let mut news = 0;
-            let stats = rumor::contact_with_known(&cfg, a, b, rng, scratch, |&key| {
-                let held = holders.holds(recipient, key);
-                news += usize::from(!held);
-                held
-            });
-            debug_assert_eq!(stats.useful, news, "an offer to a non-holder was refused");
-            stats
-        } else {
-            rumor::contact_with(&cfg, a, b, rng, scratch)
-        };
+        let (holders, scratch, write_once) = (&self.s.holders, &mut self.s.rumor, self.write_once);
+        let recipient = if cfg.direction.pushes() { j } else { i };
+        let mut news = 0;
+        let stats = rumor::contact_with_known(&cfg, a, b, rng, scratch, |&key| {
+            let held = write_once && holders.holds(recipient, key);
+            news += usize::from(!held);
+            held
+        });
+        debug_assert!(
+            !write_once || cfg.direction == Direction::PushPull || stats.useful == news,
+            "an offer to a non-holder was refused"
+        );
         self.r.rumor_sent += u64::try_from(stats.sent).unwrap_or(u64::MAX);
         stats.into()
     }

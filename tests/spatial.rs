@@ -3,39 +3,11 @@
 
 use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
 use epidemics::net::topologies::{cin, figure1, grid, line, ring, CinConfig};
-use epidemics::net::{expected_cut_conversations, PartnerSampler, Routes, Spatial};
+use epidemics::net::{PartnerSampler, Routes, Spatial};
 use epidemics::sim::engine::{ContactStats, Observer, RouteCharge};
 use epidemics::sim::{MixingArena, SpatialSim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-#[test]
-fn uniform_cut_traffic_matches_the_papers_formula() {
-    // Measure conversations crossing the transatlantic cut on the CIN
-    // under uniform selection and compare with 2·n1·n2/(n1+n2).
-    let net = cin(&CinConfig::default());
-    let (topo, routes) = (&net.topology, Routes::compute(&net.topology));
-    let sim = SpatialSim::new(topo, &routes, Spatial::Uniform);
-    let mut arena = MixingArena::new();
-    let mut counters = Default::default();
-    let mut crossing = 0.0;
-    let mut cycles = 0.0;
-    for seed in 0..10 {
-        let mut charge = RouteCharge::new(topo, &routes, 0, &mut counters);
-        let r = sim.run(&mut arena, seed, &mut charge);
-        crossing += (charge.compare.at(net.bushey_link)
-            + charge.compare.at(net.second_transatlantic)) as f64;
-        cycles += f64::from(r.cycles);
-    }
-    let measured_per_cycle = crossing / cycles;
-    let predicted =
-        expected_cut_conversations(net.europe.len() as f64, net.north_america.len() as f64);
-    let ratio = measured_per_cycle / predicted;
-    assert!(
-        (0.8..1.2).contains(&ratio),
-        "measured {measured_per_cycle} vs predicted {predicted}"
-    );
-}
 
 /// Every conversation of a run, as dense site pairs.
 #[derive(Default)]
