@@ -17,8 +17,8 @@ const N: usize = 10_000;
 
 fn bench_one_cycle(c: &mut Criterion) {
     let graph = DegreeGraph::scale_free(N, 2, 1987);
-    let uniform = MegascaleSim::uniform(N).max_cycles(1).workers(1);
-    let scale_free = MegascaleSim::scale_free(&graph).max_cycles(1).workers(1);
+    let uniform = MegascaleSim::uniform(N).max_cycles(1);
+    let scale_free = MegascaleSim::scale_free(&graph).max_cycles(1);
 
     let mut group = c.benchmark_group("megascale_one_cycle_n10k");
     group.bench_function(BenchmarkId::from_parameter("uniform"), |b| {

@@ -10,51 +10,26 @@
 //!   (p50/p90/p99/max), link-traffic summary, and predicted-vs-observed
 //!   lines against the closed forms in `epidemic-analysis`.
 //! * [`bench_diff`] compares two `BENCH_repro.json` records experiment by
-//!   experiment and flags ratio blowups in seconds, allocations, and
-//!   peak RSS, subject to [`DiffThresholds`]. The `epidemic-analyze`
-//!   binary exits non-zero when any regression is flagged.
+//!   experiment and flags 3x blowups in seconds, allocations, and
+//!   attributable RSS. The `epidemic-analyze` binary exits non-zero when
+//!   any regression is flagged.
 
 use epidemic_analysis::residue_from_traffic;
 use epidemic_trace::json::{parse, Value};
 
-/// Ratio thresholds for [`bench_diff`]. A candidate metric regresses when
-/// `candidate / baseline` exceeds the matching ratio; the `min_seconds`
-/// noise floor exempts experiments whose candidate wall-clock is too small
-/// to measure reliably from the seconds gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffThresholds {
-    /// Maximum allowed `candidate.seconds / baseline.seconds`.
-    pub max_seconds_ratio: f64,
-    /// Maximum allowed `candidate.allocations / baseline.allocations`.
-    pub max_alloc_ratio: f64,
-    /// Maximum allowed candidate/baseline memory ratio. Memory per row is
-    /// `rss_delta_kb` (the experiment's own push on the process peak)
-    /// when both records carry it, else the legacy process-wide
-    /// `peak_rss_kb`.
-    pub max_rss_ratio: f64,
-    /// Seconds gate noise floor: experiments where both sides run faster
-    /// than this are never flagged on wall-clock (timer jitter dominates).
-    pub min_seconds: f64,
-    /// Memory gate noise floor in kB: experiments where both sides'
-    /// attributable RSS is below this are never flagged on memory — an
-    /// experiment that fits inside an earlier experiment's peak reports
-    /// a delta of 0, and ratios of small deltas are allocator jitter.
-    pub min_rss_kb: f64,
-}
+/// A candidate metric regresses when `candidate / baseline` exceeds this
+/// ratio: seconds, allocations and `rss_delta_kb` alike.
+const MAX_RATIO: f64 = 3.0;
 
-impl Default for DiffThresholds {
-    /// Gate only on 3x blowups, ignoring sub-quarter-second wall-clocks
-    /// and sub-10MB memory deltas.
-    fn default() -> Self {
-        DiffThresholds {
-            max_seconds_ratio: 3.0,
-            max_alloc_ratio: 3.0,
-            max_rss_ratio: 3.0,
-            min_seconds: 0.25,
-            min_rss_kb: 10_000.0,
-        }
-    }
-}
+/// Seconds gate noise floor: experiments where both sides run faster than
+/// this are never flagged on wall-clock (timer jitter dominates).
+const MIN_SECONDS: f64 = 0.25;
+
+/// Memory gate noise floor in kB: experiments where both sides'
+/// attributable RSS is below this are never flagged on memory — an
+/// experiment that fits inside an earlier experiment's peak reports a
+/// delta of 0, and ratios of small deltas are allocator jitter.
+const MIN_RSS_KB: f64 = 10_000.0;
 
 /// Outcome of a [`bench_diff`] comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,11 +62,8 @@ struct BenchRow {
     seconds: f64,
     allocations: Option<f64>,
     /// Attributable memory: how far this experiment pushed the process
-    /// peak (new format).
-    rss_delta_kb: Option<f64>,
-    /// Process-wide high-water mark after the experiment (legacy format
-    /// and context column).
-    peak_rss_kb: Option<f64>,
+    /// peak.
+    rss_delta_kb: f64,
 }
 
 fn parse_bench(text: &str, ctx: &str) -> Result<(f64, Vec<BenchRow>), String> {
@@ -108,11 +80,11 @@ fn parse_bench(text: &str, ctx: &str) -> Result<(f64, Vec<BenchRow>), String> {
             .and_then(Value::as_str)
             .ok_or_else(|| format!("{ctx}: experiment without a \"name\""))?
             .to_string();
+        let row_ctx = format!("{ctx}: {name}");
         rows.push(BenchRow {
-            seconds: require_num(e, "seconds", &format!("{ctx}: {name}"))?,
+            seconds: require_num(e, "seconds", &row_ctx)?,
             allocations: num(e, "allocations"),
-            rss_delta_kb: num(e, "rss_delta_kb"),
-            peak_rss_kb: num(e, "peak_rss_kb"),
+            rss_delta_kb: require_num(e, "rss_delta_kb", &row_ctx)?,
             name,
         });
     }
@@ -131,16 +103,13 @@ fn ratio(base: f64, cand: f64) -> f64 {
     }
 }
 
-/// Compares two `BENCH_repro.json` records (baseline first). Experiments
-/// present on only one side are reported but never flagged — the gate
-/// exists to catch perf blowups, not roster drift.
-pub fn bench_diff(
-    baseline: &str,
-    candidate: &str,
-    thresholds: &DiffThresholds,
-) -> Result<BenchDiff, String> {
-    let (base_total, base_rows) = parse_bench(baseline, "baseline")?;
-    let (cand_total, cand_rows) = parse_bench(candidate, "candidate")?;
+/// Compares two `BENCH_repro.json` records, each given as `(file name,
+/// text)`, baseline first; errors name the file. Experiments present on
+/// only one side are reported but never flagged — the gate exists to
+/// catch perf blowups, not roster drift.
+pub fn bench_diff(baseline: (&str, &str), candidate: (&str, &str)) -> Result<BenchDiff, String> {
+    let (base_total, base_rows) = parse_bench(baseline.1, baseline.0)?;
+    let (cand_total, cand_rows) = parse_bench(candidate.1, candidate.0)?;
     let mut out = String::new();
     let mut regressions = Vec::new();
     out.push_str(&format!(
@@ -157,56 +126,43 @@ pub fn bench_diff(
             continue;
         };
         let s_ratio = ratio(base.seconds, cand.seconds);
-        let both = |b: Option<f64>, c: Option<f64>| b.zip(c).map(|(b, c)| ratio(b, c));
-        let alloc_ratio = both(base.allocations, cand.allocations);
-        // Prefer the per-experiment delta when both records carry it; fall
-        // back to the monotone process peak for legacy baselines.
-        let (rss_field, base_rss, cand_rss) = match (base.rss_delta_kb, cand.rss_delta_kb) {
-            (Some(b), Some(c)) => ("rss_delta_kb", Some(b), Some(c)),
-            _ => ("peak_rss_kb", base.peak_rss_kb, cand.peak_rss_kb),
-        };
-        let rss_ratio = both(base_rss, cand_rss);
-        let opt = |r: Option<f64>| r.map_or_else(|| "-".to_string(), |x| format!("{x:.2}"));
+        let alloc_ratio = base
+            .allocations
+            .zip(cand.allocations)
+            .map(|(b, c)| ratio(b, c));
+        let rss_ratio = ratio(base.rss_delta_kb, cand.rss_delta_kb);
         out.push_str(&format!(
-            "{:<24} {:>10.3} {:>10.3} {:>6.2}x {:>9} {:>9}\n",
+            "{:<24} {:>10.3} {:>10.3} {:>6.2}x {:>9} {:>9.2}\n",
             cand.name,
             base.seconds,
             cand.seconds,
             s_ratio,
-            opt(alloc_ratio),
-            opt(rss_ratio),
+            alloc_ratio.map_or_else(|| "-".to_string(), |x| format!("{x:.2}")),
+            rss_ratio,
         ));
-        let above_floor =
-            base.seconds >= thresholds.min_seconds || cand.seconds >= thresholds.min_seconds;
-        if above_floor && s_ratio > thresholds.max_seconds_ratio {
+        let above_floor = base.seconds >= MIN_SECONDS || cand.seconds >= MIN_SECONDS;
+        if above_floor && s_ratio > MAX_RATIO {
             regressions.push(format!(
-                "{}: seconds {:.3} -> {:.3} ({s_ratio:.2}x > {:.2}x)",
-                cand.name, base.seconds, cand.seconds, thresholds.max_seconds_ratio
+                "{}: seconds {:.3} -> {:.3} ({s_ratio:.2}x > {MAX_RATIO:.2}x)",
+                cand.name, base.seconds, cand.seconds
             ));
         }
         if let Some(r) = alloc_ratio {
-            if r > thresholds.max_alloc_ratio {
+            if r > MAX_RATIO {
                 regressions.push(format!(
-                    "{}: allocations {:.0} -> {:.0} ({r:.2}x > {:.2}x)",
+                    "{}: allocations {:.0} -> {:.0} ({r:.2}x > {MAX_RATIO:.2}x)",
                     cand.name,
                     base.allocations.unwrap_or(0.0),
                     cand.allocations.unwrap_or(0.0),
-                    thresholds.max_alloc_ratio
                 ));
             }
         }
-        if let Some(r) = rss_ratio {
-            let rss_above_floor = base_rss.unwrap_or(0.0) >= thresholds.min_rss_kb
-                || cand_rss.unwrap_or(0.0) >= thresholds.min_rss_kb;
-            if rss_above_floor && r > thresholds.max_rss_ratio {
-                regressions.push(format!(
-                    "{}: {rss_field} {:.0} -> {:.0} ({r:.2}x > {:.2}x)",
-                    cand.name,
-                    base_rss.unwrap_or(0.0),
-                    cand_rss.unwrap_or(0.0),
-                    thresholds.max_rss_ratio
-                ));
-            }
+        let rss_above_floor = base.rss_delta_kb >= MIN_RSS_KB || cand.rss_delta_kb >= MIN_RSS_KB;
+        if rss_above_floor && rss_ratio > MAX_RATIO {
+            regressions.push(format!(
+                "{}: rss_delta_kb {:.0} -> {:.0} ({rss_ratio:.2}x > {MAX_RATIO:.2}x)",
+                cand.name, base.rss_delta_kb, cand.rss_delta_kb
+            ));
         }
     }
     for base in &base_rows {
@@ -405,18 +361,22 @@ mod tests {
     }
 
     fn bench(total: f64, rows: &[(&str, f64, f64, f64)]) -> String {
-        let rows = rows.iter().map(|&(name, s, a, r)| {
+        let rows = rows.iter().map(|&(name, s, a, d)| {
             format!(
-                r#"{{"name": "{name}", "seconds": {s}, "allocations": {a}, "peak_rss_kb": {r}}}"#
+                r#"{{"name": "{name}", "seconds": {s}, "allocations": {a}, "rss_delta_kb": {d}}}"#
             )
         });
         record(&total, rows)
     }
 
+    fn diff(baseline: &str, candidate: &str) -> Result<BenchDiff, String> {
+        bench_diff(("baseline", baseline), ("candidate", candidate))
+    }
+
     #[test]
     fn identical_benches_pass() {
         let text = bench(10.0, &[("table1", 1.0, 1000.0, 5000.0)]);
-        let diff = bench_diff(&text, &text, &DiffThresholds::default()).unwrap();
+        let diff = diff(&text, &text).unwrap();
         assert!(diff.passed(), "{}", diff.rendered);
         assert!(diff.rendered.contains("PASS"));
     }
@@ -425,7 +385,7 @@ mod tests {
     fn injected_seconds_regression_is_flagged() {
         let base = bench(10.0, &[("table1", 1.0, 1000.0, 5000.0)]);
         let cand = bench(40.0, &[("table1", 4.0, 1000.0, 5000.0)]);
-        let diff = bench_diff(&base, &cand, &DiffThresholds::default()).unwrap();
+        let diff = diff(&base, &cand).unwrap();
         assert!(!diff.passed());
         assert_eq!(diff.regressions.len(), 1);
         assert!(diff.regressions[0].contains("table1: seconds"), "{diff:?}");
@@ -433,11 +393,20 @@ mod tests {
     }
 
     #[test]
+    fn the_gate_is_three_times_the_baseline() {
+        let base = bench(10.0, &[("table1", 1.0, 1000.0, 5000.0)]);
+        let under = bench(10.0, &[("table1", 2.9, 2900.0, 5000.0)]);
+        assert!(diff(&base, &under).unwrap().passed());
+        let over = bench(10.0, &[("table1", 3.1, 3100.0, 5000.0)]);
+        assert_eq!(diff(&base, &over).unwrap().regressions.len(), 2);
+    }
+
+    #[test]
     fn sub_floor_wall_clock_jitter_is_not_flagged() {
         // 10x blowup, but both sides are under the noise floor.
         let base = bench(0.1, &[("fig-line-traffic", 0.001, 100.0, 500.0)]);
         let cand = bench(0.1, &[("fig-line-traffic", 0.010, 100.0, 500.0)]);
-        let diff = bench_diff(&base, &cand, &DiffThresholds::default()).unwrap();
+        let diff = diff(&base, &cand).unwrap();
         assert!(diff.passed(), "{}", diff.rendered);
     }
 
@@ -445,46 +414,42 @@ mod tests {
     fn alloc_and_rss_regressions_are_flagged_independently() {
         let base = bench(10.0, &[("table1", 1.0, 1000.0, 5000.0)]);
         let cand = bench(10.0, &[("table1", 1.0, 9000.0, 25000.0)]);
-        let diff = bench_diff(&base, &cand, &DiffThresholds::default()).unwrap();
+        let diff = diff(&base, &cand).unwrap();
         assert_eq!(diff.regressions.len(), 2, "{:?}", diff.regressions);
         assert!(diff.regressions[0].contains("allocations"));
-        assert!(diff.regressions[1].contains("peak_rss_kb"));
-    }
-
-    /// New-format rows: peak_rss_kb plus the attributable rss_delta_kb.
-    fn bench_with_delta(total: f64, rows: &[(&str, f64, f64, f64, f64)]) -> String {
-        let rows = rows.iter().map(|&(name, s, a, d, r)| {
-            format!(
-                r#"{{"name": "{name}", "seconds": {s}, "allocations": {a}, "rss_delta_kb": {d}, "peak_rss_kb": {r}}}"#
-            )
-        });
-        record(&total, rows)
+        assert!(diff.regressions[1].contains("rss_delta_kb"));
     }
 
     #[test]
-    fn rss_delta_is_preferred_over_the_monotone_peak() {
+    fn the_monotone_peak_is_not_gated() {
         // The candidate's process peak is inherited from an earlier
-        // experiment (monotone VmHWM), but its own delta is unchanged —
-        // gating on the delta must not flag it.
-        let base = bench_with_delta(10.0, &[("table1", 1.0, 1000.0, 20000.0, 25000.0)]);
-        let inherited = bench_with_delta(10.0, &[("table1", 1.0, 1000.0, 20000.0, 300000.0)]);
-        let diff = bench_diff(&base, &inherited, &DiffThresholds::default()).unwrap();
+        // experiment (monotone VmHWM), but its own delta is unchanged.
+        let row = |peak: u32| {
+            format!(
+                r#"{{"name": "table1", "seconds": 1, "allocations": 1000, "rss_delta_kb": 20000, "peak_rss_kb": {peak}}}"#
+            )
+        };
+        let base = record(&10.0, std::iter::once(row(25_000)));
+        let inherited = record(&10.0, std::iter::once(row(300_000)));
+        let diff = diff(&base, &inherited).unwrap();
         assert!(diff.passed(), "{}", diff.rendered);
-
-        // A genuine delta blowup is flagged under the new field name.
-        let blowup = bench_with_delta(10.0, &[("table1", 1.0, 1000.0, 90000.0, 300000.0)]);
-        let diff = bench_diff(&base, &blowup, &DiffThresholds::default()).unwrap();
-        assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
-        assert!(diff.regressions[0].contains("rss_delta_kb"), "{diff:?}");
     }
 
     #[test]
-    fn legacy_baselines_without_deltas_gate_on_the_peak() {
-        let base = bench(10.0, &[("table1", 1.0, 1000.0, 25000.0)]);
-        let cand = bench_with_delta(10.0, &[("table1", 1.0, 1000.0, 1000.0, 90000.0)]);
-        let diff = bench_diff(&base, &cand, &DiffThresholds::default()).unwrap();
-        assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
-        assert!(diff.regressions[0].contains("peak_rss_kb"), "{diff:?}");
+    fn a_row_without_an_rss_delta_is_an_error_naming_file_and_experiment() {
+        let base = bench(10.0, &[("table1", 1.0, 1000.0, 5000.0)]);
+        let legacy = record(
+            &10.0,
+            std::iter::once(
+                r#"{"name": "table2", "seconds": 1, "allocations": 1000, "peak_rss_kb": 25000}"#
+                    .to_string(),
+            ),
+        );
+        let err = bench_diff(("BENCH_old.json", &legacy), ("new.json", &base)).unwrap_err();
+        assert_eq!(
+            err,
+            r#"BENCH_old.json: table2: missing numeric field "rss_delta_kb""#
+        );
     }
 
     #[test]
@@ -492,9 +457,9 @@ mod tests {
         // 0 -> 3MB is an infinite ratio, but both sides are below the
         // memory noise floor: an experiment that fits inside an earlier
         // peak reports a delta of 0.
-        let base = bench_with_delta(10.0, &[("table2", 1.0, 1000.0, 0.0, 25000.0)]);
-        let cand = bench_with_delta(10.0, &[("table2", 1.0, 1000.0, 3000.0, 25000.0)]);
-        let diff = bench_diff(&base, &cand, &DiffThresholds::default()).unwrap();
+        let base = bench(10.0, &[("table2", 1.0, 1000.0, 0.0)]);
+        let cand = bench(10.0, &[("table2", 1.0, 1000.0, 3000.0)]);
+        let diff = diff(&base, &cand).unwrap();
         assert!(diff.passed(), "{}", diff.rendered);
     }
 
@@ -502,39 +467,24 @@ mod tests {
     fn roster_drift_is_reported_but_not_gated() {
         let base = bench(10.0, &[("old-exp", 1.0, 1000.0, 5000.0)]);
         let cand = bench(10.0, &[("new-exp", 1.0, 1000.0, 5000.0)]);
-        let diff = bench_diff(&base, &cand, &DiffThresholds::default()).unwrap();
+        let diff = diff(&base, &cand).unwrap();
         assert!(diff.passed(), "{}", diff.rendered);
         assert!(diff.rendered.contains("new-exp"));
         assert!(diff.rendered.contains("missing from candidate"));
     }
 
     #[test]
-    fn custom_thresholds_tighten_the_gate() {
-        let base = bench(10.0, &[("table1", 1.0, 1000.0, 5000.0)]);
-        let cand = bench(10.0, &[("table1", 1.5, 1000.0, 5000.0)]);
-        let tight = DiffThresholds {
-            max_seconds_ratio: 1.2,
-            ..DiffThresholds::default()
-        };
-        assert!(!bench_diff(&base, &cand, &tight).unwrap().passed());
-        assert!(bench_diff(&base, &cand, &DiffThresholds::default())
-            .unwrap()
-            .passed());
-    }
-
-    #[test]
     fn malformed_bench_json_is_a_readable_error() {
-        let gate = DiffThresholds::default();
-        let err = bench_diff("{nope", "{}", &gate).unwrap_err();
+        let err = diff("{nope", "{}").unwrap_err();
         assert!(err.starts_with("baseline:"), "{err}");
         let no_rows = r#"{"total_seconds": 1.0}"#;
-        let err = bench_diff(&bench(1.0, &[]), no_rows, &gate).unwrap_err();
+        let err = diff(&bench(1.0, &[]), no_rows).unwrap_err();
         assert!(err.contains("candidate"), "{err}");
         // The committed record cut short at any character is an error.
         let record = include_str!("../../../BENCH_repro.json").trim_end();
-        assert!(bench_diff(record, record, &gate).unwrap().passed());
+        assert!(diff(record, record).unwrap().passed());
         for (cut, _) in record.char_indices() {
-            let cut_short = bench_diff(record, &record[..cut], &gate);
+            let cut_short = diff(record, &record[..cut]);
             assert!(cut_short.is_err(), "cut at byte {cut}");
         }
     }
@@ -562,7 +512,7 @@ mod tests {
         /// panics.
         #[test]
         fn bench_diff_never_panics(base in generated(), cand in generated()) {
-            let _ = bench_diff(&base, &cand, &DiffThresholds::default());
+            let _ = diff(&base, &cand);
         }
     }
 

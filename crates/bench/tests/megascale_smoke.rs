@@ -55,7 +55,7 @@ fn fast_path_with_streaming_aggregation_allocates_sublinearly() {
                 MegascaleSim::uniform(n)
             };
             let mut sink = AggregatingSink::new();
-            let r = sim.workers(1).run(1987 ^ n as u64, &mut sink);
+            let r = sim.run(1987 ^ n as u64, &mut sink);
             let agg = sink.finish();
             let fast_allocs = allocations() - before;
             assert!(

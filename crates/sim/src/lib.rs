@@ -16,7 +16,8 @@
 //!   bit-model anti-entropy;
 //! * [`megascale`] — the single-update rumor epidemic at 10⁴–10⁷ sites on
 //!   uniform and scale-free topologies ([`FastRumorProtocol`] on
-//!   [`engine::ActiveCycleEngine`], the fig-megascale sweep);
+//!   [`engine::ActiveCycleEngine`], one ascending pass over the infective
+//!   sites per cycle; the fig-megascale sweep);
 //! * [`scenario`] — the one workload engine: a parsed
 //!   [`scenario::Scenario`] spec (site count, protocol, weighted workload
 //!   mix, fault-event timeline, warm-up) lowered onto the cycle engine by
@@ -32,11 +33,11 @@
 //!   [`PartnerSelection`](epidemic_net::PartnerSelection) strategy
 //!   ([`engine::UniformPartners`] for complete mixing), and
 //!   [`engine::Observer`] tracing hooks;
-//! * [`runner`] — deterministic parallel trial execution: fans Monte-Carlo
-//!   trials across threads with per-trial seeds `seed_base + trial`,
-//!   folding results in trial order so aggregates are bit-identical at
-//!   any thread count (force one thread with `EPIDEMIC_THREADS=1` or
-//!   [`runner::TrialRunner::threads`]);
+//! * [`runner`] — deterministic parallel trial execution, the crate's only
+//!   parallelism: fans Monte-Carlo trials across threads with per-trial
+//!   seeds `seed_base + trial`, folding results in trial order so
+//!   aggregates are bit-identical at any thread count (force one thread
+//!   with `EPIDEMIC_THREADS=1` or [`runner::TrialRunner::threads`]);
 //! * [`stats`] — small summary-statistics helpers.
 //!
 //! Every driver has one entry point, `run(arena, seed, observer)`: the
@@ -77,7 +78,7 @@ pub use engine::{
     ContactStats, CycleEngine, EngineReport, EpidemicProtocol, Observer, SirObserver, TraceView,
     UniformPartners,
 };
-pub use megascale::{FastDraw, FastRumorProtocol, MegascaleSim};
+pub use megascale::{FastRumorProtocol, MegascaleSim};
 pub use mixing::{EpidemicResult, MixingArena};
 pub use spatial::SpatialSim;
 pub use stats::Summary;

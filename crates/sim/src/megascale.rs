@@ -27,15 +27,13 @@
 //!   memory follows *receipts*, not fleet size;
 //! * contacts draw from the counter-based [`rand::rngs::ContactRng`], a
 //!   pure function of `(seed, cycle, site)`, so the engine visits only
-//!   the hot sites and splits the cycle across worker threads with
-//!   byte-identical output at any worker count;
+//!   the hot sites, in one ascending pass;
 //! * contacts are judged *asynchronously* — a push is useful iff the
 //!   partner lacks the entry at execution time, so two pushes reaching
 //!   the same susceptible site in one cycle score one useful and one
-//!   fruitless-plus-coin-toss. The engine's draw/apply split makes that
-//!   compatible with parallelism: random choices (partner, coin) are
-//!   sampled in parallel from each contact's private stream, then
-//!   executed sequentially in ascending initiator order.
+//!   fruitless-plus-coin-toss. The random choices (partner, then coin)
+//!   come from the contact's private stream, so the judgment changes no
+//!   draw.
 //!
 //! The protocol is pinned exactly against a naive eager loop over real
 //! replicas with the same RNG contract (the reference in
@@ -99,15 +97,6 @@ impl<'g> MegascaleSim<'g> {
         self
     }
 
-    /// Worker threads for the contact loop (default: the
-    /// [`EPIDEMIC_THREADS`](crate::runner::THREADS_ENV_VAR) setting). Any
-    /// value produces byte-identical results.
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.engine = self.engine.workers(workers);
-        self
-    }
-
     /// One epidemic of the fixed sweep protocol — push, feedback, coin
     /// removal with `k = 4`, high-coverage and cheap per contact, so the
     /// interesting variation is scale and topology — on active-set
@@ -133,19 +122,6 @@ impl<'g> MegascaleSim<'g> {
         protocol.result(&report)
     }
 }
-
-/// The pure record of one fast-path contact's random choices (the
-/// [`ActiveSetProtocol::Draw`] of [`FastRumorProtocol`]), in one word:
-/// the drawn partner `to` and whether the feedback coin toss came up
-/// "lose interest", packed as `to << 1 | coin`.
-///
-/// The coin is sampled *unconditionally* — each contact owns its private
-/// stream, so over-drawing is free — and consulted at apply time only if
-/// the push turns out fruitless. This is what lets usefulness be judged
-/// sequentially against current state while the sampling runs in
-/// parallel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastDraw(u32);
 
 /// The single-update push/feedback/coin rumor epidemic, restated over
 /// bitsets and a [`LazyTable`] for the [`ActiveCycleEngine`]; see the
@@ -176,7 +152,7 @@ impl<'a> FastRumorProtocol<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2` or `n ≥ 2³¹`.
+    /// Panics if `n < 2` or `n > 2³²`.
     pub fn uniform(n: usize, k: u32) -> FastRumorProtocol<'static> {
         FastRumorProtocol::with_partners(Partners::Uniform(UniformPartners::new(n)), n, k)
     }
@@ -188,8 +164,8 @@ impl<'a> FastRumorProtocol<'a> {
     /// # Panics
     ///
     /// Panics if any site of `graph` has no neighbors — an isolated
-    /// initiator would have no partner to draw — or if it has 2³¹ sites
-    /// or more.
+    /// initiator would have no partner to draw — or if it has more than
+    /// 2³² sites.
     pub fn scale_free(graph: &'a DegreeGraph, k: u32) -> FastRumorProtocol<'a> {
         let n = graph.site_count();
         if let Some(i) = (0..n).find(|&i| graph.neighbors(i).is_empty()) {
@@ -203,7 +179,7 @@ impl<'a> FastRumorProtocol<'a> {
         n: usize,
         k: u32,
     ) -> FastRumorProtocol<'_> {
-        assert!(n < 1 << 31, "{n} sites overflow a draw's 31-bit partner");
+        assert!(n as u64 <= 1 << 32, "{n} sites overflow a u32 site index");
         let mut protocol = FastRumorProtocol {
             partners,
             k,
@@ -257,8 +233,6 @@ impl SirView for FastRumorProtocol<'_> {
 }
 
 impl ActiveSetProtocol for FastRumorProtocol<'_> {
-    type Draw = FastDraw;
-
     fn site_count(&self) -> usize {
         self.has_entry.len()
     }
@@ -271,23 +245,16 @@ impl ActiveSetProtocol for FastRumorProtocol<'_> {
         &self.hot0
     }
 
-    fn contact(&self, _cycle: u32, i: usize, rng: &mut ContactRng) -> FastDraw {
-        let to = self.partners.select(i, rng) as u32;
-        // Same draw as `rumor::record_feedback` under `Coin { k }`;
-        // sampled whether or not the push turns out fruitless.
-        let coin = rng.random_bool(1.0 / f64::from(self.k.max(1)));
-        FastDraw(to << 1 | u32::from(coin))
-    }
-
-    fn apply(&mut self, cycle: u32, i: usize, &FastDraw(draw): &FastDraw) -> (usize, ContactStats) {
-        let j = (draw >> 1) as usize;
+    fn contact(&mut self, cycle: u32, i: usize, rng: &mut ContactRng) -> (usize, ContactStats) {
+        let j = self.partners.select(i, rng);
         let useful = !self.has_entry.get(j);
         if useful {
             self.has_entry.set(j, true);
             self.hot.set(j, true);
             self.table.push(j as u32, (), cycle);
-        } else if draw & 1 == 1 {
-            // Feedback: a fruitless push costs the initiator its coin.
+        } else if rng.random_bool(1.0 / f64::from(self.k.max(1))) {
+            // Feedback: a fruitless push costs the initiator its coin, the
+            // same draw as `rumor::record_feedback` under `Coin { k }`.
             self.hot.set(i, false);
         }
         (
@@ -309,29 +276,25 @@ mod tests {
     use epidemic_core::{Direction, Feedback, Removal};
 
     #[test]
-    fn a_draw_is_one_word() {
-        assert_eq!(std::mem::size_of::<FastDraw>(), std::mem::size_of::<u32>());
-    }
-
-    #[test]
-    #[should_panic(expected = "overflow a draw's 31-bit partner")]
-    fn a_fleet_of_two_to_the_31_sites_is_refused_up_front() {
-        let _ = FastRumorProtocol::uniform(1 << 31, COIN_K);
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "overflow a u32 site index")]
+    fn a_fleet_past_two_to_the_32_sites_is_refused_up_front() {
+        let _ = FastRumorProtocol::uniform((1 << 32) + 1, COIN_K);
     }
 
     #[test]
     fn fast_epidemic_reaches_nearly_everyone() {
-        let uniform = MegascaleSim::uniform(500).workers(1).run(11, &mut ());
+        let uniform = MegascaleSim::uniform(500).run(11, &mut ());
         assert!(uniform.residue < 0.05, "residue {}", uniform.residue);
         assert!(uniform.cycles > 0 && uniform.t_last > 0.0);
         let graph = DegreeGraph::scale_free(500, 2, 11);
-        let sf = MegascaleSim::scale_free(&graph).workers(1).run(11, &mut ());
+        let sf = MegascaleSim::scale_free(&graph).run(11, &mut ());
         assert!(sf.residue < 0.20, "residue {}", sf.residue);
     }
 
     #[test]
     fn observed_fast_run_matches_unobserved_and_aggregates() {
-        let sim = MegascaleSim::uniform(300).workers(1);
+        let sim = MegascaleSim::uniform(300);
         let plain = sim.run(9, &mut ());
         let mut obs = epidemic_trace::AggregatingSink::new();
         let observed = sim.run(9, &mut obs);
@@ -348,7 +311,7 @@ mod tests {
         assert_eq!(agg.max_cycle(), u64::from(plain.cycles));
     }
 
-    /// The counter RNG and ascending apply order are a different RNG
+    /// The counter RNG and ascending contact order are a different RNG
     /// universe from the sequential-stream [`SpatialSim::mixing`] of Tables
     /// 1–3 (same push/feedback/coin k=4 model, same asynchronous
     /// judgment), so the two are compared statistically: over many seeds,
@@ -374,7 +337,7 @@ mod tests {
         }
 
         let n = 256;
-        let sim = MegascaleSim::uniform(n).workers(1);
+        let sim = MegascaleSim::uniform(n);
         let trials = 60;
         let cfg = RumorConfig::new(
             Direction::Push,

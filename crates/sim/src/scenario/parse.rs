@@ -216,19 +216,13 @@ fn parse_rumor(cur: &mut Cursor<'_>) -> Result<RumorConfig, ParseError> {
         "coin" => Removal::Coin { k },
         other => return Err(cur.err(format!("unknown removal rule {other:?}"))),
     };
-    // The flags encode the booleans by *presence*, overriding the
-    // direction-dependent defaults of `RumorConfig::new`, so every flag
-    // combination round-trips through render.
-    let mut cfg = RumorConfig {
-        direction,
-        feedback,
-        removal,
-        reset_on_useful: false,
-        minimization: false,
-    };
+    // A line means what `RumorConfig::new` means (pull resets its
+    // counters); the flags override that default by presence.
+    let mut cfg = RumorConfig::new(direction, feedback, removal);
     while let Some(flag) = cur.peek_done() {
         match flag {
             "reset" => cfg.reset_on_useful = true,
+            "no-reset" => cfg.reset_on_useful = false,
             "minimize" => cfg.minimization = true,
             other => return Err(cur.err(format!("unknown rumor flag {other:?}"))),
         }

@@ -673,8 +673,14 @@ fn render_rumor(cfg: &RumorConfig) -> String {
         Removal::Coin { k } => ("coin", k),
     };
     let mut line = format!("rumor {direction} {feedback} {removal} {k}");
-    if cfg.reset_on_useful {
-        line.push_str(" reset");
+    if cfg.reset_on_useful
+        != RumorConfig::new(cfg.direction, cfg.feedback, cfg.removal).reset_on_useful
+    {
+        line.push_str(if cfg.reset_on_useful {
+            " reset"
+        } else {
+            " no-reset"
+        });
     }
     if cfg.minimization {
         line.push_str(" minimize");

@@ -297,6 +297,35 @@ proptest! {
     }
 }
 
+/// A rumor line means what `RumorConfig::new` means — pull resets its
+/// counters on a useful contact — and `reset`/`no-reset` override that.
+#[test]
+fn a_rumor_line_starts_from_the_configs_defaults() {
+    let rumor = |line: &str| {
+        Scenario::parse(&format!("scenario x\nsites 4\n{line}\n"))
+            .unwrap()
+            .protocol
+            .rumor
+            .unwrap()
+    };
+    let pull = RumorConfig::new(
+        Direction::Pull,
+        Feedback::Feedback,
+        Removal::Counter { k: 2 },
+    );
+    assert_eq!(rumor("rumor pull feedback counter 2"), pull);
+    assert_eq!(
+        rumor("rumor pull feedback counter 2 no-reset"),
+        pull.with_reset_on_useful(false)
+    );
+    let push = RumorConfig::new(Direction::Push, Feedback::Blind, Removal::Coin { k: 3 });
+    assert_eq!(rumor("rumor push blind coin 3"), push);
+    assert_eq!(
+        rumor("rumor push blind coin 3 reset"),
+        push.with_reset_on_useful(true)
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic malformed-input cases: exact error surfaces.
 // ---------------------------------------------------------------------------
