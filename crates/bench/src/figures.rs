@@ -17,7 +17,7 @@ use epidemic_db::SiteId;
 use epidemic_net::topologies::{self, cin, Cin, CinConfig};
 use epidemic_net::{LinkTraffic, PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
 use epidemic_sim::engine::{RouteCharge, SirObserver};
-use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena};
+use epidemic_sim::mixing::MixingArena;
 use epidemic_sim::runner::Arenas;
 use epidemic_sim::scenario::{
     bundled, AntiEntropySpec, FaultKind, Scenario, ScenarioArena, ScenarioEngine,
@@ -114,7 +114,7 @@ pub(crate) fn ae_convergence(ctx: &Ctx<'_>) -> Output {
     let mut rows = Vec::new();
     let mut aggregates = Vec::new();
     for &n in &[100usize, 300, 1000, 3000, 10_000] {
-        let push_driver = AntiEntropyEpidemic::new(n, Direction::Push);
+        let push_driver = SpatialSim::anti_entropy(n, Direction::Push);
         let ([push], seen) = ctx.mean_seen(
             || arenas.take(),
             |arena, seed| {
@@ -125,7 +125,7 @@ pub(crate) fn ae_convergence(ctx: &Ctx<'_>) -> Output {
             },
         );
         let mean = |direction| {
-            let driver = AntiEntropyEpidemic::new(n, direction);
+            let driver = SpatialSim::anti_entropy(n, direction);
             ctx.mean(
                 || arenas.take(),
                 |arena, seed| [f64::from(driver.run(arena, seed, &mut ()).cycles)],
@@ -925,7 +925,7 @@ pub(crate) fn dc_scaling_table(ctx: &Ctx<'_>) -> FigTable {
     let rows = [64usize, 256, 1024, 4096]
         .iter()
         .map(|&n| {
-            let driver = AntiEntropyEpidemic::new(n, Direction::PushPull);
+            let driver = SpatialSim::anti_entropy(n, Direction::PushPull);
             let cover_times: Vec<f64> = ctx.runner.fold_with(
                 ctx.trials,
                 0,

@@ -2,7 +2,8 @@
 //! replicas own the row, index and hot-list blocks their trials grow, its
 //! counters, scratch and roster buffers are sized — every further trial on
 //! it completes without asking the heap for a single byte. Covered: every
-//! complete-mixing rumor variant on a [`MixingArena`]; Table 5's
+//! complete-mixing rumor variant and §1.3's anti-entropy on a
+//! [`MixingArena`]; Table 5's
 //! anti-entropy (warmed by one run, so later trials seed origins it never
 //! did) and §3.2's push-pull rumor mongering on the CIN, each trial taking
 //! its arena and link counters from one pool and charging its links as
@@ -97,6 +98,10 @@ fn mixing_trials() {
         (
             "push, connection limit 1 with hunting",
             push.connection_limit(Some(1)).hunt_limit(2),
+        ),
+        (
+            "pull anti-entropy (§1.3)",
+            SpatialSim::anti_entropy(SITES, Direction::Pull),
         ),
     ];
     for (label, driver) in variants {

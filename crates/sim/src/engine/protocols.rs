@@ -1,21 +1,20 @@
-//! Shared protocol building blocks and the single-update protocols.
+//! Shared protocol building blocks and the single-update protocol.
 //!
 //! The building blocks: who has received the update and when
 //! ([`ReceiveLog`]), per-link comparison/update traffic ([`RouteCharge`])
 //! and Poisson-ish client-update injection (`UpdateInjector`).
 //!
-//! The protocols: `MixingProtocol` (one update spread by §1.4 rumor
-//! mongering or Table 4's anti-entropy, over complete mixing or a
+//! The protocol: `MixingProtocol`, one update spread by §1.4 rumor
+//! mongering or by §1.3 anti-entropy, over complete mixing or a
 //! topology's spatial partners, with the connection-limit/hunting
-//! variants supplied by the engine) and `BitAntiEntropyProtocol` (§1.3
-//! anti-entropy on one bit of state per site). §1.2's direct mail runs in
-//! the scenario engine, over `epidemic_core::direct_mail`.
+//! variants supplied by the engine. Its anti-entropy contact reads and
+//! writes only the receive log's marks: with one version of one key,
+//! comparing two databases is comparing two bits. §1.2's direct mail runs
+//! in the scenario engine, over `epidemic_core::direct_mail`.
 
 use epidemic_core::rumor::{self, RumorConfig, RumorScratch};
-use epidemic_core::{
-    AntiEntropy, Comparison, Direction, ExchangeScratch, Feedback, Removal, Replica,
-};
-use epidemic_db::{Entry, SiteId};
+use epidemic_core::{Direction, Feedback, Removal, Replica};
+use epidemic_db::SiteId;
 use epidemic_net::{LinkTraffic, Routes, Topology};
 use epidemic_trace::Sir;
 use rand::rngs::StdRng;
@@ -23,9 +22,6 @@ use rand::rngs::StdRng;
 use super::{ContactStats, EpidemicProtocol, Observer, Roster, SirView};
 use crate::bitset::BitSet;
 use crate::util::{pair_mut, reset_replicas, KEY};
-
-/// Table 4's mechanism: push-pull anti-entropy comparing whole databases.
-const TABLE4: AntiEntropy = AntiEntropy::new(Direction::PushPull, Comparison::Full);
 
 /// Per-site receive times for a single spreading update, in the unit of
 /// the run's scheduler: cycles under the cycle engine, micro-ticks under
@@ -244,6 +240,8 @@ impl UpdateInjector {
 /// next one allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct MixingState {
+    /// One replica per site — a rumor run's state. Anti-entropy of one
+    /// update needs none: the receive log's marks are its whole state.
     pub(crate) sites: Vec<Replica<u32, u32>>,
     pub(crate) received: ReceiveLog,
     /// "Hot list non-empty", one bit per site — the active set of a rumor
@@ -252,14 +250,12 @@ pub(crate) struct MixingState {
     /// `end_cycle` those of the sites it visits, so whenever the engine
     /// looks it equals the `is_active` scan.
     pub(crate) active: BitSet,
-    /// Start-of-cycle "holds the update" snapshot (push/pull synchronous).
+    /// Start-of-cycle "holds the update" snapshot (synchronous runs).
     pub(crate) state0: BitSet,
     /// Start-of-cycle "is infective" snapshot (pull synchronous).
     pub(crate) hot0: BitSet,
     /// Reused hot-key snapshot buffers for push-pull contacts.
     pub(crate) scratch: RumorScratch<u32>,
-    /// Reused diff buffers for anti-entropy exchanges.
-    pub(crate) exchange: ExchangeScratch<u32>,
 }
 
 impl MixingState {
@@ -277,97 +273,101 @@ impl MixingState {
     }
 }
 
-/// One update spreading from one origin, by rumor mongering (push
-/// initiators are the infective sites, pull/push-pull initiators everyone,
-/// the run ends at quiescence) or, with no [`RumorConfig`], by Table 4's
-/// push-pull anti-entropy (everyone initiates, the run ends at full
-/// coverage). Partners come from the engine's policy: complete mixing or a
-/// topology's spatial distribution. The synchronous rumor variants judge
-/// feedback against start-of-cycle snapshots captured in `begin_cycle`.
+/// How the one update spreads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Mechanism {
+    /// §1.4 rumor mongering: push initiators are the infective sites,
+    /// pull and push-pull initiators everyone; the run ends at quiescence.
+    Rumor(RumorConfig),
+    /// §1.3 anti-entropy resolving differences in this direction: everyone
+    /// initiates and the run ends at full coverage.
+    AntiEntropy(Direction),
+}
+
+/// One update spreading from one origin, by rumor mongering or by
+/// anti-entropy (see `Mechanism`). Partners come from the engine's
+/// policy: complete mixing or a topology's spatial distribution. A
+/// synchronous run judges each contact against start-of-cycle snapshots
+/// captured in `begin_cycle`.
 ///
 /// Public so observers can be written against it (it is the `P` of
 /// [`SpatialSim::run`](crate::spatial::SpatialSim::run)); construction
 /// stays crate-internal.
 pub struct MixingProtocol {
-    /// `None` for anti-entropy.
-    pub(crate) rumor: Option<RumorConfig>,
+    pub(crate) mechanism: Mechanism,
     pub(crate) synchronous: bool,
     pub(crate) state: MixingState,
 }
 
 impl MixingProtocol {
-    /// Resets `state` to one empty replica per id in `sites`, seeds the
-    /// update at dense site `origin` and marks it in the receive log and,
-    /// for a rumor, the active set — the one place that establishes
-    /// "marked ⇔ holds the update" and "active ⇔ hot list non-empty", which
-    /// `contact`/`end_cycle` then keep. Only rumors keep an active set, and
-    /// only synchronous runs take snapshots.
+    /// Seeds the update at dense site `origin` of `sites` in `state` and
+    /// marks it in the receive log — the one place that establishes
+    /// "marked ⇔ holds the update". A rumor run also resets one empty
+    /// replica per id and seeds the origin's, and marks it in the active
+    /// set ("active ⇔ hot list non-empty"); `contact`/`end_cycle` then keep
+    /// both. Only synchronous runs take snapshots, and only rumors the
+    /// infective one.
     pub(crate) fn new(
-        rumor: Option<RumorConfig>,
+        mechanism: Mechanism,
         synchronous: bool,
         sites: impl ExactSizeIterator<Item = SiteId>,
         origin: usize,
         mut state: MixingState,
     ) -> Self {
         let n = sites.len();
-        reset_replicas(&mut state.sites, sites, 0);
         state.received.reset(n);
-        state.active.reset(if rumor.is_some() { n } else { 0 });
         let snapshots = if synchronous { n } else { 0 };
         state.state0.reset(snapshots);
-        state.hot0.reset(snapshots);
-        debug_assert!(
-            state
-                .sites
-                .iter()
-                .all(|site| site.db().is_empty() && site.hot().is_empty()),
-            "every site is empty before the update is seeded"
-        );
-        let seeded = &mut state.sites[origin];
-        if rumor.is_some() {
-            seeded.client_update(KEY, 1);
-            state.active.set(origin, true);
-        } else {
-            // Pure anti-entropy: stored with no hot entry; exchanges spread it.
-            let at = seeded.now();
-            seeded.receive_quietly_ref(&KEY, &Entry::live(1, at));
+        match mechanism {
+            Mechanism::Rumor(_) => {
+                reset_replicas(&mut state.sites, sites, 0);
+                state.active.reset(n);
+                state.hot0.reset(snapshots);
+                debug_assert!(
+                    state
+                        .sites
+                        .iter()
+                        .all(|site| site.db().is_empty() && site.hot().is_empty()),
+                    "every site is empty before the update is seeded"
+                );
+                state.sites[origin].client_update(KEY, 1);
+                state.active.set(origin, true);
+            }
+            Mechanism::AntiEntropy(_) => {
+                state.active.reset(0);
+                state.hot0.reset(0);
+            }
         }
         state.received.mark(origin, 0);
         MixingProtocol {
-            rumor,
+            mechanism,
             synchronous,
             state,
         }
     }
 
-    /// One push-pull anti-entropy conversation between `i` and `j`; both
-    /// endpoints are marked when the update flowed.
-    fn exchange(&mut self, cycle: u32, i: usize, j: usize) -> ContactStats {
-        // A site is marked exactly when it holds the update — the origin
-        // from the start, everyone else from the contact that delivered it
-        // — and there is one version of one key, so two sites with equal
-        // marks hold equal databases: the conversation still happens and
-        // is charged, but its diff is empty and need not be computed
-        // (debug builds compute it anyway, and check that it is).
+    /// One anti-entropy conversation between `i` and `j`. There is one
+    /// version of one key, so §1.3's compare of the two databases comes
+    /// down to the two marks: a push delivers the update to `j` when `i`
+    /// holds it, a pull to `i` when `j` does, and a delivery is useful
+    /// when its receiver lacked it. A synchronous run judges who holds it
+    /// at the start of the cycle. (Reading both marks before either
+    /// delivery changes nothing in a sequential run: a push makes `j` hold
+    /// it only when `i` already does, and then there is nothing to pull.)
+    fn resolve(&mut self, direction: Direction, cycle: u32, i: usize, j: usize) -> ContactStats {
         let state = &mut self.state;
-        let known_converged = state.received.is_marked(i) == state.received.is_marked(j);
-        if known_converged && !cfg!(debug_assertions) {
-            return ContactStats::default();
-        }
-        let (a, b) = pair_mut(&mut state.sites, i, j);
-        let stats = TABLE4.exchange_with(a, b, &mut state.exchange);
-        debug_assert!(
-            !(known_converged && stats.update_flowed()),
-            "sites {i} and {j} carry equal marks but exchanged {stats:?}"
-        );
-        if stats.update_flowed() {
-            state.mark_if_holding(i, cycle);
-            state.mark_if_holding(j, cycle);
-        }
-        let flowed = u64::from(stats.update_flowed());
+        let held = if self.synchronous {
+            &state.state0
+        } else {
+            state.received.marks()
+        };
+        let (held_i, held_j) = (held.get(i), held.get(j));
+        let pushed = direction.pushes() && held_i && state.received.mark(j, cycle);
+        let pulled = direction.pulls() && held_j && state.received.mark(i, cycle);
+        let useful = u64::from(pushed) + u64::from(pulled);
         ContactStats {
-            sent: flowed,
-            useful: flowed,
+            sent: useful,
+            useful,
         }
     }
 
@@ -478,18 +478,21 @@ fn offer(from: &Replica<u32, u32>, to: &mut Replica<u32, u32>, marked: bool) -> 
 
 impl EpidemicProtocol for MixingProtocol {
     fn site_count(&self) -> usize {
-        self.state.sites.len()
+        self.state.received.times().len()
     }
 
     fn roster(&self) -> Roster {
-        match self.rumor {
-            Some(cfg) if cfg.direction == Direction::Push => Roster::Active,
+        match self.mechanism {
+            Mechanism::Rumor(cfg) if cfg.direction == Direction::Push => Roster::Active,
             _ => Roster::Everyone,
         }
     }
 
     fn is_active(&self, i: usize) -> bool {
-        !self.state.sites[i].hot().is_empty()
+        match self.mechanism {
+            Mechanism::Rumor(_) => !self.state.sites[i].hot().is_empty(),
+            Mechanism::AntiEntropy(_) => false,
+        }
     }
 
     fn active_sites(&self, out: &mut Vec<usize>) {
@@ -498,23 +501,23 @@ impl EpidemicProtocol for MixingProtocol {
     }
 
     fn finished(&self, _cycle: u32, active: &[usize]) -> bool {
-        match self.rumor {
-            Some(_) => active.is_empty(),
-            None => self.state.received.complete(),
+        match self.mechanism {
+            Mechanism::Rumor(_) => active.is_empty(),
+            Mechanism::AntiEntropy(_) => self.state.received.complete(),
         }
     }
 
     fn begin_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
-        let Some(cfg) = self.rumor.filter(|_| self.synchronous) else {
+        if !self.synchronous {
             return;
-        };
+        }
         let state = &mut self.state;
         // A site holds the update exactly when the receive log has marked
         // it (every `contact` branch marks as the entry lands), so the
         // snapshot copies the log's marks, not each database.
-        match cfg.direction {
-            Direction::Push => state.state0.copy_from(state.received.marks()),
-            Direction::Pull => {
+        match self.mechanism {
+            Mechanism::Rumor(cfg) if cfg.direction == Direction::PushPull => {}
+            Mechanism::Rumor(cfg) if cfg.direction == Direction::Pull => {
                 state.state0.copy_from(state.received.marks());
                 // One key per run: a site is infective for it exactly when
                 // its hot list is non-empty.
@@ -525,13 +528,14 @@ impl EpidemicProtocol for MixingProtocol {
                     .all(|(i, site)| site.is_infective(&KEY) == state.active.get(i)));
                 state.hot0.copy_from(&state.active);
             }
-            Direction::PushPull => {}
+            _ => state.state0.copy_from(state.received.marks()),
         }
     }
 
     fn contact(&mut self, cycle: u32, i: usize, j: usize, rng: &mut StdRng) -> ContactStats {
-        let Some(cfg) = self.rumor else {
-            return self.exchange(cycle, i, j);
+        let cfg = match self.mechanism {
+            Mechanism::Rumor(cfg) => cfg,
+            Mechanism::AntiEntropy(direction) => return self.resolve(direction, cycle, i, j),
         };
         match (cfg.direction, self.synchronous) {
             (Direction::Push, true) => self.sync_push(&cfg, cycle, i, j, rng),
@@ -541,7 +545,13 @@ impl EpidemicProtocol for MixingProtocol {
     }
 
     fn end_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
-        if let Some(cfg) = self.rumor.filter(|cfg| cfg.direction == Direction::Pull) {
+        if let Mechanism::Rumor(
+            cfg @ RumorConfig {
+                direction: Direction::Pull,
+                ..
+            },
+        ) = self.mechanism
+        {
             // Pending pull feedback lives in hot items, so only active
             // sites have any to settle.
             let MixingState { sites, active, .. } = &mut self.state;
@@ -556,95 +566,16 @@ impl EpidemicProtocol for MixingProtocol {
 impl SirView for MixingProtocol {
     fn sir_counts(&self) -> Sir {
         let have = self.state.received.received_count();
-        let infective = match self.rumor {
-            // Pure anti-entropy never removes: every informed site keeps
+        let infective = match self.mechanism {
+            Mechanism::Rumor(_) => self.state.active.count_ones(),
+            // Anti-entropy never removes: every informed site keeps
             // exchanging forever (the run just stops at full coverage).
-            None => have,
-            Some(_) => self.state.active.count_ones(),
+            Mechanism::AntiEntropy(_) => have,
         };
         Sir {
-            susceptible: self.state.sites.len() - have,
+            susceptible: self.site_count() - have,
             infective,
             removed: have - infective,
-        }
-    }
-}
-
-/// §1.3 anti-entropy with one bit of state per site: every site initiates
-/// each cycle and differences resolve against the start-of-cycle snapshot.
-///
-/// Public so observers can be written against it (it is the `P` of
-/// [`AntiEntropyEpidemic::run`](crate::mixing::AntiEntropyEpidemic::run));
-/// construction stays crate-internal.
-pub struct BitAntiEntropyProtocol {
-    pub(crate) direction: Direction,
-    /// The parts of a mixing arena this protocol uses: `active` is who
-    /// holds the update (in anti-entropy every holder keeps spreading it),
-    /// `state0` its start-of-cycle snapshot.
-    pub(crate) state: MixingState,
-    /// Sites holding the update: `active`'s population.
-    pub(crate) count: usize,
-}
-
-impl BitAntiEntropyProtocol {
-    /// `n` sites of which only site 0 holds the update, in `state` —
-    /// whatever an earlier run left there.
-    pub(crate) fn new(direction: Direction, n: usize, mut state: MixingState) -> Self {
-        state.active.reset(n);
-        state.state0.reset(n);
-        state.active.set(0, true);
-        BitAntiEntropyProtocol {
-            direction,
-            state,
-            count: 1,
-        }
-    }
-
-    /// Gives site `i` the update; whether it lacked it.
-    fn infect(&mut self, i: usize) -> bool {
-        let fresh = !self.state.active.get(i);
-        if fresh {
-            self.state.active.set(i, true);
-            self.count += 1;
-        }
-        fresh
-    }
-}
-
-impl EpidemicProtocol for BitAntiEntropyProtocol {
-    fn site_count(&self) -> usize {
-        self.state.active.len()
-    }
-
-    fn finished(&self, _cycle: u32, _active: &[usize]) -> bool {
-        self.count == self.site_count()
-    }
-
-    fn begin_cycle(&mut self, _cycle: u32, _rng: &mut StdRng) {
-        // Synchronous semantics: resolve against start-of-cycle state.
-        let MixingState { active, state0, .. } = &mut self.state;
-        state0.copy_from(active);
-    }
-
-    fn contact(&mut self, _cycle: u32, i: usize, j: usize, _rng: &mut StdRng) -> ContactStats {
-        let pushed = self.direction.pushes() && self.state.state0.get(i) && self.infect(j);
-        let pulled = self.direction.pulls() && self.state.state0.get(j) && self.infect(i);
-        let useful = u64::from(pushed) + u64::from(pulled);
-        ContactStats {
-            sent: useful,
-            useful,
-        }
-    }
-}
-
-impl SirView for BitAntiEntropyProtocol {
-    fn sir_counts(&self) -> Sir {
-        // Anti-entropy has no removal: every informed site keeps resolving
-        // differences forever, so the removed compartment is always empty.
-        Sir {
-            susceptible: self.site_count() - self.count,
-            infective: self.count,
-            removed: 0,
         }
     }
 }
@@ -704,12 +635,12 @@ mod tests {
         assert!(log.complete(), "400 draws over 64 sites cover them all");
     }
 
-    /// Asserts that the protocol's incremental state says exactly what
+    /// Asserts that a rumor run's incremental state says exactly what
     /// probing every replica says: marks ≡ "database holds the update"
     /// (what `begin_cycle` snapshots), active set ≡ "hot list non-empty"
-    /// (what `active_sites` yields; under anti-entropy no list is ever
-    /// hot), and `sir_counts` ≡ the counted probe (anti-entropy removes no
-    /// one: every holder is infective).
+    /// (what `active_sites` yields), and `sir_counts` ≡ the counted probe.
+    /// Anti-entropy runs hold no replicas to probe; the full replica
+    /// compare they replace is `tests/spatial_skip_differential.rs`.
     fn assert_matches_the_probe(p: &MixingProtocol) {
         let state = &p.state;
         let (mut have, mut infective) = (0, 0);
@@ -723,12 +654,9 @@ mod tests {
                 "time of site {i}"
             );
             let hot = !site.hot().is_empty();
-            match p.rumor {
-                Some(_) => assert_eq!(state.active.get(i), hot, "active bit of site {i}"),
-                None => assert!(!hot, "site {i} is hot under anti-entropy"),
-            }
+            assert_eq!(state.active.get(i), hot, "active bit of site {i}");
             have += usize::from(holds);
-            infective += usize::from(if p.rumor.is_some() { hot } else { holds });
+            infective += usize::from(hot);
         }
         let probed = Sir {
             susceptible: state.sites.len() - have,
@@ -835,12 +763,11 @@ mod tests {
     }
 
     /// The active set and the marks stay equal to the probe through every
-    /// variant's contacts, over complete mixing from site 0 and over a
-    /// topology's spatial partners from another origin. Dropping the
+    /// rumor variant's contacts, over complete mixing from site 0 and over
+    /// a topology's spatial partners from another origin. Dropping the
     /// refresh of `i`, of `j` or of the sites `end_cycle` visits fails here
     /// (and trips the engine's debug cross-check in every other mixing
-    /// test); so do dropping the exchange's marks, seeding site 0 instead
-    /// of the origin, and leaving the origin hot under anti-entropy.
+    /// test); so does seeding site 0 instead of the origin.
     #[test]
     fn active_set_and_marks_track_the_replicas_through_every_variant() {
         let n = 60;
@@ -854,7 +781,7 @@ mod tests {
                         for limit in [None, Some(1)] {
                             let sites = site_ids(n);
                             let inner = MixingProtocol::new(
-                                Some(cfg),
+                                Mechanism::Rumor(cfg),
                                 synchronous,
                                 sites,
                                 0,
@@ -874,21 +801,17 @@ mod tests {
         let origin = 7;
         let counter =
             |direction| RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k: 2 });
-        for rumor in [
-            None,
-            Some(counter(Direction::Push)),
-            Some(counter(Direction::Pull)),
-            Some(counter(Direction::PushPull)),
-        ] {
+        for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
+            let rumor = Mechanism::Rumor(counter(direction));
             let sites = topo.sites().iter().copied();
             let inner = MixingProtocol::new(rumor, false, sites, origin, MixingState::default());
             let seeded = &inner.state.sites[origin];
             assert!(
                 seeded.db().entry(&KEY).is_some(),
-                "{rumor:?}: origin seeded"
+                "{direction:?}: origin seeded"
             );
             let made = probed_run(inner, &sampler, Some(1));
-            assert!(made > 0, "{rumor:?}");
+            assert!(made > 0, "{direction:?}");
             contacts += made;
         }
         assert!(contacts > 10_000, "only {contacts} contacts probed");

@@ -27,7 +27,7 @@
 use epidemic_trace::{AggregatingSink, InvariantChecker, RunTracer, TraceTotals};
 
 use super::observer::{Observer, SirView};
-use super::protocols::{BitAntiEntropyProtocol, MixingProtocol};
+use super::protocols::{Mechanism, MixingProtocol};
 use super::ContactStats;
 
 /// A protocol whose state can be traced: SIR counts plus a stable
@@ -49,14 +49,20 @@ fn db_digest(replica: &epidemic_core::Replica<u32, u32>) -> u64 {
 
 impl TraceView for MixingProtocol {
     fn site_digests(&self, out: &mut Vec<u64>) {
-        out.extend(self.state.sites.iter().map(db_digest));
-    }
-}
-
-impl TraceView for BitAntiEntropyProtocol {
-    fn site_digests(&self, out: &mut Vec<u64>) {
-        let holds = &self.state.active;
-        out.extend((0..holds.len()).map(|i| u64::from(holds.get(i))));
+        let state = &self.state;
+        match self.mechanism {
+            Mechanism::Rumor(_) => out.extend(state.sites.iter().map(db_digest)),
+            // An anti-entropy run's one bit of database per site.
+            Mechanism::AntiEntropy(_) => {
+                out.extend(
+                    state
+                        .received
+                        .times()
+                        .iter()
+                        .map(|t| u64::from(t.is_some())),
+                );
+            }
+        }
     }
 }
 
@@ -127,7 +133,6 @@ mod tests {
     fn every_engine_protocol_implements_trace_view() {
         fn assert_traceable<P: TraceView>() {}
         assert_traceable::<MixingProtocol>();
-        assert_traceable::<BitAntiEntropyProtocol>();
     }
 
     /// A deliberately broken protocol: sites "unhear" the update (the

@@ -9,8 +9,9 @@
 //! traffic rates come out close to the round-synchronous results, so the
 //! paper's conclusions do not hinge on lockstep cycles.
 //! Only the scheduling differs from [`SpatialSim`]'s Table 4 runs: the
-//! same [`MixingProtocol`] makes every contact, its receipt times in
-//! micro-ticks instead of cycles.
+//! same [`MixingProtocol`] makes every contact — push-pull anti-entropy
+//! on the receive log's marks, with no replica built — its receipt times
+//! in micro-ticks instead of cycles.
 
 use std::cmp::Reverse;
 
@@ -94,7 +95,7 @@ impl<'a> AsyncSpatialSim<'a> {
     /// sees the run start, every exchange, with the 1-based period it fell
     /// in as its cycle, and the run's totals: e.g. a
     /// [`RouteCharge`](crate::engine::RouteCharge) built for this
-    /// topology, and `&mut ()` for none. The run keeps its replicas, log
+    /// topology, and `&mut ()` for none. The run keeps its receive log
     /// and queue in `arena`; the result equals a fresh arena's, and once
     /// the arena has grown to this topology nothing is allocated.
     pub fn run<O: Observer<MixingProtocol>>(

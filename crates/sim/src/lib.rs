@@ -7,13 +7,13 @@
 //!
 //! * [`spatial`] — the one single-update driver: rumor mongering under
 //!   complete mixing on `n` sites (Tables 1–3: residue, traffic `m`,
-//!   `t_ave`, `t_last`, with connection limits and hunting), and
-//!   anti-entropy (Tables 4–5) or rumor mongering (§3.2, with the
-//!   minimal-`k` search used to match Table 4 and the Figure 1/2
+//!   `t_ave`, `t_last`, with connection limits and hunting), §1.3's
+//!   anti-entropy under complete mixing (push, pull and push-pull cover
+//!   times), and anti-entropy (Tables 4–5) or rumor mongering (§3.2, with
+//!   the minimal-`k` search used to match Table 4 and the Figure 1/2
 //!   pathology demonstrations) on a real topology with spatial partner
 //!   selection and per-link traffic charged by an observer;
-//! * [`mixing`] — the result and trial arena those runs share, and §1.3's
-//!   bit-model anti-entropy;
+//! * [`mixing`] — the result and trial arena those runs share;
 //! * [`megascale`] — the single-update rumor epidemic at 10⁴–10⁷ sites on
 //!   uniform and scale-free topologies ([`FastRumorProtocol`] on
 //!   [`engine::ActiveCycleEngine`], one ascending pass over the infective

@@ -1,5 +1,5 @@
 //! Complete mixing (paper §1.3–§1.4): the result and trial arena every
-//! single-update run shares, and §1.3's bit-model anti-entropy.
+//! single-update run shares.
 //!
 //! The Tables 1–3 experiments run a single update through `n = 1000` sites
 //! with uniform partner selection and no network topology
@@ -11,20 +11,16 @@
 //! * **delay** `t_ave` / `t_last` — mean and maximum cycles from injection
 //!   to receipt.
 //!
-//! [`AntiEntropyEpidemic`] is a thin shim over the engine's
-//! bit-anti-entropy protocol with [`UniformPartners`] selection.
+//! §1.3's anti-entropy cover times are the same driver's
+//! [`SpatialSim::anti_entropy`](crate::spatial::SpatialSim::anti_entropy)
+//! runs: `log₂n + ln n` expected cycles for push from one source, and
+//! pull's faster tail.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use epidemic_core::Direction;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::engine::protocols::{BitAntiEntropyProtocol, MixingProtocol, MixingState};
-use crate::engine::{
-    CycleEngine, EngineBuffers, EngineReport, Observer, ReceiveLog, UniformPartners,
-};
+use crate::engine::protocols::{MixingProtocol, MixingState};
+use crate::engine::{EngineBuffers, EngineReport, ReceiveLog};
 
 /// Result of one single-update epidemic run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,12 +60,12 @@ impl EpidemicResult {
     }
 }
 
-/// Everything a single-update run keeps on the heap — the replicas, the
-/// receive log, the active-set and snapshot bitsets, the rumor and
-/// exchange scratch, the engine's roster buffers and the event-driven
+/// Everything a single-update run keeps on the heap — a rumor run's
+/// replicas, the receive log, the active-set and snapshot bitsets, the
+/// rumor scratch, the engine's roster buffers and the event-driven
 /// driver's timer queue — owned across runs, so that a run on a warm
 /// arena allocates nothing. One arena serves any sequence of
-/// [`SpatialSim`](crate::spatial::SpatialSim), [`AntiEntropyEpidemic`] and
+/// [`SpatialSim`](crate::spatial::SpatialSim) and
 /// [`AsyncSpatialSim`](crate::event::AsyncSpatialSim) runs on any site
 /// count or topology; each run starts from a state indistinguishable from
 /// a fresh one.
@@ -100,8 +96,9 @@ impl MixingArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{SirObserver, UniformPartners};
     use crate::spatial::SpatialSim;
-    use epidemic_core::{Feedback, Removal, RumorConfig};
+    use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 
     fn cfg(direction: Direction, k: u32) -> RumorConfig {
         RumorConfig::new(direction, Feedback::Feedback, Removal::Counter { k })
@@ -191,89 +188,11 @@ mod tests {
     fn rejects_single_site() {
         run(SpatialSim::mixing(1, cfg(Direction::Push, 1)), 0);
     }
-}
 
-/// Complete-mixing **anti-entropy** epidemic (paper §1.3): every site
-/// contacts one uniformly random partner per cycle and resolves
-/// differences in the configured direction. Used to verify the §1.3
-/// convergence results: `log₂n + ln n` expected time for push from a
-/// single source, and the pull-vs-push tail recurrences.
-///
-/// # Example
-///
-/// ```
-/// use epidemic_core::Direction;
-/// use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena};
-///
-/// let run = AntiEntropyEpidemic::new(256, Direction::Push).run(&mut MixingArena::new(), 1, &mut ());
-/// assert!(run.complete);
-/// // Expected cover time is log2(256) + ln(256) ≈ 13.5 cycles.
-/// assert!(run.cycles > 4 && run.cycles < 40);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AntiEntropyEpidemic {
-    n: usize,
-    direction: Direction,
-}
-
-/// Result of one anti-entropy epidemic run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AntiEntropyRun {
-    /// Cycles until every site held the update.
-    pub cycles: u32,
-    /// Whether full coverage was reached within the cycle bound.
-    pub complete: bool,
-}
-
-impl AntiEntropyEpidemic {
-    /// Creates a driver on `n` sites resolving differences in `direction`.
-    pub fn new(n: usize, direction: Direction) -> Self {
-        AntiEntropyEpidemic { n, direction }
-    }
-
-    /// Runs one epidemic on the heap state `arena` kept from earlier runs,
-    /// reporting every contact and cycle boundary to `observer`: site 0
-    /// holds the update; each cycle every site contacts a uniform random
-    /// partner and resolves differences. The update state is a single bit
-    /// per site, matching the §1.3 model where contacts against
-    /// start-of-cycle state would only slow both variants equally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the driver has fewer than two sites.
-    pub fn run<O: Observer<BitAntiEntropyProtocol>>(
-        &self,
-        arena: &mut MixingArena,
-        seed: u64,
-        observer: &mut O,
-    ) -> AntiEntropyRun {
-        let policy = UniformPartners::new(self.n);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let state = std::mem::take(&mut arena.state);
-        let mut protocol = BitAntiEntropyProtocol::new(self.direction, self.n, state);
-        let report = CycleEngine::new().max_cycles(10_000).run(
-            &mut protocol,
-            &policy,
-            &mut rng,
-            observer,
-            &mut arena.buffers,
-        );
-        let complete = protocol.count == self.n;
-        arena.state = protocol.state;
-        AntiEntropyRun {
-            cycles: report.cycles,
-            complete,
-        }
-    }
-}
-
-#[cfg(test)]
-mod ae_tests {
-    use super::*;
-    use crate::engine::SirObserver;
-
-    /// Mean cover time over `trials` seeds, one arena throughout.
-    fn mean_cycles(driver: AntiEntropyEpidemic, trials: u64) -> f64 {
+    /// Mean anti-entropy cover time on `n` sites over `trials` seeds, one
+    /// arena throughout.
+    fn mean_cycles(n: usize, direction: Direction, trials: u64) -> f64 {
+        let driver = SpatialSim::anti_entropy(n, direction);
         let mut arena = MixingArena::new();
         (0..trials)
             .map(|s| f64::from(driver.run(&mut arena, s, &mut ()).cycles))
@@ -282,22 +201,11 @@ mod ae_tests {
     }
 
     #[test]
-    fn push_cover_time_tracks_log2_plus_ln() {
-        let n = 1024;
-        let mean = mean_cycles(AntiEntropyEpidemic::new(n, Direction::Push), 20);
-        let expected = (n as f64).log2() + (n as f64).ln();
-        assert!(
-            (mean - expected).abs() < expected * 0.25,
-            "mean {mean} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn pull_converges_faster_than_push_in_the_tail() {
+    fn anti_entropy_pull_converges_faster_than_push_in_the_tail() {
         // Compare cycles spent below 10% susceptible (point c of the SIR
         // trajectory is the state after cycle c).
         let tail = |direction| {
-            let driver = AntiEntropyEpidemic::new(2048, direction);
+            let driver = SpatialSim::anti_entropy(2048, direction);
             let mut arena = MixingArena::new();
             (0..10)
                 .map(|s| {
@@ -317,19 +225,19 @@ mod ae_tests {
     }
 
     #[test]
-    fn push_pull_behaves_like_pull() {
-        let push_pull = mean_cycles(AntiEntropyEpidemic::new(1024, Direction::PushPull), 10);
-        let push = mean_cycles(AntiEntropyEpidemic::new(1024, Direction::Push), 10);
+    fn anti_entropy_push_pull_behaves_like_pull() {
+        let push_pull = mean_cycles(1024, Direction::PushPull, 10);
+        let push = mean_cycles(1024, Direction::Push, 10);
         assert!(push_pull < push);
     }
 
     #[test]
-    fn all_directions_always_complete() {
+    fn anti_entropy_all_directions_always_complete() {
         for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
             let mut sir = SirObserver::new();
             let run =
-                AntiEntropyEpidemic::new(128, direction).run(&mut MixingArena::new(), 7, &mut sir);
-            assert!(run.complete);
+                SpatialSim::anti_entropy(128, direction).run(&mut MixingArena::new(), 7, &mut sir);
+            assert!(run.complete && run.residue == 0.0);
             assert_eq!(sir.points.last().unwrap().0, 0.0);
         }
     }
@@ -340,7 +248,7 @@ mod trace_tests {
     use super::*;
     use crate::engine::SirObserver;
     use crate::spatial::SpatialSim;
-    use epidemic_core::{Feedback, Removal, RumorConfig};
+    use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 
     /// The `(s, i, r)` trajectory and result of one run.
     fn traced(

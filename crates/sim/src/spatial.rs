@@ -1,15 +1,16 @@
 //! The one single-update driver: one update spreading from one origin,
 //! by rumor mongering (§1.4, Tables 1–3; §3.2, Figures 1 and 2) or by
-//! push-pull anti-entropy (§3.1, Tables 4 and 5), over complete mixing or
-//! a network topology's spatial partner selection.
+//! anti-entropy (§1.3's cover times; §3.1, Tables 4 and 5), over complete
+//! mixing or a network topology's spatial partner selection.
 //!
 //! Every run is [`MixingProtocol`] on the shared [`CycleEngine`]; only
-//! the partner distribution differs. [`SpatialSim::mixing`] is the uniform
-//! case on `n` sites (the tables' synchronous rounds, the update at site
-//! 0); [`SpatialSim::new`] draws partners from a [`Spatial`] distribution
-//! on a topology (or [`SpatialSim::with_selection`] from any
-//! [`PartnerSelection`]), with sequential contacts and the update at a
-//! random site. Connection limits and hunting are the engine's (§1.4
+//! the partner distribution differs. [`SpatialSim::mixing`] (rumors) and
+//! [`SpatialSim::anti_entropy`] are the uniform case on `n` sites (the
+//! paper's synchronous rounds, the update at site 0); [`SpatialSim::new`]
+//! draws partners from a [`Spatial`] distribution on a topology (or
+//! [`SpatialSim::with_selection`] from any [`PartnerSelection`]), with
+//! push-pull anti-entropy, sequential contacts and the update at a random
+//! site. Connection limits and hunting are the engine's (§1.4
 //! *Connection Limit* and *Hunting*; Table 5's pessimistic model): a site
 //! can *accept* at most `C` inbound conversations per cycle (its own
 //! outgoing conversation is not charged against it, matching the paper's
@@ -29,14 +30,14 @@
 //! ([`minimum_k`]), then compare traffic and convergence against Table 4.
 
 use epidemic_core::rumor::RumorConfig;
-use epidemic_core::Removal;
+use epidemic_core::{Direction, Removal};
 use epidemic_db::SiteId;
 use epidemic_net::{PartnerSampler, PartnerSelection, Routes, Spatial, Topology};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::SeedableRng;
 
-use crate::engine::protocols::{MixingProtocol, MixingState};
+use crate::engine::protocols::{Mechanism, MixingProtocol, MixingState};
 use crate::engine::{CycleEngine, Observer, UniformPartners};
 use crate::mixing::{EpidemicResult, MixingArena};
 use crate::runner::{Arenas, TrialRunner};
@@ -51,8 +52,9 @@ enum Sites<'a> {
 }
 
 /// Driver for every single-update experiment: rumor mongering under
-/// complete mixing ([`SpatialSim::mixing`], Tables 1–3), anti-entropy on
-/// a topology ([`SpatialSim::new`], Tables 4 and 5), and rumor mongering
+/// complete mixing ([`SpatialSim::mixing`], Tables 1–3), anti-entropy
+/// under complete mixing ([`SpatialSim::anti_entropy`], §1.3) and on a
+/// topology ([`SpatialSim::new`], Tables 4 and 5), and rumor mongering
 /// on a topology once given a [`RumorConfig`] through
 /// [`SpatialSim::rumor`] (§3.2). Building one allocates nothing beyond
 /// its sampler; reuse it across runs.
@@ -70,6 +72,11 @@ enum Sites<'a> {
 /// let r = SpatialSim::mixing(500, cfg).run(&mut arena, 7, &mut ());
 /// assert!(r.residue < 0.1); // k = 3 reaches almost everyone
 ///
+/// let r = SpatialSim::anti_entropy(256, Direction::Push).run(&mut arena, 1, &mut ());
+/// assert!(r.complete);
+/// // Expected cover time is log2(256) + ln(256) ≈ 13.5 cycles.
+/// assert!(r.cycles > 4 && r.cycles < 40);
+///
 /// let topo = topologies::ring(24);
 /// let routes = Routes::compute(&topo);
 /// let sim = SpatialSim::new(&topo, &routes, Spatial::QsPower { a: 2.0 });
@@ -82,8 +89,7 @@ enum Sites<'a> {
 pub struct SpatialSim<'a, S = PartnerSampler> {
     sites: Sites<'a>,
     pub(crate) sampler: S,
-    /// `None` for anti-entropy.
-    rumor: Option<RumorConfig>,
+    mechanism: Mechanism,
     synchronous: bool,
     origin: Option<SiteId>,
     connection_limit: Option<u32>,
@@ -99,10 +105,28 @@ impl SpatialSim<'static, UniformPartners> {
     ///
     /// Panics if `n < 2`.
     pub fn mixing(n: usize, cfg: RumorConfig) -> Self {
+        Self::dense(n, Mechanism::Rumor(cfg))
+    }
+
+    /// §1.3 anti-entropy resolving differences in `direction` on `n` sites
+    /// with uniform partner selection: every site contacts one partner a
+    /// cycle, judged against the start of the cycle, and every run injects
+    /// the update at site 0 and ends when every site holds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2`.
+    pub fn anti_entropy(n: usize, direction: Direction) -> Self {
+        Self::dense(n, Mechanism::AntiEntropy(direction))
+    }
+
+    /// `mechanism` on `n` sites under complete mixing, in synchronous
+    /// rounds with no connection limit and no hunting.
+    fn dense(n: usize, mechanism: Mechanism) -> Self {
         SpatialSim {
             sites: Sites::Dense(n),
             sampler: UniformPartners::new(n),
-            rumor: Some(cfg),
+            mechanism,
             synchronous: true,
             origin: None,
             connection_limit: None,
@@ -121,8 +145,8 @@ impl<'a> SpatialSim<'a, PartnerSampler> {
 }
 
 impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
-    /// Anti-entropy on `topology` with an arbitrary [`PartnerSelection`]
-    /// strategy — e.g. the §4
+    /// Push-pull anti-entropy on `topology` with an arbitrary
+    /// [`PartnerSelection`] strategy — e.g. the §4
     /// [`HierarchicalSampler`](epidemic_net::HierarchicalSampler), or a
     /// `&PartnerSampler` a sweep lends to several drivers — with
     /// sequential contacts and the update at a random site.
@@ -130,7 +154,7 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
         SpatialSim {
             sites: Sites::Of(topology.sites()),
             sampler,
-            rumor: None,
+            mechanism: Mechanism::AntiEntropy(Direction::PushPull),
             synchronous: false,
             origin: None,
             connection_limit: None,
@@ -142,16 +166,18 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
     /// anti-entropy: push initiators are the infective sites, pull and
     /// push-pull initiators everyone, and the run ends at quiescence.
     pub fn rumor(mut self, cfg: RumorConfig) -> Self {
-        self.rumor = Some(cfg);
+        self.mechanism = Mechanism::Rumor(cfg);
         self
     }
 
-    /// Chooses round semantics for rumor feedback. When `true` (complete
-    /// mixing's default, matching the paper's cycle model), a sender's
-    /// feedback is judged against the recipient's state at the *start* of
-    /// the cycle, so two infectives pushing to the same susceptible site
-    /// in one cycle both receive useful feedback. When `false` (a
-    /// topology's default), contacts within a cycle are fully sequential.
+    /// Chooses round semantics. When `true` (complete mixing's default,
+    /// matching the paper's cycle model), a contact is judged against the
+    /// state at the *start* of the cycle: a rumor sender's feedback
+    /// against the recipient's, so two infectives pushing to the same
+    /// susceptible site in one cycle both receive useful feedback, and an
+    /// anti-entropy delivery against its sender's, so an update travels
+    /// one hop a cycle. When `false` (a topology's default), contacts
+    /// within a cycle are fully sequential.
     pub fn synchronous(mut self, synchronous: bool) -> Self {
         self.synchronous = synchronous;
         self
@@ -242,7 +268,7 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
             Sites::Of(sites) => sites[i],
         });
         let state = std::mem::take(state);
-        MixingProtocol::new(self.rumor, self.synchronous, ids, origin, state)
+        MixingProtocol::new(self.mechanism, self.synchronous, ids, origin, state)
     }
 }
 

@@ -25,7 +25,7 @@ use epidemic_net::{topologies, LinkTraffic, Spatial};
 use epidemic_net::{PartnerSampler, Routes};
 use epidemic_sim::engine::{RouteCharge, SirObserver, UniformPartners};
 use epidemic_sim::event::AsyncSpatialSim;
-use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena};
+use epidemic_sim::mixing::MixingArena;
 use epidemic_sim::runner::TrialRunner;
 use epidemic_sim::scenario::{bundled, AntiEntropySpec, ScenarioArena, ScenarioEngine};
 use epidemic_sim::spatial::SpatialSim;
@@ -172,13 +172,14 @@ fn build_fixture() -> String {
     )
     .unwrap();
 
-    // --- mixing::AntiEntropyEpidemic -----------------------------------
-    // Printed with the per-cycle susceptible trace the result once carried,
-    // now read off the SIR observer's points after cycles 1, 2, ...
+    // --- spatial::SpatialSim, complete-mixing anti-entropy --------------
+    // Printed in the line shape of the driver that once ran it, with the
+    // per-cycle susceptible trace that result once carried, now read off
+    // the SIR observer's points after cycles 1, 2, ...
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         for seed in 0..3u64 {
             let mut sir = SirObserver::new();
-            let r = AntiEntropyEpidemic::new(32, direction).run(&mut mixing_arena, seed, &mut sir);
+            let r = SpatialSim::anti_entropy(32, direction).run(&mut mixing_arena, seed, &mut sir);
             let trace: Vec<f64> = sir.points[1..].iter().map(|p| p.0).collect();
             writeln!(
                 out,

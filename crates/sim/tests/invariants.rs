@@ -1,13 +1,14 @@
 //! The invariant checker must pass cleanly on every shipped driver —
-//! rumor mongering in all three directions, bit anti-entropy, and the
-//! spatial driver's two mechanisms — must catch a lossy event stream, and
+//! rumor mongering in all three directions, complete-mixing anti-entropy
+//! in all three, and the spatial driver's two mechanisms — must catch a
+//! lossy event stream, and
 //! the trace observer composed alongside it must agree with the driver's
 //! own accounting.
 
 use epidemic_core::{Direction, Feedback, Removal, RumorConfig};
 use epidemic_net::{topologies, Routes, Spatial};
 use epidemic_sim::engine::{ContactStats, Observer, TraceView};
-use epidemic_sim::mixing::{AntiEntropyEpidemic, MixingArena};
+use epidemic_sim::mixing::MixingArena;
 use epidemic_sim::spatial::SpatialSim;
 use epidemic_trace::{InvariantChecker, RunTracer, TraceConfig, TraceTotals};
 
@@ -50,11 +51,11 @@ fn blind_coin_rumors_are_invariant_clean() {
 }
 
 #[test]
-fn bit_anti_entropy_is_invariant_clean() {
+fn complete_mixing_anti_entropy_is_invariant_clean() {
     for direction in [Direction::Push, Direction::Pull, Direction::PushPull] {
         let mut check = InvariantChecker::default();
         let run =
-            AntiEntropyEpidemic::new(256, direction).run(&mut MixingArena::new(), 11, &mut check);
+            SpatialSim::anti_entropy(256, direction).run(&mut MixingArena::new(), 11, &mut check);
         assert!(run.complete);
         assert_clean(&check, &format!("{direction:?}"));
     }

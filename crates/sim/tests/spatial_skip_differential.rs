@@ -1,13 +1,14 @@
-//! The known-converged skip in `MixingProtocol`'s anti-entropy contact
-//! against a protocol that never skips.
+//! `MixingProtocol`'s anti-entropy contact, which reads and writes only
+//! the receive log's marks, against §1.3's full compare of two replicas.
 //!
-//! `AlwaysExchange` below is the contact body as it stood before the skip:
-//! every conversation runs the full push-pull compare. Both protocols go
-//! through the same engine, policy and seed, so every field of the
-//! run's result and every line of the `RunTracer` event log must
-//! be equal — a skip taken when only one side holds the update shows as a
-//! later `t_last` and missing update traffic, a skipped branch that forgets
-//! its compare charge as lower compare traffic.
+//! `AlwaysExchange` below is the contact as it stood before the marks
+//! replaced the replicas: one replica per site, and every conversation
+//! runs the full push-pull compare. Both protocols go through the same
+//! engine, policy and seed, so every field of the run's result and every
+//! line of the `RunTracer` event log must be equal — a mark contact that
+//! delivers in the wrong direction or misses a delivery shows as a later
+//! `t_last` and missing update traffic, one whose conversation goes
+//! uncharged as lower compare traffic.
 
 use epidemic_core::{AntiEntropy, Comparison, Direction, ExchangeScratch, Replica};
 use epidemic_db::SiteId;
@@ -136,7 +137,7 @@ fn always_exchange_run(
 }
 
 #[test]
-fn skipping_known_equal_pairs_changes_nothing_observable() {
+fn the_mark_contact_equals_the_full_replica_compare() {
     let cases = [
         (topologies::ring(24), Spatial::Uniform),
         (topologies::grid(&[6, 6]), Spatial::QsPower { a: 2.0 }),
@@ -154,10 +155,10 @@ fn skipping_known_equal_pairs_changes_nothing_observable() {
                 .connection_limit(limits.0)
                 .hunt_limit(limits.1);
             for seed in 0..3 {
-                let mut skipping_log = RunTracer::new(TraceConfig::full());
+                let mut marked_log = RunTracer::new(TraceConfig::full());
                 let mut charge = RouteCharge::new(topology, &routes, 0, &mut counters);
-                let r = sim.run(&mut arena, seed, &mut (&mut charge, &mut skipping_log));
-                let skipping = (
+                let r = sim.run(&mut arena, seed, &mut (&mut charge, &mut marked_log));
+                let marked = (
                     r.t_last,
                     r.t_ave,
                     r.cycles,
@@ -172,16 +173,15 @@ fn skipping_known_equal_pairs_changes_nothing_observable() {
                     "{spatial} on {} sites, {limits:?}, seed {seed}",
                     topology.site_count()
                 );
-                assert_eq!(skipping.1.to_bits(), reference.1.to_bits(), "{case}");
-                assert_eq!(skipping, reference, "{case}");
-                let (skipping_log, reference_log) = (skipping_log.finish(), reference_log.finish());
+                assert_eq!(marked.1.to_bits(), reference.1.to_bits(), "{case}");
+                assert_eq!(marked, reference, "{case}");
+                let (marked_log, reference_log) = (marked_log.finish(), reference_log.finish());
                 assert_eq!(
-                    skipping_log.lines().count(),
+                    marked_log.lines().count(),
                     reference_log.lines().count(),
                     "{case}"
                 );
-                for (line, (got, want)) in
-                    skipping_log.lines().zip(reference_log.lines()).enumerate()
+                for (line, (got, want)) in marked_log.lines().zip(reference_log.lines()).enumerate()
                 {
                     assert_eq!(got, want, "{case}, event log line {}", line + 1);
                 }

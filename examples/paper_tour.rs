@@ -15,7 +15,7 @@ use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
 use epidemics::net::topologies::{cin, CinConfig};
 use epidemics::net::{Routes, Spatial};
 use epidemics::sim::engine::RouteCharge;
-use epidemics::sim::mixing::{AntiEntropyEpidemic, MixingArena};
+use epidemics::sim::mixing::MixingArena;
 use epidemics::sim::scenario::{bundled, FaultKind, ScenarioArena, ScenarioEngine};
 use epidemics::sim::spatial::SpatialSim;
 
@@ -24,7 +24,7 @@ fn main() {
     let n = 1024;
     // One trial arena serves every single-update run below.
     let mut arena = MixingArena::new();
-    let push = AntiEntropyEpidemic::new(n, Direction::Push);
+    let push = SpatialSim::anti_entropy(n, Direction::Push);
     let cycles: f64 = (0..10)
         .map(|s| f64::from(push.run(&mut arena, s, &mut ()).cycles))
         .sum::<f64>()

@@ -8,7 +8,7 @@ use epidemics::core::{Direction, Feedback, Removal, RumorConfig};
 use epidemics::net::topologies::{cin, Cin, CinConfig};
 use epidemics::net::{expected_cut_conversations, LinkTraffic, Routes, Spatial};
 use epidemics::sim::engine::RouteCharge;
-use epidemics::sim::mixing::{AntiEntropyEpidemic, EpidemicResult, MixingArena};
+use epidemics::sim::mixing::{EpidemicResult, MixingArena};
 use epidemics::sim::spatial::SpatialSim;
 
 fn mean<T>(trials: u64, mut f: impl FnMut(u64) -> T) -> f64
@@ -100,7 +100,7 @@ fn ode_quotes_20_and_6_percent() {
 
 #[test]
 fn push_anti_entropy_cover_time_is_log2_plus_ln() {
-    let driver = AntiEntropyEpidemic::new(1000, Direction::Push);
+    let driver = SpatialSim::anti_entropy(1000, Direction::Push);
     let mut arena = MixingArena::new();
     let measured = mean(25, |s| driver.run(&mut arena, s, &mut ()).cycles);
     let predicted = push_epidemic_time(1000.0);
