@@ -10,15 +10,17 @@
 //!   (p50/p90/p99/max), link-traffic summary, and predicted-vs-observed
 //!   lines against the closed forms in `epidemic-analysis`.
 //! * [`bench_diff`] compares two `BENCH_repro.json` records experiment by
-//!   experiment and flags 3x blowups in seconds, allocations, and
-//!   attributable RSS. The `epidemic-analyze` binary exits non-zero when
-//!   any regression is flagged.
+//!   experiment and flags 3x blowups in seconds and attributable RSS, and
+//!   any change at all in an allocation count. The `epidemic-analyze`
+//!   binary exits non-zero when any regression is flagged.
 
 use epidemic_analysis::residue_from_traffic;
 use epidemic_trace::json::{parse, Value};
 
-/// A candidate metric regresses when `candidate / baseline` exceeds this
-/// ratio: seconds, allocations and `rss_delta_kb` alike.
+/// A candidate's seconds or `rss_delta_kb` regress when `candidate /
+/// baseline` exceeds this ratio. Allocation counts are exact at one
+/// thread on one toolchain, so any difference in one, either way, is
+/// flagged: a change that saves allocations re-records the baseline.
 const MAX_RATIO: f64 = 3.0;
 
 /// Seconds gate noise floor: experiments where both sides run faster than
@@ -118,7 +120,7 @@ pub fn bench_diff(baseline: (&str, &str), candidate: (&str, &str)) -> Result<Ben
     ));
     out.push_str(&format!(
         "{:<24} {:>10} {:>10} {:>7}  {:>9} {:>9}\n",
-        "experiment", "base s", "cand s", "s x", "alloc x", "rss x"
+        "experiment", "base s", "cand s", "s x", "alloc +-", "rss x"
     ));
     for cand in &cand_rows {
         let Some(base) = base_rows.iter().find(|b| b.name == cand.name) else {
@@ -126,10 +128,7 @@ pub fn bench_diff(baseline: (&str, &str), candidate: (&str, &str)) -> Result<Ben
             continue;
         };
         let s_ratio = ratio(base.seconds, cand.seconds);
-        let alloc_ratio = base
-            .allocations
-            .zip(cand.allocations)
-            .map(|(b, c)| ratio(b, c));
+        let allocations = base.allocations.zip(cand.allocations);
         let rss_ratio = ratio(base.rss_delta_kb, cand.rss_delta_kb);
         out.push_str(&format!(
             "{:<24} {:>10.3} {:>10.3} {:>6.2}x {:>9} {:>9.2}\n",
@@ -137,7 +136,7 @@ pub fn bench_diff(baseline: (&str, &str), candidate: (&str, &str)) -> Result<Ben
             base.seconds,
             cand.seconds,
             s_ratio,
-            alloc_ratio.map_or_else(|| "-".to_string(), |x| format!("{x:.2}")),
+            allocations.map_or_else(|| "-".to_string(), |(b, c)| format!("{:+.0}", c - b)),
             rss_ratio,
         ));
         let above_floor = base.seconds >= MIN_SECONDS || cand.seconds >= MIN_SECONDS;
@@ -147,15 +146,11 @@ pub fn bench_diff(baseline: (&str, &str), candidate: (&str, &str)) -> Result<Ben
                 cand.name, base.seconds, cand.seconds
             ));
         }
-        if let Some(r) = alloc_ratio {
-            if r > MAX_RATIO {
-                regressions.push(format!(
-                    "{}: allocations {:.0} -> {:.0} ({r:.2}x > {MAX_RATIO:.2}x)",
-                    cand.name,
-                    base.allocations.unwrap_or(0.0),
-                    cand.allocations.unwrap_or(0.0),
-                ));
-            }
+        if let Some((b, c)) = allocations.filter(|(b, c)| b != c) {
+            regressions.push(format!(
+                "{}: allocations {b:.0} -> {c:.0} (counts must match exactly)",
+                cand.name
+            ));
         }
         let rss_above_floor = base.rss_delta_kb >= MIN_RSS_KB || cand.rss_delta_kb >= MIN_RSS_KB;
         if rss_above_floor && rss_ratio > MAX_RATIO {
@@ -394,11 +389,28 @@ mod tests {
 
     #[test]
     fn the_gate_is_three_times_the_baseline() {
-        let base = bench(10.0, &[("table1", 1.0, 1000.0, 5000.0)]);
-        let under = bench(10.0, &[("table1", 2.9, 2900.0, 5000.0)]);
+        let base = bench(10.0, &[("table1", 1.0, 1000.0, 20_000.0)]);
+        let under = bench(10.0, &[("table1", 2.9, 1000.0, 58_000.0)]);
         assert!(diff(&base, &under).unwrap().passed());
-        let over = bench(10.0, &[("table1", 3.1, 3100.0, 5000.0)]);
+        let over = bench(10.0, &[("table1", 3.1, 1000.0, 62_000.0)]);
         assert_eq!(diff(&base, &over).unwrap().regressions.len(), 2);
+    }
+
+    #[test]
+    fn one_allocation_either_way_is_flagged() {
+        let base = bench(10.0, &[("table1", 1.0, 1000.0, 5000.0)]);
+        for (count, sign) in [(1001.0, "+1"), (999.0, "-1")] {
+            let cand = bench(10.0, &[("table1", 1.0, count, 5000.0)]);
+            let diff = diff(&base, &cand).unwrap();
+            assert!(!diff.passed(), "{}", diff.rendered);
+            assert_eq!(
+                diff.regressions,
+                [format!(
+                    "table1: allocations 1000 -> {count} (counts must match exactly)"
+                )]
+            );
+            assert!(diff.rendered.contains(sign), "{}", diff.rendered);
+        }
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! against the paper's closed forms.
 //!
 //! `bench-diff` compares two `BENCH_repro.json` records and exits with
-//! status 1 when any experiment's seconds, allocations or `rss_delta_kb`
-//! grew past 3x the baseline's (wall-clocks under 0.25 s and memory
-//! deltas under 10 MB are noise and never flagged). Usage or parse
-//! errors exit with status 2.
+//! status 1 when any experiment's seconds or `rss_delta_kb` grew past 3x
+//! the baseline's (wall-clocks under 0.25 s and memory deltas under 10 MB
+//! are noise and never flagged), or when its allocation count differs
+//! from the baseline's at all, in either direction. Usage or parse errors
+//! exit with status 2.
 
 use std::process::ExitCode;
 

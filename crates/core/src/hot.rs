@@ -3,28 +3,20 @@
 //! "The sender keeps a list of infective updates, and the recipient tries to
 //! insert each update into its own database and adds all new updates to its
 //! infective list. The only complication lies in deciding when to remove an
-//! update from the infective list." The removal rules themselves live in
-//! [`rumor`](crate::rumor); this module is the list.
+//! update from the infective list." This module is the list: each hot key
+//! beside its [`Interest`] record, in activity order. The removal rules
+//! that change a record live in [`rumor`](crate::rumor), where a
+//! single-update run, which keeps one record per site and no list, applies
+//! the same ones.
 
-/// One hot rumor: a key the replica is actively spreading, with the
-/// unnecessary-contact counter used by the counter removal rules.
+use crate::rumor::{Interest, RumorConfig};
+
+/// One hot rumor: a key the replica is actively spreading, and its
+/// interest record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HotItem<K> {
+struct HotItem<K> {
     key: K,
-    counter: u32,
-    // Deferred feedback accumulated during the current cycle, used by the
-    // pull rule of Table 3's footnote: "if any recipient needed the update
-    // then the counter is reset; if all recipients did not need the update
-    // then one is added".
-    pending_needed: bool,
-    pending_useless: bool,
-}
-
-impl<K> HotItem<K> {
-    /// Unnecessary contacts accumulated so far.
-    pub fn counter(&self) -> u32 {
-        self.counter
-    }
+    interest: Interest,
 }
 
 /// The infective list of one replica: hot rumors in *local activity order*
@@ -61,29 +53,30 @@ impl<K: Eq + Clone> HotList<K> {
     /// # Panics
     ///
     /// Panics if `idx >= len()`, as do all the positional edits.
-    pub fn key_at(&self, idx: usize) -> &K {
+    pub(crate) fn key_at(&self, idx: usize) -> &K {
         &self.items[idx].key
     }
 
-    /// Whether `key` is hot here.
-    pub(crate) fn contains(&self, key: &K) -> bool {
-        self.items.iter().any(|i| &i.key == key)
+    /// The interest record of the rumor at position `idx`.
+    pub(crate) fn interest_at_mut(&mut self, idx: usize) -> &mut Interest {
+        &mut self.items[idx].interest
     }
 
     /// The counter for `key`, if hot.
     pub fn counter(&self, key: &K) -> Option<u32> {
-        self.items.iter().find(|i| &i.key == key).map(|i| i.counter)
+        self.items
+            .iter()
+            .find(|i| &i.key == key)
+            .map(|i| i.interest.counter)
     }
 
-    /// Makes `key` hot with a zero counter (new rumor, or reactivated death
-    /// certificate per §2.3). Re-inserting an already-hot key moves it to
-    /// the front and resets its counter.
+    /// Makes `key` hot with a fresh interest record (new rumor, or
+    /// reactivated death certificate per §2.3). Re-inserting an already-hot
+    /// key moves it to the front and renews its record.
     pub fn insert(&mut self, key: K) {
         let fresh = HotItem {
             key,
-            counter: 0,
-            pending_needed: false,
-            pending_useless: false,
+            interest: Interest::default(),
         };
         // Keys are unique in the list: an already-hot key is rotated to
         // the front in the same pass that finds it.
@@ -124,22 +117,13 @@ impl<K: Eq + Clone> HotList<K> {
         self.items.iter().map(|i| &i.key)
     }
 
-    /// Iterates the hot items in activity order.
-    pub fn iter(&self) -> impl Iterator<Item = &HotItem<K>> {
-        self.items.iter()
-    }
-
     /// Adds `delta` unnecessary contacts to `key`'s counter and returns the
     /// new value; `None` if the key is not hot.
     pub fn bump_counter(&mut self, key: &K, delta: u32) -> Option<u32> {
-        self.position(key).map(|pos| self.bump_at(pos, delta))
-    }
-
-    /// [`HotList::bump_counter`] for the rumor at position `idx`.
-    pub(crate) fn bump_at(&mut self, idx: usize, delta: u32) -> u32 {
-        let item = &mut self.items[idx];
-        item.counter += delta;
-        item.counter
+        let pos = self.position(key)?;
+        let interest = &mut self.items[pos].interest;
+        interest.counter += delta;
+        Some(interest.counter)
     }
 
     /// Resets `key`'s counter to zero (a useful contact under the
@@ -147,16 +131,16 @@ impl<K: Eq + Clone> HotList<K> {
     /// order.
     pub fn mark_useful(&mut self, key: &K) {
         if let Some(pos) = self.position(key) {
-            self.mark_useful_at(pos);
+            self.items[pos].interest.counter = 0;
+            self.promote_at(pos);
         }
     }
 
-    /// [`HotList::mark_useful`] for the rumor at position `idx`: the items
-    /// before it move down one place, so the one after it stays at
-    /// `idx + 1`.
-    pub(crate) fn mark_useful_at(&mut self, idx: usize) {
+    /// Moves the rumor at position `idx` to the front of the activity
+    /// order: the items before it move down one place, so the one after it
+    /// stays at `idx + 1`.
+    pub(crate) fn promote_at(&mut self, idx: usize) {
         self.items[..=idx].rotate_right(1);
-        self.items[0].counter = 0;
     }
 
     /// Records deferred feedback for `key` during the current cycle (pull
@@ -164,40 +148,17 @@ impl<K: Eq + Clone> HotList<K> {
     /// [`rumor::end_cycle`](crate::rumor::end_cycle).
     pub fn record_pending(&mut self, key: &K, needed: bool) {
         if let Some(pos) = self.position(key) {
-            self.record_pending_at(pos, needed);
+            self.items[pos].interest.pend(needed);
         }
     }
 
-    /// [`HotList::record_pending`] for the rumor at position `idx`.
-    pub(crate) fn record_pending_at(&mut self, idx: usize, needed: bool) {
-        let item = &mut self.items[idx];
-        if needed {
-            item.pending_needed = true;
-        } else {
-            item.pending_useless = true;
-        }
-    }
-
-    /// Applies the Table 3 footnote at end of cycle: for each rumor that was
-    /// pulled at least once, reset the counter if *any* recipient needed it
-    /// (when `reset_on_useful` is set — the footnote's rule), otherwise add
-    /// one. Rumors whose counter reaches `k` are removed.
+    /// Settles every rumor's cycle under `cfg` ([`Interest::settle`], the
+    /// Table 3 footnote) and removes the rumors whose interest is lost.
     ///
     /// Returns how many rumors ceased to be hot.
-    pub(crate) fn end_cycle(&mut self, k: u32, reset_on_useful: bool) -> usize {
+    pub(crate) fn end_cycle(&mut self, cfg: &RumorConfig) -> usize {
         let before = self.items.len();
-        self.items.retain_mut(|item| {
-            if item.pending_needed {
-                if reset_on_useful {
-                    item.counter = 0;
-                }
-            } else if item.pending_useless {
-                item.counter += 1;
-            }
-            item.pending_needed = false;
-            item.pending_useless = false;
-            item.counter < k
-        });
+        self.items.retain_mut(|item| item.interest.settle(cfg));
         before - self.items.len()
     }
 }
@@ -238,7 +199,8 @@ mod tests {
         // A scripted history over six keys that re-inserts hot keys at
         // the front, middle and back, makes every keyed edit on hot and
         // absent keys, bumps by 1 to 3, and applies every positional edit
-        // at every position the list reaches.
+        // (a counter bump or a pending flag on the record, a promotion, a
+        // removal) at every position the list reaches.
         for step in 0..1_000u32 {
             let key = ((step * step / 7) % 6) as u8;
             let op = step % 10;
@@ -275,19 +237,19 @@ mod tests {
                 }
                 5 => {
                     model[idx].1 += 1;
-                    assert_eq!(list.bump_at(idx, 1), model[idx].1);
+                    list.interest_at_mut(idx).counter += 1;
                 }
                 6 => {
-                    list.mark_useful_at(idx);
-                    let key = model[idx].0;
-                    promote(&mut model, key);
+                    list.promote_at(idx);
+                    let item = model.remove(idx);
+                    model.insert(0, item);
                 }
                 7 => {
                     list.remove_at(idx);
                     model.remove(idx);
                 }
                 8 => {
-                    list.record_pending_at(idx, step % 3 == 0);
+                    list.interest_at_mut(idx).pend(step % 3 == 0);
                     pend(&mut model[idx], step % 3 == 0);
                 }
                 _ => {
@@ -298,15 +260,23 @@ mod tests {
                 }
             }
             let got: Model = list
+                .items
                 .iter()
-                .map(|i| (i.key, i.counter, i.pending_needed, i.pending_useless))
+                .map(|HotItem { key, interest: i }| {
+                    (*key, i.counter, i.pending_needed, i.pending_useless)
+                })
                 .collect();
             assert_eq!(got, model, "after step {step}");
             assert_eq!(list.position(&key), model.iter().position(|m| m.0 == key));
-            assert_eq!(list.contains(&key), list.position(&key).is_some());
             assert_eq!(list.len(), model.len());
             assert_eq!(list.is_empty(), model.is_empty());
         }
+    }
+
+    /// Table 3's pull rule with counters, `k` and the footnote's reset.
+    fn pull(k: u32) -> RumorConfig {
+        use crate::{Direction, Feedback, Removal};
+        RumorConfig::new(Direction::Pull, Feedback::Feedback, Removal::Counter { k })
     }
 
     #[test]
@@ -322,10 +292,10 @@ mod tests {
         list.record_pending(&"bump", false);
         // "bump" reached k=1 and is deactivated; "idle" already sat at the
         // threshold; "reset" went back to 0 and stays hot.
-        assert_eq!(list.end_cycle(1, true), 2);
+        assert_eq!(list.end_cycle(&pull(1)), 2);
         assert!(list.keys().eq(&["reset"]));
         assert_eq!(list.counter(&"reset"), Some(0));
-        assert!(!list.contains(&"bump"));
+        assert_eq!(list.counter(&"bump"), None);
     }
 
     #[test]
@@ -333,7 +303,7 @@ mod tests {
         let mut list = HotList::new();
         list.insert("a");
         list.bump_counter(&"a", 2);
-        assert_eq!(list.end_cycle(2, true), 1);
+        assert_eq!(list.end_cycle(&pull(2)), 1);
         assert!(list.is_empty());
     }
 }

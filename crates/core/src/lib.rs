@@ -56,7 +56,7 @@ pub use anti_entropy::{AntiEntropy, Comparison, ExchangeScratch, ExchangeStats};
 pub use backup::{BackupAntiEntropy, Redistribution};
 pub use direct_mail::{DirectMail, MailConfig, MailSystem};
 pub use replica::Replica;
-pub use rumor::{Feedback, Removal, RumorConfig, RumorScratch, RumorStats};
+pub use rumor::{Feedback, Interest, Removal, RumorConfig, RumorScratch, RumorStats};
 
 /// Transfer direction of an exchange (§1.3, §1.4).
 ///

@@ -91,7 +91,7 @@ where
 
     /// Whether this replica is actively spreading `key`.
     pub fn is_infective(&self, key: &K) -> bool {
-        self.hot.contains(key)
+        self.hot.position(key).is_some()
     }
 
     /// Local clock reading.

@@ -295,8 +295,9 @@ proptest! {
             rumor::end_cycle(&cfg, &mut a);
             rumor::end_cycle(&cfg, &mut b);
             for r in [&a, &b] {
-                for item in r.hot().iter() {
-                    prop_assert!(item.counter() < k, "counter {} vs k {k}", item.counter());
+                for key in r.hot().keys() {
+                    let counter = r.hot().counter(key).expect("a listed key is hot");
+                    prop_assert!(counter < k, "counter {counter} vs k {k}");
                 }
             }
         }

@@ -271,7 +271,7 @@ fn sides<'r>(a: &'r mut Rep, b: &'r mut Rep, on_b: bool) -> (&'r mut Rep, &'r mu
 
 fn picked(side: &Rep, pick: usize) -> Option<u8> {
     let hot = side.hot();
-    (!hot.is_empty()).then(|| *hot.key_at(pick % hot.len()))
+    hot.keys().nth(pick % hot.len().max(1)).copied()
 }
 
 /// Replays a history onto a fresh pair, for threshold `k`.

@@ -27,7 +27,7 @@
 use epidemic_trace::{AggregatingSink, InvariantChecker, RunTracer, TraceTotals};
 
 use super::observer::{Observer, SirView};
-use super::protocols::{Mechanism, MixingProtocol};
+use super::protocols::MixingProtocol;
 use super::ContactStats;
 
 /// A protocol whose state can be traced: SIR counts plus a stable
@@ -43,26 +43,12 @@ pub trait TraceView: SirView {
     fn site_digests(&self, out: &mut Vec<u64>);
 }
 
-fn db_digest(replica: &epidemic_core::Replica<u32, u32>) -> u64 {
-    epidemic_db::Checksum::digest(&replica.db().checksum())
-}
-
 impl TraceView for MixingProtocol {
+    /// A single-update run's one bit of database per site: whether it
+    /// holds the update.
     fn site_digests(&self, out: &mut Vec<u64>) {
-        let state = &self.state;
-        match self.mechanism {
-            Mechanism::Rumor(_) => out.extend(state.sites.iter().map(db_digest)),
-            // An anti-entropy run's one bit of database per site.
-            Mechanism::AntiEntropy(_) => {
-                out.extend(
-                    state
-                        .received
-                        .times()
-                        .iter()
-                        .map(|t| u64::from(t.is_some())),
-                );
-            }
-        }
+        let times = self.state.received.times();
+        out.extend(times.iter().map(|t| u64::from(t.is_some())));
     }
 }
 

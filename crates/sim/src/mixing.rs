@@ -1,5 +1,7 @@
 //! Complete mixing (paper §1.3–§1.4): the result and trial arena every
-//! single-update run shares.
+//! single-update run shares. A run's whole heap state is a receive log,
+//! a few bitsets and, for a rumor, one interest record per site — no
+//! replica.
 //!
 //! The Tables 1–3 experiments run a single update through `n = 1000` sites
 //! with uniform partner selection and no network topology
@@ -60,11 +62,12 @@ impl EpidemicResult {
     }
 }
 
-/// Everything a single-update run keeps on the heap — a rumor run's
-/// replicas, the receive log, the active-set and snapshot bitsets, the
-/// rumor scratch, the engine's roster buffers and the event-driven
-/// driver's timer queue — owned across runs, so that a run on a warm
-/// arena allocates nothing. One arena serves any sequence of
+/// Everything a single-update run keeps on the heap — the receive log, a
+/// rumor run's active set and interest records, the snapshot bitsets, the
+/// engine's roster buffers and the event-driven driver's timer queue —
+/// owned across runs, so that a run on a warm arena allocates nothing. No
+/// run holds a replica: one version of one key makes a site's database
+/// one bit, its receive-log mark. One arena serves any sequence of
 /// [`SpatialSim`](crate::spatial::SpatialSim) and
 /// [`AsyncSpatialSim`](crate::event::AsyncSpatialSim) runs on any site
 /// count or topology; each run starts from a state indistinguishable from

@@ -4,7 +4,9 @@
 //! mixing or a network topology's spatial partner selection.
 //!
 //! Every run is [`MixingProtocol`] on the shared [`CycleEngine`]; only
-//! the partner distribution differs. [`SpatialSim::mixing`] (rumors) and
+//! the partner distribution differs. No run holds a replica: a site is
+//! its receive-log mark (it holds the update), and for a rumor its active
+//! bit and `core::rumor` interest record. [`SpatialSim::mixing`] (rumors) and
 //! [`SpatialSim::anti_entropy`] are the uniform case on `n` sites (the
 //! paper's synchronous rounds, the update at site 0); [`SpatialSim::new`]
 //! draws partners from a [`Spatial`] distribution on a topology (or
@@ -263,12 +265,8 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
                 )
             }
         };
-        let ids = (0..n).map(|i| match self.sites {
-            Sites::Dense(_) => SiteId::new(u32::try_from(i).expect("site count fits u32")),
-            Sites::Of(sites) => sites[i],
-        });
         let state = std::mem::take(state);
-        MixingProtocol::new(self.mechanism, self.synchronous, ids, origin, state)
+        MixingProtocol::new(self.mechanism, self.synchronous, n, origin, state)
     }
 }
 

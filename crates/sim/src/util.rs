@@ -5,9 +5,6 @@ use std::hash::Hash;
 use epidemic_core::Replica;
 use epidemic_db::SiteId;
 
-/// The one key the single-update drivers spread.
-pub(crate) const KEY: u32 = 0;
-
 /// Site ids `0..n`.
 pub(crate) fn site_ids(n: usize) -> impl ExactSizeIterator<Item = SiteId> {
     (0..n).map(|i| SiteId::new(u32::try_from(i).expect("site count fits u32")))
