@@ -1,10 +1,10 @@
 //! Microbenchmarks of one megascale contact cycle at `n = 10⁴` (active-set
-//! scan, counter RNG, lazy materialization).
+//! scan, counter RNG, two bits per site).
 //!
 //! Each sample runs `max_cycles(1)` from a cold start, so it prices
 //! exactly what the path optimizes: site-state set-up plus one cycle's
 //! contact loop. At cycle 1 only the origin site is hot, so a sample costs
-//! three bitsets and a single contact — anything O(n) creeping back into
+//! two bitsets and a single contact — anything O(n) creeping back into
 //! set-up shows here first.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1177,9 +1177,9 @@ fn megascale_point(
 /// Fig-megascale: the paper's workhorse rumor variant (push, feedback,
 /// coin `k=4`) at 10⁴–10⁷ sites (capped by [`MEGASCALE_MAX_N_ENV`]), on
 /// uniform complete mixing and on a Barabási–Albert scale-free contact
-/// graph (`m = 2`), on the active-set contact loop with counter RNG and
-/// lazy site materialization ([`epidemic_sim::FastRumorProtocol`]) — what
-/// makes 10⁶ cheap and 10⁷ feasible at all.
+/// graph (`m = 2`): [`epidemic_sim::MegascaleSim`], the Tables 1–3 push
+/// arm on the active-set contact loop with counter RNG and two bits per
+/// site — what makes 10⁶ cheap and 10⁷ feasible at all.
 ///
 /// One row per `(n, topology)` point, and when observed one [`AggEntry`]
 /// from a streaming aggregate — bounded memory even at n = 10⁷. The cost

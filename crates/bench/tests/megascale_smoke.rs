@@ -3,7 +3,7 @@
 //!
 //! This pins the sweep's load-bearing claim at a size CI can afford: the
 //! active-set path plus streaming aggregation allocates *sublinearly* in
-//! `n` — lazy materialization means no replica-per-site, and the
+//! `n` — two bits per site instead of a replica per site, and the
 //! [`AggregatingSink`] folds the whole run into bounded memory — on
 //! both topologies, inside a wall-clock budget.
 //!
@@ -37,7 +37,7 @@ const BUDGET: Duration = Duration::from_secs(300);
 /// streamed through an [`AggregatingSink`], allocates strictly fewer
 /// than one heap allocation per site. An eager run cannot do this — it
 /// materializes a replica per site before the first contact — so this
-/// bound is what "lazy site materialization" buys, and it holds for the
+/// bound is what two bits per site buy, and it holds for the
 /// observer too (the aggregate is bounded, not per-event). The per-run
 /// state is sized once, so the count is the same at `n = 10⁵`: no column
 /// grows by reallocation.
@@ -49,13 +49,12 @@ fn fast_path_with_streaming_aggregation_allocates_sublinearly() {
             // The graph is the sweep's input, not the epidemic's cost.
             let graph = DegreeGraph::scale_free(n, 2, 1987);
             let before = allocations();
-            let sim = if scale_free {
-                MegascaleSim::scale_free(&graph)
+            let (seed, mut sink) = (1987 ^ n as u64, AggregatingSink::new());
+            let r = if scale_free {
+                MegascaleSim::scale_free(&graph).run(seed, &mut sink)
             } else {
-                MegascaleSim::uniform(n)
+                MegascaleSim::uniform(n).run(seed, &mut sink)
             };
-            let mut sink = AggregatingSink::new();
-            let r = sim.run(1987 ^ n as u64, &mut sink);
             let agg = sink.finish();
             let fast_allocs = allocations() - before;
             assert!(
@@ -68,7 +67,7 @@ fn fast_path_with_streaming_aggregation_allocates_sublinearly() {
         assert!(
             counts[0] < N as u64,
             "fast path + aggregation allocated {} times for n = {N} \
-             (scale_free={scale_free}) — lazy materialization must stay strictly \
+             (scale_free={scale_free}) — per-site state must stay strictly \
              below one allocation per site",
             counts[0]
         );

@@ -34,7 +34,6 @@ pub mod trace;
 
 pub use active::{ActiveCycleEngine, ActiveSetProtocol};
 pub use observer::{Observer, SirObserver, SirView};
-pub(crate) use partner::Partners;
 pub use partner::UniformPartners;
 pub(crate) use protocols::UpdateInjector;
 pub use protocols::{ReceiveLog, RouteCharge};

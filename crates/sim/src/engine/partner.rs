@@ -42,23 +42,6 @@ impl PartnerSelection for UniformPartners {
     }
 }
 
-/// Uniform mixing or a drawn strategy `S`, chosen when a driver is built —
-/// so a driver that offers both runs its engine once.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Partners<'a, S> {
-    Uniform(UniformPartners),
-    Drawn(&'a S),
-}
-
-impl<S: PartnerSelection> PartnerSelection for Partners<'_, S> {
-    fn select<R: Rng + ?Sized>(&self, from: usize, rng: &mut R) -> usize {
-        match self {
-            Partners::Uniform(uniform) => uniform.select(from, rng),
-            Partners::Drawn(strategy) => strategy.select(from, rng),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

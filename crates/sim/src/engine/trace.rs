@@ -47,8 +47,8 @@ impl TraceView for MixingProtocol {
     /// A single-update run's one bit of database per site: whether it
     /// holds the update.
     fn site_digests(&self, out: &mut Vec<u64>) {
-        let times = self.state.received.times();
-        out.extend(times.iter().map(|t| u64::from(t.is_some())));
+        let received = &self.state.received;
+        out.extend((0..received.site_count()).map(|i| u64::from(received.is_marked(i))));
     }
 }
 

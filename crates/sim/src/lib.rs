@@ -15,9 +15,9 @@
 //!   selection and per-link traffic charged by an observer;
 //! * [`mixing`] — the result and trial arena those runs share;
 //! * [`megascale`] — the single-update rumor epidemic at 10⁴–10⁷ sites on
-//!   uniform and scale-free topologies ([`FastRumorProtocol`] on
+//!   uniform and scale-free topologies (the same protocol's push arm on
 //!   [`engine::ActiveCycleEngine`], one ascending pass over the infective
-//!   sites per cycle; the fig-megascale sweep);
+//!   sites per cycle on counter-based draws; the fig-megascale sweep);
 //! * [`scenario`] — the one workload engine: a parsed
 //!   [`scenario::Scenario`] spec (site count, protocol, weighted workload
 //!   mix, fault-event timeline, warm-up) lowered onto the cycle engine by
@@ -78,7 +78,7 @@ pub use engine::{
     ContactStats, CycleEngine, EngineReport, EpidemicProtocol, Observer, SirObserver, TraceView,
     UniformPartners,
 };
-pub use megascale::{FastRumorProtocol, MegascaleSim};
+pub use megascale::MegascaleSim;
 pub use mixing::{EpidemicResult, MixingArena};
 pub use spatial::SpatialSim;
 pub use stats::Summary;

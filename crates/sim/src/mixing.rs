@@ -49,7 +49,7 @@ pub struct EpidemicResult {
 impl EpidemicResult {
     pub(crate) fn new(report: EngineReport, protocol: &MixingProtocol) -> Self {
         let received = &protocol.state.received;
-        let n = received.times().len();
+        let n = received.site_count();
         EpidemicResult {
             n,
             residue: received.residue(),
@@ -87,10 +87,11 @@ impl MixingArena {
     }
 
     /// Who received the update of the last
-    /// [`SpatialSim`](crate::spatial::SpatialSim) run, in cycles, or
-    /// [`AsyncSpatialSim`](crate::event::AsyncSpatialSim) run, in
-    /// micro-ticks, and when, by dense site index (a topology's sites in
-    /// order).
+    /// [`SpatialSim`](crate::spatial::SpatialSim) or
+    /// [`AsyncSpatialSim`](crate::event::AsyncSpatialSim) run, by dense
+    /// site index (a topology's sites in order), with the count, sum and
+    /// maximum of the receive times (cycles, or the async driver's
+    /// micro-ticks).
     pub fn received(&self) -> &ReceiveLog {
         &self.state.received
     }

@@ -16,6 +16,8 @@ use super::spec::{
 use epidemic_core::rumor::{Feedback, Removal};
 use epidemic_core::{Comparison, Direction, MailConfig, Redistribution, RumorConfig};
 
+use crate::engine::protocols::check_rumor;
+
 /// A syntax or consistency error in `.scenario` text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -208,9 +210,6 @@ fn parse_rumor(cur: &mut Cursor<'_>) -> Result<RumorConfig, ParseError> {
     };
     let removal_kind = cur.next("counter|coin")?.to_string();
     let k = cur.parse("removal threshold k")?;
-    if k == 0 {
-        return Err(cur.err("removal threshold k must be positive"));
-    }
     let removal = match removal_kind.as_str() {
         "counter" => Removal::Counter { k },
         "coin" => Removal::Coin { k },
@@ -227,6 +226,7 @@ fn parse_rumor(cur: &mut Cursor<'_>) -> Result<RumorConfig, ParseError> {
             other => return Err(cur.err(format!("unknown rumor flag {other:?}"))),
         }
     }
+    check_rumor(&cfg).map_err(|refusal| cur.err(refusal))?;
     Ok(cfg)
 }
 

@@ -11,6 +11,8 @@
 
 use epidemic_core::{Comparison, MailConfig, Redistribution, RumorConfig};
 
+use crate::engine::protocols::check_rumor;
+
 /// Partner-distance bias for spatial topologies, mirroring
 /// [`epidemic_net::Spatial`] (which is not `PartialEq`-comparable across
 /// the net crate's cache state, hence this plain mirror type).
@@ -388,12 +390,8 @@ impl Scenario {
         if self.protocol.peel_back == Some(0) {
             return Err(err("peel-back batch must be positive"));
         }
-        if self
-            .protocol
-            .rumor
-            .is_some_and(|rumor| rumor.removal.k() == 0)
-        {
-            return Err(err("rumor removal threshold k must be positive"));
+        if let Some(rumor) = &self.protocol.rumor {
+            check_rumor(rumor).map_err(err)?;
         }
         if let Some(ae) = &self.protocol.anti_entropy {
             if ae.every == 0 {

@@ -39,7 +39,7 @@ use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::SeedableRng;
 
-use crate::engine::protocols::{Mechanism, MixingProtocol, MixingState};
+use crate::engine::protocols::{check_rumor, Mechanism, MixingProtocol, MixingState};
 use crate::engine::{CycleEngine, Observer, UniformPartners};
 use crate::mixing::{EpidemicResult, MixingArena};
 use crate::runner::{Arenas, TrialRunner};
@@ -249,12 +249,16 @@ impl<'a, S: PartnerSelection> SpatialSim<'a, S> {
     /// engine, the event-driven timers) drives, on the heap state taken
     /// from `state`, with the update at `origin`: by default site 0 under
     /// complete mixing, or a topology's site drawn as the run's first draw.
+    /// It panics on a rumor configuration that [`check_rumor`] refuses.
     pub(crate) fn start(
         &self,
         state: &mut MixingState,
         origin: Option<SiteId>,
         rng: &mut StdRng,
     ) -> MixingProtocol {
+        if let Mechanism::Rumor(cfg) = self.mechanism {
+            check_rumor(&cfg).unwrap_or_else(|refusal| panic!("{refusal}"));
+        }
         let (n, origin) = match self.sites {
             Sites::Dense(n) => (n, origin.map_or(0, SiteId::as_usize)),
             Sites::Of(sites) => {
@@ -513,6 +517,14 @@ mod tests {
     fn figure1_failures_shrink_with_larger_k() {
         let (p1, p6) = (figure1_failures(1, 100), figure1_failures(6, 100));
         assert!(p6 < p1, "k=6 {p6} should fail less than k=1 {p1}");
+    }
+
+    #[test]
+    #[should_panic(expected = "`minimize` needs counter removal")]
+    fn minimization_under_coins_is_refused_before_the_first_cycle() {
+        let coin = Removal::Coin { k: 2 };
+        let cfg = RumorConfig::new(Direction::PushPull, Feedback::Feedback, coin);
+        SpatialSim::mixing(16, cfg.with_minimization()).run(&mut MixingArena::new(), 1, &mut ());
     }
 
     #[test]

@@ -2,25 +2,24 @@
 //! executable specification, in the style of
 //! `crates/sim/tests/engine_reference_merge.rs`.
 //!
-//! The fast path ([`FastRumorProtocol`] on the [`ActiveCycleEngine`]) and
-//! the naive reference loop ([`reference`], below) implement the same
-//! counter-RNG contract — partner then feedback coin from a private
-//! `(seed, cycle, site)` stream, asynchronous usefulness judgment in
-//! ascending roster order — so they must agree *exactly*, not just
-//! statistically:
+//! The fast path ([`MegascaleSim`]: `MixingProtocol`'s push arm on the
+//! active-set engine) and the naive reference loop ([`reference`], below)
+//! implement the same counter-RNG contract — partner then feedback coin
+//! from a private `(seed, cycle, site)` stream, asynchronous usefulness
+//! judgment in ascending roster order — so they must agree *exactly*, not
+//! just statistically:
 //!
 //! * equal [`EpidemicResult`]s for every `(n, k, seed)` tried, uniform
 //!   and scale-free;
-//! * a materialized [`LazyTable`] row exactly where the reference's
-//!   eager replicas record a first receipt, with the same cycle stamp;
+//! * a useful contact to a site exactly where the reference's eager
+//!   replicas record a first receipt, in the same cycle;
 //! * engine totals equal to the contact-by-contact accumulation over the
 //!   observer event stream.
 
-use epidemic_db::LazyTable;
-use epidemic_net::DegreeGraph;
-use epidemic_sim::engine::{ActiveCycleEngine, ContactStats, Observer};
-use epidemic_sim::megascale::FastRumorProtocol;
-use epidemic_sim::EpidemicResult;
+use epidemic_net::{DegreeGraph, PartnerSelection};
+use epidemic_sim::engine::{ContactStats, Observer};
+use epidemic_sim::{EpidemicResult, MegascaleSim};
+use epidemic_trace::TraceTotals;
 use proptest::prelude::*;
 
 mod reference {
@@ -44,13 +43,13 @@ mod reference {
     const KEY: u32 = 0;
 
     /// A finished reference run: the summary plus the per-site receipt
-    /// log the fast path's materialized table is compared against.
+    /// cycles the fast path's useful contacts are compared against.
     #[derive(Debug, Clone)]
     pub struct ReferenceRun {
         /// Result under the mixing drivers' conventions.
         pub result: EpidemicResult,
         /// First-receipt cycle per site (site 0 at cycle 0).
-        pub received: ReceiveLog,
+        pub receipts: Vec<Option<u32>>,
     }
 
     /// Reference run over `n` uniformly mixing sites.
@@ -70,6 +69,8 @@ mod reference {
         sites[0].client_update(KEY, 1);
         let mut received = ReceiveLog::new(n);
         received.mark(0, 0);
+        let mut receipts = vec![None; n];
+        receipts[0] = Some(0);
 
         let mut hot0 = vec![false; n];
         let mut cycle = 0u32;
@@ -101,6 +102,7 @@ mod reference {
                 to.receive_rumor_ref(&KEY, entry);
                 if useful {
                     received.mark(j, cycle);
+                    receipts[j] = Some(cycle);
                 } else if coin {
                     sites[i].hot_mut().remove(&KEY);
                 }
@@ -116,60 +118,54 @@ mod reference {
             cycles: cycle,
             complete: received.complete(),
         };
-        ReferenceRun { result, received }
+        ReferenceRun { result, receipts }
     }
 }
 
+/// Every contact of a run, and the engine's totals at its end.
 #[derive(Default)]
 struct EventLog {
-    events: Vec<ContactStats>,
+    events: Vec<(u32, usize, ContactStats)>,
+    totals: TraceTotals,
 }
 
 impl<P: ?Sized> Observer<P> for EventLog {
-    fn on_contact(&mut self, _cycle: u32, _i: usize, _j: usize, stats: &ContactStats) {
-        self.events.push(*stats);
+    fn on_contact(&mut self, cycle: u32, _i: usize, j: usize, stats: &ContactStats) {
+        self.events.push((cycle, j, *stats));
+    }
+
+    fn on_run_end(&mut self, totals: &TraceTotals) {
+        self.totals = *totals;
     }
 }
 
 struct FastRun {
     result: EpidemicResult,
-    table: LazyTable<()>,
+    /// First-receipt cycle per site: the cycle of the useful push that
+    /// reached it (a push's receiver is its partner `j`).
+    receipts: Vec<Option<u32>>,
     totals_match_events: bool,
 }
 
-fn run_fast(mut protocol: FastRumorProtocol<'_>, seed: u64) -> FastRun {
+fn run_fast<S: PartnerSelection>(sim: &MegascaleSim<S>, n: usize, seed: u64) -> FastRun {
     let mut log = EventLog::default();
-    let report = ActiveCycleEngine::new()
-        .max_cycles(100_000)
-        .run(&mut protocol, seed, &mut log);
-    let contacts = log.events.len() as u64;
-    let sent: u64 = log.events.iter().map(|e| e.sent).sum();
-    let useful: u64 = log.events.iter().map(|e| e.useful).sum();
-    let fruitless = log.events.iter().filter(|e| e.useful == 0).count() as u64;
-    let totals_match_events = report.totals.contacts == contacts
-        && report.totals.sent == sent
-        && report.totals.useful == useful
-        && report.totals.fruitless == fruitless;
+    let result = sim.run(seed, &mut log);
+    let mut receipts = vec![None; n];
+    receipts[0] = Some(0);
+    for &(cycle, j, _) in log.events.iter().filter(|(_, _, e)| e.useful > 0) {
+        assert!(receipts[j].is_none(), "site {j} received twice");
+        receipts[j] = Some(cycle);
+    }
+    let sum = |f: fn(&ContactStats) -> u64| log.events.iter().map(|e| f(&e.2)).sum::<u64>();
+    let events = (log.events.len() as u64, sum(|e| e.sent), sum(|e| e.useful));
+    let t = log.totals;
+    let totals_match_events = (t.contacts, t.sent, t.useful) == events
+        && t.fruitless == sum(|e| u64::from(e.useful == 0));
     FastRun {
-        result: protocol.result(&report),
-        table: protocol.table().clone(),
+        result,
+        receipts,
         totals_match_events,
     }
-}
-
-/// Receipt cycles by site, `None` for sites that never received — the
-/// common denominator between the fast path's table and the reference's
-/// receive log.
-fn receipts_of_table(table: &LazyTable<()>) -> Vec<Option<u32>> {
-    let mut receipts = vec![None; table.site_count()];
-    for (site, _value, cycle) in table.rows() {
-        assert!(
-            receipts[site as usize].is_none(),
-            "site {site} materialized twice"
-        );
-        receipts[site as usize] = Some(cycle);
-    }
-    receipts
 }
 
 fn assert_fast_matches_reference(
@@ -177,10 +173,9 @@ fn assert_fast_matches_reference(
     spec: &reference::ReferenceRun,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(fast.result, spec.result, "summary results differ");
-    let receipts = receipts_of_table(&fast.table);
     prop_assert_eq!(
-        receipts.as_slice(),
-        spec.received.times(),
+        &fast.receipts,
+        &spec.receipts,
         "per-site receipt cycles differ"
     );
     prop_assert!(
@@ -200,7 +195,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let spec = reference::run_uniform(n, k, seed);
-        let fast = run_fast(FastRumorProtocol::uniform(n, k), seed);
+        let fast = run_fast(&MegascaleSim::uniform(n).k(k), n, seed);
         assert_fast_matches_reference(&fast, &spec)?;
     }
 
@@ -214,7 +209,7 @@ proptest! {
     ) {
         let graph = DegreeGraph::scale_free(n, m, graph_seed);
         let spec = reference::run_scale_free(&graph, k, seed);
-        let fast = run_fast(FastRumorProtocol::scale_free(&graph, k), seed);
+        let fast = run_fast(&MegascaleSim::scale_free(&graph).k(k), n, seed);
         assert_fast_matches_reference(&fast, &spec)?;
     }
 }

@@ -84,7 +84,8 @@ fn rumor_config() -> impl Strategy<Value = RumorConfig> {
                     Removal::Counter { k }
                 },
                 reset_on_useful,
-                minimization,
+                // §1.4 minimizes counters; `minimize` under coins is refused.
+                minimization: minimization && !coin,
             },
         )
 }
@@ -482,6 +483,19 @@ fn zero_removal_threshold_is_a_located_error() {
         assert_eq!(e.line, 3, "{e}");
         assert!(e.message.contains("threshold k must be positive"), "{e}");
     }
+}
+
+#[test]
+fn minimize_under_coins_is_a_located_error() {
+    let text = "scenario x\nsites 4\nrumor push-pull feedback coin 2 minimize\n";
+    let e = Scenario::parse(text).unwrap_err();
+    assert!(
+        e.line == 3 && e.message.contains("`minimize` needs counter"),
+        "{e}"
+    );
+    let mut spec = Scenario::parse(&text.replace("coin", "counter")).expect("counters minimize");
+    spec.protocol.rumor.as_mut().expect("a rumor stage").removal = Removal::Coin { k: 2 };
+    assert!(spec.validate().unwrap_err().message.contains("`minimize`"));
 }
 
 #[test]

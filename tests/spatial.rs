@@ -9,13 +9,13 @@ use epidemics::sim::{MixingArena, SpatialSim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Every conversation of a run, as dense site pairs.
-#[derive(Default)]
-struct Conversations(Vec<(usize, usize)>);
+/// Every conversation of a run: its cycle, dense site pair and stats.
+#[derive(Default, Debug, PartialEq)]
+struct Conversations(Vec<(u32, usize, usize, ContactStats)>);
 
 impl<P: ?Sized> Observer<P> for Conversations {
-    fn on_contact(&mut self, _cycle: u32, i: usize, j: usize, _stats: &ContactStats) {
-        self.0.push((i, j));
+    fn on_contact(&mut self, cycle: u32, i: usize, j: usize, stats: &ContactStats) {
+        self.0.push((cycle, i, j, *stats));
     }
 }
 
@@ -23,7 +23,7 @@ impl<P: ?Sized> Observer<P> for Conversations {
 fn compare_traffic_equals_sum_of_route_lengths() {
     // Conservation: total compare traffic equals the sum of route lengths
     // over all conversations. And charging is observation only: the same
-    // run uncharged reaches the same sites at the same times.
+    // run uncharged makes the same contacts with the same outcomes.
     let rumor = |d| RumorConfig::new(d, Feedback::Feedback, Removal::Counter { k: 3 });
     let rumors = [Direction::Push, Direction::Pull, Direction::PushPull].map(rumor);
     let cases = [None].into_iter().chain(rumors.map(Some));
@@ -40,9 +40,12 @@ fn compare_traffic_equals_sum_of_route_lengths() {
             let mut charge = RouteCharge::new(&topo, &routes, 0, &mut counters);
             let observer = &mut (&mut charge, &mut conversations);
             let charged = sim.run(&mut charged_arena, seed, observer);
-            assert_eq!(charged, sim.run(&mut plain_arena, seed, &mut ()), "{case}");
-            assert_eq!(charged_arena.received(), plain_arena.received(), "{case}");
-            let route = |&(i, j): &(usize, usize)| routes.route_links(sites[i], sites[j]).len();
+            let mut plain = Conversations::default();
+            let uncharged = sim.run(&mut plain_arena, seed, &mut plain);
+            assert_eq!((charged, &conversations), (uncharged, &plain), "{case}");
+            let route = |&(_, i, j, _): &(u32, usize, usize, ContactStats)| {
+                routes.route_links(sites[i], sites[j]).len()
+            };
             let links: usize = conversations.0.iter().map(route).sum();
             assert!(links >= conversations.0.len() && links > 0, "{case}");
             assert_eq!(charge.compare.total(), links as u64, "{case}");
