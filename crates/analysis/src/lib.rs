@@ -27,4 +27,4 @@ pub use residue::{
     pull_connection_limited_residue, push_connection_limited_residue, remail_worst_case,
     residue_for_counter, residue_from_traffic,
 };
-pub use scaling::{line_link_traffic, mean_line_traffic, traffic_class, TrafficClass};
+pub use scaling::{mean_line_traffic, traffic_class, TrafficClass};

@@ -12,12 +12,12 @@
 //! population in expected time `log₂n + ln n + O(1)` \[Pi].
 
 /// One step of the pull recurrence: `p² `.
-pub fn pull_step(p: f64) -> f64 {
+pub(crate) fn pull_step(p: f64) -> f64 {
     p * p
 }
 
 /// One step of the push recurrence: `p (1-1/n)^{n(1-p)}`.
-pub fn push_step(p: f64, n: f64) -> f64 {
+pub(crate) fn push_step(p: f64, n: f64) -> f64 {
     p * (1.0 - 1.0 / n).powf(n * (1.0 - p))
 }
 

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! while convergence time flips from polylogarithmic (a < 2) to polynomial
-//! (a > 2) — making `a = 2` the sweet spot. [`line_link_traffic`] computes
+//! (a > 2) — making `a = 2` the sweet spot. `line_link_traffic` computes
 //! the *exact* finite-n expectation so simulations can be checked against
 //! the asymptotics.
 
@@ -64,7 +64,7 @@ pub fn traffic_class(a: f64) -> TrafficClass {
 /// # Panics
 ///
 /// Panics if `n < 2`.
-pub fn line_link_traffic(n: usize, a: f64) -> Vec<f64> {
+pub(crate) fn line_link_traffic(n: usize, a: f64) -> Vec<f64> {
     assert!(n >= 2);
     // Per-site normalizers: Z_i = Σ_{j≠i} |i-j|^-a.
     let pow: Vec<f64> = (0..n)
@@ -103,7 +103,7 @@ pub fn line_link_traffic(n: usize, a: f64) -> Vec<f64> {
     load
 }
 
-/// Mean of [`line_link_traffic`] — the `T(n)` the table tracks.
+/// Mean of `line_link_traffic` — the `T(n)` the table tracks.
 pub fn mean_line_traffic(n: usize, a: f64) -> f64 {
     let load = line_link_traffic(n, a);
     load.iter().sum::<f64>() / load.len() as f64

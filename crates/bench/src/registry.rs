@@ -41,7 +41,7 @@ pub enum Group {
 
 impl Group {
     /// The `--list` header (`tables`, `figures`, `scenarios`).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Group::Tables => "tables",
             Group::Figures => "figures",
@@ -50,7 +50,7 @@ impl Group {
     }
 
     /// The `kind` field of the group's artifacts: the label's singular.
-    pub fn kind(self) -> &'static str {
+    pub(crate) fn kind(self) -> &'static str {
         self.label().trim_end_matches('s')
     }
 }
@@ -73,7 +73,7 @@ pub enum Trials {
 
 impl Trials {
     /// `--trials` wherever it is given.
-    pub const fn flag(default: u64) -> Self {
+    pub(crate) const fn flag(default: u64) -> Self {
         Trials::Flag {
             default,
             cap: u64::MAX,
@@ -81,7 +81,7 @@ impl Trials {
     }
 
     /// The count a run gets under `--trials flag`.
-    pub fn resolve(self, flag: Option<u64>) -> u64 {
+    pub(crate) fn resolve(self, flag: Option<u64>) -> u64 {
         match self {
             Trials::Flag { default, cap } => flag.unwrap_or(default).min(cap),
             Trials::Fixed(count) => count,
@@ -244,7 +244,7 @@ impl Output {
 
     /// `<name>.summary.json` contents: the rows, the invariant tally where
     /// there is one, and the trace line count.
-    pub fn summary_json(&self) -> String {
+    pub(crate) fn summary_json(&self) -> String {
         let mut o = JsonObject::new();
         o.field_raw("table", &self.rows_json);
         if let Some(violations) = self.violations {
@@ -291,7 +291,7 @@ impl Experiment {
 
     /// `<name>.agg.json` contents for `output`: every streaming aggregate
     /// the run produced, in sweep order.
-    pub fn agg_json(&self, output: &Output) -> String {
+    pub(crate) fn agg_json(&self, output: &Output) -> String {
         agg_json(&self.name, self.group.kind(), &output.aggregates)
     }
 }

@@ -2,7 +2,7 @@
 
 /// One table: the unit both the stdout path and the artifact path
 /// consume. `render` produces the classic fixed-width text;
-/// [`FigTable::to_json`] produces the machine-readable form written to
+/// `to_json` produces the machine-readable form written to
 /// `<name>.rows.json`, with [`FigTable::volatile_cols`] (wall-clock
 /// columns: seconds, allocations, RSS) dropped so the artifact bytes are
 /// reproducible at any thread count.
@@ -21,7 +21,7 @@ pub struct FigTable {
 
 impl FigTable {
     /// A table with no volatile columns.
-    pub fn new(title: &str, headers: &[&str], rows: Vec<Vec<String>>) -> Self {
+    pub(crate) fn new(title: &str, headers: &[&str], rows: Vec<Vec<String>>) -> Self {
         FigTable {
             title: title.to_string(),
             headers: headers.iter().map(|h| h.to_string()).collect(),
@@ -33,7 +33,7 @@ impl FigTable {
     /// Marks columns as wall-clock derived (dropped from
     /// [`FigTable::to_json`], kept in the rendered text).
     #[must_use]
-    pub fn volatile(mut self, cols: &[usize]) -> Self {
+    pub(crate) fn volatile(mut self, cols: &[usize]) -> Self {
         self.volatile_cols = cols.to_vec();
         self
     }
@@ -74,7 +74,7 @@ impl FigTable {
 
     /// `{"title": …, "headers": […], "rows": [[…], …]}` with the volatile
     /// columns removed from both headers and rows.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         use epidemic_trace::json::{array_of, JsonObject};
         let keep = |idx: &usize| !self.volatile_cols.contains(idx);
         let string_array = |cells: &[String]| {
@@ -111,7 +111,7 @@ pub(crate) fn labelled<const K: usize>(label: impl Into<String>, means: [f64; K]
 }
 
 /// Formats a float with three significant-ish decimals, trimming noise.
-pub fn fmt(x: f64) -> String {
+pub(crate) fn fmt(x: f64) -> String {
     if x == 0.0 {
         "0".to_string()
     } else if x.abs() >= 100.0 {

@@ -121,7 +121,7 @@ pub struct AggEntry {
 impl AggEntry {
     /// An entry from borrowed names (sweeps label their entries with
     /// literals).
-    pub fn new(
+    pub(crate) fn new(
         label: String,
         params: &[(&str, String)],
         observed: &[(&str, f64)],
@@ -142,7 +142,7 @@ impl AggEntry {
     }
 
     /// Serializes the entry as one JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut params = JsonObject::new();
         for (name, value) in &self.params {
             params.field_str(name, value);

@@ -308,6 +308,9 @@ fn assert_equal_runs<'a, S: PartnerSelection>(
                             always_probe_run(case, ids, topology, policy, &mut reference_log);
                         redundant += wasted;
 
+                        // Every configuration `check_rumor` accepts ends
+                        // before `CycleEngine`'s default bound.
+                        assert!(got.cycles < 100_000, "{case:?} reached the cycle bound");
                         assert_eq!(got, want, "{case:?}");
                         let (log, reference_log) = (log.finish(), reference_log.finish());
                         assert_eq!(

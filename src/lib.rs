@@ -9,9 +9,7 @@
 //! * [`core`] — the protocols: direct mail, anti-entropy, rumor mongering,
 //!   backup and the activity-list combination;
 //! * [`sim`] — round-synchronous experiment drivers;
-//! * [`analysis`] — the paper's closed forms and recurrences;
-//! * [`clearinghouse`] — the paper's motivating application: a name
-//!   service with domain-partitioned replication (§0.1).
+//! * [`analysis`] — the paper's closed forms and recurrences.
 //!
 //! # Example
 //!
@@ -30,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub use epidemic_analysis as analysis;
-pub use epidemic_clearinghouse as clearinghouse;
 pub use epidemic_core as core;
 pub use epidemic_db as db;
 pub use epidemic_net as net;
