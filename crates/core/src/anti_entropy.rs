@@ -18,13 +18,13 @@ use crate::Direction;
 
 /// Reusable buffers for anti-entropy conversations.
 ///
-/// A conversation that falls back to a full comparison fills two diff
-/// buffers with the keys to send each way; peel back snapshots both
-/// sides' timestamp indexes. Freshly allocating those `Vec`s per contact
-/// dominates steady-state drivers that run thousands of conversations, so
-/// the engine threads one scratch through every exchange via
-/// [`AntiEntropy::exchange_with`] and the buffers keep their capacity
-/// between conversations.
+/// A full comparison and peel back both list the keys to send each way
+/// into two buffers; the newest-first walk that peel back and the
+/// recent-update list share defers its offers as sender ranks. Freshly
+/// allocating those `Vec`s per contact dominates steady-state drivers
+/// that run thousands of conversations, so the engine threads one scratch
+/// through every exchange via [`AntiEntropy::exchange_with`] and the
+/// buffers keep their capacity between conversations.
 ///
 /// [`AntiEntropy::exchange`] works on a throwaway scratch — behaviour is
 /// identical, only the buffer reuse is lost.
@@ -37,16 +37,12 @@ pub struct ExchangeScratch<K> {
     /// Keys the last conversation landed at the initiator (`[0]`) and at
     /// the partner (`[1]`), in offer order.
     pub landed: [Vec<K>; 2],
-    /// Full-comparison diff buffer: keys to send `a → b`.
+    /// Keys to send `a → b`, as [`full_resolve`] or peel back listed them.
     pub(crate) a_to_b: Vec<K>,
-    /// Full-comparison diff buffer: keys to send `b → a`.
+    /// Keys to send `b → a`, as [`full_resolve`] or peel back listed them.
     pub(crate) b_to_a: Vec<K>,
-    /// Peel-back snapshot of the initiator's timestamp index.
-    peel_a: Vec<(Timestamp, K)>,
-    /// Peel-back snapshot of the partner's timestamp index.
-    peel_b: Vec<(Timestamp, K)>,
-    /// Recent-list offers the walk defers: the sender rows' newest-first
-    /// ranks.
+    /// Offers a newest-first walk ([`walk_recent`]) defers: the sender
+    /// rows' ranks.
     recent: Vec<u32>,
 }
 
@@ -58,8 +54,6 @@ impl<K> ExchangeScratch<K> {
             landed: [Vec::new(), Vec::new()],
             a_to_b: Vec::new(),
             b_to_a: Vec::new(),
-            peel_a: Vec::new(),
-            peel_b: Vec::new(),
             recent: Vec::new(),
         }
     }
@@ -87,9 +81,10 @@ pub enum Comparison {
         tau: u64,
     },
     /// *Peel back*: walk both databases in reverse timestamp order,
-    /// shipping entries until the checksums agree. Nearly ideal traffic,
-    /// at the price of the timestamp-inverted index. Inherently
-    /// bidirectional: the configured [`Direction`] is ignored.
+    /// shipping entries until the checksums agree. Nearly ideal traffic;
+    /// the newest-first order is the store's own column order, so the walk
+    /// costs no index of its own. Inherently bidirectional: the configured
+    /// [`Direction`] is ignored.
     PeelBack,
 }
 
@@ -100,11 +95,15 @@ pub struct ExchangeStats {
     pub sent_ab: usize,
     /// Entries transmitted partner → initiator.
     pub sent_ba: usize,
-    /// Checksum values exchanged/compared.
+    /// Checksum values exchanged/compared. Peel back counts its opening
+    /// comparison plus one per row its walks visited: the checksum §1.3
+    /// compares after every step.
     pub checksum_exchanges: usize,
     /// Whether a full database comparison was needed.
     pub full_compare: bool,
-    /// Entries examined while diffing (work, not network traffic).
+    /// Entries examined (work, not network traffic): a full comparison
+    /// counts one per distinct key of its merged walk; peel back counts the
+    /// sender rows its two newest-first walks visited.
     pub entries_scanned: usize,
     /// Dormant death certificates awakened by obsolete incoming data.
     pub awakened: usize,
@@ -166,8 +165,8 @@ impl AntiEntropy {
 
     /// As [`AntiEntropy::exchange`], reusing the caller's
     /// [`ExchangeScratch`] buffers. Steady-state drivers thread one scratch
-    /// through every conversation so diff buffers and peel-back snapshots
-    /// stop allocating per contact. Statistics and database outcomes are
+    /// through every conversation so its key lists and walk ranks stop
+    /// allocating per contact. Statistics and database outcomes are
     /// identical to `exchange`.
     pub fn exchange_with<K, V>(
         &self,
@@ -213,22 +212,6 @@ pub(crate) fn count_delivery<K: Clone>(
         OfferOutcome::AwakenedDormant => stats.awakened += 1,
         OfferOutcome::AlreadyKnown | OfferOutcome::Obsolete => {}
     }
-}
-
-/// Offers the sender's entry quietly, by reference, and accounts for the
-/// delivery: the receiver clones the entry only if the offer changes its
-/// state.
-fn offer_counted_ref<K, V>(
-    to: &mut Replica<K, V>,
-    key: &K,
-    entry: &Entry<V>,
-    landed: &mut Vec<K>,
-    stats: &mut ExchangeStats,
-) where
-    K: Ord + Clone + Hash + Eq,
-    V: Clone + Hash + Eq,
-{
-    count_delivery(to.receive_quietly_ref(key, entry), key, landed, stats);
 }
 
 /// §1.3's delivery of a listed key: the sender's entry is offered quietly,
@@ -315,16 +298,34 @@ where
     scanned
 }
 
-/// Complete database comparison and resolution (§1.3's basic algorithm),
-/// the one diff-and-deliver loop: every `a → b` key, then every `b → a`
-/// key, is handed to `deliver(receiver, sender, key)` as it comes, and the
-/// outcome is counted by [`count_delivery`]. Anti-entropy delivers with
-/// [`offer_quietly`]; the §1.5 backup brings its redistribution.
+/// Complete database comparison and resolution (§1.3's basic algorithm):
+/// [`diff_into`] lists the keys, [`deliver_listed`] delivers them with
+/// `deliver`. Anti-entropy delivers with [`offer_quietly`]; the §1.5 backup
+/// brings its redistribution.
+pub(crate) fn full_resolve<K, V>(
+    direction: Direction,
+    a: &mut Replica<K, V>,
+    b: &mut Replica<K, V>,
+    scratch: &mut ExchangeScratch<K>,
+    stats: &mut ExchangeStats,
+    deliver: impl FnMut(&mut Replica<K, V>, &mut Replica<K, V>, &K) -> OfferOutcome,
+) where
+    K: Ord + Clone + Hash + Eq,
+    V: Clone + Hash + Eq,
+{
+    stats.full_compare = true;
+    stats.entries_scanned += diff_into(direction, a, b, &mut scratch.a_to_b, &mut scratch.b_to_a);
+    deliver_listed(a, b, scratch, stats, deliver);
+}
+
+/// The one deliver loop of a listed conversation: every `a → b` key in
+/// `scratch`, then every `b → a` key, is handed to
+/// `deliver(receiver, sender, key)`, counted as sent, and its outcome
+/// counted by [`count_delivery`].
 ///
 /// Looking the `b → a` entries up after the `a → b` deliveries have
 /// changed `b` is sound because the two key lists are disjoint.
-pub(crate) fn full_resolve<K, V>(
-    direction: Direction,
+fn deliver_listed<K, V>(
     a: &mut Replica<K, V>,
     b: &mut Replica<K, V>,
     scratch: &mut ExchangeScratch<K>,
@@ -334,8 +335,6 @@ pub(crate) fn full_resolve<K, V>(
     K: Ord + Clone + Hash + Eq,
     V: Clone + Hash + Eq,
 {
-    stats.full_compare = true;
-    stats.entries_scanned += diff_into(direction, a, b, &mut scratch.a_to_b, &mut scratch.b_to_a);
     let [landed_a, landed_b] = &mut scratch.landed;
     for k in &scratch.a_to_b {
         stats.sent_ab += 1;
@@ -405,14 +404,15 @@ where
     );
     for &rank in pending.iter() {
         let (k, e) = from.db().nth_newest(rank as usize).expect("a listed rank");
-        offer_counted_ref(to, k, e, landed, stats);
+        count_delivery(to.receive_quietly_ref(k, e), k, landed, stats);
     }
     listed
 }
 
-/// Walks the sender's `listed` newest rows (its recent list) against the
-/// receiver, replacing `pending` with the ranks of those the walk cannot
-/// prove the receiver holds; returns the rows it visited.
+/// Walks the sender's `listed` newest rows against the receiver, replacing
+/// `pending` with the ranks of those the walk cannot prove the receiver
+/// holds; returns the rows it visited. The recent-update list walks its
+/// window; peel back walks the whole store.
 ///
 /// The receiver's rows are walked in lockstep: both sides run in
 /// descending `(timestamp, key)` order, so an exactly-matching row proves
@@ -526,6 +526,12 @@ where
 
 /// Peel back (§1.3): ship entries in reverse timestamp order until the
 /// checksums agree. Always bidirectional.
+///
+/// Each direction is one [`walk_recent`] over the sender's whole store,
+/// whose checksum stop ends it where the two remainders agree. Both
+/// directions are listed on the pre-exchange state before the first
+/// delivery, so a reinstated dormant certificate is never sent back within
+/// the conversation that awakened it.
 fn peel_back<K, V>(
     a: &mut Replica<K, V>,
     b: &mut Replica<K, V>,
@@ -539,59 +545,38 @@ fn peel_back<K, V>(
     if a.db().checksum() == b.db().checksum() {
         return;
     }
-    // Snapshot both sides' (timestamp, key) indexes into the reused
-    // scratch buffers, newest first, and walk the merged order. Key
-    // snapshots are needed (not borrows) because transfers install entries
-    // on both sides while the walk is in progress.
-    scratch.peel_a.clear();
-    scratch.peel_b.clear();
-    scratch.peel_a.extend(
-        a.db()
-            .newest_first()
-            .map(|(k, e)| (e.timestamp(), k.clone())),
+    let visited = list_newer(a.db(), b.db(), &mut scratch.recent, &mut scratch.a_to_b)
+        + list_newer(b.db(), a.db(), &mut scratch.recent, &mut scratch.b_to_a);
+    stats.entries_scanned += visited;
+    stats.checksum_exchanges += visited;
+    deliver_listed(a, b, scratch, stats, offer_quietly);
+}
+
+/// One direction of peel back: replaces `keys` with the keys `from` holds
+/// newer than `to` (or `to` lacks), newest first; returns the rows the walk
+/// visited.
+fn list_newer<K, V>(
+    from: &Database<K, V>,
+    to: &Database<K, V>,
+    pending: &mut Vec<u32>,
+    keys: &mut Vec<K>,
+) -> usize
+where
+    K: Ord + Clone + Hash,
+    V: Hash + Eq,
+{
+    let visited = walk_recent(from, to, from.len(), pending);
+    // A window of `u64::MAX` holds every row at any `now`.
+    debug_assert!(
+        is_the_long_walk(from, to, 0, u64::MAX, from.len(), pending),
+        "the early-stopped peel-back walk must equal the entry-by-entry one"
     );
-    scratch.peel_b.extend(
-        b.db()
-            .newest_first()
-            .map(|(k, e)| (e.timestamp(), k.clone())),
-    );
-    let (av, bv) = (&scratch.peel_a, &scratch.peel_b);
-    let (mut i, mut j) = (0, 0);
-    while i < av.len() || j < bv.len() {
-        // Pick the globally newest unprocessed record.
-        let take_a = match (av.get(i), bv.get(j)) {
-            (Some(x), Some(y)) => x.0 >= y.0,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let key: &K = if take_a {
-            let k = &av[i].1;
-            i += 1;
-            k
-        } else {
-            let k = &bv[j].1;
-            j += 1;
-            k
-        };
-        stats.entries_scanned += 1;
-        // Resolve this key against *current* state (an earlier transfer may
-        // have already reconciled it).
-        let ta = a.db().entry(key).map(Entry::timestamp);
-        let tb = b.db().entry(key).map(Entry::timestamp);
-        if ta > tb {
-            let entry = a.db().entry(key).expect("ta is Some");
-            stats.sent_ab += 1;
-            offer_counted_ref(b, key, entry, &mut scratch.landed[1], stats);
-        } else if tb > ta {
-            let entry = b.db().entry(key).expect("tb is Some");
-            stats.sent_ba += 1;
-            offer_counted_ref(a, key, entry, &mut scratch.landed[0], stats);
-        }
-        stats.checksum_exchanges += 1;
-        if a.db().checksum() == b.db().checksum() {
-            return;
-        }
-    }
+    keys.clear();
+    keys.extend(pending.iter().filter_map(|&rank| {
+        let (k, e) = from.nth_newest(rank as usize).expect("a listed rank");
+        (to.entry(k).map(Entry::timestamp) < Some(e.timestamp())).then(|| k.clone())
+    }));
+    visited
 }
 
 #[cfg(test)]
@@ -821,7 +806,7 @@ mod tests {
         let stats = ae.exchange(&mut a, &mut b);
         assert_eq!(a.db(), b.db());
         assert_eq!(stats.total_sent(), 1, "only the divergent entry ships");
-        assert!(stats.entries_scanned <= 3, "peel back stops near the top");
+        assert_eq!(stats.entries_scanned, 2, "one row each way");
     }
 
     #[test]
